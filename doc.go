@@ -56,8 +56,8 @@
 //	go run ./cmd/shadowtutor-server -shards 4 -envelope-codec delta+int8
 //	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -delta-checkpoints
 //
-// See ARCHITECTURE.md "Delta checkpoints & envelope v2" for the wire
-// formats and what may and may not travel lossily.
+// See ARCHITECTURE.md "Delta checkpoints & the handoff envelope" for the
+// wire formats and what may and may not travel lossily.
 //
 // The link itself can be made realistically unreliable: -loss-model
 // activates a packet layer (MTU framing over the TCP stream) with a seeded
@@ -68,7 +68,11 @@
 // server and client alike. With -adaptive on both, the server watches each
 // session's measured loss and goodput and switches the diff codec, stride
 // scale and FEC group at runtime (three-state hysteresis; see
-// ARCHITECTURE.md "Network realism & adaptive link policy"):
+// ARCHITECTURE.md "Network realism & adaptive link policy"). The link
+// policy is the only way to pick a diff codec — a fixed codec is the policy
+// "static:<codec>" (serve.Options.LinkPolicy, harness Spec.Codec) — so a
+// student diff travels in one of two bodies: raw float32 with no policy,
+// a self-describing adaptive envelope with one:
 //
 //	go run ./cmd/shadowtutor-server -loss-model uniform:0.02 -fec 8 -adaptive
 //	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -loss-model uniform:0.02 -fec 8 -adaptive

@@ -56,6 +56,15 @@ func WithBase(c Codec, base *nn.ParamSet) Codec {
 	return c
 }
 
+// Inner returns the codec that carries c's dense payload: a Delta's inner
+// codec, any other codec itself.
+func Inner(c Codec) Codec {
+	if d, ok := c.(*Delta); ok {
+		return d.Inner
+	}
+	return c
+}
+
 // Name implements Codec; the form round-trips through ByName.
 func (d *Delta) Name() string { return "delta+" + d.Inner.Name() }
 

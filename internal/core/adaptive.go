@@ -29,12 +29,15 @@ const (
 	adaptiveVersion = 1
 )
 
-// adaptiveCodec resolves a policy decision's codec, rejecting codecs that
-// need out-of-band receiver state (base-relative "delta+…" diffs cannot be
-// decoded by a client that missed the base).
-func adaptiveCodec(name string) (compress.Codec, error) {
+// diffCodec resolves the codec a link decision or an adaptive envelope
+// names — the one check PolicyByName, EncodeAdaptiveDiff and
+// DecodeAdaptiveDiff share. It rejects the empty name (compress.ByName
+// reads it as raw, which would let "static:" through) and codecs that need
+// out-of-band receiver state: a base-relative "delta+…" diff cannot be
+// decoded by a client that missed the base.
+func diffCodec(name string) (compress.Codec, error) {
 	codec, ok := compress.ByName(name)
-	if !ok {
+	if !ok || name == "" {
 		return nil, fmt.Errorf("core: adaptive envelope: unknown codec %q", name)
 	}
 	if _, isDelta := codec.(*compress.Delta); isDelta {
@@ -43,11 +46,28 @@ func adaptiveCodec(name string) (compress.Codec, error) {
 	return codec, nil
 }
 
+// PolicyByName is netsim.PolicyByName plus the check netsim cannot make:
+// every decision the policy can take must name a codec diffCodec accepts,
+// so a bad spec fails where the policy is configured instead of at each
+// session's first key frame.
+func PolicyByName(spec string) (netsim.LinkPolicy, error) {
+	p, err := netsim.PolicyByName(spec)
+	if err != nil {
+		return nil, err
+	}
+	for _, dec := range p.Decisions() {
+		if _, err := diffCodec(dec.Codec); err != nil {
+			return nil, fmt.Errorf("core: link policy %q: %w", spec, err)
+		}
+	}
+	return p, nil
+}
+
 // EncodeAdaptiveDiff encodes a student diff under the codec the link policy
 // decided, framing it so the receiver can decode without knowing the
 // decision in advance.
 func EncodeAdaptiveDiff(d transport.StudentDiff, dec netsim.LinkDecision) ([]byte, error) {
-	codec, err := adaptiveCodec(dec.Codec)
+	codec, err := diffCodec(dec.Codec)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +127,7 @@ func DecodeAdaptiveDiff(b []byte) (transport.StudentDiff, netsim.LinkDecision, e
 		return d, dec, fmt.Errorf("core: adaptive envelope: codec name: %w", err)
 	}
 	dec.Codec = string(name)
-	codec, err := adaptiveCodec(dec.Codec)
+	codec, err := diffCodec(dec.Codec)
 	if err != nil {
 		return d, dec, err
 	}
@@ -125,6 +145,9 @@ func DecodeAdaptiveDiff(b []byte) (transport.StudentDiff, netsim.LinkDecision, e
 	params, err := codec.Decode(r)
 	if err != nil {
 		return d, dec, fmt.Errorf("core: adaptive envelope: decode %s: %w", dec.Codec, err)
+	}
+	if r.Len() != 0 {
+		return d, dec, fmt.Errorf("core: adaptive envelope: %d trailing bytes", r.Len())
 	}
 	d.Params = params
 	d.StrideScale = dec.StrideScale

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/compress"
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/teacher"
@@ -95,26 +96,20 @@ func TestAdaptiveSessionAppliesPolicy(t *testing.T) {
 	student := tinyStudent(21)
 	srv := NewServer(cfg, student.Clone(), teacher.NewOracle(3))
 	// A static "critical" policy: every diff rides int8 with a 2x stride
-	// scale, and the FEC hook must observe the policy's choice.
-	fecCalls := 0
-	srv.Policy = &netsim.StaticPolicy{
-		Label:    "test-critical",
-		Decision: netsim.LinkDecision{State: netsim.LinkCritical, Codec: "int8", StrideScale: 2, FECGroup: 4},
-	}
-	srv.Observe = func() netsim.LinkObservation { return netsim.LinkObservation{LossRate: 0.1} }
-	srv.SetFEC = func(k int) {
-		if k != 4 {
-			t.Errorf("SetFEC(%d), want 4", k)
-		}
-		fecCalls++
-	}
+	// scale, Loop must read the link state off the conn it is handed and
+	// apply the policy's FEC choice to that same conn.
+	srv.Policy = lossPolicy{t: t, want: 0.1, dec: netsim.LinkDecision{
+		State: netsim.LinkCritical, Codec: "int8", StrideScale: 2, FECGroup: 4}}
+	link := &fakeLink{Conn: serverConn, obs: netsim.LinkObservation{LossRate: 0.1}}
+	decisions := 0
+	srv.Observer = policyCounter{n: &decisions}
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var srvErr error
 	go func() {
 		defer wg.Done()
-		srvErr = srv.Serve(serverConn)
+		srvErr = srv.Serve(link)
 	}()
 	cl := &Client{Cfg: cfg, Student: tinyStudent(99), EvalTeacher: teacher.NewOracle(3), Adaptive: true}
 	if err := cl.Run(clientConn, baseline.NewReplay(frames), len(frames)); err != nil {
@@ -128,8 +123,14 @@ func TestAdaptiveSessionAppliesPolicy(t *testing.T) {
 	if cl.Result.KeyFrames < 2 {
 		t.Fatalf("expected multiple key frames, got %d", cl.Result.KeyFrames)
 	}
-	if fecCalls != cl.Result.KeyFrames {
-		t.Fatalf("SetFEC called %d times for %d key frames", fecCalls, cl.Result.KeyFrames)
+	if len(link.fec) != cl.Result.KeyFrames || decisions != cl.Result.KeyFrames {
+		t.Fatalf("SetFECGroup called %d times, observer saw %d decisions, for %d key frames",
+			len(link.fec), decisions, cl.Result.KeyFrames)
+	}
+	for _, k := range link.fec {
+		if k != 4 {
+			t.Errorf("SetFECGroup(%d), want 4", k)
+		}
 	}
 	// With a 2x stride scale the stride trace must outrun the unscaled
 	// session's on the same frames.
@@ -147,5 +148,160 @@ func TestAdaptiveSessionAppliesPolicy(t *testing.T) {
 	base := sum(plain.Result.StrideTrace) / float64(len(plain.Result.StrideTrace))
 	if scaled <= base {
 		t.Fatalf("mean stride %v not above unscaled %v despite 2x scale", scaled, base)
+	}
+}
+
+// fakeLink is the smallest measuredLink: a conn reporting a fixed
+// observation and recording every FEC retune.
+type fakeLink struct {
+	transport.Conn
+	obs netsim.LinkObservation
+	fec []int
+}
+
+func (l *fakeLink) LinkObservation() netsim.LinkObservation { return l.obs }
+func (l *fakeLink) SetFECGroup(k int)                       { l.fec = append(l.fec, k) }
+
+// lossPolicy is a static policy that also checks the observation it is
+// shown is the conn's.
+type lossPolicy struct {
+	t    *testing.T
+	want float64
+	dec  netsim.LinkDecision
+}
+
+func (p lossPolicy) Name() string                     { return "test-critical" }
+func (p lossPolicy) Decisions() []netsim.LinkDecision { return []netsim.LinkDecision{p.dec} }
+func (p lossPolicy) Decide(obs netsim.LinkObservation) netsim.LinkDecision {
+	if obs.LossRate != p.want {
+		p.t.Errorf("policy saw loss %v, want the conn's %v", obs.LossRate, p.want)
+	}
+	return p.dec
+}
+
+// policyCounter is a partial SessionObserver counting policy decisions; a
+// static policy must never report a transition.
+type policyCounter struct {
+	NopObserver
+	n *int
+}
+
+func (o policyCounter) Policy(_ netsim.LinkDecision, changed bool) {
+	if changed {
+		panic("static policy reported a state transition")
+	}
+	*o.n++
+}
+
+// PolicyByName must refuse, at configuration time, any policy that would
+// otherwise kill every session at its first key frame.
+func TestPolicyByNameValidatesCodecs(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"adaptive", true},
+		{"static:raw", true},
+		{"static:int8", true},
+		{"static:prune25", true},
+		{"static:bf16", true},
+		{"static:nope", false},
+		{"static:", false},
+		{"static:delta+int8", false},
+		{"static:prune0", false},
+		{"no-such-policy", false},
+		{"", false},
+	} {
+		p, err := PolicyByName(tc.spec)
+		if (err == nil) != tc.ok {
+			t.Errorf("PolicyByName(%q): err = %v, want ok=%v", tc.spec, err, tc.ok)
+		}
+		if tc.ok && p == nil {
+			t.Errorf("PolicyByName(%q) returned no policy", tc.spec)
+		}
+	}
+}
+
+// FuzzDecodeAdaptiveDiff hammers the adaptive envelope decoder — every diff
+// a policy-running server sends crosses it, as does every journal replay.
+// It must never panic; base-relative or empty codec names, bad stride
+// scales, truncation and trailing bytes must error; and under the dense
+// codecs, where every decoded value costs at least one body byte, it must
+// not allocate past the body (a pruned tensor's size is bounded by
+// compress's own shape check instead).
+func FuzzDecodeAdaptiveDiff(f *testing.F) {
+	for _, b := range adaptiveSeeds(f) {
+		f.Add(b.body)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		d, dec, err := DecodeAdaptiveDiff(b)
+		if err != nil {
+			return
+		}
+		if dec.StrideScale <= 0 || math.IsNaN(dec.StrideScale) || math.IsInf(dec.StrideScale, 0) || d.StrideScale != dec.StrideScale {
+			t.Fatalf("accepted stride scale %v (diff carries %v)", dec.StrideScale, d.StrideScale)
+		}
+		codec, err := diffCodec(dec.Codec)
+		if err != nil {
+			t.Fatalf("accepted codec %q: %v", dec.Codec, err)
+		}
+		if _, sparse := codec.(compress.Pruned); !sparse {
+			n := 0
+			for _, p := range d.Params {
+				n += len(p.Value.Data)
+			}
+			if n > len(b) {
+				t.Fatalf("decoded %d values from a %d-byte %s body", n, len(b), dec.Codec)
+			}
+		}
+	})
+}
+
+type adaptiveSeed struct {
+	what string
+	body []byte
+	ok   bool
+}
+
+// adaptiveSeeds is the fuzz corpus and, through TestAdaptiveSeedsVerdicts,
+// a table of what the decoder must accept and reject.
+func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
+	diff := transport.StudentDiff{FrameIndex: 9, Metric: 0.5, Seq: 3, Params: nn.TrainableSubset(tinyStudent(3).Params)}
+	var seeds []adaptiveSeed
+	for _, codec := range []string{"raw", "int8", "prune25"} {
+		body, err := EncodeAdaptiveDiff(diff, netsim.LinkDecision{State: netsim.LinkDegraded, Codec: codec, StrideScale: 1.5})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		seeds = append(seeds,
+			adaptiveSeed{codec, body, true},
+			adaptiveSeed{codec + " truncated", body[:len(body)/2], false},
+			adaptiveSeed{codec + " trailing byte", append(append([]byte(nil), body...), 0xEE), false})
+	}
+	// The raw envelope with its head — magic, version, state, float32 stride
+	// scale, codec name — rewritten and everything after the name intact, so
+	// each of these can only be rejected for the field it corrupts.
+	rest := seeds[0].body[8+len("raw"):]
+	with := func(scale uint32, name string) []byte {
+		b := []byte{adaptiveMagic, adaptiveVersion, 0, byte(scale), byte(scale >> 8), byte(scale >> 16), byte(scale >> 24), byte(len(name))}
+		return append(append(b, name...), rest...)
+	}
+	one := math.Float32bits(1)
+	return append(seeds,
+		adaptiveSeed{"rewritten head", with(one, "raw"), true},
+		adaptiveSeed{"delta name", with(one, "delta+raw"), false},
+		adaptiveSeed{"empty name", with(one, ""), false},
+		adaptiveSeed{"unknown name", with(one, "nope"), false},
+		adaptiveSeed{"NaN stride scale", with(0x7fc00000, "raw"), false},
+		adaptiveSeed{"zero stride scale", with(0, "raw"), false},
+		adaptiveSeed{"negative stride scale", with(math.Float32bits(-2), "raw"), false},
+		adaptiveSeed{"empty", nil, false})
+}
+
+func TestAdaptiveSeedsVerdicts(t *testing.T) {
+	for _, s := range adaptiveSeeds(t) {
+		if _, _, err := DecodeAdaptiveDiff(s.body); (err == nil) != s.ok {
+			t.Errorf("%s: err = %v, want accepted=%v", s.what, err, s.ok)
+		}
 	}
 }

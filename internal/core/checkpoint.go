@@ -62,6 +62,20 @@ func (c *CheckpointCodec) EncodeBody(params []*nn.Parameter) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// EncodeFor builds the MsgStudentFull body for a peer that sent caps and
+// baseHash in its Hello or Resume: delta-encoded when they Match, the raw
+// nn.WriteNamed stream otherwise — always, for a nil codec.
+func (c *CheckpointCodec) EncodeFor(caps, baseHash uint64, params []*nn.Parameter) ([]byte, error) {
+	if c.Match(caps, baseHash) {
+		return c.EncodeBody(params)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, nn.EncodedSize(params)))
+	if err := nn.WriteNamed(buf, params); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // DecodeCheckpointBody parses a MsgStudentFull body in either format: the
 // legacy raw nn.WriteNamed stream, or the delta-encoded form against base.
 // A delta body arriving without a base is a protocol error — the server

@@ -69,7 +69,7 @@ func TestCheckpointBodyRoundTripsBothFormats(t *testing.T) {
 // holding the shared base receives the delta-encoded handshake checkpoint, a
 // legacy client (no base) gets the raw body from the very same server
 // configuration, and a client whose base hash disagrees is downgraded to raw
-// too. The OnCheckpoint hook observes which format was sent.
+// too. The observer's Checkpoint call reports which format was sent.
 func TestServerChecksClientCapabilityForDeltaCheckpoints(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxUpdates = 1
@@ -81,7 +81,7 @@ func TestServerChecksClientCapabilityForDeltaCheckpoints(t *testing.T) {
 		clientConn, serverConn := transport.Pipe(4, nil)
 		srv := NewServer(cfg, base.Clone(), teacher.NewOracle(3))
 		srv.Checkpoint = &CheckpointCodec{Base: base.Params, Codec: compress.Int8{}}
-		srv.OnCheckpoint = func(a, b int) { actual, baseline_ = a, b }
+		srv.Observer = checkpointSizes{actual: &actual, baseline: &baseline_}
 		var wg sync.WaitGroup
 		wg.Add(1)
 		var srvErr error
@@ -104,7 +104,7 @@ func TestServerChecksClientCapabilityForDeltaCheckpoints(t *testing.T) {
 	t.Run("capable", func(t *testing.T) {
 		actual, raw, cl := run(t, base.Params)
 		if actual == 0 || raw == 0 {
-			t.Fatal("OnCheckpoint did not fire")
+			t.Fatal("observer saw no checkpoint")
 		}
 		// A pristine handshake checkpoint is all bit-copy headers.
 		if actual*5 > raw {
@@ -130,3 +130,12 @@ func TestServerChecksClientCapabilityForDeltaCheckpoints(t *testing.T) {
 		}
 	})
 }
+
+// checkpointSizes is a partial SessionObserver recording the handshake
+// checkpoint's byte counts.
+type checkpointSizes struct {
+	NopObserver
+	actual, baseline *int
+}
+
+func (o checkpointSizes) Checkpoint(actual, baseline int) { *o.actual, *o.baseline = actual, baseline }

@@ -45,16 +45,12 @@ type Client struct {
 	// (§6.3's protocol is 1, the default; higher values cut eval cost in
 	// throughput-oriented runs).
 	EvalEvery int
-	// DecodeDiff, when non-nil, replaces transport.DecodeStudentDiff for
-	// incoming updates — the hook a codec-aware harness uses to decompress
-	// diffs the server encoded with a matching Server.EncodeDiff.
-	DecodeDiff func([]byte) (transport.StudentDiff, error)
 	// Adaptive decodes incoming diffs as self-describing adaptive
-	// envelopes (core.DecodeAdaptiveDiff) — required when the server runs
-	// a link policy (Server.Policy / serve.Options.LinkPolicy). Each
+	// envelopes (core.DecodeAdaptiveDiff) instead of raw
+	// transport.DecodeStudentDiff bodies — required exactly when the server
+	// runs a link policy (Server.Policy / serve.Options.LinkPolicy). Each
 	// envelope names its own codec and carries the policy's stride scale,
-	// which apply() folds into Algorithm 2's stride. Takes precedence over
-	// DecodeDiff.
+	// which apply() folds into Algorithm 2's stride.
 	Adaptive bool
 	// Base, when non-nil, is the shared pretrained parameter set this
 	// client holds. It advertises CapDeltaCheckpoint (with the base hash)
@@ -127,11 +123,6 @@ func (c *Client) caps() (caps, baseHash uint64) {
 	}
 	c.baseHashOnce.Do(func() { c.baseHash = nn.HashParams(c.Base.All()) })
 	return transport.CapDeltaCheckpoint, c.baseHash
-}
-
-// decodeCheckpoint parses a MsgStudentFull body in either wire format.
-func (c *Client) decodeCheckpoint(body []byte) ([]*nn.Parameter, error) {
-	return DecodeCheckpointBody(body, c.Base)
 }
 
 // ClientResult summarises a client session.
@@ -234,9 +225,6 @@ func (c *Client) decodeDiff(body []byte) (transport.StudentDiff, error) {
 		d, _, err := DecodeAdaptiveDiff(body)
 		return d, err
 	}
-	if c.DecodeDiff != nil {
-		return c.DecodeDiff(body)
-	}
 	return transport.DecodeStudentDiff(body)
 }
 
@@ -303,9 +291,6 @@ type runState struct {
 	epoch       uint64
 	lastApplied uint64 // highest student-diff Seq applied
 	kfSeq       uint64 // key-frame sequence counter
-	// initial carries the checkpoint of a quiet (recovery-path) handshake
-	// back to the main loop, which owns all weight mutation.
-	initial []*nn.Parameter
 
 	link     *diffReceiver
 	inflight *asyncRecv
@@ -576,23 +561,14 @@ func (c *Client) admit(conn transport.Conn, rs *runState) (transport.Conn, error
 	if c.Dial == nil || !isAdmissionRetry(err) {
 		return nil, err
 	}
-	attempts := c.MaxResumeAttempts
-	if attempts <= 0 {
-		attempts = 8
-	}
-	backoff := c.ResumeBackoff
-	if backoff <= 0 {
-		backoff = DefaultResumeBackoff
-	}
+	attempts, backoff := c.redialBudget()
 	for a := 0; a < attempts; a++ {
 		if conn != nil {
 			conn.Close()
 			conn = nil
 		}
 		time.Sleep(backoff)
-		if backoff *= 2; backoff > maxResumeBackoff {
-			backoff = maxResumeBackoff
-		}
+		backoff = min(2*backoff, maxResumeBackoff)
 		nc, derr := c.Dial()
 		if derr != nil {
 			// A failed redial consumes an attempt; the server may still be
@@ -642,49 +618,58 @@ func helloReject(body []byte) error {
 	return fmt.Errorf("core: session refused at admission: %s", ack.Reason)
 }
 
-// handshake performs the fresh Hello handshake on conn and applies the
-// initial checkpoint.
-func (c *Client) handshake(conn transport.Conn, rs *runState) error {
+// hello runs one fresh Hello exchange on conn — Hello, ack (or an admission
+// reject), full checkpoint — and returns the ack and the decoded checkpoint
+// without touching the student or Result, so the recovery goroutine can run
+// it too: weight mutation stays with whoever applies the params.
+func (c *Client) hello(conn transport.Conn, sessionID uint64) (transport.Hello, []*nn.Parameter, error) {
 	caps, baseHash := c.caps()
 	hello := transport.Hello{
 		Version:   transport.Version,
 		NumClass:  uint16(c.Student.Config.NumClasses),
 		Partial:   c.Cfg.Partial,
-		SessionID: c.SessionID,
+		SessionID: sessionID,
 		Caps:      caps,
 		BaseHash:  baseHash,
 	}
 	if err := conn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(hello)}); err != nil {
-		return fmt.Errorf("core: client hello: %w", err)
+		return hello, nil, fmt.Errorf("core: client hello: %w", err)
 	}
 	m, err := conn.Recv()
 	if err != nil {
-		return fmt.Errorf("core: client hello ack recv: %w", err)
+		return hello, nil, fmt.Errorf("core: client hello ack recv: %w", err)
 	}
 	if m.Type == transport.MsgResumeAck {
-		return helloReject(m.Body)
+		return hello, nil, helloReject(m.Body)
 	}
 	if m.Type != transport.MsgHello {
-		return fmt.Errorf("core: expected Hello ack, got %v", m.Type)
+		return hello, nil, fmt.Errorf("core: expected Hello ack, got %v", m.Type)
 	}
 	ack, err := transport.DecodeHello(m.Body)
+	if err != nil {
+		return ack, nil, err
+	}
+	m, err = conn.Recv()
+	if err != nil {
+		return ack, nil, fmt.Errorf("core: client initial student recv: %w", err)
+	}
+	if m.Type != transport.MsgStudentFull {
+		return ack, nil, fmt.Errorf("core: expected StudentFull, got %v", m.Type)
+	}
+	params, err := DecodeCheckpointBody(m.Body, c.Base)
+	return ack, params, err
+}
+
+// handshake opens the session on conn: a hello exchange under the
+// requested SessionID, then the initial checkpoint applied to the student.
+func (c *Client) handshake(conn transport.Conn, rs *runState) error {
+	ack, params, err := c.hello(conn, c.SessionID)
 	if err != nil {
 		return err
 	}
 	rs.sessionID = ack.SessionID
 	rs.epoch = ack.Epoch
 	c.Result.SessionID = ack.SessionID
-	m, err = conn.Recv()
-	if err != nil {
-		return fmt.Errorf("core: client initial student recv: %w", err)
-	}
-	if m.Type != transport.MsgStudentFull {
-		return fmt.Errorf("core: expected StudentFull, got %v", m.Type)
-	}
-	params, err := c.decodeCheckpoint(m.Body)
-	if err != nil {
-		return err
-	}
 	if err := nn.ApplyNamed(c.Student.Params, params); err != nil {
 		return err
 	}
@@ -725,6 +710,19 @@ const DefaultResumeBackoff = 25 * time.Millisecond
 // maxResumeBackoff caps the exponential redial delay.
 const maxResumeBackoff = time.Second
 
+// redialBudget resolves MaxResumeAttempts and ResumeBackoff to their
+// defaults — the budget of one outage, or of one shed admission.
+func (c *Client) redialBudget() (attempts int, backoff time.Duration) {
+	attempts, backoff = c.MaxResumeAttempts, c.ResumeBackoff
+	if attempts <= 0 {
+		attempts = 8
+	}
+	if backoff <= 0 {
+		backoff = DefaultResumeBackoff
+	}
+	return attempts, backoff
+}
+
 // recover is the background reconnect loop of one outage. It owns no
 // client state: it works from the (sessionID, epoch, lastApplied) snapshot
 // taken at drop time and hands everything needed to catch up — connection,
@@ -733,14 +731,7 @@ const maxResumeBackoff = time.Second
 // deterministic even mid-recovery.
 func (c *Client) recover(sessionID, epoch, lastApplied uint64, out chan<- recovered, done chan<- struct{}, cancel *dialCanceler) {
 	defer close(done)
-	attempts := c.MaxResumeAttempts
-	if attempts <= 0 {
-		attempts = 8
-	}
-	backoff := c.ResumeBackoff
-	if backoff <= 0 {
-		backoff = DefaultResumeBackoff
-	}
+	attempts, backoff := c.redialBudget()
 	fresh := sessionID == 0 // a session the server never named cannot resume
 	var lastErr error
 	for a := 0; a < attempts; a++ {
@@ -750,9 +741,7 @@ func (c *Client) recover(sessionID, epoch, lastApplied uint64, out chan<- recove
 			out <- recovered{err: fmt.Errorf("core: recovery cancelled")}
 			return
 		}
-		if backoff *= 2; backoff > maxResumeBackoff {
-			backoff = maxResumeBackoff
-		}
+		backoff = min(2*backoff, maxResumeBackoff)
 		conn, err := c.Dial()
 		if err != nil {
 			lastErr = err
@@ -833,7 +822,7 @@ func (c *Client) attemptRecovery(conn transport.Conn, sessionID, epoch, lastAppl
 		if m.Type != transport.MsgStudentFull {
 			return recovered{}, fmt.Errorf("core: expected StudentFull, got %v", m.Type)
 		}
-		params, err := c.decodeCheckpoint(m.Body)
+		params, err := DecodeCheckpointBody(m.Body, c.Base)
 		if err != nil {
 			return recovered{}, err
 		}
@@ -863,65 +852,13 @@ func (c *Client) attemptRecovery(conn transport.Conn, sessionID, epoch, lastAppl
 }
 
 // freshRecovery falls back to a brand-new session on conn: full Hello
-// handshake, new ID, new checkpoint.
+// handshake, server-assigned ID, new checkpoint for the main loop to apply.
+// A load-shed of this fallback is transient (never a permanent reject), so
+// the recovery loop backs off and retries.
 func (c *Client) freshRecovery(conn transport.Conn) (recovered, error) {
-	rs := &runState{}
-	if err := c.handshakeQuiet(conn, rs); err != nil {
+	ack, params, err := c.hello(conn, 0)
+	if err != nil {
 		return recovered{}, err
 	}
-	return recovered{
-		conn:    conn,
-		epoch:   rs.epoch,
-		session: rs.sessionID,
-		full:    rs.initial,
-		fresh:   true,
-	}, nil
-}
-
-// handshakeQuiet is handshake without mutating the student or Result: the
-// checkpoint is handed back through rs.initial so the main loop applies it
-// (weight mutation stays single-goroutine).
-func (c *Client) handshakeQuiet(conn transport.Conn, rs *runState) error {
-	caps, baseHash := c.caps()
-	hello := transport.Hello{
-		Version:  transport.Version,
-		NumClass: uint16(c.Student.Config.NumClasses),
-		Partial:  c.Cfg.Partial,
-		Caps:     caps,
-		BaseHash: baseHash,
-	}
-	if err := conn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(hello)}); err != nil {
-		return fmt.Errorf("core: client re-hello: %w", err)
-	}
-	m, err := conn.Recv()
-	if err != nil {
-		return fmt.Errorf("core: re-hello ack recv: %w", err)
-	}
-	if m.Type == transport.MsgResumeAck {
-		// A load-shed of the fresh fallback is transient (never a
-		// permanent reject), so the recovery loop backs off and retries.
-		return helloReject(m.Body)
-	}
-	if m.Type != transport.MsgHello {
-		return fmt.Errorf("core: expected Hello ack, got %v", m.Type)
-	}
-	ack, err := transport.DecodeHello(m.Body)
-	if err != nil {
-		return err
-	}
-	rs.sessionID = ack.SessionID
-	rs.epoch = ack.Epoch
-	m, err = conn.Recv()
-	if err != nil {
-		return fmt.Errorf("core: re-handshake student recv: %w", err)
-	}
-	if m.Type != transport.MsgStudentFull {
-		return fmt.Errorf("core: expected StudentFull, got %v", m.Type)
-	}
-	params, err := c.decodeCheckpoint(m.Body)
-	if err != nil {
-		return err
-	}
-	rs.initial = params
-	return nil
+	return recovered{conn: conn, epoch: ack.Epoch, session: ack.SessionID, full: params, fresh: true}, nil
 }

@@ -35,55 +35,26 @@ type Server struct {
 	Cfg       Config
 	Teacher   teacher.Teacher
 	Distiller *Distiller
-	// AssignSession, when non-nil, is consulted during Handshake with the
-	// client's Hello and returns the session ID and epoch to acknowledge —
-	// a session manager (internal/serve) registers the session here. Nil
-	// echoes the client's requested ID with epoch zero.
-	AssignSession func(transport.Hello) (id, epoch uint64, err error)
-	// EncodeDiff, when non-nil, replaces transport.EncodeStudentDiff for
-	// outgoing updates — the hook through which a harness installs a
-	// compression codec (internal/compress) on the diff path. The client
-	// must decode with a matching Client.DecodeDiff.
-	EncodeDiff func(transport.StudentDiff) ([]byte, error)
-	// OnDiff, when non-nil, observes every encoded diff just before it is
-	// sent — the resume journal hook (internal/serve appends the body to
-	// the session's journal so a reconnecting client can replay it). The
-	// body must not be reused by the observer's peer; Loop passes each
-	// freshly encoded buffer.
-	OnDiff func(seq uint64, body []byte)
+	// Observer, when non-nil, is the session manager's view of this server:
+	// it names the session at handshake and watches checkpoints, distillation
+	// results, policy decisions and encoded diffs (internal/serve's session
+	// implements it). Nil observes nothing and echoes the client's Hello.
+	Observer SessionObserver
 	// Checkpoint, when non-nil, delta-encodes MsgStudentFull bodies against
 	// the shared pretrained base for clients that advertised
 	// CapDeltaCheckpoint with a matching base hash. Others (and a nil
-	// Checkpoint) get the legacy raw nn.WriteNamed body.
+	// Checkpoint) get the raw nn.WriteNamed body.
 	Checkpoint *CheckpointCodec
-	// OnCheckpoint, when non-nil, observes every MsgStudentFull sent during
-	// a handshake: the actual body size and the raw nn.WriteNamed baseline
-	// it replaced — the envelope_bytes/full_resend_bytes accounting hook.
-	OnCheckpoint func(actual, baseline int)
-	// Policy, when non-nil, runs the adaptive link policy: before each
-	// student diff the server consults Observe for the measured link state,
-	// asks the policy for a decision, applies its FEC choice via SetFEC,
-	// and encodes the diff as a self-describing adaptive envelope
-	// (EncodeAdaptiveDiff) carrying the chosen codec and stride scale.
-	// The client must opt in with Client.Adaptive. Policy takes precedence
-	// over EncodeDiff; it survives a detach/resume cycle with the server
-	// state, while Observe/SetFEC are rebound to each new conn.
+	// Policy, when non-nil, picks each student diff's codec, stride scale and
+	// FEC group: before encoding, Loop reads the measured link state off the
+	// conn it was handed (when the conn is a measuredLink), asks the policy
+	// for a decision, applies its FEC choice to that conn, and encodes the
+	// diff as a self-describing adaptive envelope (EncodeAdaptiveDiff). The
+	// client must opt in with Client.Adaptive. Nil sends the raw
+	// transport.EncodeStudentDiff body. The policy survives a detach/resume
+	// cycle with the server state; the link follows whichever conn Loop runs
+	// on.
 	Policy netsim.LinkPolicy
-	// Observe snapshots the current conn's packet-link stats (nil or a
-	// zero observation reads as a perfectly clear link).
-	Observe func() netsim.LinkObservation
-	// SetFEC adjusts the current conn's parity group size (nil = no-op).
-	SetFEC func(int)
-	// OnTrain, when non-nil, observes each distillation step's result just
-	// after it completes — the telemetry hook feeding the distill-step
-	// latency histogram. It runs in Loop, outside the alloc-budgeted
-	// Distiller.Train itself, and must not retain the TrainResult.
-	OnTrain func(TrainResult)
-	// OnPolicy, when non-nil, observes every adaptive-policy decision;
-	// changed reports a hysteresis state transition relative to this
-	// session's previous decision (the first decision is not a
-	// transition). Like the policy itself it survives detach/resume.
-	OnPolicy func(dec netsim.LinkDecision, changed bool)
 
 	// DiffSeq is the sequence number of the last student diff produced
 	// (diffs are numbered 1, 2, …). It survives a detach/resume cycle with
@@ -94,10 +65,61 @@ type Server struct {
 	// re-attached to the wrong session state).
 	LastKFSeq uint64
 
-	// Policy-state tracking for OnPolicy's changed flag; part of the
-	// detachable session state like DiffSeq.
+	// Policy-state tracking for SessionObserver.Policy's changed flag; part
+	// of the detachable session state like DiffSeq.
 	policySeen      bool
 	lastPolicyState netsim.PolicyState
+}
+
+// SessionObserver is what a session manager hangs on one Server. Every
+// method runs on the goroutine driving Handshake/Loop.
+type SessionObserver interface {
+	// Assign is consulted during Handshake with the client's Hello and
+	// returns the session ID and epoch to acknowledge — a manager registers
+	// the session here.
+	Assign(transport.Hello) (id, epoch uint64, err error)
+	// Checkpoint observes every MsgStudentFull sent during a handshake: the
+	// actual body size and the raw nn.WriteNamed baseline it replaced.
+	Checkpoint(actual, baseline int)
+	// Train observes each key frame's distillation result just after it
+	// completes, outside the alloc-budgeted Distiller.Train itself; it must
+	// not retain the TrainResult.
+	Train(TrainResult)
+	// Policy observes every link-policy decision; changed reports a state
+	// transition relative to this session's previous decision (the first
+	// decision is not a transition).
+	Policy(dec netsim.LinkDecision, changed bool)
+	// Diff observes every encoded diff just before it is sent — the resume
+	// journal. Loop passes each freshly encoded buffer and never reuses it.
+	Diff(seq uint64, body []byte)
+}
+
+// NopObserver observes nothing and acknowledges the client's own session
+// ID and epoch; it is what a Server with a nil Observer runs, and what a
+// partial observer embeds.
+type NopObserver struct{}
+
+func (NopObserver) Assign(h transport.Hello) (uint64, uint64, error) {
+	return h.SessionID, h.Epoch, nil
+}
+func (NopObserver) Checkpoint(actual, baseline int)  {}
+func (NopObserver) Train(TrainResult)                {}
+func (NopObserver) Policy(netsim.LinkDecision, bool) {}
+func (NopObserver) Diff(seq uint64, body []byte)     {}
+
+func (s *Server) observer() SessionObserver {
+	if s.Observer != nil {
+		return s.Observer
+	}
+	return NopObserver{}
+}
+
+// measuredLink is a conn that measures the link it rides and can retune its
+// parity groups — transport.TCPConn over a netsim.PacketConn. A conn
+// without it reads as a perfectly clear link with nothing to retune.
+type measuredLink interface {
+	netsim.LinkObserver
+	SetFECGroup(int)
 }
 
 // NewServer builds a server around a student copy and a teacher.
@@ -149,13 +171,8 @@ func (s *Server) HandshakeWith(conn transport.Conn, m transport.Message) (transp
 	if hello.Version != transport.Version {
 		return transport.Hello{}, fmt.Errorf("core: protocol version mismatch: client %d, server %d", hello.Version, transport.Version)
 	}
-	if s.AssignSession != nil {
-		id, epoch, err := s.AssignSession(hello)
-		if err != nil {
-			return transport.Hello{}, err
-		}
-		hello.SessionID = id
-		hello.Epoch = epoch
+	if hello.SessionID, hello.Epoch, err = s.observer().Assign(hello); err != nil {
+		return transport.Hello{}, err
 	}
 
 	deltaOK := s.Checkpoint.Match(hello.Caps, hello.BaseHash)
@@ -175,35 +192,16 @@ func (s *Server) HandshakeWith(conn transport.Conn, m transport.Message) (transp
 	if err := conn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(ack)}); err != nil {
 		return transport.Hello{}, fmt.Errorf("core: sending hello ack: %w", err)
 	}
-	full, err := s.encodeCheckpoint(deltaOK)
+	all := s.Distiller.Student.Params.All()
+	full, err := s.Checkpoint.EncodeFor(hello.Caps, hello.BaseHash, all)
 	if err != nil {
 		return transport.Hello{}, err
 	}
+	s.observer().Checkpoint(len(full), nn.EncodedSize(all))
 	if err := conn.Send(transport.Message{Type: transport.MsgStudentFull, Body: full}); err != nil {
 		return transport.Hello{}, fmt.Errorf("core: sending initial student: %w", err)
 	}
 	return hello, nil
-}
-
-// encodeCheckpoint builds the MsgStudentFull body — delta-encoded when the
-// peer negotiated it, raw otherwise — and reports actual vs baseline bytes
-// to the OnCheckpoint hook.
-func (s *Server) encodeCheckpoint(deltaOK bool) ([]byte, error) {
-	all := s.Distiller.Student.Params.All()
-	var body []byte
-	var err error
-	if deltaOK {
-		body, err = s.Checkpoint.EncodeBody(all)
-	} else {
-		body, err = encodeParams(all)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if s.OnCheckpoint != nil {
-		s.OnCheckpoint(len(body), nn.EncodedSize(all))
-	}
-	return body, nil
 }
 
 // Loop runs the steady-state half of Algorithm 3 (lines 2–7): receive a key
@@ -215,6 +213,8 @@ func (s *Server) encodeCheckpoint(deltaOK bool) ([]byte, error) {
 // Protocol violations (bad decode, malformed label, non-monotonic key
 // frame) return plain errors — they terminate the session for good.
 func (s *Server) Loop(conn transport.Conn) error {
+	obs := s.observer()
+	link, _ := conn.(measuredLink)
 	for {
 		m, err := conn.Recv()
 		if err != nil {
@@ -246,42 +246,14 @@ func (s *Server) Loop(conn transport.Conn) error {
 			frame := video.Frame{Index: int(kf.FrameIndex), Image: kf.Image, Label: kf.Label}
 			label := s.Teacher.Infer(frame)
 			tr := s.Distiller.Train(frame, label)
-			if s.OnTrain != nil {
-				s.OnTrain(tr)
-			}
+			obs.Train(tr)
 			diff := transport.StudentDiff{
 				FrameIndex: kf.FrameIndex,
 				Metric:     tr.Metric,
 				Params:     nn.TrainableSubset(s.Distiller.Student.Params),
 				Seq:        s.DiffSeq + 1,
 			}
-			var body []byte
-			switch {
-			case s.Policy != nil:
-				var obs netsim.LinkObservation
-				if s.Observe != nil {
-					obs = s.Observe()
-				}
-				dec := s.Policy.Decide(obs)
-				if s.OnPolicy != nil {
-					changed := s.policySeen && dec.State != s.lastPolicyState
-					s.OnPolicy(dec, changed)
-				}
-				s.policySeen = true
-				s.lastPolicyState = dec.State
-				if s.SetFEC != nil && dec.FECGroup != 0 {
-					k := dec.FECGroup
-					if k < 0 {
-						k = 0
-					}
-					s.SetFEC(k)
-				}
-				body, err = EncodeAdaptiveDiff(diff, dec)
-			case s.EncodeDiff != nil:
-				body, err = s.EncodeDiff(diff)
-			default:
-				body, err = transport.EncodeStudentDiff(diff)
-			}
+			body, err := s.encodeDiff(diff, link)
 			if err != nil {
 				return err
 			}
@@ -289,9 +261,7 @@ func (s *Server) Loop(conn transport.Conn) error {
 			// client may or may not have applied the diff, and only the
 			// journal entry lets the resume replay disambiguate by Seq.
 			s.DiffSeq = diff.Seq
-			if s.OnDiff != nil {
-				s.OnDiff(diff.Seq, body)
-			}
+			obs.Diff(diff.Seq, body)
 			if err := conn.Send(transport.Message{Type: transport.MsgStudentDiff, Body: body}); err != nil {
 				return connLost("sending student diff", err)
 			}
@@ -299,6 +269,27 @@ func (s *Server) Loop(conn transport.Conn) error {
 			return fmt.Errorf("core: server: unexpected message %v", m.Type)
 		}
 	}
+}
+
+// encodeDiff builds one MsgStudentDiff body: the raw transport encoding
+// without a policy, otherwise an adaptive envelope under the decision the
+// policy takes on link's current observation (nil link = a clear one).
+func (s *Server) encodeDiff(diff transport.StudentDiff, link measuredLink) ([]byte, error) {
+	if s.Policy == nil {
+		return transport.EncodeStudentDiff(diff)
+	}
+	var seen netsim.LinkObservation
+	if link != nil {
+		seen = link.LinkObservation()
+	}
+	dec := s.Policy.Decide(seen)
+	s.observer().Policy(dec, s.policySeen && dec.State != s.lastPolicyState)
+	s.policySeen = true
+	s.lastPolicyState = dec.State
+	if link != nil && dec.FECGroup != 0 {
+		link.SetFECGroup(max(dec.FECGroup, 0)) // negative = FEC off
+	}
+	return EncodeAdaptiveDiff(diff, dec)
 }
 
 // NaiveServer answers every frame with the teacher's mask — the paper's
@@ -380,21 +371,4 @@ func requireLabel(label []int32, tch teacher.Teacher) error {
 		return fmt.Errorf("core: key frame carries no ground-truth label, but teacher %q requires one", tch.Name())
 	}
 	return nil
-}
-
-func encodeParams(params []*nn.Parameter) ([]byte, error) {
-	var buf bytesBuffer
-	if err := nn.WriteNamed(&buf, params); err != nil {
-		return nil, err
-	}
-	return buf.b, nil
-}
-
-// bytesBuffer is a minimal io.Writer onto a byte slice (avoids pulling
-// bytes.Buffer into the hot path; also keeps encodeParams allocation-lean).
-type bytesBuffer struct{ b []byte }
-
-func (w *bytesBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }

@@ -14,7 +14,8 @@ import (
 // (The paper ships raw float32; quantization/pruning are its named
 // extensions.) Column positions are a contract with internal/harness's
 // compression/diff-codecs scenario; the same codecs also run live on the
-// wire in the bandwidth-sweep codec scenarios (core.Server.EncodeDiff).
+// wire in the bandwidth-sweep codec scenarios (as "static:<codec>" link
+// policies).
 func AblationCompression() (*stats.Table, error) {
 	st, err := SharedPretrained()
 	if err != nil {

@@ -38,11 +38,7 @@ func wireSizes(envCodec string) (helloAck, fullMsg, diffMsg int64) {
 	helloAck = transport.FrameOverhead + int64(len(transport.EncodeHello(transport.Hello{})))
 	fullMsg = transport.FrameOverhead + int64(nn.EncodedSize(st.Params.All()))
 	if c, ok := compress.ByName(envCodec); ok {
-		inner := c
-		if d, isDelta := c.(*compress.Delta); isDelta {
-			inner = d.Inner
-		}
-		ck := &core.CheckpointCodec{Base: st.Params, Codec: inner}
+		ck := &core.CheckpointCodec{Base: st.Params, Codec: compress.Inner(c)}
 		body, err := ck.EncodeBody(st.Params.All())
 		if err != nil {
 			panic(fmt.Sprintf("harness: sizing delta checkpoint: %v", err))

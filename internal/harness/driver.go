@@ -153,28 +153,14 @@ func clientDialer(spec Spec, addr string, acct *netsim.Accountant, up *netsim.Li
 // Drive runs one end-to-end scenario: a loopback serve.Manager with the
 // shared batched teacher on one side, spec.Clients concurrent core.Clients
 // on the other, each over its own (throttled or trace-shaped) TCP link,
-// with the spec's codec installed on the diff path. It is the measured
-// counterpart of examples/quickstart at scenario scale.
+// with the spec's codec as the serving tier's link policy. It is the
+// measured counterpart of examples/quickstart at scenario scale.
 func Drive(name, family string, spec Spec) (Metrics, error) {
 	spec.setDefaults()
 	if spec.usePackets() && len(spec.ChaosCuts) > 0 {
 		return Metrics{}, fmt.Errorf("harness: packet layer and chaos faults are mutually exclusive (a FaultyConn cut mid-packet corrupts the framing)")
 	}
-	if spec.Adaptive && spec.Codec != "" {
-		return Metrics{}, fmt.Errorf("harness: Adaptive and Codec are mutually exclusive (the link policy picks the codec)")
-	}
-	var enc func(transport.StudentDiff) ([]byte, error)
-	var dec func([]byte) (transport.StudentDiff, error)
-	var err error
-	linkPolicy := ""
-	if spec.Adaptive {
-		linkPolicy = "adaptive"
-	} else {
-		enc, dec, err = diffHooks(spec.Codec)
-		if err != nil {
-			return Metrics{}, err
-		}
-	}
+	linkPolicy := spec.linkPolicy()
 	cfg := core.DefaultConfig()
 	cfg.Backend = spec.Backend
 	if err := cfg.Validate(); err != nil {
@@ -215,7 +201,6 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 					Teacher:       teacher.NewOracle(spec.Seed + 997 + int64(i)*7919),
 					MaxSessions:   perShard,
 					MaxBatch:      spec.MaxBatch,
-					EncodeDiff:    enc,
 					EnvelopeCodec: spec.EnvelopeCodec,
 					LinkPolicy:    linkPolicy,
 				}
@@ -228,7 +213,6 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 			Teacher:       teacher.NewOracle(spec.Seed + 997),
 			MaxSessions:   spec.Clients,
 			MaxBatch:      spec.MaxBatch,
-			EncodeDiff:    enc,
 			EnvelopeCodec: spec.EnvelopeCodec,
 			LinkPolicy:    linkPolicy,
 			Telemetry:     reg,
@@ -342,8 +326,7 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 				EvalTeacher:  teacher.NewOracle(spec.Seed + 997),
 				EvalEvery:    spec.EvalEvery,
 				SessionID:    sessionID(spec, c),
-				DecodeDiff:   dec,
-				Adaptive:     spec.Adaptive,
+				Adaptive:     linkPolicy != "",
 				TrackLatency: true,
 				Telemetry:    reg,
 			}
@@ -364,9 +347,6 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 				// shedding (and, with a hotspot, enough patience to wait
 				// out the watermark: sessions ahead of us must finish).
 				cl.Dial = dial
-				if cl.ResumeBackoff == 0 {
-					cl.ResumeBackoff = 25 * time.Millisecond
-				}
 				cl.MaxResumeAttempts = 120
 			}
 			errs[c] = cl.Run(conn, gen, spec.Frames)

@@ -90,7 +90,7 @@ func runAdaptiveVsStatic(spec Spec) ([]Metrics, error) {
 	for _, r := range lossRegimes {
 		base := regimeSpec(r.key, spec)
 		ad := base
-		ad.Adaptive, ad.Codec, ad.FECGroup = true, "", 0
+		ad.Codec, ad.FECGroup = "adaptive", 0
 		am, err := Drive("loss/adaptive-vs-static", "loss", ad)
 		if err != nil {
 			return nil, fmt.Errorf("regime %s adaptive: %w", r.key, err)
@@ -98,7 +98,7 @@ func runAdaptiveVsStatic(spec Spec) ([]Metrics, error) {
 		var bestFPS, bestIoU, fastestBytes float64
 		for _, st := range lossStatics {
 			ss := base
-			ss.Adaptive, ss.Codec, ss.FECGroup = false, st.codec, st.fec
+			ss.Codec, ss.FECGroup = st.codec, st.fec
 			sm, err := Drive("loss/adaptive-vs-static", "loss", ss)
 			if err != nil {
 				return nil, fmt.Errorf("regime %s static %s: %w", r.key, st.key, err)

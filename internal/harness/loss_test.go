@@ -54,7 +54,7 @@ func TestDriveAdaptivePolicy(t *testing.T) {
 		Seed:      7,
 		Bandwidth: 60,
 		LossModel: "ge:0.05,0.25,0.002,0.5",
-		Adaptive:  true,
+		Codec:     "adaptive",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,11 +77,12 @@ func TestDriveRejectsBadPacketCombos(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("packet+chaos combo not rejected: %v", err)
 	}
-	if _, err := Drive("test/bad", "test", Spec{
-		Workload: "fixed/people", Frames: 10,
-		Adaptive: true, Codec: "int8",
-	}); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("adaptive+codec combo not rejected: %v", err)
+	for _, codec := range []string{"nope", "delta+int8"} {
+		if _, err := Drive("test/bad", "test", Spec{
+			Workload: "fixed/people", Frames: 10, Codec: codec,
+		}); err == nil || !strings.Contains(err.Error(), codec) {
+			t.Errorf("diff codec %q not rejected: %v", codec, err)
+		}
 	}
 	if _, err := Drive("test/bad", "test", Spec{
 		Workload: "fixed/people", Frames: 10,

@@ -36,8 +36,14 @@ type Spec struct {
 	// Trace, when non-nil, drives a time-varying bandwidth profile on each
 	// client link (the §6.4 sweep experienced live by one connection).
 	Trace *netsim.Trace
-	// Codec names the student-diff compression codec (compress.ByName);
-	// empty or "raw" ships float32 as the paper does.
+	// Codec selects the student-diff policy — the one knob for how diffs
+	// are encoded. Empty or "raw" ships the paper's raw float32 body with
+	// no link policy; "adaptive" runs the netsim adaptive engine, which
+	// watches each session's measured loss and switches diff codec, stride
+	// scale and FEC group at runtime; any other compress.ByName codec
+	// ("int8", "prune25") pins it as the static policy "static:<codec>".
+	// Policy runs ride self-describing adaptive envelopes, which the driver
+	// has every client decode.
 	Codec string
 	// MaxBatch caps the shared teacher micro-batch (default 8).
 	MaxBatch int
@@ -84,10 +90,10 @@ type Spec struct {
 	Backend string
 	// EnvelopeCodec names the compress codec (ByName form, e.g.
 	// "delta+int8") for model state crossing process boundaries: handoff
-	// envelopes go STH2 and MsgStudentFull checkpoints go base-relative for
-	// clients advertising the capability (the driver hands every client the
-	// base). Empty keeps the legacy raw paths, so the paper-comparable
-	// scenarios measure unchanged wire traffic.
+	// envelopes encode the student with it and MsgStudentFull checkpoints go
+	// base-relative for clients advertising the capability (the driver hands
+	// every client the base). Empty keeps checkpoints raw, so the
+	// paper-comparable scenarios measure unchanged wire traffic.
 	EnvelopeCodec string
 	// LossModel activates the packet layer on every link and names its loss
 	// model (netsim.LossModelByName form: "uniform:0.02",
@@ -105,12 +111,6 @@ type Spec struct {
 	// Reorder is the per-packet probability of deferred delivery (packet
 	// reordering) when the packet layer is active.
 	Reorder float64
-	// Adaptive runs the serving tier under the netsim adaptive link policy:
-	// the server watches each session's measured loss/goodput and switches
-	// diff codec, stride scale, and FEC group at runtime (serve
-	// Options.LinkPolicy = "adaptive", clients decode adaptive envelopes).
-	// Mutually exclusive with Codec — the policy picks the codec.
-	Adaptive bool
 	// Telemetry, when non-nil, is the live registry the driver instruments
 	// the whole run into (server/fabric, teacher, clients, packet links) —
 	// the hook stbench uses to serve -admin and -progress from a scenario.
@@ -170,16 +170,25 @@ func (s Spec) BandwidthLabel() string {
 	}
 }
 
-// CodecLabel renders the codec for metrics output. Under the adaptive link
-// policy there is no fixed codec — the policy switches it at runtime.
+// CodecLabel renders the codec for metrics output ("adaptive" when the
+// policy switches it at runtime).
 func (s Spec) CodecLabel() string {
-	if s.Adaptive {
-		return "adaptive"
-	}
 	if s.Codec == "" {
 		return "raw"
 	}
 	return s.Codec
+}
+
+// linkPolicy maps Codec onto serve.Options.LinkPolicy; empty means raw
+// diffs with no policy. An unknown codec fails in serve.NewManager.
+func (s Spec) linkPolicy() string {
+	switch s.Codec {
+	case "", "raw":
+		return ""
+	case "adaptive":
+		return "adaptive"
+	}
+	return "static:" + s.Codec
 }
 
 // LossLabel renders the packet-layer profile for metrics output; empty when

@@ -71,6 +71,9 @@ type LinkDecision struct {
 type LinkPolicy interface {
 	Name() string
 	Decide(LinkObservation) LinkDecision
+	// Decisions lists every decision Decide can return, so whoever
+	// configures a policy can validate its codecs up front.
+	Decisions() []LinkDecision
 }
 
 // StaticPolicy always returns the same decision — the fixed-configuration
@@ -85,6 +88,9 @@ func (p *StaticPolicy) Name() string { return p.Label }
 
 // Decide implements LinkPolicy.
 func (p *StaticPolicy) Decide(LinkObservation) LinkDecision { return p.Decision }
+
+// Decisions implements LinkPolicy.
+func (p *StaticPolicy) Decisions() []LinkDecision { return []LinkDecision{p.Decision} }
 
 // AdaptiveEngine is a three-state hysteresis controller over the measured
 // loss rate:
@@ -165,6 +171,11 @@ func (e *AdaptiveEngine) Decide(obs LinkObservation) LinkDecision {
 	default:
 		return e.Clear
 	}
+}
+
+// Decisions implements LinkPolicy.
+func (e *AdaptiveEngine) Decisions() []LinkDecision {
+	return []LinkDecision{e.Clear, e.Degraded, e.Critical}
 }
 
 // Switches returns how many state transitions the engine has made.

@@ -28,16 +28,12 @@ import (
 // session's old home and imports it on the new one, and a shard drain
 // migrates parked sessions the same way instead of evicting them.
 
-// envelopeMagic versions the envelope wire format. STH1 carries raw
-// nn.WriteNamed blobs; STH2 runs the student params through a named
-// compress codec (typically delta-encoded against the fabric's shared base
-// checkpoint) and the Adam moments through nil-base delta streams whose
-// inner codecs follow the params codec's exactness (see encodeSessionV2).
-// Decoders accept both.
-var (
-	envelopeMagic   = [4]byte{'S', 'T', 'H', '1'}
-	envelopeMagicV2 = [4]byte{'S', 'T', 'H', '2'}
-)
+// envelopeMagic versions the envelope wire format: STH2 runs the student
+// params through a named compress codec (typically delta-encoded against
+// the fabric's shared base checkpoint) and the Adam moments through
+// nil-base delta streams whose inner codecs follow the params codec's
+// exactness (see encodeSession).
+var envelopeMagic = [4]byte{'S', 'T', 'H', '2'}
 
 // Envelope limits: a journal is a small bounded ring and the tensors of
 // one student; anything past these is a corrupt or hostile envelope and
@@ -71,10 +67,9 @@ type SessionEnvelope struct {
 
 	Journal []resume.Entry
 
-	// CodecName names the compress codec an STH2 envelope's params blob was
-	// encoded with ("" for STH1, whose blobs decode eagerly). The model
-	// state of an STH2 envelope stays in the deferred blobs below until
-	// Materialize supplies the base checkpoint the codec may be relative to.
+	// CodecName names the compress codec the params blob was encoded with.
+	// The model state stays in the deferred blobs below until Materialize
+	// supplies the base checkpoint the codec may be relative to.
 	CodecName string
 
 	paramsBlob []byte
@@ -82,10 +77,10 @@ type SessionEnvelope struct {
 	vBlob      []byte
 }
 
-// Materialize decodes an STH2 envelope's deferred model-state blobs into
+// Materialize decodes the envelope's deferred model-state blobs into
 // Params/AdamM/AdamV against base, the importing shard's pretrained
 // checkpoint (every shard of a fabric shares one by construction). It is a
-// no-op for STH1 envelopes and for envelopes already materialized.
+// no-op for an envelope already materialized.
 func (env *SessionEnvelope) Materialize(base *nn.ParamSet) error {
 	if env.paramsBlob == nil && env.mBlob == nil && env.vBlob == nil {
 		return nil
@@ -151,16 +146,6 @@ func paramsToMoments(ps []*nn.Parameter) map[string]*tensor.Tensor {
 	return out
 }
 
-func writeBlob(buf *bytes.Buffer, params []*nn.Parameter) error {
-	var blob bytes.Buffer
-	if err := nn.WriteNamed(&blob, params); err != nil {
-		return err
-	}
-	binary.Write(buf, binary.LittleEndian, uint32(blob.Len()))
-	buf.Write(blob.Bytes())
-	return nil
-}
-
 // readRawBlob reads one u32-length-prefixed blob, bounds-checked against
 // both the blob cap and the bytes actually remaining. io.ReadFull (not a
 // bare Read) so a short read can never yield a silently truncated blob.
@@ -177,22 +162,6 @@ func readRawBlob(r *bytes.Reader, what string) ([]byte, error) {
 		return nil, fmt.Errorf("serve: envelope %s body: %w", what, err)
 	}
 	return blob, nil
-}
-
-func readBlob(r *bytes.Reader, what string) ([]*nn.Parameter, error) {
-	blob, err := readRawBlob(r, what)
-	if err != nil {
-		return nil, err
-	}
-	br := bytes.NewReader(blob)
-	params, err := nn.ReadNamed(br)
-	if err != nil {
-		return nil, fmt.Errorf("serve: envelope %s params: %w", what, err)
-	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("serve: envelope %s has %d trailing bytes", what, br.Len())
-	}
-	return params, nil
 }
 
 // exportableState extracts the server and Adam state an envelope carries.
@@ -232,35 +201,9 @@ func writeJournal(buf *bytes.Buffer, ds *resume.Session) {
 	}
 }
 
-// EncodeSession serialises a parked session (whose State must be the
-// *core.Server this package parks) into a self-contained STH1 handoff
-// envelope with raw model-state blobs. ExportParked switches to the
-// codec-compressed STH2 format when Options.EnvelopeCodec is set.
-func EncodeSession(ds *resume.Session) ([]byte, error) {
-	srv, adam, err := exportableState(ds)
-	if err != nil {
-		return nil, err
-	}
-	step, mm, vv := adam.ExportState()
-
-	var buf bytes.Buffer
-	buf.Write(envelopeMagic[:])
-	writeEnvelopeHeader(&buf, ds, srv, step)
-	if err := writeBlob(&buf, srv.Distiller.Student.Params.All()); err != nil {
-		return nil, err
-	}
-	if err := writeBlob(&buf, momentsToParams(mm)); err != nil {
-		return nil, err
-	}
-	if err := writeBlob(&buf, momentsToParams(vv)); err != nil {
-		return nil, err
-	}
-	writeJournal(&buf, ds)
-	return buf.Bytes(), nil
-}
-
-// encodeSessionV2 serialises a parked session in the STH2 format: student
-// params through codec (delta-encoded against the shared base when codec
+// encodeSession serialises a parked session (whose State must be the
+// *core.Server this package parks) into a self-contained handoff envelope:
+// student params through codec (delta-encoded against the shared base when codec
 // is a delta), Adam moments through nil-base delta streams, and the journal
 // verbatim. The moments' inner codecs follow the params codec's exactness:
 // under an exact inner everything stays bit-identical (the acceptance
@@ -272,7 +215,7 @@ func EncodeSession(ds *resume.Session) ([]byte, error) {
 // steps by ~1/ε until β₂ decay rebuilds the moment ~1000 steps later).
 // Alongside the envelope it returns the model-state byte count and the
 // raw-blob baseline those bytes replaced, for shrink accounting.
-func encodeSessionV2(ds *resume.Session, codec compress.Codec) (env []byte, ckBytes, ckBaseline int, err error) {
+func encodeSession(ds *resume.Session, codec compress.Codec) (env []byte, ckBytes, ckBaseline int, err error) {
 	srv, adam, err := exportableState(ds)
 	if err != nil {
 		return nil, 0, 0, err
@@ -284,15 +227,12 @@ func encodeSessionV2(ds *resume.Session, codec compress.Codec) (env []byte, ckBy
 		return nil, 0, 0, fmt.Errorf("serve: envelope codec name %q too long", name)
 	}
 	var buf bytes.Buffer
-	buf.Write(envelopeMagicV2[:])
+	buf.Write(envelopeMagic[:])
 	writeEnvelopeHeader(&buf, ds, srv, step)
 	buf.WriteByte(byte(len(name)))
 	buf.WriteString(name)
 
-	inner := compress.Codec(codec)
-	if d, isDelta := codec.(*compress.Delta); isDelta {
-		inner = d.Inner
-	}
+	inner := compress.Inner(codec)
 	vInner := inner
 	if _, isRaw := inner.(compress.Raw); !isRaw {
 		vInner = compress.Bf16{}
@@ -326,7 +266,7 @@ func encodeSessionV2(ds *resume.Session, codec compress.Codec) (env []byte, ckBy
 func DecodeSessionEnvelope(b []byte) (*SessionEnvelope, error) {
 	r := bytes.NewReader(b)
 	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil || (magic != envelopeMagic && magic != envelopeMagicV2) {
+	if _, err := io.ReadFull(r, magic[:]); err != nil || magic != envelopeMagic {
 		return nil, fmt.Errorf("serve: bad envelope magic %q", magic[:])
 	}
 	var env SessionEnvelope
@@ -352,40 +292,27 @@ func DecodeSessionEnvelope(b []byte) (*SessionEnvelope, error) {
 	env.TotalTrains = int(totalTrains)
 	env.TotalStepTime = time.Duration(stepTime)
 
-	var err error
-	if magic == envelopeMagicV2 {
-		// STH2: model state stays in opaque codec blobs until Materialize.
-		nameLen, err := r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("serve: envelope codec name length: %w", err)
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, name); err != nil {
-			return nil, fmt.Errorf("serve: envelope codec name: %w", err)
-		}
-		env.CodecName = string(name)
-		if _, ok := compress.ByName(env.CodecName); !ok {
-			return nil, fmt.Errorf("serve: envelope names unknown codec %q", env.CodecName)
-		}
-		if env.paramsBlob, err = readRawBlob(r, "student"); err != nil {
-			return nil, err
-		}
-		if env.mBlob, err = readRawBlob(r, "adam-m"); err != nil {
-			return nil, err
-		}
-		if env.vBlob, err = readRawBlob(r, "adam-v"); err != nil {
-			return nil, err
-		}
-	} else {
-		if env.Params, err = readBlob(r, "student"); err != nil {
-			return nil, err
-		}
-		if env.AdamM, err = readBlob(r, "adam-m"); err != nil {
-			return nil, err
-		}
-		if env.AdamV, err = readBlob(r, "adam-v"); err != nil {
-			return nil, err
-		}
+	// Model state stays in opaque codec blobs until Materialize.
+	nameLen, err := r.ReadByte()
+	if err != nil {
+		return nil, fmt.Errorf("serve: envelope codec name length: %w", err)
+	}
+	name := make([]byte, nameLen)
+	if _, err := io.ReadFull(r, name); err != nil {
+		return nil, fmt.Errorf("serve: envelope codec name: %w", err)
+	}
+	env.CodecName = string(name)
+	if _, ok := compress.ByName(env.CodecName); !ok {
+		return nil, fmt.Errorf("serve: envelope names unknown codec %q", env.CodecName)
+	}
+	if env.paramsBlob, err = readRawBlob(r, "student"); err != nil {
+		return nil, err
+	}
+	if env.mBlob, err = readRawBlob(r, "adam-m"); err != nil {
+		return nil, err
+	}
+	if env.vBlob, err = readRawBlob(r, "adam-v"); err != nil {
+		return nil, err
 	}
 
 	var count uint32
@@ -441,15 +368,7 @@ func (m *Manager) ExportParked(id uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var env []byte
-	var ck, ckBase int
-	if m.envCodec != nil {
-		env, ck, ckBase, err = encodeSessionV2(ds, m.envCodec)
-	} else {
-		// Legacy STH1: no model-state shrink to account (the ck counters
-		// stay 0 — the EnvelopeCk* stats only populate on the STH2 path).
-		env, err = EncodeSession(ds)
-	}
+	env, ck, ckBase, err := encodeSession(ds, m.envCodec)
 	if err != nil {
 		m.store.Put(ds)
 		return nil, err
@@ -482,10 +401,15 @@ func (m *Manager) ImportParked(envBytes []byte) error {
 		return err
 	}
 
-	srv := core.NewServer(m.opts.Cfg, m.opts.Base.Clone(), m.batcher)
-	srv.EncodeDiff = m.opts.EncodeDiff
-	srv.Checkpoint = m.ck
-	srv.OnCheckpoint = m.countCheckpoint
+	// Never drop journal entries the exporter still held, whatever this
+	// shard's own depth.
+	depth := m.opts.JournalDepth
+	if len(env.Journal) > depth {
+		depth = len(env.Journal)
+	}
+	sess := m.newSession(depth)
+	sess.id, sess.epoch = env.ID, env.Epoch
+	srv, journal := sess.srv, sess.journal
 	if err := nn.ApplyNamed(srv.Distiller.Student.Params, env.Params); err != nil {
 		return fmt.Errorf("serve: envelope student mismatch: %w", err)
 	}
@@ -500,15 +424,9 @@ func (m *Manager) ImportParked(envBytes []byte) error {
 	}
 	adam.ImportState(env.AdamStep, paramsToMoments(env.AdamM), paramsToMoments(env.AdamV))
 
-	depth := m.opts.JournalDepth
-	if len(env.Journal) > depth {
-		depth = len(env.Journal)
-	}
-	journal := resume.NewJournal(depth)
 	for _, e := range env.Journal {
 		journal.Append(e.Seq, e.Body)
 	}
-	srv.OnDiff = journal.Append
 
 	err = m.store.Put(&resume.Session{
 		ID:       env.ID,

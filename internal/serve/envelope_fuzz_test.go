@@ -1,46 +1,80 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/resume"
 	"repro/internal/teacher"
 )
 
-// seedEnvelope builds a small, structurally valid envelope so the fuzzer
-// starts from real framing instead of rediscovering the magic by chance.
-func seedEnvelope() []byte {
-	cfg := core.DefaultConfig()
-	srv := core.NewServer(cfg, tinyStudent(41), teacher.NewOracle(7))
+// seedSession is a small parked session to build fuzz seeds from, plus the
+// base checkpoint its student was cloned from.
+func seedSession() (*resume.Session, *nn.Student) {
+	base := tinyStudent(41)
+	srv := core.NewServer(core.DefaultConfig(), base.Clone(), teacher.NewOracle(7))
 	srv.DiffSeq, srv.LastKFSeq = 3, 3
 	j := resume.NewJournal(4)
 	j.Append(2, []byte{1, 2, 3})
 	j.Append(3, []byte{4, 5})
-	env, err := EncodeSession(&resume.Session{ID: 7, Epoch: 2, AltEpoch: 1, LastSeq: 3, State: srv, Journal: j})
+	return &resume.Session{ID: 7, Epoch: 2, AltEpoch: 1, LastSeq: 3, State: srv, Journal: j}, base
+}
+
+// seedEnvelope builds a small, structurally valid envelope under codec so
+// the fuzzer starts from real framing instead of rediscovering the magic by
+// chance. A delta codec is bound to the session's own base.
+func seedEnvelope(codec compress.Codec) []byte {
+	ds, base := seedSession()
+	env, _, _, err := encodeSession(ds, compress.WithBase(codec, base.Params))
 	if err != nil {
 		return nil
 	}
 	return env
 }
 
-// seedEnvelopeV2 is seedEnvelope in the STH2 format, delta-encoded against
-// the student itself (so the fuzzer starts from real codec framing too).
-func seedEnvelopeV2() []byte {
-	cfg := core.DefaultConfig()
-	base := tinyStudent(41)
-	srv := core.NewServer(cfg, base.Clone(), teacher.NewOracle(7))
-	srv.DiffSeq, srv.LastKFSeq = 3, 3
-	j := resume.NewJournal(4)
-	j.Append(2, []byte{1, 2, 3})
-	j.Append(3, []byte{4, 5})
-	codec := compress.WithBase(&compress.Delta{Inner: compress.Int8{}}, base.Params)
-	env, _, _, err := encodeSessionV2(&resume.Session{ID: 7, Epoch: 2, AltEpoch: 1, LastSeq: 3, State: srv, Journal: j}, codec)
+// sth1Envelope is seedSession in the deleted STH1 format — header, three
+// u32-length-prefixed raw nn.WriteNamed blobs, journal — byte for byte what
+// the old encoder wrote. It exists only as a must-reject case: no decoder
+// branch may come back for it.
+func sth1Envelope() []byte {
+	ds, _ := seedSession()
+	srv, adam, err := exportableState(ds)
 	if err != nil {
 		return nil
 	}
-	return env
+	step, mm, vv := adam.ExportState()
+	var buf bytes.Buffer
+	buf.WriteString("STH1")
+	writeEnvelopeHeader(&buf, ds, srv, step)
+	for _, ps := range [][]*nn.Parameter{srv.Distiller.Student.Params.All(), momentsToParams(mm), momentsToParams(vv)} {
+		var blob bytes.Buffer
+		if err := nn.WriteNamed(&blob, ps); err != nil {
+			return nil
+		}
+		binary.Write(&buf, binary.LittleEndian, uint32(blob.Len()))
+		buf.Write(blob.Bytes())
+	}
+	writeJournal(&buf, ds)
+	return buf.Bytes()
+}
+
+// A well-formed envelope of the deleted STH1 format is refused outright.
+func TestDecodeSessionEnvelopeRejectsSTH1(t *testing.T) {
+	env := sth1Envelope()
+	if env == nil {
+		t.Fatal("could not build the STH1 seed")
+	}
+	if _, err := DecodeSessionEnvelope(env); err == nil {
+		t.Fatal("STH1 envelope accepted")
+	}
+	m, _ := resumeManager(t, 4)
+	if err := m.ImportParked(env); err == nil {
+		t.Fatal("STH1 envelope imported")
+	}
 }
 
 // FuzzDecodeSessionEnvelope hammers the handoff envelope decoder: it must
@@ -50,12 +84,13 @@ func seedEnvelopeV2() []byte {
 // strictly increasing journal, which the Journal ring turns into a panic
 // on import if the decoder ever lets a violation through.
 func FuzzDecodeSessionEnvelope(f *testing.F) {
-	if env := seedEnvelope(); env != nil {
-		f.Add(env)
+	for _, codec := range []compress.Codec{compress.Raw{}, &compress.Delta{Inner: compress.Int8{}}} {
+		if env := seedEnvelope(codec); env != nil {
+			f.Add(env)
+		}
 	}
-	if env := seedEnvelopeV2(); env != nil {
-		f.Add(env)
-	}
+	sth1 := sth1Envelope()
+	f.Add(sth1)
 	f.Add([]byte("STH1"))
 	f.Add([]byte("STH2"))
 	f.Add([]byte{})
@@ -65,6 +100,9 @@ func FuzzDecodeSessionEnvelope(f *testing.F) {
 		dec, err := DecodeSessionEnvelope(b)
 		if err != nil {
 			return
+		}
+		if bytes.HasPrefix(b, sth1[:4]) {
+			t.Fatal("accepted an envelope with the STH1 magic")
 		}
 		// Materializing an accepted envelope against a base must never
 		// panic or allocate unboundedly, however hostile the codec blobs.

@@ -72,26 +72,38 @@ func trainAndPark(t *testing.T, journalDepth, keyFrames int) (*Manager, *protoCl
 	return m, p
 }
 
-// The envelope is a faithful, bit-identical serialization: student weights,
-// Adam moments and step, diff/key-frame counters, epochs and the full
-// journal survive encode → decode → import on a different manager. This is
-// the invariant cross-shard handoff rests on — the paper's per-stream
-// distillation state must not drift when a session changes shards.
+// With no EnvelopeCodec the envelope is a faithful, bit-identical
+// serialization under the raw codec: student weights, Adam moments and
+// step, diff/key-frame counters, epochs and the full journal survive export
+// → decode → import on a different manager. This is the invariant
+// cross-shard handoff rests on — the paper's per-stream distillation state
+// must not drift when a session changes shards.
 func TestSessionEnvelopeRoundTrip(t *testing.T) {
 	m, p := trainAndPark(t, 8, 3)
 
+	// Keep live pointers to the original for comparison; envelope encoding
+	// never mutates it.
 	ds, err := m.store.Steal(p.sessionID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	orig := ds.State.(*core.Server)
-	env, err := EncodeSession(ds)
+	if err := m.store.Put(ds); err != nil {
+		t.Fatal(err)
+	}
+	env, err := m.ExportParked(p.sessionID)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	dec, err := DecodeSessionEnvelope(env)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.CodecName != "raw" {
+		t.Fatalf("envelope codec %q, want raw", dec.CodecName)
+	}
+	if err := dec.Materialize(m.opts.Base.Params); err != nil {
 		t.Fatal(err)
 	}
 	if dec.ID != ds.ID || dec.Epoch != ds.Epoch || dec.AltEpoch != ds.AltEpoch || dec.LastSeq != ds.LastSeq {

@@ -58,10 +58,10 @@ func trainAndParkOn(t *testing.T, m *Manager, frames []video.Frame, keyFrames in
 	return p
 }
 
-// A delta+raw STH2 envelope is bit-identical end to end: export → decode →
+// A delta+raw envelope is bit-identical end to end: export → decode →
 // materialize reproduces the exact student and Adam moments, and an import
 // on a second shard rebuilds the same server state — while spending far
-// fewer bytes on the student blob than the raw STH1 encoding would.
+// fewer bytes on the student blob than the raw encoding would.
 func TestSessionEnvelopeV2RoundTripBitExact(t *testing.T) {
 	m, frames := codecManager(t, 8, "delta+raw", "")
 	p := trainAndParkOn(t, m, frames, 3)
@@ -93,7 +93,7 @@ func TestSessionEnvelopeV2RoundTripBitExact(t *testing.T) {
 		t.Fatalf("envelope codec %q, want delta+raw", dec.CodecName)
 	}
 	if dec.Params != nil {
-		t.Fatal("STH2 params decoded before Materialize")
+		t.Fatal("params decoded before Materialize")
 	}
 	if err := dec.Materialize(m.opts.Base.Params); err != nil {
 		t.Fatal(err)
@@ -163,55 +163,37 @@ func TestSessionEnvelopeV2RoundTripBitExact(t *testing.T) {
 	}
 }
 
-// Envelopes cross shard versions in both directions: a legacy STH1 export
-// imports on a delta-aware shard, and an STH2 export imports on a legacy
-// shard (the decoder resolves the codec from the envelope itself) — in both
-// cases the session stays resumable with a journal replay.
-func TestEnvelopeCrossVersionDecode(t *testing.T) {
-	t.Run("v1-export-v2-import", func(t *testing.T) {
-		src, frames := resumeManager(t, 8)
-		p := trainAndParkOn(t, src, frames, 3)
-		env, err := src.ExportParked(p.sessionID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(env[:4], []byte("STH1")) {
-			t.Fatalf("legacy envelope magic %q, want STH1", env[:4])
-		}
-		dst, _ := codecManager(t, 8, "delta+int8", "")
-		if err := dst.ImportParked(env); err != nil {
-			t.Fatal(err)
-		}
-		if ack := p.resume(dst, 1); ack.Status != transport.ResumeReplay || ack.NumDiffs != 2 {
-			t.Fatalf("resume after v1→v2 handoff: %+v", ack)
-		}
-		for i := 0; i < 2; i++ {
-			p.recv(transport.MsgStudentDiff)
-		}
-		p.shutdown()
-	})
-	t.Run("v2-export-v1-import", func(t *testing.T) {
-		src, frames := codecManager(t, 8, "delta+raw", "")
-		p := trainAndParkOn(t, src, frames, 3)
-		env, err := src.ExportParked(p.sessionID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(env[:4], []byte("STH2")) {
-			t.Fatalf("envelope magic %q, want STH2", env[:4])
-		}
-		dst, _ := resumeManager(t, 8)
-		if err := dst.ImportParked(env); err != nil {
-			t.Fatal(err)
-		}
-		if ack := p.resume(dst, 1); ack.Status != transport.ResumeReplay || ack.NumDiffs != 2 {
-			t.Fatalf("resume after v2→v1 handoff: %+v", ack)
-		}
-		for i := 0; i < 2; i++ {
-			p.recv(transport.MsgStudentDiff)
-		}
-		p.shutdown()
-	})
+// Envelopes cross shards configured with different envelope codecs in both
+// directions — the decoder resolves the codec from the envelope itself — and
+// in both cases the session stays resumable with a journal replay.
+func TestEnvelopeCrossCodecDecode(t *testing.T) {
+	for _, tc := range []struct{ name, src, dst string }{
+		{"raw-export-delta-import", "", "delta+int8"},
+		{"delta-export-raw-import", "delta+raw", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, frames := codecManager(t, 8, tc.src, "")
+			p := trainAndParkOn(t, src, frames, 3)
+			env, err := src.ExportParked(p.sessionID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(env[:4], []byte("STH2")) {
+				t.Fatalf("envelope magic %q, want STH2", env[:4])
+			}
+			dst, _ := codecManager(t, 8, tc.dst, "")
+			if err := dst.ImportParked(env); err != nil {
+				t.Fatal(err)
+			}
+			if ack := p.resume(dst, 1); ack.Status != transport.ResumeReplay || ack.NumDiffs != 2 {
+				t.Fatalf("resume after %s → %s handoff: %+v", tc.src, tc.dst, ack)
+			}
+			for i := 0; i < 2; i++ {
+				p.recv(transport.MsgStudentDiff)
+			}
+			p.shutdown()
+		})
+	}
 }
 
 // A handoff across compute backends is bitwise-stable: the state a

@@ -11,37 +11,37 @@ import (
 	"repro/internal/video"
 )
 
+// A link policy is validated where it is configured: an unknown policy, or
+// one whose decisions name an unknown, empty or base-relative codec, fails
+// NewManager instead of killing every session at its first key frame.
 func TestNewManagerLinkPolicyValidation(t *testing.T) {
 	base := tinyStudent(5)
-	opts := func() Options {
-		return Options{Cfg: core.DefaultConfig(), Base: base, Teacher: teacher.NewOracle(7), MaxSessions: 1}
+	for _, tc := range []struct {
+		policy string
+		ok     bool
+	}{
+		{"", true},
+		{"adaptive", true},
+		{"static:int8", true},
+		{"static:prune25", true},
+		{"no-such-policy", false},
+		{"static:nope", false},
+		{"static:delta+int8", false},
+		{"static:", false},
+	} {
+		m, err := NewManager(Options{Cfg: core.DefaultConfig(), Base: base, Teacher: teacher.NewOracle(7), MaxSessions: 1, LinkPolicy: tc.policy})
+		if (err == nil) != tc.ok {
+			t.Errorf("LinkPolicy %q: err = %v, want ok=%v", tc.policy, err, tc.ok)
+		}
+		if m != nil {
+			m.Close()
+		}
 	}
-
-	o := opts()
-	o.LinkPolicy = "no-such-policy"
-	if _, err := NewManager(o); err == nil {
-		t.Fatal("unknown link policy accepted")
-	}
-
-	o = opts()
-	o.LinkPolicy = "adaptive"
-	o.EncodeDiff = transport.EncodeStudentDiff
-	if _, err := NewManager(o); err == nil {
-		t.Fatal("LinkPolicy+EncodeDiff accepted")
-	}
-
-	o = opts()
-	o.LinkPolicy = "static:int8"
-	m, err := NewManager(o)
-	if err != nil {
-		t.Fatalf("valid policy rejected: %v", err)
-	}
-	m.Close()
 }
 
 // A managed session under a link policy: diffs ride adaptive envelopes even
-// over a plain (unmeasured) conn — Observe/SetFEC stay nil and the policy
-// decides on a zero observation.
+// over a plain (unmeasured) conn — it is no core measuredLink, so the
+// policy decides on a zero observation.
 func TestManagerSessionWithLinkPolicy(t *testing.T) {
 	base := tinyStudent(5)
 	o := Options{Cfg: core.DefaultConfig(), Base: base, Teacher: teacher.NewOracle(7), MaxSessions: 1, LinkPolicy: "adaptive"}
@@ -83,4 +83,80 @@ func TestManagerSessionWithLinkPolicy(t *testing.T) {
 	if cl.Result.KeyFrames < 1 {
 		t.Fatalf("no key frames distilled")
 	}
+}
+
+// Journal replay under a static codec policy: what the journal holds are
+// adaptive envelopes, and they must decode — with strictly increasing Seq —
+// both when replayed after a plain detach and when replayed by another
+// manager that imported the session from a handoff envelope.
+func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
+	newShard := func() *Manager {
+		cfg := core.DefaultConfig()
+		cfg.MaxUpdates = 1
+		m, err := NewManager(Options{Cfg: cfg, Base: tinyStudent(41), Teacher: teacher.NewOracle(7),
+			MaxSessions: 2, JournalDepth: 8, LinkPolicy: "static:int8", Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		return m
+	}
+	src, dst := newShard(), newShard()
+	_, frames := resumeManager(t, 1)
+
+	var lastSeq uint64
+	envelope := func(m transport.Message) {
+		t.Helper()
+		d, dec, err := core.DecodeAdaptiveDiff(m.Body)
+		if err != nil {
+			t.Fatalf("diff after seq %d is not an adaptive envelope: %v", lastSeq, err)
+		}
+		if dec.Codec != "int8" || d.Seq != lastSeq+1 {
+			t.Fatalf("envelope codec %q seq %d, want int8 seq %d", dec.Codec, d.Seq, lastSeq+1)
+		}
+		lastSeq = d.Seq
+	}
+	keyFrame := func(p *protoClient) {
+		t.Helper()
+		p.kfSeq++
+		f := p.frames[int(p.kfSeq-1)%len(p.frames)]
+		kf := transport.KeyFrame{FrameIndex: uint32(f.Index), Image: f.Image, Label: f.Label, Seq: p.kfSeq}
+		if err := p.conn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)}); err != nil {
+			t.Fatal(err)
+		}
+		envelope(p.recv(transport.MsgStudentDiff))
+	}
+	replay := func(p *protoClient, m *Manager, applied uint64, want uint32) {
+		t.Helper()
+		ack := p.resume(m, applied)
+		if ack.Status != transport.ResumeReplay || ack.NumDiffs != want {
+			t.Fatalf("resume from seq %d: %+v, want a replay of %d", applied, ack, want)
+		}
+		lastSeq = applied
+		for i := uint32(0); i < want; i++ {
+			envelope(p.recv(transport.MsgStudentDiff))
+		}
+	}
+
+	p := connect(t, src)
+	p.frames = frames
+	p.hello(7)
+	for i := 0; i < 3; i++ {
+		keyFrame(p)
+	}
+	p.drop(src)
+	replay(p, src, 1, 2) // after a detach: diffs 2 and 3 come from the journal
+	keyFrame(p)          // and the session continues at seq 4
+	p.drop(src)
+
+	env, err := src.ExportParked(p.sessionID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.ImportParked(env); err != nil {
+		t.Fatal(err)
+	}
+	replay(p, dst, 2, 2) // after a cross-shard import: diffs 3 and 4
+	keyFrame(p)          // the importing shard keeps the policy: seq 5 is an envelope too
+	p.shutdown()
 }

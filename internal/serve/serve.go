@@ -19,7 +19,6 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -36,16 +35,6 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
-
-// encodeParams serialises a full checkpoint body (the resume-full
-// fallback's StudentFull).
-func encodeParams(params []*nn.Parameter) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := nn.WriteNamed(&buf, params); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
 
 // ErrClosed is returned by Handle after Close.
 var ErrClosed = errors.New("serve: manager closed")
@@ -89,26 +78,25 @@ type Options struct {
 	// defaults (0, 1) reproduce the standalone numbering 1, 2, 3, …
 	IDOffset uint64
 	IDStride uint64
-	// EncodeDiff, when non-nil, is installed on every session's core.Server
-	// so outgoing student diffs are encoded with a custom codec (see
-	// core.Server.EncodeDiff and internal/harness).
-	EncodeDiff func(transport.StudentDiff) ([]byte, error)
-	// EnvelopeCodec, when non-empty, names the compress codec (ByName form,
-	// e.g. "delta+int8") applied to model state crossing process
-	// boundaries: session-handoff envelopes switch to the STH2 format with
-	// codec-encoded student params, and MsgStudentFull checkpoints are
-	// delta-encoded against Base for clients that negotiated
-	// CapDeltaCheckpoint. Adam moments always travel bit-exact regardless
-	// (see envelope.go). Empty keeps the legacy STH1/raw paths.
+	// EnvelopeCodec names the compress codec (ByName form, e.g.
+	// "delta+int8") applied to model state crossing process boundaries: the
+	// student params inside session-handoff envelopes are encoded with it,
+	// and a non-empty value additionally delta-encodes MsgStudentFull
+	// checkpoints against Base for clients that negotiated
+	// CapDeltaCheckpoint. Empty exports envelopes under "raw" — bit-exact
+	// for params and both Adam moments (see envelope.go) — and keeps
+	// checkpoints raw.
 	EnvelopeCodec string
-	// LinkPolicy, when non-empty, names the adaptive link policy
-	// (netsim.PolicyByName form, e.g. "adaptive") each session runs: the
-	// server watches the conn's packet-link stats and switches diff codec,
-	// stride scale, and FEC group size at runtime, encoding diffs as
-	// self-describing adaptive envelopes. Clients must opt in with
-	// core.Client.Adaptive. The policy instance is per session and
-	// survives detach/resume; its link observation rebinds to each new
-	// conn. Mutually exclusive with EncodeDiff.
+	// LinkPolicy, when non-empty, names the link policy (core.PolicyByName
+	// form: "adaptive", or "static:<codec>" to pin one diff codec) each
+	// session runs. It is the only way to pick a diff codec: the server
+	// reads the conn's packet-link stats, lets the policy choose codec,
+	// stride scale and FEC group per key frame, and encodes diffs as
+	// self-describing adaptive envelopes, which clients opt into with
+	// core.Client.Adaptive. Empty sends raw transport.EncodeStudentDiff
+	// bodies. The policy instance is per session and survives
+	// detach/resume; its link observation follows whichever conn the
+	// session rides.
 	LinkPolicy string
 	// Telemetry, when non-nil, registers this manager's live metrics —
 	// session/detached gauges, lifecycle counters, the distill-step
@@ -254,12 +242,83 @@ func (s Stats) Add(o Stats) Stats {
 	return s
 }
 
+// session is one client's server-side state and, as the core.SessionObserver
+// of its own core.Server, the manager's only tap into the protocol loop. It
+// is built once (newSession), registered by its handshake (Assign), and then
+// moves between the active registry and the resume store with srv.Observer
+// still pointing at it, so nothing is re-wired on detach, resume or import.
 type session struct {
+	m       *Manager
 	id      uint64
 	epoch   uint64
 	srv     *core.Server
 	journal *resume.Journal
 	started time.Time
+}
+
+// newSession builds the per-session state: a private clone of the checkpoint
+// with its own distiller and optimizer behind the shared batched teacher, a
+// replay journal of the given depth, and this manager's link policy.
+func (m *Manager) newSession(journalDepth int) *session {
+	s := &session{m: m, journal: resume.NewJournal(journalDepth)}
+	s.srv = core.NewServer(m.opts.Cfg, m.opts.Base.Clone(), m.batcher)
+	s.srv.Observer = s
+	s.srv.Checkpoint = m.ck
+	if m.opts.LinkPolicy != "" {
+		// NewManager validated the name, so this cannot fail.
+		s.srv.Policy, _ = core.PolicyByName(m.opts.LinkPolicy)
+	}
+	return s
+}
+
+// Assign implements core.SessionObserver: the handshake registers the
+// session under the ID it will acknowledge.
+func (s *session) Assign(h transport.Hello) (id, epoch uint64, err error) {
+	s.m.register(h.SessionID, s)
+	s.m.logf("session %d started (requested id %d)", s.id, h.SessionID)
+	return s.id, s.epoch, nil
+}
+
+// Checkpoint implements core.SessionObserver: handshake MsgStudentFull bytes
+// against the raw baseline.
+func (s *session) Checkpoint(actual, baseline int) {
+	s.m.mu.Lock()
+	s.m.agg.CheckpointBytes += int64(actual)
+	s.m.agg.CheckpointBaseline += int64(baseline)
+	s.m.mu.Unlock()
+}
+
+// Diff implements core.SessionObserver: every encoded diff (raw body or
+// adaptive envelope, verbatim) enters the replay journal.
+func (s *session) Diff(seq uint64, body []byte) { s.journal.Append(seq, body) }
+
+// Train implements core.SessionObserver, feeding the live distillation
+// metrics; the handles are nil no-ops when telemetry is off.
+func (s *session) Train(tr core.TrainResult) {
+	tm := &s.m.tm
+	tm.keyFrames.Inc()
+	if tr.Steps > 0 {
+		tm.distillSteps.Add(int64(tr.Steps))
+		tm.distill.Observe(tr.StepTime.Seconds() / float64(tr.Steps))
+	}
+}
+
+// Policy implements core.SessionObserver: a hysteresis transition is counted
+// and traced under the session's current epoch.
+func (s *session) Policy(dec netsim.LinkDecision, changed bool) {
+	if !changed {
+		return
+	}
+	tm := &s.m.tm
+	tm.policySwitches.Inc()
+	tm.trace.Record(telemetry.Event{
+		Time:    time.Now(),
+		Kind:    telemetry.EvPolicy,
+		Session: s.id,
+		Epoch:   uint32(s.epoch),
+		Shard:   tm.shard,
+		Detail:  dec.State.String(),
+	})
 }
 
 // Manager owns the multi-session server: session registry, per-session
@@ -269,7 +328,7 @@ type Manager struct {
 	opts     Options
 	batcher  *teacher.Batcher
 	store    *resume.Store         // nil when resumption is disabled
-	envCodec compress.Codec        // envelope params codec (nil = legacy STH1)
+	envCodec compress.Codec        // envelope params codec, bound to Base
 	ck       *core.CheckpointCodec // delta checkpoint codec (nil = always raw)
 	slots    chan struct{}
 	quit     chan struct{}
@@ -278,26 +337,13 @@ type Manager struct {
 
 	tm managerTelemetry
 
-	mu            sync.Mutex
-	closed        bool
-	nextID        uint64
-	active        map[uint64]*session
-	conns         map[transport.Conn]struct{}
-	served        int64
-	keyFrames     int64
-	distillSteps  int64
-	distillTime   time.Duration
-	resumed       int64
-	resumeReplays int64
-	resumeFulls   int64
-	ckBytes       int64
-	ckBaseline    int64
-	fullBytes     int64
-	fullBaseline  int64
-	envBytes      int64
-	envCkBytes    int64
-	envCkBaseline int64
-	listeners     []*transport.Listener
+	mu        sync.Mutex
+	closed    bool
+	nextID    uint64
+	active    map[uint64]*session
+	conns     map[transport.Conn]struct{}
+	agg       Stats // the summed counters; Stats fills in the gauges
+	listeners []*transport.Listener
 }
 
 // NewManager builds a Manager and starts the shared teacher queue.
@@ -378,28 +424,20 @@ func NewManager(opts Options) (*Manager, error) {
 		opts.IDStride = 1
 	}
 	if opts.LinkPolicy != "" {
-		if _, err := netsim.PolicyByName(opts.LinkPolicy); err != nil {
+		if _, err := core.PolicyByName(opts.LinkPolicy); err != nil {
 			return nil, err
 		}
-		if opts.EncodeDiff != nil {
-			return nil, errors.New("serve: LinkPolicy and EncodeDiff are mutually exclusive (the policy picks the diff codec)")
-		}
 	}
-	var envCodec compress.Codec
+	c, ok := compress.ByName(opts.EnvelopeCodec) // "" resolves to raw
+	if !ok {
+		return nil, fmt.Errorf("serve: unknown envelope codec %q", opts.EnvelopeCodec)
+	}
+	envCodec := compress.WithBase(c, opts.Base.Params)
 	var ck *core.CheckpointCodec
 	if opts.EnvelopeCodec != "" {
-		c, ok := compress.ByName(opts.EnvelopeCodec)
-		if !ok {
-			return nil, fmt.Errorf("serve: unknown envelope codec %q", opts.EnvelopeCodec)
-		}
-		envCodec = compress.WithBase(c, opts.Base.Params)
 		// MsgStudentFull checkpoints are always delta-framed for capable
 		// clients; a non-delta envelope codec becomes the delta's inner.
-		inner := envCodec
-		if d, isDelta := envCodec.(*compress.Delta); isDelta {
-			inner = d.Inner
-		}
-		ck = &core.CheckpointCodec{Base: opts.Base.Params, Codec: inner}
+		ck = &core.CheckpointCodec{Base: opts.Base.Params, Codec: compress.Inner(envCodec)}
 	}
 	m := &Manager{
 		opts:     opts,
@@ -486,100 +524,28 @@ func (m *Manager) dispatch(conn transport.Conn, first transport.Message) error {
 	return m.handleFresh(conn, first)
 }
 
-// bindLink installs the manager's link policy on a session server and
-// (re)binds its link observation and FEC hooks to conn. The policy object
-// itself is created once per session — its hysteresis state survives
-// detach/resume — while Observe/SetFEC follow whichever connection the
-// session currently rides: they only bind when conn actually measures a
-// link (i.e. a transport.TCPConn wrapping a netsim.PacketConn); a plain
-// conn leaves them nil and the policy decides on a zero observation.
-func (m *Manager) bindLink(srv *core.Server, conn transport.Conn) {
-	if m.opts.LinkPolicy == "" {
-		return
-	}
-	if srv.Policy == nil {
-		p, err := netsim.PolicyByName(m.opts.LinkPolicy)
-		if err != nil {
-			return // validated in NewManager; unreachable
-		}
-		srv.Policy = p
-	}
-	srv.Observe, srv.SetFEC = nil, nil
-	if lo, ok := conn.(netsim.LinkObserver); ok {
-		srv.Observe = lo.LinkObservation
-	}
-	if fs, ok := conn.(interface{ SetFECGroup(int) }); ok {
-		srv.SetFEC = fs.SetFECGroup
-	}
-}
-
 // handleFresh runs a brand-new session over conn, first.Type being the
 // client's opening message (normally a Hello; core rejects anything else).
 func (m *Manager) handleFresh(conn transport.Conn, first transport.Message) error {
-	// Per-session state: a private clone of the checkpoint with its own
-	// distiller and optimizer; the teacher is the shared batched queue.
-	srv := core.NewServer(m.opts.Cfg, m.opts.Base.Clone(), m.batcher)
-	srv.EncodeDiff = m.opts.EncodeDiff
-	srv.Checkpoint = m.ck
-	srv.OnCheckpoint = m.countCheckpoint
-	journal := resume.NewJournal(m.opts.JournalDepth)
-	srv.OnDiff = journal.Append
-	m.bindLink(srv, conn)
-	var id, epoch uint64
-	srv.AssignSession = func(h transport.Hello) (uint64, uint64, error) {
-		id, epoch = m.register(h.SessionID, srv, journal)
-		m.logf("session %d started (requested id %d)", id, h.SessionID)
-		return id, epoch, nil
-	}
-	_, err := srv.HandshakeWith(conn, first)
-	if err != nil {
-		if id != 0 {
-			m.unregister(id)
+	sess := m.newSession(m.opts.JournalDepth)
+	if _, err := sess.srv.HandshakeWith(conn, first); err != nil {
+		if sess.id != 0 {
+			m.unregister(sess.id)
 		}
 		return err
 	}
-	return m.runSession(conn, id, epoch, srv, journal)
-}
-
-// bindHooks (re)installs the telemetry observers on a session server.
-// Called per attachment — like bindLink — so the closures carry the
-// current session ID and epoch into trace events; the underlying handles
-// are nil no-ops when telemetry is off.
-func (m *Manager) bindHooks(srv *core.Server, id, epoch uint64) {
-	if m.opts.Telemetry == nil {
-		return
-	}
-	tm := &m.tm
-	srv.OnTrain = func(tr core.TrainResult) {
-		tm.keyFrames.Inc()
-		if tr.Steps > 0 {
-			tm.distillSteps.Add(int64(tr.Steps))
-			tm.distill.Observe(tr.StepTime.Seconds() / float64(tr.Steps))
-		}
-	}
-	srv.OnPolicy = func(dec netsim.LinkDecision, changed bool) {
-		if !changed {
-			return
-		}
-		tm.policySwitches.Inc()
-		tm.trace.Record(telemetry.Event{
-			Time:    time.Now(),
-			Kind:    telemetry.EvPolicy,
-			Session: id,
-			Epoch:   uint32(epoch),
-			Shard:   tm.shard,
-			Detail:  dec.State.String(),
-		})
-	}
+	return m.runSession(conn, sess)
 }
 
 // runSession drives Loop and routes the ending: clean completion folds
 // stats, a lost connection detaches the session for resumption, a protocol
 // violation discards it.
-func (m *Manager) runSession(conn transport.Conn, id, epoch uint64, srv *core.Server, journal *resume.Journal) error {
-	m.bindHooks(srv, id, epoch)
+func (m *Manager) runSession(conn transport.Conn, sess *session) error {
+	// Read before detach: once parked, a resume on another goroutine may
+	// already be re-stamping the session's epoch.
+	id, epoch, srv := sess.id, sess.epoch, sess.srv
 	err := srv.Loop(conn)
-	if errors.Is(err, core.ErrConnLost) && m.detach(id, epoch, srv, journal) {
+	if errors.Is(err, core.ErrConnLost) && m.detach(sess) {
 		m.logf("session %d detached at epoch %d (diff seq %d): %v", id, epoch, srv.DiffSeq, err)
 		return nil
 	}
@@ -613,9 +579,6 @@ func (m *Manager) handleResume(conn transport.Conn, first transport.Message) err
 		return fmt.Errorf("serve: resume of session %d rejected: %s", req.SessionID, reason)
 	}
 	srv := sess.srv
-	// The policy instance carries its hysteresis state across the outage,
-	// but its link observation must follow the *new* conn.
-	m.bindLink(srv, conn)
 
 	entries, complete := sess.journal.Suffix(req.LastDiffSeq)
 	if complete {
@@ -641,12 +604,7 @@ func (m *Manager) handleResume(conn transport.Conn, first transport.Message) err
 		// full-resend fallback — the dominant checkpoint cost under churn —
 		// goes base-relative whenever the client proved it holds the base.
 		all := srv.Distiller.Student.Params.All()
-		var full []byte
-		if m.ck.Match(req.Caps, req.BaseHash) {
-			full, err = m.ck.EncodeBody(all)
-		} else {
-			full, err = encodeParams(all)
-		}
+		full, err := m.ck.EncodeFor(req.Caps, req.BaseHash, all)
 		if err != nil {
 			m.unregister(sess.id)
 			return err
@@ -659,7 +617,7 @@ func (m *Manager) handleResume(conn transport.Conn, first transport.Message) err
 		m.logf("session %d resumed at epoch %d: journal gap too old (asked for > %d, tail %d), sent full checkpoint",
 			sess.id, sess.epoch, req.LastDiffSeq, sess.journal.Tail())
 	}
-	return m.runSession(conn, sess.id, sess.epoch, srv, sess.journal)
+	return m.runSession(conn, sess)
 }
 
 // reattach validates a resume request and, on success, atomically moves
@@ -698,13 +656,9 @@ func (m *Manager) reattach(req transport.Resume) (*session, transport.ResumeAck,
 		return reject(transport.ResumeReject,
 			fmt.Sprintf("client claims diff seq %d past server head %d", req.LastDiffSeq, srv.DiffSeq))
 	}
-	sess := &session{
-		id:      ds.ID,
-		epoch:   ds.Epoch + 1,
-		srv:     srv,
-		journal: ds.Journal,
-		started: time.Now(),
-	}
+	sess := srv.Observer.(*session)
+	sess.epoch = ds.Epoch + 1
+	sess.started = time.Now()
 	m.active[sess.id] = sess
 	m.tm.active.Set(float64(len(m.active)))
 	m.tm.detached.Set(float64(m.store.Len()))
@@ -716,12 +670,13 @@ func (m *Manager) reattach(req transport.Resume) (*session, transport.ResumeAck,
 // during replay — the state is still intact, a later resume may succeed
 // (detach re-accepts the previous epoch, since this ack never arrived).
 func (m *Manager) redetach(sess *session, cause error) error {
-	if m.detach(sess.id, sess.epoch, sess.srv, sess.journal) {
-		m.logf("session %d re-detached at epoch %d: %v", sess.id, sess.epoch, cause)
+	id, epoch := sess.id, sess.epoch // see runSession
+	if m.detach(sess) {
+		m.logf("session %d re-detached at epoch %d: %v", id, epoch, cause)
 		return nil
 	}
-	m.unregister(sess.id)
-	return fmt.Errorf("serve: session %d resume interrupted: %w", sess.id, cause)
+	m.unregister(id)
+	return fmt.Errorf("serve: session %d resume interrupted: %w", id, cause)
 }
 
 func (m *Manager) sendAck(conn transport.Conn, ack transport.ResumeAck) error {
@@ -734,45 +689,37 @@ func (m *Manager) sendAck(conn transport.Conn, ack transport.ResumeAck) error {
 
 func (m *Manager) countResume(replay bool) {
 	m.mu.Lock()
-	m.resumed++
+	m.agg.Resumed++
 	if replay {
-		m.resumeReplays++
+		m.agg.ResumeReplays++
 		m.tm.resumeReplays.Inc()
 	} else {
-		m.resumeFulls++
+		m.agg.ResumeFulls++
 		m.tm.resumeFulls.Inc()
 	}
 	m.mu.Unlock()
 }
 
-// countCheckpoint is installed as core.Server.OnCheckpoint: it records the
-// bytes of each handshake MsgStudentFull body against the raw baseline.
-func (m *Manager) countCheckpoint(actual, baseline int) {
-	m.mu.Lock()
-	m.ckBytes += int64(actual)
-	m.ckBaseline += int64(baseline)
-	m.mu.Unlock()
-}
-
 func (m *Manager) countFullResend(actual, baseline int) {
 	m.mu.Lock()
-	m.fullBytes += int64(actual)
-	m.fullBaseline += int64(baseline)
+	m.agg.FullResendBytes += int64(actual)
+	m.agg.FullResendBaseline += int64(baseline)
 	m.mu.Unlock()
 }
 
 func (m *Manager) countEnvelope(total, ck, ckBaseline int) {
 	m.mu.Lock()
-	m.envBytes += int64(total)
-	m.envCkBytes += int64(ck)
-	m.envCkBaseline += int64(ckBaseline)
+	m.agg.EnvelopeBytes += int64(total)
+	m.agg.EnvelopeCkBytes += int64(ck)
+	m.agg.EnvelopeCkBaseline += int64(ckBaseline)
 	m.mu.Unlock()
 }
 
 // detach moves a live session into the resume store. It reports false —
 // meaning the caller must fold and discard instead — when resumption is
 // disabled or the manager is closing.
-func (m *Manager) detach(id, epoch uint64, srv *core.Server, journal *resume.Journal) bool {
+func (m *Manager) detach(sess *session) bool {
+	id, epoch, srv := sess.id, sess.epoch, sess.srv
 	if id == 0 || m.store == nil {
 		return false
 	}
@@ -798,7 +745,7 @@ func (m *Manager) detach(id, epoch uint64, srv *core.Server, journal *resume.Jou
 		AltEpoch: alt,
 		LastSeq:  srv.DiffSeq,
 		State:    srv,
-		Journal:  journal,
+		Journal:  sess.journal,
 	})
 	if err != nil {
 		// Store closed under us: fold the stats as a completed session.
@@ -837,10 +784,10 @@ func (m *Manager) track() bool {
 // register assigns a session ID (honouring the client's request when it is
 // nonzero and free — parked sessions keep their IDs reserved) and adds the
 // session to the registry at epoch 1.
-func (m *Manager) register(requested uint64, srv *core.Server, journal *resume.Journal) (id, epoch uint64) {
+func (m *Manager) register(requested uint64, sess *session) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id = requested
+	id := requested
 	if id == 0 || m.active[id] != nil || m.parked(id) {
 		for {
 			m.nextID += m.opts.IDStride
@@ -850,11 +797,11 @@ func (m *Manager) register(requested uint64, srv *core.Server, journal *resume.J
 			}
 		}
 	}
-	m.active[id] = &session{id: id, epoch: 1, srv: srv, journal: journal, started: time.Now()}
+	sess.id, sess.epoch, sess.started = id, 1, time.Now()
+	m.active[id] = sess
 	m.tm.started.Inc()
 	m.tm.active.Set(float64(len(m.active)))
 	m.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvSessionStart, Session: id, Epoch: 1, Shard: m.tm.shard})
-	return id, 1
 }
 
 // parked reports whether id is reserved by a detached session. Caller
@@ -884,11 +831,11 @@ func (m *Manager) foldStats(srv *core.Server) {
 }
 
 func (m *Manager) foldStatsLocked(srv *core.Server) {
-	m.served++
+	m.agg.SessionsServed++
 	m.tm.completed.Inc()
-	m.keyFrames += int64(srv.Distiller.TotalTrains)
-	m.distillSteps += int64(srv.Distiller.TotalSteps)
-	m.distillTime += srv.Distiller.TotalStepTime
+	m.agg.KeyFrames += int64(srv.Distiller.TotalTrains)
+	m.agg.DistillSteps += int64(srv.Distiller.TotalSteps)
+	m.agg.DistillTime += srv.Distiller.TotalStepTime
 }
 
 // foldEvicted is the resume.Store eviction callback: a parked session that
@@ -999,24 +946,9 @@ func (m *Manager) Sessions() []SessionInfo {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := Stats{
-		SessionsServed:     m.served,
-		Active:             len(m.active),
-		KeyFrames:          m.keyFrames,
-		DistillSteps:       m.distillSteps,
-		DistillTime:        m.distillTime,
-		Teacher:            m.batcher.Stats(),
-		Resumed:            m.resumed,
-		ResumeReplays:      m.resumeReplays,
-		ResumeFulls:        m.resumeFulls,
-		CheckpointBytes:    m.ckBytes,
-		CheckpointBaseline: m.ckBaseline,
-		FullResendBytes:    m.fullBytes,
-		FullResendBaseline: m.fullBaseline,
-		EnvelopeBytes:      m.envBytes,
-		EnvelopeCkBytes:    m.envCkBytes,
-		EnvelopeCkBaseline: m.envCkBaseline,
-	}
+	st := m.agg
+	st.Active = len(m.active)
+	st.Teacher = m.batcher.Stats()
 	if m.store != nil {
 		st.Detached = m.store.Len()
 		st.Evicted = m.store.Evicted()
