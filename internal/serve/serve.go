@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/resume"
 	"repro/internal/teacher"
@@ -113,46 +112,6 @@ type Options struct {
 	Logf func(format string, v ...any)
 }
 
-// managerTelemetry holds the metric handles one manager records into.
-// Every handle is nil (a no-op) when telemetry is disabled, so record
-// sites are unconditional.
-type managerTelemetry struct {
-	shard          int
-	active         *telemetry.Gauge
-	detached       *telemetry.Gauge
-	started        *telemetry.Counter
-	completed      *telemetry.Counter
-	resumeReplays  *telemetry.Counter
-	resumeFulls    *telemetry.Counter
-	evicted        *telemetry.Counter
-	keyFrames      *telemetry.Counter
-	distillSteps   *telemetry.Counter
-	distill        *telemetry.Histogram
-	policySwitches *telemetry.Counter
-	trace          *telemetry.TraceRing
-}
-
-func newManagerTelemetry(reg *telemetry.Registry, shard int) managerTelemetry {
-	t := managerTelemetry{shard: shard}
-	if reg == nil {
-		return t
-	}
-	l := telemetry.L("shard", strconv.Itoa(shard))
-	t.active = reg.Gauge("shadowtutor_sessions_active", "Live sessions attached to this shard.", l)
-	t.detached = reg.Gauge("shadowtutor_sessions_detached", "Sessions parked for resumption on this shard.", l)
-	t.started = reg.Counter("shadowtutor_sessions_started_total", "Fresh sessions admitted.", l)
-	t.completed = reg.Counter("shadowtutor_sessions_completed_total", "Sessions completed (incl. evicted parked ones).", l)
-	t.resumeReplays = reg.Counter("shadowtutor_session_resumes_total", "Sessions re-attached after a drop.", l, telemetry.L("mode", "replay"))
-	t.resumeFulls = reg.Counter("shadowtutor_session_resumes_total", "Sessions re-attached after a drop.", l, telemetry.L("mode", "full"))
-	t.evicted = reg.Counter("shadowtutor_session_evictions_total", "Parked sessions dropped by TTL/capacity/shutdown.", l)
-	t.keyFrames = reg.Counter("shadowtutor_key_frames_total", "Key frames distilled.", l)
-	t.distillSteps = reg.Counter("shadowtutor_distill_steps_total", "Optimisation steps taken.", l)
-	t.distill = reg.Histogram("shadowtutor_distill_step_seconds", "Wall time per distillation step.", telemetry.DurationBuckets, l)
-	t.policySwitches = reg.Counter("shadowtutor_policy_switches_total", "Adaptive link-policy hysteresis transitions.", l)
-	t.trace = reg.Trace()
-	return t
-}
-
 // SessionInfo is a point-in-time view of one active session. Distillation
 // counters are folded into Stats only when a session completes — they are
 // owned by the session goroutine while it runs.
@@ -160,165 +119,6 @@ type SessionInfo struct {
 	ID      uint64
 	Epoch   uint64
 	Started time.Time
-}
-
-// Stats aggregates manager activity.
-type Stats struct {
-	SessionsServed int64         // sessions completed (incl. evicted detached ones)
-	Active         int           // sessions currently running
-	KeyFrames      int64         // key frames distilled across completed sessions
-	DistillSteps   int64         // optimisation steps across completed sessions
-	DistillTime    time.Duration // wall time spent in those steps
-	Teacher        teacher.BatchStats
-
-	// Resilience counters.
-	Detached      int   // sessions currently parked for resumption
-	Resumed       int64 // sessions successfully re-attached after a drop
-	ResumeReplays int64 // resumes served from the diff journal
-	ResumeFulls   int64 // resumes that fell back to a full checkpoint
-	Evicted       int64 // parked sessions dropped by TTL/capacity/shutdown
-
-	// Byte accounting for model state crossing process boundaries. Each
-	// *Bytes counter records what was actually sent; its *Baseline twin
-	// records what the legacy raw encoding would have cost, so
-	// baseline/actual is the wire shrink factor (1x on the legacy paths).
-	CheckpointBytes    int64 // MsgStudentFull bodies sent at handshake
-	CheckpointBaseline int64
-	FullResendBytes    int64 // MsgStudentFull bodies sent by resume-full fallback
-	FullResendBaseline int64
-	EnvelopeBytes      int64 // whole session-handoff envelopes (incl. journal)
-	EnvelopeCkBytes    int64 // model-state portion of those envelopes
-	EnvelopeCkBaseline int64
-}
-
-// MeanDistillSteps is the mean number of optimisation steps per key frame
-// across completed sessions. A manager that has completed no sessions (or
-// only sessions whose every key frame skipped optimisation) reports 0
-// rather than dividing by zero — shards start empty, and a router folding
-// shard stats must be able to call this on any partial aggregate.
-func (s Stats) MeanDistillSteps() float64 {
-	if s.KeyFrames == 0 {
-		return 0
-	}
-	return float64(s.DistillSteps) / float64(s.KeyFrames)
-}
-
-// MeanStepLatency is the mean wall time of one distillation step across
-// completed sessions (0 when no steps have been taken — see
-// MeanDistillSteps on the zero-session guard).
-func (s Stats) MeanStepLatency() time.Duration {
-	if s.DistillSteps == 0 {
-		return 0
-	}
-	return s.DistillTime / time.Duration(s.DistillSteps)
-}
-
-// Add folds another manager's stats into s and returns the sum — the
-// associative merge a router (internal/fabric) uses to aggregate shard
-// workers. Every field is a raw sum (gauges like Active and Detached sum
-// across disjoint shards; the teacher block merges via
-// teacher.BatchStats.Add), so fold order cannot change the result and the
-// mean helpers — which re-derive from summed numerators and denominators —
-// never average averages or divide by a shard-local zero.
-func (s Stats) Add(o Stats) Stats {
-	s.SessionsServed += o.SessionsServed
-	s.Active += o.Active
-	s.KeyFrames += o.KeyFrames
-	s.DistillSteps += o.DistillSteps
-	s.DistillTime += o.DistillTime
-	s.Teacher = s.Teacher.Add(o.Teacher)
-	s.Detached += o.Detached
-	s.Resumed += o.Resumed
-	s.ResumeReplays += o.ResumeReplays
-	s.ResumeFulls += o.ResumeFulls
-	s.Evicted += o.Evicted
-	s.CheckpointBytes += o.CheckpointBytes
-	s.CheckpointBaseline += o.CheckpointBaseline
-	s.FullResendBytes += o.FullResendBytes
-	s.FullResendBaseline += o.FullResendBaseline
-	s.EnvelopeBytes += o.EnvelopeBytes
-	s.EnvelopeCkBytes += o.EnvelopeCkBytes
-	s.EnvelopeCkBaseline += o.EnvelopeCkBaseline
-	return s
-}
-
-// session is one client's server-side state and, as the core.SessionObserver
-// of its own core.Server, the manager's only tap into the protocol loop. It
-// is built once (newSession), registered by its handshake (Assign), and then
-// moves between the active registry and the resume store with srv.Observer
-// still pointing at it, so nothing is re-wired on detach, resume or import.
-type session struct {
-	m       *Manager
-	id      uint64
-	epoch   uint64
-	srv     *core.Server
-	journal *resume.Journal
-	started time.Time
-}
-
-// newSession builds the per-session state: a private clone of the checkpoint
-// with its own distiller and optimizer behind the shared batched teacher, a
-// replay journal of the given depth, and this manager's link policy.
-func (m *Manager) newSession(journalDepth int) *session {
-	s := &session{m: m, journal: resume.NewJournal(journalDepth)}
-	s.srv = core.NewServer(m.opts.Cfg, m.opts.Base.Clone(), m.batcher)
-	s.srv.Observer = s
-	s.srv.Checkpoint = m.ck
-	if m.opts.LinkPolicy != "" {
-		// NewManager validated the name, so this cannot fail.
-		s.srv.Policy, _ = core.PolicyByName(m.opts.LinkPolicy)
-	}
-	return s
-}
-
-// Assign implements core.SessionObserver: the handshake registers the
-// session under the ID it will acknowledge.
-func (s *session) Assign(h transport.Hello) (id, epoch uint64, err error) {
-	s.m.register(h.SessionID, s)
-	s.m.logf("session %d started (requested id %d)", s.id, h.SessionID)
-	return s.id, s.epoch, nil
-}
-
-// Checkpoint implements core.SessionObserver: handshake MsgStudentFull bytes
-// against the raw baseline.
-func (s *session) Checkpoint(actual, baseline int) {
-	s.m.mu.Lock()
-	s.m.agg.CheckpointBytes += int64(actual)
-	s.m.agg.CheckpointBaseline += int64(baseline)
-	s.m.mu.Unlock()
-}
-
-// Diff implements core.SessionObserver: every encoded diff (raw body or
-// adaptive envelope, verbatim) enters the replay journal.
-func (s *session) Diff(seq uint64, body []byte) { s.journal.Append(seq, body) }
-
-// Train implements core.SessionObserver, feeding the live distillation
-// metrics; the handles are nil no-ops when telemetry is off.
-func (s *session) Train(tr core.TrainResult) {
-	tm := &s.m.tm
-	tm.keyFrames.Inc()
-	if tr.Steps > 0 {
-		tm.distillSteps.Add(int64(tr.Steps))
-		tm.distill.Observe(tr.StepTime.Seconds() / float64(tr.Steps))
-	}
-}
-
-// Policy implements core.SessionObserver: a hysteresis transition is counted
-// and traced under the session's current epoch.
-func (s *session) Policy(dec netsim.LinkDecision, changed bool) {
-	if !changed {
-		return
-	}
-	tm := &s.m.tm
-	tm.policySwitches.Inc()
-	tm.trace.Record(telemetry.Event{
-		Time:    time.Now(),
-		Kind:    telemetry.EvPolicy,
-		Session: s.id,
-		Epoch:   uint32(s.epoch),
-		Shard:   tm.shard,
-		Detail:  dec.State.String(),
-	})
 }
 
 // Manager owns the multi-session server: session registry, per-session
@@ -524,239 +324,6 @@ func (m *Manager) dispatch(conn transport.Conn, first transport.Message) error {
 	return m.handleFresh(conn, first)
 }
 
-// handleFresh runs a brand-new session over conn, first.Type being the
-// client's opening message (normally a Hello; core rejects anything else).
-func (m *Manager) handleFresh(conn transport.Conn, first transport.Message) error {
-	sess := m.newSession(m.opts.JournalDepth)
-	if _, err := sess.srv.HandshakeWith(conn, first); err != nil {
-		if sess.id != 0 {
-			m.unregister(sess.id)
-		}
-		return err
-	}
-	return m.runSession(conn, sess)
-}
-
-// runSession drives Loop and routes the ending: clean completion folds
-// stats, a lost connection detaches the session for resumption, a protocol
-// violation discards it.
-func (m *Manager) runSession(conn transport.Conn, sess *session) error {
-	// Read before detach: once parked, a resume on another goroutine may
-	// already be re-stamping the session's epoch.
-	id, epoch, srv := sess.id, sess.epoch, sess.srv
-	err := srv.Loop(conn)
-	if errors.Is(err, core.ErrConnLost) && m.detach(sess) {
-		m.logf("session %d detached at epoch %d (diff seq %d): %v", id, epoch, srv.DiffSeq, err)
-		return nil
-	}
-	m.unregister(id)
-	if err != nil && !errors.Is(err, core.ErrConnLost) {
-		m.logf("session %d ended with error: %v", id, err)
-		return fmt.Errorf("serve: session %d: %w", id, err)
-	}
-	if err != nil {
-		m.logf("session %d ended: connection lost, resumption disabled or shutting down", id)
-		return nil
-	}
-	m.logf("session %d complete: %d key frames, mean %.2f steps",
-		id, srv.Distiller.TotalTrains, srv.Distiller.MeanSteps())
-	return nil
-}
-
-// handleResume re-attaches a detached session to conn and serves it.
-func (m *Manager) handleResume(conn transport.Conn, first transport.Message) error {
-	req, err := transport.DecodeResume(first.Body)
-	if err != nil {
-		// Malformed body: fail only this connection, no ack — nothing
-		// trustworthy to address it to.
-		return fmt.Errorf("serve: malformed resume: %w", err)
-	}
-	sess, ack, reason := m.reattach(req)
-	if sess == nil {
-		// Rejection (permanent or transient): tell the client, then fail
-		// this connection.
-		m.sendAck(conn, ack)
-		return fmt.Errorf("serve: resume of session %d rejected: %s", req.SessionID, reason)
-	}
-	srv := sess.srv
-
-	entries, complete := sess.journal.Suffix(req.LastDiffSeq)
-	if complete {
-		ack.Status = transport.ResumeReplay
-		ack.NumDiffs = uint32(len(entries))
-	} else {
-		ack.Status = transport.ResumeFull
-	}
-	if err := m.sendAck(conn, ack); err != nil {
-		return m.redetach(sess, err)
-	}
-	if complete {
-		for _, e := range entries {
-			if err := conn.Send(transport.Message{Type: transport.MsgStudentDiff, Body: e.Body}); err != nil {
-				return m.redetach(sess, err)
-			}
-		}
-		m.countResume(true)
-		m.logf("session %d resumed at epoch %d: replayed %d of %d journaled diffs",
-			sess.id, sess.epoch, len(entries), sess.journal.Len())
-	} else {
-		// Resume requests carry the same capability bits as Hello, so the
-		// full-resend fallback — the dominant checkpoint cost under churn —
-		// goes base-relative whenever the client proved it holds the base.
-		all := srv.Distiller.Student.Params.All()
-		full, err := m.ck.EncodeFor(req.Caps, req.BaseHash, all)
-		if err != nil {
-			m.unregister(sess.id)
-			return err
-		}
-		m.countFullResend(len(full), nn.EncodedSize(all))
-		if err := conn.Send(transport.Message{Type: transport.MsgStudentFull, Body: full}); err != nil {
-			return m.redetach(sess, err)
-		}
-		m.countResume(false)
-		m.logf("session %d resumed at epoch %d: journal gap too old (asked for > %d, tail %d), sent full checkpoint",
-			sess.id, sess.epoch, req.LastDiffSeq, sess.journal.Tail())
-	}
-	return m.runSession(conn, sess)
-}
-
-// reattach validates a resume request and, on success, atomically moves
-// the session from the store back into the active registry under a fresh
-// epoch. On failure it returns a nil session plus the rejection ack and
-// reason.
-func (m *Manager) reattach(req transport.Resume) (*session, transport.ResumeAck, string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	reject := func(status transport.ResumeStatus, reason string) (*session, transport.ResumeAck, string) {
-		return nil, transport.ResumeAck{Status: status, Reason: reason}, reason
-	}
-	if m.closed {
-		return reject(transport.ResumeReject, "server shutting down")
-	}
-	if m.store == nil {
-		return reject(transport.ResumeReject, "resumption disabled")
-	}
-	if m.active[req.SessionID] != nil {
-		// The previous connection has not been torn down yet (the server
-		// may not have observed the drop); the client should back off and
-		// retry.
-		return reject(transport.ResumeRetry, fmt.Sprintf("session %d still attached", req.SessionID))
-	}
-	ds, err := m.store.Take(req.SessionID, req.Epoch)
-	if err != nil {
-		return reject(transport.ResumeReject, err.Error())
-	}
-	srv := ds.State.(*core.Server)
-	if req.LastDiffSeq > srv.DiffSeq {
-		// The client claims diffs this session never produced: a confused
-		// or hostile peer. The session state is intact — park it again
-		// unchanged (same epochs, same eviction deadline: probing must not
-		// extend the TTL) and fail only this connection.
-		m.store.Put(ds)
-		return reject(transport.ResumeReject,
-			fmt.Sprintf("client claims diff seq %d past server head %d", req.LastDiffSeq, srv.DiffSeq))
-	}
-	sess := srv.Observer.(*session)
-	sess.epoch = ds.Epoch + 1
-	sess.started = time.Now()
-	m.active[sess.id] = sess
-	m.tm.active.Set(float64(len(m.active)))
-	m.tm.detached.Set(float64(m.store.Len()))
-	m.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvResume, Session: sess.id, Epoch: uint32(sess.epoch), Seq: srv.DiffSeq, Shard: m.tm.shard})
-	return sess, transport.ResumeAck{Epoch: sess.epoch, HeadSeq: srv.DiffSeq}, ""
-}
-
-// redetach parks a session whose resumed connection failed before or
-// during replay — the state is still intact, a later resume may succeed
-// (detach re-accepts the previous epoch, since this ack never arrived).
-func (m *Manager) redetach(sess *session, cause error) error {
-	id, epoch := sess.id, sess.epoch // see runSession
-	if m.detach(sess) {
-		m.logf("session %d re-detached at epoch %d: %v", id, epoch, cause)
-		return nil
-	}
-	m.unregister(id)
-	return fmt.Errorf("serve: session %d resume interrupted: %w", id, cause)
-}
-
-func (m *Manager) sendAck(conn transport.Conn, ack transport.ResumeAck) error {
-	body, err := transport.EncodeResumeAck(ack)
-	if err != nil {
-		return err
-	}
-	return conn.Send(transport.Message{Type: transport.MsgResumeAck, Body: body})
-}
-
-func (m *Manager) countResume(replay bool) {
-	m.mu.Lock()
-	m.agg.Resumed++
-	if replay {
-		m.agg.ResumeReplays++
-		m.tm.resumeReplays.Inc()
-	} else {
-		m.agg.ResumeFulls++
-		m.tm.resumeFulls.Inc()
-	}
-	m.mu.Unlock()
-}
-
-func (m *Manager) countFullResend(actual, baseline int) {
-	m.mu.Lock()
-	m.agg.FullResendBytes += int64(actual)
-	m.agg.FullResendBaseline += int64(baseline)
-	m.mu.Unlock()
-}
-
-func (m *Manager) countEnvelope(total, ck, ckBaseline int) {
-	m.mu.Lock()
-	m.agg.EnvelopeBytes += int64(total)
-	m.agg.EnvelopeCkBytes += int64(ck)
-	m.agg.EnvelopeCkBaseline += int64(ckBaseline)
-	m.mu.Unlock()
-}
-
-// detach moves a live session into the resume store. It reports false —
-// meaning the caller must fold and discard instead — when resumption is
-// disabled or the manager is closing.
-func (m *Manager) detach(sess *session) bool {
-	id, epoch, srv := sess.id, sess.epoch, sess.srv
-	if id == 0 || m.store == nil {
-		return false
-	}
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return false
-	}
-	delete(m.active, id)
-	m.tm.active.Set(float64(len(m.active)))
-	m.mu.Unlock()
-	// Accept the previous epoch too: the ack that carried the current one
-	// may have died on the wire with this very drop, leaving the client
-	// legitimately one generation behind. Sessions are taken at most once,
-	// so this cannot fork.
-	var alt uint64
-	if epoch > 1 {
-		alt = epoch - 1
-	}
-	err := m.store.Put(&resume.Session{
-		ID:       id,
-		Epoch:    epoch,
-		AltEpoch: alt,
-		LastSeq:  srv.DiffSeq,
-		State:    srv,
-		Journal:  sess.journal,
-	})
-	if err != nil {
-		// Store closed under us: fold the stats as a completed session.
-		m.foldStats(srv)
-		return true
-	}
-	m.tm.detached.Set(float64(m.store.Len()))
-	m.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvDetach, Session: id, Epoch: uint32(epoch), Seq: srv.DiffSeq, Shard: m.tm.shard})
-	return true
-}
-
 func (m *Manager) trackConn(c transport.Conn) {
 	m.mu.Lock()
 	m.conns[c] = struct{}{}
@@ -819,36 +386,6 @@ func (m *Manager) unregister(id uint64) {
 		m.foldStatsLocked(s.srv)
 		m.tm.active.Set(float64(len(m.active)))
 		m.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvSessionEnd, Session: id, Epoch: uint32(s.epoch), Seq: s.srv.DiffSeq, Shard: m.tm.shard})
-	}
-}
-
-// foldStats folds a finished session's distillation counters into the
-// aggregate.
-func (m *Manager) foldStats(srv *core.Server) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.foldStatsLocked(srv)
-}
-
-func (m *Manager) foldStatsLocked(srv *core.Server) {
-	m.agg.SessionsServed++
-	m.tm.completed.Inc()
-	m.agg.KeyFrames += int64(srv.Distiller.TotalTrains)
-	m.agg.DistillSteps += int64(srv.Distiller.TotalSteps)
-	m.agg.DistillTime += srv.Distiller.TotalStepTime
-}
-
-// foldEvicted is the resume.Store eviction callback: a parked session that
-// expired (or was displaced) completes now, so its stats fold. Called
-// without store locks held.
-func (m *Manager) foldEvicted(ds *resume.Session) {
-	if srv, ok := ds.State.(*core.Server); ok {
-		m.foldStats(srv)
-		m.tm.evicted.Inc()
-		m.tm.detached.Set(float64(m.store.Len()))
-		m.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvEvict, Session: ds.ID, Epoch: uint32(ds.Epoch), Seq: ds.LastSeq, Shard: m.tm.shard})
-		m.logf("session %d evicted from resume store (epoch %d, %d key frames)",
-			ds.ID, ds.Epoch, srv.Distiller.TotalTrains)
 	}
 }
 
@@ -940,20 +477,6 @@ func (m *Manager) Sessions() []SessionInfo {
 		out = append(out, SessionInfo{ID: s.id, Epoch: s.epoch, Started: s.started})
 	}
 	return out
-}
-
-// Stats snapshots aggregate activity.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.agg
-	st.Active = len(m.active)
-	st.Teacher = m.batcher.Stats()
-	if m.store != nil {
-		st.Detached = m.store.Len()
-		st.Evicted = m.store.Evicted()
-	}
-	return st
 }
 
 // Close stops accepting sessions, closes any listeners handed to
