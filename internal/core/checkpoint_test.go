@@ -134,7 +134,7 @@ func TestServerChecksClientCapabilityForDeltaCheckpoints(t *testing.T) {
 // checkpointSizes is a partial SessionObserver recording the handshake
 // checkpoint's byte counts.
 type checkpointSizes struct {
-	NopObserver
+	nopObserver
 	actual, baseline *int
 }
 

@@ -622,9 +622,9 @@ func helloReject(body []byte) error {
 // reject), full checkpoint — and returns the ack and the decoded checkpoint
 // without touching the student or Result, so the recovery goroutine can run
 // it too: weight mutation stays with whoever applies the params.
-func (c *Client) hello(conn transport.Conn, sessionID uint64) (transport.Hello, []*nn.Parameter, error) {
+func (c *Client) hello(conn transport.Conn, sessionID uint64) (ack transport.Hello, params []*nn.Parameter, err error) {
 	caps, baseHash := c.caps()
-	hello := transport.Hello{
+	h := transport.Hello{
 		Version:   transport.Version,
 		NumClass:  uint16(c.Student.Config.NumClasses),
 		Partial:   c.Cfg.Partial,
@@ -632,31 +632,29 @@ func (c *Client) hello(conn transport.Conn, sessionID uint64) (transport.Hello, 
 		Caps:      caps,
 		BaseHash:  baseHash,
 	}
-	if err := conn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(hello)}); err != nil {
-		return hello, nil, fmt.Errorf("core: client hello: %w", err)
+	if err := conn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(h)}); err != nil {
+		return ack, nil, fmt.Errorf("core: client hello: %w", err)
 	}
 	m, err := conn.Recv()
 	if err != nil {
-		return hello, nil, fmt.Errorf("core: client hello ack recv: %w", err)
+		return ack, nil, fmt.Errorf("core: client hello ack recv: %w", err)
 	}
 	if m.Type == transport.MsgResumeAck {
-		return hello, nil, helloReject(m.Body)
+		return ack, nil, helloReject(m.Body)
 	}
 	if m.Type != transport.MsgHello {
-		return hello, nil, fmt.Errorf("core: expected Hello ack, got %v", m.Type)
+		return ack, nil, fmt.Errorf("core: expected Hello ack, got %v", m.Type)
 	}
-	ack, err := transport.DecodeHello(m.Body)
-	if err != nil {
+	if ack, err = transport.DecodeHello(m.Body); err != nil {
 		return ack, nil, err
 	}
-	m, err = conn.Recv()
-	if err != nil {
+	if m, err = conn.Recv(); err != nil {
 		return ack, nil, fmt.Errorf("core: client initial student recv: %w", err)
 	}
 	if m.Type != transport.MsgStudentFull {
 		return ack, nil, fmt.Errorf("core: expected StudentFull, got %v", m.Type)
 	}
-	params, err := DecodeCheckpointBody(m.Body, c.Base)
+	params, err = DecodeCheckpointBody(m.Body, c.Base)
 	return ack, params, err
 }
 

@@ -94,24 +94,23 @@ type SessionObserver interface {
 	Diff(seq uint64, body []byte)
 }
 
-// NopObserver observes nothing and acknowledges the client's own session
-// ID and epoch; it is what a Server with a nil Observer runs, and what a
-// partial observer embeds.
-type NopObserver struct{}
+// nopObserver observes nothing and acknowledges the client's own session
+// ID and epoch; it is what a Server with a nil Observer runs.
+type nopObserver struct{}
 
-func (NopObserver) Assign(h transport.Hello) (uint64, uint64, error) {
+func (nopObserver) Assign(h transport.Hello) (uint64, uint64, error) {
 	return h.SessionID, h.Epoch, nil
 }
-func (NopObserver) Checkpoint(actual, baseline int)  {}
-func (NopObserver) Train(TrainResult)                {}
-func (NopObserver) Policy(netsim.LinkDecision, bool) {}
-func (NopObserver) Diff(seq uint64, body []byte)     {}
+func (nopObserver) Checkpoint(actual, baseline int)  {}
+func (nopObserver) Train(TrainResult)                {}
+func (nopObserver) Policy(netsim.LinkDecision, bool) {}
+func (nopObserver) Diff(seq uint64, body []byte)     {}
 
 func (s *Server) observer() SessionObserver {
 	if s.Observer != nil {
 		return s.Observer
 	}
-	return NopObserver{}
+	return nopObserver{}
 }
 
 // measuredLink is a conn that measures the link it rides and can retune its

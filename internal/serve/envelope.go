@@ -203,12 +203,13 @@ func writeJournal(buf *bytes.Buffer, ds *resume.Session) {
 
 // encodeSession serialises a parked session (whose State must be the
 // *core.Server this package parks) into a self-contained handoff envelope:
-// student params through codec (delta-encoded against the shared base when codec
-// is a delta), Adam moments through nil-base delta streams, and the journal
-// verbatim. The moments' inner codecs follow the params codec's exactness:
-// under an exact inner everything stays bit-identical (the acceptance
-// contract for delta+raw); under a lossy inner the first moment rides the
-// same inner as the params — m is linear in the update and re-accumulates
+// student params through codec (delta-encoded against the shared base when
+// codec is a delta), Adam moments through nil-base delta streams, and the
+// journal verbatim. The moments' inner codecs follow the params codec's
+// exactness: under an exact inner everything stays bit-identical (the
+// contract for raw and delta+raw); under a lossy inner the first moment
+// rides the same inner as the params — m is linear in the update and
+// re-accumulates
 // within ~1/(1−β₁) ≈ 10 steps, so it tolerates the params' quantizer — but
 // the second moment always rides bf16, whose intact exponent never flushes
 // a small v to zero (an int8 scale would, inflating the resumed session's
