@@ -30,10 +30,19 @@ import (
 // slightly larger distill budgets rather than slack in the shared ones.
 // The device backend forwards every per-sample kernel to vec (only the
 // batched inference entry points differ), so its budgets are vec's.
+//
+// The partial budgets sit below what a partial Train call allocated while
+// every pass re-ran the frozen stages (208 reference, 304 vec, against 171
+// and 229 now that Student.Prefix runs them once): losing the prefix reuse
+// fails them. prefixAllocBudget is exact, not padded: Prefix itself — tape,
+// context, activations — allocates nothing in steady state, and what
+// remains is one Parallel closure per loop of each of the 19 convolutions
+// in in1…SB4 (one loop on reference, two on vec).
 var (
 	inferAllocBudget          = map[string]float64{"reference": 90, "vec": 90, "device": 90}
-	distillPartialAllocBudget = map[string]float64{"reference": 300, "vec": 360, "device": 360}
+	distillPartialAllocBudget = map[string]float64{"reference": 200, "vec": 260, "device": 260}
 	distillFullAllocBudget    = map[string]float64{"reference": 460, "vec": 500, "device": 500}
+	prefixAllocBudget         = map[string]float64{"reference": 19, "vec": 38, "device": 38}
 )
 
 // allocStudent builds a small-but-real student and one frame without
@@ -88,6 +97,32 @@ func TestAllocBudgetStudentInference(t *testing.T) {
 			}
 			if got > budget {
 				t.Fatalf("student inference (%s) allocates %.0f/op, budget %.0f — the zero-allocation hot path regressed", name, got, budget)
+			}
+		})
+	}
+}
+
+// TestAllocBudgetStudentPrefix pins the once-per-key-frame pass over the
+// frozen stages to the convolution kernels' own closures.
+func TestAllocBudgetStudentPrefix(t *testing.T) {
+	skipUnderRace(t)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	for _, name := range tensor.Backends() {
+		t.Run(name, func(t *testing.T) {
+			bk, err := tensor.BackendByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, frame := allocStudent(t)
+			s.SetBackend(bk)
+			s.SetPartial(true)
+			got := measureAllocs(func() { s.Prefix(frame.Image) })
+			budget, ok := prefixAllocBudget[name]
+			if !ok {
+				t.Fatalf("no prefix allocation budget declared for backend %q", name)
+			}
+			if got > budget {
+				t.Fatalf("student prefix (%s) allocates %.0f/op, budget %.0f — Prefix must add nothing to its convolutions' closures", name, got, budget)
 			}
 		})
 	}

@@ -72,7 +72,8 @@
 // policy is the only way to pick a diff codec — a fixed codec is the policy
 // "static:<codec>" (serve.Options.LinkPolicy, harness Spec.Codec) — so a
 // student diff travels in one of two bodies: raw float32 with no policy,
-// a self-describing adaptive envelope with one:
+// a self-describing adaptive envelope with one (the codec applies to the
+// diff's weights; its BatchNorm statistics always travel as raw float32):
 //
 //	go run ./cmd/shadowtutor-server -loss-model uniform:0.02 -fec 8 -adaptive
 //	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -loss-model uniform:0.02 -fec 8 -adaptive

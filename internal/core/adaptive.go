@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/netsim"
+	"repro/internal/nn"
 	"repro/internal/transport"
 )
 
@@ -21,12 +22,20 @@ import (
 //
 // Wire layout (little-endian):
 //
-//	magic (0xAD) · version (1) · state u8 · strideScale f32 ·
+//	magic (0xAD) · version (2) · state u8 · strideScale f32 ·
 //	codecLen u8 · codec name · frameIndex u32 · metric f64bits ·
-//	seq u64 · codec payload
+//	seq u64 · codec payload · statistics (nn.WriteNamed)
+//
+// The codec payload carries the diff's weights; the BatchNorm running
+// statistics that travel with them (nn.TrainableSubset) ride the trailing
+// section as raw float32 whatever the codec. A lossy codec is a contract
+// about weights: per-tensor int8 flushes a small running variance to zero
+// and pruning zeroes it outright, and 1/√(var+ε) turns either into a gain
+// of ~300 on that channel. Version 1 had no such section; there is one
+// format, and a version-1 envelope is rejected.
 const (
 	adaptiveMagic   = 0xAD
-	adaptiveVersion = 1
+	adaptiveVersion = 2
 )
 
 // diffCodec resolves the codec a link decision or an adaptive envelope
@@ -89,8 +98,12 @@ func EncodeAdaptiveDiff(d transport.StudentDiff, dec netsim.LinkDecision) ([]byt
 	binary.Write(&buf, binary.LittleEndian, d.FrameIndex)
 	binary.Write(&buf, binary.LittleEndian, math.Float64bits(d.Metric))
 	binary.Write(&buf, binary.LittleEndian, d.Seq)
-	if err := codec.Encode(&buf, d.Params); err != nil {
+	weights, stats := nn.SplitBNStats(d.Params)
+	if err := codec.Encode(&buf, weights); err != nil {
 		return nil, fmt.Errorf("core: adaptive envelope: encode %s: %w", name, err)
+	}
+	if err := nn.WriteNamed(&buf, stats); err != nil {
+		return nil, fmt.Errorf("core: adaptive envelope: statistics: %w", err)
 	}
 	return buf.Bytes(), nil
 }
@@ -146,10 +159,14 @@ func DecodeAdaptiveDiff(b []byte) (transport.StudentDiff, netsim.LinkDecision, e
 	if err != nil {
 		return d, dec, fmt.Errorf("core: adaptive envelope: decode %s: %w", dec.Codec, err)
 	}
+	stats, err := nn.ReadNamed(r)
+	if err != nil {
+		return d, dec, fmt.Errorf("core: adaptive envelope: statistics: %w", err)
+	}
 	if r.Len() != 0 {
 		return d, dec, fmt.Errorf("core: adaptive envelope: %d trailing bytes", r.Len())
 	}
-	d.Params = params
+	d.Params = append(params, stats...)
 	d.StrideScale = dec.StrideScale
 	return d, dec, nil
 }

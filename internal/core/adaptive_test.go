@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -15,6 +16,10 @@ import (
 
 func TestAdaptiveDiffRoundTrip(t *testing.T) {
 	student := tinyStudent(17)
+	// Small running variances are what a per-tensor int8 scale flushes to
+	// zero; with a channel at 1e-4 beside one at 1 the old envelope's
+	// round trip through the codec could not have been exact.
+	student.Params.Get("sb5.bn.rvar").Value.Data[0] = 1e-4
 	diff := transport.StudentDiff{
 		FrameIndex: 42,
 		Metric:     0.625,
@@ -25,6 +30,7 @@ func TestAdaptiveDiffRoundTrip(t *testing.T) {
 		{State: netsim.LinkClear, Codec: "raw", StrideScale: 1},
 		{State: netsim.LinkDegraded, Codec: "int8", StrideScale: 1.5, FECGroup: 8},
 		{State: netsim.LinkCritical, Codec: "bf16", StrideScale: 2, FECGroup: 4},
+		{State: netsim.LinkCritical, Codec: "prune25", StrideScale: 2, FECGroup: 4},
 	} {
 		body, err := EncodeAdaptiveDiff(diff, dec)
 		if err != nil {
@@ -46,16 +52,28 @@ func TestAdaptiveDiffRoundTrip(t *testing.T) {
 		if len(got.Params) != len(diff.Params) {
 			t.Fatalf("%s: %d params, want %d", dec.Codec, len(got.Params), len(diff.Params))
 		}
-		// raw must be bit-exact; lossy codecs close.
-		if dec.Codec == "raw" {
-			for i, p := range got.Params {
-				want := diff.Params[i]
-				for j := range p.Value.Data {
-					if p.Value.Data[j] != want.Value.Data[j] {
-						t.Fatalf("raw: param %s differs at %d", p.Name, j)
-					}
+		// raw must be bit-exact, and so must the statistics under every
+		// codec; lossy codecs keep the weights close.
+		stats := 0
+		for _, p := range got.Params {
+			want := student.Params.Get(p.Name)
+			if want == nil || !want.Value.SameShape(p.Value) {
+				t.Fatalf("%s: decoded an unknown or misshapen %s", dec.Codec, p.Name)
+			}
+			if dec.Codec != "raw" && !nn.IsBNStat(p.Name) {
+				continue
+			}
+			for j := range p.Value.Data {
+				if p.Value.Data[j] != want.Value.Data[j] {
+					t.Fatalf("%s: param %s differs at %d", dec.Codec, p.Name, j)
 				}
 			}
+			if nn.IsBNStat(p.Name) {
+				stats++
+			}
+		}
+		if stats == 0 {
+			t.Fatalf("%s: the diff carried no statistics", dec.Codec)
 		}
 	}
 }
@@ -290,7 +308,17 @@ func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
 		return append(append(b, name...), rest...)
 	}
 	one := math.Float32bits(1)
+	// What version 1 put on the wire: the same head under its version byte,
+	// then every parameter — statistics included — in the codec payload and
+	// nothing after it.
+	var v1 bytes.Buffer
+	v1.Write(seeds[0].body[:8+len("raw")+4+8+8])
+	v1.Bytes()[1] = 1
+	if err := (compress.Raw{}).Encode(&v1, diff.Params); err != nil {
+		tb.Fatal(err)
+	}
 	return append(seeds,
+		adaptiveSeed{"version 1 envelope", v1.Bytes(), false},
 		adaptiveSeed{"rewritten head", with(one, "raw"), true},
 		adaptiveSeed{"delta name", with(one, "delta+raw"), false},
 		adaptiveSeed{"empty name", with(one, ""), false},

@@ -29,7 +29,7 @@ type Distiller struct {
 	// calls so a steady-state distillation step allocates almost nothing.
 	trainCtx   *nn.ForwardCtx
 	gradBuf    *tensor.Tensor
-	probsBuf   []float64
+	lossBuf    []float64
 	weightsBuf []float32
 	optBuf     []optim.Param
 	evalCM     *metrics.ConfusionMatrix
@@ -62,11 +62,17 @@ type TrainResult struct {
 // partial-backward optimization steps, tracking the best-performing weights,
 // and stops early once the metric exceeds THRESHOLD. The student ends up
 // holding the best weights seen.
+//
+// The frozen stages of the student run once per call (Student.Prefix); the
+// pre-evaluation, every step's training pass and every step's metric pass
+// start from their activations. Under full distillation nothing is frozen,
+// the prefix is empty and the same loop runs whole passes.
 func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 	img := frame.Image
 	h, w := img.Dim(1), img.Dim(2)
 
-	pred, _ := d.Student.Infer(img)
+	acts := d.Student.Prefix(img)
+	pred, _ := d.Student.InferFrom(acts)
 	bestMetric := d.meanIoU(pred, label)
 	haveBest := false
 
@@ -86,18 +92,18 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 	if d.trainCtx == nil {
 		d.trainCtx = nn.NewForwardCtxWS(true, tensor.NewWorkspace().SetBackend(d.backend))
 	}
+	if n := loss.ScratchLen(h * w); len(d.lossBuf) < n {
+		d.lossBuf = make([]float64, n)
+	}
 	start := time.Now()
 	for i := 0; i < d.Cfg.MaxUpdates; i++ {
 		fc := d.trainCtx
 		fc.Reset(true)
-		out := d.Student.Forward(fc, img)
+		out := d.Student.ForwardFrom(fc, acts)
 		if d.gradBuf == nil || !tensor.ShapeEq(d.gradBuf.Shape(), out.Value.Shape()) {
 			d.gradBuf = tensor.New(out.Value.Shape()...)
 		}
-		if d.probsBuf == nil {
-			d.probsBuf = make([]float64, d.Student.Config.NumClasses)
-		}
-		loss.SoftmaxCrossEntropyInto(d.gradBuf, out.Value, label, weights, d.probsBuf)
+		loss.SoftmaxCrossEntropyInto(d.gradBuf, out.Value, label, weights, d.lossBuf)
 		fc.Tape.Backward(out, d.gradBuf)
 		d.optBuf = d.Student.Params.AppendOptimParams(d.optBuf[:0], fc.Vars)
 		if d.Cfg.GradClipNorm > 0 {
@@ -106,7 +112,7 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 		d.Opt.Step(d.optBuf)
 		res.Steps++
 
-		pred, _ = d.Student.Infer(img)
+		pred, _ = d.Student.InferFrom(acts)
 		metric := d.meanIoU(pred, label)
 		if metric > bestMetric {
 			bestMetric = metric
@@ -140,12 +146,12 @@ func (d *Distiller) meanIoU(pred, label []int32) float64 {
 	return d.evalCM.MeanIoU()
 }
 
-// saveBest copies the trainable parameters (plus BN statistics) into the
-// reusable snapshot, rebuilding the snapshot's name set only when the freeze
-// configuration changed since it was built.
+// saveBest copies everything a step changed (nn.TrainableSubset: what the
+// diff will carry) into the reusable snapshot, rebuilding the snapshot's
+// name set only when the freeze configuration changed since it was built.
 func (d *Distiller) saveBest() {
 	if sig := d.Student.Params.NumTrainable(); d.snap == nil || sig != d.snapSig {
-		d.snap = snapshotTrainable(d.Student.Params)
+		d.snap = nn.CloneNamed(nn.TrainableSubset(d.Student.Params))
 		d.snapSig = sig
 		return
 	}
@@ -168,28 +174,6 @@ func (d *Distiller) MeanStepLatency() time.Duration {
 		return 0
 	}
 	return d.TotalStepTime / time.Duration(d.TotalSteps)
-}
-
-// snapshotTrainable deep-copies only the trainable parameters (plus BN
-// statistics, which mutate during training-mode forwards) so best-weight
-// tracking stays cheap under partial distillation.
-func snapshotTrainable(ps *nn.ParamSet) *nn.ParamSet {
-	out := nn.NewParamSet()
-	for _, p := range ps.All() {
-		if !p.Frozen || isBNStat(p.Name) {
-			np := out.Add(p.Name, p.Value.Clone())
-			np.Frozen = p.Frozen
-		}
-	}
-	return out
-}
-
-func isBNStat(name string) bool {
-	return hasSuffix(name, ".rmean") || hasSuffix(name, ".rvar")
-}
-
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
 }
 
 // InferMask is a convenience wrapper: student argmax mask for an image.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/nn"
 	"repro/internal/teacher"
 	"repro/internal/video"
 )
@@ -76,9 +77,15 @@ func TestTrainEarlyExitOnRepeatedFrame(t *testing.T) {
 
 func TestTrainFrozenParametersUntouchedPartial(t *testing.T) {
 	d, frame, label := distillFixture(t, true)
+	// Frozen means frozen whole: everything outside the diff's contents —
+	// the frozen blocks' BatchNorm statistics included — must not move.
+	shipped := map[string]bool{}
+	for _, p := range nn.TrainableSubset(d.Student.Params) {
+		shipped[p.Name] = true
+	}
 	frozenBefore := map[string][]float32{}
 	for _, p := range d.Student.Params.All() {
-		if p.Frozen && !isBNStat(p.Name) {
+		if !shipped[p.Name] {
 			frozenBefore[p.Name] = append([]float32(nil), p.Value.Data...)
 		}
 	}

@@ -250,7 +250,7 @@ func SimulateCustomFreeze(sc SimConfig, src video.Source, tch teacher.Teacher, s
 type pendingUpdate struct {
 	arrivesAt    time.Duration // virtual arrival time (timing mode)
 	arrivesFrame int           // frame index arrival (DelayFrames mode)
-	params       *nn.ParamSet  // trainable snapshot to apply
+	params       *nn.ParamSet  // snapshot of what the diff carries
 	metric       float64
 	steps        int
 	noBlock      bool // faulted in flight: the client cannot block-wait for it
@@ -264,11 +264,6 @@ func applyFreeze(st *nn.Student, cfg Config, prefixes []string) {
 		return
 	}
 	st.Params.FreezePrefix(prefixes...)
-	for _, p := range st.Params.All() {
-		if hasSuffix(p.Name, ".rmean") || hasSuffix(p.Name, ".rvar") {
-			p.Frozen = true
-		}
-	}
 }
 
 func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, student *nn.Student, lat ComponentLatencies, freezePrefixes []string) (SimResult, error) {
@@ -340,7 +335,7 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 			res.Schedule = append(res.Schedule, KeyFrameEvent{FrameIndex: i, Steps: tr.Steps, Metric: tr.Metric})
 
 			p := &pendingUpdate{
-				params: snapshotTrainable(serverStudent.Params),
+				params: nn.CloneNamed(nn.TrainableSubset(serverStudent.Params)),
 				metric: tr.Metric,
 				steps:  tr.Steps,
 			}

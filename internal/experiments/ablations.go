@@ -138,12 +138,6 @@ func (s *Suite) AblationFreezePoint() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cut.prefixes == nil {
-			student.SetPartial(false)
-		} else {
-			student.Params.FreezePrefix(cut.prefixes...)
-			freezeBNStats(student)
-		}
 		sc := core.SimConfig{
 			Cfg: cfg, Mode: core.ModeShadowTutor, Frames: s.Opts.Frames,
 			Link: netsim.DefaultLink(), Concurrency: core.FullConcurrency,
@@ -170,24 +164,8 @@ func (s *Suite) AblationFreezePoint() (*stats.Table, error) {
 	return t, nil
 }
 
-func freezeBNStats(st *nn.Student) {
-	for _, p := range st.Params.All() {
-		if isBNStatName(p.Name) {
-			p.Frozen = true
-		}
-	}
-}
-
-func isBNStatName(name string) bool {
-	suf := func(s string) bool {
-		return len(name) >= len(s) && name[len(name)-len(s):] == s
-	}
-	return suf(".rmean") || suf(".rvar")
-}
-
 func trainableFracWithCut(st *nn.Student, prefixes []string) float64 {
 	st.Params.FreezePrefix(prefixes...)
-	freezeBNStats(st)
 	return st.Params.TrainableFraction()
 }
 

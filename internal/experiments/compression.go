@@ -22,7 +22,9 @@ func AblationCompression() (*stats.Table, error) {
 		return nil, err
 	}
 	st.SetPartial(true)
-	diff := nn.TrainableSubset(st.Params)
+	// The codecs only ever see a diff's weights: its BatchNorm statistics
+	// ride the envelope uncompressed.
+	diff, _ := nn.SplitBNStats(nn.TrainableSubset(st.Params))
 
 	codecs := []compress.Codec{
 		compress.Raw{},

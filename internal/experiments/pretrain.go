@@ -40,7 +40,6 @@ func DefaultPretrain() PretrainConfig {
 func Pretrain(cfg PretrainConfig) (*nn.Student, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	student := nn.NewStudent(nn.DefaultStudentConfig(), rng)
-	student.Params.UnfreezeAll()
 	student.SetPartial(false) // pre-training updates everything
 	opt := optim.NewAdam(cfg.LR)
 	tch := teacher.NewOracle(cfg.Seed + 1)

@@ -176,6 +176,89 @@ func TestQuickCrossEntropyInvariants(t *testing.T) {
 	}
 }
 
+// serialCrossEntropy is SoftmaxCrossEntropyInto as it was before it ran on
+// tensor.Parallel: one goroutine, pixels in order, the 1/totalWeight scaling
+// in a second pass. The gradient it writes is the reference the parallel
+// version must reproduce bit for bit.
+func serialCrossEntropy(grad, logits *tensor.Tensor, label []int32, weights []float32) float64 {
+	c, hw := logits.Dim(0), logits.Dim(1)*logits.Dim(2)
+	probs := make([]float64, c)
+	var totalLoss, totalWeight float64
+	for p := 0; p < hw; p++ {
+		m := float64(logits.Data[p])
+		for ch := 1; ch < c; ch++ {
+			m = math.Max(m, float64(logits.Data[ch*hw+p]))
+		}
+		var z float64
+		for ch := 0; ch < c; ch++ {
+			probs[ch] = math.Exp(float64(logits.Data[ch*hw+p]) - m)
+			z += probs[ch]
+		}
+		wt := 1.0
+		if weights != nil {
+			wt = float64(weights[p])
+		}
+		lbl := int(label[p])
+		totalLoss += -wt * math.Log(probs[lbl]/z+1e-12)
+		totalWeight += wt
+		for ch := 0; ch < c; ch++ {
+			g := probs[ch] / z
+			if ch == lbl {
+				g -= 1
+			}
+			grad.Data[ch*hw+p] = float32(wt * g)
+		}
+	}
+	inv := float32(1 / totalWeight)
+	for i := range grad.Data {
+		grad.Data[i] *= inv
+	}
+	return totalLoss / totalWeight
+}
+
+// The parallel loss is a pure function of its inputs: for every worker
+// count the gradient is bit-equal to the serial reference's and the loss
+// value is the same float64, on a frame large enough to span many tasks
+// with a ragged last one, weighted and unweighted.
+func TestSoftmaxCrossEntropyIndependentOfWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const c, h, w = 9, 37, 61 // 2257 pixels: four full tasks and a ragged fifth
+	logits := tensor.New(c, h, w)
+	for i := range logits.Data {
+		logits.Data[i] = float32(rng.NormFloat64() * 4)
+	}
+	label := make([]int32, h*w)
+	for i := range label {
+		label[i] = int32(rng.Intn(c))
+	}
+	for _, weights := range [][]float32{nil, PixelWeights(label, h, w)} {
+		want := tensor.New(c, h, w)
+		wantLoss := serialCrossEntropy(want, logits, label, weights)
+		var first float64
+		for i, workers := range []int{1, 2, 3, 8} {
+			prev := tensor.SetWorkers(workers)
+			got := tensor.New(c, h, w)
+			got.Fill(float32(math.NaN()))
+			l := SoftmaxCrossEntropyInto(got, logits, label, weights, nil)
+			tensor.SetWorkers(prev)
+			for j, v := range got.Data {
+				if math.Float32bits(v) != math.Float32bits(want.Data[j]) {
+					t.Fatalf("%d workers: grad[%d] = %v, serial reference %v", workers, j, v, want.Data[j])
+				}
+			}
+			if i == 0 {
+				first = l
+			}
+			if l != first {
+				t.Fatalf("%d workers: loss %v, with one worker %v", workers, l, first)
+			}
+			if math.Abs(l-wantLoss) > 1e-12*wantLoss {
+				t.Fatalf("%d workers: loss %v, serial reference %v", workers, l, wantLoss)
+			}
+		}
+	}
+}
+
 func abs(x int) int {
 	if x < 0 {
 		return -x

@@ -87,7 +87,7 @@ func TestConvStudentBlockGradient(t *testing.T) {
 	// never restored here (only .rmean/.rvar).
 	statSnap := map[string]*tensor.Tensor{}
 	for _, p := range ps.All() {
-		if hasSuffix(p.Name, ".rmean") || hasSuffix(p.Name, ".rvar") {
+		if IsBNStat(p.Name) {
 			statSnap[p.Name] = p.Value.Clone()
 		}
 	}

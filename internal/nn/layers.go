@@ -90,6 +90,12 @@ func (l *Conv2D) OutChannels() int { return l.Weight.Value.Dim(0) }
 // BatchNorm2D is per-channel batch normalisation with running statistics.
 // Running stats ride along with the learnable parameters during
 // serialization so a shipped student behaves identically on the client.
+//
+// A layer whose gamma and beta are both frozen is frozen whole: it
+// normalises with its running statistics even in a training pass and never
+// moves them, so a frozen block is a pure function of (weights, input) —
+// what lets Student.Prefix compute it once per key frame, and what keeps
+// the server's frozen blocks bit-identical to the client's.
 type BatchNorm2D struct {
 	Gamma, Beta     *Parameter
 	RunMean, RunVar *Parameter
@@ -115,8 +121,13 @@ func NewBatchNorm2D(ps *ParamSet, name string, c int) *BatchNorm2D {
 // Forward implements Forwarder.
 func (bn *BatchNorm2D) Forward(fc *ForwardCtx, x *autodiff.Variable) *autodiff.Variable {
 	return fc.Tape.BatchNorm(x, fc.Var(bn.Gamma), fc.Var(bn.Beta),
-		bn.RunMean.Value, bn.RunVar.Value, fc.Training, bn.Momentum, bn.Eps)
+		bn.RunMean.Value, bn.RunVar.Value, fc.Training && bn.trains(), bn.Momentum, bn.Eps)
 }
+
+// trains reports whether the layer still learns: only then does a training
+// pass use batch statistics and update the running ones (and only then does
+// TrainableSubset ship them).
+func (bn *BatchNorm2D) trains() bool { return !bn.Gamma.Frozen || !bn.Beta.Frozen }
 
 // StudentBlock is the residual block of Fig. 3a: BatchNorm → Conv3×3 →
 // Conv3×1 → Conv1×3 → Conv1×1, with a skip connection added to the output.

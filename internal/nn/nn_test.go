@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -199,7 +200,7 @@ func TestStudentSetPartialFreezesPaperPrefix(t *testing.T) {
 }
 
 func bnStat(name string) bool {
-	return hasSuffix(name, ".rmean") || hasSuffix(name, ".rvar")
+	return strings.HasSuffix(name, ".rmean") || strings.HasSuffix(name, ".rvar")
 }
 
 func TestBNStatsAlwaysFrozen(t *testing.T) {
@@ -259,21 +260,37 @@ func TestStudentDeterministicForward(t *testing.T) {
 	}
 }
 
+// TrainableSubset is what a diff carries: every trainable parameter plus
+// the running statistics of the BatchNorm layers that still train — under
+// the paper's cut SB5's and SB6's, 320 floats — and nothing of a frozen
+// block.
 func TestTrainableSubsetMatchesFreeze(t *testing.T) {
 	s := NewStudent(DefaultStudentConfig(), rand.New(rand.NewSource(9)))
 	s.SetPartial(true)
 	sub := TrainableSubset(s.Params)
-	if len(sub) == 0 {
-		t.Fatal("no trainable parameters under partial distillation")
-	}
+	stats := 0
 	for _, p := range sub {
-		if p.Frozen {
+		switch {
+		case bnStat(p.Name):
+			if !strings.HasPrefix(p.Name, "sb5.") && !strings.HasPrefix(p.Name, "sb6.") {
+				t.Fatalf("TrainableSubset returned %s of a frozen block", p.Name)
+			}
+			stats += p.Value.Len()
+		case p.Frozen:
 			t.Fatalf("TrainableSubset returned frozen %s", p.Name)
 		}
+	}
+	if len(sub)-4 != len(s.Params.TrainableNames()) || stats != 320 {
+		t.Fatalf("subset has %d tensors for %d trainable ones and %d statistic floats, want 4 more and 320",
+			len(sub), len(s.Params.TrainableNames()), stats)
 	}
 	// The trainable subset must serialize smaller than the full set.
 	if EncodedSize(sub) >= EncodedSize(s.Params.All()) {
 		t.Fatal("partial diff must be smaller than full checkpoint")
+	}
+	s.SetPartial(false)
+	if got := len(TrainableSubset(s.Params)); got != len(s.Params.All()) {
+		t.Fatalf("full distillation ships %d of %d tensors", got, len(s.Params.All()))
 	}
 }
 

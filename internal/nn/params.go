@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"repro/internal/autodiff"
 	"repro/internal/optim"
@@ -20,7 +21,9 @@ import (
 
 // Parameter is a named, learnable tensor with a frozen flag. Frozen
 // parameters are registered on tapes with requiresGrad=false, which prunes
-// the backward graph (partial distillation, §4.2).
+// the backward graph (partial distillation, §4.2). BatchNorm running
+// statistics are parameters too — they are serialized and shipped by name —
+// but stay Frozen for good: they are never handed to an optimizer.
 type Parameter struct {
 	Name   string
 	Value  *tensor.Tensor
@@ -95,14 +98,48 @@ func (ps *ParamSet) TrainableFraction() float64 {
 	return float64(ps.NumTrainable()) / float64(total)
 }
 
+// IsBNStat reports whether name is a BatchNorm running statistic
+// (NewBatchNorm2D's ".rmean"/".rvar") — the one place that naming rule
+// lives.
+func IsBNStat(name string) bool {
+	_, ok := bnStatLayer(name)
+	return ok
+}
+
+// SplitBNStats partitions params, in order, into running statistics and
+// everything else. A lossy codec is a contract about weights; statistics
+// travel beside it uncompressed (core's adaptive envelope).
+func SplitBNStats(params []*Parameter) (weights, stats []*Parameter) {
+	for _, p := range params {
+		if IsBNStat(p.Name) {
+			stats = append(stats, p)
+		} else {
+			weights = append(weights, p)
+		}
+	}
+	return weights, stats
+}
+
+// bnStatLayer splits a running statistic's name into its layer's name and
+// true; any other name returns false.
+func bnStatLayer(name string) (string, bool) {
+	for _, suf := range [...]string{".rmean", ".rvar"} {
+		if layer, ok := strings.CutSuffix(name, suf); ok {
+			return layer, true
+		}
+	}
+	return "", false
+}
+
 // FreezePrefix freezes every parameter whose name matches any of the given
-// prefixes and unfreezes the rest. It returns the number frozen.
+// prefixes and unfreezes the rest, except running statistics, which stay
+// frozen whatever the cut. It returns the number matched.
 func (ps *ParamSet) FreezePrefix(prefixes ...string) int {
 	n := 0
 	for _, p := range ps.params {
-		p.Frozen = false
+		p.Frozen = IsBNStat(p.Name)
 		for _, pre := range prefixes {
-			if len(p.Name) >= len(pre) && p.Name[:len(pre)] == pre {
+			if strings.HasPrefix(p.Name, pre) {
 				p.Frozen = true
 				n++
 				break
@@ -112,12 +149,9 @@ func (ps *ParamSet) FreezePrefix(prefixes ...string) int {
 	return n
 }
 
-// UnfreezeAll clears every frozen flag (full distillation mode).
-func (ps *ParamSet) UnfreezeAll() {
-	for _, p := range ps.params {
-		p.Frozen = false
-	}
-}
+// UnfreezeAll makes every parameter trainable (full distillation mode):
+// FreezePrefix with an empty cut, so running statistics stay frozen.
+func (ps *ParamSet) UnfreezeAll() { ps.FreezePrefix() }
 
 // TrainableNames returns the sorted names of non-frozen parameters.
 func (ps *ParamSet) TrainableNames() []string {
@@ -132,11 +166,14 @@ func (ps *ParamSet) TrainableNames() []string {
 }
 
 // Clone deep-copies the parameter set (values and frozen flags).
-func (ps *ParamSet) Clone() *ParamSet {
+func (ps *ParamSet) Clone() *ParamSet { return CloneNamed(ps.params) }
+
+// CloneNamed deep-copies params (values and frozen flags) into a fresh set:
+// with TrainableSubset, a snapshot of exactly what a diff carries.
+func CloneNamed(params []*Parameter) *ParamSet {
 	out := NewParamSet()
-	for _, p := range ps.params {
-		np := out.Add(p.Name, p.Value.Clone())
-		np.Frozen = p.Frozen
+	for _, p := range params {
+		out.Add(p.Name, p.Value.Clone()).Frozen = p.Frozen
 	}
 	return out
 }
@@ -333,16 +370,28 @@ func (w *fnvWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TrainableSubset returns the non-frozen parameters of ps (the "updated
-// part" of Algorithm 3's ToClient call under partial distillation).
+// TrainableSubset returns everything distillation changes in ps — the
+// "updated part" of Algorithm 3's ToClient call: the non-frozen parameters
+// plus the running statistics of every BatchNorm layer that still trains
+// (BatchNorm2D.Forward moves exactly those). The statistics are Frozen —
+// "is optimised" and "is shipped" are two questions — so this, not the
+// Frozen flag, defines what a diff, a best-weights snapshot and the
+// simulator's update carry.
 func TrainableSubset(ps *ParamSet) []*Parameter {
 	var out []*Parameter
 	for _, p := range ps.All() {
-		if !p.Frozen {
+		if layer, stat := bnStatLayer(p.Name); !p.Frozen || stat && ps.bnTrains(layer) {
 			out = append(out, p)
 		}
 	}
 	return out
+}
+
+// bnTrains is BatchNorm2D.trains by name, for callers that hold only a
+// parameter set.
+func (ps *ParamSet) bnTrains(layer string) bool {
+	gamma, beta := ps.Get(layer+".gamma"), ps.Get(layer+".beta")
+	return gamma != nil && !gamma.Frozen || beta != nil && !beta.Frozen
 }
 
 // ApplyNamed copies values from the given parameters into ps by name

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/autodiff"
 	"repro/internal/tensor"
@@ -61,8 +62,11 @@ type Student struct {
 	// inferCtx is the reusable inference context: its tape leases every
 	// activation from a private workspace, so steady-state Infer calls
 	// allocate (almost) nothing. maskBuf is the reusable argmax output.
-	inferCtx *ForwardCtx
-	maskBuf  []int32
+	// prefixCtx is its twin for Prefix, separate so the frozen stages'
+	// activations outlive the passes that start from them.
+	inferCtx  *ForwardCtx
+	prefixCtx *ForwardCtx
+	maskBuf   []int32
 
 	// batchCtx is the reusable batched-inference state behind InferBatch
 	// (batch.go): one workspace per batched pass plus recycled mask
@@ -76,11 +80,12 @@ type Student struct {
 }
 
 // SetBackend pins the compute backend for this student's inference path
-// (nil reverts to the process default). The reusable inference context is
-// discarded so the next Infer rebuilds it on the new backend.
+// (nil reverts to the process default). The reusable inference contexts are
+// discarded so the next Infer or Prefix rebuilds them on the new backend.
 func (s *Student) SetBackend(b tensor.Backend) {
 	s.backend = b
 	s.inferCtx = nil
+	s.prefixCtx = nil
 	s.batchCtx = nil
 }
 
@@ -112,66 +117,172 @@ func NewStudentForWire() *Student {
 	return NewStudent(DefaultStudentConfig(), rand.New(rand.NewSource(1)))
 }
 
-// Forward runs the network on a CHW image (values in [0,1]) and returns the
-// logits variable [NumClasses, H, W]. Input spatial dimensions must be
-// multiples of 8.
-func (s *Student) Forward(fc *ForwardCtx, img *tensor.Tensor) *autodiff.Variable {
+// stageNames lists the forward pass's stages — the points at which it can
+// be cut — in execution order, which is also the order NewStudent registers
+// their parameters in. Each is the name prefix of its stage's parameters.
+var stageNames = [...]string{"in1", "in2", "sb1", "sb2", "sb3", "sb4", "sb5", "sb6", "out1", "out2", "out3"}
+
+// Activations is the forward pass stopped at a stage boundary: the running
+// activation plus the SB1/SB2 skip tensors while a later stage still
+// consumes them. Forward starts from the boundary before in1 (the image);
+// Prefix stops at the end of the frozen stages.
+type Activations struct {
+	depth     int // stages already applied
+	x, f1, f2 *tensor.Tensor
+}
+
+// pass is Activations on a tape.
+type pass struct{ x, f1, f2 *autodiff.Variable }
+
+// input validates a CHW image (values in [0,1], spatial dimensions
+// multiples of 8) and returns it as the depth-0 boundary.
+func (s *Student) input(img *tensor.Tensor) Activations {
 	CheckCHW(img, s.Config.InChannels)
 	if img.Dim(1)%8 != 0 || img.Dim(2)%8 != 0 {
 		panic(fmt.Sprintf("nn: student input %v must have spatial dims divisible by 8", img.Shape()))
 	}
+	return Activations{x: img}
+}
+
+// run enters the boundary a on fc's tape as constants and applies the
+// stages from there up to stage `to`: the one body of the network,
+// whichever boundary a pass starts or stops at.
+func (s *Student) run(fc *ForwardCtx, a Activations, to int) pass {
 	t := fc.Tape
-	x := t.Constant(img)
-	h1 := t.ReLU(s.in1.Forward(fc, x))                // 1/2 res, Stem1 ch
-	h2 := t.ReLU(s.in2.Forward(fc, h1))               // 1/4 res, Stem2 ch
-	f1 := s.sb1.Forward(fc, h2)                       // 1/4 res, B1 ch  (skip → SB6)
-	f2 := s.sb2.Forward(fc, f1)                       // 1/8 res, B2 ch  (skip → SB5)
-	f3 := s.sb3.Forward(fc, f2)                       // 1/8 res
-	f4 := s.sb4.Forward(fc, f3)                       // 1/8 res — frozen boundary
-	c5 := t.Concat(f4, f2)                            // 1/8 res, B4+B2 ch
-	f5 := s.sb5.Forward(fc, c5)                       // 1/8 res, B5 ch
-	u5 := t.Upsample2x(f5)                            // 1/4 res
-	c6 := t.Concat(u5, f1)                            // 1/4 res, B5+B1 ch
-	f6 := s.sb6.Forward(fc, c6)                       // 1/4 res, B6 ch
-	o := t.ReLU(s.out1.Forward(fc, t.Upsample2x(f6))) // 1/2 res
-	o = t.ReLU(s.out2.Forward(fc, o))
-	o = s.out3.Forward(fc, t.Upsample2x(o)) // full res logits
-	return o
+	constant := func(v *tensor.Tensor) *autodiff.Variable {
+		if v == nil {
+			return nil
+		}
+		return t.Constant(v)
+	}
+	p := pass{x: constant(a.x), f1: constant(a.f1), f2: constant(a.f2)}
+	for i := a.depth; i < to; i++ {
+		switch i {
+		case 0:
+			p.x = t.ReLU(s.in1.Forward(fc, p.x)) // 1/2 res, Stem1 ch
+		case 1:
+			p.x = t.ReLU(s.in2.Forward(fc, p.x)) // 1/4 res, Stem2 ch
+		case 2:
+			p.x = s.sb1.Forward(fc, p.x) // 1/4 res, B1 ch  (skip → SB6)
+			p.f1 = p.x
+		case 3:
+			p.x = s.sb2.Forward(fc, p.x) // 1/8 res, B2 ch  (skip → SB5)
+			p.f2 = p.x
+		case 4:
+			p.x = s.sb3.Forward(fc, p.x) // 1/8 res
+		case 5:
+			p.x = s.sb4.Forward(fc, p.x) // 1/8 res — the paper's frozen boundary
+		case 6:
+			p.x = s.sb5.Forward(fc, t.Concat(p.x, p.f2)) // 1/8 res, B4+B2 → B5 ch
+			p.f2 = nil
+		case 7:
+			p.x = s.sb6.Forward(fc, t.Concat(t.Upsample2x(p.x), p.f1)) // 1/4 res, B5+B1 → B6 ch
+			p.f1 = nil
+		case 8:
+			p.x = t.ReLU(s.out1.Forward(fc, t.Upsample2x(p.x))) // 1/2 res
+		case 9:
+			p.x = t.ReLU(s.out2.Forward(fc, p.x))
+		case 10:
+			p.x = s.out3.Forward(fc, t.Upsample2x(p.x)) // full res logits
+		}
+	}
+	return p
+}
+
+// frozenDepth returns how many leading stages hold only frozen parameters:
+// the deepest boundary Prefix can stop at.
+func (s *Student) frozenDepth() int {
+	d := 0
+	for _, p := range s.Params.All() {
+		for !strings.HasPrefix(p.Name, stageNames[d]) {
+			d++
+		}
+		if !p.Frozen {
+			return d
+		}
+	}
+	return len(stageNames)
+}
+
+// Forward runs the network on a CHW image (values in [0,1]) and returns the
+// logits variable [NumClasses, H, W]. Input spatial dimensions must be
+// multiples of 8.
+func (s *Student) Forward(fc *ForwardCtx, img *tensor.Tensor) *autodiff.Variable {
+	return s.ForwardFrom(fc, s.input(img))
+}
+
+// ForwardFrom is Forward started at the boundary a holds: the activations
+// enter fc's tape as constants and only the remaining stages run. After
+// Prefix, those are exactly the stages with something left to train, and
+// the logits, the gradients and the backward closures recorded are those of
+// Forward on the same image.
+func (s *Student) ForwardFrom(fc *ForwardCtx, a Activations) *autodiff.Variable {
+	return s.run(fc, a, len(stageNames)).x
+}
+
+// Prefix runs the frozen stages of the network on img — every leading stage
+// whose parameters are all frozen, so none under full distillation and
+// in1…SB4 under the paper's cut — and returns the boundary for ForwardFrom
+// and InferFrom to continue from. A frozen stage is a pure function of its
+// weights and the image (see BatchNorm2D), so however many passes a key
+// frame takes, this part of each is the same and is computed once.
+//
+// The activations live in a context private to Prefix: they survive any
+// number of ForwardFrom/InferFrom passes and are valid until the next
+// Prefix call on this student, or until the freeze cut or a frozen weight
+// changes.
+func (s *Student) Prefix(img *tensor.Tensor) Activations {
+	a := s.input(img)
+	depth := s.frozenDepth()
+	if depth == 0 {
+		return a
+	}
+	if s.prefixCtx == nil {
+		s.prefixCtx = NewForwardCtxWS(false, tensor.NewWorkspace().SetBackend(s.backend))
+	}
+	s.prefixCtx.Reset(false)
+	p := s.run(s.prefixCtx, a, depth)
+	a = Activations{depth: depth, x: p.x.Value}
+	if p.f1 != nil {
+		a.f1 = p.f1.Value
+	}
+	if p.f2 != nil {
+		a.f2 = p.f2.Value
+	}
+	return a
 }
 
 // Infer runs a gradient-free forward pass and returns the argmax mask
 // (len H*W) plus the raw logits.
 //
 // Both returned values live in buffers owned by the student and are only
-// valid until the next Infer call on the same student; callers that keep
-// them across frames must copy. (Every in-tree caller consumes them
-// immediately.) Like training, Infer is not safe for concurrent use on one
-// student — sessions each own a private clone.
+// valid until the next Infer or InferFrom call on the same student; callers
+// that keep them across frames must copy. (Every in-tree caller consumes
+// them immediately.) Like training, Infer is not safe for concurrent use on
+// one student — sessions each own a private clone.
 func (s *Student) Infer(img *tensor.Tensor) (mask []int32, logits *tensor.Tensor) {
+	return s.InferFrom(s.input(img))
+}
+
+// InferFrom is Infer started at the boundary a holds (see ForwardFrom).
+func (s *Student) InferFrom(a Activations) (mask []int32, logits *tensor.Tensor) {
 	if s.inferCtx == nil {
 		s.inferCtx = NewForwardCtxWS(false, tensor.NewWorkspace().SetBackend(s.backend))
 	}
 	s.inferCtx.Reset(false)
-	out := s.Forward(s.inferCtx, img)
-	logits = out.Value
+	logits = s.ForwardFrom(s.inferCtx, a).Value
 	s.maskBuf = logits.ArgmaxChannel(s.maskBuf)
 	return s.maskBuf, logits
 }
 
 // SetPartial configures the freeze state: partial=true freezes the stem
 // through SB4 (paper §5.2); partial=false unfreezes everything except BN
-// running statistics.
+// running statistics, which FreezePrefix keeps frozen under every cut.
 func (s *Student) SetPartial(partial bool) {
 	if partial {
 		s.Params.FreezePrefix(FreezePrefixes()...)
 	} else {
 		s.Params.UnfreezeAll()
-	}
-	// Running statistics are buffers regardless of mode.
-	for _, p := range s.Params.All() {
-		if hasSuffix(p.Name, ".rmean") || hasSuffix(p.Name, ".rvar") {
-			p.Frozen = true
-		}
 	}
 }
 
@@ -184,8 +295,4 @@ func (s *Student) Clone() *Student {
 	}
 	c.backend = s.backend
 	return c
-}
-
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
 }

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/teacher"
 	"repro/internal/transport"
 	"repro/internal/video"
@@ -88,7 +90,10 @@ func TestManagerSessionWithLinkPolicy(t *testing.T) {
 // Journal replay under a static codec policy: what the journal holds are
 // adaptive envelopes, and they must decode — with strictly increasing Seq —
 // both when replayed after a plain detach and when replayed by another
-// manager that imported the session from a handoff envelope.
+// manager that imported the session from a handoff envelope. A client that
+// applies them ends up holding the server's BatchNorm statistics bit for
+// bit: int8 is a contract about weights, and the envelope carries the
+// statistics beside the codec payload, not through it.
 func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 	newShard := func() *Manager {
 		cfg := core.DefaultConfig()
@@ -105,6 +110,7 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 	_, frames := resumeManager(t, 1)
 
 	var lastSeq uint64
+	held := tinyStudent(41) // the checkpoint the handshake ships
 	envelope := func(m transport.Message) {
 		t.Helper()
 		d, dec, err := core.DecodeAdaptiveDiff(m.Body)
@@ -115,6 +121,9 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 			t.Fatalf("envelope codec %q seq %d, want int8 seq %d", dec.Codec, d.Seq, lastSeq+1)
 		}
 		lastSeq = d.Seq
+		if err := nn.ApplyNamed(held.Params, d.Params); err != nil {
+			t.Fatal(err)
+		}
 	}
 	keyFrame := func(p *protoClient) {
 		t.Helper()
@@ -158,5 +167,29 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 	}
 	replay(p, dst, 2, 2) // after a cross-shard import: diffs 3 and 4
 	keyFrame(p)          // the importing shard keeps the policy: seq 5 is an envelope too
-	p.shutdown()
+	p.drop(dst)
+
+	parked, err := dst.store.Steal(p.sessionID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, fresh := parked.State.(*core.Server).Distiller.Student, tinyStudent(41)
+	moved := 0
+	for _, want := range trained.Params.All() {
+		if !nn.IsBNStat(want.Name) {
+			continue
+		}
+		got := held.Params.Get(want.Name).Value.Data
+		for i, v := range want.Value.Data {
+			if math.Float32bits(got[i]) != math.Float32bits(v) {
+				t.Fatalf("%s[%d] = %v on the client, %v on the server", want.Name, i, got[i], v)
+			}
+			if v != fresh.Params.Get(want.Name).Value.Data[i] {
+				moved++
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("distillation moved no statistic; the comparison is vacuous")
+	}
 }
