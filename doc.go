@@ -71,9 +71,15 @@
 // ARCHITECTURE.md "Network realism & adaptive link policy"). The link
 // policy is the only way to pick a diff codec — a fixed codec is the policy
 // "static:<codec>" (serve.Options.LinkPolicy, harness Spec.Codec) — so a
-// student diff travels in one of two bodies: raw float32 with no policy,
-// a self-describing adaptive envelope with one (the codec applies to the
-// diff's weights; its BatchNorm statistics always travel as raw float32):
+// student diff travels in one of two bodies: the plain one with no policy,
+// a self-describing adaptive envelope with one. Bit-exact diffs — the plain
+// body, and the envelope under "raw" — are relative: each weight travels as
+// its bit-pattern distance from the value the client already holds (about
+// 0.65–0.7 of the float32 size, reconstructed exactly; an absolute diff
+// only after a lossy transfer left the server unsure what the client
+// holds). Lossy envelopes carry absolute weights under their codec, and
+// the BatchNorm statistics beside them always as raw float32 (see
+// ARCHITECTURE.md "What a student diff carries on the wire"):
 //
 //	go run ./cmd/shadowtutor-server -loss-model uniform:0.02 -fec 8 -adaptive
 //	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -loss-model uniform:0.02 -fec 8 -adaptive

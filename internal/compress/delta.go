@@ -12,8 +12,9 @@ import (
 )
 
 // deltaMagic versions the Delta wire layout; bump the digit for breaking
-// changes (decoders reject unknown magics instead of misparsing).
-var deltaMagic = [4]byte{'D', 'L', 'T', '1'}
+// changes (decoders reject unknown magics instead of misparsing). DLT2
+// replaced DLT1's absolute-values-under-raw mode with modeBits.
+var deltaMagic = [4]byte{'D', 'L', 'T', '2'}
 
 // Per-parameter encoding modes. The encoder picks whichever is smallest
 // without giving up exactness where exactness is free:
@@ -23,22 +24,25 @@ var deltaMagic = [4]byte{'D', 'L', 'T', '1'}
 //	             over a clone of the base. Bit-exact under ANY inner codec.
 //	modeDense  — many changed elements, lossy inner: arithmetic deltas
 //	             (value − base) ride the inner codec in one batched blob.
-//	modeExact  — many changed elements, bit-exact inner: absolute values
-//	             ride the inner codec. Avoids the float (a−b)+b round-trip
-//	             inexactness, so delta+raw reconstructs bit-identically.
+//	modeBits   — many changed elements, bit-exact inner: bit-pattern
+//	             distances from the base (bits.go). No float (a−b)+b
+//	             round trip, so delta+raw reconstructs bit-identically.
 const (
 	modeSame   = 0
 	modeSparse = 1
 	modeDense  = 2
-	modeExact  = 3
+	modeBits   = 3
 )
 
 // Delta is the base-relative codec wrapper: it encodes parameters against a
-// shared base the receiver already holds (the pretrained student), so only
-// what training changed crosses the wire. Frozen tensors collapse to a
-// header byte; trainable ones ride the inner codec as deltas. A nil Base is
-// the all-zeros base — every value is then its own delta, which keeps the
-// codec total (and is what the Adam-moment blobs use).
+// base the receiver already holds — the pretrained student for checkpoints
+// and handoffs, the weights before this key frame's training for student
+// diffs — so only what training changed crosses the wire. Untouched
+// tensors collapse to a header byte; the rest ride bit-pattern distances
+// (exact inner) or the inner codec as arithmetic deltas (lossy inner). A
+// nil Base is the all-zeros base — every value is then its own delta, which
+// keeps the codec total (and is what the Adam-moment blobs and absolute
+// student diffs use; under raw it costs the 2-bit tags over plain float32).
 type Delta struct {
 	// Inner carries the dense payload. Must not itself be a Delta.
 	Inner Codec
@@ -92,80 +96,104 @@ func (d *Delta) baseData(name string, n int) []float32 {
 	return ref.Value.Data
 }
 
-// innerExact reports whether the inner codec reproduces floats bit-exactly,
-// which decides between absolute values (modeExact) and arithmetic deltas
-// (modeDense) for the dense path.
-func (d *Delta) innerExact() bool {
-	_, raw := d.Inner.(Raw)
+// Exact reports whether c reproduces every float32 bit pattern whatever
+// the values: Raw, and a Delta over Raw. It decides between bit-pattern
+// distances (modeBits) and arithmetic deltas (modeDense) for Delta's dense
+// path, and tells callers which transfers leave both ends holding the same
+// model.
+func Exact(c Codec) bool {
+	_, raw := Inner(c).(Raw)
 	return raw
 }
 
 // Encode implements Codec.
 func (d *Delta) Encode(w io.Writer, params []*nn.Parameter) error {
+	_, err := d.encode(w, params)
+	return err
+}
+
+// EncodeExact encodes params with c and reports whether a receiver will
+// decode these params bit-exactly: always under an Exact codec, never under
+// a bare lossy one, and under a lossy Delta whenever no tensor had to take
+// the dense path — a checkpoint that still equals its base is exact under
+// delta+int8.
+func EncodeExact(c Codec, w io.Writer, params []*nn.Parameter) (exact bool, err error) {
+	if d, ok := c.(*Delta); ok {
+		return d.encode(w, params)
+	}
+	return Exact(c), c.Encode(w, params)
+}
+
+func (d *Delta) encode(w io.Writer, params []*nn.Parameter) (exact bool, err error) {
 	if err := d.validate(); err != nil {
-		return err
+		return false, err
 	}
 	innerName := d.Inner.Name()
 	if len(innerName) > 255 {
-		return fmt.Errorf("compress: inner codec name %q too long", innerName)
+		return false, fmt.Errorf("compress: inner codec name %q too long", innerName)
 	}
 	if _, err := w.Write(deltaMagic[:]); err != nil {
-		return err
+		return false, err
 	}
 	if _, err := w.Write([]byte{byte(len(innerName))}); err != nil {
-		return err
+		return false, err
 	}
 	if _, err := io.WriteString(w, innerName); err != nil {
-		return err
+		return false, err
 	}
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(params))); err != nil {
-		return err
+		return false, err
 	}
 
-	exact := d.innerExact()
+	innerExact := Exact(d.Inner)
 	var dense []*nn.Parameter
+	var dist []uint32 // reused across tensors
+	var out []byte    // one tensor's mode byte and payload, reused
 	for _, p := range params {
 		if err := writeHeader(w, p); err != nil {
-			return err
+			return false, err
 		}
-		base := d.baseData(p.Name, p.Value.Len())
-		// Count changed elements bitwise: NaNs and -0 vs +0 must count as
-		// equal-to-base only when the bits agree, or reconstruction drifts.
-		changed := 0
-		for i, v := range p.Value.Data {
-			var b float32
-			if base != nil {
-				b = base[i]
+		n := p.Value.Len()
+		base := d.baseData(p.Name, n)
+		if cap(dist) < n {
+			dist = make([]uint32, n)
+		}
+		dist = dist[:n]
+		// Changed elements are counted bitwise: NaNs and -0 vs +0 equal the
+		// base only when the bits agree, or reconstruction drifts.
+		var hist [33]int
+		changed := bitDistance(dist, &hist, p.Value.Data, base)
+		mode := modeDense
+		var widths [4]uint8
+		packedLen := 0
+		switch {
+		case changed == 0:
+			mode = modeSame
+		case innerExact:
+			var payloadBits int
+			widths, payloadBits = bitWidths(&hist)
+			packedLen = (2*n + payloadBits + 7) / 8
+			mode = modeBits
+			if 4+8*changed < len(widths)+4+packedLen {
+				mode = modeSparse
 			}
-			if math.Float32bits(v) != math.Float32bits(b) {
-				changed++
-			}
+		case 8*changed <= n: // the dense path costs ~n under int8-class inners
+			mode = modeSparse
 		}
-		mode := pickMode(changed, p.Value.Len(), exact)
-		if _, err := w.Write([]byte{byte(mode)}); err != nil {
-			return err
-		}
+		out = append(out[:0], byte(mode))
 		switch mode {
-		case modeSame:
 		case modeSparse:
-			if err := binary.Write(w, binary.LittleEndian, uint32(changed)); err != nil {
-				return err
-			}
-			for i, v := range p.Value.Data {
-				var b float32
-				if base != nil {
-					b = base[i]
-				}
-				if math.Float32bits(v) == math.Float32bits(b) {
-					continue
-				}
-				if err := binary.Write(w, binary.LittleEndian, uint32(i)); err != nil {
-					return err
-				}
-				if err := binary.Write(w, binary.LittleEndian, math.Float32bits(v)); err != nil {
-					return err
+			out = binary.LittleEndian.AppendUint32(out, uint32(changed))
+			for i, z := range dist {
+				if z != 0 {
+					out = binary.LittleEndian.AppendUint32(out, uint32(i))
+					out = binary.LittleEndian.AppendUint32(out, math.Float32bits(p.Value.Data[i]))
 				}
 			}
+		case modeBits:
+			out = append(out, widths[:]...)
+			out = binary.LittleEndian.AppendUint32(out, uint32(packedLen))
+			out = appendBits(out, dist, widths, packedLen)
 		case modeDense:
 			dp := &nn.Parameter{Name: p.Name, Value: tensor.New(p.Value.Shape()...)}
 			copy(dp.Value.Data, p.Value.Data)
@@ -175,8 +203,9 @@ func (d *Delta) Encode(w io.Writer, params []*nn.Parameter) error {
 				}
 			}
 			dense = append(dense, dp)
-		case modeExact:
-			dense = append(dense, p)
+		}
+		if _, err := w.Write(out); err != nil {
+			return false, err
 		}
 	}
 
@@ -186,33 +215,14 @@ func (d *Delta) Encode(w io.Writer, params []*nn.Parameter) error {
 	var blob bytes.Buffer
 	if len(dense) > 0 {
 		if err := d.Inner.Encode(&blob, dense); err != nil {
-			return fmt.Errorf("compress: delta inner encode: %w", err)
+			return false, fmt.Errorf("compress: delta inner encode: %w", err)
 		}
 	}
 	if err := binary.Write(w, binary.LittleEndian, uint32(blob.Len())); err != nil {
-		return err
+		return false, err
 	}
-	_, err := w.Write(blob.Bytes())
-	return err
-}
-
-// pickMode chooses the smallest representation for a tensor with `changed`
-// of `n` elements differing from base. Sparse pairs cost 8 bytes each;
-// the dense path costs ~4n under raw and ~n under int8-class inners.
-func pickMode(changed, n int, exact bool) int {
-	if changed == 0 {
-		return modeSame
-	}
-	if exact {
-		if 8*changed < 4*n {
-			return modeSparse
-		}
-		return modeExact
-	}
-	if 8*changed <= n {
-		return modeSparse
-	}
-	return modeDense
+	_, err = w.Write(blob.Bytes())
+	return len(dense) == 0, err
 }
 
 // Decode implements Codec. The inner codec is resolved from the stream's
@@ -246,11 +256,15 @@ func (d *Delta) Decode(r io.Reader) ([]*nn.Parameter, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A tensor is at least a name length, a rank and a mode byte.
+	if err := checkClaim(r, 4*int64(count)); err != nil {
+		return nil, err
+	}
 	type decl struct {
 		name  string
 		shape []int
 		mode  int
-		out   *tensor.Tensor // filled for modeSame/modeSparse immediately
+		out   *tensor.Tensor // filled immediately for every mode but modeDense
 	}
 	decls := make([]decl, 0, count)
 	denseCount := 0
@@ -281,22 +295,43 @@ func (d *Delta) Decode(r io.Reader) ([]*nn.Parameter, error) {
 				if err := checkClaim(r, 8*int64(n)); err != nil {
 					return nil, err
 				}
-				for j := uint32(0); j < n; j++ {
-					var idx, bits uint32
-					if err := binary.Read(r, binary.LittleEndian, &idx); err != nil {
-						return nil, fmt.Errorf("compress: delta sparse index: %w", err)
-					}
-					if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-						return nil, fmt.Errorf("compress: delta sparse value: %w", err)
-					}
+				pairs := make([]byte, 8*n) // n ≤ t.Len(), which is allocated already
+				if _, err := io.ReadFull(r, pairs); err != nil {
+					return nil, fmt.Errorf("compress: delta sparse pairs: %w", err)
+				}
+				for ; len(pairs) > 0; pairs = pairs[8:] {
+					idx := binary.LittleEndian.Uint32(pairs)
 					if int(idx) >= t.Len() {
 						return nil, fmt.Errorf("compress: delta sparse index %d out of range %d", idx, t.Len())
 					}
-					t.Data[idx] = math.Float32frombits(bits)
+					t.Data[idx] = math.Float32frombits(binary.LittleEndian.Uint32(pairs[4:]))
 				}
 			}
 			dc.out = t
-		case modeDense, modeExact:
+		case modeBits:
+			var head [8]byte // four widths, then the packed length
+			if _, err := io.ReadFull(r, head[:]); err != nil {
+				return nil, fmt.Errorf("compress: delta bit-pattern header: %w", err)
+			}
+			packedLen := int64(binary.LittleEndian.Uint32(head[4:]))
+			// Every value carries a 2-bit tag, so the packed bytes bound the
+			// element count: no allocation on the shape's word alone.
+			if n := int64(numElems(shape)); 8*packedLen < 2*n {
+				return nil, fmt.Errorf("compress: delta bit-pattern payload of %d bytes cannot hold %d values", packedLen, n)
+			}
+			if err := checkClaim(r, packedLen); err != nil {
+				return nil, err
+			}
+			packed := make([]byte, packedLen)
+			if _, err := io.ReadFull(r, packed); err != nil {
+				return nil, fmt.Errorf("compress: delta bit-pattern payload: %w", err)
+			}
+			t := tensor.New(shape...)
+			if err := decodeBits(t.Data, packed, [4]uint8(head[:4]), d.baseData(name, t.Len())); err != nil {
+				return nil, err
+			}
+			dc.out = t
+		case modeDense:
 			denseCount++
 		default:
 			return nil, fmt.Errorf("compress: unknown delta mode %d", dc.mode)
@@ -332,24 +367,21 @@ func (d *Delta) Decode(r io.Reader) ([]*nn.Parameter, error) {
 	params := make([]*nn.Parameter, 0, count)
 	di := 0
 	for _, dc := range decls {
-		switch dc.mode {
-		case modeSame, modeSparse:
+		if dc.mode != modeDense {
 			params = append(params, &nn.Parameter{Name: dc.name, Value: dc.out})
-		case modeDense, modeExact:
-			got := dense[di]
-			di++
-			if got.Name != dc.name || !sameShape(got.Value.Shape(), dc.shape) {
-				return nil, fmt.Errorf("compress: delta dense tensor %q does not match declaration %q", got.Name, dc.name)
-			}
-			if dc.mode == modeDense {
-				if base := d.baseData(dc.name, got.Value.Len()); base != nil {
-					for i := range got.Value.Data {
-						got.Value.Data[i] += base[i]
-					}
-				}
-			}
-			params = append(params, got)
+			continue
 		}
+		got := dense[di]
+		di++
+		if got.Name != dc.name || !sameShape(got.Value.Shape(), dc.shape) {
+			return nil, fmt.Errorf("compress: delta dense tensor %q does not match declaration %q", got.Name, dc.name)
+		}
+		if base := d.baseData(dc.name, got.Value.Len()); base != nil {
+			for i := range got.Value.Data {
+				got.Value.Data[i] += base[i]
+			}
+		}
+		params = append(params, got)
 	}
 	return params, nil
 }

@@ -194,3 +194,122 @@ func TestWithBase(t *testing.T) {
 		t.Fatalf("WithBase must pass plain codecs through, got %#v", plain)
 	}
 }
+
+// bitPatternTensor draws n float32 bit patterns that a NormFloat64 fixture
+// never produces: NaNs with payloads, both zeros, denormals, both
+// infinities, extreme exponents, and plain uniform 32-bit noise.
+func bitPatternTensor(rng *rand.Rand, n int) *tensor.Tensor {
+	special := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc00000, 0xffc00001, 0x7f800001, 0x7fffffff, // quiet/signalling NaNs with payloads
+		0x00000001, 0x807fffff, // denormals
+		0x00800000, 0x7f7fffff, 0xff7fffff, // smallest normal, ±MaxFloat32
+	}
+	t := tensor.New(n)
+	for i := range t.Data {
+		bits := rng.Uint32()
+		if rng.Intn(3) == 0 {
+			bits = special[rng.Intn(len(special))]
+		}
+		t.Data[i] = math.Float32frombits(bits)
+	}
+	return t
+}
+
+// delta+raw is bit-exact over arbitrary bit patterns — identical, sparsely
+// and densely changed tensors, near and far from the base, with and
+// without one — and never costs more than the raw float32 stream plus the
+// stream framing and each tensor's mode byte, widths, length and 2-bit tags.
+func TestDeltaRawBitPatternProperty(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		base := nn.NewParamSet()
+		var params []*nn.Parameter
+		budget := 4 + 1 + len("raw") + 4 + 4
+		for k := 0; k < 6; k++ {
+			n := []int{0, 1, 3, 64, 257, 1000}[rng.Intn(6)]
+			name := names[k%len(names)] + string(rune('a'+k))
+			ref := bitPatternTensor(rng, n)
+			if k != 5 { // the last tensor has no base entry: the zero base
+				base.Add(name, ref)
+			}
+			cur := tensor.New(n)
+			copy(cur.Data, ref.Data)
+			switch k % 3 {
+			case 1: // sparse: a few elements replaced outright
+				for j := 0; j < n/50+1 && n > 0; j++ {
+					cur.Data[rng.Intn(n)] = bitPatternTensor(rng, 1).Data[0]
+				}
+			case 2: // dense: every element moved, by distances of every size
+				for j := range cur.Data {
+					step := uint32(1) << uint(rng.Intn(32))
+					cur.Data[j] = math.Float32frombits(math.Float32bits(cur.Data[j]) + rng.Uint32()%step - step/2)
+				}
+			}
+			params = append(params, &nn.Parameter{Name: name, Value: cur})
+			budget += 1 + 4 + 4 + (2*n+7)/8
+		}
+		for _, c := range []*Delta{{Inner: Raw{}, Base: base}, {Inner: Raw{}}} {
+			var buf bufWriter
+			exact, err := EncodeExact(c, &buf, params)
+			if err != nil || !exact {
+				t.Fatalf("seed %d: EncodeExact = %v, %v; delta+raw is always exact", seed, exact, err)
+			}
+			if limit := nn.EncodedSize(params) + budget; len(buf.b) > limit {
+				t.Fatalf("seed %d: delta+raw took %d bytes, raw plus tags is %d", seed, len(buf.b), limit)
+			}
+			got, err := c.Decode(&buf)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("seed %d: decoder left %d bytes", seed, buf.Len())
+			}
+			for i, p := range params {
+				if got[i].Name != p.Name || got[i].Value.Len() != p.Value.Len() {
+					t.Fatalf("seed %d: param %d came back as %q/%d", seed, i, got[i].Name, got[i].Value.Len())
+				}
+				for j, v := range p.Value.Data {
+					if g := got[i].Value.Data[j]; math.Float32bits(g) != math.Float32bits(v) {
+						t.Fatalf("seed %d: %s[%d] = %08x, want %08x", seed, p.Name, j, math.Float32bits(g), math.Float32bits(v))
+					}
+				}
+			}
+		}
+	}
+}
+
+// A trained-looking tensor — every weight nudged by a small fraction of
+// itself — must cost well under its float32 size, and EncodeExact must
+// call a delta+int8 stream lossy exactly when a tensor took the dense path.
+func TestDeltaRawShrinksSmallUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	base := nn.NewParamSet()
+	ref := tensor.New(4096)
+	cur := tensor.New(4096)
+	for i := range ref.Data {
+		ref.Data[i] = float32(rng.NormFloat64())
+		cur.Data[i] = ref.Data[i] * (1 + 1e-3*float32(rng.NormFloat64()))
+	}
+	base.Add("w", ref)
+	params := []*nn.Parameter{{Name: "w", Value: cur}}
+	n, err := EncodedBytes(&Delta{Inner: Raw{}, Base: base}, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw := nn.EncodedSize(params); float64(n) > 0.6*float64(raw) {
+		t.Fatalf("delta+raw of a 0.1%% update took %d of %d raw bytes", n, raw)
+	}
+	var sink countingWriter
+	if exact, err := EncodeExact(&Delta{Inner: Int8{}, Base: base}, &sink, params); err != nil || exact {
+		t.Fatalf("delta+int8 of a dense update reported exact=%v, err=%v", exact, err)
+	}
+	same := []*nn.Parameter{{Name: "w", Value: ref}}
+	if exact, err := EncodeExact(&Delta{Inner: Int8{}, Base: base}, &sink, same); err != nil || !exact {
+		t.Fatalf("delta+int8 of the base itself reported exact=%v, err=%v", exact, err)
+	}
+	if exact, _ := EncodeExact(Int8{}, &sink, same); exact {
+		t.Fatal("bare int8 can never claim exactness")
+	}
+}

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -76,13 +77,20 @@ func FuzzDeltaDecode(f *testing.F) {
 	f.Add(seedBytes(f, &Delta{Inner: Raw{}}))
 	f.Add(seedBytes(f, &Delta{Inner: Int8{}}))
 	f.Add(seedBytes(f, &Delta{Inner: Bf16{}}))
-	f.Add([]byte("DLT1"))
+	f.Add([]byte("DLT2"))
+	f.Add(seedBytes(f, &Delta{Inner: Raw{}, Base: nn.CloneNamed(randParams(rand.New(rand.NewSource(98)), 3))}))
+	old := seedBytes(f, &Delta{Inner: Raw{}})
+	copy(old, "DLT1") // the layout whose dense-exact mode carried absolute values
+	f.Add(old)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode twice — stream-resolved inner codec, with and without a
 		// base — and require determinism of the accept/reject verdict.
 		params, err := (&Delta{Inner: Raw{}}).Decode(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if bytes.HasPrefix(data, []byte("DLT1")) {
+			t.Fatal("a DLT1 stream must be rejected")
 		}
 		checkDecoded(t, params)
 		base := nn.NewParamSet()
@@ -93,6 +101,54 @@ func FuzzDeltaDecode(f *testing.F) {
 		}
 		if _, err := (&Delta{Inner: Raw{}, Base: base}).Decode(bytes.NewReader(data)); err != nil {
 			t.Fatalf("stream accepted without base must decode with one: %v", err)
+		}
+	})
+}
+
+// packBits is the encoder's modeBits path over ready-made distances.
+func packBits(dist []uint32, hist *[33]int) ([]byte, [4]uint8) {
+	widths, payloadBits := bitWidths(hist)
+	return appendBits(nil, dist, widths, (2*len(dist)+payloadBits+7)/8), widths
+}
+
+// FuzzBitDeltaDecode hammers the bit-pattern coder's decoder directly:
+// whatever the widths and packed bytes, it returns an error or fills
+// exactly the values asked for — and what it accepts re-encodes to
+// something that decodes to the same bits.
+func FuzzBitDeltaDecode(f *testing.F) {
+	dist := []uint32{0, 1, 2, 700, 1 << 20, 1<<32 - 1}
+	var hist [33]int
+	cur := make([]float32, len(dist))
+	for i, z := range dist {
+		cur[i] = math.Float32frombits(z)
+	}
+	bitDistance(dist, &hist, cur, nil)
+	packed, widths := packBits(dist, &hist)
+	f.Add(uint16(len(dist)), widths[0], widths[1], widths[2], widths[3], packed)
+	f.Add(uint16(len(dist)+1), widths[0], widths[1], widths[2], widths[3], packed)   // one value short
+	f.Add(uint16(len(dist)), widths[0], widths[1], widths[2], widths[3], packed[:3]) // payload shorter than its tags claim
+	f.Add(uint16(2), uint8(0), uint8(8), uint8(33), uint8(32), []byte{0xff, 0xff})   // width past 32
+	f.Fuzz(func(t *testing.T, n uint16, w0, w1, w2, w3 uint8, packed []byte) {
+		base := make([]float32, n)
+		for i := range base {
+			base[i] = float32(i) - 7.5
+		}
+		out := make([]float32, n)
+		if err := decodeBits(out, packed, [4]uint8{w0, w1, w2, w3}, base); err != nil {
+			return
+		}
+		dist := make([]uint32, n)
+		var hist [33]int
+		bitDistance(dist, &hist, out, base)
+		repacked, widths := packBits(dist, &hist)
+		again := make([]float32, n)
+		if err := decodeBits(again, repacked, widths, base); err != nil {
+			t.Fatalf("re-encoded payload rejected: %v", err)
+		}
+		for i := range out {
+			if math.Float32bits(again[i]) != math.Float32bits(out[i]) {
+				t.Fatalf("value %d: %08x after re-encode, %08x before", i, math.Float32bits(again[i]), math.Float32bits(out[i]))
+			}
 		}
 	})
 }

@@ -22,20 +22,28 @@ import (
 //
 // Wire layout (little-endian):
 //
-//	magic (0xAD) · version (2) · state u8 · strideScale f32 ·
-//	codecLen u8 · codec name · frameIndex u32 · metric f64bits ·
-//	seq u64 · codec payload · statistics (nn.WriteNamed)
+//	magic (0xAD) · version (3) · state u8 · strideScale f32 ·
+//	codecLen u8 · codec name · body
 //
-// The codec payload carries the diff's weights; the BatchNorm running
-// statistics that travel with them (nn.TrainableSubset) ride the trailing
-// section as raw float32 whatever the codec. A lossy codec is a contract
-// about weights: per-tensor int8 flushes a small running variance to zero
-// and pruning zeroes it outright, and 1/√(var+ε) turns either into a gain
-// of ~300 on that channel. Version 1 had no such section; there is one
-// format, and a version-1 envelope is rejected.
+// Under "raw" — the one bit-exact diff codec — body is the policy-less
+// MsgStudentDiff body itself (transport.EncodeStudentDiff): relative to the
+// reference whenever the server can vouch for one, resolved by the client
+// at apply time. Under a lossy codec it is
+//
+//	frameIndex u32 · metric f64bits · seq u64 · codec payload ·
+//	statistics (nn.WriteNamed)
+//
+// with absolute values throughout: the codec payload carries the diff's
+// weights, and the BatchNorm running statistics that travel with them
+// (nn.TrainableSubset) ride the trailing section as raw float32 whatever
+// the codec. A lossy codec is a contract about weights: per-tensor int8
+// flushes a small running variance to zero and pruning zeroes it outright,
+// and 1/√(var+ε) turns either into a gain of ~300 on that channel. There is
+// one format: envelopes of versions 1 (no statistics section) and 2
+// (absolute raw body) are rejected.
 const (
 	adaptiveMagic   = 0xAD
-	adaptiveVersion = 2
+	adaptiveVersion = 3
 )
 
 // diffCodec resolves the codec a link decision or an adaptive envelope
@@ -95,6 +103,14 @@ func EncodeAdaptiveDiff(d transport.StudentDiff, dec netsim.LinkDecision) ([]byt
 	binary.Write(&buf, binary.LittleEndian, math.Float32bits(float32(scale)))
 	buf.WriteByte(byte(len(name)))
 	buf.WriteString(name)
+	if compress.Exact(codec) {
+		body, err := transport.EncodeStudentDiff(d)
+		if err != nil {
+			return nil, fmt.Errorf("core: adaptive envelope: %w", err)
+		}
+		buf.Write(body)
+		return buf.Bytes(), nil
+	}
 	binary.Write(&buf, binary.LittleEndian, d.FrameIndex)
 	binary.Write(&buf, binary.LittleEndian, math.Float64bits(d.Metric))
 	binary.Write(&buf, binary.LittleEndian, d.Seq)
@@ -110,7 +126,9 @@ func EncodeAdaptiveDiff(d transport.StudentDiff, dec netsim.LinkDecision) ([]byt
 
 // DecodeAdaptiveDiff parses an adaptive envelope, returning the diff (with
 // StrideScale populated from the envelope) and the link decision it was
-// encoded under.
+// encoded under. Like transport.DecodeStudentDiff it needs no state: a raw
+// envelope's parameters stay in the diff's Payload until Resolve, a lossy
+// envelope's are decoded here.
 func DecodeAdaptiveDiff(b []byte) (transport.StudentDiff, netsim.LinkDecision, error) {
 	var d transport.StudentDiff
 	var dec netsim.LinkDecision
@@ -143,6 +161,13 @@ func DecodeAdaptiveDiff(b []byte) (transport.StudentDiff, netsim.LinkDecision, e
 	codec, err := diffCodec(dec.Codec)
 	if err != nil {
 		return d, dec, err
+	}
+	if compress.Exact(codec) {
+		if d, err = transport.DecodeStudentDiff(b[len(b)-r.Len():]); err != nil {
+			return d, dec, fmt.Errorf("core: adaptive envelope: %w", err)
+		}
+		d.StrideScale = dec.StrideScale
+		return d, dec, nil
 	}
 	if err := binary.Read(r, binary.LittleEndian, &d.FrameIndex); err != nil {
 		return d, dec, fmt.Errorf("core: adaptive envelope: frame index: %w", err)

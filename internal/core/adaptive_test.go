@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -37,6 +39,9 @@ func TestAdaptiveDiffRoundTrip(t *testing.T) {
 			t.Fatalf("%s: encode: %v", dec.Codec, err)
 		}
 		got, gotDec, err := DecodeAdaptiveDiff(body)
+		if err == nil {
+			err = got.Resolve(student.Params)
+		}
 		if err != nil {
 			t.Fatalf("%s: decode: %v", dec.Codec, err)
 		}
@@ -244,18 +249,24 @@ func TestPolicyByNameValidatesCodecs(t *testing.T) {
 }
 
 // FuzzDecodeAdaptiveDiff hammers the adaptive envelope decoder — every diff
-// a policy-running server sends crosses it, as does every journal replay.
-// It must never panic; base-relative or empty codec names, bad stride
-// scales, truncation and trailing bytes must error; and under the dense
-// codecs, where every decoded value costs at least one body byte, it must
-// not allocate past the body (a pruned tensor's size is bounded by
-// compress's own shape check instead).
+// a policy-running server sends crosses it, as does every journal replay —
+// through both of its steps: the stateless parse and, for raw envelopes,
+// the resolve against the student the seeds were cut from. It must never
+// panic; base-relative or empty codec names, bad stride scales, truncation,
+// trailing bytes, earlier envelope versions and a reference the receiver
+// does not hold must error; and under the dense codecs, where every decoded
+// value costs at least a 2-bit tag, it must not allocate past the body (a
+// pruned tensor's size is bounded by compress's own shape check instead).
 func FuzzDecodeAdaptiveDiff(f *testing.F) {
 	for _, b := range adaptiveSeeds(f) {
 		f.Add(b.body)
 	}
+	held := adaptiveSeedStudent().Params
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d, dec, err := DecodeAdaptiveDiff(b)
+		if err == nil {
+			err = d.Resolve(held)
+		}
 		if err != nil {
 			return
 		}
@@ -271,7 +282,7 @@ func FuzzDecodeAdaptiveDiff(f *testing.F) {
 			for _, p := range d.Params {
 				n += len(p.Value.Data)
 			}
-			if n > len(b) {
+			if n > 4*len(b) {
 				t.Fatalf("decoded %d values from a %d-byte %s body", n, len(b), dec.Codec)
 			}
 		}
@@ -284,16 +295,30 @@ type adaptiveSeed struct {
 	ok   bool
 }
 
+// adaptiveSeedStudent is the student the seeds' diffs are relative to.
+func adaptiveSeedStudent() *nn.Student { return tinyStudent(3) }
+
 // adaptiveSeeds is the fuzz corpus and, through TestAdaptiveSeedsVerdicts,
-// a table of what the decoder must accept and reject.
+// a table of what decode-then-resolve must accept and reject.
 func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
-	diff := transport.StudentDiff{FrameIndex: 9, Metric: 0.5, Seq: 3, Params: nn.TrainableSubset(tinyStudent(3).Params)}
-	var seeds []adaptiveSeed
-	for _, codec := range []string{"raw", "int8", "prune25"} {
-		body, err := EncodeAdaptiveDiff(diff, netsim.LinkDecision{State: netsim.LinkDegraded, Codec: codec, StrideScale: 1.5})
+	held := adaptiveSeedStudent()
+	trained := held.Clone()
+	for _, p := range nn.TrainableSubset(trained.Params) {
+		for i := range p.Value.Data {
+			p.Value.Data[i] *= 1 + 1e-3*float32(i%7-3)
+		}
+	}
+	diff := transport.StudentDiff{FrameIndex: 9, Metric: 0.5, Seq: 3, Params: nn.TrainableSubset(trained.Params)}
+	encode := func(d transport.StudentDiff, codec string) []byte {
+		body, err := EncodeAdaptiveDiff(d, netsim.LinkDecision{State: netsim.LinkDegraded, Codec: codec, StrideScale: 1.5})
 		if err != nil {
 			tb.Fatal(err)
 		}
+		return body
+	}
+	var seeds []adaptiveSeed
+	for _, codec := range []string{"raw", "int8", "prune25"} {
+		body := encode(diff, codec)
 		seeds = append(seeds,
 			adaptiveSeed{codec, body, true},
 			adaptiveSeed{codec + " truncated", body[:len(body)/2], false},
@@ -302,23 +327,40 @@ func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
 	// The raw envelope with its head — magic, version, state, float32 stride
 	// scale, codec name — rewritten and everything after the name intact, so
 	// each of these can only be rejected for the field it corrupts.
-	rest := seeds[0].body[8+len("raw"):]
+	const head = 8 + len("raw")
+	rest := seeds[0].body[head:]
 	with := func(scale uint32, name string) []byte {
 		b := []byte{adaptiveMagic, adaptiveVersion, 0, byte(scale), byte(scale >> 8), byte(scale >> 16), byte(scale >> 24), byte(len(name))}
 		return append(append(b, name...), rest...)
 	}
 	one := math.Float32bits(1)
-	// What version 1 put on the wire: the same head under its version byte,
-	// then every parameter — statistics included — in the codec payload and
-	// nothing after it.
-	var v1 bytes.Buffer
-	v1.Write(seeds[0].body[:8+len("raw")+4+8+8])
-	v1.Bytes()[1] = 1
-	if err := (compress.Raw{}).Encode(&v1, diff.Params); err != nil {
+	// What versions 1 and 2 put on the wire under raw: the same head under
+	// their version byte, then frame index, metric, seq and absolute values
+	// — every parameter in the codec payload for version 1, the statistics
+	// split into a trailing nn.WriteNamed section for version 2.
+	var v1, v2 bytes.Buffer
+	for v, buf := range map[byte]*bytes.Buffer{1: &v1, 2: &v2} {
+		buf.Write(seeds[0].body[:head+4+8+8])
+		buf.Bytes()[1] = v
+	}
+	weights, stats := nn.SplitBNStats(diff.Params)
+	if err := errors.Join(nn.WriteNamed(&v1, diff.Params), nn.WriteNamed(&v2, weights), nn.WriteNamed(&v2, stats)); err != nil {
 		tb.Fatal(err)
 	}
+	// The relative raw envelope, and the ways its parameter section lies.
+	diff.Ref = held.Params
+	relative := encode(diff, "raw")
+	const hashAt = head + 4 + 8 + 8 + 1
+	const countAt = hashAt + 8 + 4 + 1 + len("raw") // delta magic, inner name
+	mutate := func(edit func(b []byte) []byte) []byte { return edit(append([]byte(nil), relative...)) }
 	return append(seeds,
 		adaptiveSeed{"version 1 envelope", v1.Bytes(), false},
+		adaptiveSeed{"version 2 envelope", v2.Bytes(), false},
+		adaptiveSeed{"relative raw", relative, true},
+		adaptiveSeed{"reference hash mismatch", mutate(func(b []byte) []byte { b[hashAt] ^= 1; return b }), false},
+		adaptiveSeed{"tensor count past the body", mutate(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[countAt:], 1<<19); return b }), false},
+		adaptiveSeed{"parameter stream cut short", mutate(func(b []byte) []byte { return b[:len(b)-4-1] }), false},
+		adaptiveSeed{"unknown diff flag", mutate(func(b []byte) []byte { b[hashAt-1] |= 2; return b }), false},
 		adaptiveSeed{"rewritten head", with(one, "raw"), true},
 		adaptiveSeed{"delta name", with(one, "delta+raw"), false},
 		adaptiveSeed{"empty name", with(one, ""), false},
@@ -330,8 +372,13 @@ func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
 }
 
 func TestAdaptiveSeedsVerdicts(t *testing.T) {
+	held := adaptiveSeedStudent().Params
 	for _, s := range adaptiveSeeds(t) {
-		if _, _, err := DecodeAdaptiveDiff(s.body); (err == nil) != s.ok {
+		d, _, err := DecodeAdaptiveDiff(s.body)
+		if err == nil {
+			err = d.Resolve(held)
+		}
+		if (err == nil) != s.ok {
 			t.Errorf("%s: err = %v, want accepted=%v", s.what, err, s.ok)
 		}
 	}

@@ -49,31 +49,39 @@ func (c *CheckpointCodec) Match(caps, baseHash uint64) bool {
 
 // EncodeBody serialises params as a delta-encoded MsgStudentFull body.
 func (c *CheckpointCodec) EncodeBody(params []*nn.Parameter) ([]byte, error) {
+	body, _, err := c.encodeBody(params)
+	return body, err
+}
+
+func (c *CheckpointCodec) encodeBody(params []*nn.Parameter) (body []byte, exact bool, err error) {
 	inner := c.Codec
 	if inner == nil {
 		inner = compress.Raw{}
 	}
-	delta := &compress.Delta{Inner: inner, Base: c.Base}
 	var buf bytes.Buffer
 	buf.Write(checkpointMagic[:])
-	if err := delta.Encode(&buf, params); err != nil {
-		return nil, fmt.Errorf("core: encoding delta checkpoint: %w", err)
+	exact, err = compress.EncodeExact(&compress.Delta{Inner: inner, Base: c.Base}, &buf, params)
+	if err != nil {
+		return nil, false, fmt.Errorf("core: encoding delta checkpoint: %w", err)
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes(), exact, nil
 }
 
 // EncodeFor builds the MsgStudentFull body for a peer that sent caps and
 // baseHash in its Hello or Resume: delta-encoded when they Match, the raw
-// nn.WriteNamed stream otherwise — always, for a nil codec.
-func (c *CheckpointCodec) EncodeFor(caps, baseHash uint64, params []*nn.Parameter) ([]byte, error) {
+// nn.WriteNamed stream otherwise — always, for a nil codec. exact reports
+// whether the peer will hold params bit for bit (Server.ClientExact): a
+// lossy inner codec is exact only while nothing it would quantise has
+// moved off the base.
+func (c *CheckpointCodec) EncodeFor(caps, baseHash uint64, params []*nn.Parameter) (body []byte, exact bool, err error) {
 	if c.Match(caps, baseHash) {
-		return c.EncodeBody(params)
+		return c.encodeBody(params)
 	}
 	buf := bytes.NewBuffer(make([]byte, 0, nn.EncodedSize(params)))
 	if err := nn.WriteNamed(buf, params); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes(), true, nil
 }
 
 // DecodeCheckpointBody parses a MsgStudentFull body in either format: the

@@ -46,7 +46,7 @@ type Client struct {
 	// throughput-oriented runs).
 	EvalEvery int
 	// Adaptive decodes incoming diffs as self-describing adaptive
-	// envelopes (core.DecodeAdaptiveDiff) instead of raw
+	// envelopes (core.DecodeAdaptiveDiff) instead of plain
 	// transport.DecodeStudentDiff bodies — required exactly when the server
 	// runs a link policy (Server.Policy / serve.Options.LinkPolicy). Each
 	// envelope names its own codec and carries the policy's stride scale,
@@ -220,6 +220,9 @@ func (r *diffReceiver) stop(force bool) {
 	<-r.done
 }
 
+// decodeDiff parses one MsgStudentDiff body without touching the student:
+// it runs on the receiver goroutine, and over a whole replay suffix before
+// any of it is applied. What a relative diff means is settled in apply.
 func (c *Client) decodeDiff(body []byte) (transport.StudentDiff, error) {
 	if c.Adaptive {
 		d, _, err := DecodeAdaptiveDiff(body)
@@ -681,6 +684,11 @@ func (c *Client) apply(rs *runState, d transport.StudentDiff, stride *float64, u
 		// weights are already current; don't double-count the stride.
 		*updated = true
 		return nil
+	}
+	// Diffs reach here in Seq order, each after its predecessor was
+	// applied: the student is the reference a relative one was cut against.
+	if err := d.Resolve(c.Student.Params); err != nil {
+		return err
 	}
 	if err := nn.ApplyNamed(c.Student.Params, d.Params); err != nil {
 		return err

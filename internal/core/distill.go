@@ -33,9 +33,29 @@ type Distiller struct {
 	weightsBuf []float32
 	optBuf     []optim.Param
 	evalCM     *metrics.ConfusionMatrix
-	snap       *nn.ParamSet
-	snapSig    int
+	best       subsetSnapshot
 	backend    tensor.Backend
+}
+
+// subsetSnapshot is a reusable copy of one parameter set's
+// nn.TrainableSubset — what a key frame's training can change, and so what
+// a best-weights restore and a diff's reference both need. The copy's name
+// set is rebuilt only when the freeze configuration changed since the last
+// take.
+type subsetSnapshot struct {
+	set *nn.ParamSet
+	sig int
+}
+
+// take copies ps's current trainable subset into the snapshot and returns
+// it; the result is valid until the next take.
+func (s *subsetSnapshot) take(ps *nn.ParamSet) *nn.ParamSet {
+	if sig := ps.NumTrainable(); s.set == nil || sig != s.sig {
+		s.set, s.sig = nn.CloneNamed(nn.TrainableSubset(ps)), sig
+	} else {
+		s.set.CopyValuesFrom(ps)
+	}
+	return s.set
 }
 
 // NewDistiller wraps student with a fresh Adam optimizer, sets the freeze
@@ -116,7 +136,7 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 		metric := d.meanIoU(pred, label)
 		if metric > bestMetric {
 			bestMetric = metric
-			d.saveBest()
+			d.best.take(d.Student.Params)
 			haveBest = true
 		}
 		if metric >= d.Cfg.Threshold {
@@ -128,7 +148,7 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 	// Restore the best-performing weights (Algorithm 1 returns
 	// best_student, not the last iterate).
 	if haveBest {
-		d.Student.Params.ApplyValues(d.snap)
+		d.Student.Params.ApplyValues(d.best.set)
 	}
 	d.TotalSteps += res.Steps
 	d.TotalTrains++
@@ -144,18 +164,6 @@ func (d *Distiller) meanIoU(pred, label []int32) float64 {
 	d.evalCM.Reset()
 	d.evalCM.Add(pred, label)
 	return d.evalCM.MeanIoU()
-}
-
-// saveBest copies everything a step changed (nn.TrainableSubset: what the
-// diff will carry) into the reusable snapshot, rebuilding the snapshot's
-// name set only when the freeze configuration changed since it was built.
-func (d *Distiller) saveBest() {
-	if sig := d.Student.Params.NumTrainable(); d.snap == nil || sig != d.snapSig {
-		d.snap = nn.CloneNamed(nn.TrainableSubset(d.Student.Params))
-		d.snapSig = sig
-		return
-	}
-	d.snap.CopyValuesFrom(d.Student.Params)
 }
 
 // MeanSteps returns the mean number of distillation steps per Train call

@@ -29,7 +29,7 @@ func TestClientServerDiesMidSession(t *testing.T) {
 		if _, err := serverConn.Recv(); err != nil {
 			return
 		}
-		body, err := (*CheckpointCodec)(nil).EncodeFor(0, 0, tinyStudent(72).Params.All())
+		body, _, err := (*CheckpointCodec)(nil).EncodeFor(0, 0, tinyStudent(72).Params.All())
 		if err != nil {
 			return
 		}

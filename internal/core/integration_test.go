@@ -31,9 +31,17 @@ func collect(t *testing.T, seed int64, n int) []video.Frame {
 // frames end to end.
 func runSession(t *testing.T, cfg Config, frames []video.Frame) (*Client, *Server) {
 	t.Helper()
+	return runSessionUnder(t, cfg, frames, nil, nil)
+}
+
+// runSessionUnder is runSession with the server's link policy (nil = plain
+// diff bodies) and session observer set.
+func runSessionUnder(t *testing.T, cfg Config, frames []video.Frame, policy netsim.LinkPolicy, obs SessionObserver) (*Client, *Server) {
+	t.Helper()
 	clientConn, serverConn := transport.Pipe(4, nil)
 	student := tinyStudent(21)
 	srv := NewServer(cfg, student.Clone(), teacher.NewOracle(3))
+	srv.Policy, srv.Observer = policy, obs
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var srvErr error
@@ -42,7 +50,7 @@ func runSession(t *testing.T, cfg Config, frames []video.Frame) (*Client, *Serve
 		srvErr = srv.Serve(serverConn)
 	}()
 
-	cl := &Client{Cfg: cfg, Student: tinyStudent(99), EvalTeacher: teacher.NewOracle(3)}
+	cl := &Client{Cfg: cfg, Student: tinyStudent(99), EvalTeacher: teacher.NewOracle(3), Adaptive: policy != nil}
 	if err := cl.Run(clientConn, baseline.NewReplay(frames), len(frames)); err != nil {
 		t.Fatalf("client: %v", err)
 	}

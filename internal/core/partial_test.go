@@ -3,13 +3,16 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/loss"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // requireSameStudent fails unless every parameter of got — weights and
@@ -27,23 +30,82 @@ func requireSameStudent(t *testing.T, what string, got, want *nn.Student) {
 }
 
 // The client must hold the student the server trained and scored: at
-// quiescence under raw diffs every client parameter, statistics included,
-// is bit-equal to the server's. Client.Run applies every outstanding diff
-// before it returns and the key-frame schedule does not depend on timing,
-// so neither does this.
+// quiescence under bit-exact diffs every client parameter, statistics
+// included, is bit-equal to the server's — under the plain body and under
+// raw envelopes, both relative from the first diff on, and after a policy
+// that starts lossy and turns raw, where the first raw diff must go
+// absolute (the client holds int8's rounding of the reference, not the
+// reference) and every later one relative again. Client.Run applies every
+// outstanding diff before it returns and the key-frame schedule does not
+// depend on timing, so neither does this. The paths that need a session
+// manager — a severed diff replayed from the journal, cross-shard handoffs
+// — are serve's TestClientHoldsServerStudentAfterCutAndReplay and
+// …AcrossHandoff.
 func TestClientHoldsServerStudentAtQuiescence(t *testing.T) {
-	for _, partial := range []bool{true, false} {
+	raw := netsim.LinkDecision{Codec: "raw", StrideScale: 1}
+	int8 := netsim.LinkDecision{State: netsim.LinkDegraded, Codec: "int8", StrideScale: 1}
+	for _, tc := range []struct {
+		name     string
+		partial  bool
+		policy   netsim.LinkPolicy
+		absolute []uint64 // Seq of every diff that may not be relative
+	}{
+		{name: "partial", partial: true},
+		{name: "full"},
+		{name: "static:raw", partial: true, policy: &netsim.StaticPolicy{Label: "static:raw", Decision: raw}},
+		{name: "int8 then raw", partial: true, policy: &scriptedPolicy{first: int8, n: 2, then: raw}, absolute: []uint64{1, 2, 3}},
+	} {
 		cfg := DefaultConfig()
-		cfg.Partial = partial
-		cl, srv := runSession(t, cfg, collect(t, 31, 60))
-		if cl.Result.KeyFrames < 3 {
-			t.Fatalf("partial=%v: only %d key frames", partial, cl.Result.KeyFrames)
+		cfg.Partial = tc.partial
+		var log relativeLog
+		cl, srv := runSessionUnder(t, cfg, collect(t, 31, 80), tc.policy, &log)
+		if cl.Result.KeyFrames < 5 {
+			t.Fatalf("%s: only %d key frames", tc.name, cl.Result.KeyFrames)
 		}
 		if srv.Distiller.TotalSteps == 0 {
-			t.Fatalf("partial=%v: no distillation step ran", partial)
+			t.Fatalf("%s: no distillation step ran", tc.name)
 		}
-		requireSameStudent(t, map[bool]string{true: "partial", false: "full"}[partial], cl.Student, srv.Distiller.Student)
+		for i, rel := range log.sent {
+			if seq := uint64(i + 1); rel == slices.Contains(tc.absolute, seq) {
+				t.Fatalf("%s: diff %d relative=%v (all: %v)", tc.name, seq, rel, log.sent)
+			}
+		}
+		requireSameStudent(t, tc.name, cl.Student, srv.Distiller.Student)
 	}
+}
+
+// scriptedPolicy decides first for n diffs, then for ever after.
+type scriptedPolicy struct {
+	first netsim.LinkDecision
+	n     int
+	then  netsim.LinkDecision
+}
+
+func (p *scriptedPolicy) Name() string { return "scripted" }
+func (p *scriptedPolicy) Decisions() []netsim.LinkDecision {
+	return []netsim.LinkDecision{p.first, p.then}
+}
+func (p *scriptedPolicy) Decide(netsim.LinkObservation) netsim.LinkDecision {
+	if p.n > 0 {
+		p.n--
+		return p.first
+	}
+	return p.then
+}
+
+// relativeLog is a SessionObserver recording, per diff sent, whether its
+// parameter section was relative.
+type relativeLog struct {
+	nopObserver
+	sent []bool
+}
+
+func (l *relativeLog) Diff(_ uint64, body []byte) {
+	d, err := transport.DecodeStudentDiff(body)
+	if len(body) > 0 && body[0] == adaptiveMagic {
+		d, _, err = DecodeAdaptiveDiff(body)
+	}
+	l.sent = append(l.sent, err == nil && d.Relative)
 }
 
 // referenceTrain is Algorithm 1 over whole passes: Student.Infer and

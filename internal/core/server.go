@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/compress"
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/teacher"
@@ -50,7 +51,7 @@ type Server struct {
 	// conn it was handed (when the conn is a measuredLink), asks the policy
 	// for a decision, applies its FEC choice to that conn, and encodes the
 	// diff as a self-describing adaptive envelope (EncodeAdaptiveDiff). The
-	// client must opt in with Client.Adaptive. Nil sends the raw
+	// client must opt in with Client.Adaptive. Nil sends the
 	// transport.EncodeStudentDiff body. The policy survives a detach/resume
 	// cycle with the server state; the link follows whichever conn Loop runs
 	// on.
@@ -64,11 +65,22 @@ type Server struct {
 	// non-increasing sequence as a confused resume (a client that
 	// re-attached to the wrong session state).
 	LastKFSeq uint64
+	// ClientExact records that the client holds this student's
+	// nn.TrainableSubset bit for bit once it has applied everything sent so
+	// far — the one condition under which the next diff may be relative.
+	// Exact transfers set it (a raw or delta+raw checkpoint, a bit-exact
+	// diff), lossy ones clear it (an int8 envelope, a delta+int8 checkpoint
+	// or handoff that had to quantise), and whoever moves model state onto
+	// or off this server maintains it: Handshake, Loop, and the session
+	// manager's full resends and imports. Detachable state, like DiffSeq.
+	ClientExact bool
 
 	// Policy-state tracking for SessionObserver.Policy's changed flag; part
 	// of the detachable session state like DiffSeq.
 	policySeen      bool
 	lastPolicyState netsim.PolicyState
+
+	ref subsetSnapshot // the student before the current key frame's training
 }
 
 // SessionObserver is what a session manager hangs on one Server. Every
@@ -192,10 +204,11 @@ func (s *Server) HandshakeWith(conn transport.Conn, m transport.Message) (transp
 		return transport.Hello{}, fmt.Errorf("core: sending hello ack: %w", err)
 	}
 	all := s.Distiller.Student.Params.All()
-	full, err := s.Checkpoint.EncodeFor(hello.Caps, hello.BaseHash, all)
+	full, exact, err := s.Checkpoint.EncodeFor(hello.Caps, hello.BaseHash, all)
 	if err != nil {
 		return transport.Hello{}, err
 	}
+	s.ClientExact = exact
 	s.observer().Checkpoint(len(full), nn.EncodedSize(all))
 	if err := conn.Send(transport.Message{Type: transport.MsgStudentFull, Body: full}); err != nil {
 		return transport.Hello{}, fmt.Errorf("core: sending initial student: %w", err)
@@ -244,6 +257,13 @@ func (s *Server) Loop(conn transport.Conn) error {
 			}
 			frame := video.Frame{Index: int(kf.FrameIndex), Image: kf.Image, Label: kf.Label}
 			label := s.Teacher.Infer(frame)
+			// What the client holds now is what the student is before this
+			// key frame trains it — when the client is exact, the reference
+			// the diff can be relative to.
+			var ref *nn.ParamSet
+			if s.ClientExact {
+				ref = s.ref.take(s.Distiller.Student.Params)
+			}
 			tr := s.Distiller.Train(frame, label)
 			obs.Train(tr)
 			diff := transport.StudentDiff{
@@ -251,11 +271,13 @@ func (s *Server) Loop(conn transport.Conn) error {
 				Metric:     tr.Metric,
 				Params:     nn.TrainableSubset(s.Distiller.Student.Params),
 				Seq:        s.DiffSeq + 1,
+				Ref:        ref,
 			}
-			body, err := s.encodeDiff(diff, link)
+			body, exact, err := s.encodeDiff(diff, link)
 			if err != nil {
 				return err
 			}
+			s.ClientExact = exact
 			// Journal before sending: when the send fails mid-flight the
 			// client may or may not have applied the diff, and only the
 			// journal entry lets the resume replay disambiguate by Seq.
@@ -270,12 +292,14 @@ func (s *Server) Loop(conn transport.Conn) error {
 	}
 }
 
-// encodeDiff builds one MsgStudentDiff body: the raw transport encoding
+// encodeDiff builds one MsgStudentDiff body: the transport encoding
 // without a policy, otherwise an adaptive envelope under the decision the
 // policy takes on link's current observation (nil link = a clear one).
-func (s *Server) encodeDiff(diff transport.StudentDiff, link measuredLink) ([]byte, error) {
+// exact reports whether the client will hold diff.Params bit for bit.
+func (s *Server) encodeDiff(diff transport.StudentDiff, link measuredLink) (body []byte, exact bool, err error) {
 	if s.Policy == nil {
-		return transport.EncodeStudentDiff(diff)
+		body, err = transport.EncodeStudentDiff(diff)
+		return body, true, err
 	}
 	var seen netsim.LinkObservation
 	if link != nil {
@@ -288,7 +312,9 @@ func (s *Server) encodeDiff(diff transport.StudentDiff, link measuredLink) ([]by
 	if link != nil && dec.FECGroup != 0 {
 		link.SetFECGroup(max(dec.FECGroup, 0)) // negative = FEC off
 	}
-	return EncodeAdaptiveDiff(diff, dec)
+	body, err = EncodeAdaptiveDiff(diff, dec)
+	codec, _ := compress.ByName(dec.Codec) // EncodeAdaptiveDiff vetted the name
+	return body, err == nil && compress.Exact(codec), err
 }
 
 // NaiveServer answers every frame with the teacher's mask — the paper's

@@ -99,6 +99,9 @@ func (s *Suite) Table3() (*stats.Table, error) {
 // Table4 reproduces "Data transmitted on each key frame (MB)". It reports
 // the HD-equivalent sizes the traffic model uses (paper units) next to the
 // actually measured wire bytes of this implementation's protocol messages.
+// The paper ships absolute weights, so the To Client column measures an
+// absolute diff (float32 plus 2-bit tags); the relative diffs a live
+// session sends are about 0.65–0.7 of it (harness bytes_down_hd_mb).
 func Table4() (*stats.Table, error) {
 	t := stats.NewTable("Table 4: data transmitted per key frame (MB HD-equivalent / KB measured)",
 		"Direction", "Partial", "Full", "Naive")

@@ -1,77 +1,54 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/netsim"
-	"repro/internal/nn"
 	"repro/internal/teacher"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 	"repro/internal/video"
 )
 
-// Chaos scenarios script mid-stream connection faults at exact wire
-// offsets and measure the resilience subsystem end to end: reconnect
-// count, journal-replay vs full-checkpoint recoveries, recovery latency,
-// frames inferred on stale weights, and the accuracy cost against a
-// fault-free twin run. The offsets are computed from the protocol's
-// deterministic message sizes, so a "cut in the middle of the second
-// student diff" is the same byte on every machine.
+// Chaos scenarios script mid-stream connection faults and measure the
+// resilience subsystem end to end: reconnect count, journal-replay vs
+// full-checkpoint recoveries, recovery latency, frames inferred on stale
+// weights, and the accuracy cost against a fault-free twin run. A student
+// diff's size depends on what its key frame's training moved, so cuts are
+// placed relative to the message they sever — "inside the second student
+// diff a connection carries" is the same event on every machine and every
+// stream, where a byte offset from the start of the connection is not.
 
-// wireSizes returns the deterministic server→client message sizes (with
-// framing) of the default-architecture student under partial
-// distillation: the Hello ack, the full checkpoint, and one raw student
-// diff. envCodec is the scenario's Spec.EnvelopeCodec: when set, the
-// handshake checkpoint is the delta-encoded body a capable client receives
-// — at handshake the session clone still equals the base, so every
-// parameter rides the bit-copy mode and the body size depends only on the
-// architecture's names and shapes, making the offset as deterministic as
-// the raw one.
-func wireSizes(envCodec string) (helloAck, fullMsg, diffMsg int64) {
-	st := nn.NewStudentForWire()
-	st.SetPartial(true)
-	helloAck = transport.FrameOverhead + int64(len(transport.EncodeHello(transport.Hello{})))
-	fullMsg = transport.FrameOverhead + int64(nn.EncodedSize(st.Params.All()))
-	if c, ok := compress.ByName(envCodec); ok {
-		ck := &core.CheckpointCodec{Base: st.Params, Codec: compress.Inner(c)}
-		body, err := ck.EncodeBody(st.Params.All())
-		if err != nil {
-			panic(fmt.Sprintf("harness: sizing delta checkpoint: %v", err))
-		}
-		fullMsg = transport.FrameOverhead + int64(len(body))
-	}
-	// A raw diff body is FrameIndex (4) + Metric (8) + the trainable
-	// subset + Seq (8); see transport.EncodeStudentDiff.
-	diffMsg = transport.FrameOverhead + 4 + 8 + int64(nn.EncodedSize(nn.TrainableSubset(st.Params))) + 8
-	return
+// midDiffCut severs the download direction inside the k-th student diff a
+// connection carries (1-based, journal replays included). The offset is
+// past the frame header and short of the end of the smallest diff there is
+// — one whose key frame skipped optimisation is a few hundred bytes of
+// "unchanged" tensor headers (TestMidDiffCutLandsInsideEveryDiff) — so the
+// client always holds a torn body, never a whole diff.
+func midDiffCut(k int) netsim.Fault {
+	return netsim.Fault{Dir: netsim.Down, Frame: k, FrameType: uint8(transport.MsgStudentDiff), AfterBytes: midDiffOffset}
 }
 
-// keyFrameUploadBytes is the full client→server wire cost of one key frame
-// (framing + body + the oracle label side-channel).
+const midDiffOffset = 256
+
+// keyFrameUploadBytes is about what one key frame costs client→server:
+// framing, the image body, and a run-length label (a few hundred bytes on
+// the synthetic streams' ground truth; the exact count varies by frame).
 func keyFrameUploadBytes() int64 {
 	img := tensor.New(3, video.DefaultH, video.DefaultW)
-	return transport.FrameOverhead +
-		int64(transport.KeyFrameWireBytes(transport.KeyFrame{Image: img})) +
-		int64(4*video.DefaultH*video.DefaultW)
+	return transport.FrameOverhead + int64(transport.KeyFrameWireBytes(transport.KeyFrame{Image: img})) + 256
 }
 
 // dropMidstreamCuts scripts two download-direction cuts: the first severs
 // the initial connection in the middle of the second student diff (the
 // client has applied diff 1, diff 2 is journaled but lost in flight — a
 // genuine journal replay), the second severs the resumed connection
-// mid-diff again a couple of updates later.
-func dropMidstreamCuts(envCodec string) []int64 {
-	helloAck, fullMsg, diffMsg := wireSizes(envCodec)
-	const resumeAckMsg = transport.FrameOverhead + 23 // status+epoch+head+count+reason-len
-	return []int64{
-		helloAck + fullMsg + diffMsg + diffMsg/2,
-		resumeAckMsg + 2*diffMsg + diffMsg/2,
-	}
+// mid-diff again a couple of updates later (the replayed diff 2, diff 3,
+// then diff 4 torn).
+func dropMidstreamCuts() []netsim.Fault {
+	return []netsim.Fault{midDiffCut(2), midDiffCut(3)}
 }
 
 // simChaosDelta recomputes the drop-midstream accuracy cost on the
@@ -81,19 +58,21 @@ func dropMidstreamCuts(envCodec string) []int64 {
 // retransfer of the severed diff. The twin models exactly that: two
 // identical simulated runs (same stream, oracle, and pretrained student as
 // the experiments suite uses for this workload), with the faulty one adding
-// the recovery cost to the updates the byte offsets cut (the 2nd and 5th,
-// 0-based key frames 1 and 4). Everything runs on simclock virtual time, so
-// the returned delta is bitwise machine-independent — unlike the live run,
-// where host speed shifts which frame each recovered diff lands on.
-func simChaosDelta(spec Spec) (deltaPP, cleanMIoU float64, err error) {
+// the recovery cost to the updates dropMidstreamCuts severs (diffs 2 and 4,
+// 0-based key frames 1 and 3). Everything runs on simclock virtual time, so
+// given diffMsg the returned delta is machine-independent — unlike the live
+// run, where host speed shifts which frame each recovered diff lands on.
+// diffMsg is the size of the replayed message: the mean student diff the
+// live fault-free twin measured.
+func simChaosDelta(spec Spec, diffMsg int) (deltaPP, cleanMIoU float64, err error) {
 	// The recovery window is priced from the client's actual constants: the
 	// first-redial backoff, the resume handshake (Hello-ack sized), and the
 	// journal replay of the severed diff. At the default link this is
-	// ~80ms — matching the live harness's measured recovery_mean_ms.
-	helloAck, _, diffMsg := wireSizes(spec.EnvelopeCodec)
+	// ~70ms — matching the live harness's measured recovery_mean_ms.
+	helloAck := transport.FrameOverhead + len(transport.EncodeHello(transport.Hello{}))
 	recovery := core.DefaultResumeBackoff +
-		netsim.DefaultLink().TransferTime(int(helloAck)) +
-		netsim.DefaultLink().TransferTime(int(diffMsg))
+		netsim.DefaultLink().TransferTime(helloAck) +
+		netsim.DefaultLink().TransferTime(diffMsg)
 	run := func(delay func(int) time.Duration) (float64, error) {
 		vcfg, err := video.NamedVideo(spec.Workload, spec.Seed*7+13)
 		if err != nil {
@@ -127,7 +106,7 @@ func simChaosDelta(spec Spec) (deltaPP, cleanMIoU float64, err error) {
 		return 0, 0, err
 	}
 	faulty, err := run(func(kf int) time.Duration {
-		if kf == 1 || kf == 4 {
+		if kf == 1 || kf == 3 {
 			return recovery
 		}
 		return 0
@@ -149,17 +128,21 @@ func runChaosWithBaseline(spec Spec) ([]Metrics, error) {
 	}
 	clean := spec
 	clean.ChaosCuts = nil
-	clean.ChaosStall = 0
 	cleanM, err := Drive("", "", clean)
 	if err != nil {
 		return nil, err
 	}
+	// Nearly everything the clean twin moved downstream is student diffs
+	// (under an envelope codec the handshake checkpoint is tensor headers):
+	// un-scale its HD-equivalent traffic back to wire bytes per key frame.
+	downBytes := cleanM.BytesDownHDMB * 1e6 * float64(localKeyFrameBytes()) / netsim.HDFrameBytes
+	diffMsg := int(downBytes / (cleanM.KeyFrameRate * float64(spec.Clients*spec.Frames)))
 	faulty.MIoUDeltaPct = 100 * (faulty.MeanIoU - cleanM.MeanIoU)
 	if faulty.Extra == nil {
 		faulty.Extra = map[string]float64{}
 	}
 	faulty.Extra["clean_miou"] = cleanM.MeanIoU
-	simDelta, simClean, err := simChaosDelta(spec)
+	simDelta, simClean, err := simChaosDelta(spec, diffMsg)
 	if err != nil {
 		return nil, err
 	}
@@ -180,8 +163,7 @@ func init() {
 			Workload:      "drone",
 			Clients:       1,
 			Frames:        220,
-			ChaosCuts:     dropMidstreamCuts("delta+int8"),
-			ChaosDownCut:  true,
+			ChaosCuts:     dropMidstreamCuts(),
 			EnvelopeCodec: "delta+int8",
 		},
 		Run: runChaosWithBaseline,
@@ -190,11 +172,13 @@ func init() {
 		Name: "chaos/stall-midstream",
 		Desc: "two 150ms link stalls mid-upload; latency spikes without connection loss",
 		Spec: Spec{
-			Workload:   "drone",
-			Clients:    1,
-			Frames:     200,
-			ChaosCuts:  []int64{2 * keyFrameUploadBytes(), 5 * keyFrameUploadBytes()},
-			ChaosStall: 150 * time.Millisecond,
+			Workload: "drone",
+			Clients:  1,
+			Frames:   200,
+			ChaosCuts: []netsim.Fault{
+				{AfterBytes: 2 * keyFrameUploadBytes(), Stall: 150 * time.Millisecond},
+				{AfterBytes: 5 * keyFrameUploadBytes(), Stall: 150 * time.Millisecond},
+			},
 		},
 	})
 	Register(Scenario{
@@ -204,8 +188,7 @@ func init() {
 			Workload:      "mixed",
 			Clients:       4,
 			Frames:        400,
-			ChaosCuts:     dropMidstreamCuts("delta+int8"),
-			ChaosDownCut:  true,
+			ChaosCuts:     dropMidstreamCuts(),
 			EnvelopeCodec: "delta+int8",
 		},
 		Run: runChaosWithBaseline,

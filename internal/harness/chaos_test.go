@@ -3,6 +3,9 @@ package harness
 import (
 	"math"
 	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/transport"
 )
 
 // TestChaosDropMidstream is the acceptance contract of the resilience
@@ -72,4 +75,24 @@ func TestChaosDropMidstream(t *testing.T) {
 	}
 	t.Logf("chaos/drop-midstream: reconnects=%d replays=%d fulls=%d stale=%d recovery=%.1fms ΔmIoU=%.2fpp simΔ=%.2fpp",
 		m.Reconnects, m.ResumeReplays, m.FullResends, m.StaleFrames, m.RecoveryMeanMS, m.MIoUDeltaPct, simDelta)
+}
+
+// midDiffCut must tear every diff it is aimed at, the smallest included: a
+// relative diff whose key frame skipped optimisation is nothing but
+// "unchanged" tensor headers — well under 1 kB, and still longer than the
+// cut offset.
+func TestMidDiffCutLandsInsideEveryDiff(t *testing.T) {
+	st := nn.NewStudentForWire()
+	st.SetPartial(true)
+	body, err := transport.EncodeStudentDiff(transport.StudentDiff{Params: nn.TrainableSubset(st.Params), Ref: st.Params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > 1024 {
+		t.Fatalf("unchanged diff is %d bytes, want ≤ 1 kB", len(body))
+	}
+	cut := midDiffCut(2)
+	if cut.AfterBytes <= transport.FrameOverhead || cut.AfterBytes >= int64(transport.FrameOverhead+len(body)) {
+		t.Fatalf("cut %d bytes into a message of %d+%d: not inside its body", cut.AfterBytes, transport.FrameOverhead, len(body))
+	}
 }

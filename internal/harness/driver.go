@@ -95,7 +95,7 @@ func packetOptions(spec Spec, seed int64, totals *netsim.LinkTotals) (netsim.Pac
 // the packet layer innermost when the spec activates it (pseed keys this
 // client's uplink loss draws; attempt k salts it so redials stay
 // independent). The attempt counter makes a client's i-th (re)connection
-// pick up ChaosCuts[i]; connections past the script run clean. The counter
+// pick up the script at ChaosCuts[i]; connections past it run clean. The counter
 // needs no lock — a client dials sequentially (initial connect, then one
 // recovery at a time), with happens-before edges through the recovery
 // hand-off.
@@ -121,25 +121,16 @@ func clientDialer(spec Spec, addr string, acct *netsim.Accountant, up *netsim.Li
 		if err != nil {
 			return nil, fmt.Errorf("harness: dial %s: %w", addr, err)
 		}
-		dir := netsim.Up
-		if spec.ChaosDownCut {
-			dir = netsim.Down
-		}
 		var conn net.Conn = nc
-		if spec.ChaosStall > 0 {
-			// Stalls leave the connection up, so no redial ever happens:
-			// the whole script rides the first connection.
-			if k == 0 {
-				faults := make([]netsim.Fault, len(spec.ChaosCuts))
-				for i, at := range spec.ChaosCuts {
-					faults[i] = netsim.Fault{AfterBytes: at, Dir: dir, Stall: spec.ChaosStall}
+		if k < len(spec.ChaosCuts) {
+			script := spec.ChaosCuts[k:]
+			for i, f := range script {
+				if f.Stall == 0 {
+					script = script[:i+1]
+					break
 				}
-				conn = netsim.NewFaultyConn(conn, faults...)
 			}
-		} else if k < len(spec.ChaosCuts) {
-			// Cuts sever the link: the i-th (re)connection carries the
-			// i-th scripted cut, connections past the script run clean.
-			conn = netsim.NewFaultyConn(conn, netsim.Fault{AfterBytes: spec.ChaosCuts[k], Dir: dir})
+			conn = netsim.NewFaultyConn(conn, script...)
 		}
 		if spec.Trace != nil {
 			conn = netsim.NewTracedConn(conn, spec.Trace, nil)
@@ -415,14 +406,8 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 
 	up, down := acct.Totals()
 	kfBytes := localKeyFrameBytes()
-	// The oracle label side-channel (H*W int32s per key frame) rides on the
-	// wire but does not exist in the paper's regime, and localKeyFrameBytes
-	// deliberately excludes it — subtract it from the measured upload so
-	// the HD-equivalent traffic stays comparable to Tables 4–5.
-	up -= int64(keyFrames) * int64(4*video.DefaultW*video.DefaultH)
-	if up < 0 {
-		up = 0
-	}
+	// The oracle label side-channel rides on the wire as runs — some 200
+	// bytes beside a 74 kB image — and is counted with it.
 	m.BytesUpHDMB = netsim.HDScale(up, kfBytes) / 1e6
 	m.BytesDownHDMB = netsim.HDScale(down, kfBytes) / 1e6
 

@@ -1,6 +1,10 @@
 package harness
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/netsim"
+)
 
 // Fleet scenarios exercise the sharded serving fabric (internal/fabric):
 // rendezvous placement over N shard workers, admission-control shedding at
@@ -9,26 +13,16 @@ import "time"
 // uniform population doubles as the scaling baseline BenchmarkFabricThroughput
 // compares against.
 //
-// The chaos members reuse the PR 4 fault scripting: cuts are placed at
-// exact wire offsets (wireSizes in chaos.go), so "the cut lands after the
-// fourth student diff" is the same byte on every machine. Cut offsets are
-// chosen deep enough into the stream that the scripted drain has already
-// happened by the time a session parks — its resume then provably hashes
-// to a surviving shard and must ride the handoff path, with the journal
+// The chaos members reuse the chaos fault scripting: cuts land inside a
+// student diff (midDiffCut in chaos.go), so "the cut tears the fifth
+// student diff" is the same event on every machine. The cut diff is chosen
+// deep enough into the stream that the scripted drain has already happened
+// by the time a session parks — its resume then provably hashes to a
+// surviving shard and must ride the handoff path, with the journal
 // travelling inside the envelope so recovery still replays (zero full
-// resends, the PR 4 single-shard bound).
-// fleetCutAfterDiff returns a download-direction cut offset landing in the
-// middle of the (n+1)-th student diff — deep enough into the stream that a
-// scenario's scripted drain has fired first. envCodec must match the
-// scenario's Spec.EnvelopeCodec: a delta-encoded handshake checkpoint is a
-// fraction of the raw one, which shifts every downstream offset.
-func fleetCutAfterDiff(n int64, envCodec string) []int64 {
-	helloAck, fullMsg, diffMsg := wireSizes(envCodec)
-	return []int64{helloAck + fullMsg + n*diffMsg + diffMsg/2}
-}
+// resends, the single-shard bound).
 
 func init() {
-	afterDiff := fleetCutAfterDiff
 	// Every fleet scenario runs the delta-checkpoint wire path: fleets share
 	// one pretrained base across shards and clients by construction, which
 	// is exactly the deployment the base-relative encoding targets.
@@ -56,7 +50,7 @@ func init() {
 		Name: "fleet/shard-drain-under-load",
 		Desc: "12 sessions on 4 shards; shard 1 drains mid-run while scripted cuts park sessions",
 		Spec: Spec{Workload: "mixed", Clients: 12, Frames: 72, Shards: 4,
-			ChaosCuts: afterDiff(2, codec), ChaosDownCut: true,
+			ChaosCuts:  []netsim.Fault{midDiffCut(3)},
 			DrainShard: 1, DrainAfter: 1200 * time.Millisecond,
 			EnvelopeCodec: codec},
 	})
@@ -64,8 +58,8 @@ func init() {
 		Name: "fleet/chaos-reconnect-to-other-shard",
 		Desc: "8 sessions homed on shard 0; it drains, then every session cuts and must resume cross-shard via handoff",
 		Spec: Spec{Workload: "mixed", Clients: 8, Frames: 80, Shards: 4,
-			HashSkew:  true,
-			ChaosCuts: afterDiff(4, codec), ChaosDownCut: true,
+			HashSkew:   true,
+			ChaosCuts:  []netsim.Fault{midDiffCut(5)},
 			DrainShard: 0, DrainAfter: 1500 * time.Millisecond,
 			EnvelopeCodec: codec},
 	})

@@ -3,6 +3,8 @@ package harness
 import (
 	"testing"
 	"time"
+
+	"repro/internal/netsim"
 )
 
 // A miniature fleet run end to end: sessions spread over real shards, the
@@ -59,8 +61,7 @@ func TestFleetChaosRecoversWithoutFullResends(t *testing.T) {
 		EvalEvery:     8,
 		Shards:        2,
 		HashSkew:      true,
-		ChaosCuts:     fleetCutAfterDiff(3, "delta+int8"),
-		ChaosDownCut:  true,
+		ChaosCuts:     []netsim.Fault{midDiffCut(4)},
 		DrainShard:    0,
 		DrainAfter:    900 * time.Millisecond,
 		EnvelopeCodec: "delta+int8",

@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/netsim"
 )
 
 // TestDriveWithPacketLoss runs a short session over lossy, reordering,
@@ -73,7 +75,7 @@ func TestDriveAdaptivePolicy(t *testing.T) {
 func TestDriveRejectsBadPacketCombos(t *testing.T) {
 	if _, err := Drive("test/bad", "test", Spec{
 		Workload: "fixed/people", Frames: 10,
-		LossModel: "uniform:0.05", ChaosCuts: []int64{1 << 20},
+		LossModel: "uniform:0.05", ChaosCuts: []netsim.Fault{{AfterBytes: 1 << 20}},
 	}); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Errorf("packet+chaos combo not rejected: %v", err)
 	}

@@ -50,22 +50,17 @@ type Spec struct {
 	// MeasureAllocs additionally measures steady-state distill-step
 	// allocations (single-goroutine, after the run) — the PR 2 guard.
 	MeasureAllocs bool
-	// ChaosCuts scripts mid-stream connection faults per client: the i-th
-	// connection a client dials is faulted once it has moved ChaosCuts[i]
-	// bytes in the scripted direction (ChaosDownCut selects which);
-	// connections beyond the list run clean. A cut severs the link and
-	// exercises the reconnect/resume path (the driver installs a Dial
-	// callback on every client); with ChaosStall set the fault pauses the
-	// transfer instead of cutting.
-	ChaosCuts []int64
-	// ChaosDownCut aims the scripted faults at the download direction
-	// (server → client diffs) instead of the upload (key frames) —
-	// cutting mid-diff leaves the client provably behind, forcing a real
-	// journal replay rather than an empty one.
-	ChaosDownCut bool
-	// ChaosStall, when positive, turns the scripted faults into stalls of
-	// this duration (latency spikes without connection loss).
-	ChaosStall time.Duration
+	// ChaosCuts scripts mid-stream connection faults per client. A cut
+	// (Stall == 0) severs the link and exercises the reconnect/resume path
+	// (the driver installs a Dial callback on every client), so each
+	// connection a client dials carries the script from its own position up
+	// to the first cut: connection i is cut by the i-th cut, connections
+	// beyond the script run clean. Stalls pause the transfer and leave the
+	// connection up, so a script of stalls rides the first connection
+	// whole. Download-direction cuts placed inside a student diff
+	// (midDiffCut) leave the client provably behind, forcing a real journal
+	// replay rather than an empty one.
+	ChaosCuts []netsim.Fault
 	// Shards runs the serving tier as a fabric.Router over this many shard
 	// workers instead of one serve.Manager (0 or 1 keeps the single-shard
 	// path). The fleet/* families exercise it.

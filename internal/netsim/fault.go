@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -34,10 +35,42 @@ func (d FaultDir) String() string {
 // Fault is one scripted connection event: once the connection has moved
 // AfterBytes bytes in direction Dir, either stall the transfer for Stall,
 // or (Stall == 0) sever the connection — both sides observe the drop.
+//
+// With Frame set, AfterBytes counts instead from the first byte of the
+// Frame-th message of type FrameType moving in Dir (1-based, in the
+// transport's framing: a type byte, a 4-byte little-endian body length,
+// the body) — "300 bytes into the second student diff", wherever the sizes
+// of the messages before it put that. AfterBytes past that message's end
+// lands in whatever follows it.
 type Fault struct {
 	AfterBytes int64
 	Dir        FaultDir
 	Stall      time.Duration
+	Frame      int
+	FrameType  uint8
+}
+
+// frameHeader is the transport's message header: type byte, body length.
+const frameHeader = 5
+
+// frameScan follows one direction's byte stream message by message, so a
+// frame-relative fault can be pinned to an offset the moment its message's
+// header has gone by. The conn feeds it every byte, never more at a time
+// than left() — a header or a body, never across the boundary.
+type frameScan struct {
+	hdr   [frameHeader]byte
+	have  int      // header bytes collected of the message in progress
+	body  int64    // body bytes of it still to come
+	count [256]int // messages begun, by type
+	start int64    // stream offset of the message in progress
+}
+
+// left returns how many bytes finish the current header or body.
+func (s *frameScan) left() int64 {
+	if s.body > 0 {
+		return s.body
+	}
+	return int64(frameHeader - s.have)
 }
 
 // FaultyConn wraps a net.Conn and injects connection faults at scripted
@@ -54,6 +87,7 @@ type FaultyConn struct {
 	script []Fault // unfired faults, consumed in the order given per direction
 	up     int64
 	down   int64
+	scan   [2]frameScan // indexed by FaultDir
 	cut    bool
 }
 
@@ -72,19 +106,25 @@ func (c *FaultyConn) counter(dir FaultDir) *int64 {
 }
 
 // room reports how many of want bytes may move in dir before the next
-// fault, and fires due faults: a stall is returned for the caller to sleep
+// fault (one pinned to an offset: a frame-relative fault cannot fire before
+// its message begins), and fires due faults: a stall is returned for the caller to sleep
 // off (the script entry is consumed first), a cut closes the conn and
 // reports ErrInjectedCut. room == 0 with a nil error only when want == 0.
 func (c *FaultyConn) room(dir FaultDir, want int) (int, time.Duration, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.waiting(dir) {
+		// Let bytes through a header or a body at a time, so the scan sees
+		// the message a frame-relative fault waits for begin.
+		want = int(min(int64(want), c.scan[dir].left()))
+	}
 	for {
 		if c.cut {
 			return 0, 0, ErrInjectedCut
 		}
 		next := -1
 		for i, f := range c.script {
-			if f.Dir == dir {
+			if f.Dir == dir && f.Frame == 0 {
 				next = i
 				break
 			}
@@ -111,10 +151,49 @@ func (c *FaultyConn) room(dir FaultDir, want int) (int, time.Duration, error) {
 	}
 }
 
-func (c *FaultyConn) add(dir FaultDir, n int) {
+// waiting reports whether a frame-relative fault in dir has yet to see its
+// message begin. Caller holds c.mu.
+func (c *FaultyConn) waiting(dir FaultDir) bool {
+	for _, f := range c.script {
+		if f.Dir == dir && f.Frame > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// add records that p moved in dir. While a frame-relative fault is waiting
+// in that direction it also walks the message framing, and pins every fault
+// whose message just began to an absolute offset.
+func (c *FaultyConn) add(dir FaultDir, p []byte) {
 	c.mu.Lock()
-	*c.counter(dir) += int64(n)
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	at := *c.counter(dir)
+	*c.counter(dir) += int64(len(p))
+	if !c.waiting(dir) {
+		return
+	}
+	s := &c.scan[dir]
+	if s.body > 0 {
+		s.body -= int64(len(p))
+		return
+	}
+	if s.have == 0 {
+		s.start = at
+	}
+	s.have += copy(s.hdr[s.have:], p)
+	if s.have < frameHeader {
+		return
+	}
+	typ := s.hdr[0]
+	s.have, s.body = 0, int64(binary.LittleEndian.Uint32(s.hdr[1:]))
+	s.count[typ]++
+	for i := range c.script {
+		if f := &c.script[i]; f.Dir == dir && f.Frame == s.count[typ] && f.FrameType == typ {
+			f.AfterBytes += s.start
+			f.Frame = 0
+		}
+	}
 }
 
 // Read implements net.Conn, stopping short of the next Down fault.
@@ -132,7 +211,7 @@ func (c *FaultyConn) Read(p []byte) (int, error) {
 			return c.Conn.Read(p[:0])
 		}
 		m, err := c.Conn.Read(p[:n])
-		c.add(Down, m)
+		c.add(Down, p[:m])
 		return m, err
 	}
 }
@@ -151,7 +230,7 @@ func (c *FaultyConn) Write(p []byte) (int, error) {
 			continue
 		}
 		m, err := c.Conn.Write(p[written : written+n])
-		c.add(Up, m)
+		c.add(Up, p[written:written+m])
 		written += m
 		if err != nil {
 			return written, err

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -148,5 +149,47 @@ func TestFaultyConnSequencedFaults(t *testing.T) {
 	}
 	if n != 8 {
 		t.Fatalf("wrote %d, want 8 (stall at 3, cut at 8)", n)
+	}
+}
+
+// A frame-relative cut counts from the start of the k-th message of one
+// type, whatever the sizes of the messages before it — and however the
+// reader's buffer straddles headers and bodies.
+func TestFaultyConnCutInsideKthFrame(t *testing.T) {
+	const diff, other = 4, 9
+	frame := func(typ byte, body int) []byte {
+		b := make([]byte, frameHeader+body)
+		b[0] = typ
+		binary.LittleEndian.PutUint32(b[1:], uint32(body))
+		return b
+	}
+	var stream []byte
+	for _, f := range [][]byte{frame(other, 0), frame(diff, 700), frame(other, 33), frame(diff, 40), frame(diff, 900)} {
+		stream = append(stream, f...)
+	}
+	// 30 bytes into the third diff: everything before it, its header, 25
+	// bytes of its body.
+	want := len(stream) - (frameHeader + 900) + 30
+	for _, readSize := range []int{1, 7, 64, 4096} {
+		a, b := tcpPair(t)
+		fc := NewFaultyConn(a, Fault{Dir: Down, Frame: 3, FrameType: diff, AfterBytes: 30})
+		if _, err := b.Write(stream); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, readSize)
+		total := 0
+		for {
+			n, err := fc.Read(buf)
+			total += n
+			if err != nil {
+				if !errors.Is(err, ErrInjectedCut) {
+					t.Fatalf("read size %d: error %v, want ErrInjectedCut", readSize, err)
+				}
+				break
+			}
+		}
+		if total != want {
+			t.Fatalf("read size %d: %d bytes before the cut, want %d", readSize, total, want)
+		}
 	}
 }

@@ -348,26 +348,34 @@ func EncodedSize(params []*Parameter) int {
 	return n
 }
 
-// HashParams returns the FNV-1a hash of the WriteNamed serialization of
-// params — a cheap fingerprint two endpoints compare to prove they hold the
-// same base model before exchanging base-relative deltas. Bit-identical
-// parameter sets (names, shapes, and float bits) hash equal; anything else
-// almost surely does not.
+// HashParams returns a fingerprint of params — names, shapes and float
+// bits, in order — that two endpoints compare to prove they hold the same
+// values before one sends the other something relative to them: the
+// pretrained base of a delta checkpoint, the reference of a student diff.
+// It is FNV-1a over the WriteNamed framing, folding each header byte and
+// then each float32 as one 32-bit word (a diff's reference is hashed on
+// both ends of every key frame; a round per byte would cost four times
+// as much). Bit-identical parameter lists hash equal; anything else almost
+// surely does not.
 func HashParams(params []*Parameter) uint64 {
-	h := fnvWriter{h: 14695981039346656037}
-	// WriteNamed cannot fail on an infallible writer.
-	_ = WriteNamed(&h, params)
-	return h.h
-}
-
-type fnvWriter struct{ h uint64 }
-
-func (w *fnvWriter) Write(p []byte) (int, error) {
-	for _, b := range p {
-		w.h ^= uint64(b)
-		w.h *= 1099511628211
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	fold := func(v uint32) { h = (h ^ uint64(v)) * prime }
+	fold(uint32(len(params)))
+	for _, p := range params {
+		fold(uint32(len(p.Name)))
+		for i := 0; i < len(p.Name); i++ {
+			fold(uint32(p.Name[i]))
+		}
+		fold(uint32(p.Value.Rank()))
+		for _, d := range p.Value.Shape() {
+			fold(uint32(d))
+		}
+		for _, v := range p.Value.Data {
+			fold(math.Float32bits(v))
+		}
 	}
-	return len(p), nil
+	return h
 }
 
 // TrainableSubset returns everything distillation changes in ps — the

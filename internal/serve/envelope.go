@@ -28,12 +28,13 @@ import (
 // session's old home and imports it on the new one, and a shard drain
 // migrates parked sessions the same way instead of evicting them.
 
-// envelopeMagic versions the envelope wire format: STH2 runs the student
-// params through a named compress codec (typically delta-encoded against
-// the fabric's shared base checkpoint) and the Adam moments through
-// nil-base delta streams whose inner codecs follow the params codec's
-// exactness (see encodeSession).
-var envelopeMagic = [4]byte{'S', 'T', 'H', '2'}
+// envelopeMagic versions the envelope wire format: the student params run
+// through a named compress codec (typically delta-encoded against the
+// fabric's shared base checkpoint) and the Adam moments through nil-base
+// delta streams whose inner codecs follow the params codec's exactness (see
+// encodeSession). STH3 added the ClientExact byte and moved to the DLT2
+// delta layout; an STH2 envelope is rejected.
+var envelopeMagic = [4]byte{'S', 'T', 'H', '3'}
 
 // Envelope limits: a journal is a small bounded ring and the tensors of
 // one student; anything past these is a corrupt or hostile envelope and
@@ -55,6 +56,11 @@ type SessionEnvelope struct {
 
 	DiffSeq   uint64
 	LastKFSeq uint64
+	// ClientExact says whether the client still holds exactly the student
+	// this envelope decodes to: the exporter's core.Server.ClientExact, and
+	// the params blob reproducing that student bit for bit. When it is
+	// false the importing shard's first diff goes absolute.
+	ClientExact bool
 
 	AdamStep      int
 	TotalSteps    int
@@ -235,7 +241,7 @@ func encodeSession(ds *resume.Session, codec compress.Codec) (env []byte, ckByte
 
 	inner := compress.Inner(codec)
 	vInner := inner
-	if _, isRaw := inner.(compress.Raw); !isRaw {
+	if !compress.Exact(inner) {
 		vInner = compress.Bf16{}
 	}
 	blobs := []struct {
@@ -246,15 +252,25 @@ func encodeSession(ds *resume.Session, codec compress.Codec) (env []byte, ckByte
 		{&compress.Delta{Inner: inner}, momentsToParams(mm)},
 		{&compress.Delta{Inner: vInner}, momentsToParams(vv)},
 	}
-	for _, b := range blobs {
+	clientExact := srv.ClientExact
+	for i, b := range blobs {
 		var blob bytes.Buffer
-		if err := b.c.Encode(&blob, b.ps); err != nil {
+		exact, err := compress.EncodeExact(b.c, &blob, b.ps)
+		if err != nil {
 			return nil, 0, 0, err
+		}
+		if i == 0 && !exact {
+			clientExact = false // the importer will hold a student the client does not
 		}
 		binary.Write(&buf, binary.LittleEndian, uint32(blob.Len()))
 		buf.Write(blob.Bytes())
 		ckBytes += blob.Len()
 		ckBaseline += nn.EncodedSize(b.ps)
+	}
+	if clientExact {
+		buf.WriteByte(1)
+	} else {
+		buf.WriteByte(0)
 	}
 	writeJournal(&buf, ds)
 	return buf.Bytes(), ckBytes, ckBaseline, nil
@@ -315,6 +331,11 @@ func DecodeSessionEnvelope(b []byte) (*SessionEnvelope, error) {
 	if env.vBlob, err = readRawBlob(r, "adam-v"); err != nil {
 		return nil, err
 	}
+	exact, err := r.ReadByte()
+	if err != nil || exact > 1 {
+		return nil, fmt.Errorf("serve: envelope client-exact flag %d: %v", exact, err)
+	}
+	env.ClientExact = exact == 1
 
 	var count uint32
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
@@ -416,6 +437,7 @@ func (m *Manager) ImportParked(envBytes []byte) error {
 	}
 	srv.DiffSeq = env.DiffSeq
 	srv.LastKFSeq = env.LastKFSeq
+	srv.ClientExact = env.ClientExact
 	srv.Distiller.TotalSteps = env.TotalSteps
 	srv.Distiller.TotalTrains = env.TotalTrains
 	srv.Distiller.TotalStepTime = env.TotalStepTime

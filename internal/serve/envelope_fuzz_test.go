@@ -93,7 +93,12 @@ func FuzzDecodeSessionEnvelope(f *testing.F) {
 	f.Add(sth1)
 	f.Add([]byte("STH1"))
 	f.Add([]byte("STH2"))
+	f.Add([]byte("STH3"))
 	f.Add([]byte{})
+	if env := seedEnvelope(compress.Raw{}); env != nil {
+		copy(env, "STH2") // no ClientExact byte, DLT1 blobs: the magic alone must refuse it
+		f.Add(env)
+	}
 
 	base := tinyStudent(41).Params
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -101,8 +106,8 @@ func FuzzDecodeSessionEnvelope(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if bytes.HasPrefix(b, sth1[:4]) {
-			t.Fatal("accepted an envelope with the STH1 magic")
+		if bytes.HasPrefix(b, []byte("STH1")) || bytes.HasPrefix(b, []byte("STH2")) {
+			t.Fatalf("accepted an envelope with the %s magic", b[:4])
 		}
 		// Materializing an accepted envelope against a base must never
 		// panic or allocate unboundedly, however hostile the codec blobs.

@@ -81,8 +81,8 @@ func TestSessionEnvelopeV2RoundTripBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(env[:4], []byte("STH2")) {
-		t.Fatalf("envelope magic %q, want STH2", env[:4])
+	if !bytes.Equal(env[:4], []byte("STH3")) {
+		t.Fatalf("envelope magic %q, want STH3", env[:4])
 	}
 
 	dec, err := DecodeSessionEnvelope(env)
@@ -178,8 +178,8 @@ func TestEnvelopeCrossCodecDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(env[:4], []byte("STH2")) {
-				t.Fatalf("envelope magic %q, want STH2", env[:4])
+			if !bytes.Equal(env[:4], []byte("STH3")) {
+				t.Fatalf("envelope magic %q, want STH3", env[:4])
 			}
 			dst, _ := codecManager(t, 8, tc.dst, "")
 			if err := dst.ImportParked(env); err != nil {

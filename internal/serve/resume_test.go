@@ -65,8 +65,8 @@ func (p *protoClient) recv(want transport.MsgType) transport.Message {
 	return m
 }
 
-// keyFrame ships the next key frame and returns the decoded diff.
-func (p *protoClient) keyFrame() transport.StudentDiff {
+// send ships the next key frame without waiting for its diff.
+func (p *protoClient) send() {
 	p.t.Helper()
 	p.kfSeq++
 	frame := p.frames[int(p.kfSeq-1)%len(p.frames)]
@@ -74,6 +74,12 @@ func (p *protoClient) keyFrame() transport.StudentDiff {
 	if err := p.conn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)}); err != nil {
 		p.t.Fatal(err)
 	}
+}
+
+// keyFrame ships the next key frame and returns the decoded diff.
+func (p *protoClient) keyFrame() transport.StudentDiff {
+	p.t.Helper()
+	p.send()
 	m := p.recv(transport.MsgStudentDiff)
 	d, err := transport.DecodeStudentDiff(m.Body)
 	if err != nil {

@@ -92,7 +92,7 @@ type Options struct {
 	// reads the conn's packet-link stats, lets the policy choose codec,
 	// stride scale and FEC group per key frame, and encodes diffs as
 	// self-describing adaptive envelopes, which clients opt into with
-	// core.Client.Adaptive. Empty sends raw transport.EncodeStudentDiff
+	// core.Client.Adaptive. Empty sends plain transport.EncodeStudentDiff
 	// bodies. The policy instance is per session and survives
 	// detach/resume; its link observation follows whichever conn the
 	// session rides.

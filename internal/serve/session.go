@@ -59,8 +59,11 @@ func (s *session) Checkpoint(actual, baseline int) {
 	s.m.mu.Unlock()
 }
 
-// Diff implements core.SessionObserver: every encoded diff (raw body or
-// adaptive envelope, verbatim) enters the replay journal.
+// Diff implements core.SessionObserver: every encoded diff (plain body or
+// adaptive envelope, verbatim) enters the replay journal. A relative diff
+// is cut against its predecessor's result, so the journal is a chain: it
+// replays from the client's last applied Seq onwards or not at all, which
+// is the only way resume.Journal.Suffix ever hands it out.
 func (s *session) Diff(seq uint64, body []byte) { s.journal.Append(seq, body) }
 
 // Train implements core.SessionObserver, feeding the live distillation
@@ -172,11 +175,12 @@ func (m *Manager) handleResume(conn transport.Conn, first transport.Message) err
 		// full-resend fallback — the dominant checkpoint cost under churn —
 		// goes base-relative whenever the client proved it holds the base.
 		all := srv.Distiller.Student.Params.All()
-		full, err := m.ck.EncodeFor(req.Caps, req.BaseHash, all)
+		full, exact, err := m.ck.EncodeFor(req.Caps, req.BaseHash, all)
 		if err != nil {
 			m.unregister(sess.id)
 			return err
 		}
+		srv.ClientExact = exact
 		m.countFullResend(len(full), nn.EncodedSize(all))
 		if err := conn.Send(transport.Message{Type: transport.MsgStudentFull, Body: full}); err != nil {
 			return m.redetach(sess, err)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -20,7 +21,27 @@ func seedKeyFrame() KeyFrame {
 	for i := range img.Data {
 		img.Data[i] = float32(i) / 7
 	}
-	return KeyFrame{FrameIndex: 7, Image: img, Label: []int32{0, 1, 2, 3}}
+	label := make([]int32, 8*8)
+	for i := range label {
+		label[i] = int32(i / 20)
+	}
+	return KeyFrame{FrameIndex: 7, Image: img, Label: label}
+}
+
+// withLabelRuns is seedKeyFrame's body with its label section replaced by
+// the given (class, run) pairs.
+func withLabelRuns(pairs ...uint64) []byte {
+	kf := seedKeyFrame()
+	kf.Label = nil
+	body := EncodeKeyFrame(kf)
+	body = body[:len(body)-4-8] // drop the empty label section and Seq
+	var runs []byte
+	for _, v := range pairs {
+		runs = binary.AppendUvarint(runs, v)
+	}
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(runs)))
+	body = append(body, runs...)
+	return binary.LittleEndian.AppendUint64(body, 9)
 }
 
 func FuzzDecodeKeyFrame(f *testing.F) {
@@ -30,10 +51,32 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 	f.Add(EncodeKeyFrame(kf))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 4, 255, 255, 0, 0}) // implausible dims
+	f.Add(withLabelRuns(2, 64))                  // one run, the whole image
+	mustReject := [][]byte{
+		withLabelRuns(2, 63),           // runs stop short of the image
+		withLabelRuns(2, 60, 1, 5),     // a run past the end
+		withLabelRuns(2, 1<<40),        // a count nothing backs
+		withLabelRuns(2, 64, 3),        // a class without its run
+		withLabelRuns(2, 0, 2, 64),     // an empty run
+		withLabelRuns(1<<33, 64),       // a class wider than int32
+		withLabelRuns(2, 64)[:3*64*4],  // truncated inside the image
+		withLabelRuns(2, 32, 1, 32, 0), // bytes after the last full pair
+	}
+	for _, b := range mustReject {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k, err := DecodeKeyFrame(data)
+		for _, b := range mustReject {
+			if err == nil && bytes.Equal(b, data) {
+				t.Fatalf("malformed label accepted: % x", data[len(data)-24:])
+			}
+		}
 		if err != nil {
 			return
+		}
+		if k.Label != nil && len(k.Label)*k.Image.Dim(0) != k.Image.Len() && k.Image.Rank() == 3 {
+			t.Fatalf("label of %d classes beside a %v image", len(k.Label), k.Image.Shape())
 		}
 		re := EncodeKeyFrame(k)
 		k2, err := DecodeKeyFrame(re)
@@ -100,31 +143,80 @@ func FuzzDecodePrediction(f *testing.F) {
 }
 
 func FuzzDecodeStudentDiff(f *testing.F) {
-	w := tensor.New(2, 3)
+	held := nn.NewParamSet()
+	w := held.Add("out3.w", tensor.New(2, 3)).Value
 	for i := range w.Data {
 		w.Data[i] = float32(i)
 	}
-	body, err := EncodeStudentDiff(StudentDiff{FrameIndex: 5, Metric: 0.75,
-		Params: []*nn.Parameter{{Name: "out3.w", Value: w}}})
-	if err != nil {
-		f.Fatal(err)
+	moved := tensor.New(2, 3)
+	for i := range moved.Data {
+		moved.Data[i] = w.Data[i] + 1e-4
 	}
-	f.Add(body)
+	diff := StudentDiff{FrameIndex: 5, Metric: 0.75, Seq: 3, Params: []*nn.Parameter{{Name: "out3.w", Value: moved}}}
+	encode := func(d StudentDiff) []byte {
+		body, err := EncodeStudentDiff(d)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return body
+	}
+	absolute := encode(diff)
+	f.Add(absolute)
 	f.Add([]byte{})
+	diff.Ref = held
+	relative := encode(diff)
+	f.Add(relative)
+
+	// The version-3 body: absolute values as nn.WriteNamed, Seq trailing.
+	var v3 bytes.Buffer
+	v3.Write(relative[:12])
+	nn.WriteNamed(&v3, diff.Params)
+	v3.Write(relative[12:20])
+	otherRef := bytes.Clone(relative)
+	otherRef[21] ^= 1                            // the reference hash
+	const streamAt = 21 + 8 + 4 + 1 + len("raw") // flags, hash, magic, inner name
+	hugeCount := bytes.Clone(relative)
+	binary.LittleEndian.PutUint32(hugeCount[streamAt:], 1<<19) // more tensors than bytes
+	mustReject := [][]byte{
+		v3.Bytes(),
+		otherRef,
+		hugeCount,
+		relative[:len(relative)-4-2], // parameter stream cut short inside the packed distances
+		append(bytes.Clone(relative), 0),
+	}
+	for _, b := range mustReject {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := DecodeStudentDiff(data)
+		if err == nil {
+			err = d.Resolve(held)
+		}
+		for _, b := range mustReject {
+			if err == nil && bytes.Equal(b, data) {
+				t.Fatalf("malformed diff body accepted: % x", data)
+			}
+		}
 		if err != nil {
 			return
+		}
+		// What resolves re-encodes, relative to the same reference, to
+		// something that resolves to the same bits.
+		if d.Relative {
+			d.Ref = held
 		}
 		re, err := EncodeStudentDiff(d)
 		if err != nil {
 			t.Fatalf("re-encode of decoded diff failed: %v", err)
 		}
 		d2, err := DecodeStudentDiff(re)
+		if err == nil {
+			err = d2.Resolve(held)
+		}
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded diff failed: %v", err)
 		}
-		if d2.FrameIndex != d.FrameIndex || len(d2.Params) != len(d.Params) {
+		if d2.FrameIndex != d.FrameIndex || d2.Seq != d.Seq || len(d2.Params) != len(d.Params) {
 			t.Fatalf("diff round trip mismatch")
 		}
 		if d2.Metric != d.Metric && !(math.IsNaN(d2.Metric) && math.IsNaN(d.Metric)) {
@@ -134,6 +226,11 @@ func FuzzDecodeStudentDiff(f *testing.F) {
 			q := d2.Params[i]
 			if q.Name != p.Name || !q.Value.SameShape(p.Value) {
 				t.Fatalf("diff param %d metadata diverged", i)
+			}
+			for j, v := range p.Value.Data {
+				if math.Float32bits(q.Value.Data[j]) != math.Float32bits(v) {
+					t.Fatalf("diff param %q[%d] diverged", p.Name, j)
+				}
 			}
 		}
 	})

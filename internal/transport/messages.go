@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/compress"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -107,38 +108,67 @@ const (
 // Version is the current protocol version. Version 2 added the SessionID
 // field and the server's Hello acknowledgement carrying the assigned ID.
 // Version 3 added diff/key-frame sequence numbers, the session Epoch, and
-// the Resume/ResumeAck handshake for reconnecting clients.
-const Version = 3
+// the Resume/ResumeAck handshake for reconnecting clients. Version 4 made
+// student diffs relative (StudentDiff) and run-length coded the key
+// frame's label; it shares no diff or key-frame body with version 3.
+const Version = 4
 
 // KeyFrame is the client → server key frame payload. Label optionally
-// carries the synthetic ground-truth mask: the Oracle teacher (the
-// reproduction's stand-in for Mask R-CNN, see internal/teacher) derives its
-// pseudo-label from it. A real deployment with a learned teacher leaves it
-// nil, and its bytes are excluded from traffic accounting either way.
+// carries the synthetic ground-truth mask, one class per pixel of Image:
+// the Oracle teacher (the reproduction's stand-in for Mask R-CNN, see
+// internal/teacher) derives its pseudo-label from it. A real deployment
+// with a learned teacher leaves it nil. On the wire it is run-length coded
+// — a couple of hundred bytes beside the image — and those bytes are real
+// traffic: the conn accounts and throttles them like any others. Only the
+// nominal size, KeyFrameWireBytes, leaves them out.
 type KeyFrame struct {
 	FrameIndex uint32
 	Image      *tensor.Tensor // CHW float32
-	Label      []int32        // optional oracle side-channel
+	Label      []int32        // optional oracle side-channel, H·W classes
 	// Seq numbers key frames monotonically within a session, surviving
 	// reconnects — the server rejects a non-increasing Seq as a confused
 	// resume. Zero means "unnumbered" (version ≤ 2 peers).
 	Seq uint64
 }
 
-// StudentDiff is the server → client update payload.
+// StudentDiff is the server → client update payload: the parameters one
+// key frame's distillation changed (nn.TrainableSubset).
+//
+// On the wire they are a compress delta+raw stream against Ref — the
+// values the receiver holds, by the sender's account — so what travels is
+// how far each weight moved, not where it ended up. A sender that cannot
+// vouch for what the receiver holds leaves Ref nil and the stream is
+// absolute (the zero base). Because a relative stream only means something
+// next to the reference, decoding is two steps: DecodeStudentDiff parses
+// the header and keeps the stream as Payload — it needs no state and may
+// run ahead of application, on a whole replay suffix — and Resolve, called
+// when every earlier diff has been applied, turns Payload into Params.
 type StudentDiff struct {
 	FrameIndex uint32
 	Metric     float64 // post-distillation mIoU of Algorithm 1
-	Params     []*nn.Parameter
+	// Params holds the updated parameters as absolute values: what a sender
+	// encodes, and what a receiver holds after Resolve.
+	Params []*nn.Parameter
 	// Seq numbers student diffs monotonically within a session (1, 2, …).
 	// A resuming client declares the last Seq it applied and the server
 	// replays only the journal suffix past it. Zero means "unnumbered".
 	Seq uint64
 	// StrideScale multiplies Algorithm 2's next stride on the client when
-	// > 0; 1 (or 0) means no scaling. It never travels in the raw encoding
+	// > 0; 1 (or 0) means no scaling. It never travels in the encoding
 	// below — only the self-describing adaptive envelope
 	// (core.EncodeAdaptiveDiff) carries it, set by the link policy engine.
 	StrideScale float64
+
+	// Ref (sender side) holds the receiver's current values of Params; nil
+	// encodes an absolute diff.
+	Ref *nn.ParamSet
+
+	// Relative, RefHash and Payload (receiver side) are the parameter
+	// section as parsed: whether it is relative, nn.HashParams of the
+	// reference it is relative to, and the undecoded delta+raw stream.
+	Relative bool
+	RefHash  uint64
+	Payload  []byte
 }
 
 // Prediction is the server → client mask payload for naive offloading.
@@ -210,26 +240,38 @@ func DecodeHello(b []byte) (Hello, error) {
 	return h, nil
 }
 
-// EncodeKeyFrame serialises a KeyFrame body.
+// EncodeKeyFrame serialises a KeyFrame body: index, image shape and data,
+// the label as a length-prefixed run of (uvarint class, uvarint run length)
+// pairs in pixel order, then Seq.
 func EncodeKeyFrame(k KeyFrame) []byte {
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, k.FrameIndex)
+	buf := bytes.NewBuffer(make([]byte, 0, KeyFrameWireBytes(k)+len(k.Label)/16))
+	binary.Write(buf, binary.LittleEndian, k.FrameIndex)
 	shape := k.Image.Shape()
-	binary.Write(&buf, binary.LittleEndian, uint8(len(shape)))
+	binary.Write(buf, binary.LittleEndian, uint8(len(shape)))
 	for _, d := range shape {
-		binary.Write(&buf, binary.LittleEndian, int32(d))
+		binary.Write(buf, binary.LittleEndian, int32(d))
 	}
-	binary.Write(&buf, binary.LittleEndian, k.Image.Data)
-	binary.Write(&buf, binary.LittleEndian, uint32(len(k.Label)))
-	if len(k.Label) > 0 {
-		binary.Write(&buf, binary.LittleEndian, k.Label)
+	binary.Write(buf, binary.LittleEndian, k.Image.Data)
+	var runs []byte
+	for i := 0; i < len(k.Label); {
+		j := i + 1
+		for j < len(k.Label) && k.Label[j] == k.Label[i] {
+			j++
+		}
+		runs = binary.AppendUvarint(runs, uint64(uint32(k.Label[i])))
+		runs = binary.AppendUvarint(runs, uint64(j-i))
+		i = j
 	}
-	binary.Write(&buf, binary.LittleEndian, k.Seq)
+	binary.Write(buf, binary.LittleEndian, uint32(len(runs)))
+	buf.Write(runs)
+	binary.Write(buf, binary.LittleEndian, k.Seq)
 	return buf.Bytes()
 }
 
 // KeyFrameWireBytes returns the body size of an encoded key frame without
-// the oracle label side-channel — the size traffic accounting should use.
+// the oracle label side-channel: the nominal size of a key frame, which a
+// deployment with a learned teacher would send and which scales to the
+// paper's HD frames with the image alone.
 func KeyFrameWireBytes(k KeyFrame) int {
 	return 4 + 1 + 4*k.Image.Rank() + 4*k.Image.Len() + 4 + 8
 }
@@ -276,65 +318,150 @@ func DecodeKeyFrame(b []byte) (KeyFrame, error) {
 		return k, fmt.Errorf("transport: keyframe data: %w", err)
 	}
 	k.Image = t
-	var labelLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &labelLen); err != nil {
+	var runBytes uint32
+	if err := binary.Read(r, binary.LittleEndian, &runBytes); err != nil {
 		return k, fmt.Errorf("transport: keyframe label length: %w", err)
 	}
-	if labelLen > 1<<26 {
-		return k, fmt.Errorf("transport: implausible label size %d", labelLen)
+	rest := b[len(b)-r.Len():]
+	if int64(runBytes) > int64(len(rest)) {
+		return k, fmt.Errorf("transport: keyframe claims %d label bytes, only %d remain", runBytes, len(rest))
 	}
-	if int64(labelLen)*4 > int64(r.Len()) {
-		return k, fmt.Errorf("transport: keyframe claims %d label bytes, only %d remain", labelLen*4, r.Len())
-	}
-	if labelLen > 0 {
-		k.Label = make([]int32, labelLen)
-		if err := binary.Read(r, binary.LittleEndian, k.Label); err != nil {
-			return k, fmt.Errorf("transport: keyframe label: %w", err)
+	if runBytes > 0 {
+		// The image just parsed, not the runs, says how long the label is:
+		// one class per pixel of the trailing two dimensions.
+		pixels := shape[rank-1]
+		if rank > 1 {
+			pixels *= shape[rank-2]
 		}
-	}
-	if r.Len() >= 8 {
-		if err := binary.Read(r, binary.LittleEndian, &k.Seq); err != nil {
-			return k, fmt.Errorf("transport: keyframe seq: %w", err)
+		label, err := decodeLabelRuns(rest[:runBytes], pixels)
+		if err != nil {
+			return k, err
 		}
+		k.Label = label
+	}
+	if rest = rest[runBytes:]; len(rest) >= 8 {
+		k.Seq = binary.LittleEndian.Uint64(rest)
 	}
 	return k, nil
 }
 
-// EncodeStudentDiff serialises a StudentDiff body.
+// decodeLabelRuns expands (class, run length) pairs into exactly pixels
+// classes; runs that stop short of the image or run past it are an error.
+func decodeLabelRuns(runs []byte, pixels int) ([]int32, error) {
+	label := make([]int32, 0, pixels)
+	for len(runs) > 0 {
+		class, n := binary.Uvarint(runs)
+		if n <= 0 || class > math.MaxUint32 {
+			return nil, fmt.Errorf("transport: keyframe label class malformed")
+		}
+		run, m := binary.Uvarint(runs[n:])
+		if m <= 0 || run == 0 || run > uint64(pixels-len(label)) {
+			return nil, fmt.Errorf("transport: keyframe label run of %d at pixel %d of %d", run, len(label), pixels)
+		}
+		runs = runs[n+m:]
+		for ; run > 0; run-- {
+			label = append(label, int32(uint32(class)))
+		}
+	}
+	if len(label) != pixels {
+		return nil, fmt.Errorf("transport: keyframe label covers %d of %d pixels", len(label), pixels)
+	}
+	return label, nil
+}
+
+// diffRelative is the flag bit of a StudentDiff body whose parameter
+// section is relative to a reference (and carries its hash).
+const diffRelative = 1
+
+// EncodeStudentDiff serialises a StudentDiff body:
+//
+//	frameIndex u32 · metric f64 · seq u64 · flags u8 · [refHash u64] ·
+//	delta+raw stream of Params against Ref
+//
+// refHash is present when flags has diffRelative set, i.e. when d.Ref is
+// non-nil.
 func EncodeStudentDiff(d StudentDiff) ([]byte, error) {
 	var buf bytes.Buffer
+	buf.Grow(nn.EncodedSize(d.Params)) // an absolute diff runs a sixteenth over
 	binary.Write(&buf, binary.LittleEndian, d.FrameIndex)
 	binary.Write(&buf, binary.LittleEndian, math.Float64bits(d.Metric))
-	if err := nn.WriteNamed(&buf, d.Params); err != nil {
+	binary.Write(&buf, binary.LittleEndian, d.Seq)
+	if d.Ref == nil {
+		buf.WriteByte(0)
+	} else {
+		buf.WriteByte(diffRelative)
+		binary.Write(&buf, binary.LittleEndian, nn.HashParams(d.Ref.All()))
+	}
+	if err := (&compress.Delta{Inner: compress.Raw{}, Base: d.Ref}).Encode(&buf, d.Params); err != nil {
 		return nil, err
 	}
-	binary.Write(&buf, binary.LittleEndian, d.Seq)
 	return buf.Bytes(), nil
 }
 
-// DecodeStudentDiff parses a StudentDiff body.
+// DecodeStudentDiff parses a StudentDiff body's header and keeps the
+// parameter section undecoded in Payload; Resolve decodes it.
 func DecodeStudentDiff(b []byte) (StudentDiff, error) {
 	var d StudentDiff
-	r := bytes.NewReader(b)
-	if err := binary.Read(r, binary.LittleEndian, &d.FrameIndex); err != nil {
-		return d, fmt.Errorf("transport: diff index: %w", err)
+	const head = 4 + 8 + 8 + 1
+	if len(b) < head {
+		return d, fmt.Errorf("transport: diff body of %d bytes has no header", len(b))
 	}
-	var bits uint64
-	if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-		return d, fmt.Errorf("transport: diff metric: %w", err)
+	d.FrameIndex = binary.LittleEndian.Uint32(b)
+	d.Metric = math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
+	d.Seq = binary.LittleEndian.Uint64(b[12:])
+	flags := b[head-1]
+	b = b[head:]
+	if flags&^diffRelative != 0 {
+		return d, fmt.Errorf("transport: diff flags %#x unknown", flags)
 	}
-	d.Metric = math.Float64frombits(bits)
-	params, err := nn.ReadNamed(r)
+	if flags&diffRelative != 0 {
+		if len(b) < 8 {
+			return d, fmt.Errorf("transport: relative diff has no reference hash")
+		}
+		d.Relative = true
+		d.RefHash = binary.LittleEndian.Uint64(b)
+		b = b[8:]
+	}
+	d.Payload = b
+	return d, nil
+}
+
+// Resolve decodes Payload into Params against held, the parameter set the
+// diff is about to be applied to. A relative diff is only legal over the
+// reference its sender encoded against: every parameter it names must
+// exist in held, and together they must hash to RefHash — otherwise the two
+// ends have diverged, and applying the distances would produce a student
+// nobody trained. A diff without Payload (built in memory, or decoded from
+// a lossy envelope, which carries Params outright) resolves to itself.
+func (d *StudentDiff) Resolve(held *nn.ParamSet) error {
+	if d.Payload == nil {
+		return nil
+	}
+	codec := &compress.Delta{Inner: compress.Raw{}}
+	if d.Relative {
+		codec.Base = held
+	}
+	r := bytes.NewReader(d.Payload)
+	params, err := codec.Decode(r)
 	if err != nil {
-		return d, fmt.Errorf("transport: diff params: %w", err)
+		return fmt.Errorf("transport: diff params: %w", err)
 	}
-	d.Params = params
-	if r.Len() >= 8 {
-		if err := binary.Read(r, binary.LittleEndian, &d.Seq); err != nil {
-			return d, fmt.Errorf("transport: diff seq: %w", err)
+	if r.Len() != 0 {
+		return fmt.Errorf("transport: diff has %d trailing bytes", r.Len())
+	}
+	if d.Relative {
+		ref := make([]*nn.Parameter, len(params))
+		for i, p := range params {
+			if ref[i] = held.Get(p.Name); ref[i] == nil {
+				return fmt.Errorf("transport: relative diff names %q, which the receiver does not hold", p.Name)
+			}
+		}
+		if got := nn.HashParams(ref); got != d.RefHash {
+			return fmt.Errorf("transport: relative diff seq %d is against reference %#x, receiver holds %#x", d.Seq, d.RefHash, got)
 		}
 	}
-	return d, nil
+	d.Params, d.Payload = params, nil
+	return nil
 }
 
 // EncodePrediction serialises a Prediction body.

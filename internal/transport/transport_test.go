@@ -3,7 +3,9 @@ package transport
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -44,8 +46,38 @@ func TestKeyFrameRoundTrip(t *testing.T) {
 			t.Fatal("image corrupted")
 		}
 	}
-	if got.Label[5] != 3 {
+	if !slices.Equal(got.Label, label) {
 		t.Fatal("label corrupted")
+	}
+}
+
+// The label rides as runs: a handful of bytes for a mask of a few regions,
+// and a decoder that takes the pixel count from the image, not the runs.
+func TestKeyFrameLabelRuns(t *testing.T) {
+	img := tensor.New(3, 16, 32)
+	label := make([]int32, 16*32)
+	for i := range label {
+		label[i] = int32(i / 200) // three regions
+	}
+	label[511] = -1 // any int32 survives, even one core will reject
+	k := KeyFrame{Image: img, Label: label, Seq: 4}
+	body := EncodeKeyFrame(k)
+	if extra := len(body) - KeyFrameWireBytes(k); extra <= 0 || extra > 32 {
+		t.Fatalf("label of 4 runs cost %d bytes", extra)
+	}
+	got, err := DecodeKeyFrame(body)
+	if err != nil || !slices.Equal(got.Label, label) || got.Seq != 4 {
+		t.Fatalf("round trip: %v (seq %d)", err, got.Seq)
+	}
+	for name, runs := range map[string][]int32{
+		"short":         label[:500],
+		"long":          append(append([]int32(nil), label...), 7),
+		"other image's": make([]int32, 8*8),
+	} {
+		k.Label = runs
+		if _, err := DecodeKeyFrame(EncodeKeyFrame(k)); err == nil {
+			t.Fatalf("%s label decoded against a 16×32 image", name)
+		}
 	}
 }
 
@@ -72,22 +104,73 @@ func TestKeyFrameWireBytesExcludesLabel(t *testing.T) {
 	}
 }
 
+// paramBits flattens parameter values to their bit patterns for exact
+// comparison.
+func paramBits(ps []*nn.Parameter) (out []uint32) {
+	for _, p := range ps {
+		for _, v := range p.Value.Data {
+			out = append(out, math.Float32bits(v))
+		}
+	}
+	return out
+}
+
 func TestStudentDiffRoundTrip(t *testing.T) {
-	p := &nn.Parameter{Name: "sb5.c33.w", Value: tensor.Full(0.25, 2, 3)}
-	d := StudentDiff{FrameIndex: 7, Metric: 0.815, Params: []*nn.Parameter{p}}
-	body, err := EncodeStudentDiff(d)
+	held := nn.NewParamSet()
+	held.Add("sb5.c33.w", tensor.Full(0.25, 2, 3))
+	held.Add("out3.b", tensor.Full(-1, 4))
+	now := []*nn.Parameter{
+		{Name: "sb5.c33.w", Value: tensor.Full(0.2500001, 2, 3)},
+		{Name: "out3.b", Value: tensor.Full(-1, 4)},
+	}
+	for _, ref := range []*nn.ParamSet{nil, held} {
+		body, err := EncodeStudentDiff(StudentDiff{FrameIndex: 7, Metric: 0.815, Params: now, Ref: ref})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeStudentDiff(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.FrameIndex != 7 || got.Metric != 0.815 || got.Relative != (ref != nil) {
+			t.Fatalf("header corrupted: %+v", got)
+		}
+		if got.Params != nil || got.Payload == nil {
+			t.Fatal("the stateless parse must leave the parameter section undecoded")
+		}
+		if err := got.Resolve(held); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Params) != 2 || got.Params[0].Name != "sb5.c33.w" || !slices.Equal(paramBits(got.Params), paramBits(now)) {
+			t.Fatalf("params corrupted: %+v", got.Params)
+		}
+	}
+}
+
+// A relative diff resolves only over the reference it was encoded against:
+// a receiver whose weights differ in one bit, or that lacks a parameter,
+// gets an error, never a student.
+func TestStudentDiffResolveChecksReference(t *testing.T) {
+	ref := nn.NewParamSet()
+	ref.Add("w", tensor.Full(1, 8))
+	body, err := EncodeStudentDiff(StudentDiff{Seq: 2, Params: []*nn.Parameter{{Name: "w", Value: tensor.Full(1.5, 8)}}, Ref: ref})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeStudentDiff(body)
-	if err != nil {
-		t.Fatal(err)
+	drifted := ref.Clone()
+	drifted.Get("w").Value.Data[3] = math.Nextafter32(1, 2)
+	for name, held := range map[string]*nn.ParamSet{"one bit off": drifted, "missing parameter": nn.NewParamSet()} {
+		d, err := DecodeStudentDiff(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Resolve(held); err == nil {
+			t.Fatalf("%s: relative diff resolved over the wrong reference", name)
+		}
 	}
-	if got.FrameIndex != 7 || got.Metric != 0.815 {
-		t.Fatalf("header corrupted: %+v", got)
-	}
-	if len(got.Params) != 1 || got.Params[0].Name != "sb5.c33.w" {
-		t.Fatalf("params corrupted: %+v", got.Params)
+	d, _ := DecodeStudentDiff(append(body[:len(body):len(body)], 0))
+	if err := d.Resolve(ref); err == nil {
+		t.Fatal("trailing bytes after the parameter stream must be rejected")
 	}
 }
 
