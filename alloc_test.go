@@ -28,8 +28,6 @@ import (
 // reference backend's single fused loop, which costs one pooled-closure
 // allocation per conv — bounded and size-independent, so it gets its own
 // slightly larger distill budgets rather than slack in the shared ones.
-// The device backend forwards every per-sample kernel to vec (only the
-// batched inference entry points differ), so its budgets are vec's.
 //
 // The partial budgets sit below what a partial Train call allocated while
 // every pass re-ran the frozen stages (208 reference, 304 vec, against 171
@@ -39,10 +37,10 @@ import (
 // remains is one Parallel closure per loop of each of the 19 convolutions
 // in in1…SB4 (one loop on reference, two on vec).
 var (
-	inferAllocBudget          = map[string]float64{"reference": 90, "vec": 90, "device": 90}
-	distillPartialAllocBudget = map[string]float64{"reference": 200, "vec": 260, "device": 260}
-	distillFullAllocBudget    = map[string]float64{"reference": 460, "vec": 500, "device": 500}
-	prefixAllocBudget         = map[string]float64{"reference": 19, "vec": 38, "device": 38}
+	inferAllocBudget          = map[string]float64{"reference": 90, "vec": 90}
+	distillPartialAllocBudget = map[string]float64{"reference": 200, "vec": 260}
+	distillFullAllocBudget    = map[string]float64{"reference": 460, "vec": 500}
+	prefixAllocBudget         = map[string]float64{"reference": 19, "vec": 38}
 )
 
 // allocStudent builds a small-but-real student and one frame without
@@ -129,27 +127,27 @@ func TestAllocBudgetStudentPrefix(t *testing.T) {
 }
 
 // TestAllocBudgetTeacherInferBatch pins the batched serving path all the
-// way to zero: once the workspace pool is warm and the weights sit in the
-// device handle's resident packed panels, a steady-state InferBatch must
-// not allocate at all — every batched kernel is a pack-cache hit into
-// pooled scratch, and the mask buffers are recycled across calls.
+// way to zero under vec, the default backend (named, so the CI matrix's
+// SHADOWTUTOR_BACKEND=reference leg still tests it): once the workspace
+// pool is warm and the weights carry their packed panels, a steady-state
+// InferBatch must not allocate at all — every batched kernel reads
+// resident panels into pooled scratch, and the mask buffers are recycled
+// across calls.
 func TestAllocBudgetTeacherInferBatch(t *testing.T) {
 	skipUnderRace(t)
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
-	dev := tensor.NewDevice()
+	vec, err := tensor.BackendByName("vec")
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, frame := allocStudent(t)
-	s.SetBackend(dev)
+	s.SetBackend(vec)
 	imgs := make([]*tensor.Tensor, 8)
 	for i := range imgs {
 		imgs[i] = frame.Image
 	}
-	got := measureAllocs(func() { s.InferBatch(imgs) })
-	st := dev.Stats()
-	if st.Packs == 0 || st.Hits == 0 {
-		t.Fatalf("resident pack cache not exercised: %+v", st)
-	}
-	if got != 0 {
-		t.Fatalf("batched inference (device) allocates %.0f/op after pack warm-up; the resident-panel path must be allocation-free", got)
+	if got := measureAllocs(func() { s.InferBatch(imgs) }); got != 0 {
+		t.Fatalf("batched inference allocates %.0f/op after warm-up; the resident-panel path must be allocation-free", got)
 	}
 }
 

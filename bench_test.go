@@ -228,7 +228,7 @@ func BenchmarkStudentInference(b *testing.B) {
 }
 
 // BenchmarkTeacherInferBatch measures the CNN teacher's fused batched
-// forward on the resident packed-weight device backend at batch 1 vs 16 —
+// forward on the default backend's resident packed panels at batch 1 vs 16 —
 // the per-frame cost the batched serving path pays, against which the
 // backend/teacher-batched scenario gates its ≥2x contract.
 func BenchmarkTeacherInferBatch(b *testing.B) {
@@ -243,11 +243,6 @@ func BenchmarkTeacherInferBatch(b *testing.B) {
 	for _, batch := range []int{1, 16} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			tch := teacher.NewCNNTeacher(31)
-			bk, err := tensor.BackendByName("device")
-			if err != nil {
-				b.Fatal(err)
-			}
-			tch.SetBackend(bk)
 			batchFrames := frames[:batch]
 			tch.InferBatch(batchFrames) // warm-up: pools + packed panels
 			b.ResetTimer()

@@ -115,10 +115,12 @@
 //
 // # Compute backends
 //
-// All tensor math routes through a pluggable compute backend
+// All tensor math routes through one of two compute backends
 // (tensor.Backend): "reference" is the scalar semantic oracle, "vec" (the
 // default) is the register-blocked backend with AVX2+FMA kernels and a
-// portable fallback — a ≥3x distill-step speedup on one core. Select per
+// portable fallback — a ≈3x distill-step speedup on one core — whose
+// batched convolutions (the CNN teacher's InferBatch) run a micro-kernel
+// over packed panels each weight tensor carries for itself. Select per
 // process with -backend on the server and stbench, or per environment with
 // SHADOWTUTOR_BACKEND; SHADOWTUTOR_NOAVX=1 forces vec's portable kernels:
 //
@@ -126,8 +128,8 @@
 //	go run ./cmd/stbench -frames 200 -backend vec
 //	go run ./cmd/stbench -scenario 'backend/*'
 //
-// The backend/* scenarios run the same distillation workload under every
-// registered backend, and internal/tensor's differential parity suite
+// The backend/* scenarios run the same distillation workload under both
+// backends, and internal/tensor's differential parity suite
 // (plus FuzzBackendParity and the nn gradchecks) gates vec against
 // reference bit-for-bit where exact and within scale-aware float32
 // tolerance elsewhere; see ARCHITECTURE.md "Compute backends".

@@ -56,8 +56,8 @@ func dropMidstreamCuts() []netsim.Fault {
 // mid-flight; the resilience layer journals and replays it, so the update
 // still reaches the client — late by one reconnect handshake plus the
 // retransfer of the severed diff. The twin models exactly that: two
-// identical simulated runs (same stream, oracle, and pretrained student as
-// the experiments suite uses for this workload), with the faulty one adding
+// identical simulated runs (the live run's stream and oracle seeds, the
+// experiments suite's pretrained student), with the faulty one adding
 // the recovery cost to the updates dropMidstreamCuts severs (diffs 2 and 4,
 // 0-based key frames 1 and 3). Everything runs on simclock virtual time, so
 // given diffMsg the returned delta is machine-independent — unlike the live
@@ -74,7 +74,7 @@ func simChaosDelta(spec Spec, diffMsg int) (deltaPP, cleanMIoU float64, err erro
 		netsim.DefaultLink().TransferTime(helloAck) +
 		netsim.DefaultLink().TransferTime(diffMsg)
 	run := func(delay func(int) time.Duration) (float64, error) {
-		vcfg, err := video.NamedVideo(spec.Workload, spec.Seed*7+13)
+		vcfg, err := workloadConfig(spec, 0) // the live run's client-0 stream
 		if err != nil {
 			return 0, err
 		}

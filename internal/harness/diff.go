@@ -96,23 +96,26 @@ var DefaultChecks = map[string]Check{
 	"sheds":          {Informational, 0},
 	"migrated":       {Informational, 0},
 
-	// Compute-backend metrics (backend/speedup). The speedup ratio is the
-	// PR 6 contract: vec must stay ≥3× over the scalar reference. With the
-	// committed baseline near 4.5×, the 25% tolerance still floors the
-	// gate above 3×; losing the AVX kernels or the transposed conv lowering
-	// drops it to ~1× and trips immediately. The absolute reference-side
-	// latency is machine-speed noise, so it only notes drift.
+	// Compute-backend metrics (backend/speedup): vec's distill step against
+	// the scalar reference's on the same key frames. The gate is relative,
+	// not the "≥3×" PR 6 announced: it trips below 0.75× the ratio in the
+	// committed baseline (ci/bench_baseline.json; 3.6× on the 2-core box
+	// that wrote it, so a floor near 2.7×). Losing the AVX kernels or the
+	// transposed conv lowering drops the ratio to ~1× and trips
+	// immediately. The absolute reference-side latency is machine-speed
+	// noise, so it only notes drift.
 	"extra.distill_speedup_x":         {HigherBetter, 0.25},
 	"extra.reference_distill_step_ms": {Informational, 0},
 
-	// Batched-teacher contract (backend/teacher-batched). The ratio is the
-	// PR 10 contract: a fused batch-16 teacher forward on the resident
-	// packed-weight device backend must stay ≥2× over the per-frame loop.
-	// The tolerance floors the gate relative to the committed baseline (see
-	// ci/bench_baseline.json); losing the resident pack cache or the fused
-	// CNHW lowering collapses the ratio toward 1× and trips immediately.
-	// The absolute per-frame latencies are machine-speed noise, and the
-	// batch size is part of the scenario definition.
+	// Batched teacher (backend/teacher-batched): a fused batch-16 teacher
+	// forward over the weights' packed panels against the per-frame loop,
+	// both on vec. Relative like the gate above: it trips below 0.75× the
+	// committed baseline's ratio (1.9× there, so a floor near 1.4× — not
+	// the "≥2×" PR 10 announced). Losing the packed panels, the
+	// micro-kernel or the fused CNHW lowering collapses the ratio toward
+	// 1× and trips immediately. The absolute per-frame latencies are
+	// machine-speed noise, and the batch size is part of the scenario
+	// definition.
 	"extra.teacher_batch_speedup_x": {HigherBetter, 0.25},
 	"extra.teacher_infer_loop_ms":   {Informational, 0},
 	"extra.teacher_infer_batch_ms":  {Informational, 0},

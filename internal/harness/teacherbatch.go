@@ -17,10 +17,9 @@ import (
 // the per-round minimum estimates intrinsic cost with far less variance
 // than the mean — and applies to both sides alike, keeping the ratio fair).
 // It follows the warm-up-then-measure protocol of DistillStepMS: the
-// warm-up rounds size the workspace pools and — on the device backend —
-// pack the frozen teacher weights into their resident panels, so the
-// measurement sees the steady serving state where every batched kernel is a
-// pack-cache hit.
+// warm-up rounds size the workspace pools and pack the frozen teacher
+// weights' panels, so the measurement sees the steady serving state where
+// no batched kernel packs.
 func TeacherBatchSpeedup(spec Spec, batch int) (loopMS, fusedMS float64, err error) {
 	spec.setDefaults()
 	bk, err := tensor.BackendByName(spec.Backend)

@@ -18,15 +18,15 @@ import (
 //
 // Numerics: every elementwise helper reproduces the corresponding autodiff
 // tape op's inference-mode arithmetic expression (same operand order, same
-// float32 evaluation). On the reference and vec backends the batched
-// convolutions are additionally bitwise identical to the per-sample
-// forward by construction, so InferBatch produces exactly the logits (and
-// masks) of a per-frame Infer loop. The device backend's batched
-// convolutions run a register-blocked micro-kernel with a different (still
-// deterministic) reduction order, so its logits agree with the looped
-// forward to a k-scaled ulp tolerance instead — the invariants
-// TestInferBatchMatchesLoop and FuzzBatchParity enforce, bitwise where the
-// backend promises it and within tolerance on device.
+// float32 evaluation). On the reference backend the batched convolutions
+// are additionally bitwise identical to the per-sample forward by
+// construction, so InferBatch produces exactly the logits (and masks) of a
+// per-frame Infer loop. The vec backend's batched convolutions run a
+// register-blocked micro-kernel over the weights' packed panels with a
+// different (still deterministic) reduction order, so its logits agree
+// with the looped forward to a k-scaled ulp tolerance instead (bitwise
+// again on vec's portable kernels) — the invariants
+// TestInferBatchMatchesLoop and FuzzBatchParity enforce.
 
 // batchCtx is the student's reusable batched-inference state: one private
 // workspace for the whole batched pass plus the recycled mask buffers, so
@@ -44,10 +44,8 @@ type batchCtx struct {
 // The returned masks live in buffers owned by the student and are only
 // valid until the next InferBatch call; callers that keep them must copy
 // (teacher.CNNTeacher does). Like Infer, InferBatch is not safe for
-// concurrent use on one student. On backends implementing
-// tensor.BatchBackend the whole batch runs as one fused kernel per layer;
-// other backends degrade to per-sample kernels inside the same walk, with
-// identical results.
+// concurrent use on one student. On vec the whole batch runs as one fused
+// kernel per layer; reference runs per-sample kernels inside the same walk.
 func (s *Student) InferBatch(imgs []*tensor.Tensor) [][]int32 {
 	n := len(imgs)
 	if n == 0 {

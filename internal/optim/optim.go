@@ -109,8 +109,8 @@ func (a *Adam) Step(params []Param) {
 			vhat := v.Data[i] / bc2
 			p.Value.Data[i] -= a.LR * mhat / (float32(math.Sqrt(float64(vhat))) + a.Epsilon)
 		}
-		// Invalidate any packed-panel caches keyed to the old weights (the
-		// device backend repacks lazily on the next batched kernel).
+		// Invalidate the weight's packed panels (tensor.Tensor.packed
+		// repacks lazily on the next batched kernel).
 		p.Value.BumpVersion()
 	}
 }

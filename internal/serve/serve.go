@@ -21,7 +21,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -167,34 +166,7 @@ func NewManager(opts Options) (*Manager, error) {
 	// shard's backend into every other shard's session clones. Cfg.Backend
 	// has been validated above, so resolution cannot fail here.
 	if bk, err := tensor.BackendByName(opts.Cfg.Backend); err == nil {
-		bs, hasBackend := opts.Teacher.(interface {
-			SetBackend(tensor.Backend)
-		})
-		// The shared "device" registry entry is replaced with a private
-		// handle per manager: residency and the pack/hit counters then
-		// attribute to this shard's teacher replica alone, and a frozen
-		// teacher packs its weights exactly once per replica instead of
-		// contending on one process-wide cache.
-		if _, shared := bk.(*tensor.Device); shared && hasBackend {
-			dev := tensor.NewDevice()
-			bk = dev
-			if opts.Telemetry != nil {
-				l := telemetry.L("shard", strconv.Itoa(opts.ShardIndex))
-				opts.Telemetry.GaugeFunc("shadowtutor_device_weight_packs",
-					"Weight matrices packed for the first time on this shard's device handle.",
-					func() float64 { return float64(dev.Stats().Packs) }, l)
-				opts.Telemetry.GaugeFunc("shadowtutor_device_weight_repacks",
-					"Packs forced by weight version bumps on this shard's device handle.",
-					func() float64 { return float64(dev.Stats().Repacks) }, l)
-				opts.Telemetry.GaugeFunc("shadowtutor_device_pack_hits",
-					"Batched kernels served from resident packed panels on this shard.",
-					func() float64 { return float64(dev.Stats().Hits) }, l)
-				opts.Telemetry.GaugeFunc("shadowtutor_device_resident_packs",
-					"Packed weight matrices currently resident on this shard's device handle.",
-					func() float64 { return float64(dev.Stats().Resident) }, l)
-			}
-		}
-		if hasBackend {
+		if bs, ok := opts.Teacher.(interface{ SetBackend(tensor.Backend) }); ok {
 			bs.SetBackend(bk)
 		}
 	}

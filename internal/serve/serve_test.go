@@ -9,8 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/teacher"
-	"repro/internal/telemetry"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 	"repro/internal/video"
 )
@@ -187,68 +185,6 @@ func TestManagerSessionIDs(t *testing.T) {
 	}
 	if got[0] != 42 && got[1] != 42 {
 		t.Fatalf("neither session got the requested ID 42: %v", got)
-	}
-}
-
-// TestManagerDeviceTeacherReplica covers the device-handle construction
-// path: a manager configured with the "device" backend and a weighted (CNN)
-// teacher must give that teacher a private resident handle — the session's
-// key frames then run the fused batched teacher forward against resident
-// packed panels, visible through the shard's shadowtutor_device_* gauges —
-// while the process-wide registered "device" handle stays untouched (its
-// residency must not be shared across shards).
-func TestManagerDeviceTeacherReplica(t *testing.T) {
-	sharedBk, err := tensor.BackendByName("device")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := sharedBk.(*tensor.Device)
-	sharedPacksBefore := shared.Stats().Packs
-
-	reg := telemetry.New()
-	cfg := core.DefaultConfig()
-	cfg.Backend = "device"
-	m, err := NewManager(Options{
-		Cfg:         cfg,
-		Base:        tinyStudent(31),
-		Teacher:     teacher.NewCNNTeacher(11),
-		MaxSessions: 2,
-		Telemetry:   reg,
-		Logf:        t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	runClient(t, m, 1, 71, 16)
-
-	vals := map[string]float64{}
-	for _, f := range reg.Snapshot() {
-		if len(f.Series) == 1 {
-			vals[f.Name] = f.Series[0].Value
-		}
-	}
-	for _, name := range []string{
-		"shadowtutor_device_weight_packs",
-		"shadowtutor_device_weight_repacks",
-		"shadowtutor_device_pack_hits",
-		"shadowtutor_device_resident_packs",
-	} {
-		if _, ok := vals[name]; !ok {
-			t.Fatalf("gauge %s not registered on the shard's telemetry registry", name)
-		}
-	}
-	if vals["shadowtutor_device_weight_packs"] == 0 || vals["shadowtutor_device_resident_packs"] == 0 {
-		t.Fatalf("frozen teacher weights never packed onto the replica's device handle: %v", vals)
-	}
-	if vals["shadowtutor_device_pack_hits"] == 0 {
-		t.Fatalf("batched teacher forwards never hit the resident panels: %v", vals)
-	}
-	if vals["shadowtutor_device_weight_repacks"] != 0 {
-		t.Fatalf("frozen teacher weights repacked %v times; versions must not move", vals["shadowtutor_device_weight_repacks"])
-	}
-	if got := shared.Stats().Packs; got != sharedPacksBefore {
-		t.Fatalf("shared process-wide device handle gained %d packs; the manager must use a private replica handle", got-sharedPacksBefore)
 	}
 }
 

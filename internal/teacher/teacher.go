@@ -195,8 +195,8 @@ func (t *CNNTeacher) Infer(f video.Frame) []int32 {
 // InferBatch implements BatchInferrer as a single fused call into the
 // network's batched forward: the Batcher holds its shard-wide teacher mutex
 // for one multi-frame kernel invocation instead of len(frames) sequential
-// ones, which is where the batched device backend's speedup reaches the
-// serving tier. The returned masks are fresh caller-owned copies (they
+// ones, which is where the batched kernels' speedup reaches the serving
+// tier. The returned masks are fresh caller-owned copies (they
 // cross goroutine boundaries through the Batcher); the image batch buffer
 // is reused across calls. Frames of mixed sizes (possible when sessions
 // with different workloads share one shard) fall back to the per-frame

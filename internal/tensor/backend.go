@@ -3,28 +3,28 @@ package tensor
 import (
 	"fmt"
 	"os"
-	"sort"
-	"sync"
+	"sync/atomic"
 )
 
-// Backend is the pluggable compute interface behind every hot kernel in the
-// package: the three GEMM forms the autodiff tape lowers matmuls onto, and
-// the fused im2col+GEMM convolution forward. A backend implementation must
-// be stateless (or internally synchronised): one Backend value is shared by
-// every workspace that selects it, and kernels run concurrently across
-// sessions and across the Parallel worker pool. All scratch must therefore
-// live on the caller's stack, in the destination slice, or in the Workspace
-// passed to Conv2DWS — never in fields of the backend itself (the bitwise-
-// stability race tests in backend_race_test.go enforce this).
+// Backend is the compute interface behind every hot kernel in the package:
+// the three GEMM forms the autodiff tape lowers matmuls onto, the fused
+// im2col+GEMM convolution forward, and its two batched forms. There are
+// exactly two: "reference", the scalar oracle, and "vec", the optimized
+// one. A backend is stateless: one value is shared by every workspace that
+// selects it, and kernels run concurrently across sessions and across the
+// Parallel worker pool. All scratch therefore lives on the caller's stack,
+// in the destination slice, or in the Workspace passed in — never in the
+// backend (the bitwise-stability race tests in backend_race_test.go enforce
+// this). The one piece of derived state a kernel keeps, vec's packed weight
+// panels, hangs off the weight tensor itself (Tensor.packed).
 //
-// Parity contract: every backend must agree with the "reference" backend
-// within a 1-ulp-scaled tolerance per output element (see backend_test.go
-// and ARCHITECTURE.md "Compute backends"). Backends should additionally be
-// run-to-run deterministic for a fixed input regardless of worker count:
-// accumulate each output element in a fixed order so Parallel chunking
-// never changes results.
+// Parity contract: vec must agree with reference within a 1-ulp-scaled
+// tolerance per output element (see backend_test.go and ARCHITECTURE.md
+// "Compute backends"), and both are run-to-run deterministic for a fixed
+// input regardless of worker count: each output element is accumulated in
+// a fixed order so Parallel chunking never changes results.
 type Backend interface {
-	// Name returns the registry key ("reference", "vec", ...).
+	// Name returns "reference" or "vec".
 	Name() string
 	// MatMulInto computes dst[m,n] (+)= a[m,k] × b[k,n] over raw row-major
 	// slices. accumulate selects += vs =.
@@ -40,66 +40,38 @@ type Backend interface {
 	// [OC,OH,OW] leased from ws. Shapes are pre-validated by the package
 	// wrapper Conv2DWS; implementations may assume they are consistent.
 	Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor
+	// Conv2DBatchWS convolves N same-shape CHW inputs in one call and
+	// Conv2DBatchCNHWWS an already-batched [C,N,H,W] activation (the
+	// layer-chaining form); both return CNHW [OC,N,OH,OW] (see batch.go).
+	// Shapes are pre-validated by the package wrappers of the same names.
+	Conv2DBatchWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor
+	Conv2DBatchCNHWWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor
 }
 
-var (
-	backendMu  sync.RWMutex
-	backends   = map[string]Backend{}
-	defBackend Backend
-)
-
-// RegisterBackend adds b to the process-wide registry. Registering a nil
-// backend, an empty name or a duplicate name panics: the registry is
-// assembled at init time and a collision is a programming error.
-func RegisterBackend(b Backend) {
-	if b == nil || b.Name() == "" {
-		panic("tensor: RegisterBackend of nil or unnamed backend")
-	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, dup := backends[b.Name()]; dup {
-		panic(fmt.Sprintf("tensor: backend %q registered twice", b.Name()))
-	}
-	backends[b.Name()] = b
-}
+// defBackend is the process default, behind a pointer so tests can swap it
+// while other goroutines dispatch kernels.
+var defBackend atomic.Pointer[Backend]
 
 // BackendByName resolves a backend. The empty string resolves to the
 // process default, so config fields can leave backend selection unset.
 func BackendByName(name string) (Backend, error) {
-	if name == "" {
+	switch name {
+	case "":
 		return DefaultBackend(), nil
+	case "reference":
+		return refBackend{}, nil
+	case "vec":
+		return vecBackend{}, nil
 	}
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	if b, ok := backends[name]; ok {
-		return b, nil
-	}
-	return nil, fmt.Errorf("tensor: unknown backend %q (have %v)", name, backendNamesLocked())
+	return nil, fmt.Errorf("tensor: unknown backend %q (have %v)", name, Backends())
 }
 
-// Backends returns the sorted names of every registered backend.
-func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	return backendNamesLocked()
-}
-
-func backendNamesLocked() []string {
-	names := make([]string, 0, len(backends))
-	for n := range backends {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// Backends returns the sorted names of the backends.
+func Backends() []string { return []string{"reference", "vec"} }
 
 // DefaultBackend returns the process-wide default used by nil/unset
 // workspaces and the package-level MatMul* helpers.
-func DefaultBackend() Backend {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	return defBackend
-}
+func DefaultBackend() Backend { return *defBackend.Load() }
 
 // SetDefaultBackend swaps the process default and returns the previous one,
 // for tests that re-run suites under each backend:
@@ -109,11 +81,7 @@ func SetDefaultBackend(b Backend) Backend {
 	if b == nil {
 		panic("tensor: SetDefaultBackend(nil)")
 	}
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	prev := defBackend
-	defBackend = b
-	return prev
+	return *defBackend.Swap(&b)
 }
 
 // The vec backend is the default: it is deterministic, parity-checked
@@ -122,17 +90,12 @@ func SetDefaultBackend(b Backend) Backend {
 // hook the test matrix uses); an unknown name panics at init so CI fails
 // loudly instead of silently testing the wrong backend.
 func init() {
-	ref := &refBackend{}
-	vec := &vecBackend{}
-	RegisterBackend(ref)
-	RegisterBackend(vec)
-	RegisterBackend(NewDevice())
-	defBackend = vec
+	var b Backend = vecBackend{}
 	if name := os.Getenv("SHADOWTUTOR_BACKEND"); name != "" {
-		b, err := BackendByName(name)
-		if err != nil {
+		var err error
+		if b, err = BackendByName(name); err != nil {
 			panic(fmt.Sprintf("tensor: SHADOWTUTOR_BACKEND: %v", err))
 		}
-		defBackend = b
 	}
+	defBackend.Store(&b)
 }

@@ -209,7 +209,7 @@ axpy4done:
 	RET
 
 // func packTile4x16AVX(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, load bool)
-// The register-blocked GEMM micro-kernel of the device backend's batched
+// The register-blocked GEMM micro-kernel of the vec backend's batched
 // convolutions: one 4-row x 16-column tile of C accumulated across nq
 // packed quads plus nt packed tail positions, entirely in eight ymm
 // accumulators. B vectors load once per k position and feed all four rows,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -340,25 +341,23 @@ func FuzzBackendParity(f *testing.F) {
 }
 
 func TestBackendRegistry(t *testing.T) {
-	names := Backends()
-	want := map[string]bool{"reference": false, "vec": false}
-	for _, n := range names {
-		if _, ok := want[n]; ok {
-			want[n] = true
+	if names := Backends(); len(names) != 2 || names[0] != "reference" || names[1] != "vec" {
+		t.Fatalf("Backends() = %v, want exactly [reference vec]", names)
+	}
+	for _, name := range Backends() {
+		bk, err := BackendByName(name)
+		if err != nil || bk.Name() != name {
+			t.Fatalf("BackendByName(%q) = %v, %v", name, bk, err)
 		}
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Fatalf("backend %q missing from registry %v", n, names)
+	for _, gone := range []string{"device", "no-such-backend"} {
+		_, err := BackendByName(gone)
+		if err == nil {
+			t.Fatalf("BackendByName(%q) did not error", gone)
 		}
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Backends() not sorted: %v", names)
+		if msg := err.Error(); !strings.Contains(msg, "reference") || !strings.Contains(msg, "vec") {
+			t.Fatalf("BackendByName(%q) error %q does not name the two backends", gone, msg)
 		}
-	}
-	if _, err := BackendByName("no-such-backend"); err == nil {
-		t.Fatal("BackendByName of unknown backend did not error")
 	}
 	def, err := BackendByName("")
 	if err != nil {
@@ -378,22 +377,13 @@ func TestBackendRegistry(t *testing.T) {
 	if back := SetDefaultBackend(prev); back != ref {
 		t.Fatal("SetDefaultBackend did not return the previous default")
 	}
-
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("duplicate RegisterBackend did not panic")
+				t.Fatal("SetDefaultBackend(nil) did not panic")
 			}
 		}()
-		RegisterBackend(&refBackend{})
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("RegisterBackend(nil) did not panic")
-			}
-		}()
-		RegisterBackend(nil)
+		SetDefaultBackend(nil)
 	}()
 }
 

@@ -34,9 +34,9 @@ var (
 	// a 4x16 and a 4x24 C tile respectively. The 24-wide tile is the
 	// workhorse — its twelve FMA chains hide FMA latency where the 16-wide
 	// tile's eight cannot — and the 16-wide tile handles column remainders.
-	// nil means unavailable, and the device backend's batched convolutions
-	// fall back to the axpy packed forms. packMicroOK caches the nil check
-	// for the hot dispatch.
+	// nil means unavailable, and the batched convolutions fall back to the
+	// axpy packed forms. packMicroOK caches the nil check for the hot
+	// dispatch.
 	packTilef   func(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, load bool)
 	packTile24f func(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, load bool)
 	packMicroOK = false
@@ -264,23 +264,12 @@ func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, 
 }
 
 // vecIm2colT lowers a CHW input into the transposed im2col layout
-// dd[(ch*KH*KW + ky*KW + kx)*hw + oy*ow + ox]. Rows are independent, and
-// for stride-1 each (row, oy) pair is one contiguous copy of the input with
-// the padding edges cleared. The per-plane body is shared with the batched
-// lowerings (batch.go), so batched and per-sample columns are identical by
-// construction.
+// dd[(ch*KH*KW + ky*KW + kx)*hw + oy*ow + ox]: the batched lowering
+// (batch.go) of a one-sample batch, so batched and per-sample columns are
+// identical by construction. For stride-1 each (row, oy) pair is one
+// contiguous copy of the input with the padding edges cleared.
 func vecIm2colT(dd []float32, x *Tensor, s ConvSpec, oh, ow int) {
-	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	xd := x.Data
-	kk := s.KH * s.KW
-	hw := oh * ow
-	Parallel(c*kk, 1, func(plo, phi int) {
-		for p := plo; p < phi; p++ {
-			ch, r := p/kk, p%kk
-			ky, kx := r/s.KW, r%s.KW
-			im2colPlaneT(dd[p*hw:(p+1)*hw], xd[ch*h*w:(ch+1)*h*w], h, w, s, oh, ow, ky, kx)
-		}
-	})
+	lowerCNHW(dd, 1, x.Data, x.Dim(0), 1, x.Dim(1), x.Dim(2), 1, s, oh, ow)
 }
 
 // vecCol2imT scatters the transposed gradient layout [CKK, HW] back into a

@@ -5,12 +5,10 @@ import (
 	"unsafe"
 )
 
-// This file adds the batched-inference capability layer on top of the
-// Backend interface: optional interfaces a backend may implement
-// (BatchBackend, WeightPacker), the packed panel-blocked weight layout the
-// batched GEMM kernels consume (PackedWeights), and package-level wrappers
-// that validate shapes and fall back to per-sample loops for backends that
-// do not implement the capabilities.
+// This file is the batched-inference layer: the two batched convolution
+// entry points of Backend, the packed panel-blocked weight layout vec's
+// batched GEMM consumes (cached on the weight tensor, see Tensor.packed),
+// the GEMM over those panels, and the shared transposed-im2col lowering.
 //
 // Batched activation layout
 //
@@ -23,46 +21,21 @@ import (
 // normalisation, bias and ReLU operate on contiguous length-N*H*W channel
 // rows; and a 1x1 stride-1 unpadded convolution needs no lowering at all
 // because the CNHW tensor viewed as [C, N*H*W] already IS its im2col
-// matrix.
+// matrix. A CHW tensor is the N = 1 case, which is how the per-sample
+// lowering (vecIm2colT) is written.
 //
 // Numerics: on the reference backend the batched forms ARE the per-sample
-// loop (bitwise by construction), and the vec backend's batched kernels
-// accumulate every output element with the same per-element reduction
-// order (ascending gemmKC panels, ascending 4-wide quads through axpy4f
-// with the same pairwise grouping, identical zero-skips) as its per-sample
-// kernels, so a vec batched forward is bitwise identical to the vec
-// per-sample loop for any worker count. The device backend instead runs
-// the register-blocked micro-kernel (gemmPackedMicro) over the same packed
-// panels: its per-element order is a single sequential FMA chain in
-// ascending-k order — still fully deterministic across worker counts and
-// runs, but a different rounding order than axpy4f's pairwise groups, so
-// device batched results agree with the looped forward to the parity
-// suite's k-scaled ulp tolerance rather than bitwise (and exactly bitwise
-// when the micro-kernel is unavailable, e.g. under SHADOWTUTOR_NOAVX).
-
-// BatchBackend is the optional capability interface for backends that can
-// run one kernel over a whole batch. Conv2DBatchWS lowers N same-shape CHW
-// inputs into a single im2col GEMM with N*OH*OW output columns;
-// Conv2DBatchCNHWWS is the same fused convolution applied to an
-// already-batched [C, N, H, W] activation (the layer-chaining form);
-// MatMulBatchInto multiplies a batch of A matrices against one shared B.
-// Backends without this interface are served by per-sample fallback loops
-// in the package-level wrappers.
-type BatchBackend interface {
-	Backend
-	Conv2DBatchWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor
-	Conv2DBatchCNHWWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor
-	MatMulBatchInto(dst, a, b []float32, batch, m, n, k int, accumulate bool)
-}
-
-// WeightPacker is the optional capability interface for backends whose
-// batched GEMM kernels consume a packed weight layout. Pack produces a
-// panel-blocked, cache-aligned copy of a weight matrix stamped with the
-// source tensor's Version for invalidation (the device backend keys its
-// resident panel cache on tensor identity + version).
-type WeightPacker interface {
-	Pack(w *Tensor) *PackedWeights
-}
+// loop (bitwise by construction). The vec backend's run the register-
+// blocked micro-kernel (gemmPackedMicroRange) over the weight's packed
+// panels: each output element is a single sequential FMA chain in
+// ascending-k order — deterministic across worker counts, batch sizes and
+// runs, but a different rounding order than the per-sample kernels'
+// pairwise axpy4f groups, so a vec batched forward agrees with the vec
+// per-sample loop to the parity suite's k-scaled ulp tolerance, not
+// bitwise. Where the micro-kernel is unavailable (non-amd64, no AVX2+FMA,
+// SHADOWTUTOR_NOAVX) the same panels run through the axpy spans, whose
+// per-element order is exactly vecGemmAxpy's, and batched equals looped
+// bitwise.
 
 // packMR is the GEMM micro-kernel row-block height: the packed layout
 // interleaves packMR weight rows so one pass over a B panel updates packMR
@@ -72,36 +45,26 @@ const packMR = 4
 // packNB is the column tile of the packed GEMM's axpy forms: B panels of
 // gemmKC x packNB floats (512 KiB) stay cache-resident while every row
 // block streams against them. (The micro-kernel path tiles columns by the
-// tighter ncMicro instead; packNB and gemmKC are pinned by the vec
-// backend's bitwise per-sample/batched contract.)
+// tighter ncMicro instead; packNB and gemmKC are pinned by the axpy forms'
+// bitwise agreement with vecGemmAxpy.)
 const packNB = 512
 
 // packBlockGrain is the Parallel grain in 4-row blocks (2 blocks = 8 rows,
 // matching gemmRowGrain).
 const packBlockGrain = 2
 
-// PackedWeights is a weight matrix [rows, k] repacked for the batched GEMM
-// micro-kernel: rows are grouped into blocks of packMR, and within a block
-// the coefficients are stored quad-major — for each aligned group of four k
-// positions, 4x4 floats laid out row-by-row (missing rows of a ragged final
-// block are zero-padded), followed by the k%4 tail columns at four floats
-// each. Every coefficient a kernel row-block step needs is therefore one or
-// two cache lines. The version tag records the source tensor's Version at
-// pack time so caches can invalidate when an optimizer bumps it.
-type PackedWeights struct {
-	rows, k int
+// packedPanels is a weight matrix [rows, k] (a weight tensor viewed as
+// [Dim(0), Len()/Dim(0)]) repacked for the batched GEMM: rows are grouped
+// into blocks of packMR, and within a block the coefficients are stored
+// quad-major — for each aligned group of four k positions, 4x4 floats laid
+// out row-by-row (missing rows of a ragged final block are zero-padded),
+// followed by the k%4 tail columns at four floats each. Every coefficient a
+// kernel row-block step needs is therefore one or two cache lines. version
+// is the source tensor's at pack time.
+type packedPanels struct {
 	version uint64
-	data    []float32 // aligned view into raw backing storage
+	data    []float32 // 64-byte aligned view into a slightly larger slice
 }
-
-// Rows returns the packed matrix's row count.
-func (p *PackedWeights) Rows() int { return p.rows }
-
-// K returns the packed matrix's reduction length.
-func (p *PackedWeights) K() int { return p.k }
-
-// Version returns the source tensor's Version at pack time.
-func (p *PackedWeights) Version() uint64 { return p.version }
 
 // packedBlockStride is the float count of one packMR row block: k4*4 quad
 // floats plus (k-k4)*4 tail floats = 4*k.
@@ -112,17 +75,27 @@ func packedSize(rows, k int) int {
 	return (rows + packMR - 1) / packMR * packedBlockStride(k)
 }
 
-// newPackedWeights allocates a PackedWeights with its data 64-byte aligned
-// (cache-line aligned) inside a slightly oversized backing slice.
-func newPackedWeights(rows, k int, version uint64) *PackedWeights {
+// packed returns w's packed panels, packing on first use and again when
+// w's version has moved since they were built. Steady state is one atomic
+// load and no allocation: a frozen teacher packs each weight once for the
+// life of the replica, and a trained weight repacks once per optimizer
+// step that is followed by a batched kernel. Concurrent first users may
+// each pack; the copies are identical and the last one published stays.
+// The panels are garbage with the tensor, so nothing bounds or evicts them.
+func (w *Tensor) packed() []float32 {
+	v := w.version
+	if p := w.panels.Load(); p != nil && p.version == v {
+		return p.data
+	}
+	rows := w.Dim(0)
+	k := w.Len() / rows
 	n := packedSize(rows, k)
 	raw := make([]float32, n+16)
-	off := 0
-	if n > 0 {
-		addr := uintptr(unsafe.Pointer(&raw[0]))
-		off = int(((64 - addr%64) % 64) / 4)
-	}
-	return &PackedWeights{rows: rows, k: k, version: version, data: raw[off : off+n]}
+	off := int((64 - uintptr(unsafe.Pointer(&raw[0]))%64) % 64 / 4)
+	p := &packedPanels{version: v, data: raw[off : off+n]}
+	packWeightsInto(p.data, w.Data, rows, k)
+	w.panels.Store(p)
+	return p.data
 }
 
 // packWeightsInto writes the packed layout of wd (row-major [rows, k]) into
@@ -159,49 +132,17 @@ func packWeightsInto(pd, wd []float32, rows, k int) {
 	}
 }
 
-// Pack implements WeightPacker for the vec backend: a fresh cache-aligned
-// packed copy of w treated as a [Dim(0), Len()/Dim(0)] matrix.
-func (vecBackend) Pack(w *Tensor) *PackedWeights {
-	rows := w.Dim(0)
-	k := w.Len() / rows
-	pw := newPackedWeights(rows, k, w.Version())
-	packWeightsInto(pw.data, w.Data, rows, k)
-	return pw
-}
-
-// gemmAxpyPacked computes cd [m, n] (+)= packed(A) x bd [k, n] where pd is
-// the packed layout of A [m, k]. Column tiles of packNB keep the streamed B
-// panel L2-resident, and each packMR row block reuses that panel packMR
-// times. The per-element accumulation order (ascending gemmKC panels,
-// ascending quads via axpy4f, tail via saxpyf, identical zero-skips) is
-// exactly vecGemmAxpy's, so results are bitwise identical to the unpacked
-// kernel — and therefore to the per-sample conv forward — for any worker
-// count or tile size.
-func gemmAxpyPacked(cd, pd, bd []float32, m, n, k int, accumulate bool) {
-	if !accumulate && k == 0 {
-		clear(cd[:m*n])
-		return
-	}
-	if k == 0 || m == 0 || n == 0 {
-		return
-	}
-	nb := (m + packMR - 1) / packMR
-	if Workers() <= 1 || nb < 2*packBlockGrain {
-		gemmAxpyPackedRange(cd, pd, bd, m, n, n, n, k, accumulate, 0, nb)
-		return
-	}
-	Parallel(nb, packBlockGrain, func(lo, hi int) {
-		gemmAxpyPackedRange(cd, pd, bd, m, n, n, n, k, accumulate, lo, hi)
-	})
-}
-
 // gemmAxpyPackedRange runs the axpy packed GEMM over row blocks
 // [blo, bhi) and a column sub-range: ncols columns starting at cd and bd,
 // whose rows have strides ldc and ldb (all three equal to the full column
 // count except when a caller addresses a column window of a wider C, as
-// the device backend's sample-grouped convolutions do). It is a top-level
-// function (not a closure) so the single-worker dispatch above stays
-// allocation-free.
+// the sample-grouped convolutions do). Column tiles of packNB keep the
+// streamed B panel L2-resident, and each packMR row block reuses that
+// panel packMR times. The per-element accumulation order (ascending gemmKC
+// panels, ascending quads via axpy4f, tail via saxpyf, identical
+// zero-skips) is exactly vecGemmAxpy's, so results are bitwise identical
+// to the unpacked kernel — and therefore to the per-sample conv forward —
+// for any worker count or tile size.
 func gemmAxpyPackedRange(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate bool, blo, bhi int) {
 	for jb := 0; jb < ncols; jb += packNB {
 		je := jb + packNB
@@ -266,27 +207,21 @@ func gemmAxpyPackedSpan(cd, pd, bd []float32, m, ldc, ldb, k int, accumulate boo
 	}
 }
 
-// gemmPackedMicro is the device backend's GEMM over packed panels: the
-// same blocking as gemmAxpyPacked, but full packMR row blocks x 16-column
-// tiles run in the register-blocked packTile4x16AVX micro-kernel, which
-// holds the whole 4x16 C tile in eight ymm accumulators for an entire
-// gemmKC panel. The axpy forms stream each C row from memory once per
-// k-quad; the micro-kernel touches C once per panel and amortises every B
-// load over four rows, which is where the batched teacher's ≥2x win over
-// the per-frame loop comes from. Column spans narrower than a tile and a
-// ragged final row block fall back to gemmAxpyPackedSpan; when the
-// micro-kernel is unavailable (non-amd64, no AVX2+FMA, SHADOWTUTOR_NOAVX)
-// the whole call degrades to gemmAxpyPacked and results are bitwise
-// identical to the vec batched path.
-func gemmPackedMicro(cd, pd, bd []float32, m, n, k int, accumulate bool) {
-	gemmPackedMicroSub(cd, pd, bd, m, n, n, n, k, accumulate)
-}
-
-// gemmPackedMicroSub is gemmPackedMicro over a column sub-range: ncols
-// columns starting at cd (row stride ldc) multiplied from the B panel at
-// bd (row stride ldb). The device backend's sample-grouped convolutions
-// use it to write one sample group's column window of the full CNHW
-// output from a small cache-resident lowering panel.
+// gemmPackedMicroSub is the batched convolutions' GEMM over packed panels:
+// cd (+)= packed(A) x bd for an ncols-wide column window of C (row stride
+// ldc) against the B panel at bd (row stride ldb) — all three equal for a
+// whole-matrix product; the sample-grouped convolutions write one group's
+// window of the full CNHW output from a small cache-resident lowering
+// panel. Full packMR row blocks x 24/16-column tiles run in the
+// register-blocked micro-kernels, which hold the whole C tile in ymm
+// accumulators for an entire reduction panel: the axpy forms stream each C
+// row from memory once per k-quad, the micro-kernel touches C once per
+// panel and amortises every B load over four rows, which is where the
+// batched teacher's win over the per-frame loop comes from. Column spans
+// narrower than a tile and a ragged final row block fall back to
+// gemmAxpyPackedSpan; when the micro-kernel is unavailable the whole call
+// is gemmAxpyPackedRange. Range bodies are top-level functions (not
+// closures) so the single-worker dispatch stays allocation-free.
 func gemmPackedMicroSub(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate bool) {
 	if !accumulate && k == 0 {
 		clearRows(cd, m, ncols, ldc)
@@ -295,23 +230,17 @@ func gemmPackedMicroSub(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumul
 	if k == 0 || m == 0 || ncols == 0 {
 		return
 	}
+	rows := gemmAxpyPackedRange
+	if packMicroOK {
+		rows = gemmPackedMicroRange
+	}
 	nb := (m + packMR - 1) / packMR
 	if Workers() <= 1 || nb < 2*packBlockGrain {
-		if packMicroOK {
-			gemmPackedMicroRange(cd, pd, bd, m, ncols, ldc, ldb, k, accumulate, 0, nb)
-		} else {
-			gemmAxpyPackedRange(cd, pd, bd, m, ncols, ldc, ldb, k, accumulate, 0, nb)
-		}
-		return
-	}
-	if packMicroOK {
-		Parallel(nb, packBlockGrain, func(lo, hi int) {
-			gemmPackedMicroRange(cd, pd, bd, m, ncols, ldc, ldb, k, accumulate, lo, hi)
-		})
+		rows(cd, pd, bd, m, ncols, ldc, ldb, k, accumulate, 0, nb)
 		return
 	}
 	Parallel(nb, packBlockGrain, func(lo, hi int) {
-		gemmAxpyPackedRange(cd, pd, bd, m, ncols, ldc, ldb, k, accumulate, lo, hi)
+		rows(cd, pd, bd, m, ncols, ldc, ldb, k, accumulate, lo, hi)
 	})
 }
 
@@ -326,7 +255,7 @@ func clearRows(cd []float32, m, ncols, ldc int) {
 	}
 }
 
-// gemmPackedMicroRange runs gemmPackedMicro over row blocks [blo, bhi).
+// gemmPackedMicroRange runs the micro-kernel GEMM over row blocks [blo, bhi).
 // Only full 4-row blocks enter the micro-kernel (the packed layout
 // zero-pads ragged blocks, but the kernel would then write lanes past row
 // m-1 of C); the ragged block, if this range owns it, runs the axpy span.
@@ -492,70 +421,33 @@ func im2colPlaneT(seg, plane []float32, h, w int, s ConvSpec, oh, ow, ky, kx int
 	}
 }
 
-// batchIm2colT lowers N same-shape CHW samples into the batched transposed
-// im2col layout dd[((ch*KH+ky)*KW+kx)*N*hw + i*hw + oy*ow + ox]: each row p
-// holds sample-major blocks of that sample's per-sample im2col row, so the
-// batched GEMM's output columns come out grouped by sample — the CNHW
-// layout.
-func batchIm2colT(dd []float32, xs []*Tensor, s ConvSpec, oh, ow int) {
-	c := xs[0].Dim(0)
-	kk := s.KH * s.KW
-	if Workers() <= 1 || c*kk < 2 {
-		batchIm2colTRange(dd, xs, s, oh, ow, 0, c*kk)
+// lowerCNHW lowers the first n samples of the CNHW activation xd
+// [c, nb, h, w] into the first n sample slots of dd, a transposed-im2col
+// panel with g slots per row:
+// dd[((ch*KH+ky)*KW+kx)*g*hw + i*hw + oy*ow + ox]. Each row holds
+// sample-major blocks of that sample's per-sample im2col row, so the GEMM's
+// output columns come out grouped by sample — the CNHW layout. Callers
+// start elsewhere by slicing: xd[i0*h*w:] begins at sample i0 and
+// dd[j0*oh*ow:] at slot j0. Rows are independent; a CHW tensor is nb = 1.
+func lowerCNHW(dd []float32, g int, xd []float32, c, nb, h, w, n int, s ConvSpec, oh, ow int) {
+	rows := c * s.KH * s.KW
+	if Workers() <= 1 || rows < 2 {
+		lowerCNHWRange(dd, g, xd, nb, h, w, n, s, oh, ow, 0, rows)
 		return
 	}
-	Parallel(c*kk, 1, func(plo, phi int) {
-		batchIm2colTRange(dd, xs, s, oh, ow, plo, phi)
+	Parallel(rows, 1, func(plo, phi int) {
+		lowerCNHWRange(dd, g, xd, nb, h, w, n, s, oh, ow, plo, phi)
 	})
 }
 
-func batchIm2colTRange(dd []float32, xs []*Tensor, s ConvSpec, oh, ow, plo, phi int) {
-	h, w := xs[0].Dim(1), xs[0].Dim(2)
+func lowerCNHWRange(dd []float32, g int, xd []float32, nb, h, w, n int, s ConvSpec, oh, ow, plo, phi int) {
 	kk := s.KH * s.KW
 	hw := oh * ow
-	nb := len(xs)
 	for p := plo; p < phi; p++ {
 		ch, r := p/kk, p%kk
 		ky, kx := r/s.KW, r%s.KW
-		for i, x := range xs {
-			seg := dd[(p*nb+i)*hw : (p*nb+i+1)*hw]
-			im2colPlaneT(seg, x.Data[ch*h*w:(ch+1)*h*w], h, w, s, oh, ow, ky, kx)
-		}
-	}
-}
-
-// batchIm2colTCNHW is batchIm2colT for an already-batched [C, N, H, W]
-// activation: the (ch, i) plane is a contiguous slice of x.
-func batchIm2colTCNHW(dd []float32, x *Tensor, s ConvSpec, oh, ow int) {
-	batchIm2colTCNHWGroup(dd, x, s, oh, ow, 0, x.Dim(1))
-}
-
-// batchIm2colTCNHWGroup lowers only samples [i0, i1) of a CNHW activation,
-// producing the compact (i1-i0)-sample im2col matrix. The device backend's
-// sample-grouped convolutions use it to keep the lowering scratch
-// cache-resident however large the batch is.
-func batchIm2colTCNHWGroup(dd []float32, x *Tensor, s ConvSpec, oh, ow, i0, i1 int) {
-	c, kk := x.Dim(0), s.KH*s.KW
-	if Workers() <= 1 || c*kk < 2 {
-		batchIm2colTCNHWRange(dd, x, s, oh, ow, i0, i1, 0, c*kk)
-		return
-	}
-	Parallel(c*kk, 1, func(plo, phi int) {
-		batchIm2colTCNHWRange(dd, x, s, oh, ow, i0, i1, plo, phi)
-	})
-}
-
-func batchIm2colTCNHWRange(dd []float32, x *Tensor, s ConvSpec, oh, ow, i0, i1, plo, phi int) {
-	nb, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
-	kk := s.KH * s.KW
-	hw := oh * ow
-	g := i1 - i0
-	xd := x.Data
-	for p := plo; p < phi; p++ {
-		ch, r := p/kk, p%kk
-		ky, kx := r/s.KW, r%s.KW
-		for i := i0; i < i1; i++ {
-			seg := dd[(p*g+i-i0)*hw : (p*g+i-i0+1)*hw]
+		for i := 0; i < n; i++ {
+			seg := dd[(p*g+i)*hw : (p*g+i+1)*hw]
 			plane := xd[(ch*nb+i)*h*w : (ch*nb+i+1)*h*w]
 			im2colPlaneT(seg, plane, h, w, s, oh, ow, ky, kx)
 		}
@@ -570,28 +462,6 @@ func conv1x1Direct(s ConvSpec) bool {
 	return s.KH == 1 && s.KW == 1 && s.SH == 1 && s.SW == 1 && s.PH == 0 && s.PW == 0
 }
 
-// convBatchGemm runs the GEMM stage of a batched convolution: lease the
-// [OC, N, OH, OW] result, prefill bias into each channel row (matching the
-// per-sample vec forward's bias-then-accumulate order bitwise) and run the
-// packed GEMM over the lowered columns. micro selects the register-blocked
-// micro-kernel (the device backend) over the bitwise-with-vec axpy forms.
-func convBatchGemm(ws *Workspace, pd, cols []float32, b *Tensor, oc, nb, oh, ow, ckk int, micro bool) *Tensor {
-	nhw := nb * oh * ow
-	res := ws.GetDirty(oc, nb, oh, ow)
-	rd := res.Data
-	gemm := gemmAxpyPacked
-	if micro {
-		gemm = gemmPackedMicro
-	}
-	if b != nil {
-		biasPrefill(rd, b.Data, oc, nhw)
-		gemm(rd, pd, cols, oc, nhw, ckk, true)
-	} else {
-		gemm(rd, pd, cols, oc, nhw, ckk, false)
-	}
-	return res
-}
-
 // biasPrefill writes bias value bd[ch] across channel row ch of rd,
 // matching the per-sample vec forward's bias-then-accumulate order.
 func biasPrefill(rd, bd []float32, oc, nhw int) {
@@ -604,63 +474,76 @@ func biasPrefill(rd, bd []float32, oc, nhw int) {
 	}
 }
 
-// packGemm packs w into a workspace-leased scratch buffer (no retained
-// state — the vec backend stays stateless) and runs convBatchGemm.
-func packGemm(ws *Workspace, cols []float32, w, b *Tensor, nb, oh, ow, ckk int) *Tensor {
-	oc := w.Dim(0)
-	pbuf := ws.GetDirty(packedSize(oc, ckk))
-	packWeightsInto(pbuf.Data, w.Data, oc, ckk)
-	res := convBatchGemm(ws, pbuf.Data, cols, b, oc, nb, oh, ow, ckk, false)
-	ws.Put(pbuf)
-	return res
-}
+// groupColsBytes bounds the lowered-column scratch one sample group
+// materialises: the GEMM streams the group's panel while it is still
+// cache-hot from the lowering, so the batched path's per-frame memory
+// traffic stays flat as the batch grows instead of round-tripping a
+// batch-sized im2col matrix through DRAM. 1 MiB keeps a group's panel plus
+// the packed weights inside the L2+L3 working set of the cores this repo
+// targets while leaving groups large enough (whole samples) to amortise
+// the per-group pack-panel walk; doubling it measurably slows the batched
+// teacher on small-L3 parts.
+const groupColsBytes = 1 << 20
 
-// Conv2DBatchWS implements BatchBackend for the vec backend: one fused
-// lowering + packed GEMM over all samples, packing the weights per call
-// into workspace scratch.
+// Conv2DBatchWS implements Backend on a list of CHW samples.
 func (vecBackend) Conv2DBatchWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor {
-	nb := len(xs)
-	c, h, wid := xs[0].Dim(0), xs[0].Dim(1), xs[0].Dim(2)
-	oh, ow := s.OutSize(h, wid)
-	ckk := c * s.KH * s.KW
-	cols := ws.GetDirty(ckk, nb*oh*ow)
-	batchIm2colT(cols.Data, xs, s, oh, ow)
-	res := packGemm(ws, cols.Data, w, b, nb, oh, ow, ckk)
-	ws.Put(cols)
-	return res
+	return convBatchGrouped(ws, xs, nil, xs[0].Dim(0), len(xs), xs[0].Dim(1), xs[0].Dim(2), w, b, s)
 }
 
-// Conv2DBatchCNHWWS implements BatchBackend for the vec backend on an
-// already-batched CNHW activation. 1x1 stride-1 unpadded convolutions skip
-// the lowering and multiply the activation directly.
+// Conv2DBatchCNHWWS implements Backend on an already-batched activation.
 func (vecBackend) Conv2DBatchCNHWWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
-	c, nb, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	return convBatchGrouped(ws, nil, x.Data, x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), w, b, s)
+}
+
+// convBatchGrouped is vec's batched convolution over nb samples given
+// either as a list (xs) or as one CNHW activation (xd): lease the
+// [OC, N, OH, OW] result, prefill bias into each channel row and
+// accumulate the packed GEMM on top. Samples are processed in cache-sized
+// groups: each group is lowered into a small panel and multiplied into its
+// column window of the output, so the panel never leaves cache between the
+// two stages. A 1x1 stride-1 unpadded convolution of a CNHW activation has
+// no lowering copy to keep cache-resident — the activation already is the
+// im2col matrix — so it runs as one full-width GEMM.
+func convBatchGrouped(ws *Workspace, xs []*Tensor, xd []float32, c, nb, h, wid int, w, b *Tensor, s ConvSpec) *Tensor {
 	oh, ow := s.OutSize(h, wid)
+	hw := oh * ow
 	ckk := c * s.KH * s.KW
-	if conv1x1Direct(s) {
-		return packGemm(ws, x.Data, w, b, nb, oh, ow, ckk)
+	oc := w.Dim(0)
+	n := nb * hw
+	pd := w.packed()
+	res := ws.GetDirty(oc, nb, oh, ow)
+	rd := res.Data
+	acc := b != nil
+	if acc {
+		biasPrefill(rd, b.Data, oc, n)
 	}
-	cols := ws.GetDirty(ckk, nb*oh*ow)
-	batchIm2colTCNHW(cols.Data, x, s, oh, ow)
-	res := packGemm(ws, cols.Data, w, b, nb, oh, ow, ckk)
+	if xs == nil && conv1x1Direct(s) {
+		gemmPackedMicroSub(rd, pd, xd, oc, n, n, n, ckk, acc)
+		return res
+	}
+	g := 1 // samples per group
+	if per := 4 * ckk * hw; per > 0 {
+		g = min(max(groupColsBytes/per, 1), nb)
+	}
+	cols := ws.GetDirty(ckk, g*hw)
+	for i0 := 0; i0 < nb; i0 += g {
+		gi := min(g, nb-i0)
+		if xs == nil {
+			lowerCNHW(cols.Data, gi, xd[i0*h*wid:], c, nb, h, wid, gi, s, oh, ow)
+		} else {
+			for j, x := range xs[i0 : i0+gi] {
+				lowerCNHW(cols.Data[j*hw:], gi, x.Data, c, 1, h, wid, 1, s, oh, ow)
+			}
+		}
+		gemmPackedMicroSub(rd[i0*hw:], pd, cols.Data, oc, gi*hw, n, gi*hw, ckk, acc)
+	}
 	ws.Put(cols)
 	return res
 }
 
-// MatMulBatchInto implements BatchBackend for the vec backend: a batch of
-// row-major A matrices [batch, m, k] against one shared B [k, n] is a
-// single GEMM over batch*m contiguous rows, so one kernel dispatch covers
-// the whole batch. Per-row accumulation is unchanged, so the result is
-// bitwise identical to batch separate MatMulInto calls.
-func (vecBackend) MatMulBatchInto(dst, a, b []float32, batch, m, n, k int, accumulate bool) {
-	vecGemmAxpy(dst, a, b, batch*m, n, k, k, 1, accumulate)
-}
-
-// Conv2DBatchWS lowers N same-shape CHW inputs into one batched
-// convolution, returning a CNHW tensor [OC, N, OH, OW] (see the layout note
-// at the top of this file). Shapes are validated here; backends without
-// BatchBackend are served by a per-sample loop over the backend's own
-// Conv2DWS, so results always match that backend's per-sample forward.
+// Conv2DBatchWS convolves N same-shape CHW inputs in one call through the
+// workspace's backend, returning a CNHW tensor [OC, N, OH, OW] (see the
+// layout note at the top of this file). Shapes are validated here.
 func Conv2DBatchWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor {
 	if len(xs) == 0 {
 		panic("tensor: Conv2DBatchWS of an empty batch")
@@ -672,39 +555,17 @@ func Conv2DBatchWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tenso
 		}
 	}
 	checkConvBatchArgs("Conv2DBatchWS", x0.Dim(0), w, b, s)
-	if bb, ok := ws.Backend().(BatchBackend); ok {
-		return bb.Conv2DBatchWS(ws, xs, w, b, s)
-	}
-	return conv2DBatchLoopWS(ws, xs, w, b, s)
+	return ws.Backend().Conv2DBatchWS(ws, xs, w, b, s)
 }
 
 // Conv2DBatchCNHWWS applies a batched convolution to an already-batched
-// [C, N, H, W] activation, returning [OC, N, OH, OW]. Backends without
-// BatchBackend are served by a gather / per-sample conv / scatter loop.
+// [C, N, H, W] activation, returning [OC, N, OH, OW].
 func Conv2DBatchCNHWWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Conv2DBatchCNHWWS requires a CNHW input, got %v", x.Shape()))
 	}
 	checkConvBatchArgs("Conv2DBatchCNHWWS", x.Dim(0), w, b, s)
-	if bb, ok := ws.Backend().(BatchBackend); ok {
-		return bb.Conv2DBatchCNHWWS(ws, x, w, b, s)
-	}
-	return conv2DBatchCNHWLoopWS(ws, x, w, b, s)
-}
-
-// MatMulBatchInto multiplies a batch of A matrices (contiguous row-major
-// [batch, m, k]) against one shared B [k, n] into dst [batch, m, n] through
-// the workspace's backend, falling back to per-matrix MatMulInto calls for
-// backends without BatchBackend.
-func MatMulBatchInto(ws *Workspace, dst, a, b []float32, batch, m, n, k int, accumulate bool) {
-	bk := ws.Backend()
-	if bb, ok := bk.(BatchBackend); ok {
-		bb.MatMulBatchInto(dst, a, b, batch, m, n, k, accumulate)
-		return
-	}
-	for i := 0; i < batch; i++ {
-		bk.MatMulInto(dst[i*m*n:(i+1)*m*n], a[i*m*k:(i+1)*m*k], b, m, n, k, accumulate)
-	}
+	return ws.Backend().Conv2DBatchCNHWWS(ws, x, w, b, s)
 }
 
 func checkConvBatchArgs(op string, c int, w, b *Tensor, s ConvSpec) {
@@ -725,70 +586,40 @@ func scatterSampleCNHW(dst, src []float32, c, nb, i, hw int) {
 	}
 }
 
-// gatherSampleCNHW extracts sample i of a CNHW source [C, nb, hw] into a
-// contiguous per-sample [C, hw] buffer.
-func gatherSampleCNHW(dst, src []float32, c, nb, i, hw int) {
-	for ch := 0; ch < c; ch++ {
-		copy(dst[ch*hw:(ch+1)*hw], src[(ch*nb+i)*hw:(ch*nb+i+1)*hw])
-	}
-}
-
-// conv2DBatchLoopWS is the per-sample fallback for backends without
-// BatchBackend: each sample runs the backend's own Conv2DWS and the result
-// is copied into its CNHW slot.
-func conv2DBatchLoopWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor {
+// Conv2DBatchWS implements Backend for the reference backend as the
+// documented loop/copy semantics: each sample runs the per-sample Conv2DWS
+// and the result is copied into its CNHW slot, so values are identical to
+// the per-sample forward by construction.
+func (r refBackend) Conv2DBatchWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor {
 	nb := len(xs)
 	oc := w.Dim(0)
-	h, wid := xs[0].Dim(1), xs[0].Dim(2)
-	oh, ow := s.OutSize(h, wid)
-	hw := oh * ow
+	oh, ow := s.OutSize(xs[0].Dim(1), xs[0].Dim(2))
 	res := ws.GetDirty(oc, nb, oh, ow)
 	for i, x := range xs {
-		y := Conv2DWS(ws, x, w, b, s)
-		scatterSampleCNHW(res.Data, y.Data, oc, nb, i, hw)
+		y := r.Conv2DWS(ws, x, w, b, s)
+		scatterSampleCNHW(res.Data, y.Data, oc, nb, i, oh*ow)
 		ws.Put(y)
 	}
 	return res
 }
 
-// conv2DBatchCNHWLoopWS is the CNHW-input fallback: gather each sample into
-// a contiguous CHW scratch, convolve it with the backend's Conv2DWS, and
+// Conv2DBatchCNHWWS implements Backend for the reference backend: gather
+// each sample into a contiguous CHW scratch, convolve it per-sample, and
 // scatter the result back.
-func conv2DBatchCNHWLoopWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
+func (r refBackend) Conv2DBatchCNHWWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	c, nb, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oc := w.Dim(0)
 	oh, ow := s.OutSize(h, wid)
-	hw := oh * ow
 	res := ws.GetDirty(oc, nb, oh, ow)
 	sample := ws.GetDirty(c, h, wid)
 	for i := 0; i < nb; i++ {
-		gatherSampleCNHW(sample.Data, x.Data, c, nb, i, h*wid)
-		y := Conv2DWS(ws, sample, w, b, s)
-		scatterSampleCNHW(res.Data, y.Data, oc, nb, i, hw)
+		for ch := 0; ch < c; ch++ {
+			copy(sample.Data[ch*h*wid:(ch+1)*h*wid], x.Data[(ch*nb+i)*h*wid:(ch*nb+i+1)*h*wid])
+		}
+		y := r.Conv2DWS(ws, sample, w, b, s)
+		scatterSampleCNHW(res.Data, y.Data, oc, nb, i, oh*ow)
 		ws.Put(y)
 	}
 	ws.Put(sample)
 	return res
-}
-
-// Conv2DBatchWS implements BatchBackend for the reference backend as the
-// documented loop/copy semantics: per-sample reference convolutions
-// scattered into the CNHW layout. Values are identical to the per-sample
-// reference forward by construction.
-func (refBackend) Conv2DBatchWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor {
-	return conv2DBatchLoopWS(ws, xs, w, b, s)
-}
-
-// Conv2DBatchCNHWWS implements BatchBackend for the reference backend via
-// the gather/conv/scatter loop.
-func (refBackend) Conv2DBatchCNHWWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
-	return conv2DBatchCNHWLoopWS(ws, x, w, b, s)
-}
-
-// MatMulBatchInto implements BatchBackend for the reference backend as a
-// per-matrix loop over the scalar GEMM.
-func (refBackend) MatMulBatchInto(dst, a, b []float32, batch, m, n, k int, accumulate bool) {
-	for i := 0; i < batch; i++ {
-		gemmAxpy(dst[i*m*n:(i+1)*m*n], a[i*m*k:(i+1)*m*k], b, m, n, k, k, 1, accumulate)
-	}
 }

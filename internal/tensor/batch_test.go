@@ -3,15 +3,16 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
 // The batched-inference invariants: the packed weight layout is exactly the
 // documented quad-major interleave, every backend's batched convolutions
 // reproduce its own per-sample loop (bitwise where the backend promises it,
-// within the parity tolerance on the device micro-kernel path), results do
-// not depend on the worker count, and the device handle's resident panel
-// cache packs once, hits thereafter, and repacks exactly on version bumps.
+// within the parity tolerance on vec's micro-kernel path), results do not
+// depend on the worker count, and a weight tensor's panels pack once, are
+// reused thereafter, and repack exactly on version bumps.
 
 // TestPackedWeightsLayout pins the physical packed layout against the
 // documented addressing rule: block ib holds rows ib*4..ib*4+3; within a
@@ -19,20 +20,17 @@ import (
 // quads and at 4*k4 + (p-k4)*4 + row for the k%4 tail; rows past the end of
 // a ragged final block are zero.
 func TestPackedWeightsLayout(t *testing.T) {
-	vec, err := BackendByName("vec")
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(6007))
 	for _, sh := range []struct{ rows, k int }{
 		{1, 1}, {4, 4}, {5, 7}, {3, 9}, {8, 16}, {13, 31}, {4, 2}, {7, 5},
 	} {
 		w := New(sh.rows, sh.k)
 		fillRand(rng, w.Data)
-		pw := vec.(WeightPacker).Pack(w)
-		if pw.Rows() != sh.rows || pw.K() != sh.k || pw.Version() != w.Version() {
-			t.Fatalf("pack metadata: got rows=%d k=%d v=%d want %d/%d/%d",
-				pw.Rows(), pw.K(), pw.Version(), sh.rows, sh.k, w.Version())
+		w.BumpVersion()
+		w.packed()
+		pw := w.panels.Load()
+		if pw.version != w.Version() {
+			t.Fatalf("panels stamped version %d, tensor is at %d", pw.version, w.Version())
 		}
 		k4 := sh.k &^ 3
 		bs := packedBlockStride(sh.k)
@@ -82,7 +80,7 @@ func TestGemmAxpyPackedBitwiseVec(t *testing.T) {
 				copy(got, want)
 			}
 			vecGemmAxpy(want, a, b, m, n, k, k, 1, acc)
-			gemmAxpyPacked(got, pd, b, m, n, k, acc)
+			gemmAxpyPackedRange(got, pd, b, m, n, n, n, k, acc, 0, (m+packMR-1)/packMR)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("m=%d n=%d k=%d acc=%v element %d: packed %v != unpacked %v (must be bitwise)",
@@ -96,11 +94,11 @@ func TestGemmAxpyPackedBitwiseVec(t *testing.T) {
 // TestGemmPackedMicroMatchesAxpy checks the micro-kernel GEMM (all three
 // tile paths: 24-wide, 16-wide, axpy column tail) against the axpy packed
 // form under the reduction tolerance, including the ragged-row-block and
-// accumulate corners. Skipped where the micro-kernel is unavailable — the
-// dispatch then is the axpy form itself.
+// accumulate corners, at several worker counts. Skipped where the
+// micro-kernel is unavailable — the dispatch then is the axpy form itself.
 func TestGemmPackedMicroMatchesAxpy(t *testing.T) {
 	if !packMicroOK {
-		t.Skip("micro-kernel unavailable on this build; device batched GEMM is the axpy form")
+		t.Skip("micro-kernel unavailable on this build; the batched GEMM is the axpy form")
 	}
 	rng := rand.New(rand.NewSource(6029))
 	for _, d := range [][3]int{{4, 24, 4}, {1, 16, 3}, {5, 120, 17}, {13, 158, 31}, {96, 120, 27}, {7, 360, 513}, {32, 23, 9}} {
@@ -119,8 +117,8 @@ func TestGemmPackedMicroMatchesAxpy(t *testing.T) {
 				fillRand(rng, want)
 				copy(got, want)
 			}
-			gemmAxpyPacked(want, pd, b, m, n, k, acc)
-			gemmPackedMicro(got, pd, b, m, n, k, acc)
+			gemmAxpyPackedRange(want, pd, b, m, n, n, n, k, acc, 0, (m+packMR-1)/packMR)
+			gemmPackedMicroSub(got, pd, b, m, n, n, n, k, acc)
 			assertParity(t, fmt.Sprintf("micro m=%d n=%d k=%d acc=%v", m, n, k, acc), got, want, tol)
 		}
 	}
@@ -129,12 +127,39 @@ func TestGemmPackedMicroMatchesAxpy(t *testing.T) {
 // batchParityTol returns the comparison tolerance for one backend's batched
 // convolution against its per-sample loop: zero (bitwise) for backends that
 // promise identical accumulation order, the k-scaled reduction tolerance
-// for the device micro-kernel's sequential FMA chains.
+// for vec's micro-kernel and its sequential FMA chains.
 func batchParityTol(bk Backend, ckk int, xmax, wmax float32) float32 {
-	if bk.Name() == "device" && packMicroOK {
+	if bk.Name() == "vec" && packMicroOK {
 		return parityTol(ckk, xmax, wmax)
 	}
 	return 0
+}
+
+// conv2DBatchLoopWS is the per-sample loop the batched forms are held to:
+// each sample runs ws's backend's own Conv2DWS and lands in its CNHW slot.
+func conv2DBatchLoopWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor {
+	nb, oc := len(xs), w.Dim(0)
+	oh, ow := s.OutSize(xs[0].Dim(1), xs[0].Dim(2))
+	res := New(oc, nb, oh, ow)
+	for i, x := range xs {
+		y := Conv2DWS(ws, x, w, b, s)
+		scatterSampleCNHW(res.Data, y.Data, oc, nb, i, oh*ow)
+		ws.Put(y)
+	}
+	return res
+}
+
+// conv2DBatchCNHWLoopWS is conv2DBatchLoopWS on a CNHW activation.
+func conv2DBatchCNHWLoopWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
+	c, nb, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	xs := make([]*Tensor, nb)
+	for i := range xs {
+		xs[i] = New(c, h, wid)
+		for ch := 0; ch < c; ch++ {
+			copy(xs[i].Data[ch*h*wid:(ch+1)*h*wid], x.Data[(ch*nb+i)*h*wid:])
+		}
+	}
+	return conv2DBatchLoopWS(ws, xs, w, b, s)
 }
 
 func assertBatchClose(t *testing.T, label string, got, want []float32, tol float32) {
@@ -212,47 +237,6 @@ func TestConvBatchMatchesPerSampleLoop(t *testing.T) {
 	}
 }
 
-// TestMatMulBatchIntoParity pins every backend's fused batch GEMM to the
-// per-matrix loop, bitwise: all three implementations document identical
-// per-row accumulation.
-func TestMatMulBatchIntoParity(t *testing.T) {
-	for _, name := range Backends() {
-		bk, err := BackendByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(6043))
-			for _, d := range [][4]int{{1, 1, 1, 1}, {3, 5, 7, 4}, {2, 13, 17, 31}, {4, 8, 33, 16}} {
-				batch, m, n, k := d[0], d[1], d[2], d[3]
-				a := make([]float32, batch*m*k)
-				b := make([]float32, k*n)
-				fillRand(rng, a)
-				fillRand(rng, b)
-				for _, acc := range []bool{false, true} {
-					want := make([]float32, batch*m*n)
-					got := make([]float32, batch*m*n)
-					if acc {
-						fillRand(rng, want)
-						copy(got, want)
-					}
-					for i := 0; i < batch; i++ {
-						bk.MatMulInto(want[i*m*n:(i+1)*m*n], a[i*m*k:(i+1)*m*k], b, m, n, k, acc)
-					}
-					ws := NewWorkspace().SetBackend(bk)
-					MatMulBatchInto(ws, got, a, b, batch, m, n, k, acc)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s batch=%d m=%d n=%d k=%d acc=%v element %d: %v != %v",
-								name, batch, m, n, k, acc, i, got[i], want[i])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestConvBatchWorkerDeterminism locks the batched convolutions to one
 // bitwise result for any worker count, on every backend.
 func TestConvBatchWorkerDeterminism(t *testing.T) {
@@ -289,90 +273,140 @@ func TestConvBatchWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestDeviceBatchedWithoutMicroKernelIsVecBitwise forces the device backend
-// onto the axpy fallback (as a non-AVX build or SHADOWTUTOR_NOAVX would)
-// and checks its batched convolution is then bitwise identical to the vec
-// backend's — the documented degradation mode.
+// TestDeviceBatchedWithoutMicroKernelIsVecBitwise forces vec's batched
+// convolutions onto the axpy fallback (as a non-AVX build or
+// SHADOWTUTOR_NOAVX would) and checks they are then bitwise vec's own
+// per-sample loop — the documented degradation mode. (The name predates
+// the device backend's fold into vec.)
 func TestDeviceBatchedWithoutMicroKernelIsVecBitwise(t *testing.T) {
 	if !packMicroOK {
 		t.Skip("micro-kernel already unavailable; the main parity suite covers this mode")
 	}
 	packMicroOK = false
 	defer func() { packMicroOK = true }()
-	vec, err := BackendByName("vec")
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(6053))
 	const c, h, w, oc, nb = 3, 12, 10, 5, 3
 	x := New(c, nb, h, w)
-	wt := New(oc, c, 3, 3)
 	bias := New(oc)
 	fillRand(rng, x.Data)
-	fillRand(rng, wt.Data)
 	fillRand(rng, bias.Data)
-	want := Conv2DBatchCNHWWS(NewWorkspace().SetBackend(vec), x, wt, bias, Spec(3, 3))
-	got := Conv2DBatchCNHWWS(NewWorkspace().SetBackend(NewDevice()), x, wt, bias, Spec(3, 3))
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("element %d: device-no-micro %v != vec %v (contract is bitwise)", i, got.Data[i], want.Data[i])
-		}
+	ws := NewWorkspace().SetBackend(vecBackend{})
+	for _, spec := range []ConvSpec{Spec(3, 3), Spec(1, 1), Spec(3, 3).WithStride(2)} {
+		wt := New(oc, c, spec.KH, spec.KW)
+		fillRand(rng, wt.Data)
+		want := conv2DBatchCNHWLoopWS(ws, x, wt, bias, spec)
+		got := Conv2DBatchCNHWWS(ws, x, wt, bias, spec)
+		assertBatchClose(t, fmt.Sprintf("no-micro %+v", spec), got.Data, want.Data, 0)
 	}
 }
 
-// TestDeviceResidentPacking walks the device handle's cache life cycle:
-// first batched call packs, repeats hit, a version bump (what an optimizer
-// step or CopyFrom does) repacks exactly once, and overflowing the
-// residency bound evicts.
+// TestDeviceResidentPacking walks a weight tensor's panel life cycle under
+// vec: the first batched call packs, repeats reuse the same panels (frozen
+// weights pack exactly once), each version bump (what an optimizer step or
+// CopyFrom does) repacks exactly once, and the repacked panels compute
+// with the new contents. (The name predates the device backend's fold into
+// vec; the panels used to live in its cache.)
 func TestDeviceResidentPacking(t *testing.T) {
-	dev := NewDevice()
-	ws := NewWorkspace().SetBackend(dev)
+	vec := vecBackend{}
+	ws := NewWorkspace().SetBackend(vec)
 	rng := rand.New(rand.NewSource(6067))
 	x := New(3, 2, 8, 8)
 	w := New(4, 3, 3, 3)
 	fillRand(rng, x.Data)
 	fillRand(rng, w.Data)
-
-	ws.Put(Conv2DBatchCNHWWS(ws, x, w, nil, Spec(3, 3)))
-	st := dev.Stats()
-	if st.Packs != 1 || st.Repacks != 0 || st.Hits != 0 || st.Resident != 1 {
-		t.Fatalf("after first call: %+v, want 1 pack, 0 repacks, 0 hits, 1 resident", st)
+	if w.panels.Load() != nil {
+		t.Fatal("fresh tensor already carries panels")
+	}
+	run := func() *packedPanels {
+		ws.Put(Conv2DBatchCNHWWS(ws, x, w, nil, Spec(3, 3)))
+		return w.panels.Load()
+	}
+	first := run()
+	if first == nil || first.version != w.Version() {
+		t.Fatalf("first batched call left panels %+v for version %d", first, w.Version())
 	}
 	for i := 0; i < 3; i++ {
-		ws.Put(Conv2DBatchCNHWWS(ws, x, w, nil, Spec(3, 3)))
+		if p := run(); p != first {
+			t.Fatalf("repeat %d repacked frozen weights", i)
+		}
 	}
-	st = dev.Stats()
-	if st.Packs != 1 || st.Repacks != 0 || st.Hits != 3 {
-		t.Fatalf("after three repeats: %+v, want 1 pack, 0 repacks, 3 hits", st)
+	// Per-sample kernels never touch the panels.
+	xs := New(3, 8, 8)
+	ws.Put(Conv2DWS(ws, xs, w, nil, Spec(3, 3)))
+	if w.panels.Load() != first {
+		t.Fatal("per-sample conv replaced the panels")
 	}
 
-	// A weight update (CopyFrom bumps the version, like an optimizer step)
-	// must invalidate the resident panels exactly once.
-	w2 := New(4, 3, 3, 3)
-	fillRand(rng, w2.Data)
-	w.CopyFrom(w2)
-	ws.Put(Conv2DBatchCNHWWS(ws, x, w, nil, Spec(3, 3)))
-	st = dev.Stats()
-	if st.Packs != 1 || st.Repacks != 1 || st.Resident != 1 {
-		t.Fatalf("after version bump: %+v, want 1 pack, 1 repack, 1 resident", st)
+	prev := first
+	for bump := 0; bump < 3; bump++ {
+		w2 := New(4, 3, 3, 3)
+		fillRand(rng, w2.Data)
+		w.CopyFrom(w2) // bumps the version, like an optimizer step
+		p := run()
+		if p == prev || p.version != w.Version() {
+			t.Fatalf("bump %d: panels not rebuilt for version %d", bump, w.Version())
+		}
+		if again := run(); again != p {
+			t.Fatalf("bump %d: repacked twice for one version", bump)
+		}
+		prev = p
+		got := Conv2DBatchCNHWWS(ws, x, w, nil, Spec(3, 3))
+		want := conv2DBatchCNHWLoopWS(ws, x, w, nil, Spec(3, 3))
+		assertBatchClose(t, "post-repack", got.Data, want.Data, batchParityTol(vec, 27, 2, 2))
 	}
-	got := Conv2DBatchCNHWWS(ws, x, w, nil, Spec(3, 3))
-	want := conv2DBatchCNHWLoopWS(ws, x, w, nil, Spec(3, 3))
-	assertBatchClose(t, "post-repack", got.Data, want.Data, batchParityTol(dev, 27, 2, 2))
 
-	// Overflow the residency bound: the whole map drops, counted as
-	// evictions, and the next pack starts a fresh residency.
-	for i := 0; i < deviceMaxResident; i++ {
-		wi := New(1, 1)
-		wi.Data[0] = float32(i)
-		dev.packedFor(wi)
+	// A recycled workspace lease must not carry panels into its next life.
+	lease := ws.GetDirty(4, 3, 3, 3)
+	copy(lease.Data, w.Data)
+	ws.Put(Conv2DBatchCNHWWS(ws, x, lease, nil, Spec(3, 3)))
+	ws.Put(lease)
+	if again := ws.GetDirty(4, 3, 3, 3); again.panels.Load() != nil {
+		t.Fatal("pool recycled a tensor with its panels attached")
 	}
-	st = dev.Stats()
-	if st.Evictions == 0 {
-		t.Fatalf("residency bound never evicted: %+v", st)
+}
+
+// TestSharedFrozenWeightConcurrentBatches is the first-use publication
+// case: eight goroutines run batched convolutions against one shared,
+// never-packed weight tensor. Under -race this checks the panels pointer is
+// the only shared write; everywhere it checks every goroutine computed the
+// single-goroutine result bitwise, whichever copy of the panels it saw.
+func TestSharedFrozenWeightConcurrentBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(6071))
+	x := New(3, 4, 12, 12)
+	fillRand(rng, x.Data)
+	spec := Spec(3, 3)
+	mk := func() (*Tensor, *Tensor) {
+		w, b := New(8, 3, 3, 3), New(8)
+		r := rand.New(rand.NewSource(6073))
+		fillRand(r, w.Data)
+		fillRand(r, b.Data)
+		return w, b
 	}
-	if st.Resident > deviceMaxResident {
-		t.Fatalf("resident count %d exceeds bound %d", st.Resident, deviceMaxResident)
+	gw, gb := mk()
+	golden := Conv2DBatchCNHWWS(NewWorkspace().SetBackend(vecBackend{}), x, gw, gb, spec)
+
+	w, b := mk() // same values, panels not yet built
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := NewWorkspace().SetBackend(vecBackend{})
+			for r := 0; r < 4; r++ {
+				got := Conv2DBatchCNHWWS(ws, x, w, b, spec)
+				if !bitwiseEqual(got.Data, golden.Data) {
+					errs <- "batched conv on a shared weight diverged from the single-goroutine result"
+					return
+				}
+				ws.Put(got)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
 	}
 }
 
@@ -410,7 +444,6 @@ func FuzzBatchParity(f *testing.F) {
 			label := fmt.Sprintf("%s c=%d h=%d w=%d oc=%d nb=%d spec=%+v", name, c, h, w, oc, nb, spec)
 			assertBatchClose(t, label, got.Data, want.Data, tol)
 			ws.Put(got)
-			ws.Put(want)
 		}
 	})
 }
@@ -434,7 +467,7 @@ func BenchmarkPackedMicroGemm(b *testing.B) {
 			cd := make([]float32, sh.m*sh.n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gemmPackedMicro(cd, pd, bd, sh.m, sh.n, sh.k, false)
+				gemmPackedMicroSub(cd, pd, bd, sh.m, sh.n, sh.n, sh.n, sh.k, false)
 			}
 			flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPs")
