@@ -275,15 +275,19 @@ func BenchmarkVideoGeneration(b *testing.B) {
 func BenchmarkMultiClientThroughput(b *testing.B) {
 	for _, clients := range []int{1, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			opts := experiments.Options{Frames: 48, EvalEvery: 4, Seed: 11}
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.MultiClient(opts, clients)
+				m, err := harness.Drive("bench/multiclient", "bench", harness.Spec{
+					Workload:  "mixed",
+					Clients:   clients,
+					Frames:    48,
+					EvalEvery: 4,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(res.AggregateFPS, "agg-fps")
-				b.ReportMetric(res.MeanFPS, "client-fps")
-				b.ReportMetric(res.MeanBatch, "batch")
+				b.ReportMetric(m.AggregateFPS, "agg-fps")
+				b.ReportMetric(m.MeanClientFPS, "client-fps")
+				b.ReportMetric(m.TeacherMeanBatch, "batch")
 			}
 		})
 	}

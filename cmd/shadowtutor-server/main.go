@@ -42,8 +42,6 @@ func main() {
 		pretrain    = flag.Int("pretrain", 0, "override pre-training steps (0 = default)")
 		shards      = flag.Int("shards", 1, "shard workers in the serving fabric (1 = single session manager)")
 		maxSessions = flag.Int("max-sessions", 64, "concurrent client session cap (per shard when -shards > 1)")
-		maxBatch    = flag.Int("max-batch", 8, "max key frames per shared-teacher invocation")
-		workers     = flag.Int("batch-workers", 2, "teacher queue worker pool size")
 		resumeTTL   = flag.Duration("resume-ttl", 2*time.Minute, "how long a disconnected session stays resumable (negative disables resumption)")
 		journal     = flag.Int("journal-depth", 8, "recent student diffs journaled per session for resume replay")
 		backend     = flag.String("backend", "", "tensor compute backend for every shard's kernels (default: process default; e.g. \"vec\", \"reference\")")
@@ -103,8 +101,6 @@ func main() {
 			// their shard's batcher and must not be shared across shards.
 			Teacher:      teacher.NewOracle(1 + int64(i)),
 			MaxSessions:  *maxSessions,
-			MaxBatch:     *maxBatch,
-			BatchWorkers: *workers,
 			ResumeTTL:    *resumeTTL,
 			JournalDepth: *journal,
 			// Delta-encode checkpoints and handoff envelopes against the
@@ -200,7 +196,7 @@ func main() {
 		log.Fatalf("accept loop: %v", err)
 	}
 	// ServeListener returns once Close has begun; Close is idempotent and
-	// blocks until the drain (and teacher queue shutdown) completes.
+	// blocks until the drain completes.
 	mgr.Close()
 	st := mgr.Stats()
 	log.Printf("served %d sessions, %d key frames, mean teacher batch %.2f",

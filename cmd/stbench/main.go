@@ -12,7 +12,6 @@
 //	stbench -table 5         # a single table
 //	stbench -figure 4        # the bandwidth sweep
 //	stbench -bounds          # §4.4/§5.3 analytic bound report
-//	stbench -multiclient 16  # multi-session scaling: 1 vs N concurrent clients
 //
 // Scenario harness:
 //
@@ -20,6 +19,7 @@
 //	stbench -scenario bandwidth-sweep/8mbps-c1-raw       # one scenario
 //	stbench -scenario 'bandwidth-sweep/*' -json out.json # a family + metrics JSON
 //	stbench -scenario 'bandwidth-sweep/*,alloc/*'        # several patterns
+//	stbench -scenario 'multiclient/*'                    # multi-session scaling: 1, 4, 8 clients
 //
 // The scenario path honours -frames, -eval-every and -seed as overrides;
 // -json writes the versioned machine-readable BenchFile that cmd/benchdiff
@@ -59,7 +59,6 @@ func main() {
 		figure     = flag.Int("figure", 0, "regenerate a single figure (4); 0 = all")
 		boundsOnly = flag.Bool("bounds", false, "print only the analytic bound report")
 		ablations  = flag.Bool("ablations", false, "run the DESIGN.md ablation suite instead of the paper tables")
-		multi      = flag.Int("multiclient", 0, "run the multi-session scaling scenario with this many concurrent clients (compared against 1)")
 		pretrain   = flag.Int("pretrain", 0, "override pre-training steps (0 = default)")
 		list       = flag.Bool("list", false, "list registered harness scenarios and exit")
 		catalog    = flag.Bool("catalog", false, "regenerate docs/SCENARIOS.md from the scenario registry and exit")
@@ -148,16 +147,6 @@ func main() {
 			log.Fatalf("experiment failed: %v", err)
 		}
 		fmt.Println(t)
-	}
-
-	if *multi > 0 {
-		counts := []int{1, *multi}
-		if *multi == 1 {
-			counts = []int{1}
-		}
-		emit(experiments.MultiClientTable(opts, counts))
-		log.Printf("multi-client scenario done in %v", time.Since(start).Round(time.Second))
-		return
 	}
 
 	suite := experiments.NewSuite(opts)

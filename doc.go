@@ -84,10 +84,10 @@
 //	go run ./cmd/shadowtutor-server -loss-model uniform:0.02 -fec 8 -adaptive
 //	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -loss-model uniform:0.02 -fec 8 -adaptive
 //
-// To regenerate the paper's tables, or the multi-client scaling table:
+// To regenerate the paper's tables, or the multi-client scaling scenarios:
 //
 //	go run ./cmd/stbench -frames 600
-//	go run ./cmd/stbench -frames 200 -multiclient 16
+//	go run ./cmd/stbench -frames 200 -scenario 'multiclient/*'
 //
 // # Observability
 //

@@ -63,10 +63,8 @@ type Client struct {
 	// (one entry per processed frame), feeding p50/p99 latency metrics.
 	TrackLatency bool
 	// Telemetry, when non-nil, registers live client-side metrics on this
-	// registry: frame/key-frame/stale-frame counters, a frame-latency
-	// histogram, and the current stride gauge. The counters are shared by
-	// every client on the registry (fleet aggregates); the stride gauge is
-	// last-writer-wins across clients.
+	// registry: frame/key-frame/stale-frame counters and a frame-latency
+	// histogram, shared by every client on the registry (fleet aggregates).
 	Telemetry *telemetry.Registry
 
 	// Dial, when non-nil, makes the session resumable: after a connection
@@ -94,7 +92,6 @@ type Client struct {
 		keyFrames *telemetry.Counter
 		stale     *telemetry.Counter
 		latency   *telemetry.Histogram
-		stride    *telemetry.Gauge
 	}
 
 	baseHashOnce sync.Once
@@ -111,7 +108,6 @@ func (c *Client) bindTelemetry() {
 	c.tm.keyFrames = c.Telemetry.Counter("shadowtutor_client_key_frames_total", "Key frames offloaded to the server across all clients.")
 	c.tm.stale = c.Telemetry.Counter("shadowtutor_client_stale_frames_total", "Frames inferred on stale weights while disconnected.")
 	c.tm.latency = c.Telemetry.Histogram("shadowtutor_client_frame_seconds", "Per-frame wall time (send + infer + eval + apply).", telemetry.DurationBuckets)
-	c.tm.stride = c.Telemetry.Gauge("shadowtutor_client_stride", "Current adaptive key-frame stride (last writer wins across clients).")
 }
 
 // caps returns the capability bits and base hash this client advertises in
@@ -703,7 +699,6 @@ func (c *Client) apply(rs *runState, d transport.StudentDiff, stride *float64, u
 		*stride = clampStride(c.Cfg, *stride*d.StrideScale)
 	}
 	c.strides = append(c.strides, *stride)
-	c.tm.stride.Set(*stride)
 	*updated = true
 	return nil
 }

@@ -23,11 +23,6 @@ type Options struct {
 // DefaultOptions returns the paper-fidelity settings.
 func DefaultOptions() Options { return Options{Frames: 5000, EvalEvery: 1, Seed: 11} }
 
-// QuickOptions returns reduced settings for tests and benchmarks: the
-// qualitative shapes (orderings, ratios) are stable from a few hundred
-// frames.
-func QuickOptions() Options { return Options{Frames: 600, EvalEvery: 2, Seed: 11} }
-
 // RunKey identifies one memoised simulation run.
 type RunKey struct {
 	Stream   string // category string or named video

@@ -191,7 +191,6 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 					// behind their batcher and cannot be shared).
 					Teacher:       teacher.NewOracle(spec.Seed + 997 + int64(i)*7919),
 					MaxSessions:   perShard,
-					MaxBatch:      spec.MaxBatch,
 					EnvelopeCodec: spec.EnvelopeCodec,
 					LinkPolicy:    linkPolicy,
 				}
@@ -203,7 +202,6 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 			Base:          base,
 			Teacher:       teacher.NewOracle(spec.Seed + 997),
 			MaxSessions:   spec.Clients,
-			MaxBatch:      spec.MaxBatch,
 			EnvelopeCodec: spec.EnvelopeCodec,
 			LinkPolicy:    linkPolicy,
 			Telemetry:     reg,

@@ -45,8 +45,6 @@ type Spec struct {
 	// Policy runs ride self-describing adaptive envelopes, which the driver
 	// has every client decode.
 	Codec string
-	// MaxBatch caps the shared teacher micro-batch (default 8).
-	MaxBatch int
 	// MeasureAllocs additionally measures steady-state distill-step
 	// allocations (single-goroutine, after the run) — the PR 2 guard.
 	MeasureAllocs bool
@@ -136,9 +134,6 @@ func (s *Spec) setDefaults() {
 	}
 	if s.Seed == 0 {
 		s.Seed = 11
-	}
-	if s.MaxBatch <= 0 {
-		s.MaxBatch = 8
 	}
 	if s.Workload == "" {
 		s.Workload = "mixed"

@@ -3,9 +3,10 @@
 // transport.Conns, gives each client its own core.Distiller over a private
 // clone of the pre-trained student (per-session state, as the paper's
 // server keeps per-stream students), and funnels every session's key-frame
-// inference through one shared teacher behind a bounded, micro-batching
-// worker queue (teacher.Batcher) — the one-GPU-teacher-amortised-across-
-// many-mobile-students deployment the paper motivates in §1 and §7.
+// inference through one shared teacher behind a combining lock
+// (teacher.Batcher: key frames that arrive while the teacher is busy are
+// labelled together as its next batch) — the one-GPU-teacher-amortised-
+// across-many-mobile-students deployment the paper motivates in §1 and §7.
 //
 // The manager is additionally resilient to the mobile reality of flaky
 // links: when a session's connection drops (core.ErrConnLost), its whole
@@ -44,17 +45,12 @@ type Options struct {
 	// Base is the pre-trained student checkpoint; each session distils a
 	// private clone of it.
 	Base *nn.Student
-	// Teacher is the shared teacher; the manager wraps it in a
-	// teacher.Batcher unless it already is one.
+	// Teacher is the shared teacher; the manager puts a teacher.Batcher in
+	// front of it.
 	Teacher teacher.Teacher
 	// MaxSessions caps concurrent sessions (default 64). Further Handle
 	// calls block until a slot frees.
 	MaxSessions int
-	// BatchWorkers, MaxBatch and Linger tune the shared teacher queue; see
-	// teacher.BatcherOptions.
-	BatchWorkers int
-	MaxBatch     int
-	Linger       time.Duration
 	// DrainTimeout bounds how long Close waits for active sessions to
 	// finish before force-closing their connections (default 30s; negative
 	// waits forever). A stalled client must not be able to wedge shutdown.
@@ -145,7 +141,7 @@ type Manager struct {
 	listeners []*transport.Listener
 }
 
-// NewManager builds a Manager and starts the shared teacher queue.
+// NewManager builds a Manager around the shared teacher.
 func NewManager(opts Options) (*Manager, error) {
 	if opts.Base == nil {
 		return nil, errors.New("serve: Options.Base student required")
@@ -170,16 +166,10 @@ func NewManager(opts Options) (*Manager, error) {
 			bs.SetBackend(bk)
 		}
 	}
-	b, ok := opts.Teacher.(*teacher.Batcher)
-	if !ok {
-		b = teacher.NewBatcher(opts.Teacher, teacher.BatcherOptions{
-			Workers:   opts.BatchWorkers,
-			MaxBatch:  opts.MaxBatch,
-			Linger:    opts.Linger,
-			Telemetry: opts.Telemetry,
-			Shard:     opts.ShardIndex,
-		})
-	}
+	b := teacher.NewBatcher(opts.Teacher, teacher.BatcherOptions{
+		Telemetry: opts.Telemetry,
+		Shard:     opts.ShardIndex,
+	})
 	if opts.DrainTimeout == 0 {
 		opts.DrainTimeout = 30 * time.Second
 	}
@@ -453,9 +443,9 @@ func (m *Manager) Sessions() []SessionInfo {
 
 // Close stops accepting sessions, closes any listeners handed to
 // ServeListener, waits up to DrainTimeout for active sessions to finish
-// (then force-closes their connections), evicts every parked session, and
-// shuts the shared teacher queue down. Idempotent; concurrent callers
-// block until the first invocation completes.
+// (then force-closes their connections), and evicts every parked session.
+// Idempotent; concurrent callers block until the first invocation
+// completes.
 func (m *Manager) Close() error {
 	m.once.Do(func() {
 		close(m.quit)
@@ -492,7 +482,6 @@ func (m *Manager) Close() error {
 		if m.store != nil {
 			m.store.Close()
 		}
-		m.batcher.Close()
 	})
 	return nil
 }

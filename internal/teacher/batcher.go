@@ -1,9 +1,9 @@
 package teacher
 
 import (
+	"slices"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/video"
@@ -11,26 +11,19 @@ import (
 
 // BatchInferrer is implemented by teachers that can label a whole batch of
 // frames in one invocation. The Batcher prefers this path: one call per
-// micro-batch amortises the per-request cost of reaching the (single,
-// serialised) teacher device, which is how the paper's one-GPU Mask R-CNN
-// would be shared across many client sessions.
+// batch amortises the per-request cost of reaching the (single, serialised)
+// teacher device, which is how the paper's one-GPU Mask R-CNN would be
+// shared across many client sessions.
 type BatchInferrer interface {
 	Teacher
 	InferBatch(frames []video.Frame) [][]int32
 }
 
-// BatcherOptions tunes the shared inference queue.
+// maxBatch caps frames per teacher invocation.
+const maxBatch = 8
+
+// BatcherOptions attributes a Batcher's live metrics; it tunes nothing.
 type BatcherOptions struct {
-	// MaxBatch caps frames per teacher invocation (default 8).
-	MaxBatch int
-	// Workers bounds the goroutines executing batches (default 2). The
-	// teacher itself is serialised — one logical accelerator — so extra
-	// workers overlap result delivery and queueing, not inference.
-	Workers int
-	// Linger is how long the collector holds a non-full batch open waiting
-	// for more requests (default 200µs). Zero means "use the default";
-	// negative disables lingering entirely.
-	Linger time.Duration
 	// Telemetry, when non-nil, registers live queue metrics — depth gauge,
 	// batch-occupancy histogram, request/batch counters — labelled
 	// shard=Shard. End-of-run BatchStats are unaffected.
@@ -40,21 +33,9 @@ type BatcherOptions struct {
 	Shard int
 }
 
-func (o *BatcherOptions) setDefaults() {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 8
-	}
-	if o.Workers <= 0 {
-		o.Workers = 2
-	}
-	if o.Linger == 0 {
-		o.Linger = 200 * time.Microsecond
-	}
-}
-
 // BatchStats summarises a Batcher's lifetime activity.
 type BatchStats struct {
-	Requests int64 // frames labelled through the queue
+	Requests int64 // frames labelled through the Batcher
 	Batches  int64 // teacher invocations
 	MaxBatch int   // largest batch executed
 }
@@ -67,7 +48,7 @@ func (s BatchStats) MeanBatch() float64 {
 	return float64(s.Requests) / float64(s.Batches)
 }
 
-// Add folds another queue's stats into s and returns the sum — the
+// Add folds another batcher's stats into s and returns the sum — the
 // associative merge a sharded serving tier (internal/fabric) uses to
 // aggregate per-shard batchers. Counters sum; MaxBatch takes the max;
 // MeanBatch stays correct because it re-derives from the summed
@@ -81,38 +62,38 @@ func (s BatchStats) Add(o BatchStats) BatchStats {
 	return s
 }
 
-type batchReq struct {
+// request is one caller parked behind a busy teacher.
+type request struct {
 	frame video.Frame
-	out   chan []int32
+	mask  []int32
+	// done says why wake fired: true, mask is this frame's label; false,
+	// this caller heads the queue and must run the next batch itself.
+	done bool
+	wake chan struct{} // buffered, so the waker never waits for the sleeper
 }
 
-// Batcher funnels concurrent Infer calls from many sessions into
-// micro-batched invocations of one shared Teacher. A collector goroutine
-// gathers up to MaxBatch requests (waiting at most Linger for stragglers)
-// and hands the batch to a bounded worker pool; session handlers block in
-// Infer until their frame's mask comes back. Access to the underlying
-// teacher is serialised, modelling the paper's single teacher GPU, so the
-// queue provides fairness and backpressure rather than teacher parallelism.
+// Batcher shares one Teacher between many sessions as a combining lock. A
+// caller that finds the teacher idle labels its frame at once, on its own
+// goroutine. Callers that arrive while it is busy queue in arrival order and
+// sleep; when a batch ends, the caller at the head of the queue is woken to
+// label everything queued behind the busy teacher (at most maxBatch frames)
+// in one invocation, and wakes the rest of its batch with their masks. A
+// batch is therefore exactly the backlog of one busy period: nothing waits
+// for company when the teacher is idle, and no goroutine, timer or shutdown
+// belongs to the Batcher. Teacher access is serialised, modelling the
+// paper's single teacher GPU.
 //
 // Batcher itself implements Teacher, so it drops into core.Server unchanged.
 type Batcher struct {
-	t    Teacher
-	bi   BatchInferrer // non-nil when t supports the batch path
-	opts BatcherOptions
+	t  Teacher
+	bi BatchInferrer // non-nil when t supports the batch path
 
-	reqs    chan batchReq
-	batches chan []batchReq
-	quit    chan struct{}
-	wg      sync.WaitGroup
-	once    sync.Once
+	mu    sync.Mutex
+	busy  bool       // a caller is inside the teacher, or has been woken to enter it
+	queue []*request // callers waiting for the teacher, oldest first
+	stats BatchStats
 
-	teacherMu sync.Mutex    // serialises all underlying-teacher access
-	frames    []video.Frame // InferBatch argument buffer, guarded by teacherMu
-
-	batchPool sync.Pool // recycled []batchReq backing arrays
-
-	statMu sync.Mutex
-	stats  BatchStats
+	frames []video.Frame // InferBatch argument buffer, owned by whoever holds busy
 
 	// Live telemetry handles; nil (no-op) when Telemetry is unset.
 	tmDepth     *telemetry.Gauge
@@ -121,32 +102,18 @@ type Batcher struct {
 	tmBatches   *telemetry.Counter
 }
 
-// NewBatcher wraps t in a shared inference queue and starts its collector
-// and workers. Call Close when every session using it has finished.
+// NewBatcher wraps t. It starts nothing and needs no shutdown.
 func NewBatcher(t Teacher, opts BatcherOptions) *Batcher {
-	opts.setDefaults()
-	b := &Batcher{
-		t:       t,
-		opts:    opts,
-		reqs:    make(chan batchReq, 4*opts.MaxBatch),
-		batches: make(chan []batchReq, opts.Workers),
-		quit:    make(chan struct{}),
-	}
+	b := &Batcher{t: t}
 	if bi, ok := t.(BatchInferrer); ok {
 		b.bi = bi
 	}
 	if reg := opts.Telemetry; reg != nil {
 		l := telemetry.L("shard", strconv.Itoa(opts.Shard))
-		b.tmDepth = reg.Gauge("shadowtutor_teacher_queue_depth", "Inference requests enqueued or batched but not yet executed.", l)
+		b.tmDepth = reg.Gauge("shadowtutor_teacher_queue_depth", "Inference requests waiting for or inside the teacher.", l)
 		b.tmOccupancy = reg.Histogram("shadowtutor_teacher_batch_size", "Frames per teacher invocation.", telemetry.SizeBuckets, l)
-		b.tmRequests = reg.Counter("shadowtutor_teacher_requests_total", "Frames labelled through the queue.", l)
+		b.tmRequests = reg.Counter("shadowtutor_teacher_requests_total", "Frames labelled through the batcher.", l)
 		b.tmBatches = reg.Counter("shadowtutor_teacher_batches_total", "Teacher invocations.", l)
-	}
-	b.wg.Add(1)
-	go b.collect()
-	for i := 0; i < opts.Workers; i++ {
-		b.wg.Add(1)
-		go b.worker()
 	}
 	return b
 }
@@ -163,175 +130,92 @@ func (b *Batcher) RequiresLabel() bool {
 	return false
 }
 
-// Infer implements Teacher: it enqueues the frame and blocks until the
-// shared teacher has labelled its batch. Safe for any number of concurrent
-// callers. After Close it falls back to a direct (still serialised) call so
-// stragglers never deadlock.
+// Infer implements Teacher: it returns the shared teacher's mask for f,
+// labelled alone if the teacher is idle and with the rest of the backlog
+// otherwise. Safe for any number of concurrent callers.
 func (b *Batcher) Infer(f video.Frame) []int32 {
-	r := batchReq{frame: f, out: make(chan []int32, 1)}
-	select {
-	case b.reqs <- r:
-		// The matching decrement is in run(): every request that entered
-		// the queue is eventually executed there (the shutdown drain
-		// included), even when this caller races to the direct path.
-		b.tmDepth.Add(1)
-		select {
-		case mask := <-r.out:
-			return mask
-		case <-b.quit:
-			// Shutdown raced our enqueue; the collector drains the queue
-			// before exiting, so the result may still arrive.
-			select {
-			case mask := <-r.out:
-				return mask
-			default:
-				return b.direct(f)
-			}
-		}
-	case <-b.quit:
-		return b.direct(f)
-	}
-}
-
-// direct labels one frame bypassing the queue (used only around shutdown).
-func (b *Batcher) direct(f video.Frame) []int32 {
-	b.teacherMu.Lock()
-	defer b.teacherMu.Unlock()
-	return b.t.Infer(f)
-}
-
-// Stats returns a snapshot of queue activity.
-func (b *Batcher) Stats() BatchStats {
-	b.statMu.Lock()
-	defer b.statMu.Unlock()
-	return b.stats
-}
-
-// Close stops the collector and workers, serving any requests already
-// queued. It is idempotent. Sessions should have finished (or be failing
-// over to the direct path) by the time it is called.
-func (b *Batcher) Close() {
-	b.once.Do(func() { close(b.quit) })
-	b.wg.Wait()
-}
-
-// collect gathers requests into micro-batches.
-func (b *Batcher) collect() {
-	defer b.wg.Done()
-	defer close(b.batches)
-	for {
-		var first batchReq
-		select {
-		case first = <-b.reqs:
-		case <-b.quit:
-			b.drain()
-			return
-		}
-		batch := append(b.leaseBatch(), first)
-		if b.opts.Linger > 0 {
-			timer := time.NewTimer(b.opts.Linger)
-		fill:
-			for len(batch) < b.opts.MaxBatch {
-				select {
-				case r := <-b.reqs:
-					batch = append(batch, r)
-				case <-timer.C:
-					break fill
-				case <-b.quit:
-					break fill
-				}
-			}
-			timer.Stop()
-		} else {
-			// No linger: take only what is already queued.
-			for len(batch) < b.opts.MaxBatch {
-				select {
-				case r := <-b.reqs:
-					batch = append(batch, r)
-				default:
-					goto dispatch
-				}
-			}
-		}
-	dispatch:
-		select {
-		case b.batches <- batch:
-		case <-b.quit:
-			b.run(batch) // serve in-line during shutdown
-			b.drain()
-			return
-		}
-	}
-}
-
-// drain serves whatever is still queued at shutdown so no Infer caller is
-// left blocked.
-func (b *Batcher) drain() {
-	for {
-		select {
-		case r := <-b.reqs:
-			b.run([]batchReq{r})
-		default:
-			return
-		}
-	}
-}
-
-func (b *Batcher) worker() {
-	defer b.wg.Done()
-	for batch := range b.batches {
-		b.run(batch)
-	}
-}
-
-// leaseBatch returns an empty request slice with MaxBatch capacity, reusing
-// a recycled backing array when one is available.
-func (b *Batcher) leaseBatch() []batchReq {
-	if v := b.batchPool.Get(); v != nil {
-		return v.([]batchReq)[:0]
-	}
-	return make([]batchReq, 0, b.opts.MaxBatch)
-}
-
-// run executes one micro-batch against the shared teacher and delivers the
-// masks. The batch slice is recycled afterwards; the masks themselves are
-// teacher-owned fresh copies that escape to the requesting sessions.
-func (b *Batcher) run(batch []batchReq) {
-	b.teacherMu.Lock()
-	var masks [][]int32
-	if b.bi != nil {
-		frames := b.frames[:0]
-		for _, r := range batch {
-			frames = append(frames, r.frame)
-		}
-		masks = b.bi.InferBatch(frames)
-		clear(frames) // drop frame-image references; keep only capacity
-		b.frames = frames[:0]
+	r := &request{frame: f}
+	var batch [maxBatch]*request
+	n := 1
+	b.mu.Lock()
+	// Counted before any runner can see the request, so the gauge never
+	// reads below zero.
+	b.tmDepth.Add(1)
+	if !b.busy {
+		b.busy = true
+		b.mu.Unlock()
+		batch[0] = r
 	} else {
-		masks = make([][]int32, len(batch))
-		for i, r := range batch {
-			masks[i] = b.t.Infer(r.frame)
+		r.wake = make(chan struct{}, 1)
+		b.queue = append(b.queue, r)
+		b.mu.Unlock()
+		<-r.wake
+		if r.done {
+			return r.mask
 		}
+		// r heads the queue and busy is still set on its behalf: the batch
+		// is what piled up behind the last one, r's own frame first.
+		b.mu.Lock()
+		n = copy(batch[:], b.queue)
+		// Delete shifts the rest down and zeroes the tail: no frame stays pinned.
+		b.queue = slices.Delete(b.queue, 0, n)
+		b.mu.Unlock()
 	}
-	b.teacherMu.Unlock()
 
-	b.statMu.Lock()
-	b.stats.Requests += int64(len(batch))
-	b.stats.Batches++
-	if len(batch) > b.stats.MaxBatch {
-		b.stats.MaxBatch = len(batch)
+	b.label(batch[:n])
+	for _, q := range batch[1:n] {
+		q.done = true
+		q.wake <- struct{}{}
 	}
-	b.statMu.Unlock()
-	b.tmDepth.Add(float64(-len(batch)))
-	b.tmOccupancy.Observe(float64(len(batch)))
-	b.tmRequests.Add(int64(len(batch)))
+	b.tmDepth.Add(float64(-n))
+	b.tmOccupancy.Observe(float64(n))
+	b.tmRequests.Add(int64(n))
 	b.tmBatches.Inc()
 
-	for i, r := range batch {
-		r.out <- masks[i]
+	// Pass the teacher on: to the caller now heading the queue if there is
+	// one (busy stays set, so nobody overtakes it), else back to idle.
+	var next *request
+	b.mu.Lock()
+	b.stats.Requests += int64(n)
+	b.stats.Batches++
+	if n > b.stats.MaxBatch {
+		b.stats.MaxBatch = n
 	}
-	if cap(batch) >= b.opts.MaxBatch {
-		clear(batch) // don't pin frames/channels from the pooled backing array
-		b.batchPool.Put(batch[:0])
+	if len(b.queue) > 0 {
+		next = b.queue[0]
+	} else {
+		b.busy = false
 	}
+	b.mu.Unlock()
+	if next != nil {
+		next.wake <- struct{}{}
+	}
+	return r.mask
+}
+
+// label runs one teacher invocation over batch and stores each frame's
+// mask in its request. The caller holds busy.
+func (b *Batcher) label(batch []*request) {
+	if b.bi == nil {
+		for _, q := range batch {
+			q.mask = b.t.Infer(q.frame)
+		}
+		return
+	}
+	b.frames = b.frames[:0]
+	for _, q := range batch {
+		b.frames = append(b.frames, q.frame)
+	}
+	masks := b.bi.InferBatch(b.frames)
+	clear(b.frames) // drop frame-image references; keep only capacity
+	for i, q := range batch {
+		q.mask = masks[i]
+	}
+}
+
+// Stats returns a snapshot of the Batcher's activity.
+func (b *Batcher) Stats() BatchStats {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.stats
 }

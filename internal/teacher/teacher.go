@@ -59,7 +59,8 @@ func (o *Oracle) Name() string { return "oracle" }
 // LabelRequirer is implemented by teachers whose pseudo-label derivation
 // needs the wire ground-truth side-channel. Servers probe it at the
 // protocol boundary so a label-less key frame is rejected as a session
-// error instead of panicking Infer in a shared worker goroutine.
+// error instead of panicking Infer on whichever session's goroutine is
+// labelling the batch it rode in.
 type LabelRequirer interface {
 	RequiresLabel() bool
 }
@@ -142,7 +143,7 @@ func (o *Oracle) Infer(f video.Frame) []int32 {
 // InferBatch implements BatchInferrer: it labels the frames sequentially in
 // one invocation, which is what a single shared device does with a batch
 // (the oracle has no tensor-level batching to exploit, but one call per
-// micro-batch amortises the Batcher's serialisation cost).
+// batch amortises the Batcher's hand-over cost).
 func (o *Oracle) InferBatch(frames []video.Frame) [][]int32 {
 	out := make([][]int32, len(frames))
 	for i, f := range frames {
@@ -225,12 +226,4 @@ func (t *CNNTeacher) InferBatch(frames []video.Frame) [][]int32 {
 		out[i] = append([]int32(nil), m...)
 	}
 	return out
-}
-
-// Logits exposes raw teacher logits, used when distilling with soft targets.
-// The returned tensor is a caller-owned copy (the network's own logits
-// buffer is recycled on its next inference).
-func (t *CNNTeacher) Logits(img *tensor.Tensor) *tensor.Tensor {
-	_, logits := t.Net.Infer(img)
-	return logits.Clone()
 }
