@@ -20,27 +20,20 @@ import (
 // additionally gates distill_allocs_per_step through the scenario harness
 // (alloc/distill-step vs ci/bench_baseline.json).
 //
-// The remaining steady-state allocations are the per-Parallel-invocation
-// job + closure pair and the per-op backward closures of the training tape;
-// every tensor on these paths is a workspace lease.
-// Budgets are per compute backend: the vec backend's transposed-lowering
-// conv runs two parallel loops per conv (lowering + GEMM) instead of the
-// reference backend's single fused loop, which costs one pooled-closure
-// allocation per conv — bounded and size-independent, so it gets its own
-// slightly larger distill budgets rather than slack in the shared ones.
+// No kernel allocates: every tensor on these paths is a workspace lease and
+// no loop builds a closure, so the two backends cost the same. What remains
+// is the per-op backward closures of the training tape and the handful of
+// result values an inference returns.
 //
-// The partial budgets sit below what a partial Train call allocated while
-// every pass re-ran the frozen stages (208 reference, 304 vec, against 171
-// and 229 now that Student.Prefix runs them once): losing the prefix reuse
-// fails them. prefixAllocBudget is exact, not padded: Prefix itself — tape,
-// context, activations — allocates nothing in steady state, and what
-// remains is one Parallel closure per loop of each of the 19 convolutions
-// in in1…SB4 (one loop on reference, two on vec).
-var (
-	inferAllocBudget          = map[string]float64{"reference": 90, "vec": 90}
-	distillPartialAllocBudget = map[string]float64{"reference": 200, "vec": 260}
-	distillFullAllocBudget    = map[string]float64{"reference": 460, "vec": 500}
-	prefixAllocBudget         = map[string]float64{"reference": 19, "vec": 38}
+// The partial budget sits far below what a partial Train call allocated
+// while every pass re-ran the frozen stages: losing the prefix reuse fails
+// it. The prefix budget is zero and exact: Prefix itself — tape, context,
+// activations, the nineteen convolutions of in1…SB4 — allocates nothing in
+// steady state.
+const (
+	inferAllocBudget          = 9   // measured 6
+	distillPartialAllocBudget = 75  // measured 50
+	distillFullAllocBudget    = 145 // measured 97
 )
 
 // allocStudent builds a small-but-real student and one frame without
@@ -78,7 +71,6 @@ func skipUnderRace(t *testing.T) {
 
 func TestAllocBudgetStudentInference(t *testing.T) {
 	skipUnderRace(t)
-	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	for _, name := range tensor.Backends() {
 		t.Run(name, func(t *testing.T) {
 			bk, err := tensor.BackendByName(name)
@@ -88,23 +80,18 @@ func TestAllocBudgetStudentInference(t *testing.T) {
 			s, frame := allocStudent(t)
 			s.SetBackend(bk)
 			got := measureAllocs(func() { s.Infer(frame.Image) })
-			budget := inferAllocBudget[name]
-			t.Logf("student inference (%s): %.0f allocs/op (budget %.0f, pre-PR baseline 1062)", name, got, budget)
-			if budget == 0 {
-				t.Fatalf("no inference allocation budget declared for backend %q", name)
-			}
-			if got > budget {
-				t.Fatalf("student inference (%s) allocates %.0f/op, budget %.0f — the zero-allocation hot path regressed", name, got, budget)
+			t.Logf("student inference (%s): %.0f allocs/op (budget %d, pre-PR baseline 1062)", name, got, inferAllocBudget)
+			if got > inferAllocBudget {
+				t.Fatalf("student inference (%s) allocates %.0f/op, budget %d — the zero-allocation hot path regressed", name, got, inferAllocBudget)
 			}
 		})
 	}
 }
 
 // TestAllocBudgetStudentPrefix pins the once-per-key-frame pass over the
-// frozen stages to the convolution kernels' own closures.
+// frozen stages to zero allocations.
 func TestAllocBudgetStudentPrefix(t *testing.T) {
 	skipUnderRace(t)
-	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	for _, name := range tensor.Backends() {
 		t.Run(name, func(t *testing.T) {
 			bk, err := tensor.BackendByName(name)
@@ -114,13 +101,8 @@ func TestAllocBudgetStudentPrefix(t *testing.T) {
 			s, frame := allocStudent(t)
 			s.SetBackend(bk)
 			s.SetPartial(true)
-			got := measureAllocs(func() { s.Prefix(frame.Image) })
-			budget, ok := prefixAllocBudget[name]
-			if !ok {
-				t.Fatalf("no prefix allocation budget declared for backend %q", name)
-			}
-			if got > budget {
-				t.Fatalf("student prefix (%s) allocates %.0f/op, budget %.0f — Prefix must add nothing to its convolutions' closures", name, got, budget)
+			if got := measureAllocs(func() { s.Prefix(frame.Image) }); got != 0 {
+				t.Fatalf("student prefix (%s) allocates %.0f/op; Prefix and its convolutions must be allocation-free", name, got)
 			}
 		})
 	}
@@ -129,13 +111,11 @@ func TestAllocBudgetStudentPrefix(t *testing.T) {
 // TestAllocBudgetTeacherInferBatch pins the batched serving path all the
 // way to zero under vec, the default backend (named, so the CI matrix's
 // SHADOWTUTOR_BACKEND=reference leg still tests it): once the workspace
-// pool is warm and the weights carry their packed panels, a steady-state
-// InferBatch must not allocate at all — every batched kernel reads
-// resident panels into pooled scratch, and the mask buffers are recycled
-// across calls.
+// pool is warm a steady-state InferBatch must not allocate at all — every
+// kernel packs its weight, lowers its columns and writes its result into
+// pooled leases, and the mask buffers are recycled across calls.
 func TestAllocBudgetTeacherInferBatch(t *testing.T) {
 	skipUnderRace(t)
-	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	vec, err := tensor.BackendByName("vec")
 	if err != nil {
 		t.Fatal(err)
@@ -147,18 +127,17 @@ func TestAllocBudgetTeacherInferBatch(t *testing.T) {
 		imgs[i] = frame.Image
 	}
 	if got := measureAllocs(func() { s.InferBatch(imgs) }); got != 0 {
-		t.Fatalf("batched inference allocates %.0f/op after warm-up; the resident-panel path must be allocation-free", got)
+		t.Fatalf("batched inference allocates %.0f/op after warm-up; the per-call pack must come from the workspace", got)
 	}
 }
 
 func TestAllocBudgetDistillStep(t *testing.T) {
 	skipUnderRace(t)
-	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	for _, backend := range tensor.Backends() {
 		for _, mode := range []struct {
 			name    string
 			partial bool
-			budgets map[string]float64
+			budget  float64
 		}{
 			{"partial", true, distillPartialAllocBudget},
 			{"full", false, distillFullAllocBudget},
@@ -171,15 +150,11 @@ func TestAllocBudgetDistillStep(t *testing.T) {
 				cfg.MaxUpdates = 1
 				s, frame := allocStudent(t)
 				dist := core.NewDistiller(cfg, s)
-				budget := mode.budgets[backend]
 				got := measureAllocs(func() { dist.Train(frame, frame.Label) })
-				t.Logf("distill step (%s/%s): %.0f allocs/op (budget %.0f)", backend, mode.name, got, budget)
-				if budget == 0 {
-					t.Fatalf("no %s distill allocation budget declared for backend %q", mode.name, backend)
-				}
-				if got > budget {
+				t.Logf("distill step (%s/%s): %.0f allocs/op (budget %.0f)", backend, mode.name, got, mode.budget)
+				if got > mode.budget {
 					t.Fatalf("distill step (%s/%s) allocates %.0f/op, budget %.0f — the zero-allocation hot path regressed",
-						backend, mode.name, got, budget)
+						backend, mode.name, got, mode.budget)
 				}
 			})
 		}

@@ -228,9 +228,9 @@ func BenchmarkStudentInference(b *testing.B) {
 }
 
 // BenchmarkTeacherInferBatch measures the CNN teacher's fused batched
-// forward on the default backend's resident packed panels at batch 1 vs 16 —
-// the per-frame cost the batched serving path pays, against which the
-// backend/teacher-batched scenario gates its ≥2x contract.
+// forward on the default backend at batch 1 vs 16 — the per-frame cost the
+// batched serving path pays, which the backend/teacher-batched scenario
+// holds against the per-frame loop's.
 func BenchmarkTeacherInferBatch(b *testing.B) {
 	gen, err := video.NewGenerator(video.CategoryConfig(video.Category{Camera: video.Moving, Scenery: video.Street}, 29))
 	if err != nil {
@@ -244,7 +244,7 @@ func BenchmarkTeacherInferBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			tch := teacher.NewCNNTeacher(31)
 			batchFrames := frames[:batch]
-			tch.InferBatch(batchFrames) // warm-up: pools + packed panels
+			tch.InferBatch(batchFrames) // warm-up: pools
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tch.InferBatch(batchFrames)

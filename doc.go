@@ -118,9 +118,10 @@
 // All tensor math routes through one of two compute backends
 // (tensor.Backend): "reference" is the scalar semantic oracle, "vec" (the
 // default) is the register-blocked backend with AVX2+FMA kernels and a
-// portable fallback — a ≈3x distill-step speedup on one core — whose
-// batched convolutions (the CNN teacher's InferBatch) run a micro-kernel
-// over packed panels each weight tensor carries for itself. Select per
+// portable fallback, whose convolution forward — one sample or a batch,
+// student or teacher — is one micro-kernel GEMM over weight panels packed
+// per call into pooled scratch. Kernels run on the calling goroutine: a
+// session is the unit of parallelism. Select per
 // process with -backend on the server and stbench, or per environment with
 // SHADOWTUTOR_BACKEND; SHADOWTUTOR_NOAVX=1 forces vec's portable kernels:
 //

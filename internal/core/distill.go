@@ -29,7 +29,6 @@ type Distiller struct {
 	// calls so a steady-state distillation step allocates almost nothing.
 	trainCtx   *nn.ForwardCtx
 	gradBuf    *tensor.Tensor
-	lossBuf    []float64
 	weightsBuf []float32
 	optBuf     []optim.Param
 	evalCM     *metrics.ConfusionMatrix
@@ -112,9 +111,6 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 	if d.trainCtx == nil {
 		d.trainCtx = nn.NewForwardCtxWS(true, tensor.NewWorkspace().SetBackend(d.backend))
 	}
-	if n := loss.ScratchLen(h * w); len(d.lossBuf) < n {
-		d.lossBuf = make([]float64, n)
-	}
 	start := time.Now()
 	for i := 0; i < d.Cfg.MaxUpdates; i++ {
 		fc := d.trainCtx
@@ -123,7 +119,7 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 		if d.gradBuf == nil || !tensor.ShapeEq(d.gradBuf.Shape(), out.Value.Shape()) {
 			d.gradBuf = tensor.New(out.Value.Shape()...)
 		}
-		loss.SoftmaxCrossEntropyInto(d.gradBuf, out.Value, label, weights, d.lossBuf)
+		loss.SoftmaxCrossEntropyInto(d.gradBuf, out.Value, label, weights)
 		fc.Tape.Backward(out, d.gradBuf)
 		d.optBuf = d.Student.Params.AppendOptimParams(d.optBuf[:0], fc.Vars)
 		if d.Cfg.GradClipNorm > 0 {

@@ -154,7 +154,11 @@ func runChaosWithBaseline(spec Spec) ([]Metrics, error) {
 // The chaos catalogue. chaos/drop-midstream is the bench-gate scenario:
 // its acceptance contract (2 reconnects, ≤1 full resend, mIoU within a few
 // percentage points of the clean twin) is asserted by TestChaosDropMidstream
-// and gated in CI via ci/bench_baseline.json.
+// and gated in CI via ci/bench_baseline.json. Its client is handed a frame
+// every 4 ms at most: an outage is ≈ 24 ms of wall clock whatever the
+// kernels cost, the run's mIoU is a step function of how many frames each
+// outage spans (which frame the replayed diff and the next key frame land
+// on), and the live bound was written when a frame took ≈ 3.8 ms.
 func init() {
 	Register(Scenario{
 		Name: "chaos/drop-midstream",
@@ -163,6 +167,7 @@ func init() {
 			Workload:      "drone",
 			Clients:       1,
 			Frames:        220,
+			FrameInterval: 4 * time.Millisecond,
 			ChaosCuts:     dropMidstreamCuts(),
 			EnvelopeCodec: "delta+int8",
 		},

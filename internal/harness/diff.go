@@ -99,21 +99,26 @@ var DefaultChecks = map[string]Check{
 	// Compute-backend metrics (backend/speedup): vec's distill step against
 	// the scalar reference's on the same key frames. The gate is relative,
 	// not the "≥3×" PR 6 announced: it trips below 0.75× the ratio in the
-	// committed baseline (ci/bench_baseline.json; 3.6× on the 2-core box
-	// that wrote it, so a floor near 2.7×). Losing the AVX kernels or the
-	// transposed conv lowering drops the ratio to ~1× and trips
-	// immediately. The absolute reference-side latency is machine-speed
-	// noise, so it only notes drift.
+	// committed baseline (ci/bench_baseline.json; 4.9× on the 2-core box
+	// that wrote it, so a floor near 3.7×). Losing the AVX kernels, the
+	// packed micro-kernel forward or the transposed conv lowering drops the
+	// ratio toward 1× and trips immediately. The absolute reference-side
+	// latency is machine-speed noise, so it only notes drift.
 	"extra.distill_speedup_x":         {HigherBetter, 0.25},
 	"extra.reference_distill_step_ms": {Informational, 0},
 
 	// Batched teacher (backend/teacher-batched): a fused batch-16 teacher
-	// forward over the weights' packed panels against the per-frame loop,
-	// both on vec. Relative like the gate above: it trips below 0.75× the
-	// committed baseline's ratio (1.9× there, so a floor near 1.4× — not
-	// the "≥2×" PR 10 announced). Losing the packed panels, the
-	// micro-kernel or the fused CNHW lowering collapses the ratio toward
-	// 1× and trips immediately. The absolute per-frame latencies are
+	// forward against the per-frame loop, both on vec — and, since the
+	// per-sample convolution became a batch of one, both on the same
+	// micro-kernel. What the ratio measures is what fusing a batch's layers
+	// saves (1.13× in the committed baseline; 1.20× and 1.38× on two more
+	// runs of the box that wrote it), not a kernel difference, and what the
+	// gate enforces — 0.75× that ratio — is a floor near 0.85×: a batched
+	// frame may cost up to about 15 % more than a looped one before it
+	// trips, which a batched path that falls off the shared kernel or
+	// starts round-tripping batch-sized buffers through DRAM does. Losing the micro-kernel altogether
+	// slows both sides alike and is caught by extra.distill_speedup_x
+	// above, which it moves. The absolute per-frame latencies are
 	// machine-speed noise, and the batch size is part of the scenario
 	// definition.
 	"extra.teacher_batch_speedup_x": {HigherBetter, 0.25},

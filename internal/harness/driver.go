@@ -90,6 +90,23 @@ func packetOptions(spec Spec, seed int64, totals *netsim.LinkTotals) (netsim.Pac
 	return netsim.PacketOptions{FECGroup: spec.FECGroup, Loss: loss, Impair: im, Totals: totals}, nil
 }
 
+// pacedSource hands out its source's frames at least every apart
+// (Spec.FrameInterval). Closed loop: the interval runs from the previous
+// hand-out, so a client that stalled is not owed a burst afterwards.
+type pacedSource struct {
+	src   video.Source
+	every time.Duration
+	next  time.Time
+}
+
+func (p *pacedSource) Next() video.Frame {
+	if d := time.Until(p.next); d > 0 {
+		time.Sleep(d)
+	}
+	p.next = time.Now().Add(p.every)
+	return p.src.Next()
+}
+
 // clientDialer returns the dial function of one client: loopback TCP,
 // optionally fault-scripted (chaos), then throttled or trace-shaped, with
 // the packet layer innermost when the spec activates it (pseed keys this
@@ -338,7 +355,11 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 				cl.Dial = dial
 				cl.MaxResumeAttempts = 120
 			}
-			errs[c] = cl.Run(conn, gen, spec.Frames)
+			var src video.Source = gen
+			if spec.FrameInterval > 0 {
+				src = &pacedSource{src: gen, every: spec.FrameInterval}
+			}
+			errs[c] = cl.Run(conn, src, spec.Frames)
 			clients[c] = cl
 		}(c)
 	}

@@ -59,6 +59,13 @@ type Spec struct {
 	// (midDiffCut) leave the client provably behind, forcing a real journal
 	// replay rather than an empty one.
 	ChaosCuts []netsim.Fault
+	// FrameInterval is the least time between two frames a client is handed
+	// (closed loop: measured from when the previous frame was handed out);
+	// zero leaves clients free-running. An outage lasts a wall-clock
+	// constant (redial backoff + resume handshake), so a chaos scenario that
+	// bounds what an outage costs sets this to keep the outage the same
+	// number of stale frames on every host fast enough to hold the interval.
+	FrameInterval time.Duration
 	// Shards runs the serving tier as a fabric.Router over this many shard
 	// workers instead of one serve.Manager (0 or 1 keeps the single-shard
 	// path). The fleet/* families exercise it.

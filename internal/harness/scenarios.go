@@ -158,7 +158,7 @@ func init() {
 	})
 	Register(Scenario{
 		Name: "backend/teacher-batched",
-		Desc: "fused batch-16 teacher inference on the default backend's packed panels vs the per-frame loop",
+		Desc: "fused batch-16 teacher inference vs the per-frame loop on the same micro-kernel",
 		Spec: Spec{Workload: "moving/street", Backend: "vec"},
 		Run:  runTeacherBatchSpeedup,
 	})
@@ -197,8 +197,7 @@ func runBackendSpeedup(spec Spec) ([]Metrics, error) {
 }
 
 // runTeacherBatchSpeedup times the CNN teacher's fused batch-16 forward
-// over its weights' packed panels against the per-frame Infer loop on the
-// same frames; the bench gate holds the ratio to 0.75x the committed
+// against the per-frame Infer loop on the same frames; the bench gate holds the ratio to 0.75x the committed
 // baseline's via the extra.teacher_batch_speedup_x check.
 func runTeacherBatchSpeedup(spec Spec) ([]Metrics, error) {
 	const batch = 16

@@ -17,9 +17,8 @@ import (
 // the per-round minimum estimates intrinsic cost with far less variance
 // than the mean — and applies to both sides alike, keeping the ratio fair).
 // It follows the warm-up-then-measure protocol of DistillStepMS: the
-// warm-up rounds size the workspace pools and pack the frozen teacher
-// weights' panels, so the measurement sees the steady serving state where
-// no batched kernel packs.
+// warm-up rounds size the workspace pools, so the measurement sees the
+// steady serving state where no kernel allocates.
 func TeacherBatchSpeedup(spec Spec, batch int) (loopMS, fusedMS float64, err error) {
 	spec.setDefaults()
 	bk, err := tensor.BackendByName(spec.Backend)
@@ -42,7 +41,7 @@ func TeacherBatchSpeedup(spec Spec, batch int) (loopMS, fusedMS float64, err err
 		frames[i] = gen.Next()
 	}
 
-	for i := 0; i < 2; i++ { // warm-up: pools, packed panels, branch predictors
+	for i := 0; i < 2; i++ { // warm-up: pools, branch predictors
 		tch.InferBatch(frames)
 		tch.Infer(frames[0])
 	}

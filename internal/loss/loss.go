@@ -64,34 +64,21 @@ func PixelWeightsInto(dst []float32, label []int32, h, w int) []float32 {
 // uniform weighting. The gradient tensor has the logits' shape.
 func SoftmaxCrossEntropy(logits *tensor.Tensor, label []int32, weights []float32) (lossVal float64, grad *tensor.Tensor) {
 	grad = tensor.New(logits.Shape()...)
-	lossVal = SoftmaxCrossEntropyInto(grad, logits, label, weights, nil)
+	lossVal = SoftmaxCrossEntropyInto(grad, logits, label, weights)
 	return lossVal, grad
 }
 
-// lossChunk is the pixel range one parallel task of SoftmaxCrossEntropyInto
-// covers. Task boundaries depend on it and on H·W alone — never on the
-// worker count — and the tasks' partial losses are added in task order, so
-// the returned loss is the same on every machine.
-const lossChunk = 512
-
 // maxStackClasses bounds the class count whose per-pixel softmax scratch
-// lives on a task's stack; wider logits allocate it per task.
+// lives on the stack; wider logits allocate it per call.
 const maxStackClasses = 32
 
-// ScratchLen returns the scratch length SoftmaxCrossEntropyInto needs for
-// logits of hw pixels: one partial loss per task.
-func ScratchLen(hw int) int { return (hw + lossChunk - 1) / lossChunk }
-
 // SoftmaxCrossEntropyInto is SoftmaxCrossEntropy writing the logit gradient
-// into grad (same shape as logits, every element overwritten). scratch is
-// optional, of length ≥ ScratchLen(H·W); pass a retained buffer to avoid
-// per-step allocation.
+// into grad (same shape as logits, every element overwritten).
 //
-// The H·W·C exponentials run on tensor.Parallel over fixed pixel ranges.
 // The total weight every gradient is divided by, and the label range check,
-// are taken in a serial pass first, so each pixel's gradient is computed
-// from the same operands in the same order whatever the worker count.
-func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, label []int32, weights []float32, scratch []float64) float64 {
+// are taken in a first pass, so each pixel's gradient is written once,
+// already scaled.
+func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, label []int32, weights []float32) float64 {
 	c, h, w := logits.Dim(0), logits.Dim(1), logits.Dim(2)
 	hw := h * w
 	if len(label) != hw {
@@ -119,57 +106,43 @@ func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, label []int32, weights
 	if totalWeight != 0 {
 		inv = float32(1 / totalWeight)
 	}
-	tasks := ScratchLen(hw)
-	if cap(scratch) < tasks {
-		scratch = make([]float64, tasks)
+	var stack [maxStackClasses]float64
+	probs := stack[:]
+	if c > maxStackClasses {
+		probs = make([]float64, c)
 	}
-	partial := scratch[:tasks]
-	tensor.Parallel(tasks, 1, func(lo, hi int) {
-		var stack [maxStackClasses]float64
-		probs := stack[:]
-		if c > maxStackClasses {
-			probs = make([]float64, c)
-		}
-		probs = probs[:c]
-		for task := lo; task < hi; task++ {
-			var taskLoss float64
-			for p := task * lossChunk; p < min(hw, (task+1)*lossChunk); p++ {
-				// stable softmax over channels at pixel p
-				m := float64(logits.Data[p])
-				for ch := 1; ch < c; ch++ {
-					if v := float64(logits.Data[ch*hw+p]); v > m {
-						m = v
-					}
-				}
-				var z float64
-				for ch := 0; ch < c; ch++ {
-					e := math.Exp(float64(logits.Data[ch*hw+p]) - m)
-					probs[ch] = e
-					z += e
-				}
-				wt := 1.0
-				if weights != nil {
-					wt = float64(weights[p])
-				}
-				lbl := int(label[p])
-				taskLoss += -wt * math.Log(probs[lbl]/z+1e-12)
-				for ch := 0; ch < c; ch++ {
-					g := probs[ch] / z
-					if ch == lbl {
-						g -= 1
-					}
-					grad.Data[ch*hw+p] = float32(wt*g) * inv
-				}
+	probs = probs[:c]
+	var totalLoss float64
+	for p := 0; p < hw; p++ {
+		// stable softmax over channels at pixel p
+		m := float64(logits.Data[p])
+		for ch := 1; ch < c; ch++ {
+			if v := float64(logits.Data[ch*hw+p]); v > m {
+				m = v
 			}
-			partial[task] = taskLoss
 		}
-	})
+		var z float64
+		for ch := 0; ch < c; ch++ {
+			e := math.Exp(float64(logits.Data[ch*hw+p]) - m)
+			probs[ch] = e
+			z += e
+		}
+		wt := 1.0
+		if weights != nil {
+			wt = float64(weights[p])
+		}
+		lbl := int(label[p])
+		totalLoss += -wt * math.Log(probs[lbl]/z+1e-12)
+		for ch := 0; ch < c; ch++ {
+			g := probs[ch] / z
+			if ch == lbl {
+				g -= 1
+			}
+			grad.Data[ch*hw+p] = float32(wt*g) * inv
+		}
+	}
 	if totalWeight == 0 {
 		return 0
-	}
-	var totalLoss float64
-	for _, l := range partial {
-		totalLoss += l
 	}
 	return totalLoss / totalWeight
 }

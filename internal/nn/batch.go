@@ -18,14 +18,10 @@ import (
 //
 // Numerics: every elementwise helper reproduces the corresponding autodiff
 // tape op's inference-mode arithmetic expression (same operand order, same
-// float32 evaluation). On the reference backend the batched convolutions
-// are additionally bitwise identical to the per-sample forward by
-// construction, so InferBatch produces exactly the logits (and masks) of a
-// per-frame Infer loop. The vec backend's batched convolutions run a
-// register-blocked micro-kernel over the weights' packed panels with a
-// different (still deterministic) reduction order, so its logits agree
-// with the looped forward to a k-scaled ulp tolerance instead (bitwise
-// again on vec's portable kernels) — the invariants
+// float32 evaluation), and on both backends a batched convolution
+// accumulates each output element in the order the per-sample forward does
+// (internal/tensor/batch.go), so InferBatch produces exactly the logits
+// (and masks) of a per-frame Infer loop — the invariant
 // TestInferBatchMatchesLoop and FuzzBatchParity enforce.
 
 // batchCtx is the student's reusable batched-inference state: one private

@@ -47,7 +47,6 @@ func (s *SGD) Step(params []Param) {
 		}
 		if s.Momentum == 0 {
 			tensor.AxpyInto(p.Value, -s.LR, p.Grad)
-			p.Value.BumpVersion()
 			continue
 		}
 		v := s.velocity[p.Name]
@@ -59,7 +58,6 @@ func (s *SGD) Step(params []Param) {
 			v.Data[i] = s.Momentum*v.Data[i] + p.Grad.Data[i]
 			p.Value.Data[i] -= s.LR * v.Data[i]
 		}
-		p.Value.BumpVersion()
 	}
 }
 
@@ -109,9 +107,6 @@ func (a *Adam) Step(params []Param) {
 			vhat := v.Data[i] / bc2
 			p.Value.Data[i] -= a.LR * mhat / (float32(math.Sqrt(float64(vhat))) + a.Epsilon)
 		}
-		// Invalidate the weight's packed panels (tensor.Tensor.packed
-		// repacks lazily on the next batched kernel).
-		p.Value.BumpVersion()
 	}
 }
 

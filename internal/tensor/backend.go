@@ -11,18 +11,17 @@ import (
 // im2col+GEMM convolution forward, and its two batched forms. There are
 // exactly two: "reference", the scalar oracle, and "vec", the optimized
 // one. A backend is stateless: one value is shared by every workspace that
-// selects it, and kernels run concurrently across sessions and across the
-// Parallel worker pool. All scratch therefore lives on the caller's stack,
+// selects it, and kernels run concurrently across sessions, each on its
+// caller's goroutine. All scratch therefore lives on the caller's stack,
 // in the destination slice, or in the Workspace passed in — never in the
 // backend (the bitwise-stability race tests in backend_race_test.go enforce
-// this). The one piece of derived state a kernel keeps, vec's packed weight
-// panels, hangs off the weight tensor itself (Tensor.packed).
+// this) and never on a weight tensor: vec's packed weight panels are a
+// per-call lease.
 //
 // Parity contract: vec must agree with reference within a 1-ulp-scaled
 // tolerance per output element (see backend_test.go and ARCHITECTURE.md
 // "Compute backends"), and both are run-to-run deterministic for a fixed
-// input regardless of worker count: each output element is accumulated in
-// a fixed order so Parallel chunking never changes results.
+// input: each output element is accumulated in a fixed order.
 type Backend interface {
 	// Name returns "reference" or "vec".
 	Name() string
@@ -85,7 +84,8 @@ func SetDefaultBackend(b Backend) Backend {
 }
 
 // The vec backend is the default: it is deterministic, parity-checked
-// against reference on every CI run, and ≥3x faster on the distill step.
+// against reference on every CI run, and several times faster on the
+// distill step (the backend/speedup scenario gates the ratio).
 // SHADOWTUTOR_BACKEND overrides the default for the whole process (the env
 // hook the test matrix uses); an unknown name panics at init so CI fails
 // loudly instead of silently testing the wrong backend.

@@ -3,8 +3,8 @@ package tensor
 // refBackend is the original cache-blocked scalar implementation (gemm.go),
 // kept byte-for-byte as the parity oracle every other backend is diffed
 // against. Its kernels accumulate each output element in ascending-p order
-// into a single float32 accumulator, so results are bitwise identical for
-// any worker count — which is what makes it usable as a golden reference.
+// into a single float32 accumulator — the naive triple loop's order, which
+// is what makes it usable as a golden reference.
 type refBackend struct{}
 
 func (refBackend) Name() string { return "reference" }
@@ -22,9 +22,8 @@ func (refBackend) MatMulABTInto(dst, a, b []float32, m, n, k int) {
 }
 
 // Conv2DWS fuses the im2col lowering, the GEMM against the weight matrix
-// and the [OH*OW,OC]→[OC,OH,OW] transposition into a single Parallel pass
-// over output rows, so each chunk's column block stays cache-resident and
-// one worker dispatch covers the whole convolution.
+// and the [OH*OW,OC]→[OC,OH,OW] transposition into a single pass over
+// output rows, so each row's column block stays cache-resident.
 func (refBackend) Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	oc := w.Dim(0)
 	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
@@ -38,22 +37,20 @@ func (refBackend) Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	if b != nil {
 		bd = b.Data
 	}
-	Parallel(oh, 2, func(lo, hi int) {
-		for oy := lo; oy < hi; oy++ {
-			im2colRow(cd, x, s, oy, ow, ckk)
-			for ox := 0; ox < ow; ox++ {
-				p := oy*ow + ox
-				crow := cd[p*ckk : (p+1)*ckk]
-				for ch := 0; ch < oc; ch++ {
-					v := sdot(crow, wd[ch*ckk:(ch+1)*ckk])
-					if bd != nil {
-						v += bd[ch]
-					}
-					rd[ch*hw+p] = v
+	for oy := 0; oy < oh; oy++ {
+		im2colRow(cd, x, s, oy, ow, ckk)
+		for ox := 0; ox < ow; ox++ {
+			p := oy*ow + ox
+			crow := cd[p*ckk : (p+1)*ckk]
+			for ch := 0; ch < oc; ch++ {
+				v := sdot(crow, wd[ch*ckk:(ch+1)*ckk])
+				if bd != nil {
+					v += bd[ch]
 				}
+				rd[ch*hw+p] = v
 			}
 		}
-	})
+	}
 	ws.Put(colsT)
 	return res
 }

@@ -1,18 +1,19 @@
 package tensor
 
 // vecBackend is the register-blocked CPU backend: the same cache blocking
-// and Parallel row distribution as the reference kernels, but with the
-// inner loops unrolled 4x so the compiler keeps four independent FMA chains
-// in flight instead of one latency-bound accumulator. All slices are
-// re-sliced to a common length before the hot loops, which lets the
-// compiler prove every index in range and drop the bounds checks.
+// as the reference kernels, but with the inner loops unrolled 4x so the
+// compiler keeps four independent FMA chains in flight instead of one
+// latency-bound accumulator, and the convolution forward (batch.go) on a
+// packed-panel micro-kernel. All slices are re-sliced to a common length
+// before the hot loops, which lets the compiler prove every index in range
+// and drop the bounds checks.
 //
-// Numerics: each output element is still accumulated in a fixed order that
-// does not depend on worker count or chunk boundaries, so the backend is
-// run-to-run deterministic. The order differs from the reference backend's
-// strictly-sequential accumulation (pairwise sums inside each unrolled
-// group), so results can drift by a few ulps over a length-k reduction —
-// the parity suite's k-scaled ulp tolerance is exactly this bound.
+// Numerics: each output element is accumulated in a fixed order, so the
+// backend is run-to-run deterministic. The order differs from the reference
+// backend's strictly-sequential accumulation (pairwise sums inside each
+// unrolled group, fused multiply-adds in the micro-kernel), so results can
+// drift by a few ulps over a length-k reduction — the parity suite's
+// k-scaled ulp tolerance is exactly this bound.
 type vecBackend struct{}
 
 func (vecBackend) Name() string { return "vec" }
@@ -34,7 +35,7 @@ var (
 	// a 4x16 and a 4x24 C tile respectively. The 24-wide tile is the
 	// workhorse — its twelve FMA chains hide FMA latency where the 16-wide
 	// tile's eight cannot — and the 16-wide tile handles column remainders.
-	// nil means unavailable, and the batched convolutions fall back to the
+	// nil means unavailable, and the convolution forward falls back to the
 	// axpy packed forms. packMicroOK caches the nil check for the hot
 	// dispatch.
 	packTilef   func(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, load bool)
@@ -117,120 +118,85 @@ func dot4(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 }
 
 // vecGemmAxpy mirrors gemmAxpy (same strides convention, same gemmKC
-// reduction panels, same Parallel row chunks) with the p loop unrolled 4x
-// through axpy4. The all-four-zero skip preserves the reference kernels'
-// cheap handling of zero-padded im2col borders; partially-zero quads fall
-// through to axpy4, where a zero coefficient contributes an exact ±0.
+// reduction panels) with the p loop unrolled 4x through axpy4. The
+// all-four-zero skip preserves the reference kernels' cheap handling of
+// zero-padded im2col borders; partially-zero quads fall through to axpy4,
+// where a zero coefficient contributes an exact ±0.
 func vecGemmAxpy(cd, ad, bd []float32, m, n, k, ars, acs int, accumulate bool) {
-	Parallel(m, gemmRowGrain, func(lo, hi int) {
-		if !accumulate && k == 0 {
-			clear(cd[lo*n : hi*n])
-			return
+	if !accumulate && k == 0 {
+		clear(cd[:m*n])
+		return
+	}
+	for kb := 0; kb < k; kb += gemmKC {
+		ke := kb + gemmKC
+		if ke > k {
+			ke = k
 		}
-		for kb := 0; kb < k; kb += gemmKC {
-			ke := kb + gemmKC
-			if ke > k {
-				ke = k
+		for i := 0; i < m; i++ {
+			crow := cd[i*n : (i+1)*n]
+			if kb == 0 && !accumulate {
+				clear(crow)
 			}
-			for i := lo; i < hi; i++ {
-				crow := cd[i*n : (i+1)*n]
-				if kb == 0 && !accumulate {
-					clear(crow)
+			ai := i * ars
+			p := kb
+			for ; p+3 < ke; p += 4 {
+				a0 := ad[ai+p*acs]
+				a1 := ad[ai+(p+1)*acs]
+				a2 := ad[ai+(p+2)*acs]
+				a3 := ad[ai+(p+3)*acs]
+				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+					continue
 				}
-				ai := i * ars
-				p := kb
-				for ; p+3 < ke; p += 4 {
-					a0 := ad[ai+p*acs]
-					a1 := ad[ai+(p+1)*acs]
-					a2 := ad[ai+(p+2)*acs]
-					a3 := ad[ai+(p+3)*acs]
-					if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-						continue
-					}
-					axpy4f(crow, a0, a1, a2, a3,
-						bd[p*n:(p+1)*n], bd[(p+1)*n:(p+2)*n],
-						bd[(p+2)*n:(p+3)*n], bd[(p+3)*n:(p+4)*n])
+				axpy4f(crow, a0, a1, a2, a3,
+					bd[p*n:(p+1)*n], bd[(p+1)*n:(p+2)*n],
+					bd[(p+2)*n:(p+3)*n], bd[(p+3)*n:(p+4)*n])
+			}
+			for ; p < ke; p++ {
+				av := ad[ai+p*acs]
+				if av == 0 {
+					continue
 				}
-				for ; p < ke; p++ {
-					av := ad[ai+p*acs]
-					if av == 0 {
-						continue
-					}
-					saxpyf(crow, av, bd[p*n:(p+1)*n])
-				}
+				saxpyf(crow, av, bd[p*n:(p+1)*n])
 			}
 		}
-	})
+	}
 }
 
 // vecGemmDot mirrors gemmDot's b-row tiling with the j loop unrolled 4x
 // through dot4, so each pass over a's row feeds four output columns.
 func vecGemmDot(cd, ad, bd []float32, m, n, k int) {
-	Parallel(m, gemmRowGrain, func(lo, hi int) {
-		for jb := 0; jb < n; jb += gemmJB {
-			je := jb + gemmJB
-			if je > n {
-				je = n
+	for jb := 0; jb < n; jb += gemmJB {
+		je := jb + gemmJB
+		if je > n {
+			je = n
+		}
+		for i := 0; i < m; i++ {
+			arow := ad[i*k : (i+1)*k]
+			crow := cd[i*n : (i+1)*n]
+			j := jb
+			for ; j+3 < je; j += 4 {
+				crow[j], crow[j+1], crow[j+2], crow[j+3] = dot4f(arow,
+					bd[j*k:(j+1)*k], bd[(j+1)*k:(j+2)*k],
+					bd[(j+2)*k:(j+3)*k], bd[(j+3)*k:(j+4)*k])
 			}
-			for i := lo; i < hi; i++ {
-				arow := ad[i*k : (i+1)*k]
-				crow := cd[i*n : (i+1)*n]
-				j := jb
-				for ; j+3 < je; j += 4 {
-					crow[j], crow[j+1], crow[j+2], crow[j+3] = dot4f(arow,
-						bd[j*k:(j+1)*k], bd[(j+1)*k:(j+2)*k],
-						bd[(j+2)*k:(j+3)*k], bd[(j+3)*k:(j+4)*k])
-				}
-				for ; j < je; j++ {
-					crow[j] = dot1f(arow, bd[j*k:(j+1)*k])
-				}
+			for ; j < je; j++ {
+				crow[j] = dot1f(arow, bd[j*k:(j+1)*k])
 			}
 		}
-	})
-}
-
-// Conv2DWS lowers the input once into the transposed layout colsC
-// [C*KH*KW, OH*OW] and computes the whole forward as a single
-// [OC,CKK] x [CKK,HW] GEMM over long contiguous rows — the shape the axpy
-// microkernels are fastest at. The transposed lowering is also why vec's
-// im2col is cheap: with stride 1 every (channel, ky, kx) row of colsC is a
-// contiguous span of the input, so lowering is row copies instead of a
-// per-element gather. Bias is pre-filled into the output and the GEMM
-// accumulates on top.
-func (vecBackend) Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
-	oc := w.Dim(0)
-	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
-	oh, ow := s.OutSize(h, wid)
-	ckk := c * s.KH * s.KW
-	hw := oh * ow
-	colsC := ws.GetDirty(ckk, hw)
-	vecIm2colT(colsC.Data, x, s, oh, ow)
-	res := ws.GetDirty(oc, oh, ow)
-	rd := res.Data
-	if b != nil {
-		bd := b.Data
-		for ch := 0; ch < oc; ch++ {
-			row := rd[ch*hw : (ch+1)*hw]
-			v := bd[ch]
-			for i := range row {
-				row[i] = v
-			}
-		}
-		vecGemmAxpy(rd, w.Data, colsC.Data, oc, hw, ckk, ckk, 1, true)
-	} else {
-		vecGemmAxpy(rd, w.Data, colsC.Data, oc, hw, ckk, ckk, 1, false)
 	}
-	ws.Put(colsC)
-	return res
 }
 
 // Conv2DBackwardWS is the vec backend's private conv backward (found by the
-// package-level Conv2DBackwardWS through the convBackwarder probe). The same
-// transposed lowering removes every per-element gather the generic path
-// does: gy is already the [OC, HW] matrix (no gmat transpose build), dW is
-// the NT product gy x colsC^T over contiguous rows, the input gradient is
-// produced directly in the transposed layout dcolsT = W^T x gy, and the
-// col2im scatter of dcolsT becomes shifted vector adds for stride-1 convs.
+// package-level Conv2DBackwardWS through the convBackwarder probe). It
+// stays on the dot and axpy GEMMs: on the packed micro-kernel the input
+// gradient's reduction (k = OC) is too shallow and packing the lowered
+// columns eats the weight gradient's gain. The forward's transposed
+// lowering (lowerCNHW on a one-sample batch) removes every per-element
+// gather the generic path does: gy is already the [OC, HW] matrix (no gmat
+// transpose build), dW is the NT product gy x colsC^T over contiguous rows,
+// the input gradient is produced directly in the transposed layout
+// dcolsT = W^T x gy, and the col2im scatter of dcolsT becomes shifted vector
+// adds for stride-1 convs.
 func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {
 	oc := w.Dim(0)
 	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
@@ -238,7 +204,7 @@ func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, 
 	hw := oh * ow
 	ckk := c * s.KH * s.KW
 	colsC := ws.GetDirty(ckk, hw)
-	vecIm2colT(colsC.Data, x, s, oh, ow)
+	lowerCNHW(colsC.Data, 1, x.Data, c, 1, h, wid, 1, s, oh, ow)
 	// dW = gy x colsC^T -> [OC, CKK]: dot products of hw-long rows.
 	dw = ws.GetDirty(oc, c, s.KH, s.KW)
 	vecGemmDot(dw.Data, gy.Data, colsC.Data, oc, ckk, hw)
@@ -263,62 +229,47 @@ func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, 
 	return dx, dw, db
 }
 
-// vecIm2colT lowers a CHW input into the transposed im2col layout
-// dd[(ch*KH*KW + ky*KW + kx)*hw + oy*ow + ox]: the batched lowering
-// (batch.go) of a one-sample batch, so batched and per-sample columns are
-// identical by construction. For stride-1 each (row, oy) pair is one
-// contiguous copy of the input with the padding edges cleared.
-func vecIm2colT(dd []float32, x *Tensor, s ConvSpec, oh, ow int) {
-	lowerCNHW(dd, 1, x.Data, x.Dim(0), 1, x.Dim(1), x.Dim(2), 1, s, oh, ow)
-}
-
 // vecCol2imT scatters the transposed gradient layout [CKK, HW] back into a
 // CHW tensor, accumulating into dst's existing contents. For stride-1 each
-// (row, oy) contribution is a shifted vector add (saxpy with a=1); rows of
-// different kernel offsets within one channel overlap in dst, so the
-// parallel split is per channel like the generic Col2imInto.
+// (row, oy) contribution is a shifted vector add (saxpy with a=1).
 func vecCol2imT(dst *Tensor, cd []float32, s ConvSpec, oh, ow int) {
 	c, h, w := dst.Dim(0), dst.Dim(1), dst.Dim(2)
 	od := dst.Data
 	kk := s.KH * s.KW
 	hw := oh * ow
-	Parallel(c, 1, func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			base := ch * h * w
-			for r := 0; r < kk; r++ {
-				ky, kx := r/s.KW, r%s.KW
-				p := ch*kk + r
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*s.SH - s.PH + ky
-					if iy < 0 || iy >= h {
-						continue
-					}
-					srow := cd[p*hw+oy*ow : p*hw+(oy+1)*ow]
-					drow := base + iy*w
-					if s.SW == 1 {
-						off := kx - s.PW
-						lo, hi := 0, ow
-						if -off > lo {
-							lo = -off
-						}
-						if w-off < hi {
-							hi = w - off
-						}
-						if hi <= lo {
-							continue
-						}
-						saxpyf(od[drow+off+lo:drow+off+hi], 1, srow[lo:hi])
-						continue
-					}
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*s.SW - s.PW + kx
-						if ix < 0 || ix >= w {
-							continue
-						}
-						od[drow+ix] += srow[ox]
-					}
+	for p := 0; p < c*kk; p++ {
+		ch, r := p/kk, p%kk
+		ky, kx := r/s.KW, r%s.KW
+		base := ch * h * w
+		for oy := 0; oy < oh; oy++ {
+			iy := oy*s.SH - s.PH + ky
+			if iy < 0 || iy >= h {
+				continue
+			}
+			srow := cd[p*hw+oy*ow : p*hw+(oy+1)*ow]
+			drow := base + iy*w
+			if s.SW == 1 {
+				off := kx - s.PW
+				lo, hi := 0, ow
+				if -off > lo {
+					lo = -off
 				}
+				if w-off < hi {
+					hi = w - off
+				}
+				if hi <= lo {
+					continue
+				}
+				saxpyf(od[drow+off+lo:drow+off+hi], 1, srow[lo:hi])
+				continue
+			}
+			for ox := 0; ox < ow; ox++ {
+				ix := ox*s.SW - s.PW + kx
+				if ix < 0 || ix >= w {
+					continue
+				}
+				od[drow+ix] += srow[ox]
 			}
 		}
-	})
+	}
 }

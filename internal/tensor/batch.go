@@ -1,14 +1,12 @@
 package tensor
 
-import (
-	"fmt"
-	"unsafe"
-)
+import "fmt"
 
-// This file is the batched-inference layer: the two batched convolution
-// entry points of Backend, the packed panel-blocked weight layout vec's
-// batched GEMM consumes (cached on the weight tensor, see Tensor.packed),
-// the GEMM over those panels, and the shared transposed-im2col lowering.
+// This file is vec's convolution forward — one kernel for a CHW sample, a
+// list of samples and a CNHW batch alike — and the pieces it is made of: the
+// packed panel-blocked weight layout, the GEMM over those panels, and the
+// transposed-im2col lowering. The reference backend's batched forms (the
+// per-sample loop) are at the bottom.
 //
 // Batched activation layout
 //
@@ -22,20 +20,27 @@ import (
 // rows; and a 1x1 stride-1 unpadded convolution needs no lowering at all
 // because the CNHW tensor viewed as [C, N*H*W] already IS its im2col
 // matrix. A CHW tensor is the N = 1 case, which is how the per-sample
-// lowering (vecIm2colT) is written.
+// Conv2DWS is written: it is convBatchGrouped on a batch of one.
 //
-// Numerics: on the reference backend the batched forms ARE the per-sample
-// loop (bitwise by construction). The vec backend's run the register-
-// blocked micro-kernel (gemmPackedMicroRange) over the weight's packed
-// panels: each output element is a single sequential FMA chain in
-// ascending-k order — deterministic across worker counts, batch sizes and
-// runs, but a different rounding order than the per-sample kernels'
-// pairwise axpy4f groups, so a vec batched forward agrees with the vec
-// per-sample loop to the parity suite's k-scaled ulp tolerance, not
-// bitwise. Where the micro-kernel is unavailable (non-amd64, no AVX2+FMA,
-// SHADOWTUTOR_NOAVX) the same panels run through the axpy spans, whose
-// per-element order is exactly vecGemmAxpy's, and batched equals looped
-// bitwise.
+// Packed panels are per-call scratch. Every forward packs its weight into a
+// workspace lease and returns the lease before it returns: a pack moves
+// OC*CKK floats against a GEMM of 2*OC*CKK*N*OH*OW flops, so nothing is
+// worth keeping between calls, and a weight changed by any write —
+// an optimizer step, CopyFrom, a plain Data[i] = v — is seen by the next
+// kernel because there is nothing to invalidate.
+//
+// Numerics: per-sample and batched forwards share one accumulation order.
+// On the reference backend the batched forms ARE the per-sample loop. On
+// vec every output element is accumulated in ascending-k order whatever the
+// batch size or the sample's slot in it. Where the AVX2+FMA kernels are
+// live that is one sequential FMA chain — in the micro-kernel tiles
+// (gemmPackedMicro) and, identically, in the axpy spans that take the
+// ragged edges (axpy4AVX is four sequential FMAs) — so which tile a column
+// lands in, which does depend on the batch size, does not change its
+// value. Where they are not (non-amd64, no AVX2+FMA, SHADOWTUTOR_NOAVX)
+// every column runs the axpy spans, whose per-element order is exactly
+// vecGemmAxpy's. In both modes a batched forward equals the per-sample
+// loop bitwise.
 
 // packMR is the GEMM micro-kernel row-block height: the packed layout
 // interleaves packMR weight rows so one pass over a B panel updates packMR
@@ -49,23 +54,6 @@ const packMR = 4
 // bitwise agreement with vecGemmAxpy.)
 const packNB = 512
 
-// packBlockGrain is the Parallel grain in 4-row blocks (2 blocks = 8 rows,
-// matching gemmRowGrain).
-const packBlockGrain = 2
-
-// packedPanels is a weight matrix [rows, k] (a weight tensor viewed as
-// [Dim(0), Len()/Dim(0)]) repacked for the batched GEMM: rows are grouped
-// into blocks of packMR, and within a block the coefficients are stored
-// quad-major — for each aligned group of four k positions, 4x4 floats laid
-// out row-by-row (missing rows of a ragged final block are zero-padded),
-// followed by the k%4 tail columns at four floats each. Every coefficient a
-// kernel row-block step needs is therefore one or two cache lines. version
-// is the source tensor's at pack time.
-type packedPanels struct {
-	version uint64
-	data    []float32 // 64-byte aligned view into a slightly larger slice
-}
-
 // packedBlockStride is the float count of one packMR row block: k4*4 quad
 // floats plus (k-k4)*4 tail floats = 4*k.
 func packedBlockStride(k int) int { return 4 * k }
@@ -75,33 +63,15 @@ func packedSize(rows, k int) int {
 	return (rows + packMR - 1) / packMR * packedBlockStride(k)
 }
 
-// packed returns w's packed panels, packing on first use and again when
-// w's version has moved since they were built. Steady state is one atomic
-// load and no allocation: a frozen teacher packs each weight once for the
-// life of the replica, and a trained weight repacks once per optimizer
-// step that is followed by a batched kernel. Concurrent first users may
-// each pack; the copies are identical and the last one published stays.
-// The panels are garbage with the tensor, so nothing bounds or evicts them.
-func (w *Tensor) packed() []float32 {
-	v := w.version
-	if p := w.panels.Load(); p != nil && p.version == v {
-		return p.data
-	}
-	rows := w.Dim(0)
-	k := w.Len() / rows
-	n := packedSize(rows, k)
-	raw := make([]float32, n+16)
-	off := int((64 - uintptr(unsafe.Pointer(&raw[0]))%64) % 64 / 4)
-	p := &packedPanels{version: v, data: raw[off : off+n]}
-	packWeightsInto(p.data, w.Data, rows, k)
-	w.panels.Store(p)
-	return p.data
-}
-
-// packWeightsInto writes the packed layout of wd (row-major [rows, k]) into
-// pd, which must have packedSize(rows, k) elements. Rows past the end of a
-// ragged final block are zero-filled so kernel reads of a dirty buffer are
-// always defined.
+// packWeightsInto writes the packed layout of wd — a weight matrix
+// [rows, k], i.e. a weight tensor viewed as [Dim(0), Len()/Dim(0)] — into
+// pd, which must have packedSize(rows, k) elements: rows are grouped into
+// blocks of packMR, and within a block the coefficients are stored
+// quad-major — for each aligned group of four k positions, 4x4 floats laid
+// out row-by-row, followed by the k%4 tail columns at four floats each.
+// Every coefficient a kernel row-block step needs is therefore one or two
+// cache lines. Rows past the end of a ragged final block are zero-filled so
+// kernel reads of a dirty buffer are always defined.
 func packWeightsInto(pd, wd []float32, rows, k int) {
 	k4 := k &^ 3
 	bs := packedBlockStride(k)
@@ -132,30 +102,29 @@ func packWeightsInto(pd, wd []float32, rows, k int) {
 	}
 }
 
-// gemmAxpyPackedRange runs the axpy packed GEMM over row blocks
-// [blo, bhi) and a column sub-range: ncols columns starting at cd and bd,
-// whose rows have strides ldc and ldb (all three equal to the full column
-// count except when a caller addresses a column window of a wider C, as
-// the sample-grouped convolutions do). Column tiles of packNB keep the
-// streamed B panel L2-resident, and each packMR row block reuses that
-// panel packMR times. The per-element accumulation order (ascending gemmKC
-// panels, ascending quads via axpy4f, tail via saxpyf, identical
-// zero-skips) is exactly vecGemmAxpy's, so results are bitwise identical
-// to the unpacked kernel — and therefore to the per-sample conv forward —
-// for any worker count or tile size.
-func gemmAxpyPackedRange(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate bool, blo, bhi int) {
+// gemmAxpyPacked runs the axpy packed GEMM over a column sub-range: ncols
+// columns starting at cd and bd, whose rows have strides ldc and ldb (all
+// three equal to the full column count except when a caller addresses a
+// column window of a wider C, as the sample-grouped convolutions do).
+// Column tiles of packNB keep the streamed B panel L2-resident, and each
+// packMR row block reuses that panel packMR times. The per-element
+// accumulation order (ascending gemmKC panels, ascending quads via axpy4f,
+// tail via saxpyf, identical zero-skips) is exactly vecGemmAxpy's, so
+// results are bitwise identical to the unpacked kernel for any tile size.
+func gemmAxpyPacked(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate bool) {
+	nb := (m + packMR - 1) / packMR
 	for jb := 0; jb < ncols; jb += packNB {
 		je := jb + packNB
 		if je > ncols {
 			je = ncols
 		}
-		gemmAxpyPackedSpan(cd, pd, bd, m, ldc, ldb, k, accumulate, blo, bhi, jb, je)
+		gemmAxpyPackedSpan(cd, pd, bd, m, ldc, ldb, k, accumulate, 0, nb, jb, je)
 	}
 }
 
 // gemmAxpyPackedSpan is the axpy packed-GEMM body over row blocks
 // [blo, bhi) and the column span [jb, je): the building block of both the
-// axpy range above and the micro-kernel driver's edge cases (column
+// axpy form above and the micro-kernel driver's edge cases (column
 // remainders narrower than a tile, the ragged final row block).
 func gemmAxpyPackedSpan(cd, pd, bd []float32, m, ldc, ldb, k int, accumulate bool, blo, bhi, jb, je int) {
 	k4 := k &^ 3
@@ -207,21 +176,13 @@ func gemmAxpyPackedSpan(cd, pd, bd []float32, m, ldc, ldb, k int, accumulate boo
 	}
 }
 
-// gemmPackedMicroSub is the batched convolutions' GEMM over packed panels:
+// gemmPackedMicroSub is the convolutions' GEMM over packed panels:
 // cd (+)= packed(A) x bd for an ncols-wide column window of C (row stride
 // ldc) against the B panel at bd (row stride ldb) — all three equal for a
 // whole-matrix product; the sample-grouped convolutions write one group's
 // window of the full CNHW output from a small cache-resident lowering
-// panel. Full packMR row blocks x 24/16-column tiles run in the
-// register-blocked micro-kernels, which hold the whole C tile in ymm
-// accumulators for an entire reduction panel: the axpy forms stream each C
-// row from memory once per k-quad, the micro-kernel touches C once per
-// panel and amortises every B load over four rows, which is where the
-// batched teacher's win over the per-frame loop comes from. Column spans
-// narrower than a tile and a ragged final row block fall back to
-// gemmAxpyPackedSpan; when the micro-kernel is unavailable the whole call
-// is gemmAxpyPackedRange. Range bodies are top-level functions (not
-// closures) so the single-worker dispatch stays allocation-free.
+// panel. It runs gemmPackedMicro where the micro-kernels exist and
+// gemmAxpyPacked where they do not.
 func gemmPackedMicroSub(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate bool) {
 	if !accumulate && k == 0 {
 		clearRows(cd, m, ncols, ldc)
@@ -230,18 +191,11 @@ func gemmPackedMicroSub(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumul
 	if k == 0 || m == 0 || ncols == 0 {
 		return
 	}
-	rows := gemmAxpyPackedRange
 	if packMicroOK {
-		rows = gemmPackedMicroRange
+		gemmPackedMicro(cd, pd, bd, m, ncols, ldc, ldb, k, accumulate)
+	} else {
+		gemmAxpyPacked(cd, pd, bd, m, ncols, ldc, ldb, k, accumulate)
 	}
-	nb := (m + packMR - 1) / packMR
-	if Workers() <= 1 || nb < 2*packBlockGrain {
-		rows(cd, pd, bd, m, ncols, ldc, ldb, k, accumulate, 0, nb)
-		return
-	}
-	Parallel(nb, packBlockGrain, func(lo, hi int) {
-		rows(cd, pd, bd, m, ncols, ldc, ldb, k, accumulate, lo, hi)
-	})
 }
 
 // clearRows zeroes an ncols-wide column window of m rows with stride ldc.
@@ -255,10 +209,16 @@ func clearRows(cd []float32, m, ncols, ldc int) {
 	}
 }
 
-// gemmPackedMicroRange runs the micro-kernel GEMM over row blocks [blo, bhi).
-// Only full 4-row blocks enter the micro-kernel (the packed layout
-// zero-pads ragged blocks, but the kernel would then write lanes past row
-// m-1 of C); the ragged block, if this range owns it, runs the axpy span.
+// gemmPackedMicro is the micro-kernel GEMM. Full packMR row blocks x
+// 24/16-column tiles run in the register-blocked micro-kernels, which hold
+// the whole C tile in ymm accumulators for an entire reduction panel: the
+// axpy forms stream each C row from memory once per k-quad, the
+// micro-kernel touches C once per panel and amortises every B load over
+// four rows. Only full 4-row blocks enter the micro-kernel (the packed
+// layout zero-pads ragged blocks, but the kernel would then write lanes
+// past row m-1 of C); the ragged block and column spans narrower than a
+// tile run gemmAxpyPackedSpan.
+//
 // kcMicro and ncMicro are the reduction and column panels of the
 // micro-kernel path. A kcMicro x ncMicro B panel is 240 KiB — sized to
 // stay resident in a 256 KiB L2 while EVERY row block streams against it,
@@ -272,14 +232,10 @@ const kcMicro = 512
 
 const ncMicro = 120
 
-func gemmPackedMicroRange(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate bool, blo, bhi int) {
+func gemmPackedMicro(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate bool) {
 	k4 := k &^ 3
 	bs := packedBlockStride(k)
 	fullB := m >> 2
-	bhiFull := bhi
-	if bhiFull > fullB {
-		bhiFull = fullB
-	}
 	for jb := 0; jb < ncols; jb += ncMicro {
 		je := jb + ncMicro
 		if je > ncols {
@@ -306,7 +262,7 @@ func gemmPackedMicroRange(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accum
 			nq := (qhi - kb) / 4
 			nt := ke - qhi
 			load := accumulate || kb > 0
-			for ib := blo; ib < bhiFull; ib++ {
+			for ib := 0; ib < fullB; ib++ {
 				// The block's coefficients for panel [kb, ke) start 4*kb
 				// floats in: quads are 16 floats each (4*4kb/4) and the
 				// k%4 tail follows the quads contiguously at 4 floats per
@@ -322,10 +278,10 @@ func gemmPackedMicroRange(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accum
 			}
 		}
 		if jtEnd < je {
-			gemmAxpyPackedSpan(cd, pd, bd, m, ldc, ldb, k, accumulate, blo, bhiFull, jtEnd, je)
+			gemmAxpyPackedSpan(cd, pd, bd, m, ldc, ldb, k, accumulate, 0, fullB, jtEnd, je)
 		}
-		if blo <= fullB && bhi > fullB {
-			gemmAxpyPackedSpan(cd, pd, bd, m, ldc, ldb, k, accumulate, fullB, bhi, jb, je)
+		if m > fullB*packMR {
+			gemmAxpyPackedSpan(cd, pd, bd, m, ldc, ldb, k, accumulate, fullB, fullB+1, jb, je)
 		}
 	}
 }
@@ -430,20 +386,9 @@ func im2colPlaneT(seg, plane []float32, h, w int, s ConvSpec, oh, ow, ky, kx int
 // start elsewhere by slicing: xd[i0*h*w:] begins at sample i0 and
 // dd[j0*oh*ow:] at slot j0. Rows are independent; a CHW tensor is nb = 1.
 func lowerCNHW(dd []float32, g int, xd []float32, c, nb, h, w, n int, s ConvSpec, oh, ow int) {
-	rows := c * s.KH * s.KW
-	if Workers() <= 1 || rows < 2 {
-		lowerCNHWRange(dd, g, xd, nb, h, w, n, s, oh, ow, 0, rows)
-		return
-	}
-	Parallel(rows, 1, func(plo, phi int) {
-		lowerCNHWRange(dd, g, xd, nb, h, w, n, s, oh, ow, plo, phi)
-	})
-}
-
-func lowerCNHWRange(dd []float32, g int, xd []float32, nb, h, w, n int, s ConvSpec, oh, ow, plo, phi int) {
 	kk := s.KH * s.KW
 	hw := oh * ow
-	for p := plo; p < phi; p++ {
+	for p := 0; p < c*kk; p++ {
 		ch, r := p/kk, p%kk
 		ky, kx := r/s.KW, r%s.KW
 		for i := 0; i < n; i++ {
@@ -462,8 +407,8 @@ func conv1x1Direct(s ConvSpec) bool {
 	return s.KH == 1 && s.KW == 1 && s.SH == 1 && s.SW == 1 && s.PH == 0 && s.PW == 0
 }
 
-// biasPrefill writes bias value bd[ch] across channel row ch of rd,
-// matching the per-sample vec forward's bias-then-accumulate order.
+// biasPrefill writes bias value bd[ch] across channel row ch of rd; the GEMM
+// then accumulates on top.
 func biasPrefill(rd, bd []float32, oc, nhw int) {
 	for ch := 0; ch < oc; ch++ {
 		row := rd[ch*nhw : (ch+1)*nhw]
@@ -485,41 +430,58 @@ func biasPrefill(rd, bd []float32, oc, nhw int) {
 // teacher on small-L3 parts.
 const groupColsBytes = 1 << 20
 
+// Conv2DWS implements Backend on one CHW sample: a CNHW batch of one.
+func (vecBackend) Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
+	oh, ow := s.OutSize(x.Dim(1), x.Dim(2))
+	res := ws.GetDirty(w.Dim(0), oh, ow)
+	convBatchGrouped(ws, res.Data, nil, x.Data, x.Dim(0), 1, x.Dim(1), x.Dim(2), w, b, s)
+	return res
+}
+
 // Conv2DBatchWS implements Backend on a list of CHW samples.
 func (vecBackend) Conv2DBatchWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor {
-	return convBatchGrouped(ws, xs, nil, xs[0].Dim(0), len(xs), xs[0].Dim(1), xs[0].Dim(2), w, b, s)
+	x := xs[0]
+	oh, ow := s.OutSize(x.Dim(1), x.Dim(2))
+	res := ws.GetDirty(w.Dim(0), len(xs), oh, ow)
+	convBatchGrouped(ws, res.Data, xs, nil, x.Dim(0), len(xs), x.Dim(1), x.Dim(2), w, b, s)
+	return res
 }
 
 // Conv2DBatchCNHWWS implements Backend on an already-batched activation.
 func (vecBackend) Conv2DBatchCNHWWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
-	return convBatchGrouped(ws, nil, x.Data, x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), w, b, s)
+	oh, ow := s.OutSize(x.Dim(2), x.Dim(3))
+	res := ws.GetDirty(w.Dim(0), x.Dim(1), oh, ow)
+	convBatchGrouped(ws, res.Data, nil, x.Data, x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), w, b, s)
+	return res
 }
 
-// convBatchGrouped is vec's batched convolution over nb samples given
-// either as a list (xs) or as one CNHW activation (xd): lease the
-// [OC, N, OH, OW] result, prefill bias into each channel row and
-// accumulate the packed GEMM on top. Samples are processed in cache-sized
-// groups: each group is lowered into a small panel and multiplied into its
-// column window of the output, so the panel never leaves cache between the
-// two stages. A 1x1 stride-1 unpadded convolution of a CNHW activation has
-// no lowering copy to keep cache-resident — the activation already is the
-// im2col matrix — so it runs as one full-width GEMM.
-func convBatchGrouped(ws *Workspace, xs []*Tensor, xd []float32, c, nb, h, wid int, w, b *Tensor, s ConvSpec) *Tensor {
+// convBatchGrouped is vec's convolution forward over nb samples given
+// either as a list (xs) or as one CNHW activation (xd), into rd, the
+// [OC, N, OH, OW] result: pack the weight into a lease, prefill bias into
+// each channel row and accumulate the packed GEMM on top. Samples are
+// processed in cache-sized groups: each group is lowered into a small panel
+// and multiplied into its column window of the output, so the panel never
+// leaves cache between the two stages. A 1x1 stride-1 unpadded convolution
+// of a CNHW activation has no lowering copy to keep cache-resident — the
+// activation already is the im2col matrix — so it runs as one full-width
+// GEMM.
+func convBatchGrouped(ws *Workspace, rd []float32, xs []*Tensor, xd []float32, c, nb, h, wid int, w, b *Tensor, s ConvSpec) {
 	oh, ow := s.OutSize(h, wid)
 	hw := oh * ow
 	ckk := c * s.KH * s.KW
 	oc := w.Dim(0)
 	n := nb * hw
-	pd := w.packed()
-	res := ws.GetDirty(oc, nb, oh, ow)
-	rd := res.Data
+	panels := ws.GetDirty(packedSize(oc, ckk))
+	pd := panels.Data
+	packWeightsInto(pd, w.Data, oc, ckk)
 	acc := b != nil
 	if acc {
 		biasPrefill(rd, b.Data, oc, n)
 	}
 	if xs == nil && conv1x1Direct(s) {
 		gemmPackedMicroSub(rd, pd, xd, oc, n, n, n, ckk, acc)
-		return res
+		ws.Put(panels)
+		return
 	}
 	g := 1 // samples per group
 	if per := 4 * ckk * hw; per > 0 {
@@ -538,7 +500,7 @@ func convBatchGrouped(ws *Workspace, xs []*Tensor, xd []float32, c, nb, h, wid i
 		gemmPackedMicroSub(rd[i0*hw:], pd, cols.Data, oc, gi*hw, n, gi*hw, ckk, acc)
 	}
 	ws.Put(cols)
-	return res
+	ws.Put(panels)
 }
 
 // Conv2DBatchWS convolves N same-shape CHW inputs in one call through the

@@ -2,17 +2,17 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
-// The batched-inference invariants: the packed weight layout is exactly the
-// documented quad-major interleave, every backend's batched convolutions
-// reproduce its own per-sample loop (bitwise where the backend promises it,
-// within the parity tolerance on vec's micro-kernel path), results do not
-// depend on the worker count, and a weight tensor's panels pack once, are
-// reused thereafter, and repack exactly on version bumps.
+// The convolution-forward invariants: the packed weight layout is exactly
+// the documented quad-major interleave, every backend's batched convolutions
+// reproduce its own per-sample loop bitwise (one accumulation order for one
+// sample and for many, with the micro-kernel and without it), and results
+// do not depend on what a reused workspace lease held before.
 
 // TestPackedWeightsLayout pins the physical packed layout against the
 // documented addressing rule: block ib holds rows ib*4..ib*4+3; within a
@@ -26,18 +26,17 @@ func TestPackedWeightsLayout(t *testing.T) {
 	} {
 		w := New(sh.rows, sh.k)
 		fillRand(rng, w.Data)
-		w.BumpVersion()
-		w.packed()
-		pw := w.panels.Load()
-		if pw.version != w.Version() {
-			t.Fatalf("panels stamped version %d, tensor is at %d", pw.version, w.Version())
-		}
 		k4 := sh.k &^ 3
 		bs := packedBlockStride(sh.k)
 		nb := (sh.rows + packMR - 1) / packMR
-		if len(pw.data) != nb*bs {
-			t.Fatalf("packed size: got %d want %d", len(pw.data), nb*bs)
+		if got := packedSize(sh.rows, sh.k); got != nb*bs {
+			t.Fatalf("packed size: got %d want %d", got, nb*bs)
 		}
+		pd := make([]float32, nb*bs)
+		for i := range pd {
+			pd[i] = float32(math.NaN()) // a dirty lease: padding must be written too
+		}
+		packWeightsInto(pd, w.Data, sh.rows, sh.k)
 		for ib := 0; ib < nb; ib++ {
 			for r := 0; r < packMR; r++ {
 				for p := 0; p < sh.k; p++ {
@@ -49,9 +48,9 @@ func TestPackedWeightsLayout(t *testing.T) {
 					if i := ib*packMR + r; i < sh.rows {
 						want = w.Data[i*sh.k+p]
 					}
-					if pw.data[o] != want {
+					if pd[o] != want {
 						t.Fatalf("rows=%d k=%d block=%d row=%d p=%d: packed[%d]=%v want %v",
-							sh.rows, sh.k, ib, r, p, o, pw.data[o], want)
+							sh.rows, sh.k, ib, r, p, o, pd[o], want)
 					}
 				}
 			}
@@ -60,8 +59,8 @@ func TestPackedWeightsLayout(t *testing.T) {
 }
 
 // TestGemmAxpyPackedBitwiseVec pins the packed axpy GEMM to the unpacked
-// vec kernel bitwise: same panels, same quad order, same zero-skips — the
-// foundation of the vec backend's batched-equals-looped contract.
+// vec kernel bitwise: same panels, same quad order, same zero-skips — what
+// the convolution forward computes where the micro-kernel is unavailable.
 func TestGemmAxpyPackedBitwiseVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(6011))
 	for _, d := range [][3]int{{1, 1, 1}, {3, 17, 5}, {4, 16, 8}, {13, 33, 31}, {31, 127, 64}, {8, 120, 9}} {
@@ -80,7 +79,7 @@ func TestGemmAxpyPackedBitwiseVec(t *testing.T) {
 				copy(got, want)
 			}
 			vecGemmAxpy(want, a, b, m, n, k, k, 1, acc)
-			gemmAxpyPackedRange(got, pd, b, m, n, n, n, k, acc, 0, (m+packMR-1)/packMR)
+			gemmAxpyPacked(got, pd, b, m, n, n, n, k, acc)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("m=%d n=%d k=%d acc=%v element %d: packed %v != unpacked %v (must be bitwise)",
@@ -94,11 +93,11 @@ func TestGemmAxpyPackedBitwiseVec(t *testing.T) {
 // TestGemmPackedMicroMatchesAxpy checks the micro-kernel GEMM (all three
 // tile paths: 24-wide, 16-wide, axpy column tail) against the axpy packed
 // form under the reduction tolerance, including the ragged-row-block and
-// accumulate corners, at several worker counts. Skipped where the
-// micro-kernel is unavailable — the dispatch then is the axpy form itself.
+// accumulate corners. Skipped where the micro-kernel is unavailable — the
+// dispatch then is the axpy form itself.
 func TestGemmPackedMicroMatchesAxpy(t *testing.T) {
 	if !packMicroOK {
-		t.Skip("micro-kernel unavailable on this build; the batched GEMM is the axpy form")
+		t.Skip("micro-kernel unavailable on this build; the packed GEMM is the axpy form")
 	}
 	rng := rand.New(rand.NewSource(6029))
 	for _, d := range [][3]int{{4, 24, 4}, {1, 16, 3}, {5, 120, 17}, {13, 158, 31}, {96, 120, 27}, {7, 360, 513}, {32, 23, 9}} {
@@ -117,22 +116,11 @@ func TestGemmPackedMicroMatchesAxpy(t *testing.T) {
 				fillRand(rng, want)
 				copy(got, want)
 			}
-			gemmAxpyPackedRange(want, pd, b, m, n, n, n, k, acc, 0, (m+packMR-1)/packMR)
+			gemmAxpyPacked(want, pd, b, m, n, n, n, k, acc)
 			gemmPackedMicroSub(got, pd, b, m, n, n, n, k, acc)
 			assertParity(t, fmt.Sprintf("micro m=%d n=%d k=%d acc=%v", m, n, k, acc), got, want, tol)
 		}
 	}
-}
-
-// batchParityTol returns the comparison tolerance for one backend's batched
-// convolution against its per-sample loop: zero (bitwise) for backends that
-// promise identical accumulation order, the k-scaled reduction tolerance
-// for vec's micro-kernel and its sequential FMA chains.
-func batchParityTol(bk Backend, ckk int, xmax, wmax float32) float32 {
-	if bk.Name() == "vec" && packMicroOK {
-		return parityTol(ckk, xmax, wmax)
-	}
-	return 0
 }
 
 // conv2DBatchLoopWS is the per-sample loop the batched forms are held to:
@@ -162,84 +150,82 @@ func conv2DBatchCNHWLoopWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	return conv2DBatchLoopWS(ws, xs, w, b, s)
 }
 
-func assertBatchClose(t *testing.T, label string, got, want []float32, tol float32) {
+func assertBatchBitwise(t *testing.T, label string, got, want []float32) {
 	t.Helper()
-	if tol == 0 {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: element %d: batched %v != looped %v (contract is bitwise)", label, i, got[i], want[i])
-			}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: element %d: batched %v != looped %v (contract is bitwise)", label, i, got[i], want[i])
 		}
-		return
 	}
-	assertParity(t, label, got, want, tol)
 }
 
-// TestConvBatchMatchesPerSampleLoop is the central batched-inference
-// invariant: for every registered backend and both batched entry points,
-// the fused batch equals a per-sample loop over the same backend's own
-// Conv2DWS.
+// TestConvBatchMatchesPerSampleLoop is the central forward invariant: for
+// every backend and both batched entry points, at every spec of the parity
+// suite, the fused batch equals a per-sample loop over the same backend's
+// own Conv2DWS bitwise — at batch size 1 that is Conv2DWS against
+// Conv2DBatchCNHWWS on a one-sample batch.
 func TestConvBatchMatchesPerSampleLoop(t *testing.T) {
+	for _, name := range Backends() {
+		bk, err := BackendByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) { checkConvBatchMatchesLoop(t, bk) })
+	}
+}
+
+func checkConvBatchMatchesLoop(t *testing.T, bk Backend) {
 	shapes := []struct{ c, h, w, oc int }{
 		{1, 7, 7, 1},
 		{3, 13, 11, 5},
 		{4, 16, 16, 8},
 		{2, 9, 17, 3},
 	}
-	for _, name := range Backends() {
-		bk, err := BackendByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(6037))
-			for _, sh := range shapes {
-				for _, spec := range parityConvSpecs {
-					oh, ow := spec.OutSize(sh.h, sh.w)
-					if oh <= 0 || ow <= 0 {
-						continue
-					}
-					for _, nb := range []int{1, 2, 5} {
-						xs := make([]*Tensor, nb)
-						var xmax float32 = 1
-						for i := range xs {
-							xs[i] = New(sh.c, sh.h, sh.w)
-							if m := fillRand(rng, xs[i].Data); m > xmax {
-								xmax = m
-							}
-						}
-						w := New(sh.oc, sh.c, spec.KH, spec.KW)
-						wmax := fillRand(rng, w.Data)
-						bias := New(sh.oc)
-						fillRand(rng, bias.Data)
-						tol := batchParityTol(bk, sh.c*spec.KH*spec.KW, xmax, wmax)
-						for _, b := range []*Tensor{nil, bias} {
-							label := fmt.Sprintf("%s c=%d h=%d w=%d oc=%d nb=%d spec=%+v bias=%v",
-								name, sh.c, sh.h, sh.w, sh.oc, nb, spec, b != nil)
-							ws := NewWorkspace().SetBackend(bk)
-							want := conv2DBatchLoopWS(ws, xs, w, b, spec)
-							got := Conv2DBatchWS(ws, xs, w, b, spec)
-							assertBatchClose(t, label+" WS", got.Data, want.Data, tol)
+	rng := rand.New(rand.NewSource(6037))
+	for _, sh := range shapes {
+		for _, spec := range parityConvSpecs {
+			oh, ow := spec.OutSize(sh.h, sh.w)
+			if oh <= 0 || ow <= 0 {
+				continue
+			}
+			for _, nb := range []int{1, 2, 5} {
+				xs := make([]*Tensor, nb)
+				for i := range xs {
+					xs[i] = New(sh.c, sh.h, sh.w)
+					fillRand(rng, xs[i].Data)
+				}
+				w := New(sh.oc, sh.c, spec.KH, spec.KW)
+				fillRand(rng, w.Data)
+				bias := New(sh.oc)
+				fillRand(rng, bias.Data)
+				for _, b := range []*Tensor{nil, bias} {
+					label := fmt.Sprintf("%s c=%d h=%d w=%d oc=%d nb=%d spec=%+v bias=%v",
+						bk.Name(), sh.c, sh.h, sh.w, sh.oc, nb, spec, b != nil)
+					ws := NewWorkspace().SetBackend(bk)
+					want := conv2DBatchLoopWS(ws, xs, w, b, spec)
+					got := Conv2DBatchWS(ws, xs, w, b, spec)
+					assertBatchBitwise(t, label+" WS", got.Data, want.Data)
 
-							// The CNHW form on the scattered batch must agree too.
-							x := New(sh.c, nb, sh.h, sh.w)
-							for i, s := range xs {
-								scatterSampleCNHW(x.Data, s.Data, sh.c, nb, i, sh.h*sh.w)
-							}
-							wantC := conv2DBatchCNHWLoopWS(ws, x, w, b, spec)
-							gotC := Conv2DBatchCNHWWS(ws, x, w, b, spec)
-							assertBatchClose(t, label+" CNHW", gotC.Data, wantC.Data, tol)
-						}
+					// The CNHW form on the scattered batch must agree too.
+					x := New(sh.c, nb, sh.h, sh.w)
+					for i, s := range xs {
+						scatterSampleCNHW(x.Data, s.Data, sh.c, nb, i, sh.h*sh.w)
 					}
+					wantC := conv2DBatchCNHWLoopWS(ws, x, w, b, spec)
+					gotC := Conv2DBatchCNHWWS(ws, x, w, b, spec)
+					assertBatchBitwise(t, label+" CNHW", gotC.Data, wantC.Data)
 				}
 			}
-		})
+		}
 	}
 }
 
-// TestConvBatchWorkerDeterminism locks the batched convolutions to one
-// bitwise result for any worker count, on every backend.
-func TestConvBatchWorkerDeterminism(t *testing.T) {
+// TestConvBatchIgnoresScratchContents locks the batched convolutions to one
+// bitwise result across repeated calls on one workspace, on every backend:
+// the panel and column leases come back dirty from the previous call (and
+// from a deliberately poisoned lease), and nothing of that may reach the
+// result.
+func TestConvBatchIgnoresScratchContents(t *testing.T) {
 	rng := rand.New(rand.NewSource(6047))
 	const c, h, w, oc, nb = 3, 16, 24, 9, 4
 	spec := Spec(3, 3)
@@ -255,17 +241,17 @@ func TestConvBatchWorkerDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
-			ws := NewWorkspace().SetBackend(bk)
+			ws := NewWorkspaceOn(NewPool()).SetBackend(bk)
 			golden := Conv2DBatchCNHWWS(ws, x, wt, bias, spec)
-			for _, workers := range []int{1, 3, 8} {
-				prev := SetWorkers(workers)
+			for run := 0; run < 3; run++ {
+				for _, n := range []int{packedSize(oc, c*9), 1 << 16} { // the panel and column lease classes
+					poison := ws.GetDirty(n)
+					poison.Fill(float32(math.NaN()))
+					ws.Put(poison)
+				}
 				got := Conv2DBatchCNHWWS(ws, x, wt, bias, spec)
-				SetWorkers(prev)
-				for i := range golden.Data {
-					if got.Data[i] != golden.Data[i] {
-						t.Fatalf("%s workers=%d element %d: %v != golden %v — batched accumulation depends on worker count",
-							name, workers, i, got.Data[i], golden.Data[i])
-					}
+				if !bitwiseEqual(got.Data, golden.Data) {
+					t.Fatalf("%s run %d: batched conv differs from its first result — scratch contents leaked into it", name, run)
 				}
 				ws.Put(got)
 			}
@@ -273,103 +259,25 @@ func TestConvBatchWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestDeviceBatchedWithoutMicroKernelIsVecBitwise forces vec's batched
-// convolutions onto the axpy fallback (as a non-AVX build or
-// SHADOWTUTOR_NOAVX would) and checks they are then bitwise vec's own
-// per-sample loop — the documented degradation mode. (The name predates
-// the device backend's fold into vec.)
+// TestDeviceBatchedWithoutMicroKernelIsVecBitwise forces vec's convolution
+// forward onto the axpy fallback (as a non-AVX build or SHADOWTUTOR_NOAVX
+// would) and re-runs the batched-equals-looped suite there: per-sample and
+// batched share one accumulation order in the degraded mode too. (The name
+// predates the device backend's fold into vec.)
 func TestDeviceBatchedWithoutMicroKernelIsVecBitwise(t *testing.T) {
 	if !packMicroOK {
 		t.Skip("micro-kernel already unavailable; the main parity suite covers this mode")
 	}
 	packMicroOK = false
 	defer func() { packMicroOK = true }()
-	rng := rand.New(rand.NewSource(6053))
-	const c, h, w, oc, nb = 3, 12, 10, 5, 3
-	x := New(c, nb, h, w)
-	bias := New(oc)
-	fillRand(rng, x.Data)
-	fillRand(rng, bias.Data)
-	ws := NewWorkspace().SetBackend(vecBackend{})
-	for _, spec := range []ConvSpec{Spec(3, 3), Spec(1, 1), Spec(3, 3).WithStride(2)} {
-		wt := New(oc, c, spec.KH, spec.KW)
-		fillRand(rng, wt.Data)
-		want := conv2DBatchCNHWLoopWS(ws, x, wt, bias, spec)
-		got := Conv2DBatchCNHWWS(ws, x, wt, bias, spec)
-		assertBatchClose(t, fmt.Sprintf("no-micro %+v", spec), got.Data, want.Data, 0)
-	}
+	checkConvBatchMatchesLoop(t, vecBackend{})
 }
 
-// TestDeviceResidentPacking walks a weight tensor's panel life cycle under
-// vec: the first batched call packs, repeats reuse the same panels (frozen
-// weights pack exactly once), each version bump (what an optimizer step or
-// CopyFrom does) repacks exactly once, and the repacked panels compute
-// with the new contents. (The name predates the device backend's fold into
-// vec; the panels used to live in its cache.)
-func TestDeviceResidentPacking(t *testing.T) {
-	vec := vecBackend{}
-	ws := NewWorkspace().SetBackend(vec)
-	rng := rand.New(rand.NewSource(6067))
-	x := New(3, 2, 8, 8)
-	w := New(4, 3, 3, 3)
-	fillRand(rng, x.Data)
-	fillRand(rng, w.Data)
-	if w.panels.Load() != nil {
-		t.Fatal("fresh tensor already carries panels")
-	}
-	run := func() *packedPanels {
-		ws.Put(Conv2DBatchCNHWWS(ws, x, w, nil, Spec(3, 3)))
-		return w.panels.Load()
-	}
-	first := run()
-	if first == nil || first.version != w.Version() {
-		t.Fatalf("first batched call left panels %+v for version %d", first, w.Version())
-	}
-	for i := 0; i < 3; i++ {
-		if p := run(); p != first {
-			t.Fatalf("repeat %d repacked frozen weights", i)
-		}
-	}
-	// Per-sample kernels never touch the panels.
-	xs := New(3, 8, 8)
-	ws.Put(Conv2DWS(ws, xs, w, nil, Spec(3, 3)))
-	if w.panels.Load() != first {
-		t.Fatal("per-sample conv replaced the panels")
-	}
-
-	prev := first
-	for bump := 0; bump < 3; bump++ {
-		w2 := New(4, 3, 3, 3)
-		fillRand(rng, w2.Data)
-		w.CopyFrom(w2) // bumps the version, like an optimizer step
-		p := run()
-		if p == prev || p.version != w.Version() {
-			t.Fatalf("bump %d: panels not rebuilt for version %d", bump, w.Version())
-		}
-		if again := run(); again != p {
-			t.Fatalf("bump %d: repacked twice for one version", bump)
-		}
-		prev = p
-		got := Conv2DBatchCNHWWS(ws, x, w, nil, Spec(3, 3))
-		want := conv2DBatchCNHWLoopWS(ws, x, w, nil, Spec(3, 3))
-		assertBatchClose(t, "post-repack", got.Data, want.Data, batchParityTol(vec, 27, 2, 2))
-	}
-
-	// A recycled workspace lease must not carry panels into its next life.
-	lease := ws.GetDirty(4, 3, 3, 3)
-	copy(lease.Data, w.Data)
-	ws.Put(Conv2DBatchCNHWWS(ws, x, lease, nil, Spec(3, 3)))
-	ws.Put(lease)
-	if again := ws.GetDirty(4, 3, 3, 3); again.panels.Load() != nil {
-		t.Fatal("pool recycled a tensor with its panels attached")
-	}
-}
-
-// TestSharedFrozenWeightConcurrentBatches is the first-use publication
-// case: eight goroutines run batched convolutions against one shared,
-// never-packed weight tensor. Under -race this checks the panels pointer is
-// the only shared write; everywhere it checks every goroutine computed the
-// single-goroutine result bitwise, whichever copy of the panels it saw.
+// TestSharedFrozenWeightConcurrentBatches is the shared-teacher case: eight
+// goroutines run batched convolutions against one shared weight tensor,
+// each packing it into its own workspace's lease. Under -race this checks
+// a forward writes nothing the others can see; everywhere it checks every
+// goroutine computed the single-goroutine result bitwise.
 func TestSharedFrozenWeightConcurrentBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(6071))
 	x := New(3, 4, 12, 12)
@@ -385,7 +293,7 @@ func TestSharedFrozenWeightConcurrentBatches(t *testing.T) {
 	gw, gb := mk()
 	golden := Conv2DBatchCNHWWS(NewWorkspace().SetBackend(vecBackend{}), x, gw, gb, spec)
 
-	w, b := mk() // same values, panels not yet built
+	w, b := mk()
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {
@@ -429,8 +337,8 @@ func FuzzBatchParity(f *testing.F) {
 		x := New(c, nb, h, w)
 		wt := New(oc, c, spec.KH, spec.KW)
 		bias := New(oc)
-		xmax := fillRand(rng, x.Data)
-		wmax := fillRand(rng, wt.Data)
+		fillRand(rng, x.Data)
+		fillRand(rng, wt.Data)
 		fillRand(rng, bias.Data)
 		for _, name := range Backends() {
 			bk, err := BackendByName(name)
@@ -438,11 +346,10 @@ func FuzzBatchParity(f *testing.F) {
 				t.Fatal(err)
 			}
 			ws := NewWorkspace().SetBackend(bk)
-			tol := batchParityTol(bk, c*spec.KH*spec.KW, xmax, wmax)
 			want := conv2DBatchCNHWLoopWS(ws, x, wt, bias, spec)
 			got := Conv2DBatchCNHWWS(ws, x, wt, bias, spec)
 			label := fmt.Sprintf("%s c=%d h=%d w=%d oc=%d nb=%d spec=%+v", name, c, h, w, oc, nb, spec)
-			assertBatchClose(t, label, got.Data, want.Data, tol)
+			assertBatchBitwise(t, label, got.Data, want.Data)
 			ws.Put(got)
 		}
 	})

@@ -50,11 +50,9 @@ func Im2col(x *Tensor, s ConvSpec, dst *Tensor) *Tensor {
 		dst = dst.Reshape(rows, cols)
 	}
 	dd := dst.Data
-	Parallel(oh, 4, func(lo, hi int) {
-		for oy := lo; oy < hi; oy++ {
-			im2colRow(dd, x, s, oy, ow, cols)
-		}
-	})
+	for oy := 0; oy < oh; oy++ {
+		im2colRow(dd, x, s, oy, ow, cols)
+	}
 	return dst
 }
 
@@ -110,35 +108,31 @@ func Col2imInto(dst, cols *Tensor, s ConvSpec) {
 		panic(fmt.Sprintf("tensor: Col2im size mismatch: %d elems for out %dx%d, cols %d", cols.Len(), oh, ow, ncol))
 	}
 	cd, od := cols.Data, dst.Data
-	// Parallelise over channels: each channel's scatter touches a disjoint
-	// region of the output, so no synchronisation is needed.
-	Parallel(c, 1, func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			base := ch * h * w
-			for oy := 0; oy < oh; oy++ {
-				iy0 := oy*s.SH - s.PH
-				for ox := 0; ox < ow; ox++ {
-					ix0 := ox*s.SW - s.PW
-					row := (oy*ow+ox)*ncol + ch*s.KH*s.KW
-					for ky := 0; ky < s.KH; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
+	for ch := 0; ch < c; ch++ {
+		base := ch * h * w
+		for oy := 0; oy < oh; oy++ {
+			iy0 := oy*s.SH - s.PH
+			for ox := 0; ox < ow; ox++ {
+				ix0 := ox*s.SW - s.PW
+				row := (oy*ow+ox)*ncol + ch*s.KH*s.KW
+				for ky := 0; ky < s.KH; ky++ {
+					iy := iy0 + ky
+					if iy < 0 || iy >= h {
+						continue
+					}
+					dst := base + iy*w
+					src := row + ky*s.KW
+					for kx := 0; kx < s.KW; kx++ {
+						ix := ix0 + kx
+						if ix < 0 || ix >= w {
 							continue
 						}
-						dst := base + iy*w
-						src := row + ky*s.KW
-						for kx := 0; kx < s.KW; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							od[dst+ix] += cd[src+kx]
-						}
+						od[dst+ix] += cd[src+kx]
 					}
 				}
 			}
 		}
-	})
+	}
 }
 
 // Conv2D applies weights w of shape [OC, C, KH, KW] and bias b (len OC, may
@@ -236,19 +230,17 @@ func UpsampleNearest2x(x *Tensor) *Tensor { return UpsampleNearest2xWS(nil, x) }
 func UpsampleNearest2xWS(ws *Workspace, x *Tensor) *Tensor {
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	out := ws.GetDirty(c, h*2, w*2)
-	Parallel(c, 1, func(lo, hi int) {
-		for ch := lo; ch < hi; ch++ {
-			for y := 0; y < h; y++ {
-				src := x.Data[ch*h*w+y*w : ch*h*w+(y+1)*w]
-				d0 := out.Data[ch*4*h*w+(2*y)*2*w:]
-				d1 := out.Data[ch*4*h*w+(2*y+1)*2*w:]
-				for xx, v := range src {
-					d0[2*xx], d0[2*xx+1] = v, v
-					d1[2*xx], d1[2*xx+1] = v, v
-				}
+	for ch := 0; ch < c; ch++ {
+		for y := 0; y < h; y++ {
+			src := x.Data[ch*h*w+y*w : ch*h*w+(y+1)*w]
+			d0 := out.Data[ch*4*h*w+(2*y)*2*w:]
+			d1 := out.Data[ch*4*h*w+(2*y+1)*2*w:]
+			for xx, v := range src {
+				d0[2*xx], d0[2*xx+1] = v, v
+				d1[2*xx], d1[2*xx+1] = v, v
 			}
 		}
-	})
+	}
 	return out
 }
 
@@ -264,18 +256,16 @@ func UpsampleNearest2xBackwardWS(ws *Workspace, gy *Tensor) *Tensor {
 	c, h2, w2 := gy.Dim(0), gy.Dim(1), gy.Dim(2)
 	h, w := h2/2, w2/2
 	out := ws.GetDirty(c, h, w)
-	Parallel(c, 1, func(lo, hi int) {
-		for ch := lo; ch < hi; ch++ {
-			for y := 0; y < h; y++ {
-				g0 := gy.Data[ch*h2*w2+(2*y)*w2:]
-				g1 := gy.Data[ch*h2*w2+(2*y+1)*w2:]
-				dst := out.Data[ch*h*w+y*w : ch*h*w+(y+1)*w]
-				for xx := range dst {
-					dst[xx] = g0[2*xx] + g0[2*xx+1] + g1[2*xx] + g1[2*xx+1]
-				}
+	for ch := 0; ch < c; ch++ {
+		for y := 0; y < h; y++ {
+			g0 := gy.Data[ch*h2*w2+(2*y)*w2:]
+			g1 := gy.Data[ch*h2*w2+(2*y+1)*w2:]
+			dst := out.Data[ch*h*w+y*w : ch*h*w+(y+1)*w]
+			for xx := range dst {
+				dst[xx] = g0[2*xx] + g0[2*xx+1] + g1[2*xx] + g1[2*xx+1]
 			}
 		}
-	})
+	}
 	return out
 }
 
@@ -288,18 +278,16 @@ func AvgPool2x2WS(ws *Workspace, x *Tensor) *Tensor {
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	oh, ow := h/2, w/2
 	out := ws.GetDirty(c, oh, ow)
-	Parallel(c, 1, func(lo, hi int) {
-		for ch := lo; ch < hi; ch++ {
-			for y := 0; y < oh; y++ {
-				s0 := x.Data[ch*h*w+(2*y)*w:]
-				s1 := x.Data[ch*h*w+(2*y+1)*w:]
-				dst := out.Data[ch*oh*ow+y*ow : ch*oh*ow+(y+1)*ow]
-				for xx := range dst {
-					dst[xx] = (s0[2*xx] + s0[2*xx+1] + s1[2*xx] + s1[2*xx+1]) * 0.25
-				}
+	for ch := 0; ch < c; ch++ {
+		for y := 0; y < oh; y++ {
+			s0 := x.Data[ch*h*w+(2*y)*w:]
+			s1 := x.Data[ch*h*w+(2*y+1)*w:]
+			dst := out.Data[ch*oh*ow+y*ow : ch*oh*ow+(y+1)*ow]
+			for xx := range dst {
+				dst[xx] = (s0[2*xx] + s0[2*xx+1] + s1[2*xx] + s1[2*xx+1]) * 0.25
 			}
 		}
-	})
+	}
 	return out
 }
 

@@ -4,25 +4,23 @@ package tensor
 // NT: a×bᵀ) are lowered onto two shared micro-kernels — saxpy rows for the
 // NN/TN forms and sdot rows for the NT form — with cache blocking along the
 // reduction (k) dimension for the axpy forms and along the b-row (j)
-// dimension for the dot form. Row chunks are distributed by Parallel.
+// dimension for the dot form.
 //
 // Bit-consistency invariant: for every output element, partial products are
 // accumulated in ascending-p order into a single float32 accumulator, with
 // the same zero-skip convention as the pre-blocking kernels. Blocking only
 // reorders *which element* is updated next, never the accumulation order
 // within an element, so results are bitwise identical to the naive
-// triple-loop for any block size and any worker count (gemm_test.go checks
-// this against an unblocked reference on randomized shapes).
+// triple-loop for any block size (gemm_test.go checks this against an
+// unblocked reference on randomized shapes).
 const (
 	// gemmKC bounds the reduction-panel height: kc rows of b (kc*n floats)
 	// are streamed repeatedly while they are hot in cache instead of
 	// re-reading all k rows per output row.
 	gemmKC = 256
 	// gemmJB bounds the b-row tile of the NT (dot) kernel: jb rows of b
-	// (jb*k floats) are reused across every output row of a chunk.
+	// (jb*k floats) are reused across every output row.
 	gemmJB = 64
-	// gemmRowGrain is the minimum rows per Parallel chunk.
-	gemmRowGrain = 8
 )
 
 // saxpy computes dst[j] += a*x[j]. Single accumulator per element, ascending
@@ -50,51 +48,47 @@ func sdot(a, b []float32) float32 {
 // [k,n] row-major. Zero a-elements are skipped, matching the historical
 // kernels (im2col matrices are zero-heavy at the padding border).
 func gemmAxpy(cd, ad, bd []float32, m, n, k, ars, acs int, accumulate bool) {
-	Parallel(m, gemmRowGrain, func(lo, hi int) {
-		if !accumulate && k == 0 {
-			// The kb loop (which clears each row at its first panel) never
-			// runs for an empty reduction, but dst = a×b is still all zeros.
-			clear(cd[lo*n : hi*n])
-			return
+	if !accumulate && k == 0 {
+		// The kb loop (which clears each row at its first panel) never
+		// runs for an empty reduction, but dst = a×b is still all zeros.
+		clear(cd[:m*n])
+		return
+	}
+	for kb := 0; kb < k; kb += gemmKC {
+		ke := kb + gemmKC
+		if ke > k {
+			ke = k
 		}
-		for kb := 0; kb < k; kb += gemmKC {
-			ke := kb + gemmKC
-			if ke > k {
-				ke = k
+		for i := 0; i < m; i++ {
+			crow := cd[i*n : (i+1)*n]
+			if kb == 0 && !accumulate {
+				clear(crow)
 			}
-			for i := lo; i < hi; i++ {
-				crow := cd[i*n : (i+1)*n]
-				if kb == 0 && !accumulate {
-					clear(crow)
+			for p := kb; p < ke; p++ {
+				av := ad[i*ars+p*acs]
+				if av == 0 {
+					continue
 				}
-				for p := kb; p < ke; p++ {
-					av := ad[i*ars+p*acs]
-					if av == 0 {
-						continue
-					}
-					saxpy(crow, av, bd[p*n:(p+1)*n])
-				}
+				saxpy(crow, av, bd[p*n:(p+1)*n])
 			}
 		}
-	})
+	}
 }
 
 // gemmDot computes dst[m,n] = a×bᵀ for a [m,k], b [n,k], tiling the rows of
-// b so each jb-row panel stays cache-resident across a whole row chunk.
+// b so each jb-row panel stays cache-resident across every output row.
 func gemmDot(cd, ad, bd []float32, m, n, k int) {
-	Parallel(m, gemmRowGrain, func(lo, hi int) {
-		for jb := 0; jb < n; jb += gemmJB {
-			je := jb + gemmJB
-			if je > n {
-				je = n
-			}
-			for i := lo; i < hi; i++ {
-				arow := ad[i*k : (i+1)*k]
-				crow := cd[i*n : (i+1)*n]
-				for j := jb; j < je; j++ {
-					crow[j] = sdot(arow, bd[j*k:(j+1)*k])
-				}
+	for jb := 0; jb < n; jb += gemmJB {
+		je := jb + gemmJB
+		if je > n {
+			je = n
+		}
+		for i := 0; i < m; i++ {
+			arow := ad[i*k : (i+1)*k]
+			crow := cd[i*n : (i+1)*n]
+			for j := jb; j < je; j++ {
+				crow[j] = sdot(arow, bd[j*k:(j+1)*k])
 			}
 		}
-	})
+	}
 }

@@ -109,12 +109,6 @@ func (p *Pool) Release(t *Tensor) {
 		return
 	}
 	t.Data = t.Data[:cap(t.Data)]
-	// A lease that served as a batched conv's weight must not carry its
-	// panels into its next life: the recycled tensor keeps its identity
-	// and version but not its contents.
-	if t.panels.Load() != nil {
-		t.panels.Store(nil)
-	}
 	p.classes[c].Put(t)
 }
 

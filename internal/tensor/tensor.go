@@ -1,13 +1,13 @@
 // Package tensor provides dense float32 tensors and the numerical kernels
 // (matmul, im2col convolution, pooling, upsampling) that the rest of the
-// reproduction builds on. All hot loops operate on flat slices and are
-// parallelised across goroutines via Parallel.
+// reproduction builds on. All hot loops operate on flat slices and run on
+// the calling goroutine: a session is the unit of parallelism, a kernel is
+// not.
 package tensor
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Tensor is a dense, row-major float32 tensor. The zero value is not usable;
@@ -15,29 +15,7 @@ import (
 type Tensor struct {
 	Data  []float32
 	shape []int
-
-	// version counts in-place bulk mutations of Data, and exists only to
-	// invalidate panels. It is bumped explicitly — by the optimizers after
-	// a parameter step, by CopyFrom — not by every Set call: versioning is
-	// for long-lived weight tensors, whose mutation points are few and
-	// well known. Access is not synchronised; a tensor's owner bumps it,
-	// and readers that race with the owner are already violating the
-	// single-owner rule.
-	version uint64
-	// panels is Data packed for the vec backend's batched GEMM, built on
-	// first use by packed() and rebuilt when version has moved. The
-	// pointer is published atomically because frozen weights are read by
-	// concurrent batched kernels.
-	panels atomic.Pointer[packedPanels]
 }
-
-// Version returns the tensor's mutation version (see BumpVersion).
-func (t *Tensor) Version() uint64 { return t.version }
-
-// BumpVersion marks t's data as mutated, so panels packed from a previous
-// version are rebuilt before their next use. Clones and reshaped views
-// start at version 0 with no panels.
-func (t *Tensor) BumpVersion() { t.version++ }
 
 // New returns a zero-filled tensor with the given shape.
 func New(shape ...int) *Tensor {
@@ -168,16 +146,12 @@ func (t *Tensor) Zero() {
 	clear(t.Data)
 }
 
-// CopyFrom copies u's data into t. Shapes must match. The copy is a bulk
-// in-place overwrite (checkpoint restore, snapshot apply), so it bumps t's
-// version: panels packed from the old contents must not be served for the
-// new ones.
+// CopyFrom copies u's data into t. Shapes must match.
 func (t *Tensor) CopyFrom(u *Tensor) {
 	if !t.SameShape(u) {
 		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch %v vs %v", t.shape, u.shape))
 	}
 	copy(t.Data, u.Data)
-	t.version++
 }
 
 // String renders a short description (shape plus a data prefix).
