@@ -108,29 +108,6 @@ func TestAllocBudgetStudentPrefix(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetTeacherInferBatch pins the batched serving path all the
-// way to zero under vec, the default backend (named, so the CI matrix's
-// SHADOWTUTOR_BACKEND=reference leg still tests it): once the workspace
-// pool is warm a steady-state InferBatch must not allocate at all — every
-// kernel packs its weight, lowers its columns and writes its result into
-// pooled leases, and the mask buffers are recycled across calls.
-func TestAllocBudgetTeacherInferBatch(t *testing.T) {
-	skipUnderRace(t)
-	vec, err := tensor.BackendByName("vec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, frame := allocStudent(t)
-	s.SetBackend(vec)
-	imgs := make([]*tensor.Tensor, 8)
-	for i := range imgs {
-		imgs[i] = frame.Image
-	}
-	if got := measureAllocs(func() { s.InferBatch(imgs) }); got != 0 {
-		t.Fatalf("batched inference allocates %.0f/op after warm-up; the per-call pack must come from the workspace", got)
-	}
-}
-
 func TestAllocBudgetDistillStep(t *testing.T) {
 	skipUnderRace(t)
 	for _, backend := range tensor.Backends() {

@@ -20,7 +20,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/netsim"
-	"repro/internal/teacher"
 	"repro/internal/tensor"
 	"repro/internal/video"
 )
@@ -91,8 +90,8 @@ func BenchmarkTable3Throughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if t.NumRows() != len(video.Categories)+1 {
-			b.Fatalf("table 3 rows: %d", t.NumRows())
+		if n := len(t.Rows()); n != len(video.Categories)+1 {
+			b.Fatalf("table 3 rows: %d", n)
 		}
 	}
 	reportRunAggregates(b)
@@ -105,8 +104,8 @@ func BenchmarkTable4DataPerKeyFrame(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if t.NumRows() != 3 {
-			b.Fatalf("table 4 rows: %d", t.NumRows())
+		if n := len(t.Rows()); n != 3 {
+			b.Fatalf("table 4 rows: %d", n)
 		}
 	}
 }
@@ -224,35 +223,6 @@ func BenchmarkStudentInference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		student.Infer(frame.Image)
-	}
-}
-
-// BenchmarkTeacherInferBatch measures the CNN teacher's fused batched
-// forward on the default backend at batch 1 vs 16 — the per-frame cost the
-// batched serving path pays, which the backend/teacher-batched scenario
-// holds against the per-frame loop's.
-func BenchmarkTeacherInferBatch(b *testing.B) {
-	gen, err := video.NewGenerator(video.CategoryConfig(video.Category{Camera: video.Moving, Scenery: video.Street}, 29))
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames := make([]video.Frame, 16)
-	for i := range frames {
-		frames[i] = gen.Next()
-	}
-	for _, batch := range []int{1, 16} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			tch := teacher.NewCNNTeacher(31)
-			batchFrames := frames[:batch]
-			tch.InferBatch(batchFrames) // warm-up: pools
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tch.InferBatch(batchFrames)
-			}
-			b.StopTimer()
-			perFrame := b.Elapsed().Seconds() * 1e3 / float64(b.N*batch)
-			b.ReportMetric(perFrame, "ms/frame")
-		})
 	}
 }
 

@@ -118,10 +118,11 @@
 // All tensor math routes through one of two compute backends
 // (tensor.Backend): "reference" is the scalar semantic oracle, "vec" (the
 // default) is the register-blocked backend with AVX2+FMA kernels and a
-// portable fallback, whose convolution forward — one sample or a batch,
-// student or teacher — is one micro-kernel GEMM over weight panels packed
-// per call into pooled scratch. Kernels run on the calling goroutine: a
-// session is the unit of parallelism. Select per
+// portable fallback, whose convolution forward — student or teacher — is
+// one micro-kernel GEMM over weight panels packed per call into pooled
+// scratch. Kernels run on the calling goroutine: a session is the unit of
+// parallelism, and a gradient-free pass gives each activation back to the
+// pool after its last consumer (autodiff.Tape.Free). Select per
 // process with -backend on the server and stbench, or per environment with
 // SHADOWTUTOR_BACKEND; SHADOWTUTOR_NOAVX=1 forces vec's portable kernels:
 //

@@ -12,7 +12,9 @@
 // Reset invalidates every Value and Grad produced on the tape since the
 // previous Reset, so results that must outlive the pass have to be cloned
 // (or the caller uses a workspace-free tape, which behaves exactly as
-// before). See ARCHITECTURE.md "Memory model".
+// before). Free returns one op output earlier than that, once nothing will
+// read it again, so a pass that needs no gradient holds a layer's peak and
+// not the whole graph. See ARCHITECTURE.md "Memory model".
 package autodiff
 
 import (
@@ -32,11 +34,10 @@ type Variable struct {
 	tape         *Tape
 	id           int
 	requiresGrad bool
+	op           bool   // produced by an op of the tape: Value is the tape's own lease
+	held         bool   // fed an op whose output requires a gradient: a backward may read Value
 	backward     func() // propagates v.Grad into input grads; nil for leaves
 }
-
-// RequiresGrad reports whether gradients flow into this variable.
-func (v *Variable) RequiresGrad() bool { return v.requiresGrad }
 
 // varChunk is the allocation unit of the tape's variable arena. Chunks are
 // never moved or shrunk, so *Variable pointers stay valid across appends;
@@ -112,7 +113,9 @@ func (t *Tape) Constant(val *tensor.Tensor) *Variable { return t.Leaf(val, false
 // its inputs'. The caller attaches the backward closure only when the node
 // requires gradients, so the whole frozen prefix of a network records no
 // closures and costs nothing at backward time (and, with a workspace, the
-// inference path allocates no closures at all).
+// inference path allocates no closures at all). A node that does require
+// gradients marks its inputs held: its backward closure may read their
+// values, so Free leaves them alone.
 func (t *Tape) node(val *tensor.Tensor, inputs ...*Variable) *Variable {
 	req := false
 	for _, in := range inputs {
@@ -123,11 +126,33 @@ func (t *Tape) node(val *tensor.Tensor, inputs ...*Variable) *Variable {
 			req = true
 		}
 	}
+	if req {
+		for _, in := range inputs {
+			in.held = true
+		}
+	}
 	v := t.newVar()
 	v.Value = val
 	v.requiresGrad = req
+	v.op = true
 	t.register(v)
 	return v
+}
+
+// Free returns v's value to the tape's workspace now instead of at Reset,
+// for callers that know v has fed its last op. It acts only when no backward
+// pass can read the value — v is an op output of this tape, requires no
+// gradient and fed no op that does — and is a no-op otherwise (and on
+// workspace-free tapes), so a forward pass may call it unconditionally: under
+// training everything downstream of a trainable weight stays put. v.Value
+// becomes nil, so a use after an effective Free panics instead of reading a
+// recycled lease.
+func (t *Tape) Free(v *Variable) {
+	if t.ws == nil || v.tape != t || !v.op || v.requiresGrad || v.held {
+		return
+	}
+	t.ws.Put(v.Value)
+	v.Value = nil
 }
 
 // accum adds g into v.Grad (allocating or leasing on first use), borrowing
@@ -191,13 +216,6 @@ func (t *Tape) Backward(root *Variable, seed *tensor.Tensor) int {
 		}
 	}
 	return ran
-}
-
-// ZeroGrads clears the gradients of every node on the tape.
-func (t *Tape) ZeroGrads() {
-	for _, n := range t.nodes {
-		n.Grad = nil
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -363,35 +381,6 @@ func (t *Tape) Upsample2x(a *Variable) *Variable {
 	return v
 }
 
-// AvgPool2x2 halves spatial dimensions by mean pooling.
-func (t *Tape) AvgPool2x2(a *Variable) *Variable {
-	out := tensor.AvgPool2x2WS(t.ws, a.Value)
-	v := t.node(out, a)
-	if v.requiresGrad {
-		v.backward = func() {
-			g := v.Grad
-			c, oh, ow := g.Dim(0), g.Dim(1), g.Dim(2)
-			h, w := a.Value.Dim(1), a.Value.Dim(2)
-			// Odd trailing rows/columns receive no gradient, so the buffer
-			// must start zeroed.
-			dx := t.ws.Get(a.Value.Shape()...)
-			for ch := 0; ch < c; ch++ {
-				for y := 0; y < oh; y++ {
-					for x := 0; x < ow; x++ {
-						gv := g.Data[ch*oh*ow+y*ow+x] * 0.25
-						dx.Data[ch*h*w+(2*y)*w+2*x] = gv
-						dx.Data[ch*h*w+(2*y)*w+2*x+1] = gv
-						dx.Data[ch*h*w+(2*y+1)*w+2*x] = gv
-						dx.Data[ch*h*w+(2*y+1)*w+2*x+1] = gv
-					}
-				}
-			}
-			t.accumOwn(a, dx)
-		}
-	}
-	return v
-}
-
 // Concat stacks CHW variables along channels.
 func (t *Tape) Concat(xs ...*Variable) *Variable {
 	vals := make([]*tensor.Tensor, len(xs))
@@ -451,8 +440,13 @@ func (t *Tape) BatchNorm(x, gamma, beta *Variable, runMean, runVar *tensor.Tenso
 	for ch := 0; ch < c; ch++ {
 		invStd[ch] = 1 / sqrt32(varc[ch]+eps)
 	}
-	xhat := t.ws.GetDirty(c, h, w)
 	out := t.ws.GetDirty(c, h, w)
+	// Only the backward closure reads xhat and the statistics: a pass that
+	// needs no gradient writes xhat through out and returns the rest.
+	xhat := out
+	if x.requiresGrad || gamma.requiresGrad || beta.requiresGrad {
+		xhat = t.ws.GetDirty(c, h, w)
+	}
 	for ch := 0; ch < c; ch++ {
 		g, b := gamma.Value.Data[ch], beta.Value.Data[ch]
 		m, is := mean[ch], invStd[ch]
@@ -466,7 +460,11 @@ func (t *Tape) BatchNorm(x, gamma, beta *Variable, runMean, runVar *tensor.Tenso
 		}
 	}
 	v := t.node(out, x, gamma, beta)
-	if v.requiresGrad {
+	if !v.requiresGrad {
+		t.ws.Put(invStdT)
+		t.ws.Put(varT)
+		t.ws.Put(meanT)
+	} else {
 		v.backward = func() {
 			gy := v.Grad
 			// dGamma, dBeta

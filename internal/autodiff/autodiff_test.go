@@ -3,6 +3,7 @@ package autodiff
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -131,15 +132,11 @@ func TestGradAccumulationThroughFanout(t *testing.T) {
 	}
 }
 
-func TestZeroGradsAndReset(t *testing.T) {
+func TestResetDropsNodes(t *testing.T) {
 	tp := NewTape()
 	a := tp.Leaf(tensor.FromSlice([]float32{1}, 1), true)
 	y := tp.Add(a, a)
 	tp.Backward(y, nil)
-	tp.ZeroGrads()
-	if a.Grad != nil {
-		t.Fatal("ZeroGrads must clear gradients")
-	}
 	tp.Reset()
 	if tp.Len() != 0 {
 		t.Fatal("Reset must drop nodes")
@@ -249,30 +246,6 @@ func TestNumericGradUpsamplePoolConcat(t *testing.T) {
 	}
 }
 
-func TestAvgPoolBackwardNumeric(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := randT(rng, 1, 4, 4)
-	seed := randT(rng, 1, 2, 2)
-	lossOf := func() float64 {
-		tp := NewTape()
-		xv := tp.Leaf(x, true)
-		y := tp.AvgPool2x2(xv)
-		var l float64
-		for i := range y.Value.Data {
-			l += float64(y.Value.Data[i]) * float64(seed.Data[i])
-		}
-		return l
-	}
-	tp := NewTape()
-	xv := tp.Leaf(x, true)
-	y := tp.AvgPool2x2(xv)
-	tp.Backward(y, seed)
-	num := NumericGrad(x, lossOf, 1e-3)
-	if e := MaxRelError(xv.Grad, num, 0.1); e > 0.05 {
-		t.Fatalf("avgpool grad error %g", e)
-	}
-}
-
 func TestMatMulGradNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := randT(rng, 3, 4)
@@ -349,5 +322,78 @@ func TestBatchNormTrainingUpdatesRunningStats(t *testing.T) {
 	tp.BatchNorm(tp.Constant(x), tp.Constant(tensor.Full(1, 1)), tp.Constant(tensor.New(1)), rm, rv, true, 0.5, 1e-5)
 	if rm.Data[0] == 0 && rv.Data[0] == 1 {
 		t.Fatal("training mode must update running stats")
+	}
+}
+
+// freeGraph builds frozen conv → ReLU → trainable conv → ReLU → sum on a
+// workspace tape, calling Free on every op output right after its last
+// consumer when free is set, and returns the tape, the frozen-side
+// activations, the trainable weight and the loss.
+func freeGraph(free bool) (tp *Tape, c1, h, loss *Variable, w2 *Variable) {
+	rng := rand.New(rand.NewSource(17))
+	tp = NewTapeWS(tensor.NewWorkspaceOn(tensor.NewPool()))
+	x := tp.Constant(randT(rng, 2, 6, 6))
+	w1 := tp.Leaf(randT(rng, 3, 2, 3, 3), false)
+	w2 = tp.Leaf(randT(rng, 2, 3, 3, 3), true)
+	maybe := func(v *Variable) {
+		if free {
+			tp.Free(v)
+		}
+	}
+	c1 = tp.Conv2D(x, w1, nil, tensor.Spec(3, 3))
+	h = tp.ReLU(c1)
+	maybe(c1)
+	maybe(x) // a leaf: never the tape's to free
+	c2 := tp.Conv2D(h, w2, nil, tensor.Spec(3, 3))
+	maybe(h) // feeds an op that requires a gradient: held
+	r := tp.ReLU(c2)
+	maybe(c2)
+	loss = tp.SumScalar(r)
+	maybe(r)
+	return tp, c1, h, loss, w2
+}
+
+// Free gives back exactly what no backward will read: the frozen conv's
+// output goes, the activation feeding the trainable conv and everything
+// downstream of the trainable weight stay, and the gradients are those of
+// the same graph without a single Free.
+func TestFreeReleasesOnlyWhatNoBackwardReads(t *testing.T) {
+	tpF, c1, h, lossF, w2F := freeGraph(true)
+	tpP, _, _, lossP, w2P := freeGraph(false)
+	if c1.Value != nil {
+		t.Fatal("an op output that requires no gradient and fed none must be freed")
+	}
+	if h.Value == nil {
+		t.Fatal("Free released a value a gradient-requiring op's backward reads")
+	}
+	if got, want := tpF.Workspace().Leased(), tpP.Workspace().Leased()-1; got != want {
+		t.Fatalf("leases outstanding with Free = %d, want %d (exactly the one frozen activation fewer)", got, want)
+	}
+	tpF.Backward(lossF, nil)
+	tpP.Backward(lossP, nil)
+	if w2F.Grad == nil || !slices.Equal(w2F.Grad.Data, w2P.Grad.Data) {
+		t.Fatal("gradients of a graph sprinkled with Free calls differ from those without")
+	}
+}
+
+// A value read after an effective Free is nil, so the read panics instead of
+// seeing whatever the recycled lease holds by then; on a workspace-free tape
+// Free is a no-op and the value stays.
+func TestUseAfterFreePanics(t *testing.T) {
+	_, c1, _, _, _ := freeGraph(true)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reading a freed variable must panic")
+		}
+	}()
+	c1.tape.ReLU(c1)
+}
+
+func TestFreeOnWorkspaceFreeTapeIsNoop(t *testing.T) {
+	tp := NewTape()
+	y := tp.ReLU(tp.Constant(tensor.FromSlice([]float32{-1, 2}, 2)))
+	tp.Free(y)
+	if y.Value == nil || y.Value.Data[1] != 2 {
+		t.Fatal("Free on a workspace-free tape must leave the value alone")
 	}
 }

@@ -43,22 +43,6 @@ func (in Inputs) Validate() error {
 
 func sec(d time.Duration) float64 { return d.Seconds() }
 
-// TCBounds returns the bounds of equation 2 on t_c, the execution time of
-// MIN_STRIDE frames after a key frame: the lower bound assumes full
-// client concurrency, the upper bound none.
-func (in Inputs) TCBounds() (lo, hi time.Duration) {
-	inf := time.Duration(in.MinStride) * in.TSI
-	lo = maxDur(inf, in.TNet+in.TTI)
-	hi = inf + in.TNet + in.TTI
-	return
-}
-
-// TotalTime evaluates equation 3 for n frames, k key frames, d distillation
-// steps and a given t_c.
-func (in Inputs) TotalTime(n, k, d int, tc time.Duration) time.Duration {
-	return time.Duration(n-k*in.MinStride)*in.TSI + time.Duration(d)*in.TSD + time.Duration(k)*tc
-}
-
 // TrafficLower evaluates equation 8: bytes/s when key frames are least
 // frequent, distillation always exhausts MAX_UPDATES and the client has no
 // concurrency.
@@ -109,13 +93,6 @@ func (in Inputs) MaxUpdatesFor(minFPS float64, limit int) (int, bool) {
 		}
 	}
 	return best, found
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func maxF(a, b float64) float64 {

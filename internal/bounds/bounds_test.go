@@ -79,34 +79,6 @@ func TestPaperThroughputBounds(t *testing.T) {
 	}
 }
 
-func TestTCBoundsOrdering(t *testing.T) {
-	lo, hi := paperInputs().TCBounds()
-	if lo > hi {
-		t.Fatalf("t_c bounds inverted: %v > %v", lo, hi)
-	}
-	// eq. 2: lower bound is the max of the two components.
-	in := paperInputs()
-	inf := time.Duration(in.MinStride) * in.TSI
-	if lo != inf && lo != in.TNet+in.TTI {
-		t.Fatal("t_c lower bound must be max(inference, network+teacher)")
-	}
-	if hi != inf+in.TNet+in.TTI {
-		t.Fatal("t_c upper bound must be the sum")
-	}
-}
-
-func TestTotalTimeComposition(t *testing.T) {
-	in := paperInputs()
-	// With no key frames the total time is n × t_si.
-	if got := in.TotalTime(100, 0, 0, 0); got != 100*in.TSI {
-		t.Fatalf("key-frame-free total = %v", got)
-	}
-	// Adding distillation steps strictly increases time.
-	if in.TotalTime(100, 1, 5, time.Second) <= in.TotalTime(100, 1, 0, time.Second) {
-		t.Fatal("distillation steps must add time")
-	}
-}
-
 func TestBoundsOrdering(t *testing.T) {
 	in := paperInputs()
 	if in.TrafficLower() >= in.TrafficUpper() {

@@ -251,14 +251,11 @@ func ByName(name string) (Codec, bool) {
 // Pruned keeps only the largest-magnitude fraction of each tensor's entries
 // and encodes them sparsely as (uint32 index, float32 value) pairs. The
 // receiver fills the rest with zeros, so it only makes sense for *diffs*
-// applied to weights the receiver already holds — ShadowTutor's update path
-// applies full values, so Pruned wraps them as value-vs-reference deltas.
+// applied to weights the receiver already holds: Delta is what turns values
+// into deltas against those, with Pruned as its inner codec.
 type Pruned struct {
 	// KeepFraction is the fraction of entries retained per tensor, (0, 1].
 	KeepFraction float64
-	// Reference holds the receiver-side values the deltas apply to; nil
-	// means prune the raw values themselves.
-	Reference *nn.ParamSet
 }
 
 // Name implements Codec. The form round-trips through ByName ("prune25"),
@@ -280,18 +277,9 @@ func (p Pruned) Encode(w io.Writer, params []*nn.Parameter) error {
 		if err := writeHeader(w, prm); err != nil {
 			return err
 		}
-		// Deltas against the reference (zero reference = raw values).
-		deltas := make([]float32, prm.Value.Len())
-		copy(deltas, prm.Value.Data)
-		if p.Reference != nil {
-			if ref := p.Reference.Get(prm.Name); ref != nil {
-				for i := range deltas {
-					deltas[i] -= ref.Value.Data[i]
-				}
-			}
-		}
-		keep := int(math.Ceil(p.KeepFraction * float64(len(deltas))))
-		idx := topKByMagnitude(deltas, keep)
+		vals := prm.Value.Data
+		keep := int(math.Ceil(p.KeepFraction * float64(len(vals))))
+		idx := topKByMagnitude(vals, keep)
 		if err := binary.Write(w, binary.LittleEndian, uint32(len(idx))); err != nil {
 			return err
 		}
@@ -299,7 +287,7 @@ func (p Pruned) Encode(w io.Writer, params []*nn.Parameter) error {
 			if err := binary.Write(w, binary.LittleEndian, uint32(i)); err != nil {
 				return err
 			}
-			if err := binary.Write(w, binary.LittleEndian, deltas[i]); err != nil {
+			if err := binary.Write(w, binary.LittleEndian, vals[i]); err != nil {
 				return err
 			}
 		}
@@ -307,8 +295,7 @@ func (p Pruned) Encode(w io.Writer, params []*nn.Parameter) error {
 	return nil
 }
 
-// Decode implements Codec. The returned parameters hold reference+delta
-// when a Reference is configured, raw sparse values otherwise.
+// Decode implements Codec: the kept values at their indices, zero elsewhere.
 func (p Pruned) Decode(r io.Reader) ([]*nn.Parameter, error) {
 	count, err := readCount(r)
 	if err != nil {
@@ -321,11 +308,6 @@ func (p Pruned) Decode(r io.Reader) ([]*nn.Parameter, error) {
 			return nil, err
 		}
 		t := tensor.New(shape...)
-		if p.Reference != nil {
-			if ref := p.Reference.Get(name); ref != nil {
-				copy(t.Data, ref.Value.Data)
-			}
-		}
 		var n uint32
 		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 			return nil, fmt.Errorf("compress: prune count: %w", err)

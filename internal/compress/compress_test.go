@@ -179,32 +179,6 @@ func TestPrunedKeepsLargestEntries(t *testing.T) {
 	}
 }
 
-func TestPrunedWithReferenceReconstructs(t *testing.T) {
-	// Receiver holds the reference; sender prunes deltas. Small deltas are
-	// dropped, large ones arrive.
-	ref := nn.NewParamSet()
-	ref.Add("w", tensor.FromSlice([]float32{1, 1, 1, 1}, 4))
-	updated := []*nn.Parameter{{Name: "w", Value: tensor.FromSlice([]float32{1.001, 3, 1, -2}, 4)}}
-
-	codec := Pruned{KeepFraction: 0.5, Reference: ref}
-	var buf bufWriter
-	if err := codec.Encode(&buf, updated); err != nil {
-		t.Fatal(err)
-	}
-	got, err := codec.Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Largest deltas: 3-1=2 and -2-1=-3 → indices 1 and 3 arrive; index 0's
-	// tiny delta is dropped, leaving the reference value.
-	want := []float32{1, 3, 1, -2}
-	for i, w := range want {
-		if got[0].Value.Data[i] != w {
-			t.Fatalf("reconstructed[%d] = %v, want %v", i, got[0].Value.Data[i], w)
-		}
-	}
-}
-
 func TestPrunedKeepAllIsLossless(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	params := randParams(rng, 3)

@@ -128,6 +128,28 @@ func TestDeltaInt8ErrorBoundedByDeltaScale(t *testing.T) {
 	}
 }
 
+// Pruning relative to what the receiver holds is delta+pruneNN: the largest
+// deltas arrive, a dropped one leaves the base value.
+func TestDeltaPrunedKeepsLargestDeltas(t *testing.T) {
+	base := nn.NewParamSet()
+	base.Add("w", tensor.FromSlice([]float32{1, 1, 1, 1}, 4))
+	updated := []*nn.Parameter{{Name: "w", Value: tensor.FromSlice([]float32{1.001, 3, 1, -2}, 4)}}
+	c := &Delta{Inner: Pruned{KeepFraction: 0.5}, Base: base}
+	var buf bufWriter
+	if err := c.Encode(&buf, updated); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float32{1, 3, 1, -2} {
+		if got[0].Value.Data[i] != want {
+			t.Fatalf("reconstructed[%d] = %v, want %v", i, got[0].Value.Data[i], want)
+		}
+	}
+}
+
 // The whole point: a checkpoint that mostly equals the base must shrink
 // dramatically versus shipping it raw.
 func TestDeltaShrinksNearBaseCheckpoint(t *testing.T) {

@@ -8,12 +8,12 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/compress"
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/teacher"
 	"repro/internal/transport"
+	"repro/internal/video"
 )
 
 func TestAdaptiveDiffRoundTrip(t *testing.T) {
@@ -135,7 +135,7 @@ func TestAdaptiveSessionAppliesPolicy(t *testing.T) {
 		srvErr = srv.Serve(link)
 	}()
 	cl := &Client{Cfg: cfg, Student: tinyStudent(99), EvalTeacher: teacher.NewOracle(3), Adaptive: true}
-	if err := cl.Run(clientConn, baseline.NewReplay(frames), len(frames)); err != nil {
+	if err := cl.Run(clientConn, video.NewReplay(frames), len(frames)); err != nil {
 		t.Fatalf("client: %v", err)
 	}
 	clientConn.Close()

@@ -4,11 +4,11 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/compress"
 	"repro/internal/nn"
 	"repro/internal/teacher"
 	"repro/internal/transport"
+	"repro/internal/video"
 )
 
 func TestCheckpointCodecMatch(t *testing.T) {
@@ -90,7 +90,7 @@ func TestServerChecksClientCapabilityForDeltaCheckpoints(t *testing.T) {
 			srvErr = srv.Serve(serverConn)
 		}()
 		cl = &Client{Cfg: cfg, Student: tinyStudent(99), Base: clientBase}
-		if err := cl.Run(clientConn, baseline.NewReplay(frames), len(frames)); err != nil {
+		if err := cl.Run(clientConn, video.NewReplay(frames), len(frames)); err != nil {
 			t.Fatalf("client: %v", err)
 		}
 		clientConn.Close()

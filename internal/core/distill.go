@@ -179,9 +179,3 @@ func (d *Distiller) MeanStepLatency() time.Duration {
 	}
 	return d.TotalStepTime / time.Duration(d.TotalSteps)
 }
-
-// InferMask is a convenience wrapper: student argmax mask for an image.
-func InferMask(s *nn.Student, img *tensor.Tensor) []int32 {
-	mask, _ := s.Infer(img)
-	return mask
-}

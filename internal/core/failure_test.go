@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/teacher"
 	"repro/internal/transport"
+	"repro/internal/video"
 )
 
 // A server that vanishes before the handshake must surface a clean error.
@@ -14,7 +16,7 @@ func TestClientServerGoneBeforeHandshake(t *testing.T) {
 	serverConn.Close()
 	cl := &Client{Cfg: DefaultConfig(), Student: tinyStudent(71)}
 	frames := collect(t, 71, 10)
-	if err := cl.Run(clientConn, baseline.NewReplay(frames), len(frames)); err == nil {
+	if err := cl.Run(clientConn, video.NewReplay(frames), len(frames)); err == nil {
 		t.Fatal("dead server must fail the session")
 	}
 }
@@ -40,7 +42,7 @@ func TestClientServerDiesMidSession(t *testing.T) {
 		serverConn.Close()
 	}()
 	cl := &Client{Cfg: DefaultConfig(), Student: tinyStudent(72)}
-	err := cl.Run(clientConn, baseline.NewReplay(frames), len(frames))
+	err := cl.Run(clientConn, video.NewReplay(frames), len(frames))
 	if err == nil {
 		t.Fatal("client must report the lost server")
 	}
@@ -55,7 +57,7 @@ func TestClientRejectsCorruptCheckpoint(t *testing.T) {
 	}()
 	cl := &Client{Cfg: DefaultConfig(), Student: tinyStudent(73)}
 	frames := collect(t, 73, 10)
-	if err := cl.Run(clientConn, baseline.NewReplay(frames), len(frames)); err == nil {
+	if err := cl.Run(clientConn, video.NewReplay(frames), len(frames)); err == nil {
 		t.Fatal("corrupt checkpoint must fail")
 	}
 }
@@ -119,6 +121,83 @@ func TestServerRejectsMalformedLabel(t *testing.T) {
 		clientConn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)})
 		if err := <-done; err == nil {
 			t.Fatalf("%s accepted; want protocol error", name)
+		}
+	}
+}
+
+// handshaken returns a server past its handshake on one end of a pipe, the
+// client end, and the channel Loop's result arrives on.
+func handshaken(t *testing.T, seed int64) (*Server, *transport.PipeConn, chan error) {
+	t.Helper()
+	clientConn, serverConn := transport.Pipe(4, nil)
+	srv := NewServer(DefaultConfig(), tinyStudent(seed), teacher.NewOracle(seed))
+	done := make(chan error, 1)
+	go func() {
+		if _, err := srv.Handshake(serverConn); err != nil {
+			done <- err
+			return
+		}
+		done <- srv.Loop(serverConn)
+		serverConn.Close()
+	}()
+	clientConn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(transport.Hello{Version: transport.Version})})
+	for _, want := range []transport.MsgType{transport.MsgHello, transport.MsgStudentFull} {
+		if m, err := clientConn.Recv(); err != nil || m.Type != want {
+			t.Fatalf("handshake: got %v %v, want %v", m.Type, err, want)
+		}
+	}
+	return srv, clientConn, done
+}
+
+// A key frame's pixels come from outside the process. One non-finite pixel
+// would leave the trainable weights non-finite after a single Train and the
+// next diff would ship them; it must instead end that session as a protocol
+// violation — a plain error, never ErrConnLost, so the session is not parked
+// for resume — before any training and without a diff going out.
+func TestServerRejectsNonFinitePixel(t *testing.T) {
+	frame := collect(t, 78, 1)[0]
+	for name, bad := range map[string]float32{
+		"+Inf": float32(math.Inf(1)),
+		"-Inf": float32(math.Inf(-1)),
+		"NaN":  float32(math.NaN()),
+	} {
+		srv, clientConn, done := handshaken(t, 78)
+		before := srv.Distiller.Student.Params.Clone()
+		img := frame.Image.Clone()
+		img.Data[img.Len()/2] = bad
+		kf := transport.KeyFrame{FrameIndex: 0, Image: img, Label: frame.Label}
+		clientConn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)})
+		// The server end closes once Loop has returned, so this reads a
+		// reply if one was sent and EOF if not.
+		if m, err := clientConn.Recv(); err == nil {
+			t.Fatalf("%s pixel: server answered the bad key frame with %v", name, m.Type)
+		}
+		if err := <-done; err == nil || errors.Is(err, ErrConnLost) {
+			t.Fatalf("%s pixel: Loop returned %v; want a protocol error", name, err)
+		}
+		if srv.Distiller.TotalTrains != 0 {
+			t.Fatalf("%s pixel: the distiller trained on it", name)
+		}
+		for i, p := range srv.Distiller.Student.Params.All() {
+			want := before.All()[i].Value
+			for j, v := range p.Value.Data {
+				if math.Float32bits(v) != math.Float32bits(want.Data[j]) {
+					t.Fatalf("%s pixel: server student moved (%s[%d])", name, p.Name, j)
+				}
+			}
+		}
+	}
+}
+
+// Only key frames and shutdown travel client → server after the handshake;
+// anything else — including MsgPrediction, a reserved type no peer sends —
+// ends the session with a protocol error.
+func TestServerRejectsUnexpectedMessage(t *testing.T) {
+	for _, typ := range []transport.MsgType{transport.MsgPrediction, transport.MsgStudentDiff, transport.MsgHello} {
+		_, clientConn, done := handshaken(t, 79)
+		clientConn.Send(transport.Message{Type: typ})
+		if err := <-done; err == nil || errors.Is(err, ErrConnLost) {
+			t.Fatalf("%v after the handshake: Loop returned %v; want a protocol error", typ, err)
 		}
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/teacher"
 	"repro/internal/transport"
+	"repro/internal/video"
 )
 
 // waitGoroutines polls until the process goroutine count drops back to at
@@ -63,7 +63,7 @@ func TestClientLeavesNoGoroutines(t *testing.T) {
 			serverConn.Close()
 		}()
 		cl := &Client{Cfg: DefaultConfig(), Student: tinyStudent(92)}
-		if err := cl.Run(clientConn, baseline.NewReplay(frames), len(frames)); err == nil {
+		if err := cl.Run(clientConn, video.NewReplay(frames), len(frames)); err == nil {
 			t.Fatal("client should fail when the server vanishes")
 		}
 		clientConn.Close()
@@ -151,7 +151,7 @@ func TestClientPoisonDiffFailsFastDespiteDial(t *testing.T) {
 			return nil, fmt.Errorf("should not be dialled")
 		},
 	}
-	err := cl.Run(clientConn, baseline.NewReplay(frames), len(frames))
+	err := cl.Run(clientConn, video.NewReplay(frames), len(frames))
 	if err == nil {
 		t.Fatal("corrupt diff must fail the session")
 	}
@@ -180,7 +180,7 @@ func TestClientWithoutDialFailsFast(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		serverConn.Close()
 	}()
-	if err := cl.Run(clientConn, baseline.NewReplay(frames), len(frames)); err == nil {
+	if err := cl.Run(clientConn, video.NewReplay(frames), len(frames)); err == nil {
 		t.Fatal("dropped connection without Dial must fail the session")
 	}
 	if cl.Result.Reconnects != 0 {

@@ -222,8 +222,9 @@ func (s *Server) HandshakeWith(conn transport.Conn, m transport.Message) (transp
 //
 // A connection-level failure (EOF, reset, failed send) returns an error
 // wrapping ErrConnLost: the session state is intact and resumable.
-// Protocol violations (bad decode, malformed label, non-monotonic key
-// frame) return plain errors — they terminate the session for good.
+// Protocol violations (bad decode, malformed label, non-finite pixel,
+// non-monotonic key frame) return plain errors — they terminate the session
+// for good.
 func (s *Server) Loop(conn transport.Conn) error {
 	obs := s.observer()
 	link, _ := conn.(measuredLink)
@@ -248,6 +249,11 @@ func (s *Server) Loop(conn transport.Conn) error {
 			}
 			if err := validateLabel(kf.Label, kf.Image, s.Distiller.Student.Config.NumClasses); err != nil {
 				return err
+			}
+			// One Inf or NaN pixel would leave the trainable weights
+			// non-finite after a single Train, and the diff would ship them.
+			if !kf.Image.AllFinite() {
+				return fmt.Errorf("core: key frame %d has a non-finite pixel", kf.FrameIndex)
 			}
 			if err := requireLabel(kf.Label, s.Teacher); err != nil {
 				return err
@@ -315,49 +321,6 @@ func (s *Server) encodeDiff(diff transport.StudentDiff, link measuredLink) (body
 	body, err = EncodeAdaptiveDiff(diff, dec)
 	codec, _ := compress.ByName(dec.Codec) // EncodeAdaptiveDiff vetted the name
 	return body, err == nil && compress.Exact(codec), err
-}
-
-// NaiveServer answers every frame with the teacher's mask — the paper's
-// naive-offloading baseline over a real connection.
-type NaiveServer struct {
-	Teacher teacher.Teacher
-}
-
-// Serve runs the naive protocol until shutdown.
-func (s *NaiveServer) Serve(conn transport.Conn) error {
-	for {
-		m, err := conn.Recv()
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) {
-				return nil
-			}
-			return fmt.Errorf("core: naive server recv: %w", err)
-		}
-		switch m.Type {
-		case transport.MsgShutdown:
-			return nil
-		case transport.MsgKeyFrame:
-			kf, err := transport.DecodeKeyFrame(m.Body)
-			if err != nil {
-				return err
-			}
-			// Same boundary hardening as Server.Loop; the naive server has
-			// no student, so the wire label set bounds the classes.
-			if err := validateLabel(kf.Label, kf.Image, video.NumClasses); err != nil {
-				return err
-			}
-			if err := requireLabel(kf.Label, s.Teacher); err != nil {
-				return err
-			}
-			mask := s.Teacher.Infer(video.Frame{Index: int(kf.FrameIndex), Image: kf.Image, Label: kf.Label})
-			body := transport.EncodePrediction(transport.Prediction{FrameIndex: kf.FrameIndex, Mask: mask})
-			if err := conn.Send(transport.Message{Type: transport.MsgPrediction, Body: body}); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("core: naive server: unexpected message %v", m.Type)
-		}
-	}
 }
 
 // validateLabel rejects a malformed oracle side-channel at the protocol

@@ -7,7 +7,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/nn"
-	"repro/internal/simclock"
 	"repro/internal/teacher"
 	"repro/internal/video"
 )
@@ -108,10 +107,6 @@ type SimConfig struct {
 	// current stride and the post-distillation metric and returns the next
 	// stride, which the simulator still clamps to [MIN_STRIDE, MAX_STRIDE].
 	StridePolicy func(stride, metric float64) float64
-
-	// UnweightedLoss disables the §5.2 object-proximity loss weighting
-	// (ablation only).
-	UnweightedLoss bool
 }
 
 // FixedStridePolicy always returns n — the Zhu et al. baseline the paper
@@ -268,7 +263,6 @@ func applyFreeze(st *nn.Student, cfg Config, prefixes []string) {
 
 func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, student *nn.Student, lat ComponentLatencies, freezePrefixes []string) (SimResult, error) {
 	cfg := sc.Cfg
-	cfg.UnweightedLoss = cfg.UnweightedLoss || sc.UnweightedLoss
 	res := SimResult{Mode: sc.Mode, Partial: cfg.Partial}
 
 	// Server-side copy of the student (Algorithm 3 trains a copy; the
@@ -289,9 +283,9 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 	}
 
 	cm := metrics.NewConfusionMatrix(student.Config.NumClasses)
-	// All timing runs on the deterministic virtual clock: results depend
-	// only on the schedule and the modeled latencies, never on host speed.
-	clk := new(simclock.Clock)
+	// All timing is virtual: results depend only on the schedule and the
+	// modeled latencies, never on host speed.
+	var now time.Duration
 	stride := float64(cfg.MinStride)
 	step := cfg.MinStride // "step ← stride" so the first frame is a key frame
 	updated := true
@@ -351,12 +345,12 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 					}
 				}
 				if sc.Concurrency == FullConcurrency {
-					p.arrivesAt = clk.Now() + serverTime + transfer
+					p.arrivesAt = now + serverTime + transfer
 				} else {
 					// Without concurrency the client stalls for the whole
 					// round trip before continuing (eq. 2 upper bound).
-					clk.Advance(serverTime + transfer)
-					p.arrivesAt = clk.Now()
+					now += serverTime + transfer
+					p.arrivesAt = now
 				}
 			}
 			pending = p
@@ -367,7 +361,7 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 		// On-device inference of the current frame (key frames included:
 		// Algorithm 4 line 12 runs for every frame).
 		mask, _ := student.Infer(frame.Image)
-		clk.Advance(lat.StudentInference)
+		now += lat.StudentInference
 		step++
 
 		if i%sc.EvalEvery == 0 {
@@ -385,10 +379,10 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 				// Blocking wait at MIN_STRIDE (Algorithm 4 lines 15–17).
 				// Skipped for faulted updates: the disconnected client has
 				// no arrival to wait on and keeps going on stale weights.
-				if step == cfg.MinStride && !pending.noBlock && clk.Now() < pending.arrivesAt {
-					clk.AdvanceTo(pending.arrivesAt)
+				if step == cfg.MinStride && !pending.noBlock && now < pending.arrivesAt {
+					now = pending.arrivesAt
 				}
-				if clk.Now() >= pending.arrivesAt {
+				if now >= pending.arrivesAt {
 					applyUpdate(pending)
 					pending = nil
 				}
@@ -396,7 +390,7 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 		}
 	}
 	res.Frames = sc.Frames
-	res.VirtualTime = clk.Now()
+	res.VirtualTime = now
 	res.MeanIoU = cm.MeanIoU()
 	return res, nil
 }

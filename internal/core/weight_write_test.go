@@ -65,15 +65,12 @@ func TestBatchedInferenceSeesEveryWeightUpdate(t *testing.T) {
 	// Each case returns the consumer's output on the live weights and on a
 	// never-used copy of them, after applying write when it is set.
 	type outputs struct{ live, fresh []float32 }
-	convCase := func(batched bool) func(write bool) outputs {
-		x, xb := tensor.New(3, 9, 11), tensor.New(3, 2, 9, 11)
+	convCase := func() func(write bool) outputs {
+		x := tensor.New(3, 9, 11)
 		w, b := tensor.New(5, 3, 3, 3), tensor.New(5)
-		fill(x, xb, w, b)
+		fill(x, w, b)
 		ws := tensor.NewWorkspace().SetBackend(vec)
 		run := func(w *tensor.Tensor) []float32 {
-			if batched {
-				return tensor.Conv2DBatchCNHWWS(ws, xb, w, b, tensor.Spec(3, 3)).Data
-			}
 			return tensor.Conv2DWS(ws, x, w, b, tensor.Spec(3, 3)).Data
 		}
 		return func(write bool) outputs {
@@ -89,8 +86,7 @@ func TestBatchedInferenceSeesEveryWeightUpdate(t *testing.T) {
 		name string
 		run  func(write bool) outputs
 	}{
-		{"Conv2DWS", convCase(false)},
-		{"Conv2DBatchCNHWWS", convCase(true)},
+		{"Conv2DWS", convCase()},
 		{"Student.InferBatch", func() func(bool) outputs {
 			s := tinyStudent(2102)
 			s.SetBackend(vec)

@@ -181,6 +181,7 @@ func (s *Suite) AblationLossWeighting() (*stats.Table, error) {
 			return nil, err
 		}
 		cfg := core.DefaultConfig()
+		cfg.UnweightedLoss = !weighted
 		student, err := FreshStudentFor(cfg)
 		if err != nil {
 			return nil, err
@@ -189,7 +190,6 @@ func (s *Suite) AblationLossWeighting() (*stats.Table, error) {
 			Cfg: cfg, Mode: core.ModeShadowTutor, Frames: s.Opts.Frames,
 			Link: netsim.DefaultLink(), Concurrency: core.FullConcurrency,
 			DelayFrames: 1, EvalEvery: s.Opts.EvalEvery,
-			UnweightedLoss: !weighted,
 		}
 		res, err := core.Simulate(sc, src, tch, student)
 		if err != nil {

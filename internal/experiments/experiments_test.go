@@ -4,16 +4,10 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/video"
 )
-
-func narrowLink() netsim.Link {
-	return netsim.Link{Bandwidth: 8, RTTBase: 5 * time.Millisecond}
-}
 
 func TestMain(m *testing.M) {
 	// Keep the one-time pre-training short for the test binary; the tests
@@ -175,24 +169,5 @@ func TestAblationCompressionShapes(t *testing.T) {
 	// The raw row must report zero error and ratio 1.00x.
 	if !strings.Contains(out, "1.00x") {
 		t.Fatalf("raw codec should be the 1.00x baseline:\n%s", out)
-	}
-}
-
-func TestRetimeCategoryRunsLongerOnNarrowLink(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real distillation")
-	}
-	s := quickSuite()
-	key := RunKey{Stream: "fixed/people", Mode: core.ModeShadowTutor, Partial: true, Delay: 1}
-	wide, err := s.RetimeCategory(key, link80())
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrow, err := s.RetimeCategory(key, narrowLink())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if narrow < wide {
-		t.Fatalf("8 Mbps run (%v) should not be faster than 80 Mbps (%v)", narrow, wide)
 	}
 }

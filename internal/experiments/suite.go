@@ -133,16 +133,3 @@ const NaiveOverhead = 65 * time.Millisecond
 func (s *Suite) CategoryRun(cat video.Category, mode core.Mode, partial bool, delay, resample int) (core.SimResult, error) {
 	return s.Run(RunKey{Stream: cat.String(), Mode: mode, Partial: partial, Delay: delay, Resample: resample})
 }
-
-// RetimeCategory computes the virtual execution time for a memoised run's
-// schedule under the given link (Figure 4 and Tables 3/5 derive their
-// timing this way).
-func (s *Suite) RetimeCategory(key RunKey, link netsim.Link) (time.Duration, error) {
-	res, err := s.Run(key)
-	if err != nil {
-		return 0, err
-	}
-	rc := core.RetimeConfig{Cfg: core.DefaultConfig(), Link: link, Concurrency: core.FullConcurrency}
-	rc.Cfg.Partial = key.Partial
-	return core.Retime(rc, res.Schedule, res.Frames, key.Partial), nil
-}

@@ -1,32 +1,6 @@
 package fabric
 
-import (
-	"repro/internal/serve"
-	"repro/internal/transport"
-)
-
-// Placement is the narrow contract the router needs from a shard worker.
-// *serve.Manager implements it; the indirection keeps the router free of
-// any knowledge of distillation, teachers or resume internals.
-type Placement interface {
-	// HandleFirst serves one session whose opening message the router
-	// already read, blocking until the session ends.
-	HandleFirst(conn transport.Conn, first transport.Message) error
-	// Load reports active sessions against capacity for admission control.
-	Load() (active, capacity int)
-	// SessionState reports whether a session is active, parked or unknown.
-	SessionState(id uint64) serve.SessionState
-	// ExportParked removes a parked session and returns its handoff
-	// envelope; ImportParked parks an envelope exported elsewhere.
-	ExportParked(id uint64) ([]byte, error)
-	ImportParked(env []byte) error
-	// ParkedIDs lists parked sessions (drain migration walks it).
-	ParkedIDs() []uint64
-	// Stats snapshots the shard's aggregate activity.
-	Stats() serve.Stats
-	// Close drains and shuts the shard down.
-	Close() error
-}
+import "repro/internal/serve"
 
 // Shard is one placement-addressable worker: a serve.Manager plus its
 // stable index in the fabric. The index — not the Go object — is what the

@@ -149,9 +149,6 @@ func NewRouter(opts Options) (*Router, error) {
 	return r, nil
 }
 
-// NumShards returns the number of shard workers (drained ones included).
-func (r *Router) NumShards() int { return len(r.shards) }
-
 // place returns the rendezvous winner for id among the shards still in the
 // placement set, or nil when the router is closed.
 func (r *Router) place(id uint64) *Shard {

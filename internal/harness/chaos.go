@@ -59,7 +59,7 @@ func dropMidstreamCuts() []netsim.Fault {
 // identical simulated runs (the live run's stream and oracle seeds, the
 // experiments suite's pretrained student), with the faulty one adding
 // the recovery cost to the updates dropMidstreamCuts severs (diffs 2 and 4,
-// 0-based key frames 1 and 3). Everything runs on simclock virtual time, so
+// 0-based key frames 1 and 3). Everything runs on the simulator's virtual time, so
 // given diffMsg the returned delta is machine-independent — unlike the live
 // run, where host speed shifts which frame each recovered diff lands on.
 // diffMsg is the size of the replayed message: the mean student diff the

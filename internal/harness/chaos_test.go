@@ -56,7 +56,7 @@ func TestChaosDropMidstream(t *testing.T) {
 	// ~3pp on slower ones with identical reconnect/replay behaviour) — it
 	// stays a loose sanity check for a recovery that loses the session's
 	// learning outright. The deterministic twin replays the same faults on
-	// internal/simclock virtual time, where the recovered diffs land on the
+	// the simulator's virtual time, where the recovered diffs land on the
 	// same frames on every machine, so it carries the tight 2pp contract.
 	if math.Abs(m.MIoUDeltaPct) > 4.0 {
 		t.Errorf("live mIoU delta vs fault-free run = %.2f pp, want within 4pp (faulty %.4f, clean %.4f)",
@@ -64,10 +64,10 @@ func TestChaosDropMidstream(t *testing.T) {
 	}
 	simDelta, ok := m.Extra["sim_miou_delta_pp"]
 	if !ok {
-		t.Fatal("missing sim_miou_delta_pp: the deterministic simclock twin must run")
+		t.Fatal("missing sim_miou_delta_pp: the deterministic simulated twin must run")
 	}
 	if math.Abs(simDelta) > 2.0 {
-		t.Errorf("simclock mIoU delta = %.2f pp, want within 2pp (sim clean %.4f)",
+		t.Errorf("simulated-twin mIoU delta = %.2f pp, want within 2pp (sim clean %.4f)",
 			simDelta, m.Extra["sim_clean_miou"])
 	}
 	if m.MeanIoU <= 0 {

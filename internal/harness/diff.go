@@ -107,25 +107,6 @@ var DefaultChecks = map[string]Check{
 	"extra.distill_speedup_x":         {HigherBetter, 0.25},
 	"extra.reference_distill_step_ms": {Informational, 0},
 
-	// Batched teacher (backend/teacher-batched): a fused batch-16 teacher
-	// forward against the per-frame loop, both on vec — and, since the
-	// per-sample convolution became a batch of one, both on the same
-	// micro-kernel. What the ratio measures is what fusing a batch's layers
-	// saves (1.13× in the committed baseline; 1.20× and 1.38× on two more
-	// runs of the box that wrote it), not a kernel difference, and what the
-	// gate enforces — 0.75× that ratio — is a floor near 0.85×: a batched
-	// frame may cost up to about 15 % more than a looped one before it
-	// trips, which a batched path that falls off the shared kernel or
-	// starts round-tripping batch-sized buffers through DRAM does. Losing the micro-kernel altogether
-	// slows both sides alike and is caught by extra.distill_speedup_x
-	// above, which it moves. The absolute per-frame latencies are
-	// machine-speed noise, and the batch size is part of the scenario
-	// definition.
-	"extra.teacher_batch_speedup_x": {HigherBetter, 0.25},
-	"extra.teacher_infer_loop_ms":   {Informational, 0},
-	"extra.teacher_infer_batch_ms":  {Informational, 0},
-	"extra.teacher_batch_size":      {BothWays, 0},
-
 	// Packet-layer metrics (loss families). The measured loss rate is a
 	// deterministic function of the seeded loss model and the packet count,
 	// but the packet count itself moves with key-frame timing, so the gate

@@ -156,12 +156,6 @@ func init() {
 		Spec: Spec{Workload: "moving/street", Backend: "vec"},
 		Run:  runBackendSpeedup,
 	})
-	Register(Scenario{
-		Name: "backend/teacher-batched",
-		Desc: "fused batch-16 teacher inference vs the per-frame loop on the same micro-kernel",
-		Spec: Spec{Workload: "moving/street", Backend: "vec"},
-		Run:  runTeacherBatchSpeedup,
-	})
 
 	Register(Scenario{
 		Name: "soak/multiclient-long",
@@ -192,27 +186,6 @@ func runBackendSpeedup(spec Spec) ([]Metrics, error) {
 		Extra: map[string]float64{
 			"reference_distill_step_ms": ms["reference"],
 			"distill_speedup_x":         ms["reference"] / ms["vec"],
-		},
-	}}, nil
-}
-
-// runTeacherBatchSpeedup times the CNN teacher's fused batch-16 forward
-// against the per-frame Infer loop on the same frames; the bench gate holds the ratio to 0.75x the committed
-// baseline's via the extra.teacher_batch_speedup_x check.
-func runTeacherBatchSpeedup(spec Spec) ([]Metrics, error) {
-	const batch = 16
-	loopMS, fusedMS, err := TeacherBatchSpeedup(spec, batch)
-	if err != nil {
-		return nil, err
-	}
-	return []Metrics{{
-		Workload: spec.Workload,
-		Backend:  spec.BackendLabel(),
-		Extra: map[string]float64{
-			"teacher_infer_loop_ms":   loopMS,
-			"teacher_infer_batch_ms":  fusedMS,
-			"teacher_batch_speedup_x": loopMS / fusedMS,
-			"teacher_batch_size":      batch,
 		},
 	}}, nil
 }

@@ -146,26 +146,3 @@ func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, label []int32, weights
 	}
 	return totalLoss / totalWeight
 }
-
-// Softmax returns per-pixel channel probabilities for CHW logits.
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	c, h, w := logits.Dim(0), logits.Dim(1), logits.Dim(2)
-	hw := h * w
-	out := tensor.New(c, h, w)
-	for p := 0; p < hw; p++ {
-		m := float64(logits.Data[p])
-		for ch := 1; ch < c; ch++ {
-			if v := float64(logits.Data[ch*hw+p]); v > m {
-				m = v
-			}
-		}
-		var z float64
-		for ch := 0; ch < c; ch++ {
-			z += math.Exp(float64(logits.Data[ch*hw+p]) - m)
-		}
-		for ch := 0; ch < c; ch++ {
-			out.Data[ch*hw+p] = float32(math.Exp(float64(logits.Data[ch*hw+p])-m) / z)
-		}
-	}
-	return out
-}

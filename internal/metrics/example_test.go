@@ -16,10 +16,8 @@ func ExampleConfusionMatrix_MeanIoU() {
 	// class 0: intersection 1, union 2 → 0.50
 	// class 1: intersection 2, union 3 → 0.67
 	fmt.Printf("mIoU = %.3f\n", cm.MeanIoU())
-	fmt.Printf("accuracy = %.2f\n", cm.PixelAccuracy())
 	// Output:
 	// mIoU = 0.583
-	// accuracy = 0.75
 }
 
 // The helper computes a one-shot mIoU without keeping a matrix around — the

@@ -86,21 +86,6 @@ func (cm *ConfusionMatrix) MeanIoU() float64 {
 	return sum / float64(n)
 }
 
-// PixelAccuracy returns the fraction of pixels classified correctly.
-func (cm *ConfusionMatrix) PixelAccuracy() float64 {
-	var correct, total int64
-	for c := 0; c < cm.NumClasses; c++ {
-		correct += cm.counts[c*cm.NumClasses+c]
-		for k := 0; k < cm.NumClasses; k++ {
-			total += cm.counts[c*cm.NumClasses+k]
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}
-
 // MeanIoU computes mean IoU between two masks directly, for callers that do
 // not need a persistent confusion matrix (e.g. the per-key-frame metric in
 // Algorithm 1).

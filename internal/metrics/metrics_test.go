@@ -14,9 +14,6 @@ func TestPerfectPredictionIoU(t *testing.T) {
 	if iou := cm.MeanIoU(); iou != 1 {
 		t.Fatalf("perfect prediction mIoU = %v", iou)
 	}
-	if acc := cm.PixelAccuracy(); acc != 1 {
-		t.Fatalf("perfect prediction accuracy = %v", acc)
-	}
 }
 
 func TestCompletelyWrongIoU(t *testing.T) {
@@ -160,7 +157,7 @@ func TestQuickConfusionAdditive(t *testing.T) {
 		a.Add(p2, l2)
 		b := NewConfusionMatrix(3)
 		b.Add(append(append([]int32{}, p1...), p2...), append(append([]int32{}, l1...), l2...))
-		return a.MeanIoU() == b.MeanIoU() && a.PixelAccuracy() == b.PixelAccuracy()
+		return a.MeanIoU() == b.MeanIoU()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(6))}); err != nil {
 		t.Fatal(err)

@@ -238,10 +238,3 @@ func (c *FaultyConn) Write(p []byte) (int, error) {
 	}
 	return written, nil
 }
-
-// Transferred returns the bytes moved so far in each direction.
-func (c *FaultyConn) Transferred() (up, down int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.up, c.down
-}

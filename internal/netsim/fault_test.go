@@ -112,10 +112,6 @@ func TestFaultyConnStall(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < stall {
 		t.Fatalf("write took %v, want at least the %v stall", elapsed, stall)
 	}
-	up, _ := fc.Transferred()
-	if up != 16 {
-		t.Fatalf("transferred %d, want 16", up)
-	}
 }
 
 // Per-direction scripts are independent: an Up cut does not fire on reads

@@ -23,10 +23,12 @@ func FuzzDecodePacket(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, PacketHeaderLen+4))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, n, err := DecodePacket(data)
+		r := bytes.NewReader(data)
+		p, err := ReadPacket(r)
 		if err != nil {
 			return
 		}
+		n := len(data) - r.Len()
 		if n < PacketHeaderLen || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}

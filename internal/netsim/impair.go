@@ -16,11 +16,6 @@ type Impairment struct {
 // maxDefer bounds how far behind its slot a reordered packet can land.
 const maxDefer = 3
 
-// NewImpairment builds a reorder/jitter impairment stage.
-func NewImpairment(reorderProb float64, seed int64) *Impairment {
-	return &Impairment{Seed: seed, ReorderProb: reorderProb}
-}
-
 // Defer returns how many positions behind its in-order slot packet seq is
 // emitted (0 = in place, 1..maxDefer = deferred). Pure in (Seed, seq).
 func (im *Impairment) Defer(seq uint64) int {

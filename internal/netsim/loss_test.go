@@ -104,7 +104,7 @@ func TestThresholdLossFollowsTrace(t *testing.T) {
 // must be identical regardless of timing, worker counts, or -race.
 func fateFingerprint(n int) uint64 {
 	ge := NewGilbertElliott(0.02, 0.25, 0.002, 0.5, 1234)
-	im := NewImpairment(0.10, 1234)
+	im := &Impairment{ReorderProb: 0.10, Seed: 1234}
 	fates := Schedule(ge, im, n, 0)
 	h := fnv.New64a()
 	for _, f := range fates {
@@ -155,7 +155,7 @@ func TestPacketScheduleDeterminism(t *testing.T) {
 
 // The deferred-position stream must be deterministic and bounded.
 func TestImpairmentDefer(t *testing.T) {
-	im := NewImpairment(0.25, 5)
+	im := &Impairment{ReorderProb: 0.25, Seed: 5}
 	seen := map[int]int{}
 	for seq := uint64(1); seq <= 10_000; seq++ {
 		d := im.Defer(seq)

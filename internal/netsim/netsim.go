@@ -47,27 +47,18 @@ func (l Link) TransferTime(size int) time.Duration {
 	return l.RTTBase + time.Duration(sec*float64(time.Second))
 }
 
-// RoundTrip returns the time for an up transfer of upBytes plus a down
-// transfer of downBytes (sequential, as in Algorithm 3's request/response).
-func (l Link) RoundTrip(upBytes, downBytes int) time.Duration {
-	return l.TransferTime(upBytes) + l.TransferTime(downBytes)
-}
-
 // Accountant tallies bytes moved in each direction. It is safe for
 // concurrent use (the TCP path updates it from multiple goroutines).
 type Accountant struct {
-	mu            sync.Mutex
-	toServer      int64
-	toClient      int64
-	upTransfers   int64
-	downTransfers int64
+	mu       sync.Mutex
+	toServer int64
+	toClient int64
 }
 
 // AddToServer records an upload of size bytes.
 func (a *Accountant) AddToServer(size int) {
 	a.mu.Lock()
 	a.toServer += int64(size)
-	a.upTransfers++
 	a.mu.Unlock()
 }
 
@@ -75,7 +66,6 @@ func (a *Accountant) AddToServer(size int) {
 func (a *Accountant) AddToClient(size int) {
 	a.mu.Lock()
 	a.toClient += int64(size)
-	a.downTransfers++
 	a.mu.Unlock()
 }
 
@@ -84,13 +74,6 @@ func (a *Accountant) Totals() (toServer, toClient int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.toServer, a.toClient
-}
-
-// Transfers returns the number of transfers in each direction.
-func (a *Accountant) Transfers() (up, down int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.upTransfers, a.downTransfers
 }
 
 // HDScale converts locally measured wire bytes into HD-equivalent bytes:

@@ -35,14 +35,6 @@ func TestTransferTimeIncludesRTT(t *testing.T) {
 	}
 }
 
-func TestRoundTripIsSequential(t *testing.T) {
-	l := Link{Bandwidth: 8, RTTBase: 10 * time.Millisecond}
-	rt := l.RoundTrip(1000, 2000)
-	if rt != l.TransferTime(1000)+l.TransferTime(2000) {
-		t.Fatal("RoundTrip must be the sum of both directions")
-	}
-}
-
 func TestTransferTimeZeroBandwidthPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -60,10 +52,6 @@ func TestAccountantTotals(t *testing.T) {
 	up, down := a.Totals()
 	if up != 101 || down != 50 {
 		t.Fatalf("totals = %d/%d", up, down)
-	}
-	u, d := a.Transfers()
-	if u != 2 || d != 1 {
-		t.Fatalf("transfers = %d/%d", u, d)
 	}
 }
 

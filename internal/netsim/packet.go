@@ -75,8 +75,7 @@ func AppendPacket(dst []byte, p Packet) []byte {
 	return append(dst, p.Payload...)
 }
 
-// validatePacket enforces the header invariants shared by DecodePacket and
-// ReadPacket.
+// validatePacket enforces the header invariants ReadPacket checks.
 func validatePacket(p Packet) error {
 	switch p.Kind {
 	case KindData:
@@ -108,36 +107,8 @@ func validatePacket(p Packet) error {
 	return nil
 }
 
-// DecodePacket decodes one packet from the front of b, returning the packet
-// and the number of bytes consumed. The returned payload aliases b.
-func DecodePacket(b []byte) (Packet, int, error) {
-	if len(b) < PacketHeaderLen {
-		return Packet{}, 0, fmt.Errorf("%w: truncated header (%d bytes)", ErrBadPacket, len(b))
-	}
-	if b[0] != PacketMagic {
-		return Packet{}, 0, fmt.Errorf("%w: bad magic 0x%02x", ErrBadPacket, b[0])
-	}
-	p := Packet{
-		Kind:       b[1],
-		Seq:        binary.LittleEndian.Uint32(b[2:6]),
-		Group:      binary.LittleEndian.Uint32(b[6:10]),
-		GroupIndex: b[10],
-		GroupSize:  b[11],
-		LenXor:     binary.LittleEndian.Uint16(b[12:14]),
-	}
-	plen := int(binary.LittleEndian.Uint16(b[14:16]))
-	if err := validatePacket(p); err != nil {
-		return Packet{}, 0, err
-	}
-	if len(b) < PacketHeaderLen+plen {
-		return Packet{}, 0, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrBadPacket, len(b)-PacketHeaderLen, plen)
-	}
-	p.Payload = b[PacketHeaderLen : PacketHeaderLen+plen]
-	return p, PacketHeaderLen + plen, nil
-}
-
-// ReadPacket reads exactly one packet from r. Unlike DecodePacket it owns
-// its payload allocation.
+// ReadPacket reads exactly one packet from r; the payload is its own
+// allocation.
 func ReadPacket(r io.Reader) (Packet, error) {
 	var h [PacketHeaderLen]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {

@@ -17,33 +17,20 @@ func TestPacketRoundTrip(t *testing.T) {
 	for _, p := range pkts {
 		wire = AppendPacket(wire, p)
 	}
-	off := 0
-	for i, want := range pkts {
-		got, n, err := DecodePacket(wire[off:])
-		if err != nil {
-			t.Fatalf("packet %d: decode: %v", i, err)
-		}
-		off += n
-		if got.Kind != want.Kind || got.Seq != want.Seq || got.Group != want.Group ||
-			got.GroupIndex != want.GroupIndex || got.GroupSize != want.GroupSize ||
-			got.LenXor != want.LenXor || !bytes.Equal(got.Payload, want.Payload) {
-			t.Fatalf("packet %d: got %+v want %+v", i, got, want)
-		}
-	}
-	if off != len(wire) {
-		t.Fatalf("consumed %d of %d wire bytes", off, len(wire))
-	}
-
-	// ReadPacket agrees with DecodePacket.
 	r := bytes.NewReader(wire)
 	for i, want := range pkts {
 		got, err := ReadPacket(r)
 		if err != nil {
 			t.Fatalf("packet %d: read: %v", i, err)
 		}
-		if got.Seq != want.Seq || !bytes.Equal(got.Payload, want.Payload) {
-			t.Fatalf("packet %d: read mismatch", i)
+		if got.Kind != want.Kind || got.Seq != want.Seq || got.Group != want.Group ||
+			got.GroupIndex != want.GroupIndex || got.GroupSize != want.GroupSize ||
+			got.LenXor != want.LenXor || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("packet %d: got %+v want %+v", i, got, want)
 		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d of %d wire bytes left unread", r.Len(), len(wire))
 	}
 }
 
@@ -63,9 +50,9 @@ func TestDecodePacketRejectsMalformed(t *testing.T) {
 	}
 	for name, corrupt := range cases {
 		b := corrupt(append([]byte(nil), good...))
-		if _, _, err := DecodePacket(b); err == nil {
+		if _, err := ReadPacket(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s: decode accepted malformed packet", name)
-		} else if !errors.Is(err, ErrBadPacket) && name != "truncated payload" {
+		} else if !errors.Is(err, ErrBadPacket) && name != "truncated payload" && name != "short header" {
 			t.Errorf("%s: err = %v, want ErrBadPacket", name, err)
 		}
 	}

@@ -21,8 +21,6 @@ const ewmaAlpha = 0.05
 
 // PacketOptions configures a PacketConn.
 type PacketOptions struct {
-	// MTU is the payload capacity per packet in bytes (0 = DefaultMTU).
-	MTU int
 	// FECGroup is the initial XOR parity group size (0 = no FEC). It can
 	// be changed at runtime with SetFECGroup.
 	FECGroup int
@@ -63,7 +61,6 @@ type LinkTotals struct {
 // cannot interoperate with a raw byte stream.
 type PacketConn struct {
 	net.Conn
-	mtu    int
 	rto    time.Duration
 	loss   LossModel
 	impair *Impairment
@@ -107,20 +104,12 @@ type fecGroup struct {
 
 // NewPacketConn wraps conn with the packet layer.
 func NewPacketConn(conn net.Conn, opts PacketOptions) *PacketConn {
-	mtu := opts.MTU
-	if mtu <= 0 {
-		mtu = DefaultMTU
-	}
-	if mtu > MaxPacketPayload {
-		mtu = MaxPacketPayload
-	}
 	rto := opts.RTO
 	if rto <= 0 {
 		rto = DefaultRTO
 	}
 	c := &PacketConn{
 		Conn:      conn,
-		mtu:       mtu,
 		rto:       rto,
 		loss:      opts.Loss,
 		impair:    opts.Impair,
@@ -203,8 +192,8 @@ func (c *PacketConn) Write(p []byte) (int, error) {
 
 	// Segment into ≤MTU payloads. Groups never span Write calls.
 	var segs [][]byte
-	for off := 0; off < len(p); off += c.mtu {
-		end := off + c.mtu
+	for off := 0; off < len(p); off += DefaultMTU {
+		end := off + DefaultMTU
 		if end > len(p) {
 			end = len(p)
 		}

@@ -117,7 +117,7 @@ func TestPacketConnRetransmitWithoutFEC(t *testing.T) {
 
 func TestPacketConnReorder(t *testing.T) {
 	a, b := pipePair(t,
-		PacketOptions{Impair: NewImpairment(0.3, 9)},
+		PacketOptions{Impair: &Impairment{ReorderProb: 0.3, Seed: 9}},
 		PacketOptions{})
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 10; i++ {

@@ -111,9 +111,8 @@ type AdaptiveEngine struct {
 	// Decisions per state.
 	Clear, Degraded, Critical LinkDecision
 
-	mu       sync.Mutex
-	state    PolicyState
-	switches int64
+	mu    sync.Mutex
+	state PolicyState
 }
 
 // NewAdaptiveEngine returns the default engine: raw diffs with FEC off on a
@@ -138,7 +137,6 @@ func (e *AdaptiveEngine) Name() string { return "adaptive" }
 func (e *AdaptiveEngine) Decide(obs LinkObservation) LinkDecision {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	prev := e.state
 	loss := obs.LossRate
 	switch e.state {
 	case LinkClear:
@@ -160,9 +158,6 @@ func (e *AdaptiveEngine) Decide(obs LinkObservation) LinkDecision {
 			e.state = LinkDegraded
 		}
 	}
-	if e.state != prev {
-		e.switches++
-	}
 	switch e.state {
 	case LinkDegraded:
 		return e.Degraded
@@ -176,13 +171,6 @@ func (e *AdaptiveEngine) Decide(obs LinkObservation) LinkDecision {
 // Decisions implements LinkPolicy.
 func (e *AdaptiveEngine) Decisions() []LinkDecision {
 	return []LinkDecision{e.Clear, e.Degraded, e.Critical}
-}
-
-// Switches returns how many state transitions the engine has made.
-func (e *AdaptiveEngine) Switches() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.switches
 }
 
 // PolicyByName builds a link policy from a spec string:

@@ -27,9 +27,6 @@ func TestAdaptiveEngineHysteresis(t *testing.T) {
 			t.Fatalf("step %d (loss %.3f): state %v, want %v", i, s.loss, got, s.want)
 		}
 	}
-	if e.Switches() == 0 {
-		t.Fatal("no transitions counted")
-	}
 }
 
 func TestAdaptiveEngineDecisions(t *testing.T) {

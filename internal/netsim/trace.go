@@ -129,16 +129,3 @@ func (t *Trace) Drive(set func(Mbps), stop <-chan struct{}) {
 		set(s.Bandwidth)
 	}
 }
-
-// TracedLink pairs a trace with a propagation delay — the time-varying
-// analogue of Link for virtual-time accounting.
-type TracedLink struct {
-	Trace   *Trace
-	RTTBase time.Duration
-}
-
-// TransferTimeAt returns how long size bytes take when the transfer starts
-// at the given elapsed time.
-func (l TracedLink) TransferTimeAt(start time.Duration, size int) time.Duration {
-	return l.RTTBase + l.Trace.TransferTime(start, size)
-}

@@ -101,10 +101,9 @@ func TestTraceTransferTimeAcrossRateChange(t *testing.T) {
 func TestTraceTransferTimeMatchesLink(t *testing.T) {
 	tr := mustTestTrace(t, TraceStep{0, 80})
 	link := Link{Bandwidth: 80, RTTBase: 5 * time.Millisecond}
-	tl := TracedLink{Trace: tr, RTTBase: 5 * time.Millisecond}
 	for _, size := range []int{1, 32 * 1024, HDFrameBytes} {
 		want := link.TransferTime(size)
-		got := tl.TransferTimeAt(0, size)
+		got := link.RTTBase + tr.TransferTime(0, size)
 		if diff := got - want; diff < -time.Microsecond || diff > time.Microsecond {
 			t.Errorf("size %d: traced %v != fixed %v", size, got, want)
 		}

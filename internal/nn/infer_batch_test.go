@@ -1,65 +1,35 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/tensor"
 )
 
-// TestInferBatchMatchesLoop is the serving-path invariant behind
-// teacher.CNNTeacher.InferBatch: on every backend the fused batched forward
-// produces the logits and masks of a per-frame Infer loop bit for bit —
-// the convolutions share one accumulation order for one sample and for
-// many, and every elementwise helper repeats its tape op's expression.
-func TestInferBatchMatchesLoop(t *testing.T) {
-	for _, name := range tensor.Backends() {
-		bk, err := tensor.BackendByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(name, func(t *testing.T) {
-			s := NewStudent(DefaultStudentConfig(), rand.New(rand.NewSource(7)))
-			s.SetBackend(bk)
-			rng := rand.New(rand.NewSource(42))
-			for _, n := range []int{1, 3, 8} {
-				imgs := make([]*tensor.Tensor, n)
-				for i := range imgs {
-					imgs[i] = tensor.New(3, 32, 48)
-					for j := range imgs[i].Data {
-						imgs[i].Data[j] = rng.Float32()
-					}
-				}
-				loopLogits := make([][]float32, n)
-				loopMasks := make([][]int32, n)
-				for i, img := range imgs {
-					m, lg := s.Infer(img)
-					loopMasks[i] = append([]int32(nil), m...)
-					loopLogits[i] = append([]float32(nil), lg.Data...)
-				}
-
-				masks := s.InferBatch(imgs)
-				ws := tensor.NewWorkspace().SetBackend(bk)
-				logits := s.forwardBatch(ws, imgs)
-				nc, hw := logits.Dim(0), logits.Dim(2)*logits.Dim(3)
-				for i := 0; i < n; i++ {
-					for p := 0; p < hw; p++ {
-						for ch := 0; ch < nc; ch++ {
-							got, want := logits.Data[(ch*n+i)*hw+p], loopLogits[i][ch*hw+p]
-							if math.Float32bits(got) != math.Float32bits(want) {
-								t.Fatalf("backend %s n=%d sample %d pos %d class %d: batched logit %v vs looped %v",
-									name, n, i, p, ch, got, want)
-							}
-						}
-						if masks[i][p] != loopMasks[i][p] {
-							t.Fatalf("backend %s n=%d sample %d pos %d: mask %d != looped %d",
-								name, n, i, p, masks[i][p], loopMasks[i][p])
-						}
-					}
-				}
-			}
-		})
+// A pass that needs no gradient holds a layer's activations, not the
+// graph's: when Infer returns, the only lease its workspace still has out is
+// the logits, and Prefix keeps exactly what it returns — the running
+// activation and the two skips. Without Tape.Free these read the op count.
+func TestInferenceHoldsOnlyWhatItReturns(t *testing.T) {
+	s := NewStudent(DefaultStudentConfig(), rand.New(rand.NewSource(7)))
+	s.SetPartial(true)
+	rng := rand.New(rand.NewSource(42))
+	img := tensor.New(3, 32, 48)
+	for i := range img.Data {
+		img.Data[i] = rng.Float32()
+	}
+	s.Infer(img)
+	if got := s.inferCtx.Tape.Workspace().Leased(); got != 1 {
+		t.Fatalf("after Infer the inference workspace holds %d leases (of %d tape nodes), want 1: the logits", got, s.inferCtx.Tape.Len())
+	}
+	acts := s.Prefix(img)
+	if got := s.prefixCtx.Tape.Workspace().Leased(); got != 3 {
+		t.Fatalf("after Prefix its workspace holds %d leases, want 3: the SB4 activation and the SB1/SB2 skips", got)
+	}
+	s.InferFrom(acts)
+	if got := s.inferCtx.Tape.Workspace().Leased(); got != 1 {
+		t.Fatalf("after InferFrom the inference workspace holds %d leases, want 1: the logits", got)
 	}
 }
 

@@ -8,13 +8,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Forwarder is the minimal layer interface: given a tape and an input
-// variable, produce the output variable. Layers register their parameters
-// on the tape with requiresGrad derived from the frozen flag.
-type Forwarder interface {
-	Forward(fc *ForwardCtx, x *autodiff.Variable) *autodiff.Variable
-}
-
 // ForwardCtx carries the per-pass tape, training flag and the map from
 // parameter name to tape variable (used afterwards to pull gradients).
 type ForwardCtx struct {
@@ -75,7 +68,8 @@ func NewConv2D(ps *ParamSet, name string, inC, outC int, spec tensor.ConvSpec, b
 	return l
 }
 
-// Forward implements Forwarder.
+// Forward applies the layer to x on fc's tape, registering its parameters
+// there with requiresGrad derived from the frozen flag.
 func (l *Conv2D) Forward(fc *ForwardCtx, x *autodiff.Variable) *autodiff.Variable {
 	var b *autodiff.Variable
 	if l.Bias != nil {
@@ -83,9 +77,6 @@ func (l *Conv2D) Forward(fc *ForwardCtx, x *autodiff.Variable) *autodiff.Variabl
 	}
 	return fc.Tape.Conv2D(x, fc.Var(l.Weight), b, l.Spec)
 }
-
-// OutChannels returns the number of output channels.
-func (l *Conv2D) OutChannels() int { return l.Weight.Value.Dim(0) }
 
 // BatchNorm2D is per-channel batch normalisation with running statistics.
 // Running stats ride along with the learnable parameters during
@@ -118,7 +109,7 @@ func NewBatchNorm2D(ps *ParamSet, name string, c int) *BatchNorm2D {
 	return bn
 }
 
-// Forward implements Forwarder.
+// Forward applies the layer to x on fc's tape.
 func (bn *BatchNorm2D) Forward(fc *ForwardCtx, x *autodiff.Variable) *autodiff.Variable {
 	return fc.Tape.BatchNorm(x, fc.Var(bn.Gamma), fc.Var(bn.Beta),
 		bn.RunMean.Value, bn.RunVar.Value, fc.Training && bn.trains(), bn.Momentum, bn.Eps)
@@ -160,30 +151,39 @@ func NewStudentBlock(ps *ParamSet, name string, inC, outC, stride int, rng *rand
 	return b
 }
 
-// Forward implements Forwarder.
+// Forward applies the block to x on fc's tape. Each activation goes back to
+// the tape after its last consumer (autodiff.Tape.Free: a no-op wherever a
+// backward pass could still read it); x stays the caller's.
 func (b *StudentBlock) Forward(fc *ForwardCtx, x *autodiff.Variable) *autodiff.Variable {
 	t := fc.Tape
 	h := b.BN.Forward(fc, x)
-	h = t.ReLU(b.C33.Forward(fc, h))
-	h = t.ReLU(b.C31.Forward(fc, h))
-	h = t.ReLU(b.C13.Forward(fc, h))
-	h = b.C11.Forward(fc, h)
+	for _, l := range [...]*Conv2D{b.C33, b.C31, b.C13} {
+		in := h
+		h = convReLU(fc, l, in)
+		t.Free(in)
+	}
+	c := b.C11.Forward(fc, h)
+	t.Free(h)
 	skip := x
 	if b.Proj != nil {
 		skip = b.Proj.Forward(fc, x)
 	}
-	return t.ReLU(t.Add(h, skip))
+	sum := t.Add(c, skip)
+	t.Free(c)
+	if b.Proj != nil {
+		t.Free(skip)
+	}
+	out := t.ReLU(sum)
+	t.Free(sum)
+	return out
 }
 
-// Sequential chains forwarders.
-type Sequential []Forwarder
-
-// Forward implements Forwarder.
-func (s Sequential) Forward(fc *ForwardCtx, x *autodiff.Variable) *autodiff.Variable {
-	for _, l := range s {
-		x = l.Forward(fc, x)
-	}
-	return x
+// convReLU returns ReLU(l(x)), handing the pre-activation back to the tape.
+func convReLU(fc *ForwardCtx, l *Conv2D, x *autodiff.Variable) *autodiff.Variable {
+	c := l.Forward(fc, x)
+	h := fc.Tape.ReLU(c)
+	fc.Tape.Free(c)
+	return h
 }
 
 // CheckCHW panics unless t is CHW with the given channel count.

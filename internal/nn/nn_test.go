@@ -280,9 +280,15 @@ func TestTrainableSubsetMatchesFreeze(t *testing.T) {
 			t.Fatalf("TrainableSubset returned frozen %s", p.Name)
 		}
 	}
-	if len(sub)-4 != len(s.Params.TrainableNames()) || stats != 320 {
+	trainable := 0
+	for _, p := range s.Params.All() {
+		if !p.Frozen {
+			trainable++
+		}
+	}
+	if len(sub)-4 != trainable || stats != 320 {
 		t.Fatalf("subset has %d tensors for %d trainable ones and %d statistic floats, want 4 more and 320",
-			len(sub), len(s.Params.TrainableNames()), stats)
+			len(sub), trainable, stats)
 	}
 	// The trainable subset must serialize smaller than the full set.
 	if EncodedSize(sub) >= EncodedSize(s.Params.All()) {
@@ -303,11 +309,14 @@ func TestForwardCtxVarRegisteredOnce(t *testing.T) {
 	if v1 != v2 {
 		t.Fatal("Var must memoise per pass")
 	}
-	if !v1.RequiresGrad() {
+	fc.Tape.Backward(fc.Tape.SumScalar(v1), nil)
+	if v1.Grad == nil {
 		t.Fatal("trainable param must require grad in training ctx")
 	}
 	fcEval := NewForwardCtx(false)
-	if fcEval.Var(p).RequiresGrad() {
+	vEval := fcEval.Var(p)
+	fcEval.Tape.Backward(fcEval.Tape.SumScalar(vEval), nil)
+	if vEval.Grad != nil {
 		t.Fatal("eval ctx must not require grad")
 	}
 }

@@ -1,0 +1,84 @@
+package nn_test
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/nn"
+	"repro/internal/tensor"
+	"repro/internal/video"
+)
+
+// Every gradient-free pass is the one body of the network with activations
+// handed back as it goes: Infer, Prefix + InferFrom and InferBatch must equal
+// Forward on a workspace-free tape — where nothing is ever recycled — bit for
+// bit, frame after frame, with Distiller.Train steps on the same student in
+// between (training passes, metric passes and the prefix share the pools the
+// inference leases come from). A value freed while an op still reads it is
+// nil, and one freed while a later op's dirty lease aliases it is garbage;
+// either fails here.
+func TestGradientFreePassesMatchForwardBitwise(t *testing.T) {
+	for _, backend := range tensor.Backends() {
+		t.Run(backend, func(t *testing.T) {
+			bk, err := tensor.BackendByName(backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The workspace-free reference tape computes on the process default.
+			defer tensor.SetDefaultBackend(tensor.SetDefaultBackend(bk))
+
+			cfg := core.DefaultConfig()
+			cfg.Backend = backend
+			cfg.Threshold = 0.999 // every Train call takes its steps
+			cfg.MaxUpdates = 2
+			s := nn.NewStudent(nn.DefaultStudentConfig(), rand.New(rand.NewSource(11)))
+			dist := core.NewDistiller(cfg, s)
+			gen, err := video.NewGenerator(video.CategoryConfig(video.Category{Camera: video.Moving, Scenery: video.Street}, 13))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			sameBits := func(what string, got, want []float32) {
+				t.Helper()
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+				}
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s: logit %d = %v, Forward on a workspace-free tape gives %v", what, i, got[i], want[i])
+					}
+				}
+			}
+			prev := gen.Next()
+			for i := 0; i < 4; i++ {
+				frame := gen.Next()
+				want := s.Forward(nn.NewForwardCtx(false), frame.Image).Value
+				wantMask := want.ArgmaxChannel(nil)
+				wantPrev := s.Forward(nn.NewForwardCtx(false), prev.Image).Value.ArgmaxChannel(nil)
+
+				mask, logits := s.Infer(frame.Image)
+				sameBits("Infer", logits.Data, want.Data)
+				if !slices.Equal(mask, wantMask) {
+					t.Fatalf("frame %d: Infer mask differs from Forward's argmax", i)
+				}
+				mask, logits = s.InferFrom(s.Prefix(frame.Image))
+				sameBits("Prefix+InferFrom", logits.Data, want.Data)
+				if !slices.Equal(mask, wantMask) {
+					t.Fatalf("frame %d: InferFrom mask differs from Forward's argmax", i)
+				}
+				masks := s.InferBatch([]*tensor.Tensor{frame.Image, prev.Image})
+				if !slices.Equal(masks[0], wantMask) || !slices.Equal(masks[1], wantPrev) {
+					t.Fatalf("frame %d: InferBatch masks differ from Forward's argmax per frame", i)
+				}
+
+				if res := dist.Train(frame, frame.Label); res.Steps == 0 {
+					t.Fatal("Train took no step; the interleaving is vacuous")
+				}
+				prev = frame
+			}
+		})
+	}
+}

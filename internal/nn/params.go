@@ -11,7 +11,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/autodiff"
@@ -58,15 +57,6 @@ func (ps *ParamSet) Get(name string) *Parameter { return ps.byName[name] }
 // All returns parameters in registration order. Callers must not mutate the
 // slice.
 func (ps *ParamSet) All() []*Parameter { return ps.params }
-
-// Names returns all parameter names in registration order.
-func (ps *ParamSet) Names() []string {
-	names := make([]string, len(ps.params))
-	for i, p := range ps.params {
-		names[i] = p.Name
-	}
-	return names
-}
 
 // NumParams returns the total element count across all parameters.
 func (ps *ParamSet) NumParams() int {
@@ -152,18 +142,6 @@ func (ps *ParamSet) FreezePrefix(prefixes ...string) int {
 // UnfreezeAll makes every parameter trainable (full distillation mode):
 // FreezePrefix with an empty cut, so running statistics stay frozen.
 func (ps *ParamSet) UnfreezeAll() { ps.FreezePrefix() }
-
-// TrainableNames returns the sorted names of non-frozen parameters.
-func (ps *ParamSet) TrainableNames() []string {
-	var names []string
-	for _, p := range ps.params {
-		if !p.Frozen {
-			names = append(names, p.Name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Clone deep-copies the parameter set (values and frozen flags).
 func (ps *ParamSet) Clone() *ParamSet { return CloneNamed(ps.params) }

@@ -64,14 +64,11 @@ type Student struct {
 	// allocate (almost) nothing. maskBuf is the reusable argmax output.
 	// prefixCtx is its twin for Prefix, separate so the frozen stages'
 	// activations outlive the passes that start from them.
-	inferCtx  *ForwardCtx
-	prefixCtx *ForwardCtx
-	maskBuf   []int32
-
-	// batchCtx is the reusable batched-inference state behind InferBatch
-	// (batch.go): one workspace per batched pass plus recycled mask
-	// buffers.
-	batchCtx *batchCtx
+	// batchMasks holds InferBatch's recycled per-frame masks.
+	inferCtx   *ForwardCtx
+	prefixCtx  *ForwardCtx
+	maskBuf    []int32
+	batchMasks [][]int32
 
 	// backend, when non-nil, pins the compute backend used by Infer's
 	// private workspace (training passes ride the caller's ForwardCtx
@@ -86,7 +83,6 @@ func (s *Student) SetBackend(b tensor.Backend) {
 	s.backend = b
 	s.inferCtx = nil
 	s.prefixCtx = nil
-	s.batchCtx = nil
 }
 
 // NewStudent builds a freshly initialised student from cfg using rng.
@@ -146,7 +142,11 @@ func (s *Student) input(img *tensor.Tensor) Activations {
 
 // run enters the boundary a on fc's tape as constants and applies the
 // stages from there up to stage `to`: the one body of the network,
-// whichever boundary a pass starts or stops at.
+// whichever boundary a pass starts or stops at. Each activation goes back to
+// the tape after its last consumer (autodiff.Tape.Free), so a pass that
+// needs no gradient holds one layer's activations, not the graph's; what run
+// returns — the running activation and the skips a later stage still reads —
+// is never freed here.
 func (s *Student) run(fc *ForwardCtx, a Activations, to int) pass {
 	t := fc.Tape
 	constant := func(v *tensor.Tensor) *autodiff.Variable {
@@ -156,34 +156,49 @@ func (s *Student) run(fc *ForwardCtx, a Activations, to int) pass {
 		return t.Constant(v)
 	}
 	p := pass{x: constant(a.x), f1: constant(a.f1), f2: constant(a.f2)}
+	// step moves the pass on to y, computed from p.x by p.x's last consumer
+	// unless p.x is also a pending skip.
+	step := func(y *autodiff.Variable) {
+		if p.x != p.f1 && p.x != p.f2 {
+			t.Free(p.x)
+		}
+		p.x = y
+	}
 	for i := a.depth; i < to; i++ {
 		switch i {
 		case 0:
-			p.x = t.ReLU(s.in1.Forward(fc, p.x)) // 1/2 res, Stem1 ch
+			step(convReLU(fc, s.in1, p.x)) // 1/2 res, Stem1 ch
 		case 1:
-			p.x = t.ReLU(s.in2.Forward(fc, p.x)) // 1/4 res, Stem2 ch
+			step(convReLU(fc, s.in2, p.x)) // 1/4 res, Stem2 ch
 		case 2:
-			p.x = s.sb1.Forward(fc, p.x) // 1/4 res, B1 ch  (skip → SB6)
+			step(s.sb1.Forward(fc, p.x)) // 1/4 res, B1 ch  (skip → SB6)
 			p.f1 = p.x
 		case 3:
-			p.x = s.sb2.Forward(fc, p.x) // 1/8 res, B2 ch  (skip → SB5)
+			step(s.sb2.Forward(fc, p.x)) // 1/8 res, B2 ch  (skip → SB5)
 			p.f2 = p.x
 		case 4:
-			p.x = s.sb3.Forward(fc, p.x) // 1/8 res
+			step(s.sb3.Forward(fc, p.x)) // 1/8 res
 		case 5:
-			p.x = s.sb4.Forward(fc, p.x) // 1/8 res — the paper's frozen boundary
+			step(s.sb4.Forward(fc, p.x)) // 1/8 res — the paper's frozen boundary
 		case 6:
-			p.x = s.sb5.Forward(fc, t.Concat(p.x, p.f2)) // 1/8 res, B4+B2 → B5 ch
+			step(t.Concat(p.x, p.f2)) // 1/8 res, B4+B2 ch
+			t.Free(p.f2)
 			p.f2 = nil
+			step(s.sb5.Forward(fc, p.x)) // B5 ch
 		case 7:
-			p.x = s.sb6.Forward(fc, t.Concat(t.Upsample2x(p.x), p.f1)) // 1/4 res, B5+B1 → B6 ch
+			step(t.Upsample2x(p.x))   // 1/4 res
+			step(t.Concat(p.x, p.f1)) // B5+B1 ch
+			t.Free(p.f1)
 			p.f1 = nil
+			step(s.sb6.Forward(fc, p.x)) // B6 ch
 		case 8:
-			p.x = t.ReLU(s.out1.Forward(fc, t.Upsample2x(p.x))) // 1/2 res
+			step(t.Upsample2x(p.x)) // 1/2 res
+			step(convReLU(fc, s.out1, p.x))
 		case 9:
-			p.x = t.ReLU(s.out2.Forward(fc, p.x))
+			step(convReLU(fc, s.out2, p.x))
 		case 10:
-			p.x = s.out3.Forward(fc, t.Upsample2x(p.x)) // full res logits
+			step(t.Upsample2x(p.x)) // full res
+			step(s.out3.Forward(fc, p.x))
 		}
 	}
 	return p
@@ -273,6 +288,22 @@ func (s *Student) InferFrom(a Activations) (mask []int32, logits *tensor.Tensor)
 	logits = s.ForwardFrom(s.inferCtx, a).Value
 	s.maskBuf = logits.ArgmaxChannel(s.maskBuf)
 	return s.maskBuf, logits
+}
+
+// InferBatch is Infer over a list of same-channel CHW images, one frame at a
+// time, returning one argmax mask (len H*W) per image. The masks live in
+// buffers owned by the student and are valid until the next InferBatch call;
+// callers that keep them must copy.
+func (s *Student) InferBatch(imgs []*tensor.Tensor) [][]int32 {
+	for len(s.batchMasks) < len(imgs) {
+		s.batchMasks = append(s.batchMasks, nil)
+	}
+	masks := s.batchMasks[:len(imgs)]
+	for i, img := range imgs {
+		mask, _ := s.Infer(img)
+		masks[i] = append(masks[i][:0], mask...)
+	}
+	return masks
 }
 
 // SetPartial configures the freeze state: partial=true freezes the stem

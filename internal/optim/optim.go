@@ -5,7 +5,6 @@ package optim
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/tensor"
 )
@@ -115,17 +114,6 @@ func (a *Adam) Reset() {
 	a.step = 0
 	a.m = map[string]*tensor.Tensor{}
 	a.v = map[string]*tensor.Tensor{}
-}
-
-// StateNames returns the sorted parameter names for which Adam holds moment
-// state. Exposed for tests and for diagnosing state growth.
-func (a *Adam) StateNames() []string {
-	names := make([]string, 0, len(a.m))
-	for n := range a.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ExportState returns Adam's step counter and first/second moment tensors

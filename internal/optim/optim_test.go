@@ -83,11 +83,11 @@ func TestResetClearsState(t *testing.T) {
 	x := tensor.Full(1, 1)
 	a := NewAdam(0.1)
 	a.Step([]Param{{Name: "x", Value: x, Grad: tensor.Full(1, 1)}})
-	if len(a.StateNames()) != 1 {
-		t.Fatalf("state names = %v", a.StateNames())
+	if len(a.m) != 1 || len(a.v) != 1 {
+		t.Fatalf("moment state for %d/%d parameters, want 1", len(a.m), len(a.v))
 	}
 	a.Reset()
-	if len(a.StateNames()) != 0 {
+	if len(a.m) != 0 || len(a.v) != 0 {
 		t.Fatal("Reset must clear Adam state")
 	}
 	s := NewSGD(0.1, 0.9)

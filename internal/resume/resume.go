@@ -63,7 +63,6 @@ type Store struct {
 	sessions map[uint64]*Session
 	closed   bool
 	evicted  int64
-	expired  int64
 
 	quit chan struct{}
 	done chan struct{}
@@ -209,13 +208,6 @@ func (s *Store) Evicted() int64 {
 	return s.evicted
 }
 
-// Expired returns how many of the evictions were TTL expiries.
-func (s *Store) Expired() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.expired
-}
-
 // Sweep evicts every session older than TTL and returns how many it
 // dropped. The reaper calls it periodically; tests call it directly.
 func (s *Store) Sweep() int {
@@ -229,7 +221,6 @@ func (s *Store) Sweep() int {
 		}
 	}
 	s.evicted += int64(len(evict))
-	s.expired += int64(len(evict))
 	s.mu.Unlock()
 	s.notify(evict)
 	return len(evict)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/teacher"
@@ -74,7 +73,7 @@ func TestManagerSessionWithLinkPolicy(t *testing.T) {
 		frames = append(frames, gen.Next())
 	}
 	cl := &core.Client{Cfg: core.DefaultConfig(), Student: base.Clone(), EvalTeacher: teacher.NewOracle(7), Adaptive: true}
-	if err := cl.Run(clientConn, baseline.NewReplay(frames), len(frames)); err != nil {
+	if err := cl.Run(clientConn, video.NewReplay(frames), len(frames)); err != nil {
 		t.Fatalf("client: %v", err)
 	}
 	clientConn.Close()

@@ -62,9 +62,6 @@ type Options struct {
 	// JournalDepth is how many recent student diffs each session journals
 	// for replay on resume (default 8).
 	JournalDepth int
-	// MaxDetached caps sessions parked for resumption; beyond it the
-	// oldest is evicted (default MaxSessions).
-	MaxDetached int
 	// IDOffset and IDStride partition the fallback session-ID space when
 	// several managers serve one fabric (internal/fabric gives shard i of N
 	// offset i, stride N): fallback-assigned IDs are IDOffset + k·IDStride,
@@ -105,15 +102,6 @@ type Options struct {
 	ShardIndex int
 	// Logf, when non-nil, receives session lifecycle lines.
 	Logf func(format string, v ...any)
-}
-
-// SessionInfo is a point-in-time view of one active session. Distillation
-// counters are folded into Stats only when a session completes — they are
-// owned by the session goroutine while it runs.
-type SessionInfo struct {
-	ID      uint64
-	Epoch   uint64
-	Started time.Time
 }
 
 // Manager owns the multi-session server: session registry, per-session
@@ -179,9 +167,6 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.JournalDepth <= 0 {
 		opts.JournalDepth = 8
 	}
-	if opts.MaxDetached <= 0 {
-		opts.MaxDetached = opts.MaxSessions
-	}
 	if opts.IDStride == 0 {
 		opts.IDStride = 1
 	}
@@ -216,7 +201,7 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.ResumeTTL > 0 {
 		m.store = resume.NewStore(resume.Options{
 			TTL:         opts.ResumeTTL,
-			MaxSessions: opts.MaxDetached,
+			MaxSessions: opts.MaxSessions, // as many parked as can be live
 			OnEvict:     m.foldEvicted,
 		})
 	}
@@ -428,17 +413,6 @@ func (m *Manager) ParkedIDs() []uint64 {
 		return nil
 	}
 	return m.store.IDs()
-}
-
-// Sessions snapshots the currently active sessions.
-func (m *Manager) Sessions() []SessionInfo {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]SessionInfo, 0, len(m.active))
-	for _, s := range m.active {
-		out = append(out, SessionInfo{ID: s.id, Epoch: s.epoch, Started: s.started})
-	}
-	return out
 }
 
 // Close stops accepting sessions, closes any listeners handed to

@@ -44,9 +44,6 @@ func (t *Table) AddRowf(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Rows returns a copy of the data rows, so machine consumers (the scenario
 // harness folds table-producing experiments into structured metrics) can
 // read cells without reparsing the rendered text.
@@ -144,23 +141,6 @@ func Percentile(xs []float64, p float64) float64 {
 		return c[lo]
 	}
 	return c[lo] + frac*(c[lo+1]-c[lo])
-}
-
-// MinMax returns the extrema of xs; ok=false for empty input.
-func MinMax(xs []float64) (lo, hi float64, ok bool) {
-	if len(xs) == 0 {
-		return 0, 0, false
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, true
 }
 
 // Pct formats a fraction as a percentage with two decimals ("12.34").

@@ -158,9 +158,6 @@ func (o *Oracle) InferBatch(frames []video.Frame) [][]int32 {
 type CNNTeacher struct {
 	Net  *nn.Student
 	name string
-
-	// imgBuf is the reusable image-batch argument buffer for InferBatch.
-	imgBuf []*tensor.Tensor
 }
 
 // NewCNNTeacher builds a CNN teacher with wider channels than the student.
@@ -193,37 +190,14 @@ func (t *CNNTeacher) Infer(f video.Frame) []int32 {
 	return append([]int32(nil), mask...)
 }
 
-// InferBatch implements BatchInferrer as a single fused call into the
-// network's batched forward: the Batcher holds its shard-wide teacher mutex
-// for one multi-frame kernel invocation instead of len(frames) sequential
-// ones, which is where the batched kernels' speedup reaches the serving
-// tier. The returned masks are fresh caller-owned copies (they
-// cross goroutine boundaries through the Batcher); the image batch buffer
-// is reused across calls. Frames of mixed sizes (possible when sessions
-// with different workloads share one shard) fall back to the per-frame
-// path.
+// InferBatch implements BatchInferrer as the per-frame loop: a batch is the
+// backlog of one of the Batcher's busy periods handed over in one call — a
+// scheduling fact, not a kernel — and every mask is a fresh caller-owned
+// copy, as Infer's is.
 func (t *CNNTeacher) InferBatch(frames []video.Frame) [][]int32 {
 	out := make([][]int32, len(frames))
-	if len(frames) == 0 {
-		return out
-	}
-	shape := frames[0].Image.Shape()
-	for _, f := range frames[1:] {
-		if !tensor.ShapeEq(f.Image.Shape(), shape) {
-			for i, ff := range frames {
-				out[i] = t.Infer(ff)
-			}
-			return out
-		}
-	}
-	t.imgBuf = t.imgBuf[:0]
-	for _, f := range frames {
-		t.imgBuf = append(t.imgBuf, f.Image)
-	}
-	masks := t.Net.InferBatch(t.imgBuf)
-	clear(t.imgBuf) // drop image references; keep capacity
-	for i, m := range masks {
-		out[i] = append([]int32(nil), m...)
+	for i, f := range frames {
+		out[i] = t.Infer(f)
 	}
 	return out
 }

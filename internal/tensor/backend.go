@@ -7,16 +7,15 @@ import (
 )
 
 // Backend is the compute interface behind every hot kernel in the package:
-// the three GEMM forms the autodiff tape lowers matmuls onto, the fused
-// im2col+GEMM convolution forward, and its two batched forms. There are
-// exactly two: "reference", the scalar oracle, and "vec", the optimized
-// one. A backend is stateless: one value is shared by every workspace that
-// selects it, and kernels run concurrently across sessions, each on its
-// caller's goroutine. All scratch therefore lives on the caller's stack,
-// in the destination slice, or in the Workspace passed in — never in the
-// backend (the bitwise-stability race tests in backend_race_test.go enforce
-// this) and never on a weight tensor: vec's packed weight panels are a
-// per-call lease.
+// the three GEMM forms the autodiff tape lowers matmuls onto and the fused
+// im2col+GEMM convolution forward. There are exactly two: "reference", the
+// scalar oracle, and "vec", the optimized one. A backend is stateless: one
+// value is shared by every workspace that selects it, and kernels run
+// concurrently across sessions, each on its caller's goroutine. All scratch
+// therefore lives on the caller's stack, in the destination slice, or in the
+// Workspace passed in — never in the backend (the bitwise-stability race
+// tests in backend_race_test.go enforce this) and never on a weight tensor:
+// vec's packed weight panels are a per-call lease.
 //
 // Parity contract: vec must agree with reference within a 1-ulp-scaled
 // tolerance per output element (see backend_test.go and ARCHITECTURE.md
@@ -39,12 +38,6 @@ type Backend interface {
 	// [OC,OH,OW] leased from ws. Shapes are pre-validated by the package
 	// wrapper Conv2DWS; implementations may assume they are consistent.
 	Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor
-	// Conv2DBatchWS convolves N same-shape CHW inputs in one call and
-	// Conv2DBatchCNHWWS an already-batched [C,N,H,W] activation (the
-	// layer-chaining form); both return CNHW [OC,N,OH,OW] (see batch.go).
-	// Shapes are pre-validated by the package wrappers of the same names.
-	Conv2DBatchWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor
-	Conv2DBatchCNHWWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor
 }
 
 // defBackend is the process default, behind a pointer so tests can swap it

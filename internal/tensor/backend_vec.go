@@ -191,8 +191,7 @@ func vecGemmDot(cd, ad, bd []float32, m, n, k int) {
 // stays on the dot and axpy GEMMs: on the packed micro-kernel the input
 // gradient's reduction (k = OC) is too shallow and packing the lowered
 // columns eats the weight gradient's gain. The forward's transposed
-// lowering (lowerCNHW on a one-sample batch) removes every per-element
-// gather the generic path does: gy is already the [OC, HW] matrix (no gmat
+// lowering (lowerCHW) removes every per-element gather the generic path does: gy is already the [OC, HW] matrix (no gmat
 // transpose build), dW is the NT product gy x colsC^T over contiguous rows,
 // the input gradient is produced directly in the transposed layout
 // dcolsT = W^T x gy, and the col2im scatter of dcolsT becomes shifted vector
@@ -204,7 +203,7 @@ func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, 
 	hw := oh * ow
 	ckk := c * s.KH * s.KW
 	colsC := ws.GetDirty(ckk, hw)
-	lowerCNHW(colsC.Data, 1, x.Data, c, 1, h, wid, 1, s, oh, ow)
+	lowerCHW(colsC.Data, x.Data, c, h, wid, s, oh, ow)
 	// dW = gy x colsC^T -> [OC, CKK]: dot products of hw-long rows.
 	dw = ws.GetDirty(oc, c, s.KH, s.KW)
 	vecGemmDot(dw.Data, gy.Data, colsC.Data, oc, ckk, hw)

@@ -1,46 +1,29 @@
 package tensor
 
-import "fmt"
-
-// This file is vec's convolution forward — one kernel for a CHW sample, a
-// list of samples and a CNHW batch alike — and the pieces it is made of: the
+// This file is vec's convolution forward and the pieces it is made of: the
 // packed panel-blocked weight layout, the GEMM over those panels, and the
-// transposed-im2col lowering. The reference backend's batched forms (the
-// per-sample loop) are at the bottom.
+// transposed-im2col lowering.
 //
-// Batched activation layout
-//
-// A batch of N same-shape CHW activations is stored channel-major as one
-// rank-4 tensor [C, N, H, W] ("CNHW"): channel ch of sample i is the
-// contiguous plane data[(ch*N+i)*H*W : (ch*N+i+1)*H*W]. This is exactly the
-// row-major output of the batched im2col GEMM ([OC, CKK] x [CKK, N*OH*OW]
-// -> [OC, N*OH*OW]), so convolution layers chain with no inter-layer
-// transposes; channel concatenation is contiguous block copies; batch
-// normalisation, bias and ReLU operate on contiguous length-N*H*W channel
-// rows; and a 1x1 stride-1 unpadded convolution needs no lowering at all
-// because the CNHW tensor viewed as [C, N*H*W] already IS its im2col
-// matrix. A CHW tensor is the N = 1 case, which is how the per-sample
-// Conv2DWS is written: it is convBatchGrouped on a batch of one.
+// One sample is one lowering and one GEMM: the CHW input is lowered to the
+// transposed im2col matrix [CKK, OH*OW], whose product with the weight
+// [OC, CKK] is the [OC, OH*OW] result in place — no output transposition —
+// and a 1x1 stride-1 unpadded convolution needs no lowering at all because
+// the input viewed as [C, H*W] already is that matrix.
 //
 // Packed panels are per-call scratch. Every forward packs its weight into a
 // workspace lease and returns the lease before it returns: a pack moves
-// OC*CKK floats against a GEMM of 2*OC*CKK*N*OH*OW flops, so nothing is
+// OC*CKK floats against a GEMM of 2*OC*CKK*OH*OW flops, so nothing is
 // worth keeping between calls, and a weight changed by any write —
 // an optimizer step, CopyFrom, a plain Data[i] = v — is seen by the next
 // kernel because there is nothing to invalidate.
 //
-// Numerics: per-sample and batched forwards share one accumulation order.
-// On the reference backend the batched forms ARE the per-sample loop. On
-// vec every output element is accumulated in ascending-k order whatever the
-// batch size or the sample's slot in it. Where the AVX2+FMA kernels are
-// live that is one sequential FMA chain — in the micro-kernel tiles
-// (gemmPackedMicro) and, identically, in the axpy spans that take the
-// ragged edges (axpy4AVX is four sequential FMAs) — so which tile a column
-// lands in, which does depend on the batch size, does not change its
-// value. Where they are not (non-amd64, no AVX2+FMA, SHADOWTUTOR_NOAVX)
-// every column runs the axpy spans, whose per-element order is exactly
-// vecGemmAxpy's. In both modes a batched forward equals the per-sample
-// loop bitwise.
+// Numerics: every output element is accumulated in ascending-k order. Where
+// the AVX2+FMA kernels are live that is one sequential FMA chain — in the
+// micro-kernel tiles (gemmPackedMicro) and, identically, in the axpy spans
+// that take the ragged edges (axpy4AVX is four sequential FMAs) — so which
+// tile a column lands in does not change its value. Where they are not
+// (non-amd64, no AVX2+FMA, SHADOWTUTOR_NOAVX) every column runs the axpy
+// spans, whose per-element order is exactly vecGemmAxpy's.
 
 // packMR is the GEMM micro-kernel row-block height: the packed layout
 // interleaves packMR weight rows so one pass over a B panel updates packMR
@@ -105,7 +88,7 @@ func packWeightsInto(pd, wd []float32, rows, k int) {
 // gemmAxpyPacked runs the axpy packed GEMM over a column sub-range: ncols
 // columns starting at cd and bd, whose rows have strides ldc and ldb (all
 // three equal to the full column count except when a caller addresses a
-// column window of a wider C, as the sample-grouped convolutions do).
+// column window of a wider C).
 // Column tiles of packNB keep the streamed B panel L2-resident, and each
 // packMR row block reuses that panel packMR times. The per-element
 // accumulation order (ascending gemmKC panels, ascending quads via axpy4f,
@@ -179,10 +162,9 @@ func gemmAxpyPackedSpan(cd, pd, bd []float32, m, ldc, ldb, k int, accumulate boo
 // gemmPackedMicroSub is the convolutions' GEMM over packed panels:
 // cd (+)= packed(A) x bd for an ncols-wide column window of C (row stride
 // ldc) against the B panel at bd (row stride ldb) — all three equal for a
-// whole-matrix product; the sample-grouped convolutions write one group's
-// window of the full CNHW output from a small cache-resident lowering
-// panel. It runs gemmPackedMicro where the micro-kernels exist and
-// gemmAxpyPacked where they do not.
+// whole-matrix product, which is what the convolution forward asks for. It
+// runs gemmPackedMicro where the micro-kernels exist and gemmAxpyPacked
+// where they do not.
 func gemmPackedMicroSub(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate bool) {
 	if !accumulate && k == 0 {
 		clearRows(cd, m, ncols, ldc)
@@ -286,12 +268,11 @@ func gemmPackedMicro(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate
 	}
 }
 
-// im2colPlaneT writes one sample's segment of a transposed-im2col row: for
-// one channel plane ([h*w]) and kernel offset (ky, kx), seg[oy*ow+ox] =
+// im2colPlaneT writes one row of the transposed im2col matrix: for one
+// channel plane ([h*w]) and kernel offset (ky, kx), seg[oy*ow+ox] =
 // plane[iy*w+ix] with zero padding. With stride 1 each output row is one
 // contiguous copy with the padded edges cleared; otherwise a per-element
-// gather. Shared by the per-sample and batched lowerings so their values
-// are identical by construction.
+// gather.
 func im2colPlaneT(seg, plane []float32, h, w int, s ConvSpec, oh, ow, ky, kx int) {
 	if s.SW == 1 && s.SH == 1 && ow == w {
 		// Same-width stride-1 plane (the 3x3/3x1/1x3 pad-same layers):
@@ -377,32 +358,22 @@ func im2colPlaneT(seg, plane []float32, h, w int, s ConvSpec, oh, ow, ky, kx int
 	}
 }
 
-// lowerCNHW lowers the first n samples of the CNHW activation xd
-// [c, nb, h, w] into the first n sample slots of dd, a transposed-im2col
-// panel with g slots per row:
-// dd[((ch*KH+ky)*KW+kx)*g*hw + i*hw + oy*ow + ox]. Each row holds
-// sample-major blocks of that sample's per-sample im2col row, so the GEMM's
-// output columns come out grouped by sample — the CNHW layout. Callers
-// start elsewhere by slicing: xd[i0*h*w:] begins at sample i0 and
-// dd[j0*oh*ow:] at slot j0. Rows are independent; a CHW tensor is nb = 1.
-func lowerCNHW(dd []float32, g int, xd []float32, c, nb, h, w, n int, s ConvSpec, oh, ow int) {
+// lowerCHW lowers the CHW activation xd [c, h, w] into dd, the transposed
+// im2col matrix [c*KH*KW, oh*ow]: dd[((ch*KH+ky)*KW+kx)*oh*ow + oy*ow + ox].
+// Rows are independent.
+func lowerCHW(dd, xd []float32, c, h, w int, s ConvSpec, oh, ow int) {
 	kk := s.KH * s.KW
 	hw := oh * ow
 	for p := 0; p < c*kk; p++ {
 		ch, r := p/kk, p%kk
-		ky, kx := r/s.KW, r%s.KW
-		for i := 0; i < n; i++ {
-			seg := dd[(p*g+i)*hw : (p*g+i+1)*hw]
-			plane := xd[(ch*nb+i)*h*w : (ch*nb+i+1)*h*w]
-			im2colPlaneT(seg, plane, h, w, s, oh, ow, ky, kx)
-		}
+		im2colPlaneT(dd[p*hw:(p+1)*hw], xd[ch*h*w:(ch+1)*h*w], h, w, s, oh, ow, r/s.KW, r%s.KW)
 	}
 }
 
 // conv1x1Direct reports whether a spec degenerates to a pure channel mixing
-// (1x1 kernel, stride 1, no padding), in which case a CNHW activation
-// viewed as [C, N*H*W] already is its im2col matrix and the lowering copy
-// can be skipped entirely.
+// (1x1 kernel, stride 1, no padding), in which case a CHW activation viewed
+// as [C, H*W] already is its im2col matrix and the lowering copy can be
+// skipped entirely.
 func conv1x1Direct(s ConvSpec) bool {
 	return s.KH == 1 && s.KW == 1 && s.SH == 1 && s.SW == 1 && s.PH == 0 && s.PW == 0
 }
@@ -419,169 +390,33 @@ func biasPrefill(rd, bd []float32, oc, nhw int) {
 	}
 }
 
-// groupColsBytes bounds the lowered-column scratch one sample group
-// materialises: the GEMM streams the group's panel while it is still
-// cache-hot from the lowering, so the batched path's per-frame memory
-// traffic stays flat as the batch grows instead of round-tripping a
-// batch-sized im2col matrix through DRAM. 1 MiB keeps a group's panel plus
-// the packed weights inside the L2+L3 working set of the cores this repo
-// targets while leaving groups large enough (whole samples) to amortise
-// the per-group pack-panel walk; doubling it measurably slows the batched
-// teacher on small-L3 parts.
-const groupColsBytes = 1 << 20
-
-// Conv2DWS implements Backend on one CHW sample: a CNHW batch of one.
+// Conv2DWS implements Backend: pack the weight into a lease, prefill bias
+// into each channel row and accumulate the packed GEMM on top of one
+// lowering of the sample. A 1x1 stride-1 unpadded convolution has no
+// lowering copy — the activation viewed as [C, H*W] already is the im2col
+// matrix.
 func (vecBackend) Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
-	oh, ow := s.OutSize(x.Dim(1), x.Dim(2))
-	res := ws.GetDirty(w.Dim(0), oh, ow)
-	convBatchGrouped(ws, res.Data, nil, x.Data, x.Dim(0), 1, x.Dim(1), x.Dim(2), w, b, s)
-	return res
-}
-
-// Conv2DBatchWS implements Backend on a list of CHW samples.
-func (vecBackend) Conv2DBatchWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor {
-	x := xs[0]
-	oh, ow := s.OutSize(x.Dim(1), x.Dim(2))
-	res := ws.GetDirty(w.Dim(0), len(xs), oh, ow)
-	convBatchGrouped(ws, res.Data, xs, nil, x.Dim(0), len(xs), x.Dim(1), x.Dim(2), w, b, s)
-	return res
-}
-
-// Conv2DBatchCNHWWS implements Backend on an already-batched activation.
-func (vecBackend) Conv2DBatchCNHWWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
-	oh, ow := s.OutSize(x.Dim(2), x.Dim(3))
-	res := ws.GetDirty(w.Dim(0), x.Dim(1), oh, ow)
-	convBatchGrouped(ws, res.Data, nil, x.Data, x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3), w, b, s)
-	return res
-}
-
-// convBatchGrouped is vec's convolution forward over nb samples given
-// either as a list (xs) or as one CNHW activation (xd), into rd, the
-// [OC, N, OH, OW] result: pack the weight into a lease, prefill bias into
-// each channel row and accumulate the packed GEMM on top. Samples are
-// processed in cache-sized groups: each group is lowered into a small panel
-// and multiplied into its column window of the output, so the panel never
-// leaves cache between the two stages. A 1x1 stride-1 unpadded convolution
-// of a CNHW activation has no lowering copy to keep cache-resident — the
-// activation already is the im2col matrix — so it runs as one full-width
-// GEMM.
-func convBatchGrouped(ws *Workspace, rd []float32, xs []*Tensor, xd []float32, c, nb, h, wid int, w, b *Tensor, s ConvSpec) {
+	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
 	oh, ow := s.OutSize(h, wid)
 	hw := oh * ow
 	ckk := c * s.KH * s.KW
 	oc := w.Dim(0)
-	n := nb * hw
+	res := ws.GetDirty(oc, oh, ow)
 	panels := ws.GetDirty(packedSize(oc, ckk))
-	pd := panels.Data
-	packWeightsInto(pd, w.Data, oc, ckk)
+	packWeightsInto(panels.Data, w.Data, oc, ckk)
 	acc := b != nil
 	if acc {
-		biasPrefill(rd, b.Data, oc, n)
+		biasPrefill(res.Data, b.Data, oc, hw)
 	}
-	if xs == nil && conv1x1Direct(s) {
-		gemmPackedMicroSub(rd, pd, xd, oc, n, n, n, ckk, acc)
-		ws.Put(panels)
-		return
+	bd := x.Data
+	var cols *Tensor // stays nil for the no-lowering case; Put(nil) is a no-op
+	if !conv1x1Direct(s) {
+		cols = ws.GetDirty(ckk, hw)
+		lowerCHW(cols.Data, x.Data, c, h, wid, s, oh, ow)
+		bd = cols.Data
 	}
-	g := 1 // samples per group
-	if per := 4 * ckk * hw; per > 0 {
-		g = min(max(groupColsBytes/per, 1), nb)
-	}
-	cols := ws.GetDirty(ckk, g*hw)
-	for i0 := 0; i0 < nb; i0 += g {
-		gi := min(g, nb-i0)
-		if xs == nil {
-			lowerCNHW(cols.Data, gi, xd[i0*h*wid:], c, nb, h, wid, gi, s, oh, ow)
-		} else {
-			for j, x := range xs[i0 : i0+gi] {
-				lowerCNHW(cols.Data[j*hw:], gi, x.Data, c, 1, h, wid, 1, s, oh, ow)
-			}
-		}
-		gemmPackedMicroSub(rd[i0*hw:], pd, cols.Data, oc, gi*hw, n, gi*hw, ckk, acc)
-	}
+	gemmPackedMicroSub(res.Data, panels.Data, bd, oc, hw, hw, hw, ckk, acc)
 	ws.Put(cols)
 	ws.Put(panels)
-}
-
-// Conv2DBatchWS convolves N same-shape CHW inputs in one call through the
-// workspace's backend, returning a CNHW tensor [OC, N, OH, OW] (see the
-// layout note at the top of this file). Shapes are validated here.
-func Conv2DBatchWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor {
-	if len(xs) == 0 {
-		panic("tensor: Conv2DBatchWS of an empty batch")
-	}
-	x0 := xs[0]
-	for _, x := range xs[1:] {
-		if !x.SameShape(x0) {
-			panic(fmt.Sprintf("tensor: Conv2DBatchWS shape mismatch %v vs %v", x.Shape(), x0.Shape()))
-		}
-	}
-	checkConvBatchArgs("Conv2DBatchWS", x0.Dim(0), w, b, s)
-	return ws.Backend().Conv2DBatchWS(ws, xs, w, b, s)
-}
-
-// Conv2DBatchCNHWWS applies a batched convolution to an already-batched
-// [C, N, H, W] activation, returning [OC, N, OH, OW].
-func Conv2DBatchCNHWWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
-	if x.Rank() != 4 {
-		panic(fmt.Sprintf("tensor: Conv2DBatchCNHWWS requires a CNHW input, got %v", x.Shape()))
-	}
-	checkConvBatchArgs("Conv2DBatchCNHWWS", x.Dim(0), w, b, s)
-	return ws.Backend().Conv2DBatchCNHWWS(ws, x, w, b, s)
-}
-
-func checkConvBatchArgs(op string, c int, w, b *Tensor, s ConvSpec) {
-	oc := w.Dim(0)
-	if w.Dim(1) != c || w.Dim(2) != s.KH || w.Dim(3) != s.KW {
-		panic(fmt.Sprintf("tensor: %s weight %v incompatible with %d input channels spec %+v", op, w.Shape(), c, s))
-	}
-	if b != nil && b.Len() != oc {
-		panic(fmt.Sprintf("tensor: %s bias len %d != out channels %d", op, b.Len(), oc))
-	}
-}
-
-// scatterSampleCNHW copies a per-sample [C, hw] result into sample slot i
-// of a CNHW destination [C, nb, hw].
-func scatterSampleCNHW(dst, src []float32, c, nb, i, hw int) {
-	for ch := 0; ch < c; ch++ {
-		copy(dst[(ch*nb+i)*hw:(ch*nb+i+1)*hw], src[ch*hw:(ch+1)*hw])
-	}
-}
-
-// Conv2DBatchWS implements Backend for the reference backend as the
-// documented loop/copy semantics: each sample runs the per-sample Conv2DWS
-// and the result is copied into its CNHW slot, so values are identical to
-// the per-sample forward by construction.
-func (r refBackend) Conv2DBatchWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor {
-	nb := len(xs)
-	oc := w.Dim(0)
-	oh, ow := s.OutSize(xs[0].Dim(1), xs[0].Dim(2))
-	res := ws.GetDirty(oc, nb, oh, ow)
-	for i, x := range xs {
-		y := r.Conv2DWS(ws, x, w, b, s)
-		scatterSampleCNHW(res.Data, y.Data, oc, nb, i, oh*ow)
-		ws.Put(y)
-	}
-	return res
-}
-
-// Conv2DBatchCNHWWS implements Backend for the reference backend: gather
-// each sample into a contiguous CHW scratch, convolve it per-sample, and
-// scatter the result back.
-func (r refBackend) Conv2DBatchCNHWWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
-	c, nb, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oc := w.Dim(0)
-	oh, ow := s.OutSize(h, wid)
-	res := ws.GetDirty(oc, nb, oh, ow)
-	sample := ws.GetDirty(c, h, wid)
-	for i := 0; i < nb; i++ {
-		for ch := 0; ch < c; ch++ {
-			copy(sample.Data[ch*h*wid:(ch+1)*h*wid], x.Data[(ch*nb+i)*h*wid:(ch*nb+i+1)*h*wid])
-		}
-		y := r.Conv2DWS(ws, sample, w, b, s)
-		scatterSampleCNHW(res.Data, y.Data, oc, nb, i, oh*ow)
-		ws.Put(y)
-	}
-	ws.Put(sample)
 	return res
 }

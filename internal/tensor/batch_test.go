@@ -9,10 +9,9 @@ import (
 )
 
 // The convolution-forward invariants: the packed weight layout is exactly
-// the documented quad-major interleave, every backend's batched convolutions
-// reproduce its own per-sample loop bitwise (one accumulation order for one
-// sample and for many, with the micro-kernel and without it), and results
-// do not depend on what a reused workspace lease held before.
+// the documented quad-major interleave, the packed GEMM forms agree with the
+// unpacked kernel, and results do not depend on what a reused workspace
+// lease held before or on who else is reading the weight.
 
 // TestPackedWeightsLayout pins the physical packed layout against the
 // documented addressing rule: block ib holds rows ib*4..ib*4+3; within a
@@ -123,113 +122,16 @@ func TestGemmPackedMicroMatchesAxpy(t *testing.T) {
 	}
 }
 
-// conv2DBatchLoopWS is the per-sample loop the batched forms are held to:
-// each sample runs ws's backend's own Conv2DWS and lands in its CNHW slot.
-func conv2DBatchLoopWS(ws *Workspace, xs []*Tensor, w, b *Tensor, s ConvSpec) *Tensor {
-	nb, oc := len(xs), w.Dim(0)
-	oh, ow := s.OutSize(xs[0].Dim(1), xs[0].Dim(2))
-	res := New(oc, nb, oh, ow)
-	for i, x := range xs {
-		y := Conv2DWS(ws, x, w, b, s)
-		scatterSampleCNHW(res.Data, y.Data, oc, nb, i, oh*ow)
-		ws.Put(y)
-	}
-	return res
-}
-
-// conv2DBatchCNHWLoopWS is conv2DBatchLoopWS on a CNHW activation.
-func conv2DBatchCNHWLoopWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
-	c, nb, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	xs := make([]*Tensor, nb)
-	for i := range xs {
-		xs[i] = New(c, h, wid)
-		for ch := 0; ch < c; ch++ {
-			copy(xs[i].Data[ch*h*wid:(ch+1)*h*wid], x.Data[(ch*nb+i)*h*wid:])
-		}
-	}
-	return conv2DBatchLoopWS(ws, xs, w, b, s)
-}
-
-func assertBatchBitwise(t *testing.T, label string, got, want []float32) {
-	t.Helper()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: element %d: batched %v != looped %v (contract is bitwise)", label, i, got[i], want[i])
-		}
-	}
-}
-
-// TestConvBatchMatchesPerSampleLoop is the central forward invariant: for
-// every backend and both batched entry points, at every spec of the parity
-// suite, the fused batch equals a per-sample loop over the same backend's
-// own Conv2DWS bitwise — at batch size 1 that is Conv2DWS against
-// Conv2DBatchCNHWWS on a one-sample batch.
-func TestConvBatchMatchesPerSampleLoop(t *testing.T) {
-	for _, name := range Backends() {
-		bk, err := BackendByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(name, func(t *testing.T) { checkConvBatchMatchesLoop(t, bk) })
-	}
-}
-
-func checkConvBatchMatchesLoop(t *testing.T, bk Backend) {
-	shapes := []struct{ c, h, w, oc int }{
-		{1, 7, 7, 1},
-		{3, 13, 11, 5},
-		{4, 16, 16, 8},
-		{2, 9, 17, 3},
-	}
-	rng := rand.New(rand.NewSource(6037))
-	for _, sh := range shapes {
-		for _, spec := range parityConvSpecs {
-			oh, ow := spec.OutSize(sh.h, sh.w)
-			if oh <= 0 || ow <= 0 {
-				continue
-			}
-			for _, nb := range []int{1, 2, 5} {
-				xs := make([]*Tensor, nb)
-				for i := range xs {
-					xs[i] = New(sh.c, sh.h, sh.w)
-					fillRand(rng, xs[i].Data)
-				}
-				w := New(sh.oc, sh.c, spec.KH, spec.KW)
-				fillRand(rng, w.Data)
-				bias := New(sh.oc)
-				fillRand(rng, bias.Data)
-				for _, b := range []*Tensor{nil, bias} {
-					label := fmt.Sprintf("%s c=%d h=%d w=%d oc=%d nb=%d spec=%+v bias=%v",
-						bk.Name(), sh.c, sh.h, sh.w, sh.oc, nb, spec, b != nil)
-					ws := NewWorkspace().SetBackend(bk)
-					want := conv2DBatchLoopWS(ws, xs, w, b, spec)
-					got := Conv2DBatchWS(ws, xs, w, b, spec)
-					assertBatchBitwise(t, label+" WS", got.Data, want.Data)
-
-					// The CNHW form on the scattered batch must agree too.
-					x := New(sh.c, nb, sh.h, sh.w)
-					for i, s := range xs {
-						scatterSampleCNHW(x.Data, s.Data, sh.c, nb, i, sh.h*sh.w)
-					}
-					wantC := conv2DBatchCNHWLoopWS(ws, x, w, b, spec)
-					gotC := Conv2DBatchCNHWWS(ws, x, w, b, spec)
-					assertBatchBitwise(t, label+" CNHW", gotC.Data, wantC.Data)
-				}
-			}
-		}
-	}
-}
-
-// TestConvBatchIgnoresScratchContents locks the batched convolutions to one
+// TestConvBatchIgnoresScratchContents locks the convolution forward to one
 // bitwise result across repeated calls on one workspace, on every backend:
 // the panel and column leases come back dirty from the previous call (and
 // from a deliberately poisoned lease), and nothing of that may reach the
 // result.
 func TestConvBatchIgnoresScratchContents(t *testing.T) {
 	rng := rand.New(rand.NewSource(6047))
-	const c, h, w, oc, nb = 3, 16, 24, 9, 4
+	const c, h, w, oc = 3, 32, 48, 9
 	spec := Spec(3, 3)
-	x := New(c, nb, h, w)
+	x := New(c, h, w)
 	wt := New(oc, c, 3, 3)
 	bias := New(oc)
 	fillRand(rng, x.Data)
@@ -242,16 +144,16 @@ func TestConvBatchIgnoresScratchContents(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			ws := NewWorkspaceOn(NewPool()).SetBackend(bk)
-			golden := Conv2DBatchCNHWWS(ws, x, wt, bias, spec)
+			golden := Conv2DWS(ws, x, wt, bias, spec)
 			for run := 0; run < 3; run++ {
-				for _, n := range []int{packedSize(oc, c*9), 1 << 16} { // the panel and column lease classes
+				for _, n := range []int{packedSize(oc, c*9), c * 9 * h * w} { // the panel and column lease classes
 					poison := ws.GetDirty(n)
 					poison.Fill(float32(math.NaN()))
 					ws.Put(poison)
 				}
-				got := Conv2DBatchCNHWWS(ws, x, wt, bias, spec)
+				got := Conv2DWS(ws, x, wt, bias, spec)
 				if !bitwiseEqual(got.Data, golden.Data) {
-					t.Fatalf("%s run %d: batched conv differs from its first result — scratch contents leaked into it", name, run)
+					t.Fatalf("%s run %d: conv differs from its first result — scratch contents leaked into it", name, run)
 				}
 				ws.Put(got)
 			}
@@ -259,28 +161,14 @@ func TestConvBatchIgnoresScratchContents(t *testing.T) {
 	}
 }
 
-// TestDeviceBatchedWithoutMicroKernelIsVecBitwise forces vec's convolution
-// forward onto the axpy fallback (as a non-AVX build or SHADOWTUTOR_NOAVX
-// would) and re-runs the batched-equals-looped suite there: per-sample and
-// batched share one accumulation order in the degraded mode too. (The name
-// predates the device backend's fold into vec.)
-func TestDeviceBatchedWithoutMicroKernelIsVecBitwise(t *testing.T) {
-	if !packMicroOK {
-		t.Skip("micro-kernel already unavailable; the main parity suite covers this mode")
-	}
-	packMicroOK = false
-	defer func() { packMicroOK = true }()
-	checkConvBatchMatchesLoop(t, vecBackend{})
-}
-
 // TestSharedFrozenWeightConcurrentBatches is the shared-teacher case: eight
-// goroutines run batched convolutions against one shared weight tensor,
-// each packing it into its own workspace's lease. Under -race this checks
-// a forward writes nothing the others can see; everywhere it checks every
-// goroutine computed the single-goroutine result bitwise.
+// goroutines run convolutions against one shared weight tensor, each packing
+// it into its own workspace's lease. Under -race this checks a forward
+// writes nothing the others can see; everywhere it checks every goroutine
+// computed the single-goroutine result bitwise.
 func TestSharedFrozenWeightConcurrentBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(6071))
-	x := New(3, 4, 12, 12)
+	x := New(3, 24, 24)
 	fillRand(rng, x.Data)
 	spec := Spec(3, 3)
 	mk := func() (*Tensor, *Tensor) {
@@ -291,7 +179,7 @@ func TestSharedFrozenWeightConcurrentBatches(t *testing.T) {
 		return w, b
 	}
 	gw, gb := mk()
-	golden := Conv2DBatchCNHWWS(NewWorkspace().SetBackend(vecBackend{}), x, gw, gb, spec)
+	golden := Conv2DWS(NewWorkspace().SetBackend(vecBackend{}), x, gw, gb, spec)
 
 	w, b := mk()
 	var wg sync.WaitGroup
@@ -302,9 +190,9 @@ func TestSharedFrozenWeightConcurrentBatches(t *testing.T) {
 			defer wg.Done()
 			ws := NewWorkspace().SetBackend(vecBackend{})
 			for r := 0; r < 4; r++ {
-				got := Conv2DBatchCNHWWS(ws, x, w, b, spec)
+				got := Conv2DWS(ws, x, w, b, spec)
 				if !bitwiseEqual(got.Data, golden.Data) {
-					errs <- "batched conv on a shared weight diverged from the single-goroutine result"
+					errs <- "conv on a shared weight diverged from the single-goroutine result"
 					return
 				}
 				ws.Put(got)
@@ -318,46 +206,38 @@ func TestSharedFrozenWeightConcurrentBatches(t *testing.T) {
 	}
 }
 
-// FuzzBatchParity fuzzes the batched-equals-looped property over arbitrary
-// shapes, batch sizes and conv specs on every registered backend — the
-// batched mirror of FuzzBackendParity, run in the CI fuzz smoke.
+// FuzzBatchParity fuzzes vec's convolution forward against reference over
+// arbitrary shapes and conv specs under TestBackendParityConv2D's tolerance
+// — the convolution mirror of FuzzBackendParity, run in the CI fuzz smoke.
+// (The corpus predates the batched forms' removal: nb8 is drawn and unused.)
 func FuzzBatchParity(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(9), uint8(11), uint8(4), uint8(2), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(16), uint8(8), uint8(1), uint8(1), uint8(1))
 	f.Add(int64(3), uint8(4), uint8(7), uint8(13), uint8(6), uint8(5), uint8(9))
 	f.Fuzz(func(t *testing.T, seed int64, c8, h8, w8, oc8, nb8, sp8 uint8) {
 		c, h, w := int(c8%5)+1, int(h8%18)+1, int(w8%18)+1
-		oc, nb := int(oc8%7)+1, int(nb8%5)+1
+		oc := int(oc8%7) + 1
 		spec := parityConvSpecs[int(sp8)%len(parityConvSpecs)]
 		oh, ow := spec.OutSize(h, w)
 		if oh <= 0 || ow <= 0 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
-		x := New(c, nb, h, w)
+		x := New(c, h, w)
 		wt := New(oc, c, spec.KH, spec.KW)
 		bias := New(oc)
-		fillRand(rng, x.Data)
-		fillRand(rng, wt.Data)
+		xmax := fillRand(rng, x.Data)
+		wmax := fillRand(rng, wt.Data)
 		fillRand(rng, bias.Data)
-		for _, name := range Backends() {
-			bk, err := BackendByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ws := NewWorkspace().SetBackend(bk)
-			want := conv2DBatchCNHWLoopWS(ws, x, wt, bias, spec)
-			got := Conv2DBatchCNHWWS(ws, x, wt, bias, spec)
-			label := fmt.Sprintf("%s c=%d h=%d w=%d oc=%d nb=%d spec=%+v", name, c, h, w, oc, nb, spec)
-			assertBatchBitwise(t, label, got.Data, want.Data)
-			ws.Put(got)
-		}
+		want := Conv2DWS(NewWorkspace().SetBackend(refBackend{}), x, wt, bias, spec)
+		got := Conv2DWS(NewWorkspace().SetBackend(vecBackend{}), x, wt, bias, spec)
+		label := fmt.Sprintf("c=%d h=%d w=%d oc=%d spec=%+v", c, h, w, oc, spec)
+		assertParity(t, label, got.Data, want.Data, parityTol(c*spec.KH*spec.KW, xmax, wmax))
 	})
 }
 
 // BenchmarkPackedMicroGemm isolates the packed GEMM on the teacher's
-// dominant layer shapes, reporting achieved GFLOP/s — the kernel-level
-// companion to BenchmarkTeacherInferBatch.
+// dominant layer shapes, reporting achieved GFLOP/s.
 func BenchmarkPackedMicroGemm(b *testing.B) {
 	for _, sh := range []struct{ m, k, n int }{{96, 864, 1152}, {64, 1728, 1152}, {32, 288, 6144}, {96, 432, 4608}} {
 		b.Run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func(b *testing.B) {

@@ -89,17 +89,10 @@ func im2colRow(dd []float32, x *Tensor, s ConvSpec, oy, ow, cols int) {
 	}
 }
 
-// Col2im scatters a [OH*OW, C*KH*KW] matrix back into a CHW tensor of shape
-// [c,h,w], accumulating overlapping contributions. It is the adjoint of
-// Im2col and is used for input gradients in conv backward.
-func Col2im(cols *Tensor, s ConvSpec, c, h, w int) *Tensor {
-	out := New(c, h, w)
-	Col2imInto(out, cols, s)
-	return out
-}
-
-// Col2imInto scatters cols into dst (shape [c,h,w]), accumulating into dst's
-// existing contents — dst must be zero-filled for a plain adjoint.
+// Col2imInto scatters a [OH*OW, C*KH*KW] matrix cols into dst (shape
+// [c,h,w]), accumulating overlapping contributions into dst's existing
+// contents — dst must be zero-filled for a plain adjoint of Im2col, which is
+// what conv backward's input gradient is.
 func Col2imInto(dst, cols *Tensor, s ConvSpec) {
 	c, h, w := dst.Dim(0), dst.Dim(1), dst.Dim(2)
 	oh, ow := s.OutSize(h, w)
@@ -157,14 +150,6 @@ func Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	return ws.Backend().Conv2DWS(ws, x, w, b, s)
 }
 
-// Conv2DBackward computes gradients of a Conv2D call. gy is the output
-// gradient [OC, OH, OW]. It returns (dx, dw, db); dx is nil when needInput
-// is false (the partial-distillation path stops input gradients at the
-// frozen boundary, §4.2 of the paper).
-func Conv2DBackward(x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {
-	return Conv2DBackwardWS(nil, x, w, gy, s, needInput)
-}
-
 // convBackwarder is the optional backend extension for a fused conv
 // backward. Backends that implement it (vec) own the whole gradient
 // computation; others get the generic im2col path below, which still routes
@@ -173,10 +158,13 @@ type convBackwarder interface {
 	Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor)
 }
 
-// Conv2DBackwardWS is Conv2DBackward with scratch and results leased from
-// ws (nil ws allocates). The returned gradients are workspace leases: they
-// stay valid until the workspace resets, which in the autodiff tape's usage
-// outlives the optimizer step that consumes them.
+// Conv2DBackwardWS computes gradients of a Conv2D call with scratch and
+// results leased from ws (nil ws allocates). gy is the output gradient
+// [OC, OH, OW]. It returns (dx, dw, db); dx is nil when needInput is false
+// (the partial-distillation path stops input gradients at the frozen
+// boundary, §4.2 of the paper). The returned gradients are workspace leases:
+// they stay valid until the workspace resets, which in the autodiff tape's
+// usage outlives the optimizer step that consumes them.
 func Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {
 	if cb, ok := ws.Backend().(convBackwarder); ok {
 		return cb.Conv2DBackwardWS(ws, x, w, gy, s, needInput)
@@ -222,11 +210,8 @@ func Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput boo
 	return dx, dw, db
 }
 
-// UpsampleNearest2x doubles the spatial size of a CHW tensor by
-// nearest-neighbour replication.
-func UpsampleNearest2x(x *Tensor) *Tensor { return UpsampleNearest2xWS(nil, x) }
-
-// UpsampleNearest2xWS is UpsampleNearest2x with the result leased from ws.
+// UpsampleNearest2xWS doubles the spatial size of a CHW tensor by
+// nearest-neighbour replication, the result leased from ws.
 func UpsampleNearest2xWS(ws *Workspace, x *Tensor) *Tensor {
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	out := ws.GetDirty(c, h*2, w*2)
@@ -244,14 +229,8 @@ func UpsampleNearest2xWS(ws *Workspace, x *Tensor) *Tensor {
 	return out
 }
 
-// UpsampleNearest2xBackward sums each 2×2 output-gradient block back into
-// the corresponding input cell.
-func UpsampleNearest2xBackward(gy *Tensor) *Tensor {
-	return UpsampleNearest2xBackwardWS(nil, gy)
-}
-
-// UpsampleNearest2xBackwardWS is UpsampleNearest2xBackward with the result
-// leased from ws.
+// UpsampleNearest2xBackwardWS sums each 2×2 output-gradient block back into
+// the corresponding input cell, the result leased from ws.
 func UpsampleNearest2xBackwardWS(ws *Workspace, gy *Tensor) *Tensor {
 	c, h2, w2 := gy.Dim(0), gy.Dim(1), gy.Dim(2)
 	h, w := h2/2, w2/2
@@ -263,28 +242,6 @@ func UpsampleNearest2xBackwardWS(ws *Workspace, gy *Tensor) *Tensor {
 			dst := out.Data[ch*h*w+y*w : ch*h*w+(y+1)*w]
 			for xx := range dst {
 				dst[xx] = g0[2*xx] + g0[2*xx+1] + g1[2*xx] + g1[2*xx+1]
-			}
-		}
-	}
-	return out
-}
-
-// AvgPool2x2 halves the spatial size of a CHW tensor by 2×2 mean pooling.
-// Odd trailing rows/columns are dropped.
-func AvgPool2x2(x *Tensor) *Tensor { return AvgPool2x2WS(nil, x) }
-
-// AvgPool2x2WS is AvgPool2x2 with the result leased from ws.
-func AvgPool2x2WS(ws *Workspace, x *Tensor) *Tensor {
-	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	oh, ow := h/2, w/2
-	out := ws.GetDirty(c, oh, ow)
-	for ch := 0; ch < c; ch++ {
-		for y := 0; y < oh; y++ {
-			s0 := x.Data[ch*h*w+(2*y)*w:]
-			s1 := x.Data[ch*h*w+(2*y+1)*w:]
-			dst := out.Data[ch*oh*ow+y*ow : ch*oh*ow+(y+1)*ow]
-			for xx := range dst {
-				dst[xx] = (s0[2*xx] + s0[2*xx+1] + s1[2*xx] + s1[2*xx+1]) * 0.25
 			}
 		}
 	}
@@ -317,13 +274,8 @@ func ConcatWS(ws *Workspace, xs ...*Tensor) *Tensor {
 	return out
 }
 
-// SplitChannels splits the gradient of a Concat back into per-input pieces
-// with the given channel counts.
-func SplitChannels(g *Tensor, chans []int) []*Tensor {
-	return SplitChannelsWS(nil, g, chans)
-}
-
-// SplitChannelsWS is SplitChannels with each piece leased from ws.
+// SplitChannelsWS splits the gradient of a Concat back into per-input pieces
+// with the given channel counts, each piece leased from ws.
 func SplitChannelsWS(ws *Workspace, g *Tensor, chans []int) []*Tensor {
 	h, w := g.Dim(1), g.Dim(2)
 	outs := make([]*Tensor, len(chans))

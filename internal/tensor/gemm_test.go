@@ -123,8 +123,11 @@ func TestBlockedGEMMMatchesNaive(t *testing.T) {
 		at := randSparseTensor(rng, k, m)
 		bt := randSparseTensor(rng, n, k)
 		equalBits(t, "MatMul", MatMul(a, b), naiveMatMul(a, b))
-		equalBits(t, "MatMulATB", MatMulATB(at, b), naiveMatMulATB(at, b))
-		equalBits(t, "MatMulABT", MatMulABT(a, bt), naiveMatMulABT(a, bt))
+		atb, abt := New(at.Dim(1), b.Dim(1)), New(a.Dim(0), bt.Dim(0))
+		MatMulATBInto(atb, at, b, false)
+		MatMulABTInto(abt, a, bt)
+		equalBits(t, "MatMulATB", atb, naiveMatMulATB(at, b))
+		equalBits(t, "MatMulABT", abt, naiveMatMulABT(a, bt))
 	}
 }
 

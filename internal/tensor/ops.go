@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 )
 
 // Add returns a + b elementwise. Shapes must match.
@@ -76,34 +75,16 @@ func AxpyInto(dst *Tensor, alpha float32, x *Tensor) {
 	}
 }
 
-// ReLU returns max(a, 0) elementwise.
-func ReLU(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	ReLUInto(out, a)
-	return out
-}
-
-// ReLUInto writes max(a, 0) into dst (which may alias a).
+// ReLUInto writes max(a, 0) into dst (which may alias a): a copy, then the
+// one in-place ReLU kernel (ReLUFlat), so NaN passes through.
 func ReLUInto(dst, a *Tensor) {
 	checkSame("ReLUInto", dst, a)
-	for i, v := range a.Data {
-		if v > 0 {
-			dst.Data[i] = v
-		} else {
-			dst.Data[i] = 0
-		}
-	}
+	copy(dst.Data, a.Data)
+	ReLUFlat(dst.Data)
 }
 
-// ReLUGrad returns grad masked by the positive entries of forward input x:
-// dx[i] = grad[i] if x[i] > 0 else 0.
-func ReLUGrad(x, grad *Tensor) *Tensor {
-	out := New(x.shape...)
-	ReLUGradInto(out, x, grad)
-	return out
-}
-
-// ReLUGradInto writes the masked gradient into dst (which may alias grad).
+// ReLUGradInto writes grad masked by the positive entries of the forward
+// input x into dst (which may alias grad): dst[i] = grad[i] if x[i] > 0 else 0.
 func ReLUGradInto(dst, x, grad *Tensor) {
 	checkSame("ReLUGradInto", x, grad)
 	checkSame("ReLUGradInto dst", dst, x)
@@ -114,15 +95,6 @@ func ReLUGradInto(dst, x, grad *Tensor) {
 			dst.Data[i] = 0
 		}
 	}
-}
-
-// Sigmoid returns 1/(1+exp(-a)) elementwise.
-func Sigmoid(a *Tensor) *Tensor {
-	out := New(a.shape...)
-	for i, v := range a.Data {
-		out.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	return out
 }
 
 // MatMul multiplies a [m,k] by b [k,n] into a new [m,n] tensor via the
@@ -162,16 +134,8 @@ func MatMulIntoOn(bk Backend, dst, a, b *Tensor, accumulate bool) {
 	bk.MatMulInto(dst.Data, a.Data, b.Data, m, n, k, accumulate)
 }
 
-// MatMulATB computes aᵀ×b for a [k,m], b [k,n] → [m,n]. Used by conv
-// backward for weight gradients.
-func MatMulATB(a, b *Tensor) *Tensor {
-	out := New(a.shape[1], b.shape[1])
-	MatMulATBInto(out, a, b, true)
-	return out
-}
-
-// MatMulATBInto computes dst = aᵀ×b, or dst += aᵀ×b when accumulate is
-// true, on the process-default backend.
+// MatMulATBInto computes dst = aᵀ×b for a [k,m], b [k,n] → [m,n], or
+// dst += aᵀ×b when accumulate is true, on the process-default backend.
 func MatMulATBInto(dst, a, b *Tensor, accumulate bool) {
 	MatMulATBIntoOn(nil, dst, a, b, accumulate)
 }
@@ -190,15 +154,8 @@ func MatMulATBIntoOn(bk Backend, dst, a, b *Tensor, accumulate bool) {
 	bk.MatMulATBInto(dst.Data, a.Data, b.Data, m, n, k, accumulate)
 }
 
-// MatMulABT computes a×bᵀ for a [m,k], b [n,k] → [m,n]. Used by conv
-// backward for input gradients.
-func MatMulABT(a, b *Tensor) *Tensor {
-	out := New(a.shape[0], b.shape[0])
-	MatMulABTInto(out, a, b)
-	return out
-}
-
-// MatMulABTInto computes dst = a×bᵀ on the process-default backend.
+// MatMulABTInto computes dst = a×bᵀ for a [m,k], b [n,k] → [m,n] on the
+// process-default backend.
 func MatMulABTInto(dst, a, b *Tensor) {
 	MatMulABTIntoOn(nil, dst, a, b)
 }
@@ -215,21 +172,6 @@ func MatMulABTIntoOn(bk Backend, dst, a, b *Tensor) {
 		bk = DefaultBackend()
 	}
 	bk.MatMulABTInto(dst.Data, a.Data, b.Data, m, n, k)
-}
-
-// Transpose returns the [n,m] transpose of a rank-2 [m,n] tensor.
-func Transpose(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose requires rank-2, got %v", a.shape))
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = a.Data[i*n+j]
-		}
-	}
-	return out
 }
 
 func checkSame(op string, a, b *Tensor) {

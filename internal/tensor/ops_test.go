@@ -48,24 +48,15 @@ func TestScaleAxpy(t *testing.T) {
 
 func TestReLUAndGrad(t *testing.T) {
 	x := FromSlice([]float32{-1, 0, 2}, 3)
-	y := ReLU(x)
+	y := New(3)
+	ReLUInto(y, x)
 	if y.Data[0] != 0 || y.Data[1] != 0 || y.Data[2] != 2 {
 		t.Fatalf("ReLU = %v", y.Data)
 	}
-	g := ReLUGrad(x, Full(1, 3))
+	g := Full(1, 3)
+	ReLUGradInto(g, x, g)
 	if g.Data[0] != 0 || g.Data[2] != 1 {
 		t.Fatalf("ReLUGrad = %v", g.Data)
-	}
-}
-
-func TestSigmoidRange(t *testing.T) {
-	x := FromSlice([]float32{-10, 0, 10}, 3)
-	y := Sigmoid(x)
-	if y.Data[1] != 0.5 {
-		t.Fatalf("Sigmoid(0) = %v", y.Data[1])
-	}
-	if y.Data[0] > 0.01 || y.Data[2] < 0.99 {
-		t.Fatalf("Sigmoid tails wrong: %v", y.Data)
 	}
 }
 
@@ -101,21 +92,21 @@ func TestMatMulInnerDimMismatchPanics(t *testing.T) {
 	MatMul(New(2, 3), New(2, 3))
 }
 
-// MatMulATB(a,b) must equal Transpose(a)×b; MatMulABT(a,b) must equal
-// a×Transpose(b).
+// MatMulATBInto(a,b) must equal aᵀ×b and MatMulABTInto(a,b) a×bᵀ, each
+// against the naive triple loop over the transposed operand.
 func TestMatMulVariantsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randTensor(rng, 4, 5)
 	b := randTensor(rng, 4, 6)
-	got := MatMulATB(a, b)
-	want := MatMul(Transpose(a), b)
-	assertClose(t, got, want, 1e-5)
+	got := New(5, 6)
+	MatMulATBInto(got, a, b, false)
+	assertClose(t, got, naiveMatMulATB(a, b), 1e-5)
 
 	c := randTensor(rng, 5, 4)
 	d := randTensor(rng, 6, 4)
-	got2 := MatMulABT(c, d)
-	want2 := MatMul(c, Transpose(d))
-	assertClose(t, got2, want2, 1e-5)
+	got2 := New(5, 6)
+	MatMulABTInto(got2, c, d)
+	assertClose(t, got2, naiveMatMulABT(c, d), 1e-5)
 }
 
 func TestMatMulIntoAccumulate(t *testing.T) {
@@ -126,13 +117,6 @@ func TestMatMulIntoAccumulate(t *testing.T) {
 	if dst.Data[0] != 2 || dst.Data[3] != 5 {
 		t.Fatalf("accumulate failed: %v", dst.Data)
 	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randTensor(rng, 3, 5)
-	b := Transpose(Transpose(a))
-	assertClose(t, a, b, 0)
 }
 
 // Property: matmul distributes over addition, (A+B)×C = A×C + B×C.

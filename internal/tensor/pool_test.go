@@ -138,7 +138,7 @@ func TestWorkspaceConcurrentSessionsNoAliasing(t *testing.T) {
 	for s := range refs {
 		x, w, b, gy := mkInputs(int64(100 + s))
 		conv := Conv2D(x, w, b, spec)
-		dx, dw, db := Conv2DBackward(x, w, gy, spec, true)
+		dx, dw, db := Conv2DBackwardWS(nil, x, w, gy, spec, true)
 		refs[s] = ref{conv, dx, dw, db}
 	}
 

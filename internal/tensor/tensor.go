@@ -1,5 +1,5 @@
 // Package tensor provides dense float32 tensors and the numerical kernels
-// (matmul, im2col convolution, pooling, upsampling) that the rest of the
+// (matmul, im2col convolution, upsampling) that the rest of the
 // reproduction builds on. All hot loops operate on flat slices and run on
 // the calling goroutine: a session is the unit of parallelism, a kernel is
 // not.
@@ -11,7 +11,7 @@ import (
 )
 
 // Tensor is a dense, row-major float32 tensor. The zero value is not usable;
-// construct with New, Zeros, Full or FromSlice.
+// construct with New, Full or FromSlice.
 type Tensor struct {
 	Data  []float32
 	shape []int
@@ -21,9 +21,6 @@ type Tensor struct {
 func New(shape ...int) *Tensor {
 	return &Tensor{Data: make([]float32, NumElems(shape)), shape: append([]int(nil), shape...)}
 }
-
-// Zeros is an alias of New, kept for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
 
 // Full returns a tensor with every element set to v.
 func Full(v float32, shape ...int) *Tensor {
@@ -141,11 +138,6 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// Zero sets every element of t to 0.
-func (t *Tensor) Zero() {
-	clear(t.Data)
-}
-
 // CopyFrom copies u's data into t. Shapes must match.
 func (t *Tensor) CopyFrom(u *Tensor) {
 	if !t.SameShape(u) {
@@ -185,20 +177,6 @@ func (t *Tensor) Max() float32 {
 	m := t.Data[0]
 	for _, v := range t.Data[1:] {
 		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element; panics on empty tensors.
-func (t *Tensor) Min() float32 {
-	if len(t.Data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v < m {
 			m = v
 		}
 	}

@@ -118,30 +118,6 @@ func FuzzDecodeHello(f *testing.F) {
 	})
 }
 
-func FuzzDecodePrediction(f *testing.F) {
-	f.Add(EncodePrediction(Prediction{FrameIndex: 3, Mask: []int32{1, 2, 3, 0}}))
-	f.Add(EncodePrediction(Prediction{FrameIndex: 0, Mask: nil}))
-	f.Add([]byte{1, 2, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodePrediction(data)
-		if err != nil {
-			return
-		}
-		p2, err := DecodePrediction(EncodePrediction(p))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded prediction failed: %v", err)
-		}
-		if p2.FrameIndex != p.FrameIndex || len(p2.Mask) != len(p.Mask) {
-			t.Fatalf("prediction round trip mismatch")
-		}
-		for i := range p.Mask {
-			if p2.Mask[i] != p.Mask[i] {
-				t.Fatalf("prediction mask diverged at %d", i)
-			}
-		}
-	})
-}
-
 func FuzzDecodeStudentDiff(f *testing.F) {
 	held := nn.NewParamSet()
 	w := held.Add("out3.w", tensor.New(2, 3)).Value

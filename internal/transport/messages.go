@@ -32,8 +32,9 @@ const (
 	// MsgStudentDiff carries the updated (trainable) parameters plus the
 	// post-distillation metric (server → client, Algorithm 3 line 6).
 	MsgStudentDiff
-	// MsgPrediction carries a mask (server → client), used by the naive
-	// offloading baseline.
+	// MsgPrediction is reserved: it carried a mask for a naive-offloading
+	// peer that no longer exists, and keeps its number so the types after
+	// it keep theirs. No peer sends it; the server rejects it.
 	MsgPrediction
 	// MsgShutdown ends the session.
 	MsgShutdown
@@ -169,12 +170,6 @@ type StudentDiff struct {
 	Relative bool
 	RefHash  uint64
 	Payload  []byte
-}
-
-// Prediction is the server → client mask payload for naive offloading.
-type Prediction struct {
-	FrameIndex uint32
-	Mask       []int32
 }
 
 // EncodeHello serialises a Hello body.
@@ -462,39 +457,6 @@ func (d *StudentDiff) Resolve(held *nn.ParamSet) error {
 	}
 	d.Params, d.Payload = params, nil
 	return nil
-}
-
-// EncodePrediction serialises a Prediction body.
-func EncodePrediction(p Prediction) []byte {
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, p.FrameIndex)
-	binary.Write(&buf, binary.LittleEndian, uint32(len(p.Mask)))
-	binary.Write(&buf, binary.LittleEndian, p.Mask)
-	return buf.Bytes()
-}
-
-// DecodePrediction parses a Prediction body.
-func DecodePrediction(b []byte) (Prediction, error) {
-	var p Prediction
-	r := bytes.NewReader(b)
-	if err := binary.Read(r, binary.LittleEndian, &p.FrameIndex); err != nil {
-		return p, fmt.Errorf("transport: prediction index: %w", err)
-	}
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return p, fmt.Errorf("transport: prediction len: %w", err)
-	}
-	if n > 1<<26 {
-		return p, fmt.Errorf("transport: implausible mask size %d", n)
-	}
-	if int64(n)*4 > int64(r.Len()) {
-		return p, fmt.Errorf("transport: prediction claims %d mask bytes, only %d remain", n*4, r.Len())
-	}
-	p.Mask = make([]int32, n)
-	if err := binary.Read(r, binary.LittleEndian, p.Mask); err != nil {
-		return p, fmt.Errorf("transport: prediction mask: %w", err)
-	}
-	return p, nil
 }
 
 // Resume is the reconnect handshake payload (client → server): instead of

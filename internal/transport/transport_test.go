@@ -262,17 +262,6 @@ func TestResumeAckRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPredictionRoundTrip(t *testing.T) {
-	p := Prediction{FrameIndex: 3, Mask: []int32{0, 1, 2, 8}}
-	got, err := DecodePrediction(EncodePrediction(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.FrameIndex != 3 || len(got.Mask) != 4 || got.Mask[3] != 8 {
-		t.Fatalf("round trip %+v", got)
-	}
-}
-
 func TestMessageFraming(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
@@ -324,9 +313,6 @@ func TestDecodersRejectGarbage(t *testing.T) {
 	}
 	if _, err := DecodeStudentDiff([]byte{1}); err == nil {
 		t.Fatal("short diff must error")
-	}
-	if _, err := DecodePrediction([]byte{1}); err == nil {
-		t.Fatal("short prediction must error")
 	}
 	// Implausible rank.
 	bad := EncodeKeyFrame(KeyFrame{Image: tensor.New(3, 8, 8)})

@@ -160,3 +160,23 @@ func (r *Resampled) Next() Frame {
 type Source interface {
 	Next() Frame
 }
+
+// replaySource replays recorded frames.
+type replaySource struct {
+	frames []Frame
+	i      int
+}
+
+// NewReplay returns a Source that replays the given frames in order and
+// panics when exhausted; tests use it to feed identical frames to several
+// systems.
+func NewReplay(frames []Frame) Source { return &replaySource{frames: frames} }
+
+func (r *replaySource) Next() Frame {
+	if r.i >= len(r.frames) {
+		panic("video: replay source exhausted")
+	}
+	f := r.frames[r.i]
+	r.i++
+	return f
+}

@@ -25,9 +25,6 @@ func (g *Generator) Skip(n int) {
 	}
 }
 
-// FrameNo returns the index of the next frame to be produced.
-func (g *Generator) FrameNo() int { return g.frameNo }
-
 func (g *Generator) nextInto(img *tensor.Tensor, label []int32) Frame {
 	g.step()
 	g.render(img, label)

@@ -29,12 +29,6 @@ const (
 	NumClasses // 9
 )
 
-// ClassNames maps class indices to the LVS names.
-var ClassNames = [NumClasses]string{
-	"background", "person", "bicycle", "automobile", "bird",
-	"dog", "horse", "elephant", "giraffe",
-}
-
 // Camera is the LVS camera taxonomy.
 type Camera int
 

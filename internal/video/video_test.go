@@ -171,7 +171,7 @@ func TestSceneryClassPalettes(t *testing.T) {
 			}
 		}
 		if !ok {
-			t.Fatalf("class %s outside the animals palette", ClassNames[c])
+			t.Fatalf("class %d outside the animals palette", c)
 		}
 	}
 }
@@ -315,4 +315,21 @@ func mustGen(cfg Config) *Generator {
 		panic(err)
 	}
 	return g
+}
+
+func TestReplaySourceOrderAndExhaustion(t *testing.T) {
+	g := mustGen(CategoryConfig(Category{Camera: Fixed, Scenery: Animals}, 9))
+	fs := []Frame{g.Next(), g.Next(), g.Next()}
+	src := NewReplay(fs)
+	for i := range fs {
+		if got := src.Next(); got.Index != fs[i].Index {
+			t.Fatalf("replay out of order at %d", i)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("exhausted replay must panic")
+		}
+	}()
+	src.Next()
 }
