@@ -45,7 +45,7 @@ func main() {
 		resumeTTL   = flag.Duration("resume-ttl", 2*time.Minute, "how long a disconnected session stays resumable (negative disables resumption)")
 		journal     = flag.Int("journal-depth", 8, "recent student diffs journaled per session for resume replay")
 		backend     = flag.String("backend", "", "tensor compute backend for every shard's kernels (default: process default; e.g. \"vec\", \"reference\")")
-		envCodec    = flag.String("envelope-codec", "", "compress codec for checkpoints and handoff envelopes, e.g. \"delta+int8\" (empty = raw checkpoints, raw-codec envelopes)")
+		envCodec    = flag.String("envelope-codec", "", "compress codec for MsgStudentFull checkpoints, delta-encoded against the pretrained base, e.g. \"delta+int8\" (empty = raw checkpoints)")
 		lossModel   = flag.String("loss-model", "", "simulate packet loss on every accepted connection (netsim spec, e.g. \"uniform:0.02\" or \"ge:0.02,0.25,0.002,0.5\"; empty = plain byte stream). Clients must run the same packet framing (their -loss-model flag)")
 		fec         = flag.Int("fec", 0, "XOR-parity FEC group size for the packet layer (0 = no FEC)")
 		reorder     = flag.Float64("reorder", 0, "per-packet reorder probability for the packet layer")
@@ -103,9 +103,9 @@ func main() {
 			MaxSessions:  *maxSessions,
 			ResumeTTL:    *resumeTTL,
 			JournalDepth: *journal,
-			// Delta-encode checkpoints and handoff envelopes against the
-			// shared pretrained base; clients that don't advertise the
-			// capability still receive raw checkpoints.
+			// Delta-encode checkpoints against the shared pretrained
+			// base; clients that don't advertise the capability still
+			// receive raw checkpoints.
 			EnvelopeCodec: *envCodec,
 			Telemetry:     reg,
 			ShardIndex:    i,

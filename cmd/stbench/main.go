@@ -152,11 +152,11 @@ func main() {
 	suite := experiments.NewSuite(opts)
 
 	if *ablations {
-		emit(suite.AblationStride())
-		emit(suite.AblationAsync())
-		emit(suite.AblationFreezePoint())
-		emit(suite.AblationLossWeighting())
-		emit(experiments.AblationCompression())
+		emitRows(suite.AblationStride())
+		emitRows(suite.AblationAsync())
+		emitRows(suite.AblationFreezePoint())
+		emitRows(suite.AblationLossWeighting())
+		emitRows(experiments.AblationCompression())
 		log.Printf("ablations done in %v", time.Since(start).Round(time.Second))
 		return
 	}
@@ -189,6 +189,14 @@ func main() {
 		fmt.Println(out)
 	}
 	log.Printf("done in %v", time.Since(start).Round(time.Second))
+}
+
+// emitRows prints an ablation's table, rendered from its typed rows.
+func emitRows[R interface{ Table() *stats.Table }](rows R, err error) {
+	if err != nil {
+		log.Fatalf("experiment failed: %v", err)
+	}
+	fmt.Println(rows.Table())
 }
 
 func listScenarios() {

@@ -44,10 +44,10 @@
 //
 //	go run ./cmd/shadowtutor-server -shards 4 -max-sessions 32
 //
-// Every full model that crosses a process boundary — handshake checkpoints,
-// resume-full fallbacks, cross-shard handoff envelopes — can be
-// delta-encoded against the shared pretrained base instead of shipped raw:
-// -envelope-codec names a compress codec ("delta+int8" is the deployment
+// Every full model that crosses the wire — handshake checkpoints and
+// resume-full fallbacks; a cross-shard handoff moves the session itself
+// and serialises nothing — can be delta-encoded against the shared
+// pretrained base instead of shipped raw: -envelope-codec names a compress codec ("delta+int8" is the deployment
 // choice; "delta+raw" is bit-exact), and clients opt in with
 // -delta-checkpoints, which pre-trains the same deterministic base locally
 // and advertises it in the Hello (mismatched bases downgrade to raw
@@ -56,8 +56,7 @@
 //	go run ./cmd/shadowtutor-server -shards 4 -envelope-codec delta+int8
 //	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -delta-checkpoints
 //
-// See ARCHITECTURE.md "Delta checkpoints & the handoff envelope" for the
-// wire formats and what may and may not travel lossily.
+// See ARCHITECTURE.md "Delta checkpoints" for the wire formats.
 //
 // The link itself can be made realistically unreliable: -loss-model
 // activates a packet layer (MTU framing over the TCP stream) with a seeded

@@ -135,94 +135,16 @@ func (Int8) Decode(r io.Reader) ([]*nn.Parameter, error) {
 	return params, nil
 }
 
-// ---------------------------------------------------------------------------
-// Bf16 codec: mantissa truncation, full exponent range, 2× smaller.
-// ---------------------------------------------------------------------------
-
-// Bf16 stores each float32 as its top 16 bits (sign, all 8 exponent bits,
-// 7 mantissa bits) with round-to-nearest-even. Relative error is bounded by
-// 2⁻⁸ and — unlike linear int8 quantization — no nonzero value ever
-// collapses to zero, because the exponent survives intact. That property is
-// what Adam's second moment needs: v sits under a square root in the update
-// denominator, so an int8 scale that flushes small entries to zero inflates
-// the resumed session's steps by ~1/ε until β₂ decay rebuilds them, while a
-// 0.4% relative perturbation is lost in gradient noise.
-type Bf16 struct{}
-
-// Name implements Codec.
-func (Bf16) Name() string { return "bf16" }
-
-// f32bitsToBf16 rounds to nearest-even. NaNs truncate with a forced mantissa
-// bit so the payload cannot round or truncate into an Inf bit pattern.
-func f32bitsToBf16(bits uint32) uint16 {
-	if bits&0x7fffffff > 0x7f800000 {
-		return uint16(bits>>16) | 0x0040
-	}
-	return uint16((bits + 0x7fff + (bits>>16)&1) >> 16)
-}
-
-// Encode implements Codec.
-func (Bf16) Encode(w io.Writer, params []*nn.Parameter) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(params))); err != nil {
-		return err
-	}
-	for _, p := range params {
-		if err := writeHeader(w, p); err != nil {
-			return err
-		}
-		buf := make([]uint16, p.Value.Len())
-		for i, v := range p.Value.Data {
-			buf[i] = f32bitsToBf16(math.Float32bits(v))
-		}
-		if err := binary.Write(w, binary.LittleEndian, buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Decode implements Codec.
-func (Bf16) Decode(r io.Reader) ([]*nn.Parameter, error) {
-	count, err := readCount(r)
-	if err != nil {
-		return nil, err
-	}
-	params := make([]*nn.Parameter, 0, count)
-	for i := 0; i < count; i++ {
-		name, shape, err := readHeader(r)
-		if err != nil {
-			return nil, err
-		}
-		// Two bytes per element follow (hostile-header guard, as in Int8).
-		if err := checkClaim(r, 2*int64(numElems(shape))); err != nil {
-			return nil, err
-		}
-		t := tensor.New(shape...)
-		buf := make([]uint16, t.Len())
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
-			return nil, fmt.Errorf("compress: bf16 data: %w", err)
-		}
-		for j, h := range buf {
-			t.Data[j] = math.Float32frombits(uint32(h) << 16)
-		}
-		params = append(params, &nn.Parameter{Name: name, Value: t})
-	}
-	return params, nil
-}
-
 // ByName resolves a codec from a scenario-friendly name: "raw" (or empty),
-// "int8", "bf16", "pruneNN" — magnitude pruning keeping NN percent of
-// entries per tensor, e.g. "prune25" — or "delta+<inner>", the base-relative
-// wrapper around any of the former (the returned Delta has a nil Base; bind
-// one with WithBase before use).
+// "int8", "pruneNN" — magnitude pruning keeping NN percent of entries per
+// tensor, e.g. "prune25" — or "delta+<inner>", the base-relative wrapper
+// around any of the former (the returned Delta has a nil Base).
 func ByName(name string) (Codec, bool) {
 	switch {
 	case name == "" || name == "raw":
 		return Raw{}, true
 	case name == "int8":
 		return Int8{}, true
-	case name == "bf16":
-		return Bf16{}, true
 	case len(name) > len("delta+") && name[:len("delta+")] == "delta+":
 		inner, ok := ByName(name[len("delta+"):])
 		if !ok {

@@ -91,74 +91,6 @@ func TestInt8ZeroTensor(t *testing.T) {
 	}
 }
 
-func TestBf16RoundTripBoundedRelativeError(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	params := randParams(rng, 4)
-	var buf bufWriter
-	if err := (Bf16{}).Encode(&buf, params); err != nil {
-		t.Fatal(err)
-	}
-	got, err := (Bf16{}).Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range params {
-		for j, v := range p.Value.Data {
-			g := got[i].Value.Data[j]
-			// Round-to-nearest on a 7-bit mantissa: relative error ≤ 2⁻⁸.
-			if rel := math.Abs(float64(g-v)) / math.Abs(float64(v)); v != 0 && rel > 1.0/256 {
-				t.Fatalf("bf16(%v) = %v, relative error %v", v, g, rel)
-			}
-		}
-	}
-}
-
-// The property Adam's second moment depends on: bf16 keeps the full float32
-// exponent, so no nonzero value — however small against its tensor-mates —
-// ever decodes to zero (linear int8 quantization flushes anything below
-// maxAbs/254, which is why it must not carry v).
-func TestBf16NeverFlushesToZero(t *testing.T) {
-	v := tensor.FromSlice([]float32{1e30, 1e-30, -1e-38, 3e-5, -7}, 5)
-	params := []*nn.Parameter{{Name: "v", Value: v}}
-	var buf bufWriter
-	if err := (Bf16{}).Encode(&buf, params); err != nil {
-		t.Fatal(err)
-	}
-	got, err := (Bf16{}).Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, orig := range v.Data {
-		g := got[0].Value.Data[i]
-		if g == 0 {
-			t.Fatalf("bf16 flushed %v to zero", orig)
-		}
-		if (g < 0) != (orig < 0) {
-			t.Fatalf("bf16(%v) = %v changed sign", orig, g)
-		}
-	}
-}
-
-func TestBf16HalvesEncoding(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	big := tensor.New(32, 32)
-	for i := range big.Data {
-		big.Data[i] = float32(rng.NormFloat64())
-	}
-	params := []*nn.Parameter{{Name: "w", Value: big}}
-	raw, err := EncodedBytes(Raw{}, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := EncodedBytes(Bf16{}, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if float64(h) > 0.55*float64(raw) {
-		t.Fatalf("bf16 (%dB) should be ≈2× smaller than raw (%dB)", h, raw)
-	}
-}
-
 func TestPrunedKeepsLargestEntries(t *testing.T) {
 	v := tensor.FromSlice([]float32{0.1, -5, 0.2, 3, 0.05, -0.4}, 6)
 	params := []*nn.Parameter{{Name: "p", Value: v}}
@@ -222,7 +154,7 @@ func TestPrunedShrinksEncoding(t *testing.T) {
 func TestDecodersRejectTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	params := randParams(rng, 2)
-	for _, c := range []Codec{Int8{}, Bf16{}, Pruned{KeepFraction: 0.5}} {
+	for _, c := range []Codec{Int8{}, Pruned{KeepFraction: 0.5}} {
 		var buf bufWriter
 		if err := c.Encode(&buf, params); err != nil {
 			t.Fatal(err)
@@ -235,7 +167,7 @@ func TestDecodersRejectTruncated(t *testing.T) {
 }
 
 func TestCodecNames(t *testing.T) {
-	if (Raw{}).Name() != "raw" || (Int8{}).Name() != "int8" || (Bf16{}).Name() != "bf16" {
+	if (Raw{}).Name() != "raw" || (Int8{}).Name() != "int8" {
 		t.Fatal("codec names")
 	}
 	if (Pruned{KeepFraction: 0.25}).Name() != "prune25" {
@@ -253,13 +185,11 @@ func TestCodecNameRoundTripsThroughByName(t *testing.T) {
 	codecs := []Codec{
 		Raw{},
 		Int8{},
-		Bf16{},
 		Pruned{KeepFraction: 0.25},
 		Pruned{KeepFraction: 0.1},
 		Pruned{KeepFraction: 1},
 		&Delta{Inner: Raw{}},
 		&Delta{Inner: Int8{}},
-		&Delta{Inner: Bf16{}},
 		&Delta{Inner: Pruned{KeepFraction: 0.25}},
 	}
 	for _, c := range codecs {
@@ -271,7 +201,8 @@ func TestCodecNameRoundTripsThroughByName(t *testing.T) {
 			t.Fatalf("ByName(%q).Name() = %q", c.Name(), got.Name())
 		}
 	}
-	for _, bad := range []string{"prune0", "prune101", "prune25%", "prune25x", "delta+", "delta+delta+raw", "delta+nope"} {
+	// "bf16" named a codec that only the deleted handoff envelope used.
+	for _, bad := range []string{"prune0", "prune101", "prune25%", "prune25x", "delta+", "delta+delta+raw", "delta+nope", "bf16", "delta+bf16"} {
 		if _, ok := ByName(bad); ok {
 			t.Fatalf("ByName(%q) must not resolve", bad)
 		}

@@ -35,29 +35,20 @@ const (
 )
 
 // Delta is the base-relative codec wrapper: it encodes parameters against a
-// base the receiver already holds — the pretrained student for checkpoints
-// and handoffs, the weights before this key frame's training for student
-// diffs — so only what training changed crosses the wire. Untouched
-// tensors collapse to a header byte; the rest ride bit-pattern distances
-// (exact inner) or the inner codec as arithmetic deltas (lossy inner). A
-// nil Base is the all-zeros base — every value is then its own delta, which
-// keeps the codec total (and is what the Adam-moment blobs and absolute
-// student diffs use; under raw it costs the 2-bit tags over plain float32).
+// base the receiver already holds — the pretrained student for checkpoints,
+// the weights before this key frame's training for student diffs — so only
+// what training changed crosses the wire. Untouched tensors collapse to a
+// header byte; the rest ride bit-pattern distances (exact inner) or the
+// inner codec as arithmetic deltas (lossy inner). A nil Base is the
+// all-zeros base — every value is then its own delta, which keeps the codec
+// total (and is what absolute student diffs use; under raw it costs the
+// 2-bit tags over plain float32).
 type Delta struct {
 	// Inner carries the dense payload. Must not itself be a Delta.
 	Inner Codec
 	// Base holds the receiver-side reference values; missing names and
 	// shape mismatches are treated as zero tensors on both sides.
 	Base *nn.ParamSet
-}
-
-// WithBase binds base to c when c is a Delta (as returned by ByName, which
-// cannot know the base); any other codec passes through unchanged.
-func WithBase(c Codec, base *nn.ParamSet) Codec {
-	if d, ok := c.(*Delta); ok {
-		return &Delta{Inner: d.Inner, Base: base}
-	}
-	return c
 }
 
 // Inner returns the codec that carries c's dense payload: a Delta's inner

@@ -200,23 +200,6 @@ func TestDeltaRejectsNestedInner(t *testing.T) {
 	}
 }
 
-// WithBase binds a base onto a ByName-resolved delta and leaves plain
-// codecs untouched.
-func TestWithBase(t *testing.T) {
-	base, _ := deltaFixture(16)
-	c, ok := ByName("delta+int8")
-	if !ok {
-		t.Fatal("delta+int8 must resolve")
-	}
-	bound := WithBase(c, base)
-	if d, ok := bound.(*Delta); !ok || d.Base != base {
-		t.Fatalf("WithBase did not bind: %#v", bound)
-	}
-	if plain := WithBase(Int8{}, base); plain != (Int8{}) {
-		t.Fatalf("WithBase must pass plain codecs through, got %#v", plain)
-	}
-}
-
 // bitPatternTensor draws n float32 bit patterns that a NormFloat64 fixture
 // never produces: NaNs with payloads, both zeros, denormals, both
 // infinities, extreme exponents, and plain uniform 32-bit noise.

@@ -31,7 +31,6 @@ func TestAdaptiveDiffRoundTrip(t *testing.T) {
 	for _, dec := range []netsim.LinkDecision{
 		{State: netsim.LinkClear, Codec: "raw", StrideScale: 1},
 		{State: netsim.LinkDegraded, Codec: "int8", StrideScale: 1.5, FECGroup: 8},
-		{State: netsim.LinkCritical, Codec: "bf16", StrideScale: 2, FECGroup: 4},
 		{State: netsim.LinkCritical, Codec: "prune25", StrideScale: 2, FECGroup: 4},
 	} {
 		body, err := EncodeAdaptiveDiff(diff, dec)
@@ -230,8 +229,8 @@ func TestPolicyByNameValidatesCodecs(t *testing.T) {
 		{"static:raw", true},
 		{"static:int8", true},
 		{"static:prune25", true},
-		{"static:bf16", true},
 		{"static:nope", false},
+		{"static:bf16", false}, // a codec name until the handoff envelope went
 		{"static:", false},
 		{"static:delta+int8", false},
 		{"static:prune0", false},
@@ -365,6 +364,7 @@ func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
 		adaptiveSeed{"delta name", with(one, "delta+raw"), false},
 		adaptiveSeed{"empty name", with(one, ""), false},
 		adaptiveSeed{"unknown name", with(one, "nope"), false},
+		adaptiveSeed{"retired bf16 name", with(one, "bf16"), false},
 		adaptiveSeed{"NaN stride scale", with(0x7fc00000, "raw"), false},
 		adaptiveSeed{"zero stride scale", with(0, "raw"), false},
 		adaptiveSeed{"negative stride scale", with(math.Float32bits(-2), "raw"), false},

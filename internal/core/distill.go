@@ -57,15 +57,27 @@ func (s *subsetSnapshot) take(ps *nn.ParamSet) *nn.ParamSet {
 	return s.set
 }
 
-// NewDistiller wraps student with a fresh Adam optimizer, sets the freeze
-// state from cfg.Partial and pins the student and training contexts to
-// cfg.Backend (Validate has already established the name resolves; an
-// invalid name here falls back to the process default).
+// NewDistiller wraps student with a fresh Adam optimizer under cfg (see
+// SetConfig).
 func NewDistiller(cfg Config, student *nn.Student) *Distiller {
-	student.SetPartial(cfg.Partial)
-	bk, _ := tensor.BackendByName(cfg.Backend)
-	student.SetBackend(bk)
-	return &Distiller{Cfg: cfg, Student: student, Opt: optim.NewAdam(cfg.LearningRate), backend: bk}
+	d := &Distiller{Student: student, Opt: optim.NewAdam(cfg.LearningRate)}
+	d.SetConfig(cfg)
+	return d
+}
+
+// SetConfig applies cfg to the distiller: the freeze state from cfg.Partial,
+// and the student and training contexts pinned to cfg.Backend (Validate has
+// already established the name resolves; an invalid name here falls back to
+// the process default). The student's weights and the optimizer — its
+// moments, step and learning rate — are untouched, so a session manager
+// moving a parked session to a shard with another compute backend calls it
+// and the next key frame trains there.
+func (d *Distiller) SetConfig(cfg Config) {
+	d.Cfg = cfg
+	d.Student.SetPartial(cfg.Partial)
+	d.backend, _ = tensor.BackendByName(cfg.Backend)
+	d.Student.SetBackend(d.backend)
+	d.trainCtx = nil // its workspace dispatches to the previous backend
 }
 
 // TrainResult reports one Train call.

@@ -70,9 +70,9 @@ type Server struct {
 	// far — the one condition under which the next diff may be relative.
 	// Exact transfers set it (a raw or delta+raw checkpoint, a bit-exact
 	// diff), lossy ones clear it (an int8 envelope, a delta+int8 checkpoint
-	// or handoff that had to quantise), and whoever moves model state onto
-	// or off this server maintains it: Handshake, Loop, and the session
-	// manager's full resends and imports. Detachable state, like DiffSeq.
+	// that had to quantise), and whoever sends model state off this server
+	// maintains it: Handshake, Loop, and the session manager's full resends.
+	// Detachable state, like DiffSeq.
 	ClientExact bool
 
 	// Policy-state tracking for SessionObserver.Policy's changed flag; part

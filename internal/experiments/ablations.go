@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -20,17 +19,29 @@ func (s *Suite) ablationSource() (video.Source, teacher.Teacher, error) {
 	return s.streamSource(ablationStream.String(), 0)
 }
 
-// AblationStride compares Algorithm 2 against the §4.1.5 rejected designs:
-// fixed strides (8 and 64) and exponential back-off. Columns report
-// accuracy, key-frame cost and throughput so the trade-off is visible.
-//
-// Column positions are a contract: internal/harness/fold.go converts the
-// ablation tables (this one, AblationAsync, AblationFreezePoint,
-// AblationLossWeighting) into structured scenario metrics by position, so
-// reordering or retyping columns requires updating the fold.
-func (s *Suite) AblationStride() (*stats.Table, error) {
+// StrideRow is one striding policy's outcome: accuracy, key-frame cost and
+// retimed throughput.
+type StrideRow struct {
+	Policy                      string
+	MeanIoU, KeyFrameRatio, FPS float64
+}
+
+// StrideRows renders as the striding-policy ablation table.
+type StrideRows []StrideRow
+
+func (rows StrideRows) Table() *stats.Table {
 	t := stats.NewTable("Ablation: key-frame striding policy (moving/street)",
 		"Policy", "mIoU", "Key frame %", "FPS")
+	for _, r := range rows {
+		t.AddRowf(r.Policy, r.MeanIoU*100, r.KeyFrameRatio*100, r.FPS)
+	}
+	return t
+}
+
+// AblationStride compares Algorithm 2 against the §4.1.5 rejected designs:
+// fixed strides (8 and 64) and exponential back-off. Rows report accuracy,
+// key-frame cost and throughput so the trade-off is visible.
+func (s *Suite) AblationStride() (StrideRows, error) {
 	type policy struct {
 		name string
 		fn   func(stride, metric float64) float64
@@ -42,6 +53,7 @@ func (s *Suite) AblationStride() (*stats.Table, error) {
 		{"fixed-64", core.FixedStridePolicy(64)},
 		{"exp-backoff", core.ExponentialBackoffPolicy(cfg)},
 	}
+	var rows StrideRows
 	for _, p := range policies {
 		src, tch, err := s.ablationSource()
 		if err != nil {
@@ -62,18 +74,38 @@ func (s *Suite) AblationStride() (*stats.Table, error) {
 		}
 		rc := core.RetimeConfig{Cfg: cfg, Link: netsim.DefaultLink(), Concurrency: core.FullConcurrency}
 		fps := core.RetimeFPS(rc, res.Schedule, res.Frames, true)
-		t.AddRowf(p.name, res.MeanIoU*100, res.KeyFrameRatio()*100, fps)
+		rows = append(rows, StrideRow{p.name, res.MeanIoU, res.KeyFrameRatio(), fps})
 	}
-	return t, nil
+	return rows, nil
+}
+
+// AsyncRow is one update mode's retimed FPS at each of Figure4Bandwidths.
+type AsyncRow struct {
+	Mode string
+	FPS  []float64
+}
+
+// AsyncRows renders as the async-vs-blocking ablation table.
+type AsyncRows []AsyncRow
+
+func (rows AsyncRows) Table() *stats.Table {
+	t := stats.NewTable("Ablation: asynchronous vs blocking update (moving/street)",
+		append([]string{"Mode"}, BandwidthLabels()...)...)
+	for _, r := range rows {
+		cells := []any{r.Mode}
+		for _, fps := range r.FPS {
+			cells = append(cells, fps)
+		}
+		t.AddRowf(cells...)
+	}
+	return t
 }
 
 // AblationAsync disables asynchronous inference (the client blocks for the
 // whole round trip on every key frame) and sweeps bandwidth, showing that
 // the Figure 4 robustness comes from async — with blocking the curve decays
 // like naive offloading's.
-func (s *Suite) AblationAsync() (*stats.Table, error) {
-	t := stats.NewTable("Ablation: asynchronous vs blocking update (moving/street)",
-		append([]string{"Mode"}, bwHeader()...)...)
+func (s *Suite) AblationAsync() (AsyncRows, error) {
 	src, tch, err := s.ablationSource()
 	if err != nil {
 		return nil, err
@@ -92,31 +124,48 @@ func (s *Suite) AblationAsync() (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	var rows AsyncRows
 	for _, conc := range []core.Concurrency{core.FullConcurrency, core.NoConcurrency} {
-		name := "async (paper)"
+		row := AsyncRow{Mode: "async (paper)"}
 		if conc == core.NoConcurrency {
-			name = "blocking"
+			row.Mode = "blocking"
 		}
-		row := []string{name}
 		for _, bw := range Figure4Bandwidths {
 			rc := core.RetimeConfig{
 				Cfg:         cfg,
 				Link:        netsim.Link{Bandwidth: bw, RTTBase: 5 * time.Millisecond},
 				Concurrency: conc,
 			}
-			row = append(row, fmt.Sprintf("%.2f", core.RetimeFPS(rc, res.Schedule, res.Frames, true)))
+			row.FPS = append(row.FPS, core.RetimeFPS(rc, res.Schedule, res.Frames, true))
 		}
-		t.AddRow(row...)
+		rows = append(rows, row)
 	}
-	return t, nil
+	return rows, nil
+}
+
+// FreezeRow is one freeze point's outcome: how much of the network still
+// trains, accuracy, and mean distillation steps per key frame.
+type FreezeRow struct {
+	FrozenThrough                    string
+	TrainablePct, MeanIoU, MeanSteps float64
+}
+
+// FreezeRows renders as the freeze-point ablation table.
+type FreezeRows []FreezeRow
+
+func (rows FreezeRows) Table() *stats.Table {
+	t := stats.NewTable("Ablation: freeze point (moving/street)",
+		"Frozen through", "Trainable %", "mIoU", "Mean steps")
+	for _, r := range rows {
+		t.AddRowf(r.FrozenThrough, r.TrainablePct, r.MeanIoU*100, r.MeanSteps)
+	}
+	return t
 }
 
 // AblationFreezePoint sweeps where partial distillation cuts the network:
 // nothing frozen (full), through SB2, through SB4 (the paper's choice) and
-// everything-but-head. Reported: trainable fraction, accuracy, mean steps.
-func (s *Suite) AblationFreezePoint() (*stats.Table, error) {
-	t := stats.NewTable("Ablation: freeze point (moving/street)",
-		"Frozen through", "Trainable %", "mIoU", "Mean steps")
+// everything-but-head.
+func (s *Suite) AblationFreezePoint() (FreezeRows, error) {
 	cuts := []struct {
 		name     string
 		prefixes []string
@@ -127,6 +176,7 @@ func (s *Suite) AblationFreezePoint() (*stats.Table, error) {
 		{"sb4 (paper)", nn.FreezePrefixes()},
 		{"sb6 (head only)", []string{"in1", "in2", "sb1", "sb2", "sb3", "sb4", "sb5", "sb6"}},
 	}
+	var rows FreezeRows
 	for _, cut := range cuts {
 		src, tch, err := s.ablationSource()
 		if err != nil {
@@ -155,13 +205,17 @@ func (s *Suite) AblationFreezePoint() (*stats.Table, error) {
 		if cut.prefixes != nil {
 			frac = trainableFracWithCut(student, cut.prefixes) * 100
 		}
-		meanSteps := 0.0
-		if res.KeyFrames > 0 {
-			meanSteps = float64(res.DistillSteps) / float64(res.KeyFrames)
-		}
-		t.AddRowf(cut.name, frac, res.MeanIoU*100, meanSteps)
+		rows = append(rows, FreezeRow{cut.name, frac, res.MeanIoU, meanSteps(res)})
 	}
-	return t, nil
+	return rows, nil
+}
+
+// meanSteps is a run's distillation steps per key frame.
+func meanSteps(res core.SimResult) float64 {
+	if res.KeyFrames == 0 {
+		return 0
+	}
+	return float64(res.DistillSteps) / float64(res.KeyFrames)
 }
 
 func trainableFracWithCut(st *nn.Student, prefixes []string) float64 {
@@ -169,12 +223,29 @@ func trainableFracWithCut(st *nn.Student, prefixes []string) float64 {
 	return st.Params.TrainableFraction()
 }
 
+// LossRow is one loss weighting's outcome.
+type LossRow struct {
+	Loss               string
+	MeanIoU, MeanSteps float64
+}
+
+// LossRows renders as the loss-weighting ablation table.
+type LossRows []LossRow
+
+func (rows LossRows) Table() *stats.Table {
+	t := stats.NewTable("Ablation: loss weighting (moving/street)",
+		"Loss", "mIoU", "Mean steps")
+	for _, r := range rows {
+		t.AddRowf(r.Loss, r.MeanIoU*100, r.MeanSteps)
+	}
+	return t
+}
+
 // AblationLossWeighting compares the LVS ×5 object weighting (§5.2) against
 // uniform cross-entropy on a street stream, where background dominance is
 // worst.
-func (s *Suite) AblationLossWeighting() (*stats.Table, error) {
-	t := stats.NewTable("Ablation: loss weighting (moving/street)",
-		"Loss", "mIoU", "Mean steps")
+func (s *Suite) AblationLossWeighting() (LossRows, error) {
+	var rows LossRows
 	for _, weighted := range []bool{true, false} {
 		src, tch, err := s.ablationSource()
 		if err != nil {
@@ -199,11 +270,7 @@ func (s *Suite) AblationLossWeighting() (*stats.Table, error) {
 		if !weighted {
 			name = "uniform cross-entropy"
 		}
-		meanSteps := 0.0
-		if res.KeyFrames > 0 {
-			meanSteps = float64(res.DistillSteps) / float64(res.KeyFrames)
-		}
-		t.AddRowf(name, res.MeanIoU*100, meanSteps)
+		rows = append(rows, LossRow{name, res.MeanIoU, meanSteps(res)})
 	}
-	return t, nil
+	return rows, nil
 }

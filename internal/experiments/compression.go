@@ -8,15 +8,36 @@ import (
 	"repro/internal/stats"
 )
 
+// CodecRow is one diff codec's cost on the real partial-distillation diff.
+type CodecRow struct {
+	Codec       string
+	Bytes       int
+	VsRaw       float64 // raw bytes / Bytes
+	MaxAbsError float64
+}
+
+// CodecRows renders as the diff-compression ablation table.
+type CodecRows []CodecRow
+
+func (rows CodecRows) Table() *stats.Table {
+	t := stats.NewTable("Ablation: student-diff compression (§8 future work)",
+		"Codec", "Bytes", "vs raw", "Max abs error")
+	for _, r := range rows {
+		t.AddRow(r.Codec,
+			fmt.Sprintf("%d", r.Bytes),
+			fmt.Sprintf("%.2fx", r.VsRaw),
+			fmt.Sprintf("%.4g", r.MaxAbsError))
+	}
+	return t
+}
+
 // AblationCompression evaluates the §8 future-work codecs on the real
 // partial-distillation diff of this repo's student: bytes on the wire,
 // compression ratio against float32, and worst-case reconstruction error.
 // (The paper ships raw float32; quantization/pruning are its named
-// extensions.) Column positions are a contract with internal/harness's
-// compression/diff-codecs scenario; the same codecs also run live on the
-// wire in the bandwidth-sweep codec scenarios (as "static:<codec>" link
-// policies).
-func AblationCompression() (*stats.Table, error) {
+// extensions.) The same codecs also run live on the wire in the
+// bandwidth-sweep codec scenarios (as "static:<codec>" link policies).
+func AblationCompression() (CodecRows, error) {
 	st, err := SharedPretrained()
 	if err != nil {
 		return nil, err
@@ -36,9 +57,7 @@ func AblationCompression() (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	t := stats.NewTable("Ablation: student-diff compression (§8 future work)",
-		"Codec", "Bytes", "vs raw", "Max abs error")
+	var rows CodecRows
 	for _, c := range codecs {
 		n, err := compress.EncodedBytes(c, diff)
 		if err != nil {
@@ -48,10 +67,7 @@ func AblationCompression() (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(c.Name(),
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.2fx", float64(rawBytes)/float64(n)),
-			fmt.Sprintf("%.4g", e))
+		rows = append(rows, CodecRow{c.Name(), n, float64(rawBytes) / float64(n), e})
 	}
-	return t, nil
+	return rows, nil
 }

@@ -156,11 +156,11 @@ func TestShadowTutorBeatsWildQualitatively(t *testing.T) {
 }
 
 func TestAblationCompressionShapes(t *testing.T) {
-	tbl, err := AblationCompression()
+	rows, err := AblationCompression()
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := tbl.String()
+	out := rows.Table().String()
 	for _, want := range []string{"raw", "int8", "prune25", "prune10"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("compression ablation missing %q:\n%s", want, out)

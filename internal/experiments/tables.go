@@ -262,7 +262,7 @@ var Figure4Bandwidths = []netsim.Mbps{8, 12, 20, 40, 60, 80, 90}
 // sweep, with the analytic bound envelope.
 func (s *Suite) Figure4() ([]Figure4Point, *stats.Table, error) {
 	t := stats.NewTable("Figure 4: throughput (FPS) vs bandwidth (Mbps)",
-		append([]string{"Stream"}, bwHeader()...)...)
+		append([]string{"Stream"}, BandwidthLabels()...)...)
 	var pts []Figure4Point
 	lat := core.PaperLatencies(true)
 	for _, name := range video.NamedVideos {
@@ -304,7 +304,8 @@ func (s *Suite) Figure4() ([]Figure4Point, *stats.Table, error) {
 	return pts, t, nil
 }
 
-func bwHeader() []string {
+// BandwidthLabels names the Figure4Bandwidths sweep points ("8Mbps", …).
+func BandwidthLabels() []string {
 	h := make([]string, len(Figure4Bandwidths))
 	for i, bw := range Figure4Bandwidths {
 		h[i] = fmt.Sprintf("%gMbps", float64(bw))

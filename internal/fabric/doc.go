@@ -19,10 +19,12 @@
 //     instead of unbounded queueing.
 //   - Cross-shard handoff: a Resume that hashes to a shard that does not
 //     hold the parked session (the placement changed, or the session was
-//     fallback-placed) pulls the session's serialized envelope from the
-//     shard that does and re-parks it on the target, journal and optimizer
-//     moments intact.
-//   - Drain: removing a shard from the placement set migrates its parked
+//     fallback-placed) moves the session — the object itself, with its
+//     student, journal, optimizer and link-policy state — from the shard
+//     that does onto the target (serve.Manager.MoveParked).
+//   - Drain: removing a shard from the placement set moves its parked
 //     sessions to their new homes instead of evicting them; active
-//     sessions finish where they are.
+//     sessions finish where they are. A move mutex makes find-and-move one
+//     critical section, so a resume racing a drain never finds its
+//     session on neither shard.
 package fabric

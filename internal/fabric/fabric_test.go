@@ -294,8 +294,8 @@ func TestRouterIDAssignment(t *testing.T) {
 }
 
 // A session parked on a drained shard is pulled across by the next resume:
-// the lazy handoff path. The journal rides the envelope, so recovery is a
-// replay, never a full resend, and the session keeps streaming on its new
+// the lazy handoff path. The journal moves with the session, so recovery is
+// a replay, never a full resend, and the session keeps streaming on its new
 // shard with sequence continuity.
 func TestCrossShardHandoffOnResume(t *testing.T) {
 	r := testRouter(t, 2, 4, 0)
@@ -322,7 +322,7 @@ func TestCrossShardHandoffOnResume(t *testing.T) {
 	p.keyFrame()
 
 	// Now it drops and parks on the drained shard; the resume hashes to
-	// the survivor, which must pull the envelope across.
+	// the survivor, which must pull the session across.
 	p.drop()
 	ack := p.resume(1) // applied only diff 1: expect replay of 2 and 3
 	if ack.Status != transport.ResumeReplay {

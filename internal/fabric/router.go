@@ -21,7 +21,7 @@ type Options struct {
 	// Shard returns the serve.Options for shard i. Every shard needs its
 	// own Teacher instance — teachers are serialised per batcher, not safe
 	// to share across shards — while Cfg and Base should come from one
-	// template so handoff envelopes rebuild on any shard.
+	// template so a session moved between shards keeps training as it was.
 	Shard func(i int) serve.Options
 	// Capacity is the per-shard admission watermark: a fresh Hello bound
 	// for a shard with this many active sessions is shed with a retryable
@@ -102,6 +102,17 @@ type Router struct {
 	migrated  int64
 	listeners []*transport.Listener
 
+	// moveMu makes "find the shard that holds a parked session and move it"
+	// one critical section: routeResume's place-lookup-move and each of
+	// Drain's moves take it, so a resume racing a drain sees its session on
+	// the old shard or the new one, never in between. resuming counts, per
+	// session, the resumes that have done their lookup and whose shard is
+	// still serving them: Drain leaves those sessions where the resume
+	// expects them. A move is a pointer changing stores, so the section is
+	// microseconds. Nests outside r.mu.
+	moveMu   sync.Mutex
+	resuming map[uint64]int
+
 	quit chan struct{}
 	once sync.Once
 }
@@ -121,6 +132,7 @@ func NewRouter(opts Options) (*Router, error) {
 		shards:   make([]*Shard, opts.Shards),
 		active:   make([]bool, opts.Shards),
 		reserved: map[uint64]struct{}{},
+		resuming: map[uint64]int{},
 		quit:     make(chan struct{}),
 	}
 	r.tm = newRouterTelemetry(opts.Telemetry)
@@ -235,39 +247,53 @@ func (r *Router) routeHello(conn transport.Conn, first transport.Message, hello 
 // routeResume places a reconnect. When the hash winner does not hold the
 // session but another shard has it parked — the placement changed (drain)
 // or the session was fallback-placed — the router performs the cross-shard
-// handoff: export the envelope there, import it here, then let the target
-// shard run the ordinary epoch-checked resume. Every race (taken, evicted,
-// still attached) degrades to the shard's own protocol verdict.
+// handoff: it moves the session here (serve.Manager.MoveParked), then lets
+// the target shard run the ordinary epoch-checked resume. Every race (taken,
+// evicted, still attached) degrades to the shard's own protocol verdict.
+// Placing, finding the owner and moving are one moveMu section, and the
+// session stays counted in r.resuming until the shard has finished serving
+// this connection, so a concurrent Drain neither shows the lookup a session
+// that is on no shard nor moves it out from under the shard's re-attach.
 func (r *Router) routeResume(conn transport.Conn, first transport.Message, req transport.Resume) error {
-	sh := r.place(req.SessionID)
+	id := req.SessionID
+	r.moveMu.Lock()
+	sh := r.place(id)
 	if sh == nil {
+		r.moveMu.Unlock()
 		return ErrClosed
 	}
-	if sh.SessionState(req.SessionID) == serve.SessionNone {
-		if owner := r.owner(req.SessionID); owner != nil && owner != sh {
-			switch owner.SessionState(req.SessionID) {
-			case serve.SessionParked:
-				if env, err := owner.ExportParked(req.SessionID); err == nil {
-					if err := sh.ImportParked(env); err != nil {
-						// Target could not rebuild the session: put it back
-						// where it came from so a later resume can retry,
-						// rather than silently orphaning the state. This
-						// attempt falls through to the shard's own verdict
-						// (unknown here, or retry after the restore).
-						r.logf("handoff of session %d to shard %d failed: %v", req.SessionID, sh.Index, err)
-						r.restore(owner, req.SessionID, env)
-					} else {
-						r.count(&r.handoffs)
-						r.tm.handoffs.Inc()
-						r.logf("session %d handed off shard %d -> %d", req.SessionID, owner.Index, sh.Index)
-					}
-				}
-			case serve.SessionActive:
-				// Same transient verdict a shard gives its own
-				// still-attached sessions: back off and retry.
-				return r.sendRetry(conn, fmt.Sprintf("session %d still attached on shard %d", req.SessionID, owner.Index))
-			}
+	var moved bool
+	var attachedOn *Shard
+	if owner := r.owner(id); owner != nil && owner != sh && sh.SessionState(id) == serve.SessionNone {
+		switch owner.SessionState(id) {
+		case serve.SessionParked:
+			// A failed move (taken or evicted since it was seen, target
+			// closing) leaves the session where it was; this resume then
+			// gets the target shard's own verdict.
+			moved = owner.MoveParked(id, sh.Manager) == nil
+		case serve.SessionActive:
+			attachedOn = owner
 		}
+	}
+	if attachedOn == nil {
+		r.resuming[id]++
+	}
+	r.moveMu.Unlock()
+	if attachedOn != nil {
+		// Same transient verdict a shard gives its own still-attached
+		// sessions: back off and retry.
+		return r.sendRetry(conn, fmt.Sprintf("session %d still attached on shard %d", id, attachedOn.Index))
+	}
+	defer func() {
+		r.moveMu.Lock()
+		if r.resuming[id]--; r.resuming[id] == 0 {
+			delete(r.resuming, id)
+		}
+		r.moveMu.Unlock()
+	}()
+	if moved {
+		r.count(&r.handoffs)
+		r.tm.handoffs.Inc()
 	}
 	r.count(&r.routed)
 	r.tm.routed.Inc()
@@ -324,17 +350,6 @@ func (r *Router) takenLocked(id uint64) bool {
 	return r.owner(id) != nil
 }
 
-// restore re-parks an exported envelope on the shard it came from after a
-// failed transfer — the session must never be orphaned between shards. A
-// failure here too (the owner closed underneath us) is logged loudly; the
-// state is then genuinely gone and the client will be told so by the
-// ordinary unknown-session reject.
-func (r *Router) restore(owner *Shard, id uint64, env []byte) {
-	if err := owner.ImportParked(env); err != nil {
-		r.logf("session %d LOST: could not restore to shard %d after failed transfer: %v", id, owner.Index, err)
-	}
-}
-
 // sendRetry answers an admission shed (or cross-shard still-attached race)
 // with the protocol-v3 retryable reject, then fails the connection.
 func (r *Router) sendRetry(conn transport.Conn, reason string) error {
@@ -351,12 +366,13 @@ func (r *Router) sendRetry(conn transport.Conn, reason string) error {
 	return fmt.Errorf("fabric: connection shed: %s", reason)
 }
 
-// Drain removes shard i from the placement set and migrates its parked
+// Drain removes shard i from the placement set and moves its parked
 // sessions to their new rendezvous homes (instead of evicting them, which
-// would cost every such client a full cold start). Active sessions are
-// untouched — they finish on their live connections, and if they later
-// detach on the drained shard, the lazy handoff in routeResume still
-// recovers them. At least one shard must remain in the set.
+// would cost every such client a full cold start). Active sessions — and
+// parked ones a resume is re-attaching right now — are untouched: they
+// finish on their live connections, and if they later detach on the drained
+// shard, the lazy handoff in routeResume still recovers them. At least one
+// shard must remain in the set.
 func (r *Router) Drain(i int) (migrated int, err error) {
 	r.mu.Lock()
 	if i < 0 || i >= len(r.shards) {
@@ -384,21 +400,16 @@ func (r *Router) Drain(i int) (migrated int, err error) {
 
 	sh := r.shards[i]
 	for _, id := range sh.ParkedIDs() {
-		env, err := sh.ExportParked(id)
-		if err != nil {
-			continue // taken or evicted since the listing: nothing to move
-		}
 		target := r.place(id)
 		if target == nil {
-			// Closed mid-drain: put the exported session back so the
-			// drained shard's Close evicts it through the normal
-			// stats-folding path instead of dropping it on the floor.
-			r.restore(sh, id, env)
-			break
+			break // closed mid-drain: the drained shard's Close evicts the rest
 		}
-		if err := target.ImportParked(env); err != nil {
-			r.logf("drain: migrating session %d to shard %d failed: %v", id, target.Index, err)
-			r.restore(sh, id, env)
+		r.moveMu.Lock()
+		moved := r.resuming[id] == 0 && sh.MoveParked(id, target.Manager) == nil
+		r.moveMu.Unlock()
+		if !moved {
+			// Taken or evicted since the listing, or a resume is about to
+			// re-attach it here: nothing to move.
 			continue
 		}
 		migrated++

@@ -464,34 +464,16 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 	}
 
 	if spec.EnvelopeCodec != "" {
-		// Delta-checkpoint byte accounting: envelope_shrink_x is the wire
-		// shrink of model-state bytes crossing a boundary against what the
-		// legacy raw encodings would have cost. The two boundary kinds —
-		// protocol checkpoints (handshake + resume-full) and the model-state
-		// portion of handoff envelopes — shrink by very different factors
-		// (pristine handshake checkpoints are all bit-copy headers; envelopes
-		// carry trained moments), so the metric is the MINIMUM of the
-		// per-kind ratios: a blended quotient would swing with the scripted
-		// handoff count, while each per-kind ratio is a deterministic
-		// function of the wire format alone. The journal is excluded from
-		// both sides — identical bytes in either format would only dilute
-		// the ratio the CI gate bounds.
+		// Delta-checkpoint byte accounting: envelope_shrink_x (named after
+		// Spec.EnvelopeCodec) is the wire shrink of MsgStudentFull bodies —
+		// handshake checkpoints plus resume-full resends — against what the
+		// raw encoding would have cost.
 		if m.Extra == nil {
 			m.Extra = map[string]float64{}
 		}
-		m.Extra["envelope_bytes"] = float64(ms.EnvelopeBytes)
 		m.Extra["full_resend_bytes"] = float64(ms.FullResendBytes)
-		shrink := 0.0
 		if ck := ms.CheckpointBytes + ms.FullResendBytes; ck > 0 {
-			shrink = float64(ms.CheckpointBaseline+ms.FullResendBaseline) / float64(ck)
-		}
-		if ms.EnvelopeCkBytes > 0 {
-			if env := float64(ms.EnvelopeCkBaseline) / float64(ms.EnvelopeCkBytes); shrink == 0 || env < shrink {
-				shrink = env
-			}
-		}
-		if shrink > 0 {
-			m.Extra["envelope_shrink_x"] = shrink
+			m.Extra["envelope_shrink_x"] = float64(ms.CheckpointBaseline+ms.FullResendBaseline) / float64(ck)
 		}
 	}
 

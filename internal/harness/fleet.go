@@ -19,8 +19,8 @@ import (
 // deep enough into the stream that the scripted drain has already happened
 // by the time a session parks — its resume then provably hashes to a
 // surviving shard and must ride the handoff path, with the journal
-// travelling inside the envelope so recovery still replays (zero full
-// resends, the single-shard bound).
+// moving with the session so recovery still replays (zero full resends,
+// the single-shard bound).
 
 func init() {
 	// Every fleet scenario runs the delta-checkpoint wire path: fleets share

@@ -42,8 +42,8 @@ func TestFleetDriveSpreadsSessions(t *testing.T) {
 }
 
 // The cross-shard chaos scenario contract at test scale: every recovery is
-// a journal replay and none pays a full checkpoint — the journal travels
-// inside the handoff envelope, so the PR 4 single-shard bound (replay-only
+// a journal replay and none pays a full checkpoint — the journal moves
+// with the session on a handoff, so the PR 4 single-shard bound (replay-only
 // recovery) survives sharding. How many of the four scripted cuts are
 // recovered inside the run is not asserted exactly: a client whose strides
 // grew reaches its fourth diff — where the cut sits — only a few frames
@@ -81,11 +81,9 @@ func TestFleetChaosRecoversWithoutFullResends(t *testing.T) {
 	if m.Handoffs+m.Migrated == 0 {
 		t.Logf("note: drain landed after every resume (timing); recoveries stayed on-shard")
 	}
-	// The delta-checkpoint contract: every boundary kind — handshake
-	// checkpoints AND the model-state portion of handoff envelopes — must
-	// shrink ≥5× against the raw encodings (the metric is the minimum of
-	// the per-kind ratios, so the envelope path cannot hide behind the
-	// near-free bit-copy handshakes).
+	// The delta-checkpoint contract: MsgStudentFull bodies — handshake
+	// checkpoints and any resume-full resend — must shrink ≥5× against the
+	// raw encoding.
 	if shrink := m.Extra["envelope_shrink_x"]; shrink < 5 {
 		t.Errorf("envelope_shrink_x = %.1f, want ≥5", shrink)
 	}

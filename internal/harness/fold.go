@@ -1,20 +1,18 @@
 package harness
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/stats"
 )
 
-// This file folds the pre-harness experiment runners — the DESIGN.md
-// ablation suite and the §8 diff-compression study — into registered
-// scenarios, so `stbench -scenario 'ablation/*'` emits the same structured
-// metrics as the end-to-end families instead of text-only tables.
+// This file registers the pre-harness experiment runners — the DESIGN.md
+// ablation suite and the §8 diff-compression study — as scenarios: each
+// returns typed rows, which become Metrics here and text tables in
+// `stbench -ablations`, so `stbench -scenario 'ablation/*'` emits the same
+// structured metrics as the end-to-end families.
 
-// slug turns a table row label into a stable scenario suffix:
+// slug turns a row label into a stable scenario suffix:
 // "adaptive (Algorithm 2)" → "adaptive-algorithm-2".
 func slug(label string) string {
 	var b strings.Builder
@@ -34,33 +32,6 @@ func slug(label string) string {
 	return strings.TrimRight(b.String(), "-")
 }
 
-func cellFloat(table, cell string) (float64, error) {
-	v, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(cell), "x"), 64)
-	if err != nil {
-		return 0, fmt.Errorf("harness: %s: unparseable cell %q: %w", table, cell, err)
-	}
-	return v, nil
-}
-
-// foldTable converts one experiments table into per-row Metrics. convert
-// maps a row to the metrics struct (already carrying Extra values); the row
-// label becomes the scenario suffix.
-func foldTable(name string, t *stats.Table, convert func(row []string, m *Metrics) error) ([]Metrics, error) {
-	rows := t.Rows()
-	out := make([]Metrics, 0, len(rows))
-	for _, row := range rows {
-		if len(row) == 0 {
-			continue
-		}
-		m := Metrics{Scenario: name + "/" + slug(row[0])}
-		if err := convert(row, &m); err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
 func suiteFor(spec Spec) *experiments.Suite {
 	return experiments.NewSuite(experiments.Options{
 		Frames:    spec.Frames,
@@ -70,123 +41,60 @@ func suiteFor(spec Spec) *experiments.Suite {
 }
 
 func runAblationStride(spec Spec) ([]Metrics, error) {
-	t, err := suiteFor(spec).AblationStride()
-	if err != nil {
-		return nil, err
+	rows, err := suiteFor(spec).AblationStride()
+	var out []Metrics
+	for _, r := range rows {
+		out = append(out, Metrics{Scenario: "ablation/stride/" + slug(r.Policy),
+			MeanIoU: r.MeanIoU, KeyFrameRate: r.KeyFrameRatio, AggregateFPS: r.FPS})
 	}
-	// Columns: Policy, mIoU (%), Key frame %, FPS.
-	return foldTable("ablation/stride", t, func(row []string, m *Metrics) error {
-		iou, err := cellFloat("stride", row[1])
-		if err != nil {
-			return err
-		}
-		kfr, err := cellFloat("stride", row[2])
-		if err != nil {
-			return err
-		}
-		fps, err := cellFloat("stride", row[3])
-		if err != nil {
-			return err
-		}
-		m.MeanIoU = iou / 100
-		m.KeyFrameRate = kfr / 100
-		m.AggregateFPS = fps
-		return nil
-	})
+	return out, err
 }
 
 func runAblationAsync(spec Spec) ([]Metrics, error) {
-	t, err := suiteFor(spec).AblationAsync()
-	if err != nil {
-		return nil, err
-	}
-	// Columns: Mode, then one retimed-FPS column per Figure-4 bandwidth.
-	header := t.Header
-	return foldTable("ablation/async", t, func(row []string, m *Metrics) error {
-		m.Extra = map[string]float64{}
-		for i := 1; i < len(row) && i < len(header); i++ {
-			fps, err := cellFloat("async", row[i])
-			if err != nil {
-				return err
-			}
-			m.Extra["fps_"+strings.ToLower(header[i])] = fps
+	rows, err := suiteFor(spec).AblationAsync()
+	labels := experiments.BandwidthLabels()
+	var out []Metrics
+	for _, r := range rows {
+		m := Metrics{Scenario: "ablation/async/" + slug(r.Mode), Extra: map[string]float64{}}
+		for i, fps := range r.FPS {
+			m.Extra["fps_"+strings.ToLower(labels[i])] = fps
 		}
-		return nil
-	})
+		out = append(out, m)
+	}
+	return out, err
 }
 
 func runAblationFreeze(spec Spec) ([]Metrics, error) {
-	t, err := suiteFor(spec).AblationFreezePoint()
-	if err != nil {
-		return nil, err
+	rows, err := suiteFor(spec).AblationFreezePoint()
+	var out []Metrics
+	for _, r := range rows {
+		out = append(out, Metrics{Scenario: "ablation/freeze/" + slug(r.FrozenThrough),
+			MeanIoU: r.MeanIoU, MeanDistillSteps: r.MeanSteps,
+			Extra: map[string]float64{"trainable_pct": r.TrainablePct}})
 	}
-	// Columns: Frozen through, Trainable %, mIoU (%), Mean steps.
-	return foldTable("ablation/freeze", t, func(row []string, m *Metrics) error {
-		trainable, err := cellFloat("freeze", row[1])
-		if err != nil {
-			return err
-		}
-		iou, err := cellFloat("freeze", row[2])
-		if err != nil {
-			return err
-		}
-		steps, err := cellFloat("freeze", row[3])
-		if err != nil {
-			return err
-		}
-		m.Extra = map[string]float64{"trainable_pct": trainable}
-		m.MeanIoU = iou / 100
-		m.MeanDistillSteps = steps
-		return nil
-	})
+	return out, err
 }
 
 func runAblationLoss(spec Spec) ([]Metrics, error) {
-	t, err := suiteFor(spec).AblationLossWeighting()
-	if err != nil {
-		return nil, err
+	rows, err := suiteFor(spec).AblationLossWeighting()
+	var out []Metrics
+	for _, r := range rows {
+		out = append(out, Metrics{Scenario: "ablation/loss/" + slug(r.Loss),
+			MeanIoU: r.MeanIoU, MeanDistillSteps: r.MeanSteps})
 	}
-	// Columns: Loss, mIoU (%), Mean steps.
-	return foldTable("ablation/loss", t, func(row []string, m *Metrics) error {
-		iou, err := cellFloat("loss", row[1])
-		if err != nil {
-			return err
-		}
-		steps, err := cellFloat("loss", row[2])
-		if err != nil {
-			return err
-		}
-		m.MeanIoU = iou / 100
-		m.MeanDistillSteps = steps
-		return nil
-	})
+	return out, err
 }
 
 func runCompression(Spec) ([]Metrics, error) {
-	t, err := experiments.AblationCompression()
-	if err != nil {
-		return nil, err
+	rows, err := experiments.AblationCompression()
+	var out []Metrics
+	for _, r := range rows {
+		out = append(out, Metrics{Scenario: "compression/diff-codecs/" + slug(r.Codec), Codec: r.Codec,
+			Extra: map[string]float64{
+				"diff_bytes":    float64(r.Bytes),
+				"vs_raw":        r.VsRaw,
+				"max_abs_error": r.MaxAbsError,
+			}})
 	}
-	// Columns: Codec, Bytes, vs raw ("N.NNx"), Max abs error.
-	return foldTable("compression/diff-codecs", t, func(row []string, m *Metrics) error {
-		bytes, err := cellFloat("compression", row[1])
-		if err != nil {
-			return err
-		}
-		ratio, err := cellFloat("compression", row[2])
-		if err != nil {
-			return err
-		}
-		maxErr, err := cellFloat("compression", row[3])
-		if err != nil {
-			return err
-		}
-		m.Codec = row[0]
-		m.Extra = map[string]float64{
-			"diff_bytes":    bytes,
-			"vs_raw":        ratio,
-			"max_abs_error": maxErr,
-		}
-		return nil
-	})
+	return out, err
 }

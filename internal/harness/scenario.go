@@ -89,11 +89,10 @@ type Spec struct {
 	// default. The backend/* scenarios sweep it.
 	Backend string
 	// EnvelopeCodec names the compress codec (ByName form, e.g.
-	// "delta+int8") for model state crossing process boundaries: handoff
-	// envelopes encode the student with it and MsgStudentFull checkpoints go
-	// base-relative for clients advertising the capability (the driver hands
-	// every client the base). Empty keeps checkpoints raw, so the
-	// paper-comparable scenarios measure unchanged wire traffic.
+	// "delta+int8") for MsgStudentFull checkpoints: they go base-relative
+	// for clients advertising the capability (the driver hands every client
+	// the base). Empty keeps checkpoints raw, so the paper-comparable
+	// scenarios measure unchanged wire traffic.
 	EnvelopeCodec string
 	// LossModel activates the packet layer on every link and names its loss
 	// model (netsim.LossModelByName form: "uniform:0.02",

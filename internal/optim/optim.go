@@ -116,31 +116,6 @@ func (a *Adam) Reset() {
 	a.v = map[string]*tensor.Tensor{}
 }
 
-// ExportState returns Adam's step counter and first/second moment tensors
-// keyed by parameter name. The maps alias live optimizer state — callers
-// serialise or clone them, they must not mutate through them while the
-// optimizer may still Step (a parked session no longer steps, which is the
-// export window internal/serve uses for cross-shard handoff).
-func (a *Adam) ExportState() (step int, m, v map[string]*tensor.Tensor) {
-	return a.step, a.m, a.v
-}
-
-// ImportState replaces Adam's internal state wholesale — the other half of
-// the handoff: a session rebuilt on a new shard resumes optimisation with
-// bit-identical moments and bias-correction schedule. The maps are adopted,
-// not copied; nil maps reset to empty.
-func (a *Adam) ImportState(step int, m, v map[string]*tensor.Tensor) {
-	if m == nil {
-		m = map[string]*tensor.Tensor{}
-	}
-	if v == nil {
-		v = map[string]*tensor.Tensor{}
-	}
-	a.step = step
-	a.m = m
-	a.v = v
-}
-
 // GradClip rescales all gradients in place so their global L2 norm is at
 // most maxNorm. It returns the pre-clip norm. Gradient explosion on a
 // single hard key frame would otherwise destroy the student mid-stream.

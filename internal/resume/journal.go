@@ -82,19 +82,6 @@ func (j *Journal) Len() int {
 	return j.n
 }
 
-// All returns every retained entry, oldest first. Unlike Suffix it never
-// reports a gap: it is the serialization path (a session handoff moves the
-// whole journal to another shard), not the resume-replay path.
-func (j *Journal) All() []Entry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	entries := make([]Entry, 0, j.n)
-	for i := 0; i < j.n; i++ {
-		entries = append(entries, j.entries[(j.start+i)%j.depth])
-	}
-	return entries
-}
-
 // Suffix returns a copy of the entries with Seq > after, oldest first. ok
 // is false when the suffix is incomplete — the client's gap reaches past
 // the eviction horizon (after+1 < Tail) — in which case the caller must

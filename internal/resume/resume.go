@@ -163,11 +163,11 @@ func (s *Store) Take(id, epoch uint64) (*Session, error) {
 }
 
 // Steal removes and returns the parked session with the given ID without
-// an epoch check. It is the cross-shard handoff path (internal/fabric):
-// the router owns both sides of the transfer and re-parks the session on
-// its new home shard, where the ordinary epoch-checked Take still gates
-// the client's resume. Stolen sessions do not report through OnEvict —
-// they are moving, not dying.
+// an epoch check. It is the cross-shard handoff path: the owner moving a
+// session between two stores (serve.Manager.MoveParked) Puts the same
+// *Session on its new home, where the ordinary epoch-checked Take still
+// gates the client's resume. Stolen sessions do not report through OnEvict
+// — they are moving, not dying.
 func (s *Store) Steal(id uint64) (*Session, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/teacher"
 	"repro/internal/transport"
@@ -89,7 +90,7 @@ func TestManagerSessionWithLinkPolicy(t *testing.T) {
 // Journal replay under a static codec policy: what the journal holds are
 // adaptive envelopes, and they must decode — with strictly increasing Seq —
 // both when replayed after a plain detach and when replayed by another
-// manager that imported the session from a handoff envelope. A client that
+// manager the session was moved to. A client that
 // applies them ends up holding the server's BatchNorm statistics bit for
 // bit: int8 is a contract about weights, and the envelope carries the
 // statistics beside the codec payload, not through it.
@@ -157,15 +158,11 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 	keyFrame(p)          // and the session continues at seq 4
 	p.drop(src)
 
-	env, err := src.ExportParked(p.sessionID)
-	if err != nil {
+	if err := src.MoveParked(p.sessionID, dst); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.ImportParked(env); err != nil {
-		t.Fatal(err)
-	}
-	replay(p, dst, 2, 2) // after a cross-shard import: diffs 3 and 4
-	keyFrame(p)          // the importing shard keeps the policy: seq 5 is an envelope too
+	replay(p, dst, 2, 2) // after a cross-shard move: diffs 3 and 4
+	keyFrame(p)          // the policy moved with the session: seq 5 is an envelope too
 	p.drop(dst)
 
 	parked, err := dst.store.Steal(p.sessionID)
@@ -191,4 +188,85 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("distillation moved no statistic; the comparison is vacuous")
 	}
+}
+
+// lossyLink is a conn that reports a fixed loss rate — what core's
+// measuredLink reads off a packet-tier conn before each policy decision.
+type lossyLink struct {
+	transport.Conn
+	loss float64
+}
+
+func (l lossyLink) LinkObservation() netsim.LinkObservation {
+	return netsim.LinkObservation{LossRate: l.loss}
+}
+func (lossyLink) SetFECGroup(int) {}
+
+// The link policy's hysteresis state moves with the session. An adaptive
+// session driven into the degraded state, moved to another shard and
+// resumed over a link whose loss sits inside the hysteresis band — below
+// the enter threshold, above the exit one — stays degraded; a policy rebuilt
+// on the target would start clear and, inside the band, stay clear.
+func TestMoveParkedKeepsLinkPolicyState(t *testing.T) {
+	newShard := func() *Manager {
+		cfg := core.DefaultConfig()
+		cfg.MaxUpdates = 1
+		m, err := NewManager(Options{Cfg: cfg, Base: tinyStudent(41), Teacher: teacher.NewOracle(7),
+			MaxSessions: 2, JournalDepth: 8, LinkPolicy: "adaptive", Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { m.Close() })
+		return m
+	}
+	src, dst := newShard(), newShard()
+	_, frames := resumeManager(t, 1)
+	engine := netsim.NewAdaptiveEngine()
+	inBand := (engine.DegradedExit + engine.DegradedEnter) / 2
+
+	// over opens a connection into m whose server side measures loss.
+	over := func(m *Manager, loss float64) *protoClient {
+		clientConn, serverConn := transport.Pipe(8, nil)
+		done := make(chan error, 1)
+		go func() {
+			defer serverConn.Close()
+			done <- m.Handle(lossyLink{serverConn, loss})
+		}()
+		return &protoClient{t: t, conn: clientConn, done: done, frames: frames}
+	}
+	decided := func(p *protoClient) netsim.PolicyState {
+		t.Helper()
+		p.send()
+		_, dec, err := core.DecodeAdaptiveDiff(p.recv(transport.MsgStudentDiff).Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec.State
+	}
+
+	p := over(src, 2*engine.DegradedEnter)
+	p.hello(7)
+	if got := decided(p); got != netsim.LinkDegraded {
+		t.Fatalf("decision under %.3f loss: %v, want degraded", 2*engine.DegradedEnter, got)
+	}
+	p.drop(src)
+	if err := src.MoveParked(p.sessionID, dst); err != nil {
+		t.Fatal(err)
+	}
+
+	q := over(dst, inBand)
+	q.sessionID, q.epoch, q.kfSeq = p.sessionID, p.epoch, p.kfSeq
+	req := transport.Resume{SessionID: q.sessionID, Epoch: q.epoch, LastDiffSeq: 1}
+	if err := q.conn.Send(transport.Message{Type: transport.MsgResume, Body: transport.EncodeResume(req)}); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := transport.DecodeResumeAck(q.recv(transport.MsgResumeAck).Body)
+	if err != nil || ack.Status != transport.ResumeReplay || ack.NumDiffs != 0 {
+		t.Fatalf("resume on the target: %+v, %v", ack, err)
+	}
+	if got := decided(q); got != netsim.LinkDegraded {
+		t.Fatalf("decision at %.4f loss after the move: %v, want degraded (exit %.3f < loss < enter %.3f)",
+			inBand, got, engine.DegradedExit, engine.DegradedEnter)
+	}
+	q.shutdown()
 }

@@ -137,31 +137,26 @@ func TestClientHoldsServerStudentAfterCutAndReplay(t *testing.T) {
 	c.requireHolds(m)
 }
 
-// A handoff whose envelope reproduces the student exactly keeps the
-// session relative on the importing shard; one that quantised it sends
-// exactly one absolute diff — the importer no longer holds what the client
-// does — and is relative again after it. Either way the journal replays on
-// the new shard against the client's own, exact, weights.
+// A handoff moves the session itself, so under every checkpoint codec the
+// shard it lands on holds exactly what the client does: every diff after
+// the move is relative, and the journal replays on the new shard against
+// the client's own, exact, weights.
 func TestClientHoldsServerStudentAcrossHandoff(t *testing.T) {
-	for codec, absoluteAfterImport := range map[string]int{"delta+raw": 0, "delta+int8": 1} {
-		t.Run(codec, func(t *testing.T) {
-			src, dst := quiescenceShard(t, codec), quiescenceShard(t, codec)
+	for _, tc := range []struct{ name, codec string }{{"raw", ""}, {"delta+raw", "delta+raw"}, {"delta+int8", "delta+int8"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, dst := quiescenceShard(t, tc.codec), quiescenceShard(t, tc.codec)
 			c := newMirror(t, src)
 			c.keyFrames(2)
-			c.send() // diff 3 travels in the envelope's journal
+			c.send() // diff 3 travels in the session's journal
 			c.drop(src)
-			env, err := src.ExportParked(c.sessionID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dst.ImportParked(env); err != nil {
+			if err := src.MoveParked(c.sessionID, dst); err != nil {
 				t.Fatal(err)
 			}
 			c.reattach(dst, 1)
 			c.keyFrames(3)
 			for i, rel := range c.relative {
-				if want := i < 3 || i >= 3+absoluteAfterImport; rel != want {
-					t.Fatalf("diff %d relative=%v, want %v (relative flags %v)", i+1, rel, want, c.relative)
+				if !rel {
+					t.Fatalf("diff %d went absolute; a move is exact (relative flags %v)", i+1, c.relative)
 				}
 			}
 			c.requireHolds(dst)

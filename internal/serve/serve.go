@@ -16,7 +16,10 @@
 // protocol-v3 Resume handshake gets the session back and replays only the
 // journal suffix past the last diff it applied, falling back to a full
 // checkpoint when the gap out-ages the journal. Detached sessions are
-// reaped after ResumeTTL.
+// reaped after ResumeTTL. A detached session can also change managers
+// inside the process (MoveParked, how internal/fabric hands a session from
+// one shard to another): the session object itself moves between the two
+// stores, so nothing about it is serialised, copied or lost.
 package serve
 
 import (
@@ -70,13 +73,11 @@ type Options struct {
 	IDOffset uint64
 	IDStride uint64
 	// EnvelopeCodec names the compress codec (ByName form, e.g.
-	// "delta+int8") applied to model state crossing process boundaries: the
-	// student params inside session-handoff envelopes are encoded with it,
-	// and a non-empty value additionally delta-encodes MsgStudentFull
-	// checkpoints against Base for clients that negotiated
-	// CapDeltaCheckpoint. Empty exports envelopes under "raw" — bit-exact
-	// for params and both Adam moments (see envelope.go) — and keeps
-	// checkpoints raw.
+	// "delta+int8") for MsgStudentFull checkpoints, at handshake and on a
+	// resume's full-resend fallback: a non-empty value delta-encodes them
+	// against Base, with the named codec (its inner, for a "delta+" name)
+	// carrying what training moved, for clients that negotiated
+	// CapDeltaCheckpoint. Empty keeps checkpoints raw.
 	EnvelopeCodec string
 	// LinkPolicy, when non-empty, names the link policy (core.PolicyByName
 	// form: "adaptive", or "static:<codec>" to pin one diff codec) each
@@ -108,15 +109,14 @@ type Options struct {
 // distillers, the shared batched teacher, the resume store, and aggregate
 // statistics.
 type Manager struct {
-	opts     Options
-	batcher  *teacher.Batcher
-	store    *resume.Store         // nil when resumption is disabled
-	envCodec compress.Codec        // envelope params codec, bound to Base
-	ck       *core.CheckpointCodec // delta checkpoint codec (nil = always raw)
-	slots    chan struct{}
-	quit     chan struct{}
-	once     sync.Once
-	wg       sync.WaitGroup
+	opts    Options
+	batcher *teacher.Batcher
+	store   *resume.Store         // nil when resumption is disabled
+	ck      *core.CheckpointCodec // delta checkpoint codec (nil = always raw)
+	slots   chan struct{}
+	quit    chan struct{}
+	once    sync.Once
+	wg      sync.WaitGroup
 
 	tm managerTelemetry
 
@@ -179,23 +179,21 @@ func NewManager(opts Options) (*Manager, error) {
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown envelope codec %q", opts.EnvelopeCodec)
 	}
-	envCodec := compress.WithBase(c, opts.Base.Params)
 	var ck *core.CheckpointCodec
 	if opts.EnvelopeCodec != "" {
 		// MsgStudentFull checkpoints are always delta-framed for capable
 		// clients; a non-delta envelope codec becomes the delta's inner.
-		ck = &core.CheckpointCodec{Base: opts.Base.Params, Codec: compress.Inner(envCodec)}
+		ck = &core.CheckpointCodec{Base: opts.Base.Params, Codec: compress.Inner(c)}
 	}
 	m := &Manager{
-		opts:     opts,
-		batcher:  b,
-		envCodec: envCodec,
-		ck:       ck,
-		slots:    make(chan struct{}, opts.MaxSessions),
-		quit:     make(chan struct{}),
-		active:   map[uint64]*session{},
-		conns:    map[transport.Conn]struct{}{},
-		nextID:   opts.IDOffset,
+		opts:    opts,
+		batcher: b,
+		ck:      ck,
+		slots:   make(chan struct{}, opts.MaxSessions),
+		quit:    make(chan struct{}),
+		active:  map[uint64]*session{},
+		conns:   map[transport.Conn]struct{}{},
+		nextID:  opts.IDOffset,
 	}
 	m.tm = newManagerTelemetry(opts.Telemetry, opts.ShardIndex)
 	if opts.ResumeTTL > 0 {
@@ -389,7 +387,7 @@ const (
 
 // SessionState reports whether the given session is active, parked, or
 // unknown on this manager. A router uses it to decide whether a resume that
-// hashed to another shard needs a cross-shard handoff. The answer is a
+// hashed to another shard needs the session moved there first. The answer is a
 // snapshot — the authoritative check is the reattach under the manager's
 // own lock, which handles every race (still-attached, just-evicted) with
 // the proper protocol status.

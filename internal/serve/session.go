@@ -17,7 +17,8 @@ import (
 // of its own core.Server, the manager's only tap into the protocol loop. It
 // is built once (newSession), registered by its handshake (Assign), and then
 // moves between the active registry and the resume store with srv.Observer
-// still pointing at it, so nothing is re-wired on detach, resume or import.
+// still pointing at it, so nothing is re-wired on detach or resume; a move to
+// another manager re-wires exactly what rebind lists.
 type session struct {
 	m       *Manager
 	id      uint64
@@ -40,6 +41,19 @@ func (m *Manager) newSession(journalDepth int) *session {
 		s.srv.Policy, _ = core.PolicyByName(m.opts.LinkPolicy)
 	}
 	return s
+}
+
+// rebind points a parked session at the manager it is moving to. It owns the
+// list of what in a session is bound to the shard it lives on; everything
+// else — student, Adam moments and step, DiffSeq/LastKFSeq/ClientExact,
+// epochs, journal, the link policy with its hysteresis state, the distill
+// counters — travels by being the same object.
+func (s *session) rebind(to *Manager) {
+	s.m = to // registry, aggregate stats, telemetry handles and shard label
+	s.srv.Teacher = to.batcher
+	s.srv.Checkpoint = to.ck
+	s.srv.Cfg = to.opts.Cfg
+	s.srv.Distiller.SetConfig(to.opts.Cfg) // the shard's compute backend
 }
 
 // Assign implements core.SessionObserver: the handshake registers the
@@ -267,6 +281,7 @@ func (m *Manager) detach(sess *session) bool {
 	if id == 0 || m.store == nil {
 		return false
 	}
+	seq := srv.DiffSeq // once parked, a resume elsewhere may be advancing it
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -287,7 +302,7 @@ func (m *Manager) detach(sess *session) bool {
 		ID:       id,
 		Epoch:    epoch,
 		AltEpoch: alt,
-		LastSeq:  srv.DiffSeq,
+		LastSeq:  seq,
 		State:    srv,
 		Journal:  sess.journal,
 	})
@@ -297,6 +312,44 @@ func (m *Manager) detach(sess *session) bool {
 		return true
 	}
 	m.tm.detached.Set(float64(m.store.Len()))
-	m.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvDetach, Session: id, Epoch: uint32(epoch), Seq: srv.DiffSeq, Shard: m.tm.shard})
+	m.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvDetach, Session: id, Epoch: uint32(epoch), Seq: seq, Shard: m.tm.shard})
 	return true
+}
+
+// MoveParked moves the parked session with the given ID onto manager to — a
+// cross-shard handoff or a drain migration (internal/fabric). The session
+// itself moves, not a copy of it: it is stolen from this manager's store,
+// rebound to the target (rebind) and parked there as if it had detached
+// there, so a later Resume finds it through the ordinary epoch-checked path
+// with its journal, optimizer and link-policy state as they were, and the
+// TTL clock restarts. Nothing folds into either manager's stats — the
+// session is moving, not completing. When the target cannot take it (its
+// store closed) the session goes back where it was, deadline unchanged.
+func (m *Manager) MoveParked(id uint64, to *Manager) error {
+	if m.store == nil || to.store == nil {
+		return errors.New("serve: resumption disabled, nothing to move")
+	}
+	ds, err := m.store.Steal(id)
+	if err != nil {
+		return err
+	}
+	srv := ds.State.(*core.Server)
+	sess := srv.Observer.(*session)
+	parkedAt := ds.DetachedAt
+	sess.rebind(to)
+	ds.DetachedAt = time.Time{}
+	if err := to.store.Put(ds); err != nil {
+		sess.rebind(m)
+		ds.DetachedAt = parkedAt
+		if m.store.Put(ds) != nil {
+			m.foldStats(srv) // both closing: it completes here, as in detach
+		}
+		return fmt.Errorf("serve: moving session %d: %w", id, err)
+	}
+	m.tm.detached.Set(float64(m.store.Len()))
+	to.tm.detached.Set(float64(to.store.Len()))
+	to.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvHandoff, Session: id, Epoch: uint32(ds.Epoch), Seq: ds.LastSeq, Shard: to.tm.shard,
+		Detail: fmt.Sprintf("%d->%d", m.tm.shard, to.tm.shard)})
+	to.logf("session %d moved here from shard %d (epoch %d, %d journaled diffs)", id, m.tm.shard, ds.Epoch, ds.Journal.Len())
+	return nil
 }

@@ -66,7 +66,7 @@ type Stats struct {
 	ResumeFulls   int64 // resumes that fell back to a full checkpoint
 	Evicted       int64 // parked sessions dropped by TTL/capacity/shutdown
 
-	// Byte accounting for model state crossing process boundaries. Each
+	// Byte accounting for model state crossing the wire. Each
 	// *Bytes counter records what was actually sent; its *Baseline twin
 	// records what the legacy raw encoding would have cost, so
 	// baseline/actual is the wire shrink factor (1x on the legacy paths).
@@ -74,9 +74,6 @@ type Stats struct {
 	CheckpointBaseline int64
 	FullResendBytes    int64 // MsgStudentFull bodies sent by resume-full fallback
 	FullResendBaseline int64
-	EnvelopeBytes      int64 // whole session-handoff envelopes (incl. journal)
-	EnvelopeCkBytes    int64 // model-state portion of those envelopes
-	EnvelopeCkBaseline int64
 }
 
 // MeanDistillSteps is the mean number of optimisation steps per key frame
@@ -124,9 +121,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.CheckpointBaseline += o.CheckpointBaseline
 	s.FullResendBytes += o.FullResendBytes
 	s.FullResendBaseline += o.FullResendBaseline
-	s.EnvelopeBytes += o.EnvelopeBytes
-	s.EnvelopeCkBytes += o.EnvelopeCkBytes
-	s.EnvelopeCkBaseline += o.EnvelopeCkBaseline
 	return s
 }
 
@@ -147,14 +141,6 @@ func (m *Manager) countFullResend(actual, baseline int) {
 	m.mu.Lock()
 	m.agg.FullResendBytes += int64(actual)
 	m.agg.FullResendBaseline += int64(baseline)
-	m.mu.Unlock()
-}
-
-func (m *Manager) countEnvelope(total, ck, ckBaseline int) {
-	m.mu.Lock()
-	m.agg.EnvelopeBytes += int64(total)
-	m.agg.EnvelopeCkBytes += int64(ck)
-	m.agg.EnvelopeCkBaseline += int64(ckBaseline)
 	m.mu.Unlock()
 }
 

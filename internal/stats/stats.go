@@ -44,9 +44,8 @@ func (t *Table) AddRowf(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns a copy of the data rows, so machine consumers (the scenario
-// harness folds table-producing experiments into structured metrics) can
-// read cells without reparsing the rendered text.
+// Rows returns a copy of the data rows, so a consumer can read cells
+// without reparsing the rendered text.
 func (t *Table) Rows() [][]string {
 	out := make([][]string, len(t.rows))
 	for i, r := range t.rows {
