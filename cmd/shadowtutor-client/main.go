@@ -64,23 +64,23 @@ func main() {
 	usePackets := *lossModel != "" || *fec > 0 || *reorder > 0
 	attempt := 0
 	dial := func() (transport.Conn, error) {
-		if !usePackets {
-			return transport.Dial(*connect, netsim.Mbps(*bandwidth), nil)
+		link := netsim.Stack{Bandwidth: netsim.Mbps(*bandwidth)}
+		if usePackets {
+			// Each (re)dial gets its own seeded loss model: models carry
+			// state and the per-attempt salt keeps redials independent while
+			// the whole run stays reproducible under -loss-seed.
+			seed := *lossSeed + int64(attempt)*101
+			attempt++
+			loss, err := netsim.LossModelByName(*lossModel, seed, nil)
+			if err != nil {
+				return nil, err
+			}
+			link.Packet = &netsim.PacketOptions{FECGroup: *fec, Loss: loss}
+			if *reorder > 0 {
+				link.Packet.Impair = &netsim.Impairment{Seed: seed ^ 0x5eed, ReorderProb: *reorder}
+			}
 		}
-		// Each (re)dial gets its own seeded loss model: models carry state
-		// and the per-attempt salt keeps redials independent while the whole
-		// run stays reproducible under -loss-seed.
-		seed := *lossSeed + int64(attempt)*101
-		attempt++
-		loss, err := netsim.LossModelByName(*lossModel, seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		popts := netsim.PacketOptions{FECGroup: *fec, Loss: loss}
-		if *reorder > 0 {
-			popts.Impair = &netsim.Impairment{Seed: seed ^ 0x5eed, ReorderProb: *reorder}
-		}
-		return transport.DialImpaired(*connect, netsim.Mbps(*bandwidth), nil, popts, nil)
+		return transport.DialLink(*connect, link, nil)
 	}
 	conn, err := dial()
 	if err != nil {

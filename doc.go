@@ -138,10 +138,12 @@
 // # Scenario harness
 //
 // internal/harness holds the declarative scenario matrix: named
-// combinations of bandwidth profile (fixed or a time-varying trace),
-// client count, diff-compression codec and video workload, each run end to
-// end over a loopback multi-session server and measured into a versioned
-// JSON schema. List and run them through stbench:
+// combinations of link (one netsim.Stack value: a fixed bandwidth or a
+// time-varying trace, an optional packet layer with loss, FEC and
+// reordering, an optional fault script — every combination legal, built in
+// one order by Stack.Wrap), client count, diff-compression codec and video
+// workload, each run end to end over a loopback multi-session server and
+// measured into a versioned JSON schema. List and run them through stbench:
 //
 //	go run ./cmd/stbench -list
 //	go run ./cmd/stbench -scenario bandwidth-sweep/8mbps-c1-raw

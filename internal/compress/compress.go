@@ -66,7 +66,7 @@ func (Int8) Encode(w io.Writer, params []*nn.Parameter) error {
 		return err
 	}
 	for _, p := range params {
-		if err := writeHeader(w, p); err != nil {
+		if err := nn.WriteHeader(w, p); err != nil {
 			return err
 		}
 		maxAbs := float32(0)
@@ -108,7 +108,7 @@ func (Int8) Decode(r io.Reader) ([]*nn.Parameter, error) {
 	}
 	params := make([]*nn.Parameter, 0, count)
 	for i := 0; i < count; i++ {
-		name, shape, err := readHeader(r)
+		name, shape, err := nn.ReadHeader(r)
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +119,7 @@ func (Int8) Decode(r io.Reader) ([]*nn.Parameter, error) {
 		// One byte per element follows; refuse to allocate the tensor when
 		// the stream cannot possibly hold that much (hostile-header guard,
 		// same idiom as nn.ReadNamed).
-		if err := checkClaim(r, int64(numElems(shape))); err != nil {
+		if err := checkClaim(r, int64(tensor.NumElems(shape))); err != nil {
 			return nil, err
 		}
 		t := tensor.New(shape...)
@@ -196,7 +196,7 @@ func (p Pruned) Encode(w io.Writer, params []*nn.Parameter) error {
 		return err
 	}
 	for _, prm := range params {
-		if err := writeHeader(w, prm); err != nil {
+		if err := nn.WriteHeader(w, prm); err != nil {
 			return err
 		}
 		vals := prm.Value.Data
@@ -225,7 +225,7 @@ func (p Pruned) Decode(r io.Reader) ([]*nn.Parameter, error) {
 	}
 	params := make([]*nn.Parameter, 0, count)
 	for i := 0; i < count; i++ {
-		name, shape, err := readHeader(r)
+		name, shape, err := nn.ReadHeader(r)
 		if err != nil {
 			return nil, err
 		}
@@ -280,79 +280,6 @@ func topKByMagnitude(vals []float32, k int) []int {
 	idx = idx[:k]
 	sort.Ints(idx)
 	return idx
-}
-
-// ---------------------------------------------------------------------------
-// Shared header helpers (same layout as nn.WriteNamed's per-param header).
-// ---------------------------------------------------------------------------
-
-func writeHeader(w io.Writer, p *nn.Parameter) error {
-	if len(p.Name) > 65535 {
-		return fmt.Errorf("compress: name too long: %d", len(p.Name))
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(p.Name))); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, p.Name); err != nil {
-		return err
-	}
-	shape := p.Value.Shape()
-	if err := binary.Write(w, binary.LittleEndian, uint8(len(shape))); err != nil {
-		return err
-	}
-	for _, d := range shape {
-		if err := binary.Write(w, binary.LittleEndian, int32(d)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readHeader(r io.Reader) (string, []int, error) {
-	var nameLen uint16
-	if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
-		return "", nil, fmt.Errorf("compress: name length: %w", err)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return "", nil, fmt.Errorf("compress: name: %w", err)
-	}
-	var rank uint8
-	if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-		return "", nil, fmt.Errorf("compress: rank: %w", err)
-	}
-	if rank > 8 {
-		return "", nil, fmt.Errorf("compress: implausible rank %d", rank)
-	}
-	shape := make([]int, rank)
-	elems := int64(1)
-	for i := range shape {
-		var d int32
-		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-			return "", nil, fmt.Errorf("compress: dim: %w", err)
-		}
-		if d < 0 || d > 1<<24 {
-			return "", nil, fmt.Errorf("compress: implausible dim %d", d)
-		}
-		// Bound the running product per multiply so a hostile shape cannot
-		// overflow int64 or demand a giant allocation before any payload
-		// byte is read (the nn.ReadNamed idiom).
-		elems *= int64(d)
-		if elems > 1<<28 {
-			return "", nil, fmt.Errorf("compress: implausible tensor size %d elements", elems)
-		}
-		shape[i] = int(d)
-	}
-	return string(name), shape, nil
-}
-
-// numElems returns the element count of a readHeader-validated shape.
-func numElems(shape []int) int {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	return n
 }
 
 // checkClaim rejects a header claiming more payload bytes than the reader

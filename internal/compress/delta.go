@@ -141,7 +141,7 @@ func (d *Delta) encode(w io.Writer, params []*nn.Parameter) (exact bool, err err
 	var dist []uint32 // reused across tensors
 	var out []byte    // one tensor's mode byte and payload, reused
 	for _, p := range params {
-		if err := writeHeader(w, p); err != nil {
+		if err := nn.WriteHeader(w, p); err != nil {
 			return false, err
 		}
 		n := p.Value.Len()
@@ -260,7 +260,7 @@ func (d *Delta) Decode(r io.Reader) ([]*nn.Parameter, error) {
 	decls := make([]decl, 0, count)
 	denseCount := 0
 	for i := 0; i < count; i++ {
-		name, shape, err := readHeader(r)
+		name, shape, err := nn.ReadHeader(r)
 		if err != nil {
 			return nil, err
 		}
@@ -307,7 +307,7 @@ func (d *Delta) Decode(r io.Reader) ([]*nn.Parameter, error) {
 			packedLen := int64(binary.LittleEndian.Uint32(head[4:]))
 			// Every value carries a 2-bit tag, so the packed bytes bound the
 			// element count: no allocation on the shape's word alone.
-			if n := int64(numElems(shape)); 8*packedLen < 2*n {
+			if n := int64(tensor.NumElems(shape)); 8*packedLen < 2*n {
 				return nil, fmt.Errorf("compress: delta bit-pattern payload of %d bytes cannot hold %d values", packedLen, n)
 			}
 			if err := checkClaim(r, packedLen); err != nil {
@@ -364,7 +364,7 @@ func (d *Delta) Decode(r io.Reader) ([]*nn.Parameter, error) {
 		}
 		got := dense[di]
 		di++
-		if got.Name != dc.name || !sameShape(got.Value.Shape(), dc.shape) {
+		if got.Name != dc.name || !tensor.ShapeEq(got.Value.Shape(), dc.shape) {
 			return nil, fmt.Errorf("compress: delta dense tensor %q does not match declaration %q", got.Name, dc.name)
 		}
 		if base := d.baseData(dc.name, got.Value.Len()); base != nil {
@@ -375,16 +375,4 @@ func (d *Delta) Decode(r io.Reader) ([]*nn.Parameter, error) {
 		params = append(params, got)
 	}
 	return params, nil
-}
-
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

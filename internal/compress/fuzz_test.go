@@ -13,7 +13,7 @@ import (
 // grammar and mutate outward — the same strategy as the transport decoder
 // fuzzers. Every decoder must return an error or a structurally valid
 // parameter list; panics and giant hostile-header allocations are the bugs
-// being hunted (the pre-hardening readHeader accepted any shape product).
+// being hunted (the pre-hardening header reader accepted any shape product).
 
 func seedBytes(t interface{ Fatal(args ...any) }, c Codec) []byte {
 	rng := rand.New(rand.NewSource(99))

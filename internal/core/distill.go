@@ -182,12 +182,3 @@ func (d *Distiller) MeanSteps() float64 {
 	}
 	return float64(d.TotalSteps) / float64(d.TotalTrains)
 }
-
-// MeanStepLatency returns the mean wall time of one distillation step
-// (Table 2's "One step (ms)").
-func (d *Distiller) MeanStepLatency() time.Duration {
-	if d.TotalSteps == 0 {
-		return 0
-	}
-	return d.TotalStepTime / time.Duration(d.TotalSteps)
-}

@@ -134,8 +134,8 @@ func TestTrainAccumulatesStats(t *testing.T) {
 		if d.MeanSteps() <= 0 {
 			t.Fatal("MeanSteps inconsistent")
 		}
-		if d.MeanStepLatency() <= 0 {
-			t.Fatal("MeanStepLatency inconsistent")
+		if d.TotalStepTime <= 0 {
+			t.Fatal("TotalStepTime inconsistent")
 		}
 	}
 }

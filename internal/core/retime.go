@@ -15,12 +15,30 @@ type RetimeConfig struct {
 	Concurrency Concurrency
 }
 
-// Retime replays a schedule produced by Simulate and returns the virtual
-// execution time for the given link/latency configuration. The schedule
-// itself is bandwidth-invariant (see SimResult.Schedule); only the blocking
-// waits at MIN_STRIDE change. frames is the total frame count of the run.
-func Retime(rc RetimeConfig, schedule []KeyFrameEvent, frames int, partial bool) time.Duration {
-	lat := rc.Latencies
+// strideClock is the virtual-time half of Algorithm 4: the clock, the
+// pending update's arrival and the frames inferred since the key frame.
+// Simulate and Retime both drive it, so there is one copy of the rule for
+// when a client waits.
+type strideClock struct {
+	lat         ComponentLatencies
+	link        netsim.Link
+	concurrency Concurrency
+	minStride   int
+	diffBytes   int // HD-equivalent size of one student update
+
+	now     time.Duration
+	arrives time.Duration // when the pending update lands
+	pending bool
+	noBlock bool // the pending update was faulted in flight: nothing to block on
+	steps   int  // frames inferred since the last key frame
+}
+
+// newStrideClock returns a clock at virtual time zero. Zero latencies fall
+// back to the paper's measurements for the distillation mode. An update is
+// the paper's measured 0.395 MB partial / 1.846 MB full (Table 4): our own
+// student's trainable fraction (≈ 23%) is close to the paper's 21.4%, so
+// this keeps byte accounting in the paper's units without per-run drift.
+func newStrideClock(cfg Config, link netsim.Link, lat ComponentLatencies, conc Concurrency, partial bool) *strideClock {
 	if lat == (ComponentLatencies{}) {
 		lat = PaperLatencies(partial)
 	}
@@ -28,39 +46,58 @@ func Retime(rc RetimeConfig, schedule []KeyFrameEvent, frames int, partial bool)
 	if partial {
 		diffBytes = hdPartialDiffBytes
 	}
+	return &strideClock{lat: lat, link: link, concurrency: conc, minStride: cfg.MinStride, diffBytes: diffBytes}
+}
 
-	var now time.Duration
-	ki := 0
-	var pendingArrive time.Duration
-	pendingActive := false
-	stepsSinceKey := 0
-	for i := 0; i < frames; i++ {
-		if ki < len(schedule) && schedule[ki].FrameIndex == i {
-			ev := schedule[ki]
-			ki++
-			serverTime := lat.TeacherInference + time.Duration(ev.Steps)*lat.DistillStep
-			transfer := rc.Link.TransferTime(hdFrameBytes) + rc.Link.TransferTime(diffBytes)
-			if rc.Concurrency == FullConcurrency {
-				pendingArrive = now + serverTime + transfer
-				pendingActive = true
-			} else {
-				now += serverTime + transfer
-				pendingActive = false
-			}
-			stepsSinceKey = 0
-		}
-		now += lat.StudentInference
-		stepsSinceKey++
-		if pendingActive {
-			if stepsSinceKey == rc.Cfg.MinStride && now < pendingArrive {
-				now = pendingArrive // WaitUntilComplete (Algorithm 4 line 16)
-			}
-			if now >= pendingArrive {
-				pendingActive = false
-			}
-		}
+// roundTrip is a key frame's trip: upload, teacher inference, steps
+// distillation steps, update download.
+func (c *strideClock) roundTrip(steps int) time.Duration {
+	return c.link.TransferTime(hdFrameBytes) + c.lat.TeacherInference +
+		time.Duration(steps)*c.lat.DistillStep + c.link.TransferTime(c.diffBytes)
+}
+
+// keyFrame sends a key frame whose update is trip away (Algorithm 4 lines
+// 7–8). Without concurrency the client stalls for the whole trip before
+// continuing (eq. 2 upper bound). faulted marks an update the client cannot
+// block-wait for.
+func (c *strideClock) keyFrame(trip time.Duration, faulted bool) {
+	if c.concurrency == NoConcurrency {
+		c.now += trip
+		trip = 0
 	}
-	return now
+	c.arrives = c.now + trip
+	c.pending, c.noBlock, c.steps = true, faulted, 0
+}
+
+// frame infers one frame on the device, blocks at MIN_STRIDE for a pending
+// update (Algorithm 4 lines 15–17), and reports whether the update landed.
+func (c *strideClock) frame() bool {
+	c.now += c.lat.StudentInference
+	c.steps++
+	if !c.pending {
+		return false
+	}
+	if c.steps == c.minStride && !c.noBlock && c.now < c.arrives {
+		c.now = c.arrives
+	}
+	c.pending = c.now < c.arrives
+	return !c.pending
+}
+
+// Retime replays a schedule produced by Simulate and returns the virtual
+// execution time for the given link/latency configuration. The schedule
+// itself is bandwidth-invariant (see SimResult.Schedule); only the blocking
+// waits at MIN_STRIDE change. frames is the total frame count of the run.
+func Retime(rc RetimeConfig, schedule []KeyFrameEvent, frames int, partial bool) time.Duration {
+	clk := newStrideClock(rc.Cfg, rc.Link, rc.Latencies, rc.Concurrency, partial)
+	for i := 0; i < frames; i++ {
+		if len(schedule) > 0 && schedule[0].FrameIndex == i {
+			clk.keyFrame(clk.roundTrip(schedule[0].Steps), false)
+			schedule = schedule[1:]
+		}
+		clk.frame()
+	}
+	return clk.now
 }
 
 // RetimeFPS returns frames/s for a retimed schedule.

@@ -207,17 +207,13 @@ func Simulate(sc SimConfig, src video.Source, tch teacher.Teacher, student *nn.S
 	if sc.EvalEvery <= 0 {
 		sc.EvalEvery = 1
 	}
-	lat := sc.Latencies
-	if lat == (ComponentLatencies{}) {
-		lat = PaperLatencies(sc.Cfg.Partial)
-	}
 	switch sc.Mode {
 	case ModeNaive:
-		return simulateNaive(sc, src, tch, lat)
+		return simulateNaive(sc, src)
 	case ModeWild:
 		return SimulateWild(sc, src, tch, student)
 	default:
-		return simulateShadowTutor(sc, src, tch, student, lat, nil)
+		return simulateShadowTutor(sc, src, tch, student, nil)
 	}
 }
 
@@ -234,21 +230,15 @@ func SimulateCustomFreeze(sc SimConfig, src video.Source, tch teacher.Teacher, s
 	if sc.EvalEvery <= 0 {
 		sc.EvalEvery = 1
 	}
-	lat := sc.Latencies
-	if lat == (ComponentLatencies{}) {
-		lat = PaperLatencies(sc.Cfg.Partial)
-	}
-	return simulateShadowTutor(sc, src, tch, student, lat, prefixes)
+	return simulateShadowTutor(sc, src, tch, student, prefixes)
 }
 
-// pendingUpdate models an in-flight student diff.
+// pendingUpdate models an in-flight student diff; the clock knows when it
+// lands.
 type pendingUpdate struct {
-	arrivesAt    time.Duration // virtual arrival time (timing mode)
-	arrivesFrame int           // frame index arrival (DelayFrames mode)
-	params       *nn.ParamSet  // snapshot of what the diff carries
+	arrivesFrame int          // frame index arrival (DelayFrames mode)
+	params       *nn.ParamSet // snapshot of what the diff carries
 	metric       float64
-	steps        int
-	noBlock      bool // faulted in flight: the client cannot block-wait for it
 }
 
 // applyFreeze configures a student's frozen set: the paper's partial mode
@@ -261,7 +251,7 @@ func applyFreeze(st *nn.Student, cfg Config, prefixes []string) {
 	st.Params.FreezePrefix(prefixes...)
 }
 
-func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, student *nn.Student, lat ComponentLatencies, freezePrefixes []string) (SimResult, error) {
+func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, student *nn.Student, freezePrefixes []string) (SimResult, error) {
 	cfg := sc.Cfg
 	res := SimResult{Mode: sc.Mode, Partial: cfg.Partial}
 
@@ -273,22 +263,12 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 	applyFreeze(serverStudent, cfg, freezePrefixes)
 	applyFreeze(student, cfg, freezePrefixes)
 
-	// HD-equivalent diff size: the paper's measured 0.395 MB partial /
-	// 1.846 MB full update (Table 4). Our own student's trainable fraction
-	// (≈ 23%) is close to the paper's 21.4%, so this keeps byte accounting
-	// in the paper's units without per-run drift.
-	diffBytes := hdPartialDiffBytes
-	if !cfg.Partial {
-		diffBytes = hdStudentBytes
-	}
-
 	cm := metrics.NewConfusionMatrix(student.Config.NumClasses)
 	// All timing is virtual: results depend only on the schedule and the
 	// modeled latencies, never on host speed.
-	var now time.Duration
+	clk := newStrideClock(cfg, sc.Link, sc.Latencies, sc.Concurrency, cfg.Partial)
+	clk.steps = cfg.MinStride // "step ← stride" so the first frame is a key frame
 	stride := float64(cfg.MinStride)
-	step := cfg.MinStride // "step ← stride" so the first frame is a key frame
-	updated := true
 	var pending *pendingUpdate
 
 	nextStride := func(stride, metric float64) float64 {
@@ -299,21 +279,12 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 		return NextStride(cfg, stride, metric)
 	}
 
-	applyUpdate := func(p *pendingUpdate) {
-		student.Params.ApplyValues(p.params)
-		stride = nextStride(stride, p.metric)
-		res.StrideTrace = append(res.StrideTrace, stride)
-		res.MetricTrace = append(res.MetricTrace, p.metric)
-		updated = true
-	}
-
 	for i := 0; i < sc.Frames; i++ {
 		frame := src.Next()
 		// Algorithm 4 compares step = stride; because stride only changes
 		// when an update applies (and may shrink mid-flight), ≥ against the
 		// rounded stride is the robust form.
-		isKey := step >= int(stride+0.5)
-		if isKey {
+		if clk.steps >= int(stride+0.5) {
 			// Send key frame (non-blocking, Algorithm 4 line 7–8) and
 			// kick off server work.
 			res.KeyFrames++
@@ -325,81 +296,65 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 			if tr.SkippedOpt {
 				res.SkippedOpt++
 			}
-			res.BytesDown += int64(diffBytes)
+			res.BytesDown += int64(clk.diffBytes)
 			res.Schedule = append(res.Schedule, KeyFrameEvent{FrameIndex: i, Steps: tr.Steps, Metric: tr.Metric})
 
-			p := &pendingUpdate{
-				params: nn.CloneNamed(nn.TrainableSubset(serverStudent.Params)),
-				metric: tr.Metric,
-				steps:  tr.Steps,
+			pending = &pendingUpdate{
+				arrivesFrame: i + sc.DelayFrames,
+				params:       nn.CloneNamed(nn.TrainableSubset(serverStudent.Params)),
+				metric:       tr.Metric,
 			}
-			if sc.DelayFrames > 0 {
-				p.arrivesFrame = i + sc.DelayFrames
-			} else {
-				serverTime := lat.TeacherInference + time.Duration(tr.Steps)*lat.DistillStep
-				transfer := sc.Link.TransferTime(hdFrameBytes) + sc.Link.TransferTime(diffBytes)
+			// Under DelayFrames the update's arrival is a frame index and
+			// the trip costs the clock nothing.
+			var trip, fault time.Duration
+			if sc.DelayFrames == 0 {
+				trip = clk.roundTrip(tr.Steps)
 				if sc.UpdateDelay != nil {
-					if d := sc.UpdateDelay(res.KeyFrames - 1); d > 0 {
-						transfer += d
-						p.noBlock = true
-					}
-				}
-				if sc.Concurrency == FullConcurrency {
-					p.arrivesAt = now + serverTime + transfer
-				} else {
-					// Without concurrency the client stalls for the whole
-					// round trip before continuing (eq. 2 upper bound).
-					now += serverTime + transfer
-					p.arrivesAt = now
+					fault = max(sc.UpdateDelay(res.KeyFrames-1), 0)
 				}
 			}
-			pending = p
-			step = 0
-			updated = false
+			clk.keyFrame(trip+fault, fault > 0)
 		}
 
 		// On-device inference of the current frame (key frames included:
-		// Algorithm 4 line 12 runs for every frame).
+		// Algorithm 4 line 12 runs for every frame). A faulted update is
+		// not waited for: the disconnected client has no arrival to wait on
+		// and keeps going on stale weights.
 		mask, _ := student.Infer(frame.Image)
-		now += lat.StudentInference
-		step++
+		arrived := clk.frame()
 
 		if i%sc.EvalEvery == 0 {
 			cm.Add(mask, tch.Infer(frame))
 			res.EvalFrames++
 		}
 
-		if !updated && pending != nil {
+		if pending != nil {
 			if sc.DelayFrames > 0 {
-				if i+1 >= pending.arrivesFrame {
-					applyUpdate(pending)
-					pending = nil
-				}
-			} else {
-				// Blocking wait at MIN_STRIDE (Algorithm 4 lines 15–17).
-				// Skipped for faulted updates: the disconnected client has
-				// no arrival to wait on and keeps going on stale weights.
-				if step == cfg.MinStride && !pending.noBlock && now < pending.arrivesAt {
-					now = pending.arrivesAt
-				}
-				if now >= pending.arrivesAt {
-					applyUpdate(pending)
-					pending = nil
-				}
+				arrived = i+1 >= pending.arrivesFrame
+			}
+			if arrived {
+				student.Params.ApplyValues(pending.params)
+				stride = nextStride(stride, pending.metric)
+				res.StrideTrace = append(res.StrideTrace, stride)
+				res.MetricTrace = append(res.MetricTrace, pending.metric)
+				pending = nil
 			}
 		}
 	}
 	res.Frames = sc.Frames
-	res.VirtualTime = now
+	res.VirtualTime = clk.now
 	res.MeanIoU = cm.MeanIoU()
 	return res, nil
 }
 
-func simulateNaive(sc SimConfig, src video.Source, tch teacher.Teacher, lat ComponentLatencies) (SimResult, error) {
+func simulateNaive(sc SimConfig, src video.Source) (SimResult, error) {
 	res := SimResult{Mode: ModeNaive}
+	lat := sc.Latencies
+	if lat == (ComponentLatencies{}) {
+		lat = PaperLatencies(sc.Cfg.Partial)
+	}
 	var now time.Duration
-	perFrame := sc.Link.TransferTime(hdFrameBytes) + lat.TeacherInference +
-		sc.Link.TransferTime(hdNaiveDown) + sc.NaiveOverheadPerFrame
+	perFrame := NaiveTime(sc.Link, lat, 1, sc.NaiveOverheadPerFrame)
 	for i := 0; i < sc.Frames; i++ {
 		src.Next()
 		now += perFrame

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -107,54 +106,37 @@ func (p *pacedSource) Next() video.Frame {
 	return p.src.Next()
 }
 
-// clientDialer returns the dial function of one client: loopback TCP,
-// optionally fault-scripted (chaos), then throttled or trace-shaped, with
-// the packet layer innermost when the spec activates it (pseed keys this
-// client's uplink loss draws; attempt k salts it so redials stay
-// independent). The attempt counter makes a client's i-th (re)connection
-// pick up the script at ChaosCuts[i]; connections past it run clean. The counter
-// needs no lock — a client dials sequentially (initial connect, then one
-// recovery at a time), with happens-before edges through the recovery
-// hand-off.
+// clientDialer returns the dial function of one client: loopback TCP under
+// the link stack the spec describes (pseed keys this client's uplink loss
+// draws; attempt k salts it so redials stay independent). The attempt
+// counter makes a client's i-th (re)connection pick up the fault script at
+// ChaosCuts[i], up to its first cut; connections past the script run clean.
+// The counter needs no lock — a client dials sequentially (initial connect,
+// then one recovery at a time), with happens-before edges through the
+// recovery hand-off.
 func clientDialer(spec Spec, addr string, acct *netsim.Accountant, up *netsim.LinkTotals, pseed int64) func() (transport.Conn, error) {
 	attempt := 0
 	return func() (transport.Conn, error) {
 		k := attempt
 		attempt++
+		link := netsim.Stack{Bandwidth: spec.Bandwidth, Trace: spec.Trace}
 		if spec.usePackets() {
 			popts, err := packetOptions(spec, pseed+int64(k)*101, up)
 			if err != nil {
 				return nil, err
 			}
-			return transport.DialImpaired(addr, spec.Bandwidth, spec.Trace, popts, acct)
+			link.Packet = &popts
 		}
-		if len(spec.ChaosCuts) == 0 {
-			if spec.Trace != nil {
-				return transport.DialShaped(addr, spec.Trace, acct)
-			}
-			return transport.Dial(addr, spec.Bandwidth, acct)
-		}
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("harness: dial %s: %w", addr, err)
-		}
-		var conn net.Conn = nc
 		if k < len(spec.ChaosCuts) {
-			script := spec.ChaosCuts[k:]
-			for i, f := range script {
+			link.Faults = spec.ChaosCuts[k:]
+			for i, f := range link.Faults {
 				if f.Stall == 0 {
-					script = script[:i+1]
+					link.Faults = link.Faults[:i+1]
 					break
 				}
 			}
-			conn = netsim.NewFaultyConn(conn, script...)
 		}
-		if spec.Trace != nil {
-			conn = netsim.NewTracedConn(conn, spec.Trace, nil)
-		} else if spec.Bandwidth > 0 {
-			conn = netsim.NewThrottledConn(conn, spec.Bandwidth, nil)
-		}
-		return transport.NewTCPConn(conn, acct, false), nil
+		return transport.DialLink(addr, link, acct)
 	}
 }
 
@@ -165,9 +147,6 @@ func clientDialer(spec Spec, addr string, acct *netsim.Accountant, up *netsim.Li
 // measured counterpart of examples/quickstart at scenario scale.
 func Drive(name, family string, spec Spec) (Metrics, error) {
 	spec.setDefaults()
-	if spec.usePackets() && len(spec.ChaosCuts) > 0 {
-		return Metrics{}, fmt.Errorf("harness: packet layer and chaos faults are mutually exclusive (a FaultyConn cut mid-packet corrupts the framing)")
-	}
 	linkPolicy := spec.linkPolicy()
 	cfg := core.DefaultConfig()
 	cfg.Backend = spec.Backend

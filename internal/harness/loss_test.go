@@ -3,8 +3,6 @@ package harness
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/netsim"
 )
 
 // TestDriveWithPacketLoss runs a short session over lossy, reordering,
@@ -72,13 +70,44 @@ func TestDriveAdaptivePolicy(t *testing.T) {
 	}
 }
 
-func TestDriveRejectsBadPacketCombos(t *testing.T) {
-	if _, err := Drive("test/bad", "test", Spec{
-		Workload: "fixed/people", Frames: 10,
-		LossModel: "uniform:0.05", ChaosCuts: []netsim.Fault{{AfterBytes: 1 << 20}},
-	}); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("packet+chaos combo not rejected: %v", err)
+// TestDrivePacketsWithChaos cuts a lossy, reordering, FEC-protected link
+// twice mid-diff: the fault stage sits above the packet layer, so each cut
+// lands between packets and the session resumes from its journal as it does
+// on a plain byte stream.
+func TestDrivePacketsWithChaos(t *testing.T) {
+	m, err := Drive("test/loss-chaos", "test", Spec{
+		Workload:  "drone",
+		Clients:   1,
+		Frames:    120,
+		EvalEvery: 8,
+		Seed:      7,
+		Bandwidth: 30,
+		LossModel: "uniform:0.02",
+		FECGroup:  8,
+		Reorder:   0.05,
+		ChaosCuts: dropMidstreamCuts(),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if m.Reconnects != 2 {
+		t.Errorf("reconnects = %d, want exactly 2 (one per scripted cut)", m.Reconnects)
+	}
+	if m.ResumeReplays < 1 {
+		t.Errorf("resume_replays = %d, want >= 1", m.ResumeReplays)
+	}
+	if m.FullResends != 0 {
+		t.Errorf("full_resends = %d, want 0", m.FullResends)
+	}
+	if m.PacketsLost <= 0 {
+		t.Errorf("packet layer saw no loss: %+v", m)
+	}
+	if m.MeanIoU <= 0 || m.MeanIoU > 1 {
+		t.Errorf("mIoU out of range: %v", m.MeanIoU)
+	}
+}
+
+func TestDriveRejectsBadPacketCombos(t *testing.T) {
 	for _, codec := range []string{"nope", "delta+int8"} {
 		if _, err := Drive("test/bad", "test", Spec{
 			Workload: "fixed/people", Frames: 10, Codec: codec,

@@ -99,8 +99,7 @@ type Spec struct {
 	// "ge:pEnter,pExit,lossGood,lossBad", "threshold:mbps,below,above" — the
 	// threshold form keys off Trace and requires one). Both directions are
 	// wrapped; each connection gets its own deterministically-seeded model
-	// instance. Mutually exclusive with the chaos knobs (the packet layer
-	// owns the socket's framing; FaultyConn cuts would corrupt mid-packet).
+	// instance.
 	LossModel string
 	// FECGroup, with the packet layer active, groups this many data packets
 	// under one XOR parity packet so any single loss per group recovers

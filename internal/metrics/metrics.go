@@ -38,11 +38,6 @@ func (cm *ConfusionMatrix) Reset() {
 	clear(cm.counts)
 }
 
-// Count returns the number of pixels with the given label predicted as pred.
-func (cm *ConfusionMatrix) Count(label, pred int) int64 {
-	return cm.counts[label*cm.NumClasses+pred]
-}
-
 // IoU returns the intersection-over-union for class c, and ok=false when the
 // class appears in neither prediction nor label (undefined IoU).
 func (cm *ConfusionMatrix) IoU(c int) (iou float64, ok bool) {

@@ -64,11 +64,12 @@ func TestIoUUndefinedClass(t *testing.T) {
 func TestResetAndCount(t *testing.T) {
 	cm := NewConfusionMatrix(2)
 	cm.Add([]int32{1}, []int32{0})
-	if cm.Count(0, 1) != 1 {
-		t.Fatalf("Count = %d", cm.Count(0, 1))
+	// label 0 predicted as 1, in a 2-class matrix
+	if cm.counts[0*2+1] != 1 {
+		t.Fatalf("counts = %v", cm.counts)
 	}
 	cm.Reset()
-	if cm.Count(0, 1) != 0 {
+	if cm.counts[0*2+1] != 0 {
 		t.Fatal("Reset failed")
 	}
 	if cm.MeanIoU() != 0 {

@@ -1,7 +1,5 @@
 package netsim
 
-import "time"
-
 // Impairment adds jitter/reorder behaviour on top of a LossModel: with
 // probability ReorderProb a packet is deferred 1–maxDefer positions behind
 // its in-order slot before hitting the wire. Under a paced (throttled) link
@@ -26,29 +24,4 @@ func (im *Impairment) Defer(seq uint64) int {
 		return 0
 	}
 	return 1 + int(unit(im.Seed, seq, saltDefer)*maxDefer)
-}
-
-// Fate is the combined verdict for one packet: whether the loss model eats
-// it and, if it survives, how far the impairment stage defers it.
-type Fate struct {
-	Lost  bool
-	Defer int
-}
-
-// Schedule materialises the fates of packets 1..n at link age elapsed —
-// the deterministic "packet schedule" artifact: two calls with identically
-// seeded models yield bitwise-identical slices regardless of GOMAXPROCS,
-// -race, or wall-clock timing. Either model may be nil.
-func Schedule(loss LossModel, im *Impairment, n int, elapsed time.Duration) []Fate {
-	fates := make([]Fate, n)
-	for i := range fates {
-		seq := uint64(i + 1)
-		if loss != nil {
-			fates[i].Lost = loss.Drop(seq, elapsed)
-		}
-		if !fates[i].Lost {
-			fates[i].Defer = im.Defer(seq)
-		}
-	}
-	return fates
 }

@@ -105,12 +105,13 @@ func TestThresholdLossFollowsTrace(t *testing.T) {
 func fateFingerprint(n int) uint64 {
 	ge := NewGilbertElliott(0.02, 0.25, 0.002, 0.5, 1234)
 	im := &Impairment{ReorderProb: 0.10, Seed: 1234}
-	fates := Schedule(ge, im, n, 0)
 	h := fnv.New64a()
-	for _, f := range fates {
-		b := byte(f.Defer) << 1
-		if f.Lost {
-			b |= 1
+	for seq := uint64(1); seq <= uint64(n); seq++ {
+		// One byte per packet: whether the loss model eats it and, if it
+		// survives, how far the impairment stage defers it.
+		b := byte(1)
+		if !ge.Drop(seq, 0) {
+			b = byte(im.Defer(seq)) << 1
 		}
 		h.Write([]byte{b})
 	}

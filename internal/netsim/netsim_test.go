@@ -119,7 +119,7 @@ func TestThrottledConnLimitsRate(t *testing.T) {
 	defer b.Close()
 	// 8 Mbps = 1 MB/s; moving 200 KB beyond the 32 KB burst should take
 	// roughly 170ms+.
-	ta := NewThrottledConn(a, 8, nil)
+	ta := NewThrottledConn(a, ConstantTrace(8))
 	payload := bytes.Repeat([]byte{0xAB}, 200*1024)
 	done := make(chan time.Duration, 1)
 	go func() {
@@ -142,38 +142,25 @@ func TestThrottledConnLimitsRate(t *testing.T) {
 	}
 }
 
-func TestThrottledConnAccountsBytes(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	var acct Accountant
-	ta := NewThrottledConn(a, 1000, &acct)
-	go func() {
-		buf := make([]byte, 1024)
-		io.ReadFull(b, buf)
-	}()
-	if _, err := ta.Write(make([]byte, 1024)); err != nil {
-		t.Fatal(err)
-	}
-	up, _ := acct.Totals()
-	if up != 1024 {
-		t.Fatalf("accounted %d bytes, want 1024", up)
-	}
-}
-
+// The read path is throttled like the write path: past the burst, bytes
+// arrive no faster than the link carries them.
 func TestThrottledConnReadPath(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	var acct Accountant
-	tb := NewThrottledConn(b, 1000, &acct)
-	go a.Write([]byte("hello"))
-	buf := make([]byte, 5)
-	if _, err := io.ReadFull(tb, buf); err != nil {
+	tb := NewThrottledConn(b, ConstantTrace(8)) // 1 MB/s
+	payload := bytes.Repeat([]byte{0xCD}, 132*1024)
+	go a.Write(payload)
+	start := time.Now()
+	got, err := io.ReadAll(io.LimitReader(tb, int64(len(payload))))
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, down := acct.Totals()
-	if down != 5 {
-		t.Fatalf("accounted %d bytes read, want 5", down)
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("read %d bytes, corrupted or short of %d", len(got), len(payload))
+	}
+	// 100 KB beyond the 32 KB burst is ≥ 100 ms at 1 MB/s.
+	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
+		t.Fatalf("132KB at 8Mbps read in %v; read throttle ineffective", elapsed)
 	}
 }

@@ -53,8 +53,7 @@ type LinkTotals struct {
 // reassembles the peer's packet stream (reordering, parity recovery) back
 // into in-order bytes.
 //
-// Wrap order matters: place the PacketConn *inside* the bandwidth throttle
-// (app → PacketConn → ThrottledConn → TCP) so header, parity, and
+// Stack.Wrap places it above the bandwidth throttle, so header, parity and
 // retransmission overhead consume link bandwidth.
 //
 // Both ends of a connection must speak the packet framing; a PacketConn
@@ -137,9 +136,6 @@ func (c *PacketConn) SetFECGroup(k int) {
 	}
 	c.fecSize.Store(int32(k))
 }
-
-// FECGroup returns the parity group size currently in effect.
-func (c *PacketConn) FECGroup() int { return int(c.fecSize.Load()) }
 
 // noteData records one data-packet fate in the stats and the shared totals.
 func (c *PacketConn) noteData(lost bool) {

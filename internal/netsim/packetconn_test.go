@@ -136,15 +136,15 @@ func TestPacketConnSetFECGroupMidStream(t *testing.T) {
 		t.Fatal("corrupted payload before switch")
 	}
 	a.SetFECGroup(2)
-	if a.FECGroup() != 2 {
-		t.Fatalf("FECGroup = %d after SetFECGroup(2)", a.FECGroup())
+	if k := a.fecSize.Load(); k != 2 {
+		t.Fatalf("FEC group = %d after SetFECGroup(2)", k)
 	}
 	if got := sendRecv(t, a, b, msg); !bytes.Equal(got, msg) {
 		t.Fatal("corrupted payload after switch")
 	}
 	a.SetFECGroup(-1)
-	if a.FECGroup() != 0 {
-		t.Fatalf("FECGroup = %d, want 0 (disabled)", a.FECGroup())
+	if k := a.fecSize.Load(); k != 0 {
+		t.Fatalf("FEC group = %d, want 0 (disabled)", k)
 	}
 	if got := sendRecv(t, a, b, msg); !bytes.Equal(got, msg) {
 		t.Fatal("corrupted payload with FEC disabled")

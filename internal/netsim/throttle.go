@@ -1,73 +1,57 @@
 package netsim
 
 import (
-	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
 )
 
+// burst is the token bucket's size in bytes, and the largest chunk moved
+// per bucket visit; one MTU-ish chunk keeps latency realistic.
+const burst = 32 * 1024
+
 // ThrottledConn wraps a net.Conn and limits sustained throughput in each
-// direction to the link bandwidth using a token bucket. It is how the real
-// TCP path reproduces the paper's §6.4 bandwidth sweep (90 … 8 Mbps)
-// without kernel traffic shaping.
+// direction to the bandwidth its Trace gives for the link's age, using a
+// token bucket. It is how the real TCP path reproduces the paper's §6.4
+// bandwidth sweep (90 … 8 Mbps) without kernel traffic shaping — one fixed
+// rate (ConstantTrace) or the sweep as a single connection lives it.
 type ThrottledConn struct {
 	net.Conn
-	read  *tokenBucket
-	write *tokenBucket
-	acct  *Accountant
+	read  tokenBucket
+	write tokenBucket
 }
 
-// NewThrottledConn wraps conn with the given per-direction bandwidth. acct
-// may be nil. burst is the bucket size in bytes; a burst of one MTU-ish
-// chunk keeps latency realistic.
-func NewThrottledConn(conn net.Conn, bw Mbps, acct *Accountant) *ThrottledConn {
-	const burst = 32 * 1024
+// NewThrottledConn wraps conn in a link that follows tr from now on.
+func NewThrottledConn(conn net.Conn, tr *Trace) *ThrottledConn {
+	start := time.Now()
 	return &ThrottledConn{
 		Conn:  conn,
-		read:  newTokenBucket(bw.BytesPerSecond(), burst),
-		write: newTokenBucket(bw.BytesPerSecond(), burst),
-		acct:  acct,
+		read:  tokenBucket{trace: tr, start: start, tokens: burst},
+		write: tokenBucket{trace: tr, start: start, tokens: burst},
 	}
 }
 
 // Read implements net.Conn with download throttling.
 func (c *ThrottledConn) Read(p []byte) (int, error) {
-	if len(p) > 32*1024 {
-		p = p[:32*1024]
+	if len(p) > burst {
+		p = p[:burst]
 	}
 	n, err := c.Conn.Read(p)
 	if n > 0 {
 		c.read.wait(n)
-		if c.acct != nil {
-			c.acct.AddToClient(n)
-		}
 	}
 	return n, err
-}
-
-// SetBandwidth re-rates both directions of the link mid-stream. Tokens
-// accrued under the old rate are kept; a transfer currently sleeping off a
-// token deficit notices the new rate within one sleep slice (≤100ms).
-func (c *ThrottledConn) SetBandwidth(bw Mbps) {
-	c.read.setRate(bw.BytesPerSecond())
-	c.write.setRate(bw.BytesPerSecond())
 }
 
 // Write implements net.Conn with upload throttling.
 func (c *ThrottledConn) Write(p []byte) (int, error) {
 	written := 0
 	for written < len(p) {
-		chunk := len(p) - written
-		if chunk > 32*1024 {
-			chunk = 32 * 1024
-		}
+		chunk := min(len(p)-written, burst)
 		c.write.wait(chunk)
 		n, err := c.Conn.Write(p[written : written+chunk])
 		written += n
-		if c.acct != nil && n > 0 {
-			c.acct.AddToServer(n)
-		}
 		if err != nil {
 			return written, err
 		}
@@ -75,93 +59,31 @@ func (c *ThrottledConn) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// tokenBucket is a blocking byte-rate limiter.
+// tokenBucket is a blocking byte-rate limiter whose refill rate is a pure
+// function of the link's age: it holds no rate of its own, so a trace step
+// needs nobody to deliver it. The shaper touches the clock through two
+// functions only: time.Now (the link's start, then each visit's age) and
+// time.Sleep.
 type tokenBucket struct {
 	mu     sync.Mutex
-	rate   float64 // bytes per second
-	burst  float64
+	trace  *Trace
+	start  time.Time     // link age 0
+	last   time.Duration // link age of the last accrual
 	tokens float64
-	last   time.Time
 }
 
-func newTokenBucket(rate float64, burst float64) *tokenBucket {
-	if rate <= 0 {
-		panic(fmt.Sprintf("netsim: non-positive rate %v", rate))
-	}
-	return &tokenBucket{rate: rate, burst: burst, tokens: burst, last: time.Now()}
-}
-
-// advance accrues tokens for the wall time since the last accrual. Caller
-// holds b.mu.
-func (b *tokenBucket) advance(now time.Time) {
-	b.tokens += now.Sub(b.last).Seconds() * b.rate
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	b.last = now
-}
-
-// setRate changes the refill rate, first settling tokens owed at the old
-// rate so in-flight debt is repriced, not forgiven.
-func (b *tokenBucket) setRate(rate float64) {
-	if rate <= 0 {
-		panic(fmt.Sprintf("netsim: non-positive rate %v", rate))
-	}
-	b.mu.Lock()
-	b.advance(time.Now())
-	b.rate = rate
-	b.mu.Unlock()
-}
-
-// maxSleepSlice bounds one uninterrupted wait sleep so a concurrent setRate
-// (a bandwidth trace step) takes effect promptly instead of after a
-// possibly minutes-long sleep priced at the old rate.
-const maxSleepSlice = 100 * time.Millisecond
-
-// wait blocks until n tokens are available, then consumes them. The bucket
-// may go into debt (tokens < 0); the caller sleeps the debt off at the
-// current rate, re-checking the rate every sleep slice.
+// wait consumes n tokens, first accruing what the trace carried since the
+// last visit. The bucket may go into debt (tokens < 0); the caller sleeps
+// the debt off in one go, for exactly as long as the trace takes to carry
+// it from here — rate changes during the sleep included.
 func (b *tokenBucket) wait(n int) {
 	b.mu.Lock()
-	b.advance(time.Now())
-	b.tokens -= float64(n)
-	deficit := -b.tokens
-	rate := b.rate
+	age := time.Now().Sub(b.start)
+	b.tokens = min(b.tokens+b.trace.Capacity(b.last, age), burst) - float64(n)
+	b.last = age
+	debt := -b.tokens
 	b.mu.Unlock()
-	for deficit > 0 {
-		d := time.Duration(deficit / rate * float64(time.Second))
-		if d > maxSleepSlice {
-			d = maxSleepSlice
-		}
-		time.Sleep(d)
-		b.mu.Lock()
-		b.advance(time.Now())
-		deficit = -b.tokens
-		rate = b.rate
-		b.mu.Unlock()
+	if debt > 0 {
+		time.Sleep(b.trace.TransferTime(age, int(math.Ceil(debt))))
 	}
-}
-
-// TracedConn is a ThrottledConn whose bandwidth follows a Trace in real
-// time, starting when the conn is created. Close stops the trace driver.
-type TracedConn struct {
-	*ThrottledConn
-	stop chan struct{}
-	once sync.Once
-}
-
-// NewTracedConn wraps conn with a throttle at the trace's initial bandwidth
-// and starts a goroutine applying the remaining steps on schedule. acct may
-// be nil.
-func NewTracedConn(conn net.Conn, tr *Trace, acct *Accountant) *TracedConn {
-	tc := NewThrottledConn(conn, tr.Initial(), acct)
-	c := &TracedConn{ThrottledConn: tc, stop: make(chan struct{})}
-	go tr.Drive(tc.SetBandwidth, c.stop)
-	return c
-}
-
-// Close implements net.Conn; it also stops the trace driver.
-func (c *TracedConn) Close() error {
-	c.once.Do(func() { close(c.stop) })
-	return c.ThrottledConn.Close()
 }

@@ -15,9 +15,9 @@ type TraceStep struct {
 
 // Trace is a piecewise-constant time-varying bandwidth profile — the §6.4
 // sweep as a single connection would experience it (Wi-Fi degrading from 90
-// towards 8 Mbps, an LTE handover, …). Traces drive both the virtual-time
-// transfer accounting (TransferTime) and, via Drive/NewTracedConn, the real
-// TCP token-bucket throttle.
+// towards 8 Mbps, an LTE handover, …). A link's rate is a pure function of
+// its age: TransferTime and Capacity integrate it exactly, and the real TCP
+// token bucket (ThrottledConn) is a caller of both.
 type Trace struct {
 	name  string
 	steps []TraceStep
@@ -56,12 +56,6 @@ func MustTrace(name string, steps ...TraceStep) *Trace {
 // Name returns the trace's identifier.
 func (t *Trace) Name() string { return t.name }
 
-// Steps returns a copy of the trace's steps.
-func (t *Trace) Steps() []TraceStep { return append([]TraceStep(nil), t.steps...) }
-
-// Initial returns the bandwidth at time 0.
-func (t *Trace) Initial() Mbps { return t.steps[0].Bandwidth }
-
 // At returns the bandwidth in effect at the given elapsed time (negative
 // times report the initial bandwidth).
 func (t *Trace) At(elapsed time.Duration) Mbps {
@@ -82,50 +76,40 @@ func (t *Trace) index(elapsed time.Duration) int {
 // integration is exact across rate changes: each segment contributes
 // capacity at its own rate until the bytes run out.
 func (t *Trace) TransferTime(start time.Duration, size int) time.Duration {
-	if start < 0 {
-		start = 0
-	}
-	remaining := float64(size)
-	cur := start
-	var total time.Duration
-	for remaining > 0 {
-		i := t.index(cur)
-		rate := t.steps[i].Bandwidth.BytesPerSecond()
-		if i == len(t.steps)-1 {
-			// Final segment: constant rate forever.
-			return total + time.Duration(remaining/rate*float64(time.Second))
-		}
-		segLeft := t.steps[i+1].At - cur
-		capacity := segLeft.Seconds() * rate
+	start = max(start, 0)
+	cur, remaining := start, float64(size)
+	i := t.index(cur)
+	for ; i < len(t.steps)-1; i++ {
+		capacity := (t.steps[i+1].At - cur).Seconds() * t.steps[i].Bandwidth.BytesPerSecond()
 		if capacity >= remaining {
-			return total + time.Duration(remaining/rate*float64(time.Second))
+			break
 		}
 		remaining -= capacity
-		total += segLeft
 		cur = t.steps[i+1].At
 	}
-	return total
+	// The segment the bytes run out in; the final one holds its rate forever.
+	rate := t.steps[i].Bandwidth.BytesPerSecond()
+	return cur - start + time.Duration(remaining/rate*float64(time.Second))
 }
 
-// Drive applies the trace to set in real time: each step's bandwidth is
-// delivered at its At offset (measured from the call). It returns when the
-// last step has been applied or stop is closed. Run it in its own
-// goroutine; NewTracedConn does so automatically.
-func (t *Trace) Drive(set func(Mbps), stop <-chan struct{}) {
-	start := time.Now()
-	for _, s := range t.steps {
-		if d := s.At - time.Since(start); d > 0 {
-			select {
-			case <-stop:
-				return
-			case <-time.After(d):
-			}
+// Capacity returns how many bytes a link following the trace carries
+// between elapsed times from and to — TransferTime's inverse, and what the
+// real TCP token bucket accrues between two visits.
+func (t *Trace) Capacity(from, to time.Duration) float64 {
+	from = max(from, 0)
+	var bytes float64
+	for i := t.index(from); from < to; i++ {
+		end := to
+		if i+1 < len(t.steps) && t.steps[i+1].At < to {
+			end = t.steps[i+1].At
 		}
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		set(s.Bandwidth)
+		bytes += (end - from).Seconds() * t.steps[i].Bandwidth.BytesPerSecond()
+		from = end
 	}
+	return bytes
+}
+
+// ConstantTrace is the one-step trace of a fixed-bandwidth link.
+func ConstantTrace(bw Mbps) *Trace {
+	return MustTrace("constant", TraceStep{Bandwidth: bw})
 }

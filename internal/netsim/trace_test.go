@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"io"
+	"math"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -61,9 +63,6 @@ func TestTraceAt(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", c.at, got, c.want)
 		}
 	}
-	if got := tr.Initial(); got != 80 {
-		t.Errorf("Initial() = %v, want 80", got)
-	}
 }
 
 // TestTraceTransferTimeAcrossRateChange pins the exact integration of a
@@ -110,36 +109,44 @@ func TestTraceTransferTimeMatchesLink(t *testing.T) {
 	}
 }
 
-// TestThrottledConnSetBandwidth verifies a mid-transfer rate change takes
-// effect: a write that would take minutes at the initial trickle completes
-// promptly once the link is re-rated. Directional with generous margins so
-// it stays robust on loaded CI machines.
-func TestThrottledConnSetBandwidth(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c2.Close()
-	tc := NewThrottledConn(c1, Mbps(0.008), nil) // 1 kB/s: 64 kB ≈ 64s
-	defer tc.Close()
-	go io.Copy(io.Discard, c2)
+// randomTrace draws a 1–6 step trace with rates between 0.5 and 100 Mbps
+// and steps 1 ms – 2 s apart.
+func randomTrace(rng *rand.Rand) *Trace {
+	steps := make([]TraceStep, 1+rng.Intn(6))
+	var at time.Duration
+	for i := range steps {
+		steps[i] = TraceStep{At: at, Bandwidth: Mbps(0.5 + rng.Float64()*99.5)}
+		at += time.Millisecond + time.Duration(rng.Int63n(int64(2*time.Second)))
+	}
+	return MustTrace("random", steps...)
+}
 
-	done := make(chan time.Duration, 1)
-	start := time.Now()
-	go func() {
-		buf := make([]byte, 64*1024)
-		if _, err := tc.Write(buf); err != nil {
-			t.Errorf("throttled write: %v", err)
+// Property: Capacity inverts TransferTime — over the time n bytes take from
+// age a the link carries n bytes, to within a byte — and is additive over a
+// split interval. This is the whole contract the token bucket leans on: what
+// it accrues between visits and how long it sleeps a debt off agree.
+func TestCapacityInvertsTransferTime(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 2000; i++ {
+		tr := randomTrace(rng)
+		a := time.Duration(rng.Int63n(int64(8 * time.Second)))
+		n := rng.Intn(4_000_000)
+		d := tr.TransferTime(a, n)
+		if got := tr.Capacity(a, a+d); math.Abs(got-float64(n)) > 1 {
+			t.Fatalf("trace %v: Capacity(%v, +%v) = %.3f, want %d", tr.steps, a, d, got, n)
 		}
-		done <- time.Since(start)
-	}()
-	time.Sleep(150 * time.Millisecond)
-	tc.SetBandwidth(800) // 100 MB/s: the rest is effectively instant
-
-	select {
-	case elapsed := <-done:
-		if elapsed > 20*time.Second {
-			t.Errorf("write took %v after re-rate; old-rate sleep was not repriced", elapsed)
+		mid := a + time.Duration(rng.Int63n(int64(d)+1))
+		whole, split := tr.Capacity(a, a+d), tr.Capacity(a, mid)+tr.Capacity(mid, a+d)
+		if math.Abs(whole-split) > 1e-6*(1+whole) {
+			t.Fatalf("trace %v: Capacity(%v, %v) = %v but split at %v sums to %v", tr.steps, a, a+d, whole, mid, split)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("write still blocked 30s after SetBandwidth; rate change ignored")
+	}
+	tr := mustTestTrace(t, TraceStep{0, 8}, TraceStep{time.Second, 80})
+	if got := tr.Capacity(2*time.Second, time.Second); got != 0 {
+		t.Errorf("Capacity over an empty interval = %v, want 0", got)
+	}
+	if got, want := tr.Capacity(-time.Second, 2*time.Second), 1e6+1e7; got != want {
+		t.Errorf("Capacity from a negative age = %v, want %v", got, want)
 	}
 }
 
@@ -153,7 +160,7 @@ func TestTracedConnFollowsTrace(t *testing.T) {
 	)
 	c1, c2 := net.Pipe()
 	defer c2.Close()
-	tc := NewTracedConn(c1, tr, nil)
+	tc := NewThrottledConn(c1, tr)
 	defer tc.Close()
 	go io.Copy(io.Discard, c2)
 
@@ -163,7 +170,7 @@ func TestTracedConnFollowsTrace(t *testing.T) {
 	}
 	elapsed := time.Since(start)
 	// At 1 kB/s this is ~128s; with the step-up it is bounded by the step
-	// time plus sleep-slice latency. 20s leaves huge CI headroom.
+	// time plus the tail at 100 MB/s. 20s leaves huge CI headroom.
 	if elapsed > 20*time.Second {
 		t.Errorf("traced conn took %v; trace step-up not applied", elapsed)
 	}

@@ -226,29 +226,79 @@ func InitKaiming(t *tensor.Tensor, rng *rand.Rand) {
 // a checkpoint restricted to trainable names).
 // ---------------------------------------------------------------------------
 
+// WriteHeader writes one parameter's header — name, rank, dimensions — the
+// prefix every tensor on the wire carries, whatever encodes its values.
+func WriteHeader(w io.Writer, p *Parameter) error {
+	if len(p.Name) > 65535 {
+		return fmt.Errorf("nn: parameter name too long: %d bytes", len(p.Name))
+	}
+	if err := binary.Write(w, binary.LittleEndian, uint16(len(p.Name))); err != nil {
+		return err
+	}
+	if _, err := io.WriteString(w, p.Name); err != nil {
+		return err
+	}
+	shape := p.Value.Shape()
+	if err := binary.Write(w, binary.LittleEndian, uint8(len(shape))); err != nil {
+		return err
+	}
+	for _, d := range shape {
+		if err := binary.Write(w, binary.LittleEndian, int32(d)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadHeader parses a header WriteHeader produced. The shape it returns is
+// bounded — rank ≤ 8, each dimension ≤ 2^24, ≤ 2^28 elements in all — so a
+// hostile header cannot overflow the element count or demand a giant
+// allocation before any payload byte is read.
+func ReadHeader(r io.Reader) (name string, shape []int, err error) {
+	var nameLen uint16
+	if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
+		return "", nil, fmt.Errorf("nn: reading name length: %w", err)
+	}
+	nameBuf := make([]byte, nameLen)
+	if _, err := io.ReadFull(r, nameBuf); err != nil {
+		return "", nil, fmt.Errorf("nn: reading name: %w", err)
+	}
+	var rank uint8
+	if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
+		return "", nil, fmt.Errorf("nn: reading rank: %w", err)
+	}
+	if rank > 8 {
+		return "", nil, fmt.Errorf("nn: implausible rank %d", rank)
+	}
+	shape = make([]int, rank)
+	// int64 with a check after every multiply: the running product stays
+	// ≤ 2^52 (2^28 × 2^24), so it cannot overflow even on 32-bit builds.
+	elems := int64(1)
+	for d := range shape {
+		var dim int32
+		if err := binary.Read(r, binary.LittleEndian, &dim); err != nil {
+			return "", nil, fmt.Errorf("nn: reading dim: %w", err)
+		}
+		if dim < 0 || dim > 1<<24 {
+			return "", nil, fmt.Errorf("nn: implausible dimension %d", dim)
+		}
+		shape[d] = int(dim)
+		elems *= int64(dim)
+		if elems > 1<<28 {
+			return "", nil, fmt.Errorf("nn: implausible tensor size %d elems", elems)
+		}
+	}
+	return string(nameBuf), shape, nil
+}
+
 // WriteNamed serializes the given parameters (in order) to w.
 func WriteNamed(w io.Writer, params []*Parameter) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(params))); err != nil {
 		return err
 	}
 	for _, p := range params {
-		if len(p.Name) > 65535 {
-			return fmt.Errorf("nn: parameter name too long: %d bytes", len(p.Name))
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint16(len(p.Name))); err != nil {
+		if err := WriteHeader(w, p); err != nil {
 			return err
-		}
-		if _, err := io.WriteString(w, p.Name); err != nil {
-			return err
-		}
-		shape := p.Value.Shape()
-		if err := binary.Write(w, binary.LittleEndian, uint8(len(shape))); err != nil {
-			return err
-		}
-		for _, d := range shape {
-			if err := binary.Write(w, binary.LittleEndian, int32(d)); err != nil {
-				return err
-			}
 		}
 		if err := binary.Write(w, binary.LittleEndian, p.Value.Data); err != nil {
 			return err
@@ -268,50 +318,22 @@ func ReadNamed(r io.Reader) ([]*Parameter, error) {
 	}
 	params := make([]*Parameter, 0, count)
 	for i := uint32(0); i < count; i++ {
-		var nameLen uint16
-		if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
-			return nil, fmt.Errorf("nn: reading name length: %w", err)
-		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, nameBuf); err != nil {
-			return nil, fmt.Errorf("nn: reading name: %w", err)
-		}
-		var rank uint8
-		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-			return nil, fmt.Errorf("nn: reading rank: %w", err)
-		}
-		if rank > 8 {
-			return nil, fmt.Errorf("nn: implausible rank %d", rank)
-		}
-		shape := make([]int, rank)
-		// int64 with a check after every multiply: the running product stays
-		// ≤ 2^52 (2^28 × 2^24), so it cannot overflow even on 32-bit builds.
-		elems := int64(1)
-		for d := range shape {
-			var dim int32
-			if err := binary.Read(r, binary.LittleEndian, &dim); err != nil {
-				return nil, fmt.Errorf("nn: reading dim: %w", err)
-			}
-			if dim < 0 || dim > 1<<24 {
-				return nil, fmt.Errorf("nn: implausible dimension %d", dim)
-			}
-			shape[d] = int(dim)
-			elems *= int64(dim)
-			if elems > 1<<28 {
-				return nil, fmt.Errorf("nn: implausible tensor size %d elems", elems)
-			}
+		name, shape, err := ReadHeader(r)
+		if err != nil {
+			return nil, err
 		}
 		// A corrupt header must not force a giant allocation: when the
 		// reader knows its remaining length (bytes.Reader in the transport
 		// decoders), verify the claimed payload fits before allocating.
-		if lr, ok := r.(interface{ Len() int }); ok && 4*elems > int64(lr.Len()) {
-			return nil, fmt.Errorf("nn: tensor claims %d bytes, only %d remain", 4*elems, lr.Len())
+		size := 4 * int64(tensor.NumElems(shape))
+		if lr, ok := r.(interface{ Len() int }); ok && size > int64(lr.Len()) {
+			return nil, fmt.Errorf("nn: tensor claims %d bytes, only %d remain", size, lr.Len())
 		}
 		t := tensor.New(shape...)
 		if err := binary.Read(r, binary.LittleEndian, t.Data); err != nil {
-			return nil, fmt.Errorf("nn: reading data for %q: %w", nameBuf, err)
+			return nil, fmt.Errorf("nn: reading data for %q: %w", name, err)
 		}
-		params = append(params, &Parameter{Name: string(nameBuf), Value: t})
+		params = append(params, &Parameter{Name: name, Value: t})
 	}
 	return params, nil
 }

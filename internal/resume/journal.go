@@ -55,16 +55,6 @@ func (j *Journal) Append(seq uint64, body []byte) {
 	j.n++
 }
 
-// Head returns the newest journaled sequence (0 when empty).
-func (j *Journal) Head() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.n == 0 {
-		return 0
-	}
-	return j.entries[(j.start+j.n-1)%j.depth].Seq
-}
-
 // Tail returns the oldest retained sequence (0 when empty).
 func (j *Journal) Tail() uint64 {
 	j.mu.Lock()

@@ -20,13 +20,6 @@ func AddInto(dst, a, b *Tensor) {
 	}
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	out := New(a.shape...)
-	SubInto(out, a, b)
-	return out
-}
-
 // SubInto writes a - b into dst (which may alias a or b).
 func SubInto(dst, a, b *Tensor) {
 	checkSame("SubInto", a, b)

@@ -21,8 +21,9 @@ func TestAddSubMul(t *testing.T) {
 	if got := Add(a, b).Data; got[0] != 5 || got[2] != 9 {
 		t.Fatalf("Add = %v", got)
 	}
-	if got := Sub(b, a).Data; got[0] != 3 || got[2] != 3 {
-		t.Fatalf("Sub = %v", got)
+	diff := New(3)
+	if SubInto(diff, b, a); diff.Data[0] != 3 || diff.Data[2] != 3 {
+		t.Fatalf("SubInto = %v", diff.Data)
 	}
 	if got := Mul(a, b).Data; got[1] != 10 {
 		t.Fatalf("Mul = %v", got)

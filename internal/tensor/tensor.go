@@ -161,28 +161,6 @@ func (t *Tensor) Sum() float64 {
 	return s
 }
 
-// Mean returns the mean of all elements.
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
-}
-
-// Max returns the maximum element; panics on empty tensors.
-func (t *Tensor) Max() float32 {
-	if len(t.Data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // L2Norm returns the Euclidean norm of the flattened tensor.
 func (t *Tensor) L2Norm() float64 {
 	var s float64

@@ -39,13 +39,9 @@ func NewTCPConn(conn net.Conn, acct *netsim.Accountant, fromServer bool) *TCPCon
 	return &TCPConn{conn: conn, acct: acct, fromSrv: fromServer}
 }
 
-// BindPacket records the netsim packet layer somewhere in this conn's wrap
-// chain, exposing its link stats and FEC control to the serving path
-// (LinkObservation / SetFECGroup).
-func (c *TCPConn) BindPacket(pc *netsim.PacketConn) { c.pc = pc }
-
-// LinkObservation implements netsim.LinkObserver. Without a bound packet
-// layer it reports a zero observation (a perfectly clear link).
+// LinkObservation implements netsim.LinkObserver. Without a packet layer
+// in the link's stack it reports a zero observation (a perfectly clear
+// link).
 func (c *TCPConn) LinkObservation() netsim.LinkObservation {
 	if c.pc == nil {
 		return netsim.LinkObservation{}
@@ -53,8 +49,8 @@ func (c *TCPConn) LinkObservation() netsim.LinkObservation {
 	return c.pc.Observation()
 }
 
-// SetFECGroup adjusts the bound packet layer's parity group size; it is a
-// no-op without one.
+// SetFECGroup adjusts the packet layer's parity group size; it is a no-op
+// without one.
 func (c *TCPConn) SetFECGroup(k int) {
 	if c.pc != nil {
 		c.pc.SetFECGroup(k)
@@ -86,52 +82,27 @@ func (c *TCPConn) Recv() (Message, error) {
 // Close implements Conn.
 func (c *TCPConn) Close() error { return c.conn.Close() }
 
-// Dial connects to a ShadowTutor server, optionally throttling bandwidth.
+// DialLink connects to a ShadowTutor server over the simulated link the
+// stack describes. A packet layer only interoperates with a server that
+// wraps accepted conns in one too (Listener.SetPacketWrap).
+func DialLink(addr string, link netsim.Stack, acct *netsim.Accountant) (*TCPConn, error) {
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
+	}
+	conn, pc := link.Wrap(nc)
+	return &TCPConn{conn: conn, acct: acct, pc: pc}, nil
+}
+
+// Dial is DialLink over a fixed-bandwidth byte stream (0 = unlimited).
 func Dial(addr string, bw netsim.Mbps, acct *netsim.Accountant) (*TCPConn, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	var conn net.Conn = nc
-	if bw > 0 {
-		conn = netsim.NewThrottledConn(nc, bw, nil)
-	}
-	return NewTCPConn(conn, acct, false), nil
+	return DialLink(addr, netsim.Stack{Bandwidth: bw}, acct)
 }
 
-// DialShaped connects to a ShadowTutor server over a link whose bandwidth
-// follows a time-varying trace (§6.4's sweep as one connection would live
-// it). The trace driver starts on dial and stops when the conn is closed.
-func DialShaped(addr string, tr *netsim.Trace, acct *netsim.Accountant) (*TCPConn, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	return NewTCPConn(netsim.NewTracedConn(nc, tr, nil), acct, false), nil
-}
-
-// DialImpaired connects over a full simulated-link chain: an optional
-// bandwidth shaper (trace wins over fixed bandwidth) with the netsim packet
-// layer inside it, so packet overhead, parity, and retransmissions consume
-// shaped bandwidth. popts configures the uplink's loss/FEC/impairment; the
-// packet layer only interoperates with a server that wraps accepted conns
-// the same way (Listener.SetPacketWrap).
+// DialImpaired is DialLink over a shaped link (trace wins over fixed
+// bandwidth) with a packet layer.
 func DialImpaired(addr string, bw netsim.Mbps, tr *netsim.Trace, popts netsim.PacketOptions, acct *netsim.Accountant) (*TCPConn, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	var conn net.Conn = nc
-	switch {
-	case tr != nil:
-		conn = netsim.NewTracedConn(nc, tr, nil)
-	case bw > 0:
-		conn = netsim.NewThrottledConn(nc, bw, nil)
-	}
-	pc := netsim.NewPacketConn(conn, popts)
-	tc := NewTCPConn(pc, acct, false)
-	tc.BindPacket(pc)
-	return tc, nil
+	return DialLink(addr, netsim.Stack{Bandwidth: bw, Trace: tr, Packet: &popts}, acct)
 }
 
 // Listener accepts ShadowTutor protocol connections.
@@ -143,11 +114,11 @@ type Listener struct {
 }
 
 // SetPacketWrap installs a per-accept packet-layer factory: each accepted
-// conn is wrapped in a netsim.PacketConn built from the options the factory
-// returns (inside the bandwidth throttle, so packet overhead is priced).
-// The factory runs once per accept — return distinct loss-model instances
-// (stateful models must not be shared across conns) or nil to skip wrapping
-// that conn. Clients must dial with a matching packet layer (DialImpaired).
+// conn's stack carries a packet layer built from the options the factory
+// returns. The factory runs once per accept — return distinct loss-model
+// instances (stateful models must not be shared across conns) or nil to
+// skip the layer for that conn. Clients must dial with a matching packet
+// layer (Stack.Packet).
 func (l *Listener) SetPacketWrap(factory func() *netsim.PacketOptions) { l.packet = factory }
 
 // Listen starts listening on addr (e.g. "127.0.0.1:0").
@@ -168,19 +139,12 @@ func (l *Listener) Accept() (*TCPConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	var conn net.Conn = nc
-	if l.bw > 0 {
-		conn = netsim.NewThrottledConn(nc, l.bw, nil)
-	}
-	tc := &TCPConn{conn: conn, acct: l.acct, fromSrv: true}
+	link := netsim.Stack{Bandwidth: l.bw}
 	if l.packet != nil {
-		if popts := l.packet(); popts != nil {
-			pc := netsim.NewPacketConn(conn, *popts)
-			tc.conn = pc
-			tc.BindPacket(pc)
-		}
+		link.Packet = l.packet()
 	}
-	return tc, nil
+	conn, pc := link.Wrap(nc)
+	return &TCPConn{conn: conn, acct: l.acct, fromSrv: true, pc: pc}, nil
 }
 
 // Close stops the listener.

@@ -100,11 +100,28 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 }
 
 func FuzzDecodeHello(f *testing.F) {
-	f.Add(EncodeHello(Hello{Version: Version, NumClass: 9, FrameW: 96, FrameH: 64, Partial: true, SessionID: 12}))
-	f.Add(EncodeHello(Hello{Version: 1, NumClass: 4, FrameW: 16, FrameH: 16})[:9]) // v1 payload without session id
+	full := EncodeHello(Hello{Version: Version, NumClass: 9, FrameW: 96, FrameH: 64, Partial: true, SessionID: 12, Epoch: 3, Caps: CapDeltaCheckpoint, BaseHash: 77})
+	f.Add(full)
 	f.Add([]byte{})
+	// The short forms earlier protocol versions sent, each one trailing
+	// field shorter than the next; Version 4 has one length.
+	mustReject := [][]byte{
+		full[:9],  // version 1: no session id
+		full[:17], // version 2: no epoch
+		full[:25], // version 3: no capabilities
+		full[:33], // capabilities without a base hash
+		append(bytes.Clone(full), 0),
+	}
+	for _, b := range mustReject {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := DecodeHello(data)
+		for _, b := range mustReject {
+			if err == nil && bytes.Equal(b, data) {
+				t.Fatalf("retired hello form of %d bytes accepted", len(data))
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -213,11 +230,24 @@ func FuzzDecodeStudentDiff(f *testing.F) {
 }
 
 func FuzzDecodeResume(f *testing.F) {
-	f.Add(EncodeResume(Resume{SessionID: 7, Epoch: 2, LastDiffSeq: 31}))
+	full := EncodeResume(Resume{SessionID: 7, Epoch: 2, LastDiffSeq: 31, Caps: CapDeltaCheckpoint, BaseHash: 77})
+	f.Add(full)
 	f.Add([]byte{})
-	f.Add(EncodeResume(Resume{})[:23]) // truncated
+	mustReject := [][]byte{
+		full[:24], // the 3-field form without capabilities
+		full[:23], // truncated
+		append(bytes.Clone(full), 0),
+	}
+	for _, b := range mustReject {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeResume(data)
+		for _, b := range mustReject {
+			if err == nil && bytes.Equal(b, data) {
+				t.Fatalf("retired resume form of %d bytes accepted", len(data))
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -75,8 +75,7 @@ func (t MsgType) String() string {
 // session and echoed server → client as the acknowledgement. SessionID lets
 // a client name its session on a multi-session server (internal/serve);
 // zero asks the server to assign one, and the ack carries the ID actually
-// assigned. Decoders tolerate the field's absence so version-1 payloads
-// that predate it still parse.
+// assigned. The body has one length (helloBodyBytes).
 type Hello struct {
 	Version   uint16
 	NumClass  uint16
@@ -89,9 +88,8 @@ type Hello struct {
 	// Resume so stale reconnects (from before an earlier resume) are
 	// rejected instead of silently forking the session.
 	Epoch uint64
-	// Caps is the capability bitmask (CapDeltaCheckpoint, ...). It rides
-	// as a trailing field so peers that predate it — which leave it zero,
-	// i.e. no optional capabilities — interoperate without a version bump.
+	// Caps is the capability bitmask (CapDeltaCheckpoint, ...); zero means
+	// no optional capabilities.
 	Caps uint64
 	// BaseHash is nn.HashParams of the pretrained base the sender holds;
 	// meaningful only with CapDeltaCheckpoint set. The server sends
@@ -172,67 +170,43 @@ type StudentDiff struct {
 	Payload  []byte
 }
 
+// helloBodyBytes is the encoded size of a Hello body. The decoder requires
+// it exactly: a truncated or padded Hello is a protocol error.
+const helloBodyBytes = 2 + 2 + 2 + 2 + 1 + 8 + 8 + 8 + 8
+
 // EncodeHello serialises a Hello body.
 func EncodeHello(h Hello) []byte {
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, h.Version)
-	binary.Write(&buf, binary.LittleEndian, h.NumClass)
-	binary.Write(&buf, binary.LittleEndian, h.FrameW)
-	binary.Write(&buf, binary.LittleEndian, h.FrameH)
-	p := uint8(0)
+	b := make([]byte, helloBodyBytes)
+	binary.LittleEndian.PutUint16(b[0:], h.Version)
+	binary.LittleEndian.PutUint16(b[2:], h.NumClass)
+	binary.LittleEndian.PutUint16(b[4:], h.FrameW)
+	binary.LittleEndian.PutUint16(b[6:], h.FrameH)
 	if h.Partial {
-		p = 1
+		b[8] = 1
 	}
-	buf.WriteByte(p)
-	binary.Write(&buf, binary.LittleEndian, h.SessionID)
-	binary.Write(&buf, binary.LittleEndian, h.Epoch)
-	binary.Write(&buf, binary.LittleEndian, h.Caps)
-	binary.Write(&buf, binary.LittleEndian, h.BaseHash)
-	return buf.Bytes()
+	binary.LittleEndian.PutUint64(b[9:], h.SessionID)
+	binary.LittleEndian.PutUint64(b[17:], h.Epoch)
+	binary.LittleEndian.PutUint64(b[25:], h.Caps)
+	binary.LittleEndian.PutUint64(b[33:], h.BaseHash)
+	return b
 }
 
 // DecodeHello parses a Hello body.
 func DecodeHello(b []byte) (Hello, error) {
-	var h Hello
-	r := bytes.NewReader(b)
-	if err := binary.Read(r, binary.LittleEndian, &h.Version); err != nil {
-		return h, fmt.Errorf("transport: hello version: %w", err)
+	if len(b) != helloBodyBytes {
+		return Hello{}, fmt.Errorf("transport: hello body is %d bytes, want %d", len(b), helloBodyBytes)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &h.NumClass); err != nil {
-		return h, fmt.Errorf("transport: hello classes: %w", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &h.FrameW); err != nil {
-		return h, fmt.Errorf("transport: hello width: %w", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &h.FrameH); err != nil {
-		return h, fmt.Errorf("transport: hello height: %w", err)
-	}
-	var p uint8
-	if err := binary.Read(r, binary.LittleEndian, &p); err != nil {
-		return h, fmt.Errorf("transport: hello partial flag: %w", err)
-	}
-	h.Partial = p != 0
-	if r.Len() >= 8 {
-		if err := binary.Read(r, binary.LittleEndian, &h.SessionID); err != nil {
-			return h, fmt.Errorf("transport: hello session id: %w", err)
-		}
-	}
-	if r.Len() >= 8 {
-		if err := binary.Read(r, binary.LittleEndian, &h.Epoch); err != nil {
-			return h, fmt.Errorf("transport: hello epoch: %w", err)
-		}
-	}
-	if r.Len() >= 8 {
-		if err := binary.Read(r, binary.LittleEndian, &h.Caps); err != nil {
-			return h, fmt.Errorf("transport: hello caps: %w", err)
-		}
-	}
-	if r.Len() >= 8 {
-		if err := binary.Read(r, binary.LittleEndian, &h.BaseHash); err != nil {
-			return h, fmt.Errorf("transport: hello base hash: %w", err)
-		}
-	}
-	return h, nil
+	return Hello{
+		Version:   binary.LittleEndian.Uint16(b[0:]),
+		NumClass:  binary.LittleEndian.Uint16(b[2:]),
+		FrameW:    binary.LittleEndian.Uint16(b[4:]),
+		FrameH:    binary.LittleEndian.Uint16(b[6:]),
+		Partial:   b[8] != 0,
+		SessionID: binary.LittleEndian.Uint64(b[9:]),
+		Epoch:     binary.LittleEndian.Uint64(b[17:]),
+		Caps:      binary.LittleEndian.Uint64(b[25:]),
+		BaseHash:  binary.LittleEndian.Uint64(b[33:]),
+	}, nil
 }
 
 // EncodeKeyFrame serialises a KeyFrame body: index, image shape and data,
@@ -472,41 +446,34 @@ type Resume struct {
 	BaseHash uint64
 }
 
-// The two legal encoded sizes of a Resume body: the legacy 3-field form and
-// the capability-carrying 5-field form. The decoder requires one of them
-// exactly: a truncated or padded Resume is a protocol error that must fail
-// only the offending connection.
-const (
-	resumeWireBytes     = 24
-	resumeWireBytesCaps = 40
-)
+// resumeBodyBytes is the encoded size of a Resume body. The decoder requires
+// it exactly: a truncated or padded Resume is a protocol error that must
+// fail only the offending connection.
+const resumeBodyBytes = 5 * 8
 
 // EncodeResume serialises a Resume body.
 func EncodeResume(r Resume) []byte {
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, r.SessionID)
-	binary.Write(&buf, binary.LittleEndian, r.Epoch)
-	binary.Write(&buf, binary.LittleEndian, r.LastDiffSeq)
-	binary.Write(&buf, binary.LittleEndian, r.Caps)
-	binary.Write(&buf, binary.LittleEndian, r.BaseHash)
-	return buf.Bytes()
+	b := make([]byte, resumeBodyBytes)
+	binary.LittleEndian.PutUint64(b[0:], r.SessionID)
+	binary.LittleEndian.PutUint64(b[8:], r.Epoch)
+	binary.LittleEndian.PutUint64(b[16:], r.LastDiffSeq)
+	binary.LittleEndian.PutUint64(b[24:], r.Caps)
+	binary.LittleEndian.PutUint64(b[32:], r.BaseHash)
+	return b
 }
 
-// DecodeResume parses a Resume body, accepting the legacy capability-less
-// length (Caps and BaseHash stay zero: no optional capabilities).
+// DecodeResume parses a Resume body.
 func DecodeResume(b []byte) (Resume, error) {
-	var r Resume
-	if len(b) != resumeWireBytes && len(b) != resumeWireBytesCaps {
-		return r, fmt.Errorf("transport: resume body is %d bytes, want %d or %d", len(b), resumeWireBytes, resumeWireBytesCaps)
+	if len(b) != resumeBodyBytes {
+		return Resume{}, fmt.Errorf("transport: resume body is %d bytes, want %d", len(b), resumeBodyBytes)
 	}
-	r.SessionID = binary.LittleEndian.Uint64(b[0:])
-	r.Epoch = binary.LittleEndian.Uint64(b[8:])
-	r.LastDiffSeq = binary.LittleEndian.Uint64(b[16:])
-	if len(b) == resumeWireBytesCaps {
-		r.Caps = binary.LittleEndian.Uint64(b[24:])
-		r.BaseHash = binary.LittleEndian.Uint64(b[32:])
-	}
-	return r, nil
+	return Resume{
+		SessionID:   binary.LittleEndian.Uint64(b[0:]),
+		Epoch:       binary.LittleEndian.Uint64(b[8:]),
+		LastDiffSeq: binary.LittleEndian.Uint64(b[16:]),
+		Caps:        binary.LittleEndian.Uint64(b[24:]),
+		BaseHash:    binary.LittleEndian.Uint64(b[32:]),
+	}, nil
 }
 
 // ResumeStatus is the server's verdict on a Resume request.
