@@ -45,12 +45,12 @@ func main() {
 		resumeTTL   = flag.Duration("resume-ttl", 2*time.Minute, "how long a disconnected session stays resumable (negative disables resumption)")
 		journal     = flag.Int("journal-depth", 8, "recent student diffs journaled per session for resume replay")
 		backend     = flag.String("backend", "", "tensor compute backend for every shard's kernels (default: process default; e.g. \"vec\", \"reference\")")
-		envCodec    = flag.String("envelope-codec", "", "compress codec for MsgStudentFull checkpoints, delta-encoded against the pretrained base, e.g. \"delta+int8\" (empty = raw checkpoints)")
+		envCodec    = flag.String("envelope-codec", "", "compress codec for MsgStudentFull checkpoints to clients holding the pretrained base, relative to it, e.g. \"delta+int8\" (empty = absolute checkpoints)")
 		lossModel   = flag.String("loss-model", "", "simulate packet loss on every accepted connection (netsim spec, e.g. \"uniform:0.02\" or \"ge:0.02,0.25,0.002,0.5\"; empty = plain byte stream). Clients must run the same packet framing (their -loss-model flag)")
 		fec         = flag.Int("fec", 0, "XOR-parity FEC group size for the packet layer (0 = no FEC)")
 		reorder     = flag.Float64("reorder", 0, "per-packet reorder probability for the packet layer")
 		lossSeed    = flag.Int64("loss-seed", 1, "seed for the packet layer's loss/reorder draws")
-		adaptive    = flag.Bool("adaptive", false, "run the adaptive link policy: watch each session's measured loss/goodput and switch diff codec, stride scale and FEC at runtime (clients must pass -adaptive)")
+		adaptive    = flag.Bool("adaptive", false, "run the adaptive link policy: watch each session's measured loss/goodput and switch diff codec, stride scale and FEC at runtime")
 		adminAddr   = flag.String("admin", "", "serve the admin HTTP endpoint (/metrics, /statusz, /tracez, /debug/pprof) on this address (empty = disabled)")
 	)
 	flag.Parse()

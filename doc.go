@@ -46,12 +46,12 @@
 //
 // Every full model that crosses the wire — handshake checkpoints and
 // resume-full fallbacks; a cross-shard handoff moves the session itself
-// and serialises nothing — can be delta-encoded against the shared
-// pretrained base instead of shipped raw: -envelope-codec names a compress codec ("delta+int8" is the deployment
-// choice; "delta+raw" is bit-exact), and clients opt in with
-// -delta-checkpoints, which pre-trains the same deterministic base locally
-// and advertises it in the Hello (mismatched bases downgrade to raw
-// automatically, as do clients that never opt in):
+// and serialises nothing — can be sent relative to the shared pretrained
+// base instead of absolute: -envelope-codec names a compress codec
+// ("delta+int8" is the deployment choice; "delta+raw" is bit-exact), and
+// clients opt in with -delta-checkpoints, which pre-trains the same
+// deterministic base locally and sends its hash in the Hello (mismatched
+// bases get absolute checkpoints, as do clients that never opt in):
 //
 //	go run ./cmd/shadowtutor-server -shards 4 -envelope-codec delta+int8
 //	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -delta-checkpoints
@@ -64,24 +64,23 @@
 // Gilbert-Elliott loss — plus -fec N for XOR-parity groups that recover
 // any single loss per group without a resend, and -reorder for packet
 // reordering. Both ends must speak the framing, so the flags appear on
-// server and client alike. With -adaptive on both, the server watches each
+// server and client alike. With -adaptive, the server watches each
 // session's measured loss and goodput and switches the diff codec, stride
 // scale and FEC group at runtime (three-state hysteresis; see
 // ARCHITECTURE.md "Network realism & adaptive link policy"). The link
 // policy is the only way to pick a diff codec — a fixed codec is the policy
-// "static:<codec>" (serve.Options.LinkPolicy, harness Spec.Codec) — so a
-// student diff travels in one of two bodies: the plain one with no policy,
-// a self-describing adaptive envelope with one. Bit-exact diffs — the plain
-// body, and the envelope under "raw" — are relative: each weight travels as
-// its bit-pattern distance from the value the client already holds (about
-// 0.65–0.7 of the float32 size, reconstructed exactly; an absolute diff
-// only after a lossy transfer left the server unsure what the client
-// holds). Lossy envelopes carry absolute weights under their codec, and
-// the BatchNorm statistics beside them always as raw float32 (see
+// "static:<codec>" (serve.Options.LinkPolicy, harness Spec.Codec) — and
+// every student diff names its codec and stride scale in its header, so
+// the client needs no flag for it. Raw diffs are relative: each weight
+// travels as its bit-pattern distance from the value the client already
+// holds (about 0.65–0.7 of the float32 size, reconstructed exactly; an
+// absolute diff only after a lossy transfer left the server unsure what
+// the client holds). Lossy diffs carry absolute weights under their codec,
+// and the BatchNorm statistics beside them always as raw float32 (see
 // ARCHITECTURE.md "What a student diff carries on the wire"):
 //
 //	go run ./cmd/shadowtutor-server -loss-model uniform:0.02 -fec 8 -adaptive
-//	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -loss-model uniform:0.02 -fec 8 -adaptive
+//	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -loss-model uniform:0.02 -fec 8
 //
 // To regenerate the paper's tables, or the multi-client scaling scenarios:
 //

@@ -24,6 +24,8 @@ var deltaMagic = [4]byte{'D', 'L', 'T', '2'}
 //	             over a clone of the base. Bit-exact under ANY inner codec.
 //	modeDense  — many changed elements, lossy inner: arithmetic deltas
 //	             (value − base) ride the inner codec in one batched blob.
+//	             Under an exact inner only for a tensor with no base, where
+//	             nothing is subtracted and the blob is a plain copy.
 //	modeBits   — many changed elements, bit-exact inner: bit-pattern
 //	             distances from the base (bits.go). No float (a−b)+b
 //	             round trip, so delta+raw reconstructs bit-identically.
@@ -41,8 +43,9 @@ const (
 // header byte; the rest ride bit-pattern distances (exact inner) or the
 // inner codec as arithmetic deltas (lossy inner). A nil Base is the
 // all-zeros base — every value is then its own delta, which keeps the codec
-// total (and is what absolute student diffs use; under raw it costs the
-// 2-bit tags over plain float32).
+// total (and is what absolute diffs and checkpoints use; under raw a
+// tensor then rides whichever of bit distances and a plain copy is smaller,
+// so an absolute stream costs a header byte per tensor over nn.WriteNamed).
 type Delta struct {
 	// Inner carries the dense payload. Must not itself be a Delta.
 	Inner Codec
@@ -167,6 +170,8 @@ func (d *Delta) encode(w io.Writer, params []*nn.Parameter) (exact bool, err err
 			mode = modeBits
 			if 4+8*changed < len(widths)+4+packedLen {
 				mode = modeSparse
+			} else if base == nil && nn.EncodedSize([]*nn.Parameter{p}) < len(widths)+4+packedLen {
+				mode = modeDense
 			}
 		case 8*changed <= n: // the dense path costs ~n under int8-class inners
 			mode = modeSparse
@@ -213,7 +218,7 @@ func (d *Delta) encode(w io.Writer, params []*nn.Parameter) (exact bool, err err
 		return false, err
 	}
 	_, err = w.Write(blob.Bytes())
-	return len(dense) == 0, err
+	return innerExact || len(dense) == 0, err
 }
 
 // Decode implements Codec. The inner codec is resolved from the stream's

@@ -75,14 +75,27 @@ func TestDeltaRawRoundTripBitExact(t *testing.T) {
 }
 
 // A nil base is the all-zeros base: the codec stays total and bit-exact
-// under raw — the contract the Adam-moment envelope blobs rely on.
+// under raw — the contract absolute diffs and checkpoints rely on — and,
+// with a tensor of trained-looking weights taking the plain copy rather
+// than 2-bit tags on every value, costs no more than nn.WriteNamed plus a
+// header per tensor.
 func TestDeltaNilBaseBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	params := randParams(rng, 4)
+	for _, shape := range [][]int{{64, 32, 3, 3}, {64}, {21, 64, 1, 1}} {
+		p := &nn.Parameter{Name: "sb6.c33.w", Value: tensor.New(shape...)}
+		for i := range p.Value.Data {
+			p.Value.Data[i] = float32(0.05 * rng.NormFloat64())
+		}
+		params = append(params, p)
+	}
 	c := &Delta{Inner: Raw{}}
 	var buf bufWriter
-	if err := c.Encode(&buf, params); err != nil {
-		t.Fatal(err)
+	if exact, err := EncodeExact(c, &buf, params); err != nil || !exact {
+		t.Fatalf("EncodeExact = %v, %v; a nil-base delta+raw stream is exact", exact, err)
+	}
+	if raw := nn.EncodedSize(params); float64(len(buf.b)) > 1.005*float64(raw) {
+		t.Fatalf("nil-base delta+raw took %d bytes, nn.WriteNamed %d", len(buf.b), raw)
 	}
 	got, err := c.Decode(&buf)
 	if err != nil {

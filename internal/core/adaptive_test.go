@@ -3,12 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"math"
 	"sync"
 	"testing"
 
-	"repro/internal/compress"
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/teacher"
@@ -16,11 +14,24 @@ import (
 	"repro/internal/video"
 )
 
+// encodeUnder is transport.EncodeStudentDiff under a link decision.
+func encodeUnder(tb testing.TB, d transport.StudentDiff, dec netsim.LinkDecision) []byte {
+	tb.Helper()
+	d.State, d.StrideScale, d.Codec = dec.State, dec.StrideScale, dec.Codec
+	body, err := transport.EncodeStudentDiff(d)
+	if err != nil {
+		tb.Fatalf("%s: encode: %v", dec.Codec, err)
+	}
+	return body
+}
+
+// Every decision a policy can take travels in the one diff body, and the
+// benchmark's DecodeAdaptiveDiff reads it back out.
 func TestAdaptiveDiffRoundTrip(t *testing.T) {
 	student := tinyStudent(17)
 	// Small running variances are what a per-tensor int8 scale flushes to
-	// zero; with a channel at 1e-4 beside one at 1 the old envelope's
-	// round trip through the codec could not have been exact.
+	// zero; with a channel at 1e-4 beside one at 1 a round trip of the
+	// statistics through the codec could not have been exact.
 	student.Params.Get("sb5.bn.rvar").Value.Data[0] = 1e-4
 	diff := transport.StudentDiff{
 		FrameIndex: 42,
@@ -33,11 +44,7 @@ func TestAdaptiveDiffRoundTrip(t *testing.T) {
 		{State: netsim.LinkDegraded, Codec: "int8", StrideScale: 1.5, FECGroup: 8},
 		{State: netsim.LinkCritical, Codec: "prune25", StrideScale: 2, FECGroup: 4},
 	} {
-		body, err := EncodeAdaptiveDiff(diff, dec)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", dec.Codec, err)
-		}
-		got, gotDec, err := DecodeAdaptiveDiff(body)
+		got, gotDec, err := DecodeAdaptiveDiff(encodeUnder(t, diff, dec))
 		if err == nil {
 			err = got.Resolve(student.Params)
 		}
@@ -50,8 +57,8 @@ func TestAdaptiveDiffRoundTrip(t *testing.T) {
 		if gotDec.State != dec.State || gotDec.Codec != dec.Codec {
 			t.Fatalf("%s: decision mismatch: %+v", dec.Codec, gotDec)
 		}
-		if math.Abs(got.StrideScale-dec.StrideScale) > 1e-6 {
-			t.Fatalf("%s: stride scale %v, want %v", dec.Codec, got.StrideScale, dec.StrideScale)
+		if math.Abs(got.StrideScale-dec.StrideScale) > 1e-6 || gotDec.StrideScale != got.StrideScale {
+			t.Fatalf("%s: stride scale %v (decision %v), want %v", dec.Codec, got.StrideScale, gotDec.StrideScale, dec.StrideScale)
 		}
 		if len(got.Params) != len(diff.Params) {
 			t.Fatalf("%s: %d params, want %d", dec.Codec, len(got.Params), len(diff.Params))
@@ -83,33 +90,30 @@ func TestAdaptiveDiffRoundTrip(t *testing.T) {
 }
 
 func TestAdaptiveDiffRejectsDeltaAndGarbage(t *testing.T) {
-	diff := transport.StudentDiff{Params: nn.TrainableSubset(tinyStudent(3).Params)}
-	if _, err := EncodeAdaptiveDiff(diff, netsim.LinkDecision{Codec: "delta+int8", StrideScale: 1}); err == nil {
-		t.Fatal("base-relative codec accepted")
-	}
-	if _, err := EncodeAdaptiveDiff(diff, netsim.LinkDecision{Codec: "nope", StrideScale: 1}); err == nil {
-		t.Fatal("unknown codec accepted")
+	diff := transport.StudentDiff{Seq: 1, Params: nn.TrainableSubset(tinyStudent(3).Params)}
+	for _, codec := range []string{"delta+int8", "nope"} {
+		diff.Codec = codec
+		if _, err := transport.EncodeStudentDiff(diff); err == nil {
+			t.Fatalf("codec %q accepted", codec)
+		}
 	}
 	if _, _, err := DecodeAdaptiveDiff(nil); err == nil {
 		t.Fatal("empty body decoded")
 	}
-	good, err := EncodeAdaptiveDiff(diff, netsim.LinkDecision{Codec: "raw", StrideScale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := encodeUnder(t, diff, netsim.LinkDecision{Codec: "raw", StrideScale: 1})
 	bad := append([]byte(nil), good...)
-	bad[0] = 0x00
+	clear(bad[12:20])
 	if _, _, err := DecodeAdaptiveDiff(bad); err == nil {
-		t.Fatal("bad magic decoded")
+		t.Fatal("unnumbered diff decoded")
 	}
 	if _, _, err := DecodeAdaptiveDiff(good[:9]); err == nil {
 		t.Fatal("truncated body decoded")
 	}
 }
 
-// A session with an active link policy: the server encodes adaptive
-// envelopes per the policy's decisions, the client decodes them and folds
-// the stride scale into Algorithm 2.
+// A session with an active link policy: the server encodes each diff under
+// the policy's decision, and the client — told nothing — decodes it and
+// folds the stride scale into Algorithm 2.
 func TestAdaptiveSessionAppliesPolicy(t *testing.T) {
 	cfg := DefaultConfig()
 	frames := collect(t, 31, 60)
@@ -133,7 +137,7 @@ func TestAdaptiveSessionAppliesPolicy(t *testing.T) {
 		defer wg.Done()
 		srvErr = srv.Serve(link)
 	}()
-	cl := &Client{Cfg: cfg, Student: tinyStudent(99), EvalTeacher: teacher.NewOracle(3), Adaptive: true}
+	cl := &Client{Cfg: cfg, Student: tinyStudent(99), EvalTeacher: teacher.NewOracle(3)}
 	if err := cl.Run(clientConn, video.NewReplay(frames), len(frames)); err != nil {
 		t.Fatalf("client: %v", err)
 	}
@@ -247,15 +251,11 @@ func TestPolicyByNameValidatesCodecs(t *testing.T) {
 	}
 }
 
-// FuzzDecodeAdaptiveDiff hammers the adaptive envelope decoder — every diff
-// a policy-running server sends crosses it, as does every journal replay —
-// through both of its steps: the stateless parse and, for raw envelopes,
-// the resolve against the student the seeds were cut from. It must never
-// panic; base-relative or empty codec names, bad stride scales, truncation,
-// trailing bytes, earlier envelope versions and a reference the receiver
-// does not hold must error; and under the dense codecs, where every decoded
-// value costs at least a 2-bit tag, it must not allocate past the body (a
-// pruned tensor's size is bounded by compress's own shape check instead).
+// FuzzDecodeAdaptiveDiff holds the benchmark's DecodeAdaptiveDiff to what
+// benchmark/taps.go needs of it: on any bytes it accepts and rejects what
+// transport.DecodeStudentDiff does, returns the same diff, mirrors the
+// diff's decision, and leaves a diff that resolves as the decoder's does.
+// The body's own invariants are transport's FuzzDecodeStudentDiff.
 func FuzzDecodeAdaptiveDiff(f *testing.F) {
 	for _, b := range adaptiveSeeds(f) {
 		f.Add(b.body)
@@ -263,27 +263,22 @@ func FuzzDecodeAdaptiveDiff(f *testing.F) {
 	held := adaptiveSeedStudent().Params
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d, dec, err := DecodeAdaptiveDiff(b)
-		if err == nil {
-			err = d.Resolve(held)
+		want, werr := transport.DecodeStudentDiff(b)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("shim err %v, decoder err %v", err, werr)
 		}
 		if err != nil {
 			return
 		}
-		if dec.StrideScale <= 0 || math.IsNaN(dec.StrideScale) || math.IsInf(dec.StrideScale, 0) || d.StrideScale != dec.StrideScale {
-			t.Fatalf("accepted stride scale %v (diff carries %v)", dec.StrideScale, d.StrideScale)
+		if d.FrameIndex != want.FrameIndex || math.Float64bits(d.Metric) != math.Float64bits(want.Metric) || d.Seq != want.Seq ||
+			d.Relative != want.Relative || d.RefHash != want.RefHash || !bytes.Equal(d.Payload, want.Payload) || len(d.Params) != len(want.Params) {
+			t.Fatalf("shim decoded %+v, decoder %+v", d, want)
 		}
-		codec, err := diffCodec(dec.Codec)
-		if err != nil {
-			t.Fatalf("accepted codec %q: %v", dec.Codec, err)
+		if dec.State != d.State || dec.Codec != d.Codec || dec.StrideScale != d.StrideScale {
+			t.Fatalf("decision %+v beside diff %v/%q/%v", dec, d.State, d.Codec, d.StrideScale)
 		}
-		if _, sparse := codec.(compress.Pruned); !sparse {
-			n := 0
-			for _, p := range d.Params {
-				n += len(p.Value.Data)
-			}
-			if n > 4*len(b) {
-				t.Fatalf("decoded %d values from a %d-byte %s body", n, len(b), dec.Codec)
-			}
+		if err, werr := d.Resolve(held), want.Resolve(held); (err == nil) != (werr == nil) {
+			t.Fatalf("shim's diff resolves with %v, decoder's with %v", err, werr)
 		}
 	})
 }
@@ -298,7 +293,9 @@ type adaptiveSeed struct {
 func adaptiveSeedStudent() *nn.Student { return tinyStudent(3) }
 
 // adaptiveSeeds is the fuzz corpus and, through TestAdaptiveSeedsVerdicts,
-// a table of what decode-then-resolve must accept and reject.
+// a table of what decode-then-resolve must accept and reject: the diffs a
+// session sends under each policy codec, and ways each can be cut, padded,
+// misnamed or replayed from an earlier protocol.
 func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
 	held := adaptiveSeedStudent()
 	trained := held.Clone()
@@ -309,11 +306,7 @@ func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
 	}
 	diff := transport.StudentDiff{FrameIndex: 9, Metric: 0.5, Seq: 3, Params: nn.TrainableSubset(trained.Params)}
 	encode := func(d transport.StudentDiff, codec string) []byte {
-		body, err := EncodeAdaptiveDiff(d, netsim.LinkDecision{State: netsim.LinkDegraded, Codec: codec, StrideScale: 1.5})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return body
+		return encodeUnder(tb, d, netsim.LinkDecision{State: netsim.LinkDegraded, Codec: codec, StrideScale: 1.5})
 	}
 	var seeds []adaptiveSeed
 	for _, codec := range []string{"raw", "int8", "prune25"} {
@@ -323,43 +316,38 @@ func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
 			adaptiveSeed{codec + " truncated", body[:len(body)/2], false},
 			adaptiveSeed{codec + " trailing byte", append(append([]byte(nil), body...), 0xEE), false})
 	}
-	// The raw envelope with its head — magic, version, state, float32 stride
-	// scale, codec name — rewritten and everything after the name intact, so
-	// each of these can only be rejected for the field it corrupts.
-	const head = 8 + len("raw")
-	rest := seeds[0].body[head:]
-	with := func(scale uint32, name string) []byte {
-		b := []byte{adaptiveMagic, adaptiveVersion, 0, byte(scale), byte(scale >> 8), byte(scale >> 16), byte(scale >> 24), byte(len(name))}
-		return append(append(b, name...), rest...)
-	}
-	one := math.Float32bits(1)
-	// What versions 1 and 2 put on the wire under raw: the same head under
-	// their version byte, then frame index, metric, seq and absolute values
-	// — every parameter in the codec payload for version 1, the statistics
-	// split into a trailing nn.WriteNamed section for version 2.
-	var v1, v2 bytes.Buffer
-	for v, buf := range map[byte]*bytes.Buffer{1: &v1, 2: &v2} {
-		buf.Write(seeds[0].body[:head+4+8+8])
-		buf.Bytes()[1] = v
-	}
-	weights, stats := nn.SplitBNStats(diff.Params)
-	if err := errors.Join(nn.WriteNamed(&v1, diff.Params), nn.WriteNamed(&v2, weights), nn.WriteNamed(&v2, stats)); err != nil {
-		tb.Fatal(err)
-	}
-	// The relative raw envelope, and the ways its parameter section lies.
+	// The relative raw body with its decision — state, float32 stride
+	// scale, codec name — rewritten and everything after the name intact,
+	// so each of these can only be rejected for the field it corrupts.
 	diff.Ref = held.Params
 	relative := encode(diff, "raw")
-	const hashAt = head + 4 + 8 + 8 + 1
+	const nameAt = 4 + 8 + 8 + 1 + 4
+	section := relative[nameAt+1+len("raw"):]
+	with := func(scale uint32, name string) []byte {
+		b := binary.LittleEndian.AppendUint32(append([]byte(nil), relative[:nameAt-4]...), scale)
+		return append(append(append(b, byte(len(name))), name...), section...)
+	}
+	one := math.Float32bits(1)
+	// What a policy-running server sent before this body: the version-3
+	// adaptive envelope — magic 0xAD, version, state, stride scale, codec
+	// name — in front of the plain body under raw, and in front of frame
+	// index, metric, seq and the lossy tail under int8.
+	envelope := func(name string, body []byte) []byte {
+		b := append([]byte{0xAD, 3, byte(netsim.LinkDegraded)}, relative[21:nameAt]...)
+		return append(append(append(b, byte(len(name))), name...), body...)
+	}
+	lossy := seeds[3].body
+	const hashAt = nameAt + 1 + len("raw") + 1
 	const countAt = hashAt + 8 + 4 + 1 + len("raw") // delta magic, inner name
 	mutate := func(edit func(b []byte) []byte) []byte { return edit(append([]byte(nil), relative...)) }
 	return append(seeds,
-		adaptiveSeed{"version 1 envelope", v1.Bytes(), false},
-		adaptiveSeed{"version 2 envelope", v2.Bytes(), false},
+		adaptiveSeed{"version 3 raw envelope", envelope("raw", append(append([]byte(nil), relative[:20]...), section...)), false},
+		adaptiveSeed{"version 3 int8 envelope", envelope("int8", append(append([]byte(nil), lossy[:20]...), lossy[nameAt+1+len("int8"):]...)), false},
 		adaptiveSeed{"relative raw", relative, true},
 		adaptiveSeed{"reference hash mismatch", mutate(func(b []byte) []byte { b[hashAt] ^= 1; return b }), false},
 		adaptiveSeed{"tensor count past the body", mutate(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[countAt:], 1<<19); return b }), false},
 		adaptiveSeed{"parameter stream cut short", mutate(func(b []byte) []byte { return b[:len(b)-4-1] }), false},
-		adaptiveSeed{"unknown diff flag", mutate(func(b []byte) []byte { b[hashAt-1] |= 2; return b }), false},
+		adaptiveSeed{"unknown section flag", mutate(func(b []byte) []byte { b[hashAt-1] |= 2; return b }), false},
 		adaptiveSeed{"rewritten head", with(one, "raw"), true},
 		adaptiveSeed{"delta name", with(one, "delta+raw"), false},
 		adaptiveSeed{"empty name", with(one, ""), false},

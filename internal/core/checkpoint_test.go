@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -14,24 +15,29 @@ import (
 func TestCheckpointCodecMatch(t *testing.T) {
 	base := tinyStudent(21)
 	ck := &CheckpointCodec{Base: base.Params}
-	if !ck.Match(transport.CapDeltaCheckpoint, ck.Hash()) {
-		t.Fatal("capability + matching hash must match")
+	if !ck.Match(ck.Hash()) {
+		t.Fatal("a matching base hash must match")
 	}
-	if ck.Match(0, ck.Hash()) {
-		t.Fatal("missing capability bit must not match")
-	}
-	if ck.Match(transport.CapDeltaCheckpoint, ck.Hash()^1) {
+	if ck.Match(ck.Hash() ^ 1) {
 		t.Fatal("mismatched base hash must not match")
 	}
+	if ck.Match(0) {
+		t.Fatal("a peer without a base (hash 0) must not match")
+	}
 	var nilCk *CheckpointCodec
-	if nilCk.Match(transport.CapDeltaCheckpoint, 0) {
+	if nilCk.Match(0) {
 		t.Fatal("nil codec must never match")
 	}
 }
 
+// A checkpoint is one parameter section: base-relative for a peer holding
+// the base, absolute for anyone else, both bit-exact under raw. A relative
+// body decoded against another base is refused, as are the formats
+// protocol version 4 sent: a magic-prefixed delta body and a raw
+// nn.WriteNamed one.
 func TestCheckpointBodyRoundTripsBothFormats(t *testing.T) {
 	// Partial distillation freezes everything through SB4; the frozen
-	// majority collapses to bit-copy headers in the delta body.
+	// majority collapses to bit-copy headers in the relative body.
 	base := tinyStudent(21)
 	base.SetPartial(true)
 	trained := base.Clone()
@@ -40,36 +46,59 @@ func TestCheckpointBodyRoundTripsBothFormats(t *testing.T) {
 			p.Value.Data[i] += 0.25
 		}
 	}
+	all := trained.Params.All()
+	raw := nn.EncodedSize(all)
 	ck := &CheckpointCodec{Base: base.Params}
-	body, err := ck.EncodeBody(trained.Params.All())
+	relative, err := ck.EncodeBody(all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := nn.EncodedSize(trained.Params.All())
-	if len(body) >= raw {
-		t.Fatalf("delta body %dB not smaller than raw %dB", len(body), raw)
+	absolute, exact, err := ck.EncodeFor(0, all)
+	if err != nil || !exact {
+		t.Fatalf("absolute checkpoint: exact=%v, %v", exact, err)
 	}
-	got, err := DecodeCheckpointBody(body, base.Params)
-	if err != nil {
-		t.Fatal(err)
+	if len(relative) >= raw/2 || len(absolute) > raw+raw/20 {
+		t.Fatalf("relative %dB, absolute %dB beside raw %dB", len(relative), len(absolute), raw)
 	}
-	for i, p := range trained.Params.All() {
-		for j, v := range p.Value.Data {
-			if got[i].Value.Data[j] != v {
-				t.Fatalf("%s[%d]: delta+raw checkpoint must be bit-exact", p.Name, j)
-			}
+	for name, tc := range map[string]struct {
+		body []byte
+		base *nn.ParamSet
+	}{"relative": {relative, base.Params}, "absolute": {absolute, nil}, "absolute, base held": {absolute, base.Params}} {
+		got, err := DecodeCheckpointBody(tc.body, tc.base)
+		held := tinyStudent(99)
+		if err == nil {
+			err = nn.ApplyNamed(held.Params, got)
 		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		requireSameStudent(t, name, held, trained)
 	}
-	if _, err := DecodeCheckpointBody(body, nil); err == nil {
-		t.Fatal("delta body without a base must be rejected")
+	var v4Raw bytes.Buffer
+	if err := nn.WriteNamed(&v4Raw, all); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		body []byte
+		base *nn.ParamSet
+	}{
+		"relative without a base":    {relative, nil},
+		"relative over another base": {relative, tinyStudent(22).Params},
+		"version 4 delta body":       {append([]byte("STC\x7f"), relative[1+8:]...), base.Params},
+		"version 4 raw body":         {v4Raw.Bytes(), base.Params},
+	} {
+		if _, err := DecodeCheckpointBody(tc.body, tc.base); err == nil {
+			t.Fatalf("%s decoded", name)
+		}
 	}
 }
 
-// The capability negotiation end to end over a real pipe session: a client
-// holding the shared base receives the delta-encoded handshake checkpoint, a
-// legacy client (no base) gets the raw body from the very same server
-// configuration, and a client whose base hash disagrees is downgraded to raw
-// too. The observer's Checkpoint call reports which format was sent.
+// The base-hash check end to end over a real pipe session: a client holding
+// the shared base receives a base-relative handshake checkpoint, a client
+// without one gets an absolute body — a header byte per tensor over raw —
+// from the very same server configuration, and a client whose base hash
+// disagrees gets an absolute one too. The observer's Checkpoint call
+// reports the size sent.
 func TestServerChecksClientCapabilityForDeltaCheckpoints(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxUpdates = 1
@@ -114,10 +143,11 @@ func TestServerChecksClientCapabilityForDeltaCheckpoints(t *testing.T) {
 			t.Fatal("session did not train")
 		}
 	})
+	absolute := func(actual, raw int) bool { return actual > raw-raw/20 && actual < raw+raw/20 }
 	t.Run("legacy", func(t *testing.T) {
 		actual, raw, cl := run(t, nil)
-		if actual != raw {
-			t.Fatalf("client without the capability must get the raw body (%dB vs %dB)", actual, raw)
+		if !absolute(actual, raw) {
+			t.Fatalf("client without a base must get an absolute body (%dB vs raw %dB)", actual, raw)
 		}
 		if cl.Result.KeyFrames == 0 {
 			t.Fatal("session did not train")
@@ -125,8 +155,8 @@ func TestServerChecksClientCapabilityForDeltaCheckpoints(t *testing.T) {
 	})
 	t.Run("mismatched-base", func(t *testing.T) {
 		actual, raw, _ := run(t, tinyStudent(77).Params)
-		if actual != raw {
-			t.Fatalf("mismatched base hash must downgrade to raw (%dB vs %dB)", actual, raw)
+		if !absolute(actual, raw) {
+			t.Fatalf("mismatched base hash must downgrade to an absolute body (%dB vs raw %dB)", actual, raw)
 		}
 	})
 }

@@ -45,19 +45,13 @@ type Client struct {
 	// (§6.3's protocol is 1, the default; higher values cut eval cost in
 	// throughput-oriented runs).
 	EvalEvery int
-	// Adaptive decodes incoming diffs as self-describing adaptive
-	// envelopes (core.DecodeAdaptiveDiff) instead of plain
-	// transport.DecodeStudentDiff bodies — required exactly when the server
-	// runs a link policy (Server.Policy / serve.Options.LinkPolicy). Each
-	// envelope names its own codec and carries the policy's stride scale,
-	// which apply() folds into Algorithm 2's stride.
+	// Adaptive is ignored: every diff names its own codec and stride scale,
+	// with or without a link policy. It is kept only because
+	// benchmark/run.go sets it.
 	Adaptive bool
 	// Base, when non-nil, is the shared pretrained parameter set this
-	// client holds. It advertises CapDeltaCheckpoint (with the base hash)
-	// in Hello and Resume, letting the server ship base-relative delta
-	// checkpoints instead of full nn.WriteNamed bodies. The checkpoint
-	// decode path sniffs the body format, so a server that ignores the
-	// capability still interoperates.
+	// client holds. Its hash goes out in Hello and Resume, letting the
+	// server ship checkpoints relative to it instead of absolute ones.
 	Base *nn.ParamSet
 	// TrackLatency records per-frame wall time into Result.FrameLatencies
 	// (one entry per processed frame), feeding p50/p99 latency metrics.
@@ -110,15 +104,15 @@ func (c *Client) bindTelemetry() {
 	c.tm.latency = c.Telemetry.Histogram("shadowtutor_client_frame_seconds", "Per-frame wall time (send + infer + eval + apply).", telemetry.DurationBuckets)
 }
 
-// caps returns the capability bits and base hash this client advertises in
-// Hello and Resume. The hash is computed once per client — fleets of
-// clients sharing one base each pay it a single time.
-func (c *Client) caps() (caps, baseHash uint64) {
+// hashBase returns the base hash this client sends in Hello and Resume,
+// zero without a Base. It is computed once per client — fleets of clients
+// sharing one base each pay it a single time.
+func (c *Client) hashBase() uint64 {
 	if c.Base == nil {
-		return 0, 0
+		return 0
 	}
 	c.baseHashOnce.Do(func() { c.baseHash = nn.HashParams(c.Base.All()) })
-	return transport.CapDeltaCheckpoint, c.baseHash
+	return c.baseHash
 }
 
 // ClientResult summarises a client session.
@@ -193,7 +187,7 @@ func (c *Client) startReceiver(conn transport.Conn) *diffReceiver {
 				h.err <- fmt.Errorf("core: expected StudentDiff, got %v", m.Type)
 				return
 			}
-			d, err := c.decodeDiff(m.Body)
+			d, err := transport.DecodeStudentDiff(m.Body)
 			if err != nil {
 				h.err <- err
 				return
@@ -214,17 +208,6 @@ func (r *diffReceiver) stop(force bool) {
 		r.conn.Close()
 	}
 	<-r.done
-}
-
-// decodeDiff parses one MsgStudentDiff body without touching the student:
-// it runs on the receiver goroutine, and over a whole replay suffix before
-// any of it is applied. What a relative diff means is settled in apply.
-func (c *Client) decodeDiff(body []byte) (transport.StudentDiff, error) {
-	if c.Adaptive {
-		d, _, err := DecodeAdaptiveDiff(body)
-		return d, err
-	}
-	return transport.DecodeStudentDiff(body)
 }
 
 // recovered is the hand-off from the background reconnect goroutine: a
@@ -622,14 +605,12 @@ func helloReject(body []byte) error {
 // without touching the student or Result, so the recovery goroutine can run
 // it too: weight mutation stays with whoever applies the params.
 func (c *Client) hello(conn transport.Conn, sessionID uint64) (ack transport.Hello, params []*nn.Parameter, err error) {
-	caps, baseHash := c.caps()
 	h := transport.Hello{
 		Version:   transport.Version,
 		NumClass:  uint16(c.Student.Config.NumClasses),
 		Partial:   c.Cfg.Partial,
 		SessionID: sessionID,
-		Caps:      caps,
-		BaseHash:  baseHash,
+		BaseHash:  c.hashBase(),
 	}
 	if err := conn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(h)}); err != nil {
 		return ack, nil, fmt.Errorf("core: client hello: %w", err)
@@ -675,7 +656,7 @@ func (c *Client) handshake(conn transport.Conn, rs *runState) error {
 }
 
 func (c *Client) apply(rs *runState, d transport.StudentDiff, stride *float64, updated *bool) error {
-	if d.Seq != 0 && d.Seq <= rs.lastApplied {
+	if d.Seq <= rs.lastApplied {
 		// Duplicate delivery (a replay overlapping an applied diff): the
 		// weights are already current; don't double-count the stride.
 		*updated = true
@@ -689,9 +670,7 @@ func (c *Client) apply(rs *runState, d transport.StudentDiff, stride *float64, u
 	if err := nn.ApplyNamed(c.Student.Params, d.Params); err != nil {
 		return err
 	}
-	if d.Seq != 0 {
-		rs.lastApplied = d.Seq
-	}
+	rs.lastApplied = d.Seq
 	*stride = NextStride(c.Cfg, *stride, d.Metric)
 	if d.StrideScale > 0 && d.StrideScale != 1 {
 		// The link policy asked for a longer stride (fewer key frames on a
@@ -794,8 +773,7 @@ func (c *Client) attemptRecovery(conn transport.Conn, sessionID, epoch, lastAppl
 	if fresh {
 		return c.freshRecovery(conn)
 	}
-	caps, baseHash := c.caps()
-	req := transport.Resume{SessionID: sessionID, Epoch: epoch, LastDiffSeq: lastApplied, Caps: caps, BaseHash: baseHash}
+	req := transport.Resume{SessionID: sessionID, Epoch: epoch, LastDiffSeq: lastApplied, BaseHash: c.hashBase()}
 	if err := conn.Send(transport.Message{Type: transport.MsgResume, Body: transport.EncodeResume(req)}); err != nil {
 		return recovered{}, fmt.Errorf("core: sending resume: %w", err)
 	}
@@ -841,7 +819,7 @@ func (c *Client) attemptRecovery(conn transport.Conn, sessionID, epoch, lastAppl
 			if m.Type != transport.MsgStudentDiff {
 				return recovered{}, fmt.Errorf("core: expected replayed StudentDiff, got %v", m.Type)
 			}
-			d, err := c.decodeDiff(m.Body)
+			d, err := transport.DecodeStudentDiff(m.Body)
 			if err != nil {
 				return recovered{}, err
 			}

@@ -31,7 +31,7 @@ func TestClientServerDiesMidSession(t *testing.T) {
 		if _, err := serverConn.Recv(); err != nil {
 			return
 		}
-		body, _, err := (*CheckpointCodec)(nil).EncodeFor(0, 0, tinyStudent(72).Params.All())
+		body, _, err := (*CheckpointCodec)(nil).EncodeFor(0, tinyStudent(72).Params.All())
 		if err != nil {
 			return
 		}
@@ -117,7 +117,7 @@ func TestServerRejectsMalformedLabel(t *testing.T) {
 		if m, err := clientConn.Recv(); err != nil || m.Type != transport.MsgStudentFull {
 			t.Fatalf("%s: no initial checkpoint: %v %v", name, m.Type, err)
 		}
-		kf := transport.KeyFrame{FrameIndex: 0, Image: frame.Image, Label: label}
+		kf := transport.KeyFrame{FrameIndex: 0, Image: frame.Image, Label: label, Seq: 1}
 		clientConn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)})
 		if err := <-done; err == nil {
 			t.Fatalf("%s accepted; want protocol error", name)
@@ -165,7 +165,7 @@ func TestServerRejectsNonFinitePixel(t *testing.T) {
 		before := srv.Distiller.Student.Params.Clone()
 		img := frame.Image.Clone()
 		img.Data[img.Len()/2] = bad
-		kf := transport.KeyFrame{FrameIndex: 0, Image: img, Label: frame.Label}
+		kf := transport.KeyFrame{FrameIndex: 0, Image: img, Label: frame.Label, Seq: 1}
 		clientConn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)})
 		// The server end closes once Loop has returned, so this reads a
 		// reply if one was sent and EOF if not.
@@ -185,6 +185,36 @@ func TestServerRejectsNonFinitePixel(t *testing.T) {
 					t.Fatalf("%s pixel: server student moved (%s[%d])", name, p.Name, j)
 				}
 			}
+		}
+	}
+}
+
+// Every key frame carries an eight-byte Seq from 1 on. One without — no
+// Seq, or Seq 0 — after a numbered one is a protocol error, not an
+// unnumbered frame exempt from the replay check: it ends the session
+// before any training and without a diff going out.
+func TestServerRejectsUnnumberedKeyFrame(t *testing.T) {
+	frame := collect(t, 80, 1)[0]
+	numbered := transport.EncodeKeyFrame(transport.KeyFrame{Image: frame.Image, Label: frame.Label, Seq: 2})
+	for name, body := range map[string][]byte{
+		"no seq": numbered[:len(numbered)-8],
+		"seq 0":  append(numbered[:len(numbered)-8:len(numbered)-8], make([]byte, 8)...),
+	} {
+		srv, clientConn, done := handshaken(t, 80)
+		first := transport.EncodeKeyFrame(transport.KeyFrame{Image: frame.Image, Label: frame.Label, Seq: 1})
+		clientConn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: first})
+		if m, err := clientConn.Recv(); err != nil || m.Type != transport.MsgStudentDiff {
+			t.Fatalf("%s: numbered key frame got %v, %v", name, m.Type, err)
+		}
+		clientConn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: body})
+		if m, err := clientConn.Recv(); err == nil {
+			t.Fatalf("%s: server answered with %v", name, m.Type)
+		}
+		if err := <-done; err == nil || errors.Is(err, ErrConnLost) {
+			t.Fatalf("%s: Loop returned %v; want a protocol error", name, err)
+		}
+		if srv.Distiller.TotalTrains != 1 {
+			t.Fatalf("%s: the distiller trained %d times", name, srv.Distiller.TotalTrains)
 		}
 	}
 }

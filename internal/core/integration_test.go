@@ -32,8 +32,8 @@ func runSession(t *testing.T, cfg Config, frames []video.Frame) (*Client, *Serve
 	return runSessionUnder(t, cfg, frames, nil, nil)
 }
 
-// runSessionUnder is runSession with the server's link policy (nil = plain
-// diff bodies) and session observer set.
+// runSessionUnder is runSession with the server's link policy (nil = none)
+// and session observer set. The client is the same either way.
 func runSessionUnder(t *testing.T, cfg Config, frames []video.Frame, policy netsim.LinkPolicy, obs SessionObserver) (*Client, *Server) {
 	t.Helper()
 	clientConn, serverConn := transport.Pipe(4, nil)
@@ -48,7 +48,7 @@ func runSessionUnder(t *testing.T, cfg Config, frames []video.Frame, policy nets
 		srvErr = srv.Serve(serverConn)
 	}()
 
-	cl := &Client{Cfg: cfg, Student: tinyStudent(99), EvalTeacher: teacher.NewOracle(3), Adaptive: policy != nil}
+	cl := &Client{Cfg: cfg, Student: tinyStudent(99), EvalTeacher: teacher.NewOracle(3)}
 	if err := cl.Run(clientConn, video.NewReplay(frames), len(frames)); err != nil {
 		t.Fatalf("client: %v", err)
 	}

@@ -31,8 +31,8 @@ func requireSameStudent(t *testing.T, what string, got, want *nn.Student) {
 
 // The client must hold the student the server trained and scored: at
 // quiescence under bit-exact diffs every client parameter, statistics
-// included, is bit-equal to the server's — under the plain body and under
-// raw envelopes, both relative from the first diff on, and after a policy
+// included, is bit-equal to the server's — without a policy and under a
+// static raw one, both relative from the first diff on, and after a policy
 // that starts lossy and turns raw, where the first raw diff must go
 // absolute (the client holds int8's rounding of the reference, not the
 // reference) and every later one relative again. Client.Run applies every
@@ -74,6 +74,48 @@ func TestClientHoldsServerStudentAtQuiescence(t *testing.T) {
 	}
 }
 
+// A client is told nothing about the server's link policy: every diff names
+// its own codec. Against a static raw server it holds the server's student
+// bit for bit at quiescence; against a static int8 one it holds the
+// statistics and the frozen stages bit for bit, and every trainable weight
+// within half a step of its tensor's int8 grid.
+func TestClientFollowsAnyPolicyUntold(t *testing.T) {
+	for _, codec := range []string{"raw", "int8"} {
+		spec := "static:" + codec
+		policy, err := PolicyByName(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, srv := runSessionUnder(t, DefaultConfig(), collect(t, 31, 60), policy, nil)
+		if cl.Result.KeyFrames < 3 || srv.Distiller.TotalSteps == 0 {
+			t.Fatalf("%s: %d key frames, %d steps", spec, cl.Result.KeyFrames, srv.Distiller.TotalSteps)
+		}
+		if codec == "raw" {
+			requireSameStudent(t, spec, cl.Student, srv.Distiller.Student)
+			continue
+		}
+		trainable := map[string]bool{}
+		for _, p := range nn.TrainableSubset(srv.Distiller.Student.Params) {
+			trainable[p.Name] = !nn.IsBNStat(p.Name)
+		}
+		for _, want := range srv.Distiller.Student.Params.All() {
+			got := cl.Student.Params.Get(want.Name).Value.Data
+			step := float32(0)
+			if trainable[want.Name] {
+				for _, v := range want.Value.Data {
+					step = max(step, v, -v)
+				}
+				step /= 127
+			}
+			for i, v := range want.Value.Data {
+				if d := got[i] - v; d > step/2*1.0001 || -d > step/2*1.0001 {
+					t.Fatalf("%s: %s[%d] = %v on the client, %v on the server", spec, want.Name, i, got[i], v)
+				}
+			}
+		}
+	}
+}
+
 // scriptedPolicy decides first for n diffs, then for ever after.
 type scriptedPolicy struct {
 	first netsim.LinkDecision
@@ -102,9 +144,6 @@ type relativeLog struct {
 
 func (l *relativeLog) Diff(_ uint64, body []byte) {
 	d, err := transport.DecodeStudentDiff(body)
-	if len(body) > 0 && body[0] == adaptiveMagic {
-		d, _, err = DecodeAdaptiveDiff(body)
-	}
 	l.sent = append(l.sent, err == nil && d.Relative)
 }
 

@@ -41,20 +41,17 @@ type Server struct {
 	// results, policy decisions and encoded diffs (internal/serve's session
 	// implements it). Nil observes nothing and echoes the client's Hello.
 	Observer SessionObserver
-	// Checkpoint, when non-nil, delta-encodes MsgStudentFull bodies against
-	// the shared pretrained base for clients that advertised
-	// CapDeltaCheckpoint with a matching base hash. Others (and a nil
-	// Checkpoint) get the raw nn.WriteNamed body.
+	// Checkpoint, when non-nil, encodes MsgStudentFull bodies relative to the
+	// shared pretrained base for clients whose Hello or Resume carries its
+	// hash. Others (and a nil Checkpoint) get an absolute body.
 	Checkpoint *CheckpointCodec
 	// Policy, when non-nil, picks each student diff's codec, stride scale and
 	// FEC group: before encoding, Loop reads the measured link state off the
 	// conn it was handed (when the conn is a measuredLink), asks the policy
-	// for a decision, applies its FEC choice to that conn, and encodes the
-	// diff as a self-describing adaptive envelope (EncodeAdaptiveDiff). The
-	// client must opt in with Client.Adaptive. Nil sends the
-	// transport.EncodeStudentDiff body. The policy survives a detach/resume
-	// cycle with the server state; the link follows whichever conn Loop runs
-	// on.
+	// for a decision, applies its FEC choice to that conn, and writes the
+	// rest into the diff's header. Nil sends every diff under the clear
+	// decision (raw, scale 1). The policy survives a detach/resume cycle
+	// with the server state; the link follows whichever conn Loop runs on.
 	Policy netsim.LinkPolicy
 
 	// DiffSeq is the sequence number of the last student diff produced
@@ -69,7 +66,7 @@ type Server struct {
 	// nn.TrainableSubset bit for bit once it has applied everything sent so
 	// far — the one condition under which the next diff may be relative.
 	// Exact transfers set it (a raw or delta+raw checkpoint, a bit-exact
-	// diff), lossy ones clear it (an int8 envelope, a delta+int8 checkpoint
+	// diff), lossy ones clear it (an int8 diff, a delta+int8 checkpoint
 	// that had to quantise), and whoever sends model state off this server
 	// maintains it: Handshake, Loop, and the session manager's full resends.
 	// Detachable state, like DiffSeq.
@@ -186,7 +183,6 @@ func (s *Server) HandshakeWith(conn transport.Conn, m transport.Message) (transp
 		return transport.Hello{}, err
 	}
 
-	deltaOK := s.Checkpoint.Match(hello.Caps, hello.BaseHash)
 	ack := transport.Hello{
 		Version:   transport.Version,
 		NumClass:  uint16(s.Distiller.Student.Config.NumClasses),
@@ -194,17 +190,14 @@ func (s *Server) HandshakeWith(conn transport.Conn, m transport.Message) (transp
 		SessionID: hello.SessionID,
 		Epoch:     hello.Epoch,
 	}
-	if deltaOK {
-		// Echo the accepted capability so the client knows the negotiation
-		// outcome (the body is self-describing regardless).
-		ack.Caps = transport.CapDeltaCheckpoint
-		ack.BaseHash = s.Checkpoint.Hash()
+	if s.Checkpoint.Match(hello.BaseHash) {
+		ack.BaseHash = hello.BaseHash // the checkpoint that follows is base-relative
 	}
 	if err := conn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(ack)}); err != nil {
 		return transport.Hello{}, fmt.Errorf("core: sending hello ack: %w", err)
 	}
 	all := s.Distiller.Student.Params.All()
-	full, exact, err := s.Checkpoint.EncodeFor(hello.Caps, hello.BaseHash, all)
+	full, exact, err := s.Checkpoint.EncodeFor(hello.BaseHash, all)
 	if err != nil {
 		return transport.Hello{}, err
 	}
@@ -244,7 +237,7 @@ func (s *Server) Loop(conn transport.Conn) error {
 			if err != nil {
 				return err
 			}
-			if kf.Seq != 0 && kf.Seq <= s.LastKFSeq {
+			if kf.Seq <= s.LastKFSeq {
 				return fmt.Errorf("core: key frame seq %d not after %d (replayed or cross-session stream)", kf.Seq, s.LastKFSeq)
 			}
 			if err := validateLabel(kf.Label, kf.Image, s.Distiller.Student.Config.NumClasses); err != nil {
@@ -258,9 +251,7 @@ func (s *Server) Loop(conn transport.Conn) error {
 			if err := requireLabel(kf.Label, s.Teacher); err != nil {
 				return err
 			}
-			if kf.Seq != 0 {
-				s.LastKFSeq = kf.Seq
-			}
+			s.LastKFSeq = kf.Seq
 			frame := video.Frame{Index: int(kf.FrameIndex), Image: kf.Image, Label: kf.Label}
 			label := s.Teacher.Infer(frame)
 			// What the client holds now is what the student is before this
@@ -298,28 +289,27 @@ func (s *Server) Loop(conn transport.Conn) error {
 	}
 }
 
-// encodeDiff builds one MsgStudentDiff body: the transport encoding
-// without a policy, otherwise an adaptive envelope under the decision the
-// policy takes on link's current observation (nil link = a clear one).
-// exact reports whether the client will hold diff.Params bit for bit.
+// encodeDiff builds one MsgStudentDiff body under the decision the policy
+// takes on link's current observation (nil link = a clear one), or under
+// the clear decision without a policy. exact reports whether the client
+// will hold diff.Params bit for bit.
 func (s *Server) encodeDiff(diff transport.StudentDiff, link measuredLink) (body []byte, exact bool, err error) {
-	if s.Policy == nil {
-		body, err = transport.EncodeStudentDiff(diff)
-		return body, true, err
+	if s.Policy != nil {
+		var seen netsim.LinkObservation
+		if link != nil {
+			seen = link.LinkObservation()
+		}
+		dec := s.Policy.Decide(seen)
+		s.observer().Policy(dec, s.policySeen && dec.State != s.lastPolicyState)
+		s.policySeen = true
+		s.lastPolicyState = dec.State
+		if link != nil && dec.FECGroup != 0 {
+			link.SetFECGroup(max(dec.FECGroup, 0)) // negative = FEC off
+		}
+		diff.State, diff.StrideScale, diff.Codec = dec.State, dec.StrideScale, dec.Codec
 	}
-	var seen netsim.LinkObservation
-	if link != nil {
-		seen = link.LinkObservation()
-	}
-	dec := s.Policy.Decide(seen)
-	s.observer().Policy(dec, s.policySeen && dec.State != s.lastPolicyState)
-	s.policySeen = true
-	s.lastPolicyState = dec.State
-	if link != nil && dec.FECGroup != 0 {
-		link.SetFECGroup(max(dec.FECGroup, 0)) // negative = FEC off
-	}
-	body, err = EncodeAdaptiveDiff(diff, dec)
-	codec, _ := compress.ByName(dec.Codec) // EncodeAdaptiveDiff vetted the name
+	body, err = transport.EncodeStudentDiff(diff)
+	codec, _ := compress.ByName(diff.Codec) // EncodeStudentDiff vetted the name
 	return body, err == nil && compress.Exact(codec), err
 }
 

@@ -311,13 +311,12 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 				EvalTeacher:  teacher.NewOracle(spec.Seed + 997),
 				EvalEvery:    spec.EvalEvery,
 				SessionID:    sessionID(spec, c),
-				Adaptive:     linkPolicy != "",
 				TrackLatency: true,
 				Telemetry:    reg,
 			}
 			if spec.EnvelopeCodec != "" {
-				// Clients hold the shared base (read-only), so they advertise
-				// CapDeltaCheckpoint and checkpoints arrive base-relative.
+				// Clients hold the shared base (read-only), so they send its
+				// hash and checkpoints arrive base-relative.
 				cl.Base = base.Params
 			}
 			if len(spec.ChaosCuts) > 0 {

@@ -43,8 +43,8 @@ func TestDriveWithPacketLoss(t *testing.T) {
 }
 
 // TestDriveAdaptivePolicy runs a session under the adaptive link policy on
-// a bursty link: diffs ride adaptive envelopes end-to-end and the codec
-// label reports "adaptive".
+// a bursty link: diffs carry the policy's decisions end to end and the
+// codec label reports "adaptive".
 func TestDriveAdaptivePolicy(t *testing.T) {
 	m, err := Drive("test/adaptive", "test", Spec{
 		Workload:  "fixed/people",

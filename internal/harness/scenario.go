@@ -42,8 +42,8 @@ type Spec struct {
 	// watches each session's measured loss and switches diff codec, stride
 	// scale and FEC group at runtime; any other compress.ByName codec
 	// ("int8", "prune25") pins it as the static policy "static:<codec>".
-	// Policy runs ride self-describing adaptive envelopes, which the driver
-	// has every client decode.
+	// Every diff names its codec and stride scale, so clients need no
+	// setting of their own.
 	Codec string
 	// MeasureAllocs additionally measures steady-state distill-step
 	// allocations (single-goroutine, after the run) — the PR 2 guard.

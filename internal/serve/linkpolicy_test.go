@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -41,9 +42,9 @@ func TestNewManagerLinkPolicyValidation(t *testing.T) {
 	}
 }
 
-// A managed session under a link policy: diffs ride adaptive envelopes even
-// over a plain (unmeasured) conn — it is no core measuredLink, so the
-// policy decides on a zero observation.
+// A managed session under a link policy, with a client told nothing about
+// it: over a plain (unmeasured) conn — no core measuredLink — the policy
+// decides on a zero observation.
 func TestManagerSessionWithLinkPolicy(t *testing.T) {
 	base := tinyStudent(5)
 	o := Options{Cfg: core.DefaultConfig(), Base: base, Teacher: teacher.NewOracle(7), MaxSessions: 1, LinkPolicy: "adaptive"}
@@ -73,7 +74,7 @@ func TestManagerSessionWithLinkPolicy(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		frames = append(frames, gen.Next())
 	}
-	cl := &core.Client{Cfg: core.DefaultConfig(), Student: base.Clone(), EvalTeacher: teacher.NewOracle(7), Adaptive: true}
+	cl := &core.Client{Cfg: core.DefaultConfig(), Student: base.Clone(), EvalTeacher: teacher.NewOracle(7)}
 	if err := cl.Run(clientConn, video.NewReplay(frames), len(frames)); err != nil {
 		t.Fatalf("client: %v", err)
 	}
@@ -88,12 +89,12 @@ func TestManagerSessionWithLinkPolicy(t *testing.T) {
 }
 
 // Journal replay under a static codec policy: what the journal holds are
-// adaptive envelopes, and they must decode — with strictly increasing Seq —
-// both when replayed after a plain detach and when replayed by another
-// manager the session was moved to. A client that
-// applies them ends up holding the server's BatchNorm statistics bit for
-// bit: int8 is a contract about weights, and the envelope carries the
-// statistics beside the codec payload, not through it.
+// int8 diffs, and they must decode — with strictly increasing Seq — both
+// when replayed after a plain detach and when replayed by another manager
+// the session was moved to. A client that applies them ends up holding the
+// server's BatchNorm statistics bit for bit: int8 is a contract about
+// weights, and the body carries the statistics beside the codec payload,
+// not through it.
 func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 	newShard := func() *Manager {
 		cfg := core.DefaultConfig()
@@ -111,14 +112,14 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 
 	var lastSeq uint64
 	held := tinyStudent(41) // the checkpoint the handshake ships
-	envelope := func(m transport.Message) {
+	int8Diff := func(m transport.Message) {
 		t.Helper()
 		d, dec, err := core.DecodeAdaptiveDiff(m.Body)
 		if err != nil {
-			t.Fatalf("diff after seq %d is not an adaptive envelope: %v", lastSeq, err)
+			t.Fatalf("diff after seq %d does not decode: %v", lastSeq, err)
 		}
 		if dec.Codec != "int8" || d.Seq != lastSeq+1 {
-			t.Fatalf("envelope codec %q seq %d, want int8 seq %d", dec.Codec, d.Seq, lastSeq+1)
+			t.Fatalf("diff codec %q seq %d, want int8 seq %d", dec.Codec, d.Seq, lastSeq+1)
 		}
 		lastSeq = d.Seq
 		if err := nn.ApplyNamed(held.Params, d.Params); err != nil {
@@ -133,7 +134,7 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 		if err := p.conn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)}); err != nil {
 			t.Fatal(err)
 		}
-		envelope(p.recv(transport.MsgStudentDiff))
+		int8Diff(p.recv(transport.MsgStudentDiff))
 	}
 	replay := func(p *protoClient, m *Manager, applied uint64, want uint32) {
 		t.Helper()
@@ -143,7 +144,7 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 		}
 		lastSeq = applied
 		for i := uint32(0); i < want; i++ {
-			envelope(p.recv(transport.MsgStudentDiff))
+			int8Diff(p.recv(transport.MsgStudentDiff))
 		}
 	}
 
@@ -162,7 +163,7 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay(p, dst, 2, 2) // after a cross-shard move: diffs 3 and 4
-	keyFrame(p)          // the policy moved with the session: seq 5 is an envelope too
+	keyFrame(p)          // the policy moved with the session: seq 5 is int8 too
 	p.drop(dst)
 
 	parked, err := dst.store.Steal(p.sessionID)
@@ -269,4 +270,73 @@ func TestMoveParkedKeepsLinkPolicyState(t *testing.T) {
 			inBand, got, engine.DegradedExit, engine.DegradedEnter)
 	}
 	q.shutdown()
+}
+
+// What benchmark/taps.go relies on: under no policy, a static raw or int8
+// one, and the adaptive engine driven onto int8, transport.DecodeStudentDiff
+// and core.DecodeAdaptiveDiff read every body a server sends — live and
+// replayed from the journal — as the same diff, and the decision the shim
+// reports is the one the server took.
+func TestTapsDecodeEveryServerBody(t *testing.T) {
+	engine := netsim.NewAdaptiveEngine()
+	for _, tc := range []struct {
+		policy, codec string
+		loss          float64
+	}{{"", "raw", 0}, {"static:raw", "raw", 0}, {"static:int8", "int8", 0}, {"adaptive", "int8", 2 * engine.CriticalEnter}} {
+		cfg := core.DefaultConfig()
+		cfg.MaxUpdates = 1
+		m, err := NewManager(Options{Cfg: cfg, Base: tinyStudent(41), Teacher: teacher.NewOracle(7),
+			MaxSessions: 1, JournalDepth: 8, LinkPolicy: tc.policy, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, frames := resumeManager(t, 1)
+		p := &protoClient{t: t, frames: frames}
+		open := func() {
+			clientConn, serverConn := transport.Pipe(8, nil)
+			done := make(chan error, 1)
+			go func() {
+				defer serverConn.Close()
+				done <- m.Handle(lossyLink{serverConn, tc.loss})
+			}()
+			p.conn, p.done = clientConn, done
+		}
+		var bodies [][]byte
+		open()
+		p.hello(7)
+		for i := 0; i < 3; i++ {
+			p.send()
+			bodies = append(bodies, p.recv(transport.MsgStudentDiff).Body)
+		}
+		p.drop(m)
+		open()
+		if err := p.conn.Send(transport.Message{Type: transport.MsgResume, Body: transport.EncodeResume(transport.Resume{SessionID: p.sessionID, Epoch: p.epoch, LastDiffSeq: 1})}); err != nil {
+			t.Fatal(err)
+		}
+		if ack, err := transport.DecodeResumeAck(p.recv(transport.MsgResumeAck).Body); err != nil || ack.Status != transport.ResumeReplay || ack.NumDiffs != 2 {
+			t.Fatalf("%q: resume: %+v, %v", tc.policy, ack, err)
+		}
+		for i := 0; i < 2; i++ {
+			bodies = append(bodies, p.recv(transport.MsgStudentDiff).Body)
+		}
+		p.shutdown()
+		m.Close()
+		for i, body := range bodies {
+			d, err := transport.DecodeStudentDiff(body)
+			if err != nil {
+				t.Fatalf("%q body %d: %v", tc.policy, i, err)
+			}
+			a, dec, err := core.DecodeAdaptiveDiff(body)
+			if err != nil {
+				t.Fatalf("%q body %d through the shim: %v", tc.policy, i, err)
+			}
+			if a.Seq != d.Seq || a.FrameIndex != d.FrameIndex || a.Metric != d.Metric || a.Relative != d.Relative ||
+				!bytes.Equal(a.Payload, d.Payload) || len(a.Params) != len(d.Params) {
+				t.Fatalf("%q body %d: shim read seq %d, decoder seq %d", tc.policy, i, a.Seq, d.Seq)
+			}
+			if dec.Codec != tc.codec || dec.Codec != d.Codec || dec.State != d.State || dec.StrideScale != d.StrideScale {
+				t.Fatalf("%q body %d: decision %+v beside %q, want codec %q", tc.policy, i, dec, d.Codec, tc.codec)
+			}
+		}
+	}
 }

@@ -74,21 +74,21 @@ type Options struct {
 	IDStride uint64
 	// EnvelopeCodec names the compress codec (ByName form, e.g.
 	// "delta+int8") for MsgStudentFull checkpoints, at handshake and on a
-	// resume's full-resend fallback: a non-empty value delta-encodes them
-	// against Base, with the named codec (its inner, for a "delta+" name)
-	// carrying what training moved, for clients that negotiated
-	// CapDeltaCheckpoint. Empty keeps checkpoints raw.
+	// resume's full-resend fallback: a non-empty value encodes them relative
+	// to Base, with the named codec (its inner, for a "delta+" name)
+	// carrying what training moved, for clients whose Hello or Resume
+	// carries Base's hash. Everyone else, and every client when it is
+	// empty, gets absolute checkpoints.
 	EnvelopeCodec string
 	// LinkPolicy, when non-empty, names the link policy (core.PolicyByName
 	// form: "adaptive", or "static:<codec>" to pin one diff codec) each
 	// session runs. It is the only way to pick a diff codec: the server
 	// reads the conn's packet-link stats, lets the policy choose codec,
-	// stride scale and FEC group per key frame, and encodes diffs as
-	// self-describing adaptive envelopes, which clients opt into with
-	// core.Client.Adaptive. Empty sends plain transport.EncodeStudentDiff
-	// bodies. The policy instance is per session and survives
-	// detach/resume; its link observation follows whichever conn the
-	// session rides.
+	// stride scale and FEC group per key frame, and names the codec and
+	// stride scale in each diff's header, so clients need no setting of
+	// their own. Empty sends every diff raw at stride scale 1. The policy
+	// instance is per session and survives detach/resume; its link
+	// observation follows whichever conn the session rides.
 	LinkPolicy string
 	// Telemetry, when non-nil, registers this manager's live metrics —
 	// session/detached gauges, lifecycle counters, the distill-step
@@ -112,7 +112,7 @@ type Manager struct {
 	opts    Options
 	batcher *teacher.Batcher
 	store   *resume.Store         // nil when resumption is disabled
-	ck      *core.CheckpointCodec // delta checkpoint codec (nil = always raw)
+	ck      *core.CheckpointCodec // base-relative checkpoint codec (nil = always absolute)
 	slots   chan struct{}
 	quit    chan struct{}
 	once    sync.Once
@@ -181,8 +181,8 @@ func NewManager(opts Options) (*Manager, error) {
 	}
 	var ck *core.CheckpointCodec
 	if opts.EnvelopeCodec != "" {
-		// MsgStudentFull checkpoints are always delta-framed for capable
-		// clients; a non-delta envelope codec becomes the delta's inner.
+		// Checkpoints to clients holding the base are relative to it; a
+		// non-delta envelope codec becomes the delta's inner.
 		ck = &core.CheckpointCodec{Base: opts.Base.Params, Codec: compress.Inner(c)}
 	}
 	m := &Manager{

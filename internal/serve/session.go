@@ -73,8 +73,8 @@ func (s *session) Checkpoint(actual, baseline int) {
 	s.m.mu.Unlock()
 }
 
-// Diff implements core.SessionObserver: every encoded diff (plain body or
-// adaptive envelope, verbatim) enters the replay journal. A relative diff
+// Diff implements core.SessionObserver: every encoded diff body, verbatim,
+// enters the replay journal. A relative diff
 // is cut against its predecessor's result, so the journal is a chain: it
 // replays from the client's last applied Seq onwards or not at all, which
 // is the only way resume.Journal.Suffix ever hands it out.
@@ -185,11 +185,11 @@ func (m *Manager) handleResume(conn transport.Conn, first transport.Message) err
 		m.logf("session %d resumed at epoch %d: replayed %d of %d journaled diffs",
 			sess.id, sess.epoch, len(entries), sess.journal.Len())
 	} else {
-		// Resume requests carry the same capability bits as Hello, so the
+		// Resume requests carry the base hash as Hello does, so the
 		// full-resend fallback — the dominant checkpoint cost under churn —
 		// goes base-relative whenever the client proved it holds the base.
 		all := srv.Distiller.Student.Params.All()
-		full, exact, err := m.ck.EncodeFor(req.Caps, req.BaseHash, all)
+		full, exact, err := m.ck.EncodeFor(req.BaseHash, all)
 		if err != nil {
 			m.unregister(sess.id)
 			return err

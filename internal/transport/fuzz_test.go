@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/compress"
+	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -25,7 +27,7 @@ func seedKeyFrame() KeyFrame {
 	for i := range label {
 		label[i] = int32(i / 20)
 	}
-	return KeyFrame{FrameIndex: 7, Image: img, Label: label}
+	return KeyFrame{FrameIndex: 7, Image: img, Label: label, Seq: 3}
 }
 
 // withLabelRuns is seedKeyFrame's body with its label section replaced by
@@ -52,15 +54,21 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 4, 255, 255, 0, 0}) // implausible dims
 	f.Add(withLabelRuns(2, 64))                  // one run, the whole image
+	numbered := withLabelRuns(2, 64)
+	seqAt := len(numbered) - 8
 	mustReject := [][]byte{
-		withLabelRuns(2, 63),           // runs stop short of the image
-		withLabelRuns(2, 60, 1, 5),     // a run past the end
-		withLabelRuns(2, 1<<40),        // a count nothing backs
-		withLabelRuns(2, 64, 3),        // a class without its run
-		withLabelRuns(2, 0, 2, 64),     // an empty run
-		withLabelRuns(1<<33, 64),       // a class wider than int32
-		withLabelRuns(2, 64)[:3*64*4],  // truncated inside the image
-		withLabelRuns(2, 32, 1, 32, 0), // bytes after the last full pair
+		withLabelRuns(2, 63),                                      // runs stop short of the image
+		withLabelRuns(2, 60, 1, 5),                                // a run past the end
+		withLabelRuns(2, 1<<40),                                   // a count nothing backs
+		withLabelRuns(2, 64, 3),                                   // a class without its run
+		withLabelRuns(2, 0, 2, 64),                                // an empty run
+		withLabelRuns(1<<33, 64),                                  // a class wider than int32
+		withLabelRuns(2, 64)[:3*64*4],                             // truncated inside the image
+		withLabelRuns(2, 32, 1, 32, 0),                            // bytes after the last full pair
+		numbered[:seqAt],                                          // no Seq: an unnumbered key frame
+		numbered[:seqAt+7],                                        // a Seq cut to 7 bytes
+		append(bytes.Clone(numbered), 0),                          // 9 bytes after the label
+		append(bytes.Clone(numbered[:seqAt]), make([]byte, 8)...), // Seq 0
 	}
 	for _, b := range mustReject {
 		f.Add(b)
@@ -69,8 +77,11 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 		k, err := DecodeKeyFrame(data)
 		for _, b := range mustReject {
 			if err == nil && bytes.Equal(b, data) {
-				t.Fatalf("malformed label accepted: % x", data[len(data)-24:])
+				t.Fatalf("malformed key frame accepted: % x", data[max(len(data)-24, 0):])
 			}
+		}
+		if err == nil && k.Seq == 0 {
+			t.Fatal("key frame with Seq 0 accepted")
 		}
 		if err != nil {
 			return
@@ -83,7 +94,7 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded keyframe failed: %v", err)
 		}
-		if k2.FrameIndex != k.FrameIndex || !k2.Image.SameShape(k.Image) || len(k2.Label) != len(k.Label) {
+		if k2.FrameIndex != k.FrameIndex || k2.Seq != k.Seq || !k2.Image.SameShape(k.Image) || len(k2.Label) != len(k.Label) {
 			t.Fatalf("keyframe round trip mismatch: %v vs %v", k2, k)
 		}
 		for i := range k.Image.Data {
@@ -100,16 +111,15 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 }
 
 func FuzzDecodeHello(f *testing.F) {
-	full := EncodeHello(Hello{Version: Version, NumClass: 9, FrameW: 96, FrameH: 64, Partial: true, SessionID: 12, Epoch: 3, Caps: CapDeltaCheckpoint, BaseHash: 77})
+	full := EncodeHello(Hello{Version: Version, NumClass: 9, FrameW: 96, FrameH: 64, Partial: true, SessionID: 12, Epoch: 3, BaseHash: 77})
 	f.Add(full)
 	f.Add([]byte{})
-	// The short forms earlier protocol versions sent, each one trailing
-	// field shorter than the next; Version 4 has one length.
+	// The forms earlier protocol versions sent; Version 5 has one length.
 	mustReject := [][]byte{
-		full[:9],  // version 1: no session id
-		full[:17], // version 2: no epoch
-		full[:25], // version 3: no capabilities
-		full[:33], // capabilities without a base hash
+		full[:9],           // version 1: no session id
+		full[:17],          // version 2: no epoch
+		full[:25],          // version 3: no base hash
+		withCaps(full, 25), // version 4: a capability mask before the base hash
 		append(bytes.Clone(full), 0),
 	}
 	for _, b := range mustReject {
@@ -135,66 +145,58 @@ func FuzzDecodeHello(f *testing.F) {
 	})
 }
 
-func FuzzDecodeStudentDiff(f *testing.F) {
-	held := nn.NewParamSet()
-	w := held.Add("out3.w", tensor.New(2, 3)).Value
-	for i := range w.Data {
-		w.Data[i] = float32(i)
-	}
-	moved := tensor.New(2, 3)
-	for i := range moved.Data {
-		moved.Data[i] = w.Data[i] + 1e-4
-	}
-	diff := StudentDiff{FrameIndex: 5, Metric: 0.75, Seq: 3, Params: []*nn.Parameter{{Name: "out3.w", Value: moved}}}
-	encode := func(d StudentDiff) []byte {
-		body, err := EncodeStudentDiff(d)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return body
-	}
-	absolute := encode(diff)
-	f.Add(absolute)
-	f.Add([]byte{})
-	diff.Ref = held
-	relative := encode(diff)
-	f.Add(relative)
+// withCaps is a Hello or Resume body as version 4 sent it: the one-bit
+// capability mask (set) inserted at offset at, before the base hash.
+func withCaps(body []byte, at int) []byte {
+	b := append(bytes.Clone(body[:at]), 1, 0, 0, 0, 0, 0, 0, 0)
+	return append(b, body[at:]...)
+}
 
-	// The version-3 body: absolute values as nn.WriteNamed, Seq trailing.
-	var v3 bytes.Buffer
-	v3.Write(relative[:12])
-	nn.WriteNamed(&v3, diff.Params)
-	v3.Write(relative[12:20])
-	otherRef := bytes.Clone(relative)
-	otherRef[21] ^= 1                            // the reference hash
-	const streamAt = 21 + 8 + 4 + 1 + len("raw") // flags, hash, magic, inner name
-	hugeCount := bytes.Clone(relative)
-	binary.LittleEndian.PutUint32(hugeCount[streamAt:], 1<<19) // more tensors than bytes
-	mustReject := [][]byte{
-		v3.Bytes(),
-		otherRef,
-		hugeCount,
-		relative[:len(relative)-4-2], // parameter stream cut short inside the packed distances
-		append(bytes.Clone(relative), 0),
-	}
-	for _, b := range mustReject {
-		f.Add(b)
+// FuzzDecodeStudentDiff hammers the one MsgStudentDiff body — every diff a
+// server sends crosses it, as does every journal replay — through both of
+// its steps: the stateless parse and, under raw, the resolve against the
+// set the seeds were cut from. It must never panic; base-relative or empty
+// codec names, bad stride scales, Seq 0, truncation, trailing bytes, every
+// retired diff or checkpoint format and a reference the receiver does not
+// hold must error; under the dense codecs, where every decoded value costs
+// at least a 2-bit tag, it must not allocate past the body (a pruned
+// tensor's size is bounded by compress's own shape check instead); and
+// what it accepts re-encodes to a body that decodes to the same diff.
+func FuzzDecodeStudentDiff(f *testing.F) {
+	held := diffSeedHeld()
+	seeds := diffSeeds(f)
+	for _, s := range seeds {
+		f.Add(s.body)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := DecodeStudentDiff(data)
 		if err == nil {
 			err = d.Resolve(held)
 		}
-		for _, b := range mustReject {
-			if err == nil && bytes.Equal(b, data) {
-				t.Fatalf("malformed diff body accepted: % x", data)
+		for _, s := range seeds {
+			if err == nil && !s.ok && bytes.Equal(s.body, data) {
+				t.Fatalf("%s accepted", s.what)
 			}
 		}
 		if err != nil {
 			return
 		}
-		// What resolves re-encodes, relative to the same reference, to
-		// something that resolves to the same bits.
+		if !(d.StrideScale > 0) || math.IsInf(d.StrideScale, 0) || d.Seq == 0 {
+			t.Fatalf("accepted stride scale %v, seq %d", d.StrideScale, d.Seq)
+		}
+		codec, err := DiffCodec(d.Codec)
+		if err != nil {
+			t.Fatalf("accepted codec %q: %v", d.Codec, err)
+		}
+		if _, sparse := codec.(compress.Pruned); !sparse {
+			n := 0
+			for _, p := range d.Params {
+				n += len(p.Value.Data)
+			}
+			if n > 4*len(data) {
+				t.Fatalf("decoded %d values from a %d-byte %s body", n, len(data), d.Codec)
+			}
+		}
 		if d.Relative {
 			d.Ref = held
 		}
@@ -209,11 +211,14 @@ func FuzzDecodeStudentDiff(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded diff failed: %v", err)
 		}
-		if d2.FrameIndex != d.FrameIndex || d2.Seq != d.Seq || len(d2.Params) != len(d.Params) {
+		if d2.FrameIndex != d.FrameIndex || d2.Seq != d.Seq || d2.State != d.State || d2.StrideScale != d.StrideScale || len(d2.Params) != len(d.Params) {
 			t.Fatalf("diff round trip mismatch")
 		}
 		if d2.Metric != d.Metric && !(math.IsNaN(d2.Metric) && math.IsNaN(d.Metric)) {
 			t.Fatalf("diff metric diverged: %v vs %v", d2.Metric, d.Metric)
+		}
+		if !compress.Exact(codec) {
+			return // a lossy codec re-quantises what it decoded
 		}
 		for i, p := range d.Params {
 			q := d2.Params[i]
@@ -229,13 +234,138 @@ func FuzzDecodeStudentDiff(f *testing.F) {
 	})
 }
 
+type diffSeed struct {
+	what string
+	body []byte
+	ok   bool
+}
+
+// diffSeedHeld is what the receiver holds: the reference of the relative
+// seeds — a weight, a bias and a running variance with one channel small
+// enough for per-tensor int8 to flush.
+func diffSeedHeld() *nn.ParamSet {
+	held := nn.NewParamSet()
+	w := held.Add("sb5.c33.w", tensor.New(2, 3)).Value
+	for i := range w.Data {
+		w.Data[i] = float32(i) - 2.5
+	}
+	held.Add("out3.b", tensor.Full(0.5, 4))
+	held.Add("sb5.bn.rvar", tensor.FromSlice([]float32{1e-4, 1, 2}, 3))
+	return held
+}
+
+// diffSeeds is FuzzDecodeStudentDiff's corpus and, through
+// TestStudentDiffSeedsVerdicts, a table of what decode-then-resolve must
+// accept and reject.
+func diffSeeds(tb testing.TB) []diffSeed {
+	held := diffSeedHeld()
+	var moved []*nn.Parameter
+	for _, p := range held.All() {
+		v := p.Value.Clone()
+		for i := range v.Data {
+			v.Data[i] *= 1 + 1e-3*float32(i%7-3)
+		}
+		moved = append(moved, &nn.Parameter{Name: p.Name, Value: v})
+	}
+	diff := StudentDiff{FrameIndex: 5, Metric: 0.75, Seq: 3, State: netsim.LinkDegraded, StrideScale: 1.5, Params: moved}
+	encode := func(d StudentDiff, codec string) []byte {
+		d.Codec = codec
+		body, err := EncodeStudentDiff(d)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return body
+	}
+	var seeds []diffSeed
+	for _, codec := range []string{"raw", "int8", "prune25"} {
+		body := encode(diff, codec)
+		seeds = append(seeds,
+			diffSeed{codec, body, true},
+			diffSeed{codec + " truncated", body[:len(body)/2], false},
+			diffSeed{codec + " trailing byte", append(bytes.Clone(body), 0xEE), false})
+	}
+	absolute, lossy := seeds[0].body, seeds[3].body
+	diff.Ref = held
+	relative := encode(diff, "raw")
+
+	// The relative raw body with its decision — state, float32 stride scale,
+	// codec name — rewritten and everything after the name intact, so each
+	// of these can only be rejected for the field it corrupts.
+	const nameAt = 4 + 8 + 8 + 1 + 4
+	section := relative[nameAt+1+len("raw"):]
+	with := func(scale uint32, name string) []byte {
+		b := binary.LittleEndian.AppendUint32(bytes.Clone(relative[:nameAt-4]), scale)
+		b = append(append(b, byte(len(name))), name...)
+		return append(b, section...)
+	}
+	one := math.Float32bits(1)
+	const hashAt = nameAt + 1 + len("raw") + 1
+	const countAt = hashAt + 8 + 4 + 1 + len("raw") // delta magic, inner name
+	mutate := func(edit func(b []byte) []byte) []byte { return edit(bytes.Clone(relative)) }
+
+	// What earlier versions put on the wire. Version 4's plain body is
+	// version 5's without the decision; its adaptive envelope (0xAD,
+	// version 3) put the decision in front of that body under raw, and in
+	// front of frame index, metric, seq and the lossy tail otherwise.
+	// Version 3's body was absolute nn.WriteNamed with Seq trailing.
+	plain := append(bytes.Clone(relative[:20]), section...)
+	envelope := func(name string, body []byte) []byte {
+		b := append([]byte{0xAD, 3, byte(diff.State)}, relative[21:nameAt]...)
+		return append(append(append(b, byte(len(name))), name...), body...)
+	}
+	lossyTail := lossy[nameAt+1+len("int8"):]
+	var v3 bytes.Buffer
+	v3.Write(absolute[:12])
+	nn.WriteNamed(&v3, moved)
+	v3.Write(absolute[12:20])
+	// A delta checkpoint as versions ≤ 4 framed it: a magic, then the
+	// stream. The raw nn.WriteNamed checkpoint is the v3 body's middle.
+	checkpoint := append([]byte("STC\x7f"), absolute[nameAt+1+len("raw")+1:]...)
+
+	return append(seeds,
+		diffSeed{"relative raw", relative, true},
+		diffSeed{"reference hash mismatch", mutate(func(b []byte) []byte { b[hashAt] ^= 1; return b }), false},
+		diffSeed{"tensor count past the body", mutate(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[countAt:], 1<<19); return b }), false},
+		diffSeed{"parameter stream cut short", mutate(func(b []byte) []byte { return b[:len(b)-4-2] }), false},
+		diffSeed{"unknown section flag", mutate(func(b []byte) []byte { b[hashAt-1] |= 2; return b }), false},
+		diffSeed{"seq 0", mutate(func(b []byte) []byte { clear(b[12:20]); return b }), false},
+		diffSeed{"rewritten head", with(one, "raw"), true},
+		diffSeed{"delta name", with(one, "delta+raw"), false},
+		diffSeed{"empty name", with(one, ""), false},
+		diffSeed{"unknown name", with(one, "nope"), false},
+		diffSeed{"retired bf16 name", with(one, "bf16"), false},
+		diffSeed{"NaN stride scale", with(0x7fc00000, "raw"), false},
+		diffSeed{"zero stride scale", with(0, "raw"), false},
+		diffSeed{"negative stride scale", with(math.Float32bits(-2), "raw"), false},
+		diffSeed{"version 4 plain body", plain, false},
+		diffSeed{"version 3 raw envelope", envelope("raw", plain), false},
+		diffSeed{"version 3 int8 envelope", envelope("int8", append(bytes.Clone(lossy[:20]), lossyTail...)), false},
+		diffSeed{"version 3 body", v3.Bytes(), false},
+		diffSeed{"STC checkpoint", checkpoint, false},
+		diffSeed{"empty", nil, false})
+}
+
+func TestStudentDiffSeedsVerdicts(t *testing.T) {
+	held := diffSeedHeld()
+	for _, s := range diffSeeds(t) {
+		d, err := DecodeStudentDiff(s.body)
+		if err == nil {
+			err = d.Resolve(held)
+		}
+		if (err == nil) != s.ok {
+			t.Errorf("%s: err = %v, want accepted=%v", s.what, err, s.ok)
+		}
+	}
+}
+
 func FuzzDecodeResume(f *testing.F) {
-	full := EncodeResume(Resume{SessionID: 7, Epoch: 2, LastDiffSeq: 31, Caps: CapDeltaCheckpoint, BaseHash: 77})
+	full := EncodeResume(Resume{SessionID: 7, Epoch: 2, LastDiffSeq: 31, BaseHash: 77})
 	f.Add(full)
 	f.Add([]byte{})
 	mustReject := [][]byte{
-		full[:24], // the 3-field form without capabilities
-		full[:23], // truncated
+		full[:24],          // the 3-field form without a base hash
+		full[:23],          // truncated
+		withCaps(full, 24), // version 4: a capability mask before the base hash
 		append(bytes.Clone(full), 0),
 	}
 	for _, b := range mustReject {

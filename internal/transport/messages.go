@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"repro/internal/compress"
+	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -88,21 +89,11 @@ type Hello struct {
 	// Resume so stale reconnects (from before an earlier resume) are
 	// rejected instead of silently forking the session.
 	Epoch uint64
-	// Caps is the capability bitmask (CapDeltaCheckpoint, ...); zero means
-	// no optional capabilities.
-	Caps uint64
-	// BaseHash is nn.HashParams of the pretrained base the sender holds;
-	// meaningful only with CapDeltaCheckpoint set. The server sends
-	// base-relative checkpoints only on an exact match.
+	// BaseHash is nn.HashParams of the pretrained base the sender holds, zero
+	// for none. The server sends a base-relative checkpoint only on an exact
+	// match, and its ack then echoes the hash.
 	BaseHash uint64
 }
-
-// Capability bits for Hello.Caps / Resume.Caps.
-const (
-	// CapDeltaCheckpoint: the client can decode base-relative delta
-	// checkpoints (core.DecodeCheckpointBody) and presents its base hash.
-	CapDeltaCheckpoint uint64 = 1 << 0
-)
 
 // Version is the current protocol version. Version 2 added the SessionID
 // field and the server's Hello acknowledgement carrying the assigned ID.
@@ -110,7 +101,10 @@ const (
 // the Resume/ResumeAck handshake for reconnecting clients. Version 4 made
 // student diffs relative (StudentDiff) and run-length coded the key
 // frame's label; it shares no diff or key-frame body with version 3.
-const Version = 4
+// Version 5 gave every student diff one body, with the link decision in its
+// header, made every checkpoint a parameter section, and dropped the
+// capability mask from Hello and Resume.
+const Version = 5
 
 // KeyFrame is the client → server key frame payload. Label optionally
 // carries the synthetic ground-truth mask, one class per pixel of Image:
@@ -124,24 +118,25 @@ type KeyFrame struct {
 	FrameIndex uint32
 	Image      *tensor.Tensor // CHW float32
 	Label      []int32        // optional oracle side-channel, H·W classes
-	// Seq numbers key frames monotonically within a session, surviving
-	// reconnects — the server rejects a non-increasing Seq as a confused
-	// resume. Zero means "unnumbered" (version ≤ 2 peers).
+	// Seq numbers key frames monotonically within a session from 1,
+	// surviving reconnects — the server rejects a non-increasing Seq as a
+	// confused resume.
 	Seq uint64
 }
 
 // StudentDiff is the server → client update payload: the parameters one
-// key frame's distillation changed (nn.TrainableSubset).
+// key frame's distillation changed (nn.TrainableSubset), and the link
+// decision they were encoded under.
 //
-// On the wire they are a compress delta+raw stream against Ref — the
+// Under the raw codec they travel as a parameter Section against Ref — the
 // values the receiver holds, by the sender's account — so what travels is
 // how far each weight moved, not where it ended up. A sender that cannot
-// vouch for what the receiver holds leaves Ref nil and the stream is
-// absolute (the zero base). Because a relative stream only means something
-// next to the reference, decoding is two steps: DecodeStudentDiff parses
-// the header and keeps the stream as Payload — it needs no state and may
-// run ahead of application, on a whole replay suffix — and Resolve, called
-// when every earlier diff has been applied, turns Payload into Params.
+// vouch for what the receiver holds leaves Ref nil and the section is
+// absolute. Because a relative section only means something next to the
+// reference, decoding is two steps: DecodeStudentDiff parses the header and
+// keeps the section undecoded — it needs no state and may run ahead of
+// application, on a whole replay suffix — and Resolve, called when every
+// earlier diff has been applied, turns it into Params.
 type StudentDiff struct {
 	FrameIndex uint32
 	Metric     float64 // post-distillation mIoU of Algorithm 1
@@ -150,29 +145,29 @@ type StudentDiff struct {
 	Params []*nn.Parameter
 	// Seq numbers student diffs monotonically within a session (1, 2, …).
 	// A resuming client declares the last Seq it applied and the server
-	// replays only the journal suffix past it. Zero means "unnumbered".
+	// replays only the journal suffix past it.
 	Seq uint64
-	// StrideScale multiplies Algorithm 2's next stride on the client when
-	// > 0; 1 (or 0) means no scaling. It never travels in the encoding
-	// below — only the self-describing adaptive envelope
-	// (core.EncodeAdaptiveDiff) carries it, set by the link policy engine.
+	// State, StrideScale and Codec are the link decision the diff was
+	// encoded under (netsim.LinkDecision less its FEC group, which acts on
+	// the sender's conn): the policy state, the factor on Algorithm 2's next
+	// stride (≤ 0 encodes as 1), and the codec of the parameters (empty
+	// encodes as "raw"). A server without a link policy sends the zero
+	// decision — clear, scale 1, raw.
+	State       netsim.PolicyState
 	StrideScale float64
+	Codec       string
 
 	// Ref (sender side) holds the receiver's current values of Params; nil
 	// encodes an absolute diff.
 	Ref *nn.ParamSet
 
-	// Relative, RefHash and Payload (receiver side) are the parameter
-	// section as parsed: whether it is relative, nn.HashParams of the
-	// reference it is relative to, and the undecoded delta+raw stream.
-	Relative bool
-	RefHash  uint64
-	Payload  []byte
+	// Section (receiver side) is a raw diff's parameter section as parsed.
+	Section
 }
 
 // helloBodyBytes is the encoded size of a Hello body. The decoder requires
 // it exactly: a truncated or padded Hello is a protocol error.
-const helloBodyBytes = 2 + 2 + 2 + 2 + 1 + 8 + 8 + 8 + 8
+const helloBodyBytes = 2 + 2 + 2 + 2 + 1 + 8 + 8 + 8
 
 // EncodeHello serialises a Hello body.
 func EncodeHello(h Hello) []byte {
@@ -186,8 +181,7 @@ func EncodeHello(h Hello) []byte {
 	}
 	binary.LittleEndian.PutUint64(b[9:], h.SessionID)
 	binary.LittleEndian.PutUint64(b[17:], h.Epoch)
-	binary.LittleEndian.PutUint64(b[25:], h.Caps)
-	binary.LittleEndian.PutUint64(b[33:], h.BaseHash)
+	binary.LittleEndian.PutUint64(b[25:], h.BaseHash)
 	return b
 }
 
@@ -204,8 +198,7 @@ func DecodeHello(b []byte) (Hello, error) {
 		Partial:   b[8] != 0,
 		SessionID: binary.LittleEndian.Uint64(b[9:]),
 		Epoch:     binary.LittleEndian.Uint64(b[17:]),
-		Caps:      binary.LittleEndian.Uint64(b[25:]),
-		BaseHash:  binary.LittleEndian.Uint64(b[33:]),
+		BaseHash:  binary.LittleEndian.Uint64(b[25:]),
 	}, nil
 }
 
@@ -308,8 +301,11 @@ func DecodeKeyFrame(b []byte) (KeyFrame, error) {
 		}
 		k.Label = label
 	}
-	if rest = rest[runBytes:]; len(rest) >= 8 {
-		k.Seq = binary.LittleEndian.Uint64(rest)
+	if rest = rest[runBytes:]; len(rest) != 8 {
+		return k, fmt.Errorf("transport: keyframe has %d bytes after its label, want an 8-byte seq", len(rest))
+	}
+	if k.Seq = binary.LittleEndian.Uint64(rest); k.Seq == 0 {
+		return k, fmt.Errorf("transport: keyframe seq 0")
 	}
 	return k, nil
 }
@@ -338,96 +334,220 @@ func decodeLabelRuns(runs []byte, pixels int) ([]int32, error) {
 	return label, nil
 }
 
-// diffRelative is the flag bit of a StudentDiff body whose parameter
-// section is relative to a reference (and carries its hash).
-const diffRelative = 1
+// Section is a parameter section as parsed — the body of every
+// MsgStudentFull, and of a StudentDiff under raw:
+//
+//	flags u8 · [refHash u64] · compress.Delta stream
+//
+// Relative reports that the stream is relative to a reference the receiver
+// holds, whose nn.HashParams is RefHash; otherwise it is absolute (the zero
+// base). Payload is the undecoded stream.
+type Section struct {
+	Relative bool
+	RefHash  uint64
+	Payload  []byte
+}
+
+// sectionRelative is the flag bit of a relative Section.
+const sectionRelative = 1
+
+// AppendSection writes params to buf as a Section: relative to ref when it
+// is non-nil, absolute otherwise, with inner carrying whatever the delta
+// stream cannot send exactly (nil is raw). exact reports whether the
+// receiver will hold params bit for bit (compress.EncodeExact).
+func AppendSection(buf *bytes.Buffer, params []*nn.Parameter, ref *nn.ParamSet, inner compress.Codec) (exact bool, err error) {
+	if ref == nil {
+		buf.WriteByte(0)
+	} else {
+		buf.WriteByte(sectionRelative)
+		binary.Write(buf, binary.LittleEndian, nn.HashParams(ref.All()))
+	}
+	if inner == nil {
+		inner = compress.Raw{}
+	}
+	return compress.EncodeExact(&compress.Delta{Inner: inner, Base: ref}, buf, params)
+}
+
+// ParseSection splits a Section into its header and Payload.
+func ParseSection(b []byte) (Section, error) {
+	var s Section
+	switch {
+	case len(b) == 0 || b[0]&^sectionRelative != 0:
+		return s, fmt.Errorf("transport: parameter section has no known flags byte")
+	case b[0] == sectionRelative && len(b) < 1+8:
+		return s, fmt.Errorf("transport: relative parameter section has no reference hash")
+	case b[0] == sectionRelative:
+		s.Relative, s.RefHash, b = true, binary.LittleEndian.Uint64(b[1:]), b[8:]
+	}
+	s.Payload = b[1:]
+	return s, nil
+}
+
+// Decode decodes Payload against held, the parameter set the section is
+// about to be applied to. A relative section is only legal over the
+// reference its sender encoded against: every parameter it names must exist
+// in held, and together they must hash to RefHash — otherwise the two ends
+// have diverged, and applying the distances would produce a model nobody
+// trained.
+func (s Section) Decode(held *nn.ParamSet) ([]*nn.Parameter, error) {
+	codec := &compress.Delta{Inner: compress.Raw{}}
+	if s.Relative {
+		if held == nil {
+			return nil, fmt.Errorf("transport: relative parameter section, but the receiver holds no reference")
+		}
+		codec.Base = held
+	}
+	r := bytes.NewReader(s.Payload)
+	params, err := codec.Decode(r)
+	if err != nil {
+		return nil, fmt.Errorf("transport: parameter section: %w", err)
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("transport: parameter section has %d trailing bytes", r.Len())
+	}
+	if s.Relative {
+		ref := make([]*nn.Parameter, len(params))
+		for i, p := range params {
+			if ref[i] = held.Get(p.Name); ref[i] == nil {
+				return nil, fmt.Errorf("transport: relative section names %q, which the receiver does not hold", p.Name)
+			}
+		}
+		if got := nn.HashParams(ref); got != s.RefHash {
+			return nil, fmt.Errorf("transport: section is relative to reference %#x, receiver holds %#x", s.RefHash, got)
+		}
+	}
+	return params, nil
+}
+
+// DiffCodec resolves the codec a diff body or a link decision names — the
+// one check EncodeStudentDiff, DecodeStudentDiff and core.PolicyByName
+// share. It rejects the empty name (compress.ByName reads it as raw, which
+// would let "static:" through) and base-relative "delta+…" codecs: a raw
+// diff is relative already, and a lossy one relative to a base the client
+// may have missed could not be decoded.
+func DiffCodec(name string) (compress.Codec, error) {
+	codec, ok := compress.ByName(name)
+	if !ok || name == "" {
+		return nil, fmt.Errorf("transport: diff codec %q unknown", name)
+	}
+	if _, isDelta := codec.(*compress.Delta); isDelta {
+		return nil, fmt.Errorf("transport: base-relative diff codec %q not allowed", name)
+	}
+	return codec, nil
+}
+
+// diffHead is the fixed part of a StudentDiff body, up to the codec name.
+const diffHead = 4 + 8 + 8 + 1 + 4 + 1
 
 // EncodeStudentDiff serialises a StudentDiff body:
 //
-//	frameIndex u32 · metric f64 · seq u64 · flags u8 · [refHash u64] ·
-//	delta+raw stream of Params against Ref
+//	frameIndex u32 · metric f64 · seq u64 · state u8 · strideScale f32 ·
+//	codecLen u8 · codec · parameters
 //
-// refHash is present when flags has diffRelative set, i.e. when d.Ref is
-// non-nil.
+// Under "raw", the one bit-exact diff codec, the parameters are a Section
+// against d.Ref. Under a lossy codec they are absolute and d.Ref is
+// ignored: the weights under the codec, then the BatchNorm running
+// statistics as nn.WriteNamed whatever the codec. A lossy codec is a
+// contract about weights: per-tensor int8 flushes a small running variance
+// to zero and pruning zeroes it outright, and 1/√(var+ε) turns either into
+// a gain of ~300 on that channel.
 func EncodeStudentDiff(d StudentDiff) ([]byte, error) {
+	name := d.Codec
+	if name == "" {
+		name = "raw"
+	}
+	codec, err := DiffCodec(name)
+	if err != nil {
+		return nil, err
+	}
+	name = codec.Name()
+	scale := d.StrideScale
+	if scale <= 0 {
+		scale = 1
+	}
 	var buf bytes.Buffer
-	buf.Grow(nn.EncodedSize(d.Params)) // an absolute diff runs a sixteenth over
 	binary.Write(&buf, binary.LittleEndian, d.FrameIndex)
 	binary.Write(&buf, binary.LittleEndian, math.Float64bits(d.Metric))
 	binary.Write(&buf, binary.LittleEndian, d.Seq)
-	if d.Ref == nil {
-		buf.WriteByte(0)
-	} else {
-		buf.WriteByte(diffRelative)
-		binary.Write(&buf, binary.LittleEndian, nn.HashParams(d.Ref.All()))
+	buf.WriteByte(byte(d.State))
+	binary.Write(&buf, binary.LittleEndian, math.Float32bits(float32(scale)))
+	buf.WriteByte(byte(len(name)))
+	buf.WriteString(name)
+	if compress.Exact(codec) {
+		// Pre-sized here only: the resume journal keeps the buffer, and a
+		// lossy body is a fraction of the float32 size.
+		buf.Grow(nn.EncodedSize(d.Params))
+		_, err = AppendSection(&buf, d.Params, d.Ref, nil)
+		return buf.Bytes(), err
 	}
-	if err := (&compress.Delta{Inner: compress.Raw{}, Base: d.Ref}).Encode(&buf, d.Params); err != nil {
-		return nil, err
+	weights, stats := nn.SplitBNStats(d.Params)
+	if err := codec.Encode(&buf, weights); err != nil {
+		return nil, fmt.Errorf("transport: diff under %s: %w", name, err)
+	}
+	if err := nn.WriteNamed(&buf, stats); err != nil {
+		return nil, fmt.Errorf("transport: diff statistics: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// DecodeStudentDiff parses a StudentDiff body's header and keeps the
-// parameter section undecoded in Payload; Resolve decodes it.
+// DecodeStudentDiff parses a StudentDiff body. It needs no state: a raw
+// diff's parameters stay in its Section until Resolve, a lossy diff's are
+// decoded here.
 func DecodeStudentDiff(b []byte) (StudentDiff, error) {
 	var d StudentDiff
-	const head = 4 + 8 + 8 + 1
-	if len(b) < head {
+	if len(b) < diffHead {
 		return d, fmt.Errorf("transport: diff body of %d bytes has no header", len(b))
 	}
 	d.FrameIndex = binary.LittleEndian.Uint32(b)
 	d.Metric = math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
-	d.Seq = binary.LittleEndian.Uint64(b[12:])
-	flags := b[head-1]
-	b = b[head:]
-	if flags&^diffRelative != 0 {
-		return d, fmt.Errorf("transport: diff flags %#x unknown", flags)
+	if d.Seq = binary.LittleEndian.Uint64(b[12:]); d.Seq == 0 {
+		return d, fmt.Errorf("transport: diff seq 0")
 	}
-	if flags&diffRelative != 0 {
-		if len(b) < 8 {
-			return d, fmt.Errorf("transport: relative diff has no reference hash")
-		}
-		d.Relative = true
-		d.RefHash = binary.LittleEndian.Uint64(b)
-		b = b[8:]
+	d.State = netsim.PolicyState(b[20])
+	d.StrideScale = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[21:])))
+	if !(d.StrideScale > 0) || math.IsInf(d.StrideScale, 0) {
+		return d, fmt.Errorf("transport: diff stride scale %v", d.StrideScale)
 	}
-	d.Payload = b
+	nameLen := int(b[25])
+	if b = b[diffHead:]; len(b) < nameLen {
+		return d, fmt.Errorf("transport: diff codec name cut short")
+	}
+	d.Codec = string(b[:nameLen])
+	codec, err := DiffCodec(d.Codec)
+	if err != nil {
+		return d, err
+	}
+	b = b[nameLen:]
+	if compress.Exact(codec) {
+		d.Section, err = ParseSection(b)
+		return d, err
+	}
+	r := bytes.NewReader(b)
+	weights, err := codec.Decode(r)
+	if err != nil {
+		return d, fmt.Errorf("transport: diff under %s: %w", d.Codec, err)
+	}
+	stats, err := nn.ReadNamed(r)
+	if err != nil {
+		return d, fmt.Errorf("transport: diff statistics: %w", err)
+	}
+	if r.Len() != 0 {
+		return d, fmt.Errorf("transport: diff has %d trailing bytes", r.Len())
+	}
+	d.Params = append(weights, stats...)
 	return d, nil
 }
 
-// Resolve decodes Payload into Params against held, the parameter set the
-// diff is about to be applied to. A relative diff is only legal over the
-// reference its sender encoded against: every parameter it names must
-// exist in held, and together they must hash to RefHash — otherwise the two
-// ends have diverged, and applying the distances would produce a student
-// nobody trained. A diff without Payload (built in memory, or decoded from
-// a lossy envelope, which carries Params outright) resolves to itself.
+// Resolve decodes a raw diff's Section into Params against held
+// (Section.Decode). A diff without Payload (built in memory, or decoded
+// under a lossy codec, which carries Params outright) resolves to itself.
 func (d *StudentDiff) Resolve(held *nn.ParamSet) error {
 	if d.Payload == nil {
 		return nil
 	}
-	codec := &compress.Delta{Inner: compress.Raw{}}
-	if d.Relative {
-		codec.Base = held
-	}
-	r := bytes.NewReader(d.Payload)
-	params, err := codec.Decode(r)
+	params, err := d.Section.Decode(held)
 	if err != nil {
-		return fmt.Errorf("transport: diff params: %w", err)
-	}
-	if r.Len() != 0 {
-		return fmt.Errorf("transport: diff has %d trailing bytes", r.Len())
-	}
-	if d.Relative {
-		ref := make([]*nn.Parameter, len(params))
-		for i, p := range params {
-			if ref[i] = held.Get(p.Name); ref[i] == nil {
-				return fmt.Errorf("transport: relative diff names %q, which the receiver does not hold", p.Name)
-			}
-		}
-		if got := nn.HashParams(ref); got != d.RefHash {
-			return fmt.Errorf("transport: relative diff seq %d is against reference %#x, receiver holds %#x", d.Seq, d.RefHash, got)
-		}
+		return fmt.Errorf("transport: diff seq %d: %w", d.Seq, err)
 	}
 	d.Params, d.Payload = params, nil
 	return nil
@@ -440,16 +560,15 @@ type Resume struct {
 	SessionID   uint64
 	Epoch       uint64
 	LastDiffSeq uint64
-	// Caps and BaseHash mirror the Hello trailing fields, so the server
-	// can decide on a delta-encoded full fallback for this reconnect too.
-	Caps     uint64
+	// BaseHash mirrors Hello's, so the server can send a full fallback for
+	// this reconnect base-relative too.
 	BaseHash uint64
 }
 
 // resumeBodyBytes is the encoded size of a Resume body. The decoder requires
 // it exactly: a truncated or padded Resume is a protocol error that must
 // fail only the offending connection.
-const resumeBodyBytes = 5 * 8
+const resumeBodyBytes = 4 * 8
 
 // EncodeResume serialises a Resume body.
 func EncodeResume(r Resume) []byte {
@@ -457,8 +576,7 @@ func EncodeResume(r Resume) []byte {
 	binary.LittleEndian.PutUint64(b[0:], r.SessionID)
 	binary.LittleEndian.PutUint64(b[8:], r.Epoch)
 	binary.LittleEndian.PutUint64(b[16:], r.LastDiffSeq)
-	binary.LittleEndian.PutUint64(b[24:], r.Caps)
-	binary.LittleEndian.PutUint64(b[32:], r.BaseHash)
+	binary.LittleEndian.PutUint64(b[24:], r.BaseHash)
 	return b
 }
 
@@ -471,8 +589,7 @@ func DecodeResume(b []byte) (Resume, error) {
 		SessionID:   binary.LittleEndian.Uint64(b[0:]),
 		Epoch:       binary.LittleEndian.Uint64(b[8:]),
 		LastDiffSeq: binary.LittleEndian.Uint64(b[16:]),
-		Caps:        binary.LittleEndian.Uint64(b[24:]),
-		BaseHash:    binary.LittleEndian.Uint64(b[32:]),
+		BaseHash:    binary.LittleEndian.Uint64(b[24:]),
 	}, nil
 }
 

@@ -33,7 +33,7 @@ func TestKeyFrameRoundTrip(t *testing.T) {
 	}
 	label := make([]int32, 64)
 	label[5] = 3
-	k := KeyFrame{FrameIndex: 42, Image: img, Label: label}
+	k := KeyFrame{FrameIndex: 42, Image: img, Label: label, Seq: 1}
 	got, err := DecodeKeyFrame(EncodeKeyFrame(k))
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestKeyFrameLabelRuns(t *testing.T) {
 }
 
 func TestKeyFrameNoLabel(t *testing.T) {
-	k := KeyFrame{Image: tensor.New(3, 8, 8)}
+	k := KeyFrame{Image: tensor.New(3, 8, 8), Seq: 1}
 	got, err := DecodeKeyFrame(EncodeKeyFrame(k))
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,8 @@ func TestStudentDiffRoundTrip(t *testing.T) {
 		{Name: "out3.b", Value: tensor.Full(-1, 4)},
 	}
 	for _, ref := range []*nn.ParamSet{nil, held} {
-		body, err := EncodeStudentDiff(StudentDiff{FrameIndex: 7, Metric: 0.815, Params: now, Ref: ref})
+		// The zero decision is the one a server without a link policy sends.
+		body, err := EncodeStudentDiff(StudentDiff{FrameIndex: 7, Metric: 0.815, Seq: 1, Params: now, Ref: ref})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,8 +133,11 @@ func TestStudentDiffRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.FrameIndex != 7 || got.Metric != 0.815 || got.Relative != (ref != nil) {
+		if got.FrameIndex != 7 || got.Metric != 0.815 || got.Seq != 1 || got.Relative != (ref != nil) {
 			t.Fatalf("header corrupted: %+v", got)
+		}
+		if got.State != netsim.LinkClear || got.StrideScale != 1 || got.Codec != "raw" {
+			t.Fatalf("decision %v/%v/%q, want the clear one", got.State, got.StrideScale, got.Codec)
 		}
 		if got.Params != nil || got.Payload == nil {
 			t.Fatal("the stateless parse must leave the parameter section undecoded")
