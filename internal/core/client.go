@@ -77,8 +77,6 @@ type Client struct {
 	// Stats populated by Run.
 	Result ClientResult
 
-	strides []float64 // stride trace accumulated during Run
-
 	// tm holds the metric handles resolved from Telemetry at the top of
 	// Run; all handles are nil (no-op) when Telemetry is nil.
 	tm struct {
@@ -267,12 +265,14 @@ func (k *dialCanceler) cancel() {
 	k.mu.Unlock()
 }
 
-// runState carries the per-Run session identity and connection machinery.
+// runState carries the per-Run session identity, key-frame cadence and
+// connection machinery.
 type runState struct {
 	sessionID   uint64
 	epoch       uint64
 	lastApplied uint64 // highest student-diff Seq applied
 	kfSeq       uint64 // key-frame sequence counter
+	cad         cadence
 
 	link     *diffReceiver
 	inflight *asyncRecv
@@ -293,7 +293,7 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 	if bk, err := tensor.BackendByName(c.Cfg.Backend); err == nil {
 		c.Student.SetBackend(bk)
 	}
-	rs := &runState{}
+	rs := &runState{cad: newCadence(c.Cfg, nil)}
 	c.bindTelemetry()
 	conn, err := c.admit(conn, rs)
 	if err != nil {
@@ -325,9 +325,6 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 
 	cm := metrics.NewConfusionMatrix(c.Student.Config.NumClasses)
 	start := time.Now()
-	stride := float64(c.Cfg.MinStride)
-	step := c.Cfg.MinStride // first frame is a key frame
-	updated := true
 
 	// tryApply checks the in-flight receive; block=true waits for it
 	// (WaitUntilComplete). On success the diff is applied and the handle
@@ -340,7 +337,7 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 			select {
 			case d := <-rs.inflight.ch:
 				rs.inflight = nil
-				return c.apply(rs, d, &stride, &updated)
+				return c.apply(rs, d)
 			case err := <-rs.inflight.err:
 				return err
 			}
@@ -348,7 +345,7 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 		select {
 		case d := <-rs.inflight.ch:
 			rs.inflight = nil
-			return c.apply(rs, d, &stride, &updated)
+			return c.apply(rs, d)
 		case err := <-rs.inflight.err:
 			return err
 		default:
@@ -365,6 +362,7 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 			rs.link = nil
 		}
 		rs.inflight = nil
+		rs.cad.settled()
 		if c.Dial == nil {
 			return cause
 		}
@@ -399,7 +397,7 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 			c.Result.FullResends++
 		} else {
 			for _, d := range r.diffs {
-				if err := c.apply(rs, d, &stride, &updated); err != nil {
+				if err := c.apply(rs, d); err != nil {
 					r.conn.Close()
 					return err
 				}
@@ -409,7 +407,6 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 			}
 			c.Result.ResumeReplays++
 		}
-		updated = true // nothing outstanding on the new connection
 		c.Result.Reconnects++
 		c.Result.RecoveryTimes = append(c.Result.RecoveryTimes, time.Since(rs.disconnectedAt))
 		rs.link = c.startReceiver(r.conn)
@@ -438,7 +435,7 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 			}
 		}
 
-		if step >= int(stride+0.5) && rs.link != nil { // key frame
+		if rs.cad.due() && rs.link != nil { // key frame
 			rs.kfSeq++
 			kf := transport.KeyFrame{
 				FrameIndex: uint32(frame.Index),
@@ -457,13 +454,12 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 				h := asyncRecv{ch: make(chan transport.StudentDiff, 1), err: make(chan error, 1)}
 				rs.link.reqs <- h
 				rs.inflight = &h
-				step = 0
-				updated = false
+				rs.cad.sent()
 			}
 		}
 
 		mask, _ := c.Student.Infer(frame.Image)
-		step++
+		wait := rs.cad.inferred()
 		c.tm.frames.Inc()
 		if rs.link == nil {
 			c.Result.StaleFrames++
@@ -475,18 +471,16 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 			c.Result.EvalFrames++
 		}
 
-		if !updated && rs.inflight != nil {
-			// WaitUntilComplete at MIN_STRIDE; opportunistic otherwise
-			// (Algorithm 4 lines 14–22). Only a dead link is recoverable;
-			// a decode or apply failure on a healthy connection is a
-			// protocol bug that redialling cannot fix.
-			if err := tryApply(step == c.Cfg.MinStride); err != nil {
-				if !isLinkError(err) {
-					return err
-				}
-				if err := drop(err); err != nil {
-					return err
-				}
+		// WaitUntilComplete at MIN_STRIDE; opportunistic otherwise
+		// (Algorithm 4 lines 14–22). Only a dead link is recoverable; a
+		// decode or apply failure on a healthy connection is a protocol bug
+		// that redialling cannot fix.
+		if err := tryApply(wait); err != nil {
+			if !isLinkError(err) {
+				return err
+			}
+			if err := drop(err); err != nil {
+				return err
 			}
 		}
 		if trackFrames {
@@ -522,7 +516,7 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 	c.Result.Frames = n
 	c.Result.Elapsed = time.Since(start)
 	c.Result.MeanIoU = cm.MeanIoU()
-	c.Result.StrideTrace = append([]float64(nil), c.strides...)
+	c.Result.StrideTrace = rs.cad.trace
 	return nil
 }
 
@@ -655,11 +649,11 @@ func (c *Client) handshake(conn transport.Conn, rs *runState) error {
 	return nil
 }
 
-func (c *Client) apply(rs *runState, d transport.StudentDiff, stride *float64, updated *bool) error {
+func (c *Client) apply(rs *runState, d transport.StudentDiff) error {
 	if d.Seq <= rs.lastApplied {
 		// Duplicate delivery (a replay overlapping an applied diff): the
 		// weights are already current; don't double-count the stride.
-		*updated = true
+		rs.cad.settled()
 		return nil
 	}
 	// Diffs reach here in Seq order, each after its predecessor was
@@ -671,14 +665,7 @@ func (c *Client) apply(rs *runState, d transport.StudentDiff, stride *float64, u
 		return err
 	}
 	rs.lastApplied = d.Seq
-	*stride = NextStride(c.Cfg, *stride, d.Metric)
-	if d.StrideScale > 0 && d.StrideScale != 1 {
-		// The link policy asked for a longer stride (fewer key frames on a
-		// struggling link); scale within the config's stride bounds.
-		*stride = clampStride(c.Cfg, *stride*d.StrideScale)
-	}
-	c.strides = append(c.strides, *stride)
-	*updated = true
+	rs.cad.applied(d.Metric, d.StrideScale)
 	return nil
 }
 

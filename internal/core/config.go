@@ -86,14 +86,7 @@ func NextStride(cfg Config, stride float64, metric float64) float64 {
 	} else {
 		ratio = (metric - 2*cfg.Threshold + 1) / (1 - cfg.Threshold)
 	}
-	stride = ratio * stride
-	if stride < float64(cfg.MinStride) {
-		stride = float64(cfg.MinStride)
-	}
-	if stride > float64(cfg.MaxStride) {
-		stride = float64(cfg.MaxStride)
-	}
-	return stride
+	return clampStride(cfg, ratio*stride)
 }
 
 // clampStride bounds a stride to [MIN_STRIDE, MAX_STRIDE], the final step

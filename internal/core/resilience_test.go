@@ -99,25 +99,24 @@ func TestReceiverStopUnblocksParkedRecv(t *testing.T) {
 // stride trace would otherwise double-count.
 func TestClientApplySkipsDuplicateSeq(t *testing.T) {
 	cl := &Client{Cfg: DefaultConfig(), Student: tinyStudent(94)}
-	rs := &runState{lastApplied: 5}
-	stride := 8.0
-	updated := false
+	rs := &runState{lastApplied: 5, cad: newCadence(cl.Cfg, nil)}
+	rs.cad.sent()
 	d := transport.StudentDiff{Seq: 5, Metric: 0.9, Params: nil}
-	if err := cl.apply(rs, d, &stride, &updated); err != nil {
+	if err := cl.apply(rs, d); err != nil {
 		t.Fatal(err)
 	}
-	if !updated {
+	if rs.cad.pending {
 		t.Fatal("duplicate must still mark the update complete")
 	}
-	if stride != 8.0 || len(cl.strides) != 0 {
+	if rs.cad.stride != 8.0 || len(rs.cad.trace) != 0 {
 		t.Fatal("duplicate must not advance the stride")
 	}
 	d.Seq = 6
-	if err := cl.apply(rs, d, &stride, &updated); err != nil {
+	if err := cl.apply(rs, d); err != nil {
 		t.Fatal(err)
 	}
-	if rs.lastApplied != 6 || len(cl.strides) != 1 {
-		t.Fatalf("fresh seq must apply: lastApplied=%d strides=%d", rs.lastApplied, len(cl.strides))
+	if rs.lastApplied != 6 || len(rs.cad.trace) != 1 {
+		t.Fatalf("fresh seq must apply: lastApplied=%d strides=%d", rs.lastApplied, len(rs.cad.trace))
 	}
 }
 

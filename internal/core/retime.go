@@ -15,22 +15,17 @@ type RetimeConfig struct {
 	Concurrency Concurrency
 }
 
-// strideClock is the virtual-time half of Algorithm 4: the clock, the
-// pending update's arrival and the frames inferred since the key frame.
-// Simulate and Retime both drive it, so there is one copy of the rule for
-// when a client waits.
+// strideClock is the virtual time a cadence runs on: the clock and when the
+// pending update lands. Simulate and Retime both drive it, so there is one
+// copy of what a key frame and a wait cost.
 type strideClock struct {
 	lat         ComponentLatencies
 	link        netsim.Link
 	concurrency Concurrency
-	minStride   int
 	diffBytes   int // HD-equivalent size of one student update
 
 	now     time.Duration
 	arrives time.Duration // when the pending update lands
-	pending bool
-	noBlock bool // the pending update was faulted in flight: nothing to block on
-	steps   int  // frames inferred since the last key frame
 }
 
 // newStrideClock returns a clock at virtual time zero. Zero latencies fall
@@ -38,7 +33,7 @@ type strideClock struct {
 // the paper's measured 0.395 MB partial / 1.846 MB full (Table 4): our own
 // student's trainable fraction (≈ 23%) is close to the paper's 21.4%, so
 // this keeps byte accounting in the paper's units without per-run drift.
-func newStrideClock(cfg Config, link netsim.Link, lat ComponentLatencies, conc Concurrency, partial bool) *strideClock {
+func newStrideClock(link netsim.Link, lat ComponentLatencies, conc Concurrency, partial bool) *strideClock {
 	if lat == (ComponentLatencies{}) {
 		lat = PaperLatencies(partial)
 	}
@@ -46,7 +41,7 @@ func newStrideClock(cfg Config, link netsim.Link, lat ComponentLatencies, conc C
 	if partial {
 		diffBytes = hdPartialDiffBytes
 	}
-	return &strideClock{lat: lat, link: link, concurrency: conc, minStride: cfg.MinStride, diffBytes: diffBytes}
+	return &strideClock{lat: lat, link: link, concurrency: conc, diffBytes: diffBytes}
 }
 
 // roundTrip is a key frame's trip: upload, teacher inference, steps
@@ -58,30 +53,24 @@ func (c *strideClock) roundTrip(steps int) time.Duration {
 
 // keyFrame sends a key frame whose update is trip away (Algorithm 4 lines
 // 7–8). Without concurrency the client stalls for the whole trip before
-// continuing (eq. 2 upper bound). faulted marks an update the client cannot
-// block-wait for.
-func (c *strideClock) keyFrame(trip time.Duration, faulted bool) {
+// continuing (eq. 2 upper bound).
+func (c *strideClock) keyFrame(trip time.Duration) {
 	if c.concurrency == NoConcurrency {
 		c.now += trip
 		trip = 0
 	}
 	c.arrives = c.now + trip
-	c.pending, c.noBlock, c.steps = true, faulted, 0
 }
 
-// frame infers one frame on the device, blocks at MIN_STRIDE for a pending
-// update (Algorithm 4 lines 15–17), and reports whether the update landed.
-func (c *strideClock) frame() bool {
+// frame infers one frame on the device, blocks until the last key frame's
+// update lands when the cadence says wait, and reports whether it has
+// landed.
+func (c *strideClock) frame(wait bool) (landed bool) {
 	c.now += c.lat.StudentInference
-	c.steps++
-	if !c.pending {
-		return false
+	if wait {
+		c.now = max(c.now, c.arrives)
 	}
-	if c.steps == c.minStride && !c.noBlock && c.now < c.arrives {
-		c.now = c.arrives
-	}
-	c.pending = c.now < c.arrives
-	return !c.pending
+	return c.now >= c.arrives
 }
 
 // Retime replays a schedule produced by Simulate and returns the virtual
@@ -89,13 +78,17 @@ func (c *strideClock) frame() bool {
 // itself is bandwidth-invariant (see SimResult.Schedule); only the blocking
 // waits at MIN_STRIDE change. frames is the total frame count of the run.
 func Retime(rc RetimeConfig, schedule []KeyFrameEvent, frames int, partial bool) time.Duration {
-	clk := newStrideClock(rc.Cfg, rc.Link, rc.Latencies, rc.Concurrency, partial)
+	clk := newStrideClock(rc.Link, rc.Latencies, rc.Concurrency, partial)
+	cad := newCadence(rc.Cfg, nil)
 	for i := 0; i < frames; i++ {
 		if len(schedule) > 0 && schedule[0].FrameIndex == i {
-			clk.keyFrame(clk.roundTrip(schedule[0].Steps), false)
+			clk.keyFrame(clk.roundTrip(schedule[0].Steps))
+			cad.sent()
 			schedule = schedule[1:]
 		}
-		clk.frame()
+		if clk.frame(cad.inferred()) {
+			cad.settled()
+		}
 	}
 	return clk.now
 }

@@ -239,6 +239,7 @@ type pendingUpdate struct {
 	arrivesFrame int          // frame index arrival (DelayFrames mode)
 	params       *nn.ParamSet // snapshot of what the diff carries
 	metric       float64
+	lost         bool // faulted in flight (UpdateDelay): the link is down until it lands
 }
 
 // applyFreeze configures a student's frozen set: the paper's partial mode
@@ -266,25 +267,15 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 	cm := metrics.NewConfusionMatrix(student.Config.NumClasses)
 	// All timing is virtual: results depend only on the schedule and the
 	// modeled latencies, never on host speed.
-	clk := newStrideClock(cfg, sc.Link, sc.Latencies, sc.Concurrency, cfg.Partial)
-	clk.steps = cfg.MinStride // "step ← stride" so the first frame is a key frame
-	stride := float64(cfg.MinStride)
+	clk := newStrideClock(sc.Link, sc.Latencies, sc.Concurrency, cfg.Partial)
+	cad := newCadence(cfg, sc.StridePolicy)
 	var pending *pendingUpdate
-
-	nextStride := func(stride, metric float64) float64 {
-		if sc.StridePolicy != nil {
-			s := sc.StridePolicy(stride, metric)
-			return clampStride(cfg, s)
-		}
-		return NextStride(cfg, stride, metric)
-	}
 
 	for i := 0; i < sc.Frames; i++ {
 		frame := src.Next()
-		// Algorithm 4 compares step = stride; because stride only changes
-		// when an update applies (and may shrink mid-flight), ≥ against the
-		// rounded stride is the robust form.
-		if clk.steps >= int(stride+0.5) {
+		// A faulted update is the live client's lost link: no key frame
+		// goes out until it lands.
+		if cad.due() && (pending == nil || !pending.lost) {
 			// Send key frame (non-blocking, Algorithm 4 line 7–8) and
 			// kick off server work.
 			res.KeyFrames++
@@ -299,11 +290,6 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 			res.BytesDown += int64(clk.diffBytes)
 			res.Schedule = append(res.Schedule, KeyFrameEvent{FrameIndex: i, Steps: tr.Steps, Metric: tr.Metric})
 
-			pending = &pendingUpdate{
-				arrivesFrame: i + sc.DelayFrames,
-				params:       nn.CloneNamed(nn.TrainableSubset(serverStudent.Params)),
-				metric:       tr.Metric,
-			}
 			// Under DelayFrames the update's arrival is a frame index and
 			// the trip costs the clock nothing.
 			var trip, fault time.Duration
@@ -313,15 +299,25 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 					fault = max(sc.UpdateDelay(res.KeyFrames-1), 0)
 				}
 			}
-			clk.keyFrame(trip+fault, fault > 0)
+			pending = &pendingUpdate{
+				arrivesFrame: i + sc.DelayFrames,
+				params:       nn.CloneNamed(nn.TrainableSubset(serverStudent.Params)),
+				metric:       tr.Metric,
+				lost:         fault > 0,
+			}
+			clk.keyFrame(trip + fault)
+			cad.sent()
+			if pending.lost {
+				// The disconnected client has no arrival to wait on and
+				// keeps going on stale weights.
+				cad.settled()
+			}
 		}
 
 		// On-device inference of the current frame (key frames included:
-		// Algorithm 4 line 12 runs for every frame). A faulted update is
-		// not waited for: the disconnected client has no arrival to wait on
-		// and keeps going on stale weights.
+		// Algorithm 4 line 12 runs for every frame).
 		mask, _ := student.Infer(frame.Image)
-		arrived := clk.frame()
+		landed := clk.frame(cad.inferred())
 
 		if i%sc.EvalEvery == 0 {
 			cm.Add(mask, tch.Infer(frame))
@@ -330,17 +326,17 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 
 		if pending != nil {
 			if sc.DelayFrames > 0 {
-				arrived = i+1 >= pending.arrivesFrame
+				landed = i+1 >= pending.arrivesFrame
 			}
-			if arrived {
+			if landed {
 				student.Params.ApplyValues(pending.params)
-				stride = nextStride(stride, pending.metric)
-				res.StrideTrace = append(res.StrideTrace, stride)
+				cad.applied(pending.metric, 1)
 				res.MetricTrace = append(res.MetricTrace, pending.metric)
 				pending = nil
 			}
 		}
 	}
+	res.StrideTrace = cad.trace
 	res.Frames = sc.Frames
 	res.VirtualTime = clk.now
 	res.MeanIoU = cm.MeanIoU()
