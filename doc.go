@@ -7,18 +7,18 @@
 // benchmark per table and figure of the paper's evaluation section plus a
 // 1-vs-16-client throughput comparison. The implementation lives under
 // internal/ (ARCHITECTURE.md maps the paper's algorithms and sections onto
-// the packages), runnable entry points under cmd/ and examples/.
+// the packages), runnable entry points under cmd/.
 //
 // # Quickstart
 //
-// The fastest tour is the in-process example, which wires a client and
-// server over a pipe and runs real online distillation:
+// The fastest tour is one scenario: a loopback server and one client run
+// real online distillation on a fixed-camera stream and report FPS, key
+// frames and mIoU:
 //
-//	go run ./examples/quickstart
+//	go run ./cmd/stbench -scenario workload/quickstart
 //
-// Other scenarios live alongside it: examples/streetcam (fixed camera),
-// examples/egocentric (moving camera), examples/lowbandwidth (throttled
-// link), and examples/realtime (wall-clock pacing).
+// The other workload/* scenarios run a CCTV stream, a body-cam stream and a
+// slow link the same way.
 //
 // To run the real protocol over TCP, start the multi-session server and
 // point any number of clients at it:

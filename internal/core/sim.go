@@ -161,35 +161,12 @@ type KeyFrameEvent struct {
 	Metric     float64 // post-distillation metric
 }
 
-// FPS returns frames per virtual second.
-func (r SimResult) FPS() float64 {
-	if r.VirtualTime <= 0 {
-		return 0
-	}
-	return float64(r.Frames) / r.VirtualTime.Seconds()
-}
-
 // KeyFrameRatio returns key frames / frames (Table 5, %).
 func (r SimResult) KeyFrameRatio() float64 {
 	if r.Frames == 0 {
 		return 0
 	}
 	return float64(r.KeyFrames) / float64(r.Frames)
-}
-
-// TrafficMbps returns total HD-equivalent traffic per virtual second.
-func (r SimResult) TrafficMbps() float64 {
-	return netsim.TrafficMbps(r.BytesUp+r.BytesDown, r.VirtualTime)
-}
-
-// MBPerKeyFrame returns (up, down) HD-equivalent megabytes per key frame
-// (Table 4).
-func (r SimResult) MBPerKeyFrame() (up, down float64) {
-	if r.KeyFrames == 0 {
-		return 0, 0
-	}
-	return netsim.MB(int(r.BytesUp)) / float64(r.KeyFrames),
-		netsim.MB(int(r.BytesDown)) / float64(r.KeyFrames)
 }
 
 // Simulate runs one experiment: it drives the real student and distiller

@@ -167,7 +167,7 @@ func TestSimulateNaive(t *testing.T) {
 		t.Fatal("naive accuracy is 1 by definition (§6.3)")
 	}
 	// Paper regime: naive ≈ 2.1 FPS at 80 Mbps.
-	if fps := res.FPS(); fps < 1.5 || fps > 3 {
+	if fps := float64(res.Frames) / res.VirtualTime.Seconds(); fps < 1.5 || fps > 3 {
 		t.Fatalf("naive FPS %v outside the paper regime", fps)
 	}
 }
@@ -200,7 +200,7 @@ func TestSimulateThroughputWithinAnalyticBounds(t *testing.T) {
 	// The virtual-time simulator must respect the §4.4 bounds when run
 	// with the paper latencies it is configured with.
 	res := baselineRun(t)
-	fps := res.FPS()
+	fps := float64(res.Frames) / res.VirtualTime.Seconds()
 	// Paper bounds for this config: lower ≈ 5.05, upper ≈ 6.99, with some
 	// slack for the sim's finite-run edge effects.
 	if fps < 4.5 || fps > 7.3 {

@@ -17,7 +17,7 @@ import (
 var familyNotes = map[string]string{
 	"bandwidth-sweep": "§6.4 link matrix on the drone stream: fixed profiles and the wifi-fade trace crossed with client counts and diff codecs. Gates throughput (`aggregate_fps`, `mean_client_fps`), latency percentiles, `mean_iou`, `key_frame_rate` and HD-scaled traffic.",
 	"multiclient":     "§1/§7 scaling: N heterogeneous streams sharing one batched teacher. Gates throughput and `teacher_mean_batch` occupancy (informational) plus the standard accuracy/traffic set.",
-	"workload":        "The example programs' streams as measured scenarios. Gates the standard throughput/accuracy set per stream.",
+	"workload":        "Single-stream showcases: CCTV, body-cam, a slow link and the quickstart stream. Gates the standard throughput/accuracy set per stream.",
 	"ablation":        "The DESIGN.md ablation suite (stride policy, async updates, freeze points, loss weighting), folded to metrics. Gated via the family's `extra.*` columns (informational unless given tolerances).",
 	"compression":     "§8 diff-codec study offline: bytes per diff, compression ratio, reconstruction error as `extra.*` columns.",
 	"alloc":           "PR 2 steady-state allocation guard. Gates `distill_allocs_per_step` (lower-better, tight tolerance).",

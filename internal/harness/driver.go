@@ -143,8 +143,7 @@ func clientDialer(spec Spec, addr string, acct *netsim.Accountant, up *netsim.Li
 // Drive runs one end-to-end scenario: a loopback serve.Manager with the
 // shared batched teacher on one side, spec.Clients concurrent core.Clients
 // on the other, each over its own (throttled or trace-shaped) TCP link,
-// with the spec's codec as the serving tier's link policy. It is the
-// measured counterpart of examples/quickstart at scenario scale.
+// with the spec's codec as the serving tier's link policy.
 func Drive(name, family string, spec Spec) (Metrics, error) {
 	spec.setDefaults()
 	linkPolicy := spec.linkPolicy()

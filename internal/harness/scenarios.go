@@ -25,7 +25,8 @@ var WifiFade = netsim.MustTrace("wifi-fade",
 //	bandwidth-sweep/*  — §6.4 link matrix: fixed profiles and the wifi-fade
 //	                     trace, crossed with client counts and diff codecs
 //	multiclient/*      — §1/§7 scaling: one shared batched teacher, N streams
-//	workload/*         — the streams the examples/ programs showcase
+//	workload/*         — single-stream showcases: CCTV, body-cam, a slow
+//	                     link, and the quickstart stream
 //	ablation/*         — the DESIGN.md ablation suite, folded to metrics
 //	compression/*      — the §8 diff-codec study, folded to metrics
 //	alloc/*            — PR 2 steady-state allocation guard
@@ -67,25 +68,25 @@ func init() {
 		Spec: Spec{Workload: "mixed", Clients: 8, Frames: 160},
 	})
 
-	// The example programs' streams as measured scenarios (see examples/).
+	// Single-stream showcases; workload/quickstart is the starting tour.
 	Register(Scenario{
 		Name: "workload/streetcam",
-		Desc: "examples/streetcam: southbeach CCTV, the most volatile stream",
+		Desc: "southbeach CCTV, the most volatile stream",
 		Spec: Spec{Workload: "southbeach", Clients: 1},
 	})
 	Register(Scenario{
 		Name: "workload/egocentric",
-		Desc: "examples/egocentric: body-cam people stream",
+		Desc: "body-cam people stream",
 		Spec: Spec{Workload: "egocentric/people", Clients: 1},
 	})
 	Register(Scenario{
 		Name: "workload/softball-lowbw",
-		Desc: "examples/lowbandwidth: calmest stream on a 12 Mbps link",
+		Desc: "calmest stream on a 12 Mbps link",
 		Spec: Spec{Workload: "softball", Bandwidth: 12, Clients: 1},
 	})
 	Register(Scenario{
 		Name: "workload/quickstart",
-		Desc: "examples/quickstart: fixed/people starter stream",
+		Desc: "fixed/people starter stream",
 		Spec: Spec{Workload: "fixed/people", Clients: 1, Frames: 180},
 	})
 

@@ -256,7 +256,3 @@ func (g *Generator) renderBackground(r, gg, b []float32, light float32) {
 		}
 	}
 }
-
-// NumObjects returns the current number of live objects (for tests and the
-// videogen inspector).
-func (g *Generator) NumObjects() int { return len(g.objects) }

@@ -95,7 +95,7 @@ func TestCullRespawnKeepsDensity(t *testing.T) {
 	g := mustGen(cfg)
 	for i := 0; i < 300; i++ {
 		g.Next()
-		n := g.NumObjects()
+		n := len(g.objects)
 		if n < cfg.MinObjects || n > cfg.MaxObjects {
 			t.Fatalf("frame %d: %d objects outside [%d,%d]", i, n, cfg.MinObjects, cfg.MaxObjects)
 		}

@@ -234,9 +234,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // sceneryClasses returns the class palette for the scenery.
 func sceneryClasses(s Scenery) []int32 {
 	switch s {
