@@ -29,7 +29,7 @@ func TestStridePolicyOverrideChangesSchedule(t *testing.T) {
 		sc := simCfg(160)
 		sc.DelayFrames = 1
 		sc.StridePolicy = policy
-		res, err := Simulate(sc, mustCalm(51), teacher.NewOracle(51), tinyStudent(51))
+		res, err := Simulate(sc, mustCalm(51), teacher.NewOracle(51), teacher.NewOracle(51), tinyStudent(51))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestStridePolicyStillClamped(t *testing.T) {
 	sc := simCfg(120)
 	sc.DelayFrames = 1
 	sc.StridePolicy = func(_, _ float64) float64 { return 100000 }
-	res, err := Simulate(sc, mustCalm(52), teacher.NewOracle(52), tinyStudent(52))
+	res, err := Simulate(sc, mustCalm(52), teacher.NewOracle(52), teacher.NewOracle(52), tinyStudent(52))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSimulateCustomFreezeHeadOnly(t *testing.T) {
 	sc.DelayFrames = 1
 	prefixes := []string{"in1", "in2", "sb1", "sb2", "sb3", "sb4", "sb5", "sb6"}
 	st := tinyStudent(53)
-	res, err := SimulateCustomFreeze(sc, mustCalm(53), teacher.NewOracle(53), st, prefixes)
+	res, err := SimulateCustomFreeze(sc, mustCalm(53), teacher.NewOracle(53), teacher.NewOracle(53), st, prefixes)
 	if err != nil {
 		t.Fatal(err)
 	}

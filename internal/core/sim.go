@@ -93,12 +93,12 @@ type SimConfig struct {
 	// key frame's student update (0-based) on top of the link-derived
 	// transfer time — the deterministic twin of a mid-stream connection
 	// fault: the severed diff is journaled and replayed after the resume
-	// handshake, so it still arrives, late by the recovery cost. A faulted
-	// update also bypasses Algorithm 4's MIN_STRIDE blocking wait: a client
-	// whose connection just dropped cannot block for a diff it does not
-	// know is coming, so it keeps inferring on stale weights until recovery
-	// completes — the simulation analogue of the live harness's
-	// stale_frames. Chaos scenarios use this to compute a
+	// handshake, so it still arrives, late by the recovery cost. Until it
+	// lands the link is lost, as in the live client: no key frame goes out,
+	// and nothing waits at MIN_STRIDE — a client whose connection just
+	// dropped cannot block for a diff it does not know is coming, so it
+	// keeps inferring on stale weights until recovery completes (the live
+	// harness's stale_frames). Chaos scenarios use this to compute a
 	// machine-independent accuracy delta on the simulation clock.
 	UpdateDelay func(kfIndex int) time.Duration
 
@@ -140,7 +140,7 @@ type SimResult struct {
 	BytesUp     int64         // HD-equivalent bytes to server
 	BytesDown   int64         // HD-equivalent bytes to client
 
-	MeanIoU     float64 // vs teacher output, averaged over evaluated frames
+	MeanIoU     float64 // vs the evaluator's output, averaged over evaluated frames
 	EvalFrames  int
 	StrideTrace []float64     // stride after each key frame
 	MetricTrace []float64     // post-distillation metric per key frame
@@ -171,10 +171,13 @@ func (r SimResult) KeyFrameRatio() float64 {
 
 // Simulate runs one experiment: it drives the real student and distiller
 // over the video source while accounting time on a virtual clock with the
-// configured component latencies. Accuracy is measured against the
-// teacher's output on every evaluated frame, exactly as §6.3 does ("all
-// accuracy values are evaluated against the teacher output").
-func Simulate(sc SimConfig, src video.Source, tch teacher.Teacher, student *nn.Student) (SimResult, error) {
+// configured component latencies. tch labels the key frames the server
+// trains on; accuracy is measured against eval's output on every evaluated
+// frame, exactly as §6.3 does ("all accuracy values are evaluated against
+// the teacher output"). They are two values, as the live Server.Teacher and
+// Client.EvalTeacher are, so evaluating never moves a seeded teacher's
+// training labels — and with them the key-frame schedule.
+func Simulate(sc SimConfig, src video.Source, tch, eval teacher.Teacher, student *nn.Student) (SimResult, error) {
 	if err := sc.Cfg.Validate(); err != nil {
 		return SimResult{}, err
 	}
@@ -188,16 +191,16 @@ func Simulate(sc SimConfig, src video.Source, tch teacher.Teacher, student *nn.S
 	case ModeNaive:
 		return simulateNaive(sc, src)
 	case ModeWild:
-		return SimulateWild(sc, src, tch, student)
+		return SimulateWild(sc, src, eval, student)
 	default:
-		return simulateShadowTutor(sc, src, tch, student, nil)
+		return simulateShadowTutor(sc, src, tch, eval, student, nil)
 	}
 }
 
 // SimulateCustomFreeze runs a ShadowTutor simulation with an explicit
 // freeze cut instead of the paper's through-SB4 partial mode — the
 // freeze-point ablation. prefixes nil means full distillation.
-func SimulateCustomFreeze(sc SimConfig, src video.Source, tch teacher.Teacher, student *nn.Student, prefixes []string) (SimResult, error) {
+func SimulateCustomFreeze(sc SimConfig, src video.Source, tch, eval teacher.Teacher, student *nn.Student, prefixes []string) (SimResult, error) {
 	if err := sc.Cfg.Validate(); err != nil {
 		return SimResult{}, err
 	}
@@ -207,7 +210,7 @@ func SimulateCustomFreeze(sc SimConfig, src video.Source, tch teacher.Teacher, s
 	if sc.EvalEvery <= 0 {
 		sc.EvalEvery = 1
 	}
-	return simulateShadowTutor(sc, src, tch, student, prefixes)
+	return simulateShadowTutor(sc, src, tch, eval, student, prefixes)
 }
 
 // pendingUpdate models an in-flight student diff; the clock knows when it
@@ -229,7 +232,7 @@ func applyFreeze(st *nn.Student, cfg Config, prefixes []string) {
 	st.Params.FreezePrefix(prefixes...)
 }
 
-func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, student *nn.Student, freezePrefixes []string) (SimResult, error) {
+func simulateShadowTutor(sc SimConfig, src video.Source, tch, eval teacher.Teacher, student *nn.Student, freezePrefixes []string) (SimResult, error) {
 	cfg := sc.Cfg
 	res := SimResult{Mode: sc.Mode, Partial: cfg.Partial}
 
@@ -297,7 +300,7 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch teacher.Teacher, st
 		landed := clk.frame(cad.inferred())
 
 		if i%sc.EvalEvery == 0 {
-			cm.Add(mask, tch.Infer(frame))
+			cm.Add(mask, eval.Infer(frame))
 			res.EvalFrames++
 		}
 
@@ -343,8 +346,8 @@ func simulateNaive(sc SimConfig, src video.Source) (SimResult, error) {
 }
 
 // SimulateWild runs the pre-trained student with no distillation and
-// returns its accuracy against the teacher (Table 6's "Wild" column).
-func SimulateWild(sc SimConfig, src video.Source, tch teacher.Teacher, student *nn.Student) (SimResult, error) {
+// returns its accuracy against the evaluator (Table 6's "Wild" column).
+func SimulateWild(sc SimConfig, src video.Source, eval teacher.Teacher, student *nn.Student) (SimResult, error) {
 	if sc.EvalEvery <= 0 {
 		sc.EvalEvery = 1
 	}
@@ -360,7 +363,7 @@ func SimulateWild(sc SimConfig, src video.Source, tch teacher.Teacher, student *
 		mask, _ := student.Infer(frame.Image)
 		now += lat.StudentInference
 		if i%sc.EvalEvery == 0 {
-			cm.Add(mask, tch.Infer(frame))
+			cm.Add(mask, eval.Infer(frame))
 			res.EvalFrames++
 		}
 	}

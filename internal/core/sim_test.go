@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func baselineRun(t *testing.T) SimResult {
 	baselineOnce.Do(func() {
 		sc := simCfg(200)
 		src := mustCalm(2)
-		baselineRes, baselineErr = Simulate(sc, src, teacher.NewOracle(2), tinyStudent(2))
+		baselineRes, baselineErr = Simulate(sc, src, teacher.NewOracle(2), teacher.NewOracle(2), tinyStudent(2))
 	})
 	if baselineErr != nil {
 		t.Fatal(baselineErr)
@@ -133,7 +134,7 @@ func TestSimulateDelayModeMatchesSchedule(t *testing.T) {
 	mk := func(delay int) SimResult {
 		sc := simCfg(120)
 		sc.DelayFrames = delay
-		res, err := Simulate(sc, calmSource(t, 4), teacher.NewOracle(4), tinyStudent(4))
+		res, err := Simulate(sc, calmSource(t, 4), teacher.NewOracle(4), teacher.NewOracle(4), tinyStudent(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +153,62 @@ func TestSimulateDelayModeMatchesSchedule(t *testing.T) {
 	}
 }
 
+// keyFrameIndices is a schedule's key-frame positions.
+func keyFrameIndices(s []KeyFrameEvent) []int {
+	idx := make([]int, len(s))
+	for i, ev := range s {
+		idx[i] = ev.FrameIndex
+	}
+	return idx
+}
+
+// How often accuracy is sampled must not move what is trained: the
+// evaluator is its own teacher, so its draws never reach the labels.
+func TestSimulateScheduleIgnoresEvalEvery(t *testing.T) {
+	frames := collect(t, 31, 300)
+	run := func(every int) SimResult {
+		sc := simCfg(len(frames))
+		sc.EvalEvery = every
+		res, err := Simulate(sc, video.NewReplay(frames), teacher.NewOracle(3), teacher.NewOracle(3), tinyStudent(21))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	all, third := run(1), run(3)
+	if !slices.Equal(keyFrameIndices(all.Schedule), keyFrameIndices(third.Schedule)) || !slices.Equal(all.StrideTrace, third.StrideTrace) {
+		t.Fatalf("EvalEvery moved the schedule: %d key frames at EvalEvery 1, %d at 3", all.KeyFrames, third.KeyFrames)
+	}
+}
+
+// The simulator and the live client drive one cadence, so on the same
+// frames, student and teacher seed they send the same key frames and take
+// the same stride decisions. Arrival timing moves only which frame an
+// update lands on; the live client also applies its last update at
+// teardown, which the simulator may not reach.
+func TestSimulatorReplaysLiveSchedule(t *testing.T) {
+	frames := collect(t, 31, 300)
+	cl, _ := runSession(t, DefaultConfig(), frames)
+	sc := simCfg(len(frames))
+	sc.EvalEvery = 1
+	sim, err := Simulate(sc, video.NewReplay(frames), teacher.NewOracle(3), teacher.NewOracle(3), tinyStudent(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := cl.Result.StrideTrace
+	if sim.KeyFrames != cl.Result.KeyFrames {
+		t.Fatalf("simulator sent %d key frames, live client %d", sim.KeyFrames, cl.Result.KeyFrames)
+	}
+	if n := len(sim.StrideTrace); n > len(live) || len(live)-n > 1 || !slices.Equal(sim.StrideTrace, live[:n]) {
+		t.Fatalf("stride traces diverge:\nsim  %v\nlive %v", sim.StrideTrace, live)
+	}
+}
+
 func TestSimulateNaive(t *testing.T) {
 	sc := simCfg(50)
 	sc.Mode = ModeNaive
 	sc.NaiveOverheadPerFrame = 65 * time.Millisecond
-	res, err := Simulate(sc, calmSource(t, 5), teacher.NewOracle(5), nil)
+	res, err := Simulate(sc, calmSource(t, 5), teacher.NewOracle(5), teacher.NewOracle(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +227,7 @@ func TestSimulateNaive(t *testing.T) {
 func TestSimulateWildNoKeyFrames(t *testing.T) {
 	sc := simCfg(40)
 	sc.Mode = ModeWild
-	res, err := Simulate(sc, calmSource(t, 6), teacher.NewOracle(6), tinyStudent(6))
+	res, err := Simulate(sc, calmSource(t, 6), teacher.NewOracle(6), teacher.NewOracle(6), tinyStudent(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +238,12 @@ func TestSimulateWildNoKeyFrames(t *testing.T) {
 
 func TestSimulateRejectsBadConfig(t *testing.T) {
 	sc := simCfg(0)
-	if _, err := Simulate(sc, calmSource(t, 7), teacher.NewOracle(7), tinyStudent(7)); err == nil {
+	if _, err := Simulate(sc, calmSource(t, 7), teacher.NewOracle(7), teacher.NewOracle(7), tinyStudent(7)); err == nil {
 		t.Fatal("zero frames must error")
 	}
 	sc = simCfg(10)
 	sc.Cfg.Threshold = 2
-	if _, err := Simulate(sc, calmSource(t, 8), teacher.NewOracle(8), tinyStudent(8)); err == nil {
+	if _, err := Simulate(sc, calmSource(t, 8), teacher.NewOracle(8), teacher.NewOracle(8), tinyStudent(8)); err == nil {
 		t.Fatal("invalid config must error")
 	}
 }

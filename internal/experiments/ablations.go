@@ -7,7 +7,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/stats"
-	"repro/internal/teacher"
 	"repro/internal/video"
 )
 
@@ -15,7 +14,7 @@ import (
 // most demanding category, where design differences are most visible.
 var ablationStream = video.Category{Camera: video.Moving, Scenery: video.Street}
 
-func (s *Suite) ablationSource() (video.Source, teacher.Teacher, error) {
+func (s *Suite) ablationSource() (video.Source, error) {
 	return s.streamSource(ablationStream.String(), 0)
 }
 
@@ -55,7 +54,7 @@ func (s *Suite) AblationStride() (StrideRows, error) {
 	}
 	var rows StrideRows
 	for _, p := range policies {
-		src, tch, err := s.ablationSource()
+		src, err := s.ablationSource()
 		if err != nil {
 			return nil, err
 		}
@@ -68,7 +67,8 @@ func (s *Suite) AblationStride() (StrideRows, error) {
 			Link: netsim.DefaultLink(), Concurrency: core.FullConcurrency,
 			DelayFrames: 1, EvalEvery: s.Opts.EvalEvery, StridePolicy: p.fn,
 		}
-		res, err := core.Simulate(sc, src, tch, student)
+		tch, eval := s.teachers()
+		res, err := core.Simulate(sc, src, tch, eval, student)
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +106,7 @@ func (rows AsyncRows) Table() *stats.Table {
 // the Figure 4 robustness comes from async — with blocking the curve decays
 // like naive offloading's.
 func (s *Suite) AblationAsync() (AsyncRows, error) {
-	src, tch, err := s.ablationSource()
+	src, err := s.ablationSource()
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +120,8 @@ func (s *Suite) AblationAsync() (AsyncRows, error) {
 		Link: netsim.DefaultLink(), Concurrency: core.FullConcurrency,
 		DelayFrames: 1, EvalEvery: s.Opts.EvalEvery,
 	}
-	res, err := core.Simulate(sc, src, tch, student)
+	tch, eval := s.teachers()
+	res, err := core.Simulate(sc, src, tch, eval, student)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +179,7 @@ func (s *Suite) AblationFreezePoint() (FreezeRows, error) {
 	}
 	var rows FreezeRows
 	for _, cut := range cuts {
-		src, tch, err := s.ablationSource()
+		src, err := s.ablationSource()
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +198,8 @@ func (s *Suite) AblationFreezePoint() (FreezeRows, error) {
 		// would reset the custom cut; mark cfg.Partial to match and restore
 		// the cut after SetPartial by wrapping: simplest is a custom-frozen
 		// clone through SimulateCustomFreeze.
-		res, err := core.SimulateCustomFreeze(sc, src, tch, student, cut.prefixes)
+		tch, eval := s.teachers()
+		res, err := core.SimulateCustomFreeze(sc, src, tch, eval, student, cut.prefixes)
 		if err != nil {
 			return nil, err
 		}
@@ -247,7 +249,7 @@ func (rows LossRows) Table() *stats.Table {
 func (s *Suite) AblationLossWeighting() (LossRows, error) {
 	var rows LossRows
 	for _, weighted := range []bool{true, false} {
-		src, tch, err := s.ablationSource()
+		src, err := s.ablationSource()
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +264,8 @@ func (s *Suite) AblationLossWeighting() (LossRows, error) {
 			Link: netsim.DefaultLink(), Concurrency: core.FullConcurrency,
 			DelayFrames: 1, EvalEvery: s.Opts.EvalEvery,
 		}
-		res, err := core.Simulate(sc, src, tch, student)
+		tch, eval := s.teachers()
+		res, err := core.Simulate(sc, src, tch, eval, student)
 		if err != nil {
 			return nil, err
 		}

@@ -53,9 +53,9 @@ func NewSuite(opts Options) *Suite {
 	return &Suite{Opts: opts, runs: map[RunKey]core.SimResult{}}
 }
 
-// streamSource builds the video source and teacher for a stream name
-// (either a Category string or a NamedVideo).
-func (s *Suite) streamSource(stream string, resample int) (video.Source, teacher.Teacher, error) {
+// streamSource builds the video source for a stream name (either a Category
+// string or a NamedVideo).
+func (s *Suite) streamSource(stream string, resample int) (video.Source, error) {
 	var cfg video.Config
 	found := false
 	for i, cat := range video.Categories {
@@ -69,18 +69,24 @@ func (s *Suite) streamSource(stream string, resample int) (video.Source, teacher
 		var err error
 		cfg, err = video.NamedVideo(stream, s.Opts.Seed*7+13)
 		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: unknown stream %q", stream)
+			return nil, fmt.Errorf("experiments: unknown stream %q", stream)
 		}
 	}
 	gen, err := video.NewGenerator(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var src video.Source = gen
 	if resample > 1 {
-		src = &video.Resampled{G: gen, Stride: resample}
+		return &video.Resampled{G: gen, Stride: resample}, nil
 	}
-	return src, teacher.NewOracle(s.Opts.Seed + 997), nil
+	return gen, nil
+}
+
+// teachers returns a run's training teacher and its evaluator: two oracles
+// with one seed, as a live session's server teacher and client evaluator
+// are, so evaluation never draws from the training labels' noise.
+func (s *Suite) teachers() (tch, eval teacher.Teacher) {
+	return teacher.NewOracle(s.Opts.Seed + 997), teacher.NewOracle(s.Opts.Seed + 997)
 }
 
 // Run executes (or returns the memoised) simulation for key.
@@ -92,7 +98,7 @@ func (s *Suite) Run(key RunKey) (core.SimResult, error) {
 	}
 	s.mu.Unlock()
 
-	src, tch, err := s.streamSource(key.Stream, key.Resample)
+	src, err := s.streamSource(key.Stream, key.Resample)
 	if err != nil {
 		return core.SimResult{}, err
 	}
@@ -113,7 +119,8 @@ func (s *Suite) Run(key RunKey) (core.SimResult, error) {
 	if err != nil {
 		return core.SimResult{}, err
 	}
-	res, err := core.Simulate(sc, src, tch, student)
+	tch, eval := s.teachers()
+	res, err := core.Simulate(sc, src, tch, eval, student)
 	if err != nil {
 		return core.SimResult{}, err
 	}

@@ -56,8 +56,9 @@ func dropMidstreamCuts() []netsim.Fault {
 // mid-flight; the resilience layer journals and replays it, so the update
 // still reaches the client — late by one reconnect handshake plus the
 // retransfer of the severed diff. The twin models exactly that: two
-// identical simulated runs (the live run's stream and oracle seeds, the
-// experiments suite's pretrained student), with the faulty one adding
+// identical simulated runs (the live run's stream, its teacher and
+// evaluator as two oracles of one seed, the experiments suite's pretrained
+// student), with the faulty one adding
 // the recovery cost to the updates dropMidstreamCuts severs (diffs 2 and 4,
 // 0-based key frames 1 and 3). Everything runs on the simulator's virtual time, so
 // given diffMsg the returned delta is machine-independent — unlike the live
@@ -95,7 +96,7 @@ func simChaosDelta(spec Spec, diffMsg int) (deltaPP, cleanMIoU float64, err erro
 			Concurrency: core.FullConcurrency,
 			EvalEvery:   spec.EvalEvery,
 			UpdateDelay: delay,
-		}, src, teacher.NewOracle(spec.Seed+997), student)
+		}, src, teacher.NewOracle(spec.Seed+997), teacher.NewOracle(spec.Seed+997), student)
 		if err != nil {
 			return 0, err
 		}
