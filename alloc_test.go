@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 	"repro/internal/video"
 )
 
@@ -21,9 +20,9 @@ import (
 // (alloc/distill-step vs ci/bench_baseline.json).
 //
 // No kernel allocates: every tensor on these paths is a workspace lease and
-// no loop builds a closure, so the two backends cost the same. What remains
-// is the per-op backward closures of the training tape and the handful of
-// result values an inference returns.
+// no loop builds a closure. What remains is the per-op backward closures of
+// the training tape and the handful of result values an inference returns.
+// Each budget runs as a sub-test named for the compute path it holds, vec.
 //
 // The partial budget sits far below what a partial Train call allocated
 // while every pass re-ran the frozen stages: losing the prefix reuse fails
@@ -71,69 +70,52 @@ func skipUnderRace(t *testing.T) {
 
 func TestAllocBudgetStudentInference(t *testing.T) {
 	skipUnderRace(t)
-	for _, name := range tensor.Backends() {
-		t.Run(name, func(t *testing.T) {
-			bk, err := tensor.BackendByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, frame := allocStudent(t)
-			s.SetBackend(bk)
-			got := measureAllocs(func() { s.Infer(frame.Image) })
-			t.Logf("student inference (%s): %.0f allocs/op (budget %d, pre-PR baseline 1062)", name, got, inferAllocBudget)
-			if got > inferAllocBudget {
-				t.Fatalf("student inference (%s) allocates %.0f/op, budget %d — the zero-allocation hot path regressed", name, got, inferAllocBudget)
-			}
-		})
-	}
+	t.Run("vec", func(t *testing.T) {
+		s, frame := allocStudent(t)
+		got := measureAllocs(func() { s.Infer(frame.Image) })
+		t.Logf("student inference: %.0f allocs/op (budget %d, pre-PR baseline 1062)", got, inferAllocBudget)
+		if got > inferAllocBudget {
+			t.Fatalf("student inference allocates %.0f/op, budget %d — the zero-allocation hot path regressed", got, inferAllocBudget)
+		}
+	})
 }
 
 // TestAllocBudgetStudentPrefix pins the once-per-key-frame pass over the
 // frozen stages to zero allocations.
 func TestAllocBudgetStudentPrefix(t *testing.T) {
 	skipUnderRace(t)
-	for _, name := range tensor.Backends() {
-		t.Run(name, func(t *testing.T) {
-			bk, err := tensor.BackendByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, frame := allocStudent(t)
-			s.SetBackend(bk)
-			s.SetPartial(true)
-			if got := measureAllocs(func() { s.Prefix(frame.Image) }); got != 0 {
-				t.Fatalf("student prefix (%s) allocates %.0f/op; Prefix and its convolutions must be allocation-free", name, got)
-			}
-		})
-	}
+	t.Run("vec", func(t *testing.T) {
+		s, frame := allocStudent(t)
+		s.SetPartial(true)
+		if got := measureAllocs(func() { s.Prefix(frame.Image) }); got != 0 {
+			t.Fatalf("student prefix allocates %.0f/op; Prefix and its convolutions must be allocation-free", got)
+		}
+	})
 }
 
 func TestAllocBudgetDistillStep(t *testing.T) {
 	skipUnderRace(t)
-	for _, backend := range tensor.Backends() {
-		for _, mode := range []struct {
-			name    string
-			partial bool
-			budget  float64
-		}{
-			{"partial", true, distillPartialAllocBudget},
-			{"full", false, distillFullAllocBudget},
-		} {
-			t.Run(backend+"/"+mode.name, func(t *testing.T) {
-				cfg := core.DefaultConfig()
-				cfg.Backend = backend
-				cfg.Partial = mode.partial
-				cfg.Threshold = 0.999 // force a full optimization step every call
-				cfg.MaxUpdates = 1
-				s, frame := allocStudent(t)
-				dist := core.NewDistiller(cfg, s)
-				got := measureAllocs(func() { dist.Train(frame, frame.Label) })
-				t.Logf("distill step (%s/%s): %.0f allocs/op (budget %.0f)", backend, mode.name, got, mode.budget)
-				if got > mode.budget {
-					t.Fatalf("distill step (%s/%s) allocates %.0f/op, budget %.0f — the zero-allocation hot path regressed",
-						backend, mode.name, got, mode.budget)
-				}
-			})
-		}
+	for _, mode := range []struct {
+		name    string
+		partial bool
+		budget  float64
+	}{
+		{"partial", true, distillPartialAllocBudget},
+		{"full", false, distillFullAllocBudget},
+	} {
+		t.Run("vec/"+mode.name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			cfg.Partial = mode.partial
+			cfg.Threshold = 0.999 // force a full optimization step every call
+			cfg.MaxUpdates = 1
+			s, frame := allocStudent(t)
+			dist := core.NewDistiller(cfg, s)
+			got := measureAllocs(func() { dist.Train(frame, frame.Label) })
+			t.Logf("distill step (%s): %.0f allocs/op (budget %.0f)", mode.name, got, mode.budget)
+			if got > mode.budget {
+				t.Fatalf("distill step (%s) allocates %.0f/op, budget %.0f — the zero-allocation hot path regressed",
+					mode.name, got, mode.budget)
+			}
+		})
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/netsim"
-	"repro/internal/tensor"
 	"repro/internal/video"
 )
 
@@ -273,29 +272,26 @@ func BenchmarkMultiClientThroughput(b *testing.B) {
 // deployments the shard count is the scaling lever; on a CPU-saturated
 // pure-Go box the distillers themselves bound both configurations.
 func BenchmarkFabricThroughput(b *testing.B) {
-	for _, backend := range tensor.Backends() {
-		for _, shards := range []int{1, 4} {
-			b.Run(fmt.Sprintf("backend=%s/shards=%d", backend, shards), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					m, err := harness.Drive("bench/fabric", "bench", harness.Spec{
-						Workload:  "mixed",
-						Clients:   64,
-						Frames:    24,
-						EvalEvery: 8,
-						Shards:    shards,
-						Backend:   backend,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					totalFrames := float64(m.Clients * m.FramesPerClient)
-					keyFrames := m.KeyFrameRate * totalFrames
-					stepsPerSec := m.MeanDistillSteps * keyFrames / m.WallSeconds
-					b.ReportMetric(stepsPerSec, "distill-steps/s")
-					b.ReportMetric(m.AggregateFPS, "agg-fps")
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m, err := harness.Drive("bench/fabric", "bench", harness.Spec{
+					Workload:  "mixed",
+					Clients:   64,
+					Frames:    24,
+					EvalEvery: 8,
+					Shards:    shards,
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				totalFrames := float64(m.Clients * m.FramesPerClient)
+				keyFrames := m.KeyFrameRate * totalFrames
+				stepsPerSec := m.MeanDistillSteps * keyFrames / m.WallSeconds
+				b.ReportMetric(stepsPerSec, "distill-steps/s")
+				b.ReportMetric(m.AggregateFPS, "agg-fps")
+			}
+		})
 	}
 }
 

@@ -42,9 +42,8 @@ func main() {
 		pretrain    = flag.Int("pretrain", 0, "override pre-training steps (0 = default)")
 		shards      = flag.Int("shards", 1, "shard workers in the serving fabric (1 = single session manager)")
 		maxSessions = flag.Int("max-sessions", 64, "concurrent client session cap (per shard when -shards > 1)")
-		resumeTTL   = flag.Duration("resume-ttl", 2*time.Minute, "how long a disconnected session stays resumable (negative disables resumption)")
+		resumeTTL   = flag.Duration("resume-ttl", 2*time.Minute, "how long a disconnected session stays resumable")
 		journal     = flag.Int("journal-depth", 8, "recent student diffs journaled per session for resume replay")
-		backend     = flag.String("backend", "", "tensor compute backend for every shard's kernels (default: process default; e.g. \"vec\", \"reference\")")
 		envCodec    = flag.String("envelope-codec", "", "compress codec for MsgStudentFull checkpoints to clients holding the pretrained base, relative to it, e.g. \"delta+int8\" (empty = absolute checkpoints)")
 		lossModel   = flag.String("loss-model", "", "simulate packet loss on every accepted connection (netsim spec, e.g. \"uniform:0.02\" or \"ge:0.02,0.25,0.002,0.5\"; empty = plain byte stream). Clients must run the same packet framing (their -loss-model flag)")
 		fec         = flag.Int("fec", 0, "XOR-parity FEC group size for the packet layer (0 = no FEC)")
@@ -80,7 +79,6 @@ func main() {
 	cfg.Partial = *partial
 	cfg.Threshold = *threshold
 	cfg.MaxUpdates = *maxUpd
-	cfg.Backend = *backend
 	if err := cfg.Validate(); err != nil {
 		log.Fatal(err)
 	}

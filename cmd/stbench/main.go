@@ -45,7 +45,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 )
 
 func main() {
@@ -64,7 +63,6 @@ func main() {
 		catalog    = flag.Bool("catalog", false, "regenerate docs/SCENARIOS.md from the scenario registry and exit")
 		scenario   = flag.String("scenario", "", "run registered scenarios matching this comma-separated list of names/globs (e.g. 'bandwidth-sweep/*')")
 		jsonOut    = flag.String("json", "", "with -scenario: write machine-readable metrics JSON to this path")
-		backend    = flag.String("backend", "", "tensor compute backend for every run (default: process default; see tensor.Backends)")
 		adminAddr  = flag.String("admin", "", "with -scenario: serve the admin HTTP endpoint (/metrics, /statusz, /tracez, /debug/pprof) on this address during the run (empty = disabled)")
 		progress   = flag.Bool("progress", false, "with -scenario: print a one-line live status (sessions, fps, loss, sheds) to stderr during the run")
 		sample     = flag.Duration("sample", 0, "with -scenario: poll live telemetry at this period and emit the time series in the metrics JSON (0 = off)")
@@ -73,13 +71,6 @@ func main() {
 
 	if *pretrain > 0 {
 		os.Setenv("SHADOWTUTOR_PRETRAIN_STEPS", fmt.Sprint(*pretrain))
-	}
-	if *backend != "" {
-		bk, err := tensor.BackendByName(*backend)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tensor.SetDefaultBackend(bk)
 	}
 	if *list {
 		listScenarios()

@@ -113,26 +113,18 @@
 //
 // # Compute backends
 //
-// All tensor math routes through one of two compute backends
-// (tensor.Backend): "reference" is the scalar semantic oracle, "vec" (the
-// default) is the register-blocked backend with AVX2+FMA kernels and a
-// portable fallback, whose convolution forward — student or teacher — is
-// one micro-kernel GEMM over weight panels packed per call into pooled
-// scratch. Kernels run on the calling goroutine: a session is the unit of
-// parallelism, and a gradient-free pass gives each activation back to the
-// pool after its last consumer (autodiff.Tape.Free). Select per
-// process with -backend on the server and stbench, or per environment with
-// SHADOWTUTOR_BACKEND; SHADOWTUTOR_NOAVX=1 forces vec's portable kernels:
-//
-//	go run ./cmd/shadowtutor-server -backend reference
-//	go run ./cmd/stbench -frames 200 -backend vec
-//	go run ./cmd/stbench -scenario 'backend/*'
-//
-// The backend/* scenarios run the same distillation workload under both
-// backends, and internal/tensor's differential parity suite
-// (plus FuzzBackendParity and the nn gradchecks) gates vec against
-// reference bit-for-bit where exact and within scale-aware float32
-// tolerance elsewhere; see ARCHITECTURE.md "Compute backends".
+// All tensor math runs on one compute path, vec (tensor.Backend): register-
+// blocked kernels with AVX2+FMA assembly and a portable fallback, whose
+// convolution forward — student or teacher — is one micro-kernel GEMM over
+// weight panels packed per call into pooled scratch. Kernels run on the
+// calling goroutine: a session is the unit of parallelism, and a
+// gradient-free pass gives each activation back to the pool after its last
+// consumer (autodiff.Tape.Free). tensor.Reference, the scalar oracle, is
+// not selectable: internal/tensor's differential parity suite, the fuzz
+// targets and the nn gradient checks pin it through a workspace or a
+// student and hold vec to it. SHADOWTUTOR_NOAVX=1 forces vec's portable
+// kernels, the ones non-AVX platforms run, which is how CI tests them; see
+// ARCHITECTURE.md "Compute backends".
 //
 // # Scenario harness
 //

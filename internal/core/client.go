@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 	"repro/internal/video"
 )
@@ -289,9 +288,6 @@ type runState struct {
 func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 	if err := c.Cfg.Validate(); err != nil {
 		return err
-	}
-	if bk, err := tensor.BackendByName(c.Cfg.Backend); err == nil {
-		c.Student.SetBackend(bk)
 	}
 	rs := &runState{cad: newCadence(c.Cfg, nil)}
 	c.bindTelemetry()

@@ -7,8 +7,6 @@ package core
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/tensor"
 )
 
 // Config carries the algorithmic parameters of §5.3 plus distillation mode.
@@ -33,10 +31,6 @@ type Config struct {
 	// UnweightedLoss disables the §5.2 ×5 object-proximity loss weighting
 	// (ablation only; the paper always weights).
 	UnweightedLoss bool
-	// Backend names the tensor compute backend used for this config's
-	// distillation and inference kernels ("reference", "vec", ...). Empty
-	// selects the process default (see tensor.DefaultBackend).
-	Backend string
 }
 
 // DefaultConfig returns the paper's parameter choices.
@@ -68,9 +62,6 @@ func (c Config) Validate() error {
 	}
 	if c.LearningRate <= 0 {
 		return fmt.Errorf("core: learning rate must be positive, got %v", c.LearningRate)
-	}
-	if _, err := tensor.BackendByName(c.Backend); err != nil {
-		return fmt.Errorf("core: %v", err)
 	}
 	return nil
 }

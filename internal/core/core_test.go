@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -35,14 +34,6 @@ func TestConfigValidation(t *testing.T) {
 		if cfg.Validate() == nil {
 			t.Fatalf("config %d should fail validation", i)
 		}
-	}
-	// The device backend is gone: its name must fail like any unknown one,
-	// with an error that names the two that exist.
-	cfg := DefaultConfig()
-	cfg.Backend = "device"
-	err := cfg.Validate()
-	if err == nil || !strings.Contains(err.Error(), "reference") || !strings.Contains(err.Error(), "vec") {
-		t.Fatalf("Backend \"device\" validated as %v; want an error naming reference and vec", err)
 	}
 }
 

@@ -33,7 +33,6 @@ type Distiller struct {
 	optBuf     []optim.Param
 	evalCM     *metrics.ConfusionMatrix
 	best       subsetSnapshot
-	backend    tensor.Backend
 }
 
 // subsetSnapshot is a reusable copy of one parameter set's
@@ -65,19 +64,14 @@ func NewDistiller(cfg Config, student *nn.Student) *Distiller {
 	return d
 }
 
-// SetConfig applies cfg to the distiller: the freeze state from cfg.Partial,
-// and the student and training contexts pinned to cfg.Backend (Validate has
-// already established the name resolves; an invalid name here falls back to
-// the process default). The student's weights and the optimizer — its
-// moments, step and learning rate — are untouched, so a session manager
-// moving a parked session to a shard with another compute backend calls it
-// and the next key frame trains there.
+// SetConfig applies cfg to the distiller and re-applies the freeze state
+// from cfg.Partial. The student's weights, the optimizer — its moments, step
+// and learning rate — and the training context are untouched, so a session
+// manager moving a parked session to another shard calls it and the next key
+// frame trains there as it would have at home.
 func (d *Distiller) SetConfig(cfg Config) {
 	d.Cfg = cfg
 	d.Student.SetPartial(cfg.Partial)
-	d.backend, _ = tensor.BackendByName(cfg.Backend)
-	d.Student.SetBackend(d.backend)
-	d.trainCtx = nil // its workspace dispatches to the previous backend
 }
 
 // TrainResult reports one Train call.
@@ -121,7 +115,7 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 		weights = d.weightsBuf
 	}
 	if d.trainCtx == nil {
-		d.trainCtx = nn.NewForwardCtxWS(true, tensor.NewWorkspace().SetBackend(d.backend))
+		d.trainCtx = nn.NewForwardCtxWS(true, tensor.NewWorkspace())
 	}
 	start := time.Now()
 	for i := 0; i < d.Cfg.MaxUpdates; i++ {

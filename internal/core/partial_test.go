@@ -189,8 +189,8 @@ func referenceTrain(cfg Config, s *nn.Student, opt optim.Optimizer, bk tensor.Ba
 // Distiller.Train — one Prefix per key frame, suffix-only passes, a
 // snapshot of nn.TrainableSubset — returns the Metric and Steps of the
 // whole-pass reference and leaves bit-equal weights, over consecutive key
-// frames, for every backend and every cut of the freeze-point ablation
-// (nil = full distillation, the empty prefix).
+// frames, on vec and on the reference oracle, and for every cut of the
+// freeze-point ablation (nil = full distillation, the empty prefix).
 func TestTrainMatchesWholePassReference(t *testing.T) {
 	cuts := map[string][]string{
 		"nothing": nil,
@@ -200,18 +200,21 @@ func TestTrainMatchesWholePassReference(t *testing.T) {
 		"sb6":     {"in1", "in2", "sb1", "sb2", "sb3", "sb4", "sb5", "sb6"},
 	}
 	frames := collect(t, 47, 17)
-	for _, backend := range tensor.Backends() {
-		bk, err := tensor.BackendByName(backend)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, b := range []struct {
+		name string
+		bk   tensor.Backend // nil: vec
+	}{{"reference", tensor.Reference}, {"vec", nil}} {
+		bk := b.bk
 		for name, cut := range cuts {
-			t.Run(backend+"/"+name, func(t *testing.T) {
+			t.Run(b.name+"/"+name, func(t *testing.T) {
 				cfg := DefaultConfig()
-				cfg.Backend = backend
 				cfg.Partial = cut != nil
 				cfg.MaxUpdates = 4
 				d := NewDistiller(cfg, tinyStudent(47))
+				// The oracle reaches the distiller through its student and
+				// its training workspace.
+				d.Student.SetBackend(bk)
+				d.trainCtx = nn.NewForwardCtxWS(true, tensor.NewWorkspace().SetBackend(bk))
 				d.Student.Params.FreezePrefix(cut...)
 				ref := d.Student.Clone()
 				refOpt := optim.NewAdam(cfg.LearningRate)

@@ -22,10 +22,6 @@ import (
 // the written weights that no kernel has seen, and must differ from the
 // result before it, or the check proves nothing.
 func TestBatchedInferenceSeesEveryWeightUpdate(t *testing.T) {
-	vec, err := tensor.BackendByName("vec")
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(2101))
 	fill := func(ts ...*tensor.Tensor) {
 		for _, x := range ts {
@@ -69,7 +65,7 @@ func TestBatchedInferenceSeesEveryWeightUpdate(t *testing.T) {
 		x := tensor.New(3, 9, 11)
 		w, b := tensor.New(5, 3, 3, 3), tensor.New(5)
 		fill(x, w, b)
-		ws := tensor.NewWorkspace().SetBackend(vec)
+		ws := tensor.NewWorkspace()
 		run := func(w *tensor.Tensor) []float32 {
 			return tensor.Conv2DWS(ws, x, w, b, tensor.Spec(3, 3)).Data
 		}
@@ -89,25 +85,21 @@ func TestBatchedInferenceSeesEveryWeightUpdate(t *testing.T) {
 		{"Conv2DWS", convCase()},
 		{"Student.InferBatch", func() func(bool) outputs {
 			s := tinyStudent(2102)
-			s.SetBackend(vec)
 			return func(write bool) outputs {
 				if write {
 					negate(s)
 				}
 				fresh := s.Clone()
-				fresh.SetBackend(vec)
 				return outputs{flatten(s.InferBatch(imgs)), flatten(fresh.InferBatch(imgs))}
 			}
 		}()},
 		{"CNNTeacher.InferBatch", func() func(bool) outputs {
 			tch := teacher.NewCNNTeacher(2103)
-			tch.SetBackend(vec)
 			return func(write bool) outputs {
 				if write {
 					negate(tch.Net)
 				}
 				fresh := &teacher.CNNTeacher{Net: tch.Net.Clone()}
-				fresh.SetBackend(vec)
 				return outputs{flatten(tch.InferBatch(frames)), flatten(fresh.InferBatch(frames))}
 			}
 		}()},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -71,54 +70,4 @@ func DistillAllocsPerStep(cfg core.Config, spec Spec) (float64, error) {
 		return 0, fmt.Errorf("harness: alloc measurement took no optimisation steps (student already above threshold)")
 	}
 	return float64(after.Mallocs-before.Mallocs) / float64(steps), nil
-}
-
-// DistillStepMS measures mean wall-clock milliseconds per distillation
-// optimisation step under cfg's compute backend, with the same fresh-
-// distiller, warm-up-then-measure protocol as DistillAllocsPerStep so the
-// backend/speedup scenario compares backends on identical key frames.
-func DistillStepMS(cfg core.Config, spec Spec) (float64, error) {
-	spec.setDefaults()
-	base, err := experiments.FreshStudentFor(cfg)
-	if err != nil {
-		return 0, err
-	}
-	vcfg, err := workloadConfig(spec, 0)
-	if err != nil {
-		return 0, err
-	}
-	gen, err := video.NewGenerator(vcfg)
-	if err != nil {
-		return 0, err
-	}
-	tch := teacher.NewOracle(spec.Seed + 997)
-	d := core.NewDistiller(cfg, base.Clone())
-
-	nextKF := func() (video.Frame, []int32) {
-		gen.Skip(cfg.MinStride - 1)
-		f := gen.Next()
-		return f, tch.Infer(f)
-	}
-	for i := 0; i < 2; i++ { // warm-up: pools, workspaces, branch predictors
-		f, label := nextKF()
-		d.Train(f, label)
-	}
-
-	const measured = 6
-	frames := make([]video.Frame, measured)
-	labels := make([][]int32, measured)
-	for i := range frames {
-		frames[i], labels[i] = nextKF()
-	}
-	steps := 0
-	start := time.Now()
-	for i := range frames {
-		res := d.Train(frames[i], labels[i])
-		steps += res.Steps
-	}
-	elapsed := time.Since(start)
-	if steps == 0 {
-		return 0, fmt.Errorf("harness: timing measurement took no optimisation steps (student already above threshold)")
-	}
-	return elapsed.Seconds() * 1e3 / float64(steps), nil
 }

@@ -23,7 +23,6 @@ var familyNotes = map[string]string{
 	"alloc":           "PR 2 steady-state allocation guard. Gates `distill_allocs_per_step` (lower-better, tight tolerance).",
 	"chaos":           "Scripted mid-stream connection faults measuring the resume subsystem. Gates `reconnects` (exact), `resume_replays`/`full_resends` (drift), with recovery latency informational.",
 	"fleet":           "Sharded serving fabric: rendezvous placement, admission shedding, cross-shard handoff (the parked session itself moves between shards; nothing is serialised), drains. Gates `shards` (exact), per-shard occupancy and `extra.envelope_shrink_x` (handshake-checkpoint plus resume-full bytes against raw); handoff/shed/migration counts are informational.",
-	"backend":         "Tensor compute backend sweep (`reference`, `vec`). Gates `extra.distill_speedup_x` — vec's distill-step win over the scalar reference — at 0.75x the committed baseline's ratio.",
 	"loss":            "Packet-level network realism: seeded loss models (uniform, Gilbert-Elliott, trace-threshold), XOR-parity FEC, reordering, and the adaptive link policy. Gates `loss_rate_pct` (regime check) and `extra.adaptive_wins` — the adaptive policy must match or beat the best static codec/FEC config on ≥2 of 3 loss regimes.",
 	"soak":            "Long multi-client runs for the nightly -race job; not part of the per-PR smoke matrix.",
 }

@@ -96,17 +96,6 @@ var DefaultChecks = map[string]Check{
 	"sheds":          {Informational, 0},
 	"migrated":       {Informational, 0},
 
-	// Compute-backend metrics (backend/speedup): vec's distill step against
-	// the scalar reference's on the same key frames. The gate is relative,
-	// not the "≥3×" PR 6 announced: it trips below 0.75× the ratio in the
-	// committed baseline (ci/bench_baseline.json; 4.9× on the 2-core box
-	// that wrote it, so a floor near 3.7×). Losing the AVX kernels, the
-	// packed micro-kernel forward or the transposed conv lowering drops the
-	// ratio toward 1× and trips immediately. The absolute reference-side
-	// latency is machine-speed noise, so it only notes drift.
-	"extra.distill_speedup_x":         {HigherBetter, 0.25},
-	"extra.reference_distill_step_ms": {Informational, 0},
-
 	// Packet-layer metrics (loss families). The measured loss rate is a
 	// deterministic function of the seeded loss model and the packet count,
 	// but the packet count itself moves with key-frame timing, so the gate

@@ -148,10 +148,6 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 	spec.setDefaults()
 	linkPolicy := spec.linkPolicy()
 	cfg := core.DefaultConfig()
-	cfg.Backend = spec.Backend
-	if err := cfg.Validate(); err != nil {
-		return Metrics{}, err
-	}
 	// Telemetry: instrument the whole run on the caller's registry, or a
 	// private one when only sampling was requested. A nil reg disables every
 	// record path (the metric handles are all nil-safe).
@@ -369,7 +365,6 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 		Workload:        spec.Workload,
 		Bandwidth:       spec.BandwidthLabel(),
 		Codec:           spec.CodecLabel(),
-		Backend:         spec.BackendLabel(),
 		Clients:         spec.Clients,
 		FramesPerClient: spec.Frames,
 		WallSeconds:     elapsed.Seconds(),
@@ -482,14 +477,6 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 			}
 		}
 		m.Extra["ts_peak_active_sessions"] = peak
-	}
-
-	if spec.MeasureAllocs {
-		allocs, err := DistillAllocsPerStep(cfg, spec)
-		if err != nil {
-			return Metrics{}, err
-		}
-		m.DistillAllocsPerStep = allocs
 	}
 	return m, nil
 }

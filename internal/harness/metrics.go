@@ -39,7 +39,6 @@ type Metrics struct {
 	Workload        string `json:"workload,omitempty"`
 	Bandwidth       string `json:"bandwidth,omitempty"`
 	Codec           string `json:"codec,omitempty"`
-	Backend         string `json:"backend,omitempty"`
 	Clients         int    `json:"clients,omitempty"`
 	FramesPerClient int    `json:"frames_per_client,omitempty"`
 

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 )
 
 // Spec declares what one end-to-end scenario runs: the workload, the link,
@@ -45,9 +44,6 @@ type Spec struct {
 	// Every diff names its codec and stride scale, so clients need no
 	// setting of their own.
 	Codec string
-	// MeasureAllocs additionally measures steady-state distill-step
-	// allocations (single-goroutine, after the run) — the PR 2 guard.
-	MeasureAllocs bool
 	// ChaosCuts scripts mid-stream connection faults per client. A cut
 	// (Stall == 0) severs the link and exercises the reconnect/resume path
 	// (the driver installs a Dial callback on every client), so each
@@ -84,10 +80,6 @@ type Spec struct {
 	// parked sessions migrate to surviving shards. Zero DrainAfter disables.
 	DrainShard int
 	DrainAfter time.Duration
-	// Backend names the tensor compute backend ("reference", "vec") used
-	// by the server shards and every client; empty keeps the process
-	// default. The backend/* scenarios sweep it.
-	Backend string
 	// EnvelopeCodec names the compress codec (ByName form, e.g.
 	// "delta+int8") for MsgStudentFull checkpoints: they go base-relative
 	// for clients advertising the capability (the driver hands every client
@@ -196,15 +188,6 @@ func (s Spec) LossLabel() string {
 		return "none"
 	}
 	return s.LossModel
-}
-
-// BackendLabel renders the compute backend for metrics output, resolving
-// the empty spec field to the actual process default.
-func (s Spec) BackendLabel() string {
-	if s.Backend == "" {
-		return tensor.DefaultBackend().Name()
-	}
-	return s.Backend
 }
 
 // Scenario is one registered, named experiment. Names are hierarchical

@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/tensor"
 )
 
 // WifiFade is the time-varying profile of the §6.4 sweep experienced live
@@ -126,36 +124,15 @@ func init() {
 		Desc: "steady-state allocations per distillation step (PR 2 guard)",
 		Spec: Spec{Workload: "moving/street"},
 		Run: func(spec Spec) ([]Metrics, error) {
-			cfg := core.DefaultConfig()
-			cfg.Backend = spec.Backend
-			allocs, err := DistillAllocsPerStep(cfg, spec)
+			allocs, err := DistillAllocsPerStep(core.DefaultConfig(), spec)
 			if err != nil {
 				return nil, err
 			}
 			return []Metrics{{
 				Workload:             spec.Workload,
-				Backend:              spec.BackendLabel(),
 				DistillAllocsPerStep: allocs,
 			}}, nil
 		},
-	})
-
-	// The backend/* family sweeps the tensor compute backend through the
-	// full serving stack (shard distillers, teacher replica, clients) so
-	// BENCH files carry a backend dimension and the bench gate can assert
-	// the vec kernels' distill-step win against the reference baseline.
-	for _, bk := range tensor.Backends() {
-		Register(Scenario{
-			Name: "backend/distill-" + bk,
-			Desc: fmt.Sprintf("distill-step latency and allocs on the %q compute backend", bk),
-			Spec: Spec{Workload: "moving/street", Frames: 120, Backend: bk, MeasureAllocs: true},
-		})
-	}
-	Register(Scenario{
-		Name: "backend/speedup",
-		Desc: "vec vs reference distill-step wall time on identical key frames",
-		Spec: Spec{Workload: "moving/street", Backend: "vec"},
-		Run:  runBackendSpeedup,
 	})
 
 	Register(Scenario{
@@ -163,30 +140,4 @@ func init() {
 		Desc: "nightly: 8 clients × 900 frames, mixed streams, run under -race",
 		Spec: Spec{Workload: "mixed", Clients: 8, Frames: 900, EvalEvery: 4},
 	})
-}
-
-// runBackendSpeedup times a distillation step under the scalar reference
-// backend and the vec backend on the same key-frame sequence and reports
-// the ratio; the bench gate holds it to 0.75x the committed baseline's via
-// the extra.distill_speedup_x check.
-func runBackendSpeedup(spec Spec) ([]Metrics, error) {
-	ms := map[string]float64{}
-	for _, bk := range []string{"reference", "vec"} {
-		cfg := core.DefaultConfig()
-		cfg.Backend = bk
-		v, err := DistillStepMS(cfg, spec)
-		if err != nil {
-			return nil, fmt.Errorf("backend %s: %w", bk, err)
-		}
-		ms[bk] = v
-	}
-	return []Metrics{{
-		Workload:      spec.Workload,
-		Backend:       "vec",
-		DistillStepMS: ms["vec"],
-		Extra: map[string]float64{
-			"reference_distill_step_ms": ms["reference"],
-			"distill_speedup_x":         ms["reference"] / ms["vec"],
-		},
-	}}, nil
 }

@@ -6,25 +6,29 @@ import (
 	"repro/internal/tensor"
 )
 
-// Re-run the package's gradient checks under every registered compute
-// backend. The gradcheck tests build their tapes on unconfigured workspaces,
-// which resolve to the process default backend, so pinning the default is
-// enough to route every forward and backward kernel — including a backend's
-// private conv backward — through the backend under test. The suite runs
-// them all regardless of which backend the process default (or the CI
-// matrix's SHADOWTUTOR_BACKEND) selects.
+// gradCtx returns a fresh training context for the gradient checks: the
+// workspace-free tape on vec when bk is nil, otherwise a tape whose
+// workspace is pinned to bk, so every forward and backward kernel —
+// including a backend's private conv backward — runs on it.
+func gradCtx(bk tensor.Backend) *ForwardCtx {
+	if bk == nil {
+		return NewForwardCtx(true)
+	}
+	return NewForwardCtxWS(true, tensor.NewWorkspace().SetBackend(bk))
+}
+
+// Re-run the package's gradient checks on the reference oracle as well as
+// on vec, the compute path.
 func TestGradientsUnderEveryBackend(t *testing.T) {
-	for _, name := range tensor.Backends() {
-		bk, err := tensor.BackendByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(name, func(t *testing.T) {
-			defer tensor.SetDefaultBackend(tensor.SetDefaultBackend(bk))
-			t.Run("ConvSpecGradients", TestConvSpecGradients)
-			t.Run("ConvStudentBlockGradient", TestConvStudentBlockGradient)
-			t.Run("StudentEndToEndGradient", TestStudentEndToEndGradient)
-			t.Run("StudentPartialBackwardPrunes", TestStudentPartialBackwardPrunes)
+	for _, b := range []struct {
+		name string
+		bk   tensor.Backend
+	}{{"reference", tensor.Reference}, {"vec", nil}} {
+		t.Run(b.name, func(t *testing.T) {
+			t.Run("ConvSpecGradients", func(t *testing.T) { checkConvSpecGradients(t, b.bk) })
+			t.Run("ConvStudentBlockGradient", func(t *testing.T) { checkConvStudentBlockGradient(t, b.bk) })
+			t.Run("StudentEndToEndGradient", func(t *testing.T) { checkStudentEndToEndGradient(t, b.bk) })
+			t.Run("StudentPartialBackwardPrunes", func(t *testing.T) { checkStudentPartialBackwardPrunes(t, b.bk) })
 		})
 	}
 }

@@ -14,7 +14,10 @@ import (
 // on top of the blocked GEMM kernels via autodiff/gradcheck.go. The loss is
 // a fixed random weighting of the conv output, so every gradient entry is
 // informative.
-func TestConvSpecGradients(t *testing.T) {
+func TestConvSpecGradients(t *testing.T) { checkConvSpecGradients(t, nil) }
+
+// checkConvSpecGradients is TestConvSpecGradients on bk (see gradCtx).
+func checkConvSpecGradients(t *testing.T, bk tensor.Backend) {
 	specs := []struct {
 		name string
 		spec tensor.ConvSpec
@@ -37,13 +40,13 @@ func TestConvSpecGradients(t *testing.T) {
 			mix := randUnit(rng, outC, oh, ow) // fixed random loss weights
 
 			build := func() float64 {
-				tape := autodiff.NewTape()
+				tape := gradCtx(bk).Tape
 				out := tape.Conv2D(tape.Constant(x), tape.Constant(wt), tape.Constant(b), tc.spec)
 				return dotVal(out.Value, mix)
 			}
 
 			// Analytic gradients through the tape, with the mix as seed.
-			tape := autodiff.NewTape()
+			tape := gradCtx(bk).Tape
 			xv := tape.Leaf(x, true)
 			wv := tape.Leaf(wt, true)
 			bv := tape.Leaf(b, true)
@@ -74,7 +77,10 @@ func TestConvSpecGradients(t *testing.T) {
 // TestConvStudentBlockGradient runs the same check through a whole student
 // block (BN → 3×3 s2 → 3×1 → 1×3 → 1×1 + projected skip), covering the
 // composite the hot path actually executes.
-func TestConvStudentBlockGradient(t *testing.T) {
+func TestConvStudentBlockGradient(t *testing.T) { checkConvStudentBlockGradient(t, nil) }
+
+// checkConvStudentBlockGradient is TestConvStudentBlockGradient on bk.
+func checkConvStudentBlockGradient(t *testing.T, bk tensor.Backend) {
 	rng := rand.New(rand.NewSource(77))
 	ps := NewParamSet()
 	blk := NewStudentBlock(ps, "b", 2, 3, 2, rng)
@@ -99,12 +105,12 @@ func TestConvStudentBlockGradient(t *testing.T) {
 
 	build := func() float64 {
 		restoreStats()
-		fc := NewForwardCtx(true)
+		fc := gradCtx(bk)
 		out := blk.Forward(fc, fc.Tape.Constant(x))
 		return dotVal(out.Value, mix)
 	}
 
-	fc := NewForwardCtx(true)
+	fc := gradCtx(bk)
 	for _, p := range ps.All() {
 		p.Frozen = false
 	}

@@ -61,16 +61,16 @@ func sameBits(a, b *tensor.Tensor) bool {
 
 // A training pass started from Prefix is the same pass: logits, every
 // gradient, the backward closures that ran and the statistics it moved are
-// bit-equal to Forward on the image, for every backend and every cut the
-// freeze-point ablation uses.
+// bit-equal to Forward on the image, on vec and on the reference oracle,
+// for every cut the freeze-point ablation uses.
 func TestForwardFromPrefixMatchesForward(t *testing.T) {
-	for _, backend := range tensor.Backends() {
-		bk, err := tensor.BackendByName(backend)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, b := range []struct {
+		name string
+		bk   tensor.Backend // nil: vec
+	}{{"reference", tensor.Reference}, {"vec", nil}} {
+		bk := b.bk
 		for _, cut := range freezeCuts {
-			t.Run(backend+"/"+cut.name, func(t *testing.T) {
+			t.Run(b.name+"/"+cut.name, func(t *testing.T) {
 				split, img, label := prefixFixture(71)
 				split.SetBackend(bk)
 				split.Params.FreezePrefix(cut.prefixes...)

@@ -72,13 +72,14 @@ type Student struct {
 
 	// backend, when non-nil, pins the compute backend used by Infer's
 	// private workspace (training passes ride the caller's ForwardCtx
-	// workspace instead). nil uses the process default.
+	// workspace instead). nil uses vec.
 	backend tensor.Backend
 }
 
 // SetBackend pins the compute backend for this student's inference path
-// (nil reverts to the process default). The reusable inference contexts are
-// discarded so the next Infer or Prefix rebuilds them on the new backend.
+// (nil reverts to vec): the seam the tests run tensor.Reference through.
+// The reusable inference contexts are discarded so the next Infer or Prefix
+// rebuilds them on the new backend.
 func (s *Student) SetBackend(b tensor.Backend) {
 	s.backend = b
 	s.inferCtx = nil

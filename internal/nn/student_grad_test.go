@@ -24,7 +24,11 @@ func microStudent(seed int64) *Student {
 // End-to-end gradient check: analytic gradients through the whole student
 // (BN in training mode, conv, concat, upsample, residual) against finite
 // differences of the real distillation loss.
-func TestStudentEndToEndGradient(t *testing.T) {
+func TestStudentEndToEndGradient(t *testing.T) { checkStudentEndToEndGradient(t, nil) }
+
+// checkStudentEndToEndGradient is TestStudentEndToEndGradient on bk (see
+// gradCtx).
+func checkStudentEndToEndGradient(t *testing.T, bk tensor.Backend) {
 	rng := rand.New(rand.NewSource(61))
 	s := microStudent(61)
 	s.Params.UnfreezeAll()
@@ -38,7 +42,7 @@ func TestStudentEndToEndGradient(t *testing.T) {
 	}
 
 	lossOf := func() float64 {
-		fc := NewForwardCtx(true)
+		fc := gradCtx(bk)
 		out := s.Forward(fc, img)
 		l, _ := loss.SoftmaxCrossEntropy(out.Value, label, nil)
 		return l
@@ -49,7 +53,7 @@ func TestStudentEndToEndGradient(t *testing.T) {
 	snapshot := s.Params.Clone()
 	restore := func() { s.Params.CopyValuesFrom(snapshot) }
 
-	fc := NewForwardCtx(true)
+	fc := gradCtx(bk)
 	out := s.Forward(fc, img)
 	_, grad := loss.SoftmaxCrossEntropy(out.Value, label, nil)
 	fc.Tape.Backward(out, grad)
@@ -87,13 +91,17 @@ func TestStudentEndToEndGradient(t *testing.T) {
 
 // Under partial distillation the frozen prefix must receive no gradients at
 // all while the decoder still does.
-func TestStudentPartialBackwardPrunes(t *testing.T) {
+func TestStudentPartialBackwardPrunes(t *testing.T) { checkStudentPartialBackwardPrunes(t, nil) }
+
+// checkStudentPartialBackwardPrunes is TestStudentPartialBackwardPrunes on
+// bk.
+func checkStudentPartialBackwardPrunes(t *testing.T, bk tensor.Backend) {
 	s := microStudent(62)
 	s.SetPartial(true)
 	img := tensor.Full(0.4, 3, 8, 8)
 	label := make([]int32, 64)
 
-	fc := NewForwardCtx(true)
+	fc := gradCtx(bk)
 	out := s.Forward(fc, img)
 	_, grad := loss.SoftmaxCrossEntropy(out.Value, label, nil)
 	ran := fc.Tape.Backward(out, grad)
@@ -113,7 +121,7 @@ func TestStudentPartialBackwardPrunes(t *testing.T) {
 	// Full mode must run strictly more backward closures.
 	s2 := microStudent(62)
 	s2.SetPartial(false)
-	fc2 := NewForwardCtx(true)
+	fc2 := gradCtx(bk)
 	out2 := s2.Forward(fc2, img)
 	_, grad2 := loss.SoftmaxCrossEntropy(out2.Value, label, nil)
 	ranFull := fc2.Tape.Backward(out2, grad2)

@@ -14,15 +14,14 @@ import (
 )
 
 // moveShard is one shard of a fabric as the move tests need it: the
-// tinyStudent(41) base every shard of a fabric shares, a checkpoint codec, a
-// compute backend, and a noise-free oracle — the stock one consumes its rng
-// per Infer, so a session that changed teachers would train on other labels
-// than its unmoved twin and no byte comparison between the two would hold.
-func moveShard(t *testing.T, codecName, backend string) (*Manager, []video.Frame) {
+// tinyStudent(41) base every shard of a fabric shares, a checkpoint codec,
+// and a noise-free oracle — the stock one consumes its rng per Infer, so a
+// session that changed teachers would train on other labels than its unmoved
+// twin and no byte comparison between the two would hold.
+func moveShard(t *testing.T, codecName string) (*Manager, []video.Frame) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.MaxUpdates = 1
-	cfg.Backend = backend
 	tch := teacher.NewOracle(7)
 	tch.BoundaryNoise, tch.MissRate = 0, 0
 	m, err := NewManager(Options{
@@ -152,9 +151,9 @@ func TestMoveParkedMovesTheSessionItself(t *testing.T) {
 		{"raw-to-delta+int8", "", "delta+int8"}, {"delta+raw-to-raw", "delta+raw", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			src, frames := moveShard(t, tc.src, "")
-			dst, _ := moveShard(t, tc.dst, "")
-			home, _ := moveShard(t, tc.src, "")
+			src, frames := moveShard(t, tc.src)
+			dst, _ := moveShard(t, tc.dst)
+			home, _ := moveShard(t, tc.src)
 			p := trainAndPark(t, src, frames, 3)
 			twin := trainAndPark(t, home, frames, 3)
 
@@ -220,8 +219,8 @@ func TestMoveParkedMovesTheSessionItself(t *testing.T) {
 // the target manager with a journal replay (no full checkpoint) and keeps
 // streaming — the end-to-end contract of a cross-shard handoff.
 func TestImportParkedResumesWithReplay(t *testing.T) {
-	src, frames := moveShard(t, "", "")
-	dst, _ := moveShard(t, "", "")
+	src, frames := moveShard(t, "")
+	dst, _ := moveShard(t, "")
 	p := trainAndPark(t, src, frames, 3)
 	if err := src.MoveParked(p.sessionID, dst); err != nil {
 		t.Fatal(err)
@@ -256,48 +255,12 @@ func TestImportParkedResumesWithReplay(t *testing.T) {
 	}
 }
 
-// A handoff across compute backends is bitwise-stable and lands on the
-// target's backend: the state a reference-backend shard receives is exactly
-// the state the vec-backend shard parked (backends differ in low-bit
-// arithmetic during training, but the move must never add drift of its
-// own), and the session keeps training on the receiving shard — its next
-// two diffs are the ones a second reference shard computes from the same
-// state and not the ones a vec shard computes. Run under -race this also
-// exercises the move against the receiving manager's own session machinery.
-func TestMixedBackendHandoff(t *testing.T) {
-	next := func(to string) (bodies [][]byte) {
-		src, frames := moveShard(t, "delta+raw", "vec")
-		dst, _ := moveShard(t, "delta+raw", to)
-		p := trainAndPark(t, src, frames, 3)
-		before := peek(t, src, p.sessionID)
-		if err := src.MoveParked(p.sessionID, dst); err != nil {
-			t.Fatal(err)
-		}
-		after := peek(t, dst, p.sessionID)
-		requireBitEqual(t, "vec→"+to+" handoff student", after.weights.All(), before.weights)
-		if got := after.srv.(*core.Server).Cfg.Backend; got != to {
-			t.Fatalf("moved session configured for backend %q, want the target's %q", got, to)
-		}
-		// The session stays live: resume at the head and keep training.
-		return diffBodies(t, p, dst, 3, 2)
-	}
-	onReference, again, onVec := next("reference"), next("reference"), next("vec")
-	for i := range onReference {
-		if !bytes.Equal(onReference[i], again[i]) {
-			t.Fatalf("diff %d: two vec→reference moves of the same session disagree", 4+i)
-		}
-	}
-	if bytes.Equal(onReference[0], onVec[0]) && bytes.Equal(onReference[1], onVec[1]) {
-		t.Fatal("a session moved to the reference shard trained exactly as one moved to a vec shard: the move did not rebind the compute backend")
-	}
-}
-
 // A move onto a manager that cannot take the session (closed) is not a
 // loss: the session is back on the source, bound to it, with the eviction
 // deadline it had, and resumes there.
 func TestMoveParkedOntoClosedManagerStaysPut(t *testing.T) {
-	src, frames := moveShard(t, "", "")
-	dst, _ := moveShard(t, "", "")
+	src, frames := moveShard(t, "")
+	dst, _ := moveShard(t, "")
 	p := trainAndPark(t, src, frames, 3)
 	before := peek(t, src, p.sessionID)
 	dst.Close()

@@ -34,7 +34,6 @@ import (
 	"repro/internal/resume"
 	"repro/internal/teacher"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -59,8 +58,7 @@ type Options struct {
 	// waits forever). A stalled client must not be able to wedge shutdown.
 	DrainTimeout time.Duration
 	// ResumeTTL bounds how long a disconnected session's state is parked
-	// for resumption before being evicted (default 2m; negative disables
-	// resumption entirely — dropped sessions are discarded as before).
+	// for resumption before being evicted (default 2m).
 	ResumeTTL time.Duration
 	// JournalDepth is how many recent student diffs each session journals
 	// for replay on resume (default 8).
@@ -111,7 +109,7 @@ type Options struct {
 type Manager struct {
 	opts    Options
 	batcher *teacher.Batcher
-	store   *resume.Store         // nil when resumption is disabled
+	store   *resume.Store
 	ck      *core.CheckpointCodec // base-relative checkpoint codec (nil = always absolute)
 	slots   chan struct{}
 	quit    chan struct{}
@@ -143,17 +141,6 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.MaxSessions <= 0 {
 		opts.MaxSessions = 64
 	}
-	// A shard's configured compute backend covers its teacher replica here;
-	// per-session students pick it up in core.NewDistiller from Cfg.Backend.
-	// Base is deliberately NOT mutated: fabrics share one base checkpoint
-	// across shards with different backends, and a write here would leak one
-	// shard's backend into every other shard's session clones. Cfg.Backend
-	// has been validated above, so resolution cannot fail here.
-	if bk, err := tensor.BackendByName(opts.Cfg.Backend); err == nil {
-		if bs, ok := opts.Teacher.(interface{ SetBackend(tensor.Backend) }); ok {
-			bs.SetBackend(bk)
-		}
-	}
 	b := teacher.NewBatcher(opts.Teacher, teacher.BatcherOptions{
 		Telemetry: opts.Telemetry,
 		Shard:     opts.ShardIndex,
@@ -161,7 +148,7 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.DrainTimeout == 0 {
 		opts.DrainTimeout = 30 * time.Second
 	}
-	if opts.ResumeTTL == 0 {
+	if opts.ResumeTTL <= 0 {
 		opts.ResumeTTL = 2 * time.Minute
 	}
 	if opts.JournalDepth <= 0 {
@@ -196,13 +183,11 @@ func NewManager(opts Options) (*Manager, error) {
 		nextID:  opts.IDOffset,
 	}
 	m.tm = newManagerTelemetry(opts.Telemetry, opts.ShardIndex)
-	if opts.ResumeTTL > 0 {
-		m.store = resume.NewStore(resume.Options{
-			TTL:         opts.ResumeTTL,
-			MaxSessions: opts.MaxSessions, // as many parked as can be live
-			OnEvict:     m.foldEvicted,
-		})
-	}
+	m.store = resume.NewStore(resume.Options{
+		TTL:         opts.ResumeTTL,
+		MaxSessions: opts.MaxSessions, // as many parked as can be live
+		OnEvict:     m.foldEvicted,
+	})
 	return m, nil
 }
 
@@ -320,7 +305,7 @@ func (m *Manager) register(requested uint64, sess *session) {
 // holds m.mu (the store has its own lock; lock order is always m.mu →
 // store).
 func (m *Manager) parked(id uint64) bool {
-	return m.store != nil && m.store.Has(id)
+	return m.store.Has(id)
 }
 
 func (m *Manager) unregister(id uint64) {
@@ -404,14 +389,9 @@ func (m *Manager) SessionState(id uint64) SessionState {
 }
 
 // ParkedIDs returns the IDs of every detached session awaiting resumption
-// (unordered; empty when resumption is disabled). A drain walks this list
-// to migrate parked state to surviving shards.
-func (m *Manager) ParkedIDs() []uint64 {
-	if m.store == nil {
-		return nil
-	}
-	return m.store.IDs()
-}
+// (unordered). A drain walks this list to migrate parked state to surviving
+// shards.
+func (m *Manager) ParkedIDs() []uint64 { return m.store.IDs() }
 
 // Close stops accepting sessions, closes any listeners handed to
 // ServeListener, waits up to DrainTimeout for active sessions to finish
@@ -451,9 +431,7 @@ func (m *Manager) Close() error {
 				<-done
 			}
 		}
-		if m.store != nil {
-			m.store.Close()
-		}
+		m.store.Close()
 	})
 	return nil
 }

@@ -53,7 +53,7 @@ func (s *session) rebind(to *Manager) {
 	s.srv.Teacher = to.batcher
 	s.srv.Checkpoint = to.ck
 	s.srv.Cfg = to.opts.Cfg
-	s.srv.Distiller.SetConfig(to.opts.Cfg) // the shard's compute backend
+	s.srv.Distiller.SetConfig(to.opts.Cfg)
 }
 
 // Assign implements core.SessionObserver: the handshake registers the
@@ -140,7 +140,7 @@ func (m *Manager) runSession(conn transport.Conn, sess *session) error {
 		return fmt.Errorf("serve: session %d: %w", id, err)
 	}
 	if err != nil {
-		m.logf("session %d ended: connection lost, resumption disabled or shutting down", id)
+		m.logf("session %d ended: connection lost while shutting down", id)
 		return nil
 	}
 	m.logf("session %d complete: %d key frames, mean %.2f steps",
@@ -219,9 +219,6 @@ func (m *Manager) reattach(req transport.Resume) (*session, transport.ResumeAck,
 	if m.closed {
 		return reject(transport.ResumeReject, "server shutting down")
 	}
-	if m.store == nil {
-		return reject(transport.ResumeReject, "resumption disabled")
-	}
 	if m.active[req.SessionID] != nil {
 		// The previous connection has not been torn down yet (the server
 		// may not have observed the drop); the client should back off and
@@ -274,11 +271,11 @@ func (m *Manager) sendAck(conn transport.Conn, ack transport.ResumeAck) error {
 }
 
 // detach moves a live session into the resume store. It reports false —
-// meaning the caller must fold and discard instead — when resumption is
-// disabled or the manager is closing.
+// meaning the caller must fold and discard instead — for a session that was
+// never assigned an ID or when the manager is closing.
 func (m *Manager) detach(sess *session) bool {
 	id, epoch, srv := sess.id, sess.epoch, sess.srv
-	if id == 0 || m.store == nil {
+	if id == 0 {
 		return false
 	}
 	seq := srv.DiffSeq // once parked, a resume elsewhere may be advancing it
@@ -326,9 +323,6 @@ func (m *Manager) detach(sess *session) bool {
 // session is moving, not completing. When the target cannot take it (its
 // store closed) the session goes back where it was, deadline unchanged.
 func (m *Manager) MoveParked(id uint64, to *Manager) error {
-	if m.store == nil || to.store == nil {
-		return errors.New("serve: resumption disabled, nothing to move")
-	}
 	ds, err := m.store.Steal(id)
 	if err != nil {
 		return err

@@ -181,9 +181,7 @@ func (m *Manager) Stats() Stats {
 	st := m.agg
 	st.Active = len(m.active)
 	st.Teacher = m.batcher.Stats()
-	if m.store != nil {
-		st.Detached = m.store.Len()
-		st.Evicted = m.store.Evicted()
-	}
+	st.Detached = m.store.Len()
+	st.Evicted = m.store.Evicted()
 	return st
 }

@@ -177,9 +177,8 @@ func NewCNNTeacher(seed int64) *CNNTeacher {
 func (t *CNNTeacher) Name() string { return t.name }
 
 // SetBackend pins the tensor compute backend used by the teacher network's
-// inference (nil reverts to the process default). serve.NewManager probes
-// for this method so a shard's configured backend covers its teacher
-// replica too.
+// inference (nil reverts to vec). It is kept only because benchmark/taps.go
+// calls it.
 func (t *CNNTeacher) SetBackend(b tensor.Backend) { t.Net.SetBackend(b) }
 
 // Infer implements Teacher. The mask is a fresh copy owned by the caller:

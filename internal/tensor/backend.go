@@ -1,21 +1,18 @@
 package tensor
 
-import (
-	"fmt"
-	"os"
-	"sync/atomic"
-)
-
 // Backend is the compute interface behind every hot kernel in the package:
 // the three GEMM forms the autodiff tape lowers matmuls onto and the fused
-// im2col+GEMM convolution forward. There are exactly two: "reference", the
-// scalar oracle, and "vec", the optimized one. A backend is stateless: one
-// value is shared by every workspace that selects it, and kernels run
-// concurrently across sessions, each on its caller's goroutine. All scratch
-// therefore lives on the caller's stack, in the destination slice, or in the
-// Workspace passed in — never in the backend (the bitwise-stability race
-// tests in backend_race_test.go enforce this) and never on a weight tensor:
-// vec's packed weight panels are a per-call lease.
+// im2col+GEMM convolution forward. vec is the one compute path: the
+// package-level helpers, nil workspaces and unconfigured workspaces all run
+// on it. Reference, the scalar oracle, is reached only by pinning it on a
+// workspace (Workspace.SetBackend) or a student, which is how the parity and
+// gradient tests run it. A backend is stateless: one value is shared by
+// every workspace that selects it, and kernels run concurrently across
+// sessions, each on its caller's goroutine. All scratch therefore lives on
+// the caller's stack, in the destination slice, or in the Workspace passed
+// in — never in the backend (the bitwise-stability race tests in
+// backend_race_test.go enforce this) and never on a weight tensor: vec's
+// packed weight panels are a per-call lease.
 //
 // Parity contract: vec must agree with reference within a 1-ulp-scaled
 // tolerance per output element (see backend_test.go and ARCHITECTURE.md
@@ -40,55 +37,7 @@ type Backend interface {
 	Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor
 }
 
-// defBackend is the process default, behind a pointer so tests can swap it
-// while other goroutines dispatch kernels.
-var defBackend atomic.Pointer[Backend]
-
-// BackendByName resolves a backend. The empty string resolves to the
-// process default, so config fields can leave backend selection unset.
-func BackendByName(name string) (Backend, error) {
-	switch name {
-	case "":
-		return DefaultBackend(), nil
-	case "reference":
-		return refBackend{}, nil
-	case "vec":
-		return vecBackend{}, nil
-	}
-	return nil, fmt.Errorf("tensor: unknown backend %q (have %v)", name, Backends())
-}
-
-// Backends returns the sorted names of the backends.
-func Backends() []string { return []string{"reference", "vec"} }
-
-// DefaultBackend returns the process-wide default used by nil/unset
-// workspaces and the package-level MatMul* helpers.
-func DefaultBackend() Backend { return *defBackend.Load() }
-
-// SetDefaultBackend swaps the process default and returns the previous one,
-// for tests that re-run suites under each backend:
-//
-//	defer tensor.SetDefaultBackend(tensor.SetDefaultBackend(b))
-func SetDefaultBackend(b Backend) Backend {
-	if b == nil {
-		panic("tensor: SetDefaultBackend(nil)")
-	}
-	return *defBackend.Swap(&b)
-}
-
-// The vec backend is the default: it is deterministic, parity-checked
-// against reference on every CI run, and several times faster on the
-// distill step (the backend/speedup scenario gates the ratio).
-// SHADOWTUTOR_BACKEND overrides the default for the whole process (the env
-// hook the test matrix uses); an unknown name panics at init so CI fails
-// loudly instead of silently testing the wrong backend.
-func init() {
-	var b Backend = vecBackend{}
-	if name := os.Getenv("SHADOWTUTOR_BACKEND"); name != "" {
-		var err error
-		if b, err = BackendByName(name); err != nil {
-			panic(fmt.Sprintf("tensor: SHADOWTUTOR_BACKEND: %v", err))
-		}
-	}
-	defBackend.Store(&b)
-}
+// Reference is the scalar parity oracle every vec kernel is diffed against.
+// Nothing in the system selects it; tests pin it through
+// Workspace.SetBackend or nn.Student.SetBackend.
+var Reference Backend = refBackend{}

@@ -16,11 +16,8 @@ import (
 func TestBackendConcurrentBitwiseStable(t *testing.T) {
 	const goroutines = 8
 	const rounds = 6
-	for _, name := range Backends() {
-		bk, err := BackendByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, bk := range everyBackend {
+		name := bk.Name()
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7001))
 			const m, n, k = 17, 33, 65

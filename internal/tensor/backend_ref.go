@@ -1,8 +1,8 @@
 package tensor
 
 // refBackend is the original cache-blocked scalar implementation (gemm.go),
-// kept byte-for-byte as the parity oracle every other backend is diffed
-// against. Its kernels accumulate each output element in ascending-p order
+// kept byte-for-byte as the parity oracle (Reference) the vec kernels are
+// diffed against. Its kernels accumulate each output element in ascending-p order
 // into a single float32 accumulator — the naive triple loop's order, which
 // is what makes it usable as a golden reference.
 type refBackend struct{}

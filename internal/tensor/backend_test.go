@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -59,26 +58,13 @@ func assertParity(t *testing.T, label string, got, want []float32, tol float32) 
 	}
 }
 
-// nonRefBackends returns every registered backend except reference, which
-// would only be compared against itself.
-func nonRefBackends(t testing.TB) []Backend {
-	t.Helper()
-	var out []Backend
-	for _, name := range Backends() {
-		if name == "reference" {
-			continue
-		}
-		b, err := BackendByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, b)
-	}
-	if len(out) == 0 {
-		t.Fatal("no non-reference backends registered")
-	}
-	return out
-}
+// everyBackend is the oracle and the compute path, for the contracts both
+// keep (determinism, statelessness, scratch independence).
+var everyBackend = []Backend{Reference, vecBackend{}}
+
+// nonRefBackends is every backend except reference, which would only be
+// compared against itself.
+var nonRefBackends = everyBackend[1:]
 
 // checkGemmParity runs all three GEMM forms of bk against reference on one
 // (m,n,k) shape, with accumulate both ways, on freshly randomized operands.
@@ -141,11 +127,8 @@ func checkGemmParity(t *testing.T, ref, bk Backend, rng *rand.Rand, m, n, k int)
 }
 
 func TestBackendParityGEMM(t *testing.T) {
-	ref, err := BackendByName("reference")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bk := range nonRefBackends(t) {
+	ref := Reference
+	for _, bk := range nonRefBackends {
 		t.Run(bk.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1009))
 			// Full sweep of the curated pool: every (m,n,k) triple with at
@@ -191,10 +174,7 @@ var parityConvSpecs = []ConvSpec{
 }
 
 func TestBackendParityConv2D(t *testing.T) {
-	ref, err := BackendByName("reference")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := Reference
 	shapes := []struct{ c, h, w, oc int }{
 		{1, 7, 7, 1},
 		{3, 13, 11, 5},
@@ -202,7 +182,7 @@ func TestBackendParityConv2D(t *testing.T) {
 		{7, 9, 17, 13},
 		{2, 31, 5, 3},
 	}
-	for _, bk := range nonRefBackends(t) {
+	for _, bk := range nonRefBackends {
 		t.Run(bk.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(2027))
 			for _, sh := range shapes {
@@ -240,11 +220,8 @@ func TestBackendParityConv2D(t *testing.T) {
 // backward (the convBackwarder extension) to the generic im2col gradient
 // path, for both the frozen (needInput=false) and full backward.
 func TestBackendParityConvBackward(t *testing.T) {
-	ref, err := BackendByName("reference")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bk := range nonRefBackends(t) {
+	ref := Reference
+	for _, bk := range nonRefBackends {
 		t.Run(bk.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(3001))
 			for _, sh := range []struct{ c, h, w, oc int }{
@@ -290,11 +267,8 @@ func TestBackendParityConvBackward(t *testing.T) {
 // runs of the same kernel on the same inputs, into clean and dirty
 // destinations, must be bitwise identical for every backend.
 func TestBackendDeterminism(t *testing.T) {
-	for _, name := range Backends() {
-		bk, err := BackendByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, bk := range everyBackend {
+		name := bk.Name()
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(4001))
 			const m, n, k = 33, 65, 127
@@ -327,62 +301,43 @@ func FuzzBackendParity(f *testing.F) {
 	f.Add(int64(3), uint8(31), uint8(33), uint8(17))
 	f.Fuzz(func(t *testing.T, seed int64, m8, n8, k8 uint8) {
 		m, n, k := int(m8%48), int(n8%48), int(k8%96)
-		ref, err := BackendByName("reference")
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := Reference
 		rng := rand.New(rand.NewSource(seed))
-		for _, bk := range nonRefBackends(t) {
+		for _, bk := range nonRefBackends {
 			checkGemmParity(t, ref, bk, rng, m, n, k)
 		}
 	})
 }
 
+// TestBackendRegistry pins who computes what: vec runs everything a caller
+// does not pin — nil and unconfigured workspaces, the package-level helpers
+// — and Reference is reached only through a workspace's SetBackend, which
+// nil undoes.
 func TestBackendRegistry(t *testing.T) {
-	if names := Backends(); len(names) != 2 || names[0] != "reference" || names[1] != "vec" {
-		t.Fatalf("Backends() = %v, want exactly [reference vec]", names)
+	if got := Reference.Name(); got != "reference" {
+		t.Fatalf("Reference.Name() = %q", got)
 	}
-	for _, name := range Backends() {
-		bk, err := BackendByName(name)
-		if err != nil || bk.Name() != name {
-			t.Fatalf("BackendByName(%q) = %v, %v", name, bk, err)
-		}
+	var nilWS *Workspace
+	if a, b := nilWS.Backend().Name(), NewWorkspace().Backend().Name(); a != "vec" || b != "vec" {
+		t.Fatalf("nil and unconfigured workspaces run on %q and %q, want vec", a, b)
 	}
-	for _, gone := range []string{"device", "no-such-backend"} {
-		_, err := BackendByName(gone)
-		if err == nil {
-			t.Fatalf("BackendByName(%q) did not error", gone)
-		}
-		if msg := err.Error(); !strings.Contains(msg, "reference") || !strings.Contains(msg, "vec") {
-			t.Fatalf("BackendByName(%q) error %q does not name the two backends", gone, msg)
-		}
+	ws := NewWorkspace().SetBackend(Reference)
+	if ws.Backend() != Reference {
+		t.Fatal("SetBackend(Reference) did not pin the oracle")
 	}
-	def, err := BackendByName("")
-	if err != nil {
-		t.Fatal(err)
+	if got := ws.SetBackend(nil).Backend().Name(); got != "vec" {
+		t.Fatalf("SetBackend(nil) reverted to %q, want vec", got)
 	}
-	if def != DefaultBackend() {
-		t.Fatal("BackendByName(\"\") did not resolve to the process default")
+	rng := rand.New(rand.NewSource(4003))
+	a, b := New(7, 13), New(13, 5)
+	fillRand(rng, a.Data)
+	fillRand(rng, b.Data)
+	got, want := New(7, 5), New(7, 5)
+	MatMulInto(got, a, b, false)
+	vecBackend{}.MatMulInto(want.Data, a.Data, b.Data, 7, 5, 13, false)
+	if !bitwiseEqual(got.Data, want.Data) {
+		t.Fatal("the package-level MatMulInto does not run the vec kernel")
 	}
-	ref, err := BackendByName("reference")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := SetDefaultBackend(ref)
-	if DefaultBackend() != ref {
-		t.Fatal("SetDefaultBackend did not take effect")
-	}
-	if back := SetDefaultBackend(prev); back != ref {
-		t.Fatal("SetDefaultBackend did not return the previous default")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("SetDefaultBackend(nil) did not panic")
-			}
-		}()
-		SetDefaultBackend(nil)
-	}()
 }
 
 // TestVecPortableKernelParity forces the vec backend onto its portable Go
@@ -397,14 +352,7 @@ func TestVecPortableKernelParity(t *testing.T) {
 	dot4f, dot1f, axpy4f, saxpyf = dot4, sdot, axpy4, saxpy
 	defer func() { dot4f, dot1f, axpy4f, saxpyf = d4, d1, a4, s1 }()
 
-	ref, err := BackendByName("reference")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec, err := BackendByName("vec")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, vec := Reference, vecBackend{}
 	rng := rand.New(rand.NewSource(5003))
 	for _, d := range [][3]int{{1, 1, 1}, {3, 5, 7}, {13, 17, 31}, {8, 64, 65}, {31, 127, 33}, {0, 4, 0}} {
 		checkGemmParity(t, ref, vec, rng, d[0], d[1], d[2])

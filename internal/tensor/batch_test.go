@@ -137,11 +137,8 @@ func TestConvBatchIgnoresScratchContents(t *testing.T) {
 	fillRand(rng, x.Data)
 	fillRand(rng, wt.Data)
 	fillRand(rng, bias.Data)
-	for _, name := range Backends() {
-		bk, err := BackendByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, bk := range everyBackend {
+		name := bk.Name()
 		t.Run(name, func(t *testing.T) {
 			ws := NewWorkspaceOn(NewPool()).SetBackend(bk)
 			golden := Conv2DWS(ws, x, wt, bias, spec)

@@ -137,7 +137,7 @@ func Conv2D(x, w, b *Tensor, s ConvSpec) *Tensor {
 // Conv2DWS is Conv2D with every buffer (scratch and result) leased from ws;
 // a nil ws falls back to plain allocation. Shapes are validated here, then
 // the fused im2col+GEMM forward is dispatched to the workspace's compute
-// backend (the process default for nil or unconfigured workspaces).
+// backend (vec for nil or unconfigured workspaces).
 func Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	oc := w.Dim(0)
 	c := x.Dim(0)

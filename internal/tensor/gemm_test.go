@@ -88,23 +88,10 @@ func equalBits(t *testing.T, name string, got, want *Tensor) {
 // TestBlockedGEMMMatchesNaive checks bit-consistency of all three blocked
 // variants against the naive references on randomized shapes, including
 // shapes larger than the blocking factors so multiple k-panels and j-tiles
-// are exercised.
-// useReferenceBackend pins the process default to the reference backend for
-// one test: the bit-consistency assertions below are a contract of the
-// reference kernels specifically (other backends are held to the ulp-scaled
-// parity bound in backend_test.go instead).
-func useReferenceBackend(t *testing.T) {
-	t.Helper()
-	ref, err := BackendByName("reference")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := SetDefaultBackend(ref)
-	t.Cleanup(func() { SetDefaultBackend(prev) })
-}
-
+// are exercised. Bit-consistency is a contract of the Reference kernels
+// specifically (vec is held to the ulp-scaled parity bound in
+// backend_test.go instead), so this test and the next run on Reference.
 func TestBlockedGEMMMatchesNaive(t *testing.T) {
-	useReferenceBackend(t)
 	rng := rand.New(rand.NewSource(91))
 	shapes := [][3]int{
 		{1, 1, 1},
@@ -122,10 +109,11 @@ func TestBlockedGEMMMatchesNaive(t *testing.T) {
 		b := randSparseTensor(rng, k, n)
 		at := randSparseTensor(rng, k, m)
 		bt := randSparseTensor(rng, n, k)
-		equalBits(t, "MatMul", MatMul(a, b), naiveMatMul(a, b))
-		atb, abt := New(at.Dim(1), b.Dim(1)), New(a.Dim(0), bt.Dim(0))
-		MatMulATBInto(atb, at, b, false)
-		MatMulABTInto(abt, a, bt)
+		ab, atb, abt := New(m, n), New(at.Dim(1), b.Dim(1)), New(a.Dim(0), bt.Dim(0))
+		MatMulIntoOn(Reference, ab, a, b, false)
+		MatMulATBIntoOn(Reference, atb, at, b, false)
+		MatMulABTIntoOn(Reference, abt, a, bt)
+		equalBits(t, "MatMul", ab, naiveMatMul(a, b))
 		equalBits(t, "MatMulATB", atb, naiveMatMulATB(at, b))
 		equalBits(t, "MatMulABT", abt, naiveMatMulABT(a, bt))
 	}
@@ -133,7 +121,6 @@ func TestBlockedGEMMMatchesNaive(t *testing.T) {
 
 // Property form: accumulate mode must equal compute-then-add.
 func TestBlockedGEMMAccumulate(t *testing.T) {
-	useReferenceBackend(t)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m, k, n := 1+rng.Intn(24), 1+rng.Intn(48), 1+rng.Intn(24)
@@ -142,7 +129,7 @@ func TestBlockedGEMMAccumulate(t *testing.T) {
 		base := randTensor(rng, m, n)
 
 		acc := base.Clone()
-		MatMulInto(acc, a, b, true)
+		MatMulIntoOn(Reference, acc, a, b, true)
 
 		// Naive accumulation into the same starting values, same per-element
 		// ascending-p order.

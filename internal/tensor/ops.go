@@ -102,67 +102,54 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %v × %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	DefaultBackend().MatMulInto(out.Data, a.Data, b.Data, m, n, k, true)
+	vecBackend{}.MatMulInto(out.Data, a.Data, b.Data, m, n, k, true)
 	return out
 }
 
 // MatMulInto computes dst = a×b, or dst += a×b when accumulate is true,
-// on the process-default backend.
+// on vec.
 func MatMulInto(dst, a, b *Tensor, accumulate bool) {
-	MatMulIntoOn(nil, dst, a, b, accumulate)
+	MatMulIntoOn(vecBackend{}, dst, a, b, accumulate)
 }
 
-// MatMulIntoOn is MatMulInto on an explicit backend (nil means the process
-// default). Shape validation happens here, so backends can assume
-// consistent dimensions.
+// MatMulIntoOn is MatMulInto on an explicit backend. Shape validation
+// happens here, so backends can assume consistent dimensions.
 func MatMulIntoOn(bk Backend, dst, a, b *Tensor, accumulate bool) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
 	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch dst %v = %v × %v", dst.shape, a.shape, b.shape))
 	}
-	if bk == nil {
-		bk = DefaultBackend()
-	}
 	bk.MatMulInto(dst.Data, a.Data, b.Data, m, n, k, accumulate)
 }
 
 // MatMulATBInto computes dst = aᵀ×b for a [k,m], b [k,n] → [m,n], or
-// dst += aᵀ×b when accumulate is true, on the process-default backend.
+// dst += aᵀ×b when accumulate is true, on vec.
 func MatMulATBInto(dst, a, b *Tensor, accumulate bool) {
-	MatMulATBIntoOn(nil, dst, a, b, accumulate)
+	MatMulATBIntoOn(vecBackend{}, dst, a, b, accumulate)
 }
 
-// MatMulATBIntoOn is MatMulATBInto on an explicit backend (nil means the
-// process default).
+// MatMulATBIntoOn is MatMulATBInto on an explicit backend.
 func MatMulATBIntoOn(bk Backend, dst, a, b *Tensor, accumulate bool) {
 	k, m := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulATBInto shape mismatch dst %v = %vᵀ × %v", dst.shape, a.shape, b.shape))
 	}
-	if bk == nil {
-		bk = DefaultBackend()
-	}
 	bk.MatMulATBInto(dst.Data, a.Data, b.Data, m, n, k, accumulate)
 }
 
-// MatMulABTInto computes dst = a×bᵀ for a [m,k], b [n,k] → [m,n] on the
-// process-default backend.
+// MatMulABTInto computes dst = a×bᵀ for a [m,k], b [n,k] → [m,n] on vec.
 func MatMulABTInto(dst, a, b *Tensor) {
-	MatMulABTIntoOn(nil, dst, a, b)
+	MatMulABTIntoOn(vecBackend{}, dst, a, b)
 }
 
-// MatMulABTIntoOn is MatMulABTInto on an explicit backend (nil means the
-// process default).
+// MatMulABTIntoOn is MatMulABTInto on an explicit backend.
 func MatMulABTIntoOn(bk Backend, dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n, k2 := b.shape[0], b.shape[1]
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulABTInto shape mismatch dst %v = %v × %vᵀ", dst.shape, a.shape, b.shape))
-	}
-	if bk == nil {
-		bk = DefaultBackend()
 	}
 	bk.MatMulABTInto(dst.Data, a.Data, b.Data, m, n, k)
 }

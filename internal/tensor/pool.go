@@ -120,12 +120,13 @@ func (p *Pool) Release(t *Tensor) {
 type Workspace struct {
 	pool    *Pool
 	leased  []*Tensor
-	backend Backend // nil means the process default
+	backend Backend // nil means vec
 }
 
 // SetBackend pins the compute backend used by kernels dispatched through
-// this workspace (Conv2DWS and the autodiff tape's matmuls). nil reverts to
-// the process default. It returns w so construction can chain.
+// this workspace (Conv2DWS and the autodiff tape's matmuls): the seam the
+// tests run the Reference oracle through. nil reverts to vec. It returns w
+// so construction can chain.
 func (w *Workspace) SetBackend(b Backend) *Workspace {
 	if w != nil {
 		w.backend = b
@@ -133,12 +134,12 @@ func (w *Workspace) SetBackend(b Backend) *Workspace {
 	return w
 }
 
-// Backend returns the workspace's compute backend, falling back to the
-// process default for nil or unconfigured workspaces so workspace-threaded
-// kernel code needs no nil checks.
+// Backend returns the workspace's compute backend: vec for nil or
+// unconfigured workspaces, so workspace-threaded kernel code needs no nil
+// checks.
 func (w *Workspace) Backend() Backend {
 	if w == nil || w.backend == nil {
-		return DefaultBackend()
+		return vecBackend{}
 	}
 	return w.backend
 }

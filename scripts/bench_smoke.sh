@@ -7,8 +7,8 @@
 #
 # The output path defaults to $BENCH_JSON, then BENCH_pr10.json. Scenario
 # selection comes from $SCENARIOS (comma-separated names/globs; default is
-# the CI regression-gate matrix, including the fleet/* sharded-fabric and
-# backend/* compute-backend families). CI compares the output against the committed baseline with
+# the CI regression-gate matrix, including the fleet/* sharded-fabric
+# family). CI compares the output against the committed baseline with
 # `benchdiff ci/bench_baseline.json <output>`; allocation budgets are
 # additionally enforced deterministically by the TestAllocBudget suite
 # (alloc_test.go) in the test job.
@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-${BENCH_JSON:-BENCH_pr10.json}}"
-SCENARIOS="${SCENARIOS:-bandwidth-sweep/*,multiclient/c1,alloc/distill-step,compression/diff-codecs,chaos/drop-midstream,fleet/*,backend/*,loss/*}"
+SCENARIOS="${SCENARIOS:-bandwidth-sweep/*,multiclient/c1,alloc/distill-step,compression/diff-codecs,chaos/drop-midstream,fleet/*,loss/*}"
 
 echo "== scenario smoke (${SCENARIOS}) -> ${OUT} =="
 SHADOWTUTOR_PRETRAIN_STEPS="${SHADOWTUTOR_PRETRAIN_STEPS:-120}" \
