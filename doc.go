@@ -71,13 +71,13 @@
 // policy is the only way to pick a diff codec — a fixed codec is the policy
 // "static:<codec>" (serve.Options.LinkPolicy, harness Spec.Codec) — and
 // every student diff names its codec and stride scale in its header, so
-// the client needs no flag for it. Raw diffs are relative: each weight
-// travels as its bit-pattern distance from the value the client already
-// holds (about 0.65–0.7 of the float32 size, reconstructed exactly; an
-// absolute diff only after a lossy transfer left the server unsure what
-// the client holds). Lossy diffs carry absolute weights under their codec,
-// and the BatchNorm statistics beside them always as raw float32 (see
-// ARCHITECTURE.md "What a student diff carries on the wire"):
+// the client needs no flag for it. Every diff is relative to what the
+// client holds, which the server knows by decoding what it sent. Under raw
+// each weight travels as its bit-pattern distance from the client's value
+// (about 0.65–0.7 of the float32 size, reconstructed exactly); under a
+// lossy codec its arithmetic delta rides the codec, so one diff's error
+// rides in the next; the BatchNorm statistics are exact under every codec
+// (see ARCHITECTURE.md "What a student diff carries on the wire"):
 //
 //	go run ./cmd/shadowtutor-server -loss-model uniform:0.02 -fec 8 -adaptive
 //	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -loss-model uniform:0.02 -fec 8

@@ -26,9 +26,16 @@ var deltaMagic = [4]byte{'D', 'L', 'T', '2'}
 //	             (value − base) ride the inner codec in one batched blob.
 //	             Under an exact inner only for a tensor with no base, where
 //	             nothing is subtracted and the blob is a plain copy.
-//	modeBits   — many changed elements, bit-exact inner: bit-pattern
-//	             distances from the base (bits.go). No float (a−b)+b
-//	             round trip, so delta+raw reconstructs bit-identically.
+//	modeBits   — many changed elements, bit-exact inner or a BatchNorm
+//	             running statistic: bit-pattern distances from the base
+//	             (bits.go). No float (a−b)+b round trip, so delta+raw
+//	             reconstructs bit-identically.
+//
+// A running statistic (nn.IsBNStat) never takes modeDense, whatever the
+// inner codec: a lossy codec is a contract about weights. Per-tensor int8
+// flushes a small running variance to zero or past it, pruning zeroes it
+// outright, and 1/√(var+ε) turns either into a huge gain — or a NaN — on
+// that channel.
 const (
 	modeSame   = 0
 	modeSparse = 1
@@ -38,14 +45,15 @@ const (
 
 // Delta is the base-relative codec wrapper: it encodes parameters against a
 // base the receiver already holds — the pretrained student for checkpoints,
-// the weights before this key frame's training for student diffs — so only
+// the sender's record of the receiver's weights for student diffs — so only
 // what training changed crosses the wire. Untouched tensors collapse to a
-// header byte; the rest ride bit-pattern distances (exact inner) or the
-// inner codec as arithmetic deltas (lossy inner). A nil Base is the
-// all-zeros base — every value is then its own delta, which keeps the codec
-// total (and is what absolute diffs and checkpoints use; under raw a
-// tensor then rides whichever of bit distances and a plain copy is smaller,
-// so an absolute stream costs a header byte per tensor over nn.WriteNamed).
+// header byte; the rest ride bit-pattern distances (exact inner, and every
+// running statistic) or the inner codec as arithmetic deltas (lossy inner).
+// A nil Base is the all-zeros base — every value is then its own delta,
+// which keeps the codec total (and is what absolute checkpoints use; under
+// raw a tensor then rides whichever of bit distances and a plain copy is
+// smaller, so an absolute stream costs a header byte per tensor over
+// nn.WriteNamed).
 type Delta struct {
 	// Inner carries the dense payload. Must not itself be a Delta.
 	Inner Codec
@@ -90,62 +98,37 @@ func (d *Delta) baseData(name string, n int) []float32 {
 	return ref.Value.Data
 }
 
-// Exact reports whether c reproduces every float32 bit pattern whatever
-// the values: Raw, and a Delta over Raw. It decides between bit-pattern
-// distances (modeBits) and arithmetic deltas (modeDense) for Delta's dense
-// path, and tells callers which transfers leave both ends holding the same
-// model.
-func Exact(c Codec) bool {
-	_, raw := Inner(c).(Raw)
-	return raw
-}
-
 // Encode implements Codec.
 func (d *Delta) Encode(w io.Writer, params []*nn.Parameter) error {
-	_, err := d.encode(w, params)
-	return err
-}
-
-// EncodeExact encodes params with c and reports whether a receiver will
-// decode these params bit-exactly: always under an Exact codec, never under
-// a bare lossy one, and under a lossy Delta whenever no tensor had to take
-// the dense path — a checkpoint that still equals its base is exact under
-// delta+int8.
-func EncodeExact(c Codec, w io.Writer, params []*nn.Parameter) (exact bool, err error) {
-	if d, ok := c.(*Delta); ok {
-		return d.encode(w, params)
-	}
-	return Exact(c), c.Encode(w, params)
-}
-
-func (d *Delta) encode(w io.Writer, params []*nn.Parameter) (exact bool, err error) {
 	if err := d.validate(); err != nil {
-		return false, err
+		return err
 	}
 	innerName := d.Inner.Name()
 	if len(innerName) > 255 {
-		return false, fmt.Errorf("compress: inner codec name %q too long", innerName)
+		return fmt.Errorf("compress: inner codec name %q too long", innerName)
 	}
 	if _, err := w.Write(deltaMagic[:]); err != nil {
-		return false, err
+		return err
 	}
 	if _, err := w.Write([]byte{byte(len(innerName))}); err != nil {
-		return false, err
+		return err
 	}
 	if _, err := io.WriteString(w, innerName); err != nil {
-		return false, err
+		return err
 	}
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(params))); err != nil {
-		return false, err
+		return err
 	}
 
-	innerExact := Exact(d.Inner)
+	// Raw reproduces every float32 bit pattern whatever the values, so its
+	// dense path is bit-pattern distances (modeBits), not arithmetic deltas.
+	_, innerExact := d.Inner.(Raw)
 	var dense []*nn.Parameter
 	var dist []uint32 // reused across tensors
 	var out []byte    // one tensor's mode byte and payload, reused
 	for _, p := range params {
 		if err := nn.WriteHeader(w, p); err != nil {
-			return false, err
+			return err
 		}
 		n := p.Value.Len()
 		base := d.baseData(p.Name, n)
@@ -163,14 +146,14 @@ func (d *Delta) encode(w io.Writer, params []*nn.Parameter) (exact bool, err err
 		switch {
 		case changed == 0:
 			mode = modeSame
-		case innerExact:
+		case innerExact || nn.IsBNStat(p.Name):
 			var payloadBits int
 			widths, payloadBits = bitWidths(&hist)
 			packedLen = (2*n + payloadBits + 7) / 8
 			mode = modeBits
 			if 4+8*changed < len(widths)+4+packedLen {
 				mode = modeSparse
-			} else if base == nil && nn.EncodedSize([]*nn.Parameter{p}) < len(widths)+4+packedLen {
+			} else if innerExact && base == nil && nn.EncodedSize([]*nn.Parameter{p}) < len(widths)+4+packedLen {
 				mode = modeDense
 			}
 		case 8*changed <= n: // the dense path costs ~n under int8-class inners
@@ -201,7 +184,7 @@ func (d *Delta) encode(w io.Writer, params []*nn.Parameter) (exact bool, err err
 			dense = append(dense, dp)
 		}
 		if _, err := w.Write(out); err != nil {
-			return false, err
+			return err
 		}
 	}
 
@@ -211,14 +194,14 @@ func (d *Delta) encode(w io.Writer, params []*nn.Parameter) (exact bool, err err
 	var blob bytes.Buffer
 	if len(dense) > 0 {
 		if err := d.Inner.Encode(&blob, dense); err != nil {
-			return false, fmt.Errorf("compress: delta inner encode: %w", err)
+			return fmt.Errorf("compress: delta inner encode: %w", err)
 		}
 	}
 	if err := binary.Write(w, binary.LittleEndian, uint32(blob.Len())); err != nil {
-		return false, err
+		return err
 	}
-	_, err = w.Write(blob.Bytes())
-	return innerExact || len(dense) == 0, err
+	_, err := w.Write(blob.Bytes())
+	return err
 }
 
 // Decode implements Codec. The inner codec is resolved from the stream's

@@ -91,8 +91,8 @@ func TestDeltaNilBaseBitExact(t *testing.T) {
 	}
 	c := &Delta{Inner: Raw{}}
 	var buf bufWriter
-	if exact, err := EncodeExact(c, &buf, params); err != nil || !exact {
-		t.Fatalf("EncodeExact = %v, %v; a nil-base delta+raw stream is exact", exact, err)
+	if err := c.Encode(&buf, params); err != nil {
+		t.Fatal(err)
 	}
 	if raw := nn.EncodedSize(params); float64(len(buf.b)) > 1.005*float64(raw) {
 		t.Fatalf("nil-base delta+raw took %d bytes, nn.WriteNamed %d", len(buf.b), raw)
@@ -270,9 +270,8 @@ func TestDeltaRawBitPatternProperty(t *testing.T) {
 		}
 		for _, c := range []*Delta{{Inner: Raw{}, Base: base}, {Inner: Raw{}}} {
 			var buf bufWriter
-			exact, err := EncodeExact(c, &buf, params)
-			if err != nil || !exact {
-				t.Fatalf("seed %d: EncodeExact = %v, %v; delta+raw is always exact", seed, exact, err)
+			if err := c.Encode(&buf, params); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
 			if limit := nn.EncodedSize(params) + budget; len(buf.b) > limit {
 				t.Fatalf("seed %d: delta+raw took %d bytes, raw plus tags is %d", seed, len(buf.b), limit)
@@ -299,8 +298,7 @@ func TestDeltaRawBitPatternProperty(t *testing.T) {
 }
 
 // A trained-looking tensor — every weight nudged by a small fraction of
-// itself — must cost well under its float32 size, and EncodeExact must
-// call a delta+int8 stream lossy exactly when a tensor took the dense path.
+// itself — must cost well under its float32 size.
 func TestDeltaRawShrinksSmallUpdates(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	base := nn.NewParamSet()
@@ -319,15 +317,51 @@ func TestDeltaRawShrinksSmallUpdates(t *testing.T) {
 	if raw := nn.EncodedSize(params); float64(n) > 0.6*float64(raw) {
 		t.Fatalf("delta+raw of a 0.1%% update took %d of %d raw bytes", n, raw)
 	}
-	var sink countingWriter
-	if exact, err := EncodeExact(&Delta{Inner: Int8{}, Base: base}, &sink, params); err != nil || exact {
-		t.Fatalf("delta+int8 of a dense update reported exact=%v, err=%v", exact, err)
+}
+
+// A running statistic never rides a lossy inner codec: under delta+int8
+// and delta+pruneNN a BatchNorm mean and variance that every element of
+// moved — a momentum step toward a batch whose variances span decades —
+// decode bit-exact, so no quantised or pruned variance goes to zero or
+// negative (1/√(var+ε) of which is NaN), while the weight beside them
+// still takes the codec.
+func TestDeltaLossyInnerKeepsRunningStatsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	base := nn.NewParamSet()
+	var params []*nn.Parameter
+	for _, name := range []string{"sb5.c33.w", "sb5.bn.rmean", "sb5.bn.rvar"} {
+		ref, cur := tensor.New(64), tensor.New(64)
+		for i := range ref.Data {
+			ref.Data[i] = float32(math.Exp(4 * rng.NormFloat64()))
+			cur.Data[i] = 0.9*ref.Data[i] + 0.1*float32(math.Exp(4*rng.NormFloat64()))
+		}
+		base.Add(name, ref)
+		params = append(params, &nn.Parameter{Name: name, Value: cur})
 	}
-	same := []*nn.Parameter{{Name: "w", Value: ref}}
-	if exact, err := EncodeExact(&Delta{Inner: Int8{}, Base: base}, &sink, same); err != nil || !exact {
-		t.Fatalf("delta+int8 of the base itself reported exact=%v, err=%v", exact, err)
-	}
-	if exact, _ := EncodeExact(Int8{}, &sink, same); exact {
-		t.Fatal("bare int8 can never claim exactness")
+	for _, inner := range []Codec{Int8{}, Pruned{KeepFraction: 0.25}} {
+		t.Run(inner.Name(), func(t *testing.T) {
+			c := &Delta{Inner: inner, Base: base}
+			var buf bufWriter
+			if err := c.Encode(&buf, params); err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Decode(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range params {
+				lossy := false
+				for j, v := range p.Value.Data {
+					g := got[i].Value.Data[j]
+					lossy = lossy || math.Float32bits(g) != math.Float32bits(v)
+					if nn.IsBNStat(p.Name) && (math.Float32bits(g) != math.Float32bits(v) || g < 0) {
+						t.Fatalf("%s[%d] = %v, want %v", p.Name, j, g, v)
+					}
+				}
+				if !nn.IsBNStat(p.Name) && !lossy {
+					t.Fatal("the weight came back exact; the fixture does not exercise the codec")
+				}
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/teacher"
@@ -328,21 +329,27 @@ func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
 		return append(append(append(b, byte(len(name))), name...), section...)
 	}
 	one := math.Float32bits(1)
-	// What a policy-running server sent before this body: the version-3
-	// adaptive envelope — magic 0xAD, version, state, stride scale, codec
-	// name — in front of the plain body under raw, and in front of frame
-	// index, metric, seq and the lossy tail under int8.
+	// What a policy-running server sent before this body: version 5's lossy
+	// body — this head, then absolute weights under the codec and the
+	// statistics as nn.WriteNamed — and the version-3 adaptive envelope —
+	// magic 0xAD, version, state, stride scale, codec name — in front of the
+	// plain body under raw, and in front of frame index, metric, seq and the
+	// lossy tail under int8.
+	lossy := seeds[3].body
+	weights, stats := nn.SplitBNStats(diff.Params)
+	var lossyTail bytes.Buffer
+	compress.Int8{}.Encode(&lossyTail, weights)
+	nn.WriteNamed(&lossyTail, stats)
 	envelope := func(name string, body []byte) []byte {
 		b := append([]byte{0xAD, 3, byte(netsim.LinkDegraded)}, relative[21:nameAt]...)
 		return append(append(append(b, byte(len(name))), name...), body...)
 	}
-	lossy := seeds[3].body
 	const hashAt = nameAt + 1 + len("raw") + 1
 	const countAt = hashAt + 8 + 4 + 1 + len("raw") // delta magic, inner name
 	mutate := func(edit func(b []byte) []byte) []byte { return edit(append([]byte(nil), relative...)) }
-	return append(seeds,
+	seeds = append(seeds,
 		adaptiveSeed{"version 3 raw envelope", envelope("raw", append(append([]byte(nil), relative[:20]...), section...)), false},
-		adaptiveSeed{"version 3 int8 envelope", envelope("int8", append(append([]byte(nil), lossy[:20]...), lossy[nameAt+1+len("int8"):]...)), false},
+		adaptiveSeed{"version 3 int8 envelope", envelope("int8", append(append([]byte(nil), lossy[:20]...), lossyTail.Bytes()...)), false},
 		adaptiveSeed{"relative raw", relative, true},
 		adaptiveSeed{"reference hash mismatch", mutate(func(b []byte) []byte { b[hashAt] ^= 1; return b }), false},
 		adaptiveSeed{"tensor count past the body", mutate(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[countAt:], 1<<19); return b }), false},
@@ -356,7 +363,19 @@ func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
 		adaptiveSeed{"NaN stride scale", with(0x7fc00000, "raw"), false},
 		adaptiveSeed{"zero stride scale", with(0, "raw"), false},
 		adaptiveSeed{"negative stride scale", with(math.Float32bits(-2), "raw"), false},
-		adaptiveSeed{"empty", nil, false})
+		adaptiveSeed{"empty", nil, false},
+		adaptiveSeed{"version 5 int8 body", append(append([]byte(nil), lossy[:nameAt+1+len("int8")]...), lossyTail.Bytes()...), false})
+	// Relative under the lossy codecs, and each with its reference hash
+	// flipped.
+	for _, codec := range []string{"int8", "prune25"} {
+		body := encode(diff, codec)
+		wrong := append([]byte(nil), body...)
+		wrong[nameAt+1+len(codec)+1] ^= 1
+		seeds = append(seeds,
+			adaptiveSeed{"relative " + codec, body, true},
+			adaptiveSeed{"relative " + codec + ", reference hash mismatch", wrong, false})
+	}
+	return seeds
 }
 
 func TestAdaptiveSeedsVerdicts(t *testing.T) {

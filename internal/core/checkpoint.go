@@ -38,27 +38,27 @@ func (c *CheckpointCodec) Match(baseHash uint64) bool {
 
 // EncodeBody serialises params as a base-relative MsgStudentFull body.
 func (c *CheckpointCodec) EncodeBody(params []*nn.Parameter) ([]byte, error) {
-	body, _, err := c.EncodeFor(c.Hash(), params)
-	return body, err
+	return c.EncodeFor(c.Hash(), params)
 }
 
 // EncodeFor builds the MsgStudentFull body for a peer that sent baseHash in
 // its Hello or Resume: relative to the base when they Match, absolute under
-// raw otherwise — always, for a nil codec. exact reports whether the peer
-// will hold params bit for bit (Server.ClientExact): a lossy inner codec is
-// exact only while nothing it would quantise has moved off the base.
-func (c *CheckpointCodec) EncodeFor(baseHash uint64, params []*nn.Parameter) (body []byte, exact bool, err error) {
+// raw otherwise — always, for a nil codec. A lossy inner codec quantises
+// or prunes what training moved off the base; the peer's copy is what the
+// body decodes to (Server.View).
+func (c *CheckpointCodec) EncodeFor(baseHash uint64, params []*nn.Parameter) ([]byte, error) {
 	var buf bytes.Buffer
+	var err error
 	if c.Match(baseHash) {
-		exact, err = transport.AppendSection(&buf, params, c.Base, c.Codec)
+		err = transport.AppendSection(&buf, params, c.Base, c.Codec)
 	} else {
 		buf.Grow(nn.EncodedSize(params) * 65 / 64) // a tensor header or two over nn.WriteNamed
-		exact, err = transport.AppendSection(&buf, params, nil, nil)
+		err = transport.AppendSection(&buf, params, nil, nil)
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("core: encoding checkpoint: %w", err)
+		return nil, fmt.Errorf("core: encoding checkpoint: %w", err)
 	}
-	return buf.Bytes(), exact, nil
+	return buf.Bytes(), nil
 }
 
 // DecodeCheckpointBody parses a MsgStudentFull body against base, the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
 
@@ -53,9 +54,9 @@ func TestCheckpointBodyRoundTripsBothFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	absolute, exact, err := ck.EncodeFor(0, all)
-	if err != nil || !exact {
-		t.Fatalf("absolute checkpoint: exact=%v, %v", exact, err)
+	absolute, err := ck.EncodeFor(0, all)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(relative) >= raw/2 || len(absolute) > raw+raw/20 {
 		t.Fatalf("relative %dB, absolute %dB beside raw %dB", len(relative), len(absolute), raw)
@@ -90,6 +91,49 @@ func TestCheckpointBodyRoundTripsBothFormats(t *testing.T) {
 		if _, err := DecodeCheckpointBody(tc.body, tc.base); err == nil {
 			t.Fatalf("%s decoded", name)
 		}
+	}
+}
+
+// A delta+int8 checkpoint of a student trained a few key frames off its
+// base — the resume-full fallback under an int8 envelope codec — carries
+// every running statistic bit-exact: quantised, their deltas drove
+// variances negative, and 1/√(var+ε) of a negative is NaN.
+func TestInt8CheckpointKeepsRunningStatsExact(t *testing.T) {
+	base := tinyStudent(21)
+	d := NewDistiller(DefaultConfig(), base.Clone())
+	frames := collect(t, 31, 40)
+	for i := 0; i < len(frames); i += 10 {
+		d.Train(frames[i], frames[i].Label)
+	}
+	if d.TotalSteps == 0 {
+		t.Fatal("no distillation step ran; the comparison is vacuous")
+	}
+	ck := &CheckpointCodec{Base: base.Params, Codec: compress.Int8{}}
+	body, err := ck.EncodeBody(d.Student.Params.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeCheckpointBody(body, base.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for _, p := range got {
+		if !nn.IsBNStat(p.Name) {
+			continue
+		}
+		want := d.Student.Params.Get(p.Name).Value.Data
+		for i, v := range p.Value.Data {
+			if math.Float32bits(v) != math.Float32bits(want[i]) || v < 0 {
+				t.Fatalf("%s[%d] = %v after the checkpoint, %v on the server", p.Name, i, v, want[i])
+			}
+			if v != base.Params.Get(p.Name).Value.Data[i] {
+				moved++
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("training moved no statistic; the comparison is vacuous")
 	}
 }
 

@@ -37,9 +37,8 @@ type Distiller struct {
 
 // subsetSnapshot is a reusable copy of one parameter set's
 // nn.TrainableSubset — what a key frame's training can change, and so what
-// a best-weights restore and a diff's reference both need. The copy's name
-// set is rebuilt only when the freeze configuration changed since the last
-// take.
+// a best-weights restore needs. The copy's name set is rebuilt only when the
+// freeze configuration changed since the last take.
 type subsetSnapshot struct {
 	set *nn.ParamSet
 	sig int

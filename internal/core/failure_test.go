@@ -31,7 +31,7 @@ func TestClientServerDiesMidSession(t *testing.T) {
 		if _, err := serverConn.Recv(); err != nil {
 			return
 		}
-		body, _, err := (*CheckpointCodec)(nil).EncodeFor(0, tinyStudent(72).Params.All())
+		body, err := (*CheckpointCodec)(nil).EncodeFor(0, tinyStudent(72).Params.All())
 		if err != nil {
 			return
 		}

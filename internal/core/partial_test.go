@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"repro/internal/loss"
@@ -19,7 +18,13 @@ import (
 // BatchNorm statistics alike — is bit-equal to want's.
 func requireSameStudent(t *testing.T, what string, got, want *nn.Student) {
 	t.Helper()
-	for _, w := range want.Params.All() {
+	requireHolds(t, what, got, want.Params)
+}
+
+// requireHolds fails unless got holds every parameter of want bit for bit.
+func requireHolds(t *testing.T, what string, got *nn.Student, want *nn.ParamSet) {
+	t.Helper()
+	for _, w := range want.All() {
 		g := got.Params.Get(w.Name)
 		for i, v := range w.Value.Data {
 			if math.Float32bits(g.Value.Data[i]) != math.Float32bits(v) {
@@ -29,31 +34,34 @@ func requireSameStudent(t *testing.T, what string, got, want *nn.Student) {
 	}
 }
 
-// The client must hold the student the server trained and scored: at
-// quiescence under bit-exact diffs every client parameter, statistics
-// included, is bit-equal to the server's — without a policy and under a
-// static raw one, both relative from the first diff on, and after a policy
-// that starts lossy and turns raw, where the first raw diff must go
-// absolute (the client holds int8's rounding of the reference, not the
-// reference) and every later one relative again. Client.Run applies every
-// outstanding diff before it returns and the key-frame schedule does not
-// depend on timing, so neither does this. The paths that need a session
-// manager — a severed diff replayed from the journal, cross-shard handoffs
-// — are serve's TestClientHoldsServerStudentAfterCutAndReplay and
-// …AcrossHandoff.
+// The client must hold what the server says it holds: at quiescence, under
+// every codec, every diff relative from the first on, every client
+// parameter is bit-equal to the server's student with its View in place of
+// the trainable subset — and under bit-exact diffs, or after a policy that
+// starts lossy and turns raw, to the server's student itself. Client.Run
+// applies every outstanding diff before it returns and the key-frame
+// schedule does not depend on timing, so neither does this. The paths that
+// need a session manager — a severed diff replayed from the journal,
+// cross-shard handoffs — are serve's
+// TestClientHoldsServerStudentAfterCutAndReplay and …AcrossHandoff.
 func TestClientHoldsServerStudentAtQuiescence(t *testing.T) {
 	raw := netsim.LinkDecision{Codec: "raw", StrideScale: 1}
 	int8 := netsim.LinkDecision{State: netsim.LinkDegraded, Codec: "int8", StrideScale: 1}
+	static := func(d netsim.LinkDecision) netsim.LinkPolicy {
+		return &netsim.StaticPolicy{Label: "static:" + d.Codec, Decision: d}
+	}
 	for _, tc := range []struct {
-		name     string
-		partial  bool
-		policy   netsim.LinkPolicy
-		absolute []uint64 // Seq of every diff that may not be relative
+		name    string
+		partial bool
+		policy  netsim.LinkPolicy
+		lossy   bool // the last diff was lossy: the client holds the View, not the student
 	}{
 		{name: "partial", partial: true},
 		{name: "full"},
-		{name: "static:raw", partial: true, policy: &netsim.StaticPolicy{Label: "static:raw", Decision: raw}},
-		{name: "int8 then raw", partial: true, policy: &scriptedPolicy{first: int8, n: 2, then: raw}, absolute: []uint64{1, 2, 3}},
+		{name: "static:raw", partial: true, policy: static(raw)},
+		{name: "int8 then raw", partial: true, policy: &scriptedPolicy{first: int8, n: 2, then: raw}},
+		{name: "static:int8", partial: true, policy: static(int8), lossy: true},
+		{name: "static:prune25", partial: true, policy: static(netsim.LinkDecision{State: netsim.LinkCritical, Codec: "prune25", StrideScale: 1}), lossy: true},
 	} {
 		cfg := DefaultConfig()
 		cfg.Partial = tc.partial
@@ -66,11 +74,18 @@ func TestClientHoldsServerStudentAtQuiescence(t *testing.T) {
 			t.Fatalf("%s: no distillation step ran", tc.name)
 		}
 		for i, rel := range log.sent {
-			if seq := uint64(i + 1); rel == slices.Contains(tc.absolute, seq) {
-				t.Fatalf("%s: diff %d relative=%v (all: %v)", tc.name, seq, rel, log.sent)
+			if !rel {
+				t.Fatalf("%s: diff %d went absolute (all: %v)", tc.name, i+1, log.sent)
 			}
 		}
-		requireSameStudent(t, tc.name, cl.Student, srv.Distiller.Student)
+		held := srv.Distiller.Student.Params.Clone()
+		held.ApplyValues(srv.View)
+		requireHolds(t, tc.name, cl.Student, held)
+		if !tc.lossy {
+			requireSameStudent(t, tc.name, cl.Student, srv.Distiller.Student)
+		} else if nn.HashParams(srv.View.All()) == nn.HashParams(nn.TrainableSubset(srv.Distiller.Student.Params)) {
+			t.Fatalf("%s: the View is the student; the codec lost nothing and the case is vacuous", tc.name)
+		}
 	}
 }
 
@@ -78,7 +93,8 @@ func TestClientHoldsServerStudentAtQuiescence(t *testing.T) {
 // its own codec. Against a static raw server it holds the server's student
 // bit for bit at quiescence; against a static int8 one it holds the
 // statistics and the frozen stages bit for bit, and every trainable weight
-// within half a step of its tensor's int8 grid.
+// within half a step of the grid its last diff's delta was quantised on
+// (plus the float rounding of adding the delta back).
 func TestClientFollowsAnyPolicyUntold(t *testing.T) {
 	for _, codec := range []string{"raw", "int8"} {
 		spec := "static:" + codec
@@ -86,9 +102,13 @@ func TestClientFollowsAnyPolicyUntold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, srv := runSessionUnder(t, DefaultConfig(), collect(t, 31, 60), policy, nil)
+		log := &relativeLog{held: tinyStudent(21).Params.Clone()} // the checkpoint the client starts from
+		cl, srv := runSessionUnder(t, DefaultConfig(), collect(t, 31, 60), policy, log)
 		if cl.Result.KeyFrames < 3 || srv.Distiller.TotalSteps == 0 {
 			t.Fatalf("%s: %d key frames, %d steps", spec, cl.Result.KeyFrames, srv.Distiller.TotalSteps)
+		}
+		if log.err != nil {
+			t.Fatal(log.err)
 		}
 		if codec == "raw" {
 			requireSameStudent(t, spec, cl.Student, srv.Distiller.Student)
@@ -102,13 +122,15 @@ func TestClientFollowsAnyPolicyUntold(t *testing.T) {
 			got := cl.Student.Params.Get(want.Name).Value.Data
 			step := float32(0)
 			if trainable[want.Name] {
-				for _, v := range want.Value.Data {
-					step = max(step, v, -v)
+				ref := log.prev.Get(want.Name).Value.Data
+				for i, v := range want.Value.Data {
+					step = max(step, v-ref[i], ref[i]-v)
 				}
 				step /= 127
 			}
 			for i, v := range want.Value.Data {
-				if d := got[i] - v; d > step/2*1.0001 || -d > step/2*1.0001 {
+				bound := step/2*1.0001 + 3e-7*max(v, -v)
+				if d := got[i] - v; d > bound || -d > bound {
 					t.Fatalf("%s: %s[%d] = %v on the client, %v on the server", spec, want.Name, i, got[i], v)
 				}
 			}
@@ -136,15 +158,32 @@ func (p *scriptedPolicy) Decide(netsim.LinkObservation) netsim.LinkDecision {
 }
 
 // relativeLog is a SessionObserver recording, per diff sent, whether its
-// parameter section was relative.
+// parameter section was relative. Given held, the checkpoint the client
+// starts from, it also applies every diff to it as the client does, and
+// keeps in prev what the last one was relative to.
 type relativeLog struct {
 	nopObserver
-	sent []bool
+	sent       []bool
+	held, prev *nn.ParamSet
+	err        error
 }
 
 func (l *relativeLog) Diff(_ uint64, body []byte) {
 	d, err := transport.DecodeStudentDiff(body)
 	l.sent = append(l.sent, err == nil && d.Relative)
+	if l.held == nil {
+		return
+	}
+	l.prev = l.held.Clone()
+	if err == nil {
+		err = d.Resolve(l.held)
+	}
+	if err == nil {
+		err = nn.ApplyNamed(l.held, d.Params)
+	}
+	if err != nil && l.err == nil {
+		l.err = err
+	}
 }
 
 // referenceTrain is Algorithm 1 over whole passes: Student.Infer and

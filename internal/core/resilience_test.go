@@ -53,7 +53,7 @@ func TestClientLeavesNoGoroutines(t *testing.T) {
 			if _, err := serverConn.Recv(); err != nil {
 				return
 			}
-			body, _, err := (*CheckpointCodec)(nil).EncodeFor(0, tinyStudent(92).Params.All())
+			body, err := (*CheckpointCodec)(nil).EncodeFor(0, tinyStudent(92).Params.All())
 			if err != nil {
 				return
 			}
@@ -132,7 +132,7 @@ func TestClientPoisonDiffFailsFastDespiteDial(t *testing.T) {
 		if _, err := serverConn.Recv(); err != nil {
 			return
 		}
-		body, _, err := (*CheckpointCodec)(nil).EncodeFor(0, tinyStudent(97).Params.All())
+		body, err := (*CheckpointCodec)(nil).EncodeFor(0, tinyStudent(97).Params.All())
 		if err != nil {
 			return
 		}

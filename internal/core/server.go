@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
-	"repro/internal/compress"
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/teacher"
@@ -62,22 +62,17 @@ type Server struct {
 	// non-increasing sequence as a confused resume (a client that
 	// re-attached to the wrong session state).
 	LastKFSeq uint64
-	// ClientExact records that the client holds this student's
-	// nn.TrainableSubset bit for bit once it has applied everything sent so
-	// far — the one condition under which the next diff may be relative.
-	// Exact transfers set it (a raw or delta+raw checkpoint, a bit-exact
-	// diff), lossy ones clear it (an int8 diff, a delta+int8 checkpoint
-	// that had to quantise), and whoever sends model state off this server
-	// maintains it: Handshake, Loop, and the session manager's full resends.
-	// Detachable state, like DiffSeq.
-	ClientExact bool
+	// View is the student's nn.TrainableSubset as the client holds it once
+	// it has applied everything sent so far, decoded from every checkpoint
+	// and journaled diff the server sent. Every diff is relative to it, so a
+	// lossy codec's error on one diff rides in the next instead of
+	// compounding on the client. Detachable state, like DiffSeq.
+	View *nn.ParamSet
 
 	// Policy-state tracking for SessionObserver.Policy's changed flag; part
 	// of the detachable session state like DiffSeq.
 	policySeen      bool
 	lastPolicyState netsim.PolicyState
-
-	ref subsetSnapshot // the student before the current key frame's training
 }
 
 // SessionObserver is what a session manager hangs on one Server. Every
@@ -196,17 +191,38 @@ func (s *Server) HandshakeWith(conn transport.Conn, m transport.Message) (transp
 	if err := conn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(ack)}); err != nil {
 		return transport.Hello{}, fmt.Errorf("core: sending hello ack: %w", err)
 	}
-	all := s.Distiller.Student.Params.All()
-	full, exact, err := s.Checkpoint.EncodeFor(hello.BaseHash, all)
+	actual, baseline, err := s.SendCheckpoint(conn, hello.BaseHash)
 	if err != nil {
 		return transport.Hello{}, err
 	}
-	s.ClientExact = exact
-	s.observer().Checkpoint(len(full), nn.EncodedSize(all))
-	if err := conn.Send(transport.Message{Type: transport.MsgStudentFull, Body: full}); err != nil {
-		return transport.Hello{}, fmt.Errorf("core: sending initial student: %w", err)
-	}
+	s.observer().Checkpoint(actual, baseline)
 	return hello, nil
+}
+
+// SendCheckpoint sends the student as one MsgStudentFull body for a peer
+// that sent baseHash (CheckpointCodec.EncodeFor) and makes what the peer
+// decodes from it the View. It returns the body's size and the raw
+// nn.WriteNamed size; a failed send wraps ErrConnLost.
+func (s *Server) SendCheckpoint(conn transport.Conn, baseHash uint64) (actual, baseline int, err error) {
+	all := s.Distiller.Student.Params.All()
+	body, err := s.Checkpoint.EncodeFor(baseHash, all)
+	if err != nil {
+		return 0, 0, err
+	}
+	sendErr := conn.Send(transport.Message{Type: transport.MsgStudentFull, Body: body})
+	var base *nn.ParamSet
+	if s.Checkpoint != nil {
+		base = s.Checkpoint.Base
+	}
+	held, err := DecodeCheckpointBody(body, base)
+	if err != nil {
+		return 0, 0, fmt.Errorf("core: decoding own checkpoint: %w", err)
+	}
+	s.setView(held)
+	if sendErr != nil {
+		return 0, 0, connLost("sending student checkpoint", sendErr)
+	}
+	return len(body), nn.EncodedSize(all), nil
 }
 
 // Loop runs the steady-state half of Algorithm 3 (lines 2–7): receive a key
@@ -254,34 +270,38 @@ func (s *Server) Loop(conn transport.Conn) error {
 			s.LastKFSeq = kf.Seq
 			frame := video.Frame{Index: int(kf.FrameIndex), Image: kf.Image, Label: kf.Label}
 			label := s.Teacher.Infer(frame)
-			// What the client holds now is what the student is before this
-			// key frame trains it — when the client is exact, the reference
-			// the diff can be relative to.
-			var ref *nn.ParamSet
-			if s.ClientExact {
-				ref = s.ref.take(s.Distiller.Student.Params)
-			}
 			tr := s.Distiller.Train(frame, label)
 			obs.Train(tr)
+			params := nn.TrainableSubset(s.Distiller.Student.Params)
 			diff := transport.StudentDiff{
 				FrameIndex: kf.FrameIndex,
 				Metric:     tr.Metric,
-				Params:     nn.TrainableSubset(s.Distiller.Student.Params),
+				Params:     params,
 				Seq:        s.DiffSeq + 1,
-				Ref:        ref,
+				Ref:        s.reference(params),
 			}
-			body, exact, err := s.encodeDiff(diff, link)
+			body, err := s.encodeDiff(diff, link)
 			if err != nil {
 				return err
 			}
-			s.ClientExact = exact
 			// Journal before sending: when the send fails mid-flight the
 			// client may or may not have applied the diff, and only the
 			// journal entry lets the resume replay disambiguate by Seq.
 			s.DiffSeq = diff.Seq
 			obs.Diff(diff.Seq, body)
-			if err := conn.Send(transport.Message{Type: transport.MsgStudentDiff, Body: body}); err != nil {
-				return connLost("sending student diff", err)
+			sendErr := conn.Send(transport.Message{Type: transport.MsgStudentDiff, Body: body})
+			// Off the round trip: the client applies this diff, now or in a
+			// replay, so the View becomes what the body decodes to.
+			d, err := transport.DecodeStudentDiff(body)
+			if err == nil {
+				err = d.Resolve(s.View)
+			}
+			if err != nil {
+				return fmt.Errorf("core: decoding own diff: %w", err)
+			}
+			s.setView(d.Params)
+			if sendErr != nil {
+				return connLost("sending student diff", sendErr)
 			}
 		default:
 			return fmt.Errorf("core: server: unexpected message %v", m.Type)
@@ -289,11 +309,34 @@ func (s *Server) Loop(conn transport.Conn) error {
 	}
 }
 
+// reference returns the View when it names exactly params, in order — what
+// a relative section's hash covers — and nil otherwise (no checkpoint sent
+// yet, or a move changed what trains), which makes the diff absolute.
+func (s *Server) reference(params []*nn.Parameter) *nn.ParamSet {
+	sameName := func(a, b *nn.Parameter) bool { return a.Name == b.Name }
+	if s.View == nil || !slices.EqualFunc(s.View.All(), params, sameName) {
+		return nil
+	}
+	return s.View
+}
+
+// setView makes held — parameters as the client decoded them, a whole
+// checkpoint or one diff's, in the student's order — the View, restricted
+// to the trainable subset.
+func (s *Server) setView(held []*nn.Parameter) {
+	s.View = nn.NewParamSet()
+	for _, p := range nn.TrainableSubset(s.Distiller.Student.Params) {
+		for held[0].Name != p.Name {
+			held = held[1:]
+		}
+		s.View.Add(p.Name, held[0].Value)
+	}
+}
+
 // encodeDiff builds one MsgStudentDiff body under the decision the policy
 // takes on link's current observation (nil link = a clear one), or under
-// the clear decision without a policy. exact reports whether the client
-// will hold diff.Params bit for bit.
-func (s *Server) encodeDiff(diff transport.StudentDiff, link measuredLink) (body []byte, exact bool, err error) {
+// the clear decision without a policy.
+func (s *Server) encodeDiff(diff transport.StudentDiff, link measuredLink) ([]byte, error) {
 	if s.Policy != nil {
 		var seen netsim.LinkObservation
 		if link != nil {
@@ -308,9 +351,7 @@ func (s *Server) encodeDiff(diff transport.StudentDiff, link measuredLink) (body
 		}
 		diff.State, diff.StrideScale, diff.Codec = dec.State, dec.StrideScale, dec.Codec
 	}
-	body, err = transport.EncodeStudentDiff(diff)
-	codec, _ := compress.ByName(diff.Codec) // EncodeStudentDiff vetted the name
-	return body, err == nil && compress.Exact(codec), err
+	return transport.EncodeStudentDiff(diff)
 }
 
 // validateLabel rejects a malformed oracle side-channel at the protocol

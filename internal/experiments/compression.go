@@ -43,8 +43,8 @@ func AblationCompression() (CodecRows, error) {
 		return nil, err
 	}
 	st.SetPartial(true)
-	// The codecs only ever see a diff's weights: its BatchNorm statistics
-	// ride the envelope uncompressed.
+	// The codecs only ever see a diff's weights: compress.Delta sends its
+	// BatchNorm statistics bit-exact whatever the codec.
 	diff, _ := nn.SplitBNStats(nn.TrainableSubset(st.Params))
 
 	codecs := []compress.Codec{

@@ -98,7 +98,7 @@ func IsBNStat(name string) bool {
 
 // SplitBNStats partitions params, in order, into running statistics and
 // everything else. A lossy codec is a contract about weights; statistics
-// travel beside it uncompressed (transport's lossy StudentDiff body).
+// take compress.Delta's exact modes under any codec.
 func SplitBNStats(params []*Parameter) (weights, stats []*Parameter) {
 	for _, p := range params {
 		if IsBNStat(p.Name) {

@@ -89,12 +89,13 @@ func TestManagerSessionWithLinkPolicy(t *testing.T) {
 }
 
 // Journal replay under a static codec policy: what the journal holds are
-// int8 diffs, and they must decode — with strictly increasing Seq — both
-// when replayed after a plain detach and when replayed by another manager
-// the session was moved to. A client that applies them ends up holding the
-// server's BatchNorm statistics bit for bit: int8 is a contract about
-// weights, and the body carries the statistics beside the codec payload,
-// not through it.
+// int8 diffs, relative to the View, and they must decode — with strictly
+// increasing Seq — and resolve against what the client holds, both when
+// replayed after a plain detach and when replayed by another manager the
+// session was moved to. A client that applies them ends up holding the
+// server's View bit for bit, and with it the server's BatchNorm statistics:
+// int8 is a contract about weights, and the statistics ride its delta
+// stream exactly.
 func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 	newShard := func() *Manager {
 		cfg := core.DefaultConfig()
@@ -111,29 +112,30 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 	_, frames := resumeManager(t, 1)
 
 	var lastSeq uint64
-	held := tinyStudent(41) // the checkpoint the handshake ships
+	// What the client holds after each applied diff; seq 0 is the
+	// checkpoint the handshake ships.
+	held := map[uint64]*nn.ParamSet{0: tinyStudent(41).Params}
 	int8Diff := func(m transport.Message) {
 		t.Helper()
 		d, dec, err := core.DecodeAdaptiveDiff(m.Body)
 		if err != nil {
 			t.Fatalf("diff after seq %d does not decode: %v", lastSeq, err)
 		}
-		if dec.Codec != "int8" || d.Seq != lastSeq+1 {
-			t.Fatalf("diff codec %q seq %d, want int8 seq %d", dec.Codec, d.Seq, lastSeq+1)
+		if dec.Codec != "int8" || d.Seq != lastSeq+1 || !d.Relative {
+			t.Fatalf("diff codec %q seq %d relative %v, want relative int8 seq %d", dec.Codec, d.Seq, d.Relative, lastSeq+1)
 		}
-		lastSeq = d.Seq
-		if err := nn.ApplyNamed(held.Params, d.Params); err != nil {
+		now := held[lastSeq].Clone()
+		if err := d.Resolve(now); err != nil {
 			t.Fatal(err)
 		}
+		if err := nn.ApplyNamed(now, d.Params); err != nil {
+			t.Fatal(err)
+		}
+		lastSeq, held[d.Seq] = d.Seq, now
 	}
 	keyFrame := func(p *protoClient) {
 		t.Helper()
-		p.kfSeq++
-		f := p.frames[int(p.kfSeq-1)%len(p.frames)]
-		kf := transport.KeyFrame{FrameIndex: uint32(f.Index), Image: f.Image, Label: f.Label, Seq: p.kfSeq}
-		if err := p.conn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)}); err != nil {
-			t.Fatal(err)
-		}
+		p.send()
 		int8Diff(p.recv(transport.MsgStudentDiff))
 	}
 	replay := func(p *protoClient, m *Manager, applied uint64, want uint32) {
@@ -170,23 +172,29 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trained, fresh := parked.State.(*core.Server).Distiller.Student, tinyStudent(41)
-	moved := 0
-	for _, want := range trained.Params.All() {
+	srv, fresh := parked.State.(*core.Server), tinyStudent(41)
+	stats := 0
+	for _, want := range srv.View.All() {
+		got := held[lastSeq].Get(want.Name).Value.Data
+		for i, v := range want.Value.Data {
+			if math.Float32bits(got[i]) != math.Float32bits(v) {
+				t.Fatalf("%s[%d] = %v on the client, %v in the server's View", want.Name, i, got[i], v)
+			}
+		}
 		if !nn.IsBNStat(want.Name) {
 			continue
 		}
-		got := held.Params.Get(want.Name).Value.Data
+		trained := srv.Distiller.Student.Params.Get(want.Name).Value.Data
 		for i, v := range want.Value.Data {
-			if math.Float32bits(got[i]) != math.Float32bits(v) {
-				t.Fatalf("%s[%d] = %v on the client, %v on the server", want.Name, i, got[i], v)
+			if math.Float32bits(trained[i]) != math.Float32bits(v) {
+				t.Fatalf("%s[%d] = %v in the View, %v in the student", want.Name, i, v, trained[i])
 			}
 			if v != fresh.Params.Get(want.Name).Value.Data[i] {
-				moved++
+				stats++
 			}
 		}
 	}
-	if moved == 0 {
+	if stats == 0 {
 		t.Fatal("distillation moved no statistic; the comparison is vacuous")
 	}
 }

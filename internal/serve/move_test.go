@@ -97,9 +97,9 @@ func peek(t *testing.T, m *Manager, id uint64) *parkedView {
 		ds: s, srv: srv, student: srv.Distiller.Student, opt: srv.Distiller.Opt,
 		journal: s.Journal, policy: srv.Policy,
 		id: s.ID, epoch: s.Epoch, altEpoch: s.AltEpoch, lastSeq: s.LastSeq, detachedAt: s.DetachedAt,
-		diffSeq: srv.DiffSeq, lastKFSeq: srv.LastKFSeq, clientExact: srv.ClientExact,
+		diffSeq: srv.DiffSeq, lastKFSeq: srv.LastKFSeq,
 		steps: srv.Distiller.TotalSteps, trains: srv.Distiller.TotalTrains, stepTime: srv.Distiller.TotalStepTime,
-		weights: nn.CloneNamed(srv.Distiller.Student.Params.All()),
+		weights: nn.CloneNamed(srv.Distiller.Student.Params.All()), view: nn.CloneNamed(srv.View.All()),
 	}
 	entries, _ := s.Journal.Suffix(0)
 	for _, e := range entries {
@@ -114,11 +114,10 @@ type parkedView struct {
 	ds, srv, student, opt, journal, policy any
 
 	id, epoch, altEpoch, lastSeq, diffSeq, lastKFSeq uint64
-	clientExact                                      bool
 	steps, trains                                    int
 	stepTime                                         time.Duration
 	detachedAt                                       time.Time
-	weights                                          *nn.ParamSet
+	weights, view                                    *nn.ParamSet
 	entries                                          [][]byte
 }
 
@@ -177,12 +176,13 @@ func TestMoveParkedMovesTheSessionItself(t *testing.T) {
 				t.Error("the session is not bound to the target's manager, teacher and checkpoint codec")
 			}
 			if after.id != before.id || after.epoch != before.epoch || after.altEpoch != before.altEpoch || after.lastSeq != before.lastSeq ||
-				after.diffSeq != before.diffSeq || after.lastKFSeq != before.lastKFSeq || after.clientExact != before.clientExact {
+				after.diffSeq != before.diffSeq || after.lastKFSeq != before.lastKFSeq {
 				t.Errorf("identity, epochs or sequence counters changed: %+v, were %+v", after, before)
 			}
-			if !after.clientExact {
-				t.Error("a move is exact under every codec: the client still holds this student")
-			}
+			// Nothing is re-encoded under any codec: what the server says the
+			// client holds is unchanged, and after raw diffs it is the student.
+			requireBitEqual(t, "moved view", after.view.All(), before.view)
+			requireBitEqual(t, "view beside the student", after.view.All(), after.weights)
 			if after.steps != before.steps || after.trains != before.trains || after.stepTime != before.stepTime {
 				t.Error("distillation counters changed")
 			}

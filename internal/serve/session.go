@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/nn"
 	"repro/internal/resume"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -45,9 +44,10 @@ func (m *Manager) newSession(journalDepth int) *session {
 
 // rebind points a parked session at the manager it is moving to. It owns the
 // list of what in a session is bound to the shard it lives on; everything
-// else — student, Adam moments and step, DiffSeq/LastKFSeq/ClientExact,
-// epochs, journal, the link policy with its hysteresis state, the distill
-// counters — travels by being the same object.
+// else — student, Adam moments and step, DiffSeq/LastKFSeq, the View of what
+// the client holds (which no codec re-encodes on the way), epochs, journal,
+// the link policy with its hysteresis state, the distill counters — travels
+// by being the same object.
 func (s *session) rebind(to *Manager) {
 	s.m = to // registry, aggregate stats, telemetry handles and shard label
 	s.srv.Teacher = to.batcher
@@ -188,17 +188,15 @@ func (m *Manager) handleResume(conn transport.Conn, first transport.Message) err
 		// Resume requests carry the base hash as Hello does, so the
 		// full-resend fallback — the dominant checkpoint cost under churn —
 		// goes base-relative whenever the client proved it holds the base.
-		all := srv.Distiller.Student.Params.All()
-		full, exact, err := m.ck.EncodeFor(req.BaseHash, all)
+		actual, baseline, err := srv.SendCheckpoint(conn, req.BaseHash)
+		if errors.Is(err, core.ErrConnLost) {
+			return m.redetach(sess, err)
+		}
 		if err != nil {
 			m.unregister(sess.id)
 			return err
 		}
-		srv.ClientExact = exact
-		m.countFullResend(len(full), nn.EncodedSize(all))
-		if err := conn.Send(transport.Message{Type: transport.MsgStudentFull, Body: full}); err != nil {
-			return m.redetach(sess, err)
-		}
+		m.countFullResend(actual, baseline)
 		m.countResume(false)
 		m.logf("session %d resumed at epoch %d: journal gap too old (asked for > %d, tail %d), sent full checkpoint",
 			sess.id, sess.epoch, req.LastDiffSeq, sess.journal.Tail())

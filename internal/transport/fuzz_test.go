@@ -114,7 +114,8 @@ func FuzzDecodeHello(f *testing.F) {
 	full := EncodeHello(Hello{Version: Version, NumClass: 9, FrameW: 96, FrameH: 64, Partial: true, SessionID: 12, Epoch: 3, BaseHash: 77})
 	f.Add(full)
 	f.Add([]byte{})
-	// The forms earlier protocol versions sent; Version 5 has one length.
+	// The forms earlier protocol versions sent; since version 5 it has one
+	// length.
 	mustReject := [][]byte{
 		full[:9],           // version 1: no session id
 		full[:17],          // version 2: no epoch
@@ -154,14 +155,15 @@ func withCaps(body []byte, at int) []byte {
 
 // FuzzDecodeStudentDiff hammers the one MsgStudentDiff body — every diff a
 // server sends crosses it, as does every journal replay — through both of
-// its steps: the stateless parse and, under raw, the resolve against the
-// set the seeds were cut from. It must never panic; base-relative or empty
-// codec names, bad stride scales, Seq 0, truncation, trailing bytes, every
-// retired diff or checkpoint format and a reference the receiver does not
-// hold must error; under the dense codecs, where every decoded value costs
-// at least a 2-bit tag, it must not allocate past the body (a pruned
+// its steps: the stateless parse and the resolve against the set the seeds
+// were cut from. It must never panic; base-relative or empty codec names,
+// bad stride scales, Seq 0, truncation, trailing bytes, every retired diff
+// or checkpoint format and a reference the receiver does not hold must
+// error; under the dense codecs, where every decoded value costs at least
+// a 2-bit tag or an int8, it must not allocate past the body (a pruned
 // tensor's size is bounded by compress's own shape check instead); and
-// what it accepts re-encodes to a body that decodes to the same diff.
+// what it accepts re-encodes under raw — a lossy codec would re-quantise
+// what it decoded — to a body that decodes to the same diff bit for bit.
 func FuzzDecodeStudentDiff(f *testing.F) {
 	held := diffSeedHeld()
 	seeds := diffSeeds(f)
@@ -200,6 +202,7 @@ func FuzzDecodeStudentDiff(f *testing.F) {
 		if d.Relative {
 			d.Ref = held
 		}
+		d.Codec = "raw"
 		re, err := EncodeStudentDiff(d)
 		if err != nil {
 			t.Fatalf("re-encode of decoded diff failed: %v", err)
@@ -216,9 +219,6 @@ func FuzzDecodeStudentDiff(f *testing.F) {
 		}
 		if d2.Metric != d.Metric && !(math.IsNaN(d2.Metric) && math.IsNaN(d.Metric)) {
 			t.Fatalf("diff metric diverged: %v vs %v", d2.Metric, d.Metric)
-		}
-		if !compress.Exact(codec) {
-			return // a lossy codec re-quantises what it decoded
 		}
 		for i, p := range d.Params {
 			q := d2.Params[i]
@@ -303,17 +303,23 @@ func diffSeeds(tb testing.TB) []diffSeed {
 	const countAt = hashAt + 8 + 4 + 1 + len("raw") // delta magic, inner name
 	mutate := func(edit func(b []byte) []byte) []byte { return edit(bytes.Clone(relative)) }
 
-	// What earlier versions put on the wire. Version 4's plain body is
-	// version 5's without the decision; its adaptive envelope (0xAD,
-	// version 3) put the decision in front of that body under raw, and in
-	// front of frame index, metric, seq and the lossy tail otherwise.
-	// Version 3's body was absolute nn.WriteNamed with Seq trailing.
+	// What earlier versions put on the wire. Version 5's lossy body was
+	// version 6's head followed by absolute weights under the codec and the
+	// statistics as nn.WriteNamed. Version 4's plain body is version 5's
+	// without the decision; its adaptive envelope (0xAD, version 3) put the
+	// decision in front of that body under raw, and in front of frame index,
+	// metric, seq and the lossy tail otherwise. Version 3's body was
+	// absolute nn.WriteNamed with Seq trailing.
+	weights, stats := nn.SplitBNStats(moved)
+	var lossyTail bytes.Buffer
+	compress.Int8{}.Encode(&lossyTail, weights)
+	nn.WriteNamed(&lossyTail, stats)
+	v5Lossy := append(bytes.Clone(lossy[:nameAt+1+len("int8")]), lossyTail.Bytes()...)
 	plain := append(bytes.Clone(relative[:20]), section...)
 	envelope := func(name string, body []byte) []byte {
 		b := append([]byte{0xAD, 3, byte(diff.State)}, relative[21:nameAt]...)
 		return append(append(append(b, byte(len(name))), name...), body...)
 	}
-	lossyTail := lossy[nameAt+1+len("int8"):]
 	var v3 bytes.Buffer
 	v3.Write(absolute[:12])
 	nn.WriteNamed(&v3, moved)
@@ -322,7 +328,7 @@ func diffSeeds(tb testing.TB) []diffSeed {
 	// stream. The raw nn.WriteNamed checkpoint is the v3 body's middle.
 	checkpoint := append([]byte("STC\x7f"), absolute[nameAt+1+len("raw")+1:]...)
 
-	return append(seeds,
+	seeds = append(seeds,
 		diffSeed{"relative raw", relative, true},
 		diffSeed{"reference hash mismatch", mutate(func(b []byte) []byte { b[hashAt] ^= 1; return b }), false},
 		diffSeed{"tensor count past the body", mutate(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[countAt:], 1<<19); return b }), false},
@@ -339,10 +345,22 @@ func diffSeeds(tb testing.TB) []diffSeed {
 		diffSeed{"negative stride scale", with(math.Float32bits(-2), "raw"), false},
 		diffSeed{"version 4 plain body", plain, false},
 		diffSeed{"version 3 raw envelope", envelope("raw", plain), false},
-		diffSeed{"version 3 int8 envelope", envelope("int8", append(bytes.Clone(lossy[:20]), lossyTail...)), false},
+		diffSeed{"version 3 int8 envelope", envelope("int8", append(bytes.Clone(lossy[:20]), lossyTail.Bytes()...)), false},
 		diffSeed{"version 3 body", v3.Bytes(), false},
 		diffSeed{"STC checkpoint", checkpoint, false},
-		diffSeed{"empty", nil, false})
+		diffSeed{"empty", nil, false},
+		diffSeed{"version 5 int8 body", v5Lossy, false})
+	// Relative under the lossy codecs, and each with its reference hash
+	// flipped.
+	for _, codec := range []string{"int8", "prune25"} {
+		body := encode(diff, codec)
+		wrong := bytes.Clone(body)
+		wrong[nameAt+1+len(codec)+1] ^= 1
+		seeds = append(seeds,
+			diffSeed{"relative " + codec, body, true},
+			diffSeed{"relative " + codec + ", reference hash mismatch", wrong, false})
+	}
+	return seeds
 }
 
 func TestStudentDiffSeedsVerdicts(t *testing.T) {

@@ -103,8 +103,10 @@ type Hello struct {
 // frame's label; it shares no diff or key-frame body with version 3.
 // Version 5 gave every student diff one body, with the link decision in its
 // header, made every checkpoint a parameter section, and dropped the
-// capability mask from Hello and Resume.
-const Version = 5
+// capability mask from Hello and Resume. Version 6 made a diff's parameters
+// one parameter section under every codec, where a lossy diff had carried
+// absolute weights and raw statistics.
+const Version = 6
 
 // KeyFrame is the client → server key frame payload. Label optionally
 // carries the synthetic ground-truth mask, one class per pixel of Image:
@@ -128,15 +130,16 @@ type KeyFrame struct {
 // key frame's distillation changed (nn.TrainableSubset), and the link
 // decision they were encoded under.
 //
-// Under the raw codec they travel as a parameter Section against Ref — the
+// Under every codec they travel as a parameter Section against Ref — the
 // values the receiver holds, by the sender's account — so what travels is
-// how far each weight moved, not where it ended up. A sender that cannot
-// vouch for what the receiver holds leaves Ref nil and the section is
-// absolute. Because a relative section only means something next to the
-// reference, decoding is two steps: DecodeStudentDiff parses the header and
-// keeps the section undecoded — it needs no state and may run ahead of
-// application, on a whole replay suffix — and Resolve, called when every
-// earlier diff has been applied, turns it into Params.
+// how far each weight moved, not where it ended up; the codec carries the
+// weights' distances (compress.Delta). A sender that cannot vouch for what
+// the receiver holds leaves Ref nil and the section is absolute. Because a
+// relative section only means something next to the reference, decoding is
+// two steps: DecodeStudentDiff parses the header and keeps the section
+// undecoded — it needs no state and may run ahead of application, on a
+// whole replay suffix — and Resolve, called when every earlier diff has
+// been applied, turns it into Params.
 type StudentDiff struct {
 	FrameIndex uint32
 	Metric     float64 // post-distillation mIoU of Algorithm 1
@@ -161,7 +164,7 @@ type StudentDiff struct {
 	// encodes an absolute diff.
 	Ref *nn.ParamSet
 
-	// Section (receiver side) is a raw diff's parameter section as parsed.
+	// Section (receiver side) is the diff's parameter section as parsed.
 	Section
 }
 
@@ -335,7 +338,7 @@ func decodeLabelRuns(runs []byte, pixels int) ([]int32, error) {
 }
 
 // Section is a parameter section as parsed — the body of every
-// MsgStudentFull, and of a StudentDiff under raw:
+// MsgStudentFull, and the parameters of every StudentDiff:
 //
 //	flags u8 · [refHash u64] · compress.Delta stream
 //
@@ -352,10 +355,9 @@ type Section struct {
 const sectionRelative = 1
 
 // AppendSection writes params to buf as a Section: relative to ref when it
-// is non-nil, absolute otherwise, with inner carrying whatever the delta
-// stream cannot send exactly (nil is raw). exact reports whether the
-// receiver will hold params bit for bit (compress.EncodeExact).
-func AppendSection(buf *bytes.Buffer, params []*nn.Parameter, ref *nn.ParamSet, inner compress.Codec) (exact bool, err error) {
+// is non-nil, absolute otherwise, with inner carrying the weights' dense
+// deltas (nil is raw, which is bit-exact).
+func AppendSection(buf *bytes.Buffer, params []*nn.Parameter, ref *nn.ParamSet, inner compress.Codec) error {
 	if ref == nil {
 		buf.WriteByte(0)
 	} else {
@@ -365,7 +367,7 @@ func AppendSection(buf *bytes.Buffer, params []*nn.Parameter, ref *nn.ParamSet, 
 	if inner == nil {
 		inner = compress.Raw{}
 	}
-	return compress.EncodeExact(&compress.Delta{Inner: inner, Base: ref}, buf, params)
+	return (&compress.Delta{Inner: inner, Base: ref}).Encode(buf, params)
 }
 
 // ParseSection splits a Section into its header and Payload.
@@ -422,9 +424,8 @@ func (s Section) Decode(held *nn.ParamSet) ([]*nn.Parameter, error) {
 // DiffCodec resolves the codec a diff body or a link decision names — the
 // one check EncodeStudentDiff, DecodeStudentDiff and core.PolicyByName
 // share. It rejects the empty name (compress.ByName reads it as raw, which
-// would let "static:" through) and base-relative "delta+…" codecs: a raw
-// diff is relative already, and a lossy one relative to a base the client
-// may have missed could not be decoded.
+// would let "static:" through) and base-relative "delta+…" codecs: every
+// diff is a delta stream already, and deltas do not nest.
 func DiffCodec(name string) (compress.Codec, error) {
 	codec, ok := compress.ByName(name)
 	if !ok || name == "" {
@@ -442,15 +443,12 @@ const diffHead = 4 + 8 + 8 + 1 + 4 + 1
 // EncodeStudentDiff serialises a StudentDiff body:
 //
 //	frameIndex u32 · metric f64 · seq u64 · state u8 · strideScale f32 ·
-//	codecLen u8 · codec · parameters
+//	codecLen u8 · codec · parameter section
 //
-// Under "raw", the one bit-exact diff codec, the parameters are a Section
-// against d.Ref. Under a lossy codec they are absolute and d.Ref is
-// ignored: the weights under the codec, then the BatchNorm running
-// statistics as nn.WriteNamed whatever the codec. A lossy codec is a
-// contract about weights: per-tensor int8 flushes a small running variance
-// to zero and pruning zeroes it outright, and 1/√(var+ε) turns either into
-// a gain of ~300 on that channel.
+// The parameters are a Section against d.Ref under the codec: bit-exact
+// under "raw", the weights' deltas quantised or pruned under a lossy codec,
+// and the BatchNorm running statistics bit-exact under every codec
+// (compress.Delta).
 func EncodeStudentDiff(d StudentDiff) ([]byte, error) {
 	name := d.Codec
 	if name == "" {
@@ -473,26 +471,14 @@ func EncodeStudentDiff(d StudentDiff) ([]byte, error) {
 	binary.Write(&buf, binary.LittleEndian, math.Float32bits(float32(scale)))
 	buf.WriteByte(byte(len(name)))
 	buf.WriteString(name)
-	if compress.Exact(codec) {
-		// Pre-sized here only: the resume journal keeps the buffer, and a
-		// lossy body is a fraction of the float32 size.
-		buf.Grow(nn.EncodedSize(d.Params))
-		_, err = AppendSection(&buf, d.Params, d.Ref, nil)
-		return buf.Bytes(), err
-	}
-	weights, stats := nn.SplitBNStats(d.Params)
-	if err := codec.Encode(&buf, weights); err != nil {
+	if err := AppendSection(&buf, d.Params, d.Ref, codec); err != nil {
 		return nil, fmt.Errorf("transport: diff under %s: %w", name, err)
-	}
-	if err := nn.WriteNamed(&buf, stats); err != nil {
-		return nil, fmt.Errorf("transport: diff statistics: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// DecodeStudentDiff parses a StudentDiff body. It needs no state: a raw
-// diff's parameters stay in its Section until Resolve, a lossy diff's are
-// decoded here.
+// DecodeStudentDiff parses a StudentDiff body. It needs no state: the
+// parameters stay in the diff's Section until Resolve.
 func DecodeStudentDiff(b []byte) (StudentDiff, error) {
 	var d StudentDiff
 	if len(b) < diffHead {
@@ -513,34 +499,17 @@ func DecodeStudentDiff(b []byte) (StudentDiff, error) {
 		return d, fmt.Errorf("transport: diff codec name cut short")
 	}
 	d.Codec = string(b[:nameLen])
-	codec, err := DiffCodec(d.Codec)
-	if err != nil {
+	if _, err := DiffCodec(d.Codec); err != nil {
 		return d, err
 	}
-	b = b[nameLen:]
-	if compress.Exact(codec) {
-		d.Section, err = ParseSection(b)
-		return d, err
-	}
-	r := bytes.NewReader(b)
-	weights, err := codec.Decode(r)
-	if err != nil {
-		return d, fmt.Errorf("transport: diff under %s: %w", d.Codec, err)
-	}
-	stats, err := nn.ReadNamed(r)
-	if err != nil {
-		return d, fmt.Errorf("transport: diff statistics: %w", err)
-	}
-	if r.Len() != 0 {
-		return d, fmt.Errorf("transport: diff has %d trailing bytes", r.Len())
-	}
-	d.Params = append(weights, stats...)
-	return d, nil
+	var err error
+	d.Section, err = ParseSection(b[nameLen:])
+	return d, err
 }
 
-// Resolve decodes a raw diff's Section into Params against held
-// (Section.Decode). A diff without Payload (built in memory, or decoded
-// under a lossy codec, which carries Params outright) resolves to itself.
+// Resolve decodes the diff's Section into Params against held
+// (Section.Decode). A diff without Payload (built in memory) resolves to
+// itself.
 func (d *StudentDiff) Resolve(held *nn.ParamSet) error {
 	if d.Payload == nil {
 		return nil
