@@ -12,7 +12,9 @@
 // session: the client keeps inferring locally on its stale student,
 // redials with backoff, and resumes the server-side session via the
 // protocol-v3 Resume handshake (journal replay, full-checkpoint fallback).
-// -reconnect=false restores the legacy fail-fast behaviour.
+// A Hello that a loaded server sheds is redialled the same way, on the same
+// -reconnect-attempts budget. -reconnect=false restores the legacy
+// fail-fast behaviour.
 package main
 
 import (
@@ -42,7 +44,7 @@ func main() {
 		session   = flag.Uint64("session", 0, "session ID to request from the server (0 = server-assigned)")
 		reconnect = flag.Bool("reconnect", true, "survive connection drops: redial with backoff and resume the session")
 		backoff   = flag.Duration("reconnect-backoff", 100*time.Millisecond, "initial redial backoff (doubles per attempt, capped at 1s)")
-		attempts  = flag.Int("reconnect-attempts", 8, "redial attempts per outage before giving up")
+		attempts  = flag.Int("reconnect-attempts", 8, "redial attempts per outage or shed admission before giving up")
 		deltaCk   = flag.Bool("delta-checkpoints", false, "pre-train the shared base locally and send its hash, for base-relative checkpoints (the server sends absolute ones when its base differs)")
 		lossModel = flag.String("loss-model", "", "simulate packet loss on the uplink (netsim spec, e.g. \"uniform:0.02\"; empty = plain byte stream). Must match the server's packet framing (-loss-model there)")
 		fec       = flag.Int("fec", 0, "XOR-parity FEC group size for the packet layer (0 = no FEC)")
@@ -85,7 +87,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer conn.Close()
 
 	client := &core.Client{
 		Cfg:       core.DefaultConfig(),
@@ -126,6 +127,7 @@ func main() {
 	if usePackets {
 		// The first connection's uplink counters (reconnects open new conns
 		// with their own counters; the common lossy-link run has just one).
+		// Run has closed the conn; its counters outlive it.
 		if lo, ok := conn.(netsim.LinkObserver); ok {
 			obs := lo.LinkObservation()
 			log.Printf("uplink packets: %d sent, %d lost (%.2f%% EWMA loss), %d FEC-recovered, %d retransmits, %.2f Mbps goodput",

@@ -28,9 +28,10 @@
 //
 // Sessions survive connection drops: the client runs with -reconnect by
 // default, so on a mid-stream failure it keeps inferring locally on its
-// stale student, redials with backoff, and resumes its server-side session
-// (protocol-v3 Resume handshake — the server replays only the journaled
-// student diffs the client missed). Kill the client's network mid-run and
+// stale student while its one link goroutine redials with backoff and
+// resumes the server-side session (protocol-v3 Resume handshake — the
+// server replays only the journaled student diffs the client missed). A
+// Hello a loaded server sheds is redialled in the same backoff loop. Kill the client's network mid-run and
 // watch the "resilience:" summary count the recoveries; the server keeps
 // dropped sessions resumable for -resume-ttl (default 2m) with
 // -journal-depth recent diffs. -reconnect=false restores fail-fast.

@@ -13,20 +13,21 @@ import (
 	"repro/internal/video"
 )
 
-// Client implements Algorithm 4 over a transport.Conn with real goroutines:
-// key frames are sent without blocking, the updated student parameters are
-// received asynchronously, and the client keeps inferring non-key frames on
-// the slightly outdated student in the meantime. The updated weights are
+// Client implements Algorithm 4 over a transport.Conn: key frames are sent
+// without blocking, the updated student parameters are received
+// asynchronously, and the client keeps inferring non-key frames on the
+// slightly outdated student in the meantime. The updated weights are
 // awaited for at most MIN_STRIDE frames (Algorithm 4 lines 15–17).
 //
-// With a Dial callback installed, Run is additionally restartable: a
-// dropped connection no longer kills the session. The client keeps
-// inferring every frame on its stale student (the paper's graceful-
-// degradation story), while a background goroutine redials with
-// exponential backoff and resumes the server-side session through the
-// protocol-v3 Resume handshake — replaying only the journaled diffs it
-// missed, falling back to a full checkpoint (or a fresh session) when the
-// server can no longer bridge the gap.
+// Each Run has one link goroutine for the network side: it opens the
+// session, reads the server's diffs and reports a dead connection. With a
+// Dial callback installed, Run is additionally restartable: a dropped
+// connection no longer kills the session. The client keeps inferring every
+// frame on its stale student (the paper's graceful-degradation story),
+// while the link redials with exponential backoff and resumes the
+// server-side session through the protocol-v3 Resume handshake — replaying
+// only the journaled diffs it missed, falling back to a full checkpoint (or
+// a fresh session) when the server can no longer bridge the gap.
 type Client struct {
 	Cfg     Config
 	Student *nn.Student
@@ -61,16 +62,17 @@ type Client struct {
 	Telemetry *telemetry.Registry
 
 	// Dial, when non-nil, makes the session resumable: after a connection
-	// failure Run keeps going and redials through this callback. Nil keeps
-	// the legacy fail-fast contract (any connection error ends Run).
+	// failure Run keeps going and redials through this callback, and a
+	// Hello the server sheds is retried on a redialled conn. Nil keeps the
+	// legacy fail-fast contract (any connection error ends Run).
 	Dial func() (transport.Conn, error)
-	// MaxResumeAttempts bounds redials per outage before Run gives up and
-	// reports the failure (default 8).
+	// MaxResumeAttempts bounds the redials of one outage, or of one shed
+	// admission, before Run gives up and reports the failure (default 8).
 	MaxResumeAttempts int
-	// ResumeBackoff is the delay before the first redial of an outage,
-	// doubled per failed attempt and capped at one second (default 25ms).
-	// The initial wait also gives the server time to notice the drop and
-	// park the session.
+	// ResumeBackoff is the delay before the first redial of an outage or a
+	// shed admission, doubled per failed attempt and capped at one second
+	// (default 25ms). The initial wait also gives the server time to notice
+	// a drop and park the session.
 	ResumeBackoff time.Duration
 
 	// Stats populated by Run.
@@ -136,18 +138,11 @@ type ClientResult struct {
 	RecoveryTimes []time.Duration
 }
 
-// asyncRecv is the handle returned by the non-blocking receive
-// (FromServerAsync): a one-shot channel carrying the decoded diff.
-type asyncRecv struct {
-	ch  chan transport.StudentDiff
-	err chan error
-}
-
 // linkError marks a failure of the connection itself (a Recv that died),
 // as opposed to a protocol or decode error on a healthy link. Only link
 // errors trigger the reconnect path: redialling cannot fix a poison diff
 // or a codec mismatch, and would bury the root cause under "gave up after
-// N reconnect attempts".
+// N redials".
 type linkError struct{ err error }
 
 func (e *linkError) Error() string { return fmt.Sprintf("core: connection failed: %v", e.err) }
@@ -160,258 +155,55 @@ func isLinkError(err error) bool {
 	return errors.As(err, &le)
 }
 
-// diffReceiver owns the dedicated receive goroutine of one connection. It
-// is pull-driven: the client queues an asyncRecv handle per expected diff,
-// and the goroutine decodes into it. stop is close-driven and
-// deterministic — it never leaves the goroutine parked in Recv.
-type diffReceiver struct {
-	conn transport.Conn
-	reqs chan asyncRecv
-	done chan struct{}
+// rejected is a ResumeAck refusing a Hello or a Resume: ResumeRetry sheds
+// or defers it, ResumeReject refuses it for good.
+type rejected struct {
+	status transport.ResumeStatus
+	reason string
 }
 
-func (c *Client) startReceiver(conn transport.Conn) *diffReceiver {
-	r := &diffReceiver{conn: conn, reqs: make(chan asyncRecv, 1), done: make(chan struct{})}
-	go func() {
-		defer close(r.done)
-		for h := range r.reqs {
-			m, err := conn.Recv()
-			if err != nil {
-				h.err <- &linkError{err: err}
-				return
-			}
-			if m.Type != transport.MsgStudentDiff {
-				h.err <- fmt.Errorf("core: expected StudentDiff, got %v", m.Type)
-				return
-			}
-			d, err := transport.DecodeStudentDiff(m.Body)
-			if err != nil {
-				h.err <- err
-				return
-			}
-			h.ch <- d
-		}
-	}()
-	return r
+func (r rejected) Error() string {
+	return fmt.Sprintf("core: server answered %v: %s", r.status, r.reason)
 }
 
-// stop shuts the receiver down deterministically. force closes the
-// connection, which unblocks an in-flight Recv; it must be set whenever a
-// handle may still be pending (the clean path drains first and keeps the
-// conn open for the Shutdown message).
-func (r *diffReceiver) stop(force bool) {
-	close(r.reqs)
-	if force {
-		r.conn.Close()
-	}
-	<-r.done
+// refused reports whether err is a ResumeAck with this status.
+func refused(err error, status transport.ResumeStatus) bool {
+	var r rejected
+	return errors.As(err, &r) && r.status == status
 }
 
-// recovered is the hand-off from the background reconnect goroutine: a
-// fresh connection plus the state needed to catch the student up.
-type recovered struct {
-	conn    transport.Conn
-	epoch   uint64
-	headSeq uint64
-	diffs   []transport.StudentDiff // journal replay suffix, oldest first
-	full    []*nn.Parameter         // full checkpoint (ResumeFull or fresh fallback)
-	fresh   bool                    // recovered via a fresh Hello (new session)
-	session uint64                  // session ID when fresh
-	err     error                   // recovery gave up (or was cancelled)
-}
-
-// dialCanceler lets Run abort an in-flight recovery deterministically: it
-// interrupts backoff sleeps and closes whatever connection the recovery
-// goroutine currently holds.
-type dialCanceler struct {
-	mu      sync.Mutex
-	conn    transport.Conn
-	stopped bool
-	quit    chan struct{}
-}
-
-func newDialCanceler() *dialCanceler {
-	return &dialCanceler{quit: make(chan struct{})}
-}
-
-// adopt registers the recovery goroutine's current conn; false means the
-// run was cancelled and the caller must close the conn and bail.
-func (k *dialCanceler) adopt(conn transport.Conn) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.stopped {
-		return false
-	}
-	k.conn = conn
-	return true
-}
-
-func (k *dialCanceler) release() {
-	k.mu.Lock()
-	k.conn = nil
-	k.mu.Unlock()
-}
-
-func (k *dialCanceler) cancel() {
-	k.mu.Lock()
-	if !k.stopped {
-		k.stopped = true
-		close(k.quit)
-		if k.conn != nil {
-			k.conn.Close()
-		}
-	}
-	k.mu.Unlock()
-}
-
-// runState carries the per-Run session identity, key-frame cadence and
-// connection machinery.
+// runState is Run's side of a session: what the student has applied, the
+// key-frame cadence, and the conn key frames go out on.
 type runState struct {
-	sessionID   uint64
-	epoch       uint64
-	lastApplied uint64 // highest student-diff Seq applied
-	kfSeq       uint64 // key-frame sequence counter
-	cad         cadence
-
-	link     *diffReceiver
-	inflight *asyncRecv
-
-	recovering     chan recovered
-	recoverDone    chan struct{}
-	cancel         *dialCanceler
-	disconnectedAt time.Time
+	lastApplied    uint64 // highest student-diff Seq applied
+	kfSeq          uint64 // key-frame sequence counter
+	cad            cadence
+	conn           transport.Conn // nil while the link is down
+	disconnectedAt time.Time      // when Run last took a link-down event
 }
 
 // Run executes the client loop over n frames from src. The student is
 // initialised from the server's MsgStudentFull, so callers may pass a
-// freshly constructed (untrained) student.
+// freshly constructed (untrained) student. Run closes conn, and every conn
+// it dials, before it returns.
 func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 	if err := c.Cfg.Validate(); err != nil {
+		conn.Close()
 		return err
 	}
-	rs := &runState{cad: newCadence(c.Cfg, nil)}
 	c.bindTelemetry()
-	conn, err := c.admit(conn, rs)
-	if err != nil {
-		return err
+	l := c.connect(conn)
+	// No goroutine outlives Run (TestClientLeavesNoGoroutines).
+	defer l.stop()
+	rs := &runState{cad: newCadence(c.Cfg, nil)}
+	for rs.conn == nil { // admission: nothing to infer with before the checkpoint
+		if err := c.take(rs, l, true); err != nil {
+			return err
+		}
 	}
-	rs.link = c.startReceiver(conn)
-
-	// Deterministic teardown on every exit path: no receiver or recovery
-	// goroutine may outlive Run (asserted by TestClientLeavesNoGoroutines).
-	defer func() {
-		if rs.cancel != nil {
-			rs.cancel.cancel()
-		}
-		if rs.recoverDone != nil {
-			<-rs.recoverDone
-			select {
-			case r := <-rs.recovering:
-				if r.conn != nil {
-					r.conn.Close()
-				}
-			default:
-			}
-		}
-		if rs.link != nil {
-			rs.link.stop(rs.inflight != nil)
-			rs.link = nil
-		}
-	}()
 
 	cm := metrics.NewConfusionMatrix(c.Student.Config.NumClasses)
 	start := time.Now()
-
-	// tryApply checks the in-flight receive; block=true waits for it
-	// (WaitUntilComplete). On success the diff is applied and the handle
-	// cleared.
-	tryApply := func(block bool) error {
-		if rs.inflight == nil {
-			return nil
-		}
-		if block {
-			select {
-			case d := <-rs.inflight.ch:
-				rs.inflight = nil
-				return c.apply(rs, d)
-			case err := <-rs.inflight.err:
-				return err
-			}
-		}
-		select {
-		case d := <-rs.inflight.ch:
-			rs.inflight = nil
-			return c.apply(rs, d)
-		case err := <-rs.inflight.err:
-			return err
-		default:
-			return nil
-		}
-	}
-
-	// drop tears the dead link down and, when a Dial callback is
-	// installed, starts the background recovery; without one it returns
-	// the fatal cause (the legacy contract).
-	drop := func(cause error) error {
-		if rs.link != nil {
-			rs.link.stop(true)
-			rs.link = nil
-		}
-		rs.inflight = nil
-		rs.cad.settled()
-		if c.Dial == nil {
-			return cause
-		}
-		rs.disconnectedAt = time.Now()
-		rs.recovering = make(chan recovered, 1)
-		rs.recoverDone = make(chan struct{})
-		rs.cancel = newDialCanceler()
-		go c.recover(rs.sessionID, rs.epoch, rs.lastApplied, rs.recovering, rs.recoverDone, rs.cancel)
-		return nil
-	}
-
-	// applyRecovery installs a recovered connection: catches the student
-	// up (replay suffix or full checkpoint), restarts the receiver and
-	// clears the outage.
-	applyRecovery := func(r recovered) error {
-		if r.err != nil {
-			return r.err
-		}
-		if r.fresh {
-			rs.sessionID = r.session
-			c.Result.SessionID = r.session
-			rs.lastApplied = 0
-			rs.kfSeq = 0 // a fresh session numbers key frames from 1 again
-		}
-		rs.epoch = r.epoch
-		if r.full != nil {
-			if err := nn.ApplyNamed(c.Student.Params, r.full); err != nil {
-				r.conn.Close()
-				return err
-			}
-			rs.lastApplied = r.headSeq
-			c.Result.FullResends++
-		} else {
-			for _, d := range r.diffs {
-				if err := c.apply(rs, d); err != nil {
-					r.conn.Close()
-					return err
-				}
-			}
-			if r.headSeq > rs.lastApplied {
-				rs.lastApplied = r.headSeq
-			}
-			c.Result.ResumeReplays++
-		}
-		c.Result.Reconnects++
-		c.Result.RecoveryTimes = append(c.Result.RecoveryTimes, time.Since(rs.disconnectedAt))
-		rs.link = c.startReceiver(r.conn)
-		rs.recovering = nil
-		rs.recoverDone = nil
-		rs.cancel = nil
-		return nil
-	}
-
 	trackFrames := c.TrackLatency || c.tm.latency != nil
 	for i := 0; i < n; i++ {
 		var frameStart time.Time
@@ -420,18 +212,13 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 		}
 		frame := src.Next()
 
-		if rs.recovering != nil {
-			select {
-			case r := <-rs.recovering:
-				<-rs.recoverDone
-				if err := applyRecovery(r); err != nil {
-					return err
-				}
-			default:
+		if rs.conn == nil { // a recovery lands before the key-frame decision
+			if err := c.take(rs, l, false); err != nil {
+				return err
 			}
 		}
 
-		if rs.cad.due() && rs.link != nil { // key frame
+		if rs.cad.due() && rs.conn != nil { // key frame
 			rs.kfSeq++
 			kf := transport.KeyFrame{
 				FrameIndex: uint32(frame.Index),
@@ -439,17 +226,21 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 				Label:      frame.Label,
 				Seq:        rs.kfSeq,
 			}
-			err := rs.link.conn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)})
-			if err != nil {
-				if err := drop(fmt.Errorf("core: sending key frame: %w", err)); err != nil {
-					return err
+			if err := rs.conn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)}); err != nil {
+				if c.Dial == nil {
+					return fmt.Errorf("core: sending key frame: %w", err)
+				}
+				// Closed, the conn fails the link's Recv too, and the link
+				// reports it down.
+				rs.conn.Close()
+				for rs.conn != nil {
+					if err := c.take(rs, l, true); err != nil {
+						return err
+					}
 				}
 			} else {
 				c.Result.KeyFrames++
 				c.tm.keyFrames.Inc()
-				h := asyncRecv{ch: make(chan transport.StudentDiff, 1), err: make(chan error, 1)}
-				rs.link.reqs <- h
-				rs.inflight = &h
 				rs.cad.sent()
 			}
 		}
@@ -457,7 +248,7 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 		mask, _ := c.Student.Infer(frame.Image)
 		wait := rs.cad.inferred()
 		c.tm.frames.Inc()
-		if rs.link == nil {
+		if rs.conn == nil {
 			c.Result.StaleFrames++
 			c.tm.stale.Inc()
 		}
@@ -468,14 +259,9 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 		}
 
 		// WaitUntilComplete at MIN_STRIDE; opportunistic otherwise
-		// (Algorithm 4 lines 14–22). Only a dead link is recoverable; a
-		// decode or apply failure on a healthy connection is a protocol bug
-		// that redialling cannot fix.
-		if err := tryApply(wait); err != nil {
-			if !isLinkError(err) {
-				return err
-			}
-			if err := drop(err); err != nil {
+		// (Algorithm 4 lines 14–22).
+		if rs.conn != nil && rs.cad.pending {
+			if err := c.take(rs, l, wait); err != nil {
 				return err
 			}
 		}
@@ -488,25 +274,16 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 		}
 	}
 
-	// Teardown: drain any outstanding update so the receiver goroutine can
-	// exit cleanly, then say goodbye. An outage at this point is simply
-	// abandoned when the session is resumable — there are no frames left
-	// to serve (the deferred cleanup cancels the recovery goroutine); the
-	// legacy fail-fast contract (no Dial) still surfaces the error, as do
-	// protocol failures on a healthy link.
-	if rs.link != nil {
-		if err := tryApply(true); err != nil {
-			rs.link.stop(true)
-			rs.link = nil
-			rs.inflight = nil
-			if c.Dial == nil || !isLinkError(err) {
-				return err
-			}
-		} else {
-			_ = rs.link.conn.Send(transport.Message{Type: transport.MsgShutdown})
-			rs.link.stop(false)
-			rs.link = nil
+	// Teardown: wait out an update in flight, then say goodbye. An outage
+	// now is abandoned when the session is resumable — there are no frames
+	// left to serve; without Dial the link reports it as the error it is.
+	if rs.conn != nil && rs.cad.pending {
+		if err := c.take(rs, l, true); err != nil {
+			return err
 		}
+	}
+	if rs.conn != nil {
+		_ = rs.conn.Send(transport.Message{Type: transport.MsgShutdown})
 	}
 
 	c.Result.Frames = n
@@ -516,132 +293,66 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 	return nil
 }
 
-// admit runs the initial handshake, absorbing load-shed rejections: a
-// sharded server (internal/fabric) under pressure answers the Hello with a
-// retryable reject instead of a session, and a client with a Dial callback
-// backs off and redials — the admission-control loop of the router's
-// watermark shedding. Clients without Dial keep the fail-fast contract.
-// Ownership: when admit fails without entering the retry loop the initial
-// conn stays caller-owned (the legacy contract — Run's caller closes it);
-// every conn admit itself opened is closed on failure. The returned
-// connection completed the handshake.
-func (c *Client) admit(conn transport.Conn, rs *runState) (transport.Conn, error) {
-	err := c.handshake(conn, rs)
-	if err == nil {
-		return conn, nil
-	}
-	if c.Dial == nil || !isAdmissionRetry(err) {
-		return nil, err
-	}
-	attempts, backoff := c.redialBudget()
-	for a := 0; a < attempts; a++ {
-		if conn != nil {
-			conn.Close()
-			conn = nil
-		}
-		time.Sleep(backoff)
-		backoff = min(2*backoff, maxResumeBackoff)
-		nc, derr := c.Dial()
-		if derr != nil {
-			// A failed redial consumes an attempt; the server may still be
-			// draining its accept backlog under the same pressure that shed
-			// us. Dial contracts return a nil conn with the error.
-			err = fmt.Errorf("core: redial after admission reject: %w", derr)
-			continue
-		}
-		conn = nc
-		if err = c.handshake(conn, rs); err == nil {
-			return conn, nil
-		}
-		if !isAdmissionRetry(err) {
-			conn.Close()
-			return nil, err
+// take acts on one link event, waiting for it when block is set and
+// otherwise returning at once when none is waiting. A diff is applied, an
+// opened session installed, a lost conn leaves the client inferring on its
+// stale student, and an error that ended the link is returned.
+func (c *Client) take(rs *runState, l *link, block bool) error {
+	var ev event
+	if block {
+		ev = <-l.events
+	} else {
+		select {
+		case ev = <-l.events:
+		default:
+			return nil
 		}
 	}
-	if conn != nil {
-		conn.Close()
+	switch {
+	case ev.diff != nil:
+		return c.apply(rs, *ev.diff)
+	case ev.up != nil:
+		return c.install(rs, ev.up)
+	case ev.down:
+		rs.conn = nil
+		rs.cad.settled()
+		rs.disconnectedAt = time.Now()
+		return nil
 	}
-	return nil, fmt.Errorf("core: gave up after %d admission attempts: %w", attempts, err)
+	return ev.err
 }
 
-// errAdmissionRetry marks a retryable server-side load shed of a fresh
-// Hello (transport.ResumeRetry reused as the admission verdict).
-type errAdmissionRetry struct{ reason string }
-
-func (e errAdmissionRetry) Error() string {
-	return fmt.Sprintf("core: admission deferred: %s", e.reason)
-}
-
-func isAdmissionRetry(err error) bool {
-	var ar errAdmissionRetry
-	return errors.As(err, &ar)
-}
-
-// helloReject classifies a MsgResumeAck received where a Hello ack was
-// expected: the server shed or refused the session at admission.
-func helloReject(body []byte) error {
-	ack, err := transport.DecodeResumeAck(body)
-	if err != nil {
-		return err
+// install catches the student up with a session the link opened — its
+// checkpoint, or a resume's replay — and sends key frames on its conn from
+// now on.
+func (c *Client) install(rs *runState, up *opened) error {
+	if up.hello {
+		// A new session numbers its diffs and key frames from 1 again.
+		rs.lastApplied, rs.kfSeq = 0, 0
+		c.Result.SessionID = up.id
 	}
-	if ack.Status == transport.ResumeRetry {
-		return errAdmissionRetry{reason: ack.Reason}
+	if up.full != nil {
+		if err := nn.ApplyNamed(c.Student.Params, up.full); err != nil {
+			return err
+		}
+		c.Student.SetPartial(c.Cfg.Partial)
 	}
-	return fmt.Errorf("core: session refused at admission: %s", ack.Reason)
-}
-
-// hello runs one fresh Hello exchange on conn — Hello, ack (or an admission
-// reject), full checkpoint — and returns the ack and the decoded checkpoint
-// without touching the student or Result, so the recovery goroutine can run
-// it too: weight mutation stays with whoever applies the params.
-func (c *Client) hello(conn transport.Conn, sessionID uint64) (ack transport.Hello, params []*nn.Parameter, err error) {
-	h := transport.Hello{
-		Version:   transport.Version,
-		NumClass:  uint16(c.Student.Config.NumClasses),
-		Partial:   c.Cfg.Partial,
-		SessionID: sessionID,
-		BaseHash:  c.hashBase(),
+	for _, d := range up.replay {
+		if err := c.apply(rs, d); err != nil {
+			return err
+		}
 	}
-	if err := conn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(h)}); err != nil {
-		return ack, nil, fmt.Errorf("core: client hello: %w", err)
+	rs.lastApplied = max(rs.lastApplied, up.head)
+	if !rs.disconnectedAt.IsZero() { // a reconnect, not the admission
+		c.Result.Reconnects++
+		if up.full != nil {
+			c.Result.FullResends++
+		} else {
+			c.Result.ResumeReplays++
+		}
+		c.Result.RecoveryTimes = append(c.Result.RecoveryTimes, time.Since(rs.disconnectedAt))
 	}
-	m, err := conn.Recv()
-	if err != nil {
-		return ack, nil, fmt.Errorf("core: client hello ack recv: %w", err)
-	}
-	if m.Type == transport.MsgResumeAck {
-		return ack, nil, helloReject(m.Body)
-	}
-	if m.Type != transport.MsgHello {
-		return ack, nil, fmt.Errorf("core: expected Hello ack, got %v", m.Type)
-	}
-	if ack, err = transport.DecodeHello(m.Body); err != nil {
-		return ack, nil, err
-	}
-	if m, err = conn.Recv(); err != nil {
-		return ack, nil, fmt.Errorf("core: client initial student recv: %w", err)
-	}
-	if m.Type != transport.MsgStudentFull {
-		return ack, nil, fmt.Errorf("core: expected StudentFull, got %v", m.Type)
-	}
-	params, err = DecodeCheckpointBody(m.Body, c.Base)
-	return ack, params, err
-}
-
-// handshake opens the session on conn: a hello exchange under the
-// requested SessionID, then the initial checkpoint applied to the student.
-func (c *Client) handshake(conn transport.Conn, rs *runState) error {
-	ack, params, err := c.hello(conn, c.SessionID)
-	if err != nil {
-		return err
-	}
-	rs.sessionID = ack.SessionID
-	rs.epoch = ack.Epoch
-	c.Result.SessionID = ack.SessionID
-	if err := nn.ApplyNamed(c.Student.Params, params); err != nil {
-		return err
-	}
-	c.Student.SetPartial(c.Cfg.Partial)
+	rs.conn = up.conn
 	return nil
 }
 
@@ -673,154 +384,306 @@ const DefaultResumeBackoff = 25 * time.Millisecond
 // maxResumeBackoff caps the exponential redial delay.
 const maxResumeBackoff = time.Second
 
-// redialBudget resolves MaxResumeAttempts and ResumeBackoff to their
-// defaults — the budget of one outage, or of one shed admission.
-func (c *Client) redialBudget() (attempts int, backoff time.Duration) {
-	attempts, backoff = c.MaxResumeAttempts, c.ResumeBackoff
+// maxReplayDiffs bounds how many replayed diffs a client will accept in
+// one resume — journals are bounded server-side, so anything larger is a
+// protocol error, not a backlog.
+const maxReplayDiffs = 4096
+
+// errStopped ends a link that Run stopped; no one reads it.
+var errStopped = errors.New("core: link stopped")
+
+// link is the one goroutine of a Run. It opens the session on the conn Run
+// was handed, delivers the diffs that arrive, and reports a dead conn; with
+// Dial set it then redials and reopens the session, through one backoff
+// loop that serves a shed admission too. It never writes the student or
+// Result, which are Run's: what it learns reaches Run as events.
+type link struct {
+	c      *Client
+	events chan event    // unbuffered: an event is delivered once Run took it
+	quit   chan struct{} // closed by stop
+	done   chan struct{} // closed when the goroutine exits
+	s      session       // the goroutine's own
+
+	mu   sync.Mutex
+	conn transport.Conn // the conn the goroutine holds, which stop closes
+}
+
+// event is one report from the link, in wire order: a diff off the live
+// conn, a session opened on a new conn, the live conn lost (only with
+// Dial), or the error that ended the link.
+type event struct {
+	diff *transport.StudentDiff
+	up   *opened
+	down bool
+	err  error
+}
+
+// opened hands Run a session the link opened on conn, with what catches the
+// student up: the checkpoint of a Hello or of a resume's full fallback, or
+// a resume's journal replay.
+type opened struct {
+	conn   transport.Conn
+	hello  bool   // a new session
+	id     uint64 // its ID, with hello
+	head   uint64 // the server's last diff Seq
+	full   []*nn.Parameter
+	replay []transport.StudentDiff // oldest first
+}
+
+// session is what the link knows of the server-side session: what a
+// Resume names.
+type session struct {
+	id, epoch uint64
+	last      uint64 // Seq of the last diff the link delivered
+	resumable bool   // acknowledged under a nonzero ID: a redial resumes it
+}
+
+// connect starts the link on conn.
+func (c *Client) connect(conn transport.Conn) *link {
+	l := &link{c: c, events: make(chan event), quit: make(chan struct{}), done: make(chan struct{}), conn: conn}
+	go l.run(conn)
+	return l
+}
+
+// stop ends the link and returns once it has exited: closing the conn it
+// holds unblocks a Recv, and quit interrupts a backoff wait or a delivery.
+func (l *link) stop() {
+	l.mu.Lock()
+	close(l.quit)
+	l.conn.Close()
+	l.mu.Unlock()
+	<-l.done
+}
+
+// adopt makes conn the one stop closes; false once stop has run, and the
+// caller closes conn itself.
+func (l *link) adopt(conn transport.Conn) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	select {
+	case <-l.quit:
+		return false
+	default:
+		l.conn = conn
+		return true
+	}
+}
+
+// emit delivers ev to Run; false once Run has stopped the link.
+func (l *link) emit(ev event) bool {
+	select {
+	case l.events <- ev:
+		return true
+	case <-l.quit:
+		return false
+	}
+}
+
+// run is the link goroutine: admit on conn, then deliver diffs until the
+// conn dies and, with Dial set, reopen the session on a redialled one.
+// Without Dial, a shed admission or a dead conn ends it.
+func (l *link) run(conn transport.Conn) {
+	defer close(l.done)
+	l.s.id = l.c.SessionID
+	up, err := l.open(conn)
+	if err != nil && (l.c.Dial == nil || !refused(err, transport.ResumeRetry)) {
+		l.emit(event{err: err})
+		return
+	}
+	for {
+		if err != nil { // a shed Hello or a lost conn
+			conn.Close()
+			if up, err = l.redial(err); err != nil {
+				l.emit(event{err: err})
+				return
+			}
+			conn = up.conn
+		}
+		if !l.emit(event{up: up}) {
+			return
+		}
+		up = nil // Run has the checkpoint or replay: don't pin it while the conn lives
+		if err = l.read(conn); l.c.Dial == nil || !isLinkError(err) {
+			l.emit(event{err: err})
+			return
+		}
+		if !l.emit(event{down: true}) {
+			return
+		}
+	}
+}
+
+// read delivers the diffs that arrive on conn until it fails: a link error
+// when the conn dies, a protocol error — a poison diff fails fast — when it
+// carries anything else.
+func (l *link) read(conn transport.Conn) error {
+	for {
+		m, err := conn.Recv()
+		if err != nil {
+			return &linkError{err: err}
+		}
+		if m.Type != transport.MsgStudentDiff {
+			return fmt.Errorf("core: expected StudentDiff, got %v", m.Type)
+		}
+		d, err := transport.DecodeStudentDiff(m.Body)
+		if err != nil {
+			return err
+		}
+		if !l.emit(event{diff: &d}) {
+			return errStopped
+		}
+		l.s.last = d.Seq
+	}
+}
+
+// redial is the one backoff loop, for a shed admission and an outage alike:
+// up to MaxResumeAttempts redials, the first after ResumeBackoff and each
+// later one after twice the wait before it, each opening the session on
+// the new conn. cause is why the last conn failed.
+func (l *link) redial(cause error) (*opened, error) {
+	attempts, backoff := l.c.MaxResumeAttempts, l.c.ResumeBackoff
 	if attempts <= 0 {
 		attempts = 8
 	}
 	if backoff <= 0 {
 		backoff = DefaultResumeBackoff
 	}
-	return attempts, backoff
-}
-
-// recover is the background reconnect loop of one outage. It owns no
-// client state: it works from the (sessionID, epoch, lastApplied) snapshot
-// taken at drop time and hands everything needed to catch up — connection,
-// replayed diffs or checkpoint, new epoch — back through out. cancel
-// closes whatever connection it currently holds, making Run's teardown
-// deterministic even mid-recovery.
-func (c *Client) recover(sessionID, epoch, lastApplied uint64, out chan<- recovered, done chan<- struct{}, cancel *dialCanceler) {
-	defer close(done)
-	attempts, backoff := c.redialBudget()
-	fresh := sessionID == 0 // a session the server never named cannot resume
-	var lastErr error
-	for a := 0; a < attempts; a++ {
+	for range attempts {
 		select {
 		case <-time.After(backoff):
-		case <-cancel.quit:
-			out <- recovered{err: fmt.Errorf("core: recovery cancelled")}
-			return
+		case <-l.quit:
+			return nil, errStopped
 		}
 		backoff = min(2*backoff, maxResumeBackoff)
-		conn, err := c.Dial()
+		conn, err := l.c.Dial()
 		if err != nil {
-			lastErr = err
+			cause = err
 			continue
 		}
-		if !cancel.adopt(conn) {
+		if !l.adopt(conn) {
 			conn.Close()
-			out <- recovered{err: fmt.Errorf("core: recovery cancelled")}
-			return
+			return nil, errStopped
 		}
-		r, err := c.attemptRecovery(conn, sessionID, epoch, lastApplied, fresh)
-		cancel.release()
+		up, err := l.open(conn)
 		if err == nil {
-			out <- r
-			return
+			return up, nil
 		}
 		conn.Close()
-		lastErr = err
-		if permanentResumeReject(err) {
-			// The server forgot the session (TTL eviction, restart):
-			// resuming will never work, fall back to a fresh handshake.
-			fresh = true
-		}
+		cause = err
 	}
-	out <- recovered{err: fmt.Errorf("core: client gave up after %d reconnect attempts: %w", attempts, lastErr)}
+	return nil, fmt.Errorf("core: gave up after %d redials: %w", attempts, cause)
 }
 
-// errPermanentReject marks resume rejections that will not heal with a
-// retry.
-type errPermanentReject struct{ reason string }
-
-func (e errPermanentReject) Error() string {
-	return fmt.Sprintf("core: resume rejected: %s", e.reason)
-}
-
-func permanentResumeReject(err error) bool {
-	_, ok := err.(errPermanentReject)
-	return ok
-}
-
-// maxReplayDiffs bounds how many replayed diffs a client will accept in
-// one resume — journals are bounded server-side, so anything larger is a
-// protocol error, not a backlog.
-const maxReplayDiffs = 4096
-
-// attemptRecovery runs one Resume (or fresh Hello) handshake on conn. On
-// error the caller owns closing conn.
-func (c *Client) attemptRecovery(conn transport.Conn, sessionID, epoch, lastApplied uint64, fresh bool) (recovered, error) {
-	if fresh {
-		return c.freshRecovery(conn)
+// open opens the session on conn: a Resume of the one the link holds, or a
+// Hello. A Resume the server refuses for good (TTL eviction, restart)
+// leaves the next attempt a Hello for a fresh session.
+func (l *link) open(conn transport.Conn) (*opened, error) {
+	if !l.s.resumable {
+		return l.hello(conn)
 	}
-	req := transport.Resume{SessionID: sessionID, Epoch: epoch, LastDiffSeq: lastApplied, BaseHash: c.hashBase()}
-	if err := conn.Send(transport.Message{Type: transport.MsgResume, Body: transport.EncodeResume(req)}); err != nil {
-		return recovered{}, fmt.Errorf("core: sending resume: %w", err)
+	up, err := l.resume(conn)
+	if refused(err, transport.ResumeReject) {
+		l.s = session{}
+	}
+	return up, err
+}
+
+// hello runs one Hello exchange on conn — Hello, ack (or a rejection),
+// checkpoint — asking for the link's session ID, and returns the session it
+// opened.
+func (l *link) hello(conn transport.Conn) (*opened, error) {
+	h := transport.Hello{
+		Version:   transport.Version,
+		NumClass:  uint16(l.c.Student.Config.NumClasses),
+		Partial:   l.c.Cfg.Partial,
+		SessionID: l.s.id,
+		BaseHash:  l.c.hashBase(),
+	}
+	if err := conn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(h)}); err != nil {
+		return nil, fmt.Errorf("core: client hello: %w", err)
 	}
 	m, err := conn.Recv()
 	if err != nil {
-		return recovered{}, fmt.Errorf("core: resume ack recv: %w", err)
+		return nil, fmt.Errorf("core: client hello ack recv: %w", err)
+	}
+	if m.Type == transport.MsgResumeAck {
+		ack, err := transport.DecodeResumeAck(m.Body)
+		if err != nil {
+			return nil, err
+		}
+		return nil, rejected{status: ack.Status, reason: ack.Reason}
+	}
+	if m.Type != transport.MsgHello {
+		return nil, fmt.Errorf("core: expected Hello ack, got %v", m.Type)
+	}
+	ack, err := transport.DecodeHello(m.Body)
+	if err != nil {
+		return nil, err
+	}
+	if m, err = conn.Recv(); err != nil {
+		return nil, fmt.Errorf("core: client initial student recv: %w", err)
+	}
+	if m.Type != transport.MsgStudentFull {
+		return nil, fmt.Errorf("core: expected StudentFull, got %v", m.Type)
+	}
+	params, err := DecodeCheckpointBody(m.Body, l.c.Base)
+	if err != nil {
+		return nil, err
+	}
+	l.s = session{id: ack.SessionID, epoch: ack.Epoch, resumable: ack.SessionID != 0}
+	return &opened{conn: conn, hello: true, id: ack.SessionID, full: params}, nil
+}
+
+// resume runs one Resume exchange on conn, asking for the diffs after the
+// last one the link delivered — Run applied it before it takes this
+// session, since events reach it in order.
+func (l *link) resume(conn transport.Conn) (*opened, error) {
+	req := transport.Resume{SessionID: l.s.id, Epoch: l.s.epoch, LastDiffSeq: l.s.last, BaseHash: l.c.hashBase()}
+	if err := conn.Send(transport.Message{Type: transport.MsgResume, Body: transport.EncodeResume(req)}); err != nil {
+		return nil, fmt.Errorf("core: sending resume: %w", err)
+	}
+	m, err := conn.Recv()
+	if err != nil {
+		return nil, fmt.Errorf("core: resume ack recv: %w", err)
 	}
 	if m.Type != transport.MsgResumeAck {
-		return recovered{}, fmt.Errorf("core: expected ResumeAck, got %v", m.Type)
+		return nil, fmt.Errorf("core: expected ResumeAck, got %v", m.Type)
 	}
 	ack, err := transport.DecodeResumeAck(m.Body)
 	if err != nil {
-		return recovered{}, err
+		return nil, err
 	}
+	up := &opened{conn: conn, head: ack.HeadSeq}
 	switch ack.Status {
-	case transport.ResumeRetry:
-		return recovered{}, fmt.Errorf("core: resume deferred: %s", ack.Reason)
-	case transport.ResumeReject:
-		return recovered{}, errPermanentReject{reason: ack.Reason}
 	case transport.ResumeFull:
-		m, err := conn.Recv()
-		if err != nil {
-			return recovered{}, fmt.Errorf("core: resume checkpoint recv: %w", err)
+		if m, err = conn.Recv(); err != nil {
+			return nil, fmt.Errorf("core: resume checkpoint recv: %w", err)
 		}
 		if m.Type != transport.MsgStudentFull {
-			return recovered{}, fmt.Errorf("core: expected StudentFull, got %v", m.Type)
+			return nil, fmt.Errorf("core: expected StudentFull, got %v", m.Type)
 		}
-		params, err := DecodeCheckpointBody(m.Body, c.Base)
-		if err != nil {
-			return recovered{}, err
+		if up.full, err = DecodeCheckpointBody(m.Body, l.c.Base); err != nil {
+			return nil, err
 		}
-		return recovered{conn: conn, epoch: ack.Epoch, headSeq: ack.HeadSeq, full: params}, nil
 	case transport.ResumeReplay:
 		if ack.NumDiffs > maxReplayDiffs {
-			return recovered{}, fmt.Errorf("core: implausible replay of %d diffs", ack.NumDiffs)
+			return nil, fmt.Errorf("core: implausible replay of %d diffs", ack.NumDiffs)
 		}
-		diffs := make([]transport.StudentDiff, 0, ack.NumDiffs)
-		for i := 0; i < int(ack.NumDiffs); i++ {
-			m, err := conn.Recv()
-			if err != nil {
-				return recovered{}, fmt.Errorf("core: replay diff recv: %w", err)
+		up.replay = make([]transport.StudentDiff, ack.NumDiffs)
+		for i := range up.replay {
+			if m, err = conn.Recv(); err != nil {
+				return nil, fmt.Errorf("core: replay diff recv: %w", err)
 			}
 			if m.Type != transport.MsgStudentDiff {
-				return recovered{}, fmt.Errorf("core: expected replayed StudentDiff, got %v", m.Type)
+				return nil, fmt.Errorf("core: expected replayed StudentDiff, got %v", m.Type)
 			}
-			d, err := transport.DecodeStudentDiff(m.Body)
-			if err != nil {
-				return recovered{}, err
+			if up.replay[i], err = transport.DecodeStudentDiff(m.Body); err != nil {
+				return nil, err
 			}
-			diffs = append(diffs, d)
 		}
-		return recovered{conn: conn, epoch: ack.Epoch, headSeq: ack.HeadSeq, diffs: diffs}, nil
+	default:
+		return nil, rejected{status: ack.Status, reason: ack.Reason}
 	}
-	return recovered{}, fmt.Errorf("core: unexpected resume status %v", ack.Status)
-}
-
-// freshRecovery falls back to a brand-new session on conn: full Hello
-// handshake, server-assigned ID, new checkpoint for the main loop to apply.
-// A load-shed of this fallback is transient (never a permanent reject), so
-// the recovery loop backs off and retries.
-func (c *Client) freshRecovery(conn transport.Conn) (recovered, error) {
-	ack, params, err := c.hello(conn, 0)
-	if err != nil {
-		return recovered{}, err
-	}
-	return recovered{conn: conn, epoch: ack.Epoch, session: ack.SessionID, full: params, fresh: true}, nil
+	l.s.epoch, l.s.last = ack.Epoch, max(l.s.last, ack.HeadSeq)
+	return up, nil
 }

@@ -119,10 +119,20 @@ func (p *fclient) recv(want transport.MsgType) transport.Message {
 
 func (p *fclient) hello(requestID uint64) {
 	p.t.Helper()
+	p.sendHello(requestID)
+	p.helloAck()
+}
+
+func (p *fclient) sendHello(requestID uint64) {
+	p.t.Helper()
 	h := transport.Hello{Version: transport.Version, NumClass: uint16(video.NumClasses), SessionID: requestID}
 	if err := p.conn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(h)}); err != nil {
 		p.t.Fatal(err)
 	}
+}
+
+func (p *fclient) helloAck() {
+	p.t.Helper()
 	m := p.recv(transport.MsgHello)
 	ack, err := transport.DecodeHello(m.Body)
 	if err != nil {
@@ -135,10 +145,7 @@ func (p *fclient) hello(requestID uint64) {
 // helloShed sends a Hello and expects the router's retryable shed.
 func (p *fclient) helloShed(requestID uint64) transport.ResumeAck {
 	p.t.Helper()
-	h := transport.Hello{Version: transport.Version, NumClass: uint16(video.NumClasses), SessionID: requestID}
-	if err := p.conn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(h)}); err != nil {
-		p.t.Fatal(err)
-	}
+	p.sendHello(requestID)
 	m := p.recv(transport.MsgResumeAck)
 	ack, err := transport.DecodeResumeAck(m.Body)
 	if err != nil {
@@ -291,6 +298,25 @@ func TestRouterIDAssignment(t *testing.T) {
 	a.shutdown()
 	b.shutdown()
 	c.shutdown()
+
+	// Concurrent Hellos requesting the same free ID: the router is the only
+	// mint, and its claim gives the ID to one of them and a fresh one to the
+	// other.
+	free := max(a.sessionID, b.sessionID, c.sessionID) + 100
+	d := fconnect(t, r, frames)
+	e := fconnect(t, r, frames)
+	d.sendHello(free)
+	e.sendHello(free)
+	d.helloAck()
+	e.helloAck()
+	if d.sessionID == e.sessionID || d.sessionID == 0 || e.sessionID == 0 {
+		t.Fatalf("concurrent hellos for free id %d got %d and %d, want distinct nonzero", free, d.sessionID, e.sessionID)
+	}
+	if d.sessionID != free && e.sessionID != free {
+		t.Fatalf("free id %d given to neither hello (%d, %d)", free, d.sessionID, e.sessionID)
+	}
+	d.shutdown()
+	e.shutdown()
 }
 
 // A session parked on a drained shard is pulled across by the next resume:

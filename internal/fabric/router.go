@@ -138,11 +138,6 @@ func NewRouter(opts Options) (*Router, error) {
 	r.tm = newRouterTelemetry(opts.Telemetry)
 	for i := 0; i < opts.Shards; i++ {
 		so := opts.Shard(i)
-		// Partition the fallback ID space: shard i mints only IDs ≡ i
-		// (mod N), so a racing pair of Hellos can never be given the same
-		// ID by two different shards.
-		so.IDOffset = uint64(i)
-		so.IDStride = uint64(opts.Shards)
 		so.ShardIndex = i
 		if so.Telemetry == nil {
 			so.Telemetry = opts.Telemetry

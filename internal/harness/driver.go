@@ -299,7 +299,6 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 				errs[c] = err
 				return
 			}
-			defer conn.Close()
 			cl := &core.Client{
 				Cfg:          cfg,
 				Student:      base.Clone(),

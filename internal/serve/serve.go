@@ -63,13 +63,6 @@ type Options struct {
 	// JournalDepth is how many recent student diffs each session journals
 	// for replay on resume (default 8).
 	JournalDepth int
-	// IDOffset and IDStride partition the fallback session-ID space when
-	// several managers serve one fabric (internal/fabric gives shard i of N
-	// offset i, stride N): fallback-assigned IDs are IDOffset + k·IDStride,
-	// k ≥ 1, so no two shards can ever mint the same ID concurrently. The
-	// defaults (0, 1) reproduce the standalone numbering 1, 2, 3, …
-	IDOffset uint64
-	IDStride uint64
 	// EnvelopeCodec names the compress codec (ByName form, e.g.
 	// "delta+int8") for MsgStudentFull checkpoints, at handshake and on a
 	// resume's full-resend fallback: a non-empty value encodes them relative
@@ -154,9 +147,6 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.JournalDepth <= 0 {
 		opts.JournalDepth = 8
 	}
-	if opts.IDStride == 0 {
-		opts.IDStride = 1
-	}
 	if opts.LinkPolicy != "" {
 		if _, err := core.PolicyByName(opts.LinkPolicy); err != nil {
 			return nil, err
@@ -180,7 +170,6 @@ func NewManager(opts Options) (*Manager, error) {
 		quit:    make(chan struct{}),
 		active:  map[uint64]*session{},
 		conns:   map[transport.Conn]struct{}{},
-		nextID:  opts.IDOffset,
 	}
 	m.tm = newManagerTelemetry(opts.Telemetry, opts.ShardIndex)
 	m.store = resume.NewStore(resume.Options{
@@ -280,14 +269,16 @@ func (m *Manager) track() bool {
 
 // register assigns a session ID (honouring the client's request when it is
 // nonzero and free — parked sessions keep their IDs reserved) and adds the
-// session to the registry at epoch 1.
+// session to the registry at epoch 1. Behind a fabric.Router every Hello
+// carries an ID the router claimed fabric-wide, so only a standalone
+// manager mints its own: 1, 2, 3, …
 func (m *Manager) register(requested uint64, sess *session) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	id := requested
 	if id == 0 || m.active[id] != nil || m.parked(id) {
 		for {
-			m.nextID += m.opts.IDStride
+			m.nextID++
 			if m.active[m.nextID] == nil && !m.parked(m.nextID) {
 				id = m.nextID
 				break

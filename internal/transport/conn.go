@@ -22,8 +22,8 @@ type Conn interface {
 // ---------------------------------------------------------------------------
 
 // TCPConn frames messages over a net.Conn. Send and Recv are each safe for
-// one concurrent caller (the async client uses one sender and one receiver
-// goroutine).
+// one concurrent caller (the async client sends on its Run goroutine and
+// receives on its link goroutine).
 type TCPConn struct {
 	conn    net.Conn
 	sendMu  sync.Mutex
