@@ -265,7 +265,7 @@ func BenchmarkMultiClientThroughput(b *testing.B) {
 // BenchmarkFabricThroughput compares the sharded serving fabric against the
 // single session manager at 64 concurrent clients: the same mixed-stream
 // population placed by rendezvous hash over 4 shard workers (each with its
-// own teacher batcher, lock domain and resume store) versus one
+// own teacher batcher, lock domain and session registry) versus one
 // serve.Manager. The headline metric is aggregate distill-step throughput —
 // the server-side work rate the fabric exists to scale; agg-fps reports the
 // client-observed frame rate for context. On teacher-bound or lock-bound

@@ -199,8 +199,8 @@ func main() {
 	st := mgr.Stats()
 	log.Printf("served %d sessions, %d key frames, mean teacher batch %.2f",
 		st.SessionsServed, st.KeyFrames, st.Teacher.MeanBatch())
-	if st.Resumed > 0 || st.Evicted > 0 {
+	if resumed := st.ResumeReplays + st.ResumeFulls; resumed > 0 || st.Evicted > 0 {
 		log.Printf("resilience: %d resumes (%d journal replays, %d full fallbacks), %d parked sessions evicted",
-			st.Resumed, st.ResumeReplays, st.ResumeFulls, st.Evicted)
+			resumed, st.ResumeReplays, st.ResumeFulls, st.Evicted)
 	}
 }

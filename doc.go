@@ -38,7 +38,7 @@
 //
 // At scale, run the serving tier as a sharded fabric instead of one
 // session manager: -shards N starts N shard workers (each with its own
-// batched teacher and resume store) behind a router that places sessions
+// batched teacher and session registry) behind a router that places sessions
 // by rendezvous hash, sheds load at per-shard capacity watermarks with
 // retryable rejects, and hands parked sessions between shards on resume
 // (internal/fabric; see ARCHITECTURE.md "Sharded serving fabric"):

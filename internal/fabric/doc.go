@@ -1,6 +1,6 @@
 // Package fabric scales the serving tier horizontally: a Router frontend
 // places sessions onto N shard workers — each an independent serve.Manager
-// with its own teacher batcher, resume store and statistics — via
+// with its own teacher batcher, session registry and statistics — via
 // rendezvous (highest-random-weight) hashing over the session ID. One
 // process, one listener, N single-lock domains: the PR 1 session manager
 // becomes a partitioned, message-routed tier in the spirit of event-driven

@@ -118,7 +118,7 @@ type Router struct {
 }
 
 // NewRouter builds the shard workers and the routing frontend. Each shard
-// is a full serve.Manager (own batched teacher, own resume store); the
+// is a full serve.Manager (own batched teacher, own session registry); the
 // router never touches a session after handing its connection over.
 func NewRouter(opts Options) (*Router, error) {
 	if opts.Shards <= 0 {

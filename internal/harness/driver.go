@@ -161,7 +161,7 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 	}
 	// The serving tier: one serve.Manager, or — for fleet scenarios — a
 	// fabric.Router spreading sessions over Shards shard workers, each with
-	// its own teacher replica and resume store.
+	// its own teacher replica and session registry.
 	var (
 		mgr    *serve.Manager
 		router *fabric.Router

@@ -1,16 +1,13 @@
-// Package resume retains the server-side state of disconnected sessions so
-// a reconnecting client can pick its session back up instead of cold-
-// starting: the paper's mobile clients live on flaky Wi-Fi/LTE, where a
-// dropped connection is the common case, and losing the per-session
-// distilled student (plus its optimizer state) forces a full StudentFull
-// retransfer and re-warms the student from scratch.
+// Package resume holds the per-session diff journal that lets a
+// reconnecting client pick its session back up instead of cold-starting:
+// the paper's mobile clients live on flaky Wi-Fi/LTE, where a dropped
+// connection is the common case, and a client that missed a few student
+// diffs should get exactly those again, not a full StudentFull retransfer.
 //
-// A Store parks detached sessions — an opaque owner State (internal/serve
-// parks the whole per-session core.Server: student clone, Adam moments,
-// sequence counters) together with a bounded Journal of the most recent
-// encoded student diffs. Sessions are reclaimed three ways: taken back by
-// a Resume handshake (epoch-checked), evicted by TTL via a reaper
-// goroutine, or evicted oldest-first when the store is full. Every
-// eviction reports through OnEvict so the owner can fold the session's
-// statistics before the state is dropped.
+// A Journal is a bounded ring of the most recent encoded student diffs of
+// one session, appended in sequence order as the server sends them. On
+// resume, Suffix hands back exactly the diffs past the client's last
+// applied sequence number, or reports that the gap reaches past the ring's
+// tail and a full checkpoint is needed. The session itself, parked or
+// attached, lives in internal/serve's registry; the journal travels with it.
 package resume

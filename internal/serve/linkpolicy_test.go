@@ -168,11 +168,7 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 	keyFrame(p)          // the policy moved with the session: seq 5 is int8 too
 	p.drop(dst)
 
-	parked, err := dst.store.Steal(p.sessionID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, fresh := parked.State.(*core.Server), tinyStudent(41)
+	srv, fresh := parkedSession(t, dst, p.sessionID).srv, tinyStudent(41)
 	stats := 0
 	for _, want := range srv.View.All() {
 		got := held[lastSeq].Get(want.Name).Value.Data

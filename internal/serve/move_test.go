@@ -80,28 +80,32 @@ func diffBodies(t *testing.T, p *protoClient, m *Manager, head uint64, n int) []
 	return bodies
 }
 
-// peek returns the parked session without disturbing it.
+// parkedSession returns the session parked on m under id, leaving it there.
+func parkedSession(t *testing.T, m *Manager, id uint64) *session {
+	t.Helper()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := m.parked[id]
+	if s == nil {
+		t.Fatalf("session %d is not parked on shard %d", id, m.tm.shard)
+	}
+	return s
+}
+
+// peek returns a view of the parked session without disturbing it.
 func peek(t *testing.T, m *Manager, id uint64) *parkedView {
 	t.Helper()
-	s, err := m.store.Steal(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := m.store.Put(s); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	srv := s.State.(*core.Server)
+	s := parkedSession(t, m, id)
+	srv := s.srv
 	v := &parkedView{
-		ds: s, srv: srv, student: srv.Distiller.Student, opt: srv.Distiller.Opt,
-		journal: s.Journal, policy: srv.Policy,
-		id: s.ID, epoch: s.Epoch, altEpoch: s.AltEpoch, lastSeq: s.LastSeq, detachedAt: s.DetachedAt,
+		sess: s, srv: srv, student: srv.Distiller.Student, opt: srv.Distiller.Opt,
+		journal: s.journal, policy: srv.Policy,
+		id: s.id, epoch: s.epoch, parkedAt: s.parkedAt,
 		diffSeq: srv.DiffSeq, lastKFSeq: srv.LastKFSeq,
 		steps: srv.Distiller.TotalSteps, trains: srv.Distiller.TotalTrains, stepTime: srv.Distiller.TotalStepTime,
 		weights: nn.CloneNamed(srv.Distiller.Student.Params.All()), view: nn.CloneNamed(srv.View.All()),
 	}
-	entries, _ := s.Journal.Suffix(0)
+	entries, _ := s.journal.Suffix(0)
 	for _, e := range entries {
 		v.entries = append(v.entries, append([]byte(nil), e.Body...))
 	}
@@ -111,14 +115,14 @@ func peek(t *testing.T, m *Manager, id uint64) *parkedView {
 // parkedView is everything a move must keep: the objects by identity, the
 // values by copy.
 type parkedView struct {
-	ds, srv, student, opt, journal, policy any
+	sess, srv, student, opt, journal, policy any
 
-	id, epoch, altEpoch, lastSeq, diffSeq, lastKFSeq uint64
-	steps, trains                                    int
-	stepTime                                         time.Duration
-	detachedAt                                       time.Time
-	weights, view                                    *nn.ParamSet
-	entries                                          [][]byte
+	id, epoch, diffSeq, lastKFSeq uint64
+	steps, trains                 int
+	stepTime                      time.Duration
+	parkedAt                      time.Time
+	weights, view                 *nn.ParamSet
+	entries                       [][]byte
 }
 
 func requireBitEqual(t *testing.T, what string, got []*nn.Parameter, want *nn.ParamSet) {
@@ -168,14 +172,14 @@ func TestMoveParkedMovesTheSessionItself(t *testing.T) {
 				t.Fatal("the session is not parked on the target alone")
 			}
 			after := peek(t, dst, p.sessionID)
-			if after.ds != before.ds || after.srv != before.srv || after.student != before.student ||
+			if after.sess != before.sess || after.srv != before.srv || after.student != before.student ||
 				after.opt != before.opt || after.journal != before.journal || after.policy != before.policy {
 				t.Error("the target holds a copy: session, server, student, optimizer, journal and policy must be the same objects")
 			}
 			if srv := after.srv.(*core.Server); srv.Observer.(*session).m != dst || srv.Teacher != dst.batcher || srv.Checkpoint != dst.ck {
 				t.Error("the session is not bound to the target's manager, teacher and checkpoint codec")
 			}
-			if after.id != before.id || after.epoch != before.epoch || after.altEpoch != before.altEpoch || after.lastSeq != before.lastSeq ||
+			if after.id != before.id || after.epoch != before.epoch ||
 				after.diffSeq != before.diffSeq || after.lastKFSeq != before.lastKFSeq {
 				t.Errorf("identity, epochs or sequence counters changed: %+v, were %+v", after, before)
 			}
@@ -195,7 +199,7 @@ func TestMoveParkedMovesTheSessionItself(t *testing.T) {
 					t.Errorf("journal entry %d changed", i)
 				}
 			}
-			if after.detachedAt.Before(moved) {
+			if after.parkedAt.Before(moved) {
 				t.Error("the TTL clock did not restart on the target")
 			}
 			for _, m := range []*Manager{src, dst} {
@@ -250,14 +254,14 @@ func TestImportParkedResumesWithReplay(t *testing.T) {
 	p.shutdown()
 
 	st := dst.Stats()
-	if st.Resumed != 1 || st.ResumeReplays != 1 || st.ResumeFulls != 0 {
+	if st.ResumeReplays != 1 || st.ResumeFulls != 0 {
 		t.Errorf("dst stats %+v, want one replay resume", st)
 	}
 }
 
 // A move onto a manager that cannot take the session (closed) is not a
-// loss: the session is back on the source, bound to it, with the eviction
-// deadline it had, and resumes there.
+// loss: the session is back on the source, bound to it, parked from the
+// instant it had (so only the TTL it had left remains), and resumes there.
 func TestMoveParkedOntoClosedManagerStaysPut(t *testing.T) {
 	src, frames := moveShard(t, "")
 	dst, _ := moveShard(t, "")
@@ -271,7 +275,7 @@ func TestMoveParkedOntoClosedManagerStaysPut(t *testing.T) {
 		t.Fatal("the session is not parked on the source alone")
 	}
 	after := peek(t, src, p.sessionID)
-	if after.ds != before.ds || !after.detachedAt.Equal(before.detachedAt) {
+	if after.sess != before.sess || !after.parkedAt.Equal(before.parkedAt) {
 		t.Error("the failed move replaced the session or moved its eviction deadline")
 	}
 	srv := after.srv.(*core.Server)

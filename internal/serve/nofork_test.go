@@ -15,8 +15,9 @@ import (
 // goroutine runs its own kernels. Student inference, a distillation step
 // and a batched teacher forward leave the goroutine count exactly where it
 // was — no kernel forks and no pool is started behind the caller's back —
-// and after two concurrent sessions through one Manager the count is back
-// at its baseline, so nothing a session started outlives it.
+// building a Manager starts nothing either, and after two concurrent
+// sessions through it the count is back at its baseline, so nothing a
+// session started outlives it.
 func TestNothingUnderASessionForks(t *testing.T) {
 	gen, err := video.NewGenerator(video.CategoryConfig(
 		video.Category{Camera: video.Fixed, Scenery: video.People}, 23))
@@ -46,6 +47,9 @@ func TestNothingUnderASessionForks(t *testing.T) {
 	}
 
 	m := testManager(t, tinyStudent(1), 2)
+	if n := runtime.NumGoroutine(); n != baseline {
+		t.Fatalf("NewManager: %d goroutines, %d before it — a manager runs nothing of its own", n, baseline)
+	}
 	var wg sync.WaitGroup
 	for c := 0; c < 2; c++ {
 		wg.Add(1)

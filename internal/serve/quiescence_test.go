@@ -70,11 +70,7 @@ func (c *mirror) reattach(m *Manager, wantReplayed uint32) {
 func (c *mirror) requireHolds(m *Manager) {
 	c.t.Helper()
 	c.drop(m)
-	parked, err := m.store.Steal(c.sessionID)
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	srv := parked.State.(*core.Server)
+	srv := parkedSession(c.t, m, c.sessionID).srv
 	if srv.DiffSeq != c.lastApplied {
 		c.t.Fatalf("server is at diff %d, client applied %d", srv.DiffSeq, c.lastApplied)
 	}

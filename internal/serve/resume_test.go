@@ -189,7 +189,7 @@ func TestResumeReplayAtHead(t *testing.T) {
 	}
 	p.shutdown()
 	st := m.Stats()
-	if st.Resumed != 1 || st.ResumeReplays != 1 || st.ResumeFulls != 0 {
+	if st.ResumeReplays != 1 || st.ResumeFulls != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 	if st.SessionsServed != 1 {
@@ -313,7 +313,8 @@ func TestResumeDuplicateForLiveSession(t *testing.T) {
 }
 
 // Unknown sessions and wrong epochs reject permanently; the parked state
-// survives a wrong-epoch attempt.
+// survives every refused probe, parked from the instant it was — probing
+// cannot extend its TTL.
 func TestResumeRejections(t *testing.T) {
 	m, frames := resumeManager(t, 8)
 	p := connect(t, m)
@@ -321,6 +322,7 @@ func TestResumeRejections(t *testing.T) {
 	p.hello(0)
 	p.keyFrame()
 	p.drop(m)
+	before := peek(t, m, p.sessionID)
 
 	// Unknown session.
 	ghost := *p
@@ -343,6 +345,14 @@ func TestResumeRejections(t *testing.T) {
 	}
 	<-stale.done
 
+	// Zero is never a wildcard, nor the epoch before epoch 1.
+	zero := *p
+	zero.epoch = 0
+	if ack = zero.resume(m, 0); ack.Status != transport.ResumeReject {
+		t.Fatalf("epoch 0 for an epoch-1 session: ack %+v, want reject", ack)
+	}
+	<-zero.done
+
 	// A client claiming diffs past the server head is rejected, but the
 	// parked session survives for the honest retry.
 	ahead := *p
@@ -352,6 +362,10 @@ func TestResumeRejections(t *testing.T) {
 	}
 	<-ahead.done
 
+	if after := peek(t, m, p.sessionID); after.sess != before.sess || after.epoch != 1 || !after.parkedAt.Equal(before.parkedAt) {
+		t.Fatalf("refused probes disturbed the parked session: epoch %d parked at %v, was %v",
+			after.epoch, after.parkedAt, before.parkedAt)
+	}
 	ack = p.resume(m, 1)
 	if ack.Status != transport.ResumeReplay {
 		t.Fatalf("honest resume after rejections: %+v", ack)
@@ -484,6 +498,85 @@ func TestDetachedSessionExpires(t *testing.T) {
 	<-p.done
 }
 
+// MaxSessions caps parked sessions too: parking a third on a manager of two
+// evicts the one parked first, whose stats fold, and the other two resume.
+func TestParkedCapacityEvictsOldest(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.MaxUpdates = 1
+	m, err := NewManager(Options{Cfg: cfg, Base: tinyStudent(41), Teacher: teacher.NewOracle(7), MaxSessions: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	_, frames := resumeManager(t, 1)
+	var ps []*protoClient
+	for i := 0; i < 3; i++ {
+		ps = append(ps, trainAndPark(t, m, frames, 1))
+	}
+	if st := m.Stats(); st.Evicted != 1 || st.SessionsServed != 1 || st.Detached != 2 {
+		t.Fatalf("after parking three on a cap of two: %+v", st)
+	}
+	if m.SessionState(ps[0].sessionID) != SessionNone {
+		t.Fatal("the capacity eviction kept the oldest session")
+	}
+	for _, p := range ps[1:] {
+		if ack := p.resume(m, 1); ack.Status != transport.ResumeReplay {
+			t.Fatalf("session %d: %+v, want a replay", p.sessionID, ack)
+		}
+		p.shutdown()
+	}
+}
+
+// Close evicts every parked session: each completes, so its stats fold, and
+// a closed manager takes no session moved to it.
+func TestCloseEvictsParked(t *testing.T) {
+	m, frames := resumeManager(t, 8)
+	trainAndPark(t, m, frames, 1)
+	trainAndPark(t, m, frames, 1)
+	m.Close()
+	if st := m.Stats(); st.Evicted != 2 || st.SessionsServed != 2 || st.Detached != 0 {
+		t.Fatalf("after Close: %+v", st)
+	}
+	src, _ := resumeManager(t, 8)
+	p := trainAndPark(t, src, frames, 1)
+	if err := src.MoveParked(p.sessionID, m); err == nil {
+		t.Fatal("a closed manager accepted a moved session")
+	}
+	if src.SessionState(p.sessionID) != SessionParked {
+		t.Fatal("the refused move lost the session")
+	}
+}
+
+// A session is parked the instant it stops being attached: from the drop on,
+// SessionState (what a router's ID claim reads) and a Resume always find it,
+// and never see it nowhere.
+func TestSessionNeverUnknownWhileDetaching(t *testing.T) {
+	m, frames := resumeManager(t, 8)
+	for i := 0; i < 200; i++ {
+		p := connect(t, m)
+		p.frames = frames
+		p.hello(7)
+		p.keyFrame()
+		p.conn.Close()
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			st := m.SessionState(7)
+			if st == SessionParked {
+				break
+			}
+			if st == SessionNone {
+				t.Fatalf("iteration %d: session 7 is neither attached nor parked", i)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("iteration %d: session 7 never parked", i)
+			}
+		}
+		if ack := p.resume(m, 1); ack.Status != transport.ResumeReplay {
+			t.Fatalf("iteration %d: resume %+v, want a replay", i, ack)
+		}
+		p.shutdown()
+	}
+}
+
 // End to end with the real client: a mid-session cut transparently
 // reconnects through Client.Dial, resumes via the journal, and the run
 // finishes with its full frame count.
@@ -563,7 +656,7 @@ func TestClientAutoReconnectThroughManager(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if st := m.Stats(); st.Resumed != 1 || st.Detached != 0 {
+	if st := m.Stats(); st.ResumeReplays+st.ResumeFulls != 1 || st.Detached != 0 {
 		t.Fatalf("manager stats %+v", st)
 	}
 }

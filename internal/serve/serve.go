@@ -11,27 +11,30 @@
 // The manager is additionally resilient to the mobile reality of flaky
 // links: when a session's connection drops (core.ErrConnLost), its whole
 // state — student clone, optimizer moments, sequence counters, plus a
-// bounded journal of recent encoded diffs — is detached into a
-// resume.Store instead of discarded. A client reconnecting with the
-// protocol-v3 Resume handshake gets the session back and replays only the
-// journal suffix past the last diff it applied, falling back to a full
-// checkpoint when the gap out-ages the journal. Detached sessions are
-// reaped after ResumeTTL. A detached session can also change managers
-// inside the process (MoveParked, how internal/fabric hands a session from
-// one shard to another): the session object itself moves between the two
-// stores, so nothing about it is serialised, copied or lost.
+// bounded journal of recent encoded diffs — is parked instead of discarded:
+// it moves from the manager's attached sessions to its parked ones in one
+// critical section, so it is never in neither. A client reconnecting with
+// the protocol-v3 Resume handshake gets the session back and replays only
+// the journal suffix past the last diff it applied, falling back to a full
+// checkpoint when the gap out-ages the journal. A parked session is evicted
+// when its ResumeTTL timer fires, when MaxSessions others are parked after
+// it, or at Close. It can also change managers inside the process
+// (MoveParked, how internal/fabric hands a session from one shard to
+// another): the session object itself moves between the two registries, so
+// nothing about it is serialised, copied or lost.
 package serve
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/nn"
-	"repro/internal/resume"
 	"repro/internal/teacher"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -51,7 +54,8 @@ type Options struct {
 	// front of it.
 	Teacher teacher.Teacher
 	// MaxSessions caps concurrent sessions (default 64). Further Handle
-	// calls block until a slot frees.
+	// calls block until a slot frees. It caps parked sessions too: parking
+	// one while MaxSessions are already parked evicts the oldest.
 	MaxSessions int
 	// DrainTimeout bounds how long Close waits for active sessions to
 	// finish before force-closing their connections (default 30s; negative
@@ -96,13 +100,12 @@ type Options struct {
 	Logf func(format string, v ...any)
 }
 
-// Manager owns the multi-session server: session registry, per-session
-// distillers, the shared batched teacher, the resume store, and aggregate
+// Manager owns the multi-session server: the session registry (attached and
+// parked), per-session distillers, the shared batched teacher, and aggregate
 // statistics.
 type Manager struct {
 	opts    Options
 	batcher *teacher.Batcher
-	store   *resume.Store
 	ck      *core.CheckpointCodec // base-relative checkpoint codec (nil = always absolute)
 	slots   chan struct{}
 	quit    chan struct{}
@@ -114,7 +117,8 @@ type Manager struct {
 	mu        sync.Mutex
 	closed    bool
 	nextID    uint64
-	active    map[uint64]*session
+	active    map[uint64]*session // attached to a live connection
+	parked    map[uint64]*session // detached, awaiting resumption
 	conns     map[transport.Conn]struct{}
 	agg       Stats // the summed counters; Stats fills in the gauges
 	listeners []*transport.Listener
@@ -169,14 +173,10 @@ func NewManager(opts Options) (*Manager, error) {
 		slots:   make(chan struct{}, opts.MaxSessions),
 		quit:    make(chan struct{}),
 		active:  map[uint64]*session{},
+		parked:  map[uint64]*session{},
 		conns:   map[transport.Conn]struct{}{},
 	}
 	m.tm = newManagerTelemetry(opts.Telemetry, opts.ShardIndex)
-	m.store = resume.NewStore(resume.Options{
-		TTL:         opts.ResumeTTL,
-		MaxSessions: opts.MaxSessions, // as many parked as can be live
-		OnEvict:     m.foldEvicted,
-	})
 	return m, nil
 }
 
@@ -276,27 +276,20 @@ func (m *Manager) register(requested uint64, sess *session) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	id := requested
-	if id == 0 || m.active[id] != nil || m.parked(id) {
+	if id == 0 || m.active[id] != nil || m.parked[id] != nil {
 		for {
 			m.nextID++
-			if m.active[m.nextID] == nil && !m.parked(m.nextID) {
+			if m.active[m.nextID] == nil && m.parked[m.nextID] == nil {
 				id = m.nextID
 				break
 			}
 		}
 	}
-	sess.id, sess.epoch, sess.started = id, 1, time.Now()
+	sess.id, sess.epoch = id, 1
 	m.active[id] = sess
 	m.tm.started.Inc()
 	m.tm.active.Set(float64(len(m.active)))
 	m.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvSessionStart, Session: id, Epoch: 1, Shard: m.tm.shard})
-}
-
-// parked reports whether id is reserved by a detached session. Caller
-// holds m.mu (the store has its own lock; lock order is always m.mu →
-// store).
-func (m *Manager) parked(id uint64) bool {
-	return m.store.Has(id)
 }
 
 func (m *Manager) unregister(id uint64) {
@@ -373,7 +366,7 @@ func (m *Manager) SessionState(id uint64) SessionState {
 	if m.active[id] != nil {
 		return SessionActive
 	}
-	if m.parked(id) {
+	if m.parked[id] != nil {
 		return SessionParked
 	}
 	return SessionNone
@@ -382,7 +375,11 @@ func (m *Manager) SessionState(id uint64) SessionState {
 // ParkedIDs returns the IDs of every detached session awaiting resumption
 // (unordered). A drain walks this list to migrate parked state to surviving
 // shards.
-func (m *Manager) ParkedIDs() []uint64 { return m.store.IDs() }
+func (m *Manager) ParkedIDs() []uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Collect(maps.Keys(m.parked))
+}
 
 // Close stops accepting sessions, closes any listeners handed to
 // ServeListener, waits up to DrainTimeout for active sessions to finish
@@ -422,7 +419,13 @@ func (m *Manager) Close() error {
 				<-done
 			}
 		}
-		m.store.Close()
+		// Nothing parks once closed is set, so this empties the registry
+		// for good and stops every TTL timer.
+		m.mu.Lock()
+		for _, sess := range m.parked {
+			m.evictLocked(sess)
+		}
+		m.mu.Unlock()
 	})
 	return nil
 }

@@ -15,8 +15,8 @@ import (
 // session is one client's server-side state and, as the core.SessionObserver
 // of its own core.Server, the manager's only tap into the protocol loop. It
 // is built once (newSession), registered by its handshake (Assign), and then
-// moves between the active registry and the resume store with srv.Observer
-// still pointing at it, so nothing is re-wired on detach or resume; a move to
+// moves between the manager's active and parked maps with srv.Observer still
+// pointing at it, so nothing is re-wired on detach or resume; a move to
 // another manager re-wires exactly what rebind lists.
 type session struct {
 	m       *Manager
@@ -24,7 +24,11 @@ type session struct {
 	epoch   uint64
 	srv     *core.Server
 	journal *resume.Journal
-	started time.Time
+
+	// While parked, under the mutex of the manager that holds it: when it
+	// parked, and the timer that evicts it ResumeTTL later.
+	parkedAt time.Time
+	expiry   *time.Timer
 }
 
 // newSession builds the per-session state: a private clone of the checkpoint
@@ -127,11 +131,12 @@ func (m *Manager) handleFresh(conn transport.Conn, first transport.Message) erro
 // violation discards it.
 func (m *Manager) runSession(conn transport.Conn, sess *session) error {
 	// Read before detach: once parked, a resume on another goroutine may
-	// already be re-stamping the session's epoch.
+	// already be re-stamping the session's epoch and advancing its diff seq.
 	id, epoch, srv := sess.id, sess.epoch, sess.srv
 	err := srv.Loop(conn)
+	seq := srv.DiffSeq
 	if errors.Is(err, core.ErrConnLost) && m.detach(sess) {
-		m.logf("session %d detached at epoch %d (diff seq %d): %v", id, epoch, srv.DiffSeq, err)
+		m.logf("session %d detached at epoch %d (diff seq %d): %v", id, epoch, seq, err)
 		return nil
 	}
 	m.unregister(id)
@@ -205,9 +210,9 @@ func (m *Manager) handleResume(conn transport.Conn, first transport.Message) err
 }
 
 // reattach validates a resume request and, on success, atomically moves
-// the session from the store back into the active registry under a fresh
-// epoch. On failure it returns a nil session plus the rejection ack and
-// reason.
+// the session from parked back to active under a fresh epoch. On failure it
+// returns a nil session plus the rejection ack and reason, and leaves a
+// parked session as it was.
 func (m *Manager) reattach(req transport.Resume) (*session, transport.ResumeAck, string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -223,33 +228,42 @@ func (m *Manager) reattach(req transport.Resume) (*session, transport.ResumeAck,
 		// retry.
 		return reject(transport.ResumeRetry, fmt.Sprintf("session %d still attached", req.SessionID))
 	}
-	ds, err := m.store.Take(req.SessionID, req.Epoch)
-	if err != nil {
-		return reject(transport.ResumeReject, err.Error())
+	sess := m.parked[req.SessionID]
+	if sess == nil {
+		return reject(transport.ResumeReject, fmt.Sprintf("session %d unknown or expired", req.SessionID))
 	}
-	srv := ds.State.(*core.Server)
+	// Accept the previous epoch too: the ack that carried the current one
+	// may have died on the wire with the drop that parked the session,
+	// leaving the client legitimately one generation behind. A session is
+	// re-attached at most once per park, so this cannot fork. Zero is never
+	// a match.
+	if e := req.Epoch; e == 0 || (e != sess.epoch && e != sess.epoch-1) {
+		return reject(transport.ResumeReject,
+			fmt.Sprintf("session %d parked at epoch %d, client presented %d", sess.id, sess.epoch, e))
+	}
+	srv := sess.srv
 	if req.LastDiffSeq > srv.DiffSeq {
 		// The client claims diffs this session never produced: a confused
-		// or hostile peer. The session state is intact — park it again
-		// unchanged (same epochs, same eviction deadline: probing must not
-		// extend the TTL) and fail only this connection.
-		m.store.Put(ds)
+		// or hostile peer. The session stays parked as it was — same epoch,
+		// same eviction deadline, so probing cannot extend the TTL — and
+		// only this connection fails.
 		return reject(transport.ResumeReject,
 			fmt.Sprintf("client claims diff seq %d past server head %d", req.LastDiffSeq, srv.DiffSeq))
 	}
-	sess := srv.Observer.(*session)
-	sess.epoch = ds.Epoch + 1
-	sess.started = time.Now()
+	sess.expiry.Stop()
+	delete(m.parked, sess.id)
+	sess.epoch++
 	m.active[sess.id] = sess
 	m.tm.active.Set(float64(len(m.active)))
-	m.tm.detached.Set(float64(m.store.Len()))
+	m.tm.detached.Set(float64(len(m.parked)))
 	m.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvResume, Session: sess.id, Epoch: uint32(sess.epoch), Seq: srv.DiffSeq, Shard: m.tm.shard})
 	return sess, transport.ResumeAck{Epoch: sess.epoch, HeadSeq: srv.DiffSeq}, ""
 }
 
 // redetach parks a session whose resumed connection failed before or
 // during replay — the state is still intact, a later resume may succeed
-// (detach re-accepts the previous epoch, since this ack never arrived).
+// (reattach accepts the previous epoch too, since this ack may never have
+// arrived).
 func (m *Manager) redetach(sess *session, cause error) error {
 	id, epoch := sess.id, sess.epoch // see runSession
 	if m.detach(sess) {
@@ -268,80 +282,113 @@ func (m *Manager) sendAck(conn transport.Conn, ack transport.ResumeAck) error {
 	return conn.Send(transport.Message{Type: transport.MsgResumeAck, Body: body})
 }
 
-// detach moves a live session into the resume store. It reports false —
+// detach moves a live session from active to parked in one critical
+// section, so no lookup ever finds it in neither. It reports false —
 // meaning the caller must fold and discard instead — for a session that was
 // never assigned an ID or when the manager is closing.
 func (m *Manager) detach(sess *session) bool {
-	id, epoch, srv := sess.id, sess.epoch, sess.srv
-	if id == 0 {
+	if sess.id == 0 {
 		return false
 	}
-	seq := srv.DiffSeq // once parked, a resume elsewhere may be advancing it
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	defer m.mu.Unlock()
+	now := time.Now()
+	if !m.parkLocked(sess, now, now) {
 		return false
 	}
-	delete(m.active, id)
+	delete(m.active, sess.id)
 	m.tm.active.Set(float64(len(m.active)))
-	m.mu.Unlock()
-	// Accept the previous epoch too: the ack that carried the current one
-	// may have died on the wire with this very drop, leaving the client
-	// legitimately one generation behind. Sessions are taken at most once,
-	// so this cannot fork.
-	var alt uint64
-	if epoch > 1 {
-		alt = epoch - 1
-	}
-	err := m.store.Put(&resume.Session{
-		ID:       id,
-		Epoch:    epoch,
-		AltEpoch: alt,
-		LastSeq:  seq,
-		State:    srv,
-		Journal:  sess.journal,
-	})
-	if err != nil {
-		// Store closed under us: fold the stats as a completed session.
-		m.foldStats(srv)
-		return true
-	}
-	m.tm.detached.Set(float64(m.store.Len()))
-	m.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvDetach, Session: id, Epoch: uint32(epoch), Seq: seq, Shard: m.tm.shard})
+	m.tm.trace.Record(telemetry.Event{Time: now, Kind: telemetry.EvDetach, Session: sess.id, Epoch: uint32(sess.epoch), Seq: sess.srv.DiffSeq, Shard: m.tm.shard})
 	return true
+}
+
+// parkLocked parks sess on m as of at, arming its expiry for the TTL left
+// at now, and reports false when m is closing (nothing parks then, so Close
+// evicts every parked session once). When MaxSessions sessions are already
+// parked, the oldest is evicted to make room. Caller holds m.mu.
+func (m *Manager) parkLocked(sess *session, at, now time.Time) bool {
+	if m.closed {
+		return false
+	}
+	if len(m.parked) >= m.opts.MaxSessions {
+		var oldest *session
+		for _, p := range m.parked {
+			if oldest == nil || p.parkedAt.Before(oldest.parkedAt) {
+				oldest = p
+			}
+		}
+		m.evictLocked(oldest)
+	}
+	sess.parkedAt = at
+	sess.expiry = time.AfterFunc(m.opts.ResumeTTL-now.Sub(at), func() { m.expire(sess, at) })
+	m.parked[sess.id] = sess
+	m.tm.detached.Set(float64(len(m.parked)))
+	return true
+}
+
+// expire is the TTL timer's callback. A timer that fired as its session was
+// being re-attached or moved finds it gone, or parked from another instant,
+// and does nothing.
+func (m *Manager) expire(sess *session, at time.Time) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.parked[sess.id] == sess && sess.parkedAt.Equal(at) {
+		m.evictLocked(sess)
+	}
+}
+
+// evictLocked drops a parked session — its TTL ran out, the parked cap
+// needed its slot, or the manager is closing — and the session completes,
+// so its stats fold. Caller holds m.mu.
+func (m *Manager) evictLocked(sess *session) {
+	sess.expiry.Stop()
+	delete(m.parked, sess.id)
+	m.foldStatsLocked(sess.srv)
+	m.agg.Evicted++
+	m.tm.evicted.Inc()
+	m.tm.detached.Set(float64(len(m.parked)))
+	m.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvEvict, Session: sess.id, Epoch: uint32(sess.epoch), Seq: sess.srv.DiffSeq, Shard: m.tm.shard})
 }
 
 // MoveParked moves the parked session with the given ID onto manager to — a
 // cross-shard handoff or a drain migration (internal/fabric). The session
-// itself moves, not a copy of it: it is stolen from this manager's store,
+// itself moves, not a copy of it: it leaves this manager's parked map, is
 // rebound to the target (rebind) and parked there as if it had detached
 // there, so a later Resume finds it through the ordinary epoch-checked path
 // with its journal, optimizer and link-policy state as they were, and the
 // TTL clock restarts. Nothing folds into either manager's stats — the
-// session is moving, not completing. When the target cannot take it (its
-// store closed) the session goes back where it was, deadline unchanged.
+// session is moving, not completing. When the target cannot take it (it is
+// closing) the session goes back where it was with the TTL it had left.
+// The two managers' locks are never held together.
 func (m *Manager) MoveParked(id uint64, to *Manager) error {
-	ds, err := m.store.Steal(id)
-	if err != nil {
-		return err
+	m.mu.Lock()
+	sess := m.parked[id]
+	if sess == nil {
+		m.mu.Unlock()
+		return fmt.Errorf("serve: session %d is not parked here", id)
 	}
-	srv := ds.State.(*core.Server)
-	sess := srv.Observer.(*session)
-	parkedAt := ds.DetachedAt
+	sess.expiry.Stop()
+	delete(m.parked, id)
+	m.tm.detached.Set(float64(len(m.parked)))
+	parkedAt, epoch, seq := sess.parkedAt, sess.epoch, sess.srv.DiffSeq
+	m.mu.Unlock()
+
 	sess.rebind(to)
-	ds.DetachedAt = time.Time{}
-	if err := to.store.Put(ds); err != nil {
+	now := time.Now()
+	to.mu.Lock()
+	ok := to.parkLocked(sess, now, now)
+	to.mu.Unlock()
+	if !ok {
 		sess.rebind(m)
-		ds.DetachedAt = parkedAt
-		if m.store.Put(ds) != nil {
-			m.foldStats(srv) // both closing: it completes here, as in detach
+		m.mu.Lock()
+		if !m.parkLocked(sess, parkedAt, now) {
+			m.foldStatsLocked(sess.srv) // both closing: it completes here, as in detach
 		}
-		return fmt.Errorf("serve: moving session %d: %w", id, err)
+		m.mu.Unlock()
+		return fmt.Errorf("serve: moving session %d: %w", id, ErrClosed)
 	}
-	m.tm.detached.Set(float64(m.store.Len()))
-	to.tm.detached.Set(float64(to.store.Len()))
-	to.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvHandoff, Session: id, Epoch: uint32(ds.Epoch), Seq: ds.LastSeq, Shard: to.tm.shard,
+	to.tm.trace.Record(telemetry.Event{Time: now, Kind: telemetry.EvHandoff, Session: id, Epoch: uint32(epoch), Seq: seq, Shard: to.tm.shard,
 		Detail: fmt.Sprintf("%d->%d", m.tm.shard, to.tm.shard)})
-	to.logf("session %d moved here from shard %d (epoch %d, %d journaled diffs)", id, m.tm.shard, ds.Epoch, ds.Journal.Len())
+	to.logf("session %d moved here from shard %d (epoch %d, %d journaled diffs)", id, m.tm.shard, epoch, sess.journal.Len())
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/resume"
 	"repro/internal/teacher"
 	"repro/internal/telemetry"
 )
@@ -61,7 +60,6 @@ type Stats struct {
 
 	// Resilience counters.
 	Detached      int   // sessions currently parked for resumption
-	Resumed       int64 // sessions successfully re-attached after a drop
 	ResumeReplays int64 // resumes served from the diff journal
 	ResumeFulls   int64 // resumes that fell back to a full checkpoint
 	Evicted       int64 // parked sessions dropped by TTL/capacity/shutdown
@@ -113,7 +111,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.DistillTime += o.DistillTime
 	s.Teacher = s.Teacher.Add(o.Teacher)
 	s.Detached += o.Detached
-	s.Resumed += o.Resumed
 	s.ResumeReplays += o.ResumeReplays
 	s.ResumeFulls += o.ResumeFulls
 	s.Evicted += o.Evicted
@@ -126,7 +123,6 @@ func (s Stats) Add(o Stats) Stats {
 
 func (m *Manager) countResume(replay bool) {
 	m.mu.Lock()
-	m.agg.Resumed++
 	if replay {
 		m.agg.ResumeReplays++
 		m.tm.resumeReplays.Inc()
@@ -144,34 +140,14 @@ func (m *Manager) countFullResend(actual, baseline int) {
 	m.mu.Unlock()
 }
 
-// foldStats folds a finished session's distillation counters into the
-// aggregate.
-func (m *Manager) foldStats(srv *core.Server) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.foldStatsLocked(srv)
-}
-
+// foldStatsLocked folds a finished session's distillation counters into the
+// aggregate. Caller holds m.mu.
 func (m *Manager) foldStatsLocked(srv *core.Server) {
 	m.agg.SessionsServed++
 	m.tm.completed.Inc()
 	m.agg.KeyFrames += int64(srv.Distiller.TotalTrains)
 	m.agg.DistillSteps += int64(srv.Distiller.TotalSteps)
 	m.agg.DistillTime += srv.Distiller.TotalStepTime
-}
-
-// foldEvicted is the resume.Store eviction callback: a parked session that
-// expired (or was displaced) completes now, so its stats fold. Called
-// without store locks held.
-func (m *Manager) foldEvicted(ds *resume.Session) {
-	if srv, ok := ds.State.(*core.Server); ok {
-		m.foldStats(srv)
-		m.tm.evicted.Inc()
-		m.tm.detached.Set(float64(m.store.Len()))
-		m.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvEvict, Session: ds.ID, Epoch: uint32(ds.Epoch), Seq: ds.LastSeq, Shard: m.tm.shard})
-		m.logf("session %d evicted from resume store (epoch %d, %d key frames)",
-			ds.ID, ds.Epoch, srv.Distiller.TotalTrains)
-	}
 }
 
 // Stats snapshots aggregate activity.
@@ -181,7 +157,6 @@ func (m *Manager) Stats() Stats {
 	st := m.agg
 	st.Active = len(m.active)
 	st.Teacher = m.batcher.Stats()
-	st.Detached = m.store.Len()
-	st.Evicted = m.store.Evicted()
+	st.Detached = len(m.parked)
 	return st
 }
