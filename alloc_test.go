@@ -10,7 +10,7 @@ import (
 	"repro/internal/video"
 )
 
-// Allocation budgets for the two hot paths, enforced with
+// Allocation budgets for the hot paths, enforced with
 // testing.AllocsPerRun so the workspace-pool + blocked-GEMM win of PR 2
 // cannot silently regress. Budgets are measured steady-state counts plus
 // ~50% headroom; the pre-PR baselines (measured at commit 58389fb) were
@@ -33,6 +33,7 @@ const (
 	inferAllocBudget          = 9   // measured 6
 	distillPartialAllocBudget = 75  // measured 50
 	distillFullAllocBudget    = 145 // measured 97
+	pretrainStepAllocBudget   = 128 // measured 85; the allocating loop it replaced, 1251
 )
 
 // allocStudent builds a small-but-real student and one frame without
@@ -117,5 +118,23 @@ func TestAllocBudgetDistillStep(t *testing.T) {
 					mode.name, got, mode.budget)
 			}
 		})
+	}
+}
+
+// Pre-training (experiments.Pretrain) runs on Distiller.Step under full
+// distillation: one training step with no metric pass, on the distiller's
+// reused context and buffers. Falling back to an allocating loop — a fresh
+// context, loss gradient or parameter list per step — fails this budget.
+func TestAllocBudgetPretrainStep(t *testing.T) {
+	skipUnderRace(t)
+	s, frame := allocStudent(t)
+	if h, w := frame.Image.Dim(1), frame.Image.Dim(2); w != 96 || h != 64 {
+		t.Fatalf("frame is %dx%d, the budget is for 96x64", w, h)
+	}
+	dist := core.NewDistiller(core.Config{Partial: false, LearningRate: 0.004, GradClipNorm: 10}, s)
+	got := measureAllocs(func() { dist.Step(frame, frame.Label) })
+	t.Logf("pre-training step: %.0f allocs/op (budget %d, allocating loop 1251)", got, pretrainStepAllocBudget)
+	if got > pretrainStepAllocBudget {
+		t.Fatalf("pre-training step allocates %.0f/op, budget %d — it left the zero-allocation training step", got, pretrainStepAllocBudget)
 	}
 }

@@ -49,7 +49,8 @@
 // resume-full fallbacks; a cross-shard handoff moves the session itself
 // and serialises nothing — can be sent relative to the shared pretrained
 // base instead of absolute: -envelope-codec names a compress codec
-// ("delta+int8" is the deployment choice; "delta+raw" is bit-exact), and
+// ("delta+int8" is the deployment choice; "delta+raw", like the empty
+// default, is bit-exact), and
 // clients opt in with -delta-checkpoints, which pre-trains the same
 // deterministic base locally and sends its hash in the Hello (mismatched
 // bases get absolute checkpoints, as do clients that never opt in):

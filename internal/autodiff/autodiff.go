@@ -54,12 +54,9 @@ type Tape struct {
 	ws     *tensor.Workspace
 }
 
-// NewTape returns an empty tape with no workspace: every op output is
-// freshly allocated and stays valid indefinitely.
-func NewTape() *Tape { return &Tape{} }
-
 // NewTapeWS returns an empty tape that leases op outputs, gradients and
-// backward temporaries from ws. Reset recycles them all.
+// backward temporaries from ws. Reset recycles them all. With a nil ws
+// every op output is freshly allocated and stays valid indefinitely.
 func NewTapeWS(ws *tensor.Workspace) *Tape { return &Tape{ws: ws} }
 
 // Workspace returns the tape's workspace (nil for allocation-backed tapes).

@@ -19,7 +19,7 @@ func randT(rng *rand.Rand, shape ...int) *tensor.Tensor {
 }
 
 func TestBackwardAdd(t *testing.T) {
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	a := tp.Leaf(tensor.FromSlice([]float32{1, 2}, 2), true)
 	b := tp.Leaf(tensor.FromSlice([]float32{3, 4}, 2), true)
 	c := tp.Add(a, b)
@@ -32,7 +32,7 @@ func TestBackwardAdd(t *testing.T) {
 }
 
 func TestBackwardMulProductRule(t *testing.T) {
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	a := tp.Leaf(tensor.FromSlice([]float32{2}, 1), true)
 	b := tp.Leaf(tensor.FromSlice([]float32{5}, 1), true)
 	c := tp.Mul(a, b)
@@ -43,7 +43,7 @@ func TestBackwardMulProductRule(t *testing.T) {
 }
 
 func TestBackwardSubAndScale(t *testing.T) {
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	a := tp.Leaf(tensor.FromSlice([]float32{1}, 1), true)
 	b := tp.Leaf(tensor.FromSlice([]float32{1}, 1), true)
 	c := tp.Scale(tp.Sub(a, b), 3)
@@ -54,7 +54,7 @@ func TestBackwardSubAndScale(t *testing.T) {
 }
 
 func TestFrozenLeafGetsNoGrad(t *testing.T) {
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	a := tp.Leaf(tensor.FromSlice([]float32{1}, 1), false)
 	b := tp.Leaf(tensor.FromSlice([]float32{2}, 1), true)
 	c := tp.Mul(a, b)
@@ -72,7 +72,7 @@ func TestFrozenLeafGetsNoGrad(t *testing.T) {
 func TestBackwardPrunesFrozenSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	build := func(frozenFront bool) int {
-		tp := NewTape()
+		tp := NewTapeWS(nil)
 		x := tp.Constant(randT(rng, 2, 4, 4))
 		w1 := tp.Leaf(randT(rng, 2, 2, 3, 3), !frozenFront)
 		h := tp.ReLU(tp.Conv2D(x, w1, nil, tensor.Spec(3, 3)))
@@ -89,7 +89,7 @@ func TestBackwardPrunesFrozenSubgraph(t *testing.T) {
 }
 
 func TestBackwardOnNoGradRootIsNoop(t *testing.T) {
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	a := tp.Constant(tensor.New(2))
 	b := tp.Add(a, a)
 	if n := tp.Backward(b, nil); n != 0 {
@@ -98,7 +98,7 @@ func TestBackwardOnNoGradRootIsNoop(t *testing.T) {
 }
 
 func TestBackwardSeedShapeMismatchPanics(t *testing.T) {
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	a := tp.Leaf(tensor.New(2), true)
 	b := tp.Add(a, a)
 	defer func() {
@@ -110,7 +110,7 @@ func TestBackwardSeedShapeMismatchPanics(t *testing.T) {
 }
 
 func TestMixedTapePanics(t *testing.T) {
-	t1, t2 := NewTape(), NewTape()
+	t1, t2 := NewTapeWS(nil), NewTapeWS(nil)
 	a := t1.Leaf(tensor.New(1), true)
 	b := t2.Leaf(tensor.New(1), true)
 	defer func() {
@@ -123,7 +123,7 @@ func TestMixedTapePanics(t *testing.T) {
 
 func TestGradAccumulationThroughFanout(t *testing.T) {
 	// y = a + a ⇒ dy/da = 2.
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	a := tp.Leaf(tensor.FromSlice([]float32{1}, 1), true)
 	y := tp.Add(a, a)
 	tp.Backward(y, nil)
@@ -133,7 +133,7 @@ func TestGradAccumulationThroughFanout(t *testing.T) {
 }
 
 func TestResetDropsNodes(t *testing.T) {
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	a := tp.Leaf(tensor.FromSlice([]float32{1}, 1), true)
 	y := tp.Add(a, a)
 	tp.Backward(y, nil)
@@ -151,7 +151,7 @@ func TestNumericGradConvReLU(t *testing.T) {
 	seed := randT(rng, 3, 4, 4)
 
 	build := func() float64 {
-		tp := NewTape()
+		tp := NewTapeWS(nil)
 		xv := tp.Constant(x)
 		wv := tp.Leaf(w, true)
 		y := tp.ReLU(tp.Conv2D(xv, wv, nil, tensor.Spec(3, 3)))
@@ -161,7 +161,7 @@ func TestNumericGradConvReLU(t *testing.T) {
 		}
 		return l
 	}
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	xv := tp.Constant(x)
 	wv := tp.Leaf(w, true)
 	y := tp.ReLU(tp.Conv2D(xv, wv, nil, tensor.Spec(3, 3)))
@@ -181,7 +181,7 @@ func TestNumericGradBatchNorm(t *testing.T) {
 	seed := randT(rng, 2, 3, 3)
 
 	lossOf := func() float64 {
-		tp := NewTape()
+		tp := NewTapeWS(nil)
 		xv := tp.Leaf(x, true)
 		g := tp.Leaf(gamma, true)
 		b := tp.Leaf(beta, true)
@@ -193,7 +193,7 @@ func TestNumericGradBatchNorm(t *testing.T) {
 		}
 		return l
 	}
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	xv := tp.Leaf(x, true)
 	g := tp.Leaf(gamma, true)
 	b := tp.Leaf(beta, true)
@@ -220,7 +220,7 @@ func TestNumericGradUpsamplePoolConcat(t *testing.T) {
 	seed := randT(rng, 2, 4, 4)
 
 	lossOf := func() float64 {
-		tp := NewTape()
+		tp := NewTapeWS(nil)
 		av := tp.Leaf(a, true)
 		bv := tp.Leaf(b, true)
 		y := tp.Concat(tp.Upsample2x(av), bv)
@@ -230,7 +230,7 @@ func TestNumericGradUpsamplePoolConcat(t *testing.T) {
 		}
 		return l
 	}
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	av := tp.Leaf(a, true)
 	bv := tp.Leaf(b, true)
 	y := tp.Concat(tp.Upsample2x(av), bv)
@@ -252,7 +252,7 @@ func TestMatMulGradNumeric(t *testing.T) {
 	b := randT(rng, 4, 2)
 	seed := randT(rng, 3, 2)
 	lossOf := func() float64 {
-		tp := NewTape()
+		tp := NewTapeWS(nil)
 		y := tp.MatMul(tp.Leaf(a, true), tp.Leaf(b, true))
 		var l float64
 		for i := range y.Value.Data {
@@ -260,7 +260,7 @@ func TestMatMulGradNumeric(t *testing.T) {
 		}
 		return l
 	}
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	av := tp.Leaf(a, true)
 	bv := tp.Leaf(b, true)
 	y := tp.MatMul(av, bv)
@@ -278,7 +278,7 @@ func TestQuickSumScalarGrad(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(8)
-		tp := NewTape()
+		tp := NewTapeWS(nil)
 		a := tp.Leaf(randT(rng, n), true)
 		s := tp.SumScalar(a)
 		scale := float32(rng.NormFloat64())
@@ -302,7 +302,7 @@ func TestBatchNormInferenceUsesRunningStats(t *testing.T) {
 	beta := tensor.New(1)
 	rm := tensor.Full(0.5, 1)
 	rv := tensor.Full(2, 1)
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	y := tp.BatchNorm(tp.Constant(x), tp.Constant(gamma), tp.Constant(beta), rm, rv, false, 0.1, 0)
 	// Inference mode must not mutate running stats.
 	if rm.Data[0] != 0.5 || rv.Data[0] != 2 {
@@ -318,7 +318,7 @@ func TestBatchNormTrainingUpdatesRunningStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	x := randT(rng, 1, 4, 4)
 	rm, rv := tensor.New(1), tensor.Full(1, 1)
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	tp.BatchNorm(tp.Constant(x), tp.Constant(tensor.Full(1, 1)), tp.Constant(tensor.New(1)), rm, rv, true, 0.5, 1e-5)
 	if rm.Data[0] == 0 && rv.Data[0] == 1 {
 		t.Fatal("training mode must update running stats")
@@ -390,7 +390,7 @@ func TestUseAfterFreePanics(t *testing.T) {
 }
 
 func TestFreeOnWorkspaceFreeTapeIsNoop(t *testing.T) {
-	tp := NewTape()
+	tp := NewTapeWS(nil)
 	y := tp.ReLU(tp.Constant(tensor.FromSlice([]float32{-1, 2}, 2)))
 	tp.Free(y)
 	if y.Value == nil || y.Value.Data[1] != 2 {

@@ -52,6 +52,10 @@ type Client struct {
 	// Base, when non-nil, is the shared pretrained parameter set this
 	// client holds. Its hash goes out in Hello and Resume, letting the
 	// server ship checkpoints relative to it instead of absolute ones.
+	// When nil, a Run's first Hello advertises the student Run starts
+	// with instead — a client handed the server's base gets a relative
+	// checkpoint all the same — and later Hellos and every Resume
+	// advertise nothing.
 	Base *nn.ParamSet
 	// TrackLatency records per-frame wall time into Result.FrameLatencies
 	// (one entry per processed frame), feeding p50/p99 latency metrics.
@@ -403,6 +407,11 @@ type link struct {
 	quit   chan struct{} // closed by stop
 	done   chan struct{} // closed when the goroutine exits
 	s      session       // the goroutine's own
+	// start is the student Run started with, until a Hello opens the
+	// first session of a client without a Base: that Hello advertises it
+	// and decodes the checkpoint against it. Run writes the student only
+	// once it takes that session.
+	start *nn.ParamSet
 
 	mu   sync.Mutex
 	conn transport.Conn // the conn the goroutine holds, which stop closes
@@ -485,6 +494,9 @@ func (l *link) emit(ev event) bool {
 func (l *link) run(conn transport.Conn) {
 	defer close(l.done)
 	l.s.id = l.c.SessionID
+	if l.c.Base == nil {
+		l.start = l.c.Student.Params
+	}
 	up, err := l.open(conn)
 	if err != nil && (l.c.Dial == nil || !refused(err, transport.ResumeRetry)) {
 		l.emit(event{err: err})
@@ -592,12 +604,16 @@ func (l *link) open(conn transport.Conn) (*opened, error) {
 // checkpoint — asking for the link's session ID, and returns the session it
 // opened.
 func (l *link) hello(conn transport.Conn) (*opened, error) {
+	base, baseHash := l.c.Base, l.c.hashBase()
+	if l.start != nil {
+		base, baseHash = l.start, nn.HashParams(l.start.All())
+	}
 	h := transport.Hello{
 		Version:   transport.Version,
 		NumClass:  uint16(l.c.Student.Config.NumClasses),
 		Partial:   l.c.Cfg.Partial,
 		SessionID: l.s.id,
-		BaseHash:  l.c.hashBase(),
+		BaseHash:  baseHash,
 	}
 	if err := conn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(h)}); err != nil {
 		return nil, fmt.Errorf("core: client hello: %w", err)
@@ -626,10 +642,11 @@ func (l *link) hello(conn transport.Conn) (*opened, error) {
 	if m.Type != transport.MsgStudentFull {
 		return nil, fmt.Errorf("core: expected StudentFull, got %v", m.Type)
 	}
-	params, err := DecodeCheckpointBody(m.Body, l.c.Base)
+	params, err := DecodeCheckpointBody(m.Body, base)
 	if err != nil {
 		return nil, err
 	}
+	l.start = nil
 	l.s = session{id: ack.SessionID, epoch: ack.Epoch, resumable: ack.SessionID != 0}
 	return &opened{conn: conn, hello: true, id: ack.SessionID, full: params}, nil
 }

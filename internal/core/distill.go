@@ -93,8 +93,6 @@ type TrainResult struct {
 // the prefix is empty and the same loop runs whole passes.
 func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 	img := frame.Image
-	h, w := img.Dim(1), img.Dim(2)
-
 	acts := d.Student.Prefix(img)
 	pred, _ := d.Student.InferFrom(acts)
 	bestMetric := d.meanIoU(pred, label)
@@ -108,29 +106,10 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 		return res
 	}
 
-	var weights []float32
-	if !d.Cfg.UnweightedLoss {
-		d.weightsBuf = loss.PixelWeightsInto(d.weightsBuf, label, h, w)
-		weights = d.weightsBuf
-	}
-	if d.trainCtx == nil {
-		d.trainCtx = nn.NewForwardCtxWS(true, tensor.NewWorkspace())
-	}
+	weights := d.pixelWeights(label, img.Dim(1), img.Dim(2))
 	start := time.Now()
 	for i := 0; i < d.Cfg.MaxUpdates; i++ {
-		fc := d.trainCtx
-		fc.Reset(true)
-		out := d.Student.ForwardFrom(fc, acts)
-		if d.gradBuf == nil || !tensor.ShapeEq(d.gradBuf.Shape(), out.Value.Shape()) {
-			d.gradBuf = tensor.New(out.Value.Shape()...)
-		}
-		loss.SoftmaxCrossEntropyInto(d.gradBuf, out.Value, label, weights)
-		fc.Tape.Backward(out, d.gradBuf)
-		d.optBuf = d.Student.Params.AppendOptimParams(d.optBuf[:0], fc.Vars)
-		if d.Cfg.GradClipNorm > 0 {
-			optim.GradClip(d.optBuf, d.Cfg.GradClipNorm)
-		}
-		d.Opt.Step(d.optBuf)
+		d.step(acts, label, weights)
 		res.Steps++
 
 		pred, _ = d.Student.InferFrom(acts)
@@ -155,6 +134,49 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 	d.TotalTrains++
 	d.TotalStepTime += res.StepTime
 	return res
+}
+
+// Step takes one optimization step on frame against label with no metric
+// pass and no best-weights tracking: the training step of Train, started
+// from Student.Prefix(frame.Image). Pre-training calls it, under full
+// distillation, once per sample.
+func (d *Distiller) Step(frame video.Frame, label []int32) {
+	img := frame.Image
+	weights := d.pixelWeights(label, img.Dim(1), img.Dim(2))
+	d.step(d.Student.Prefix(img), label, weights)
+}
+
+// pixelWeights returns the loss weighting for label (nil under
+// UnweightedLoss), in a buffer reused across calls.
+func (d *Distiller) pixelWeights(label []int32, h, w int) []float32 {
+	if d.Cfg.UnweightedLoss {
+		return nil
+	}
+	d.weightsBuf = loss.PixelWeightsInto(d.weightsBuf, label, h, w)
+	return d.weightsBuf
+}
+
+// step is one optimization step from acts: the forward pass of the stages
+// left to train, the weighted cross-entropy against label, the backward
+// pass, gradient clipping and the optimizer update, all on the reused
+// training context and buffers.
+func (d *Distiller) step(acts nn.Activations, label []int32, weights []float32) {
+	if d.trainCtx == nil {
+		d.trainCtx = nn.NewForwardCtxWS(true, tensor.NewWorkspace())
+	}
+	fc := d.trainCtx
+	fc.Reset(true)
+	out := d.Student.ForwardFrom(fc, acts)
+	if d.gradBuf == nil || !tensor.ShapeEq(d.gradBuf.Shape(), out.Value.Shape()) {
+		d.gradBuf = tensor.New(out.Value.Shape()...)
+	}
+	loss.SoftmaxCrossEntropyInto(d.gradBuf, out.Value, label, weights)
+	fc.Tape.Backward(out, d.gradBuf)
+	d.optBuf = d.Student.Params.AppendOptimParams(d.optBuf[:0], fc.Vars)
+	if d.Cfg.GradClipNorm > 0 {
+		optim.GradClip(d.optBuf, d.Cfg.GradClipNorm)
+	}
+	d.Opt.Step(d.optBuf)
 }
 
 // meanIoU computes the per-key-frame metric on a reused confusion matrix.

@@ -58,20 +58,28 @@ func TestTrainSkipsWhenAboveThreshold(t *testing.T) {
 	}
 }
 
+// Trained on one frame until a call clears THRESHOLD, the student holds the
+// weights that cleared it: the next call on that frame starts at the same
+// metric and takes no step (Algorithm 1 line 4).
 func TestTrainEarlyExitOnRepeatedFrame(t *testing.T) {
 	d, frame, label := distillFixture(t, true)
-	first := d.Train(frame, label)
-	// After enough passes on the same frame the student crosses THRESHOLD
-	// and later calls early-exit with zero or few steps.
-	var last TrainResult
-	for i := 0; i < 6; i++ {
-		last = d.Train(frame, label)
+	var res TrainResult
+	for calls := 1; ; calls++ {
+		prev := res.Metric
+		if res = d.Train(frame, label); res.Metric >= d.Cfg.Threshold {
+			break
+		}
+		if res.Metric < prev {
+			t.Fatalf("call %d: metric regressed %v → %v", calls, prev, res.Metric)
+		}
+		if calls == 20 {
+			t.Fatalf("20 calls on one frame never cleared THRESHOLD %v (last metric %v)", d.Cfg.Threshold, res.Metric)
+		}
 	}
-	if !(last.Metric >= first.Metric) {
-		t.Fatalf("metric regressed across repeated training: %v → %v", first.Metric, last.Metric)
-	}
-	if last.Metric >= d.Cfg.Threshold && last.Steps != 0 {
-		t.Fatalf("above-threshold frame still took %d steps", last.Steps)
+	next := d.Train(frame, label)
+	if !next.SkippedOpt || next.Steps != 0 || next.Metric != res.Metric {
+		t.Fatalf("after clearing THRESHOLD at %v: next call skipped=%v steps=%d metric=%v, want a skip at the same metric",
+			res.Metric, next.SkippedOpt, next.Steps, next.Metric)
 	}
 }
 

@@ -187,7 +187,7 @@ func (l *relativeLog) Diff(_ uint64, body []byte) {
 }
 
 // referenceTrain is Algorithm 1 over whole passes: Student.Infer and
-// Student.Forward on the image for every evaluation and step, a fresh
+// Student.ForwardFrom the image for every evaluation and step, a fresh
 // context per step, and the whole parameter set as the best-weights
 // snapshot. Distiller.Train must be indistinguishable from it.
 func referenceTrain(cfg Config, s *nn.Student, opt optim.Optimizer, bk tensor.Backend, img *tensor.Tensor, label []int32) (metric float64, steps int) {
@@ -199,14 +199,20 @@ func referenceTrain(cfg Config, s *nn.Student, opt optim.Optimizer, bk tensor.Ba
 	if best >= cfg.Threshold {
 		return best, 0
 	}
-	weights := loss.PixelWeights(label, img.Dim(1), img.Dim(2))
+	weights := loss.PixelWeightsInto(nil, label, img.Dim(1), img.Dim(2))
+	// With nothing frozen the prefix is empty: bare's Prefix is the image
+	// boundary a whole pass of s starts from.
+	bare := s.Clone()
+	bare.SetPartial(false)
+	input := bare.Prefix(img)
 	var snap *nn.ParamSet
 	for steps < cfg.MaxUpdates {
 		fc := nn.NewForwardCtxWS(true, tensor.NewWorkspace().SetBackend(bk))
-		out := s.Forward(fc, img)
-		_, grad := loss.SoftmaxCrossEntropy(out.Value, label, weights)
+		out := s.ForwardFrom(fc, input)
+		grad := tensor.New(out.Value.Shape()...)
+		loss.SoftmaxCrossEntropyInto(grad, out.Value, label, weights)
 		fc.Tape.Backward(out, grad)
-		params := s.Params.OptimParams(fc.Vars)
+		params := s.Params.AppendOptimParams(nil, fc.Vars)
 		optim.GradClip(params, cfg.GradClipNorm)
 		opt.Step(params)
 		steps++

@@ -11,9 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/loss"
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/teacher"
 	"repro/internal/video"
 )
@@ -40,8 +38,8 @@ func DefaultPretrain() PretrainConfig {
 func Pretrain(cfg PretrainConfig) (*nn.Student, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	student := nn.NewStudent(nn.DefaultStudentConfig(), rng)
-	student.SetPartial(false) // pre-training updates everything
-	opt := optim.NewAdam(cfg.LR)
+	// Pre-training updates everything, on the distiller's training step.
+	d := core.NewDistiller(core.Config{Partial: false, LearningRate: cfg.LR, GradClipNorm: 10}, student)
 	tch := teacher.NewOracle(cfg.Seed + 1)
 
 	// Round-robin generators over all categories, reseeded periodically so
@@ -70,16 +68,7 @@ func Pretrain(cfg PretrainConfig) (*nn.Student, error) {
 		// not near-duplicate frames.
 		g.Skip(29)
 		frame := g.Next()
-		label := tch.Infer(frame)
-		weights := loss.PixelWeights(label, frame.Image.Dim(1), frame.Image.Dim(2))
-
-		fc := nn.NewForwardCtx(true)
-		out := student.Forward(fc, frame.Image)
-		_, grad := loss.SoftmaxCrossEntropy(out.Value, label, weights)
-		fc.Tape.Backward(out, grad)
-		params := student.Params.OptimParams(fc.Vars)
-		optim.GradClip(params, 10)
-		opt.Step(params)
+		d.Step(frame, tch.Infer(frame))
 
 		framesSinceSeed++
 		if framesSinceSeed >= cfg.FramesPer*len(gens) {
@@ -103,7 +92,7 @@ var (
 // every experiment clones it, mirroring the paper's protocol ("Every
 // ShadowTutor experiment, whether partial or full distillation, begins from
 // the same pre-trained student checkpoint", §6). The first call trains it
-// (tens of seconds); subsequent calls are free. Set SHADOWTUTOR_PRETRAIN_STEPS
+// (≈ 5 s on a 2-core x86 box); subsequent calls are free. Set SHADOWTUTOR_PRETRAIN_STEPS
 // to override the step budget (useful in -short test runs).
 func SharedPretrained() (*nn.Student, error) {
 	pretrainOnce.Do(func() {

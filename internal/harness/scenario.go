@@ -82,9 +82,10 @@ type Spec struct {
 	DrainAfter time.Duration
 	// EnvelopeCodec names the compress codec (ByName form, e.g.
 	// "delta+int8") for MsgStudentFull checkpoints: they go base-relative
-	// for clients advertising the capability (the driver hands every client
-	// the base). Empty keeps checkpoints raw, so the paper-comparable
-	// scenarios measure unchanged wire traffic.
+	// for clients advertising the base (the harness hands every client a
+	// clone of it, and sets Client.Base only with a codec). Empty keeps
+	// checkpoints raw, so bit-exact: a handshake one is still relative to
+	// the clone the client starts with.
 	EnvelopeCodec string
 	// LossModel activates the packet layer on every link and names its loss
 	// model (netsim.LossModelByName form: "uniform:0.02",

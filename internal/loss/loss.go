@@ -19,15 +19,10 @@ const (
 	WeightRadius = 2
 )
 
-// PixelWeights returns a per-pixel weight map (len H*W) for a label mask:
-// ObjectWeight near/within non-background objects, 1 elsewhere. label holds
-// class indices with 0 = background.
-func PixelWeights(label []int32, h, w int) []float32 {
-	return PixelWeightsInto(nil, label, h, w)
-}
-
-// PixelWeightsInto is PixelWeights writing into dst, which is grown (only)
-// when too small and returned; pass a retained buffer to avoid per-frame
+// PixelWeightsInto writes a per-pixel weight map (len H*W) for a label mask
+// into dst: ObjectWeight near/within non-background objects, 1 elsewhere.
+// label holds class indices with 0 = background. dst is grown (only) when
+// too small and returned; pass a retained buffer to avoid per-frame
 // allocation.
 func PixelWeightsInto(dst []float32, label []int32, h, w int) []float32 {
 	if len(label) != h*w {
@@ -58,22 +53,15 @@ func PixelWeightsInto(dst []float32, label []int32, h, w int) []float32 {
 	return wts
 }
 
-// SoftmaxCrossEntropy computes the weighted mean cross-entropy between
-// logits (CHW, C classes) and the integer label mask (len H*W), and the
-// gradient of that loss with respect to the logits. weights may be nil for
-// uniform weighting. The gradient tensor has the logits' shape.
-func SoftmaxCrossEntropy(logits *tensor.Tensor, label []int32, weights []float32) (lossVal float64, grad *tensor.Tensor) {
-	grad = tensor.New(logits.Shape()...)
-	lossVal = SoftmaxCrossEntropyInto(grad, logits, label, weights)
-	return lossVal, grad
-}
-
 // maxStackClasses bounds the class count whose per-pixel softmax scratch
 // lives on the stack; wider logits allocate it per call.
 const maxStackClasses = 32
 
-// SoftmaxCrossEntropyInto is SoftmaxCrossEntropy writing the logit gradient
-// into grad (same shape as logits, every element overwritten).
+// SoftmaxCrossEntropyInto returns the weighted mean cross-entropy between
+// logits (CHW, C classes) and the integer label mask (len H*W), and writes
+// the gradient of that loss with respect to the logits into grad (same
+// shape as logits, every element overwritten). weights may be nil for
+// uniform weighting.
 //
 // The total weight every gradient is divided by, and the label range check,
 // are taken in a first pass, so each pixel's gradient is written once,

@@ -9,11 +9,17 @@ import (
 	"repro/internal/tensor"
 )
 
+// crossEntropy is SoftmaxCrossEntropyInto into a fresh gradient tensor.
+func crossEntropy(logits *tensor.Tensor, label []int32, weights []float32) (float64, *tensor.Tensor) {
+	grad := tensor.New(logits.Shape()...)
+	return SoftmaxCrossEntropyInto(grad, logits, label, weights), grad
+}
+
 func TestPixelWeightsMarkObjectNeighbourhood(t *testing.T) {
 	// 5x5 mask with one object pixel in the centre.
 	label := make([]int32, 25)
 	label[12] = 3
-	w := PixelWeights(label, 5, 5)
+	w := PixelWeightsInto(nil, label, 5, 5)
 	// Everything within WeightRadius of the centre gets ObjectWeight.
 	for y := 0; y < 5; y++ {
 		for x := 0; x < 5; x++ {
@@ -30,7 +36,7 @@ func TestPixelWeightsMarkObjectNeighbourhood(t *testing.T) {
 }
 
 func TestPixelWeightsAllBackground(t *testing.T) {
-	w := PixelWeights(make([]int32, 16), 4, 4)
+	w := PixelWeightsInto(nil, make([]int32, 16), 4, 4)
 	for _, v := range w {
 		if v != 1 {
 			t.Fatal("background-only mask must weight uniformly")
@@ -44,7 +50,7 @@ func TestPixelWeightsLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	PixelWeights(make([]int32, 3), 2, 2)
+	PixelWeightsInto(nil, make([]int32, 3), 2, 2)
 }
 
 func TestSoftmaxCrossEntropyPerfectPrediction(t *testing.T) {
@@ -53,7 +59,7 @@ func TestSoftmaxCrossEntropyPerfectPrediction(t *testing.T) {
 	label := []int32{1, 2}
 	logits.Set(20, 1, 0, 0)
 	logits.Set(20, 2, 0, 1)
-	l, grad := SoftmaxCrossEntropy(logits, label, nil)
+	l, grad := crossEntropy(logits, label, nil)
 	if l > 1e-6 {
 		t.Fatalf("perfect prediction loss = %v", l)
 	}
@@ -65,7 +71,7 @@ func TestSoftmaxCrossEntropyPerfectPrediction(t *testing.T) {
 func TestSoftmaxCrossEntropyUniformLogits(t *testing.T) {
 	// Uniform logits over C classes → loss = ln C.
 	logits := tensor.New(4, 1, 1)
-	l, _ := SoftmaxCrossEntropy(logits, []int32{2}, nil)
+	l, _ := crossEntropy(logits, []int32{2}, nil)
 	if math.Abs(l-math.Log(4)) > 1e-5 {
 		t.Fatalf("uniform loss = %v, want ln4 = %v", l, math.Log(4))
 	}
@@ -79,14 +85,14 @@ func TestSoftmaxCrossEntropyGradNumeric(t *testing.T) {
 	}
 	label := []int32{0, 1, 2, 1}
 	weights := []float32{1, 5, 1, 5}
-	_, grad := SoftmaxCrossEntropy(logits, label, weights)
+	_, grad := crossEntropy(logits, label, weights)
 	const eps = 1e-3
 	for _, i := range []int{0, 5, 11} {
 		orig := logits.Data[i]
 		logits.Data[i] = orig + eps
-		lp, _ := SoftmaxCrossEntropy(logits, label, weights)
+		lp, _ := crossEntropy(logits, label, weights)
 		logits.Data[i] = orig - eps
-		lm, _ := SoftmaxCrossEntropy(logits, label, weights)
+		lm, _ := crossEntropy(logits, label, weights)
 		logits.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-float64(grad.Data[i])) > 1e-3*(1+math.Abs(num)) {
@@ -100,9 +106,9 @@ func TestSoftmaxCrossEntropyWeightsShiftLoss(t *testing.T) {
 	logits.Set(2, 0, 0, 0) // pixel 0 biased to class 0
 	logits.Set(2, 0, 0, 1) // pixel 1 biased to class 0 too
 	label := []int32{1, 0} // pixel 0 is wrong, pixel 1 right
-	lUnif, _ := SoftmaxCrossEntropy(logits, label, nil)
+	lUnif, _ := crossEntropy(logits, label, nil)
 	// Upweighting the wrong pixel must increase the weighted-mean loss.
-	lWrong, _ := SoftmaxCrossEntropy(logits, label, []float32{5, 1})
+	lWrong, _ := crossEntropy(logits, label, []float32{5, 1})
 	if lWrong <= lUnif {
 		t.Fatalf("upweighting the erroneous pixel should raise loss: %v vs %v", lWrong, lUnif)
 	}
@@ -114,7 +120,7 @@ func TestSoftmaxCrossEntropyLabelOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SoftmaxCrossEntropy(tensor.New(2, 1, 1), []int32{7}, nil)
+	crossEntropy(tensor.New(2, 1, 1), []int32{7}, nil)
 }
 
 // Property: loss is non-negative and grad sums to ~0 per pixel (softmax
@@ -132,7 +138,7 @@ func TestQuickCrossEntropyInvariants(t *testing.T) {
 		for i := range label {
 			label[i] = int32(rng.Intn(c))
 		}
-		l, grad := SoftmaxCrossEntropy(logits, label, nil)
+		l, grad := crossEntropy(logits, label, nil)
 		if l < 0 {
 			return false
 		}
@@ -207,7 +213,7 @@ func TestSoftmaxCrossEntropyMatchesTwoPassReference(t *testing.T) {
 	for i := range label {
 		label[i] = int32(rng.Intn(c))
 	}
-	for _, weights := range [][]float32{nil, PixelWeights(label, h, w)} {
+	for _, weights := range [][]float32{nil, PixelWeightsInto(nil, label, h, w)} {
 		want := tensor.New(c, h, w)
 		wantLoss := serialCrossEntropy(want, logits, label, weights)
 		got := tensor.New(c, h, w)

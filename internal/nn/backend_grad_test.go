@@ -12,7 +12,7 @@ import (
 // including a backend's private conv backward — runs on it.
 func gradCtx(bk tensor.Backend) *ForwardCtx {
 	if bk == nil {
-		return NewForwardCtx(true)
+		return NewForwardCtxWS(true, nil)
 	}
 	return NewForwardCtxWS(true, tensor.NewWorkspace().SetBackend(bk))
 }

@@ -16,16 +16,11 @@ type ForwardCtx struct {
 	Vars     map[string]*autodiff.Variable
 }
 
-// NewForwardCtx returns a context over a fresh workspace-free tape: values
-// it produces stay valid indefinitely, at allocation cost.
-func NewForwardCtx(training bool) *ForwardCtx {
-	return &ForwardCtx{Tape: autodiff.NewTape(), Training: training, Vars: map[string]*autodiff.Variable{}}
-}
-
 // NewForwardCtxWS returns a context whose tape leases every tensor from ws.
 // Combined with Reset, a long-lived context runs pass after pass with
 // near-zero steady-state allocations; each Reset invalidates the previous
-// pass's values and gradients.
+// pass's values and gradients. A nil ws allocates instead: values the
+// context produces stay valid indefinitely.
 func NewForwardCtxWS(training bool, ws *tensor.Workspace) *ForwardCtx {
 	return &ForwardCtx{Tape: autodiff.NewTapeWS(ws), Training: training, Vars: map[string]*autodiff.Variable{}}
 }

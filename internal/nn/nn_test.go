@@ -303,7 +303,7 @@ func TestTrainableSubsetMatchesFreeze(t *testing.T) {
 func TestForwardCtxVarRegisteredOnce(t *testing.T) {
 	ps := NewParamSet()
 	p := ps.Add("w", tensor.New(1))
-	fc := NewForwardCtx(true)
+	fc := NewForwardCtxWS(true, nil)
 	v1 := fc.Var(p)
 	v2 := fc.Var(p)
 	if v1 != v2 {
@@ -313,7 +313,7 @@ func TestForwardCtxVarRegisteredOnce(t *testing.T) {
 	if v1.Grad == nil {
 		t.Fatal("trainable param must require grad in training ctx")
 	}
-	fcEval := NewForwardCtx(false)
+	fcEval := NewForwardCtxWS(false, nil)
 	vEval := fcEval.Var(p)
 	fcEval.Tape.Backward(fcEval.Tape.SumScalar(vEval), nil)
 	if vEval.Grad != nil {
@@ -328,7 +328,7 @@ func TestStudentBlockResidualShapes(t *testing.T) {
 	if b.Proj == nil {
 		t.Fatal("channel/stride change requires projection skip")
 	}
-	fc := NewForwardCtx(false)
+	fc := NewForwardCtxWS(false, nil)
 	x := fc.Tape.Constant(tensor.Full(0.1, 4, 8, 8))
 	y := b.Forward(fc, x)
 	if y.Value.Dim(0) != 8 || y.Value.Dim(1) != 4 || y.Value.Dim(2) != 4 {

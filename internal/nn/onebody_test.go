@@ -14,7 +14,7 @@ import (
 
 // Every gradient-free pass is the one body of the network with activations
 // handed back as it goes: Infer, Prefix + InferFrom and InferBatch must equal
-// Forward on a workspace-free tape — where nothing is ever recycled — bit for
+// a whole ForwardFrom pass on a workspace-free tape — where nothing is ever recycled — bit for
 // bit, frame after frame, with Distiller.Train steps on the same student in
 // between (training passes, metric passes and the prefix share the pools the
 // inference leases come from). A value freed while an op still reads it is
@@ -35,12 +35,16 @@ func TestGradientFreePassesMatchForwardBitwise(t *testing.T) {
 			s := nn.NewStudent(nn.DefaultStudentConfig(), rand.New(rand.NewSource(11)))
 			s.SetBackend(b.bk)
 			dist := core.NewDistiller(cfg, s)
+			// With nothing frozen the prefix is empty: bare's Prefix is the
+			// image boundary a whole pass of s starts from.
+			bare := s.Clone()
+			bare.SetPartial(false)
 			forward := func(img *tensor.Tensor) *tensor.Tensor {
-				fc := nn.NewForwardCtx(false)
+				fc := nn.NewForwardCtxWS(false, nil)
 				if b.bk != nil {
 					fc = nn.NewForwardCtxWS(false, tensor.NewWorkspaceOn(tensor.NewPool()).SetBackend(b.bk))
 				}
-				return s.Forward(fc, img).Value
+				return s.ForwardFrom(fc, bare.Prefix(img)).Value
 			}
 			gen, err := video.NewGenerator(video.CategoryConfig(video.Category{Camera: video.Moving, Scenery: video.Street}, 13))
 			if err != nil {

@@ -179,16 +179,11 @@ func (ps *ParamSet) ApplyValues(src *ParamSet) {
 	}
 }
 
-// OptimParams pairs trainable parameters with gradients pulled from their
-// tape variables, suitable for optim.Optimizer.Step. vars maps name →
-// tape variable of the current forward pass.
-func (ps *ParamSet) OptimParams(vars map[string]*autodiff.Variable) []optim.Param {
-	return ps.AppendOptimParams(make([]optim.Param, 0, len(ps.params)), vars)
-}
-
-// AppendOptimParams is OptimParams appending into dst (typically a reused
-// buffer sliced to zero length), so steady-state training steps build the
-// parameter list without allocating.
+// AppendOptimParams appends to dst the trainable parameters paired with
+// gradients pulled from their tape variables, suitable for
+// optim.Optimizer.Step; vars maps name → tape variable of the current
+// forward pass. dst is typically a reused buffer sliced to zero length, so
+// steady-state training steps build the parameter list without allocating.
 func (ps *ParamSet) AppendOptimParams(dst []optim.Param, vars map[string]*autodiff.Variable) []optim.Param {
 	for _, p := range ps.params {
 		if p.Frozen {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/loss"
 	"repro/internal/tensor"
 )
 
@@ -77,8 +76,8 @@ func TestForwardFromPrefixMatchesForward(t *testing.T) {
 				whole := split.Clone()
 
 				fcW := NewForwardCtxWS(true, tensor.NewWorkspace().SetBackend(bk))
-				outW := whole.Forward(fcW, img)
-				_, grad := loss.SoftmaxCrossEntropy(outW.Value, label, nil)
+				outW := whole.ForwardFrom(fcW, whole.input(img))
+				_, grad := crossEntropy(outW.Value, label, nil)
 				ranW := fcW.Tape.Backward(outW, grad)
 
 				acts := split.Prefix(img)
@@ -126,8 +125,8 @@ func TestFrozenBatchNormIsPure(t *testing.T) {
 	s, img, _ := prefixFixture(72)
 	s.SetPartial(true)
 	before := s.Params.Clone()
-	train := NewForwardCtx(true)
-	outTrain := s.Forward(train, img)
+	train := NewForwardCtxWS(true, nil)
+	outTrain := s.ForwardFrom(train, s.input(img))
 	moved := map[string]bool{}
 	for _, p := range s.Params.All() {
 		if !sameBits(p.Value, before.Get(p.Name).Value) {
@@ -149,7 +148,7 @@ func TestFrozenBatchNormIsPure(t *testing.T) {
 	// is SB5's output.
 	s.Params.CopyValuesFrom(before)
 	a := s.Prefix(img)
-	p := s.run(NewForwardCtx(true), s.input(img), a.depth)
+	p := s.run(NewForwardCtxWS(true, nil), s.input(img), a.depth)
 	if !sameBits(p.x.Value, a.x) || !sameBits(p.f1.Value, a.f1) || !sameBits(p.f2.Value, a.f2) {
 		t.Fatal("frozen stages computed differently in a training pass")
 	}
@@ -186,7 +185,7 @@ func TestPrefixSurvivesSuffixResets(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		train.Reset(true)
 		out := s.ForwardFrom(train, acts)
-		_, grad := loss.SoftmaxCrossEntropy(out.Value, label, nil)
+		_, grad := crossEntropy(out.Value, label, nil)
 		train.Tape.Backward(out, grad)
 		poison(train.Tape.Workspace())
 		poison(s.inferCtx.Tape.Workspace())

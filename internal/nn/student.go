@@ -220,18 +220,12 @@ func (s *Student) frozenDepth() int {
 	return len(stageNames)
 }
 
-// Forward runs the network on a CHW image (values in [0,1]) and returns the
-// logits variable [NumClasses, H, W]. Input spatial dimensions must be
-// multiples of 8.
-func (s *Student) Forward(fc *ForwardCtx, img *tensor.Tensor) *autodiff.Variable {
-	return s.ForwardFrom(fc, s.input(img))
-}
-
-// ForwardFrom is Forward started at the boundary a holds: the activations
-// enter fc's tape as constants and only the remaining stages run. After
-// Prefix, those are exactly the stages with something left to train, and
-// the logits, the gradients and the backward closures recorded are those of
-// Forward on the same image.
+// ForwardFrom runs the network on fc's tape from the boundary a holds —
+// Prefix's, or the image's — and returns the logits variable [NumClasses,
+// H, W]: the activations enter the tape as constants and only the remaining
+// stages run. After Prefix, those are exactly the stages with something
+// left to train, and the logits, the gradients and the backward closures
+// recorded are those of a whole pass on the same image.
 func (s *Student) ForwardFrom(fc *ForwardCtx, a Activations) *autodiff.Variable {
 	return s.run(fc, a, len(stageNames)).x
 }

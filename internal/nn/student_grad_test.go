@@ -21,6 +21,12 @@ func microStudent(seed int64) *Student {
 	return NewStudent(cfg, rand.New(rand.NewSource(seed)))
 }
 
+// crossEntropy is loss.SoftmaxCrossEntropyInto into a fresh gradient tensor.
+func crossEntropy(logits *tensor.Tensor, label []int32, weights []float32) (float64, *tensor.Tensor) {
+	grad := tensor.New(logits.Shape()...)
+	return loss.SoftmaxCrossEntropyInto(grad, logits, label, weights), grad
+}
+
 // End-to-end gradient check: analytic gradients through the whole student
 // (BN in training mode, conv, concat, upsample, residual) against finite
 // differences of the real distillation loss.
@@ -43,8 +49,8 @@ func checkStudentEndToEndGradient(t *testing.T, bk tensor.Backend) {
 
 	lossOf := func() float64 {
 		fc := gradCtx(bk)
-		out := s.Forward(fc, img)
-		l, _ := loss.SoftmaxCrossEntropy(out.Value, label, nil)
+		out := s.ForwardFrom(fc, s.input(img))
+		l, _ := crossEntropy(out.Value, label, nil)
 		return l
 	}
 
@@ -54,8 +60,8 @@ func checkStudentEndToEndGradient(t *testing.T, bk tensor.Backend) {
 	restore := func() { s.Params.CopyValuesFrom(snapshot) }
 
 	fc := gradCtx(bk)
-	out := s.Forward(fc, img)
-	_, grad := loss.SoftmaxCrossEntropy(out.Value, label, nil)
+	out := s.ForwardFrom(fc, s.input(img))
+	_, grad := crossEntropy(out.Value, label, nil)
 	fc.Tape.Backward(out, grad)
 	restore()
 
@@ -102,8 +108,8 @@ func checkStudentPartialBackwardPrunes(t *testing.T, bk tensor.Backend) {
 	label := make([]int32, 64)
 
 	fc := gradCtx(bk)
-	out := s.Forward(fc, img)
-	_, grad := loss.SoftmaxCrossEntropy(out.Value, label, nil)
+	out := s.ForwardFrom(fc, s.input(img))
+	_, grad := crossEntropy(out.Value, label, nil)
 	ran := fc.Tape.Backward(out, grad)
 	if ran == 0 {
 		t.Fatal("backward ran no closures")
@@ -122,8 +128,8 @@ func checkStudentPartialBackwardPrunes(t *testing.T, bk tensor.Backend) {
 	s2 := microStudent(62)
 	s2.SetPartial(false)
 	fc2 := gradCtx(bk)
-	out2 := s2.Forward(fc2, img)
-	_, grad2 := loss.SoftmaxCrossEntropy(out2.Value, label, nil)
+	out2 := s2.ForwardFrom(fc2, s2.input(img))
+	_, grad2 := crossEntropy(out2.Value, label, nil)
 	ranFull := fc2.Tape.Backward(out2, grad2)
 	if ranFull <= ran {
 		t.Fatalf("full backward (%d closures) must exceed partial (%d)", ranFull, ran)

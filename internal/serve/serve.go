@@ -69,11 +69,11 @@ type Options struct {
 	JournalDepth int
 	// EnvelopeCodec names the compress codec (ByName form, e.g.
 	// "delta+int8") for MsgStudentFull checkpoints, at handshake and on a
-	// resume's full-resend fallback: a non-empty value encodes them relative
-	// to Base, with the named codec (its inner, for a "delta+" name)
-	// carrying what training moved, for clients whose Hello or Resume
-	// carries Base's hash. Everyone else, and every client when it is
-	// empty, gets absolute checkpoints.
+	// resume's full-resend fallback. A client whose Hello or Resume carries
+	// Base's hash gets them relative to Base, with the named codec (its
+	// inner, for a "delta+" name) carrying what training moved; empty means
+	// raw, which keeps them bit-exact and still relative. Everyone else gets
+	// absolute checkpoints.
 	EnvelopeCodec string
 	// LinkPolicy, when non-empty, names the link policy (core.PolicyByName
 	// form: "adaptive", or "static:<codec>" to pin one diff codec) each
@@ -106,7 +106,7 @@ type Options struct {
 type Manager struct {
 	opts    Options
 	batcher *teacher.Batcher
-	ck      *core.CheckpointCodec // base-relative checkpoint codec (nil = always absolute)
+	ck      *core.CheckpointCodec // relative to Base for clients that hold it; a delta envelope codec gives its inner
 	slots   chan struct{}
 	quit    chan struct{}
 	once    sync.Once
@@ -160,16 +160,10 @@ func NewManager(opts Options) (*Manager, error) {
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown envelope codec %q", opts.EnvelopeCodec)
 	}
-	var ck *core.CheckpointCodec
-	if opts.EnvelopeCodec != "" {
-		// Checkpoints to clients holding the base are relative to it; a
-		// non-delta envelope codec becomes the delta's inner.
-		ck = &core.CheckpointCodec{Base: opts.Base.Params, Codec: compress.Inner(c)}
-	}
 	m := &Manager{
 		opts:    opts,
 		batcher: b,
-		ck:      ck,
+		ck:      &core.CheckpointCodec{Base: opts.Base.Params, Codec: compress.Inner(c)},
 		slots:   make(chan struct{}, opts.MaxSessions),
 		quit:    make(chan struct{}),
 		active:  map[uint64]*session{},

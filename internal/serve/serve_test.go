@@ -272,3 +272,77 @@ func TestManagerOverTCP(t *testing.T) {
 		t.Fatalf("served %d, want %d", st.SessionsServed, clients)
 	}
 }
+
+// noGoodbye drops the client's Shutdown, so closing the conn parks the
+// session and its View can be read.
+type noGoodbye struct{ transport.Conn }
+
+func (c noGoodbye) Send(m transport.Message) error {
+	if m.Type == transport.MsgShutdown {
+		return nil
+	}
+	return c.Conn.Send(m)
+}
+
+// A client with no Base advertises the student its Run starts with. Handed
+// a clone of the server's base, it gets a relative checkpoint — raw, since
+// EnvelopeCodec is empty — of a few bytes a tensor; handed anything else,
+// an absolute one. Either way it ends holding the server's student and
+// View bit for bit. The student is the default one, whose tensors are large
+// beside the per-tensor headers a relative checkpoint is made of.
+func TestHelloCheckpointRelativeToHeldStudent(t *testing.T) {
+	student := func(seed int64) *nn.Student {
+		return nn.NewStudent(nn.DefaultStudentConfig(), rand.New(rand.NewSource(seed)))
+	}
+	base := student(41)
+	size := int64(nn.EncodedSize(base.Params.All()))
+	absolute, err := (&core.CheckpointCodec{Base: base.Params}).EncodeFor(0, base.Params.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		student  *nn.Student
+		relative bool
+	}{
+		{"clone of base", base.Clone(), true},
+		{"other seed", student(42), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := NewManager(Options{Cfg: core.DefaultConfig(), Base: base, Teacher: teacher.NewOracle(7), MaxSessions: 1, EnvelopeCodec: "", Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { m.Close() })
+			clientConn, serverConn := transport.Pipe(4, nil)
+			errs := make(chan error, 1)
+			go func() {
+				defer serverConn.Close()
+				errs <- m.Handle(serverConn)
+			}()
+			cl := &core.Client{Cfg: core.DefaultConfig(), Student: tc.student}
+			if err := cl.Run(noGoodbye{clientConn}, nil, 0); err != nil { // the handshake alone
+				t.Fatal(err)
+			}
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+
+			got := m.Stats().CheckpointBytes
+			t.Logf("checkpoint %d bytes; parameters %d, absolute checkpoint %d", got, size, len(absolute))
+			if tc.relative && got*100 >= size {
+				t.Fatalf("checkpoint to a client holding the base is %d bytes, not under 1%% of %d", got, size)
+			}
+			if !tc.relative && got != int64(len(absolute)) {
+				t.Fatalf("checkpoint to a client holding another student is %d bytes, the absolute one %d", got, len(absolute))
+			}
+			srv := parkedSession(t, m, cl.Result.SessionID).srv
+			if nn.HashParams(cl.Student.Params.All()) != nn.HashParams(srv.Distiller.Student.Params.All()) {
+				t.Fatal("client's student differs from the server's")
+			}
+			if nn.HashParams(nn.TrainableSubset(cl.Student.Params)) != nn.HashParams(srv.View.All()) {
+				t.Fatal("client's trainable subset differs from the server's View")
+			}
+		})
+	}
+}
