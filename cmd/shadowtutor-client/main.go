@@ -45,7 +45,7 @@ func main() {
 		reconnect = flag.Bool("reconnect", true, "survive connection drops: redial with backoff and resume the session")
 		backoff   = flag.Duration("reconnect-backoff", 100*time.Millisecond, "initial redial backoff (doubles per attempt, capped at 1s)")
 		attempts  = flag.Int("reconnect-attempts", 8, "redial attempts per outage or shed admission before giving up")
-		deltaCk   = flag.Bool("delta-checkpoints", false, "pre-train the shared base locally and send its hash, for base-relative checkpoints (the server sends absolute ones when its base differs)")
+		deltaCk   = flag.Bool("delta-checkpoints", false, "load the shared pre-trained base locally and send its hash, for base-relative checkpoints (the server sends absolute ones when its base differs)")
 		lossModel = flag.String("loss-model", "", "simulate packet loss on the uplink (netsim spec, e.g. \"uniform:0.02\"; empty = plain byte stream). Must match the server's packet framing (-loss-model there)")
 		fec       = flag.Int("fec", 0, "XOR-parity FEC group size for the packet layer (0 = no FEC)")
 		reorder   = flag.Float64("reorder", 0, "per-packet reorder probability for the packet layer")
@@ -102,13 +102,13 @@ func main() {
 		client.EvalTeacher = teacher.NewOracle(1)
 	}
 	if *deltaCk {
-		// The pre-training recipe is deterministic, so a client that runs it
-		// with the server's settings holds a bit-identical base; the Hello
-		// base-hash check downgrades to absolute checkpoints when it doesn't.
-		log.Printf("pre-training shared base for delta checkpoints…")
+		// Every host decodes the same embedded base unless it overrides the
+		// pre-training steps; the Hello base-hash check downgrades to
+		// absolute checkpoints when the client's and the server's differ.
+		log.Printf("loading shared base for delta checkpoints…")
 		base, err := experiments.FreshStudentFor(client.Cfg)
 		if err != nil {
-			log.Fatalf("pre-training failed: %v", err)
+			log.Fatalf("pre-trained base: %v", err)
 		}
 		client.Base = base.Params
 	}

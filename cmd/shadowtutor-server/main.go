@@ -1,5 +1,5 @@
 // Command shadowtutor-server runs the multi-session ShadowTutor server over
-// TCP: it pre-trains (or loads) a student, then serves any number of
+// TCP: it loads the pre-trained student, then serves any number of
 // concurrent clients (Algorithm 3 per session), giving each its own
 // distiller over a private student clone while batching every session's key
 // frames through one shared teacher (internal/serve).
@@ -39,7 +39,7 @@ func main() {
 		bandwidth   = flag.Float64("bandwidth", 0, "throttle link to this many Mbps (0 = unlimited)")
 		threshold   = flag.Float64("threshold", 0.8, "student metric THRESHOLD")
 		maxUpd      = flag.Int("max-updates", 8, "MAX_UPDATES per key frame")
-		pretrain    = flag.Int("pretrain", 0, "override pre-training steps (0 = default)")
+		pretrain    = flag.Int("pretrain", 0, "override pre-training steps and train the student at start (0 = load the embedded default)")
 		shards      = flag.Int("shards", 1, "shard workers in the serving fabric (1 = single session manager)")
 		maxSessions = flag.Int("max-sessions", 64, "concurrent client session cap (per shard when -shards > 1)")
 		resumeTTL   = flag.Duration("resume-ttl", 2*time.Minute, "how long a disconnected session stays resumable")
@@ -83,10 +83,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	log.Printf("pre-training student (one-time cost)…")
+	log.Printf("loading pre-trained student…")
 	student, err := experiments.FreshStudentFor(cfg)
 	if err != nil {
-		log.Fatalf("pre-training failed: %v", err)
+		log.Fatalf("pre-trained student: %v", err)
 	}
 	log.Printf("student ready: %d params, %.1f%% trainable",
 		student.Params.NumParams(), student.Params.TrainableFraction()*100)

@@ -51,8 +51,8 @@
 // base instead of absolute: -envelope-codec names a compress codec
 // ("delta+int8" is the deployment choice; "delta+raw", like the empty
 // default, is bit-exact), and
-// clients opt in with -delta-checkpoints, which pre-trains the same
-// deterministic base locally and sends its hash in the Hello (mismatched
+// clients opt in with -delta-checkpoints, which loads the same embedded
+// base locally and sends its hash in the Hello (mismatched
 // bases get absolute checkpoints, as do clients that never opt in):
 //
 //	go run ./cmd/shadowtutor-server -shards 4 -envelope-codec delta+int8

@@ -10,9 +10,9 @@ import (
 )
 
 func TestMain(m *testing.M) {
-	// Keep the one-time pre-training short for the test binary; the tests
-	// here validate plumbing and qualitative shapes, not paper-scale
-	// numbers (cmd/stbench produces those).
+	// Train a short 120-step student instead of loading the embedded
+	// default: the tests here validate plumbing and qualitative shapes, not
+	// paper-scale numbers (cmd/stbench produces those), and were tuned on it.
 	if os.Getenv("SHADOWTUTOR_PRETRAIN_STEPS") == "" {
 		os.Setenv("SHADOWTUTOR_PRETRAIN_STEPS", "120")
 	}

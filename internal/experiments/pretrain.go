@@ -5,9 +5,12 @@
 package experiments
 
 import (
+	"bytes"
+	_ "embed"
 	"fmt"
 	"math/rand"
 	"os"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -82,6 +85,12 @@ func Pretrain(cfg PretrainConfig) (*nn.Student, error) {
 	return student, nil
 }
 
+// pretrainedBin is Pretrain(DefaultPretrain()) on the avx2+fma kernels, in
+// nn.WriteNamed form; TestEmbeddedPretrainedCheckpoint pins and regenerates it.
+//
+//go:embed pretrained.bin
+var pretrainedBin []byte
+
 var (
 	pretrainOnce sync.Once
 	pretrained   *nn.Student
@@ -91,24 +100,52 @@ var (
 // SharedPretrained returns a process-wide pre-trained student checkpoint;
 // every experiment clones it, mirroring the paper's protocol ("Every
 // ShadowTutor experiment, whether partial or full distillation, begins from
-// the same pre-trained student checkpoint", §6). The first call trains it
-// (≈ 5 s on a 2-core x86 box); subsequent calls are free. Set SHADOWTUTOR_PRETRAIN_STEPS
-// to override the step budget (useful in -short test runs).
+// the same pre-trained student checkpoint", §6). The first call decodes the
+// embedded default in milliseconds, so every host holds the same base; a
+// positive SHADOWTUTOR_PRETRAIN_STEPS trains that many steps through Pretrain
+// instead, and any other value is an error. Subsequent calls are free.
 func SharedPretrained() (*nn.Student, error) {
 	pretrainOnce.Do(func() {
-		cfg := DefaultPretrain()
-		if s := os.Getenv("SHADOWTUTOR_PRETRAIN_STEPS"); s != "" {
-			var n int
-			if _, err := fmt.Sscanf(s, "%d", &n); err == nil && n > 0 {
-				cfg.Steps = n
-			}
+		cfg, err := pretrainConfig(os.Getenv("SHADOWTUTOR_PRETRAIN_STEPS"))
+		if err == nil && cfg == DefaultPretrain() {
+			pretrained, err = loadPretrained()
+		} else if err == nil {
+			pretrained, err = Pretrain(cfg)
 		}
-		pretrained, pretrainErr = Pretrain(cfg)
+		pretrainErr = err
 	})
 	if pretrainErr != nil {
 		return nil, pretrainErr
 	}
 	return pretrained.Clone(), nil
+}
+
+// pretrainConfig resolves a SHADOWTUTOR_PRETRAIN_STEPS value: empty means
+// DefaultPretrain, anything else must be a positive step count.
+func pretrainConfig(steps string) (PretrainConfig, error) {
+	cfg := DefaultPretrain()
+	if steps == "" {
+		return cfg, nil
+	}
+	n, err := strconv.Atoi(steps)
+	if err != nil || n <= 0 {
+		return cfg, fmt.Errorf("experiments: SHADOWTUTOR_PRETRAIN_STEPS=%q is not a positive integer", steps)
+	}
+	cfg.Steps = n
+	return cfg, nil
+}
+
+// loadPretrained decodes the embedded checkpoint onto a fresh student.
+func loadPretrained() (*nn.Student, error) {
+	s := nn.NewStudentForWire()
+	params, err := nn.ReadNamed(bytes.NewReader(pretrainedBin))
+	if err == nil {
+		err = nn.ApplyNamed(s.Params, params)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiments: embedded pretrained checkpoint: %w", err)
+	}
+	return s, nil
 }
 
 // FreshStudentFor clones the shared checkpoint and applies the distillation
