@@ -76,7 +76,7 @@ func BenchmarkTable2DistillStep(b *testing.B) {
 			}
 			b.StopTimer()
 			if dist.TotalSteps > 0 {
-				b.ReportMetric(float64(dist.TotalStepTime.Milliseconds())/float64(dist.TotalSteps), "ms/step")
+				b.ReportMetric(dist.TotalStepTime.Seconds()*1e3/float64(dist.TotalSteps), "ms/step")
 			}
 		})
 	}

@@ -6,8 +6,11 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/nn"
+	"repro/internal/teacher"
 	"repro/internal/tensor"
+	"repro/internal/video"
 )
 
 var update = flag.Bool("update", false, "rewrite pretrained.bin from Pretrain(DefaultPretrain()) (avx2+fma kernels only)")
@@ -61,6 +64,44 @@ func TestEmbeddedPretrainedCheckpoint(t *testing.T) {
 	if got := nn.HashParams(trained.Params.All()); got != pretrainedHash {
 		t.Fatalf("Pretrain(DefaultPretrain()) hashes %#x, the embedded checkpoint %#x: training numerics changed; regenerate with: %s",
 			got, pretrainedHash, regenerate)
+	}
+}
+
+// partialDistillHash is nn.HashParams of the student after
+// TestPartialDistillationBitsPinned's 40 key frames on the avx2+fma kernels.
+const partialDistillHash = 0x30f738dd21d34bad
+
+// TestPartialDistillationBitsPinned pins run-time partial distillation: the
+// embedded student under core.DefaultConfig, trained on 40 key frames of the
+// drone stream (one every 9th frame) against oracle labels. That run feeds
+// the loss logits whose gaps push exponentials outside the fast range, so a
+// kernel that changes any bit of the loss, the backward or the update fails
+// here before it can move a benchmark.
+func TestPartialDistillationBitsPinned(t *testing.T) {
+	if isa := tensor.VecKernelISA(); isa != "avx2+fma" || raceEnabled {
+		t.Skipf("pinned on avx2+fma kernels without the race detector (have %s, race %v)", isa, raceEnabled)
+	}
+	st, err := SharedPretrained()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := core.NewDistiller(core.DefaultConfig(), st)
+	vcfg, err := video.NamedVideo("drone", 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := video.NewGenerator(vcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tch := teacher.NewOracle(12)
+	for i := 0; i < 40; i++ {
+		frame := g.Next()
+		d.Train(frame, tch.Infer(frame))
+		g.Skip(8)
+	}
+	if got := nn.HashParams(st.Params.All()); got != partialDistillHash {
+		t.Fatalf("partial distillation hashes %#x, want %#x: training numerics changed", got, partialDistillHash)
 	}
 }
 

@@ -43,7 +43,7 @@ func (s *Suite) Table2() (*stats.Table, error) {
 		}
 		var perStep float64
 		if steps > 0 {
-			perStep = float64(wall.Milliseconds()) / float64(steps)
+			perStep = wall.Seconds() * 1e3 / float64(steps)
 		}
 		var mean float64
 		if keys > 0 {

@@ -7,6 +7,7 @@ package loss
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -53,9 +54,19 @@ func PixelWeightsInto(dst []float32, label []int32, h, w int) []float32 {
 	return wts
 }
 
-// maxStackClasses bounds the class count whose per-pixel softmax scratch
-// lives on the stack; wider logits allocate it per call.
-const maxStackClasses = 32
+// lossScratch is the float64 count of the chunk scratch
+// SoftmaxCrossEntropyInto hands tensor.SoftmaxXentInto; logits wider than
+// lossScratch/4 - 1 classes allocate a larger one per call.
+const lossScratch = 2048
+
+// xentScratch is SoftmaxCrossEntropyInto's pooled working memory: the
+// per-pixel label probabilities and the kernel's chunk scratch.
+type xentScratch struct {
+	q     []float64
+	chunk [lossScratch]float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(xentScratch) }}
 
 // SoftmaxCrossEntropyInto returns the weighted mean cross-entropy between
 // logits (CHW, C classes) and the integer label mask (len H*W), and writes
@@ -65,7 +76,15 @@ const maxStackClasses = 32
 //
 // The total weight every gradient is divided by, and the label range check,
 // are taken in a first pass, so each pixel's gradient is written once,
-// already scaled.
+// already scaled. tensor.SoftmaxXentInto then computes the softmax and the
+// gradient channel-major over chunks of pixels, and the loss sums
+// -w·log(p[label] + 1e-12) over pixels in ascending order.
+//
+// Numerics: the gradient and the loss are bit-identical to the scalar
+// two-pass form — per pixel a stable softmax in float64, math.Exp's
+// exponentials, the unscaled gradient rounded to float32 and then scaled by
+// float32(1/totalWeight) — on every kernel set (the test's
+// serialCrossEntropy is that form).
 func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, label []int32, weights []float32) float64 {
 	c, h, w := logits.Dim(0), logits.Dim(1), logits.Dim(2)
 	hw := h * w
@@ -94,40 +113,24 @@ func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, label []int32, weights
 	if totalWeight != 0 {
 		inv = float32(1 / totalWeight)
 	}
-	var stack [maxStackClasses]float64
-	probs := stack[:]
-	if c > maxStackClasses {
-		probs = make([]float64, c)
+	sc := scratchPool.Get().(*xentScratch)
+	defer scratchPool.Put(sc)
+	if cap(sc.q) < hw {
+		sc.q = make([]float64, hw)
 	}
-	probs = probs[:c]
+	q := sc.q[:hw]
+	chunk := sc.chunk[:]
+	if lossScratch/(c+1) < 4 {
+		chunk = make([]float64, 4*(c+1))
+	}
+	tensor.SoftmaxXentInto(grad.Data, q, logits.Data, hw, c, label, weights, inv, chunk)
 	var totalLoss float64
-	for p := 0; p < hw; p++ {
-		// stable softmax over channels at pixel p
-		m := float64(logits.Data[p])
-		for ch := 1; ch < c; ch++ {
-			if v := float64(logits.Data[ch*hw+p]); v > m {
-				m = v
-			}
-		}
-		var z float64
-		for ch := 0; ch < c; ch++ {
-			e := math.Exp(float64(logits.Data[ch*hw+p]) - m)
-			probs[ch] = e
-			z += e
-		}
+	for p, pl := range q {
 		wt := 1.0
 		if weights != nil {
 			wt = float64(weights[p])
 		}
-		lbl := int(label[p])
-		totalLoss += -wt * math.Log(probs[lbl]/z+1e-12)
-		for ch := 0; ch < c; ch++ {
-			g := probs[ch] / z
-			if ch == lbl {
-				g -= 1
-			}
-			grad.Data[ch*hw+p] = float32(wt*g) * inv
-		}
+		totalLoss += -wt * math.Log(pl+1e-12)
 	}
 	if totalWeight == 0 {
 		return 0

@@ -201,31 +201,35 @@ func serialCrossEntropy(grad, logits *tensor.Tensor, label []int32, weights []fl
 
 // The one-pass loss reproduces the two-pass reference bit for bit —
 // gradient and loss value — weighted and unweighted, into a destination
-// full of NaNs.
+// full of NaNs, on an odd pixel count. The ×400 logits open channel gaps
+// past 708, where exponentials leave math.Exp's fast path (to denormals
+// and zeros).
 func TestSoftmaxCrossEntropyMatchesTwoPassReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const c, h, w = 9, 37, 61
-	logits := tensor.New(c, h, w)
-	for i := range logits.Data {
-		logits.Data[i] = float32(rng.NormFloat64() * 4)
-	}
-	label := make([]int32, h*w)
-	for i := range label {
-		label[i] = int32(rng.Intn(c))
-	}
-	for _, weights := range [][]float32{nil, PixelWeightsInto(nil, label, h, w)} {
-		want := tensor.New(c, h, w)
-		wantLoss := serialCrossEntropy(want, logits, label, weights)
-		got := tensor.New(c, h, w)
-		got.Fill(float32(math.NaN()))
-		l := SoftmaxCrossEntropyInto(got, logits, label, weights)
-		for j, v := range got.Data {
-			if math.Float32bits(v) != math.Float32bits(want.Data[j]) {
-				t.Fatalf("grad[%d] = %v, two-pass reference %v", j, v, want.Data[j])
-			}
+	for _, scale := range []float64{4, 400} {
+		rng := rand.New(rand.NewSource(5))
+		const c, h, w = 9, 37, 61
+		logits := tensor.New(c, h, w)
+		for i := range logits.Data {
+			logits.Data[i] = float32(rng.NormFloat64() * scale)
 		}
-		if l != wantLoss {
-			t.Fatalf("loss %v, two-pass reference %v", l, wantLoss)
+		label := make([]int32, h*w)
+		for i := range label {
+			label[i] = int32(rng.Intn(c))
+		}
+		for _, weights := range [][]float32{nil, PixelWeightsInto(nil, label, h, w)} {
+			want := tensor.New(c, h, w)
+			wantLoss := serialCrossEntropy(want, logits, label, weights)
+			got := tensor.New(c, h, w)
+			got.Fill(float32(math.NaN()))
+			l := SoftmaxCrossEntropyInto(got, logits, label, weights)
+			for j, v := range got.Data {
+				if math.Float32bits(v) != math.Float32bits(want.Data[j]) {
+					t.Fatalf("scale %v: grad[%d] = %v, two-pass reference %v", scale, j, v, want.Data[j])
+				}
+			}
+			if l != wantLoss {
+				t.Fatalf("scale %v: loss %v, two-pass reference %v", scale, l, wantLoss)
+			}
 		}
 	}
 }
@@ -235,4 +239,24 @@ func abs(x int) int {
 		return -x
 	}
 	return x
+}
+
+// BenchmarkSoftmaxCrossEntropy times the distillation loss on the student's
+// output shape: 9 classes over a 96x64 frame, weighted.
+func BenchmarkSoftmaxCrossEntropy(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	const c, h, w = 9, 64, 96
+	logits, grad := tensor.New(c, h, w), tensor.New(c, h, w)
+	for i := range logits.Data {
+		logits.Data[i] = float32(rng.NormFloat64() * 4)
+	}
+	label := make([]int32, h*w)
+	for i := range label {
+		label[i] = int32(rng.Intn(c))
+	}
+	weights := PixelWeightsInto(nil, label, h, w)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		SoftmaxCrossEntropyInto(grad, logits, label, weights)
+	}
 }

@@ -7,7 +7,10 @@ package tensor
 // unrolled Go kernels, so the backend works (and is parity-tested)
 // everywhere amd64 or not.
 
-import "os"
+import (
+	"math"
+	"os"
+)
 
 //go:noescape
 func cpuidAsm(op, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -20,6 +23,9 @@ func dot4AVX(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32)
 
 //go:noescape
 func dotAVX(a, b []float32) float32
+
+//go:noescape
+func dot3x4AVX(c []float32, ldc int, a, b []float32, k int)
 
 //go:noescape
 func axpy4AVX(dst []float32, a0, a1, a2, a3 float32, x0, x1, x2, x3 []float32)
@@ -36,15 +42,28 @@ func packTile4x24AVX(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, loa
 //go:noescape
 func reluAVX(d []float32)
 
+//go:noescape
+func expAVX(dst, src []float64) int
+
+//go:noescape
+func maxShiftAVX(e, m []float64, l []float32, ld, c int)
+
+//go:noescape
+func xentGradAVX(grad []float32, q, e, z []float64, ld int, label []int32, weights []float32, inv float32)
+
 func init() {
 	if !detectAVX() || os.Getenv("SHADOWTUTOR_NOAVX") != "" {
 		return
 	}
 	dot4f = dot4AVX
 	dot1f = dotAVX
+	dot3x4f = dot3x4AVX
 	axpy4f = axpy4AVX
 	saxpyf = saxpyAVX
 	reluf = reluAVX
+	expf = expVec
+	maxShiftf = maxShiftAVX
+	xentGradf = xentGradAVX
 	packTilef = packTile4x16AVX
 	packTile24f = packTile4x24AVX
 	packMicroOK = true
@@ -71,4 +90,21 @@ func detectAVX() bool {
 	_, ebx7, _, _ := cpuidAsm(7, 0)
 	const avx2Bit = 1 << 5
 	return ebx7&avx2Bit != 0
+}
+
+// expVec is ExpInto on expAVX: the kernel runs until a four-lane block
+// leaves its fast range, math.Exp computes that block, and the kernel
+// resumes after it; math.Exp also takes the len%4 tail.
+func expVec(dst, src []float64) {
+	n4 := len(dst) &^ 3
+	for i := 0; ; i += 4 {
+		i += expAVX(dst[i:n4], src[i:n4])
+		if i >= n4 {
+			break
+		}
+		for j := i; j < i+4; j++ {
+			dst[j] = math.Exp(src[j])
+		}
+	}
+	expGo(dst[n4:], src[n4:])
 }

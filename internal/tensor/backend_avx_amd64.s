@@ -5,7 +5,10 @@
 // differ from the scalar kernels by the usual k-scaled handful of ulps
 // (FMA contraction plus lane-wise partial sums), which the parity suite's
 // tolerance covers. Callers guarantee len(dst)/len(a) ≤ len of every other
-// slice; only the first len elements are touched.
+// slice; only the first len elements are touched. The exceptions are exact:
+// dot3x4AVX equals dot4AVX row by row, and expAVX, maxShiftAVX and
+// xentGradAVX (softmax.go's kernels) equal math.Exp and their Go
+// counterparts bit for bit.
 
 #include "textflag.h"
 
@@ -663,5 +666,448 @@ saxpytail:
 	JMP  saxpytail
 
 saxpydone:
+	VZEROUPPER
+	RET
+
+// func dot3x4AVX(c []float32, ldc int, a, b []float32, k int)
+// Twelve dot products in one pass: rows a[0:k], a[k:2k], a[2k:3k] against
+// rows b[0:k] .. b[3k:4k], written to c[r*ldc+j]. Each of the twelve ymm
+// accumulators runs exactly dot4AVX's per-lane FMA chain, lane reduction
+// and scalar tail, so every result is bitwise what dot4AVX returns for the
+// same a row; the three a rows share each B load and the twelve chains
+// keep the FMA ports busy where dot4AVX's four leave them idle.
+TEXT ·dot3x4AVX(SB), NOSPLIT, $0-88
+	MOVQ c_base+0(FP), R12
+	MOVQ ldc+24(FP), R13
+	SHLQ $2, R13
+	MOVQ k+80(FP), CX
+	MOVQ CX, DX
+	SHLQ $2, DX
+	MOVQ a_base+32(FP), SI
+	LEAQ (SI)(DX*1), DI
+	LEAQ (DI)(DX*1), BX
+	MOVQ b_base+56(FP), R8
+	LEAQ (R8)(DX*1), R9
+	LEAQ (R9)(DX*1), R10
+	LEAQ (R10)(DX*1), R11
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-8, DX
+	JZ   d34reduce
+
+d34loop:
+	VMOVUPS (SI)(AX*4), Y12
+	VMOVUPS (DI)(AX*4), Y13
+	VMOVUPS (BX)(AX*4), Y14
+	VMOVUPS (R8)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y0
+	VFMADD231PS Y15, Y13, Y4
+	VFMADD231PS Y15, Y14, Y8
+	VMOVUPS (R9)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y1
+	VFMADD231PS Y15, Y13, Y5
+	VFMADD231PS Y15, Y14, Y9
+	VMOVUPS (R10)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y2
+	VFMADD231PS Y15, Y13, Y6
+	VFMADD231PS Y15, Y14, Y10
+	VMOVUPS (R11)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y3
+	VFMADD231PS Y15, Y13, Y7
+	VFMADD231PS Y15, Y14, Y11
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JLT  d34loop
+
+d34reduce:
+	// dot4AVX's reduction, accumulator by accumulator, before the tail.
+#define D34RED(Y, X) \
+	VEXTRACTF128 $1, Y, X12; \
+	VADDPS X12, X, X; \
+	VHADDPS X, X, X; \
+	VHADDPS X, X, X
+	D34RED(Y0, X0)
+	D34RED(Y1, X1)
+	D34RED(Y2, X2)
+	D34RED(Y3, X3)
+	D34RED(Y4, X4)
+	D34RED(Y5, X5)
+	D34RED(Y6, X6)
+	D34RED(Y7, X7)
+	D34RED(Y8, X8)
+	D34RED(Y9, X9)
+	D34RED(Y10, X10)
+	D34RED(Y11, X11)
+#undef D34RED
+
+d34tail:
+	CMPQ AX, CX
+	JGE  d34done
+	VMOVSS (SI)(AX*4), X12
+	VMOVSS (DI)(AX*4), X13
+	VMOVSS (BX)(AX*4), X14
+	VFMADD231SS (R8)(AX*4), X12, X0
+	VFMADD231SS (R9)(AX*4), X12, X1
+	VFMADD231SS (R10)(AX*4), X12, X2
+	VFMADD231SS (R11)(AX*4), X12, X3
+	VFMADD231SS (R8)(AX*4), X13, X4
+	VFMADD231SS (R9)(AX*4), X13, X5
+	VFMADD231SS (R10)(AX*4), X13, X6
+	VFMADD231SS (R11)(AX*4), X13, X7
+	VFMADD231SS (R8)(AX*4), X14, X8
+	VFMADD231SS (R9)(AX*4), X14, X9
+	VFMADD231SS (R10)(AX*4), X14, X10
+	VFMADD231SS (R11)(AX*4), X14, X11
+	INCQ AX
+	JMP  d34tail
+
+d34done:
+	VMOVSS X0, (R12)
+	VMOVSS X1, 4(R12)
+	VMOVSS X2, 8(R12)
+	VMOVSS X3, 12(R12)
+	ADDQ R13, R12
+	VMOVSS X4, (R12)
+	VMOVSS X5, 4(R12)
+	VMOVSS X6, 8(R12)
+	VMOVSS X7, 12(R12)
+	ADDQ R13, R12
+	VMOVSS X8, (R12)
+	VMOVSS X9, 4(R12)
+	VMOVSS X10, 8(R12)
+	VMOVSS X11, 12(R12)
+	VZEROUPPER
+	RET
+
+// The constants of expAVX, each replicated across the four lanes of a
+// ymm operand: math.Exp's FMA-path constants (math/exp_amd64.s, same
+// literals), the exponent bias, and the fast-path input range.
+#define EXPV(off, val) \
+	DATA expv<>+(off)(SB)/8, val; \
+	DATA expv<>+(off+8)(SB)/8, val; \
+	DATA expv<>+(off+16)(SB)/8, val; \
+	DATA expv<>+(off+24)(SB)/8, val
+EXPV(0, $1.4426950408889634073599246810018920)              // LOG2E
+EXPV(32, $0.69314718055966295651160180568695068359375)      // LN2U
+EXPV(64, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+EXPV(96, $0.0625)
+EXPV(128, $2.4801587301587301587e-5)
+EXPV(160, $1.9841269841269841270e-4)
+EXPV(192, $1.3888888888888888889e-3)
+EXPV(224, $8.3333333333333333333e-3)
+EXPV(256, $4.1666666666666666667e-2)
+EXPV(288, $1.6666666666666666667e-1)
+EXPV(320, $0.5)
+EXPV(352, $1.0)
+EXPV(384, $2.0)
+EXPV(416, $0x3FF)                                           // exponent bias
+EXPV(448, $-708.0)
+EXPV(480, $709.0)
+#undef EXPV
+GLOBL expv<>(SB), RODATA|NOPTR, $512
+
+// func expAVX(dst, src []float64) int
+// dst[i] = math.Exp(src[i]) four lanes at a time for the first len(dst)&^3
+// elements, by math.Exp's own FMA path (math/exp_amd64.s) instruction for
+// instruction: the LOG2E multiply and round to the exponent k, the
+// reduction x - k*LN2U - k*LN2L by two FNMADDs, the ×0.0625 scaling, the
+// degree-8 Horner FMA chain, four x·(x+2) squarings whose last adds the 1
+// by FMA, and 2^k shifted into an exponent field. Every lane therefore has
+// math.Exp's bits wherever math.Exp takes that path, which is exactly the
+// inputs in [-708, 709]. The kernel stops at the first four-lane block
+// holding an input outside that range (or a NaN), before writing it, and
+// returns that block's index — len(dst)&^3 when there is none — so the
+// caller computes the block with math.Exp and resumes after it. dst may
+// alias src.
+TEXT ·expAVX(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	ANDQ $-4, CX
+	VMOVUPD expv<>+448(SB), Y14
+	VMOVUPD expv<>+480(SB), Y15
+	XORQ AX, AX
+
+exploop:
+	CMPQ AX, CX
+	JGE  expdone
+	VMOVUPD (SI)(AX*8), Y0
+	VCMPPD $0x09, Y14, Y0, Y1 // NGE_US: x < -708 or NaN
+	VCMPPD $0x06, Y15, Y0, Y2 // NLE_US: x > 709 or NaN
+	VORPD  Y2, Y1, Y1
+	VMOVMSKPD Y1, DX
+	TESTL DX, DX
+	JNZ  expdone
+	VMULPD expv<>+0(SB), Y0, Y1
+	VCVTPD2DQY Y1, X2
+	VCVTDQ2PD X2, Y1
+	VFNMADD231PD expv<>+32(SB), Y1, Y0
+	VFNMADD231PD expv<>+64(SB), Y1, Y0
+	VMULPD expv<>+96(SB), Y0, Y0
+	VMOVUPD expv<>+128(SB), Y1
+	VFMADD213PD expv<>+160(SB), Y0, Y1
+	VFMADD213PD expv<>+192(SB), Y0, Y1
+	VFMADD213PD expv<>+224(SB), Y0, Y1
+	VFMADD213PD expv<>+256(SB), Y0, Y1
+	VFMADD213PD expv<>+288(SB), Y0, Y1
+	VFMADD213PD expv<>+320(SB), Y0, Y1
+	VFMADD213PD expv<>+352(SB), Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD expv<>+384(SB), Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD expv<>+384(SB), Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD expv<>+384(SB), Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD expv<>+384(SB), Y0, Y1
+	VFMADD213PD expv<>+352(SB), Y1, Y0
+	VPMOVSXDQ X2, Y3
+	VPADDQ expv<>+416(SB), Y3, Y3
+	VPSLLQ $52, Y3, Y3
+	VMULPD Y3, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  exploop
+
+expdone:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func maxShiftAVX(e, m []float64, l []float32, ld, c int)
+// The softmax shift of SoftmaxXentInto over n = len(m) columns of c
+// float32 rows l[ch*ld:]: m[j] is the channel maximum, taken as VMAXPD with
+// the new value as the first source — exactly `if v > m { m = v }`, NaN and
+// ±0 included — and e[ch*n+j] = float64(l[ch*ld+j]) - m[j]. Four columns
+// per step, scalar tail; every pass walks one row.
+TEXT ·maxShiftAVX(SB), NOSPLIT, $0-88
+	MOVQ e_base+0(FP), DI
+	MOVQ m_base+24(FP), SI
+	MOVQ m_len+32(FP), BX
+	MOVQ BX, CX
+	ANDQ $-4, CX
+	MOVQ l_base+48(FP), R8
+	MOVQ ld+72(FP), R9
+	SHLQ $2, R9
+	MOVQ c+80(FP), R10
+
+	// m = row 0.
+	XORQ AX, AX
+ms0:
+	CMPQ AX, CX
+	JGE  ms0tail
+	VCVTPS2PD (R8)(AX*4), Y0
+	VMOVUPD Y0, (SI)(AX*8)
+	ADDQ $4, AX
+	JMP  ms0
+ms0tail:
+	CMPQ AX, BX
+	JGE  ms1init
+	VCVTSS2SD (R8)(AX*4), X0, X0
+	VMOVSD X0, (SI)(AX*8)
+	INCQ AX
+	JMP  ms0tail
+
+	// m = max(row, m) for rows 1..c-1.
+ms1init:
+	MOVQ R8, R11
+	MOVQ $1, DX
+ms1row:
+	CMPQ DX, R10
+	JGE  ms2init
+	ADDQ R9, R11
+	XORQ AX, AX
+ms1:
+	CMPQ AX, CX
+	JGE  ms1tail
+	VCVTPS2PD (R11)(AX*4), Y0
+	VMAXPD (SI)(AX*8), Y0, Y1
+	VMOVUPD Y1, (SI)(AX*8)
+	ADDQ $4, AX
+	JMP  ms1
+ms1tail:
+	CMPQ AX, BX
+	JGE  ms1next
+	VCVTSS2SD (R11)(AX*4), X0, X0
+	VMAXSD (SI)(AX*8), X0, X1
+	VMOVSD X1, (SI)(AX*8)
+	INCQ AX
+	JMP  ms1tail
+ms1next:
+	INCQ DX
+	JMP  ms1row
+
+	// e row ch = row ch - m.
+ms2init:
+	MOVQ R8, R11
+	MOVQ DI, R12
+	MOVQ BX, R13
+	SHLQ $3, R13
+	XORQ DX, DX
+ms2row:
+	CMPQ DX, R10
+	JGE  msdone
+	XORQ AX, AX
+ms2:
+	CMPQ AX, CX
+	JGE  ms2tail
+	VCVTPS2PD (R11)(AX*4), Y0
+	VSUBPD (SI)(AX*8), Y0, Y0
+	VMOVUPD Y0, (R12)(AX*8)
+	ADDQ $4, AX
+	JMP  ms2
+ms2tail:
+	CMPQ AX, BX
+	JGE  ms2next
+	VCVTSS2SD (R11)(AX*4), X0, X0
+	VSUBSD (SI)(AX*8), X0, X0
+	VMOVSD X0, (R12)(AX*8)
+	INCQ AX
+	JMP  ms2tail
+ms2next:
+	ADDQ R9, R11
+	ADDQ R13, R12
+	INCQ DX
+	JMP  ms2row
+
+msdone:
+	VZEROUPPER
+	RET
+
+// func xentGradAVX(grad []float32, q, e, z []float64, ld int, label []int32, weights []float32, inv float32)
+// The gradient half of SoftmaxXentInto over n = len(z) columns of the c =
+// len(e)/n exponential rows e[ch*n:]: z[j] = 0 + e[0][j] + e[1][j] + ...,
+// then per row g = e/z, q[j] = g where label[j] == ch, g - 1 there, and
+// grad[ch*ld+j] = float32(w*g) * inv with w = weights[j] (1 when weights is
+// empty). The scalar xentGrad's operations in its order, four columns per
+// step; scalar tail.
+TEXT ·xentGradAVX(SB), NOSPLIT, $0-156
+	MOVQ grad_base+0(FP), R11
+	MOVQ q_base+24(FP), SI
+	MOVQ e_base+48(FP), R12
+	MOVQ z_base+72(FP), R13
+	MOVQ z_len+80(FP), BX
+	MOVQ e_len+56(FP), AX
+	XORQ DX, DX
+	DIVQ BX
+	MOVQ AX, R10                 // c
+	MOVQ BX, CX
+	ANDQ $-4, CX
+	MOVQ label_base+104(FP), R8
+	MOVQ weights_base+128(FP), R9
+	MOVQ weights_len+136(FP), AX
+	TESTQ AX, AX
+	JNZ  xgw
+	XORQ R9, R9
+xgw:
+	VBROADCASTSS inv+152(FP), X14
+	VBROADCASTSD expv<>+352(SB), Y13 // 1.0
+
+	// z = sum of the rows, ascending.
+	XORQ AX, AX
+xz:
+	CMPQ AX, CX
+	JGE  xztail
+	VXORPD Y0, Y0, Y0
+	LEAQ (R12)(AX*8), DI
+	MOVQ R10, DX
+xzrow:
+	VADDPD (DI), Y0, Y0
+	LEAQ (DI)(BX*8), DI
+	DECQ DX
+	JNZ  xzrow
+	VMOVUPD Y0, (R13)(AX*8)
+	ADDQ $4, AX
+	JMP  xz
+xztail:
+	CMPQ AX, BX
+	JGE  xginit
+	VXORPD X0, X0, X0
+	LEAQ (R12)(AX*8), DI
+	MOVQ R10, DX
+xztrow:
+	VADDSD (DI), X0, X0
+	LEAQ (DI)(BX*8), DI
+	DECQ DX
+	JNZ  xztrow
+	VMOVSD X0, (R13)(AX*8)
+	INCQ AX
+	JMP  xztail
+
+xginit:
+	XORQ DX, DX                  // ch
+	VPXOR X15, X15, X15          // ch in every int32 lane
+	VPCMPEQD X12, X12, X12       // -1 in every int32 lane
+xgrow:
+	CMPQ DX, R10
+	JGE  xgdone
+	XORQ AX, AX
+xg:
+	CMPQ AX, CX
+	JGE  xgtail
+	VMOVUPD (R12)(AX*8), Y0
+	VDIVPD (R13)(AX*8), Y0, Y0   // g = e / z
+	VMOVDQU (R8)(AX*4), X1
+	VPCMPEQD X15, X1, X1
+	VPMOVSXDQ X1, Y1             // label == ch
+	VMOVUPD (SI)(AX*8), Y2
+	VBLENDVPD Y1, Y0, Y2, Y2
+	VMOVUPD Y2, (SI)(AX*8)       // q = g there
+	VSUBPD Y13, Y0, Y2
+	VBLENDVPD Y1, Y2, Y0, Y0     // g - 1 there
+	VMOVAPD Y13, Y3
+	TESTQ R9, R9
+	JZ   xgw1
+	VCVTPS2PD (R9)(AX*4), Y3
+xgw1:
+	VMULPD Y0, Y3, Y0
+	VCVTPD2PSY Y0, X0
+	VMULPS X14, X0, X0
+	VMOVUPS X0, (R11)(AX*4)
+	ADDQ $4, AX
+	JMP  xg
+xgtail:
+	CMPQ AX, BX
+	JGE  xgnext
+	VMOVSD (R12)(AX*8), X0
+	VDIVSD (R13)(AX*8), X0, X0
+	MOVLQSX (R8)(AX*4), DI
+	CMPQ DI, DX
+	JNE  xgt1
+	VMOVSD X0, (SI)(AX*8)
+	VSUBSD X13, X0, X0
+xgt1:
+	VMOVAPD X13, X3
+	TESTQ R9, R9
+	JZ   xgt2
+	VCVTSS2SD (R9)(AX*4), X3, X3
+xgt2:
+	VMULSD X0, X3, X0
+	VCVTSD2SS X0, X0, X0
+	VMULSS X14, X0, X0
+	VMOVSS X0, (R11)(AX*4)
+	INCQ AX
+	JMP  xgtail
+xgnext:
+	MOVQ ld+96(FP), DI
+	LEAQ (R11)(DI*4), R11
+	LEAQ (R12)(BX*8), R12
+	INCQ DX
+	VPSUBD X12, X15, X15         // ch + 1
+	JMP  xgrow
+
+xgdone:
 	VZEROUPPER
 	RET

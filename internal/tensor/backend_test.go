@@ -348,9 +348,9 @@ func TestVecPortableKernelParity(t *testing.T) {
 	if VecKernelISA() == "portable" {
 		t.Skip("vec backend already on portable kernels; the main suite covers them")
 	}
-	d4, d1, a4, s1 := dot4f, dot1f, axpy4f, saxpyf
-	dot4f, dot1f, axpy4f, saxpyf = dot4, sdot, axpy4, saxpy
-	defer func() { dot4f, dot1f, axpy4f, saxpyf = d4, d1, a4, s1 }()
+	d4, d1, d34, a4, s1 := dot4f, dot1f, dot3x4f, axpy4f, saxpyf
+	dot4f, dot1f, dot3x4f, axpy4f, saxpyf = dot4, sdot, dot3x4, axpy4, saxpy
+	defer func() { dot4f, dot1f, dot3x4f, axpy4f, saxpyf = d4, d1, d34, a4, s1 }()
 
 	ref, vec := Reference, vecBackend{}
 	rng := rand.New(rand.NewSource(5003))
@@ -364,4 +364,50 @@ func TestVecPortableKernelParity(t *testing.T) {
 	want := Conv2DWS(NewWorkspace().SetBackend(ref), x, w, nil, Spec(3, 3))
 	got := Conv2DWS(NewWorkspace().SetBackend(vec), x, w, nil, Spec(3, 3))
 	assertParity(t, "portable conv", got.Data, want.Data, parityTol(27, xmax, wmax))
+}
+
+// rowwiseGemmDot is vecGemmDot one a row at a time: dot4f over column
+// quads, dot1f over the rest — the per-row computation every element of
+// the three-row path must reproduce.
+func rowwiseGemmDot(cd, ad, bd []float32, m, n, k int) {
+	for i := 0; i < m; i++ {
+		arow := ad[i*k : (i+1)*k]
+		j := 0
+		for ; j+3 < n; j += 4 {
+			cd[i*n+j], cd[i*n+j+1], cd[i*n+j+2], cd[i*n+j+3] = dot4f(arow,
+				bd[j*k:(j+1)*k], bd[(j+1)*k:(j+2)*k], bd[(j+2)*k:(j+3)*k], bd[(j+3)*k:(j+4)*k])
+		}
+		for ; j < n; j++ {
+			cd[i*n+j] = dot1f(arow, bd[j*k:(j+1)*k])
+		}
+	}
+}
+
+// TestGemmDotThreeRowBitwise pins vecGemmDot's three-row blocking to the
+// row-at-a-time dot kernels bitwise, on the selected kernels and on the
+// portable ones, across row counts with leftovers, column counts past a
+// gemmJB tile and reductions with every k%8 tail.
+func TestGemmDotThreeRowBitwise(t *testing.T) {
+	run := func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5011))
+		for _, d := range [][3]int{{3, 4, 8}, {1, 5, 3}, {4, 7, 9}, {5, 67, 13}, {9, 16, 70}, {16, 144, 61}, {24, 130, 96}} {
+			m, n, k := d[0], d[1], d[2]
+			a, b := make([]float32, m*k), make([]float32, n*k)
+			fillRand(rng, a)
+			fillRand(rng, b)
+			got, want := make([]float32, m*n), make([]float32, m*n)
+			vecGemmDot(got, a, b, m, n, k)
+			rowwiseGemmDot(want, a, b, m, n, k)
+			if !bitwiseEqual(got, want) {
+				t.Fatalf("m=%d n=%d k=%d: three-row dot GEMM differs from the row-wise kernels", m, n, k)
+			}
+		}
+	}
+	t.Run(VecKernelISA(), run)
+	if VecKernelISA() != "portable" {
+		d4, d1, d34 := dot4f, dot1f, dot3x4f
+		dot4f, dot1f, dot3x4f = dot4, sdot, dot3x4
+		defer func() { dot4f, dot1f, dot3x4f = d4, d1, d34 }()
+		t.Run("portable", run)
+	}
 }

@@ -1,12 +1,14 @@
 package tensor
 
-// vecBackend is the register-blocked CPU backend: the same cache blocking
-// as the reference kernels, but with the inner loops unrolled 4x so the
+import "math"
+
+// vecBackend is the register-blocked CPU backend: the same cache blocking as
+// the reference kernels, but with the inner loops unrolled 4x so the
 // compiler keeps four independent FMA chains in flight instead of one
-// latency-bound accumulator, and the convolution forward (batch.go) on a
-// packed-panel micro-kernel. All slices are re-sliced to a common length
-// before the hot loops, which lets the compiler prove every index in range
-// and drop the bounds checks.
+// latency-bound accumulator, and the convolution forward (batch.go) and the
+// backward's input gradient on a packed-panel micro-kernel. All slices are
+// re-sliced to a common length before the hot loops, which lets the compiler
+// prove every index in range and drop the bounds checks.
 //
 // Numerics: each output element is accumulated in a fixed order, so the
 // backend is run-to-run deterministic. The order differs from the reference
@@ -25,9 +27,13 @@ func (vecBackend) Name() string { return "vec" }
 var (
 	dot4f        = dot4
 	dot1f        = sdot
+	dot3x4f      = dot3x4
 	axpy4f       = axpy4
 	saxpyf       = saxpy
 	reluf        = reluGo
+	expf         = expGo
+	maxShiftf    = maxShift
+	xentGradf    = xentGrad
 	vecKernelISA = "portable"
 
 	// packTilef and packTile24f are the register-blocked packed-panel GEMM
@@ -53,6 +59,23 @@ func reluGo(d []float32) {
 		if v < 0 {
 			d[i] = 0
 		}
+	}
+}
+
+// ExpInto writes math.Exp(src[i]) into dst[i] for every i < len(dst); src
+// must be at least as long, and dst may alias it. The results are
+// math.Exp's bit for bit on either kernel set: the AVX2+FMA kernel runs
+// math.Exp's own FMA path four lanes at a time (math.Exp takes that path on
+// every CPU the kernel is selected on), and a four-lane block holding an
+// input outside [-708, 709] — where math.Exp leaves that path for its
+// underflow, overflow and special-value handling — goes through math.Exp
+// itself.
+func ExpInto(dst, src []float64) { expf(dst, src[:len(dst)]) }
+
+// expGo is the portable ExpInto kernel.
+func expGo(dst, src []float64) {
+	for i, x := range src {
+		dst[i] = math.Exp(x)
 	}
 }
 
@@ -89,8 +112,9 @@ func axpy4(dst []float32, a0, a1, a2, a3 float32, x0, x1, x2, x3 []float32) {
 // dot4 computes four dot products of a against b0..b3 in one pass over a,
 // with the reduction additionally unrolled 2x (eight live accumulators).
 // A single sdot chain stalls on add latency every element; eight
-// independent chains keep the FPU pipeline full, which is the main source
-// of the vec backend's speedup on the dot-dominated conv forward.
+// independent chains keep the FPU pipeline full. The NT GEMM (vecGemmDot:
+// the conv backward's weight gradient and MatMulABTInto) runs on it, three
+// a rows at a time through dot3x4f.
 func dot4(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 	n := len(a)
 	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
@@ -162,15 +186,42 @@ func vecGemmAxpy(cd, ad, bd []float32, m, n, k, ars, acs int, accumulate bool) {
 	}
 }
 
-// vecGemmDot mirrors gemmDot's b-row tiling with the j loop unrolled 4x
-// through dot4, so each pass over a's row feeds four output columns.
+// dot3x4 is the portable form of dot3x4AVX: c[r*ldc+j] is the dot product
+// of a's row r against b's row j (r < 3, j < 4, both row strides k), each
+// row through dot4 exactly as vecGemmDot's single-row loop computes it.
+func dot3x4(c []float32, ldc int, a, b []float32, k int) {
+	b0, b1, b2, b3 := b[:k], b[k:2*k], b[2*k:3*k], b[3*k:4*k]
+	for r := 0; r < 3; r++ {
+		o := r * ldc
+		c[o], c[o+1], c[o+2], c[o+3] = dot4(a[r*k:(r+1)*k], b0, b1, b2, b3)
+	}
+}
+
+// vecGemmDot mirrors gemmDot's b-row tiling with the j loop unrolled 4x,
+// so each pass over the b rows feeds four output columns. Rows of a go
+// three at a time through dot3x4f — twelve accumulators sharing every b
+// load — and the leftover rows through dot4f; each element's value is the
+// same on either path.
 func vecGemmDot(cd, ad, bd []float32, m, n, k int) {
 	for jb := 0; jb < n; jb += gemmJB {
 		je := jb + gemmJB
 		if je > n {
 			je = n
 		}
-		for i := 0; i < m; i++ {
+		i := 0
+		for ; i+2 < m; i += 3 {
+			j := jb
+			for ; j+3 < je; j += 4 {
+				dot3x4f(cd[i*n+j:], n, ad[i*k:(i+3)*k], bd[j*k:(j+4)*k], k)
+			}
+			for ; j < je; j++ {
+				brow := bd[j*k : (j+1)*k]
+				for r := i; r < i+3; r++ {
+					cd[r*n+j] = dot1f(ad[r*k:(r+1)*k], brow)
+				}
+			}
+		}
+		for ; i < m; i++ {
 			arow := ad[i*k : (i+1)*k]
 			crow := cd[i*n : (i+1)*n]
 			j := jb
@@ -186,27 +237,36 @@ func vecGemmDot(cd, ad, bd []float32, m, n, k int) {
 	}
 }
 
+// convBwdTile is the input-channel tile of the conv backward's input
+// gradient: dcols rows for convBwdTile channels (convBwdTile*KH*KW rows, a
+// multiple of packMR) are computed and scattered into dx before the next
+// tile reuses their scratch, so dcols never has to leave L2.
+const convBwdTile = 4
+
 // Conv2DBackwardWS is the vec backend's private conv backward (found by the
-// package-level Conv2DBackwardWS through the convBackwarder probe). It
-// stays on the dot and axpy GEMMs: on the packed micro-kernel the input
-// gradient's reduction (k = OC) is too shallow and packing the lowered
-// columns eats the weight gradient's gain. The forward's transposed
-// lowering (lowerCHW) removes every per-element gather the generic path does: gy is already the [OC, HW] matrix (no gmat
-// transpose build), dW is the NT product gy x colsC^T over contiguous rows,
-// the input gradient is produced directly in the transposed layout
-// dcolsT = W^T x gy, and the col2im scatter of dcolsT becomes shifted vector
-// adds for stride-1 convs.
+// package-level Conv2DBackwardWS through the convBackwarder probe). The
+// forward's transposed lowering (lowerCHW) removes every per-element gather
+// the generic path does: gy is already the [OC, HW] matrix, so dW is the NT
+// product gy x colsC^T over contiguous rows (vecGemmDot, three gy rows per
+// pass), and the input gradient dcols = W^T x gy is produced in the
+// transposed layout [CKK, HW], whose col2im scatter is shifted vector adds
+// for stride-1 convs. dcols runs on the packed GEMM over a packed W^T, one
+// convBwdTile-channel tile at a time. Every element is still one
+// ascending-k FMA chain (or vecGemmAxpy's order on portable kernels) and
+// every dx element belongs to one channel, so the tiling changes no bit.
 func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {
 	oc := w.Dim(0)
 	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
 	oh, ow := s.OutSize(h, wid)
 	hw := oh * ow
-	ckk := c * s.KH * s.KW
+	kk := s.KH * s.KW
+	ckk := c * kk
 	colsC := ws.GetDirty(ckk, hw)
 	lowerCHW(colsC.Data, x.Data, c, h, wid, s, oh, ow)
 	// dW = gy x colsC^T -> [OC, CKK]: dot products of hw-long rows.
 	dw = ws.GetDirty(oc, c, s.KH, s.KW)
 	vecGemmDot(dw.Data, gy.Data, colsC.Data, oc, ckk, hw)
+	ws.Put(colsC)
 	// db = per-channel sums of gy.
 	db = ws.GetDirty(oc)
 	for ch := 0; ch < oc; ch++ {
@@ -217,27 +277,34 @@ func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, 
 		db.Data[ch] = sum
 	}
 	if needInput {
-		// dcolsT = W^T x gy -> [CKK, HW] (ATB form: W stored [OC, CKK]).
-		dcolsT := ws.GetDirty(ckk, hw)
-		vecGemmAxpy(dcolsT.Data, w.Data, gy.Data, ckk, hw, oc, 1, ckk, false)
+		panels := ws.GetDirty(packedSize(ckk, oc))
+		packWeightsInto(panels.Data, w.Data, ckk, oc, 1, ckk)
+		tile := min(c, convBwdTile)
+		dcols := ws.GetDirty(tile*kk, hw)
 		dx = ws.Get(c, h, wid)
-		vecCol2imT(dx, dcolsT.Data, s, oh, ow)
-		ws.Put(dcolsT)
+		bs := packedBlockStride(oc)
+		for c0 := 0; c0 < c; c0 += tile {
+			nc := min(tile, c-c0)
+			gemmPackedMicroSub(dcols.Data, panels.Data[c0*kk/packMR*bs:], gy.Data, nc*kk, hw, hw, hw, oc, false)
+			vecCol2imT(dx, dcols.Data, c0, nc, s, oh, ow)
+		}
+		ws.Put(dcols)
+		ws.Put(panels)
 	}
-	ws.Put(colsC)
 	return dx, dw, db
 }
 
-// vecCol2imT scatters the transposed gradient layout [CKK, HW] back into a
-// CHW tensor, accumulating into dst's existing contents. For stride-1 each
-// (row, oy) contribution is a shifted vector add (saxpy with a=1).
-func vecCol2imT(dst *Tensor, cd []float32, s ConvSpec, oh, ow int) {
-	c, h, w := dst.Dim(0), dst.Dim(1), dst.Dim(2)
+// vecCol2imT scatters nc channels' rows of the transposed gradient layout
+// ([nc*KH*KW, HW], channel c0 first) back into a CHW tensor, accumulating
+// into dst's existing contents. For stride-1 each (row, oy) contribution is
+// a shifted vector add (saxpy with a=1).
+func vecCol2imT(dst *Tensor, cd []float32, c0, nc int, s ConvSpec, oh, ow int) {
+	h, w := dst.Dim(1), dst.Dim(2)
 	od := dst.Data
 	kk := s.KH * s.KW
 	hw := oh * ow
-	for p := 0; p < c*kk; p++ {
-		ch, r := p/kk, p%kk
+	for p := 0; p < nc*kk; p++ {
+		ch, r := c0+p/kk, p%kk
 		ky, kx := r/s.KW, r%s.KW
 		base := ch * h * w
 		for oy := 0; oy < oh; oy++ {

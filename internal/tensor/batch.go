@@ -46,40 +46,34 @@ func packedSize(rows, k int) int {
 	return (rows + packMR - 1) / packMR * packedBlockStride(k)
 }
 
-// packWeightsInto writes the packed layout of wd — a weight matrix
-// [rows, k], i.e. a weight tensor viewed as [Dim(0), Len()/Dim(0)] — into
-// pd, which must have packedSize(rows, k) elements: rows are grouped into
-// blocks of packMR, and within a block the coefficients are stored
+// packWeightsInto writes the packed layout of a [rows, k] matrix whose
+// element (i, p) is wd[i*rs+p*cs] — a weight tensor viewed as [Dim(0),
+// Len()/Dim(0)] (rs = k, cs = 1), or its transpose (rs = 1, cs = rows) —
+// into pd, which must have packedSize(rows, k) elements: rows are grouped
+// into blocks of packMR, and within a block the coefficients are stored
 // quad-major — for each aligned group of four k positions, 4x4 floats laid
 // out row-by-row, followed by the k%4 tail columns at four floats each.
 // Every coefficient a kernel row-block step needs is therefore one or two
 // cache lines. Rows past the end of a ragged final block are zero-filled so
 // kernel reads of a dirty buffer are always defined.
-func packWeightsInto(pd, wd []float32, rows, k int) {
+func packWeightsInto(pd, wd []float32, rows, k, rs, cs int) {
 	k4 := k &^ 3
 	bs := packedBlockStride(k)
 	nb := (rows + packMR - 1) / packMR
 	for ib := 0; ib < nb; ib++ {
-		base := ib * bs
-		for r := 0; r < packMR; r++ {
-			i := ib*packMR + r
-			if i >= rows {
-				for q := 0; q < k4/4; q++ {
-					o := base + q*16 + r*4
-					pd[o], pd[o+1], pd[o+2], pd[o+3] = 0, 0, 0, 0
-				}
-				for t := 0; t < k-k4; t++ {
-					pd[base+4*k4+t*4+r] = 0
-				}
-				continue
+		blk := pd[ib*bs : (ib+1)*bs]
+		nr := min(packMR, rows-ib*packMR)
+		if nr < packMR {
+			clear(blk)
+		}
+		for r := 0; r < nr; r++ {
+			e := (ib*packMR + r) * rs
+			for p := 0; p < k4; p += 4 {
+				d := blk[p*4+r*4 : p*4+r*4+4]
+				d[0], d[1], d[2], d[3] = wd[e+p*cs], wd[e+(p+1)*cs], wd[e+(p+2)*cs], wd[e+(p+3)*cs]
 			}
-			row := wd[i*k : (i+1)*k]
-			for q := 0; q < k4/4; q++ {
-				o := base + q*16 + r*4
-				pd[o], pd[o+1], pd[o+2], pd[o+3] = row[4*q], row[4*q+1], row[4*q+2], row[4*q+3]
-			}
-			for t := 0; t < k-k4; t++ {
-				pd[base+4*k4+t*4+r] = row[k4+t]
+			for p := k4; p < k; p++ {
+				blk[4*p+r] = wd[e+p*cs]
 			}
 		}
 	}
@@ -289,13 +283,13 @@ func im2colPlaneT(seg, plane []float32, h, w int, s ConvSpec, oh, ow, ky, kx int
 		if w-off < hi {
 			hi = w - off
 		}
-		if hi < lo {
-			hi = lo
+		if hi <= lo {
+			// The kernel column never lands inside the image (a plane
+			// narrower than the padding): the whole segment is padding.
+			clear(seg[:oh*ow])
+			return
 		}
-		oylo := s.PH - ky // first oy with iy = oy - (PH - ky) in range
-		if oylo < 0 {
-			oylo = 0
-		}
+		oylo := min(max(s.PH-ky, 0), oh) // first oy with iy = oy - (PH - ky) in range
 		oyhi := h + s.PH - ky
 		if oyhi > oh {
 			oyhi = oh
@@ -339,8 +333,9 @@ func im2colPlaneT(seg, plane []float32, h, w int, s ConvSpec, oh, ow, ky, kx int
 			if w-off < hi {
 				hi = w - off
 			}
-			if hi < lo {
-				hi = lo
+			if hi <= lo {
+				clear(drow)
+				continue
 			}
 			clear(drow[:lo])
 			copy(drow[lo:hi], plane[src+off+lo:src+off+hi])
@@ -403,7 +398,7 @@ func (vecBackend) Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	oc := w.Dim(0)
 	res := ws.GetDirty(oc, oh, ow)
 	panels := ws.GetDirty(packedSize(oc, ckk))
-	packWeightsInto(panels.Data, w.Data, oc, ckk)
+	packWeightsInto(panels.Data, w.Data, oc, ckk, ckk, 1)
 	acc := b != nil
 	if acc {
 		biasPrefill(res.Data, b.Data, oc, hw)

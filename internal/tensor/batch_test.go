@@ -35,7 +35,7 @@ func TestPackedWeightsLayout(t *testing.T) {
 		for i := range pd {
 			pd[i] = float32(math.NaN()) // a dirty lease: padding must be written too
 		}
-		packWeightsInto(pd, w.Data, sh.rows, sh.k)
+		packWeightsInto(pd, w.Data, sh.rows, sh.k, sh.k, 1)
 		for ib := 0; ib < nb; ib++ {
 			for r := 0; r < packMR; r++ {
 				for p := 0; p < sh.k; p++ {
@@ -69,7 +69,7 @@ func TestGemmAxpyPackedBitwiseVec(t *testing.T) {
 		fillRand(rng, a)
 		fillRand(rng, b)
 		pd := make([]float32, packedSize(m, k))
-		packWeightsInto(pd, a, m, k)
+		packWeightsInto(pd, a, m, k, k, 1)
 		for _, acc := range []bool{false, true} {
 			want := make([]float32, m*n)
 			got := make([]float32, m*n)
@@ -89,11 +89,12 @@ func TestGemmAxpyPackedBitwiseVec(t *testing.T) {
 	}
 }
 
-// TestGemmPackedMicroMatchesAxpy checks the micro-kernel GEMM (all three
-// tile paths: 24-wide, 16-wide, axpy column tail) against the axpy packed
-// form under the reduction tolerance, including the ragged-row-block and
-// accumulate corners. Skipped where the micro-kernel is unavailable — the
-// dispatch then is the axpy form itself.
+// TestGemmPackedMicroMatchesAxpy pins the micro-kernel GEMM (all three
+// tile paths: 24-wide, 16-wide, axpy column tail) to the axpy packed form
+// bitwise, including the ragged-row-block and accumulate corners: both are
+// one ascending-k FMA chain per element, which the conv backward's tiled
+// input gradient relies on. Skipped where the micro-kernel is unavailable —
+// the dispatch then is the axpy form itself.
 func TestGemmPackedMicroMatchesAxpy(t *testing.T) {
 	if !packMicroOK {
 		t.Skip("micro-kernel unavailable on this build; the packed GEMM is the axpy form")
@@ -103,11 +104,10 @@ func TestGemmPackedMicroMatchesAxpy(t *testing.T) {
 		m, n, k := d[0], d[1], d[2]
 		a := make([]float32, m*k)
 		b := make([]float32, k*n)
-		amax := fillRand(rng, a)
-		bmax := fillRand(rng, b)
+		fillRand(rng, a)
+		fillRand(rng, b)
 		pd := make([]float32, packedSize(m, k))
-		packWeightsInto(pd, a, m, k)
-		tol := parityTol(k, amax, bmax)
+		packWeightsInto(pd, a, m, k, k, 1)
 		for _, acc := range []bool{false, true} {
 			want := make([]float32, m*n)
 			got := make([]float32, m*n)
@@ -117,7 +117,9 @@ func TestGemmPackedMicroMatchesAxpy(t *testing.T) {
 			}
 			gemmAxpyPacked(want, pd, b, m, n, n, n, k, acc)
 			gemmPackedMicroSub(got, pd, b, m, n, n, n, k, acc)
-			assertParity(t, fmt.Sprintf("micro m=%d n=%d k=%d acc=%v", m, n, k, acc), got, want, tol)
+			if !bitwiseEqual(got, want) {
+				t.Fatalf("micro m=%d n=%d k=%d acc=%v: micro-kernel GEMM differs from the axpy form (must be bitwise)", m, n, k, acc)
+			}
 		}
 	}
 }
@@ -211,6 +213,10 @@ func FuzzBatchParity(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(9), uint8(11), uint8(4), uint8(2), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(16), uint8(8), uint8(1), uint8(1), uint8(1))
 	f.Add(int64(3), uint8(4), uint8(7), uint8(13), uint8(6), uint8(5), uint8(9))
+	// 13x1 and 1x13 planes under a 5x5 same-padded kernel: kernel columns
+	// and rows that never land inside the image.
+	f.Add(int64(1), uint8(56), uint8(66), uint8(0), uint8(4), uint8(2), uint8(52))
+	f.Add(int64(-85), uint8(216), uint8(0), uint8(246), uint8(26), uint8(3), uint8(16))
 	f.Fuzz(func(t *testing.T, seed int64, c8, h8, w8, oc8, nb8, sp8 uint8) {
 		c, h, w := int(c8%5)+1, int(h8%18)+1, int(w8%18)+1
 		oc := int(oc8%7) + 1
@@ -243,7 +249,7 @@ func BenchmarkPackedMicroGemm(b *testing.B) {
 			for i := range wd {
 				wd[i] = float32(i%7) * 0.1
 			}
-			packWeightsInto(pd, wd, sh.m, sh.k)
+			packWeightsInto(pd, wd, sh.m, sh.k, sh.k, 1)
 			bd := make([]float32, sh.k*sh.n)
 			for i := range bd {
 				bd[i] = float32(i%5) * 0.2
@@ -256,5 +262,37 @@ func BenchmarkPackedMicroGemm(b *testing.B) {
 			flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPs")
 		})
+	}
+}
+
+// TestConvBackwardInputTiledBitwise pins the conv backward's tiled input
+// gradient to the whole-matrix form bitwise: all of dcols = W^T x gy
+// through the unpacked axpy GEMM, then one col2im scatter — on the selected
+// kernels, over channel counts that leave a ragged final tile.
+func TestConvBackwardInputTiledBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(6037))
+	for _, sh := range []struct{ c, h, w, oc int }{{1, 7, 9, 2}, {3, 13, 11, 5}, {6, 12, 16, 9}, {16, 8, 24, 16}} {
+		for _, spec := range parityConvSpecs {
+			oh, ow := spec.OutSize(sh.h, sh.w)
+			if oh <= 0 || ow <= 0 {
+				continue
+			}
+			x := New(sh.c, sh.h, sh.w)
+			w := New(sh.oc, sh.c, spec.KH, spec.KW)
+			gy := New(sh.oc, oh, ow)
+			fillRand(rng, x.Data)
+			fillRand(rng, w.Data)
+			fillRand(rng, gy.Data)
+			ckk, hw := sh.c*spec.KH*spec.KW, oh*ow
+			dcols := make([]float32, ckk*hw)
+			vecGemmAxpy(dcols, w.Data, gy.Data, ckk, hw, sh.oc, 1, ckk, false)
+			want := New(sh.c, sh.h, sh.w)
+			vecCol2imT(want, dcols, 0, sh.c, spec, oh, ow)
+			got, _, _ := vecBackend{}.Conv2DBackwardWS(NewWorkspace(), x, w, gy, spec, true)
+			if !bitwiseEqual(got.Data, want.Data) {
+				t.Fatalf("c=%d h=%d w=%d oc=%d spec=%+v: tiled dx differs from the whole-matrix form",
+					sh.c, sh.h, sh.w, sh.oc, spec)
+			}
+		}
 	}
 }
