@@ -249,7 +249,7 @@ func (c *Client) Run(conn transport.Conn, src video.Source, n int) error {
 			}
 		}
 
-		mask, _ := c.Student.Infer(frame.Image)
+		mask := c.Student.Infer(frame.Image)
 		wait := rs.cad.inferred()
 		c.tm.frames.Inc()
 		if rs.conn == nil {

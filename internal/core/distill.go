@@ -94,7 +94,7 @@ type TrainResult struct {
 func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 	img := frame.Image
 	acts := d.Student.Prefix(img)
-	pred, _ := d.Student.InferFrom(acts)
+	pred := d.Student.InferFrom(acts)
 	bestMetric := d.meanIoU(pred, label)
 	haveBest := false
 
@@ -112,7 +112,7 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 		d.step(acts, label, weights)
 		res.Steps++
 
-		pred, _ = d.Student.InferFrom(acts)
+		pred = d.Student.InferFrom(acts)
 		metric := d.meanIoU(pred, label)
 		if metric > bestMetric {
 			bestMetric = metric

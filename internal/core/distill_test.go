@@ -26,7 +26,7 @@ func distillFixture(t *testing.T, partial bool) (*Distiller, video.Frame, []int3
 
 func TestTrainImprovesMetric(t *testing.T) {
 	d, frame, label := distillFixture(t, true)
-	pre, _ := d.Student.Infer(frame.Image)
+	pre := d.Student.Infer(frame.Image)
 	before := metrics.MeanIoU(pre, label, d.Student.Config.NumClasses)
 	res := d.Train(frame, label)
 	if res.Metric < before {
@@ -40,7 +40,7 @@ func TestTrainImprovesMetric(t *testing.T) {
 func TestTrainLeavesBestWeights(t *testing.T) {
 	d, frame, label := distillFixture(t, true)
 	res := d.Train(frame, label)
-	post, _ := d.Student.Infer(frame.Image)
+	post := d.Student.Infer(frame.Image)
 	after := metrics.MeanIoU(post, label, d.Student.Config.NumClasses)
 	// The student must hold weights achieving the returned (best) metric.
 	if after < res.Metric-1e-9 {

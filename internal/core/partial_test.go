@@ -192,7 +192,7 @@ func (l *relativeLog) Diff(_ uint64, body []byte) {
 // snapshot. Distiller.Train must be indistinguishable from it.
 func referenceTrain(cfg Config, s *nn.Student, opt optim.Optimizer, bk tensor.Backend, img *tensor.Tensor, label []int32) (metric float64, steps int) {
 	miou := func() float64 {
-		pred, _ := s.Infer(img)
+		pred := s.Infer(img)
 		return metrics.MeanIoU(pred, label, s.Config.NumClasses)
 	}
 	best := miou()

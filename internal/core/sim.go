@@ -296,7 +296,7 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch, eval teacher.Teach
 
 		// On-device inference of the current frame (key frames included:
 		// Algorithm 4 line 12 runs for every frame).
-		mask, _ := student.Infer(frame.Image)
+		mask := student.Infer(frame.Image)
 		landed := clk.frame(cad.inferred())
 
 		if i%sc.EvalEvery == 0 {
@@ -360,7 +360,7 @@ func SimulateWild(sc SimConfig, src video.Source, eval teacher.Teacher, student 
 	var now time.Duration
 	for i := 0; i < sc.Frames; i++ {
 		frame := src.Next()
-		mask, _ := student.Infer(frame.Image)
+		mask := student.Infer(frame.Image)
 		now += lat.StudentInference
 		if i%sc.EvalEvery == 0 {
 			cm.Add(mask, eval.Infer(frame))

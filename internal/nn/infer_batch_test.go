@@ -9,8 +9,9 @@ import (
 
 // A pass that needs no gradient holds a layer's activations, not the
 // graph's: when Infer returns, the only lease its workspace still has out is
-// the logits, and Prefix keeps exactly what it returns — the running
-// activation and the two skips. Without Tape.Free these read the op count.
+// the half-resolution logits its mask came from, and Prefix keeps exactly
+// what it returns — the running activation and the two skips. Without
+// Tape.Free these read the op count.
 func TestInferenceHoldsOnlyWhatItReturns(t *testing.T) {
 	s := NewStudent(DefaultStudentConfig(), rand.New(rand.NewSource(7)))
 	s.SetPartial(true)
@@ -21,7 +22,7 @@ func TestInferenceHoldsOnlyWhatItReturns(t *testing.T) {
 	}
 	s.Infer(img)
 	if got := s.inferCtx.Tape.Workspace().Leased(); got != 1 {
-		t.Fatalf("after Infer the inference workspace holds %d leases (of %d tape nodes), want 1: the logits", got, s.inferCtx.Tape.Len())
+		t.Fatalf("after Infer the inference workspace holds %d leases (of %d tape nodes), want 1: the half-resolution logits", got, s.inferCtx.Tape.Len())
 	}
 	acts := s.Prefix(img)
 	if got := s.prefixCtx.Tape.Workspace().Leased(); got != 3 {
@@ -29,7 +30,7 @@ func TestInferenceHoldsOnlyWhatItReturns(t *testing.T) {
 	}
 	s.InferFrom(acts)
 	if got := s.inferCtx.Tape.Workspace().Leased(); got != 1 {
-		t.Fatalf("after InferFrom the inference workspace holds %d leases, want 1: the logits", got)
+		t.Fatalf("after InferFrom the inference workspace holds %d leases, want 1: the half-resolution logits", got)
 	}
 }
 

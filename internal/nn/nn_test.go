@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -153,12 +154,62 @@ func isNaN32(f float32) bool { return f != f }
 func TestStudentForwardShape(t *testing.T) {
 	s := NewStudent(DefaultStudentConfig(), rand.New(rand.NewSource(3)))
 	img := tensor.New(3, 32, 48)
-	mask, logits := s.Infer(img)
+	mask := s.Infer(img)
+	logits := logitsOf(s, img)
 	if logits.Dim(0) != 9 || logits.Dim(1) != 32 || logits.Dim(2) != 48 {
 		t.Fatalf("logits shape %v", logits.Shape())
 	}
 	if len(mask) != 32*48 {
 		t.Fatalf("mask len %d", len(mask))
+	}
+}
+
+// Infer runs out3 at half resolution and upsamples the argmax mask; that
+// mask must be the argmax of the full-resolution logits ForwardFrom gives,
+// on random images and with two classes tied at every pixel (out3's rows 1
+// and 2 copies of row 0, so the first of the tied classes must win), on
+// both backends.
+func TestInferMaskIsFullResolutionArgmax(t *testing.T) {
+	for _, b := range []struct {
+		name string
+		bk   tensor.Backend // nil: vec
+	}{{"reference", tensor.Reference}, {"vec", nil}} {
+		t.Run(b.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			s := NewStudent(DefaultStudentConfig(), rng)
+			s.SetBackend(b.bk)
+			check := func(what string, tied bool) {
+				for i, hw := range [][2]int{{64, 96}, {16, 24}, {8, 8}} {
+					img := tensor.New(3, hw[0], hw[1])
+					for j := range img.Data {
+						img.Data[j] = rng.Float32()
+					}
+					fc := NewForwardCtxWS(false, tensor.NewWorkspace().SetBackend(b.bk))
+					want := s.ForwardFrom(fc, s.input(img)).Value.ArgmaxChannel(nil)
+					if tied && (!slices.Contains(want, 0) || slices.Contains(want, 1) || slices.Contains(want, 2)) {
+						t.Fatalf("image %d: the tie is not exercised", i)
+					}
+					if !slices.Equal(s.Infer(img), want) {
+						t.Fatalf("%s image %d (%dx%d): Infer's mask differs from the full-resolution argmax", what, i, hw[0], hw[1])
+					}
+					if !slices.Equal(s.InferFrom(s.Prefix(img)), want) {
+						t.Fatalf("%s image %d (%dx%d): InferFrom's mask differs from the full-resolution argmax", what, i, hw[0], hw[1])
+					}
+				}
+			}
+			check("random", false)
+			w, bias := s.Params.Get("out3.w").Value, s.Params.Get("out3.b").Value
+			for j := range bias.Data {
+				bias.Data[j] = float32(rng.NormFloat64())
+			}
+			bias.Data[0] = 2 // the tied classes win a share of the pixels
+			row := w.Len() / w.Dim(0)
+			for _, c := range []int{1, 2} {
+				copy(w.Data[c*row:(c+1)*row], w.Data[:row])
+				bias.Data[c] = bias.Data[0]
+			}
+			check("tied", true)
+		})
 	}
 }
 
@@ -224,8 +275,7 @@ func TestStudentCloneIndependent(t *testing.T) {
 	}
 	// Same input → different outputs after the mutation.
 	img := tensor.Full(0.5, 3, 16, 16)
-	_, l1 := s.Infer(img)
-	_, l2 := c.Infer(img)
+	l1, l2 := logitsOf(s, img), logitsOf(c, img)
 	same := true
 	for i := range l1.Data {
 		if l1.Data[i] != l2.Data[i] {
@@ -241,18 +291,16 @@ func TestStudentCloneIndependent(t *testing.T) {
 func TestStudentDeterministicForward(t *testing.T) {
 	s := NewStudent(DefaultStudentConfig(), rand.New(rand.NewSource(8)))
 	img := tensor.Full(0.3, 3, 16, 16)
-	// Infer results are only valid until the next Infer on the same student
-	// (the logits live in the student's recycled workspace), so snapshot the
-	// first pass before running the second.
-	_, first := s.Infer(img)
-	a := first.Clone()
-	mask1 := append([]int32(nil), s.maskBuf...)
-	mask2, b := s.Infer(img)
+	a, b := logitsOf(s, img), logitsOf(s, img)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("inference must be deterministic")
 		}
 	}
+	// The mask is only valid until the next Infer on the same student (it
+	// lives in the student's recycled buffer), so snapshot the first.
+	mask1 := append([]int32(nil), s.Infer(img)...)
+	mask2 := s.Infer(img)
 	for i := range mask1 {
 		if mask1[i] != mask2[i] {
 			t.Fatal("mask must be deterministic")

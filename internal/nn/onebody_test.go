@@ -1,7 +1,6 @@
 package nn_test
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -13,9 +12,9 @@ import (
 )
 
 // Every gradient-free pass is the one body of the network with activations
-// handed back as it goes: Infer, Prefix + InferFrom and InferBatch must equal
-// a whole ForwardFrom pass on a workspace-free tape — where nothing is ever recycled — bit for
-// bit, frame after frame, with Distiller.Train steps on the same student in
+// handed back as it goes: the masks of Infer, Prefix + InferFrom and
+// InferBatch must equal the argmax of a whole ForwardFrom pass on a
+// workspace-free tape — where nothing is ever recycled — frame after frame, with Distiller.Train steps on the same student in
 // between (training passes, metric passes and the prefix share the pools the
 // inference leases come from). A value freed while an op still reads it is
 // nil, and one freed while a later op's dirty lease aliases it is garbage;
@@ -51,17 +50,6 @@ func TestGradientFreePassesMatchForwardBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sameBits := func(what string, got, want []float32) {
-				t.Helper()
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
-				}
-				for i := range want {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("%s: logit %d = %v, Forward gives %v", what, i, got[i], want[i])
-					}
-				}
-			}
 			prev := gen.Next()
 			for i := 0; i < 4; i++ {
 				frame := gen.Next()
@@ -69,14 +57,10 @@ func TestGradientFreePassesMatchForwardBitwise(t *testing.T) {
 				wantMask := want.ArgmaxChannel(nil)
 				wantPrev := forward(prev.Image).ArgmaxChannel(nil)
 
-				mask, logits := s.Infer(frame.Image)
-				sameBits("Infer", logits.Data, want.Data)
-				if !slices.Equal(mask, wantMask) {
+				if !slices.Equal(s.Infer(frame.Image), wantMask) {
 					t.Fatalf("frame %d: Infer mask differs from Forward's argmax", i)
 				}
-				mask, logits = s.InferFrom(s.Prefix(frame.Image))
-				sameBits("Prefix+InferFrom", logits.Data, want.Data)
-				if !slices.Equal(mask, wantMask) {
+				if !slices.Equal(s.InferFrom(s.Prefix(frame.Image)), wantMask) {
 					t.Fatalf("frame %d: InferFrom mask differs from Forward's argmax", i)
 				}
 				masks := s.InferBatch([]*tensor.Tensor{frame.Image, prev.Image})

@@ -61,13 +61,15 @@ type Student struct {
 
 	// inferCtx is the reusable inference context: its tape leases every
 	// activation from a private workspace, so steady-state Infer calls
-	// allocate (almost) nothing. maskBuf is the reusable argmax output.
+	// allocate (almost) nothing. maskBuf is the reusable argmax output and
+	// halfMask its half-resolution source.
 	// prefixCtx is its twin for Prefix, separate so the frozen stages'
 	// activations outlive the passes that start from them.
 	// batchMasks holds InferBatch's recycled per-frame masks.
 	inferCtx   *ForwardCtx
 	prefixCtx  *ForwardCtx
 	maskBuf    []int32
+	halfMask   []int32
 	batchMasks [][]int32
 
 	// backend, when non-nil, pins the compute backend used by Infer's
@@ -263,26 +265,62 @@ func (s *Student) Prefix(img *tensor.Tensor) Activations {
 }
 
 // Infer runs a gradient-free forward pass and returns the argmax mask
-// (len H*W) plus the raw logits.
+// (len H*W): the class of each pixel's largest logit, the first on a tie.
 //
-// Both returned values live in buffers owned by the student and are only
-// valid until the next Infer or InferFrom call on the same student; callers
-// that keep them across frames must copy. (Every in-tree caller consumes
-// them immediately.) Like training, Infer is not safe for concurrent use on
-// one student — sessions each own a private clone.
-func (s *Student) Infer(img *tensor.Tensor) (mask []int32, logits *tensor.Tensor) {
+// The mask lives in a buffer owned by the student and is only valid until
+// the next Infer or InferFrom call on the same student; callers that keep
+// it across frames must copy. (Every in-tree caller consumes it
+// immediately.) Like training, Infer is not safe for concurrent use on one
+// student — sessions each own a private clone. ForwardFrom gives the logits.
+func (s *Student) Infer(img *tensor.Tensor) []int32 {
 	return s.InferFrom(s.input(img))
 }
 
 // InferFrom is Infer started at the boundary a holds (see ForwardFrom).
-func (s *Student) InferFrom(a Activations) (mask []int32, logits *tensor.Tensor) {
+//
+// It runs the head at half resolution: out3, a 1x1 stride-1 unpadded conv,
+// is applied before the last nearest-2x upsample instead of after it, and
+// the half-resolution argmax mask is upsampled instead of the logits. A
+// pointwise conv commutes with nearest upsampling value for value — each
+// full-resolution logit is the GEMM column of its half-resolution source
+// pixel, and a column's value does not depend on the tile it lands in
+// (batch.go) — so the mask is the full-resolution pass's, ties included,
+// for a quarter of out3's work. The training forward keeps full resolution:
+// the loss and out3's weight gradient need it.
+func (s *Student) InferFrom(a Activations) []int32 {
+	head := len(stageNames) - 1 // out3
+	if a.depth > head {
+		// Prefix ran every stage: a.x already is the logits.
+		s.maskBuf = a.x.ArgmaxChannel(s.maskBuf)
+		return s.maskBuf
+	}
 	if s.inferCtx == nil {
 		s.inferCtx = NewForwardCtxWS(false, tensor.NewWorkspace().SetBackend(s.backend))
 	}
-	s.inferCtx.Reset(false)
-	logits = s.ForwardFrom(s.inferCtx, a).Value
-	s.maskBuf = logits.ArgmaxChannel(s.maskBuf)
-	return s.maskBuf, logits
+	fc := s.inferCtx
+	fc.Reset(false)
+	x := s.run(fc, a, head).x // out2's output, half resolution
+	logits := s.out3.Forward(fc, x).Value
+	fc.Tape.Free(x)
+	s.halfMask = logits.ArgmaxChannel(s.halfMask)
+	s.maskBuf = upsampleMask2x(s.maskBuf, s.halfMask, logits.Dim(1), logits.Dim(2))
+	return s.maskBuf
+}
+
+// upsampleMask2x writes the nearest-2x upsample of the h*w mask src into
+// dst, reallocating it unless it already holds 4*h*w entries.
+func upsampleMask2x(dst, src []int32, h, w int) []int32 {
+	if len(dst) != 4*h*w {
+		dst = make([]int32, 4*h*w)
+	}
+	for y := 0; y < h; y++ {
+		even := dst[2*y*2*w : (2*y+1)*2*w]
+		for x, v := range src[y*w : (y+1)*w] {
+			even[2*x], even[2*x+1] = v, v
+		}
+		copy(dst[(2*y+1)*2*w:(2*y+2)*2*w], even)
+	}
+	return dst
 }
 
 // InferBatch is Infer over a list of same-channel CHW images, one frame at a
@@ -295,8 +333,7 @@ func (s *Student) InferBatch(imgs []*tensor.Tensor) [][]int32 {
 	}
 	masks := s.batchMasks[:len(imgs)]
 	for i, img := range imgs {
-		mask, _ := s.Infer(img)
-		masks[i] = append(masks[i][:0], mask...)
+		masks[i] = append(masks[i][:0], s.Infer(img)...)
 	}
 	return masks
 }

@@ -81,11 +81,17 @@ func NewAdam(lr float32) *Adam {
 		m: map[string]*tensor.Tensor{}, v: map[string]*tensor.Tensor{}}
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. The update runs on tensor.AdamStep, whose
+// kernels (AVX2 where available, a scalar loop otherwise) agree bit for bit.
 func (a *Adam) Step(params []Param) {
 	a.step++
-	bc1 := 1 - float32(math.Pow(float64(a.Beta1), float64(a.step)))
-	bc2 := 1 - float32(math.Pow(float64(a.Beta2), float64(a.step)))
+	k := tensor.AdamCoeffs{
+		B1: a.Beta1, C1: 1 - a.Beta1,
+		B2: a.Beta2, C2: 1 - a.Beta2,
+		BC1: 1 - float32(math.Pow(float64(a.Beta1), float64(a.step))),
+		BC2: 1 - float32(math.Pow(float64(a.Beta2), float64(a.step))),
+		LR:  a.LR, Eps: a.Epsilon,
+	}
 	for _, p := range params {
 		if p.Grad == nil {
 			continue
@@ -98,14 +104,7 @@ func (a *Adam) Step(params []Param) {
 			a.m[p.Name] = m
 			a.v[p.Name] = v
 		}
-		for i := range p.Value.Data {
-			g := p.Grad.Data[i]
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
-			mhat := m.Data[i] / bc1
-			vhat := v.Data[i] / bc2
-			p.Value.Data[i] -= a.LR * mhat / (float32(math.Sqrt(float64(vhat))) + a.Epsilon)
-		}
+		tensor.AdamStep(p.Value.Data, p.Grad.Data, m.Data, v.Data, k)
 	}
 }
 

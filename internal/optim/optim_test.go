@@ -69,6 +69,59 @@ func TestAdamFirstStepIsLRSized(t *testing.T) {
 	}
 }
 
+// TestAdamStepMatchesScalarLoop pins Adam.Step, which runs on
+// tensor.AdamStep's kernel, to the textbook per-element loop in Go float32
+// bit for bit, over eight steps of two parameters of ragged sizes with a
+// nil-gradient parameter in between.
+func TestAdamStepMatchesScalarLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	opt := NewAdam(0.01)
+	sizes := []int{1203, 37}
+	vals, wantVals := make([]*tensor.Tensor, len(sizes)), make([][]float32, len(sizes))
+	wantM, wantV := make([][]float32, len(sizes)), make([][]float32, len(sizes))
+	for i, n := range sizes {
+		vals[i] = tensor.New(n)
+		for j := range vals[i].Data {
+			vals[i].Data[j] = float32(rng.NormFloat64())
+		}
+		wantVals[i] = append([]float32(nil), vals[i].Data...)
+		wantM[i], wantV[i] = make([]float32, n), make([]float32, n)
+	}
+	frozen := tensor.Full(3, 5)
+	b1, b2, lr, eps := opt.Beta1, opt.Beta2, opt.LR, opt.Epsilon
+	for step := 1; step <= 8; step++ {
+		params := []Param{{Name: "frozen", Value: frozen}}
+		for i, n := range sizes {
+			g := tensor.New(n)
+			for j := range g.Data {
+				g.Data[j] = float32(rng.NormFloat64() * 0.1)
+			}
+			params = append(params, Param{Name: string(rune('a' + i)), Value: vals[i], Grad: g})
+		}
+		opt.Step(params)
+		bc1 := 1 - float32(math.Pow(float64(b1), float64(step)))
+		bc2 := 1 - float32(math.Pow(float64(b2), float64(step)))
+		for i := range sizes {
+			p, m, v, g := wantVals[i], wantM[i], wantV[i], params[i+1].Grad.Data
+			for j := range p {
+				m[j] = b1*m[j] + (1-b1)*g[j]
+				v[j] = b2*v[j] + (1-b2)*g[j]*g[j]
+				mhat := m[j] / bc1
+				vhat := v[j] / bc2
+				p[j] -= lr * mhat / (float32(math.Sqrt(float64(vhat))) + eps)
+			}
+			for j, w := range p {
+				if math.Float32bits(vals[i].Data[j]) != math.Float32bits(w) {
+					t.Fatalf("step %d, param %d[%d] = %v, the scalar loop gives %v", step, i, j, vals[i].Data[j], w)
+				}
+			}
+		}
+	}
+	if frozen.Data[0] != 3 {
+		t.Fatal("nil gradient must leave the parameter untouched")
+	}
+}
+
 func TestNilGradSkipped(t *testing.T) {
 	x := tensor.Full(1, 2)
 	for _, opt := range []Optimizer{NewSGD(0.5, 0.9), NewAdam(0.5)} {

@@ -185,8 +185,7 @@ func (t *CNNTeacher) SetBackend(b tensor.Backend) { t.Net.SetBackend(b) }
 // teacher masks cross goroutine boundaries through the Batcher, so they must
 // never alias the network's reusable inference buffers.
 func (t *CNNTeacher) Infer(f video.Frame) []int32 {
-	mask, _ := t.Net.Infer(f.Image)
-	return append([]int32(nil), mask...)
+	return append([]int32(nil), t.Net.Infer(f.Image)...)
 }
 
 // InferBatch implements BatchInferrer as the per-frame loop: a batch is the

@@ -43,6 +43,12 @@ func packTile4x24AVX(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, loa
 func reluAVX(d []float32)
 
 //go:noescape
+func reluGradAVX(dst, x, grad []float32)
+
+//go:noescape
+func adamAVX(p, g, m, v []float32, k AdamCoeffs)
+
+//go:noescape
 func expAVX(dst, src []float64) int
 
 //go:noescape
@@ -61,6 +67,8 @@ func init() {
 	axpy4f = axpy4AVX
 	saxpyf = saxpyAVX
 	reluf = reluAVX
+	reluGradf = reluGradAVX
+	adamf = adamAVX
 	expf = expVec
 	maxShiftf = maxShiftAVX
 	xentGradf = xentGradAVX

@@ -6,9 +6,10 @@
 // (FMA contraction plus lane-wise partial sums), which the parity suite's
 // tolerance covers. Callers guarantee len(dst)/len(a) ≤ len of every other
 // slice; only the first len elements are touched. The exceptions are exact:
-// dot3x4AVX equals dot4AVX row by row, and expAVX, maxShiftAVX and
+// dot3x4AVX equals dot4AVX row by row; expAVX, maxShiftAVX and
 // xentGradAVX (softmax.go's kernels) equal math.Exp and their Go
-// counterparts bit for bit.
+// counterparts bit for bit; and reluGradAVX and adamAVX equal reluGradGo
+// and adamGo bit for bit.
 
 #include "textflag.h"
 
@@ -1109,5 +1110,140 @@ xgnext:
 	JMP  xgrow
 
 xgdone:
+	VZEROUPPER
+	RET
+
+// func reluGradAVX(dst, x, grad []float32)
+// dst[i] = grad[i] where x[i] > 0, else +0: VCMPPS with GT_OQ gives an
+// all-ones lane exactly where the scalar `v > 0` holds (NaN and ±0 compare
+// false), and VANDPS keeps grad's bits under it and +0 elsewhere. Each
+// block loads before it stores, so dst may alias x or grad.
+TEXT ·reluGradAVX(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ grad_base+48(FP), R8
+	VXORPS Y0, Y0, Y0
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-16, DX
+	JZ   rg8
+
+rg16loop:
+	VMOVUPS (SI)(AX*4), Y1
+	VMOVUPS 32(SI)(AX*4), Y2
+	VCMPPS $0x1e, Y0, Y1, Y1
+	VCMPPS $0x1e, Y0, Y2, Y2
+	VANDPS (R8)(AX*4), Y1, Y1
+	VANDPS 32(R8)(AX*4), Y2, Y2
+	VMOVUPS Y1, (DI)(AX*4)
+	VMOVUPS Y2, 32(DI)(AX*4)
+	ADDQ $16, AX
+	CMPQ AX, DX
+	JLT  rg16loop
+
+rg8:
+	MOVQ CX, DX
+	ANDQ $-8, DX
+	CMPQ AX, DX
+	JGE  rgtail
+	VMOVUPS (SI)(AX*4), Y1
+	VCMPPS $0x1e, Y0, Y1, Y1
+	VANDPS (R8)(AX*4), Y1, Y1
+	VMOVUPS Y1, (DI)(AX*4)
+	ADDQ $8, AX
+
+rgtail:
+	CMPQ AX, CX
+	JGE  rgdone
+	VMOVSS (SI)(AX*4), X1
+	VCMPSS $0x1e, X0, X1, X1
+	VMOVSS (R8)(AX*4), X2
+	VANDPS X2, X1, X1
+	VMOVSS X1, (DI)(AX*4)
+	INCQ AX
+	JMP  rgtail
+
+rgdone:
+	VZEROUPPER
+	RET
+
+// func adamAVX(p, g, m, v []float32, k AdamCoeffs)
+// One Adam update, eight lanes at a time with a scalar tail, in adamGo's
+// operations and association: m = b1*m + c1*g, v = b2*v + (c2*g)*g,
+// mhat = m/bc1, vhat = v/bc2, s = sqrt(vhat) + eps, p = p - (lr*mhat)/s.
+// Every step is one correctly rounded IEEE operation (no FMA), so each
+// lane equals the scalar loop bit for bit.
+TEXT ·adamAVX(SB), NOSPLIT, $0-128
+	MOVQ p_base+0(FP), DI
+	MOVQ p_len+8(FP), CX
+	MOVQ g_base+24(FP), SI
+	MOVQ m_base+48(FP), R8
+	MOVQ v_base+72(FP), R9
+	VBROADCASTSS k_B1+96(FP), Y0
+	VBROADCASTSS k_C1+100(FP), Y1
+	VBROADCASTSS k_B2+104(FP), Y2
+	VBROADCASTSS k_C2+108(FP), Y3
+	VBROADCASTSS k_BC1+112(FP), Y4
+	VBROADCASTSS k_BC2+116(FP), Y5
+	VBROADCASTSS k_LR+120(FP), Y6
+	VBROADCASTSS k_Eps+124(FP), Y7
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-8, DX
+	JZ   adamtail
+
+adamloop:
+	VMOVUPS (SI)(AX*4), Y8
+	VMULPS (R8)(AX*4), Y0, Y9
+	VMULPS Y8, Y1, Y10
+	VADDPS Y10, Y9, Y9
+	VMOVUPS Y9, (R8)(AX*4)
+	VMULPS (R9)(AX*4), Y2, Y10
+	VMULPS Y8, Y3, Y11
+	VMULPS Y8, Y11, Y11
+	VADDPS Y11, Y10, Y10
+	VMOVUPS Y10, (R9)(AX*4)
+	VDIVPS Y4, Y9, Y9
+	VDIVPS Y5, Y10, Y10
+	VSQRTPS Y10, Y10
+	VADDPS Y7, Y10, Y10
+	VMULPS Y9, Y6, Y9
+	VDIVPS Y10, Y9, Y9
+	VMOVUPS (DI)(AX*4), Y11
+	VSUBPS Y9, Y11, Y11
+	VMOVUPS Y11, (DI)(AX*4)
+	ADDQ $8, AX
+	CMPQ AX, DX
+	JLT  adamloop
+
+adamtail:
+	CMPQ AX, CX
+	JGE  adamdone
+	VMOVSS (SI)(AX*4), X8
+	VMOVSS (R8)(AX*4), X9
+	VMULSS X9, X0, X9
+	VMULSS X8, X1, X10
+	VADDSS X10, X9, X9
+	VMOVSS X9, (R8)(AX*4)
+	VMOVSS (R9)(AX*4), X10
+	VMULSS X10, X2, X10
+	VMULSS X8, X3, X11
+	VMULSS X8, X11, X11
+	VADDSS X11, X10, X10
+	VMOVSS X10, (R9)(AX*4)
+	VDIVSS X4, X9, X9
+	VDIVSS X5, X10, X10
+	VSQRTSS X10, X10, X10
+	VADDSS X7, X10, X10
+	VMULSS X9, X6, X9
+	VDIVSS X10, X9, X9
+	VMOVSS (DI)(AX*4), X11
+	VSUBSS X9, X11, X11
+	VMOVSS X11, (DI)(AX*4)
+	INCQ AX
+	JMP  adamtail
+
+adamdone:
 	VZEROUPPER
 	RET

@@ -343,14 +343,19 @@ func TestBackendRegistry(t *testing.T) {
 // TestVecPortableKernelParity forces the vec backend onto its portable Go
 // microkernels (as a non-amd64 build or SHADOWTUTOR_NOAVX would) and
 // re-runs the GEMM parity sweep, so the fallback path is exercised even on
-// machines where init picked the assembly kernels.
+// machines where init picked the assembly kernels; the exact elementwise
+// kernels (Adam, the ReLU mask) must match their assembly forms bitwise.
 func TestVecPortableKernelParity(t *testing.T) {
 	if VecKernelISA() == "portable" {
 		t.Skip("vec backend already on portable kernels; the main suite covers them")
 	}
-	d4, d1, d34, a4, s1 := dot4f, dot1f, dot3x4f, axpy4f, saxpyf
-	dot4f, dot1f, dot3x4f, axpy4f, saxpyf = dot4, sdot, dot3x4, axpy4, saxpy
-	defer func() { dot4f, dot1f, dot3x4f, axpy4f, saxpyf = d4, d1, d34, a4, s1 }()
+	d4, d1, d34, a4, s1, ad, rg := dot4f, dot1f, dot3x4f, axpy4f, saxpyf, adamf, reluGradf
+	dot4f, dot1f, dot3x4f, axpy4f, saxpyf, adamf, reluGradf = dot4, sdot, dot3x4, axpy4, saxpy, adamGo, reluGradGo
+	defer func() {
+		dot4f, dot1f, dot3x4f, axpy4f, saxpyf, adamf, reluGradf = d4, d1, d34, a4, s1, ad, rg
+	}()
+	checkAdamBitwise(t, ad)
+	checkReLUGradBitwise(t, rg)
 
 	ref, vec := Reference, vecBackend{}
 	rng := rand.New(rand.NewSource(5003))
@@ -409,5 +414,93 @@ func TestGemmDotThreeRowBitwise(t *testing.T) {
 		dot4f, dot1f, dot3x4f = dot4, sdot, dot3x4
 		defer func() { dot4f, dot1f, dot3x4f = d4, d1, d34 }()
 		t.Run("portable", run)
+	}
+}
+
+// sameBits32 reports whether a and b hold the same float32 bit patterns.
+func sameBits32(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkAdamBitwise runs AdamStep (on whatever adamf holds) and want side by
+// side over lengths 0-67 — every lane tail — and one student-sized
+// parameter vector, for steps 1-8 of the bias correction, from random
+// moments, and fails unless parameters and both moments agree bit for bit.
+func checkAdamBitwise(t *testing.T, want func(p, g, m, v []float32, k AdamCoeffs)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7109))
+	lens := make([]int, 0, 69)
+	for n := 0; n <= 67; n++ {
+		lens = append(lens, n)
+	}
+	lens = append(lens, 46_213)
+	const b1, b2 = float32(0.9), float32(0.999)
+	for _, n := range lens {
+		for step := 1; step <= 8; step++ {
+			k := AdamCoeffs{B1: b1, C1: 1 - b1, B2: b2, C2: 1 - b2,
+				BC1: 1 - float32(math.Pow(float64(b1), float64(step))),
+				BC2: 1 - float32(math.Pow(float64(b2), float64(step))),
+				LR:  0.01, Eps: 1e-8}
+			p, g, m, v := make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
+			for i := range p {
+				p[i] = float32(rng.NormFloat64())
+				g[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-6)))
+				m[i] = float32(rng.NormFloat64() * 1e-2)
+				v[i] = float32(rng.ExpFloat64() * 1e-4)
+				if rng.Intn(16) == 0 {
+					g[i], m[i], v[i] = 0, 0, 0
+				}
+			}
+			p2, m2, v2 := append([]float32(nil), p...), append([]float32(nil), m...), append([]float32(nil), v...)
+			AdamStep(p, g, m, v, k)
+			want(p2, g, m2, v2, k)
+			if !sameBits32(p, p2) || !sameBits32(m, m2) || !sameBits32(v, v2) {
+				t.Fatalf("n=%d step=%d: Adam kernels differ", n, step)
+			}
+		}
+	}
+}
+
+// checkReLUGradBitwise runs ReLUGradInto (on whatever reluGradf holds)
+// against want over forward inputs salted with NaN, ±0, ±Inf and ±
+// denormals, gradients salted the same way (whose bits must pass through
+// unchanged), ragged lengths, and dst aliasing grad.
+func checkReLUGradBitwise(t *testing.T, want func(dst, x, grad []float32)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7121))
+	specials := []float32{float32(math.NaN()), 0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -1e-40}
+	salt := func(d []float32) {
+		for i := range d {
+			d[i] = float32(rng.NormFloat64())
+			if rng.Intn(4) == 0 {
+				d[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 40, 1001} {
+		x, grad := New(n), New(n)
+		salt(x.Data)
+		salt(grad.Data)
+		wantD := make([]float32, n)
+		want(wantD, x.Data, grad.Data)
+		got := New(n)
+		ReLUGradInto(got, x, grad)
+		if !sameBits32(got.Data, wantD) {
+			t.Fatalf("n=%d: ReLU-grad kernels differ", n)
+		}
+		ReLUGradInto(grad, x, grad)
+		if !sameBits32(grad.Data, wantD) {
+			t.Fatalf("n=%d: ReLU-grad kernels differ with dst aliasing grad", n)
+		}
 	}
 }

@@ -31,6 +31,8 @@ var (
 	axpy4f       = axpy4
 	saxpyf       = saxpy
 	reluf        = reluGo
+	reluGradf    = reluGradGo
+	adamf        = adamGo
 	expf         = expGo
 	maxShiftf    = maxShift
 	xentGradf    = xentGrad
@@ -59,6 +61,50 @@ func reluGo(d []float32) {
 		if v < 0 {
 			d[i] = 0
 		}
+	}
+}
+
+// reluGradGo is the portable ReLUGradInto kernel: dst[i] = grad[i] where
+// x[i] > 0, else +0.
+func reluGradGo(dst, x, grad []float32) {
+	for i, v := range x {
+		if v > 0 {
+			dst[i] = grad[i]
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// AdamCoeffs are the per-step constants of one Adam update.
+type AdamCoeffs struct {
+	B1, C1   float32 // β1 and 1-β1
+	B2, C2   float32 // β2 and 1-β2
+	BC1, BC2 float32 // the bias corrections 1-β1^t and 1-β2^t
+	LR, Eps  float32
+}
+
+// AdamStep applies one Adam update to the parameters p from their gradients
+// g, updating the first and second moments m and v in place; g, m and v
+// must be at least len(p) long. Both kernel sets compute adamGo's float32
+// expression bit for bit: the AVX2 kernel keeps every operation and its
+// association (no FMA contraction, which Go's compiler does not do at its
+// default GOAMD64 level either), and its VDIVPS and VSQRTPS round exactly
+// as the scalar DIVSS and SQRTSS Go emits.
+func AdamStep(p, g, m, v []float32, k AdamCoeffs) {
+	n := len(p)
+	adamf(p, g[:n], m[:n], v[:n], k)
+}
+
+// adamGo is the portable AdamStep kernel.
+func adamGo(p, g, m, v []float32, k AdamCoeffs) {
+	for i := range p {
+		gi := g[i]
+		m[i] = k.B1*m[i] + k.C1*gi
+		v[i] = k.B2*v[i] + k.C2*gi*gi
+		mhat := m[i] / k.BC1
+		vhat := v[i] / k.BC2
+		p[i] -= k.LR * mhat / (float32(math.Sqrt(float64(vhat))) + k.Eps)
 	}
 }
 
@@ -247,13 +293,15 @@ const convBwdTile = 4
 // package-level Conv2DBackwardWS through the convBackwarder probe). The
 // forward's transposed lowering (lowerCHW) removes every per-element gather
 // the generic path does: gy is already the [OC, HW] matrix, so dW is the NT
-// product gy x colsC^T over contiguous rows (vecGemmDot, three gy rows per
+// product gy x cols^T over contiguous rows (vecGemmDot, three gy rows per
 // pass), and the input gradient dcols = W^T x gy is produced in the
-// transposed layout [CKK, HW], whose col2im scatter is shifted vector adds
-// for stride-1 convs. dcols runs on the packed GEMM over a packed W^T, one
-// convBwdTile-channel tile at a time. Every element is still one
-// ascending-k FMA chain (or vecGemmAxpy's order on portable kernels) and
-// every dx element belongs to one channel, so the tiling changes no bit.
+// transposed layout [CKK, HW], whose col2im scatter is one vector add per
+// row for stride-1 same-width convs (vecCol2imT). A 1x1 stride-1 unpadded
+// conv skips the lowering, as its forward does. dcols runs on the packed
+// GEMM over a packed W^T, one convBwdTile-channel tile at a time. Every
+// element is still one ascending-k FMA chain (or vecGemmAxpy's order on
+// portable kernels) and every dx element belongs to one channel, so the
+// tiling changes no bit.
 func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {
 	oc := w.Dim(0)
 	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
@@ -261,11 +309,18 @@ func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, 
 	hw := oh * ow
 	kk := s.KH * s.KW
 	ckk := c * kk
-	colsC := ws.GetDirty(ckk, hw)
-	lowerCHW(colsC.Data, x.Data, c, h, wid, s, oh, ow)
-	// dW = gy x colsC^T -> [OC, CKK]: dot products of hw-long rows.
+	// A 1x1 stride-1 unpadded conv's input already is its lowering, as in
+	// the forward (conv1x1Direct).
+	cols := x.Data
+	var colsC *Tensor // stays nil for the no-lowering case; Put(nil) is a no-op
+	if !conv1x1Direct(s) {
+		colsC = ws.GetDirty(ckk, hw)
+		lowerCHW(colsC.Data, x.Data, c, h, wid, s, oh, ow)
+		cols = colsC.Data
+	}
+	// dW = gy x cols^T -> [OC, CKK]: dot products of hw-long rows.
 	dw = ws.GetDirty(oc, c, s.KH, s.KW)
-	vecGemmDot(dw.Data, gy.Data, colsC.Data, oc, ckk, hw)
+	vecGemmDot(dw.Data, gy.Data, cols, oc, ckk, hw)
 	ws.Put(colsC)
 	// db = per-channel sums of gy.
 	db = ws.GetDirty(oc)
@@ -296,46 +351,64 @@ func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, 
 
 // vecCol2imT scatters nc channels' rows of the transposed gradient layout
 // ([nc*KH*KW, HW], channel c0 first) back into a CHW tensor, accumulating
-// into dst's existing contents. For stride-1 each (row, oy) contribution is
-// a shifted vector add (saxpy with a=1).
+// into dst's existing contents row by row, so every dst element receives
+// its contributions in ascending row order. A stride-1 same-width row is
+// one vector add (col2imSpan); other rows scatter element by element.
+// cd is scratch: the span form clears entries of it. dst must hold no -0,
+// which a tensor that starts at +0 never does: an IEEE sum is -0 only when
+// both addends are.
 func vecCol2imT(dst *Tensor, cd []float32, c0, nc int, s ConvSpec, oh, ow int) {
 	h, w := dst.Dim(1), dst.Dim(2)
 	od := dst.Data
 	kk := s.KH * s.KW
 	hw := oh * ow
+	span := s.SH == 1 && s.SW == 1 && ow == w
 	for p := 0; p < nc*kk; p++ {
 		ch, r := c0+p/kk, p%kk
 		ky, kx := r/s.KW, r%s.KW
-		base := ch * h * w
+		plane := od[ch*h*w : (ch+1)*h*w]
+		row := cd[p*hw : (p+1)*hw]
+		if span {
+			col2imSpan(plane, row, h, w, s, oh, ky, kx)
+			continue
+		}
 		for oy := 0; oy < oh; oy++ {
 			iy := oy*s.SH - s.PH + ky
 			if iy < 0 || iy >= h {
 				continue
 			}
-			srow := cd[p*hw+oy*ow : p*hw+(oy+1)*ow]
-			drow := base + iy*w
-			if s.SW == 1 {
-				off := kx - s.PW
-				lo, hi := 0, ow
-				if -off > lo {
-					lo = -off
-				}
-				if w-off < hi {
-					hi = w - off
-				}
-				if hi <= lo {
-					continue
-				}
-				saxpyf(od[drow+off+lo:drow+off+hi], 1, srow[lo:hi])
-				continue
-			}
 			for ox := 0; ox < ow; ox++ {
 				ix := ox*s.SW - s.PW + kx
-				if ix < 0 || ix >= w {
-					continue
+				if ix >= 0 && ix < w {
+					plane[iy*w+ix] += row[oy*ow+ox]
 				}
-				od[drow+ix] += srow[ox]
 			}
 		}
 	}
+}
+
+// col2imSpan adds one stride-1 same-width lowered row (kernel offset ky, kx)
+// into its h*w input plane: im2colPlaneT's one-copy fast path run
+// backwards. Row entry oy*w+ox lands at a constant shift from its index, so
+// the valid rows' span is one saxpyf with a = 1 once the entries between
+// them — those whose column falls outside the image, and would wrap into
+// the neighbouring image row — are cleared to +0, which adds exactly
+// nothing to a plane without -0.
+func col2imSpan(plane, row []float32, h, w int, s ConvSpec, oh, ky, kx int) {
+	off := kx - s.PW // ix = ox + off
+	lo, hi := max(-off, 0), min(w-off, w)
+	oylo := min(max(s.PH-ky, 0), oh) // first oy with iy = oy - (PH - ky) in range
+	oyhi := min(h+s.PH-ky, oh)
+	if hi <= lo || oyhi <= oylo {
+		return
+	}
+	if lo > 0 || hi < w {
+		for oy := oylo; oy+1 < oyhi; oy++ {
+			clear(row[oy*w+hi : (oy+1)*w+lo])
+		}
+	}
+	d0 := (oylo-s.PH+ky)*w + off + lo
+	r0 := oylo*w + lo
+	n := (oyhi-1-oylo)*w + hi - lo
+	saxpyf(plane[d0:d0+n], 1, row[r0:r0+n])
 }

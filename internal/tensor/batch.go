@@ -374,13 +374,17 @@ func conv1x1Direct(s ConvSpec) bool {
 }
 
 // biasPrefill writes bias value bd[ch] across channel row ch of rd; the GEMM
-// then accumulates on top.
+// then accumulates on top. Each row is one store followed by doubling
+// copies, which run at memmove speed.
 func biasPrefill(rd, bd []float32, oc, nhw int) {
+	if nhw == 0 {
+		return
+	}
 	for ch := 0; ch < oc; ch++ {
 		row := rd[ch*nhw : (ch+1)*nhw]
-		v := bd[ch]
-		for i := range row {
-			row[i] = v
+		row[0] = bd[ch]
+		for n := 1; n < nhw; n *= 2 {
+			copy(row[n:], row[:n])
 		}
 	}
 }

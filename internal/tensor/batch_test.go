@@ -296,3 +296,64 @@ func TestConvBackwardInputTiledBitwise(t *testing.T) {
 		}
 	}
 }
+
+// scatterCol2im is the col2im scatter one element at a time: every lowered
+// entry whose input position is inside the plane is added to it, rows in
+// ascending order.
+func scatterCol2im(dst *Tensor, cd []float32, s ConvSpec, oh, ow int) {
+	c, h, w := dst.Dim(0), dst.Dim(1), dst.Dim(2)
+	kk := s.KH * s.KW
+	for p := 0; p < c*kk; p++ {
+		ch, r := p/kk, p%kk
+		ky, kx := r/s.KW, r%s.KW
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				iy, ix := oy*s.SH-s.PH+ky, ox*s.SW-s.PW+kx
+				if iy >= 0 && iy < h && ix >= 0 && ix < w {
+					dst.Data[(ch*h+iy)*w+ix] += cd[p*oh*ow+oy*ow+ox]
+				}
+			}
+		}
+	}
+}
+
+// TestCol2imSpanBitwise pins vecCol2imT's one-add-per-row span form to the
+// element-by-element scatter bitwise, on the selected and the portable
+// saxpy: the student's same-padded 3x3, 3x1 and 1x3 kernels and the 1x1,
+// on planes down to narrower and shorter than the kernel's reach, with
+// lowered rows salted with NaN, ±Inf and -0 (the span clears the entries
+// that wrap, so none may leak into the plane).
+func TestCol2imSpanBitwise(t *testing.T) {
+	run := func(t *testing.T) {
+		rng := rand.New(rand.NewSource(6053))
+		specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1))}
+		for _, spec := range []ConvSpec{Spec(3, 3), Spec(3, 1), Spec(1, 3), Spec(1, 1), Spec(5, 5)} {
+			for _, hw := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {1, 9}, {9, 1}, {3, 3}, {7, 5}, {12, 16}, {32, 48}} {
+				h, w, c := hw[0], hw[1], 3
+				oh, ow := spec.OutSize(h, w)
+				cd := make([]float32, c*spec.KH*spec.KW*oh*ow)
+				fillRand(rng, cd)
+				for i := range cd {
+					if rng.Intn(64) == 0 {
+						cd[i] = specials[rng.Intn(len(specials))]
+					}
+				}
+				want, got := New(c, h, w), New(c, h, w)
+				scatterCol2im(want, cd, spec, oh, ow)
+				vecCol2imT(got, append([]float32(nil), cd...), 0, c, spec, oh, ow)
+				for i := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) && !(got.Data[i] != got.Data[i] && want.Data[i] != want.Data[i]) {
+						t.Fatalf("spec=%+v h=%d w=%d: dx[%d] = %v, scatter gives %v", spec, h, w, i, got.Data[i], want.Data[i])
+					}
+				}
+			}
+		}
+	}
+	t.Run(VecKernelISA(), run)
+	if VecKernelISA() != "portable" {
+		s1 := saxpyf
+		saxpyf = saxpy
+		defer func() { saxpyf = s1 }()
+		t.Run("portable", run)
+	}
+}

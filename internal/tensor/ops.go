@@ -77,17 +77,13 @@ func ReLUInto(dst, a *Tensor) {
 }
 
 // ReLUGradInto writes grad masked by the positive entries of the forward
-// input x into dst (which may alias grad): dst[i] = grad[i] if x[i] > 0 else 0.
+// input x into dst (which may alias grad): dst[i] = grad[i] if x[i] > 0 else
+// +0, on the selected kernel (an AVX2 compare-and-mask on capable amd64,
+// exact for NaN, ±0 and ±Inf inputs too).
 func ReLUGradInto(dst, x, grad *Tensor) {
 	checkSame("ReLUGradInto", x, grad)
 	checkSame("ReLUGradInto dst", dst, x)
-	for i, v := range x.Data {
-		if v > 0 {
-			dst.Data[i] = grad.Data[i]
-		} else {
-			dst.Data[i] = 0
-		}
-	}
+	reluGradf(dst.Data, x.Data, grad.Data)
 }
 
 // MatMul multiplies a [m,k] by b [k,n] into a new [m,n] tensor via the
