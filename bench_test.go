@@ -13,7 +13,6 @@ package repro
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -34,14 +33,6 @@ func benchOpts() experiments.Options {
 // benchSuite shares one memoised suite (and one pre-trained checkpoint)
 // across all benchmarks in the binary.
 var benchSuite = experiments.NewSuite(benchOpts())
-
-func TestMain(m *testing.M) {
-	// Keep the one-time pre-training modest for the benchmark binary.
-	if os.Getenv("SHADOWTUTOR_PRETRAIN_STEPS") == "" {
-		os.Setenv("SHADOWTUTOR_PRETRAIN_STEPS", "200")
-	}
-	os.Exit(m.Run())
-}
 
 // BenchmarkTable2DistillStep measures one partial and one full distillation
 // step on a real key frame (Table 2's "One step (ms)").

@@ -102,9 +102,9 @@ func main() {
 		client.EvalTeacher = teacher.NewOracle(1)
 	}
 	if *deltaCk {
-		// Every host decodes the same embedded base unless it overrides the
-		// pre-training steps; the Hello base-hash check downgrades to
-		// absolute checkpoints when the client's and the server's differ.
+		// Every host decodes the same embedded base; the Hello base-hash
+		// check downgrades to absolute checkpoints when the client's and the
+		// server's differ (a server built from another checkpoint).
 		log.Printf("loading shared base for delta checkpoints…")
 		base, err := experiments.FreshStudentFor(client.Cfg)
 		if err != nil {

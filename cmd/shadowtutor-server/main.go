@@ -39,7 +39,6 @@ func main() {
 		bandwidth   = flag.Float64("bandwidth", 0, "throttle link to this many Mbps (0 = unlimited)")
 		threshold   = flag.Float64("threshold", 0.8, "student metric THRESHOLD")
 		maxUpd      = flag.Int("max-updates", 8, "MAX_UPDATES per key frame")
-		pretrain    = flag.Int("pretrain", 0, "override pre-training steps and train the student at start (0 = load the embedded default)")
 		shards      = flag.Int("shards", 1, "shard workers in the serving fabric (1 = single session manager)")
 		maxSessions = flag.Int("max-sessions", 64, "concurrent client session cap (per shard when -shards > 1)")
 		resumeTTL   = flag.Duration("resume-ttl", 2*time.Minute, "how long a disconnected session stays resumable")
@@ -72,9 +71,6 @@ func main() {
 	// fine — the process is exiting anyway).
 	defer admin.Close(2 * time.Second)
 
-	if *pretrain > 0 {
-		os.Setenv("SHADOWTUTOR_PRETRAIN_STEPS", flag.Lookup("pretrain").Value.String())
-	}
 	cfg := core.DefaultConfig()
 	cfg.Partial = *partial
 	cfg.Threshold = *threshold

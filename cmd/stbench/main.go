@@ -58,7 +58,6 @@ func main() {
 		figure     = flag.Int("figure", 0, "regenerate a single figure (4); 0 = all")
 		boundsOnly = flag.Bool("bounds", false, "print only the analytic bound report")
 		ablations  = flag.Bool("ablations", false, "run the DESIGN.md ablation suite instead of the paper tables")
-		pretrain   = flag.Int("pretrain", 0, "override pre-training steps and train the student at start (0 = load the embedded default)")
 		list       = flag.Bool("list", false, "list registered harness scenarios and exit")
 		catalog    = flag.Bool("catalog", false, "regenerate docs/SCENARIOS.md from the scenario registry and exit")
 		scenario   = flag.String("scenario", "", "run registered scenarios matching this comma-separated list of names/globs (e.g. 'bandwidth-sweep/*')")
@@ -69,9 +68,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *pretrain > 0 {
-		os.Setenv("SHADOWTUTOR_PRETRAIN_STEPS", fmt.Sprint(*pretrain))
-	}
 	if *list {
 		listScenarios()
 		return

@@ -1,23 +1,12 @@
 package experiments
 
 import (
-	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/video"
 )
-
-func TestMain(m *testing.M) {
-	// Train a short 120-step student instead of loading the embedded
-	// default: the tests here validate plumbing and qualitative shapes, not
-	// paper-scale numbers (cmd/stbench produces those), and were tuned on it.
-	if os.Getenv("SHADOWTUTOR_PRETRAIN_STEPS") == "" {
-		os.Setenv("SHADOWTUTOR_PRETRAIN_STEPS", "120")
-	}
-	os.Exit(m.Run())
-}
 
 // sharedQuickSuite memoises runs across the whole test binary so the
 // distillation-heavy tests don't repeat work.

@@ -1,22 +1,12 @@
 package harness
 
 import (
-	"os"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
 )
-
-func TestMain(m *testing.M) {
-	// Keep the one-time shared pre-training modest; harness tests validate
-	// plumbing, not paper-scale accuracy.
-	if os.Getenv("SHADOWTUTOR_PRETRAIN_STEPS") == "" {
-		os.Setenv("SHADOWTUTOR_PRETRAIN_STEPS", "60")
-	}
-	os.Exit(m.Run())
-}
 
 func TestRegistryCoversAcceptanceMatrix(t *testing.T) {
 	// The bandwidth-sweep family is the CI smoke matrix: it must span ≥ 3

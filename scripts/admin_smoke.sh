@@ -18,14 +18,13 @@ ADDR="${ADMIN_ADDR:-127.0.0.1:19309}"
 SCENARIO="${SCENARIO:-fleet/skewed-hash}"
 
 echo "== admin smoke: ${SCENARIO} with -admin ${ADDR} =="
-SHADOWTUTOR_PRETRAIN_STEPS="${SHADOWTUTOR_PRETRAIN_STEPS:-120}" \
-  go run ./cmd/stbench -scenario "${SCENARIO}" -admin "${ADDR}" &
+go run ./cmd/stbench -scenario "${SCENARIO}" -admin "${ADDR}" &
 BENCH_PID=$!
 trap 'kill ${BENCH_PID} 2>/dev/null || true' EXIT
 
 # Poll until a shard reports live occupancy — the scrape must catch the
-# run mid-flight. Compile time plus student pre-training delay the first
-# session, so the window is generous.
+# run mid-flight. Compile time delays the first session, so the window is
+# generous.
 BODY=""
 live='^shadowtutor_sessions_active\{shard="[0-9]+"\} [1-9]'
 for _ in $(seq 1 600); do

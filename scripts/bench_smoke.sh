@@ -19,6 +19,5 @@ OUT="${1:-${BENCH_JSON:-BENCH_pr10.json}}"
 SCENARIOS="${SCENARIOS:-bandwidth-sweep/*,multiclient/c1,alloc/distill-step,compression/diff-codecs,chaos/drop-midstream,fleet/*,loss/*}"
 
 echo "== scenario smoke (${SCENARIOS}) -> ${OUT} =="
-SHADOWTUTOR_PRETRAIN_STEPS="${SHADOWTUTOR_PRETRAIN_STEPS:-120}" \
-  go run ./cmd/stbench -scenario "${SCENARIOS}" -json "${OUT}"
+go run ./cmd/stbench -scenario "${SCENARIOS}" -json "${OUT}"
 echo "== scenario metrics written to ${OUT} =="
