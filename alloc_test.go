@@ -15,9 +15,11 @@ import (
 // cannot silently regress. Budgets are measured steady-state counts plus
 // ~50% headroom; the pre-PR baselines (measured at commit 58389fb) were
 // 1062 allocs per student inference and 3931/4990 per partial/full distill
-// step, so each budget enforces well over the required 10× reduction. CI
-// additionally gates distill_allocs_per_step through the scenario harness
-// (alloc/distill-step vs ci/bench_baseline.json).
+// step, so each budget enforces well over the required 10× reduction.
+// These tests are the only allocation gate: CI's bench-gate job runs them
+// before the scenario smoke matrix. The partial distill-step budget has
+// less headroom than the rest: it is held at 67, no looser than the 50.19
+// × 1.35 the scenario harness's retired benchdiff gate allowed.
 //
 // No kernel allocates: every tensor on these paths is a workspace lease and
 // no loop builds a closure. What remains is the per-op backward closures of
@@ -31,7 +33,7 @@ import (
 // steady state.
 const (
 	inferAllocBudget          = 9   // measured 6
-	distillPartialAllocBudget = 75  // measured 50
+	distillPartialAllocBudget = 67  // measured 50
 	distillFullAllocBudget    = 145 // measured 97
 	pretrainStepAllocBudget   = 128 // measured 85; the allocating loop it replaced, 1251
 )

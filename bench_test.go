@@ -1,7 +1,8 @@
 // Package repro's top-level benchmarks regenerate, at reduced scale, every
-// table and figure of the ShadowTutor paper (one benchmark per table, per
-// the reproduction protocol in DESIGN.md §4). Custom metrics carry the
-// table's headline numbers: fps, key-frame percentage, mIoU×100, Mbps.
+// table and figure of the ShadowTutor paper (one benchmark per table of §6;
+// ARCHITECTURE.md's paper → package map names the code behind each).
+// Custom metrics carry the table's headline numbers: fps, key-frame
+// percentage, mIoU×100, Mbps.
 //
 // These run real online distillation in pure Go, so each iteration is
 // seconds, not nanoseconds — run with the default -benchtime=1x semantics:

@@ -9,7 +9,7 @@
 //	benchdiff -tol latency_p99_ms=3.0 -tol aggregate_fps=0.6 base.json cur.json
 //
 // Tolerances are relative fractions (0.5 = ±50%); defaults are generous so
-// the gate trips on order-of-magnitude losses (a lost allocation win,
+// the gate trips on order-of-magnitude losses (a 10× slower step,
 // halved throughput), not cross-machine noise. Exit codes: 0 no
 // regressions, 1 regressions found, 2 usage or schema error.
 package main

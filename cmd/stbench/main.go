@@ -18,8 +18,8 @@
 //	stbench -list                                        # registered scenarios
 //	stbench -scenario bandwidth-sweep/8mbps-c1-raw       # one scenario
 //	stbench -scenario 'bandwidth-sweep/*' -json out.json # a family + metrics JSON
-//	stbench -scenario 'bandwidth-sweep/*,alloc/*'        # several patterns
-//	stbench -scenario 'multiclient/*'                    # multi-session scaling: 1, 4, 8 clients
+//	stbench -scenario 'bandwidth-sweep/*,chaos/*'        # several patterns
+//	stbench -scenario 'fleet/*'                          # sharded serving: 8–64 clients over 1–4 shards
 //
 // The scenario path honours -frames, -eval-every and -seed as overrides;
 // -json writes the versioned machine-readable BenchFile that cmd/benchdiff
@@ -57,7 +57,7 @@ func main() {
 		table      = flag.Int("table", 0, "regenerate a single table (2-7); 0 = all")
 		figure     = flag.Int("figure", 0, "regenerate a single figure (4); 0 = all")
 		boundsOnly = flag.Bool("bounds", false, "print only the analytic bound report")
-		ablations  = flag.Bool("ablations", false, "run the DESIGN.md ablation suite instead of the paper tables")
+		ablations  = flag.Bool("ablations", false, "run the ablation suite (stride, async, freeze point, loss weighting, diff codecs) instead of the paper tables")
 		list       = flag.Bool("list", false, "list registered harness scenarios and exit")
 		catalog    = flag.Bool("catalog", false, "regenerate docs/SCENARIOS.md from the scenario registry and exit")
 		scenario   = flag.String("scenario", "", "run registered scenarios matching this comma-separated list of names/globs (e.g. 'bandwidth-sweep/*')")
@@ -274,14 +274,13 @@ func runScenarios(patterns, jsonPath string, ov harness.Overrides) {
 	}
 
 	t := stats.NewTable(fmt.Sprintf("Scenario metrics (%d rows)", len(results)),
-		"Scenario", "FPS", "p50 ms", "p99 ms", "KF %", "mIoU", "Up HD-MB", "Down HD-MB", "Batch", "Allocs/step", "Resil.", "Extra")
+		"Scenario", "FPS", "p50 ms", "p99 ms", "KF %", "mIoU", "Up HD-MB", "Down HD-MB", "Batch", "Resil.", "Extra")
 	for _, m := range results {
 		t.AddRow(m.Scenario,
 			fmtF(m.AggregateFPS), fmtF(m.LatencyP50MS), fmtF(m.LatencyP99MS),
 			fmtF(m.KeyFrameRate*100), fmtF(m.MeanIoU*100),
 			fmtF(m.BytesUpHDMB), fmtF(m.BytesDownHDMB),
-			fmtF(m.TeacherMeanBatch), fmtF(m.DistillAllocsPerStep),
-			fmtResilience(m), fmtExtra(m.Extra))
+			fmtF(m.TeacherMeanBatch), fmtResilience(m), fmtExtra(m.Extra))
 	}
 	fmt.Println(t)
 
@@ -362,7 +361,7 @@ func fmtResilience(m harness.Metrics) string {
 }
 
 // fmtExtra renders family-specific metrics (the only data the folded
-// ablation/compression scenarios produce) as sorted key=value pairs.
+// compression scenario produces) as sorted key=value pairs.
 func fmtExtra(extra map[string]float64) string {
 	if len(extra) == 0 {
 		return "-"

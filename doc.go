@@ -12,13 +12,13 @@
 // # Quickstart
 //
 // The fastest tour is one scenario: a loopback server and one client run
-// real online distillation on a fixed-camera stream and report FPS, key
-// frames and mIoU:
+// real online distillation on the mixed stream and report FPS, key frames
+// and mIoU:
 //
-//	go run ./cmd/stbench -scenario workload/quickstart
+//	go run ./cmd/stbench -scenario multiclient/c1
 //
-// The other workload/* scenarios run a CCTV stream, a body-cam stream and a
-// slow link the same way.
+// The bandwidth-sweep/* scenarios run the drone stream the same way over
+// the §6.4 links.
 //
 // To run the real protocol over TCP, start the multi-session server and
 // point any number of clients at it:
@@ -84,10 +84,10 @@
 //	go run ./cmd/shadowtutor-server -loss-model uniform:0.02 -fec 8 -adaptive
 //	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -loss-model uniform:0.02 -fec 8
 //
-// To regenerate the paper's tables, or the multi-client scaling scenarios:
+// To regenerate the paper's tables, or the sharded multi-client scenarios:
 //
 //	go run ./cmd/stbench -frames 600
-//	go run ./cmd/stbench -frames 200 -scenario 'multiclient/*'
+//	go run ./cmd/stbench -scenario 'fleet/*'
 //
 // # Observability
 //
@@ -153,8 +153,8 @@
 // different shard via handoff with zero full resends. The loss/* family
 // runs the packet tier live — three canonical loss regimes, reordering,
 // FEC — and loss/adaptive-vs-static holds the adaptive link policy to
-// beating the best static codec/FEC configuration on at least 2 of the 3
-// regimes (extra.adaptive_wins). docs/SCENARIOS.md catalogs every
+// beating the best static codec/FEC configuration on at least 1 of the 3
+// regimes (extra.adaptive_wins; ROADMAP item 7). docs/SCENARIOS.md catalogs every
 // registered scenario with its spec dimensions and CI gate; regenerate it
 // with `go run ./cmd/stbench -catalog` (a registry-diff test keeps it in
 // sync).

@@ -54,7 +54,8 @@ const (
 
 // HD-equivalent wire sizes used for virtual-time accounting, from Table 4 of
 // the paper. Our frames are small (96×64); timing with HD sizes keeps
-// throughput and traffic in the paper's regime. See DESIGN.md §2.
+// throughput and traffic in the paper's regime (§6.1/§6.4; ARCHITECTURE.md's
+// paper → package map names the network model).
 const (
 	hdFrameBytes       = netsim.HDFrameBytes // 2.637 MB key-frame upload
 	hdStudentBytes     = 1_846_000           // 1.846 MB full student

@@ -16,14 +16,11 @@ import (
 // the catalog cannot silently rot.
 var familyNotes = map[string]string{
 	"bandwidth-sweep": "§6.4 link matrix on the drone stream: fixed profiles and the wifi-fade trace crossed with client counts and diff codecs. Gates throughput (`aggregate_fps`, `mean_client_fps`), latency percentiles, `mean_iou`, `key_frame_rate` and HD-scaled traffic.",
-	"multiclient":     "§1/§7 scaling: N heterogeneous streams sharing one batched teacher. Gates throughput and `teacher_mean_batch` occupancy (informational) plus the standard accuracy/traffic set.",
-	"workload":        "Single-stream showcases: CCTV, body-cam, a slow link and the quickstart stream. Gates the standard throughput/accuracy set per stream.",
-	"ablation":        "The DESIGN.md ablation suite (stride policy, async updates, freeze points, loss weighting), folded to metrics. Gated via the family's `extra.*` columns (informational unless given tolerances).",
+	"multiclient":     "One loopback session on the mixed stream: the single-session baseline the `fleet/*` rows scale from. Gates the standard throughput/accuracy/traffic set; `teacher_mean_batch` is informational.",
 	"compression":     "§8 diff-codec study offline: bytes per diff, compression ratio, reconstruction error as `extra.*` columns.",
-	"alloc":           "PR 2 steady-state allocation guard. Gates `distill_allocs_per_step` (lower-better, tight tolerance).",
 	"chaos":           "Scripted mid-stream connection faults measuring the resume subsystem. Gates `reconnects` (exact), `resume_replays`/`full_resends` (drift), with recovery latency informational.",
 	"fleet":           "Sharded serving fabric: rendezvous placement, admission shedding, cross-shard handoff (the parked session itself moves between shards; nothing is serialised), drains. Gates `shards` (exact), per-shard occupancy and `extra.envelope_shrink_x` (handshake-checkpoint plus resume-full bytes against raw); handoff/shed/migration counts are informational.",
-	"loss":            "Packet-level network realism: seeded loss models (uniform, Gilbert-Elliott, trace-threshold), XOR-parity FEC, reordering, and the adaptive link policy. Gates `loss_rate_pct` (regime check) and `extra.adaptive_wins` — the adaptive policy must match or beat the best static codec/FEC config on ≥2 of 3 loss regimes.",
+	"loss":            "Packet-level network realism: seeded loss models (uniform, Gilbert-Elliott, trace-threshold), XOR-parity FEC, reordering, and the adaptive link policy. Gates `loss_rate_pct` (regime check) and `extra.adaptive_wins` — CI holds the adaptive policy to matching or beating the best static codec/FEC config on ≥ 1 of 3 loss regimes, the committed baseline's count under `-tol extra.adaptive_wins=0` (ROADMAP item 7).",
 	"soak":            "Long multi-client runs for the nightly -race job; not part of the per-PR smoke matrix.",
 }
 
@@ -56,26 +53,28 @@ func BenchSmokeGlobs(scriptPath string) ([]string, error) {
 	return globs, nil
 }
 
-// ciGate classifies how one scenario reaches CI: part of the per-PR smoke
-// matrix (benchdiff-gated against ci/bench_baseline.json), the nightly
-// soak, or on-demand only.
-func ciGate(name string, smokeGlobs []string) string {
+// ciGate names how one scenario reaches CI: the per-PR smoke matrix
+// (benchdiff-gated against ci/bench_baseline.json) or the nightly soak. A
+// scenario that reaches neither is an error — nothing checks what it
+// carries, so it is gated or deleted, never kept on demand.
+func ciGate(name string, smokeGlobs []string) (string, error) {
 	for _, g := range smokeGlobs {
 		if ok, err := path.Match(g, name); err == nil && (ok || g == name) {
-			return "smoke + benchdiff gate"
+			return "smoke + benchdiff gate", nil
 		}
 	}
 	if strings.HasPrefix(name, "soak/") {
-		return "nightly -race soak"
+		return "nightly -race soak", nil
 	}
-	return "on-demand"
+	return "", fmt.Errorf("harness: scenario %q is in neither bench_smoke.sh's SCENARIOS nor soak/*; gate it or delete it", name)
 }
 
 // CatalogMarkdown renders the complete scenario catalog — every registered
 // scenario, its spec dimensions as the driver resolves them, and its CI
 // gate — as the content of docs/SCENARIOS.md. smokeGlobs is the CI smoke
-// matrix (BenchSmokeGlobs). The output is deterministic: families and
-// scenarios sort by name.
+// matrix (BenchSmokeGlobs). It fails when a scenario has no CI gate
+// (ciGate). The output is deterministic: families and scenarios sort by
+// name.
 func CatalogMarkdown(smokeGlobs []string) (string, error) {
 	byFamily := map[string][]Scenario{}
 	for _, s := range All() {
@@ -120,9 +119,13 @@ func CatalogMarkdown(smokeGlobs []string) (string, error) {
 			} else if spec.FECGroup > 0 {
 				loss += fmt.Sprintf(" +fec%d", spec.FECGroup)
 			}
+			gate, err := ciGate(s.Name, smokeGlobs)
+			if err != nil {
+				return "", err
+			}
 			fmt.Fprintf(&b, "| `%s` | %s | %s | %d | %d | %s | %s | %s |\n",
 				s.Name, spec.Workload, spec.BandwidthLabel(), spec.Clients,
-				spec.Frames, spec.CodecLabel(), loss, ciGate(s.Name, smokeGlobs))
+				spec.Frames, spec.CodecLabel(), loss, gate)
 		}
 		b.WriteString("\nDescriptions:\n\n")
 		for _, s := range scs {

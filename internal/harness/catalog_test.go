@@ -2,6 +2,7 @@ package harness
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -15,7 +16,8 @@ const (
 // registry and the live CI smoke matrix. Registering a scenario, changing a
 // spec dimension, or editing bench_smoke.sh without regenerating
 // (`go run ./cmd/stbench -catalog`, or UPDATE_GOLDEN=1 on this test) fails
-// here.
+// here. So does a scenario that neither the smoke matrix nor the nightly
+// soak runs: the catalog has no on-demand rows.
 func TestScenarioCatalogInSync(t *testing.T) {
 	globs, err := BenchSmokeGlobs(benchSmokePath)
 	if err != nil {
@@ -24,6 +26,14 @@ func TestScenarioCatalogInSync(t *testing.T) {
 	want, err := CatalogMarkdown(globs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The rule bites: take any one glob out of the matrix and the
+	// scenarios it alone selected have no gate left.
+	for i, g := range globs {
+		rest := append(append([]string(nil), globs[:i]...), globs[i+1:]...)
+		if _, err := CatalogMarkdown(rest); err == nil || !strings.Contains(err.Error(), "neither") {
+			t.Errorf("catalog without smoke glob %q: err = %v, want an ungated scenario", g, err)
+		}
 	}
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(catalogPath, []byte(want), 0o644); err != nil {

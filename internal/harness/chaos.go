@@ -7,7 +7,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/netsim"
 	"repro/internal/teacher"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 	"repro/internal/video"
 )
@@ -32,14 +31,6 @@ func midDiffCut(k int) netsim.Fault {
 }
 
 const midDiffOffset = 256
-
-// keyFrameUploadBytes is about what one key frame costs client→server:
-// framing, the image body, and a run-length label (a few hundred bytes on
-// the synthetic streams' ground truth; the exact count varies by frame).
-func keyFrameUploadBytes() int64 {
-	img := tensor.New(3, video.DefaultH, video.DefaultW)
-	return transport.FrameOverhead + int64(transport.KeyFrameWireBytes(transport.KeyFrame{Image: img})) + 256
-}
 
 // dropMidstreamCuts scripts two download-direction cuts: the first severs
 // the initial connection in the middle of the second student diff (the
@@ -173,19 +164,6 @@ func init() {
 			EnvelopeCodec: "delta+int8",
 		},
 		Run: runChaosWithBaseline,
-	})
-	Register(Scenario{
-		Name: "chaos/stall-midstream",
-		Desc: "two 150ms link stalls mid-upload; latency spikes without connection loss",
-		Spec: Spec{
-			Workload: "drone",
-			Clients:  1,
-			Frames:   200,
-			ChaosCuts: []netsim.Fault{
-				{AfterBytes: 2 * keyFrameUploadBytes(), Stall: 150 * time.Millisecond},
-				{AfterBytes: 5 * keyFrameUploadBytes(), Stall: 150 * time.Millisecond},
-			},
-		},
 	})
 	Register(Scenario{
 		Name: "soak/chaos-churn",

@@ -16,7 +16,7 @@ const (
 	// the baseline (throughput).
 	HigherBetter Direction = iota
 	// LowerBetter fails when the current value rises more than tol above
-	// the baseline (latency, allocations).
+	// the baseline (latency).
 	LowerBetter
 	// BothWays fails on a relative move of more than tol in either
 	// direction (behavioural invariants like the key-frame rate).
@@ -45,7 +45,7 @@ type Check struct {
 	Dir Direction
 	// Tol is the allowed relative move (0.5 = 50%). Tolerances default
 	// generous: the gate exists to catch order-of-magnitude regressions
-	// (a lost 10× allocation win, halved throughput) across unlike CI
+	// (a 10× slower step, halved throughput) across unlike CI
 	// machines, not single-digit drift.
 	Tol float64
 }
@@ -53,19 +53,18 @@ type Check struct {
 // DefaultChecks maps Metrics JSON keys (and "extra.<key>" entries) to their
 // gate. Metrics absent here are informational.
 var DefaultChecks = map[string]Check{
-	"aggregate_fps":           {HigherBetter, 0.5},
-	"mean_client_fps":         {HigherBetter, 0.5},
-	"latency_p50_ms":          {LowerBetter, 1.0},
-	"latency_p99_ms":          {LowerBetter, 2.0},
-	"mean_iou":                {HigherBetter, 0.25},
-	"key_frame_rate":          {BothWays, 0.5},
-	"bytes_up_hd_mb":          {BothWays, 0.6},
-	"bytes_down_hd_mb":        {BothWays, 0.6},
-	"mean_distill_steps":      {BothWays, 0.5},
-	"distill_step_ms":         {LowerBetter, 2.0},
-	"distill_allocs_per_step": {LowerBetter, 0.35},
-	"teacher_mean_batch":      {Informational, 0},
-	"wall_seconds":            {Informational, 0},
+	"aggregate_fps":      {HigherBetter, 0.5},
+	"mean_client_fps":    {HigherBetter, 0.5},
+	"latency_p50_ms":     {LowerBetter, 1.0},
+	"latency_p99_ms":     {LowerBetter, 2.0},
+	"mean_iou":           {HigherBetter, 0.25},
+	"key_frame_rate":     {BothWays, 0.5},
+	"bytes_up_hd_mb":     {BothWays, 0.6},
+	"bytes_down_hd_mb":   {BothWays, 0.6},
+	"mean_distill_steps": {BothWays, 0.5},
+	"distill_step_ms":    {LowerBetter, 2.0},
+	"teacher_mean_batch": {Informational, 0},
+	"wall_seconds":       {Informational, 0},
 
 	// Resilience metrics (chaos families). Reconnects is deterministic —
 	// it equals the scripted fault count, so any drift is a bug. Replay
@@ -115,10 +114,11 @@ var DefaultChecks = map[string]Check{
 	// and either beats the fastest static configuration's FPS or matches it
 	// while shipping materially fewer bytes (the byte axis is a
 	// near-deterministic function of codec choices, so the count survives
-	// host-speed noise; see runAdaptiveVsStatic). The 0.34 tolerance floors
-	// the gate at 2 wins whether the committed baseline measured 2 or 3; a
-	// policy that stops adapting falls to 0–1 and trips. Per-regime ratios are informational
-	// diagnostics.
+	// host-speed noise; see runAdaptiveVsStatic). CI overrides the 0.34
+	// default with -tol extra.adaptive_wins=0 against a committed baseline
+	// of 1, so the enforced gate is ≥ 1 of 3: a policy that stops adapting
+	// falls to 0 and trips (ROADMAP item 7). Per-regime ratios are
+	// informational diagnostics.
 	"extra.adaptive_wins": {HigherBetter, 0.34},
 
 	// Delta-checkpoint metrics (scenarios with Spec.EnvelopeCodec). The
@@ -167,36 +167,35 @@ func (r Regression) String() string {
 // keyed exactly as the JSON schema spells them.
 func metricValues(m Metrics) map[string]float64 {
 	out := map[string]float64{
-		"wall_seconds":            m.WallSeconds,
-		"aggregate_fps":           m.AggregateFPS,
-		"mean_client_fps":         m.MeanClientFPS,
-		"latency_p50_ms":          m.LatencyP50MS,
-		"latency_p99_ms":          m.LatencyP99MS,
-		"key_frame_rate":          m.KeyFrameRate,
-		"mean_iou":                m.MeanIoU,
-		"bytes_up_hd_mb":          m.BytesUpHDMB,
-		"bytes_down_hd_mb":        m.BytesDownHDMB,
-		"teacher_mean_batch":      m.TeacherMeanBatch,
-		"mean_distill_steps":      m.MeanDistillSteps,
-		"distill_step_ms":         m.DistillStepMS,
-		"distill_allocs_per_step": m.DistillAllocsPerStep,
-		"reconnects":              float64(m.Reconnects),
-		"resume_replays":          float64(m.ResumeReplays),
-		"full_resends":            float64(m.FullResends),
-		"stale_frames":            float64(m.StaleFrames),
-		"recovery_mean_ms":        m.RecoveryMeanMS,
-		"miou_delta_pct":          m.MIoUDeltaPct,
-		"shards":                  float64(m.Shards),
-		"handoffs":                float64(m.Handoffs),
-		"sheds":                   float64(m.Sheds),
-		"migrated":                float64(m.Migrated),
-		"fec_group":               float64(m.FECGroup),
-		"packets_sent":            float64(m.PacketsSent),
-		"packets_lost":            float64(m.PacketsLost),
-		"packets_recovered":       float64(m.PacketsRecovered),
-		"packet_retransmits":      float64(m.PacketRetransmits),
-		"loss_rate_pct":           m.LossRatePct,
-		"goodput_mbps":            m.GoodputMbps,
+		"wall_seconds":       m.WallSeconds,
+		"aggregate_fps":      m.AggregateFPS,
+		"mean_client_fps":    m.MeanClientFPS,
+		"latency_p50_ms":     m.LatencyP50MS,
+		"latency_p99_ms":     m.LatencyP99MS,
+		"key_frame_rate":     m.KeyFrameRate,
+		"mean_iou":           m.MeanIoU,
+		"bytes_up_hd_mb":     m.BytesUpHDMB,
+		"bytes_down_hd_mb":   m.BytesDownHDMB,
+		"teacher_mean_batch": m.TeacherMeanBatch,
+		"mean_distill_steps": m.MeanDistillSteps,
+		"distill_step_ms":    m.DistillStepMS,
+		"reconnects":         float64(m.Reconnects),
+		"resume_replays":     float64(m.ResumeReplays),
+		"full_resends":       float64(m.FullResends),
+		"stale_frames":       float64(m.StaleFrames),
+		"recovery_mean_ms":   m.RecoveryMeanMS,
+		"miou_delta_pct":     m.MIoUDeltaPct,
+		"shards":             float64(m.Shards),
+		"handoffs":           float64(m.Handoffs),
+		"sheds":              float64(m.Sheds),
+		"migrated":           float64(m.Migrated),
+		"fec_group":          float64(m.FECGroup),
+		"packets_sent":       float64(m.PacketsSent),
+		"packets_lost":       float64(m.PacketsLost),
+		"packets_recovered":  float64(m.PacketsRecovered),
+		"packet_retransmits": float64(m.PacketRetransmits),
+		"loss_rate_pct":      m.LossRatePct,
+		"goodput_mbps":       m.GoodputMbps,
 	}
 	for i, n := range m.ShardSessions {
 		out[fmt.Sprintf("shard_sessions.%d", i)] = float64(n)

@@ -12,7 +12,6 @@ func sampleResults() []Metrics {
 			AggregateFPS: 30, MeanClientFPS: 30, LatencyP50MS: 25, LatencyP99MS: 80,
 			KeyFrameRate: 0.12, MeanIoU: 0.7, BytesUpHDMB: 80, BytesDownHDMB: 12,
 			TeacherMeanBatch: 1.5, MeanDistillSteps: 4, DistillStepMS: 85,
-			DistillAllocsPerStep: 300,
 		},
 		{
 			Scenario: "compression/diff-codecs/int8", Family: "compression",
@@ -34,12 +33,12 @@ func TestCompareIdenticalPasses(t *testing.T) {
 func TestCompareDegradedMetricFails(t *testing.T) {
 	base := NewBenchFile(sampleResults())
 	degraded := sampleResults()
-	degraded[0].AggregateFPS = 10           // -67%, beyond the 50% tolerance
-	degraded[0].DistillAllocsPerStep = 4000 // the lost 10× alloc win
+	degraded[0].AggregateFPS = 10   // -67%, beyond the 50% tolerance
+	degraded[0].DistillStepMS = 850 // a 10× slower step, beyond the 200% tolerance
 	cur := NewBenchFile(degraded)
 	regs, _ := Compare(base, cur, nil)
 	if len(regs) != 2 {
-		t.Fatalf("want 2 regressions (fps, allocs), got %v", regs)
+		t.Fatalf("want 2 regressions (fps, step), got %v", regs)
 	}
 	var metrics []string
 	for _, r := range regs {
@@ -49,7 +48,7 @@ func TestCompareDegradedMetricFails(t *testing.T) {
 		metrics = append(metrics, r.Metric)
 	}
 	joined := strings.Join(metrics, " ")
-	if !strings.Contains(joined, "aggregate_fps") || !strings.Contains(joined, "distill_allocs_per_step") {
+	if !strings.Contains(joined, "aggregate_fps") || !strings.Contains(joined, "distill_step_ms") {
 		t.Errorf("unexpected regression metrics: %v", metrics)
 	}
 }
@@ -86,14 +85,14 @@ func TestCompareBothWaysMetric(t *testing.T) {
 func TestCompareVanishedLowerBetterMetricFails(t *testing.T) {
 	base := NewBenchFile(sampleResults())
 	vanished := sampleResults()
-	vanished[0].LatencyP99MS = 0         // measurement silently dropped
-	vanished[0].DistillAllocsPerStep = 0 // ditto
+	vanished[0].LatencyP99MS = 0  // measurement silently dropped
+	vanished[0].DistillStepMS = 0 // ditto
 	regs, _ := Compare(base, NewBenchFile(vanished), nil)
 	if len(regs) != 2 {
 		t.Fatalf("vanished lower-better metrics must fail, got %v", regs)
 	}
 	for _, r := range regs {
-		if r.Metric != "latency_p99_ms" && r.Metric != "distill_allocs_per_step" {
+		if r.Metric != "latency_p99_ms" && r.Metric != "distill_step_ms" {
 			t.Errorf("unexpected regression: %v", r)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/netsim"
 )
 
@@ -55,22 +54,22 @@ func TestMatchGlobAndExact(t *testing.T) {
 	if len(all) != len(All()) {
 		t.Errorf("*/* matched %d of %d scenarios (hierarchical names expected)", len(all), len(All()))
 	}
-	one, err := Match("multiclient/c4")
+	one, err := Match("multiclient/c1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(one) != 1 || one[0].Name != "multiclient/c4" {
+	if len(one) != 1 || one[0].Name != "multiclient/c1" {
 		t.Errorf("exact match returned %v", one)
 	}
-	fam, err := Match("ablation/*")
+	fam, err := Match("fleet/*")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fam) != 4 {
-		t.Errorf("ablation/* matched %d scenarios, want 4", len(fam))
+	if len(fam) != 5 {
+		t.Errorf("fleet/* matched %d scenarios, want 5", len(fam))
 	}
 	for _, s := range fam {
-		if s.Family() != "ablation" {
+		if s.Family() != "fleet" {
 			t.Errorf("scenario %s has family %s", s.Name, s.Family())
 		}
 	}
@@ -154,17 +153,6 @@ func TestDriveEndToEnd(t *testing.T) {
 	}
 	if m.MeanDistillSteps <= 0 || m.DistillStepMS <= 0 {
 		t.Errorf("distill metrics missing: %+v", m)
-	}
-	// The allocation regression guard, as the alloc/distill-step scenario
-	// runs it: steady-state distillation must stay within the alloc budget
-	// enforced by alloc_test.go (~50-100/step measured; 1000 is the
-	// order-of-magnitude tripwire).
-	allocs, err := DistillAllocsPerStep(core.DefaultConfig(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs <= 0 || allocs > 1000 {
-		t.Errorf("distill step allocates %.0f/step; workspace pooling regressed", allocs)
 	}
 }
 

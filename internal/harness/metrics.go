@@ -54,10 +54,9 @@ type Metrics struct {
 	BytesUpHDMB   float64 `json:"bytes_up_hd_mb,omitempty"`
 	BytesDownHDMB float64 `json:"bytes_down_hd_mb,omitempty"`
 
-	TeacherMeanBatch     float64 `json:"teacher_mean_batch,omitempty"`
-	MeanDistillSteps     float64 `json:"mean_distill_steps,omitempty"`
-	DistillStepMS        float64 `json:"distill_step_ms,omitempty"`
-	DistillAllocsPerStep float64 `json:"distill_allocs_per_step,omitempty"`
+	TeacherMeanBatch float64 `json:"teacher_mean_batch,omitempty"`
+	MeanDistillSteps float64 `json:"mean_distill_steps,omitempty"`
+	DistillStepMS    float64 `json:"distill_step_ms,omitempty"`
 
 	// Session-resilience metrics, populated by chaos scenarios (and any
 	// run where a client reconnected). Reconnects counts successful

@@ -3,7 +3,6 @@ package harness
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/netsim"
 )
 
@@ -22,12 +21,9 @@ var WifiFade = netsim.MustTrace("wifi-fade",
 //
 //	bandwidth-sweep/*  — §6.4 link matrix: fixed profiles and the wifi-fade
 //	                     trace, crossed with client counts and diff codecs
-//	multiclient/*      — §1/§7 scaling: one shared batched teacher, N streams
-//	workload/*         — single-stream showcases: CCTV, body-cam, a slow
-//	                     link, and the quickstart stream
-//	ablation/*         — the DESIGN.md ablation suite, folded to metrics
+//	multiclient/*      — one loopback session on the mixed stream: the
+//	                     single-session baseline the fleet/* rows scale from
 //	compression/*      — the §8 diff-codec study, folded to metrics
-//	alloc/*            — PR 2 steady-state allocation guard
 //	chaos/*            — scripted mid-stream connection faults measuring
 //	                     the resume subsystem (see chaos.go)
 //	loss/*             — packet-level loss/reorder/FEC regimes and the
@@ -52,87 +48,14 @@ func init() {
 
 	Register(Scenario{
 		Name: "multiclient/c1",
-		Desc: "single session baseline for the scaling story",
+		Desc: "single-session baseline the fleet/* rows scale from",
 		Spec: Spec{Workload: "mixed", Clients: 1, Frames: 200},
-	})
-	Register(Scenario{
-		Name: "multiclient/c4",
-		Desc: "4 heterogeneous streams sharing one batched teacher",
-		Spec: Spec{Workload: "mixed", Clients: 4, Frames: 200},
-	})
-	Register(Scenario{
-		Name: "multiclient/c8",
-		Desc: "8 heterogeneous streams sharing one batched teacher",
-		Spec: Spec{Workload: "mixed", Clients: 8, Frames: 160},
-	})
-
-	// Single-stream showcases; workload/quickstart is the starting tour.
-	Register(Scenario{
-		Name: "workload/streetcam",
-		Desc: "southbeach CCTV, the most volatile stream",
-		Spec: Spec{Workload: "southbeach", Clients: 1},
-	})
-	Register(Scenario{
-		Name: "workload/egocentric",
-		Desc: "body-cam people stream",
-		Spec: Spec{Workload: "egocentric/people", Clients: 1},
-	})
-	Register(Scenario{
-		Name: "workload/softball-lowbw",
-		Desc: "calmest stream on a 12 Mbps link",
-		Spec: Spec{Workload: "softball", Bandwidth: 12, Clients: 1},
-	})
-	Register(Scenario{
-		Name: "workload/quickstart",
-		Desc: "fixed/people starter stream",
-		Spec: Spec{Workload: "fixed/people", Clients: 1, Frames: 180},
-	})
-
-	Register(Scenario{
-		Name: "ablation/stride",
-		Desc: "striding policy ablation (adaptive vs fixed vs backoff)",
-		Spec: Spec{},
-		Run:  runAblationStride,
-	})
-	Register(Scenario{
-		Name: "ablation/async",
-		Desc: "async vs blocking update across the Figure 4 bandwidths",
-		Spec: Spec{},
-		Run:  runAblationAsync,
-	})
-	Register(Scenario{
-		Name: "ablation/freeze",
-		Desc: "partial-distillation freeze-point sweep",
-		Spec: Spec{},
-		Run:  runAblationFreeze,
-	})
-	Register(Scenario{
-		Name: "ablation/loss",
-		Desc: "×5 object loss weighting vs uniform cross-entropy",
-		Spec: Spec{},
-		Run:  runAblationLoss,
 	})
 	Register(Scenario{
 		Name: "compression/diff-codecs",
 		Desc: "§8 diff codecs offline: bytes, ratio, reconstruction error",
 		Spec: Spec{},
 		Run:  runCompression,
-	})
-
-	Register(Scenario{
-		Name: "alloc/distill-step",
-		Desc: "steady-state allocations per distillation step (PR 2 guard)",
-		Spec: Spec{Workload: "moving/street"},
-		Run: func(spec Spec) ([]Metrics, error) {
-			allocs, err := DistillAllocsPerStep(core.DefaultConfig(), spec)
-			if err != nil {
-				return nil, err
-			}
-			return []Metrics{{
-				Workload:             spec.Workload,
-				DistillAllocsPerStep: allocs,
-			}}, nil
-		},
 	})
 
 	Register(Scenario{

@@ -17,26 +17,25 @@ const goldenFile = "testdata/bench_schema.golden.json"
 func goldenBench() BenchFile {
 	return NewBenchFile([]Metrics{
 		{
-			Scenario:             "bandwidth-sweep/8mbps-c1-raw",
-			Family:               "bandwidth-sweep",
-			Workload:             "drone",
-			Bandwidth:            "8Mbps",
-			Codec:                "raw",
-			Clients:              1,
-			FramesPerClient:      240,
-			WallSeconds:          12.5,
-			AggregateFPS:         19.2,
-			MeanClientFPS:        19.2,
-			LatencyP50MS:         24.5,
-			LatencyP99MS:         180.25,
-			KeyFrameRate:         0.118,
-			MeanIoU:              0.705,
-			BytesUpHDMB:          74.2,
-			BytesDownHDMB:        11.1,
-			TeacherMeanBatch:     1.4,
-			MeanDistillSteps:     4.2,
-			DistillStepMS:        85.3,
-			DistillAllocsPerStep: 290,
+			Scenario:         "bandwidth-sweep/8mbps-c1-raw",
+			Family:           "bandwidth-sweep",
+			Workload:         "drone",
+			Bandwidth:        "8Mbps",
+			Codec:            "raw",
+			Clients:          1,
+			FramesPerClient:  240,
+			WallSeconds:      12.5,
+			AggregateFPS:     19.2,
+			MeanClientFPS:    19.2,
+			LatencyP50MS:     24.5,
+			LatencyP99MS:     180.25,
+			KeyFrameRate:     0.118,
+			MeanIoU:          0.705,
+			BytesUpHDMB:      74.2,
+			BytesDownHDMB:    11.1,
+			TeacherMeanBatch: 1.4,
+			MeanDistillSteps: 4.2,
+			DistillStepMS:    85.3,
 		},
 		{
 			Scenario: "compression/diff-codecs/int8",
@@ -159,7 +158,7 @@ func TestBenchFileRoundTrip(t *testing.T) {
 		t.Fatalf("rows: %d != %d", len(got.Results), len(want.Results))
 	}
 	if got.Results[0].Scenario != want.Results[0].Scenario ||
-		got.Results[0].DistillAllocsPerStep != want.Results[0].DistillAllocsPerStep ||
+		got.Results[0].DistillStepMS != want.Results[0].DistillStepMS ||
 		got.Results[1].Extra["vs_raw"] != want.Results[1].Extra["vs_raw"] {
 		t.Errorf("round trip mismatch:\n%+v\n%+v", got.Results, want.Results)
 	}

@@ -1,46 +1,46 @@
-package resume
+package serve
 
 import (
 	"fmt"
 	"testing"
 )
 
-func fill(j *Journal, from, to uint64) {
+func fill(j *journal, from, to uint64) {
 	for s := from; s <= to; s++ {
-		j.Append(s, []byte(fmt.Sprintf("d%d", s)))
+		j.append(s, []byte(fmt.Sprintf("d%d", s)))
 	}
 }
 
 func TestJournalSuffixComplete(t *testing.T) {
-	j := NewJournal(4)
+	j := newJournal(4)
 	fill(j, 1, 3)
-	if tl, n := j.Tail(), j.Len(); tl != 1 || n != 3 {
+	if tl, n := j.tail(), j.len(); tl != 1 || n != 3 {
 		t.Fatalf("tail/len %d/%d, want 1/3", tl, n)
 	}
-	entries, ok := j.Suffix(1)
+	entries, ok := j.suffix(1)
 	if !ok || len(entries) != 2 {
 		t.Fatalf("suffix(1) = %v entries, ok=%v", len(entries), ok)
 	}
-	if entries[0].Seq != 2 || entries[1].Seq != 3 {
+	if entries[0].seq != 2 || entries[1].seq != 3 {
 		t.Fatalf("suffix order wrong: %+v", entries)
 	}
-	if string(entries[0].Body) != "d2" {
-		t.Fatalf("body %q", entries[0].Body)
+	if string(entries[0].body) != "d2" {
+		t.Fatalf("body %q", entries[0].body)
 	}
 }
 
 // A client that is already current (after == head) gets an empty, complete
 // suffix — the resume succeeds with nothing to replay.
 func TestJournalSuffixAtHead(t *testing.T) {
-	j := NewJournal(4)
+	j := newJournal(4)
 	fill(j, 1, 5) // seqs 2..5 retained
-	entries, ok := j.Suffix(5)
+	entries, ok := j.suffix(5)
 	if !ok || len(entries) != 0 {
 		t.Fatalf("suffix(head) = %d entries, ok=%v; want empty complete", len(entries), ok)
 	}
 	// A claim past the head is still "complete" journal-wise; the owner
 	// rejects it against its own head separately.
-	if _, ok := j.Suffix(9); !ok {
+	if _, ok := j.suffix(9); !ok {
 		t.Fatal("suffix past head should not report a gap")
 	}
 }
@@ -48,16 +48,16 @@ func TestJournalSuffixAtHead(t *testing.T) {
 // The boundary client: it applied exactly tail-1, so the whole retained
 // ring replays.
 func TestJournalSuffixAtTailBoundary(t *testing.T) {
-	j := NewJournal(4)
+	j := newJournal(4)
 	fill(j, 1, 6) // retained: 3,4,5,6
-	if tl := j.Tail(); tl != 3 {
+	if tl := j.tail(); tl != 3 {
 		t.Fatalf("tail %d, want 3", tl)
 	}
-	entries, ok := j.Suffix(2) // tail-1: everything retained replays
+	entries, ok := j.suffix(2) // tail-1: everything retained replays
 	if !ok || len(entries) != 4 {
 		t.Fatalf("suffix(tail-1) = %d entries, ok=%v; want 4 complete", len(entries), ok)
 	}
-	if entries[0].Seq != 3 || entries[3].Seq != 6 {
+	if entries[0].seq != 3 || entries[3].seq != 6 {
 		t.Fatalf("wrong window: %+v", entries)
 	}
 }
@@ -65,25 +65,25 @@ func TestJournalSuffixAtTailBoundary(t *testing.T) {
 // Past the eviction horizon the suffix is incomplete: the caller must fall
 // back to a full checkpoint.
 func TestJournalSuffixPastEvictionHorizon(t *testing.T) {
-	j := NewJournal(4)
+	j := newJournal(4)
 	fill(j, 1, 6) // retained: 3,4,5,6
-	if _, ok := j.Suffix(1); ok {
+	if _, ok := j.suffix(1); ok {
 		t.Fatal("suffix(1) with tail 3 must report a gap")
 	}
-	if _, ok := j.Suffix(0); ok {
+	if _, ok := j.suffix(0); ok {
 		t.Fatal("suffix(0) with tail 3 must report a gap")
 	}
 }
 
 func TestJournalEmpty(t *testing.T) {
-	j := NewJournal(2)
-	if entries, ok := j.Suffix(0); !ok || entries != nil {
+	j := newJournal(2)
+	if entries, ok := j.suffix(0); !ok || entries != nil {
 		t.Fatalf("empty journal, fresh client: %v ok=%v", entries, ok)
 	}
-	if _, ok := j.Suffix(3); ok {
+	if _, ok := j.suffix(3); ok {
 		t.Fatal("empty journal cannot satisfy a client claiming applied diffs")
 	}
-	if j.Tail() != 0 || j.Len() != 0 {
+	if j.tail() != 0 || j.len() != 0 {
 		t.Fatal("empty journal bounds should be zero")
 	}
 }
@@ -94,7 +94,7 @@ func TestJournalAppendMonotonicityPanics(t *testing.T) {
 			t.Fatal("non-increasing append must panic")
 		}
 	}()
-	j := NewJournal(2)
-	j.Append(2, nil)
-	j.Append(2, nil)
+	j := newJournal(2)
+	j.append(2, nil)
+	j.append(2, nil)
 }

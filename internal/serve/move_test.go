@@ -105,9 +105,9 @@ func peek(t *testing.T, m *Manager, id uint64) *parkedView {
 		steps: srv.Distiller.TotalSteps, trains: srv.Distiller.TotalTrains, stepTime: srv.Distiller.TotalStepTime,
 		weights: nn.CloneNamed(srv.Distiller.Student.Params.All()), view: nn.CloneNamed(srv.View.All()),
 	}
-	entries, _ := s.journal.Suffix(0)
+	entries, _ := s.journal.suffix(0)
 	for _, e := range entries {
-		v.entries = append(v.entries, append([]byte(nil), e.Body...))
+		v.entries = append(v.entries, append([]byte(nil), e.body...))
 	}
 	return v
 }

@@ -1,7 +1,7 @@
-package resume_test
+package serve_test
 
 // A detached session is parked in serve.Manager's registry, and a resume
-// replays from its Journal. These tests check the parking guarantees a
+// replays from its journal. These tests check the parking guarantees a
 // session relies on — it is kept, taken back once under its epoch, never
 // given a fresh deadline by a refused probe, and evicted at its TTL with no
 // caller driving it — end to end through the manager's public API and the
@@ -193,7 +193,7 @@ func waitState(t *testing.T, m *serve.Manager, id uint64, want serve.SessionStat
 
 // A parked session is found under its ID only, refused under another epoch,
 // taken back once with its state intact, and gone once taken.
-func TestStorePutTake(t *testing.T) {
+func TestParkedSessionTakenOnceUnderItsEpoch(t *testing.T) {
 	m, frames := parkManager(t, time.Minute)
 	c := dial(t, m, frames)
 	c.open()
@@ -231,7 +231,7 @@ func TestStorePutTake(t *testing.T) {
 // A session re-parked after a resume whose ack may never have arrived is
 // taken back under the current epoch or the one before, but nothing else;
 // zero is never a wildcard.
-func TestStoreTakeAltEpoch(t *testing.T) {
+func TestParkedSessionTakenUnderCurrentOrPreviousEpoch(t *testing.T) {
 	m, frames := parkManager(t, time.Minute)
 	c := dial(t, m, frames)
 	c.open()
@@ -263,7 +263,7 @@ func TestStoreTakeAltEpoch(t *testing.T) {
 
 // A refused resume probe leaves the session parked from the instant it
 // first was: it expires at its original deadline, not a TTL after the probe.
-func TestStorePutPreservesDetachedAt(t *testing.T) {
+func TestParkedExpiresOnFirstDeadlineDespiteRefusedProbe(t *testing.T) {
 	const ttl = time.Second
 	m, frames := parkManager(t, ttl)
 	c := dial(t, m, frames)
@@ -287,7 +287,7 @@ func TestStorePutPreservesDetachedAt(t *testing.T) {
 // Each parked session expires a TTL after it parked: the older goes first,
 // its stats fold, a late resume of it is refused, and the younger still
 // resumes.
-func TestStoreTTLEviction(t *testing.T) {
+func TestParkedSessionsEvictedInTTLOrder(t *testing.T) {
 	const ttl = time.Second
 	m, frames := parkManager(t, ttl)
 	a := dial(t, m, frames)
@@ -315,7 +315,7 @@ func TestStoreTTLEviction(t *testing.T) {
 }
 
 // Expiry needs no caller: a short-TTL session leaves the registry on its own.
-func TestStoreReaperRuns(t *testing.T) {
+func TestParkedSessionExpiresWithNoCaller(t *testing.T) {
 	m, frames := parkManager(t, 60*time.Millisecond)
 	c := dial(t, m, frames)
 	c.open()

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/resume"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -23,7 +22,7 @@ type session struct {
 	id      uint64
 	epoch   uint64
 	srv     *core.Server
-	journal *resume.Journal
+	journal *journal
 
 	// While parked, under the mutex of the manager that holds it: when it
 	// parked, and the timer that evicts it ResumeTTL later.
@@ -35,7 +34,7 @@ type session struct {
 // with its own distiller and optimizer behind the shared batched teacher, a
 // replay journal of the given depth, and this manager's link policy.
 func (m *Manager) newSession(journalDepth int) *session {
-	s := &session{m: m, journal: resume.NewJournal(journalDepth)}
+	s := &session{m: m, journal: newJournal(journalDepth)}
 	s.srv = core.NewServer(m.opts.Cfg, m.opts.Base.Clone(), m.batcher)
 	s.srv.Observer = s
 	s.srv.Checkpoint = m.ck
@@ -81,8 +80,8 @@ func (s *session) Checkpoint(actual, baseline int) {
 // enters the replay journal. A relative diff
 // is cut against its predecessor's result, so the journal is a chain: it
 // replays from the client's last applied Seq onwards or not at all, which
-// is the only way resume.Journal.Suffix ever hands it out.
-func (s *session) Diff(seq uint64, body []byte) { s.journal.Append(seq, body) }
+// is the only way journal.suffix ever hands it out.
+func (s *session) Diff(seq uint64, body []byte) { s.journal.append(seq, body) }
 
 // Train implements core.SessionObserver, feeding the live distillation
 // metrics; the handles are nil no-ops when telemetry is off.
@@ -170,7 +169,7 @@ func (m *Manager) handleResume(conn transport.Conn, first transport.Message) err
 	}
 	srv := sess.srv
 
-	entries, complete := sess.journal.Suffix(req.LastDiffSeq)
+	entries, complete := sess.journal.suffix(req.LastDiffSeq)
 	if complete {
 		ack.Status = transport.ResumeReplay
 		ack.NumDiffs = uint32(len(entries))
@@ -182,13 +181,13 @@ func (m *Manager) handleResume(conn transport.Conn, first transport.Message) err
 	}
 	if complete {
 		for _, e := range entries {
-			if err := conn.Send(transport.Message{Type: transport.MsgStudentDiff, Body: e.Body}); err != nil {
+			if err := conn.Send(transport.Message{Type: transport.MsgStudentDiff, Body: e.body}); err != nil {
 				return m.redetach(sess, err)
 			}
 		}
 		m.countResume(true)
 		m.logf("session %d resumed at epoch %d: replayed %d of %d journaled diffs",
-			sess.id, sess.epoch, len(entries), sess.journal.Len())
+			sess.id, sess.epoch, len(entries), sess.journal.len())
 	} else {
 		// Resume requests carry the base hash as Hello does, so the
 		// full-resend fallback — the dominant checkpoint cost under churn —
@@ -204,7 +203,7 @@ func (m *Manager) handleResume(conn transport.Conn, first transport.Message) err
 		m.countFullResend(actual, baseline)
 		m.countResume(false)
 		m.logf("session %d resumed at epoch %d: journal gap too old (asked for > %d, tail %d), sent full checkpoint",
-			sess.id, sess.epoch, req.LastDiffSeq, sess.journal.Tail())
+			sess.id, sess.epoch, req.LastDiffSeq, sess.journal.tail())
 	}
 	return m.runSession(conn, sess)
 }
@@ -389,6 +388,6 @@ func (m *Manager) MoveParked(id uint64, to *Manager) error {
 	}
 	to.tm.trace.Record(telemetry.Event{Time: now, Kind: telemetry.EvHandoff, Session: id, Epoch: uint32(epoch), Seq: seq, Shard: to.tm.shard,
 		Detail: fmt.Sprintf("%d->%d", m.tm.shard, to.tm.shard)})
-	to.logf("session %d moved here from shard %d (epoch %d, %d journaled diffs)", id, m.tm.shard, epoch, sess.journal.Len())
+	to.logf("session %d moved here from shard %d (epoch %d, %d journaled diffs)", id, m.tm.shard, epoch, sess.journal.len())
 	return nil
 }
