@@ -2,8 +2,10 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/nn"
@@ -141,6 +143,56 @@ func FuzzBitDeltaDecode(f *testing.F) {
 		for i := range out {
 			if math.Float32bits(again[i]) != math.Float32bits(out[i]) {
 				t.Fatalf("value %d: %08x after re-encode, %08x before", i, math.Float32bits(again[i]), math.Float32bits(out[i]))
+			}
+		}
+	})
+}
+
+// FuzzDecodePlane hammers the image-plane decoder: whatever the bytes, it
+// returns an error or fills the plane from exactly the bytes its header
+// claims — and what it accepts re-encodes to something that decodes to the
+// same bits.
+func FuzzDecodePlane(f *testing.F) {
+	plane := make([]float32, 5*7)
+	for i := range plane {
+		plane[i] = float32(i%7)/7 + float32(i/7)/5
+	}
+	plane[3], plane[4], plane[9] = float32(math.NaN()), float32(math.Inf(-1)), math.Float32frombits(0x80000001)
+	enc := AppendPlane(nil, plane, 7)
+	f.Add(uint8(7), uint8(5), enc)
+	f.Add(uint8(7), uint8(5), append(bytes.Clone(enc), 1, 2)) // the next section's bytes
+	f.Add(uint8(1), uint8(0), []byte{0, 0, 0, 0, 0, 0, 0, 0}) // an empty plane
+	wide := bytes.Clone(enc)
+	wide[3] = 33
+	short := bytes.Clone(enc)
+	binary.LittleEndian.PutUint32(short[4:], 8) // under 2 bits a pixel
+	mustReject := [][]byte{wide, short, enc[:len(enc)-1]}
+	for _, b := range mustReject {
+		f.Add(uint8(7), uint8(5), b)
+	}
+	f.Add(uint8(7), uint8(6), enc) // a row more than the payload holds
+	f.Fuzz(func(t *testing.T, width, height uint8, data []byte) {
+		if width == 0 {
+			return
+		}
+		out := make([]float32, int(width)*int(height))
+		rest, err := DecodePlane(out, data, int(width))
+		if err != nil {
+			return
+		}
+		if width == 7 && height == 5 && slices.ContainsFunc(mustReject, func(b []byte) bool { return bytes.Equal(b, data) }) {
+			t.Fatalf("malformed plane accepted: % x", data[:8])
+		}
+		if used := len(data) - len(rest); used != 8+int(binary.LittleEndian.Uint32(data[4:])) {
+			t.Fatalf("decoder consumed %d bytes of a plane claiming %d", used, binary.LittleEndian.Uint32(data[4:]))
+		}
+		again := make([]float32, len(out))
+		if rest, err := DecodePlane(again, AppendPlane(nil, out, int(width)), int(width)); err != nil || len(rest) != 0 {
+			t.Fatalf("re-encoded plane: %v, %d bytes left over", err, len(rest))
+		}
+		for i := range out {
+			if math.Float32bits(again[i]) != math.Float32bits(out[i]) {
+				t.Fatalf("pixel %d: %08x after re-encode, %08x before", i, math.Float32bits(again[i]), math.Float32bits(out[i]))
 			}
 		}
 	})

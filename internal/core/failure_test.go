@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/teacher"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 	"repro/internal/video"
 )
@@ -147,6 +148,49 @@ func handshaken(t *testing.T, seed int64) (*Server, *transport.PipeConn, chan er
 		}
 	}
 	return srv, clientConn, done
+}
+
+// recordingTeacher keeps a copy of every image the server hands its
+// teacher.
+type recordingTeacher struct {
+	teacher.Teacher
+	images []*tensor.Tensor
+}
+
+func (r *recordingTeacher) Infer(f video.Frame) []int32 {
+	r.images = append(r.images, f.Image.Clone())
+	return r.Teacher.Infer(f)
+}
+
+// The key frame's image coder is lossless: the server trains on exactly the
+// floats the client rendered, bit for bit — ±0, denormals and values far
+// outside [0, 1] included.
+func TestServerHoldsClientPixels(t *testing.T) {
+	frame := collect(t, 79, 1)[0]
+	srv, clientConn, done := handshaken(t, 79)
+	rec := &recordingTeacher{Teacher: srv.Teacher}
+	srv.Teacher = rec
+	img := frame.Image.Clone()
+	for i, bits := range []uint32{0x80000000, 0x00000001, 0x807fffff, math.Float32bits(-3), math.Float32bits(1e30)} {
+		img.Data[i*997] = math.Float32frombits(bits)
+	}
+	kf := transport.KeyFrame{Image: img, Label: frame.Label, Seq: 1}
+	clientConn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)})
+	if m, err := clientConn.Recv(); err != nil || m.Type != transport.MsgStudentDiff {
+		t.Fatalf("got %v %v, want a student diff", m.Type, err)
+	}
+	clientConn.Send(transport.Message{Type: transport.MsgShutdown})
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.images) != 1 {
+		t.Fatalf("teacher saw %d images, want 1", len(rec.images))
+	}
+	for i, v := range img.Data {
+		if got := math.Float32bits(rec.images[0].Data[i]); got != math.Float32bits(v) {
+			t.Fatalf("pixel %d: server holds %08x, client sent %08x", i, got, math.Float32bits(v))
+		}
+	}
 }
 
 // A key frame's pixels come from outside the process. One non-finite pixel

@@ -10,7 +10,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/stats"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 	"repro/internal/video"
 )
@@ -98,7 +97,8 @@ func (s *Suite) Table3() (*stats.Table, error) {
 
 // Table4 reproduces "Data transmitted on each key frame (MB)". It reports
 // the HD-equivalent sizes the traffic model uses (paper units) next to the
-// actually measured wire bytes of this implementation's protocol messages.
+// actually measured wire bytes of this implementation's protocol messages:
+// To Server measures a rendered drone key frame without its oracle label.
 // The paper ships absolute weights, so the To Client column measures an
 // absolute diff (float32 plus 2-bit tags); the relative diffs a live
 // session sends are about 0.65–0.7 of it (harness bytes_down_hd_mb).
@@ -111,8 +111,16 @@ func Table4() (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	img := tensor.New(3, video.DefaultH, video.DefaultW)
-	frameMsg := transport.EncodeKeyFrame(transport.KeyFrame{Image: img})
+	// The image coder is predictive, so only a rendered frame measures it.
+	cfg, err := video.NamedVideo("drone", 1)
+	if err != nil {
+		return nil, err
+	}
+	g, err := video.NewGenerator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	frameMsg := transport.EncodeKeyFrame(transport.KeyFrame{Image: g.Next().Image})
 	frameKB := float64(len(frameMsg)+transport.FrameOverhead) / 1024
 
 	st.SetPartial(true)

@@ -43,11 +43,12 @@ func workloadConfig(spec Spec, client int) (video.Config, error) {
 	return cfg, nil
 }
 
-// localKeyFrameBytes is the wire size of one key-frame body at the
-// reproduction's frame size, excluding the oracle label side-channel —
-// the unit netsim.HDScale converts into the paper's HD regime. It defers
-// to transport.KeyFrameWireBytes so a wire-format change cannot silently
-// skew the gated traffic metrics.
+// localKeyFrameBytes is the nominal size of one key-frame body at the
+// reproduction's frame size — the image as uncompressed float32, without
+// the oracle label side-channel (transport.KeyFrameWireBytes) — and the unit
+// netsim.HDScale converts into the paper's HD regime. It is fixed by the
+// frame size, not by the wire format: the coded body is smaller, and those
+// measured bytes are what the traffic metrics scale.
 func localKeyFrameBytes() int {
 	img := tensor.New(3, video.DefaultH, video.DefaultW)
 	return transport.KeyFrameWireBytes(transport.KeyFrame{Image: img})
@@ -397,7 +398,7 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 	up, down := acct.Totals()
 	kfBytes := localKeyFrameBytes()
 	// The oracle label side-channel rides on the wire as runs — some 200
-	// bytes beside a 74 kB image — and is counted with it.
+	// bytes beside the coded image — and is counted with it.
 	m.BytesUpHDMB = netsim.HDScale(up, kfBytes) / 1e6
 	m.BytesDownHDMB = netsim.HDScale(down, kfBytes) / 1e6
 

@@ -77,9 +77,10 @@ func (a *Accountant) Totals() (toServer, toClient int64) {
 }
 
 // HDScale converts locally measured wire bytes into HD-equivalent bytes:
-// our reduced-resolution frames cost localKeyFrameBytes on the wire where
-// the paper's 720p key frame costs HDFrameBytes, so local byte counts are
-// scaled by that ratio to stay comparable to Tables 4–5.
+// our reduced-resolution frames nominally cost localKeyFrameBytes (their
+// uncompressed float32 size) where the paper's 720p key frame costs
+// HDFrameBytes, so local byte counts are scaled by that ratio to stay
+// comparable to Tables 4–5.
 func HDScale(localBytes int64, localKeyFrameBytes int) float64 {
 	if localKeyFrameBytes <= 0 {
 		return 0

@@ -10,6 +10,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/tensor"
+	"repro/internal/video"
 )
 
 // Fuzz targets for the wire protocol: every decoder must survive arbitrary
@@ -46,16 +47,46 @@ func withLabelRuns(pairs ...uint64) []byte {
 	return binary.LittleEndian.AppendUint64(body, 9)
 }
 
+// v6KeyFrame is k's body as protocol version 6 sent it: the image as raw
+// float32, without a label.
+func v6KeyFrame(k KeyFrame) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, k.FrameIndex)
+	b = append(b, byte(k.Image.Rank()))
+	for _, d := range k.Image.Shape() {
+		b = binary.LittleEndian.AppendUint32(b, uint32(d))
+	}
+	for _, v := range k.Image.Data {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+	}
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	return binary.LittleEndian.AppendUint64(b, k.Seq)
+}
+
 func FuzzDecodeKeyFrame(f *testing.F) {
 	f.Add(EncodeKeyFrame(seedKeyFrame()))
 	kf := seedKeyFrame()
 	kf.Label = nil
 	f.Add(EncodeKeyFrame(kf))
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0, 4, 255, 255, 0, 0}) // implausible dims
-	f.Add(withLabelRuns(2, 64))                  // one run, the whole image
+	f.Add(withLabelRuns(2, 64)) // one run, the whole image
 	numbered := withLabelRuns(2, 64)
 	seqAt := len(numbered) - 8
+	// The first plane's header, and where the second begins.
+	const plane0 = keyFrameHead
+	plane1 := plane0 + 8 + int(binary.LittleEndian.Uint32(numbered[plane0+4:]))
+	edit := func(at int, v uint32) []byte {
+		b := bytes.Clone(numbered)
+		binary.LittleEndian.PutUint32(b[at:], v)
+		return b
+	}
+	rank4, wide := bytes.Clone(numbered), bytes.Clone(numbered)
+	rank4[4], wide[plane0+3] = 4, 33
+	g, err := video.NewGenerator(video.CategoryConfig(video.Categories[0], 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	rendered := KeyFrame{FrameIndex: 1, Image: g.Next().Image, Seq: 1}
+	f.Add(EncodeKeyFrame(rendered))
 	mustReject := [][]byte{
 		withLabelRuns(2, 63),                                      // runs stop short of the image
 		withLabelRuns(2, 60, 1, 5),                                // a run past the end
@@ -63,12 +94,19 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 		withLabelRuns(2, 64, 3),                                   // a class without its run
 		withLabelRuns(2, 0, 2, 64),                                // an empty run
 		withLabelRuns(1<<33, 64),                                  // a class wider than int32
-		withLabelRuns(2, 64)[:3*64*4],                             // truncated inside the image
 		withLabelRuns(2, 32, 1, 32, 0),                            // bytes after the last full pair
 		numbered[:seqAt],                                          // no Seq: an unnumbered key frame
 		numbered[:seqAt+7],                                        // a Seq cut to 7 bytes
 		append(bytes.Clone(numbered), 0),                          // 9 bytes after the label
 		append(bytes.Clone(numbered[:seqAt]), make([]byte, 8)...), // Seq 0
+		wide,                        // a plane width over 32
+		edit(plane0+4, 8*8*2/8-1),   // a payload under 2 bits a pixel
+		numbered[:plane1+8+3],       // truncated inside the second plane
+		edit(5+4, 1<<16),            // a shape the planes cannot back
+		rank4,                       // an image that is not CHW
+		v6KeyFrame(rendered),        // the raw float32 body of version 6
+		v6KeyFrame(seedKeyFrame()),  // and of the seed image
+		numbered[:keyFrameHead+8-1], // a plane header cut short
 	}
 	for _, b := range mustReject {
 		f.Add(b)
@@ -86,7 +124,7 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if k.Label != nil && len(k.Label)*k.Image.Dim(0) != k.Image.Len() && k.Image.Rank() == 3 {
+		if k.Label != nil && len(k.Label)*k.Image.Dim(0) != k.Image.Len() {
 			t.Fatalf("label of %d classes beside a %v image", len(k.Label), k.Image.Shape())
 		}
 		re := EncodeKeyFrame(k)
@@ -97,8 +135,8 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 		if k2.FrameIndex != k.FrameIndex || k2.Seq != k.Seq || !k2.Image.SameShape(k.Image) || len(k2.Label) != len(k.Label) {
 			t.Fatalf("keyframe round trip mismatch: %v vs %v", k2, k)
 		}
-		for i := range k.Image.Data {
-			if k2.Image.Data[i] != k.Image.Data[i] && !(isNaN32(k2.Image.Data[i]) && isNaN32(k.Image.Data[i])) {
+		for i, v := range k.Image.Data {
+			if math.Float32bits(k2.Image.Data[i]) != math.Float32bits(v) {
 				t.Fatalf("keyframe image diverged at %d", i)
 			}
 		}
@@ -461,5 +499,3 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-func isNaN32(v float32) bool { return v != v }

@@ -105,8 +105,10 @@ type Hello struct {
 // header, made every checkpoint a parameter section, and dropped the
 // capability mask from Hello and Resume. Version 6 made a diff's parameters
 // one parameter section under every codec, where a lossy diff had carried
-// absolute weights and raw statistics.
-const Version = 6
+// absolute weights and raw statistics. Version 7 made the key frame's image
+// lossless gradient-predicted planes (compress.AppendPlane), where it had
+// been raw float32, and requires it to be CHW.
+const Version = 7
 
 // KeyFrame is the client → server key frame payload. Label optionally
 // carries the synthetic ground-truth mask, one class per pixel of Image:
@@ -205,18 +207,27 @@ func DecodeHello(b []byte) (Hello, error) {
 	}, nil
 }
 
-// EncodeKeyFrame serialises a KeyFrame body: index, image shape and data,
-// the label as a length-prefixed run of (uvarint class, uvarint run length)
-// pairs in pixel order, then Seq.
+// EncodeKeyFrame serialises a KeyFrame body:
+//
+//	index u32 · rank u8 (3) · C, H, W i32 · C × plane · runLen u32 · runs · seq u64
+//
+// Each plane is compress.AppendPlane's lossless gradient-predicted coding
+// of one H×W channel. The label follows as runLen bytes of (uvarint class,
+// uvarint run length) pairs in pixel order. The image must be CHW.
 func EncodeKeyFrame(k KeyFrame) []byte {
-	buf := bytes.NewBuffer(make([]byte, 0, KeyFrameWireBytes(k)+len(k.Label)/16))
-	binary.Write(buf, binary.LittleEndian, k.FrameIndex)
-	shape := k.Image.Shape()
-	binary.Write(buf, binary.LittleEndian, uint8(len(shape)))
-	for _, d := range shape {
-		binary.Write(buf, binary.LittleEndian, int32(d))
+	if k.Image.Rank() != 3 {
+		panic(fmt.Sprintf("transport: key frame image has rank %d, want CHW", k.Image.Rank()))
 	}
-	binary.Write(buf, binary.LittleEndian, k.Image.Data)
+	b := make([]byte, 0, KeyFrameWireBytes(k)+len(k.Label)/16)
+	b = binary.LittleEndian.AppendUint32(b, k.FrameIndex)
+	b = append(b, 3)
+	for _, d := range k.Image.Shape() {
+		b = binary.LittleEndian.AppendUint32(b, uint32(d))
+	}
+	hw, w := k.Image.Dim(1)*k.Image.Dim(2), k.Image.Dim(2)
+	for p := 0; p < len(k.Image.Data); p += hw {
+		b = compress.AppendPlane(b, k.Image.Data[p:p+hw], w)
+	}
 	var runs []byte
 	for i := 0; i < len(k.Label); {
 		j := i + 1
@@ -227,41 +238,37 @@ func EncodeKeyFrame(k KeyFrame) []byte {
 		runs = binary.AppendUvarint(runs, uint64(j-i))
 		i = j
 	}
-	binary.Write(buf, binary.LittleEndian, uint32(len(runs)))
-	buf.Write(runs)
-	binary.Write(buf, binary.LittleEndian, k.Seq)
-	return buf.Bytes()
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(runs)))
+	b = append(b, runs...)
+	return binary.LittleEndian.AppendUint64(b, k.Seq)
 }
 
-// KeyFrameWireBytes returns the body size of an encoded key frame without
-// the oracle label side-channel: the nominal size of a key frame, which a
-// deployment with a learned teacher would send and which scales to the
-// paper's HD frames with the image alone.
+// KeyFrameWireBytes returns the nominal size of a key frame: its image as
+// uncompressed float32 under a version-6 header, without the oracle label
+// side-channel. It is the unit netsim.HDScale maps to the paper's HD frame,
+// which scales with the image alone; the body EncodeKeyFrame codes is
+// smaller for any rendered frame.
 func KeyFrameWireBytes(k KeyFrame) int {
 	return 4 + 1 + 4*k.Image.Rank() + 4*k.Image.Len() + 4 + 8
 }
 
+// keyFrameHead is the size of a KeyFrame body's index, rank and shape.
+const keyFrameHead = 4 + 1 + 3*4
+
 // DecodeKeyFrame parses a KeyFrame body.
 func DecodeKeyFrame(b []byte) (KeyFrame, error) {
 	var k KeyFrame
-	r := bytes.NewReader(b)
-	if err := binary.Read(r, binary.LittleEndian, &k.FrameIndex); err != nil {
-		return k, fmt.Errorf("transport: keyframe index: %w", err)
+	if len(b) < keyFrameHead {
+		return k, fmt.Errorf("transport: keyframe header of %d bytes, want %d", len(b), keyFrameHead)
 	}
-	var rank uint8
-	if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
-		return k, fmt.Errorf("transport: keyframe rank: %w", err)
+	k.FrameIndex = binary.LittleEndian.Uint32(b)
+	if b[4] != 3 {
+		return k, fmt.Errorf("transport: keyframe image rank %d, want CHW", b[4])
 	}
-	if rank == 0 || rank > 4 {
-		return k, fmt.Errorf("transport: keyframe implausible rank %d", rank)
-	}
-	shape := make([]int, rank)
+	var shape [3]int
 	elems := int64(1)
 	for i := range shape {
-		var d int32
-		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-			return k, fmt.Errorf("transport: keyframe dim: %w", err)
-		}
+		d := int32(binary.LittleEndian.Uint32(b[5+4*i:]))
 		if d <= 0 || d > 1<<16 {
 			return k, fmt.Errorf("transport: keyframe implausible dim %d", d)
 		}
@@ -273,32 +280,32 @@ func DecodeKeyFrame(b []byte) (KeyFrame, error) {
 			return k, fmt.Errorf("transport: keyframe tensor of %d elems exceeds frame limit", elems)
 		}
 	}
-	// Never allocate more than the frame actually carries: a corrupt header
-	// must not force a giant allocation before the read fails.
-	if 4*elems > int64(r.Len()) {
-		return k, fmt.Errorf("transport: keyframe claims %d tensor bytes, only %d remain", 4*elems, r.Len())
+	rest := b[keyFrameHead:]
+	// Never allocate more than the frame actually carries: every plane
+	// costs an 8-byte header and a 2-bit tag a pixel, so a corrupt shape
+	// cannot force a giant allocation before the planes fail to parse.
+	c, hw, w := shape[0], shape[1]*shape[2], shape[2]
+	if need := int64(c) * (8 + (2*int64(hw)+7)/8); need > int64(len(rest)) {
+		return k, fmt.Errorf("transport: keyframe of %v needs at least %d plane bytes, only %d remain", shape, need, len(rest))
 	}
-	t := tensor.New(shape...)
-	if err := binary.Read(r, binary.LittleEndian, t.Data); err != nil {
-		return k, fmt.Errorf("transport: keyframe data: %w", err)
+	k.Image = tensor.New(shape[:]...)
+	for p := 0; p < len(k.Image.Data); p += hw {
+		var err error
+		if rest, err = compress.DecodePlane(k.Image.Data[p:p+hw], rest, w); err != nil {
+			return k, fmt.Errorf("transport: keyframe plane %d: %w", p/hw, err)
+		}
 	}
-	k.Image = t
-	var runBytes uint32
-	if err := binary.Read(r, binary.LittleEndian, &runBytes); err != nil {
-		return k, fmt.Errorf("transport: keyframe label length: %w", err)
+	if len(rest) < 4 {
+		return k, fmt.Errorf("transport: keyframe label length missing")
 	}
-	rest := b[len(b)-r.Len():]
-	if int64(runBytes) > int64(len(rest)) {
+	runBytes := binary.LittleEndian.Uint32(rest)
+	if rest = rest[4:]; int64(runBytes) > int64(len(rest)) {
 		return k, fmt.Errorf("transport: keyframe claims %d label bytes, only %d remain", runBytes, len(rest))
 	}
 	if runBytes > 0 {
 		// The image just parsed, not the runs, says how long the label is:
-		// one class per pixel of the trailing two dimensions.
-		pixels := shape[rank-1]
-		if rank > 1 {
-			pixels *= shape[rank-2]
-		}
-		label, err := decodeLabelRuns(rest[:runBytes], pixels)
+		// one class per pixel of a plane.
+		label, err := decodeLabelRuns(rest[:runBytes], hw)
 		if err != nil {
 			return k, err
 		}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/tensor"
+	"repro/internal/video"
 )
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -62,7 +63,7 @@ func TestKeyFrameLabelRuns(t *testing.T) {
 	label[511] = -1 // any int32 survives, even one core will reject
 	k := KeyFrame{Image: img, Label: label, Seq: 4}
 	body := EncodeKeyFrame(k)
-	if extra := len(body) - KeyFrameWireBytes(k); extra <= 0 || extra > 32 {
+	if extra := len(body) - len(EncodeKeyFrame(KeyFrame{Image: img, Seq: 4})); extra <= 0 || extra > 32 {
 		t.Fatalf("label of 4 runs cost %d bytes", extra)
 	}
 	got, err := DecodeKeyFrame(body)
@@ -92,6 +93,9 @@ func TestKeyFrameNoLabel(t *testing.T) {
 	}
 }
 
+// KeyFrameWireBytes is the nominal float32 size, the unit the HD traffic
+// model scales: the label leaves it alone, and the coded body of a rendered
+// frame comes in under it.
 func TestKeyFrameWireBytesExcludesLabel(t *testing.T) {
 	img := tensor.New(3, 8, 8)
 	with := KeyFrame{Image: img, Label: make([]int32, 64)}
@@ -99,8 +103,80 @@ func TestKeyFrameWireBytesExcludesLabel(t *testing.T) {
 	if KeyFrameWireBytes(with) != KeyFrameWireBytes(without) {
 		t.Fatal("wire byte accounting must exclude the oracle side-channel")
 	}
-	if KeyFrameWireBytes(without) != len(EncodeKeyFrame(without)) {
-		t.Fatalf("wire bytes %d != encoded %d", KeyFrameWireBytes(without), len(EncodeKeyFrame(without)))
+	if want := 4 + 1 + 3*4 + 4*3*8*8 + 4 + 8; KeyFrameWireBytes(without) != want {
+		t.Fatalf("nominal size %d, want the float32 body's %d", KeyFrameWireBytes(without), want)
+	}
+	for name, f := range renderedFrames(t) {
+		k := KeyFrame{Image: f.Image, Seq: 1}
+		if got, nominal := len(EncodeKeyFrame(k)), KeyFrameWireBytes(k); got >= nominal {
+			t.Errorf("%s: coded body %d B, not under the nominal %d B", name, got, nominal)
+		}
+	}
+}
+
+// renderedFrames returns the second frame of each LVS category and of the
+// drone stream.
+func renderedFrames(t *testing.T) map[string]video.Frame {
+	t.Helper()
+	cfgs := map[string]video.Config{}
+	for _, c := range video.Categories {
+		cfgs[c.String()] = video.CategoryConfig(c, 5)
+	}
+	drone, err := video.NamedVideo("drone", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs["drone"] = drone
+	frames := map[string]video.Frame{}
+	for name, cfg := range cfgs {
+		g, err := video.NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Next()
+		frames[name] = g.Next()
+	}
+	return frames
+}
+
+// The server must train on exactly the floats the client rendered, so the
+// image coder is compared bit pattern for bit pattern — NaN payloads, ±Inf,
+// ±0, denormals and values far outside [0, 1] included, beside every kind
+// of rendered frame.
+func TestKeyFrameBitIdentity(t *testing.T) {
+	odd := tensor.New(3, 5, 7) // non-square, with odd rows and columns
+	special := []uint32{
+		0x7fc00000, 0x7fc00001, 0xffbfffff, 0x7f800001, // quiet and signalling NaNs, with payloads
+		0x7f800000, 0xff800000, // ±Inf
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x807fffff, 0x00400000, // denormals
+		math.Float32bits(math.MaxFloat32), math.Float32bits(-1e30), math.Float32bits(-5), math.Float32bits(300),
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := range odd.Data {
+		if i < len(special) {
+			odd.Data[i] = math.Float32frombits(special[i])
+		} else {
+			odd.Data[i] = math.Float32frombits(rng.Uint32())
+		}
+	}
+	images := map[string]*tensor.Tensor{"special values": odd}
+	for name, f := range renderedFrames(t) {
+		images[name] = f.Image
+	}
+	for name, img := range images {
+		got, err := DecodeKeyFrame(EncodeKeyFrame(KeyFrame{Image: img, Seq: 1}))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !got.Image.SameShape(img) {
+			t.Fatalf("%s: shape %v, want %v", name, got.Image.Shape(), img.Shape())
+		}
+		for i, v := range img.Data {
+			if g := math.Float32bits(got.Image.Data[i]); g != math.Float32bits(v) {
+				t.Fatalf("%s: pixel %d decoded as %08x, sent %08x", name, i, g, math.Float32bits(v))
+			}
+		}
 	}
 }
 
