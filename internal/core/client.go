@@ -367,16 +367,22 @@ func (c *Client) apply(rs *runState, d transport.StudentDiff) error {
 		rs.cad.settled()
 		return nil
 	}
-	// Diffs reach here in Seq order, each after its predecessor was
-	// applied: the student is the reference a relative one was cut against.
-	if err := d.Resolve(c.Student.Params); err != nil {
-		return err
-	}
-	if err := nn.ApplyNamed(c.Student.Params, d.Params); err != nil {
-		return err
-	}
 	rs.lastApplied = d.Seq
-	rs.cad.applied(d.Metric, d.StrideScale)
+	return applyDiff(c.Student, &rs.cad, d)
+}
+
+// applyDiff lands one student diff on the client (Algorithm 4 lines
+// 18–21): the weights it carries, then the stride its metric and stride
+// scale set. Diffs land in Seq order, each after its predecessor: the
+// student is the reference a relative one was cut against.
+func applyDiff(st *nn.Student, cad *cadence, d transport.StudentDiff) error {
+	if err := d.Resolve(st.Params); err != nil {
+		return err
+	}
+	if err := nn.ApplyNamed(st.Params, d.Params); err != nil {
+		return err
+	}
+	cad.applied(d.Metric, d.StrideScale)
 	return nil
 }
 

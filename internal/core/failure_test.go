@@ -233,6 +233,30 @@ func TestServerRejectsNonFinitePixel(t *testing.T) {
 	}
 }
 
+// A key frame's shape comes from outside the process too. An image the
+// student cannot take — another channel count, or a side that is not a
+// multiple of 8 — would panic inside the student or the shared teacher and
+// take every session down with it; it must instead end that session as a
+// protocol violation, before any training and without a diff going out.
+func TestServerRejectsMisshapenKeyFrame(t *testing.T) {
+	for _, shape := range [][]int{{1, 64, 96}, {4, 64, 96}, {3, 63, 95}, {3, 7, 5}} {
+		srv, clientConn, done := handshaken(t, 78)
+		img := tensor.New(shape...)
+		img.Fill(0.5)
+		kf := transport.KeyFrame{Image: img, Label: make([]int32, shape[1]*shape[2]), Seq: 1}
+		clientConn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)})
+		if m, err := clientConn.Recv(); err == nil {
+			t.Fatalf("%v image: server answered with %v", shape, m.Type)
+		}
+		if err := <-done; err == nil || errors.Is(err, ErrConnLost) {
+			t.Fatalf("%v image: Loop returned %v; want a protocol error", shape, err)
+		}
+		if srv.Distiller.TotalTrains != 0 || srv.DiffSeq != 0 {
+			t.Fatalf("%v image: the server trained %d times and numbered %d diffs", shape, srv.Distiller.TotalTrains, srv.DiffSeq)
+		}
+	}
+}
+
 // Every key frame carries an eight-byte Seq from 1 on. One without — no
 // Seq, or Seq 0 — after a numbered one is a protocol error, not an
 // unnumbered frame exempt from the replay check: it ends the session

@@ -37,9 +37,9 @@ func newStrideClock(link netsim.Link, lat ComponentLatencies, conc Concurrency, 
 	if lat == (ComponentLatencies{}) {
 		lat = PaperLatencies(partial)
 	}
-	diffBytes := hdStudentBytes
+	diffBytes := netsim.HDStudentBytes
 	if partial {
-		diffBytes = hdPartialDiffBytes
+		diffBytes = netsim.HDPartialDiffBytes
 	}
 	return &strideClock{lat: lat, link: link, concurrency: conc, diffBytes: diffBytes}
 }
@@ -47,7 +47,7 @@ func newStrideClock(link netsim.Link, lat ComponentLatencies, conc Concurrency, 
 // roundTrip is a key frame's trip: upload, teacher inference, steps
 // distillation steps, update download.
 func (c *strideClock) roundTrip(steps int) time.Duration {
-	return c.link.TransferTime(hdFrameBytes) + c.lat.TeacherInference +
+	return c.link.TransferTime(netsim.HDFrameBytes) + c.lat.TeacherInference +
 		time.Duration(steps)*c.lat.DistillStep + c.link.TransferTime(c.diffBytes)
 }
 
@@ -106,8 +106,8 @@ func RetimeFPS(rc RetimeConfig, schedule []KeyFrameEvent, frames int, partial bo
 // given frame count and link — every frame pays the full synchronous round
 // trip (upload, teacher inference, download) plus the per-frame overhead.
 func NaiveTime(link netsim.Link, lat ComponentLatencies, frames int, overhead time.Duration) time.Duration {
-	per := link.TransferTime(hdFrameBytes) + lat.TeacherInference +
-		link.TransferTime(hdNaiveDown) + overhead
+	per := link.TransferTime(netsim.HDFrameBytes) + lat.TeacherInference +
+		link.TransferTime(netsim.HDNaiveResponseBytes) + overhead
 	return time.Duration(frames) * per
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/teacher"
-	"repro/internal/tensor"
 	"repro/internal/transport"
 	"repro/internal/video"
 )
@@ -28,10 +27,9 @@ func connLost(op string, err error) error {
 	return fmt.Errorf("core: %s: %w: %w", op, ErrConnLost, err)
 }
 
-// Server implements Algorithm 3 over a transport.Conn: ship the initial
-// student, then loop — receive a key frame, run teacher inference, distil
-// into the server-side student copy, and return the updated (trainable)
-// parameters plus the achieved metric.
+// Server implements Algorithm 3. Step and Commit are one key frame's work
+// with no I/O; Handshake ships the initial student over a transport.Conn
+// and Loop runs Step and Commit on the key frames that arrive there.
 type Server struct {
 	Cfg       Config
 	Teacher   teacher.Teacher
@@ -46,21 +44,18 @@ type Server struct {
 	// hash. Others (and a nil Checkpoint) get an absolute body.
 	Checkpoint *CheckpointCodec
 	// Policy, when non-nil, picks each student diff's codec, stride scale and
-	// FEC group: before encoding, Loop reads the measured link state off the
-	// conn it was handed (when the conn is a measuredLink), asks the policy
-	// for a decision, applies its FEC choice to that conn, and writes the
-	// rest into the diff's header. Nil sends every diff under the clear
-	// decision (raw, scale 1). The policy survives a detach/resume cycle
-	// with the server state; the link follows whichever conn Loop runs on.
+	// FEC group from the link observation Step is handed — in Loop, that of
+	// the conn it runs on, when the conn measures one. Nil sends every diff
+	// under the clear decision (raw, scale 1). The policy survives a
+	// detach/resume cycle with the server state.
 	Policy netsim.LinkPolicy
 
 	// DiffSeq is the sequence number of the last student diff produced
 	// (diffs are numbered 1, 2, …). It survives a detach/resume cycle with
 	// the rest of the server state.
 	DiffSeq uint64
-	// LastKFSeq is the highest key-frame sequence received; Loop rejects a
-	// non-increasing sequence as a confused resume (a client that
-	// re-attached to the wrong session state).
+	// LastKFSeq is the highest key-frame sequence received; Step rejects a
+	// non-increasing sequence as a confused resume.
 	LastKFSeq uint64
 	// View is the student's nn.TrainableSubset as the client holds it once
 	// it has applied everything sent so far, decoded from every checkpoint
@@ -200,42 +195,48 @@ func (s *Server) HandshakeWith(conn transport.Conn, m transport.Message) (transp
 }
 
 // SendCheckpoint sends the student as one MsgStudentFull body for a peer
-// that sent baseHash (CheckpointCodec.EncodeFor) and makes what the peer
-// decodes from it the View. It returns the body's size and the raw
-// nn.WriteNamed size; a failed send wraps ErrConnLost.
+// that sent baseHash (checkpointBody). It returns the body's size and the
+// raw nn.WriteNamed size; a failed send wraps ErrConnLost.
 func (s *Server) SendCheckpoint(conn transport.Conn, baseHash uint64) (actual, baseline int, err error) {
-	all := s.Distiller.Student.Params.All()
-	body, err := s.Checkpoint.EncodeFor(baseHash, all)
+	body, err := s.checkpointBody(baseHash)
 	if err != nil {
 		return 0, 0, err
 	}
-	sendErr := conn.Send(transport.Message{Type: transport.MsgStudentFull, Body: body})
+	if err := conn.Send(transport.Message{Type: transport.MsgStudentFull, Body: body}); err != nil {
+		return 0, 0, connLost("sending student checkpoint", err)
+	}
+	return len(body), nn.EncodedSize(s.Distiller.Student.Params.All()), nil
+}
+
+// checkpointBody encodes the student as one MsgStudentFull body for a peer
+// that sent baseHash (CheckpointCodec.EncodeFor) and makes what the peer
+// decodes from it the View.
+func (s *Server) checkpointBody(baseHash uint64) ([]byte, error) {
+	body, err := s.Checkpoint.EncodeFor(baseHash, s.Distiller.Student.Params.All())
+	if err != nil {
+		return nil, err
+	}
 	var base *nn.ParamSet
 	if s.Checkpoint != nil {
 		base = s.Checkpoint.Base
 	}
 	held, err := DecodeCheckpointBody(body, base)
 	if err != nil {
-		return 0, 0, fmt.Errorf("core: decoding own checkpoint: %w", err)
+		return nil, fmt.Errorf("core: decoding own checkpoint: %w", err)
 	}
 	s.setView(held)
-	if sendErr != nil {
-		return 0, 0, connLost("sending student checkpoint", sendErr)
-	}
-	return len(body), nn.EncodedSize(all), nil
+	return body, nil
 }
 
 // Loop runs the steady-state half of Algorithm 3 (lines 2–7): receive a key
-// frame, teacher-infer, distil, reply with the trainable diff — until
-// shutdown or connection loss. Handshake must have completed first.
+// frame, Step it, journal and send the reply, Commit it — until shutdown or
+// connection loss. Handshake must have completed first.
 //
 // A connection-level failure (EOF, reset, failed send) returns an error
 // wrapping ErrConnLost: the session state is intact and resumable.
-// Protocol violations (bad decode, malformed label, non-finite pixel,
-// non-monotonic key frame) return plain errors — they terminate the session
-// for good.
+// Protocol violations (bad decode, a key frame Step refuses) return plain
+// errors — they terminate the session for good.
 func (s *Server) Loop(conn transport.Conn) error {
-	obs := s.observer()
 	link, _ := conn.(measuredLink)
 	for {
 		m, err := conn.Recv()
@@ -253,53 +254,27 @@ func (s *Server) Loop(conn transport.Conn) error {
 			if err != nil {
 				return err
 			}
-			if kf.Seq <= s.LastKFSeq {
-				return fmt.Errorf("core: key frame seq %d not after %d (replayed or cross-session stream)", kf.Seq, s.LastKFSeq)
+			var seen netsim.LinkObservation
+			if link != nil {
+				seen = link.LinkObservation()
 			}
-			if err := validateLabel(kf.Label, kf.Image, s.Distiller.Student.Config.NumClasses); err != nil {
-				return err
-			}
-			// One Inf or NaN pixel would leave the trainable weights
-			// non-finite after a single Train, and the diff would ship them.
-			if !kf.Image.AllFinite() {
-				return fmt.Errorf("core: key frame %d has a non-finite pixel", kf.FrameIndex)
-			}
-			if err := requireLabel(kf.Label, s.Teacher); err != nil {
-				return err
-			}
-			s.LastKFSeq = kf.Seq
-			frame := video.Frame{Index: int(kf.FrameIndex), Image: kf.Image, Label: kf.Label}
-			label := s.Teacher.Infer(frame)
-			tr := s.Distiller.Train(frame, label)
-			obs.Train(tr)
-			params := nn.TrainableSubset(s.Distiller.Student.Params)
-			diff := transport.StudentDiff{
-				FrameIndex: kf.FrameIndex,
-				Metric:     tr.Metric,
-				Params:     params,
-				Seq:        s.DiffSeq + 1,
-				Ref:        s.reference(params),
-			}
-			body, err := s.encodeDiff(diff, link)
+			r, err := s.Step(kf, seen)
 			if err != nil {
 				return err
+			}
+			if link != nil && r.FECGroup != 0 {
+				link.SetFECGroup(max(r.FECGroup, 0)) // negative = FEC off
 			}
 			// Journal before sending: when the send fails mid-flight the
 			// client may or may not have applied the diff, and only the
 			// journal entry lets the resume replay disambiguate by Seq.
-			s.DiffSeq = diff.Seq
-			obs.Diff(diff.Seq, body)
-			sendErr := conn.Send(transport.Message{Type: transport.MsgStudentDiff, Body: body})
+			s.observer().Diff(r.Seq, r.Body)
+			sendErr := conn.Send(transport.Message{Type: transport.MsgStudentDiff, Body: r.Body})
 			// Off the round trip: the client applies this diff, now or in a
-			// replay, so the View becomes what the body decodes to.
-			d, err := transport.DecodeStudentDiff(body)
-			if err == nil {
-				err = d.Resolve(s.View)
+			// replay.
+			if err := s.Commit(r.Body); err != nil {
+				return err
 			}
-			if err != nil {
-				return fmt.Errorf("core: decoding own diff: %w", err)
-			}
-			s.setView(d.Params)
 			if sendErr != nil {
 				return connLost("sending student diff", sendErr)
 			}
@@ -307,6 +282,67 @@ func (s *Server) Loop(conn transport.Conn) error {
 			return fmt.Errorf("core: server: unexpected message %v", m.Type)
 		}
 	}
+}
+
+// Reply is what Step makes of one key frame.
+type Reply struct {
+	Seq   uint64 // the diff's sequence number, now DiffSeq
+	Body  []byte // the MsgStudentDiff body, freshly allocated
+	Train TrainResult
+	// FECGroup is the link policy's parity group for the link the reply
+	// goes out on: 0 keeps the current one, negative turns FEC off.
+	FECGroup int
+}
+
+// Step is Algorithm 3's work on one key frame (lines 3–6), with no conn and
+// no clock: validate kf, label it with the teacher, distil, and encode the
+// trainable parameters against the View under the link policy's decision on
+// seen. A key frame it refuses returns a plain error before any training.
+// The View is untouched until the caller Commits the body it sent.
+func (s *Server) Step(kf transport.KeyFrame, seen netsim.LinkObservation) (Reply, error) {
+	if err := s.validate(kf); err != nil {
+		return Reply{}, err
+	}
+	s.LastKFSeq = kf.Seq
+	frame := video.Frame{Index: int(kf.FrameIndex), Image: kf.Image, Label: kf.Label}
+	tr := s.Distiller.Train(frame, s.Teacher.Infer(frame))
+	s.observer().Train(tr)
+	params := nn.TrainableSubset(s.Distiller.Student.Params)
+	diff := transport.StudentDiff{
+		FrameIndex: kf.FrameIndex,
+		Metric:     tr.Metric,
+		Params:     params,
+		Seq:        s.DiffSeq + 1,
+		Ref:        s.reference(params),
+	}
+	var fec int
+	if s.Policy != nil {
+		dec := s.Policy.Decide(seen)
+		s.observer().Policy(dec, s.policySeen && dec.State != s.lastPolicyState)
+		s.policySeen, s.lastPolicyState = true, dec.State
+		diff.State, diff.StrideScale, diff.Codec = dec.State, dec.StrideScale, dec.Codec
+		fec = dec.FECGroup
+	}
+	body, err := transport.EncodeStudentDiff(diff)
+	if err != nil {
+		return Reply{}, err
+	}
+	s.DiffSeq = diff.Seq
+	return Reply{Seq: diff.Seq, Body: body, Train: tr, FECGroup: fec}, nil
+}
+
+// Commit makes what a sent Step body decodes to the View: the client
+// applies it, now or in a replay. Commit each body once, in Seq order.
+func (s *Server) Commit(body []byte) error {
+	d, err := transport.DecodeStudentDiff(body)
+	if err == nil {
+		err = d.Resolve(s.View)
+	}
+	if err != nil {
+		return fmt.Errorf("core: decoding own diff: %w", err)
+	}
+	s.setView(d.Params)
+	return nil
 }
 
 // reference returns the View when it names exactly params, in order — what
@@ -333,61 +369,35 @@ func (s *Server) setView(held []*nn.Parameter) {
 	}
 }
 
-// encodeDiff builds one MsgStudentDiff body under the decision the policy
-// takes on link's current observation (nil link = a clear one), or under
-// the clear decision without a policy.
-func (s *Server) encodeDiff(diff transport.StudentDiff, link measuredLink) ([]byte, error) {
-	if s.Policy != nil {
-		var seen netsim.LinkObservation
-		if link != nil {
-			seen = link.LinkObservation()
-		}
-		dec := s.Policy.Decide(seen)
-		s.observer().Policy(dec, s.policySeen && dec.State != s.lastPolicyState)
-		s.policySeen = true
-		s.lastPolicyState = dec.State
-		if link != nil && dec.FECGroup != 0 {
-			link.SetFECGroup(max(dec.FECGroup, 0)) // negative = FEC off
-		}
-		diff.State, diff.StrideScale, diff.Codec = dec.State, dec.StrideScale, dec.Codec
+// validate refuses a key frame that is not after the last one (a confused
+// resume: a client that re-attached to the wrong session state), or that
+// would fail the session's student or teacher deep inside training: a
+// misshapen image, an oracle label with out-of-range classes or the wrong
+// size (DecodeKeyFrame does not know NumClasses), a missing label the
+// teacher requires, or a non-finite pixel — which would leave the trainable
+// weights non-finite after one Train, and the diff would ship them. A panic
+// in training takes down every session in the process; a hostile client
+// must only fail its own.
+func (s *Server) validate(kf transport.KeyFrame) error {
+	if kf.Seq <= s.LastKFSeq {
+		return fmt.Errorf("core: key frame seq %d not after %d (replayed or cross-session stream)", kf.Seq, s.LastKFSeq)
 	}
-	return transport.EncodeStudentDiff(diff)
-}
-
-// validateLabel rejects a malformed oracle side-channel at the protocol
-// boundary: out-of-range classes or a wrong-sized mask would otherwise
-// reach the confusion-matrix and loss indexing deep in the distiller and
-// panic the whole process — a hostile client must only fail its own
-// session. DecodeKeyFrame cannot do this; it does not know NumClasses.
-// An absent label is allowed (real deployments with a learned teacher ship
-// none); Loop separately rejects it when the teacher requires one.
-func validateLabel(label []int32, img *tensor.Tensor, numClasses int) error {
-	if img.Rank() != 3 {
-		return fmt.Errorf("core: key frame image has rank %d, want CHW", img.Rank())
+	if err := s.Distiller.Student.CheckInput(kf.Image); err != nil {
+		return fmt.Errorf("core: key frame %d: %w", kf.FrameIndex, err)
 	}
-	if len(label) == 0 {
-		return nil
+	if n, want := len(kf.Label), kf.Image.Dim(1)*kf.Image.Dim(2); n != 0 && n != want {
+		return fmt.Errorf("core: key frame label has %d pixels, image has %d", n, want)
 	}
-	if want := img.Dim(1) * img.Dim(2); len(label) != want {
-		return fmt.Errorf("core: key frame label has %d pixels, image has %d", len(label), want)
-	}
-	for _, c := range label {
-		if c < 0 || int(c) >= numClasses {
-			return fmt.Errorf("core: key frame label class %d out of range [0,%d)", c, numClasses)
+	for _, c := range kf.Label {
+		if n := s.Distiller.Student.Config.NumClasses; c < 0 || int(c) >= n {
+			return fmt.Errorf("core: key frame label class %d out of range [0,%d)", c, n)
 		}
 	}
-	return nil
-}
-
-// requireLabel rejects a label-less key frame when the session teacher
-// derives its pseudo-label from the ground-truth side-channel (the Oracle
-// would otherwise panic inside a shared batcher worker).
-func requireLabel(label []int32, tch teacher.Teacher) error {
-	if len(label) > 0 {
-		return nil
+	if lr, ok := s.Teacher.(teacher.LabelRequirer); ok && lr.RequiresLabel() && len(kf.Label) == 0 {
+		return fmt.Errorf("core: key frame carries no ground-truth label, but teacher %q requires one", s.Teacher.Name())
 	}
-	if lr, ok := tch.(teacher.LabelRequirer); ok && lr.RequiresLabel() {
-		return fmt.Errorf("core: key frame carries no ground-truth label, but teacher %q requires one", tch.Name())
+	if !kf.Image.AllFinite() {
+		return fmt.Errorf("core: key frame %d has a non-finite pixel", kf.FrameIndex)
 	}
 	return nil
 }

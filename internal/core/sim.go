@@ -8,6 +8,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/teacher"
+	"repro/internal/transport"
 	"repro/internal/video"
 )
 
@@ -50,17 +51,6 @@ const (
 	FullConcurrency Concurrency = iota
 	// NoConcurrency serialises inference and networking.
 	NoConcurrency
-)
-
-// HD-equivalent wire sizes used for virtual-time accounting, from Table 4 of
-// the paper. Our frames are small (96×64); timing with HD sizes keeps
-// throughput and traffic in the paper's regime (§6.1/§6.4; ARCHITECTURE.md's
-// paper → package map names the network model).
-const (
-	hdFrameBytes       = netsim.HDFrameBytes // 2.637 MB key-frame upload
-	hdStudentBytes     = 1_846_000           // 1.846 MB full student
-	hdPartialDiffBytes = 395_000             // 0.395 MB partial update
-	hdNaiveDown        = netsim.HDNaiveResponseBytes
 )
 
 // SimConfig configures one simulated run.
@@ -135,16 +125,13 @@ type SimResult struct {
 	Frames       int
 	KeyFrames    int
 	DistillSteps int
-	SkippedOpt   int // key frames where the student already cleared THRESHOLD
 
 	VirtualTime time.Duration // total execution time on the virtual clock
 	BytesUp     int64         // HD-equivalent bytes to server
 	BytesDown   int64         // HD-equivalent bytes to client
 
-	MeanIoU     float64 // vs the evaluator's output, averaged over evaluated frames
-	EvalFrames  int
+	MeanIoU     float64       // vs the evaluator's output, averaged over evaluated frames
 	StrideTrace []float64     // stride after each key frame
-	MetricTrace []float64     // post-distillation metric per key frame
 	DistillTime time.Duration // wall time spent distilling (Table 2)
 
 	// Schedule records every key-frame event. Because the client blocks on
@@ -170,8 +157,27 @@ func (r SimResult) KeyFrameRatio() float64 {
 	return float64(r.KeyFrames) / float64(r.Frames)
 }
 
-// Simulate runs one experiment: it drives the real student and distiller
-// over the video source while accounting time on a virtual clock with the
+// validate refuses a run no simulation can take and defaults EvalEvery.
+func (sc *SimConfig) validate() error {
+	if err := sc.Cfg.Validate(); err != nil {
+		return err
+	}
+	if sc.Frames <= 0 {
+		return fmt.Errorf("core: non-positive frame count %d", sc.Frames)
+	}
+	// A later arrival would land after the next key frame went out, and
+	// that key frame's diff is cut against the update it overtook.
+	if sc.DelayFrames > sc.Cfg.MinStride {
+		return fmt.Errorf("core: DelayFrames %d exceeds MIN_STRIDE %d", sc.DelayFrames, sc.Cfg.MinStride)
+	}
+	if sc.EvalEvery <= 0 {
+		sc.EvalEvery = 1
+	}
+	return nil
+}
+
+// Simulate runs one experiment: it drives the real student and server over
+// the video source while accounting time on a virtual clock with the
 // configured component latencies. tch labels the key frames the server
 // trains on; accuracy is measured against eval's output on every evaluated
 // frame, exactly as §6.3 does ("all accuracy values are evaluated against
@@ -179,20 +185,14 @@ func (r SimResult) KeyFrameRatio() float64 {
 // Client.EvalTeacher are, so evaluating never moves a seeded teacher's
 // training labels — and with them the key-frame schedule.
 func Simulate(sc SimConfig, src video.Source, tch, eval teacher.Teacher, student *nn.Student) (SimResult, error) {
-	if err := sc.Cfg.Validate(); err != nil {
+	if err := sc.validate(); err != nil {
 		return SimResult{}, err
-	}
-	if sc.Frames <= 0 {
-		return SimResult{}, fmt.Errorf("core: non-positive frame count %d", sc.Frames)
-	}
-	if sc.EvalEvery <= 0 {
-		sc.EvalEvery = 1
 	}
 	switch sc.Mode {
 	case ModeNaive:
-		return simulateNaive(sc, src)
+		return simulateNaive(sc), nil
 	case ModeWild:
-		return SimulateWild(sc, src, eval, student)
+		return simulateWild(sc, src, eval, student), nil
 	default:
 		return simulateShadowTutor(sc, src, tch, eval, student, nil)
 	}
@@ -202,14 +202,8 @@ func Simulate(sc SimConfig, src video.Source, tch, eval teacher.Teacher, student
 // freeze cut instead of the paper's through-SB4 partial mode — the
 // freeze-point ablation. prefixes nil means full distillation.
 func SimulateCustomFreeze(sc SimConfig, src video.Source, tch, eval teacher.Teacher, student *nn.Student, prefixes []string) (SimResult, error) {
-	if err := sc.Cfg.Validate(); err != nil {
+	if err := sc.validate(); err != nil {
 		return SimResult{}, err
-	}
-	if sc.Frames <= 0 {
-		return SimResult{}, fmt.Errorf("core: non-positive frame count %d", sc.Frames)
-	}
-	if sc.EvalEvery <= 0 {
-		sc.EvalEvery = 1
 	}
 	return simulateShadowTutor(sc, src, tch, eval, student, prefixes)
 }
@@ -217,33 +211,28 @@ func SimulateCustomFreeze(sc SimConfig, src video.Source, tch, eval teacher.Teac
 // pendingUpdate models an in-flight student diff; the clock knows when it
 // lands.
 type pendingUpdate struct {
-	arrivesFrame int          // frame index arrival (DelayFrames mode)
-	params       *nn.ParamSet // snapshot of what the diff carries
-	metric       float64
-	lost         bool // faulted in flight (UpdateDelay): the link is down until it lands
+	arrivesFrame int                   // frame index arrival (DelayFrames mode)
+	diff         transport.StudentDiff // decoded, resolved when it lands
+	lost         bool                  // faulted in flight (UpdateDelay): the link is down until it lands
 }
 
-// applyFreeze configures a student's frozen set: the paper's partial mode
-// by default, or an explicit prefix cut for the freeze-point ablation.
-func applyFreeze(st *nn.Student, cfg Config, prefixes []string) {
-	if prefixes == nil {
-		st.SetPartial(cfg.Partial)
-		return
-	}
-	st.Params.FreezePrefix(prefixes...)
-}
-
+// simulateShadowTutor runs Algorithms 3 and 4 on the virtual clock. The
+// server is a Server driven through Step and Commit, as Loop drives it, and
+// the client lands each diff as Client.Run does; student is the client's.
 func simulateShadowTutor(sc SimConfig, src video.Source, tch, eval teacher.Teacher, student *nn.Student, freezePrefixes []string) (SimResult, error) {
 	cfg := sc.Cfg
 	res := SimResult{Mode: sc.Mode, Partial: cfg.Partial}
 
-	// Server-side copy of the student (Algorithm 3 trains a copy; the
-	// client's copy is updated only via diffs). NewDistiller sets the
-	// paper freeze; a custom cut overrides it afterwards.
-	serverStudent := student.Clone()
-	dist := NewDistiller(cfg, serverStudent)
-	applyFreeze(serverStudent, cfg, freezePrefixes)
-	applyFreeze(student, cfg, freezePrefixes)
+	// The server trains its own copy. NewServer sets the paper freeze; a
+	// custom cut overrides it before the View is taken. The client already
+	// holds the student, so the checkpoint only seeds the View.
+	srv := NewServer(cfg, student.Clone(), tch)
+	if freezePrefixes != nil {
+		srv.Distiller.Student.Params.FreezePrefix(freezePrefixes...)
+	}
+	if _, err := srv.checkpointBody(0); err != nil {
+		return SimResult{}, err
+	}
 
 	cm := metrics.NewConfusionMatrix(student.Config.NumClasses)
 	// All timing is virtual: results depend only on the schedule and the
@@ -260,14 +249,22 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch, eval teacher.Teach
 			// Send key frame (non-blocking, Algorithm 4 line 7–8) and
 			// kick off server work.
 			res.KeyFrames++
-			res.BytesUp += int64(hdFrameBytes)
-
-			tr := dist.Train(frame, tch.Infer(frame))
+			res.BytesUp += int64(netsim.HDFrameBytes)
+			kf := transport.KeyFrame{FrameIndex: uint32(frame.Index), Image: frame.Image, Label: frame.Label, Seq: uint64(res.KeyFrames)}
+			r, err := srv.Step(kf, netsim.LinkObservation{})
+			if err != nil {
+				return SimResult{}, err
+			}
+			d, err := transport.DecodeStudentDiff(r.Body)
+			if err == nil {
+				err = srv.Commit(r.Body)
+			}
+			if err != nil {
+				return SimResult{}, err
+			}
+			tr := r.Train
 			res.DistillSteps += tr.Steps
 			res.DistillTime += tr.StepTime
-			if tr.SkippedOpt {
-				res.SkippedOpt++
-			}
 			res.BytesDown += int64(clk.diffBytes)
 			res.Schedule = append(res.Schedule, KeyFrameEvent{FrameIndex: i, Steps: tr.Steps, Metric: tr.Metric})
 
@@ -280,12 +277,7 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch, eval teacher.Teach
 					fault = max(sc.UpdateDelay(res.KeyFrames-1), 0)
 				}
 			}
-			pending = &pendingUpdate{
-				arrivesFrame: i + sc.DelayFrames,
-				params:       nn.CloneNamed(nn.TrainableSubset(serverStudent.Params)),
-				metric:       tr.Metric,
-				lost:         fault > 0,
-			}
+			pending = &pendingUpdate{arrivesFrame: i + sc.DelayFrames, diff: d, lost: fault > 0}
 			clk.keyFrame(trip + fault)
 			cad.sent()
 			if pending.lost {
@@ -302,7 +294,6 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch, eval teacher.Teach
 
 		if i%sc.EvalEvery == 0 {
 			cm.Add(mask, eval.Infer(frame))
-			res.EvalFrames++
 		}
 
 		if pending != nil {
@@ -310,9 +301,9 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch, eval teacher.Teach
 				landed = i+1 >= pending.arrivesFrame
 			}
 			if landed {
-				student.Params.ApplyValues(pending.params)
-				cad.applied(pending.metric, 1)
-				res.MetricTrace = append(res.MetricTrace, pending.metric)
+				if err := applyDiff(student, &cad, pending.diff); err != nil {
+					return SimResult{}, err
+				}
 				pending = nil
 			}
 		}
@@ -324,52 +315,34 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch, eval teacher.Teach
 	return res, nil
 }
 
-func simulateNaive(sc SimConfig, src video.Source) (SimResult, error) {
-	res := SimResult{Mode: ModeNaive}
+// simulateNaive prices naive offloading: every frame pays the synchronous
+// round trip, and the teacher's output is its own reference (§6.3).
+func simulateNaive(sc SimConfig) SimResult {
 	lat := sc.Latencies
 	if lat == (ComponentLatencies{}) {
 		lat = PaperLatencies(sc.Cfg.Partial)
 	}
-	var now time.Duration
-	perFrame := NaiveTime(sc.Link, lat, 1, sc.NaiveOverheadPerFrame)
-	for i := 0; i < sc.Frames; i++ {
-		src.Next()
-		now += perFrame
-		res.BytesUp += int64(hdFrameBytes)
-		res.BytesDown += int64(hdNaiveDown)
+	n := int64(sc.Frames)
+	return SimResult{
+		Mode: ModeNaive, Frames: sc.Frames, KeyFrames: sc.Frames, MeanIoU: 1,
+		BytesUp:     n * netsim.HDFrameBytes,
+		BytesDown:   n * netsim.HDNaiveResponseBytes,
+		VirtualTime: NaiveTime(sc.Link, lat, sc.Frames, sc.NaiveOverheadPerFrame),
 	}
-	res.Frames = sc.Frames
-	res.KeyFrames = sc.Frames // every frame crosses the network
-	res.VirtualTime = now
-	res.MeanIoU = 1 // by definition: teacher output is the reference (§6.3)
-	res.EvalFrames = sc.Frames
-	return res, nil
 }
 
-// SimulateWild runs the pre-trained student with no distillation and
+// simulateWild runs the pre-trained student with no distillation and
 // returns its accuracy against the evaluator (Table 6's "Wild" column).
-func SimulateWild(sc SimConfig, src video.Source, eval teacher.Teacher, student *nn.Student) (SimResult, error) {
-	if sc.EvalEvery <= 0 {
-		sc.EvalEvery = 1
-	}
-	lat := sc.Latencies
-	if lat == (ComponentLatencies{}) {
-		lat = PaperLatencies(true)
-	}
-	res := SimResult{Mode: ModeWild}
+func simulateWild(sc SimConfig, src video.Source, eval teacher.Teacher, student *nn.Student) SimResult {
+	clk := newStrideClock(sc.Link, sc.Latencies, sc.Concurrency, sc.Cfg.Partial)
 	cm := metrics.NewConfusionMatrix(student.Config.NumClasses)
-	var now time.Duration
 	for i := 0; i < sc.Frames; i++ {
 		frame := src.Next()
 		mask := student.Infer(frame.Image)
-		now += lat.StudentInference
+		clk.frame(false)
 		if i%sc.EvalEvery == 0 {
 			cm.Add(mask, eval.Infer(frame))
-			res.EvalFrames++
 		}
 	}
-	res.Frames = sc.Frames
-	res.VirtualTime = now
-	res.MeanIoU = cm.MeanIoU()
-	return res, nil
+	return SimResult{Mode: ModeWild, Frames: sc.Frames, VirtualTime: clk.now, MeanIoU: cm.MeanIoU()}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/teacher"
+	"repro/internal/transport"
 	"repro/internal/video"
 )
 
@@ -181,14 +183,24 @@ func TestSimulateScheduleIgnoresEvalEvery(t *testing.T) {
 	}
 }
 
-// The simulator and the live client drive one cadence, so on the same
-// frames, student and teacher seed they send the same key frames and take
-// the same stride decisions. Arrival timing moves only which frame an
-// update lands on; the live client also applies its last update at
-// teardown, which the simulator may not reach.
+// trainLog is a partial SessionObserver keeping every distillation result.
+type trainLog struct {
+	nopObserver
+	got *[]TrainResult
+}
+
+func (o trainLog) Train(tr TrainResult) { *o.got = append(*o.got, tr) }
+
+// The simulator and the live client drive one cadence and one server step,
+// so on the same frames, student and teacher seed they send the same key
+// frames, train them the same steps to the same metric and take the same
+// stride decisions. Arrival timing moves only which frame an update lands
+// on; the live client also applies its last update at teardown, which the
+// simulator may not reach.
 func TestSimulatorReplaysLiveSchedule(t *testing.T) {
 	frames := collect(t, 31, 300)
-	cl, _ := runSession(t, DefaultConfig(), frames)
+	var trained []TrainResult
+	cl, _ := runSessionUnder(t, DefaultConfig(), frames, nil, trainLog{got: &trained})
 	sc := simCfg(len(frames))
 	sc.EvalEvery = 1
 	sim, err := Simulate(sc, video.NewReplay(frames), teacher.NewOracle(3), teacher.NewOracle(3), tinyStudent(21))
@@ -201,6 +213,71 @@ func TestSimulatorReplaysLiveSchedule(t *testing.T) {
 	}
 	if n := len(sim.StrideTrace); n > len(live) || len(live)-n > 1 || !slices.Equal(sim.StrideTrace, live[:n]) {
 		t.Fatalf("stride traces diverge:\nsim  %v\nlive %v", sim.StrideTrace, live)
+	}
+	if len(trained) != len(sim.Schedule) {
+		t.Fatalf("live server trained %d key frames, simulator %d", len(trained), len(sim.Schedule))
+	}
+	for i, ev := range sim.Schedule {
+		if ev.Steps != trained[i].Steps || ev.Metric != trained[i].Metric {
+			t.Fatalf("key frame %d: simulator took %d steps to %v, live server %d to %v",
+				i, ev.Steps, ev.Metric, trained[i].Steps, trained[i].Metric)
+		}
+	}
+}
+
+// Step needs no conn. Under a lossy codec, a client that lands every reply
+// with the live client's apply code holds exactly the View the server
+// commits — and not the weights the server trained, which the codec
+// rounded on the way.
+func TestStepUnderLossyCodecKeepsClientOnView(t *testing.T) {
+	policy, err := PolicyByName("static:int8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	srv := NewServer(cfg, tinyStudent(21), teacher.NewOracle(3))
+	srv.Policy = policy
+	body, err := srv.checkpointBody(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := DecodeCheckpointBody(body, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := tinyStudent(99)
+	if err := nn.ApplyNamed(client.Params, full); err != nil {
+		t.Fatal(err)
+	}
+	cad := newCadence(cfg, nil)
+	for i, f := range collect(t, 31, 6) {
+		r, err := srv.Step(transport.KeyFrame{FrameIndex: uint32(i), Image: f.Image, Label: f.Label, Seq: uint64(i + 1)}, netsim.LinkObservation{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := transport.DecodeStudentDiff(r.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := applyDiff(client, &cad, d); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Commit(r.Body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trained := false
+	for _, v := range srv.View.All() {
+		held := client.Params.Get(v.Name).Value.Data
+		for j, x := range v.Value.Data {
+			if math.Float32bits(held[j]) != math.Float32bits(x) {
+				t.Fatalf("%s[%d]: client holds %v, View %v", v.Name, j, held[j], x)
+			}
+		}
+		trained = trained || !slices.Equal(held, srv.Distiller.Student.Params.Get(v.Name).Value.Data)
+	}
+	if !trained {
+		t.Fatal("the client holds the server's trained weights exactly; int8 rounded nothing")
 	}
 }
 
@@ -245,6 +322,11 @@ func TestSimulateRejectsBadConfig(t *testing.T) {
 	sc.Cfg.Threshold = 2
 	if _, err := Simulate(sc, calmSource(t, 8), teacher.NewOracle(8), teacher.NewOracle(8), tinyStudent(8)); err == nil {
 		t.Fatal("invalid config must error")
+	}
+	sc = simCfg(10)
+	sc.DelayFrames = sc.Cfg.MinStride + 1
+	if _, err := Simulate(sc, calmSource(t, 9), teacher.NewOracle(9), teacher.NewOracle(9), tinyStudent(9)); err == nil {
+		t.Fatal("an update landing after the next key frame must error")
 	}
 }
 

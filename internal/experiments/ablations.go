@@ -194,10 +194,7 @@ func (s *Suite) AblationFreezePoint() (FreezeRows, error) {
 			Link: netsim.DefaultLink(), Concurrency: core.FullConcurrency,
 			DelayFrames: 1, EvalEvery: s.Opts.EvalEvery,
 		}
-		// Simulate calls SetPartial(cfg.Partial) on the student, which
-		// would reset the custom cut; mark cfg.Partial to match and restore
-		// the cut after SetPartial by wrapping: simplest is a custom-frozen
-		// clone through SimulateCustomFreeze.
+		// Simulate would train the paper's cut; this trains cut.prefixes.
 		tch, eval := s.teachers()
 		res, err := core.SimulateCustomFreeze(sc, src, tch, eval, student, cut.prefixes)
 		if err != nil {

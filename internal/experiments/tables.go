@@ -138,8 +138,8 @@ func Table4() (*stats.Table, error) {
 	maskKB := float64(4*video.DefaultH*video.DefaultW+transport.FrameOverhead) / 1024
 
 	hdUp := netsim.MB(netsim.HDFrameBytes)
-	hdPartial := netsim.MB(395_000)
-	hdFull := netsim.MB(1_846_000)
+	hdPartial := netsim.MB(netsim.HDPartialDiffBytes)
+	hdFull := netsim.MB(netsim.HDStudentBytes)
 	hdNaive := netsim.MB(netsim.HDNaiveResponseBytes)
 
 	t.AddRow("To Server",
@@ -329,9 +329,9 @@ func BoundsInputs(partial bool, bw netsim.Mbps) bounds.Inputs {
 	// §5.3 defines t_net as pure serialisation delay (2.637+0.395 MB at
 	// 80 Mbps ≈ 0.303 s); no propagation term.
 	link := netsim.Link{Bandwidth: bw}
-	diff := 1_846_000
+	diff := netsim.HDStudentBytes
 	if partial {
-		diff = 395_000
+		diff = netsim.HDPartialDiffBytes
 	}
 	cfg := core.DefaultConfig()
 	return bounds.Inputs{

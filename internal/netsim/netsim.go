@@ -17,6 +17,11 @@ const (
 	// HDNaiveResponseBytes is the paper's per-frame teacher response size
 	// (0.879 MB).
 	HDNaiveResponseBytes = 879_000
+	// HDStudentBytes is the paper's full student, the update a full-mode
+	// key frame returns (1.846 MB).
+	HDStudentBytes = 1_846_000
+	// HDPartialDiffBytes is the paper's partial update (0.395 MB).
+	HDPartialDiffBytes = 395_000
 )
 
 // Mbps expresses link bandwidth in megabits per second (10^6 bits/s, as

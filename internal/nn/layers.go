@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/autodiff"
@@ -179,11 +178,4 @@ func convReLU(fc *ForwardCtx, l *Conv2D, x *autodiff.Variable) *autodiff.Variabl
 	h := fc.Tape.ReLU(c)
 	fc.Tape.Free(c)
 	return h
-}
-
-// CheckCHW panics unless t is CHW with the given channel count.
-func CheckCHW(t *tensor.Tensor, c int) {
-	if t.Rank() != 3 || t.Dim(0) != c {
-		panic(fmt.Sprintf("nn: expected CHW tensor with %d channels, got %v", c, t.Shape()))
-	}
 }

@@ -133,12 +133,20 @@ type Activations struct {
 // pass is Activations on a tape.
 type pass struct{ x, f1, f2 *autodiff.Variable }
 
-// input validates a CHW image (values in [0,1], spatial dimensions
-// multiples of 8) and returns it as the depth-0 boundary.
+// CheckInput refuses an image this student cannot take: it must be CHW with
+// the student's InChannels and spatial dimensions multiples of 8.
+func (s *Student) CheckInput(img *tensor.Tensor) error {
+	if img.Rank() != 3 || img.Dim(0) != s.Config.InChannels || img.Dim(1)%8 != 0 || img.Dim(2)%8 != 0 {
+		return fmt.Errorf("nn: student input %v is not CHW with %d channels and sides divisible by 8", img.Shape(), s.Config.InChannels)
+	}
+	return nil
+}
+
+// input returns a CHW image (values in [0,1]) as the depth-0 boundary,
+// panicking on one CheckInput refuses.
 func (s *Student) input(img *tensor.Tensor) Activations {
-	CheckCHW(img, s.Config.InChannels)
-	if img.Dim(1)%8 != 0 || img.Dim(2)%8 != 0 {
-		panic(fmt.Sprintf("nn: student input %v must have spatial dims divisible by 8", img.Shape()))
+	if err := s.CheckInput(img); err != nil {
+		panic(err)
 	}
 	return Activations{x: img}
 }
