@@ -130,8 +130,8 @@ func main() {
 		// Run has closed the conn; its counters outlive it.
 		if lo, ok := conn.(netsim.LinkObserver); ok {
 			obs := lo.LinkObservation()
-			log.Printf("uplink packets: %d sent, %d lost (%.2f%% EWMA loss), %d FEC-recovered, %d retransmits, %.2f Mbps goodput",
-				obs.PacketsSent, obs.PacketsLost, 100*obs.LossRate, obs.Recovered, obs.Retransmits, obs.GoodputMbps)
+			log.Printf("uplink packets: %d sent, %d lost, %d FEC-recovered, %d retransmits, %.2f Mbps goodput",
+				obs.PacketsSent, obs.PacketsLost, obs.Recovered, obs.Retransmits, obs.GoodputMbps)
 		}
 	}
 }

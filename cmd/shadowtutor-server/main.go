@@ -48,7 +48,6 @@ func main() {
 		fec         = flag.Int("fec", 0, "XOR-parity FEC group size for the packet layer (0 = no FEC)")
 		reorder     = flag.Float64("reorder", 0, "per-packet reorder probability for the packet layer")
 		lossSeed    = flag.Int64("loss-seed", 1, "seed for the packet layer's loss/reorder draws")
-		adaptive    = flag.Bool("adaptive", false, "run the adaptive link policy: watch each session's measured loss/goodput and switch diff codec, stride scale and FEC at runtime")
 		adminAddr   = flag.String("admin", "", "serve the admin HTTP endpoint (/metrics, /statusz, /tracez, /debug/pprof) on this address (empty = disabled)")
 	)
 	flag.Parse()
@@ -88,7 +87,7 @@ func main() {
 		student.Params.NumParams(), student.Params.TrainableFraction()*100)
 
 	shardOptions := func(i int) serve.Options {
-		o := serve.Options{
+		return serve.Options{
 			Cfg:  cfg,
 			Base: student,
 			// One teacher replica per shard: teachers serialise behind
@@ -105,10 +104,6 @@ func main() {
 			ShardIndex:    i,
 			Logf:          log.Printf,
 		}
-		if *adaptive {
-			o.LinkPolicy = "adaptive"
-		}
-		return o
 	}
 
 	ln, err := transport.Listen(*listen, netsim.Mbps(*bandwidth), nil)

@@ -66,13 +66,10 @@
 // Gilbert-Elliott loss — plus -fec N for XOR-parity groups that recover
 // any single loss per group without a resend, and -reorder for packet
 // reordering. Both ends must speak the framing, so the flags appear on
-// server and client alike. With -adaptive, the server watches each
-// session's measured loss and goodput and switches the diff codec, stride
-// scale and FEC group at runtime (three-state hysteresis; see
-// ARCHITECTURE.md "Network realism & adaptive link policy"). The link
-// policy is the only way to pick a diff codec — a fixed codec is the policy
-// "static:<codec>" (serve.Options.LinkPolicy, harness Spec.Codec) — and
-// every student diff names its codec and stride scale in its header, so
+// server and client alike. A server encodes every student diff under one
+// codec fixed when it is built — "static:<codec>" in serve.Options.LinkPolicy
+// (harness Spec.Codec), raw when empty; see ARCHITECTURE.md "Network realism
+// & a fixed diff codec" — and every diff names its codec in its header, so
 // the client needs no flag for it. Every diff is relative to what the
 // client holds, which the server knows by decoding what it sent. Under raw
 // each weight travels as its bit-pattern distance from the client's value
@@ -81,7 +78,7 @@
 // rides in the next; the BatchNorm statistics are exact under every codec
 // (see ARCHITECTURE.md "What a student diff carries on the wire"):
 //
-//	go run ./cmd/shadowtutor-server -loss-model uniform:0.02 -fec 8 -adaptive
+//	go run ./cmd/shadowtutor-server -loss-model uniform:0.02 -fec 8
 //	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -loss-model uniform:0.02 -fec 8
 //
 // To regenerate the paper's tables, or the sharded multi-client scenarios:
@@ -152,12 +149,9 @@
 // migrating parked sessions, and chaos reconnects that must recover on a
 // different shard via handoff with zero full resends. The loss/* family
 // runs the packet tier live — three canonical loss regimes, reordering,
-// FEC — and loss/adaptive-vs-static holds the adaptive link policy to
-// beating the best static codec/FEC configuration on at least 1 of the 3
-// regimes (extra.adaptive_wins; ROADMAP item 7). docs/SCENARIOS.md catalogs every
-// registered scenario with its spec dimensions and CI gate; regenerate it
-// with `go run ./cmd/stbench -catalog` (a registry-diff test keeps it in
-// sync).
+// FEC. docs/SCENARIOS.md catalogs every registered scenario with its spec
+// dimensions and CI gate; regenerate it with `go run ./cmd/stbench
+// -catalog` (a registry-diff test keeps it in sync).
 //
 // cmd/benchdiff compares two such JSON files under per-metric tolerances
 // and exits nonzero on regression — the CI perf gate:

@@ -4,30 +4,26 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/compress"
-	"repro/internal/netsim"
 	"repro/internal/nn"
-	"repro/internal/teacher"
 	"repro/internal/transport"
-	"repro/internal/video"
 )
 
-// encodeUnder is transport.EncodeStudentDiff under a link decision.
-func encodeUnder(tb testing.TB, d transport.StudentDiff, dec netsim.LinkDecision) []byte {
+// encodeUnder is transport.EncodeStudentDiff under a codec.
+func encodeUnder(tb testing.TB, d transport.StudentDiff, codec string) []byte {
 	tb.Helper()
-	d.State, d.StrideScale, d.Codec = dec.State, dec.StrideScale, dec.Codec
+	d.Codec = codec
 	body, err := transport.EncodeStudentDiff(d)
 	if err != nil {
-		tb.Fatalf("%s: encode: %v", dec.Codec, err)
+		tb.Fatalf("%s: encode: %v", codec, err)
 	}
 	return body
 }
 
-// Every decision a policy can take travels in the one diff body, and the
-// benchmark's DecodeAdaptiveDiff reads it back out.
+// Every diff codec travels in the one diff body, and the benchmark's
+// DecodeAdaptiveDiff reads it back out.
 func TestAdaptiveDiffRoundTrip(t *testing.T) {
 	student := tinyStudent(17)
 	// Small running variances are what a per-tensor int8 scale flushes to
@@ -40,29 +36,22 @@ func TestAdaptiveDiffRoundTrip(t *testing.T) {
 		Params:     nn.TrainableSubset(student.Params),
 		Seq:        7,
 	}
-	for _, dec := range []netsim.LinkDecision{
-		{State: netsim.LinkClear, Codec: "raw", StrideScale: 1},
-		{State: netsim.LinkDegraded, Codec: "int8", StrideScale: 1.5, FECGroup: 8},
-		{State: netsim.LinkCritical, Codec: "prune25", StrideScale: 2, FECGroup: 4},
-	} {
-		got, gotDec, err := DecodeAdaptiveDiff(encodeUnder(t, diff, dec))
+	for _, codec := range []string{"raw", "int8", "prune25"} {
+		got, gotDec, err := DecodeAdaptiveDiff(encodeUnder(t, diff, codec))
 		if err == nil {
 			err = got.Resolve(student.Params)
 		}
 		if err != nil {
-			t.Fatalf("%s: decode: %v", dec.Codec, err)
+			t.Fatalf("%s: decode: %v", codec, err)
 		}
 		if got.FrameIndex != diff.FrameIndex || got.Metric != diff.Metric || got.Seq != diff.Seq {
-			t.Fatalf("%s: header mismatch: %+v", dec.Codec, got)
+			t.Fatalf("%s: header mismatch: %+v", codec, got)
 		}
-		if gotDec.State != dec.State || gotDec.Codec != dec.Codec {
-			t.Fatalf("%s: decision mismatch: %+v", dec.Codec, gotDec)
-		}
-		if math.Abs(got.StrideScale-dec.StrideScale) > 1e-6 || gotDec.StrideScale != got.StrideScale {
-			t.Fatalf("%s: stride scale %v (decision %v), want %v", dec.Codec, got.StrideScale, gotDec.StrideScale, dec.StrideScale)
+		if gotDec.Codec != codec || got.Codec != codec {
+			t.Fatalf("%s: codec mismatch: %+v beside %q", codec, gotDec, got.Codec)
 		}
 		if len(got.Params) != len(diff.Params) {
-			t.Fatalf("%s: %d params, want %d", dec.Codec, len(got.Params), len(diff.Params))
+			t.Fatalf("%s: %d params, want %d", codec, len(got.Params), len(diff.Params))
 		}
 		// raw must be bit-exact, and so must the statistics under every
 		// codec; lossy codecs keep the weights close.
@@ -70,14 +59,14 @@ func TestAdaptiveDiffRoundTrip(t *testing.T) {
 		for _, p := range got.Params {
 			want := student.Params.Get(p.Name)
 			if want == nil || !want.Value.SameShape(p.Value) {
-				t.Fatalf("%s: decoded an unknown or misshapen %s", dec.Codec, p.Name)
+				t.Fatalf("%s: decoded an unknown or misshapen %s", codec, p.Name)
 			}
-			if dec.Codec != "raw" && !nn.IsBNStat(p.Name) {
+			if codec != "raw" && !nn.IsBNStat(p.Name) {
 				continue
 			}
 			for j := range p.Value.Data {
 				if p.Value.Data[j] != want.Value.Data[j] {
-					t.Fatalf("%s: param %s differs at %d", dec.Codec, p.Name, j)
+					t.Fatalf("%s: param %s differs at %d", codec, p.Name, j)
 				}
 			}
 			if nn.IsBNStat(p.Name) {
@@ -85,7 +74,7 @@ func TestAdaptiveDiffRoundTrip(t *testing.T) {
 			}
 		}
 		if stats == 0 {
-			t.Fatalf("%s: the diff carried no statistics", dec.Codec)
+			t.Fatalf("%s: the diff carried no statistics", codec)
 		}
 	}
 }
@@ -101,7 +90,7 @@ func TestAdaptiveDiffRejectsDeltaAndGarbage(t *testing.T) {
 	if _, _, err := DecodeAdaptiveDiff(nil); err == nil {
 		t.Fatal("empty body decoded")
 	}
-	good := encodeUnder(t, diff, netsim.LinkDecision{Codec: "raw", StrideScale: 1})
+	good := encodeUnder(t, diff, "raw")
 	bad := append([]byte(nil), good...)
 	clear(bad[12:20])
 	if _, _, err := DecodeAdaptiveDiff(bad); err == nil {
@@ -112,150 +101,10 @@ func TestAdaptiveDiffRejectsDeltaAndGarbage(t *testing.T) {
 	}
 }
 
-// A session with an active link policy: the server encodes each diff under
-// the policy's decision, and the client — told nothing — decodes it and
-// folds the stride scale into Algorithm 2.
-func TestAdaptiveSessionAppliesPolicy(t *testing.T) {
-	cfg := DefaultConfig()
-	frames := collect(t, 31, 60)
-
-	clientConn, serverConn := transport.Pipe(4, nil)
-	student := tinyStudent(21)
-	srv := NewServer(cfg, student.Clone(), teacher.NewOracle(3))
-	// A static "critical" policy: every diff rides int8 with a 2x stride
-	// scale, Loop must read the link state off the conn it is handed and
-	// apply the policy's FEC choice to that same conn.
-	srv.Policy = lossPolicy{t: t, want: 0.1, dec: netsim.LinkDecision{
-		State: netsim.LinkCritical, Codec: "int8", StrideScale: 2, FECGroup: 4}}
-	link := &fakeLink{Conn: serverConn, obs: netsim.LinkObservation{LossRate: 0.1}}
-	var decisions, transitions int
-	srv.Observer = policyCounter{n: &decisions, changed: &transitions}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var srvErr error
-	go func() {
-		defer wg.Done()
-		srvErr = srv.Serve(link)
-	}()
-	cl := &Client{Cfg: cfg, Student: tinyStudent(99), EvalTeacher: teacher.NewOracle(3)}
-	if err := cl.Run(clientConn, video.NewReplay(frames), len(frames)); err != nil {
-		t.Fatalf("client: %v", err)
-	}
-	clientConn.Close()
-	wg.Wait()
-	if srvErr != nil {
-		t.Fatalf("server: %v", srvErr)
-	}
-	if cl.Result.KeyFrames < 2 {
-		t.Fatalf("expected multiple key frames, got %d", cl.Result.KeyFrames)
-	}
-	if transitions != 0 {
-		t.Errorf("static policy reported %d state transitions", transitions)
-	}
-	if len(link.fec) != cl.Result.KeyFrames || decisions != cl.Result.KeyFrames {
-		t.Fatalf("SetFECGroup called %d times, observer saw %d decisions, for %d key frames",
-			len(link.fec), decisions, cl.Result.KeyFrames)
-	}
-	for _, k := range link.fec {
-		if k != 4 {
-			t.Errorf("SetFECGroup(%d), want 4", k)
-		}
-	}
-	// With a 2x stride scale the stride trace must outrun the unscaled
-	// session's on the same frames.
-	plain, _ := runSession(t, cfg, frames)
-	sum := func(xs []float64) (s float64) {
-		for _, x := range xs {
-			s += x
-		}
-		return s
-	}
-	if len(cl.Result.StrideTrace) == 0 || len(plain.Result.StrideTrace) == 0 {
-		t.Fatal("empty stride traces")
-	}
-	scaled := sum(cl.Result.StrideTrace) / float64(len(cl.Result.StrideTrace))
-	base := sum(plain.Result.StrideTrace) / float64(len(plain.Result.StrideTrace))
-	if scaled <= base {
-		t.Fatalf("mean stride %v not above unscaled %v despite 2x scale", scaled, base)
-	}
-}
-
-// fakeLink is the smallest measuredLink: a conn reporting a fixed
-// observation and recording every FEC retune.
-type fakeLink struct {
-	transport.Conn
-	obs netsim.LinkObservation
-	fec []int
-}
-
-func (l *fakeLink) LinkObservation() netsim.LinkObservation { return l.obs }
-func (l *fakeLink) SetFECGroup(k int)                       { l.fec = append(l.fec, k) }
-
-// lossPolicy is a static policy that also checks the observation it is
-// shown is the conn's.
-type lossPolicy struct {
-	t    *testing.T
-	want float64
-	dec  netsim.LinkDecision
-}
-
-func (p lossPolicy) Name() string                     { return "test-critical" }
-func (p lossPolicy) Decisions() []netsim.LinkDecision { return []netsim.LinkDecision{p.dec} }
-func (p lossPolicy) Decide(obs netsim.LinkObservation) netsim.LinkDecision {
-	if obs.LossRate != p.want {
-		p.t.Errorf("policy saw loss %v, want the conn's %v", obs.LossRate, p.want)
-	}
-	return p.dec
-}
-
-// policyCounter is a partial SessionObserver counting policy decisions and
-// how many of them were reported as state transitions.
-type policyCounter struct {
-	nopObserver
-	n, changed *int
-}
-
-func (o policyCounter) Policy(_ netsim.LinkDecision, changed bool) {
-	*o.n++
-	if changed {
-		*o.changed++
-	}
-}
-
-// PolicyByName must refuse, at configuration time, any policy that would
-// otherwise kill every session at its first key frame.
-func TestPolicyByNameValidatesCodecs(t *testing.T) {
-	for _, tc := range []struct {
-		spec string
-		ok   bool
-	}{
-		{"adaptive", true},
-		{"static:raw", true},
-		{"static:int8", true},
-		{"static:prune25", true},
-		{"static:nope", false},
-		{"static:bf16", false}, // a codec name until the handoff envelope went
-		{"static:", false},
-		{"static:delta+int8", false},
-		{"static:prune0", false},
-		{"no-such-policy", false},
-		{"", false},
-	} {
-		p, err := PolicyByName(tc.spec)
-		if (err == nil) != tc.ok {
-			t.Errorf("PolicyByName(%q): err = %v, want ok=%v", tc.spec, err, tc.ok)
-		}
-		if tc.ok && p == nil {
-			t.Errorf("PolicyByName(%q) returned no policy", tc.spec)
-		}
-	}
-}
-
 // FuzzDecodeAdaptiveDiff holds the benchmark's DecodeAdaptiveDiff to what
 // benchmark/taps.go needs of it: on any bytes it accepts and rejects what
 // transport.DecodeStudentDiff does, returns the same diff, mirrors the
-// diff's decision, and leaves a diff that resolves as the decoder's does.
+// diff's codec, and leaves a diff that resolves as the decoder's does.
 // The body's own invariants are transport's FuzzDecodeStudentDiff.
 func FuzzDecodeAdaptiveDiff(f *testing.F) {
 	for _, b := range adaptiveSeeds(f) {
@@ -275,8 +124,8 @@ func FuzzDecodeAdaptiveDiff(f *testing.F) {
 			d.Relative != want.Relative || d.RefHash != want.RefHash || !bytes.Equal(d.Payload, want.Payload) || len(d.Params) != len(want.Params) {
 			t.Fatalf("shim decoded %+v, decoder %+v", d, want)
 		}
-		if dec.State != d.State || dec.Codec != d.Codec || dec.StrideScale != d.StrideScale {
-			t.Fatalf("decision %+v beside diff %v/%q/%v", dec, d.State, d.Codec, d.StrideScale)
+		if dec.Codec != d.Codec {
+			t.Fatalf("decision %+v beside diff codec %q", dec, d.Codec)
 		}
 		if err, werr := d.Resolve(held), want.Resolve(held); (err == nil) != (werr == nil) {
 			t.Fatalf("shim's diff resolves with %v, decoder's with %v", err, werr)
@@ -295,7 +144,7 @@ func adaptiveSeedStudent() *nn.Student { return tinyStudent(3) }
 
 // adaptiveSeeds is the fuzz corpus and, through TestAdaptiveSeedsVerdicts,
 // a table of what decode-then-resolve must accept and reject: the diffs a
-// session sends under each policy codec, and ways each can be cut, padded,
+// session sends under each diff codec, and ways each can be cut, padded,
 // misnamed or replayed from an earlier protocol.
 func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
 	held := adaptiveSeedStudent()
@@ -307,7 +156,7 @@ func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
 	}
 	diff := transport.StudentDiff{FrameIndex: 9, Metric: 0.5, Seq: 3, Params: nn.TrainableSubset(trained.Params)}
 	encode := func(d transport.StudentDiff, codec string) []byte {
-		return encodeUnder(tb, d, netsim.LinkDecision{State: netsim.LinkDegraded, Codec: codec, StrideScale: 1.5})
+		return encodeUnder(tb, d, codec)
 	}
 	var seeds []adaptiveSeed
 	for _, codec := range []string{"raw", "int8", "prune25"} {
@@ -317,31 +166,38 @@ func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
 			adaptiveSeed{codec + " truncated", body[:len(body)/2], false},
 			adaptiveSeed{codec + " trailing byte", append(append([]byte(nil), body...), 0xEE), false})
 	}
-	// The relative raw body with its decision — state, float32 stride
-	// scale, codec name — rewritten and everything after the name intact,
-	// so each of these can only be rejected for the field it corrupts.
+	// The relative raw body with its codec name rewritten and everything
+	// after the name intact, so each of these can only be rejected for the
+	// name.
 	diff.Ref = held.Params
 	relative := encode(diff, "raw")
-	const nameAt = 4 + 8 + 8 + 1 + 4
+	const nameAt = 4 + 8 + 8
 	section := relative[nameAt+1+len("raw"):]
-	with := func(scale uint32, name string) []byte {
-		b := binary.LittleEndian.AppendUint32(append([]byte(nil), relative[:nameAt-4]...), scale)
-		return append(append(append(b, byte(len(name))), name...), section...)
+	with := func(name string) []byte {
+		b := append(append([]byte(nil), relative[:nameAt]...), byte(len(name)))
+		return append(append(b, name...), section...)
 	}
-	one := math.Float32bits(1)
-	// What a policy-running server sent before this body: version 5's lossy
-	// body — this head, then absolute weights under the codec and the
-	// statistics as nn.WriteNamed — and the version-3 adaptive envelope —
-	// magic 0xAD, version, state, stride scale, codec name — in front of the
-	// plain body under raw, and in front of frame index, metric, seq and the
-	// lossy tail under int8.
+	// What a policy-running server sent before this body. Versions 5 to 7
+	// put the link decision — a state byte (0 clear, 1 degraded, 2
+	// critical) and a float32 stride scale — between seq and the codec
+	// name; v7 turns a body into that form. Version 5's lossy body was that
+	// head, then absolute weights under the codec and the statistics as
+	// nn.WriteNamed. The version-3 adaptive envelope — magic 0xAD, version,
+	// state, stride scale, codec name — went in front of the plain body
+	// under raw, and in front of frame index, metric, seq and the lossy tail
+	// under int8.
+	v7 := func(body []byte, state byte, scale float32) []byte {
+		b := append(append([]byte(nil), body[:nameAt]...), state)
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(scale))
+		return append(b, body[nameAt:]...)
+	}
 	lossy := seeds[3].body
 	weights, stats := nn.SplitBNStats(diff.Params)
 	var lossyTail bytes.Buffer
 	compress.Int8{}.Encode(&lossyTail, weights)
 	nn.WriteNamed(&lossyTail, stats)
 	envelope := func(name string, body []byte) []byte {
-		b := append([]byte{0xAD, 3, byte(netsim.LinkDegraded)}, relative[21:nameAt]...)
+		b := binary.LittleEndian.AppendUint32([]byte{0xAD, 3, 1}, math.Float32bits(1.5))
 		return append(append(append(b, byte(len(name))), name...), body...)
 	}
 	const hashAt = nameAt + 1 + len("raw") + 1
@@ -355,16 +211,16 @@ func adaptiveSeeds(tb testing.TB) []adaptiveSeed {
 		adaptiveSeed{"tensor count past the body", mutate(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[countAt:], 1<<19); return b }), false},
 		adaptiveSeed{"parameter stream cut short", mutate(func(b []byte) []byte { return b[:len(b)-4-1] }), false},
 		adaptiveSeed{"unknown section flag", mutate(func(b []byte) []byte { b[hashAt-1] |= 2; return b }), false},
-		adaptiveSeed{"rewritten head", with(one, "raw"), true},
-		adaptiveSeed{"delta name", with(one, "delta+raw"), false},
-		adaptiveSeed{"empty name", with(one, ""), false},
-		adaptiveSeed{"unknown name", with(one, "nope"), false},
-		adaptiveSeed{"retired bf16 name", with(one, "bf16"), false},
-		adaptiveSeed{"NaN stride scale", with(0x7fc00000, "raw"), false},
-		adaptiveSeed{"zero stride scale", with(0, "raw"), false},
-		adaptiveSeed{"negative stride scale", with(math.Float32bits(-2), "raw"), false},
+		adaptiveSeed{"rewritten head", with("raw"), true},
+		adaptiveSeed{"delta name", with("delta+raw"), false},
+		adaptiveSeed{"empty name", with(""), false},
+		adaptiveSeed{"unknown name", with("nope"), false},
+		adaptiveSeed{"retired bf16 name", with("bf16"), false},
+		adaptiveSeed{"version 7 clear raw body", v7(relative, 0, 1), false},
+		adaptiveSeed{"version 7 degraded int8 body", v7(encode(diff, "int8"), 1, 1.5), false},
+		adaptiveSeed{"version 7 critical int8 body", v7(encode(diff, "int8"), 2, 2), false},
 		adaptiveSeed{"empty", nil, false},
-		adaptiveSeed{"version 5 int8 body", append(append([]byte(nil), lossy[:nameAt+1+len("int8")]...), lossyTail.Bytes()...), false})
+		adaptiveSeed{"version 5 int8 body", append(v7(lossy, 1, 1.5)[:nameAt+5+1+len("int8")], lossyTail.Bytes()...), false})
 	// Relative under the lossy codecs, and each with its reference hash
 	// flipped.
 	for _, codec := range []string{"int8", "prune25"} {

@@ -42,14 +42,10 @@ func (c *cadence) inferred() (wait bool) {
 	return c.pending && c.steps == c.cfg.MinStride
 }
 
-// applied takes an update's metric and the link policy's stride scale (0 or
-// 1 for none): policy, clamp, ×scale, clamp. The scale lengthens the stride
-// on a struggling link, within the config's stride bounds.
-func (c *cadence) applied(metric, scale float64) {
+// applied takes an update's metric and sets the next stride by the policy,
+// clamped to the config's stride bounds.
+func (c *cadence) applied(metric float64) {
 	c.stride = clampStride(c.cfg, c.policy(c.stride, metric))
-	if scale > 0 && scale != 1 {
-		c.stride = clampStride(c.cfg, c.stride*scale)
-	}
 	c.trace = append(c.trace, c.stride)
 	c.pending = false
 }

@@ -12,7 +12,7 @@ import (
 //	due, !due    assert whether this frame is a key frame
 //	sent         a key frame went out
 //	infer, wait  a frame was inferred; assert no wait, or a wait
-//	apply:m:s    an update with metric m and stride scale s applied
+//	apply:m      an update with metric m applied
 //	settle       the update settled without a stride decision
 func TestCadence(t *testing.T) {
 	cases := []struct {
@@ -24,16 +24,12 @@ func TestCadence(t *testing.T) {
 	}{
 		{"first frame is due", nil, "due", 8, 0},
 		{"wait at exactly MIN_STRIDE", nil, "due sent !due infer*7 wait due", 8, 0},
-		{"no wait once the update applied", nil, "sent infer*2 apply:0.8:1 infer*5 infer due", 8, 1},
+		{"no wait once the update applied", nil, "sent infer*2 apply:0.8 infer*5 infer due", 8, 1},
 		{"duplicate settles without advancing the stride", nil, "sent infer*3 settle infer*5 due", 8, 0},
-		{"link-lost update is never waited on", nil, "sent settle infer*20 apply:1:1", 16, 1},
-		{"applied stride moves the next key frame", nil, "sent infer*7 wait apply:1:1 infer*7 !due infer due", 16, 1},
-		{"policy result is clamped high", FixedStridePolicy(1000), "sent apply:0.5:1", 64, 1},
-		{"policy result is clamped low", FixedStridePolicy(1), "sent apply:0.99:1", 8, 1},
-		// A single clamp after the scale would give clamp(5×1.5) = 8.
-		{"policy, clamp, ×scale, clamp", FixedStridePolicy(5), "sent apply:0.5:1.5", 12, 1},
-		{"scaled stride is clamped", FixedStridePolicy(60), "sent apply:0.5:2", 64, 1},
-		{"scale 0 is no scale", nil, "sent apply:0.8:0", 8, 1},
+		{"link-lost update is never waited on", nil, "sent settle infer*20 apply:1", 16, 1},
+		{"applied stride moves the next key frame", nil, "sent infer*7 wait apply:1 infer*7 !due infer due", 16, 1},
+		{"policy result is clamped high", FixedStridePolicy(1000), "sent apply:0.5", 64, 1},
+		{"policy result is clamped low", FixedStridePolicy(1), "sent apply:0.99", 8, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -56,8 +52,7 @@ func TestCadence(t *testing.T) {
 							t.Fatalf("event %d (%s): inferred() = %v at steps %d", i, tok, wait, c.steps)
 						}
 					case "apply":
-						m, s, _ := strings.Cut(args, ":")
-						c.applied(atof(t, m), atof(t, s))
+						c.applied(atof(t, args))
 					case "settle":
 						c.settled()
 					default:

@@ -45,9 +45,8 @@ type Client struct {
 	// (§6.3's protocol is 1, the default; higher values cut eval cost in
 	// throughput-oriented runs).
 	EvalEvery int
-	// Adaptive is ignored: every diff names its own codec and stride scale,
-	// with or without a link policy. It is kept only because
-	// benchmark/run.go sets it.
+	// Adaptive is ignored: every diff names its own codec. It is kept only
+	// because benchmark/run.go sets it.
 	Adaptive bool
 	// Base, when non-nil, is the shared pretrained parameter set this
 	// client holds. Its hash goes out in Hello and Resume, letting the
@@ -372,9 +371,9 @@ func (c *Client) apply(rs *runState, d transport.StudentDiff) error {
 }
 
 // applyDiff lands one student diff on the client (Algorithm 4 lines
-// 18–21): the weights it carries, then the stride its metric and stride
-// scale set. Diffs land in Seq order, each after its predecessor: the
-// student is the reference a relative one was cut against.
+// 18–21): the weights it carries, then the stride its metric sets. Diffs
+// land in Seq order, each after its predecessor: the student is the
+// reference a relative one was cut against.
 func applyDiff(st *nn.Student, cad *cadence, d transport.StudentDiff) error {
 	if err := d.Resolve(st.Params); err != nil {
 		return err
@@ -382,7 +381,7 @@ func applyDiff(st *nn.Student, cad *cadence, d transport.StudentDiff) error {
 	if err := nn.ApplyNamed(st.Params, d.Params); err != nil {
 		return err
 	}
-	cad.applied(d.Metric, d.StrideScale)
+	cad.applied(d.Metric)
 	return nil
 }
 

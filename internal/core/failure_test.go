@@ -63,16 +63,19 @@ func TestClientRejectsCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-// The server must reject protocol-version mismatches (forward compat).
+// The server must reject protocol-version mismatches: a future version, and
+// version 7, whose diff header carried the retired link decision.
 func TestServerRejectsVersionMismatch(t *testing.T) {
-	clientConn, serverConn := transport.Pipe(2, nil)
-	srv := NewServer(DefaultConfig(), tinyStudent(74), teacher.NewOracle(74))
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(serverConn) }()
-	hello := transport.Hello{Version: 99}
-	clientConn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(hello)})
-	if err := <-done; err == nil {
-		t.Fatal("server must reject unknown protocol versions")
+	for _, v := range []uint16{99, 7} {
+		clientConn, serverConn := transport.Pipe(2, nil)
+		srv := NewServer(DefaultConfig(), tinyStudent(74), teacher.NewOracle(74))
+		done := make(chan error, 1)
+		go func() { done <- srv.Serve(serverConn) }()
+		hello := transport.Hello{Version: v}
+		clientConn.Send(transport.Message{Type: transport.MsgHello, Body: transport.EncodeHello(hello)})
+		if err := <-done; err == nil {
+			t.Fatalf("server accepted a version-%d hello", v)
+		}
 	}
 }
 

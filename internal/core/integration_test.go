@@ -29,17 +29,20 @@ func collect(t *testing.T, seed int64, n int) []video.Frame {
 // frames end to end.
 func runSession(t *testing.T, cfg Config, frames []video.Frame) (*Client, *Server) {
 	t.Helper()
-	return runSessionUnder(t, cfg, frames, nil, nil)
+	return runSessionUnder(t, cfg, frames, nil)
 }
 
-// runSessionUnder is runSession with the server's link policy (nil = none)
-// and session observer set. The client is the same either way.
-func runSessionUnder(t *testing.T, cfg Config, frames []video.Frame, policy netsim.LinkPolicy, obs SessionObserver) (*Client, *Server) {
+// runSessionUnder is runSession with setup, when non-nil, run on the server
+// before it serves — to set its diff codec or observer. The client is the
+// same either way.
+func runSessionUnder(t *testing.T, cfg Config, frames []video.Frame, setup func(*Server)) (*Client, *Server) {
 	t.Helper()
 	clientConn, serverConn := transport.Pipe(4, nil)
 	student := tinyStudent(21)
 	srv := NewServer(cfg, student.Clone(), teacher.NewOracle(3))
-	srv.Policy, srv.Observer = policy, obs
+	if setup != nil {
+		setup(srv)
+	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var srvErr error

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/loss"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/tensor"
@@ -37,7 +36,7 @@ func requireHolds(t *testing.T, what string, got *nn.Student, want *nn.ParamSet)
 // The client must hold what the server says it holds: at quiescence, under
 // every codec, every diff relative from the first on, every client
 // parameter is bit-equal to the server's student with its View in place of
-// the trainable subset — and under bit-exact diffs, or after a policy that
+// the trainable subset — and under bit-exact diffs, or after a codec that
 // starts lossy and turns raw, to the server's student itself. Client.Run
 // applies every outstanding diff before it returns and the key-frame
 // schedule does not depend on timing, so neither does this. The paths that
@@ -45,28 +44,29 @@ func requireHolds(t *testing.T, what string, got *nn.Student, want *nn.ParamSet)
 // cross-shard handoffs — are serve's
 // TestClientHoldsServerStudentAfterCutAndReplay and …AcrossHandoff.
 func TestClientHoldsServerStudentAtQuiescence(t *testing.T) {
-	raw := netsim.LinkDecision{Codec: "raw", StrideScale: 1}
-	int8 := netsim.LinkDecision{State: netsim.LinkDegraded, Codec: "int8", StrideScale: 1}
-	static := func(d netsim.LinkDecision) netsim.LinkPolicy {
-		return &netsim.StaticPolicy{Label: "static:" + d.Codec, Decision: d}
-	}
 	for _, tc := range []struct {
-		name    string
-		partial bool
-		policy  netsim.LinkPolicy
-		lossy   bool // the last diff was lossy: the client holds the View, not the student
+		name     string
+		partial  bool
+		codec    string
+		rawAfter uint64 // diffs after this Seq go raw (0: never)
+		lossy    bool   // the last diff was lossy: the client holds the View, not the student
 	}{
 		{name: "partial", partial: true},
 		{name: "full"},
-		{name: "static:raw", partial: true, policy: static(raw)},
-		{name: "int8 then raw", partial: true, policy: &scriptedPolicy{first: int8, n: 2, then: raw}},
-		{name: "static:int8", partial: true, policy: static(int8), lossy: true},
-		{name: "static:prune25", partial: true, policy: static(netsim.LinkDecision{State: netsim.LinkCritical, Codec: "prune25", StrideScale: 1}), lossy: true},
+		{name: "static:raw", partial: true, codec: "raw"},
+		{name: "int8 then raw", partial: true, codec: "int8", rawAfter: 2},
+		{name: "static:int8", partial: true, codec: "int8", lossy: true},
+		{name: "static:prune25", partial: true, codec: "prune25", lossy: true},
 	} {
 		cfg := DefaultConfig()
 		cfg.Partial = tc.partial
 		var log relativeLog
-		cl, srv := runSessionUnder(t, cfg, collect(t, 31, 80), tc.policy, &log)
+		cl, srv := runSessionUnder(t, cfg, collect(t, 31, 80), func(srv *Server) {
+			srv.DiffCodec, srv.Observer = tc.codec, &log
+			if tc.rawAfter > 0 {
+				srv.Observer = rawAfter{&log, srv, tc.rawAfter}
+			}
+		})
 		if cl.Result.KeyFrames < 5 {
 			t.Fatalf("%s: only %d key frames", tc.name, cl.Result.KeyFrames)
 		}
@@ -89,8 +89,8 @@ func TestClientHoldsServerStudentAtQuiescence(t *testing.T) {
 	}
 }
 
-// A client is told nothing about the server's link policy: every diff names
-// its own codec. Against a static raw server it holds the server's student
+// A client is told nothing about the server's diff codec: every diff names
+// it. Against a raw server it holds the server's student
 // bit for bit at quiescence; against a static int8 one it holds the
 // statistics and the frozen stages bit for bit, and every trainable weight
 // within half a step of the grid its last diff's delta was quantised on
@@ -98,12 +98,10 @@ func TestClientHoldsServerStudentAtQuiescence(t *testing.T) {
 func TestClientFollowsAnyPolicyUntold(t *testing.T) {
 	for _, codec := range []string{"raw", "int8"} {
 		spec := "static:" + codec
-		policy, err := PolicyByName(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
 		log := &relativeLog{held: tinyStudent(21).Params.Clone()} // the checkpoint the client starts from
-		cl, srv := runSessionUnder(t, DefaultConfig(), collect(t, 31, 60), policy, log)
+		cl, srv := runSessionUnder(t, DefaultConfig(), collect(t, 31, 60), func(srv *Server) {
+			srv.DiffCodec, srv.Observer = codec, log
+		})
 		if cl.Result.KeyFrames < 3 || srv.Distiller.TotalSteps == 0 {
 			t.Fatalf("%s: %d key frames, %d steps", spec, cl.Result.KeyFrames, srv.Distiller.TotalSteps)
 		}
@@ -138,23 +136,20 @@ func TestClientFollowsAnyPolicyUntold(t *testing.T) {
 	}
 }
 
-// scriptedPolicy decides first for n diffs, then for ever after.
-type scriptedPolicy struct {
-	first netsim.LinkDecision
-	n     int
-	then  netsim.LinkDecision
+// rawAfter is a relativeLog that turns srv's diffs raw once the diff
+// numbered seq is encoded: a codec change mid-session, which the View must
+// absorb.
+type rawAfter struct {
+	*relativeLog
+	srv *Server
+	seq uint64
 }
 
-func (p *scriptedPolicy) Name() string { return "scripted" }
-func (p *scriptedPolicy) Decisions() []netsim.LinkDecision {
-	return []netsim.LinkDecision{p.first, p.then}
-}
-func (p *scriptedPolicy) Decide(netsim.LinkObservation) netsim.LinkDecision {
-	if p.n > 0 {
-		p.n--
-		return p.first
+func (o rawAfter) Diff(seq uint64, body []byte) {
+	o.relativeLog.Diff(seq, body)
+	if seq == o.seq {
+		o.srv.DiffCodec = "raw"
 	}
-	return p.then
 }
 
 // relativeLog is a SessionObserver recording, per diff sent, whether its

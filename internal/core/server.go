@@ -6,7 +6,6 @@ import (
 	"io"
 	"slices"
 
-	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/teacher"
 	"repro/internal/transport"
@@ -36,19 +35,15 @@ type Server struct {
 	Distiller *Distiller
 	// Observer, when non-nil, is the session manager's view of this server:
 	// it names the session at handshake and watches checkpoints, distillation
-	// results, policy decisions and encoded diffs (internal/serve's session
-	// implements it). Nil observes nothing and echoes the client's Hello.
+	// results and encoded diffs (internal/serve's session implements it). Nil observes nothing and echoes the client's Hello.
 	Observer SessionObserver
 	// Checkpoint, when non-nil, encodes MsgStudentFull bodies relative to the
 	// shared pretrained base for clients whose Hello or Resume carries its
 	// hash. Others (and a nil Checkpoint) get an absolute body.
 	Checkpoint *CheckpointCodec
-	// Policy, when non-nil, picks each student diff's codec, stride scale and
-	// FEC group from the link observation Step is handed — in Loop, that of
-	// the conn it runs on, when the conn measures one. Nil sends every diff
-	// under the clear decision (raw, scale 1). The policy survives a
-	// detach/resume cycle with the server state.
-	Policy netsim.LinkPolicy
+	// DiffCodec names the codec (transport.DiffCodec) every student diff is
+	// encoded under; empty means raw.
+	DiffCodec string
 
 	// DiffSeq is the sequence number of the last student diff produced
 	// (diffs are numbered 1, 2, …). It survives a detach/resume cycle with
@@ -63,11 +58,6 @@ type Server struct {
 	// lossy codec's error on one diff rides in the next instead of
 	// compounding on the client. Detachable state, like DiffSeq.
 	View *nn.ParamSet
-
-	// Policy-state tracking for SessionObserver.Policy's changed flag; part
-	// of the detachable session state like DiffSeq.
-	policySeen      bool
-	lastPolicyState netsim.PolicyState
 }
 
 // SessionObserver is what a session manager hangs on one Server. Every
@@ -84,10 +74,6 @@ type SessionObserver interface {
 	// completes, outside the alloc-budgeted Distiller.Train itself; it must
 	// not retain the TrainResult.
 	Train(TrainResult)
-	// Policy observes every link-policy decision; changed reports a state
-	// transition relative to this session's previous decision (the first
-	// decision is not a transition).
-	Policy(dec netsim.LinkDecision, changed bool)
 	// Diff observes every encoded diff just before it is sent — the resume
 	// journal. Loop passes each freshly encoded buffer and never reuses it.
 	Diff(seq uint64, body []byte)
@@ -100,24 +86,15 @@ type nopObserver struct{}
 func (nopObserver) Assign(h transport.Hello) (uint64, uint64, error) {
 	return h.SessionID, h.Epoch, nil
 }
-func (nopObserver) Checkpoint(actual, baseline int)  {}
-func (nopObserver) Train(TrainResult)                {}
-func (nopObserver) Policy(netsim.LinkDecision, bool) {}
-func (nopObserver) Diff(seq uint64, body []byte)     {}
+func (nopObserver) Checkpoint(actual, baseline int) {}
+func (nopObserver) Train(TrainResult)               {}
+func (nopObserver) Diff(seq uint64, body []byte)    {}
 
 func (s *Server) observer() SessionObserver {
 	if s.Observer != nil {
 		return s.Observer
 	}
 	return nopObserver{}
-}
-
-// measuredLink is a conn that measures the link it rides and can retune its
-// parity groups — transport.TCPConn over a netsim.PacketConn. A conn
-// without it reads as a perfectly clear link with nothing to retune.
-type measuredLink interface {
-	netsim.LinkObserver
-	SetFECGroup(int)
 }
 
 // NewServer builds a server around a student copy and a teacher.
@@ -237,7 +214,6 @@ func (s *Server) checkpointBody(baseHash uint64) ([]byte, error) {
 // Protocol violations (bad decode, a key frame Step refuses) return plain
 // errors — they terminate the session for good.
 func (s *Server) Loop(conn transport.Conn) error {
-	link, _ := conn.(measuredLink)
 	for {
 		m, err := conn.Recv()
 		if err != nil {
@@ -254,16 +230,9 @@ func (s *Server) Loop(conn transport.Conn) error {
 			if err != nil {
 				return err
 			}
-			var seen netsim.LinkObservation
-			if link != nil {
-				seen = link.LinkObservation()
-			}
-			r, err := s.Step(kf, seen)
+			r, err := s.Step(kf)
 			if err != nil {
 				return err
-			}
-			if link != nil && r.FECGroup != 0 {
-				link.SetFECGroup(max(r.FECGroup, 0)) // negative = FEC off
 			}
 			// Journal before sending: when the send fails mid-flight the
 			// client may or may not have applied the diff, and only the
@@ -289,17 +258,14 @@ type Reply struct {
 	Seq   uint64 // the diff's sequence number, now DiffSeq
 	Body  []byte // the MsgStudentDiff body, freshly allocated
 	Train TrainResult
-	// FECGroup is the link policy's parity group for the link the reply
-	// goes out on: 0 keeps the current one, negative turns FEC off.
-	FECGroup int
 }
 
 // Step is Algorithm 3's work on one key frame (lines 3–6), with no conn and
 // no clock: validate kf, label it with the teacher, distil, and encode the
-// trainable parameters against the View under the link policy's decision on
-// seen. A key frame it refuses returns a plain error before any training.
-// The View is untouched until the caller Commits the body it sent.
-func (s *Server) Step(kf transport.KeyFrame, seen netsim.LinkObservation) (Reply, error) {
+// trainable parameters against the View under DiffCodec. A key frame it
+// refuses returns a plain error before any training. The View is untouched
+// until the caller Commits the body it sent.
+func (s *Server) Step(kf transport.KeyFrame) (Reply, error) {
 	if err := s.validate(kf); err != nil {
 		return Reply{}, err
 	}
@@ -314,21 +280,14 @@ func (s *Server) Step(kf transport.KeyFrame, seen netsim.LinkObservation) (Reply
 		Params:     params,
 		Seq:        s.DiffSeq + 1,
 		Ref:        s.reference(params),
-	}
-	var fec int
-	if s.Policy != nil {
-		dec := s.Policy.Decide(seen)
-		s.observer().Policy(dec, s.policySeen && dec.State != s.lastPolicyState)
-		s.policySeen, s.lastPolicyState = true, dec.State
-		diff.State, diff.StrideScale, diff.Codec = dec.State, dec.StrideScale, dec.Codec
-		fec = dec.FECGroup
+		Codec:      s.DiffCodec,
 	}
 	body, err := transport.EncodeStudentDiff(diff)
 	if err != nil {
 		return Reply{}, err
 	}
 	s.DiffSeq = diff.Seq
-	return Reply{Seq: diff.Seq, Body: body, Train: tr, FECGroup: fec}, nil
+	return Reply{Seq: diff.Seq, Body: body, Train: tr}, nil
 }
 
 // Commit makes what a sent Step body decodes to the View: the client

@@ -251,7 +251,7 @@ func simulateShadowTutor(sc SimConfig, src video.Source, tch, eval teacher.Teach
 			res.KeyFrames++
 			res.BytesUp += int64(netsim.HDFrameBytes)
 			kf := transport.KeyFrame{FrameIndex: uint32(frame.Index), Image: frame.Image, Label: frame.Label, Seq: uint64(res.KeyFrames)}
-			r, err := srv.Step(kf, netsim.LinkObservation{})
+			r, err := srv.Step(kf)
 			if err != nil {
 				return SimResult{}, err
 			}

@@ -200,7 +200,9 @@ func (o trainLog) Train(tr TrainResult) { *o.got = append(*o.got, tr) }
 func TestSimulatorReplaysLiveSchedule(t *testing.T) {
 	frames := collect(t, 31, 300)
 	var trained []TrainResult
-	cl, _ := runSessionUnder(t, DefaultConfig(), frames, nil, trainLog{got: &trained})
+	cl, _ := runSessionUnder(t, DefaultConfig(), frames, func(srv *Server) {
+		srv.Observer = trainLog{got: &trained}
+	})
 	sc := simCfg(len(frames))
 	sc.EvalEvery = 1
 	sim, err := Simulate(sc, video.NewReplay(frames), teacher.NewOracle(3), teacher.NewOracle(3), tinyStudent(21))
@@ -230,13 +232,9 @@ func TestSimulatorReplaysLiveSchedule(t *testing.T) {
 // commits — and not the weights the server trained, which the codec
 // rounded on the way.
 func TestStepUnderLossyCodecKeepsClientOnView(t *testing.T) {
-	policy, err := PolicyByName("static:int8")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := DefaultConfig()
 	srv := NewServer(cfg, tinyStudent(21), teacher.NewOracle(3))
-	srv.Policy = policy
+	srv.DiffCodec = "int8"
 	body, err := srv.checkpointBody(0)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +249,7 @@ func TestStepUnderLossyCodecKeepsClientOnView(t *testing.T) {
 	}
 	cad := newCadence(cfg, nil)
 	for i, f := range collect(t, 31, 6) {
-		r, err := srv.Step(transport.KeyFrame{FrameIndex: uint32(i), Image: f.Image, Label: f.Label, Seq: uint64(i + 1)}, netsim.LinkObservation{})
+		r, err := srv.Step(transport.KeyFrame{FrameIndex: uint32(i), Image: f.Image, Label: f.Label, Seq: uint64(i + 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@
 //   - Cross-shard handoff: a Resume that hashes to a shard that does not
 //     hold the parked session (the placement changed, or the session was
 //     fallback-placed) moves the session — the object itself, with its
-//     student, journal, optimizer and link-policy state — from the shard
+//     student, journal, optimizer and diff codec — from the shard
 //     that does onto the target (serve.Manager.MoveParked).
 //   - Drain: removing a shard from the placement set moves its parked
 //     sessions to their new homes instead of evicting them; active

@@ -20,7 +20,7 @@ var familyNotes = map[string]string{
 	"compression":     "§8 diff-codec study offline: bytes per diff, compression ratio, reconstruction error as `extra.*` columns.",
 	"chaos":           "Scripted mid-stream connection faults measuring the resume subsystem. Gates `reconnects` (exact), `resume_replays`/`full_resends` (drift), with recovery latency informational.",
 	"fleet":           "Sharded serving fabric: rendezvous placement, admission shedding, cross-shard handoff (the parked session itself moves between shards; nothing is serialised), drains. Gates `shards` (exact), per-shard occupancy and `extra.envelope_shrink_x` (handshake-checkpoint plus resume-full bytes against raw); handoff/shed/migration counts are informational.",
-	"loss":            "Packet-level network realism: seeded loss models (uniform, Gilbert-Elliott, trace-threshold), XOR-parity FEC, reordering, and the adaptive link policy. Gates `loss_rate_pct` (regime check) and `extra.adaptive_wins` — CI holds the adaptive policy to matching or beating the best static codec/FEC config on ≥ 1 of 3 loss regimes, the committed baseline's count under `-tol extra.adaptive_wins=0` (ROADMAP item 7).",
+	"loss":            "Packet-level network realism: seeded loss models (uniform, Gilbert-Elliott, trace-threshold), XOR-parity FEC and reordering. Gates `loss_rate_pct` (regime check) and `fec_group`.",
 	"soak":            "Long multi-client runs for the nightly -race job; not part of the per-PR smoke matrix.",
 }
 

@@ -109,18 +109,6 @@ var DefaultChecks = map[string]Check{
 	"packet_retransmits": {Informational, 0},
 	"goodput_mbps":       {Informational, 0},
 
-	// Adaptive-vs-static contract (loss/adaptive-vs-static). adaptive_wins
-	// counts loss regimes (of 3) where the adaptive policy holds accuracy
-	// and either beats the fastest static configuration's FPS or matches it
-	// while shipping materially fewer bytes (the byte axis is a
-	// near-deterministic function of codec choices, so the count survives
-	// host-speed noise; see runAdaptiveVsStatic). CI overrides the 0.34
-	// default with -tol extra.adaptive_wins=0 against a committed baseline
-	// of 1, so the enforced gate is ≥ 1 of 3: a policy that stops adapting
-	// falls to 0 and trips (ROADMAP item 7). Per-regime ratios are
-	// informational diagnostics.
-	"extra.adaptive_wins": {HigherBetter, 0.34},
-
 	// Delta-checkpoint metrics (scenarios with Spec.EnvelopeCodec). The
 	// shrink ratio is the delta-checkpoint contract: MsgStudentFull bytes —
 	// handshake checkpoints plus resume-full resends, the only model state

@@ -1,16 +1,12 @@
 package harness
 
-import (
-	"fmt"
-
-	"repro/internal/netsim"
-)
+import "repro/internal/netsim"
 
 // The loss/* family measures the packet tier (internal/netsim): MTU
-// framing, seeded loss models, XOR-parity FEC and the adaptive link policy,
-// all on live end-to-end sessions. Three canonical impaired links cover the
-// loss-process space — independent drops, bursty drops, and drops keyed to
-// a fading bandwidth trace:
+// framing, seeded loss models and XOR-parity FEC, all on live end-to-end
+// sessions. Three canonical impaired links cover the loss-process space —
+// independent drops, bursty drops, and drops keyed to a fading bandwidth
+// trace:
 var lossRegimes = []struct {
 	key, model string
 	bw         netsim.Mbps
@@ -38,18 +34,6 @@ func regimeSpec(key string, s Spec) Spec {
 	panic("harness: unknown loss regime " + key)
 }
 
-// The static configurations the adaptive policy must match or beat: the
-// paper-default raw diffs, the cheapest codec, and the codec+FEC combo a
-// careful operator would pin for a known-lossy link.
-var lossStatics = []struct {
-	key, codec string
-	fec        int
-}{
-	{"raw-nofec", "", 0},
-	{"int8-nofec", "int8", 0},
-	{"int8-fec4", "int8", 4},
-}
-
 func init() {
 	for _, r := range lossRegimes {
 		Register(Scenario{
@@ -64,70 +48,4 @@ func init() {
 		Spec: Spec{Workload: "drone", Clients: 1, Frames: 120, Bandwidth: 30,
 			LossModel: "uniform:0.01", Reorder: 0.10},
 	})
-	Register(Scenario{
-		Name: "loss/adaptive-vs-static",
-		Desc: "adaptive link policy vs every static codec/FEC config across the three loss regimes; CI gates extra.adaptive_wins at ≥ 1 of 3 (ROADMAP item 7)",
-		Spec: Spec{Workload: "drone", Clients: 1, Frames: 90},
-		Run:  runAdaptiveVsStatic,
-	})
-}
-
-// runAdaptiveVsStatic runs every loss regime once under the adaptive link
-// policy and once under each static configuration, then scores the policy
-// along the two axes an operator cares about: goodput at equal accuracy,
-// or accuracy at equal-or-fewer bytes. A regime counts as a win when the
-// policy holds accuracy (within 3 mIoU points of the most accurate static)
-// AND either beats the fastest static outright (fps_ratio ≥ 1) or matches
-// it within wall-clock noise (≥ 0.9) while shipping ≥ 5% fewer download
-// bytes. The byte axis is what makes the gate robust: wire bytes are a
-// near-deterministic function of codec choices, where single-run FPS
-// ratios near 1.0 flip with host load. extra.adaptive_wins carries the win
-// count (0–3); CI's bench gate holds it at ≥ 1, the committed baseline's
-// count under -tol extra.adaptive_wins=0 (ROADMAP item 7). Per-regime ratios ride
-// along as informational diagnostics.
-func runAdaptiveVsStatic(spec Spec) ([]Metrics, error) {
-	extra := map[string]float64{}
-	wins := 0
-	for _, r := range lossRegimes {
-		base := regimeSpec(r.key, spec)
-		ad := base
-		ad.Codec, ad.FECGroup = "adaptive", 0
-		am, err := Drive("loss/adaptive-vs-static", "loss", ad)
-		if err != nil {
-			return nil, fmt.Errorf("regime %s adaptive: %w", r.key, err)
-		}
-		var bestFPS, bestIoU, fastestBytes float64
-		for _, st := range lossStatics {
-			ss := base
-			ss.Codec, ss.FECGroup = st.codec, st.fec
-			sm, err := Drive("loss/adaptive-vs-static", "loss", ss)
-			if err != nil {
-				return nil, fmt.Errorf("regime %s static %s: %w", r.key, st.key, err)
-			}
-			if sm.AggregateFPS > bestFPS {
-				bestFPS = sm.AggregateFPS
-				fastestBytes = sm.BytesDownHDMB
-			}
-			if sm.MeanIoU > bestIoU {
-				bestIoU = sm.MeanIoU
-			}
-		}
-		ratio := am.AggregateFPS / bestFPS
-		delta := am.MeanIoU - bestIoU
-		bytesRatio := am.BytesDownHDMB / fastestBytes
-		extra[r.key+"_fps_ratio"] = ratio
-		extra[r.key+"_miou_delta"] = delta
-		extra[r.key+"_bytes_ratio"] = bytesRatio
-		if delta >= -0.03 && (ratio >= 1.0 || (ratio >= 0.9 && bytesRatio <= 0.95)) {
-			wins++
-		}
-	}
-	extra["adaptive_wins"] = float64(wins)
-	return []Metrics{{
-		Workload:        spec.Workload,
-		Clients:         spec.Clients,
-		FramesPerClient: spec.Frames,
-		Codec:           "adaptive",
-		Extra:           extra,
-	}}, nil
 }

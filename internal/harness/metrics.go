@@ -88,12 +88,11 @@ type Metrics struct {
 
 	// Packet-layer metrics, populated when the scenario activates the
 	// netsim packet tier (loss families). LossModel echoes the spec's
-	// loss-model string and FECGroup the configured parity group size (the
-	// adaptive policy may override the live value). Packet counters sum
-	// both link directions across every connection; LossRatePct is
-	// simulated drops over packets sent (before FEC recovery), and
-	// GoodputMbps is delivered application payload over wall time on the
-	// server→client direction.
+	// loss-model string and FECGroup the configured parity group size.
+	// Packet counters sum both link directions across every connection;
+	// LossRatePct is simulated drops over packets sent (before FEC
+	// recovery), and GoodputMbps is delivered application payload over
+	// wall time on the server→client direction.
 	LossModel         string  `json:"loss_model,omitempty"`
 	FECGroup          int     `json:"fec_group,omitempty"`
 	PacketsSent       int64   `json:"packets_sent,omitempty"`

@@ -35,14 +35,11 @@ type Spec struct {
 	// Trace, when non-nil, drives a time-varying bandwidth profile on each
 	// client link (the §6.4 sweep experienced live by one connection).
 	Trace *netsim.Trace
-	// Codec selects the student-diff policy — the one knob for how diffs
-	// are encoded. Empty or "raw" ships the paper's raw float32 body with
-	// no link policy; "adaptive" runs the netsim adaptive engine, which
-	// watches each session's measured loss and switches diff codec, stride
-	// scale and FEC group at runtime; any other compress.ByName codec
-	// ("int8", "prune25") pins it as the static policy "static:<codec>".
-	// Every diff names its codec and stride scale, so clients need no
-	// setting of their own.
+	// Codec selects the student-diff codec — the one knob for how diffs
+	// are encoded. Empty or "raw" ships the paper's bit-exact body; any
+	// other diff codec ("int8", "prune25") is the server's for the whole
+	// run, as "static:<codec>". Every diff names its codec, so clients need
+	// no setting of their own.
 	Codec string
 	// ChaosCuts scripts mid-stream connection faults per client. A cut
 	// (Stall == 0) severs the link and exercises the reconnect/resume path
@@ -96,8 +93,7 @@ type Spec struct {
 	LossModel string
 	// FECGroup, with the packet layer active, groups this many data packets
 	// under one XOR parity packet so any single loss per group recovers
-	// without a resend (0 disables FEC). The adaptive policy may override it
-	// per-link at runtime.
+	// without a resend (0 disables FEC).
 	FECGroup int
 	// Reorder is the per-packet probability of deferred delivery (packet
 	// reordering) when the packet layer is active.
@@ -158,8 +154,7 @@ func (s Spec) BandwidthLabel() string {
 	}
 }
 
-// CodecLabel renders the codec for metrics output ("adaptive" when the
-// policy switches it at runtime).
+// CodecLabel renders the codec for metrics output.
 func (s Spec) CodecLabel() string {
 	if s.Codec == "" {
 		return "raw"
@@ -168,13 +163,10 @@ func (s Spec) CodecLabel() string {
 }
 
 // linkPolicy maps Codec onto serve.Options.LinkPolicy; empty means raw
-// diffs with no policy. An unknown codec fails in serve.NewManager.
+// diffs. An unknown codec fails in serve.NewManager.
 func (s Spec) linkPolicy() string {
-	switch s.Codec {
-	case "", "raw":
+	if s.Codec == "" || s.Codec == "raw" {
 		return ""
-	case "adaptive":
-		return "adaptive"
 	}
 	return "static:" + s.Codec
 }

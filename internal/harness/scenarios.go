@@ -26,8 +26,7 @@ var WifiFade = netsim.MustTrace("wifi-fade",
 //	compression/*      — the §8 diff-codec study, folded to metrics
 //	chaos/*            — scripted mid-stream connection faults measuring
 //	                     the resume subsystem (see chaos.go)
-//	loss/*             — packet-level loss/reorder/FEC regimes and the
-//	                     adaptive-vs-static link policy contract (see loss.go)
+//	loss/*             — packet-level loss/reorder/FEC regimes (see loss.go)
 //	soak/*             — long multi-client runs for the nightly -race job
 func init() {
 	sweep := func(variant string, spec Spec) {

@@ -29,8 +29,6 @@
 // seed yields a bitwise-identical packet schedule regardless of timing or
 // GOMAXPROCS.
 //
-// The policy tier closes the loop: a LinkPolicy (AdaptiveEngine) watches
-// the writer-side LinkObservation (EWMA loss, goodput) and decides, per key
-// frame, which diff codec to use, how to scale the client's stride, and how
-// much FEC to spend — the serving path applies the decision at runtime.
+// A PacketConn reports its writer-side LinkObservation: packets sent, lost,
+// recovered and retransmitted, and goodput.
 package netsim

@@ -15,10 +15,6 @@ import (
 // stream pays for an unrecovered loss.
 const DefaultRTO = 40 * time.Millisecond
 
-// ewmaAlpha smooths the per-packet loss indicator into the loss-rate signal
-// the adaptive policy engine watches.
-const ewmaAlpha = 0.05
-
 // PacketOptions configures a PacketConn.
 type PacketOptions struct {
 	// FECGroup is the initial XOR parity group size (0 = no FEC). It can
@@ -82,11 +78,10 @@ type PacketConn struct {
 	groups  map[uint32]*fecGroup
 	rerr    error
 
-	// Stats (writer view, feeds the policy observation).
+	// Stats (writer view, read by Observation).
 	smu                            sync.Mutex
 	sent, lost, recovered, retrans int64
 	payloadBytes                   int64
-	ewmaLoss                       float64
 }
 
 // fecGroup tracks one parity group on the read path.
@@ -126,7 +121,7 @@ func NewPacketConn(conn net.Conn, opts PacketOptions) *PacketConn {
 
 // SetFECGroup changes the parity group size for subsequent writes: k data
 // packets per XOR parity packet, 0 (or negative) disables FEC. Safe to call
-// concurrently with Write — the adaptive policy engine drives it at runtime.
+// concurrently with Write.
 func (c *PacketConn) SetFECGroup(k int) {
 	if k < 0 {
 		k = 0
@@ -141,12 +136,9 @@ func (c *PacketConn) SetFECGroup(k int) {
 func (c *PacketConn) noteData(lost bool) {
 	c.smu.Lock()
 	c.sent++
-	ind := 0.0
 	if lost {
 		c.lost++
-		ind = 1
 	}
-	c.ewmaLoss += ewmaAlpha * (ind - c.ewmaLoss)
 	c.smu.Unlock()
 	if c.totals != nil {
 		c.totals.Sent.Add(1)
@@ -156,11 +148,10 @@ func (c *PacketConn) noteData(lost bool) {
 	}
 }
 
-// Observation snapshots the writer-side link stats for the policy engine.
+// Observation snapshots the writer-side link stats.
 func (c *PacketConn) Observation() LinkObservation {
 	c.smu.Lock()
 	obs := LinkObservation{
-		LossRate:    c.ewmaLoss,
 		GoodputMbps: TrafficMbps(c.payloadBytes, time.Since(c.start)),
 		PacketsSent: c.sent,
 		PacketsLost: c.lost,

@@ -7,16 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/teacher"
 	"repro/internal/transport"
 	"repro/internal/video"
 )
 
-// A link policy is validated where it is configured: an unknown policy, or
-// one whose decisions name an unknown, empty or base-relative codec, fails
-// NewManager instead of killing every session at its first key frame.
+// The diff codec is validated where it is configured: a bad LinkPolicy
+// fails NewManager instead of killing every session at its first key frame.
 func TestNewManagerLinkPolicyValidation(t *testing.T) {
 	base := tinyStudent(5)
 	for _, tc := range []struct {
@@ -24,9 +22,9 @@ func TestNewManagerLinkPolicyValidation(t *testing.T) {
 		ok     bool
 	}{
 		{"", true},
-		{"adaptive", true},
 		{"static:int8", true},
 		{"static:prune25", true},
+		{"adaptive", false},
 		{"no-such-policy", false},
 		{"static:nope", false},
 		{"static:delta+int8", false},
@@ -42,12 +40,44 @@ func TestNewManagerLinkPolicyValidation(t *testing.T) {
 	}
 }
 
-// A managed session under a link policy, with a client told nothing about
-// it: over a plain (unmeasured) conn — no core measuredLink — the policy
-// decides on a zero observation.
+// diffCodec accepts "" (raw) and "static:<codec>" for a codec
+// transport.DiffCodec accepts, and returns that codec; anything else — a
+// bare codec, a retired policy or codec, an empty or base-relative codec —
+// is refused.
+func TestDiffCodecValidatesCodecs(t *testing.T) {
+	for _, tc := range []struct {
+		spec  string
+		codec string
+		ok    bool
+	}{
+		{"", "", true},
+		{"static:raw", "raw", true},
+		{"static:int8", "int8", true},
+		{"static:prune25", "prune25", true},
+		{"adaptive", "", false},
+		{"int8", "", false},
+		{"no-such-policy", "", false},
+		{"static:nope", "", false},
+		{"static:bf16", "", false}, // a codec name until the handoff envelope went
+		{"static:delta+int8", "", false},
+		{"static:prune0", "", false},
+		{"static:", "", false},
+	} {
+		codec, err := diffCodec(tc.spec)
+		if (err == nil) != tc.ok {
+			t.Errorf("diffCodec(%q): err = %v, want ok=%v", tc.spec, err, tc.ok)
+		}
+		if tc.ok && codec != tc.codec {
+			t.Errorf("diffCodec(%q) = %q, want %q", tc.spec, codec, tc.codec)
+		}
+	}
+}
+
+// A managed session under a lossy diff codec, with a client told nothing
+// about it.
 func TestManagerSessionWithLinkPolicy(t *testing.T) {
 	base := tinyStudent(5)
-	o := Options{Cfg: core.DefaultConfig(), Base: base, Teacher: teacher.NewOracle(7), MaxSessions: 1, LinkPolicy: "adaptive"}
+	o := Options{Cfg: core.DefaultConfig(), Base: base, Teacher: teacher.NewOracle(7), MaxSessions: 1, LinkPolicy: "static:prune25"}
 	m, err := NewManager(o)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +118,7 @@ func TestManagerSessionWithLinkPolicy(t *testing.T) {
 	}
 }
 
-// Journal replay under a static codec policy: what the journal holds are
+// Journal replay under a static codec: what the journal holds are
 // int8 diffs, relative to the View, and they must decode — with strictly
 // increasing Seq — and resolve against what the client holds, both when
 // replayed after a plain detach and when replayed by another manager the
@@ -165,7 +195,7 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	replay(p, dst, 2, 2) // after a cross-shard move: diffs 3 and 4
-	keyFrame(p)          // the policy moved with the session: seq 5 is int8 too
+	keyFrame(p)          // the codec moved with the session: seq 5 is int8 too
 	p.drop(dst)
 
 	srv, fresh := parkedSession(t, dst, p.sessionID).srv, tinyStudent(41)
@@ -195,98 +225,14 @@ func TestResumeReplaysEnvelopesUnderStaticPolicy(t *testing.T) {
 	}
 }
 
-// lossyLink is a conn that reports a fixed loss rate — what core's
-// measuredLink reads off a packet-tier conn before each policy decision.
-type lossyLink struct {
-	transport.Conn
-	loss float64
-}
-
-func (l lossyLink) LinkObservation() netsim.LinkObservation {
-	return netsim.LinkObservation{LossRate: l.loss}
-}
-func (lossyLink) SetFECGroup(int) {}
-
-// The link policy's hysteresis state moves with the session. An adaptive
-// session driven into the degraded state, moved to another shard and
-// resumed over a link whose loss sits inside the hysteresis band — below
-// the enter threshold, above the exit one — stays degraded; a policy rebuilt
-// on the target would start clear and, inside the band, stay clear.
-func TestMoveParkedKeepsLinkPolicyState(t *testing.T) {
-	newShard := func() *Manager {
-		cfg := core.DefaultConfig()
-		cfg.MaxUpdates = 1
-		m, err := NewManager(Options{Cfg: cfg, Base: tinyStudent(41), Teacher: teacher.NewOracle(7),
-			MaxSessions: 2, JournalDepth: 8, LinkPolicy: "adaptive", Logf: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { m.Close() })
-		return m
-	}
-	src, dst := newShard(), newShard()
-	_, frames := resumeManager(t, 1)
-	engine := netsim.NewAdaptiveEngine()
-	inBand := (engine.DegradedExit + engine.DegradedEnter) / 2
-
-	// over opens a connection into m whose server side measures loss.
-	over := func(m *Manager, loss float64) *protoClient {
-		clientConn, serverConn := transport.Pipe(8, nil)
-		done := make(chan error, 1)
-		go func() {
-			defer serverConn.Close()
-			done <- m.Handle(lossyLink{serverConn, loss})
-		}()
-		return &protoClient{t: t, conn: clientConn, done: done, frames: frames}
-	}
-	decided := func(p *protoClient) netsim.PolicyState {
-		t.Helper()
-		p.send()
-		_, dec, err := core.DecodeAdaptiveDiff(p.recv(transport.MsgStudentDiff).Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dec.State
-	}
-
-	p := over(src, 2*engine.DegradedEnter)
-	p.hello(7)
-	if got := decided(p); got != netsim.LinkDegraded {
-		t.Fatalf("decision under %.3f loss: %v, want degraded", 2*engine.DegradedEnter, got)
-	}
-	p.drop(src)
-	if err := src.MoveParked(p.sessionID, dst); err != nil {
-		t.Fatal(err)
-	}
-
-	q := over(dst, inBand)
-	q.sessionID, q.epoch, q.kfSeq = p.sessionID, p.epoch, p.kfSeq
-	req := transport.Resume{SessionID: q.sessionID, Epoch: q.epoch, LastDiffSeq: 1}
-	if err := q.conn.Send(transport.Message{Type: transport.MsgResume, Body: transport.EncodeResume(req)}); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := transport.DecodeResumeAck(q.recv(transport.MsgResumeAck).Body)
-	if err != nil || ack.Status != transport.ResumeReplay || ack.NumDiffs != 0 {
-		t.Fatalf("resume on the target: %+v, %v", ack, err)
-	}
-	if got := decided(q); got != netsim.LinkDegraded {
-		t.Fatalf("decision at %.4f loss after the move: %v, want degraded (exit %.3f < loss < enter %.3f)",
-			inBand, got, engine.DegradedExit, engine.DegradedEnter)
-	}
-	q.shutdown()
-}
-
-// What benchmark/taps.go relies on: under no policy, a static raw or int8
-// one, and the adaptive engine driven onto int8, transport.DecodeStudentDiff
-// and core.DecodeAdaptiveDiff read every body a server sends — live and
-// replayed from the journal — as the same diff, and the decision the shim
-// reports is the one the server took.
+// What benchmark/taps.go relies on: under every diff codec a server can be
+// given, transport.DecodeStudentDiff and core.DecodeAdaptiveDiff read every
+// body it sends — live and replayed from the journal — as the same diff,
+// and the codec the shim reports is the server's.
 func TestTapsDecodeEveryServerBody(t *testing.T) {
-	engine := netsim.NewAdaptiveEngine()
-	for _, tc := range []struct {
-		policy, codec string
-		loss          float64
-	}{{"", "raw", 0}, {"static:raw", "raw", 0}, {"static:int8", "int8", 0}, {"adaptive", "int8", 2 * engine.CriticalEnter}} {
+	for _, tc := range []struct{ policy, codec string }{
+		{"", "raw"}, {"static:raw", "raw"}, {"static:int8", "int8"}, {"static:prune25", "prune25"},
+	} {
 		cfg := core.DefaultConfig()
 		cfg.MaxUpdates = 1
 		m, err := NewManager(Options{Cfg: cfg, Base: tinyStudent(41), Teacher: teacher.NewOracle(7),
@@ -301,7 +247,7 @@ func TestTapsDecodeEveryServerBody(t *testing.T) {
 			done := make(chan error, 1)
 			go func() {
 				defer serverConn.Close()
-				done <- m.Handle(lossyLink{serverConn, tc.loss})
+				done <- m.Handle(serverConn)
 			}()
 			p.conn, p.done = clientConn, done
 		}
@@ -338,8 +284,8 @@ func TestTapsDecodeEveryServerBody(t *testing.T) {
 				!bytes.Equal(a.Payload, d.Payload) || len(a.Params) != len(d.Params) {
 				t.Fatalf("%q body %d: shim read seq %d, decoder seq %d", tc.policy, i, a.Seq, d.Seq)
 			}
-			if dec.Codec != tc.codec || dec.Codec != d.Codec || dec.State != d.State || dec.StrideScale != d.StrideScale {
-				t.Fatalf("%q body %d: decision %+v beside %q, want codec %q", tc.policy, i, dec, d.Codec, tc.codec)
+			if dec.Codec != tc.codec || dec.Codec != d.Codec {
+				t.Fatalf("%q body %d: codec %q beside %q, want %q", tc.policy, i, dec.Codec, d.Codec, tc.codec)
 			}
 		}
 	}

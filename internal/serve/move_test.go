@@ -99,8 +99,8 @@ func peek(t *testing.T, m *Manager, id uint64) *parkedView {
 	srv := s.srv
 	v := &parkedView{
 		sess: s, srv: srv, student: srv.Distiller.Student, opt: srv.Distiller.Opt,
-		journal: s.journal, policy: srv.Policy,
-		id: s.id, epoch: s.epoch, parkedAt: s.parkedAt,
+		journal: s.journal,
+		id:      s.id, epoch: s.epoch, parkedAt: s.parkedAt,
 		diffSeq: srv.DiffSeq, lastKFSeq: srv.LastKFSeq,
 		steps: srv.Distiller.TotalSteps, trains: srv.Distiller.TotalTrains, stepTime: srv.Distiller.TotalStepTime,
 		weights: nn.CloneNamed(srv.Distiller.Student.Params.All()), view: nn.CloneNamed(srv.View.All()),
@@ -115,7 +115,7 @@ func peek(t *testing.T, m *Manager, id uint64) *parkedView {
 // parkedView is everything a move must keep: the objects by identity, the
 // values by copy.
 type parkedView struct {
-	sess, srv, student, opt, journal, policy any
+	sess, srv, student, opt, journal any
 
 	id, epoch, diffSeq, lastKFSeq uint64
 	steps, trains                 int
@@ -141,7 +141,7 @@ func requireBitEqual(t *testing.T, what string, got []*nn.Parameter, want *nn.Pa
 }
 
 // A move moves the session, not a copy of it: under every checkpoint codec,
-// and between shards configured with different ones, the server, student, optimizer, journal and policy parked on the target
+// and between shards configured with different ones, the server, student, optimizer and journal parked on the target
 // are the objects that were parked on the source, the counters and epochs
 // read the same, no weight changed a bit, neither manager counts a
 // completion or an eviction, and the TTL clock restarted. What no probe
@@ -173,8 +173,8 @@ func TestMoveParkedMovesTheSessionItself(t *testing.T) {
 			}
 			after := peek(t, dst, p.sessionID)
 			if after.sess != before.sess || after.srv != before.srv || after.student != before.student ||
-				after.opt != before.opt || after.journal != before.journal || after.policy != before.policy {
-				t.Error("the target holds a copy: session, server, student, optimizer, journal and policy must be the same objects")
+				after.opt != before.opt || after.journal != before.journal {
+				t.Error("the target holds a copy: session, server, student, optimizer and journal must be the same objects")
 			}
 			if srv := after.srv.(*core.Server); srv.Observer.(*session).m != dst || srv.Teacher != dst.batcher || srv.Checkpoint != dst.ck {
 				t.Error("the session is not bound to the target's manager, teacher and checkpoint codec")

@@ -66,7 +66,7 @@ func (c *mirror) reattach(m *Manager, wantReplayed uint32) {
 // requireHolds parks the session on m and compares every parameter the
 // client holds, bit for bit, with what the server says it holds: the
 // parked student with its View in place of the trainable subset — and,
-// under raw diffs (no link policy), the student itself.
+// under raw diffs, the student itself.
 func (c *mirror) requireHolds(m *Manager) {
 	c.t.Helper()
 	c.drop(m)
@@ -76,7 +76,7 @@ func (c *mirror) requireHolds(m *Manager) {
 	}
 	want := srv.Distiller.Student.Params.Clone()
 	want.ApplyValues(srv.View)
-	if srv.Policy == nil {
+	if srv.DiffCodec == "" || srv.DiffCodec == "raw" {
 		want = srv.Distiller.Student.Params
 	}
 	moved := false

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -75,15 +76,10 @@ type Options struct {
 	// raw, which keeps them bit-exact and still relative. Everyone else gets
 	// absolute checkpoints.
 	EnvelopeCodec string
-	// LinkPolicy, when non-empty, names the link policy (core.PolicyByName
-	// form: "adaptive", or "static:<codec>" to pin one diff codec) each
-	// session runs. It is the only way to pick a diff codec: the server
-	// reads the conn's packet-link stats, lets the policy choose codec,
-	// stride scale and FEC group per key frame, and names the codec and
-	// stride scale in each diff's header, so clients need no setting of
-	// their own. Empty sends every diff raw at stride scale 1. The policy
-	// instance is per session and survives detach/resume; its link
-	// observation follows whichever conn the session rides.
+	// LinkPolicy names the diff codec every session encodes its student
+	// diffs under, as "static:<codec>" (transport.DiffCodec); empty means
+	// raw. Each diff names its codec in its header, so clients need no
+	// setting of their own.
 	LinkPolicy string
 	// Telemetry, when non-nil, registers this manager's live metrics —
 	// session/detached gauges, lifecycle counters, the distill-step
@@ -107,6 +103,7 @@ type Manager struct {
 	opts    Options
 	batcher *teacher.Batcher
 	ck      *core.CheckpointCodec // relative to Base for clients that hold it; a delta envelope codec gives its inner
+	codec   string                // every session's diff codec, parsed from LinkPolicy
 	slots   chan struct{}
 	quit    chan struct{}
 	once    sync.Once
@@ -122,6 +119,22 @@ type Manager struct {
 	conns     map[transport.Conn]struct{}
 	agg       Stats // the summed counters; Stats fills in the gauges
 	listeners []*transport.Listener
+}
+
+// diffCodec parses Options.LinkPolicy: "" is raw, and "static:<codec>"
+// names a codec transport.DiffCodec accepts.
+func diffCodec(spec string) (string, error) {
+	if spec == "" {
+		return "", nil
+	}
+	codec, ok := strings.CutPrefix(spec, "static:")
+	if !ok {
+		return "", fmt.Errorf("serve: link policy %q: want \"static:<codec>\"", spec)
+	}
+	if _, err := transport.DiffCodec(codec); err != nil {
+		return "", fmt.Errorf("serve: link policy %q: %w", spec, err)
+	}
+	return codec, nil
 }
 
 // NewManager builds a Manager around the shared teacher.
@@ -151,10 +164,9 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.JournalDepth <= 0 {
 		opts.JournalDepth = 8
 	}
-	if opts.LinkPolicy != "" {
-		if _, err := core.PolicyByName(opts.LinkPolicy); err != nil {
-			return nil, err
-		}
+	codec, err := diffCodec(opts.LinkPolicy)
+	if err != nil {
+		return nil, err
 	}
 	c, ok := compress.ByName(opts.EnvelopeCodec) // "" resolves to raw
 	if !ok {
@@ -164,6 +176,7 @@ func NewManager(opts Options) (*Manager, error) {
 		opts:    opts,
 		batcher: b,
 		ck:      &core.CheckpointCodec{Base: opts.Base.Params, Codec: compress.Inner(c)},
+		codec:   codec,
 		slots:   make(chan struct{}, opts.MaxSessions),
 		quit:    make(chan struct{}),
 		active:  map[uint64]*session{},

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -32,25 +31,21 @@ type session struct {
 
 // newSession builds the per-session state: a private clone of the checkpoint
 // with its own distiller and optimizer behind the shared batched teacher, a
-// replay journal of the given depth, and this manager's link policy.
+// replay journal of the given depth, and this manager's diff codec.
 func (m *Manager) newSession(journalDepth int) *session {
 	s := &session{m: m, journal: newJournal(journalDepth)}
 	s.srv = core.NewServer(m.opts.Cfg, m.opts.Base.Clone(), m.batcher)
 	s.srv.Observer = s
 	s.srv.Checkpoint = m.ck
-	if m.opts.LinkPolicy != "" {
-		// NewManager validated the name, so this cannot fail.
-		s.srv.Policy, _ = core.PolicyByName(m.opts.LinkPolicy)
-	}
+	s.srv.DiffCodec = m.codec
 	return s
 }
 
 // rebind points a parked session at the manager it is moving to. It owns the
 // list of what in a session is bound to the shard it lives on; everything
 // else — student, Adam moments and step, DiffSeq/LastKFSeq, the View of what
-// the client holds (which no codec re-encodes on the way), epochs, journal,
-// the link policy with its hysteresis state, the distill counters — travels
-// by being the same object.
+// the client holds (which no codec re-encodes on the way), the diff codec,
+// epochs, journal, the distill counters — travels by being the same object.
 func (s *session) rebind(to *Manager) {
 	s.m = to // registry, aggregate stats, telemetry handles and shard label
 	s.srv.Teacher = to.batcher
@@ -92,24 +87,6 @@ func (s *session) Train(tr core.TrainResult) {
 		tm.distillSteps.Add(int64(tr.Steps))
 		tm.distill.Observe(tr.StepTime.Seconds() / float64(tr.Steps))
 	}
-}
-
-// Policy implements core.SessionObserver: a hysteresis transition is counted
-// and traced under the session's current epoch.
-func (s *session) Policy(dec netsim.LinkDecision, changed bool) {
-	if !changed {
-		return
-	}
-	tm := &s.m.tm
-	tm.policySwitches.Inc()
-	tm.trace.Record(telemetry.Event{
-		Time:    time.Now(),
-		Kind:    telemetry.EvPolicy,
-		Session: s.id,
-		Epoch:   uint32(s.epoch),
-		Shard:   tm.shard,
-		Detail:  dec.State.String(),
-	})
 }
 
 // handleFresh runs a brand-new session over conn, first.Type being the
@@ -354,7 +331,7 @@ func (m *Manager) evictLocked(sess *session) {
 // itself moves, not a copy of it: it leaves this manager's parked map, is
 // rebound to the target (rebind) and parked there as if it had detached
 // there, so a later Resume finds it through the ordinary epoch-checked path
-// with its journal, optimizer and link-policy state as they were, and the
+// with its journal, optimizer and diff codec as they were, and the
 // TTL clock restarts. Nothing folds into either manager's stats — the
 // session is moving, not completing. When the target cannot take it (it is
 // closing) the session goes back where it was with the TTL it had left.

@@ -13,19 +13,18 @@ import (
 // Every handle is nil (a no-op) when telemetry is disabled, so record
 // sites are unconditional.
 type managerTelemetry struct {
-	shard          int
-	active         *telemetry.Gauge
-	detached       *telemetry.Gauge
-	started        *telemetry.Counter
-	completed      *telemetry.Counter
-	resumeReplays  *telemetry.Counter
-	resumeFulls    *telemetry.Counter
-	evicted        *telemetry.Counter
-	keyFrames      *telemetry.Counter
-	distillSteps   *telemetry.Counter
-	distill        *telemetry.Histogram
-	policySwitches *telemetry.Counter
-	trace          *telemetry.TraceRing
+	shard         int
+	active        *telemetry.Gauge
+	detached      *telemetry.Gauge
+	started       *telemetry.Counter
+	completed     *telemetry.Counter
+	resumeReplays *telemetry.Counter
+	resumeFulls   *telemetry.Counter
+	evicted       *telemetry.Counter
+	keyFrames     *telemetry.Counter
+	distillSteps  *telemetry.Counter
+	distill       *telemetry.Histogram
+	trace         *telemetry.TraceRing
 }
 
 func newManagerTelemetry(reg *telemetry.Registry, shard int) managerTelemetry {
@@ -44,7 +43,6 @@ func newManagerTelemetry(reg *telemetry.Registry, shard int) managerTelemetry {
 	t.keyFrames = reg.Counter("shadowtutor_key_frames_total", "Key frames distilled.", l)
 	t.distillSteps = reg.Counter("shadowtutor_distill_steps_total", "Optimisation steps taken.", l)
 	t.distill = reg.Histogram("shadowtutor_distill_step_seconds", "Wall time per distillation step.", telemetry.DurationBuckets, l)
-	t.policySwitches = reg.Counter("shadowtutor_policy_switches_total", "Adaptive link-policy hysteresis transitions.", l)
 	t.trace = reg.Trace()
 	return t
 }

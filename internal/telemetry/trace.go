@@ -17,7 +17,6 @@ const (
 	EvHandoff      = "handoff"
 	EvMigrate      = "migrate"
 	EvDrain        = "drain"
-	EvPolicy       = "policy_state"
 )
 
 // Event is one entry in the trace ring: a session-lifecycle or

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/compress"
-	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/video"
@@ -195,9 +194,8 @@ func withCaps(body []byte, at int) []byte {
 // server sends crosses it, as does every journal replay — through both of
 // its steps: the stateless parse and the resolve against the set the seeds
 // were cut from. It must never panic; base-relative or empty codec names,
-// bad stride scales, Seq 0, truncation, trailing bytes, every retired diff
-// or checkpoint format and a reference the receiver does not hold must
-// error; under the dense codecs, where every decoded value costs at least
+// Seq 0, truncation, trailing bytes, every retired diff or checkpoint format
+// and a reference the receiver does not hold must error; under the dense codecs, where every decoded value costs at least
 // a 2-bit tag or an int8, it must not allocate past the body (a pruned
 // tensor's size is bounded by compress's own shape check instead); and
 // what it accepts re-encodes under raw — a lossy codec would re-quantise
@@ -221,8 +219,8 @@ func FuzzDecodeStudentDiff(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !(d.StrideScale > 0) || math.IsInf(d.StrideScale, 0) || d.Seq == 0 {
-			t.Fatalf("accepted stride scale %v, seq %d", d.StrideScale, d.Seq)
+		if d.Seq == 0 {
+			t.Fatal("accepted seq 0")
 		}
 		codec, err := DiffCodec(d.Codec)
 		if err != nil {
@@ -252,7 +250,7 @@ func FuzzDecodeStudentDiff(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded diff failed: %v", err)
 		}
-		if d2.FrameIndex != d.FrameIndex || d2.Seq != d.Seq || d2.State != d.State || d2.StrideScale != d.StrideScale || len(d2.Params) != len(d.Params) {
+		if d2.FrameIndex != d.FrameIndex || d2.Seq != d.Seq || len(d2.Params) != len(d.Params) {
 			t.Fatalf("diff round trip mismatch")
 		}
 		if d2.Metric != d.Metric && !(math.IsNaN(d2.Metric) && math.IsNaN(d.Metric)) {
@@ -305,7 +303,7 @@ func diffSeeds(tb testing.TB) []diffSeed {
 		}
 		moved = append(moved, &nn.Parameter{Name: p.Name, Value: v})
 	}
-	diff := StudentDiff{FrameIndex: 5, Metric: 0.75, Seq: 3, State: netsim.LinkDegraded, StrideScale: 1.5, Params: moved}
+	diff := StudentDiff{FrameIndex: 5, Metric: 0.75, Seq: 3, Params: moved}
 	encode := func(d StudentDiff, codec string) []byte {
 		d.Codec = codec
 		body, err := EncodeStudentDiff(d)
@@ -326,36 +324,43 @@ func diffSeeds(tb testing.TB) []diffSeed {
 	diff.Ref = held
 	relative := encode(diff, "raw")
 
-	// The relative raw body with its decision — state, float32 stride scale,
-	// codec name — rewritten and everything after the name intact, so each
-	// of these can only be rejected for the field it corrupts.
-	const nameAt = 4 + 8 + 8 + 1 + 4
+	// The relative raw body with its codec name rewritten and everything
+	// after the name intact, so each of these can only be rejected for the
+	// name.
+	const nameAt = 4 + 8 + 8
 	section := relative[nameAt+1+len("raw"):]
-	with := func(scale uint32, name string) []byte {
-		b := binary.LittleEndian.AppendUint32(bytes.Clone(relative[:nameAt-4]), scale)
-		b = append(append(b, byte(len(name))), name...)
+	with := func(name string) []byte {
+		b := append(append(bytes.Clone(relative[:nameAt]), byte(len(name))), name...)
 		return append(b, section...)
 	}
-	one := math.Float32bits(1)
 	const hashAt = nameAt + 1 + len("raw") + 1
 	const countAt = hashAt + 8 + 4 + 1 + len("raw") // delta magic, inner name
 	mutate := func(edit func(b []byte) []byte) []byte { return edit(bytes.Clone(relative)) }
 
-	// What earlier versions put on the wire. Version 5's lossy body was
-	// version 6's head followed by absolute weights under the codec and the
-	// statistics as nn.WriteNamed. Version 4's plain body is version 5's
-	// without the decision; its adaptive envelope (0xAD, version 3) put the
-	// decision in front of that body under raw, and in front of frame index,
-	// metric, seq and the lossy tail otherwise. Version 3's body was
-	// absolute nn.WriteNamed with Seq trailing.
+	// What earlier versions put on the wire. Versions 5 to 7 put the link
+	// decision between seq and the codec name: a policy state byte (0
+	// clear, 1 degraded, 2 critical) and a float32 stride scale; v7 turns a
+	// version-8 body into its version-7 form under a decision. Version 5's
+	// lossy body was that head followed by absolute weights under the codec
+	// and the statistics as nn.WriteNamed. Version 4's plain body is
+	// version 5's without the decision or the name; its adaptive envelope
+	// (0xAD, version 3) put the decision and the name in front of that body
+	// under raw, and in front of frame index, metric, seq and the lossy tail
+	// otherwise. Version 3's body was absolute nn.WriteNamed with Seq
+	// trailing.
+	v7 := func(body []byte, state byte, scale float32) []byte {
+		b := append(bytes.Clone(body[:nameAt]), state)
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(scale))
+		return append(b, body[nameAt:]...)
+	}
 	weights, stats := nn.SplitBNStats(moved)
 	var lossyTail bytes.Buffer
 	compress.Int8{}.Encode(&lossyTail, weights)
 	nn.WriteNamed(&lossyTail, stats)
-	v5Lossy := append(bytes.Clone(lossy[:nameAt+1+len("int8")]), lossyTail.Bytes()...)
-	plain := append(bytes.Clone(relative[:20]), section...)
+	v5Lossy := append(v7(lossy, 1, 1.5)[:nameAt+5+1+len("int8")], lossyTail.Bytes()...)
+	plain := append(bytes.Clone(relative[:nameAt]), section...)
 	envelope := func(name string, body []byte) []byte {
-		b := append([]byte{0xAD, 3, byte(diff.State)}, relative[21:nameAt]...)
+		b := binary.LittleEndian.AppendUint32([]byte{0xAD, 3, 1}, math.Float32bits(1.5))
 		return append(append(append(b, byte(len(name))), name...), body...)
 	}
 	var v3 bytes.Buffer
@@ -373,14 +378,14 @@ func diffSeeds(tb testing.TB) []diffSeed {
 		diffSeed{"parameter stream cut short", mutate(func(b []byte) []byte { return b[:len(b)-4-2] }), false},
 		diffSeed{"unknown section flag", mutate(func(b []byte) []byte { b[hashAt-1] |= 2; return b }), false},
 		diffSeed{"seq 0", mutate(func(b []byte) []byte { clear(b[12:20]); return b }), false},
-		diffSeed{"rewritten head", with(one, "raw"), true},
-		diffSeed{"delta name", with(one, "delta+raw"), false},
-		diffSeed{"empty name", with(one, ""), false},
-		diffSeed{"unknown name", with(one, "nope"), false},
-		diffSeed{"retired bf16 name", with(one, "bf16"), false},
-		diffSeed{"NaN stride scale", with(0x7fc00000, "raw"), false},
-		diffSeed{"zero stride scale", with(0, "raw"), false},
-		diffSeed{"negative stride scale", with(math.Float32bits(-2), "raw"), false},
+		diffSeed{"rewritten head", with("raw"), true},
+		diffSeed{"delta name", with("delta+raw"), false},
+		diffSeed{"empty name", with(""), false},
+		diffSeed{"unknown name", with("nope"), false},
+		diffSeed{"retired bf16 name", with("bf16"), false},
+		diffSeed{"version 7 clear raw body", v7(relative, 0, 1), false},
+		diffSeed{"version 7 degraded int8 body", v7(encode(diff, "int8"), 1, 1.5), false},
+		diffSeed{"version 7 critical int8 body", v7(encode(diff, "int8"), 2, 2), false},
 		diffSeed{"version 4 plain body", plain, false},
 		diffSeed{"version 3 raw envelope", envelope("raw", plain), false},
 		diffSeed{"version 3 int8 envelope", envelope("int8", append(bytes.Clone(lossy[:20]), lossyTail.Bytes()...)), false},

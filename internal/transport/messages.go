@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"repro/internal/compress"
-	"repro/internal/netsim"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -107,8 +106,10 @@ type Hello struct {
 // one parameter section under every codec, where a lossy diff had carried
 // absolute weights and raw statistics. Version 7 made the key frame's image
 // lossless gradient-predicted planes (compress.AppendPlane), where it had
-// been raw float32, and requires it to be CHW.
-const Version = 7
+// been raw float32, and requires it to be CHW. Version 8 dropped the link
+// policy's state and stride scale from the diff header, which now names only
+// the codec.
+const Version = 8
 
 // KeyFrame is the client → server key frame payload. Label optionally
 // carries the synthetic ground-truth mask, one class per pixel of Image:
@@ -129,8 +130,8 @@ type KeyFrame struct {
 }
 
 // StudentDiff is the server → client update payload: the parameters one
-// key frame's distillation changed (nn.TrainableSubset), and the link
-// decision they were encoded under.
+// key frame's distillation changed (nn.TrainableSubset), and the codec they
+// were encoded under.
 //
 // Under every codec they travel as a parameter Section against Ref — the
 // values the receiver holds, by the sender's account — so what travels is
@@ -152,15 +153,8 @@ type StudentDiff struct {
 	// A resuming client declares the last Seq it applied and the server
 	// replays only the journal suffix past it.
 	Seq uint64
-	// State, StrideScale and Codec are the link decision the diff was
-	// encoded under (netsim.LinkDecision less its FEC group, which acts on
-	// the sender's conn): the policy state, the factor on Algorithm 2's next
-	// stride (≤ 0 encodes as 1), and the codec of the parameters (empty
-	// encodes as "raw"). A server without a link policy sends the zero
-	// decision — clear, scale 1, raw.
-	State       netsim.PolicyState
-	StrideScale float64
-	Codec       string
+	// Codec names the codec of the parameters (empty encodes as "raw").
+	Codec string
 
 	// Ref (sender side) holds the receiver's current values of Params; nil
 	// encodes an absolute diff.
@@ -428,11 +422,11 @@ func (s Section) Decode(held *nn.ParamSet) ([]*nn.Parameter, error) {
 	return params, nil
 }
 
-// DiffCodec resolves the codec a diff body or a link decision names — the
-// one check EncodeStudentDiff, DecodeStudentDiff and core.PolicyByName
-// share. It rejects the empty name (compress.ByName reads it as raw, which
-// would let "static:" through) and base-relative "delta+…" codecs: every
-// diff is a delta stream already, and deltas do not nest.
+// DiffCodec resolves the codec a diff body or a server's configuration
+// names — the one check EncodeStudentDiff, DecodeStudentDiff and
+// serve.NewManager share. It rejects the empty name (compress.ByName reads
+// it as raw, which would let "static:" through) and base-relative "delta+…"
+// codecs: every diff is a delta stream already, and deltas do not nest.
 func DiffCodec(name string) (compress.Codec, error) {
 	codec, ok := compress.ByName(name)
 	if !ok || name == "" {
@@ -445,12 +439,12 @@ func DiffCodec(name string) (compress.Codec, error) {
 }
 
 // diffHead is the fixed part of a StudentDiff body, up to the codec name.
-const diffHead = 4 + 8 + 8 + 1 + 4 + 1
+const diffHead = 4 + 8 + 8 + 1
 
 // EncodeStudentDiff serialises a StudentDiff body:
 //
-//	frameIndex u32 · metric f64 · seq u64 · state u8 · strideScale f32 ·
-//	codecLen u8 · codec · parameter section
+//	frameIndex u32 · metric f64 · seq u64 · codecLen u8 · codec ·
+//	parameter section
 //
 // The parameters are a Section against d.Ref under the codec: bit-exact
 // under "raw", the weights' deltas quantised or pruned under a lossy codec,
@@ -466,16 +460,10 @@ func EncodeStudentDiff(d StudentDiff) ([]byte, error) {
 		return nil, err
 	}
 	name = codec.Name()
-	scale := d.StrideScale
-	if scale <= 0 {
-		scale = 1
-	}
 	var buf bytes.Buffer
 	binary.Write(&buf, binary.LittleEndian, d.FrameIndex)
 	binary.Write(&buf, binary.LittleEndian, math.Float64bits(d.Metric))
 	binary.Write(&buf, binary.LittleEndian, d.Seq)
-	buf.WriteByte(byte(d.State))
-	binary.Write(&buf, binary.LittleEndian, math.Float32bits(float32(scale)))
 	buf.WriteByte(byte(len(name)))
 	buf.WriteString(name)
 	if err := AppendSection(&buf, d.Params, d.Ref, codec); err != nil {
@@ -496,12 +484,7 @@ func DecodeStudentDiff(b []byte) (StudentDiff, error) {
 	if d.Seq = binary.LittleEndian.Uint64(b[12:]); d.Seq == 0 {
 		return d, fmt.Errorf("transport: diff seq 0")
 	}
-	d.State = netsim.PolicyState(b[20])
-	d.StrideScale = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[21:])))
-	if !(d.StrideScale > 0) || math.IsInf(d.StrideScale, 0) {
-		return d, fmt.Errorf("transport: diff stride scale %v", d.StrideScale)
-	}
-	nameLen := int(b[25])
+	nameLen := int(b[20])
 	if b = b[diffHead:]; len(b) < nameLen {
 		return d, fmt.Errorf("transport: diff codec name cut short")
 	}
