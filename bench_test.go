@@ -248,7 +248,6 @@ func BenchmarkMultiClientThroughput(b *testing.B) {
 				}
 				b.ReportMetric(m.AggregateFPS, "agg-fps")
 				b.ReportMetric(m.MeanClientFPS, "client-fps")
-				b.ReportMetric(m.TeacherMeanBatch, "batch")
 			}
 		})
 	}
@@ -257,7 +256,7 @@ func BenchmarkMultiClientThroughput(b *testing.B) {
 // BenchmarkFabricThroughput compares the sharded serving fabric against the
 // single session manager at 64 concurrent clients: the same mixed-stream
 // population placed by rendezvous hash over 4 shard workers (each with its
-// own teacher batcher, lock domain and session registry) versus one
+// own teacher, lock domain and session registry) versus one
 // serve.Manager. The headline metric is aggregate distill-step throughput —
 // the server-side work rate the fabric exists to scale; agg-fps reports the
 // client-observed frame rate for context. On teacher-bound or lock-bound

@@ -1,8 +1,8 @@
 // Command shadowtutor-server runs the multi-session ShadowTutor server over
 // TCP: it loads the pre-trained student, then serves any number of
 // concurrent clients (Algorithm 3 per session), giving each its own
-// distiller over a private student clone while batching every session's key
-// frames through one shared teacher (internal/serve).
+// distiller over a private student clone while every session's key frames
+// take turns on one shared teacher (internal/serve).
 //
 // Usage:
 //
@@ -90,8 +90,9 @@ func main() {
 		return serve.Options{
 			Cfg:  cfg,
 			Base: student,
-			// One teacher replica per shard: teachers serialise behind
-			// their shard's batcher and must not be shared across shards.
+			// One teacher replica per shard: the shard's mutex serialises
+			// its sessions' calls, so a teacher must not be shared across
+			// shards.
 			Teacher:      teacher.NewOracle(1 + int64(i)),
 			MaxSessions:  *maxSessions,
 			ResumeTTL:    *resumeTTL,
@@ -161,8 +162,8 @@ func main() {
 		router.Close()
 		fs := router.Stats()
 		for _, ss := range fs.Shards {
-			log.Printf("shard %d: %d sessions, %d key frames, mean teacher batch %.2f",
-				ss.Index, ss.SessionsServed, ss.KeyFrames, ss.Teacher.MeanBatch())
+			log.Printf("shard %d: %d sessions, %d key frames",
+				ss.Index, ss.SessionsServed, ss.KeyFrames)
 		}
 		log.Printf("fabric: %d routed, %d handoffs, %d sheds, %d drain migrations; %d sessions total",
 			fs.Routed, fs.Handoffs, fs.Sheds, fs.Migrated, fs.Agg.SessionsServed)
@@ -188,8 +189,8 @@ func main() {
 	// blocks until the drain completes.
 	mgr.Close()
 	st := mgr.Stats()
-	log.Printf("served %d sessions, %d key frames, mean teacher batch %.2f",
-		st.SessionsServed, st.KeyFrames, st.Teacher.MeanBatch())
+	log.Printf("served %d sessions, %d key frames",
+		st.SessionsServed, st.KeyFrames)
 	if resumed := st.ResumeReplays + st.ResumeFulls; resumed > 0 || st.Evicted > 0 {
 		log.Printf("resilience: %d resumes (%d journal replays, %d full fallbacks), %d parked sessions evicted",
 			resumed, st.ResumeReplays, st.ResumeFulls, st.Evicted)

@@ -274,13 +274,13 @@ func runScenarios(patterns, jsonPath string, ov harness.Overrides) {
 	}
 
 	t := stats.NewTable(fmt.Sprintf("Scenario metrics (%d rows)", len(results)),
-		"Scenario", "FPS", "p50 ms", "p99 ms", "KF %", "mIoU", "Up HD-MB", "Down HD-MB", "Batch", "Resil.", "Extra")
+		"Scenario", "FPS", "p50 ms", "p99 ms", "KF %", "mIoU", "Up HD-MB", "Down HD-MB", "Resil.", "Extra")
 	for _, m := range results {
 		t.AddRow(m.Scenario,
 			fmtF(m.AggregateFPS), fmtF(m.LatencyP50MS), fmtF(m.LatencyP99MS),
 			fmtF(m.KeyFrameRate*100), fmtF(m.MeanIoU*100),
 			fmtF(m.BytesUpHDMB), fmtF(m.BytesDownHDMB),
-			fmtF(m.TeacherMeanBatch), fmtResilience(m), fmtExtra(m.Extra))
+			fmtResilience(m), fmtExtra(m.Extra))
 	}
 	fmt.Println(t)
 

@@ -1,7 +1,7 @@
 // Package repro is a from-scratch Go reproduction of "ShadowTutor:
 // Distributed Partial Distillation for Mobile Video DNN Inference"
 // (Chung, Kim, Moon — ICPP 2020), extended with a multi-session server
-// that shares one batched teacher across many concurrent clients.
+// that shares one teacher across many concurrent clients.
 //
 // The root package holds the benchmark harness (bench_test.go), one
 // benchmark per table and figure of the paper's evaluation section plus a
@@ -38,7 +38,7 @@
 //
 // At scale, run the serving tier as a sharded fabric instead of one
 // session manager: -shards N starts N shard workers (each with its own
-// batched teacher and session registry) behind a router that places sessions
+// teacher and session registry) behind a router that places sessions
 // by rendezvous hash, sheds load at per-shard capacity watermarks with
 // retryable rejects, and hands parked sessions between shards on resume
 // (internal/fabric; see ARCHITECTURE.md "Sharded serving fabric"):

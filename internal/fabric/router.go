@@ -19,8 +19,9 @@ type Options struct {
 	// Shards is the number of shard workers (default 2).
 	Shards int
 	// Shard returns the serve.Options for shard i. Every shard needs its
-	// own Teacher instance — teachers are serialised per batcher, not safe
-	// to share across shards — while Cfg and Base should come from one
+	// own Teacher instance — each shard serialises calls to its teacher
+	// behind its own mutex, so a teacher is not safe to share across
+	// shards — while Cfg and Base should come from one
 	// template so a session moved between shards keeps training as it was.
 	Shard func(i int) serve.Options
 	// Capacity is the per-shard admission watermark: a fresh Hello bound
@@ -118,7 +119,7 @@ type Router struct {
 }
 
 // NewRouter builds the shard workers and the routing frontend. Each shard
-// is a full serve.Manager (own batched teacher, own session registry); the
+// is a full serve.Manager (own teacher, own session registry); the
 // router never touches a session after handing its connection over.
 func NewRouter(opts Options) (*Router, error) {
 	if opts.Shards <= 0 {

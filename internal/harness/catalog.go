@@ -16,7 +16,7 @@ import (
 // the catalog cannot silently rot.
 var familyNotes = map[string]string{
 	"bandwidth-sweep": "§6.4 link matrix on the drone stream: fixed profiles and the wifi-fade trace crossed with client counts and diff codecs. Gates throughput (`aggregate_fps`, `mean_client_fps`), latency percentiles, `mean_iou`, `key_frame_rate` and HD-scaled traffic.",
-	"multiclient":     "One loopback session on the mixed stream: the single-session baseline the `fleet/*` rows scale from. Gates the standard throughput/accuracy/traffic set; `teacher_mean_batch` is informational.",
+	"multiclient":     "One loopback session on the mixed stream: the single-session baseline the `fleet/*` rows scale from. Gates the standard throughput/accuracy/traffic set.",
 	"compression":     "§8 diff-codec study offline: bytes per diff, compression ratio, reconstruction error as `extra.*` columns.",
 	"chaos":           "Scripted mid-stream connection faults measuring the resume subsystem. Gates `reconnects` (exact), `resume_replays`/`full_resends` (drift), with recovery latency informational.",
 	"fleet":           "Sharded serving fabric: rendezvous placement, admission shedding, cross-shard handoff (the parked session itself moves between shards; nothing is serialised), drains. Gates `shards` (exact), per-shard occupancy and `extra.envelope_shrink_x` (handshake-checkpoint plus resume-full bytes against raw); handoff/shed/migration counts are informational.",

@@ -63,7 +63,6 @@ var DefaultChecks = map[string]Check{
 	"bytes_down_hd_mb":   {BothWays, 0.6},
 	"mean_distill_steps": {BothWays, 0.5},
 	"distill_step_ms":    {LowerBetter, 2.0},
-	"teacher_mean_batch": {Informational, 0},
 	"wall_seconds":       {Informational, 0},
 
 	// Resilience metrics (chaos families). Reconnects is deterministic —
@@ -164,7 +163,6 @@ func metricValues(m Metrics) map[string]float64 {
 		"mean_iou":           m.MeanIoU,
 		"bytes_up_hd_mb":     m.BytesUpHDMB,
 		"bytes_down_hd_mb":   m.BytesDownHDMB,
-		"teacher_mean_batch": m.TeacherMeanBatch,
 		"mean_distill_steps": m.MeanDistillSteps,
 		"distill_step_ms":    m.DistillStepMS,
 		"reconnects":         float64(m.Reconnects),

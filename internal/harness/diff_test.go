@@ -11,7 +11,7 @@ func sampleResults() []Metrics {
 			Scenario: "bandwidth-sweep/8mbps-c1-raw", Family: "bandwidth-sweep",
 			AggregateFPS: 30, MeanClientFPS: 30, LatencyP50MS: 25, LatencyP99MS: 80,
 			KeyFrameRate: 0.12, MeanIoU: 0.7, BytesUpHDMB: 80, BytesDownHDMB: 12,
-			TeacherMeanBatch: 1.5, MeanDistillSteps: 4, DistillStepMS: 85,
+			MeanDistillSteps: 4, DistillStepMS: 85,
 		},
 		{
 			Scenario: "compression/diff-codecs/int8", Family: "compression",

@@ -179,8 +179,8 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 				return serve.Options{
 					Cfg:  cfg,
 					Base: base,
-					// One teacher replica per shard (teachers serialise
-					// behind their batcher and cannot be shared).
+					// One teacher replica per shard (a shard's sessions
+					// take turns on its teacher behind one mutex).
 					Teacher:       teacher.NewOracle(spec.Seed + 997 + int64(i)*7919),
 					MaxSessions:   perShard,
 					EnvelopeCodec: spec.EnvelopeCodec,
@@ -416,7 +416,6 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 	} else {
 		ms = mgr.Stats()
 	}
-	m.TeacherMeanBatch = ms.Teacher.MeanBatch()
 	m.MeanDistillSteps = ms.MeanDistillSteps()
 	m.DistillStepMS = float64(ms.MeanStepLatency()) / float64(time.Millisecond)
 

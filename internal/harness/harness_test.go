@@ -148,9 +148,6 @@ func TestDriveEndToEnd(t *testing.T) {
 	if m.BytesUpHDMB <= 0 || m.BytesDownHDMB <= 0 {
 		t.Errorf("traffic metrics missing: %+v", m)
 	}
-	if m.TeacherMeanBatch <= 0 {
-		t.Errorf("teacher batch occupancy missing: %v", m.TeacherMeanBatch)
-	}
 	if m.MeanDistillSteps <= 0 || m.DistillStepMS <= 0 {
 		t.Errorf("distill metrics missing: %+v", m)
 	}

@@ -23,9 +23,11 @@ import (
 // counters, loss rate, goodput) for the loss/* families.
 // Version 5 added sampled telemetry time series (the timeseries block plus
 // ts_* Extra summaries) captured by polling the live registry during a run.
+// Version 6 dropped the teacher's mean batch, which read 1 on every row: a shard's
+// teacher labels one frame a call.
 const (
 	Schema        = "shadowtutor-bench"
-	SchemaVersion = 5
+	SchemaVersion = 6
 )
 
 // Metrics is the structured result of one scenario run. Field meanings:
@@ -54,7 +56,6 @@ type Metrics struct {
 	BytesUpHDMB   float64 `json:"bytes_up_hd_mb,omitempty"`
 	BytesDownHDMB float64 `json:"bytes_down_hd_mb,omitempty"`
 
-	TeacherMeanBatch float64 `json:"teacher_mean_batch,omitempty"`
 	MeanDistillSteps float64 `json:"mean_distill_steps,omitempty"`
 	DistillStepMS    float64 `json:"distill_step_ms,omitempty"`
 

@@ -33,7 +33,6 @@ func goldenBench() BenchFile {
 			MeanIoU:          0.705,
 			BytesUpHDMB:      74.2,
 			BytesDownHDMB:    11.1,
-			TeacherMeanBatch: 1.4,
 			MeanDistillSteps: 4.2,
 			DistillStepMS:    85.3,
 		},

@@ -176,7 +176,7 @@ func TestMoveParkedMovesTheSessionItself(t *testing.T) {
 				after.opt != before.opt || after.journal != before.journal {
 				t.Error("the target holds a copy: session, server, student, optimizer and journal must be the same objects")
 			}
-			if srv := after.srv.(*core.Server); srv.Observer.(*session).m != dst || srv.Teacher != dst.batcher || srv.Checkpoint != dst.ck {
+			if srv := after.srv.(*core.Server); srv.Observer.(*session).m != dst || srv.Teacher != dst.teacher || srv.Checkpoint != dst.ck {
 				t.Error("the session is not bound to the target's manager, teacher and checkpoint codec")
 			}
 			if after.id != before.id || after.epoch != before.epoch ||
@@ -279,7 +279,7 @@ func TestMoveParkedOntoClosedManagerStaysPut(t *testing.T) {
 		t.Error("the failed move replaced the session or moved its eviction deadline")
 	}
 	srv := after.srv.(*core.Server)
-	if srv.Observer.(*session).m != src || srv.Teacher != src.batcher {
+	if srv.Observer.(*session).m != src || srv.Teacher != src.teacher {
 		t.Error("the session came back still bound to the manager that refused it")
 	}
 	if st := src.Stats(); st.SessionsServed != 0 || st.Evicted != 0 || st.Detached != 1 {

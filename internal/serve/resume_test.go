@@ -616,12 +616,12 @@ func TestClientAutoReconnectThroughManager(t *testing.T) {
 	}
 
 	// Cut the live connection once the session has distilled two key
-	// frames (the shared teacher's request counter is concurrency-safe).
+	// frames (the shared teacher's call counter is concurrency-safe).
 	cutDone := make(chan struct{})
 	go func() {
 		defer close(cutDone)
 		deadline := time.Now().Add(10 * time.Second)
-		for m.Stats().Teacher.Requests < 2 {
+		for m.Stats().Teacher.Calls < 2 {
 			if time.Now().After(deadline) {
 				return
 			}

@@ -2,11 +2,9 @@
 // (internal/core) to many concurrent clients: a session manager accepts
 // transport.Conns, gives each client its own core.Distiller over a private
 // clone of the pre-trained student (per-session state, as the paper's
-// server keeps per-stream students), and funnels every session's key-frame
-// inference through one shared teacher behind a combining lock
-// (teacher.Batcher: key frames that arrive while the teacher is busy are
-// labelled together as its next batch) — the one-GPU-teacher-amortised-
-// across-many-mobile-students deployment the paper motivates in §1 and §7.
+// server keeps per-stream students), and labels every session's key frames
+// with one shared teacher behind a mutex — the one-GPU-teacher-shared-by-
+// many-mobile-students deployment the paper motivates in §1 and §7.
 //
 // The manager is additionally resilient to the mobile reality of flaky
 // links: when a session's connection drops (core.ErrConnLost), its whole
@@ -31,6 +29,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/compress"
@@ -39,6 +38,7 @@ import (
 	"repro/internal/teacher"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
+	"repro/internal/video"
 )
 
 // ErrClosed is returned by Handle after Close.
@@ -51,8 +51,8 @@ type Options struct {
 	// Base is the pre-trained student checkpoint; each session distils a
 	// private clone of it.
 	Base *nn.Student
-	// Teacher is the shared teacher; the manager puts a teacher.Batcher in
-	// front of it.
+	// Teacher is the shared teacher; the manager serialises its sessions'
+	// calls to it behind one mutex.
 	Teacher teacher.Teacher
 	// MaxSessions caps concurrent sessions (default 64). Further Handle
 	// calls block until a slot frees. It caps parked sessions too: parking
@@ -97,11 +97,11 @@ type Options struct {
 }
 
 // Manager owns the multi-session server: the session registry (attached and
-// parked), per-session distillers, the shared batched teacher, and aggregate
+// parked), per-session distillers, the shared teacher, and aggregate
 // statistics.
 type Manager struct {
 	opts    Options
-	batcher *teacher.Batcher
+	teacher *sharedTeacher
 	ck      *core.CheckpointCodec // relative to Base for clients that hold it; a delta envelope codec gives its inner
 	codec   string                // every session's diff codec, parsed from LinkPolicy
 	slots   chan struct{}
@@ -151,10 +151,6 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.MaxSessions <= 0 {
 		opts.MaxSessions = 64
 	}
-	b := teacher.NewBatcher(opts.Teacher, teacher.BatcherOptions{
-		Telemetry: opts.Telemetry,
-		Shard:     opts.ShardIndex,
-	})
 	if opts.DrainTimeout == 0 {
 		opts.DrainTimeout = 30 * time.Second
 	}
@@ -172,9 +168,10 @@ func NewManager(opts Options) (*Manager, error) {
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown envelope codec %q", opts.EnvelopeCodec)
 	}
-	m := &Manager{
+	tm := newManagerTelemetry(opts.Telemetry, opts.ShardIndex)
+	return &Manager{
 		opts:    opts,
-		batcher: b,
+		teacher: &sharedTeacher{t: opts.Teacher, depth: tm.teacherDepth},
 		ck:      &core.CheckpointCodec{Base: opts.Base.Params, Codec: compress.Inner(c)},
 		codec:   codec,
 		slots:   make(chan struct{}, opts.MaxSessions),
@@ -182,9 +179,39 @@ func NewManager(opts Options) (*Manager, error) {
 		active:  map[uint64]*session{},
 		parked:  map[uint64]*session{},
 		conns:   map[transport.Conn]struct{}{},
-	}
-	m.tm = newManagerTelemetry(opts.Telemetry, opts.ShardIndex)
-	return m, nil
+		tm:      tm,
+	}, nil
+}
+
+// sharedTeacher is a shard's one teacher. Its sessions call it in turn,
+// behind one mutex, as they would share the paper's single teacher GPU.
+type sharedTeacher struct {
+	t     teacher.Teacher
+	depth *telemetry.Gauge // calls waiting for or inside the teacher
+	calls atomic.Int64     // frames labelled; atomic, so Stats never waits for a call
+	mu    sync.Mutex
+}
+
+// Infer implements teacher.Teacher.
+func (s *sharedTeacher) Infer(f video.Frame) []int32 {
+	s.depth.Add(1)
+	s.mu.Lock()
+	mask := s.t.Infer(f)
+	s.mu.Unlock()
+	s.depth.Add(-1)
+	s.calls.Add(1)
+	return mask
+}
+
+// Name implements teacher.Teacher.
+func (s *sharedTeacher) Name() string { return s.t.Name() }
+
+// RequiresLabel implements teacher.LabelRequirer by forwarding it: core.Server
+// probes it, so that a label-less key frame fails its own session instead of
+// panicking the oracle, and with it the server process.
+func (s *sharedTeacher) RequiresLabel() bool {
+	lr, ok := s.t.(teacher.LabelRequirer)
+	return ok && lr.RequiresLabel()
 }
 
 // Handle serves one client session on conn, blocking until the session

@@ -82,7 +82,7 @@ func snapshotParams(s *nn.Student) map[string][]float32 {
 
 // TestManagerConcurrentSessionsIsolated is the race-detector concurrency
 // test: ≥8 in-memory clients run concurrently through one manager and one
-// shared batched teacher. Per-session isolation holds — every session
+// shared teacher. Per-session isolation holds — every session
 // distils its own clone, so the shared base checkpoint is bit-identical
 // afterwards — and shutdown is clean.
 func TestManagerConcurrentSessionsIsolated(t *testing.T) {
@@ -113,7 +113,7 @@ func TestManagerConcurrentSessionsIsolated(t *testing.T) {
 	}
 
 	// Every client made progress, and the server distilled exactly the key
-	// frames the clients sent — through the shared teacher queue.
+	// frames the clients sent — through the shared teacher.
 	var totalKF int64
 	for c, cl := range results {
 		if cl.Result.Frames != frames {
@@ -127,11 +127,8 @@ func TestManagerConcurrentSessionsIsolated(t *testing.T) {
 	if st.KeyFrames != totalKF {
 		t.Fatalf("manager distilled %d key frames, clients sent %d", st.KeyFrames, totalKF)
 	}
-	if st.Teacher.Requests != totalKF {
-		t.Fatalf("teacher labelled %d frames, want %d", st.Teacher.Requests, totalKF)
-	}
-	if st.Teacher.Batches < 1 || st.Teacher.Batches > st.Teacher.Requests {
-		t.Fatalf("implausible batch count %d for %d requests", st.Teacher.Batches, st.Teacher.Requests)
+	if st.Teacher.Calls != totalKF {
+		t.Fatalf("teacher labelled %d frames, want %d", st.Teacher.Calls, totalKF)
 	}
 
 	// Isolation: no session mutated the shared base checkpoint.

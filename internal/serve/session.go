@@ -30,11 +30,11 @@ type session struct {
 }
 
 // newSession builds the per-session state: a private clone of the checkpoint
-// with its own distiller and optimizer behind the shared batched teacher, a
+// with its own distiller and optimizer behind the shard's shared teacher, a
 // replay journal of the given depth, and this manager's diff codec.
 func (m *Manager) newSession(journalDepth int) *session {
 	s := &session{m: m, journal: newJournal(journalDepth)}
-	s.srv = core.NewServer(m.opts.Cfg, m.opts.Base.Clone(), m.batcher)
+	s.srv = core.NewServer(m.opts.Cfg, m.opts.Base.Clone(), m.teacher)
 	s.srv.Observer = s
 	s.srv.Checkpoint = m.ck
 	s.srv.DiffCodec = m.codec
@@ -48,7 +48,7 @@ func (m *Manager) newSession(journalDepth int) *session {
 // epochs, journal, the distill counters — travels by being the same object.
 func (s *session) rebind(to *Manager) {
 	s.m = to // registry, aggregate stats, telemetry handles and shard label
-	s.srv.Teacher = to.batcher
+	s.srv.Teacher = to.teacher
 	s.srv.Checkpoint = to.ck
 	s.srv.Cfg = to.opts.Cfg
 	s.srv.Distiller.SetConfig(to.opts.Cfg)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/teacher"
 	"repro/internal/telemetry"
 )
 
@@ -24,6 +23,7 @@ type managerTelemetry struct {
 	keyFrames     *telemetry.Counter
 	distillSteps  *telemetry.Counter
 	distill       *telemetry.Histogram
+	teacherDepth  *telemetry.Gauge
 	trace         *telemetry.TraceRing
 }
 
@@ -43,6 +43,7 @@ func newManagerTelemetry(reg *telemetry.Registry, shard int) managerTelemetry {
 	t.keyFrames = reg.Counter("shadowtutor_key_frames_total", "Key frames distilled.", l)
 	t.distillSteps = reg.Counter("shadowtutor_distill_steps_total", "Optimisation steps taken.", l)
 	t.distill = reg.Histogram("shadowtutor_distill_step_seconds", "Wall time per distillation step.", telemetry.DurationBuckets, l)
+	t.teacherDepth = reg.Gauge("shadowtutor_teacher_queue_depth", "Key frames waiting for or inside the teacher.", l)
 	t.trace = reg.Trace()
 	return t
 }
@@ -54,7 +55,7 @@ type Stats struct {
 	KeyFrames      int64         // key frames distilled across completed sessions
 	DistillSteps   int64         // optimisation steps across completed sessions
 	DistillTime    time.Duration // wall time spent in those steps
-	Teacher        teacher.BatchStats
+	Teacher        TeacherStats
 
 	// Resilience counters.
 	Detached      int   // sessions currently parked for resumption
@@ -94,11 +95,20 @@ func (s Stats) MeanStepLatency() time.Duration {
 	return s.DistillTime / time.Duration(s.DistillSteps)
 }
 
+// TeacherStats counts a shard's teacher calls, each of which labels one
+// frame.
+type TeacherStats struct {
+	Calls int64
+}
+
+// MeanBatch is frames per teacher call: 1 once any frame is labelled, 0
+// before. It is kept only because benchmark/main.go reports it.
+func (s TeacherStats) MeanBatch() float64 { return float64(min(s.Calls, 1)) }
+
 // Add folds another manager's stats into s and returns the sum — the
 // associative merge a router (internal/fabric) uses to aggregate shard
 // workers. Every field is a raw sum (gauges like Active and Detached sum
-// across disjoint shards; the teacher block merges via
-// teacher.BatchStats.Add), so fold order cannot change the result and the
+// across disjoint shards), so fold order cannot change the result and the
 // mean helpers — which re-derive from summed numerators and denominators —
 // never average averages or divide by a shard-local zero.
 func (s Stats) Add(o Stats) Stats {
@@ -107,7 +117,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.KeyFrames += o.KeyFrames
 	s.DistillSteps += o.DistillSteps
 	s.DistillTime += o.DistillTime
-	s.Teacher = s.Teacher.Add(o.Teacher)
+	s.Teacher.Calls += o.Teacher.Calls
 	s.Detached += o.Detached
 	s.ResumeReplays += o.ResumeReplays
 	s.ResumeFulls += o.ResumeFulls
@@ -154,7 +164,7 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	st := m.agg
 	st.Active = len(m.active)
-	st.Teacher = m.batcher.Stats()
+	st.Teacher.Calls = m.teacher.calls.Load()
 	st.Detached = len(m.parked)
 	return st
 }

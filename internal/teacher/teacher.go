@@ -28,6 +28,14 @@ type Teacher interface {
 	Name() string
 }
 
+// BatchInferrer is a Teacher that also labels a list of frames in one call.
+// Nothing in the serving tier calls InferBatch; the interface stays only
+// because benchmark/run.go and benchmark/taps.go name it.
+type BatchInferrer interface {
+	Teacher
+	InferBatch(frames []video.Frame) [][]int32
+}
+
 // Oracle is the default teacher: ground truth plus boundary dilation/erosion
 // noise and occasional small-object misses, mimicking the error profile of
 // a strong segmentation network.
@@ -41,7 +49,7 @@ type Oracle struct {
 	MissRate float64
 	rng      *rand.Rand
 	scratch  []int32 // reused boundary-noise source copy (Oracle is already
-	// single-caller: its rng serialises it behind the Batcher's teacher lock)
+	// single-caller: its rng serialises it behind the shard's teacher lock)
 }
 
 // NewOracle returns an oracle teacher with the default noise profile. The
@@ -59,8 +67,7 @@ func (o *Oracle) Name() string { return "oracle" }
 // LabelRequirer is implemented by teachers whose pseudo-label derivation
 // needs the wire ground-truth side-channel. Servers probe it at the
 // protocol boundary so a label-less key frame is rejected as a session
-// error instead of panicking Infer on whichever session's goroutine is
-// labelling the batch it rode in.
+// error instead of panicking Infer and, with it, the server process.
 type LabelRequirer interface {
 	RequiresLabel() bool
 }
@@ -140,10 +147,9 @@ func (o *Oracle) Infer(f video.Frame) []int32 {
 	return out
 }
 
-// InferBatch implements BatchInferrer: it labels the frames sequentially in
-// one invocation, which is what a single shared device does with a batch
-// (the oracle has no tensor-level batching to exploit, but one call per
-// batch amortises the Batcher's hand-over cost).
+// InferBatch implements BatchInferrer as the per-frame loop. It is kept
+// only because benchmark/run.go and benchmark/taps.go use the oracle as a
+// BatchInferrer.
 func (o *Oracle) InferBatch(frames []video.Frame) [][]int32 {
 	out := make([][]int32, len(frames))
 	for i, f := range frames {
@@ -181,17 +187,16 @@ func (t *CNNTeacher) Name() string { return t.name }
 // calls it.
 func (t *CNNTeacher) SetBackend(b tensor.Backend) { t.Net.SetBackend(b) }
 
-// Infer implements Teacher. The mask is a fresh copy owned by the caller:
-// teacher masks cross goroutine boundaries through the Batcher, so they must
-// never alias the network's reusable inference buffers.
+// Infer implements Teacher. The mask is a fresh copy owned by the caller: a
+// session keeps its mask after it releases the shard's teacher lock, so the
+// mask must never alias the network's reusable inference buffers.
 func (t *CNNTeacher) Infer(f video.Frame) []int32 {
 	return append([]int32(nil), t.Net.Infer(f.Image)...)
 }
 
-// InferBatch implements BatchInferrer as the per-frame loop: a batch is the
-// backlog of one of the Batcher's busy periods handed over in one call — a
-// scheduling fact, not a kernel — and every mask is a fresh caller-owned
-// copy, as Infer's is.
+// InferBatch implements BatchInferrer as the per-frame loop, every mask a
+// fresh caller-owned copy as Infer's is. It is kept only because
+// benchmark/layers.go and benchmark/taps.go call it.
 func (t *CNNTeacher) InferBatch(frames []video.Frame) [][]int32 {
 	out := make([][]int32, len(frames))
 	for i, f := range frames {

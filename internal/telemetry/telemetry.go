@@ -153,10 +153,6 @@ func (h *Histogram) snapshot() HistSnapshot {
 // histograms: 250µs to 2.5s, roughly ×2.5 per step.
 var DurationBuckets = []float64{0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 
-// SizeBuckets are default upper bounds for small-count histograms such as
-// batch occupancy.
-var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
-
 // series is one labelled instance inside a family.
 type series struct {
 	labels string // rendered `k="v",k2="v2"` without braces; "" when unlabelled

@@ -144,7 +144,7 @@ func TestNilRegistry(t *testing.T) {
 	// Every accessor must hand out usable no-op handles.
 	reg.Counter("x", "").Inc()
 	reg.Gauge("x", "").Set(1)
-	reg.Histogram("x", "", SizeBuckets).Observe(1)
+	reg.Histogram("x", "", DurationBuckets).Observe(1)
 	reg.GaugeFunc("x", "", func() float64 { return 1 })
 	reg.Trace().Record(Event{Kind: EvDrain})
 	if reg.Snapshot() != nil {
