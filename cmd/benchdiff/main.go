@@ -33,7 +33,6 @@ func main() {
 	log.SetPrefix("benchdiff: ")
 	var tols tolFlags
 	flag.Var(&tols, "tol", "per-metric tolerance override, metric=frac (repeatable; e.g. -tol latency_p99_ms=3.0)")
-	quiet := flag.Bool("q", false, "suppress notes; print regressions only")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: benchdiff [-tol metric=frac]... baseline.json current.json\n")
@@ -62,10 +61,8 @@ func main() {
 	}
 
 	regs, notes := harness.Compare(base, current, overrides)
-	if !*quiet {
-		for _, n := range notes {
-			fmt.Println("note:", n)
-		}
+	for _, n := range notes {
+		fmt.Println("note:", n)
 	}
 	if len(regs) > 0 {
 		for _, r := range regs {

@@ -7,36 +7,26 @@
 //
 // Usage:
 //
-//	stbench                  # all tables and figures, paper-scale
+//	stbench                  # Tables 2-7, Figure 4 and the §4.4/§5.3 bounds, paper-scale
 //	stbench -frames 600      # quick pass
-//	stbench -table 5         # a single table
-//	stbench -figure 4        # the bandwidth sweep
-//	stbench -bounds          # §4.4/§5.3 analytic bound report
+//	stbench -ablations       # the ablation suite instead of the paper tables
 //
-// Scenario harness:
+// Scenario harness (docs/SCENARIOS.md lists the registered scenarios):
 //
-//	stbench -list                                        # registered scenarios
 //	stbench -scenario bandwidth-sweep/8mbps-c1-raw       # one scenario
 //	stbench -scenario 'bandwidth-sweep/*' -json out.json # a family + metrics JSON
 //	stbench -scenario 'bandwidth-sweep/*,chaos/*'        # several patterns
-//	stbench -scenario 'fleet/*'                          # sharded serving: 8–64 clients over 1–4 shards
+//	stbench -scenario 'fleet/*' -admin 127.0.0.1:9090    # live /metrics, /statusz, /tracez, pprof
 //
 // The scenario path honours -frames, -eval-every and -seed as overrides;
 // -json writes the versioned machine-readable BenchFile that cmd/benchdiff
 // gates CI with.
-//
-// Observability (scenario runs):
-//
-//	stbench -scenario 'fleet/*' -admin 127.0.0.1:9090   # live /metrics, /statusz, /tracez, pprof
-//	stbench -scenario 'loss/*' -progress                # one-line live status on stderr
-//	stbench -scenario 'fleet/*' -sample 250ms -json out.json  # sampled time series in the JSON
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -51,31 +41,16 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("stbench: ")
 	var (
-		frames     = flag.Int("frames", 5000, "frames per stream (paper: 5000)")
-		evalEvery  = flag.Int("eval-every", 1, "accuracy sampling period (1 = paper protocol)")
-		seed       = flag.Int64("seed", 11, "master seed for synthetic streams")
-		table      = flag.Int("table", 0, "regenerate a single table (2-7); 0 = all")
-		figure     = flag.Int("figure", 0, "regenerate a single figure (4); 0 = all")
-		boundsOnly = flag.Bool("bounds", false, "print only the analytic bound report")
-		ablations  = flag.Bool("ablations", false, "run the ablation suite (stride, async, freeze point, loss weighting, diff codecs) instead of the paper tables")
-		list       = flag.Bool("list", false, "list registered harness scenarios and exit")
-		catalog    = flag.Bool("catalog", false, "regenerate docs/SCENARIOS.md from the scenario registry and exit")
-		scenario   = flag.String("scenario", "", "run registered scenarios matching this comma-separated list of names/globs (e.g. 'bandwidth-sweep/*')")
-		jsonOut    = flag.String("json", "", "with -scenario: write machine-readable metrics JSON to this path")
-		adminAddr  = flag.String("admin", "", "with -scenario: serve the admin HTTP endpoint (/metrics, /statusz, /tracez, /debug/pprof) on this address during the run (empty = disabled)")
-		progress   = flag.Bool("progress", false, "with -scenario: print a one-line live status (sessions, fps, loss, sheds) to stderr during the run")
-		sample     = flag.Duration("sample", 0, "with -scenario: poll live telemetry at this period and emit the time series in the metrics JSON (0 = off)")
+		frames    = flag.Int("frames", 5000, "frames per stream (paper: 5000)")
+		evalEvery = flag.Int("eval-every", 1, "accuracy sampling period (1 = paper protocol)")
+		seed      = flag.Int64("seed", 11, "master seed for synthetic streams")
+		ablations = flag.Bool("ablations", false, "run the ablation suite (stride, async, freeze point, loss weighting, diff codecs) instead of the paper tables")
+		scenario  = flag.String("scenario", "", "run registered scenarios (docs/SCENARIOS.md) matching this comma-separated list of names/globs (e.g. 'bandwidth-sweep/*')")
+		jsonOut   = flag.String("json", "", "with -scenario: write machine-readable metrics JSON to this path")
+		adminAddr = flag.String("admin", "", "with -scenario: serve the admin HTTP endpoint (/metrics, /statusz, /tracez, /debug/pprof) on this address during the run (empty = disabled)")
 	)
 	flag.Parse()
 
-	if *list {
-		listScenarios()
-		return
-	}
-	if *catalog {
-		writeCatalog()
-		return
-	}
 	if *scenario != "" {
 		// Overrides apply only when the flag was given: scenarios carry
 		// their own (smoke-sized) frame defaults.
@@ -96,45 +71,24 @@ func main() {
 				ov.Seed = *seed
 			}
 		})
-		// Any observability flag instruments the runs on one shared live
-		// registry; -admin serves it over HTTP, -progress renders it inline,
-		// -sample folds its time series into the metrics output.
-		ov.SampleEvery = *sample
-		if *adminAddr != "" || *progress || *sample > 0 {
+		// -admin instruments the runs on one live registry and serves it
+		// over HTTP.
+		if *adminAddr != "" {
 			reg := telemetry.New()
 			ov.Telemetry = reg
-			if *adminAddr != "" {
-				admin, err := telemetry.NewAdmin(*adminAddr, reg)
-				if err != nil {
-					log.Fatal(err)
-				}
-				log.Printf("admin endpoint on http://%s (/metrics /statusz /tracez /debug/pprof)", admin.Addr())
-				defer admin.Close(2 * time.Second)
+			admin, err := telemetry.NewAdmin(*adminAddr, reg)
+			if err != nil {
+				log.Fatal(err)
 			}
-			if *progress {
-				stop := make(chan struct{})
-				done := make(chan struct{})
-				go progressLoop(reg, stop, done)
-				defer func() { close(stop); <-done }()
-			}
+			log.Printf("admin endpoint on http://%s (/metrics /statusz /tracez /debug/pprof)", admin.Addr())
+			defer admin.Close(2 * time.Second)
 		}
 		runScenarios(*scenario, *jsonOut, ov)
-		return
-	}
-	if *boundsOnly {
-		fmt.Println(experiments.BoundsReport())
 		return
 	}
 
 	opts := experiments.Options{Frames: *frames, EvalEvery: *evalEvery, Seed: *seed}
 	start := time.Now()
-
-	emit := func(t *stats.Table, err error) {
-		if err != nil {
-			log.Fatalf("experiment failed: %v", err)
-		}
-		fmt.Println(t)
-	}
 
 	suite := experiments.NewSuite(opts)
 
@@ -148,33 +102,11 @@ func main() {
 		return
 	}
 
-	switch {
-	case *table == 2:
-		emit(suite.Table2())
-	case *table == 3:
-		emit(suite.Table3())
-	case *table == 4:
-		emit(experiments.Table4())
-	case *table == 5:
-		emit(suite.Table5())
-	case *table == 6:
-		emit(suite.Table6())
-	case *table == 7:
-		emit(suite.Table7())
-	case *table != 0:
-		log.Fatalf("unknown table %d (have 2-7)", *table)
-	case *figure == 4:
-		_, t, err := suite.Figure4()
-		emit(t, err)
-	case *figure != 0:
-		log.Fatalf("unknown figure %d (have 4)", *figure)
-	default:
-		out, err := suite.WriteAllTables()
-		if err != nil {
-			log.Fatalf("suite failed: %v", err)
-		}
-		fmt.Println(out)
+	out, err := suite.WriteAllTables()
+	if err != nil {
+		log.Fatalf("suite failed: %v", err)
 	}
+	fmt.Println(out)
 	log.Printf("done in %v", time.Since(start).Round(time.Second))
 }
 
@@ -184,50 +116,6 @@ func emitRows[R interface{ Table() *stats.Table }](rows R, err error) {
 		log.Fatalf("experiment failed: %v", err)
 	}
 	fmt.Println(rows.Table())
-}
-
-func listScenarios() {
-	t := stats.NewTable("Registered scenarios (run with -scenario <name|glob>)",
-		"Name", "Clients", "Frames", "Bandwidth", "Codec", "Description")
-	for _, s := range harness.All() {
-		spec := s.Spec
-		clients, frames := "-", "-"
-		if s.Run == nil {
-			// Driver scenarios run with every default resolved; custom
-			// runners only display the knobs they explicitly set.
-			spec = spec.WithDefaults()
-		}
-		if spec.Clients > 0 {
-			clients = fmt.Sprint(spec.Clients)
-		}
-		if spec.Frames > 0 {
-			frames = fmt.Sprint(spec.Frames)
-		}
-		t.AddRow(s.Name, clients, frames, spec.BandwidthLabel(), spec.CodecLabel(), s.Desc)
-	}
-	fmt.Println(t)
-}
-
-// writeCatalog regenerates docs/SCENARIOS.md from the live registry and the
-// live CI smoke matrix; TestScenarioCatalogInSync holds the file to this
-// output. Must run from the repo root (where docs/ and scripts/ live).
-func writeCatalog() {
-	globs, err := harness.BenchSmokeGlobs("scripts/bench_smoke.sh")
-	if err != nil {
-		log.Fatalf("reading CI smoke matrix (run from the repo root): %v", err)
-	}
-	md, err := harness.CatalogMarkdown(globs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	const path = "docs/SCENARIOS.md"
-	if err := os.MkdirAll("docs", 0o755); err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte(md), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s (%d scenarios)", path, len(harness.All()))
 }
 
 // resolve expands a comma-separated pattern list into a deduplicated,
@@ -245,7 +133,7 @@ func resolve(patterns string) ([]harness.Scenario, error) {
 			return nil, err
 		}
 		if len(matched) == 0 {
-			return nil, fmt.Errorf("no scenario matches %q (try -list)", pat)
+			return nil, fmt.Errorf("no scenario matches %q (docs/SCENARIOS.md lists them)", pat)
 		}
 		for _, s := range matched {
 			if !seen[s.Name] {
@@ -291,57 +179,6 @@ func runScenarios(patterns, jsonPath string, ov harness.Overrides) {
 		log.Printf("wrote %d scenario results to %s", len(results), jsonPath)
 	}
 	log.Printf("scenarios done in %v", time.Since(start).Round(time.Second))
-}
-
-// progressLoop renders a one-line live status on stderr twice a second
-// from the run's telemetry registry: active sessions across the tier,
-// aggregate FPS (delta of the client frame counters), pre-FEC link loss,
-// and admission sheds. The line overdraws itself with \r; the final
-// newline lands when the run ends.
-func progressLoop(reg *telemetry.Registry, stop, done chan struct{}) {
-	defer close(done)
-	const period = 500 * time.Millisecond
-	sum := func(snap []telemetry.FamilySnapshot, family string) float64 {
-		total := 0.0
-		for _, f := range snap {
-			if f.Name != family {
-				continue
-			}
-			for _, s := range f.Series {
-				if s.Hist != nil {
-					total += float64(s.Hist.Count)
-				} else {
-					total += s.Value
-				}
-			}
-		}
-		return total
-	}
-	lastFrames, wrote := 0.0, false
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			if wrote {
-				fmt.Fprintln(os.Stderr)
-			}
-			return
-		case <-tick.C:
-			snap := reg.Snapshot()
-			frames := sum(snap, "shadowtutor_client_frames_total")
-			fps := (frames - lastFrames) / period.Seconds()
-			lastFrames = frames
-			lossPct := 0.0
-			if sent := sum(snap, "shadowtutor_link_packets_sent"); sent > 0 {
-				lossPct = 100 * sum(snap, "shadowtutor_link_packets_lost") / sent
-			}
-			fmt.Fprintf(os.Stderr, "\rlive: %d sessions | %.1f fps | %.2f%% loss | %d sheds   ",
-				int(sum(snap, "shadowtutor_sessions_active")), fps,
-				lossPct, int(sum(snap, "shadowtutor_fabric_sheds_total")))
-			wrote = true
-		}
-	}
 }
 
 func fmtF(v float64) string {

@@ -31,34 +31,7 @@ import (
 // Len/Less/Swap through sort.Interface). A method's receiver is not a
 // reference to its type, and a declaration does not reference itself.
 func TestDeadWeight(t *testing.T) {
-	// The standard library is type-checked from its pure-Go source, so the
-	// check needs no C toolchain and no export data.
-	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	l := &moduleLoader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*modulePkg{}}
-
-	var decl []*modulePkg
-	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); dir != "." && (name[0] == '.' || name == "testdata" || dir == "benchmark") {
-			return filepath.SkipDir
-		}
-		if bp, err := build.Default.ImportDir(dir, 0); err != nil || len(bp.GoFiles) == 0 {
-			return nil // no non-test Go here
-		}
-		p, err := l.load(filepath.ToSlash(filepath.Join("repro", dir)))
-		decl = append(decl, p)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	consumer, err := l.check("repro/benchmark", "benchmark")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, decl, consumer := loadModule(t)
 
 	// References, and the interfaces a method can be reached through.
 	used := map[types.Object]bool{}
@@ -143,6 +116,38 @@ func TestDeadWeight(t *testing.T) {
 			t.Errorf("scripts/deadweight.allow: %s is not dead weight (or no longer exists); drop the line", name)
 		}
 	}
+}
+
+// loadModule type-checks every non-test package of the root module (decl,
+// in directory order) and benchmark/, the module's one outside consumer.
+func loadModule(t *testing.T) (l *moduleLoader, decl []*modulePkg, consumer *modulePkg) {
+	t.Helper()
+	// The standard library is type-checked from its pure-Go source, so the
+	// checks need no C toolchain and no export data.
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	l = &moduleLoader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*modulePkg{}}
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != "." && (name[0] == '.' || name == "testdata" || dir == "benchmark") {
+			return filepath.SkipDir
+		}
+		if bp, err := build.Default.ImportDir(dir, 0); err != nil || len(bp.GoFiles) == 0 {
+			return nil // no non-test Go here
+		}
+		p, err := l.load(filepath.ToSlash(filepath.Join("repro", dir)))
+		decl = append(decl, p)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if consumer, err = l.check("repro/benchmark", "benchmark"); err != nil {
+		t.Fatal(err)
+	}
+	return l, decl, consumer
 }
 
 // modulePkg is one type-checked package of the module, non-test files only.

@@ -23,63 +23,55 @@
 // To run the real protocol over TCP, start the multi-session server and
 // point any number of clients at it:
 //
-//	go run ./cmd/shadowtutor-server -listen 127.0.0.1:7607 -max-sessions 64
+//	go run ./cmd/shadowtutor-server -listen 127.0.0.1:7607
 //	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -stream moving/street
 //
-// Sessions survive connection drops: the client runs with -reconnect by
-// default, so on a mid-stream failure it keeps inferring locally on its
-// stale student while its one link goroutine redials with backoff and
-// resumes the server-side session (protocol-v3 Resume handshake — the
-// server replays only the journaled student diffs the client missed). A
-// Hello a loaded server sheds is redialled in the same backoff loop. Kill the client's network mid-run and
-// watch the "resilience:" summary count the recoveries; the server keeps
-// dropped sessions resumable for -resume-ttl (default 2m) with
-// -journal-depth recent diffs. -reconnect=false restores fail-fast.
+// Sessions survive connection drops: on a mid-stream failure the client
+// keeps inferring locally on its stale student while its one link
+// goroutine redials with backoff and resumes the server-side session
+// (protocol-v3 Resume handshake — the server replays only the journaled
+// student diffs the client missed). A Hello a loaded server sheds is
+// redialled in the same backoff loop. Kill the client's network mid-run
+// and watch the "resilience:" summary count the recoveries; the server
+// keeps dropped sessions resumable for 2 minutes with their 8 most recent
+// diffs (serve.Options' defaults).
 //
-// At scale, run the serving tier as a sharded fabric instead of one
-// session manager: -shards N starts N shard workers (each with its own
-// teacher and session registry) behind a router that places sessions
-// by rendezvous hash, sheds load at per-shard capacity watermarks with
-// retryable rejects, and hands parked sessions between shards on resume
-// (internal/fabric; see ARCHITECTURE.md "Sharded serving fabric"):
+// The server is a sharded fabric: -shards N (default 1) starts N shard
+// workers (each with its own teacher and session registry) behind a router
+// that places sessions by rendezvous hash, sheds load at each shard's
+// MaxSessions with retryable rejects, and hands parked sessions between
+// shards on resume (internal/fabric; see ARCHITECTURE.md "Sharded serving
+// fabric"). -partial=false runs full distillation, and -bandwidth throttles
+// each link on either side:
 //
-//	go run ./cmd/shadowtutor-server -shards 4 -max-sessions 32
+//	go run ./cmd/shadowtutor-server -shards 4 -partial=false -bandwidth 80
 //
 // Every full model that crosses the wire — handshake checkpoints and
 // resume-full fallbacks; a cross-shard handoff moves the session itself
-// and serialises nothing — can be sent relative to the shared pretrained
-// base instead of absolute: -envelope-codec names a compress codec
-// ("delta+int8" is the deployment choice; "delta+raw", like the empty
-// default, is bit-exact), and
-// clients opt in with -delta-checkpoints, which loads the same embedded
-// base locally and sends its hash in the Hello (mismatched
-// bases get absolute checkpoints, as do clients that never opt in):
+// and serialises nothing — goes relative to the shared pretrained base:
+// the client loads the same embedded base and sends its hash in the Hello
+// (mismatched bases get absolute checkpoints). -envelope-codec names the
+// compress codec the server sends them under ("delta+int8" is the
+// deployment choice; "delta+raw", like the empty default, is bit-exact):
 //
 //	go run ./cmd/shadowtutor-server -shards 4 -envelope-codec delta+int8
-//	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -delta-checkpoints
 //
 // See ARCHITECTURE.md "Delta checkpoints" for the wire formats.
 //
-// The link itself can be made realistically unreliable: -loss-model
-// activates a packet layer (MTU framing over the TCP stream) with a seeded
-// loss model — "uniform:0.02", "ge:0.02,0.25,0.002,0.5" for bursty
-// Gilbert-Elliott loss — plus -fec N for XOR-parity groups that recover
-// any single loss per group without a resend, and -reorder for packet
-// reordering. Both ends must speak the framing, so the flags appear on
-// server and client alike. A server encodes every student diff under one
-// codec fixed when it is built — "static:<codec>" in serve.Options.LinkPolicy
-// (harness Spec.Codec), raw when empty; see ARCHITECTURE.md "Network realism
-// & a fixed diff codec" — and every diff names its codec in its header, so
-// the client needs no flag for it. Every diff is relative to what the
+// A server encodes every student diff under one codec fixed when it is
+// built — "static:<codec>" in serve.Options.LinkPolicy (harness
+// Spec.Codec), raw when empty; see ARCHITECTURE.md "Network realism & a
+// fixed diff codec" — and every diff names its codec in its header, so the
+// client needs no setting for it. Every diff is relative to what the
 // client holds, which the server knows by decoding what it sent. Under raw
 // each weight travels as its bit-pattern distance from the client's value
 // (about 0.65–0.7 of the float32 size, reconstructed exactly); under a
 // lossy codec its arithmetic delta rides the codec, so one diff's error
 // rides in the next; the BatchNorm statistics are exact under every codec
-// (see ARCHITECTURE.md "What a student diff carries on the wire"):
-//
-//	go run ./cmd/shadowtutor-server -loss-model uniform:0.02 -fec 8
-//	go run ./cmd/shadowtutor-client -connect 127.0.0.1:7607 -loss-model uniform:0.02 -fec 8
+// (see ARCHITECTURE.md "What a student diff carries on the wire"). The
+// packet tier — MTU framing with seeded loss, XOR-parity FEC and
+// reordering — runs in the loss/* scenarios (harness Spec.LossModel,
+// FECGroup, Reorder), not from the binaries.
 //
 // To regenerate the paper's tables, or the sharded multi-client scenarios:
 //
@@ -88,23 +80,20 @@
 //
 // # Observability
 //
-// Both binaries can serve a live admin HTTP endpoint (-admin, default
-// off): /metrics is the Prometheus text exposition of the process-wide
-// telemetry registry (per-shard session occupancy, sheds, handoffs,
-// distill-step and frame-latency histograms, packet-link counters),
-// /statusz the same snapshot as JSON, /tracez the recent per-session
-// lifecycle event ring, and /debug/pprof the standard profiler:
+// The server and stbench can serve a live admin HTTP endpoint (-admin,
+// default off): /metrics is the Prometheus text exposition of the
+// process-wide telemetry registry (per-shard session occupancy, sheds,
+// handoffs, distill-step and frame-latency histograms, packet-link
+// counters), /statusz the same snapshot as JSON, /tracez the recent
+// per-session lifecycle event ring, and /debug/pprof the standard profiler:
 //
 //	go run ./cmd/shadowtutor-server -shards 4 -admin 127.0.0.1:9090
 //	curl http://127.0.0.1:9090/metrics
 //	curl http://127.0.0.1:9090/tracez
 //
-// stbench instruments scenario runs the same way, plus a one-line live
-// status (-progress) and sampled time series folded into the metrics
-// JSON (-sample):
+// stbench instruments scenario runs the same way:
 //
-//	go run ./cmd/stbench -scenario 'fleet/*' -admin 127.0.0.1:9090 -progress
-//	go run ./cmd/stbench -scenario 'loss/*' -sample 250ms -json out.json
+//	go run ./cmd/stbench -scenario 'fleet/*' -admin 127.0.0.1:9090
 //
 // The registry's record path is allocation-free and nil-safe (telemetry
 // off costs a nil check); see internal/telemetry and ARCHITECTURE.md
@@ -133,9 +122,9 @@
 // reordering, an optional fault script — every combination legal, built in
 // one order by Stack.Wrap), client count, diff-compression codec and video
 // workload, each run end to end over a loopback multi-session server and
-// measured into a versioned JSON schema. List and run them through stbench:
+// measured into a versioned JSON schema. docs/SCENARIOS.md lists them; run
+// them through stbench:
 //
-//	go run ./cmd/stbench -list
 //	go run ./cmd/stbench -scenario bandwidth-sweep/8mbps-c1-raw
 //	go run ./cmd/stbench -scenario 'chaos/*'
 //	go run ./cmd/stbench -scenario 'fleet/*' -json BENCH_pr7.json
@@ -150,8 +139,8 @@
 // different shard via handoff with zero full resends. The loss/* family
 // runs the packet tier live — three canonical loss regimes, reordering,
 // FEC. docs/SCENARIOS.md catalogs every registered scenario with its spec
-// dimensions and CI gate; regenerate it with `go run ./cmd/stbench
-// -catalog` (a registry-diff test keeps it in sync).
+// dimensions and CI gate; TestScenarioCatalogInSync keeps it in sync and
+// regenerates it under UPDATE_GOLDEN=1.
 //
 // cmd/benchdiff compares two such JSON files under per-metric tolerances
 // and exits nonzero on regression — the CI perf gate:

@@ -92,19 +92,18 @@ func clampStride(cfg Config, stride float64) float64 {
 	return stride
 }
 
-// ComponentLatencies is the paper's Table 1 measurement block: the latency
-// of each system component, used by the deterministic simulator and the
-// analytic bounds. All values are per-occurrence.
+// ComponentLatencies is the paper's Table 1 compute block: the latency of
+// each compute component, used by the deterministic simulator and the
+// analytic bounds. All values are per-occurrence. The network's t_net is
+// not here: both price a transfer from its bytes and the link.
 type ComponentLatencies struct {
 	StudentInference time.Duration // t_si
 	DistillStep      time.Duration // t_sd
 	TeacherInference time.Duration // t_ti
-	Network          time.Duration // t_net, one key frame + response
 }
 
-// PaperLatencies returns the measurements from §5.3: t_si = 143 ms,
-// t_sd = 13 ms (partial) or 18 ms (full), t_ti = 44 ms, t_net = 303 ms at
-// 80 Mbps.
+// PaperLatencies returns the compute measurements from §5.3: t_si = 143 ms,
+// t_sd = 13 ms (partial) or 18 ms (full), t_ti = 44 ms.
 func PaperLatencies(partial bool) ComponentLatencies {
 	sd := 18 * time.Millisecond
 	if partial {
@@ -114,6 +113,5 @@ func PaperLatencies(partial bool) ComponentLatencies {
 		StudentInference: 143 * time.Millisecond,
 		DistillStep:      sd,
 		TeacherInference: 44 * time.Millisecond,
-		Network:          303 * time.Millisecond,
 	}
 }

@@ -13,8 +13,8 @@
 // checkpoint, rejects) stays in the shard's serve.Manager. Three concerns
 // live at the router because only it sees all shards:
 //
-//   - Admission control: a fresh Hello aimed at a shard at its capacity
-//     watermark is shed with the protocol-v3 retryable reject
+//   - Admission control: a fresh Hello aimed at a shard at its
+//     MaxSessions watermark is shed with the protocol-v3 retryable reject
 //     (transport.ResumeRetry), so overload turns into client backoff
 //     instead of unbounded queueing.
 //   - Cross-shard handoff: a Resume that hashes to a shard that does not

@@ -25,14 +25,13 @@ func tinyBase(seed int64) *nn.Student {
 	return nn.NewStudent(cfg, rand.New(rand.NewSource(seed)))
 }
 
-func testRouter(t *testing.T, shards, perShard, watermark int) *Router {
+func testRouter(t *testing.T, shards, perShard int) *Router {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.MaxUpdates = 1 // fabric tests exercise routing, not distillation
 	base := tinyBase(41)
 	r, err := NewRouter(Options{
-		Shards:   shards,
-		Capacity: watermark,
+		Shards: shards,
 		Shard: func(i int) serve.Options {
 			return serve.Options{
 				Cfg:          cfg,
@@ -280,7 +279,7 @@ func TestPlacementStability(t *testing.T) {
 // a requested ID already occupied anywhere in the fabric is replaced, never
 // duplicated.
 func TestRouterIDAssignment(t *testing.T) {
-	r := testRouter(t, 2, 4, 0)
+	r := testRouter(t, 2, 4)
 	frames := testFrames(t, 8)
 
 	a := fconnect(t, r, frames)
@@ -324,7 +323,7 @@ func TestRouterIDAssignment(t *testing.T) {
 // a replay, never a full resend, and the session keeps streaming on its new
 // shard with sequence continuity.
 func TestCrossShardHandoffOnResume(t *testing.T) {
-	r := testRouter(t, 2, 4, 0)
+	r := testRouter(t, 2, 4)
 	frames := testFrames(t, 8)
 
 	id := idOnShard(0, 0, 2)
@@ -384,7 +383,7 @@ func TestCrossShardHandoffOnResume(t *testing.T) {
 // homes eagerly — they survive with journals intact instead of being
 // evicted, and the resume needs no further handoff.
 func TestDrainMigratesParked(t *testing.T) {
-	r := testRouter(t, 2, 4, 0)
+	r := testRouter(t, 2, 4)
 	frames := testFrames(t, 8)
 
 	id := idOnShard(0, 0, 2)
@@ -430,7 +429,7 @@ func TestDrainMigratesParked(t *testing.T) {
 // retryable reject, and a core.Client with a Dial callback rides it out:
 // back off, redial, get admitted once capacity frees.
 func TestAdmissionShedAndClientRetry(t *testing.T) {
-	r := testRouter(t, 2, 4, 1) // watermark 1 session per shard
+	r := testRouter(t, 2, 1) // watermark: 1 session per shard
 	frames := testFrames(t, 8)
 
 	// Two IDs homed on the same shard: the second Hello must shed.

@@ -23,7 +23,7 @@ func TestResumeRacesDrain(t *testing.T) {
 	const sessions, rounds = 6, 40
 	frames := testFrames(t, 1)
 	for seed := int64(0); seed < rounds; seed++ {
-		r := testRouter(t, 2, sessions, 0)
+		r := testRouter(t, 2, sessions)
 		clients := make([]*fclient, sessions)
 		for k := range clients {
 			clients[k] = fconnect(t, r, frames)

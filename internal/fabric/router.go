@@ -24,11 +24,6 @@ type Options struct {
 	// shards — while Cfg and Base should come from one
 	// template so a session moved between shards keeps training as it was.
 	Shard func(i int) serve.Options
-	// Capacity is the per-shard admission watermark: a fresh Hello bound
-	// for a shard with this many active sessions is shed with a retryable
-	// reject. 0 uses each shard's MaxSessions. Resumes are never shed —
-	// the shard already holds their state.
-	Capacity int
 	// Telemetry, when non-nil, registers the router's live routing
 	// counters (routed/sheds/handoffs/migrations), the placement-set
 	// gauge, and shed/drain/migrate trace events. It is also propagated
@@ -223,17 +218,15 @@ func (r *Router) routeHello(conn transport.Conn, first transport.Message, hello 
 	if sh == nil {
 		return ErrClosed
 	}
-	if active, capacity := sh.Load(); capacity > 0 {
-		if wm := r.opts.Capacity; wm > 0 && wm < capacity {
-			capacity = wm
-		}
-		if active >= capacity {
-			r.count(&r.sheds)
-			r.tm.sheds.Inc()
-			r.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvShed, Session: id, Shard: sh.Index, Detail: "watermark"})
-			r.logf("shed hello for session %d: shard %d at watermark (%d active)", id, sh.Index, active)
-			return r.sendRetry(conn, fmt.Sprintf("shard %d at capacity", sh.Index))
-		}
+	// A fresh Hello bound for a shard at its MaxSessions is shed with a
+	// retryable reject. Resumes are never shed: the shard already holds
+	// their state.
+	if active, capacity := sh.Load(); capacity > 0 && active >= capacity {
+		r.count(&r.sheds)
+		r.tm.sheds.Inc()
+		r.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvShed, Session: id, Shard: sh.Index, Detail: "watermark"})
+		r.logf("shed hello for session %d: shard %d at watermark (%d active)", id, sh.Index, active)
+		return r.sendRetry(conn, fmt.Sprintf("shard %d at capacity", sh.Index))
 	}
 	r.count(&r.routed)
 	r.tm.routed.Inc()

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/teacher"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 	"repro/internal/video"
@@ -149,13 +147,9 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 	spec.setDefaults()
 	linkPolicy := spec.linkPolicy()
 	cfg := core.DefaultConfig()
-	// Telemetry: instrument the whole run on the caller's registry, or a
-	// private one when only sampling was requested. A nil reg disables every
-	// record path (the metric handles are all nil-safe).
+	// Telemetry: instrument the whole run on the caller's registry. A nil
+	// reg disables every record path (the metric handles are all nil-safe).
 	reg := spec.Telemetry
-	if reg == nil && spec.SampleEvery > 0 {
-		reg = telemetry.New()
-	}
 	base, err := experiments.FreshStudentFor(cfg)
 	if err != nil {
 		return Metrics{}, err
@@ -255,30 +249,6 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 	errs := make([]error, spec.Clients)
 	var wg sync.WaitGroup
 
-	// Time-series capture: a wall-clock ticker polls the registry for the
-	// duration of the run; the sampler itself is steppable so the goroutine
-	// owns the clock. One final sample after the clients drain guarantees at
-	// least one row even for runs shorter than the period.
-	var sampler *telemetry.Sampler
-	var sampleStop, sampleDone chan struct{}
-	if reg != nil && spec.SampleEvery > 0 {
-		sampler = telemetry.NewSampler(reg)
-		sampleStop, sampleDone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(sampleDone)
-			tick := time.NewTicker(spec.SampleEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					sampler.Sample()
-				case <-sampleStop:
-					return
-				}
-			}
-		}()
-	}
-
 	start := time.Now()
 	for c := 0; c < spec.Clients; c++ {
 		wg.Add(1)
@@ -338,11 +308,6 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if sampler != nil {
-		close(sampleStop)
-		<-sampleDone
-		sampler.Sample()
-	}
 	if router != nil {
 		if err := router.Close(); err != nil {
 			return Metrics{}, err
@@ -446,36 +411,6 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 		if ck := ms.CheckpointBytes + ms.FullResendBytes; ck > 0 {
 			m.Extra["envelope_shrink_x"] = float64(ms.CheckpointBaseline+ms.FullResendBaseline) / float64(ck)
 		}
-	}
-
-	if sampler != nil {
-		m.Timeseries = &Timeseries{
-			IntervalMS: float64(spec.SampleEvery) / float64(time.Millisecond),
-			Series:     sampler.Series(),
-		}
-		if m.Extra == nil {
-			m.Extra = map[string]float64{}
-		}
-		m.Extra["ts_samples"] = float64(sampler.Rows())
-		// Peak concurrent sessions across the tier: sum the per-shard
-		// occupancy gauges row-wise, then take the max row.
-		rows := sampler.Rows()
-		occ := make([]float64, rows)
-		for key, col := range m.Timeseries.Series {
-			if !strings.HasPrefix(key, "shadowtutor_sessions_active") {
-				continue
-			}
-			for i := 0; i < rows && i < len(col); i++ {
-				occ[i] += col[i]
-			}
-		}
-		peak := 0.0
-		for _, v := range occ {
-			if v > peak {
-				peak = v
-			}
-		}
-		m.Extra["ts_peak_active_sessions"] = peak
 	}
 	return m, nil
 }

@@ -2,9 +2,8 @@
 // named end-to-end scenarios (bandwidth profile — fixed or time-varying
 // trace — × client count × diff codec × video workload) run over a loopback
 // serve.Manager, producing structured, versioned, machine-readable metrics.
-// cmd/stbench drives it interactively (-list, -scenario, -json) and
-// cmd/benchdiff compares two metric files under per-metric tolerances — the
-// CI perf-regression gate.
+// cmd/stbench drives it (-scenario, -json) and cmd/benchdiff compares two
+// metric files under per-metric tolerances — the CI perf-regression gate.
 package harness
 
 import (
@@ -25,9 +24,11 @@ import (
 // ts_* Extra summaries) captured by polling the live registry during a run.
 // Version 6 dropped the teacher's mean batch, which read 1 on every row: a shard's
 // teacher labels one frame a call.
+// Version 7 dropped the timeseries block and its ts_* Extra summaries: no
+// gated scenario sampled, and no baseline row carried one.
 const (
 	Schema        = "shadowtutor-bench"
-	SchemaVersion = 6
+	SchemaVersion = 7
 )
 
 // Metrics is the structured result of one scenario run. Field meanings:
@@ -103,28 +104,10 @@ type Metrics struct {
 	LossRatePct       float64 `json:"loss_rate_pct,omitempty"`
 	GoodputMbps       float64 `json:"goodput_mbps,omitempty"`
 
-	// Timeseries holds sampled live-telemetry series captured during the
-	// run (schema v5): the registry is polled every IntervalMS of wall
-	// time, so scenarios can assert when things happened — a shed storm, a
-	// policy flip, an occupancy collapse — not just end-of-run totals.
-	// Scalar summaries (peaks, sample count) additionally land in Extra
-	// under ts_* keys so benchdiff can gate them. Nil when the scenario
-	// did not enable sampling.
-	Timeseries *Timeseries `json:"timeseries,omitempty"`
-
 	// Extra carries family-specific metrics (ablation columns, codec byte
 	// counts). Keys are stable snake_case; benchdiff treats them as
 	// informational unless given an explicit tolerance ("extra.<key>").
 	Extra map[string]float64 `json:"extra,omitempty"`
-}
-
-// Timeseries is the sampled-registry block of one scenario run. Series
-// keys are Prometheus-style `name{labels}` strings; every series has one
-// value per sampling tick, row-aligned (series appearing mid-run are
-// zero back-filled).
-type Timeseries struct {
-	IntervalMS float64              `json:"interval_ms"`
-	Series     map[string][]float64 `json:"series"`
 }
 
 // BenchFile is the on-disk container cmd/stbench emits and cmd/benchdiff

@@ -100,14 +100,9 @@ type Spec struct {
 	Reorder float64
 	// Telemetry, when non-nil, is the live registry the driver instruments
 	// the whole run into (server/fabric, teacher, clients, packet links) —
-	// the hook stbench uses to serve -admin and -progress from a scenario.
-	// Nil with SampleEvery set makes the driver create a private registry
-	// for the run. Nil without SampleEvery disables telemetry entirely.
+	// the hook stbench uses to serve -admin from a scenario. Nil disables
+	// telemetry entirely.
 	Telemetry *telemetry.Registry
-	// SampleEvery polls the registry at this wall-clock period during the
-	// run and emits the captured series as the metrics timeseries block
-	// (plus ts_* Extra summaries). Zero disables sampling.
-	SampleEvery time.Duration
 }
 
 // usePackets reports whether the spec activates the packet layer (MTU
@@ -134,15 +129,7 @@ func (s *Spec) setDefaults() {
 	}
 }
 
-// WithDefaults returns the spec as the driver will actually run it, with
-// every zero field resolved — the single source of truth for what
-// `stbench -list` displays.
-func (s Spec) WithDefaults() Spec {
-	s.setDefaults()
-	return s
-}
-
-// BandwidthLabel renders the link profile for metrics and -list output.
+// BandwidthLabel renders the link profile for metrics output.
 func (s Spec) BandwidthLabel() string {
 	switch {
 	case s.Trace != nil:
@@ -263,11 +250,8 @@ type Overrides struct {
 	Frames    int
 	EvalEvery int
 	Seed      int64
-	// Telemetry instruments every run on this registry (see
-	// Spec.Telemetry); SampleEvery enables time-series capture. Both apply
-	// only when the spec itself left them unset.
-	Telemetry   *telemetry.Registry
-	SampleEvery time.Duration
+	// Telemetry instruments every run on this registry (Spec.Telemetry).
+	Telemetry *telemetry.Registry
 }
 
 // RunScenario applies overrides and executes the scenario via its custom
@@ -283,12 +267,7 @@ func RunScenario(s Scenario, ov Overrides) ([]Metrics, error) {
 	if ov.Seed != 0 {
 		spec.Seed = ov.Seed
 	}
-	if spec.Telemetry == nil {
-		spec.Telemetry = ov.Telemetry
-	}
-	if spec.SampleEvery == 0 {
-		spec.SampleEvery = ov.SampleEvery
-	}
+	spec.Telemetry = ov.Telemetry
 	spec.setDefaults()
 	if s.Run != nil {
 		ms, err := s.Run(spec)

@@ -93,21 +93,6 @@ func goldenBench() BenchFile {
 			Handoffs:        6,
 			Sheds:           0,
 			Migrated:        2,
-			Timeseries: &Timeseries{
-				IntervalMS: 250,
-				Series: map[string][]float64{
-					"shadowtutor_fabric_sheds_total":               {0, 2, 2},
-					"shadowtutor_sessions_active{shard=\"0\"}":     {2, 3, 1},
-					"shadowtutor_sessions_active{shard=\"1\"}":     {1, 2, 2},
-					"shadowtutor_client_frame_seconds_count":       {40, 180, 320},
-					"shadowtutor_client_frame_seconds_sum":         {1.1, 4.9, 8.6},
-					"shadowtutor_distill_steps_total{shard=\"0\"}": {12, 55, 96},
-				},
-			},
-			Extra: map[string]float64{
-				"ts_peak_active_sessions": 5,
-				"ts_samples":              3,
-			},
 		},
 	})
 }

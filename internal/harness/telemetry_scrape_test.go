@@ -50,7 +50,7 @@ func scrape(addr string) (string, error) {
 // The acceptance path end to end: a fleet scenario runs with a live
 // registry behind a real admin HTTP endpoint; a mid-run scrape sees
 // per-shard occupancy gauges and the latency histograms in valid
-// Prometheus format, and the run's metrics carry the sampled time series.
+// Prometheus format, and the gauges return to zero once the run ends.
 func TestFleetDriveServesLiveMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end fleet run with admin scrapes")
@@ -69,13 +69,12 @@ func TestFleetDriveServesLiveMetrics(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		m, err := Drive("fleet/test-telemetry", "fleet", Spec{
-			Workload:    "mixed",
-			Clients:     4,
-			Frames:      48,
-			EvalEvery:   8,
-			Shards:      2,
-			Telemetry:   reg,
-			SampleEvery: 10 * time.Millisecond,
+			Workload:  "mixed",
+			Clients:   4,
+			Frames:    48,
+			EvalEvery: 8,
+			Shards:    2,
+			Telemetry: reg,
 		})
 		done <- result{m, err}
 	}()
@@ -126,15 +125,6 @@ poll:
 	r := <-done
 	if r.err != nil {
 		t.Fatal(r.err)
-	}
-	if r.m.Timeseries == nil || len(r.m.Timeseries.Series) == 0 {
-		t.Fatal("metrics missing sampled timeseries block")
-	}
-	if r.m.Extra["ts_samples"] < 1 {
-		t.Errorf("ts_samples = %v, want >= 1", r.m.Extra["ts_samples"])
-	}
-	if r.m.Extra["ts_peak_active_sessions"] < 1 {
-		t.Errorf("ts_peak_active_sessions = %v, want >= 1", r.m.Extra["ts_peak_active_sessions"])
 	}
 	// After the run every session unwound: the tier-wide occupancy gauges
 	// must read zero on a final scrape, and the counters stay monotone.

@@ -8,12 +8,6 @@ type LinkObservation struct {
 	PacketsSent, PacketsLost, Recovered, Retransmits int64
 }
 
-// LinkObserver is implemented by conns that expose packet-link stats
-// (e.g. transport.TCPConn when a PacketConn is bound).
-type LinkObserver interface {
-	LinkObservation() LinkObservation
-}
-
 // LinkDecision names the diff codec (compress.ByName) a student diff was
 // encoded under. A server's codec is fixed when it is built; the type is
 // what core.DecodeAdaptiveDiff hands back beside the diff.

@@ -7,11 +7,11 @@
 //
 // # Operator quickstart
 //
-// Both binaries expose the process-global registry over HTTP when started
+// shadowtutor-server and stbench expose a registry over HTTP when started
 // with -admin (the default "" disables it):
 //
-//	shadowtutor-server -listen :7600 -max-sessions 64 -admin :9090
-//	stbench -run 'fleet/*' -admin 127.0.0.1:9090 -progress
+//	shadowtutor-server -listen :7600 -admin :9090
+//	stbench -scenario 'fleet/*' -admin 127.0.0.1:9090
 //
 // Then, while the server or scenario is running:
 //

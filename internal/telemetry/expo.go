@@ -7,7 +7,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // WritePrometheus renders the registry in the Prometheus text exposition
@@ -94,88 +93,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		snap = []FamilySnapshot{}
 	}
 	return enc.Encode(snap)
-}
-
-// Sampler captures periodic rows of every scalar series in a registry
-// into named time series. It is deliberately steppable — callers own the
-// clock and call Sample when a row should be taken — so it works under
-// both wall-clock tickers and the harness's virtual time. Histograms
-// contribute their running _count and _sum as two scalar series.
-type Sampler struct {
-	reg *Registry
-
-	mu     sync.Mutex
-	series map[string][]float64
-	rows   int
-}
-
-// NewSampler returns a sampler over reg. A nil registry yields a sampler
-// whose Sample is a no-op.
-func NewSampler(reg *Registry) *Sampler {
-	return &Sampler{reg: reg, series: make(map[string][]float64)}
-}
-
-// Sample appends one row: the current value of every scalar series,
-// keyed `name{labels}`. Series that appear after sampling started are
-// back-filled with zeros so all series stay row-aligned.
-func (s *Sampler) Sample() {
-	if s == nil || s.reg == nil {
-		return
-	}
-	snap := s.reg.Snapshot()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	record := func(key string, v float64) {
-		col := s.series[key]
-		if col == nil {
-			col = make([]float64, s.rows)
-		}
-		s.series[key] = append(col, v)
-	}
-	for _, f := range snap {
-		for _, ser := range f.Series {
-			key := f.Name + braced(ser.Labels)
-			if ser.Hist != nil {
-				record(key+"_count", float64(ser.Hist.Count))
-				record(key+"_sum", ser.Hist.Sum)
-				continue
-			}
-			record(key, ser.Value)
-		}
-	}
-	s.rows++
-	// Pad series that existed before but vanished from the snapshot
-	// (cannot happen today — families are never unregistered — but keeps
-	// the row-alignment invariant local and obvious).
-	for k, col := range s.series {
-		if len(col) < s.rows {
-			s.series[k] = append(col, 0)
-		}
-	}
-}
-
-// Rows returns the number of samples taken.
-func (s *Sampler) Rows() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rows
-}
-
-// Series returns a copy of the captured time series.
-func (s *Sampler) Series() map[string][]float64 {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string][]float64, len(s.series))
-	for k, v := range s.series {
-		c := make([]float64, len(v))
-		copy(c, v)
-		out[k] = c
-	}
-	return out
 }

@@ -66,7 +66,7 @@ func TestConcurrentRecording(t *testing.T) {
 }
 
 // TestConcurrentRegistrationAndSnapshot races late registration (sessions
-// register series mid-run) against snapshots (a scraper or sampler) — the
+// register series mid-run) against snapshots (a scraper) — the
 // handle install must be published under the same lock Snapshot reads
 // under.
 func TestConcurrentRegistrationAndSnapshot(t *testing.T) {
@@ -251,37 +251,5 @@ func TestTraceRingEviction(t *testing.T) {
 	}
 	if tr.Total() != 10 {
 		t.Errorf("total = %d, want 10", tr.Total())
-	}
-}
-
-func TestSampler(t *testing.T) {
-	reg := New()
-	c := reg.Counter("s_total", "")
-	h := reg.Histogram("s_hist", "", []float64{1})
-	smp := NewSampler(reg)
-
-	smp.Sample()
-	c.Add(5)
-	h.Observe(0.5)
-	// A series registered after sampling started must be zero back-filled.
-	g := reg.Gauge("s_gauge", "", L("shard", "1"))
-	g.Set(2)
-	smp.Sample()
-
-	series := smp.Series()
-	if got := series["s_total"]; len(got) != 2 || got[0] != 0 || got[1] != 5 {
-		t.Errorf("s_total series = %v, want [0 5]", got)
-	}
-	if got := series[`s_gauge{shard="1"}`]; len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("late gauge series = %v, want [0 2]", got)
-	}
-	if got := series["s_hist_count"]; len(got) != 2 || got[1] != 1 {
-		t.Errorf("hist count series = %v, want [0 1]", got)
-	}
-	if got := series["s_hist_sum"]; len(got) != 2 || got[1] != 0.5 {
-		t.Errorf("hist sum series = %v, want [0 0.5]", got)
-	}
-	if smp.Rows() != 2 {
-		t.Errorf("rows = %d, want 2", smp.Rows())
 	}
 }

@@ -39,9 +39,9 @@ func NewTCPConn(conn net.Conn, acct *netsim.Accountant, fromServer bool) *TCPCon
 	return &TCPConn{conn: conn, acct: acct, fromSrv: fromServer}
 }
 
-// LinkObservation implements netsim.LinkObserver. Without a packet layer
-// in the link's stack it reports a zero observation (a perfectly clear
-// link).
+// LinkObservation reports the packet layer's writer-side counters. Without
+// a packet layer in the link's stack it reports a zero observation (a
+// perfectly clear link).
 func (c *TCPConn) LinkObservation() netsim.LinkObservation {
 	if c.pc == nil {
 		return netsim.LinkObservation{}
