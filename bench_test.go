@@ -4,10 +4,15 @@
 // Custom metrics carry the table's headline numbers: fps, key-frame
 // percentage, mIoU×100, Mbps.
 //
-// These run real online distillation in pure Go, so each iteration is
-// seconds, not nanoseconds — run with the default -benchtime=1x semantics:
+// These run real online distillation in pure Go, so an iteration of a
+// table benchmark takes seconds, not nanoseconds, and go's default
+// -benchtime=1s runs each only once or a few times:
 //
 //	go test -bench=. -benchmem
+//
+// CI runs the distill-step benchmark once, as a smoke:
+//
+//	go test -run '^$' -bench '^BenchmarkTable2DistillStep$' -benchtime 1x .
 //
 // cmd/stbench regenerates the full-scale (5000-frame) versions.
 package repro

@@ -83,8 +83,13 @@ var scratchPool = sync.Pool{New: func() any { return new(xentScratch) }}
 // Numerics: the gradient and the loss are bit-identical to the scalar
 // two-pass form — per pixel a stable softmax in float64, math.Exp's
 // exponentials, the unscaled gradient rounded to float32 and then scaled by
-// float32(1/totalWeight) — on every kernel set (the test's
-// serialCrossEntropy is that form).
+// float32(1/totalWeight), a scaled gradient below 2^-126 in magnitude then
+// written as the zero of its sign — on every kernel set (the test's
+// serialCrossEntropy is that form). The flush spares the conv backward the
+// microcode assists its FMAs take on subnormal operands (about 5 % of the
+// entries on the drone stream; tensor.SoftmaxXentInto gives the figures),
+// leaves the loss value alone, and moves no weight the pinned training
+// runs check.
 func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, label []int32, weights []float32) float64 {
 	c, h, w := logits.Dim(0), logits.Dim(1), logits.Dim(2)
 	hw := h * w

@@ -161,9 +161,11 @@ func TestQuickCrossEntropyInvariants(t *testing.T) {
 
 // serialCrossEntropy is the textbook two-pass form of
 // SoftmaxCrossEntropyInto: unscaled gradients first, the 1/totalWeight
-// scaling in a second pass. The gradient it writes is the reference the
-// one-pass version must reproduce bit for bit.
-func serialCrossEntropy(grad, logits *tensor.Tensor, label []int32, weights []float32) float64 {
+// scaling in a second pass, and a scaled gradient that is subnormal written
+// as the zero of its sign. The gradient it writes is the reference the
+// one-pass version must reproduce bit for bit; it returns the loss and the
+// number of entries the flush zeroed.
+func serialCrossEntropy(grad, logits *tensor.Tensor, label []int32, weights []float32) (float64, int) {
 	c, hw := logits.Dim(0), logits.Dim(1)*logits.Dim(2)
 	probs := make([]float64, c)
 	var totalLoss, totalWeight float64
@@ -193,17 +195,25 @@ func serialCrossEntropy(grad, logits *tensor.Tensor, label []int32, weights []fl
 		}
 	}
 	inv := float32(1 / totalWeight)
+	flushed := 0
 	for i := range grad.Data {
-		grad.Data[i] *= inv
+		v := grad.Data[i] * inv
+		if math.Abs(float64(v)) < 0x1p-126 && v != 0 {
+			v = float32(math.Copysign(0, float64(v)))
+			flushed++
+		}
+		grad.Data[i] = v
 	}
-	return totalLoss / totalWeight
+	return totalLoss / totalWeight, flushed
 }
 
 // The one-pass loss reproduces the two-pass reference bit for bit —
 // gradient and loss value — weighted and unweighted, into a destination
 // full of NaNs, on an odd pixel count. The ×400 logits open channel gaps
 // past 708, where exponentials leave math.Exp's fast path (to denormals
-// and zeros).
+// and zeros), and make scaled gradients the flush must zero. The flush
+// touches only the gradient: the loss, summed from the label
+// probabilities, is the unflushed two-pass form's.
 func TestSoftmaxCrossEntropyMatchesTwoPassReference(t *testing.T) {
 	for _, scale := range []float64{4, 400} {
 		rng := rand.New(rand.NewSource(5))
@@ -218,7 +228,10 @@ func TestSoftmaxCrossEntropyMatchesTwoPassReference(t *testing.T) {
 		}
 		for _, weights := range [][]float32{nil, PixelWeightsInto(nil, label, h, w)} {
 			want := tensor.New(c, h, w)
-			wantLoss := serialCrossEntropy(want, logits, label, weights)
+			wantLoss, flushed := serialCrossEntropy(want, logits, label, weights)
+			if scale == 400 && flushed == 0 {
+				t.Fatalf("scale 400: no scaled gradient is subnormal, so the flush goes untested")
+			}
 			got := tensor.New(c, h, w)
 			got.Fill(float32(math.NaN()))
 			l := SoftmaxCrossEntropyInto(got, logits, label, weights)

@@ -992,8 +992,8 @@ msdone:
 // len(e)/n exponential rows e[ch*n:]: z[j] = 0 + e[0][j] + e[1][j] + ...,
 // then per row g = e/z, q[j] = g where label[j] == ch, g - 1 there, and
 // grad[ch*ld+j] = float32(w*g) * inv with w = weights[j] (1 when weights is
-// empty). The scalar xentGrad's operations in its order, four columns per
-// step; scalar tail.
+// empty), a subnormal result stored as the zero of its sign. The scalar
+// xentGrad's operations in its order, four columns per step; scalar tail.
 TEXT ·xentGradAVX(SB), NOSPLIT, $0-156
 	MOVQ grad_base+0(FP), R11
 	MOVQ q_base+24(FP), SI
@@ -1051,6 +1051,9 @@ xginit:
 	XORQ DX, DX                  // ch
 	VPXOR X15, X15, X15          // ch in every int32 lane
 	VPCMPEQD X12, X12, X12       // -1 in every int32 lane
+	VPSRLD $1, X12, X4           // 0x7fffffff: all but the sign
+	VPSRLD $9, X12, X5           // 0x007fffff: the largest subnormal
+	VPXOR X4, X12, X6            // 0x80000000: the sign
 xgrow:
 	CMPQ DX, R10
 	JGE  xgdone
@@ -1076,6 +1079,10 @@ xgw1:
 	VMULPD Y0, Y3, Y0
 	VCVTPD2PSY Y0, X0
 	VMULPS X14, X0, X0
+	VANDPS X4, X0, X1
+	VPCMPGTD X5, X1, X1          // |g| above every subnormal
+	VORPS X6, X1, X1
+	VANDPS X1, X0, X0            // a subnormal g keeps only its sign
 	VMOVUPS X0, (R11)(AX*4)
 	ADDQ $4, AX
 	JMP  xg
@@ -1098,6 +1105,10 @@ xgt2:
 	VMULSD X0, X3, X0
 	VCVTSD2SS X0, X0, X0
 	VMULSS X14, X0, X0
+	VANDPS X4, X0, X1
+	VPCMPGTD X5, X1, X1
+	VORPS X6, X1, X1
+	VANDPS X1, X0, X0
 	VMOVSS X0, (R11)(AX*4)
 	INCQ AX
 	JMP  xgtail

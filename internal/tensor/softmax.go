@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // SoftmaxXentInto is the per-pixel body of a softmax cross-entropy over
 // channel-major logits (logits[ch*ld+j], ch < c): for each pixel j < len(q),
@@ -11,6 +14,18 @@ import "fmt"
 //	grad[ch*ld+j] = float32(w * (p[ch] - [ch == label[j]])) * inv
 //	q[j]          = p[label[j]]
 //
+// except that a gradient entry whose float32 value is subnormal (|g| <
+// 2^-126) is stored as the zero of its sign. The flush exists for the conv
+// backward downstream: on the pinned drone key frames 5.0 % of the entries
+// are subnormal, every FMA that reads one takes a microcode assist, and
+// out3's backward ran 1.37 ms a call on them against 0.16 ms flushed (one
+// core of a 2-core Xeon VM). It moves no trained weight on the pinned
+// runs: the sums such an entry feeds in the backward are far larger, so it
+// lies below half their ulp, and 160 drone key frames hash
+// 0x57aeb31a218ea6ee with and without it. It runs in the store, on the
+// scaled value, and is not the FPU's flush-to-zero mode, which would also
+// touch the backward's and Adam's arithmetic.
+//
 // Labels must lie in [0, c). scratch is the working set: pixels run in
 // chunks of len(scratch)/(c+1) rounded down to a multiple of 4, which must
 // be at least 4.
@@ -19,10 +34,10 @@ import "fmt"
 // terms run channel-major over each chunk — one contiguous logit and
 // gradient row at a time — on AVX2+FMA kernels where those are selected,
 // and the exponentials go through ExpInto. Every value is the scalar
-// per-pixel form's bit for bit on either kernel set: the same `x > max`
-// selection (VMAXPD with x as the first source, NaN and ±0 included), the
-// same float64 subtraction, math.Exp's exponential, the same ascending sum
-// and the same division and rounding.
+// per-pixel form's, flush included, bit for bit on either kernel set: the
+// same `x > max` selection (VMAXPD with x as the first source, NaN and ±0
+// included), the same float64 subtraction, math.Exp's exponential, the
+// same ascending sum and the same division and rounding.
 func SoftmaxXentInto(grad []float32, q []float64, logits []float32, ld, c int, label []int32, weights []float32, inv float32, scratch []float64) {
 	chunk := len(scratch) / (c + 1) &^ 3
 	if c < 1 || chunk < 4 {
@@ -72,7 +87,9 @@ func maxShift(e, m []float64, l []float32, ld, c int) {
 
 // xentGrad turns exponentials e[ch*n+j] (n = len(z), c = len(e)/n) into the
 // SoftmaxXentInto outputs: z[j] is overwritten with their ascending-channel
-// sum, then grad[ch*ld+j] and q[j] are written from p = e/z.
+// sum, then grad[ch*ld+j] and q[j] are written from p = e/z. A subnormal
+// grad value is stored as the zero of its sign (SoftmaxXentInto says why);
+// ±0, ±Inf and NaN are stored as they are.
 func xentGrad(grad []float32, q, e, z []float64, ld int, label []int32, weights []float32, inv float32) {
 	n := len(z)
 	c := len(e) / n
@@ -95,7 +112,11 @@ func xentGrad(grad []float32, q, e, z []float64, ld int, label []int32, weights 
 			if weights != nil {
 				wt = float64(weights[j])
 			}
-			grow[j] = float32(wt*g) * inv
+			v := float32(wt*g) * inv
+			if b := math.Float32bits(v); b&0x7f800000 == 0 {
+				v = math.Float32frombits(b & 0x80000000)
+			}
+			grow[j] = v
 		}
 	}
 }
