@@ -235,9 +235,8 @@ func BenchmarkVideoGeneration(b *testing.B) {
 }
 
 // BenchmarkMultiClientThroughput compares aggregate server throughput with
-// 1 vs 16 concurrent client sessions sharing one batched teacher through
-// the internal/serve session manager — the scaling claim of the
-// multi-session server.
+// 1 vs 16 concurrent client sessions sharing one shard's teacher behind a
+// one-shard fabric.Router — the scaling claim of the multi-session server.
 func BenchmarkMultiClientThroughput(b *testing.B) {
 	for _, clients := range []int{1, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
@@ -258,11 +257,11 @@ func BenchmarkMultiClientThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkFabricThroughput compares the sharded serving fabric against the
-// single session manager at 64 concurrent clients: the same mixed-stream
-// population placed by rendezvous hash over 4 shard workers (each with its
-// own teacher, lock domain and session registry) versus one
-// serve.Manager. The headline metric is aggregate distill-step throughput —
+// BenchmarkFabricThroughput compares 4 shard workers against 1 at 64
+// concurrent clients: the same mixed-stream population placed by rendezvous
+// hash over 4 shards (each with its own teacher, lock domain and session
+// registry) versus all of it on the one shard shadowtutor-server runs by
+// default. The headline metric is aggregate distill-step throughput —
 // the server-side work rate the fabric exists to scale; agg-fps reports the
 // client-observed frame rate for context. On teacher-bound or lock-bound
 // deployments the shard count is the scaling lever; on a CPU-saturated

@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -42,7 +41,7 @@ func ExampleNaiveFPS() {
 	lat := core.PaperLatencies(true)
 	for _, bw := range []netsim.Mbps{80, 20} {
 		link := netsim.Link{Bandwidth: bw}
-		fmt.Printf("%2.0f Mbps: %.1f FPS\n", float64(bw), core.NaiveFPS(link, lat, 65*time.Millisecond))
+		fmt.Printf("%2.0f Mbps: %.1f FPS\n", float64(bw), core.NaiveFPS(link, lat))
 	}
 	// Output:
 	// 80 Mbps: 2.2 FPS

@@ -71,9 +71,6 @@ type SimConfig struct {
 	// this many frames after its key frame, overriding link timing — the
 	// P-1/P-8 protocol of Table 6.
 	DelayFrames int
-	// NaiveOverheadPerFrame adds fixed client-side cost per naive frame
-	// (encode/decode); calibrated so naive FPS lands near the paper's 2.09.
-	NaiveOverheadPerFrame time.Duration
 
 	// EvalEvery computes accuracy-vs-teacher every kth frame (1 = every
 	// frame, the paper's protocol). Larger values trade fidelity for speed
@@ -327,7 +324,7 @@ func simulateNaive(sc SimConfig) SimResult {
 		Mode: ModeNaive, Frames: sc.Frames, KeyFrames: sc.Frames, MeanIoU: 1,
 		BytesUp:     n * netsim.HDFrameBytes,
 		BytesDown:   n * netsim.HDNaiveResponseBytes,
-		VirtualTime: NaiveTime(sc.Link, lat, sc.Frames, sc.NaiveOverheadPerFrame),
+		VirtualTime: NaiveTime(sc.Link, lat, sc.Frames),
 	}
 }
 

@@ -282,7 +282,6 @@ func TestStepUnderLossyCodecKeepsClientOnView(t *testing.T) {
 func TestSimulateNaive(t *testing.T) {
 	sc := simCfg(50)
 	sc.Mode = ModeNaive
-	sc.NaiveOverheadPerFrame = 65 * time.Millisecond
 	res, err := Simulate(sc, calmSource(t, 5), teacher.NewOracle(5), teacher.NewOracle(5), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -383,8 +382,8 @@ func TestRetimeNoConcurrencySlower(t *testing.T) {
 
 func TestNaiveFPSDegradesWithBandwidth(t *testing.T) {
 	lat := PaperLatencies(true)
-	fps80 := NaiveFPS(netsim.Link{Bandwidth: 80, RTTBase: 5 * time.Millisecond}, lat, 65*time.Millisecond)
-	fps8 := NaiveFPS(netsim.Link{Bandwidth: 8, RTTBase: 5 * time.Millisecond}, lat, 65*time.Millisecond)
+	fps80 := NaiveFPS(netsim.Link{Bandwidth: 80, RTTBase: 5 * time.Millisecond}, lat)
+	fps8 := NaiveFPS(netsim.Link{Bandwidth: 8, RTTBase: 5 * time.Millisecond}, lat)
 	if fps8 >= fps80/3 {
 		t.Fatalf("naive at 8 Mbps (%v) should collapse vs 80 Mbps (%v)", fps8, fps80)
 	}
@@ -408,8 +407,8 @@ func TestRobustnessShapeFigure4(t *testing.T) {
 			100*(1-st40/st80))
 	}
 	lat := PaperLatencies(true)
-	nv80 := NaiveFPS(netsim.Link{Bandwidth: 80, RTTBase: 5 * time.Millisecond}, lat, 65*time.Millisecond)
-	nv40 := NaiveFPS(netsim.Link{Bandwidth: 40, RTTBase: 5 * time.Millisecond}, lat, 65*time.Millisecond)
+	nv80 := NaiveFPS(netsim.Link{Bandwidth: 80, RTTBase: 5 * time.Millisecond}, lat)
+	nv40 := NaiveFPS(netsim.Link{Bandwidth: 40, RTTBase: 5 * time.Millisecond}, lat)
 	if nv40 > 0.85*nv80 {
 		t.Fatal("naive should degrade noticeably from 80→40 Mbps")
 	}

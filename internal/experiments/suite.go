@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -106,14 +105,13 @@ func (s *Suite) Run(key RunKey) (core.SimResult, error) {
 	cfg.Partial = key.Partial
 
 	sc := core.SimConfig{
-		Cfg:                   cfg,
-		Mode:                  key.Mode,
-		Frames:                s.Opts.Frames,
-		Link:                  netsim.DefaultLink(),
-		Concurrency:           core.FullConcurrency,
-		DelayFrames:           key.Delay,
-		EvalEvery:             s.Opts.EvalEvery,
-		NaiveOverheadPerFrame: NaiveOverhead,
+		Cfg:         cfg,
+		Mode:        key.Mode,
+		Frames:      s.Opts.Frames,
+		Link:        netsim.DefaultLink(),
+		Concurrency: core.FullConcurrency,
+		DelayFrames: key.Delay,
+		EvalEvery:   s.Opts.EvalEvery,
 	}
 	student, err := FreshStudentFor(cfg)
 	if err != nil {
@@ -129,12 +127,6 @@ func (s *Suite) Run(key RunKey) (core.SimResult, error) {
 	s.mu.Unlock()
 	return res, nil
 }
-
-// NaiveOverhead is the fixed client-side per-frame cost (JPEG encode, mask
-// decode) of naive offloading, calibrated so naive throughput lands near
-// the paper's measured 2.09 FPS at 80 Mbps (§6.1: the pure transfer +
-// teacher time accounts for ~0.41 s of the measured 0.478 s per frame).
-const NaiveOverhead = 65 * time.Millisecond
 
 // CategoryRun is shorthand for Run on an LVS category.
 func (s *Suite) CategoryRun(cat video.Category, mode core.Mode, partial bool, delay, resample int) (core.SimResult, error) {

@@ -61,7 +61,7 @@ func (s *Suite) Table3() (*stats.Table, error) {
 	t := stats.NewTable("Table 3: throughput (FPS) and execution time (s)",
 		"Camera", "Scene", "Partial", "Full", "Naive")
 	lat := core.PaperLatencies(true)
-	naive := core.NaiveTime(link80(), lat, s.Opts.Frames, NaiveOverhead)
+	naive := core.NaiveTime(link80(), lat, s.Opts.Frames)
 	var pSum, fSum float64
 	for _, cat := range video.Categories {
 		row := make([]string, 0, 5)
@@ -162,7 +162,7 @@ func (s *Suite) Table5() (*stats.Table, error) {
 	t := stats.NewTable("Table 5: key frame ratio (%) and network traffic (Mbps)",
 		"Camera", "Scene", "KeyP", "KeyF", "KeyNaive", "TrafficP", "TrafficNaive")
 	lat := core.PaperLatencies(true)
-	naiveTime := core.NaiveTime(link80(), lat, s.Opts.Frames, NaiveOverhead)
+	naiveTime := core.NaiveTime(link80(), lat, s.Opts.Frames)
 	naiveBytes := int64(s.Opts.Frames) * int64(netsim.HDFrameBytes+netsim.HDNaiveResponseBytes)
 	naiveTraffic := netsim.TrafficMbps(naiveBytes, naiveTime)
 
@@ -294,7 +294,7 @@ func (s *Suite) Figure4() ([]Figure4Point, *stats.Table, error) {
 	row := []string{"naive"}
 	for _, bw := range Figure4Bandwidths {
 		link := netsim.Link{Bandwidth: bw, RTTBase: 5 * time.Millisecond}
-		fps := core.NaiveFPS(link, lat, NaiveOverhead)
+		fps := core.NaiveFPS(link, lat)
 		pts = append(pts, Figure4Point{Stream: "naive", Bandwidth: bw, FPS: fps})
 		row = append(row, fmt.Sprintf("%.2f", fps))
 	}

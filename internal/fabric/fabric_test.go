@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -496,5 +497,53 @@ func TestAdmissionShedAndClientRetry(t *testing.T) {
 			t.Fatalf("sessions served = %d, want 2", r.Stats().Agg.SessionsServed)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRouterOverTCP exercises the accept loop end to end on loopback: three
+// clients are routed and served, and Close ends ServeListener cleanly.
+func TestRouterOverTCP(t *testing.T) {
+	r := testRouter(t, 2, 8)
+	ln, err := transport.Listen("127.0.0.1:0", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- r.ServeListener(ln) }()
+
+	const clients = 3
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			conn, err := transport.Dial(ln.Addr(), 0, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			gen, err := video.NewGenerator(video.CategoryConfig(
+				video.Category{Camera: video.Fixed, Scenery: video.People}, int64(71+c)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			cl := &core.Client{Cfg: core.DefaultConfig(), Student: tinyBase(int64(81 + c))}
+			if err := cl.Run(conn, gen, 16); err != nil {
+				t.Errorf("client %d: %v", c, err)
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("serve loop: %v", err)
+	}
+	if st := r.Stats(); st.Agg.SessionsServed != clients {
+		t.Fatalf("served %d, want %d", st.Agg.SessionsServed, clients)
 	}
 }

@@ -26,10 +26,10 @@ type Options struct {
 	Shard func(i int) serve.Options
 	// Telemetry, when non-nil, registers the router's live routing
 	// counters (routed/sheds/handoffs/migrations), the placement-set
-	// gauge, and shed/drain/migrate trace events. It is also propagated
-	// into every shard's serve.Options (with ShardIndex = i) unless the
-	// Shard factory already set one, so one registry carries the whole
-	// fabric's per-shard occupancy gauges.
+	// gauge, and shed/drain/migrate trace events. It is also every
+	// shard's serve.Options.Telemetry (with ShardIndex = i), whatever the
+	// Shard factory set, so one registry carries the whole fabric's
+	// per-shard occupancy gauges.
 	Telemetry *telemetry.Registry
 	// Logf, when non-nil, receives routing lifecycle lines.
 	Logf func(format string, v ...any)
@@ -135,9 +135,7 @@ func NewRouter(opts Options) (*Router, error) {
 	for i := 0; i < opts.Shards; i++ {
 		so := opts.Shard(i)
 		so.ShardIndex = i
-		if so.Telemetry == nil {
-			so.Telemetry = opts.Telemetry
-		}
+		so.Telemetry = opts.Telemetry
 		m, err := serve.NewManager(so)
 		if err != nil {
 			for j := 0; j < i; j++ {

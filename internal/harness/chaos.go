@@ -58,9 +58,10 @@ func dropMidstreamCuts() []netsim.Fault {
 // live fault-free twin measured.
 func simChaosDelta(spec Spec, diffMsg int) (deltaPP, cleanMIoU float64, err error) {
 	// The recovery window is priced from the client's actual constants: the
-	// first-redial backoff, the resume handshake (Hello-ack sized), and the
-	// journal replay of the severed diff. At the default link this is
-	// ~70ms — matching the live harness's measured recovery_mean_ms.
+	// first-redial backoff (Drive leaves every client on the default), the
+	// resume handshake (Hello-ack sized), and the journal replay of the
+	// severed diff, all at the default link. The live run is unthrottled, so
+	// its recovery_mean_ms is about the backoff alone.
 	helloAck := transport.FrameOverhead + len(transport.EncodeHello(transport.Hello{}))
 	recovery := core.DefaultResumeBackoff +
 		netsim.DefaultLink().TransferTime(helloAck) +
@@ -147,7 +148,7 @@ func runChaosWithBaseline(spec Spec) ([]Metrics, error) {
 // its acceptance contract (2 reconnects, ≤1 full resend, mIoU within a few
 // percentage points of the clean twin) is asserted by TestChaosDropMidstream
 // and gated in CI via ci/bench_baseline.json. Its client is handed a frame
-// every 4 ms at most: an outage is ≈ 24 ms of wall clock whatever the
+// every 4 ms at most: an outage is ≈ 29 ms of wall clock whatever the
 // kernels cost, the run's mIoU is a step function of how many frames each
 // outage spans (which frame the replayed diff and the next key frame land
 // on), and the live bound was written when a frame took ≈ 3.8 ms.

@@ -57,7 +57,7 @@ func localKeyFrameBytes() int {
 // instead walks the ID space for IDs whose fabric home is shard 0, building
 // the deliberate hotspot the admission-control scenarios need.
 func sessionID(spec Spec, c int) uint64 {
-	if spec.Shards <= 1 || !spec.HashSkew {
+	if !spec.HashSkew {
 		return uint64(c + 1)
 	}
 	hits := 0
@@ -139,10 +139,11 @@ func clientDialer(spec Spec, addr string, acct *netsim.Accountant, up *netsim.Li
 	}
 }
 
-// Drive runs one end-to-end scenario: a loopback serve.Manager with the
-// shared batched teacher on one side, spec.Clients concurrent core.Clients
-// on the other, each over its own (throttled or trace-shaped) TCP link,
-// with the spec's codec as the serving tier's diff codec.
+// Drive runs one end-to-end scenario: on one side the serving tier
+// shadowtutor-server ships, a loopback fabric.Router over spec.Shards shard
+// workers (each with its own teacher behind one mutex); on the other,
+// spec.Clients concurrent core.Clients, each over its own (throttled or
+// trace-shaped) TCP link, with the spec's codec as the tier's diff codec.
 func Drive(name, family string, spec Spec) (Metrics, error) {
 	spec.setDefaults()
 	linkPolicy := spec.linkPolicy()
@@ -154,45 +155,24 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	// The serving tier: one serve.Manager, or — for fleet scenarios — a
-	// fabric.Router spreading sessions over Shards shard workers, each with
-	// its own teacher replica and session registry.
-	var (
-		mgr    *serve.Manager
-		router *fabric.Router
-	)
-	if spec.Shards > 1 {
-		perShard := spec.ShardCapacity
-		if perShard <= 0 {
-			perShard = spec.Clients
-		}
-		router, err = fabric.NewRouter(fabric.Options{
-			Shards:    spec.Shards,
-			Telemetry: reg,
-			Shard: func(i int) serve.Options {
-				return serve.Options{
-					Cfg:  cfg,
-					Base: base,
-					// One teacher replica per shard (a shard's sessions
-					// take turns on its teacher behind one mutex).
-					Teacher:       teacher.NewOracle(spec.Seed + 997 + int64(i)*7919),
-					MaxSessions:   perShard,
-					EnvelopeCodec: spec.EnvelopeCodec,
-					LinkPolicy:    linkPolicy,
-				}
-			},
-		})
-	} else {
-		mgr, err = serve.NewManager(serve.Options{
-			Cfg:           cfg,
-			Base:          base,
-			Teacher:       teacher.NewOracle(spec.Seed + 997),
-			MaxSessions:   spec.Clients,
-			EnvelopeCodec: spec.EnvelopeCodec,
-			LinkPolicy:    linkPolicy,
-			Telemetry:     reg,
-		})
+	perShard := spec.ShardCapacity
+	if perShard <= 0 {
+		perShard = spec.Clients
 	}
+	router, err := fabric.NewRouter(fabric.Options{
+		Shards:    spec.Shards,
+		Telemetry: reg,
+		Shard: func(i int) serve.Options {
+			return serve.Options{
+				Cfg:           cfg,
+				Base:          base,
+				Teacher:       teacher.NewOracle(spec.Seed + 997 + int64(i)*7919),
+				MaxSessions:   perShard,
+				EnvelopeCodec: spec.EnvelopeCodec,
+				LinkPolicy:    linkPolicy,
+			}
+		},
+	})
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -226,12 +206,8 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 	// Capacity 2: the serve-loop result plus a possible drain error, so
 	// neither sender can block after Drive has returned.
 	serveErr := make(chan error, 2)
-	if router != nil {
-		go func() { serveErr <- router.ServeListener(ln) }()
-	} else {
-		go func() { serveErr <- mgr.ServeListener(ln) }()
-	}
-	if router != nil && spec.DrainAfter > 0 {
+	go func() { serveErr <- router.ServeListener(ln) }()
+	if spec.DrainAfter > 0 {
 		drainTimer := time.AfterFunc(spec.DrainAfter, func() {
 			if _, err := router.Drain(spec.DrainShard); err != nil {
 				// Draining an already-drained or last shard is a scenario
@@ -284,20 +260,12 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 				// hash and checkpoints arrive base-relative.
 				cl.Base = base.Params
 			}
-			if len(spec.ChaosCuts) > 0 {
-				// Chaos scenarios measure the resilience subsystem: every
-				// client reconnects through the same dialer, so the i-th
-				// redial picks up the i-th scripted fault.
-				cl.Dial = dial
-				cl.ResumeBackoff = 20 * time.Millisecond
-			}
-			if spec.Shards > 1 {
-				// Fleet scenarios need the redial path for admission
-				// shedding (and, with a hotspot, enough patience to wait
-				// out the watermark: sessions ahead of us must finish).
-				cl.Dial = dial
-				cl.MaxResumeAttempts = 120
-			}
+			// Every client redials as the shipped one does, through the
+			// same dialer, so its i-th redial picks up the i-th scripted
+			// fault; a shed Hello retries too, with patience enough for a
+			// hotspot's watermark (the sessions ahead of it must finish).
+			cl.Dial = dial
+			cl.MaxResumeAttempts = 120
 			var src video.Source = gen
 			if spec.FrameInterval > 0 {
 				src = &pacedSource{src: gen, every: spec.FrameInterval}
@@ -308,11 +276,7 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if router != nil {
-		if err := router.Close(); err != nil {
-			return Metrics{}, err
-		}
-	} else if err := mgr.Close(); err != nil {
+	if err := router.Close(); err != nil {
 		return Metrics{}, err
 	}
 	if err := <-serveErr; err != nil {
@@ -367,19 +331,14 @@ func Drive(name, family string, spec Spec) (Metrics, error) {
 	m.BytesUpHDMB = netsim.HDScale(up, kfBytes) / 1e6
 	m.BytesDownHDMB = netsim.HDScale(down, kfBytes) / 1e6
 
-	var ms serve.Stats
-	if router != nil {
-		fs := router.Stats()
-		ms = fs.Agg
-		m.Shards = spec.Shards
-		m.Handoffs = fs.Handoffs
-		m.Sheds = fs.Sheds
-		m.Migrated = fs.Migrated
-		for _, ss := range fs.Shards {
-			m.ShardSessions = append(m.ShardSessions, ss.SessionsServed)
-		}
-	} else {
-		ms = mgr.Stats()
+	fs := router.Stats()
+	ms := fs.Agg
+	m.Shards = spec.Shards
+	m.Handoffs = fs.Handoffs
+	m.Sheds = fs.Sheds
+	m.Migrated = fs.Migrated
+	for _, ss := range fs.Shards {
+		m.ShardSessions = append(m.ShardSessions, ss.SessionsServed)
 	}
 	m.MeanDistillSteps = ms.MeanDistillSteps()
 	m.DistillStepMS = float64(ms.MeanStepLatency()) / float64(time.Millisecond)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -150,6 +151,11 @@ func TestDriveEndToEnd(t *testing.T) {
 	}
 	if m.MeanDistillSteps <= 0 || m.DistillStepMS <= 0 {
 		t.Errorf("distill metrics missing: %+v", m)
+	}
+	// A spec that names no shard count runs the tier shadowtutor-server
+	// ships by default: a router over one shard, which served every client.
+	if m.Shards != 1 || !slices.Equal(m.ShardSessions, []int64{int64(spec.Clients)}) {
+		t.Errorf("shards %d serving %v, want 1 serving [%d]", m.Shards, m.ShardSessions, spec.Clients)
 	}
 }
 

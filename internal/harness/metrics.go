@@ -1,7 +1,8 @@
 // Package harness is the declarative scenario layer over the whole system:
 // named end-to-end scenarios (bandwidth profile — fixed or time-varying
 // trace — × client count × diff codec × video workload) run over a loopback
-// serve.Manager, producing structured, versioned, machine-readable metrics.
+// fabric.Router, the serving tier shadowtutor-server ships, producing
+// structured, versioned, machine-readable metrics.
 // cmd/stbench drives it (-scenario, -json) and cmd/benchdiff compares two
 // metric files under per-metric tolerances — the CI perf-regression gate.
 package harness
@@ -34,8 +35,8 @@ const (
 // Metrics is the structured result of one scenario run. Field meanings:
 // throughput and latency are measured client-side over the real loopback
 // connection; bytes are wire bytes scaled to the paper's HD regime
-// (netsim.HDScale); teacher/distill numbers come from the shared
-// serve.Manager. Zero values mean "not measured by this scenario family".
+// (netsim.HDScale); teacher/distill numbers fold every shard of the
+// fabric.Router. Zero values mean "not measured by this scenario family".
 type Metrics struct {
 	Scenario        string `json:"scenario"`
 	Family          string `json:"family"`
@@ -75,13 +76,13 @@ type Metrics struct {
 	RecoveryMeanMS float64 `json:"recovery_mean_ms,omitempty"`
 	MIoUDeltaPct   float64 `json:"miou_delta_pct,omitempty"`
 
-	// Sharded-fabric metrics, populated when the scenario runs the serving
-	// tier as a fabric.Router over >1 shard workers (fleet families).
-	// ShardSessions is sessions served per shard index — the occupancy
-	// profile rendezvous hashing produced; Handoffs counts resumes served
-	// by pulling the parked session from another shard; Sheds counts
-	// admission-control retryable rejects at the capacity watermark;
-	// Migrated counts parked sessions moved by shard drains.
+	// Sharded-fabric metrics, populated by every Drive run (Shards is at
+	// least 1); the fleet families vary the shard count. ShardSessions is
+	// sessions served per shard index — the occupancy profile rendezvous
+	// hashing produced; Handoffs counts resumes served by pulling the
+	// parked session from another shard; Sheds counts admission-control
+	// retryable rejects at the capacity watermark; Migrated counts parked
+	// sessions moved by shard drains.
 	Shards        int     `json:"shards,omitempty"`
 	ShardSessions []int64 `json:"shard_sessions,omitempty"`
 	Handoffs      int64   `json:"handoffs,omitempty"`

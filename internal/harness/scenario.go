@@ -59,18 +59,18 @@ type Spec struct {
 	// bounds what an outage costs sets this to keep the outage the same
 	// number of stale frames on every host fast enough to hold the interval.
 	FrameInterval time.Duration
-	// Shards runs the serving tier as a fabric.Router over this many shard
-	// workers instead of one serve.Manager (0 or 1 keeps the single-shard
-	// path). The fleet/* families exercise it.
+	// Shards is the number of shard workers the serving tier's
+	// fabric.Router runs (default 1, as shadowtutor-server's -shards). The
+	// fleet/* families vary it.
 	Shards int
-	// ShardCapacity is the per-shard admission watermark (active sessions)
-	// when Shards > 1; beyond it the router sheds fresh Hellos with a
-	// retryable reject and the client backs off. 0 defaults to Clients, so
-	// uniformly hashed populations never shed.
+	// ShardCapacity is the per-shard admission watermark (active
+	// sessions); beyond it the router sheds fresh Hellos with a retryable
+	// reject and the client backs off. 0 defaults to Clients, so uniformly
+	// hashed populations never shed.
 	ShardCapacity int
-	// HashSkew, with Shards > 1, assigns every client a session ID that
-	// rendezvous-hashes to shard 0 — the adversarial hotspot that drives
-	// the watermark/shedding machinery.
+	// HashSkew assigns every client a session ID that rendezvous-hashes to
+	// shard 0 — the adversarial hotspot that drives the watermark/shedding
+	// machinery. With one shard it changes nothing.
 	HashSkew bool
 	// DrainShard and DrainAfter script a mid-run shard drain: DrainAfter
 	// into the run, shard index DrainShard leaves the placement set and its
@@ -124,6 +124,9 @@ func (s *Spec) setDefaults() {
 	if s.Seed == 0 {
 		s.Seed = 11
 	}
+	if s.Shards <= 0 {
+		s.Shards = 1
+	}
 	if s.Workload == "" {
 		s.Workload = "mixed"
 	}
@@ -172,9 +175,10 @@ func (s Spec) LossLabel() string {
 
 // Scenario is one registered, named experiment. Names are hierarchical
 // ("family/variant") so globs select whole families: -scenario
-// 'bandwidth-sweep/*'. Run is nil for driver scenarios (the default
-// loopback serve.Manager pipeline); custom scenarios (folded ablation and
-// compression runners) provide their own Run over the same Spec knobs.
+// 'bandwidth-sweep/*'. Run is nil for driver scenarios (Drive: the shipped
+// serving tier, a fabric.Router, over loopback); custom scenarios (folded
+// ablation and compression runners) provide their own Run over the same
+// Spec knobs.
 type Scenario struct {
 	Name string
 	Desc string

@@ -86,7 +86,8 @@ type Options struct {
 	// latency histogram — and records session events into the registry's
 	// trace ring, all labelled shard=ShardIndex. End-of-run Stats are
 	// unaffected; this is the live view the ROADMAP's fabric control
-	// plane reads while sessions are still running.
+	// plane reads while sessions are still running. A fabric.Router sets
+	// it on every shard from its own Options.Telemetry.
 	Telemetry *telemetry.Registry
 	// ShardIndex is the shard attribution used in metric labels and trace
 	// events when several managers share one registry (internal/fabric
@@ -111,14 +112,13 @@ type Manager struct {
 
 	tm managerTelemetry
 
-	mu        sync.Mutex
-	closed    bool
-	nextID    uint64
-	active    map[uint64]*session // attached to a live connection
-	parked    map[uint64]*session // detached, awaiting resumption
-	conns     map[transport.Conn]struct{}
-	agg       Stats // the summed counters; Stats fills in the gauges
-	listeners []*transport.Listener
+	mu     sync.Mutex
+	closed bool
+	nextID uint64
+	active map[uint64]*session // attached to a live connection
+	parked map[uint64]*session // detached, awaiting resumption
+	conns  map[transport.Conn]struct{}
+	agg    Stats // the summed counters; Stats fills in the gauges
 }
 
 // diffCodec parses Options.LinkPolicy: "" is raw, and "static:<codec>"
@@ -337,32 +337,6 @@ func (m *Manager) unregister(id uint64) {
 	}
 }
 
-// ServeListener accepts connections from ln until the manager is closed or
-// the listener fails, spawning one session handler goroutine per client.
-// Close closes ln, so a post-Close accept error reports as clean shutdown.
-func (m *Manager) ServeListener(ln *transport.Listener) error {
-	m.mu.Lock()
-	m.listeners = append(m.listeners, ln)
-	m.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-m.quit:
-				return nil
-			default:
-				return err
-			}
-		}
-		go func() {
-			defer conn.Close()
-			// Handle tracks itself with the shutdown WaitGroup and logs
-			// session failures.
-			m.Handle(conn)
-		}()
-	}
-}
-
 // Load reports the number of active sessions against the manager's
 // capacity (MaxSessions). A router frontend consults it for admission
 // control: the watermark check happens before the session is handed over,
@@ -415,9 +389,9 @@ func (m *Manager) ParkedIDs() []uint64 {
 	return slices.Collect(maps.Keys(m.parked))
 }
 
-// Close stops accepting sessions, closes any listeners handed to
-// ServeListener, waits up to DrainTimeout for active sessions to finish
-// (then force-closes their connections), and evicts every parked session.
+// Close stops accepting sessions, waits up to DrainTimeout for active
+// sessions to finish (then force-closes their connections), and evicts
+// every parked session.
 // Idempotent; concurrent callers block until the first invocation
 // completes.
 func (m *Manager) Close() error {
@@ -425,12 +399,7 @@ func (m *Manager) Close() error {
 		close(m.quit)
 		m.mu.Lock()
 		m.closed = true
-		lns := m.listeners
-		m.listeners = nil
 		m.mu.Unlock()
-		for _, ln := range lns {
-			ln.Close()
-		}
 
 		done := make(chan struct{})
 		go func() {

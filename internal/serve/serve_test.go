@@ -221,55 +221,6 @@ func TestManagerCloseForceClosesStalledSession(t *testing.T) {
 	}
 }
 
-// TestManagerOverTCP exercises the accept loop end to end on loopback.
-func TestManagerOverTCP(t *testing.T) {
-	base := tinyStudent(23)
-	m := testManager(t, base, 8)
-
-	ln, err := transport.Listen("127.0.0.1:0", 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- m.ServeListener(ln) }()
-
-	const clients = 3
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			conn, err := transport.Dial(ln.Addr(), 0, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer conn.Close()
-			gen, err := video.NewGenerator(video.CategoryConfig(
-				video.Category{Camera: video.Fixed, Scenery: video.People}, int64(71+c)))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			cl := &core.Client{Cfg: core.DefaultConfig(), Student: tinyStudent(int64(81 + c))}
-			if err := cl.Run(conn, gen, 16); err != nil {
-				t.Errorf("client %d: %v", c, err)
-			}
-		}(c)
-	}
-	wg.Wait()
-
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatalf("serve loop: %v", err)
-	}
-	if st := m.Stats(); st.SessionsServed != clients {
-		t.Fatalf("served %d, want %d", st.SessionsServed, clients)
-	}
-}
-
 // noGoodbye drops the client's Shutdown, so closing the conn parks the
 // session and its View can be read.
 type noGoodbye struct{ transport.Conn }
