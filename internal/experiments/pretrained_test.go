@@ -5,6 +5,7 @@ import (
 	"flag"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -143,18 +144,25 @@ func TestEmbeddedPretrainedCheckpoint(t *testing.T) {
 }
 
 // partialDistillHash is nn.HashParams of the student after
-// TestPartialDistillationBitsPinned's 40 key frames on the avx2+fma kernels.
-const partialDistillHash = 0x66bdf628ebd93b30
+// TestPartialDistillationBitsPinned's 40 key frames, per kernel set. The
+// portable hash holds on amd64 only: other architectures' compilers may
+// fuse the portable kernels' multiply-adds.
+var partialDistillHash = map[string]uint64{
+	"avx2+fma": 0x66bdf628ebd93b30,
+	"portable": 0xcfee394555cda7b2,
+}
 
 // TestPartialDistillationBitsPinned pins run-time partial distillation: the
 // embedded student under core.DefaultConfig, trained on 40 key frames of the
 // drone stream (one every 9th frame) against oracle labels. That run feeds
 // the loss logits whose gaps push exponentials outside the fast range, so a
 // kernel that changes any bit of the loss, the backward or the update fails
-// here before it can move a benchmark.
+// here before it can move a benchmark. It runs on both kernel sets
+// (SHADOWTUTOR_NOAVX=1 selects the portable one).
 func TestPartialDistillationBitsPinned(t *testing.T) {
-	if isa := tensor.VecKernelISA(); isa != "avx2+fma" || raceEnabled {
-		t.Skipf("pinned on avx2+fma kernels without the race detector (have %s, race %v)", isa, raceEnabled)
+	isa := tensor.VecKernelISA()
+	if raceEnabled || (isa == "portable" && runtime.GOARCH != "amd64") {
+		t.Skipf("pinned on amd64 without the race detector (have %s on %s, race %v)", isa, runtime.GOARCH, raceEnabled)
 	}
 	st, err := SharedPretrained()
 	if err != nil {
@@ -175,7 +183,7 @@ func TestPartialDistillationBitsPinned(t *testing.T) {
 		d.Train(frame, tch.Infer(frame))
 		g.Skip(8)
 	}
-	if got := nn.HashParams(st.Params.All()); got != partialDistillHash {
-		t.Fatalf("partial distillation hashes %#x, want %#x: training numerics changed", got, partialDistillHash)
+	if got := nn.HashParams(st.Params.All()); got != partialDistillHash[isa] {
+		t.Fatalf("partial distillation on %s kernels hashes %#x, want %#x: training numerics changed", isa, got, partialDistillHash[isa])
 	}
 }

@@ -30,10 +30,11 @@ type Backend interface {
 	// MatMulABTInto computes dst[m,n] = a[m,k] × b[n,k]ᵀ (NT form; matmul
 	// backward input gradients).
 	MatMulABTInto(dst, a, b []float32, m, n, k int)
-	// Conv2DWS runs the fused im2col+GEMM convolution forward: weights w
-	// [OC,C,KH,KW], optional bias b (len OC or nil), CHW input x, result
-	// [OC,OH,OW] leased from ws. Shapes are pre-validated by the package
-	// wrapper Conv2DWS; implementations may assume they are consistent.
+	// Conv2DWS runs the convolution forward as one GEMM over the im2col
+	// matrix, lowered or read in place: weights w [OC,C,KH,KW], optional
+	// bias b (len OC or nil), CHW input x, result [OC,OH,OW] leased from
+	// ws. Shapes are pre-validated by the package wrapper Conv2DWS;
+	// implementations may assume they are consistent.
 	Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor
 }
 

@@ -40,6 +40,12 @@ func packTile4x16AVX(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, loa
 func packTile4x24AVX(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, load bool)
 
 //go:noescape
+func packTileInd4x24AVX(c []float32, ldc int, ap, b []float32, offs []int32, nq, nt int, load bool)
+
+//go:noescape
+func dot3x4IndAVX(c []float32, ldc int, a []float32, lda int, b []float32, offs []int32, h, w, wp int)
+
+//go:noescape
 func reluAVX(d []float32)
 
 //go:noescape
@@ -74,6 +80,8 @@ func init() {
 	xentGradf = xentGradAVX
 	packTilef = packTile4x16AVX
 	packTile24f = packTile4x24AVX
+	packTileInd24f = packTileInd4x24AVX
+	dot3x4Indf = dot3x4IndAVX
 	packMicroOK = true
 	vecKernelISA = "avx2+fma"
 }

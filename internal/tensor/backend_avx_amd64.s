@@ -586,6 +586,125 @@ t24store:
 	VZEROUPPER
 	RET
 
+// func packTileInd4x24AVX(c []float32, ldc int, ap, b []float32, offs []int32, nq, nt int, load bool)
+// packTile4x24AVX with an indirect B: k position p of the panel reads its
+// 24 B floats at b + offs[p] floats instead of one ldb stride past the
+// previous position's. An indirect convolution (indirect.go) passes b at
+// its tile's corner in the padded planes and offs at the panel's slice of
+// the row-offset table. Every other instruction — the packed-A walk, the
+// broadcasts, the FMA operand order, the C load and store — is
+// packTile4x24AVX's, so each element is the same FMA chain.
+#define IND24K(r0, r1, r2, r3) \
+	MOVLQSX (R13), AX; \
+	ADDQ $4, R13; \
+	VMOVUPS (R8)(AX*4), Y12; \
+	VMOVUPS 32(R8)(AX*4), Y13; \
+	VMOVUPS 64(R8)(AX*4), Y14; \
+	VBROADCASTSS r0(SI), Y15; \
+	VFMADD231PS Y12, Y15, Y0; \
+	VFMADD231PS Y13, Y15, Y1; \
+	VFMADD231PS Y14, Y15, Y2; \
+	VBROADCASTSS r1(SI), Y15; \
+	VFMADD231PS Y12, Y15, Y3; \
+	VFMADD231PS Y13, Y15, Y4; \
+	VFMADD231PS Y14, Y15, Y5; \
+	VBROADCASTSS r2(SI), Y15; \
+	VFMADD231PS Y12, Y15, Y6; \
+	VFMADD231PS Y13, Y15, Y7; \
+	VFMADD231PS Y14, Y15, Y8; \
+	VBROADCASTSS r3(SI), Y15; \
+	VFMADD231PS Y12, Y15, Y9; \
+	VFMADD231PS Y13, Y15, Y10; \
+	VFMADD231PS Y14, Y15, Y11
+TEXT ·packTileInd4x24AVX(SB), NOSPLIT, $0-121
+	MOVQ c_base+0(FP), DI
+	MOVQ ldc+24(FP), R12
+	SHLQ $2, R12
+	MOVQ ap_base+32(FP), SI
+	MOVQ b_base+56(FP), R8
+	MOVQ offs_base+80(FP), R13
+	MOVQ nq+104(FP), CX
+	MOVQ nt+112(FP), BX
+	MOVBLZX load+120(FP), AX
+	TESTL AX, AX
+	JNZ  i24load
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	JMP  i24quads
+
+i24load:
+	MOVQ DI, DX
+	VMOVUPS (DX), Y0
+	VMOVUPS 32(DX), Y1
+	VMOVUPS 64(DX), Y2
+	ADDQ R12, DX
+	VMOVUPS (DX), Y3
+	VMOVUPS 32(DX), Y4
+	VMOVUPS 64(DX), Y5
+	ADDQ R12, DX
+	VMOVUPS (DX), Y6
+	VMOVUPS 32(DX), Y7
+	VMOVUPS 64(DX), Y8
+	ADDQ R12, DX
+	VMOVUPS (DX), Y9
+	VMOVUPS 32(DX), Y10
+	VMOVUPS 64(DX), Y11
+
+i24quads:
+	TESTQ CX, CX
+	JZ   i24tail
+
+i24quadloop:
+	IND24K(0, 16, 32, 48)
+	IND24K(4, 20, 36, 52)
+	IND24K(8, 24, 40, 56)
+	IND24K(12, 28, 44, 60)
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  i24quadloop
+
+i24tail:
+	TESTQ BX, BX
+	JZ   i24store
+
+i24tailloop:
+	IND24K(0, 4, 8, 12)
+	ADDQ $16, SI
+	DECQ BX
+	JNZ  i24tailloop
+
+i24store:
+	MOVQ DI, DX
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, 32(DX)
+	VMOVUPS Y2, 64(DX)
+	ADDQ R12, DX
+	VMOVUPS Y3, (DX)
+	VMOVUPS Y4, 32(DX)
+	VMOVUPS Y5, 64(DX)
+	ADDQ R12, DX
+	VMOVUPS Y6, (DX)
+	VMOVUPS Y7, 32(DX)
+	VMOVUPS Y8, 64(DX)
+	ADDQ R12, DX
+	VMOVUPS Y9, (DX)
+	VMOVUPS Y10, 32(DX)
+	VMOVUPS Y11, 64(DX)
+	VZEROUPPER
+	RET
+#undef IND24K
+
 // func reluAVX(d []float32)
 // In-place ReLU: d[i] = max(d[i], 0), 32 lanes per iteration. VMAXPS with
 // +0 as the first source returns the second source when both are zero or
@@ -775,6 +894,128 @@ d34tail:
 	JMP  d34tail
 
 d34done:
+	VMOVSS X0, (R12)
+	VMOVSS X1, 4(R12)
+	VMOVSS X2, 8(R12)
+	VMOVSS X3, 12(R12)
+	ADDQ R13, R12
+	VMOVSS X4, (R12)
+	VMOVSS X5, 4(R12)
+	VMOVSS X6, 8(R12)
+	VMOVSS X7, 12(R12)
+	ADDQ R13, R12
+	VMOVSS X8, (R12)
+	VMOVSS X9, 4(R12)
+	VMOVSS X10, 8(R12)
+	VMOVSS X11, 12(R12)
+	VZEROUPPER
+	RET
+
+// func dot3x4IndAVX(c []float32, ldc int, a []float32, lda int, b []float32, offs []int32, h, w, wp int)
+// dot3x4AVX over rows read in segments: a's rows start at a, a+lda and
+// a+2*lda floats and run h*w floats contiguously; B's row j is h segments
+// of w floats at b + offs[j] + y*wp (y < h) — a convolution's lowered row
+// read in place from its padded planes (indirect.go). The twelve
+// accumulators carry across segments, and w must be a positive multiple of
+// 8, so every lane sees the lowered row's elements in dot3x4AVX's order and
+// no scalar tail is left: each result is dot3x4AVX's on the lowered rows
+// bit for bit. lda = ldc = 0 computes one a row three times into one place.
+TEXT ·dot3x4IndAVX(SB), NOSPLIT, $0-136
+	MOVQ lda+56(FP), DX
+	SHLQ $2, DX
+	MOVQ a_base+32(FP), SI
+	LEAQ (SI)(DX*1), DI
+	LEAQ (DI)(DX*1), BX
+	MOVQ b_base+64(FP), R12
+	MOVQ offs_base+88(FP), R13
+	MOVLQSX (R13), AX
+	LEAQ (R12)(AX*4), R8
+	MOVLQSX 4(R13), AX
+	LEAQ (R12)(AX*4), R9
+	MOVLQSX 8(R13), AX
+	LEAQ (R12)(AX*4), R10
+	MOVLQSX 12(R13), AX
+	LEAQ (R12)(AX*4), R11
+	MOVQ wp+128(FP), R13
+	SHLQ $2, R13
+	MOVQ h+112(FP), R14
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	// AX indexes a across segments; DX indexes b within one.
+	XORQ AX, AX
+	TESTQ R14, R14
+	JZ   d34ireduce
+
+d34irow:
+	XORQ DX, DX
+	MOVQ w+120(FP), CX
+
+d34iloop:
+	VMOVUPS (SI)(AX*4), Y12
+	VMOVUPS (DI)(AX*4), Y13
+	VMOVUPS (BX)(AX*4), Y14
+	VMOVUPS (R8)(DX*4), Y15
+	VFMADD231PS Y15, Y12, Y0
+	VFMADD231PS Y15, Y13, Y4
+	VFMADD231PS Y15, Y14, Y8
+	VMOVUPS (R9)(DX*4), Y15
+	VFMADD231PS Y15, Y12, Y1
+	VFMADD231PS Y15, Y13, Y5
+	VFMADD231PS Y15, Y14, Y9
+	VMOVUPS (R10)(DX*4), Y15
+	VFMADD231PS Y15, Y12, Y2
+	VFMADD231PS Y15, Y13, Y6
+	VFMADD231PS Y15, Y14, Y10
+	VMOVUPS (R11)(DX*4), Y15
+	VFMADD231PS Y15, Y12, Y3
+	VFMADD231PS Y15, Y13, Y7
+	VFMADD231PS Y15, Y14, Y11
+	ADDQ $8, AX
+	ADDQ $8, DX
+	CMPQ DX, CX
+	JLT  d34iloop
+
+	ADDQ R13, R8
+	ADDQ R13, R9
+	ADDQ R13, R10
+	ADDQ R13, R11
+	DECQ R14
+	JNZ  d34irow
+
+d34ireduce:
+	// dot3x4AVX's reduction, accumulator by accumulator.
+#define D34RED(Y, X) \
+	VEXTRACTF128 $1, Y, X12; \
+	VADDPS X12, X, X; \
+	VHADDPS X, X, X; \
+	VHADDPS X, X, X
+	D34RED(Y0, X0)
+	D34RED(Y1, X1)
+	D34RED(Y2, X2)
+	D34RED(Y3, X3)
+	D34RED(Y4, X4)
+	D34RED(Y5, X5)
+	D34RED(Y6, X6)
+	D34RED(Y7, X7)
+	D34RED(Y8, X8)
+	D34RED(Y9, X9)
+	D34RED(Y10, X10)
+	D34RED(Y11, X11)
+#undef D34RED
+
+	MOVQ c_base+0(FP), R12
+	MOVQ ldc+24(FP), R13
+	SHLQ $2, R13
 	VMOVSS X0, (R12)
 	VMOVSS X1, 4(R12)
 	VMOVSS X2, 8(R12)

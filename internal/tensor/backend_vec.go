@@ -49,6 +49,12 @@ var (
 	packTilef   func(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, load bool)
 	packTile24f func(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, load bool)
 	packMicroOK = false
+
+	// packTileInd24f is packTile24f with B's rows read through a row-offset
+	// table (packTileInd4x24AVX; indirect.go), set with the other
+	// micro-kernels; dot3x4Indf is dot3x4f's indirect form.
+	packTileInd24f func(c []float32, ldc int, ap, b []float32, offs []int32, nq, nt int, load bool)
+	dot3x4Indf     = dot3x4Ind
 )
 
 // VecKernelISA reports which instruction set the vec backend's microkernels
@@ -290,38 +296,50 @@ func vecGemmDot(cd, ad, bd []float32, m, n, k int) {
 const convBwdTile = 4
 
 // Conv2DBackwardWS is the vec backend's private conv backward (found by the
-// package-level Conv2DBackwardWS through the convBackwarder probe). The
-// forward's transposed lowering (lowerCHW) removes every per-element gather
-// the generic path does: gy is already the [OC, HW] matrix, so dW is the NT
-// product gy x cols^T over contiguous rows (vecGemmDot, three gy rows per
-// pass), and the input gradient dcols = W^T x gy is produced in the
-// transposed layout [CKK, HW], whose col2im scatter is one vector add per
-// row for stride-1 same-width convs (vecCol2imT). A 1x1 stride-1 unpadded
-// conv skips the lowering, as its forward does. dcols runs on the packed
-// GEMM over a packed W^T, one convBwdTile-channel tile at a time. Every
-// element is still one ascending-k FMA chain (or vecGemmAxpy's order on
-// portable kernels) and every dx element belongs to one channel, so the
-// tiling changes no bit.
+// package-level Conv2DBackwardWS through the convBackwarder probe). gy is
+// already the [OC, HW] matrix, so dW is the NT product gy x cols^T over
+// contiguous rows (vecGemmDot, three gy rows per pass) with cols the
+// forward's transposed lowering (lowerCHW) — read in place from a padded
+// copy of x where the forward is indirect (vecGemmDotInd, the same bits),
+// and x itself for a 1x1 stride-1 unpadded conv. The input gradient
+// dcols = W^T x gy is produced in the transposed layout [CKK, HW], whose
+// col2im scatter is one vector add per row for stride-1 same-width convs
+// (vecCol2imT). dcols runs on the packed GEMM over a packed W^T, one
+// convBwdTile-channel tile at a time. Every element is still one
+// ascending-k FMA chain (or vecGemmAxpy's order on portable kernels) and
+// every dx element belongs to one channel, so the tiling changes no bit.
 func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {
+	return conv2DBackwardVec(ws, x, w, gy, s, needInput, convIndirectOK(s, x.Dim(1), x.Dim(2)))
+}
+
+// conv2DBackwardVec is vec's conv backward with the weight gradient on the
+// indirect path or the lowering one.
+func conv2DBackwardVec(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput, indirect bool) (dx, dw, db *Tensor) {
 	oc := w.Dim(0)
 	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
 	oh, ow := s.OutSize(h, wid)
 	hw := oh * ow
 	kk := s.KH * s.KW
 	ckk := c * kk
-	// A 1x1 stride-1 unpadded conv's input already is its lowering, as in
-	// the forward (conv1x1Direct).
-	cols := x.Data
-	var colsC *Tensor // stays nil for the no-lowering case; Put(nil) is a no-op
-	if !conv1x1Direct(s) {
-		colsC = ws.GetDirty(ckk, hw)
-		lowerCHW(colsC.Data, x.Data, c, h, wid, s, oh, ow)
-		cols = colsC.Data
-	}
 	// dW = gy x cols^T -> [OC, CKK]: dot products of hw-long rows.
 	dw = ws.GetDirty(oc, c, s.KH, s.KW)
-	vecGemmDot(dw.Data, gy.Data, cols, oc, ckk, hw)
-	ws.Put(colsC)
+	switch {
+	case indirect:
+		p := newConvPlanes(ws, x, s)
+		tail := ws.GetDirty(ckk%4, hw)
+		vecGemmDotInd(dw.Data, gy.Data, p, oc, ckk, tail.Data)
+		ws.Put(tail)
+		ws.Put(p.leased)
+	case conv1x1Direct(s):
+		// A 1x1 stride-1 unpadded conv's input already is its lowering, as
+		// in the forward.
+		vecGemmDot(dw.Data, gy.Data, x.Data, oc, ckk, hw)
+	default:
+		cols := ws.GetDirty(ckk, hw)
+		lowerCHW(cols.Data, x.Data, c, h, wid, s, oh, ow)
+		vecGemmDot(dw.Data, gy.Data, cols.Data, oc, ckk, hw)
+		ws.Put(cols)
+	}
 	// db = per-channel sums of gy.
 	db = ws.GetDirty(oc)
 	for ch := 0; ch < oc; ch++ {

@@ -4,11 +4,14 @@ package tensor
 // packed panel-blocked weight layout, the GEMM over those panels, and the
 // transposed-im2col lowering.
 //
-// One sample is one lowering and one GEMM: the CHW input is lowered to the
-// transposed im2col matrix [CKK, OH*OW], whose product with the weight
-// [OC, CKK] is the [OC, OH*OW] result in place — no output transposition —
-// and a 1x1 stride-1 unpadded convolution needs no lowering at all because
-// the input viewed as [C, H*W] already is that matrix.
+// One sample is one GEMM of the weight [OC, CKK] by the transposed im2col
+// matrix B [CKK, OH*OW], whose product is the [OC, OH*OW] result in place —
+// no output transposition. Where B comes from depends on the shape alone:
+// a stride-1 same-size convolution whose output size is a multiple of 8
+// reads it in place from a padded copy of the input through a row-offset
+// table (indirect.go); a 1x1 stride-1 unpadded convolution reads the input
+// viewed as [C, H*W], which already is B; any other lowers the input into
+// B once (lowerCHW).
 //
 // Packed panels are per-call scratch. Every forward packs its weight into a
 // workspace lease and returns the lease before it returns: a pack moves
@@ -19,11 +22,11 @@ package tensor
 //
 // Numerics: every output element is accumulated in ascending-k order. Where
 // the AVX2+FMA kernels are live that is one sequential FMA chain — in the
-// micro-kernel tiles (gemmPackedMicro) and, identically, in the axpy spans
-// that take the ragged edges (axpy4AVX is four sequential FMAs) — so which
-// tile a column lands in does not change its value. Where they are not
-// (non-amd64, no AVX2+FMA, SHADOWTUTOR_NOAVX) every column runs the axpy
-// spans, whose per-element order is exactly vecGemmAxpy's.
+// micro-kernel tiles (gemmPackedMicro, gemmIndirect) and, identically, in
+// the axpy spans that take the ragged edges (axpy4AVX is four sequential
+// FMAs) — so which tile a column lands in does not change its value. Where
+// they are not (non-amd64, no AVX2+FMA, SHADOWTUTOR_NOAVX) every column
+// runs the axpy spans, whose per-element order is exactly vecGemmAxpy's.
 
 // packMR is the GEMM micro-kernel row-block height: the packed layout
 // interleaves packMR weight rows so one pass over a B panel updates packMR
@@ -95,15 +98,31 @@ func gemmAxpyPacked(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate 
 		if je > ncols {
 			je = ncols
 		}
-		gemmAxpyPackedSpan(cd, pd, bd, m, ldc, ldb, k, accumulate, 0, nb, jb, je)
+		gemmAxpyPackedSpan(cd, pd, bd, m, ldc, bRows{ldb: ldb}, k, accumulate, 0, nb, jb, je)
 	}
+}
+
+// bRows locates the rows of a packed GEMM's B operand in its slice: row p
+// starts at p*ldb, or at offs[p] when offs is set — the row-offset table of
+// an indirect convolution (indirect.go), whose B rows are windows of one
+// padded activation.
+type bRows struct {
+	ldb  int
+	offs []int32
+}
+
+func (b bRows) at(p int) int {
+	if b.offs != nil {
+		return int(b.offs[p])
+	}
+	return p * b.ldb
 }
 
 // gemmAxpyPackedSpan is the axpy packed-GEMM body over row blocks
 // [blo, bhi) and the column span [jb, je): the building block of both the
-// axpy form above and the micro-kernel driver's edge cases (column
+// axpy form above and the micro-kernel drivers' edge cases (column
 // remainders narrower than a tile, the ragged final row block).
-func gemmAxpyPackedSpan(cd, pd, bd []float32, m, ldc, ldb, k int, accumulate bool, blo, bhi, jb, je int) {
+func gemmAxpyPackedSpan(cd, pd, bd []float32, m, ldc int, br bRows, k int, accumulate bool, blo, bhi, jb, je int) {
 	k4 := k &^ 3
 	bs := packedBlockStride(k)
 	for kb := 0; kb < k; kb += gemmKC {
@@ -137,16 +156,17 @@ func gemmAxpyPackedSpan(cd, pd, bd []float32, m, ldc, ldb, k int, accumulate boo
 					if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 						continue
 					}
+					b0, b1, b2, b3 := br.at(p), br.at(p+1), br.at(p+2), br.at(p+3)
 					axpy4f(crow, a0, a1, a2, a3,
-						bd[p*ldb+jb:p*ldb+je], bd[(p+1)*ldb+jb:(p+1)*ldb+je],
-						bd[(p+2)*ldb+jb:(p+2)*ldb+je], bd[(p+3)*ldb+jb:(p+3)*ldb+je])
+						bd[b0+jb:b0+je], bd[b1+jb:b1+je], bd[b2+jb:b2+je], bd[b3+jb:b3+je])
 				}
 				for p := tlo; p < ke; p++ {
 					av := pd[base+4*k4+(p-k4)*4+r]
 					if av == 0 {
 						continue
 					}
-					saxpyf(crow, av, bd[p*ldb+jb:p*ldb+je])
+					b0 := br.at(p)
+					saxpyf(crow, av, bd[b0+jb:b0+je])
 				}
 			}
 		}
@@ -254,10 +274,10 @@ func gemmPackedMicro(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate
 			}
 		}
 		if jtEnd < je {
-			gemmAxpyPackedSpan(cd, pd, bd, m, ldc, ldb, k, accumulate, 0, fullB, jtEnd, je)
+			gemmAxpyPackedSpan(cd, pd, bd, m, ldc, bRows{ldb: ldb}, k, accumulate, 0, fullB, jtEnd, je)
 		}
 		if m > fullB*packMR {
-			gemmAxpyPackedSpan(cd, pd, bd, m, ldc, ldb, k, accumulate, fullB, fullB+1, jb, je)
+			gemmAxpyPackedSpan(cd, pd, bd, m, ldc, bRows{ldb: ldb}, k, accumulate, fullB, fullB+1, jb, je)
 		}
 	}
 }
@@ -390,11 +410,19 @@ func biasPrefill(rd, bd []float32, oc, nhw int) {
 }
 
 // Conv2DWS implements Backend: pack the weight into a lease, prefill bias
-// into each channel row and accumulate the packed GEMM on top of one
-// lowering of the sample. A 1x1 stride-1 unpadded convolution has no
-// lowering copy — the activation viewed as [C, H*W] already is the im2col
-// matrix.
+// into each channel row and accumulate the packed GEMM on top. A stride-1
+// same-size convolution whose output size is a multiple of 8 reads its
+// input through a row-offset table into a padded copy (convIndirectOK,
+// indirect.go); any other is one lowering of the sample, except a 1x1
+// stride-1 unpadded convolution, whose activation viewed as [C, H*W]
+// already is the im2col matrix. The two paths give the same bits.
 func (vecBackend) Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
+	return conv2DVec(ws, x, w, b, s, convIndirectOK(s, x.Dim(1), x.Dim(2)))
+}
+
+// conv2DVec is vec's convolution forward on the indirect path or the
+// lowering one.
+func conv2DVec(ws *Workspace, x, w, b *Tensor, s ConvSpec, indirect bool) *Tensor {
 	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
 	oh, ow := s.OutSize(h, wid)
 	hw := oh * ow
@@ -407,15 +435,19 @@ func (vecBackend) Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	if acc {
 		biasPrefill(res.Data, b.Data, oc, hw)
 	}
-	bd := x.Data
-	var cols *Tensor // stays nil for the no-lowering case; Put(nil) is a no-op
-	if !conv1x1Direct(s) {
-		cols = ws.GetDirty(ckk, hw)
+	switch {
+	case indirect:
+		p := newConvPlanes(ws, x, s)
+		gemmIndirect(res.Data, panels.Data, p, oc, ckk, acc)
+		ws.Put(p.leased)
+	case conv1x1Direct(s):
+		gemmPackedMicroSub(res.Data, panels.Data, x.Data, oc, hw, hw, hw, ckk, acc)
+	default:
+		cols := ws.GetDirty(ckk, hw)
 		lowerCHW(cols.Data, x.Data, c, h, wid, s, oh, ow)
-		bd = cols.Data
+		gemmPackedMicroSub(res.Data, panels.Data, cols.Data, oc, hw, hw, hw, ckk, acc)
+		ws.Put(cols)
 	}
-	gemmPackedMicroSub(res.Data, panels.Data, bd, oc, hw, hw, hw, ckk, acc)
-	ws.Put(cols)
 	ws.Put(panels)
 	return res
 }

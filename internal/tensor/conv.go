@@ -136,8 +136,11 @@ func Conv2D(x, w, b *Tensor, s ConvSpec) *Tensor {
 
 // Conv2DWS is Conv2D with every buffer (scratch and result) leased from ws;
 // a nil ws falls back to plain allocation. Shapes are validated here, then
-// the fused im2col+GEMM forward is dispatched to the workspace's compute
-// backend (vec for nil or unconfigured workspaces).
+// the forward is dispatched to the workspace's compute backend (vec for nil
+// or unconfigured workspaces). vec runs one packed GEMM per sample, over
+// either a lowering of the input or, for a stride-1 same-size conv whose
+// output size is a multiple of 8, the input read in place from a padded
+// copy through a row-offset table; the two give the same bits.
 func Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	oc := w.Dim(0)
 	c := x.Dim(0)
@@ -164,7 +167,10 @@ type convBackwarder interface {
 // (the partial-distillation path stops input gradients at the frozen
 // boundary, §4.2 of the paper). The returned gradients are workspace leases:
 // they stay valid until the workspace resets, which in the autodiff tape's
-// usage outlives the optimizer step that consumes them.
+// usage outlives the optimizer step that consumes them. On vec, dW reads
+// the input the way the forward does — through the row-offset table where
+// the forward is indirect, a lowering otherwise — and dx always goes
+// through a lowered gradient and col2im.
 func Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {
 	if cb, ok := ws.Backend().(convBackwarder); ok {
 		return cb.Conv2DBackwardWS(ws, x, w, gy, s, needInput)

@@ -1,0 +1,184 @@
+package tensor
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime/debug"
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guardedBytes returns n bytes of fresh memory that end flush against a
+// PROT_NONE page, so a read or write one byte past the slice faults.
+func guardedBytes(t *testing.T, n int) []byte {
+	t.Helper()
+	page := syscall.Getpagesize()
+	size := (n + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, size+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	if err := syscall.Mprotect(mem[size:], syscall.PROT_NONE); err != nil {
+		t.Fatal(err)
+	}
+	return mem[size-n : size : size]
+}
+
+// guarded copies src into float32s that end flush against a PROT_NONE page.
+func guarded(t *testing.T, src []float32) []float32 {
+	b := guardedBytes(t, 4*len(src))
+	d := unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b))), len(src))
+	copy(d, src)
+	return d
+}
+
+// guardedInt32 is guarded for a row-offset table.
+func guardedInt32(t *testing.T, src []int32) []int32 {
+	b := guardedBytes(t, 4*len(src))
+	d := unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), len(src))
+	copy(d, src)
+	return d
+}
+
+// noFault runs f with memory faults turned into panics, failing the test
+// on one instead of killing the binary.
+func noFault(t *testing.T, label string, f func()) {
+	t.Helper()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%s: %v", label, r)
+		}
+	}()
+	f()
+}
+
+func randSlice(rng *rand.Rand, n int) []float32 {
+	d := make([]float32, n)
+	fillRand(rng, d)
+	return d
+}
+
+// TestKernelsStayInsideOperands runs the AVX2 micro-kernels and their Go
+// drivers with every operand ending flush against a PROT_NONE page, over
+// ragged shapes: a kernel that reads or writes one float past an operand
+// faults here, in go test, instead of in a benchmark run. Each guarded
+// result must also equal the same call on ordinary memory.
+func TestKernelsStayInsideOperands(t *testing.T) {
+	if !packMicroOK {
+		t.Skip("the AVX2+FMA kernels are not selected")
+	}
+	rng := rand.New(rand.NewSource(9001))
+	same := func(label string, got, want []float32) {
+		t.Helper()
+		if !sameBits32(got, want) {
+			t.Fatalf("%s: the guarded result differs from the heap one", label)
+		}
+	}
+
+	for _, width := range []int{16, 24} {
+		tile := packTile4x16AVX
+		if width == 24 {
+			tile = packTile4x24AVX
+		}
+		for _, nq := range []int{0, 1, 3} {
+			for _, nt := range []int{0, 1, 3} {
+				for _, ld := range [][2]int{{width, width}, {width + 5, width + 3}} {
+					ldc, ldb := ld[0], ld[1]
+					kk := 4*nq + nt
+					nb := 0
+					if kk > 0 {
+						nb = (kk-1)*ldb + width
+					}
+					c, ap, b := randSlice(rng, 3*ldc+width), randSlice(rng, 16*nq+4*nt), randSlice(rng, nb)
+					for _, load := range []bool{false, true} {
+						label := fmt.Sprintf("packTile4x%d nq=%d nt=%d ldc=%d ldb=%d load=%v", width, nq, nt, ldc, ldb, load)
+						gc, gap, gb := guarded(t, c), guarded(t, ap), guarded(t, b)
+						want := append([]float32(nil), c...)
+						noFault(t, label, func() { tile(gc, ldc, gap, gb, ldb, nq, nt, load) })
+						tile(want, ldc, ap, b, ldb, nq, nt, load)
+						same(label, gc, want)
+					}
+				}
+			}
+		}
+	}
+
+	for _, k := range []int{1, 7, 8, 9, 20} {
+		for _, ldc := range []int{4, 6} {
+			label := fmt.Sprintf("dot3x4AVX k=%d ldc=%d", k, ldc)
+			c, a, b := randSlice(rng, 2*ldc+4), randSlice(rng, 3*k), randSlice(rng, 4*k)
+			gc, ga, gb := guarded(t, c), guarded(t, a), guarded(t, b)
+			noFault(t, label, func() { dot3x4AVX(gc, ldc, ga, gb, k) })
+			dot3x4AVX(c, ldc, a, b, k)
+			same(label, gc, c)
+		}
+	}
+
+	for _, n := range []int{1, 7, 8, 9, 23} {
+		label := fmt.Sprintf("axpy4AVX n=%d", n)
+		d, x0, x1, x2, x3 := randSlice(rng, n), randSlice(rng, n), randSlice(rng, n), randSlice(rng, n), randSlice(rng, n)
+		gd := guarded(t, d)
+		g0, g1, g2, g3 := guarded(t, x0), guarded(t, x1), guarded(t, x2), guarded(t, x3)
+		noFault(t, label, func() { axpy4AVX(gd, 0.5, -1.25, 2, 0.75, g0, g1, g2, g3) })
+		axpy4AVX(d, 0.5, -1.25, 2, 0.75, x0, x1, x2, x3)
+		same(label, gd, d)
+	}
+
+	for _, sh := range []struct{ m, ncols, ldc, ldb, k int }{
+		{5, 41, 41, 41, 13}, {8, 23, 30, 27, 520}, {7, 17, 17, 20, 3}, {4, 48, 48, 48, 1}, {9, 5, 5, 5, 9},
+	} {
+		label := fmt.Sprintf("gemmPackedMicroSub %+v", sh)
+		pd := make([]float32, packedSize(sh.m, sh.k))
+		packWeightsInto(pd, randSlice(rng, sh.m*sh.k), sh.m, sh.k, sh.k, 1)
+		c, b := randSlice(rng, (sh.m-1)*sh.ldc+sh.ncols), randSlice(rng, (sh.k-1)*sh.ldb+sh.ncols)
+		for _, acc := range []bool{false, true} {
+			gc, gp, gb := guarded(t, c), guarded(t, pd), guarded(t, b)
+			want := append([]float32(nil), c...)
+			noFault(t, label, func() { gemmPackedMicroSub(gc, gp, gb, sh.m, sh.ncols, sh.ldc, sh.ldb, sh.k, acc) })
+			gemmPackedMicroSub(want, pd, b, sh.m, sh.ncols, sh.ldc, sh.ldb, sh.k, acc)
+			same(label, gc, want)
+		}
+	}
+
+	// The indirect kernels through their drivers: packTileInd4x24AVX under
+	// gemmIndirect and dot3x4IndAVX under vecGemmDotInd. A same-padded
+	// convolution's farthest read is the padded planes' last float, so the
+	// last tile of the last row and the last B-row group end flush.
+	for _, sh := range []struct {
+		c, h, w, oc int
+		spec        ConvSpec
+	}{
+		{3, 4, 24, 4, Spec(3, 3)}, {5, 3, 48, 8, Spec(1, 3)}, {2, 5, 40, 5, Spec(3, 1)},
+		{70, 2, 24, 7, Spec(3, 3)}, {1, 1, 8, 1, Spec(3, 3)}, {2, 3, 24, 6, Spec(5, 5)},
+		{5, 4, 12, 6, Spec(3, 3)}, {3, 8, 12, 4, Spec(1, 3)}, {2, 2, 132, 4, Spec(3, 1)},
+	} {
+		label := fmt.Sprintf("indirect c=%d h=%d w=%d oc=%d spec=%+v", sh.c, sh.h, sh.w, sh.oc, sh.spec)
+		ws := NewWorkspace()
+		x := New(sh.c, sh.h, sh.w)
+		fillRand(rng, x.Data)
+		p := newConvPlanes(ws, x, sh.spec)
+		gp := p
+		gp.pl, gp.offs = guarded(t, p.pl), guardedInt32(t, p.offs)
+		ckk, hw := len(p.offs), sh.h*sh.w
+		pd := make([]float32, packedSize(sh.oc, ckk))
+		packWeightsInto(pd, randSlice(rng, sh.oc*ckk), sh.oc, ckk, ckk, 1)
+		c := randSlice(rng, sh.oc*hw)
+		for _, acc := range []bool{false, true} {
+			gc, gpd := guarded(t, c), guarded(t, pd)
+			want := append([]float32(nil), c...)
+			noFault(t, label+" forward", func() { gemmIndirect(gc, gpd, gp, sh.oc, ckk, acc) })
+			gemmIndirect(want, pd, p, sh.oc, ckk, acc)
+			same(label+" forward", gc, want)
+		}
+		gy, tail := randSlice(rng, sh.oc*hw), make([]float32, ckk%4*hw)
+		want := make([]float32, sh.oc*ckk)
+		gdw, ggy, gtail := guarded(t, want), guarded(t, gy), guarded(t, tail)
+		noFault(t, label+" dW", func() { vecGemmDotInd(gdw, ggy, gp, sh.oc, ckk, gtail) })
+		vecGemmDotInd(want, gy, p, sh.oc, ckk, tail)
+		same(label+" dW", gdw, want)
+		ws.Reset()
+	}
+}
