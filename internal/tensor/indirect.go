@@ -64,8 +64,12 @@ func (p convPlanes) checkReads() {
 // gets KW copies of each channel, each shifted by one kernel column with
 // its edge zeroed — im2colPlaneT's rows for ky = 0 over the h+2PH padded
 // rows — so that every B row is one contiguous segment of h*w floats (the
-// lowering's own row, read in place); KW copies cost more than one padded
-// plane, which is why the multiples of 8 keep the per-row form.
+// lowering's own row, read in place). The shifted copies at every width,
+// with the segment loops gone, were measured against this split
+// (GOMAXPROCS=1, ROADMAP 8(c)): they win the dW of most convs and sb6's
+// 3x1 conv, lose out1's and out2's forwards (median +2 to +11 %), and the
+// partial step ran faster with them in only 25 of 74 alternating pairs —
+// their KW copies cost more than one padded plane.
 func newConvPlanes(ws *Workspace, x *Tensor, s ConvSpec) convPlanes {
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	hp, wp := h+2*s.PH, w+2*s.PW
@@ -74,8 +78,7 @@ func newConvPlanes(ws *Workspace, x *Tensor, s ConvSpec) convPlanes {
 	if shifted {
 		np = c * s.KW * hp * w
 	}
-	// A lease below the pool's smallest class would allocate on every call.
-	t := ws.GetDirty(max(np+ckk, 1<<minPoolClass))
+	t := ws.GetDirty(np + ckk)
 	p := convPlanes{pl: t.Data[:np], h: h, w: w, wp: wp, leased: t}
 	// The table is the lease's tail viewed as int32s (both 4 bytes wide):
 	// workspaces pool only float32 tensors.
