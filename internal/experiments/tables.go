@@ -19,8 +19,8 @@ func link80() netsim.Link { return netsim.DefaultLink() }
 
 // Table2 reproduces "Execution time and mean number of distillation steps":
 // per-step latency (ms) and mean steps per key frame, partial vs full.
-// Step latency is measured wall time of this process's Go kernels; the
-// paper's 13/18 ms GPU numbers are recorded alongside in EXPERIMENTS.md.
+// Step latency is measured wall time of this process's Go kernels, not the
+// paper's GPU step times.
 func (s *Suite) Table2() (*stats.Table, error) {
 	t := stats.NewTable("Table 2: distillation step latency and mean steps",
 		"Distillation", "One step (ms)", "Mean # of steps")
@@ -364,7 +364,7 @@ func BoundsReport() *stats.Table {
 }
 
 // WriteAllTables renders every table into a buffer — the single entry point
-// cmd/stbench and EXPERIMENTS.md generation use.
+// cmd/stbench uses.
 func (s *Suite) WriteAllTables() (string, error) {
 	var buf bytes.Buffer
 	t2, err := s.Table2()

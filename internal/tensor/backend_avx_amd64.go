@@ -34,12 +34,6 @@ func axpy4AVX(dst []float32, a0, a1, a2, a3 float32, x0, x1, x2, x3 []float32)
 func saxpyAVX(dst []float32, a float32, x []float32)
 
 //go:noescape
-func packTile4x16AVX(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, load bool)
-
-//go:noescape
-func packTile4x24AVX(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, load bool)
-
-//go:noescape
 func packTileInd4x24AVX(c []float32, ldc int, ap, b []float32, offs []int32, nq, nt int, load bool)
 
 //go:noescape
@@ -78,11 +72,8 @@ func init() {
 	expf = expVec
 	maxShiftf = maxShiftAVX
 	xentGradf = xentGradAVX
-	packTilef = packTile4x16AVX
-	packTile24f = packTile4x24AVX
 	packTileInd24f = packTileInd4x24AVX
 	dot3x4Indf = dot3x4IndAVX
-	packMicroOK = true
 	vecKernelISA = "avx2+fma"
 }
 

@@ -212,388 +212,27 @@ axpy4done:
 	VZEROUPPER
 	RET
 
-// func packTile4x16AVX(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, load bool)
-// The register-blocked GEMM micro-kernel of the vec backend's batched
-// convolutions: one 4-row x 16-column tile of C accumulated across nq
-// packed quads plus nt packed tail positions, entirely in eight ymm
-// accumulators. B vectors load once per k position and feed all four rows,
-// and C sees exactly one load (when load is set) and one store per call —
-// the traffic the axpy forms pay per k-quad. Accumulation per element is a
-// single sequential FMA chain in ascending-k order, so results are
-// deterministic for any worker count, tile walk, or panel split.
+// func packTileInd4x24AVX(c []float32, ldc int, ap, b []float32, offs []int32, nq, nt int, load bool)
+// The register-blocked GEMM micro-kernel of the vec backend's convolutions
+// (gemmPacked): one 4-row x 24-column tile of C accumulated across nq
+// packed quads plus nt packed tail positions, entirely in twelve ymm
+// accumulators. Twelve independent FMA chains cover the FMA
+// latency-throughput product of AVX2 cores. k position p of the panel
+// reads its 24 B floats at b + offs[p] floats — B's rows through a
+// row-offset table — and each B vector loads once and feeds all four
+// rows; C sees exactly one load (when load is set) and one store per
+// call, the traffic the axpy spans pay per k-quad. Accumulation per
+// element is a single sequential FMA chain in ascending-k order, so
+// results are deterministic for any worker count, tile walk, or panel
+// split.
 //
 // ap is positioned at the row block's quad for the first k of the panel;
 // the packed layout stores a block's quads and its k%4 tail contiguously
 // (quad q at 64q bytes holding rows at 16r+4j; tail position t at 16t
 // bytes past the quads holding rows at 4r), so the kernel walks one
-// pointer. c and b are positioned at the tile corner with row strides ldc
-// and ldb floats.
-TEXT ·packTile4x16AVX(SB), NOSPLIT, $0-105
-	MOVQ c_base+0(FP), DI
-	MOVQ ldc+24(FP), R12
-	SHLQ $2, R12
-	MOVQ ap_base+32(FP), SI
-	MOVQ b_base+56(FP), R8
-	MOVQ ldb+80(FP), R13
-	SHLQ $2, R13
-	MOVQ nq+88(FP), CX
-	MOVQ nt+96(FP), BX
-	MOVBLZX load+104(FP), AX
-	TESTL AX, AX
-	JNZ  tileload
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	JMP  tilequads
-
-tileload:
-	MOVQ DI, DX
-	VMOVUPS (DX), Y0
-	VMOVUPS 32(DX), Y1
-	ADDQ R12, DX
-	VMOVUPS (DX), Y2
-	VMOVUPS 32(DX), Y3
-	ADDQ R12, DX
-	VMOVUPS (DX), Y4
-	VMOVUPS 32(DX), Y5
-	ADDQ R12, DX
-	VMOVUPS (DX), Y6
-	VMOVUPS 32(DX), Y7
-
-tilequads:
-	TESTQ CX, CX
-	JZ   tiletail
-
-tilequadloop:
-	// k position 0 of the quad: rows at byte offsets 0, 16, 32, 48.
-	VMOVUPS (R8), Y8
-	VMOVUPS 32(R8), Y9
-	VBROADCASTSS (SI), Y10
-	VFMADD231PS Y8, Y10, Y0
-	VFMADD231PS Y9, Y10, Y1
-	VBROADCASTSS 16(SI), Y10
-	VFMADD231PS Y8, Y10, Y2
-	VFMADD231PS Y9, Y10, Y3
-	VBROADCASTSS 32(SI), Y10
-	VFMADD231PS Y8, Y10, Y4
-	VFMADD231PS Y9, Y10, Y5
-	VBROADCASTSS 48(SI), Y10
-	VFMADD231PS Y8, Y10, Y6
-	VFMADD231PS Y9, Y10, Y7
-	ADDQ R13, R8
-
-	// k position 1: rows at 4, 20, 36, 52.
-	VMOVUPS (R8), Y8
-	VMOVUPS 32(R8), Y9
-	VBROADCASTSS 4(SI), Y10
-	VFMADD231PS Y8, Y10, Y0
-	VFMADD231PS Y9, Y10, Y1
-	VBROADCASTSS 20(SI), Y10
-	VFMADD231PS Y8, Y10, Y2
-	VFMADD231PS Y9, Y10, Y3
-	VBROADCASTSS 36(SI), Y10
-	VFMADD231PS Y8, Y10, Y4
-	VFMADD231PS Y9, Y10, Y5
-	VBROADCASTSS 52(SI), Y10
-	VFMADD231PS Y8, Y10, Y6
-	VFMADD231PS Y9, Y10, Y7
-	ADDQ R13, R8
-
-	// k position 2: rows at 8, 24, 40, 56.
-	VMOVUPS (R8), Y8
-	VMOVUPS 32(R8), Y9
-	VBROADCASTSS 8(SI), Y10
-	VFMADD231PS Y8, Y10, Y0
-	VFMADD231PS Y9, Y10, Y1
-	VBROADCASTSS 24(SI), Y10
-	VFMADD231PS Y8, Y10, Y2
-	VFMADD231PS Y9, Y10, Y3
-	VBROADCASTSS 40(SI), Y10
-	VFMADD231PS Y8, Y10, Y4
-	VFMADD231PS Y9, Y10, Y5
-	VBROADCASTSS 56(SI), Y10
-	VFMADD231PS Y8, Y10, Y6
-	VFMADD231PS Y9, Y10, Y7
-	ADDQ R13, R8
-
-	// k position 3: rows at 12, 28, 44, 60.
-	VMOVUPS (R8), Y8
-	VMOVUPS 32(R8), Y9
-	VBROADCASTSS 12(SI), Y10
-	VFMADD231PS Y8, Y10, Y0
-	VFMADD231PS Y9, Y10, Y1
-	VBROADCASTSS 28(SI), Y10
-	VFMADD231PS Y8, Y10, Y2
-	VFMADD231PS Y9, Y10, Y3
-	VBROADCASTSS 44(SI), Y10
-	VFMADD231PS Y8, Y10, Y4
-	VFMADD231PS Y9, Y10, Y5
-	VBROADCASTSS 60(SI), Y10
-	VFMADD231PS Y8, Y10, Y6
-	VFMADD231PS Y9, Y10, Y7
-	ADDQ R13, R8
-
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  tilequadloop
-
-tiletail:
-	TESTQ BX, BX
-	JZ   tilestore
-
-tiletailloop:
-	// Tail k position: rows at byte offsets 0, 4, 8, 12.
-	VMOVUPS (R8), Y8
-	VMOVUPS 32(R8), Y9
-	VBROADCASTSS (SI), Y10
-	VFMADD231PS Y8, Y10, Y0
-	VFMADD231PS Y9, Y10, Y1
-	VBROADCASTSS 4(SI), Y10
-	VFMADD231PS Y8, Y10, Y2
-	VFMADD231PS Y9, Y10, Y3
-	VBROADCASTSS 8(SI), Y10
-	VFMADD231PS Y8, Y10, Y4
-	VFMADD231PS Y9, Y10, Y5
-	VBROADCASTSS 12(SI), Y10
-	VFMADD231PS Y8, Y10, Y6
-	VFMADD231PS Y9, Y10, Y7
-	ADDQ R13, R8
-	ADDQ $16, SI
-	DECQ BX
-	JNZ  tiletailloop
-
-tilestore:
-	MOVQ DI, DX
-	VMOVUPS Y0, (DX)
-	VMOVUPS Y1, 32(DX)
-	ADDQ R12, DX
-	VMOVUPS Y2, (DX)
-	VMOVUPS Y3, 32(DX)
-	ADDQ R12, DX
-	VMOVUPS Y4, (DX)
-	VMOVUPS Y5, 32(DX)
-	ADDQ R12, DX
-	VMOVUPS Y6, (DX)
-	VMOVUPS Y7, 32(DX)
-	VZEROUPPER
-	RET
-
-// func packTile4x24AVX(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, load bool)
-// The wide variant of packTile4x16AVX: a 4-row x 24-column C tile in
-// twelve ymm accumulators, three B vectors per k position. Twelve
-// independent FMA chains cover the FMA latency-throughput product of
-// AVX2 cores (the eight chains of the 16-wide tile leave the FMA ports
-// idle two cycles in five on 5-cycle-latency parts), so this is the
-// preferred tile; the 16-wide kernel mops up narrower column remainders.
-// Same packed-A walk, operand order and determinism contract as the
-// 16-wide kernel.
-TEXT ·packTile4x24AVX(SB), NOSPLIT, $0-105
-	MOVQ c_base+0(FP), DI
-	MOVQ ldc+24(FP), R12
-	SHLQ $2, R12
-	MOVQ ap_base+32(FP), SI
-	MOVQ b_base+56(FP), R8
-	MOVQ ldb+80(FP), R13
-	SHLQ $2, R13
-	MOVQ nq+88(FP), CX
-	MOVQ nt+96(FP), BX
-	MOVBLZX load+104(FP), AX
-	TESTL AX, AX
-	JNZ  t24load
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	VXORPS Y11, Y11, Y11
-	JMP  t24quads
-
-t24load:
-	MOVQ DI, DX
-	VMOVUPS (DX), Y0
-	VMOVUPS 32(DX), Y1
-	VMOVUPS 64(DX), Y2
-	ADDQ R12, DX
-	VMOVUPS (DX), Y3
-	VMOVUPS 32(DX), Y4
-	VMOVUPS 64(DX), Y5
-	ADDQ R12, DX
-	VMOVUPS (DX), Y6
-	VMOVUPS 32(DX), Y7
-	VMOVUPS 64(DX), Y8
-	ADDQ R12, DX
-	VMOVUPS (DX), Y9
-	VMOVUPS 32(DX), Y10
-	VMOVUPS 64(DX), Y11
-
-t24quads:
-	TESTQ CX, CX
-	JZ   t24tail
-
-t24quadloop:
-	// k position 0: rows at 0, 16, 32, 48.
-	VMOVUPS (R8), Y12
-	VMOVUPS 32(R8), Y13
-	VMOVUPS 64(R8), Y14
-	VBROADCASTSS (SI), Y15
-	VFMADD231PS Y12, Y15, Y0
-	VFMADD231PS Y13, Y15, Y1
-	VFMADD231PS Y14, Y15, Y2
-	VBROADCASTSS 16(SI), Y15
-	VFMADD231PS Y12, Y15, Y3
-	VFMADD231PS Y13, Y15, Y4
-	VFMADD231PS Y14, Y15, Y5
-	VBROADCASTSS 32(SI), Y15
-	VFMADD231PS Y12, Y15, Y6
-	VFMADD231PS Y13, Y15, Y7
-	VFMADD231PS Y14, Y15, Y8
-	VBROADCASTSS 48(SI), Y15
-	VFMADD231PS Y12, Y15, Y9
-	VFMADD231PS Y13, Y15, Y10
-	VFMADD231PS Y14, Y15, Y11
-	ADDQ R13, R8
-
-	// k position 1: rows at 4, 20, 36, 52.
-	VMOVUPS (R8), Y12
-	VMOVUPS 32(R8), Y13
-	VMOVUPS 64(R8), Y14
-	VBROADCASTSS 4(SI), Y15
-	VFMADD231PS Y12, Y15, Y0
-	VFMADD231PS Y13, Y15, Y1
-	VFMADD231PS Y14, Y15, Y2
-	VBROADCASTSS 20(SI), Y15
-	VFMADD231PS Y12, Y15, Y3
-	VFMADD231PS Y13, Y15, Y4
-	VFMADD231PS Y14, Y15, Y5
-	VBROADCASTSS 36(SI), Y15
-	VFMADD231PS Y12, Y15, Y6
-	VFMADD231PS Y13, Y15, Y7
-	VFMADD231PS Y14, Y15, Y8
-	VBROADCASTSS 52(SI), Y15
-	VFMADD231PS Y12, Y15, Y9
-	VFMADD231PS Y13, Y15, Y10
-	VFMADD231PS Y14, Y15, Y11
-	ADDQ R13, R8
-
-	// k position 2: rows at 8, 24, 40, 56.
-	VMOVUPS (R8), Y12
-	VMOVUPS 32(R8), Y13
-	VMOVUPS 64(R8), Y14
-	VBROADCASTSS 8(SI), Y15
-	VFMADD231PS Y12, Y15, Y0
-	VFMADD231PS Y13, Y15, Y1
-	VFMADD231PS Y14, Y15, Y2
-	VBROADCASTSS 24(SI), Y15
-	VFMADD231PS Y12, Y15, Y3
-	VFMADD231PS Y13, Y15, Y4
-	VFMADD231PS Y14, Y15, Y5
-	VBROADCASTSS 40(SI), Y15
-	VFMADD231PS Y12, Y15, Y6
-	VFMADD231PS Y13, Y15, Y7
-	VFMADD231PS Y14, Y15, Y8
-	VBROADCASTSS 56(SI), Y15
-	VFMADD231PS Y12, Y15, Y9
-	VFMADD231PS Y13, Y15, Y10
-	VFMADD231PS Y14, Y15, Y11
-	ADDQ R13, R8
-
-	// k position 3: rows at 12, 28, 44, 60.
-	VMOVUPS (R8), Y12
-	VMOVUPS 32(R8), Y13
-	VMOVUPS 64(R8), Y14
-	VBROADCASTSS 12(SI), Y15
-	VFMADD231PS Y12, Y15, Y0
-	VFMADD231PS Y13, Y15, Y1
-	VFMADD231PS Y14, Y15, Y2
-	VBROADCASTSS 28(SI), Y15
-	VFMADD231PS Y12, Y15, Y3
-	VFMADD231PS Y13, Y15, Y4
-	VFMADD231PS Y14, Y15, Y5
-	VBROADCASTSS 44(SI), Y15
-	VFMADD231PS Y12, Y15, Y6
-	VFMADD231PS Y13, Y15, Y7
-	VFMADD231PS Y14, Y15, Y8
-	VBROADCASTSS 60(SI), Y15
-	VFMADD231PS Y12, Y15, Y9
-	VFMADD231PS Y13, Y15, Y10
-	VFMADD231PS Y14, Y15, Y11
-	ADDQ R13, R8
-
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  t24quadloop
-
-t24tail:
-	TESTQ BX, BX
-	JZ   t24store
-
-t24tailloop:
-	// Tail k position: rows at byte offsets 0, 4, 8, 12.
-	VMOVUPS (R8), Y12
-	VMOVUPS 32(R8), Y13
-	VMOVUPS 64(R8), Y14
-	VBROADCASTSS (SI), Y15
-	VFMADD231PS Y12, Y15, Y0
-	VFMADD231PS Y13, Y15, Y1
-	VFMADD231PS Y14, Y15, Y2
-	VBROADCASTSS 4(SI), Y15
-	VFMADD231PS Y12, Y15, Y3
-	VFMADD231PS Y13, Y15, Y4
-	VFMADD231PS Y14, Y15, Y5
-	VBROADCASTSS 8(SI), Y15
-	VFMADD231PS Y12, Y15, Y6
-	VFMADD231PS Y13, Y15, Y7
-	VFMADD231PS Y14, Y15, Y8
-	VBROADCASTSS 12(SI), Y15
-	VFMADD231PS Y12, Y15, Y9
-	VFMADD231PS Y13, Y15, Y10
-	VFMADD231PS Y14, Y15, Y11
-	ADDQ R13, R8
-	ADDQ $16, SI
-	DECQ BX
-	JNZ  t24tailloop
-
-t24store:
-	MOVQ DI, DX
-	VMOVUPS Y0, (DX)
-	VMOVUPS Y1, 32(DX)
-	VMOVUPS Y2, 64(DX)
-	ADDQ R12, DX
-	VMOVUPS Y3, (DX)
-	VMOVUPS Y4, 32(DX)
-	VMOVUPS Y5, 64(DX)
-	ADDQ R12, DX
-	VMOVUPS Y6, (DX)
-	VMOVUPS Y7, 32(DX)
-	VMOVUPS Y8, 64(DX)
-	ADDQ R12, DX
-	VMOVUPS Y9, (DX)
-	VMOVUPS Y10, 32(DX)
-	VMOVUPS Y11, 64(DX)
-	VZEROUPPER
-	RET
-
-// func packTileInd4x24AVX(c []float32, ldc int, ap, b []float32, offs []int32, nq, nt int, load bool)
-// packTile4x24AVX with an indirect B: k position p of the panel reads its
-// 24 B floats at b + offs[p] floats instead of one ldb stride past the
-// previous position's. An indirect convolution (indirect.go) passes b at
-// its tile's corner in the padded planes and offs at the panel's slice of
-// the row-offset table. Every other instruction — the packed-A walk, the
-// broadcasts, the FMA operand order, the C load and store — is
-// packTile4x24AVX's, so each element is the same FMA chain.
+// pointer. c is positioned at the tile corner with row stride ldc floats,
+// b at the tile's first column (offs[p] is then row p's start), and offs
+// at the panel's slice of the table.
 #define IND24K(r0, r1, r2, r3) \
 	MOVLQSX (R13), AX; \
 	ADDQ $4, R13; \

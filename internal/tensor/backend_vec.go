@@ -38,21 +38,12 @@ var (
 	xentGradf    = xentGrad
 	vecKernelISA = "portable"
 
-	// packTilef and packTile24f are the register-blocked packed-panel GEMM
-	// micro-kernels (packTile4x16AVX / packTile4x24AVX on capable amd64):
-	// a 4x16 and a 4x24 C tile respectively. The 24-wide tile is the
-	// workhorse — its twelve FMA chains hide FMA latency where the 16-wide
-	// tile's eight cannot — and the 16-wide tile handles column remainders.
-	// nil means unavailable, and the convolution forward falls back to the
-	// axpy packed forms. packMicroOK caches the nil check for the hot
-	// dispatch.
-	packTilef   func(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, load bool)
-	packTile24f func(c []float32, ldc int, ap, b []float32, ldb, nq, nt int, load bool)
-	packMicroOK = false
-
-	// packTileInd24f is packTile24f with B's rows read through a row-offset
-	// table (packTileInd4x24AVX; indirect.go), set with the other
-	// micro-kernels; dot3x4Indf is dot3x4f's indirect form.
+	// packTileInd24f is the packed GEMM's register-blocked micro-kernel
+	// (packTileInd4x24AVX on capable amd64): a 4x24 C tile, B's rows read
+	// through a row-offset table (gemmPacked, batch.go). nil means
+	// unavailable, and the GEMM runs its axpy spans on every column.
+	// dot3x4Indf is dot3x4f with B's rows read through such a table
+	// (vecGemmDotInd).
 	packTileInd24f func(c []float32, ldc int, ap, b []float32, offs []int32, nq, nt int, load bool)
 	dot3x4Indf     = dot3x4Ind
 )
@@ -304,10 +295,11 @@ const convBwdTile = 4
 // and x itself for a 1x1 stride-1 unpadded conv. The input gradient
 // dcols = W^T x gy is produced in the transposed layout [CKK, HW], whose
 // col2im scatter is one vector add per row for stride-1 same-width convs
-// (vecCol2imT). dcols runs on the packed GEMM over a packed W^T, one
-// convBwdTile-channel tile at a time. Every element is still one
-// ascending-k FMA chain (or vecGemmAxpy's order on portable kernels) and
-// every dx element belongs to one channel, so the tiling changes no bit.
+// (vecCol2imT). dcols runs on the packed GEMM over a packed W^T, with gy
+// as its dense B, one convBwdTile-channel tile at a time. Every element is
+// still one ascending-k FMA chain (or vecGemmAxpy's order on portable
+// kernels) and every dx element belongs to one channel, so the tiling
+// changes no bit.
 func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {
 	return conv2DBackwardVec(ws, x, w, gy, s, needInput, convIndirectOK(s, x.Dim(1), x.Dim(2)))
 }
@@ -340,31 +332,54 @@ func conv2DBackwardVec(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput, i
 		vecGemmDot(dw.Data, gy.Data, cols.Data, oc, ckk, hw)
 		ws.Put(cols)
 	}
-	// db = per-channel sums of gy.
 	db = ws.GetDirty(oc)
-	for ch := 0; ch < oc; ch++ {
-		var sum float32
-		for _, v := range gy.Data[ch*hw : (ch+1)*hw] {
-			sum += v
-		}
-		db.Data[ch] = sum
-	}
+	rowSums(db.Data, gy.Data, hw)
 	if needInput {
 		panels := ws.GetDirty(packedSize(ckk, oc))
 		packWeightsInto(panels.Data, w.Data, ckk, oc, 1, ckk)
+		g := newDenseOperand(ws, gy.Data, oc, hw)
 		tile := min(c, convBwdTile)
 		dcols := ws.GetDirty(tile*kk, hw)
 		dx = ws.Get(c, h, wid)
 		bs := packedBlockStride(oc)
 		for c0 := 0; c0 < c; c0 += tile {
 			nc := min(tile, c-c0)
-			gemmPackedMicroSub(dcols.Data, panels.Data[c0*kk/packMR*bs:], gy.Data, nc*kk, hw, hw, hw, oc, false)
+			gemmPacked(dcols.Data, panels.Data[c0*kk/packMR*bs:], g, nc*kk, oc, false)
 			vecCol2imT(dx, dcols.Data, c0, nc, s, oh, ow)
 		}
 		ws.Put(dcols)
+		ws.Put(g.leased)
 		ws.Put(panels)
 	}
 	return dx, dw, db
+}
+
+// rowSums writes sums[r] = the sum of row r of g (rows of n floats), in
+// ascending order: the bias gradient's per-channel sums of gy. Four rows
+// run at a time, each on its own sequential chain, so every sum has the
+// one-row loop's bits and the four chains overlap the add latency that a
+// single chain waits on.
+func rowSums(sums, g []float32, n int) {
+	r := 0
+	for ; r+3 < len(sums); r += 4 {
+		g0, g1, g2, g3 := g[r*n:(r+1)*n], g[(r+1)*n:(r+2)*n], g[(r+2)*n:(r+3)*n], g[(r+3)*n:(r+4)*n]
+		g1, g2, g3 = g1[:len(g0)], g2[:len(g0)], g3[:len(g0)]
+		var s0, s1, s2, s3 float32
+		for i, v := range g0 {
+			s0 += v
+			s1 += g1[i]
+			s2 += g2[i]
+			s3 += g3[i]
+		}
+		sums[r], sums[r+1], sums[r+2], sums[r+3] = s0, s1, s2, s3
+	}
+	for ; r < len(sums); r++ {
+		var s float32
+		for _, v := range g[r*n : (r+1)*n] {
+			s += v
+		}
+		sums[r] = s
+	}
 }
 
 // vecCol2imT scatters nc channels' rows of the transposed gradient layout

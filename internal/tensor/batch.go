@@ -1,17 +1,18 @@
 package tensor
 
 // This file is vec's convolution forward and the pieces it is made of: the
-// packed panel-blocked weight layout, the GEMM over those panels, and the
-// transposed-im2col lowering.
+// packed panel-blocked weight layout, the one GEMM over those panels, and
+// the transposed-im2col lowering.
 //
 // One sample is one GEMM of the weight [OC, CKK] by the transposed im2col
 // matrix B [CKK, OH*OW], whose product is the [OC, OH*OW] result in place —
-// no output transposition. Where B comes from depends on the shape alone:
-// a stride-1 same-size convolution whose output size is a multiple of 8
-// reads it in place from a padded copy of the input through a row-offset
-// table (indirect.go); a 1x1 stride-1 unpadded convolution reads the input
-// viewed as [C, H*W], which already is B; any other lowers the input into
-// B once (lowerCHW).
+// no output transposition. The GEMM reads B's rows through a row-offset
+// table (a bOperand, indirect.go), and the shape alone picks what the table
+// points into: a stride-1 same-size convolution whose output size is a
+// multiple of 8 reads a padded copy of the input in place; a 1x1 stride-1
+// unpadded convolution reads the input viewed as [C, H*W], which already
+// is B; any other lowers the input into B once (lowerCHW). The last two
+// are dense matrices, whose table is offs[p] = p*OH*OW.
 //
 // Packed panels are per-call scratch. Every forward packs its weight into a
 // workspace lease and returns the lease before it returns: a pack moves
@@ -22,23 +23,16 @@ package tensor
 //
 // Numerics: every output element is accumulated in ascending-k order. Where
 // the AVX2+FMA kernels are live that is one sequential FMA chain — in the
-// micro-kernel tiles (gemmPackedMicro, gemmIndirect) and, identically, in
-// the axpy spans that take the ragged edges (axpy4AVX is four sequential
-// FMAs) — so which tile a column lands in does not change its value. Where
-// they are not (non-amd64, no AVX2+FMA, SHADOWTUTOR_NOAVX) every column
-// runs the axpy spans, whose per-element order is exactly vecGemmAxpy's.
+// 4x24 micro-kernel tiles and, identically, in the axpy spans that take the
+// ragged edges (axpy4AVX is four sequential FMAs) — so which tile a column
+// lands in does not change its value. Where they are not (non-amd64, no
+// AVX2+FMA, SHADOWTUTOR_NOAVX) every column runs the axpy spans, whose
+// per-element order is exactly vecGemmAxpy's.
 
 // packMR is the GEMM micro-kernel row-block height: the packed layout
 // interleaves packMR weight rows so one pass over a B panel updates packMR
 // destination rows, dividing B traffic by packMR.
 const packMR = 4
-
-// packNB is the column tile of the packed GEMM's axpy forms: B panels of
-// gemmKC x packNB floats (512 KiB) stay cache-resident while every row
-// block streams against them. (The micro-kernel path tiles columns by the
-// tighter ncMicro instead; packNB and gemmKC are pinned by the axpy forms'
-// bitwise agreement with vecGemmAxpy.)
-const packNB = 512
 
 // packedBlockStride is the float count of one packMR row block: k4*4 quad
 // floats plus (k-k4)*4 tail floats = 4*k.
@@ -82,47 +76,13 @@ func packWeightsInto(pd, wd []float32, rows, k, rs, cs int) {
 	}
 }
 
-// gemmAxpyPacked runs the axpy packed GEMM over a column sub-range: ncols
-// columns starting at cd and bd, whose rows have strides ldc and ldb (all
-// three equal to the full column count except when a caller addresses a
-// column window of a wider C).
-// Column tiles of packNB keep the streamed B panel L2-resident, and each
-// packMR row block reuses that panel packMR times. The per-element
-// accumulation order (ascending gemmKC panels, ascending quads via axpy4f,
-// tail via saxpyf, identical zero-skips) is exactly vecGemmAxpy's, so
-// results are bitwise identical to the unpacked kernel for any tile size.
-func gemmAxpyPacked(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate bool) {
-	nb := (m + packMR - 1) / packMR
-	for jb := 0; jb < ncols; jb += packNB {
-		je := jb + packNB
-		if je > ncols {
-			je = ncols
-		}
-		gemmAxpyPackedSpan(cd, pd, bd, m, ldc, bRows{ldb: ldb}, k, accumulate, 0, nb, jb, je)
-	}
-}
-
-// bRows locates the rows of a packed GEMM's B operand in its slice: row p
-// starts at p*ldb, or at offs[p] when offs is set — the row-offset table of
-// an indirect convolution (indirect.go), whose B rows are windows of one
-// padded activation.
-type bRows struct {
-	ldb  int
-	offs []int32
-}
-
-func (b bRows) at(p int) int {
-	if b.offs != nil {
-		return int(b.offs[p])
-	}
-	return p * b.ldb
-}
-
-// gemmAxpyPackedSpan is the axpy packed-GEMM body over row blocks
-// [blo, bhi) and the column span [jb, je): the building block of both the
-// axpy form above and the micro-kernel drivers' edge cases (column
-// remainders narrower than a tile, the ragged final row block).
-func gemmAxpyPackedSpan(cd, pd, bd []float32, m, ldc int, br bRows, k int, accumulate bool, blo, bhi, jb, je int) {
+// gemmAxpyPackedSpan is gemmPacked's axpy body over row blocks [blo, bhi)
+// and the column span [jb, je), B's row p at bd[offs[p]:]: it takes the
+// ragged edges of the micro-kernel tiles and, on the portable kernels,
+// every column. Its per-element order (ascending gemmKC panels, quads via
+// axpy4f, the tail via saxpyf, all-zero quads skipped) is exactly
+// vecGemmAxpy's, whatever the span.
+func gemmAxpyPackedSpan(cd, pd, bd []float32, m, ldc int, offs []int32, k int, accumulate bool, blo, bhi, jb, je int) {
 	k4 := k &^ 3
 	bs := packedBlockStride(k)
 	for kb := 0; kb < k; kb += gemmKC {
@@ -156,7 +116,7 @@ func gemmAxpyPackedSpan(cd, pd, bd []float32, m, ldc int, br bRows, k int, accum
 					if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 						continue
 					}
-					b0, b1, b2, b3 := br.at(p), br.at(p+1), br.at(p+2), br.at(p+3)
+					b0, b1, b2, b3 := int(offs[p]), int(offs[p+1]), int(offs[p+2]), int(offs[p+3])
 					axpy4f(crow, a0, a1, a2, a3,
 						bd[b0+jb:b0+je], bd[b1+jb:b1+je], bd[b2+jb:b2+je], bd[b3+jb:b3+je])
 				}
@@ -165,7 +125,7 @@ func gemmAxpyPackedSpan(cd, pd, bd []float32, m, ldc int, br bRows, k int, accum
 					if av == 0 {
 						continue
 					}
-					b0 := br.at(p)
+					b0 := int(offs[p])
 					saxpyf(crow, av, bd[b0+jb:b0+je])
 				}
 			}
@@ -173,111 +133,84 @@ func gemmAxpyPackedSpan(cd, pd, bd []float32, m, ldc int, br bRows, k int, accum
 	}
 }
 
-// gemmPackedMicroSub is the convolutions' GEMM over packed panels:
-// cd (+)= packed(A) x bd for an ncols-wide column window of C (row stride
-// ldc) against the B panel at bd (row stride ldb) — all three equal for a
-// whole-matrix product, which is what the convolution forward asks for. It
-// runs gemmPackedMicro where the micro-kernels exist and gemmAxpyPacked
-// where they do not.
-func gemmPackedMicroSub(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate bool) {
-	if !accumulate && k == 0 {
-		clearRows(cd, m, ncols, ldc)
-		return
-	}
-	if k == 0 || m == 0 || ncols == 0 {
-		return
-	}
-	if packMicroOK {
-		gemmPackedMicro(cd, pd, bd, m, ncols, ldc, ldb, k, accumulate)
-	} else {
-		gemmAxpyPacked(cd, pd, bd, m, ncols, ldc, ldb, k, accumulate)
-	}
-}
-
-// clearRows zeroes an ncols-wide column window of m rows with stride ldc.
-func clearRows(cd []float32, m, ncols, ldc int) {
-	if ncols == ldc {
-		clear(cd[:m*ldc])
-		return
-	}
-	for i := 0; i < m; i++ {
-		clear(cd[i*ldc : i*ldc+ncols])
-	}
-}
-
-// gemmPackedMicro is the micro-kernel GEMM. Full packMR row blocks x
-// 24/16-column tiles run in the register-blocked micro-kernels, which hold
-// the whole C tile in ymm accumulators for an entire reduction panel: the
-// axpy forms stream each C row from memory once per k-quad, the
-// micro-kernel touches C once per panel and amortises every B load over
-// four rows. Only full 4-row blocks enter the micro-kernel (the packed
-// layout zero-pads ragged blocks, but the kernel would then write lanes
-// past row m-1 of C); the ragged block and column spans narrower than a
-// tile run gemmAxpyPackedSpan.
-//
-// kcMicro and ncMicro are the reduction and column panels of the
-// micro-kernel path. A kcMicro x ncMicro B panel is 240 KiB — sized to
-// stay resident in a 256 KiB L2 while EVERY row block streams against it,
-// so B pays one trip from outer memory per panel instead of one per row
-// block (the difference between ~45 and ~65 GFLOP/s on a single
-// Haswell-class core, whose L3 cannot feed the kernel). kcMicro is larger
-// than the axpy forms' gemmKC because each reduction panel costs one extra
-// load+store round trip of the C tile, and the C window here (4 x ncMicro
-// per tile pass) is small enough that fewer, deeper panels win.
+// kcMicro and ncMicro are the reduction and column panels of the packed
+// GEMM. A kcMicro x ncMicro B panel is 240 KiB — sized to stay resident in
+// a 256 KiB L2 while EVERY row block streams against it, so B pays one trip
+// from outer memory per panel instead of one per row block (the difference
+// between ~45 and ~65 GFLOP/s on a single Haswell-class core, whose L3
+// cannot feed the kernel). kcMicro is larger than the axpy spans' gemmKC
+// because each reduction panel costs one extra load+store round trip of the
+// C tile, and the C window here (4 x ncMicro per tile pass) is small enough
+// that fewer, deeper panels win.
 const kcMicro = 512
 
 const ncMicro = 120
 
-func gemmPackedMicro(cd, pd, bd []float32, m, ncols, ldc, ldb, k int, accumulate bool) {
+// gemmPacked is the convolutions' GEMM: cd [m, h*w] (+)= packed(A) x B,
+// with B's k rows read through p as h segments of w floats. Full packMR row
+// blocks run the register-blocked micro-kernel on 24-column tiles inside a
+// segment, holding the whole C tile in ymm accumulators for a reduction
+// panel: the axpy spans stream each C row from memory once per k-quad, the
+// micro-kernel touches C once per panel and shares every B load among four
+// rows. A segment's remaining columns, the ragged row block (the packed
+// layout zero-pads it, but the kernel would write lanes past row m-1 of C)
+// and the portable kernels run gemmAxpyPackedSpan with the same table. k
+// goes in kcMicro panels and columns in blocks of at most ncMicro: whole
+// segments while they fit, ncMicro-wide pieces of one segment otherwise.
+func gemmPacked(cd, pd []float32, p bOperand, m, k int, accumulate bool) {
+	h, w, wp := p.h, p.w, p.wp
+	hw := h * w
+	if k == 0 || hw == 0 {
+		if !accumulate {
+			clear(cd[:m*hw])
+		}
+		return
+	}
+	p.checkReads()
+	nb := (m + packMR - 1) / packMR
+	fullB := 0
+	if packTileInd24f != nil {
+		fullB = m >> 2
+	}
 	k4 := k &^ 3
 	bs := packedBlockStride(k)
-	fullB := m >> 2
-	for jb := 0; jb < ncols; jb += ncMicro {
-		je := jb + ncMicro
-		if je > ncols {
-			je = ncols
-		}
-		// Tile 24 columns wide while they last, one 16-wide tile if 16..23
-		// columns remain, and an axpy span for any 1..15-column tail.
-		// ncMicro is a multiple of 24, so only the final ragged block of an
-		// odd-width C ever leaves the 24-wide kernel.
-		jt24 := jb + (je-jb)/24*24
-		jtEnd := jt24
-		if je-jt24 >= 16 {
-			jtEnd = jt24 + 16
-		}
-		for kb := 0; kb < k; kb += kcMicro {
-			ke := kb + kcMicro
-			if ke > k {
-				ke = k
+	rows, cols := max(ncMicro/w, 1), min(w, ncMicro)
+	for y0 := 0; y0 < h; y0 += rows {
+		y1 := min(y0+rows, h)
+		for x0 := 0; x0 < w; x0 += cols {
+			x1 := min(x0+cols, w)
+			xt := x0 // the block's tiles end at xt
+			if fullB > 0 {
+				xt += (x1 - x0) / 24 * 24
 			}
-			qhi := ke
-			if qhi > k4 {
-				qhi = k4
-			}
-			nq := (qhi - kb) / 4
-			nt := ke - qhi
-			load := accumulate || kb > 0
-			for ib := 0; ib < fullB; ib++ {
-				// The block's coefficients for panel [kb, ke) start 4*kb
-				// floats in: quads are 16 floats each (4*4kb/4) and the
-				// k%4 tail follows the quads contiguously at 4 floats per
-				// position, so the kernel walks one pointer through both.
-				ap := pd[ib*bs+4*kb:]
-				i0 := ib * packMR
-				for jt := jb; jt < jt24; jt += 24 {
-					packTile24f(cd[i0*ldc+jt:], ldc, ap, bd[kb*ldb+jt:], ldb, nq, nt, load)
-				}
-				if jtEnd > jt24 {
-					packTilef(cd[i0*ldc+jt24:], ldc, ap, bd[kb*ldb+jt24:], ldb, nq, nt, load)
+			for kb := 0; kb < k && xt > x0; kb += kcMicro {
+				ke := min(kb+kcMicro, k)
+				qhi := min(ke, k4)
+				nq, nt := (qhi-kb)/4, ke-qhi
+				load := accumulate || kb > 0
+				offs := p.offs[kb:ke]
+				for ib := 0; ib < fullB; ib++ {
+					// The block's coefficients for panel [kb, ke) start 4*kb
+					// floats in: quads are 16 floats each and the k%4 tail
+					// follows them at 4 floats per position, so the kernel
+					// walks one pointer through both.
+					ap := pd[ib*bs+4*kb : ib*bs+4*ke]
+					c0 := ib * packMR * hw
+					for oy := y0; oy < y1; oy++ {
+						for ox := x0; ox < xt; ox += 24 {
+							packTileInd24f(cd[c0+oy*w+ox:c0+3*hw+oy*w+ox+24], hw, ap, p.pl[oy*wp+ox:], offs, nq, nt, load)
+						}
+					}
 				}
 			}
-		}
-		if jtEnd < je {
-			gemmAxpyPackedSpan(cd, pd, bd, m, ldc, bRows{ldb: ldb}, k, accumulate, 0, fullB, jtEnd, je)
-		}
-		if m > fullB*packMR {
-			gemmAxpyPackedSpan(cd, pd, bd, m, ldc, bRows{ldb: ldb}, k, accumulate, fullB, fullB+1, jb, je)
+			for oy := y0; oy < y1; oy++ {
+				if xt < x1 {
+					gemmAxpyPackedSpan(cd[oy*w:], pd, p.pl[oy*wp:], m, hw, p.offs, k, accumulate, 0, fullB, xt, x1)
+				}
+				if fullB < nb {
+					gemmAxpyPackedSpan(cd[oy*w:], pd, p.pl[oy*wp:], m, hw, p.offs, k, accumulate, fullB, nb, x0, x1)
+				}
+			}
 		}
 	}
 }
@@ -412,16 +345,17 @@ func biasPrefill(rd, bd []float32, oc, nhw int) {
 // Conv2DWS implements Backend: pack the weight into a lease, prefill bias
 // into each channel row and accumulate the packed GEMM on top. A stride-1
 // same-size convolution whose output size is a multiple of 8 reads its
-// input through a row-offset table into a padded copy (convIndirectOK,
-// indirect.go); any other is one lowering of the sample, except a 1x1
-// stride-1 unpadded convolution, whose activation viewed as [C, H*W]
-// already is the im2col matrix. The two paths give the same bits.
+// input in place from a padded copy (convIndirectOK, indirect.go); any other
+// is one lowering of the sample, except a 1x1 stride-1 unpadded
+// convolution, whose activation viewed as [C, H*W] already is the im2col
+// matrix. Every path is the same GEMM over the same B, so they give the same
+// bits.
 func (vecBackend) Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	return conv2DVec(ws, x, w, b, s, convIndirectOK(s, x.Dim(1), x.Dim(2)))
 }
 
-// conv2DVec is vec's convolution forward on the indirect path or the
-// lowering one.
+// conv2DVec is vec's convolution forward with B read in place from a padded
+// copy of x (indirect) or from a dense matrix: x itself or its lowering.
 func conv2DVec(ws *Workspace, x, w, b *Tensor, s ConvSpec, indirect bool) *Tensor {
 	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
 	oh, ow := s.OutSize(h, wid)
@@ -435,19 +369,21 @@ func conv2DVec(ws *Workspace, x, w, b *Tensor, s ConvSpec, indirect bool) *Tenso
 	if acc {
 		biasPrefill(res.Data, b.Data, oc, hw)
 	}
+	var p bOperand
+	var cols *Tensor
 	switch {
 	case indirect:
-		p := newConvPlanes(ws, x, s)
-		gemmIndirect(res.Data, panels.Data, p, oc, ckk, acc)
-		ws.Put(p.leased)
+		p = newConvPlanes(ws, x, s)
 	case conv1x1Direct(s):
-		gemmPackedMicroSub(res.Data, panels.Data, x.Data, oc, hw, hw, hw, ckk, acc)
+		p = newDenseOperand(ws, x.Data, ckk, hw)
 	default:
-		cols := ws.GetDirty(ckk, hw)
+		cols = ws.GetDirty(ckk, hw)
 		lowerCHW(cols.Data, x.Data, c, h, wid, s, oh, ow)
-		gemmPackedMicroSub(res.Data, panels.Data, cols.Data, oc, hw, hw, hw, ckk, acc)
-		ws.Put(cols)
+		p = newDenseOperand(ws, cols.Data, ckk, hw)
 	}
+	gemmPacked(res.Data, panels.Data, p, oc, ckk, acc)
+	ws.Put(p.leased)
+	ws.Put(cols)
 	ws.Put(panels)
 	return res
 }

@@ -57,70 +57,69 @@ func TestPackedWeightsLayout(t *testing.T) {
 	}
 }
 
-// TestGemmAxpyPackedBitwiseVec pins the packed axpy GEMM to the unpacked
-// vec kernel bitwise: same panels, same quad order, same zero-skips — what
-// the convolution forward computes where the micro-kernel is unavailable.
+// TestGemmAxpyPackedBitwiseVec pins the packed GEMM on a dense operand (B's
+// rows through the table offs[p] = p*n) to the unpacked vec kernel bitwise,
+// on the selected and the portable kernels: same panels, same quad order,
+// same zero-skips. On the portable kernels every column runs through the
+// axpy spans, which is what the convolution forward computes where the
+// micro-kernel is unavailable.
 func TestGemmAxpyPackedBitwiseVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(6011))
-	for _, d := range [][3]int{{1, 1, 1}, {3, 17, 5}, {4, 16, 8}, {13, 33, 31}, {31, 127, 64}, {8, 120, 9}} {
-		m, n, k := d[0], d[1], d[2]
-		a := make([]float32, m*k)
-		b := make([]float32, k*n)
-		fillRand(rng, a)
-		fillRand(rng, b)
-		pd := make([]float32, packedSize(m, k))
-		packWeightsInto(pd, a, m, k, k, 1)
-		for _, acc := range []bool{false, true} {
-			want := make([]float32, m*n)
-			got := make([]float32, m*n)
-			if acc {
-				fillRand(rng, want)
-				copy(got, want)
-			}
-			vecGemmAxpy(want, a, b, m, n, k, k, 1, acc)
-			gemmAxpyPacked(got, pd, b, m, n, n, n, k, acc)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("m=%d n=%d k=%d acc=%v element %d: packed %v != unpacked %v (must be bitwise)",
-						m, n, k, acc, i, got[i], want[i])
-				}
-			}
-		}
-	}
+	checkPackedMatchesUnpacked(t, 6011, [][3]int{
+		{1, 1, 1}, {3, 17, 5}, {4, 16, 8}, {13, 33, 31}, {31, 127, 64}, {8, 120, 9},
+	})
 }
 
-// TestGemmPackedMicroMatchesAxpy pins the micro-kernel GEMM (all three
-// tile paths: 24-wide, 16-wide, axpy column tail) to the axpy packed form
-// bitwise, including the ragged-row-block and accumulate corners: both are
-// one ascending-k FMA chain per element, which the conv backward's tiled
-// input gradient relies on. Skipped where the micro-kernel is unavailable —
-// the dispatch then is the axpy form itself.
+// TestGemmPackedMicroMatchesAxpy pins the packed GEMM's micro-kernel tiles
+// and its axpy column remainders to vecGemmAxpy bitwise, including the
+// ragged-row-block and accumulate corners, k past kcMicro and every
+// 1..23-column remainder: a column in a 24-wide tile and one in the axpy
+// span of a remainder are both vecGemmAxpy's ascending-k FMA chain, which
+// the conv backward's tiled input gradient relies on.
 func TestGemmPackedMicroMatchesAxpy(t *testing.T) {
-	if !packMicroOK {
-		t.Skip("micro-kernel unavailable on this build; the packed GEMM is the axpy form")
+	shapes := [][3]int{{4, 24, 4}, {1, 16, 3}, {5, 120, 17}, {13, 158, 31}, {96, 120, 27}, {7, 360, 513}, {32, 23, 9}}
+	for n := 25; n < 48; n++ {
+		shapes = append(shapes, [3]int{6, n, 7}) // one tile and a 1..23-column remainder
 	}
-	rng := rand.New(rand.NewSource(6029))
-	for _, d := range [][3]int{{4, 24, 4}, {1, 16, 3}, {5, 120, 17}, {13, 158, 31}, {96, 120, 27}, {7, 360, 513}, {32, 23, 9}} {
-		m, n, k := d[0], d[1], d[2]
-		a := make([]float32, m*k)
-		b := make([]float32, k*n)
-		fillRand(rng, a)
-		fillRand(rng, b)
-		pd := make([]float32, packedSize(m, k))
-		packWeightsInto(pd, a, m, k, k, 1)
-		for _, acc := range []bool{false, true} {
-			want := make([]float32, m*n)
-			got := make([]float32, m*n)
-			if acc {
-				fillRand(rng, want)
-				copy(got, want)
+	checkPackedMatchesUnpacked(t, 6029, shapes)
+}
+
+// checkPackedMatchesUnpacked runs gemmPacked on a dense operand against
+// vecGemmAxpy for each {m, n, k} in shapes, with and without accumulation,
+// on the selected kernels and, where those are not already portable, on
+// the portable ones.
+func checkPackedMatchesUnpacked(t *testing.T, seed int64, shapes [][3]int) {
+	t.Helper()
+	run := func(t *testing.T) {
+		rng := rand.New(rand.NewSource(seed))
+		for _, d := range shapes {
+			m, n, k := d[0], d[1], d[2]
+			a := make([]float32, m*k)
+			b := make([]float32, k*n)
+			fillRand(rng, a)
+			fillRand(rng, b)
+			pd := make([]float32, packedSize(m, k))
+			packWeightsInto(pd, a, m, k, k, 1)
+			ws := NewWorkspace()
+			p := newDenseOperand(ws, b, k, n)
+			for _, acc := range []bool{false, true} {
+				want := make([]float32, m*n)
+				got := make([]float32, m*n)
+				if acc {
+					fillRand(rng, want)
+					copy(got, want)
+				}
+				vecGemmAxpy(want, a, b, m, n, k, k, 1, acc)
+				gemmPacked(got, pd, p, m, k, acc)
+				if !bitwiseEqual(got, want) {
+					t.Fatalf("m=%d n=%d k=%d acc=%v: the packed GEMM differs from the unpacked kernel (must be bitwise)", m, n, k, acc)
+				}
 			}
-			gemmAxpyPacked(want, pd, b, m, n, n, n, k, acc)
-			gemmPackedMicroSub(got, pd, b, m, n, n, n, k, acc)
-			if !bitwiseEqual(got, want) {
-				t.Fatalf("micro m=%d n=%d k=%d acc=%v: micro-kernel GEMM differs from the axpy form (must be bitwise)", m, n, k, acc)
-			}
+			ws.Put(p.leased)
 		}
+	}
+	t.Run(VecKernelISA(), run)
+	if VecKernelISA() != "portable" {
+		t.Run("portable", func(t *testing.T) { withPortableKernels(func() { run(t) }) })
 	}
 }
 
@@ -259,9 +258,9 @@ func FuzzBatchParity(f *testing.F) {
 	})
 }
 
-// BenchmarkPackedMicroGemm isolates the packed GEMM on the teacher's
-// dominant layer shapes, reporting achieved GFLOP/s.
-func BenchmarkPackedMicroGemm(b *testing.B) {
+// BenchmarkPackedGemm isolates the packed GEMM on a dense operand at the
+// teacher's dominant layer shapes, reporting achieved GFLOP/s.
+func BenchmarkPackedGemm(b *testing.B) {
 	for _, sh := range []struct{ m, k, n int }{{96, 864, 1152}, {64, 1728, 1152}, {32, 288, 6144}, {96, 432, 4608}} {
 		b.Run(fmt.Sprintf("%dx%dx%d", sh.m, sh.k, sh.n), func(b *testing.B) {
 			pd := make([]float32, packedSize(sh.m, sh.k))
@@ -274,10 +273,11 @@ func BenchmarkPackedMicroGemm(b *testing.B) {
 			for i := range bd {
 				bd[i] = float32(i%5) * 0.2
 			}
+			p := newDenseOperand(NewWorkspace(), bd, sh.k, sh.n)
 			cd := make([]float32, sh.m*sh.n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gemmPackedMicroSub(cd, pd, bd, sh.m, sh.n, sh.n, sh.n, sh.k, false)
+				gemmPacked(cd, pd, p, sh.m, sh.k, false)
 			}
 			flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPs")
@@ -312,6 +312,33 @@ func TestConvBackwardInputTiledBitwise(t *testing.T) {
 			if !bitwiseEqual(got.Data, want.Data) {
 				t.Fatalf("c=%d h=%d w=%d oc=%d spec=%+v: tiled dx differs from the whole-matrix form",
 					sh.c, sh.h, sh.w, sh.oc, spec)
+			}
+		}
+	}
+}
+
+// TestRowSumsBitwise pins the bias gradient's four-chain row sums to one
+// sequential sum per row bitwise, over row counts that leave every
+// leftover and values spread over magnitudes, where any reassociation
+// shows.
+func TestRowSumsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(6043))
+	for rows := 1; rows <= 9; rows++ {
+		for _, n := range []int{0, 1, 7, 96, 1537} {
+			g := make([]float32, rows*n)
+			for i := range g {
+				g[i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3)))
+			}
+			got := make([]float32, rows)
+			rowSums(got, g, n)
+			for r := 0; r < rows; r++ {
+				var want float32
+				for _, v := range g[r*n : (r+1)*n] {
+					want += v
+				}
+				if math.Float32bits(got[r]) != math.Float32bits(want) {
+					t.Fatalf("rows=%d n=%d row %d: %v, the one-row sum gives %v", rows, n, r, got[r], want)
+				}
 			}
 		}
 	}

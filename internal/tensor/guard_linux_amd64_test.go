@@ -67,7 +67,7 @@ func randSlice(rng *rand.Rand, n int) []float32 {
 // faults here, in go test, instead of in a benchmark run. Each guarded
 // result must also equal the same call on ordinary memory.
 func TestKernelsStayInsideOperands(t *testing.T) {
-	if !packMicroOK {
+	if packTileInd24f == nil {
 		t.Skip("the AVX2+FMA kernels are not selected")
 	}
 	rng := rand.New(rand.NewSource(9001))
@@ -78,29 +78,29 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 		}
 	}
 
-	for _, width := range []int{16, 24} {
-		tile := packTile4x16AVX
-		if width == 24 {
-			tile = packTile4x24AVX
-		}
-		for _, nq := range []int{0, 1, 3} {
-			for _, nt := range []int{0, 1, 3} {
-				for _, ld := range [][2]int{{width, width}, {width + 5, width + 3}} {
-					ldc, ldb := ld[0], ld[1]
-					kk := 4*nq + nt
-					nb := 0
-					if kk > 0 {
-						nb = (kk-1)*ldb + width
-					}
-					c, ap, b := randSlice(rng, 3*ldc+width), randSlice(rng, 16*nq+4*nt), randSlice(rng, nb)
-					for _, load := range []bool{false, true} {
-						label := fmt.Sprintf("packTile4x%d nq=%d nt=%d ldc=%d ldb=%d load=%v", width, nq, nt, ldc, ldb, load)
-						gc, gap, gb := guarded(t, c), guarded(t, ap), guarded(t, b)
-						want := append([]float32(nil), c...)
-						noFault(t, label, func() { tile(gc, ldc, gap, gb, ldb, nq, nt, load) })
-						tile(want, ldc, ap, b, ldb, nq, nt, load)
-						same(label, gc, want)
-					}
+	// The micro-kernel on its own, B's rows through a table at a fixed
+	// stride ldb: the tile's last row and B's last row end flush.
+	for _, nq := range []int{0, 1, 3} {
+		for _, nt := range []int{0, 1, 3} {
+			for _, ld := range [][2]int{{24, 24}, {29, 27}} {
+				ldc, ldb := ld[0], ld[1]
+				kk := 4*nq + nt
+				nb := 0
+				if kk > 0 {
+					nb = (kk-1)*ldb + 24
+				}
+				offs := make([]int32, kk)
+				for p := range offs {
+					offs[p] = int32(p * ldb)
+				}
+				c, ap, b := randSlice(rng, 3*ldc+24), randSlice(rng, 16*nq+4*nt), randSlice(rng, nb)
+				for _, load := range []bool{false, true} {
+					label := fmt.Sprintf("packTileInd4x24AVX nq=%d nt=%d ldc=%d ldb=%d load=%v", nq, nt, ldc, ldb, load)
+					gc, gap, gb, goffs := guarded(t, c), guarded(t, ap), guarded(t, b), guardedInt32(t, offs)
+					want := append([]float32(nil), c...)
+					noFault(t, label, func() { packTileInd4x24AVX(gc, ldc, gap, gb, goffs, nq, nt, load) })
+					packTileInd4x24AVX(want, ldc, ap, b, offs, nq, nt, load)
+					same(label, gc, want)
 				}
 			}
 		}
@@ -127,26 +127,36 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 		same(label, gd, d)
 	}
 
-	for _, sh := range []struct{ m, ncols, ldc, ldb, k int }{
-		{5, 41, 41, 41, 13}, {8, 23, 30, 27, 520}, {7, 17, 17, 20, 3}, {4, 48, 48, 48, 1}, {9, 5, 5, 5, 9},
+	// The packed GEMM on a row-table operand of one segment per row, B's
+	// rows ldb apart: 24-wide tiles, 1..23-column remainders, ragged row
+	// blocks and k past kcMicro.
+	for _, sh := range []struct{ m, n, ldb, k int }{
+		{5, 41, 41, 13}, {8, 23, 27, 520}, {7, 17, 20, 3}, {4, 48, 48, 1}, {9, 5, 5, 9}, {8, 47, 50, 600},
 	} {
-		label := fmt.Sprintf("gemmPackedMicroSub %+v", sh)
+		label := fmt.Sprintf("gemmPacked row table %+v", sh)
 		pd := make([]float32, packedSize(sh.m, sh.k))
 		packWeightsInto(pd, randSlice(rng, sh.m*sh.k), sh.m, sh.k, sh.k, 1)
-		c, b := randSlice(rng, (sh.m-1)*sh.ldc+sh.ncols), randSlice(rng, (sh.k-1)*sh.ldb+sh.ncols)
+		c, b := randSlice(rng, sh.m*sh.n), randSlice(rng, (sh.k-1)*sh.ldb+sh.n)
+		offs := make([]int32, sh.k)
+		for p := range offs {
+			offs[p] = int32(p * sh.ldb)
+		}
+		p := bOperand{pl: b, offs: offs, h: 1, w: sh.n, wp: sh.n}
+		gp := bOperand{pl: guarded(t, b), offs: guardedInt32(t, offs), h: 1, w: sh.n, wp: sh.n}
 		for _, acc := range []bool{false, true} {
-			gc, gp, gb := guarded(t, c), guarded(t, pd), guarded(t, b)
+			gc, gpd := guarded(t, c), guarded(t, pd)
 			want := append([]float32(nil), c...)
-			noFault(t, label, func() { gemmPackedMicroSub(gc, gp, gb, sh.m, sh.ncols, sh.ldc, sh.ldb, sh.k, acc) })
-			gemmPackedMicroSub(want, pd, b, sh.m, sh.ncols, sh.ldc, sh.ldb, sh.k, acc)
+			noFault(t, label, func() { gemmPacked(gc, gpd, gp, sh.m, sh.k, acc) })
+			gemmPacked(want, pd, p, sh.m, sh.k, acc)
 			same(label, gc, want)
 		}
 	}
 
-	// The indirect kernels through their drivers: packTileInd4x24AVX under
-	// gemmIndirect and dot3x4IndAVX under vecGemmDotInd. A same-padded
-	// convolution's farthest read is the padded planes' last float, so the
-	// last tile of the last row and the last B-row group end flush.
+	// The kernels on a convolution's padded planes, through their drivers:
+	// packTileInd4x24AVX under gemmPacked and dot3x4IndAVX under
+	// vecGemmDotInd. A same-padded convolution's farthest read is the
+	// padded planes' last float, so the last tile of the last row and the
+	// last B-row group end flush.
 	for _, sh := range []struct {
 		c, h, w, oc int
 		spec        ConvSpec
@@ -169,8 +179,8 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 		for _, acc := range []bool{false, true} {
 			gc, gpd := guarded(t, c), guarded(t, pd)
 			want := append([]float32(nil), c...)
-			noFault(t, label+" forward", func() { gemmIndirect(gc, gpd, gp, sh.oc, ckk, acc) })
-			gemmIndirect(want, pd, p, sh.oc, ckk, acc)
+			noFault(t, label+" forward", func() { gemmPacked(gc, gpd, gp, sh.oc, ckk, acc) })
+			gemmPacked(want, pd, p, sh.oc, ckk, acc)
 			same(label+" forward", gc, want)
 		}
 		gy, tail := randSlice(rng, sh.oc*hw), make([]float32, ckk%4*hw)

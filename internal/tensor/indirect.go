@@ -2,23 +2,28 @@ package tensor
 
 import "unsafe"
 
-// This file is the indirect convolution (Dukhan, "The Indirect Convolution
-// Algorithm", arXiv:1907.02129) for the stride-1 same-size convolutions:
+// This file is the packed GEMM's B operand: a row-offset table into the
+// floats that hold B, so that the GEMM (gemmPacked, batch.go) and the
+// backward's weight gradient (vecGemmDotInd) read every B row in place.
+//
+// For the stride-1 same-size convolutions it is the indirect convolution
+// (Dukhan, "The Indirect Convolution Algorithm", arXiv:1907.02129):
 // instead of lowering the input to the transposed im2col matrix B
 // [CKK, OH*OW], the input is copied once into zero-bordered planes
-// [C, H+2PH, W+2PW] and every B row is read in place through a row-offset
-// table. Row p = (ch, ky, kx) of B at output row oy is the padded row
-// ch*(H+2PH) + oy + ky shifted by kx, so
+// [C, H+2PH, W+2PW]. Row p = (ch, ky, kx) of B at output row oy is the
+// padded row ch*(H+2PH) + oy + ky shifted by kx, so
 //
 //	B[p][oy*W+ox] = planes[offs[p] + oy*(W+2PW) + ox]
 //	offs[p]       = ch*(H+2PH)*(W+2PW) + ky*(W+2PW) + kx
 //
 // B's row is then H segments of W floats; where W is not a multiple of 8
 // the planes are laid out so that it is one segment of H*W instead
-// (newConvPlanes). The GEMMs walk k in the same order as on the lowered
-// matrix, and a tile or an axpy span never crosses a segment, so every
-// element is the same FMA chain (or the same Go expression) as on the
-// lowering path, bit for bit. The backward's weight gradient
+// (newConvPlanes). Every other B — a lowering, or an activation or a
+// gradient viewed as a matrix — is dense, with offs[p] = p*N and one
+// segment of N floats (newDenseOperand). The GEMMs walk k in the same order
+// on every layout, and a tile or an axpy span never crosses a segment, so
+// every element is the same FMA chain (or the same Go expression) as on the
+// lowered matrix, bit for bit. The backward's weight gradient
 // (vecGemmDotInd) carries dot3x4's twelve accumulators across segments,
 // which keeps each lane's chain only when a segment is a multiple of 8
 // floats long — so that, through the choice of layout, makes the shape test
@@ -36,13 +41,13 @@ func convIndirectOK(s ConvSpec, h, w int) bool {
 	return oh == h && ow == w
 }
 
-// convPlanes is the indirect path's operand: one input laid out for B's
-// rows to be read in place, and the row-offset table into it, both in one
-// workspace lease. B's row p is h segments of w floats, wp apart, from
-// offs[p]; h*w is the convolution's output size.
-type convPlanes struct {
+// bOperand is the packed GEMM's B: the floats that hold it and the
+// row-offset table into them. B's row p is h segments of w floats, wp
+// apart, from offs[p]; h*w is the GEMM's column count. leased is the
+// workspace lease the caller returns.
+type bOperand struct {
 	pl       []float32
-	offs     []int32 // [c*KH*KW]; the last entry is the largest
+	offs     []int32 // [k]; the last entry is the largest
 	h, w, wp int
 	leased   *Tensor
 }
@@ -50,7 +55,7 @@ type convPlanes struct {
 // checkReads panics unless every B read through p — the largest offset's
 // last segment — lies inside p.pl. The drivers call it before a kernel that
 // does not check its own reads.
-func (p convPlanes) checkReads() {
+func (p bOperand) checkReads() {
 	if len(p.offs) > 0 {
 		_ = p.pl[int(p.offs[len(p.offs)-1])+(p.h-1)*p.wp+p.w-1]
 	}
@@ -70,7 +75,7 @@ func (p convPlanes) checkReads() {
 // 3x1 conv, lose out1's and out2's forwards (median +2 to +11 %), and the
 // partial step ran faster with them in only 25 of 74 alternating pairs —
 // their KW copies cost more than one padded plane.
-func newConvPlanes(ws *Workspace, x *Tensor, s ConvSpec) convPlanes {
+func newConvPlanes(ws *Workspace, x *Tensor, s ConvSpec) bOperand {
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	hp, wp := h+2*s.PH, w+2*s.PW
 	np, ckk := c*hp*wp, c*s.KH*s.KW
@@ -79,7 +84,7 @@ func newConvPlanes(ws *Workspace, x *Tensor, s ConvSpec) convPlanes {
 		np = c * s.KW * hp * w
 	}
 	t := ws.GetDirty(np + ckk)
-	p := convPlanes{pl: t.Data[:np], h: h, w: w, wp: wp, leased: t}
+	p := bOperand{pl: t.Data[:np], h: h, w: w, wp: wp, leased: t}
 	// The table is the lease's tail viewed as int32s (both 4 bytes wide):
 	// workspaces pool only float32 tensors.
 	p.offs = unsafe.Slice((*int32)(unsafe.Pointer(&t.Data[np])), ckk)
@@ -118,73 +123,24 @@ func newConvPlanes(ws *Workspace, x *Tensor, s ConvSpec) convPlanes {
 	return p
 }
 
-// row returns segment oy of B's row j.
-func (p convPlanes) row(j, oy int) []float32 {
-	o := int(p.offs[j]) + oy*p.wp
-	return p.pl[o : o+p.w]
+// newDenseOperand is the operand of a dense [k, n] matrix b: one segment
+// of n floats per row, row p at p*n. Its table is leased from ws, as
+// newConvPlanes leases its own: the lease viewed as int32s. The caller
+// returns p.leased to ws.
+func newDenseOperand(ws *Workspace, b []float32, k, n int) bOperand {
+	t := ws.GetDirty(k)
+	p := bOperand{pl: b[:k*n], h: 1, w: n, wp: n, leased: t}
+	p.offs = unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(t.Data))), k)
+	for i := range p.offs {
+		p.offs[i] = int32(i * n)
+	}
+	return p
 }
 
-// gemmIndirect is gemmPackedMicroSub for an indirect convolution: cd [m,
-// h*w] (+)= packed(A) x B with B read through p, whose rows are h segments
-// of w floats. Full row blocks run the 24-wide indirect micro-kernel on
-// 24-column tiles inside a segment; a segment's remaining columns, the
-// ragged row block and the portable kernels run gemmAxpyPackedSpan with B's
-// rows located by the table. As in gemmPackedMicro, k goes in kcMicro
-// panels and columns in blocks of at most ncMicro: whole segments while
-// they fit, ncMicro-wide pieces of one segment otherwise.
-func gemmIndirect(cd, pd []float32, p convPlanes, m, k int, accumulate bool) {
-	h, w, wp := p.h, p.w, p.wp
-	hw := h * w
-	if k == 0 {
-		if !accumulate {
-			clear(cd[:m*hw])
-		}
-		return
-	}
-	p.checkReads()
-	br := bRows{offs: p.offs}
-	nb := (m + packMR - 1) / packMR
-	fullB := 0
-	if packMicroOK {
-		fullB = m >> 2
-	}
-	k4 := k &^ 3
-	bs := packedBlockStride(k)
-	rows, cols := max(ncMicro/w, 1), min(w, ncMicro)
-	for y0 := 0; y0 < h; y0 += rows {
-		y1 := min(y0+rows, h)
-		for x0 := 0; x0 < w; x0 += cols {
-			x1 := min(x0+cols, w)
-			xt := x0 // the block's tiles end at xt
-			if fullB > 0 {
-				xt += (x1 - x0) / 24 * 24
-			}
-			for kb := 0; kb < k && xt > x0; kb += kcMicro {
-				ke := min(kb+kcMicro, k)
-				qhi := min(ke, k4)
-				nq, nt := (qhi-kb)/4, ke-qhi
-				load := accumulate || kb > 0
-				offs := p.offs[kb:ke]
-				for ib := 0; ib < fullB; ib++ {
-					ap := pd[ib*bs+4*kb : ib*bs+4*ke]
-					c0 := ib * packMR * hw
-					for oy := y0; oy < y1; oy++ {
-						for ox := x0; ox < xt; ox += 24 {
-							packTileInd24f(cd[c0+oy*w+ox:c0+3*hw+oy*w+ox+24], hw, ap, p.pl[oy*wp+ox:], offs, nq, nt, load)
-						}
-					}
-				}
-			}
-			for oy := y0; oy < y1; oy++ {
-				if xt < x1 {
-					gemmAxpyPackedSpan(cd[oy*w:], pd, p.pl[oy*wp:], m, hw, br, k, accumulate, 0, fullB, xt, x1)
-				}
-				if fullB < nb {
-					gemmAxpyPackedSpan(cd[oy*w:], pd, p.pl[oy*wp:], m, hw, br, k, accumulate, fullB, nb, x0, x1)
-				}
-			}
-		}
-	}
+// row returns segment oy of B's row j.
+func (p bOperand) row(j, oy int) []float32 {
+	o := int(p.offs[j]) + oy*p.wp
+	return p.pl[o : o+p.w]
 }
 
 // vecGemmDotInd is vecGemmDot for the weight gradient of an indirect
@@ -194,7 +150,7 @@ func gemmIndirect(cd, pd []float32, p convPlanes, m, k int, accumulate bool) {
 // on that one row (dot3x4 is dot4 row by row, what vecGemmDot's leftover
 // rows compute), and the n%4 leftover B rows, which vecGemmDot takes through
 // dot1f, are copied out to tail ((n%4) * h*w floats) and taken the same way.
-func vecGemmDotInd(cd, ad []float32, p convPlanes, m, n int, tail []float32) {
+func vecGemmDotInd(cd, ad []float32, p bOperand, m, n int, tail []float32) {
 	p.checkReads()
 	h, w := p.h, p.w
 	k := h * w

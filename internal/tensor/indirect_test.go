@@ -9,10 +9,10 @@ import (
 // withPortableKernels runs f with the vec backend on its portable Go
 // kernels, as a non-amd64 build or SHADOWTUTOR_NOAVX would select them.
 func withPortableKernels(f func()) {
-	d4, d1, d34, d34i, a4, s1, ok := dot4f, dot1f, dot3x4f, dot3x4Indf, axpy4f, saxpyf, packMicroOK
-	dot4f, dot1f, dot3x4f, dot3x4Indf, axpy4f, saxpyf, packMicroOK = dot4, sdot, dot3x4, dot3x4Ind, axpy4, saxpy, false
+	d4, d1, d34, d34i, a4, s1, tile := dot4f, dot1f, dot3x4f, dot3x4Indf, axpy4f, saxpyf, packTileInd24f
+	dot4f, dot1f, dot3x4f, dot3x4Indf, axpy4f, saxpyf, packTileInd24f = dot4, sdot, dot3x4, dot3x4Ind, axpy4, saxpy, nil
 	defer func() {
-		dot4f, dot1f, dot3x4f, dot3x4Indf, axpy4f, saxpyf, packMicroOK = d4, d1, d34, d34i, a4, s1, ok
+		dot4f, dot1f, dot3x4f, dot3x4Indf, axpy4f, saxpyf, packTileInd24f = d4, d1, d34, d34i, a4, s1, tile
 	}()
 	f()
 }
