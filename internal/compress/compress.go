@@ -4,7 +4,9 @@
 // student"): per-tensor symmetric int8 quantization and magnitude pruning
 // with sparse encoding, applied to the student diffs that travel server →
 // client. Both are lossy; the ablation benches measure the bytes saved
-// against the accuracy cost.
+// against the accuracy cost. Int8's symbols, Delta's exact bit-pattern
+// distances and the key frame's image planes all ride one entropy-coded
+// integer stream (bits.go).
 package compress
 
 import (
@@ -12,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -50,25 +54,31 @@ func (Raw) Decode(r io.Reader) ([]*nn.Parameter, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Int8 codec: per-tensor symmetric quantization, 4× smaller than float32.
+// Int8 codec: per-tensor symmetric quantization on the integer stream.
 // ---------------------------------------------------------------------------
 
 // Int8 quantizes each tensor to signed 8-bit integers with one float32
-// scale per tensor: v ≈ scale × q, q ∈ [-127, 127].
+// scale per tensor: v ≈ scale × q, q ∈ [-127, 127]. The symbols ride the
+// integer stream (bits.go) as zigzag(q), so a tensor whose q cluster near
+// zero — a diff's — costs a few bits a weight rather than eight. Wire
+// layout:
+//
+//	count u32 · per tensor: header · scale f32 · stream of zigzag(q)
 type Int8 struct{}
 
 // Name implements Codec.
 func (Int8) Name() string { return "int8" }
 
-// Encode implements Codec.
+// Encode implements Codec. A NaN or ±Inf has no int8 symbol (and an
+// infinite scale would zero the rest of its tensor), so non-finite input is
+// an error; Delta routes such tensors down its exact path instead.
 func (Int8) Encode(w io.Writer, params []*nn.Parameter) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(params))); err != nil {
 		return err
 	}
+	var sym []uint32 // reused across tensors
+	var out []byte
 	for _, p := range params {
-		if err := nn.WriteHeader(w, p); err != nil {
-			return err
-		}
 		maxAbs := float32(0)
 		for _, v := range p.Value.Data {
 			if a := abs32(v); a > maxAbs {
@@ -79,10 +89,8 @@ func (Int8) Encode(w io.Writer, params []*nn.Parameter) error {
 		if scale == 0 {
 			scale = 1
 		}
-		if err := binary.Write(w, binary.LittleEndian, scale); err != nil {
-			return err
-		}
-		buf := make([]int8, p.Value.Len())
+		sym = slices.Grow(sym[:0], p.Value.Len())[:p.Value.Len()]
+		var hist [33]int
 		for i, v := range p.Value.Data {
 			q := math.Round(float64(v / scale))
 			if q > 127 {
@@ -91,9 +99,18 @@ func (Int8) Encode(w io.Writer, params []*nn.Parameter) error {
 			if q < -127 {
 				q = -127
 			}
-			buf[i] = int8(q)
+			if q != q { // a NaN, or an Inf over the infinite scale it made
+				return fmt.Errorf("compress: int8 cannot quantize %s[%d] = %v", p.Name, i, v)
+			}
+			sym[i] = zigzag(int32(q))
+			hist[bits.Len32(sym[i])]++
 		}
-		if err := binary.Write(w, binary.LittleEndian, buf); err != nil {
+		if err := nn.WriteHeader(w, p); err != nil {
+			return err
+		}
+		out = binary.LittleEndian.AppendUint32(out[:0], math.Float32bits(scale))
+		out = newLengthCode(&hist).appendStream(out, sym)
+		if _, err := w.Write(out); err != nil {
 			return err
 		}
 	}
@@ -116,19 +133,13 @@ func (Int8) Decode(r io.Reader) ([]*nn.Parameter, error) {
 		if err := binary.Read(r, binary.LittleEndian, &scale); err != nil {
 			return nil, fmt.Errorf("compress: int8 scale: %w", err)
 		}
-		// One byte per element follows; refuse to allocate the tensor when
-		// the stream cannot possibly hold that much (hostile-header guard,
-		// same idiom as nn.ReadNamed).
-		if err := checkClaim(r, int64(tensor.NumElems(shape))); err != nil {
-			return nil, err
+		t, err := readStream(r, shape, 8)
+		if err != nil {
+			return nil, fmt.Errorf("compress: int8 %s: %w", name, err)
 		}
-		t := tensor.New(shape...)
-		buf := make([]int8, t.Len())
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
-			return nil, fmt.Errorf("compress: int8 data: %w", err)
-		}
-		for j, q := range buf {
-			t.Data[j] = float32(q) * scale
+		data := t.Data // a local slice: the stores below cannot move it
+		for j, z := range bitsOf(data) {
+			data[j] = float32(unzigzag(z)) * scale
 		}
 		params = append(params, &nn.Parameter{Name: name, Value: t})
 	}
@@ -304,12 +315,8 @@ func readCount(r io.Reader) (int, error) {
 	return int(count), nil
 }
 
-func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
+// abs32 clears v's sign bit: no branch for a mispredicted sign to cost.
+func abs32(v float32) float32 { return math.Float32frombits(math.Float32bits(v) &^ (1 << 31)) }
 
 // EncodedBytes returns the byte length codec produces for params, for
 // traffic accounting and the compression ablation.

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -270,5 +271,17 @@ func TestQuickPrunedCount(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(8))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A NaN has no int8 symbol (int8 of it is implementation-defined), and one
+// ±Inf makes the scale infinite and zeroes the rest of its tensor: Int8
+// refuses both.
+func TestInt8RefusesNonFinite(t *testing.T) {
+	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		p := &nn.Parameter{Name: "w", Value: tensor.FromSlice([]float32{0.5, v, -1}, 3)}
+		if err := (Int8{}).Encode(io.Discard, []*nn.Parameter{p}); err == nil {
+			t.Fatalf("int8 encoded %v", v)
+		}
 	}
 }

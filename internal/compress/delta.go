@@ -13,8 +13,10 @@ import (
 
 // deltaMagic versions the Delta wire layout; bump the digit for breaking
 // changes (decoders reject unknown magics instead of misparsing). DLT2
-// replaced DLT1's absolute-values-under-raw mode with modeBits.
-var deltaMagic = [4]byte{'D', 'L', 'T', '2'}
+// replaced DLT1's absolute-values-under-raw mode with modeBits; DLT3 moved
+// modeBits from fixed-width tagged distances onto the integer stream
+// (bits.go).
+var deltaMagic = [4]byte{'D', 'L', 'T', '3'}
 
 // Per-parameter encoding modes. The encoder picks whichever is smallest
 // without giving up exactness where exactness is free:
@@ -26,8 +28,9 @@ var deltaMagic = [4]byte{'D', 'L', 'T', '2'}
 //	             (value − base) ride the inner codec in one batched blob.
 //	             Under an exact inner only for a tensor with no base, where
 //	             nothing is subtracted and the blob is a plain copy.
-//	modeBits   — many changed elements, bit-exact inner or a BatchNorm
-//	             running statistic: bit-pattern distances from the base
+//	modeBits   — many changed elements, bit-exact inner, a BatchNorm
+//	             running statistic or a non-finite value or delta:
+//	             bit-pattern distances from the base on one integer stream
 //	             (bits.go). No float (a−b)+b round trip, so delta+raw
 //	             reconstructs bit-identically.
 //
@@ -35,7 +38,9 @@ var deltaMagic = [4]byte{'D', 'L', 'T', '2'}
 // inner codec: a lossy codec is a contract about weights. Per-tensor int8
 // flushes a small running variance to zero or past it, pruning zeroes it
 // outright, and 1/√(var+ε) turns either into a huge gain — or a NaN — on
-// that channel.
+// that channel. Nor does a tensor holding a NaN or ±Inf, or whose delta
+// from the base is one: it has no int8 symbol, and rides exactly instead,
+// so sender and receiver still agree on every bit.
 const (
 	modeSame   = 0
 	modeSparse = 1
@@ -141,22 +146,22 @@ func (d *Delta) Encode(w io.Writer, params []*nn.Parameter) error {
 		var hist [33]int
 		changed := bitDistance(dist, &hist, p.Value.Data, base)
 		mode := modeDense
-		var widths [4]uint8
-		packedLen := 0
+		var code *lengthCode
 		switch {
 		case changed == 0:
 			mode = modeSame
-		case innerExact || nn.IsBNStat(p.Name):
-			var payloadBits int
-			widths, payloadBits = bitWidths(&hist)
-			packedLen = (2*n + payloadBits + 7) / 8
+		case innerExact || nn.IsBNStat(p.Name) || !finiteDeltas(p.Value.Data, base):
+			code = newLengthCode(&hist)
 			mode = modeBits
-			if 4+8*changed < len(widths)+4+packedLen {
+			if 4+8*changed < code.size() {
 				mode = modeSparse
-			} else if innerExact && base == nil && nn.EncodedSize([]*nn.Parameter{p}) < len(widths)+4+packedLen {
+			} else if innerExact && base == nil && nn.EncodedSize([]*nn.Parameter{p}) < code.size() {
 				mode = modeDense
 			}
-		case 8*changed <= n: // the dense path costs ~n under int8-class inners
+		case 8*changed <= n:
+			// The cut dates from int8's byte a weight. It stays where it
+			// is: it decides which tensors arrive exact, and so the bits
+			// the receiver holds.
 			mode = modeSparse
 		}
 		out = append(out[:0], byte(mode))
@@ -170,9 +175,7 @@ func (d *Delta) Encode(w io.Writer, params []*nn.Parameter) error {
 				}
 			}
 		case modeBits:
-			out = append(out, widths[:]...)
-			out = binary.LittleEndian.AppendUint32(out, uint32(packedLen))
-			out = appendBits(out, dist, widths, packedLen)
+			out = code.appendStream(out, dist)
 		case modeDense:
 			dp := &nn.Parameter{Name: p.Name, Value: tensor.New(p.Value.Shape()...)}
 			copy(dp.Value.Data, p.Value.Data)
@@ -202,6 +205,21 @@ func (d *Delta) Encode(w io.Writer, params []*nn.Parameter) error {
 	}
 	_, err := w.Write(blob.Bytes())
 	return err
+}
+
+// finiteDeltas reports whether every value of cur, and its delta from base
+// (nil: all zeros), is finite — what a lossy inner's arithmetic needs.
+func finiteDeltas(cur, base []float32) bool {
+	for i, v := range cur {
+		d := v
+		if base != nil {
+			d -= base[i]
+		}
+		if v-v != 0 || d-d != 0 { // NaN or ±Inf
+			return false
+		}
+	}
+	return true
 }
 
 // Decode implements Codec. The inner codec is resolved from the stream's
@@ -288,27 +306,13 @@ func (d *Delta) Decode(r io.Reader) ([]*nn.Parameter, error) {
 			}
 			dc.out = t
 		case modeBits:
-			var head [8]byte // four widths, then the packed length
-			if _, err := io.ReadFull(r, head[:]); err != nil {
-				return nil, fmt.Errorf("compress: delta bit-pattern header: %w", err)
+			// The stream bounds the element count before anything is
+			// allocated: no allocation on the shape's word alone.
+			t, err := readStream(r, shape, 32)
+			if err != nil {
+				return nil, fmt.Errorf("compress: delta bit-pattern %s: %w", name, err)
 			}
-			packedLen := int64(binary.LittleEndian.Uint32(head[4:]))
-			// Every value carries a 2-bit tag, so the packed bytes bound the
-			// element count: no allocation on the shape's word alone.
-			if n := int64(tensor.NumElems(shape)); 8*packedLen < 2*n {
-				return nil, fmt.Errorf("compress: delta bit-pattern payload of %d bytes cannot hold %d values", packedLen, n)
-			}
-			if err := checkClaim(r, packedLen); err != nil {
-				return nil, err
-			}
-			packed := make([]byte, packedLen)
-			if _, err := io.ReadFull(r, packed); err != nil {
-				return nil, fmt.Errorf("compress: delta bit-pattern payload: %w", err)
-			}
-			t := tensor.New(shape...)
-			if err := decodeBits(t.Data, packed, [4]uint8(head[:4]), d.baseData(name, t.Len())); err != nil {
-				return nil, err
-			}
+			fromDistance(t.Data, d.baseData(name, t.Len()))
 			dc.out = t
 		case modeDense:
 			denseCount++

@@ -76,9 +76,8 @@ func TestDeltaRawRoundTripBitExact(t *testing.T) {
 
 // A nil base is the all-zeros base: the codec stays total and bit-exact
 // under raw — the contract absolute diffs and checkpoints rely on — and,
-// with a tensor of trained-looking weights taking the plain copy rather
-// than 2-bit tags on every value, costs no more than nn.WriteNamed plus a
-// header per tensor.
+// with each tensor taking the smaller of the plain copy and the length-coded
+// distances, costs no more than nn.WriteNamed plus a header per tensor.
 func TestDeltaNilBaseBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	params := randParams(rng, 4)
@@ -238,7 +237,8 @@ func bitPatternTensor(rng *rand.Rand, n int) *tensor.Tensor {
 // delta+raw is bit-exact over arbitrary bit patterns — identical, sparsely
 // and densely changed tensors, near and far from the base, with and
 // without one — and never costs more than the raw float32 stream plus the
-// stream framing and each tensor's mode byte, widths, length and 2-bit tags.
+// stream framing and, per tensor, a mode byte, eight bytes and two bits a
+// value (what fixed widths under a 2-bit tag cost at most).
 func TestDeltaRawBitPatternProperty(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -360,6 +360,103 @@ func TestDeltaLossyInnerKeepsRunningStatsExact(t *testing.T) {
 				}
 				if !nn.IsBNStat(p.Name) && !lossy {
 					t.Fatal("the weight came back exact; the fixture does not exercise the codec")
+				}
+			}
+		})
+	}
+}
+
+// A delta+int8 tensor that took the dense path resolves to exactly
+// base + scale·q per element, with the scale and symbols the quantizer
+// chose for its deltas; the rest arrive exact. The server's View is what
+// the client decodes, and that contract is what keeps the two equal.
+func TestDeltaInt8ResolvesToScaleTimesQ(t *testing.T) {
+	base, params := deltaFixture(17)
+	c := &Delta{Inner: Int8{}, Base: base}
+	var buf bufWriter
+	if err := c.Encode(&buf, params); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy := 0
+	for i, p := range params {
+		ref := base.Get(p.Name).Value.Data
+		want := p.Value.Data
+		changed := 0
+		for j, v := range want {
+			if math.Float32bits(v) != math.Float32bits(ref[j]) {
+				changed++
+			}
+		}
+		if 8*changed > len(want) {
+			lossy++
+			delta := make([]float32, len(want))
+			for j, v := range want {
+				delta[j] = v - ref[j]
+			}
+			want = scaleTimesQ(delta)
+			for j := range want {
+				want[j] += ref[j]
+			}
+		}
+		for j, w := range want {
+			if g := got[i].Value.Data[j]; math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("%s[%d] = %08x, want %08x", p.Name, j, math.Float32bits(g), math.Float32bits(w))
+			}
+		}
+	}
+	if lossy == 0 {
+		t.Fatal("no tensor took the int8 path; the fixture does not exercise it")
+	}
+}
+
+// A tensor with a NaN or ±Inf — or whose delta from the base is one — has
+// no int8 symbol: under a lossy inner it rides the exact bit-pattern path,
+// so the receiver holds it bit for bit, while a finite tensor beside it
+// still takes the codec.
+func TestDeltaLossyInnerSendsNonFiniteExact(t *testing.T) {
+	nan := math.Float32frombits(0x7fc00123)
+	inf := float32(math.Inf(1))
+	base := nn.NewParamSet()
+	var params []*nn.Parameter
+	for k, edit := range []func(ref, cur []float32){
+		func(ref, cur []float32) { cur[3] = nan },
+		func(ref, cur []float32) { cur[5] = -inf },
+		func(ref, cur []float32) { ref[7], cur[7] = -3e38, 3e38 }, // the delta overflows
+		func(ref, cur []float32) { ref[9] = inf },
+		func(ref, cur []float32) {}, // finite: int8 applies
+	} {
+		ref, cur := tensor.New(64), tensor.New(64)
+		for i := range ref.Data {
+			ref.Data[i] = float32(i) * 0.01
+			cur.Data[i] = ref.Data[i] + float32(i%5)*1e-3 + 1e-4
+		}
+		edit(ref.Data, cur.Data)
+		name := "w" + string(rune('a'+k))
+		base.Add(name, ref)
+		params = append(params, &nn.Parameter{Name: name, Value: cur})
+	}
+	for _, inner := range []Codec{Int8{}, Pruned{KeepFraction: 0.25}} {
+		t.Run(inner.Name(), func(t *testing.T) {
+			c := &Delta{Inner: inner, Base: base}
+			var buf bufWriter
+			if err := c.Encode(&buf, params); err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Decode(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range params {
+				exact := true
+				for j, v := range p.Value.Data {
+					exact = exact && math.Float32bits(got[i].Value.Data[j]) == math.Float32bits(v)
+				}
+				if last := i == len(params)-1; exact == last {
+					t.Fatalf("%s came back exact=%v", p.Name, exact)
 				}
 			}
 		})

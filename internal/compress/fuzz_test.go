@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -67,13 +68,16 @@ func FuzzDeltaDecode(f *testing.F) {
 	f.Add(seedBytes(f, &Delta{Inner: Raw{}}))
 	f.Add(seedBytes(f, &Delta{Inner: Int8{}}))
 	retired := seedBytes(f, &Delta{Inner: Int8{}})
-	copy(retired[5:], "bf16") // as long as "int8": a well-formed DLT2 stream naming the deleted codec
+	copy(retired[5:], "bf16") // as long as "int8": a well-formed DLT3 stream naming the deleted codec
 	f.Add(retired)
-	f.Add([]byte("DLT2"))
+	f.Add([]byte("DLT3"))
 	f.Add(seedBytes(f, &Delta{Inner: Raw{}, Base: nn.CloneNamed(randParams(rand.New(rand.NewSource(98)), 3))}))
 	old := seedBytes(f, &Delta{Inner: Raw{}})
 	copy(old, "DLT1") // the layout whose dense-exact mode carried absolute values
 	f.Add(old)
+	v2 := seedBytes(f, &Delta{Inner: Int8{}})
+	copy(v2, "DLT2") // fixed-width tagged distances and a byte an int8 symbol
+	f.Add(v2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode twice — stream-resolved inner codec, with and without a
 		// base — and require determinism of the accept/reject verdict.
@@ -81,10 +85,10 @@ func FuzzDeltaDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if bytes.HasPrefix(data, []byte("DLT1")) {
-			t.Fatal("a DLT1 stream must be rejected")
+		if bytes.HasPrefix(data, []byte("DLT1")) || bytes.HasPrefix(data, []byte("DLT2")) {
+			t.Fatalf("a %s stream must be rejected", data[:4])
 		}
-		if bytes.HasPrefix(data, []byte("DLT2\x04bf16")) {
+		if bytes.HasPrefix(data, []byte("DLT3\x04bf16")) {
 			t.Fatal("a stream naming the bf16 inner must be rejected")
 		}
 		checkDecoded(t, params)
@@ -100,16 +104,91 @@ func FuzzDeltaDecode(f *testing.F) {
 	})
 }
 
-// packBits is the encoder's modeBits path over ready-made distances.
-func packBits(dist []uint32, hist *[33]int) ([]byte, [4]uint8) {
-	widths, payloadBits := bitWidths(hist)
-	return appendBits(nil, dist, widths, (2*len(dist)+payloadBits+7)/8), widths
+// FuzzStreamDecode hammers the integer stream's decoder on its own, under
+// both alphabets (int8's lengths 0…8 and the distances' 0…32): whatever the
+// count and bytes, it returns an error or fills exactly the values asked
+// for from exactly the bytes its length claims — none longer than the
+// alphabet allows — and what it accepts re-encodes to a stream that decodes
+// to the same values.
+func FuzzStreamDecode(f *testing.F) {
+	vals := []uint32{0, 1, 2, 3, 700, 1 << 20, 1<<32 - 1, 5, 5, 6}
+	enc := encodeStream(vals)
+	f.Add(uint16(len(vals)), false, enc)
+	f.Add(uint16(len(vals)), true, enc)                          // a value past int8's alphabet
+	f.Add(uint16(len(vals)+1), false, enc)                       // one value short
+	f.Add(uint16(len(vals)), false, enc[:len(enc)-1])            // raw bits past the payload
+	f.Add(uint16(len(vals)), false, append(bytes.Clone(enc), 0)) // the next stream's byte
+	f.Add(uint16(9000), false, enc)                              // a count larger than the input
+	f.Add(uint16(0), false, []byte{1, 0})                        // an empty stream
+	for _, table := range mustRejectTables() {
+		f.Add(uint16(4), false, table)
+	}
+	f.Fuzz(func(t *testing.T, n uint16, int8Alphabet bool, data []byte) {
+		maxLen := 32
+		if int8Alphabet {
+			maxLen = 8
+		}
+		out := make([]uint32, n)
+		rest, err := decodeStream(out, data, maxLen)
+		if err != nil {
+			return
+		}
+		for _, table := range mustRejectTables() {
+			if n == 4 && bytes.Equal(table, data) {
+				t.Fatalf("malformed table accepted: % x", data)
+			}
+		}
+		for _, z := range out {
+			if bits.Len32(z) > maxLen {
+				t.Fatalf("value %#x decoded under a %d-bit alphabet", z, maxLen)
+			}
+		}
+		claimed, k := binary.Uvarint(data)
+		if used := len(data) - len(rest); used != k+int(claimed) {
+			t.Fatalf("decoder consumed %d bytes of a stream claiming %d", used, k+int(claimed))
+		}
+		again := make([]uint32, n)
+		if rest, err := decodeStream(again, encodeStream(out), maxLen); err != nil || len(rest) != 0 {
+			t.Fatalf("re-encoded stream: %v, %d bytes left over", err, len(rest))
+		}
+		if !slices.Equal(again, out) {
+			t.Fatal("re-encoded stream decodes to other values")
+		}
+	})
 }
 
-// FuzzBitDeltaDecode hammers the bit-pattern coder's decoder directly:
-// whatever the widths and packed bytes, it returns an error or fills
-// exactly the values asked for — and what it accepts re-encodes to
-// something that decodes to the same bits.
+// mustRejectTables are four-value streams whose code-length table no
+// encoder writes.
+func mustRejectTables() [][]byte {
+	// stream packs fields LSB-first behind a one-byte length.
+	stream := func(fields ...[2]uint64) []byte {
+		var acc uint64
+		var at uint
+		for _, fl := range fields {
+			acc |= fl[0] << at
+			at += uint(fl[1])
+		}
+		payload := binary.LittleEndian.AppendUint64(nil, acc)[:(at+7)/8]
+		return append([]byte{byte(len(payload))}, payload...)
+	}
+	return [][]byte{
+		// top 2, lengths 0, 1 and 2 at one bit each: Kraft sum 3/2.
+		stream([2]uint64{2, 6}, [2]uint64{7, 3}, [2]uint64{1, 4}, [2]uint64{1, 4}, [2]uint64{1, 4}, [2]uint64{0, 4}),
+		// top 1, lengths 0 and 1 at 13 bits, past maxCodeLen.
+		stream([2]uint64{1, 6}, [2]uint64{3, 2}, [2]uint64{13, 4}, [2]uint64{1, 4}, [2]uint64{0, 8}),
+		// top 3, no length present, four values.
+		stream([2]uint64{3, 6}, [2]uint64{0, 4}, [2]uint64{0, 8}),
+		// top 1, lengths 0 and 1 at two bits each: Kraft sum 1/2.
+		stream([2]uint64{1, 6}, [2]uint64{3, 2}, [2]uint64{2, 4}, [2]uint64{2, 4}, [2]uint64{0, 8}),
+		// top 40, past the 32-bit alphabet.
+		stream([2]uint64{40, 6}, [2]uint64{1 << 40, 41}),
+	}
+}
+
+// FuzzBitDeltaDecode hammers Delta's bit-pattern path below the tensor
+// framing: whatever the count and bytes, the stream it reads over a base
+// is refused or holds exactly the values asked for — and what it accepts
+// re-encodes to something that decodes to the same bits.
 func FuzzBitDeltaDecode(f *testing.F) {
 	dist := []uint32{0, 1, 2, 700, 1 << 20, 1<<32 - 1}
 	var hist [33]int
@@ -118,31 +197,32 @@ func FuzzBitDeltaDecode(f *testing.F) {
 		cur[i] = math.Float32frombits(z)
 	}
 	bitDistance(dist, &hist, cur, nil)
-	packed, widths := packBits(dist, &hist)
-	f.Add(uint16(len(dist)), widths[0], widths[1], widths[2], widths[3], packed)
-	f.Add(uint16(len(dist)+1), widths[0], widths[1], widths[2], widths[3], packed)   // one value short
-	f.Add(uint16(len(dist)), widths[0], widths[1], widths[2], widths[3], packed[:3]) // payload shorter than its tags claim
-	f.Add(uint16(2), uint8(0), uint8(8), uint8(33), uint8(32), []byte{0xff, 0xff})   // width past 32
-	f.Fuzz(func(t *testing.T, n uint16, w0, w1, w2, w3 uint8, packed []byte) {
+	packed := encodeStream(dist)
+	f.Add(uint16(len(dist)), packed)
+	f.Add(uint16(len(dist)+1), packed)   // one value short
+	f.Add(uint16(len(dist)), packed[:3]) // payload shorter than its length claims
+	f.Add(uint16(2), []byte{2, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, n uint16, packed []byte) {
 		base := make([]float32, n)
 		for i := range base {
 			base[i] = float32(i) - 7.5
 		}
-		out := make([]float32, n)
-		if err := decodeBits(out, packed, [4]uint8{w0, w1, w2, w3}, base); err != nil {
+		out, err := readStream(bytes.NewReader(packed), []int{int(n)}, 32)
+		if err != nil {
 			return
 		}
+		fromDistance(out.Data, base)
 		dist := make([]uint32, n)
 		var hist [33]int
-		bitDistance(dist, &hist, out, base)
-		repacked, widths := packBits(dist, &hist)
-		again := make([]float32, n)
-		if err := decodeBits(again, repacked, widths, base); err != nil {
+		bitDistance(dist, &hist, out.Data, base)
+		again, err := readStream(bytes.NewReader(encodeStream(dist)), []int{int(n)}, 32)
+		if err != nil {
 			t.Fatalf("re-encoded payload rejected: %v", err)
 		}
-		for i := range out {
-			if math.Float32bits(again[i]) != math.Float32bits(out[i]) {
-				t.Fatalf("value %d: %08x after re-encode, %08x before", i, math.Float32bits(again[i]), math.Float32bits(out[i]))
+		fromDistance(again.Data, base)
+		for i, v := range out.Data {
+			if math.Float32bits(again.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("value %d: %08x after re-encode, %08x before", i, math.Float32bits(again.Data[i]), math.Float32bits(v))
 			}
 		}
 	})
@@ -161,12 +241,14 @@ func FuzzDecodePlane(f *testing.F) {
 	enc := AppendPlane(nil, plane, 7)
 	f.Add(uint8(7), uint8(5), enc)
 	f.Add(uint8(7), uint8(5), append(bytes.Clone(enc), 1, 2)) // the next section's bytes
-	f.Add(uint8(1), uint8(0), []byte{0, 0, 0, 0, 0, 0, 0, 0}) // an empty plane
+	f.Add(uint8(1), uint8(0), AppendPlane(nil, nil, 1))       // an empty plane
 	wide := bytes.Clone(enc)
-	wide[3] = 33
+	wide[2] |= 63 // values of up to 63 bits
 	short := bytes.Clone(enc)
-	binary.LittleEndian.PutUint32(short[4:], 8) // under 2 bits a pixel
-	mustReject := [][]byte{wide, short, enc[:len(enc)-1]}
+	short[1] = 4 // under a bit a pixel
+	unknown := bytes.Clone(enc)
+	unknown[0] = 2 // a third predictor
+	mustReject := [][]byte{wide, short, unknown, enc[:len(enc)-1]}
 	for _, b := range mustReject {
 		f.Add(uint8(7), uint8(5), b)
 	}
@@ -181,10 +263,11 @@ func FuzzDecodePlane(f *testing.F) {
 			return
 		}
 		if width == 7 && height == 5 && slices.ContainsFunc(mustReject, func(b []byte) bool { return bytes.Equal(b, data) }) {
-			t.Fatalf("malformed plane accepted: % x", data[:8])
+			t.Fatalf("malformed plane accepted: % x", data[:4])
 		}
-		if used := len(data) - len(rest); used != 8+int(binary.LittleEndian.Uint32(data[4:])) {
-			t.Fatalf("decoder consumed %d bytes of a plane claiming %d", used, binary.LittleEndian.Uint32(data[4:]))
+		claimed, k := binary.Uvarint(data[1:])
+		if used := len(data) - len(rest); used != 1+k+int(claimed) {
+			t.Fatalf("decoder consumed %d bytes of a plane claiming %d", used, 1+k+int(claimed))
 		}
 		again := make([]float32, len(out))
 		if rest, err := DecodePlane(again, AppendPlane(nil, out, int(width)), int(width)); err != nil || len(rest) != 0 {

@@ -100,7 +100,8 @@ func (s *Suite) Table3() (*stats.Table, error) {
 // actually measured wire bytes of this implementation's protocol messages:
 // To Server measures a rendered drone key frame without its oracle label.
 // The paper ships absolute weights, so the To Client column measures an
-// absolute diff (float32 plus 2-bit tags); the relative diffs a live
+// absolute diff (per tensor the smaller of float32 and its length-coded
+// bit patterns); the relative diffs a live
 // session sends are about 0.65–0.7 of it (harness bytes_down_hd_mb).
 func Table4() (*stats.Table, error) {
 	t := stats.NewTable("Table 4: data transmitted per key frame (MB HD-equivalent / KB measured)",

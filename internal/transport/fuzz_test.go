@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -46,6 +47,24 @@ func withLabelRuns(pairs ...uint64) []byte {
 	return binary.LittleEndian.AppendUint64(body, 9)
 }
 
+// v8KeyFrame is seedKeyFrame's body as protocol version 8 sent it: planes
+// of fixed-width tagged distances from the gradient prediction.
+func v8KeyFrame() []byte {
+	b, err := hex.DecodeString(
+		"07000000030300000008000000080000000215181f8e000000b09224097f0000808024499272dbb6294992a424499292" +
+			"24492b4992fc0f0000e05bdbb6edb66d9b91244926499278244962dbb6cd000000814692642549b29124d948926c2449" +
+			"5692245192244900a42249529124a9499224b76d5b9124a94892d424492a922401a0922449000080a424491200001228" +
+			"4992d491242949927424494a922425499292244947920402131620530000002b4992088624c994241992245392644892" +
+			"4c499229495224491209098154922409098150244912098190549224098190502449128190905492242b495223496a24" +
+			"499524a991243592a446922449928404800400021520400000002b49920c4a92242449129224094d92842449429224a1" +
+			"4992902449421659922449b2c84292249945166892248b2c484992245990254992cc822c344992055924080000000014" +
+			"0114021403040300000000000000")
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 // v6KeyFrame is k's body as protocol version 6 sent it: the image as raw
 // float32, without a label.
 func v6KeyFrame(k KeyFrame) []byte {
@@ -70,22 +89,29 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 	f.Add(withLabelRuns(2, 64)) // one run, the whole image
 	numbered := withLabelRuns(2, 64)
 	seqAt := len(numbered) - 8
-	// The first plane's header, and where the second begins.
+	// The first plane's predictor byte and length, and where the second
+	// plane begins.
 	const plane0 = keyFrameHead
-	plane1 := plane0 + 8 + int(binary.LittleEndian.Uint32(numbered[plane0+4:]))
+	claimed, k := binary.Uvarint(numbered[plane0+1:])
+	plane1 := plane0 + 1 + k + int(claimed)
 	edit := func(at int, v uint32) []byte {
 		b := bytes.Clone(numbered)
 		binary.LittleEndian.PutUint32(b[at:], v)
 		return b
 	}
 	rank4, wide := bytes.Clone(numbered), bytes.Clone(numbered)
-	rank4[4], wide[plane0+3] = 4, 33
+	rank4[4] = 4
+	wide[plane0+1+k] |= 63 // values of up to 63 bits
 	g, err := video.NewGenerator(video.CategoryConfig(video.Categories[0], 1))
 	if err != nil {
 		f.Fatal(err)
 	}
 	rendered := KeyFrame{FrameIndex: 1, Image: g.Next().Image, Seq: 1}
 	f.Add(EncodeKeyFrame(rendered))
+	underABit := bytes.Clone(numbered)
+	underABit[plane0+1] = 8*8/8 - 1
+	unknown := bytes.Clone(numbered)
+	unknown[plane0] = 2
 	mustReject := [][]byte{
 		withLabelRuns(2, 63),                                      // runs stop short of the image
 		withLabelRuns(2, 60, 1, 5),                                // a run past the end
@@ -98,14 +124,16 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 		numbered[:seqAt+7],                                        // a Seq cut to 7 bytes
 		append(bytes.Clone(numbered), 0),                          // 9 bytes after the label
 		append(bytes.Clone(numbered[:seqAt]), make([]byte, 8)...), // Seq 0
-		wide,                        // a plane width over 32
-		edit(plane0+4, 8*8*2/8-1),   // a payload under 2 bits a pixel
-		numbered[:plane1+8+3],       // truncated inside the second plane
-		edit(5+4, 1<<16),            // a shape the planes cannot back
-		rank4,                       // an image that is not CHW
-		v6KeyFrame(rendered),        // the raw float32 body of version 6
-		v6KeyFrame(seedKeyFrame()),  // and of the seed image
-		numbered[:keyFrameHead+8-1], // a plane header cut short
+		wide,                       // a plane's values past 32 bits
+		underABit,                  // a payload under a bit a pixel
+		numbered[:plane1+1+k+3],    // truncated inside the second plane
+		edit(5+4, 1<<16),           // a shape the planes cannot back
+		rank4,                      // an image that is not CHW
+		v6KeyFrame(rendered),       // the raw float32 body of version 6
+		v6KeyFrame(seedKeyFrame()), // and of the seed image
+		numbered[:keyFrameHead+2],  // a plane's length without its payload
+		unknown,                    // a predictor no encoder names
+		v8KeyFrame(),               // the seed key frame as version 8 sent it
 	}
 	for _, b := range mustReject {
 		f.Add(b)
@@ -195,9 +223,10 @@ func withCaps(body []byte, at int) []byte {
 // its steps: the stateless parse and the resolve against the set the seeds
 // were cut from. It must never panic; base-relative or empty codec names,
 // Seq 0, truncation, trailing bytes, every retired diff or checkpoint format
-// and a reference the receiver does not hold must error; under the dense codecs, where every decoded value costs at least
-// a 2-bit tag or an int8, it must not allocate past the body (a pruned
-// tensor's size is bounded by compress's own shape check instead); and
+// and a reference the receiver does not hold must error; under the dense
+// codecs, where every decoded value costs at least a bit of the integer
+// stream, it must not allocate past the body (a pruned tensor's size is
+// bounded by compress's own shape check instead); and
 // what it accepts re-encodes under raw — a lossy codec would re-quantise
 // what it decoded — to a body that decodes to the same diff bit for bit.
 func FuzzDecodeStudentDiff(f *testing.F) {
@@ -231,7 +260,7 @@ func FuzzDecodeStudentDiff(f *testing.F) {
 			for _, p := range d.Params {
 				n += len(p.Value.Data)
 			}
-			if n > 4*len(data) {
+			if n > 8*len(data) {
 				t.Fatalf("decoded %d values from a %d-byte %s body", n, len(data), d.Codec)
 			}
 		}
@@ -337,7 +366,10 @@ func diffSeeds(tb testing.TB) []diffSeed {
 	const countAt = hashAt + 8 + 4 + 1 + len("raw") // delta magic, inner name
 	mutate := func(edit func(b []byte) []byte) []byte { return edit(bytes.Clone(relative)) }
 
-	// What earlier versions put on the wire. Versions 5 to 7 put the link
+	// What earlier versions put on the wire. Version 8's body is version 9's
+	// with a DLT2 delta stream: fixed-width tagged distances and a byte an
+	// int8 symbol; this one is the relative int8 seed as version 8 sent it.
+	// Versions 5 to 7 put the link
 	// decision between seq and the codec name: a policy state byte (0
 	// clear, 1 degraded, 2 critical) and a float32 stride scale; v7 turns a
 	// version-8 body into its version-7 form under a decision. Version 5's
@@ -348,6 +380,14 @@ func diffSeeds(tb testing.TB) []diffSeed {
 	// under raw, and in front of frame index, metric, seq and the lossy tail
 	// otherwise. Version 3's body was absolute nn.WriteNamed with Seq
 	// trailing.
+	v8Diff, err := hex.DecodeString(
+		"05000000000000000000e83f030000000000000004696e743801bdaa22b26cace94d444c543204696e74380300000009" +
+			"007362352e6333332e770202000000030000000206006f7574332e620104000000020b007362352e626e2e7276617201" +
+			"030000000310111111070000007d086dc4201183370000000200000009007362352e6333332e77020200000003000000" +
+			"67b377387f330800195506006f7574332e6201040000005128463781abd600")
+	if err != nil {
+		tb.Fatal(err)
+	}
 	v7 := func(body []byte, state byte, scale float32) []byte {
 		b := append(bytes.Clone(body[:nameAt]), state)
 		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(scale))
@@ -392,7 +432,8 @@ func diffSeeds(tb testing.TB) []diffSeed {
 		diffSeed{"version 3 body", v3.Bytes(), false},
 		diffSeed{"STC checkpoint", checkpoint, false},
 		diffSeed{"empty", nil, false},
-		diffSeed{"version 5 int8 body", v5Lossy, false})
+		diffSeed{"version 5 int8 body", v5Lossy, false},
+		diffSeed{"version 8 relative int8 body", v8Diff, false})
 	// Relative under the lossy codecs, and each with its reference hash
 	// flipped.
 	for _, codec := range []string{"int8", "prune25"} {

@@ -108,8 +108,11 @@ type Hello struct {
 // lossless gradient-predicted planes (compress.AppendPlane), where it had
 // been raw float32, and requires it to be CHW. Version 8 dropped the link
 // policy's state and stride scale from the diff header, which now names only
-// the codec.
-const Version = 8
+// the codec. Version 9 put every integer payload on one entropy-coded stream
+// (compress's integer stream): a diff's int8 symbols and bit-pattern
+// distances (delta magic DLT3) and the key frame's planes, each of which
+// now names its predictor: the gradient or LOCO-I's median edge detector.
+const Version = 9
 
 // KeyFrame is the client → server key frame payload. Label optionally
 // carries the synthetic ground-truth mask, one class per pixel of Image:
@@ -205,8 +208,8 @@ func DecodeHello(b []byte) (Hello, error) {
 //
 //	index u32 · rank u8 (3) · C, H, W i32 · C × plane · runLen u32 · runs · seq u64
 //
-// Each plane is compress.AppendPlane's lossless gradient-predicted coding
-// of one H×W channel. The label follows as runLen bytes of (uvarint class,
+// Each plane is compress.AppendPlane's lossless predicted coding of one H×W
+// channel. The label follows as runLen bytes of (uvarint class,
 // uvarint run length) pairs in pixel order. The image must be CHW.
 func EncodeKeyFrame(k KeyFrame) []byte {
 	if k.Image.Rank() != 3 {
@@ -276,10 +279,11 @@ func DecodeKeyFrame(b []byte) (KeyFrame, error) {
 	}
 	rest := b[keyFrameHead:]
 	// Never allocate more than the frame actually carries: every plane
-	// costs an 8-byte header and a 2-bit tag a pixel, so a corrupt shape
-	// cannot force a giant allocation before the planes fail to parse.
+	// costs a predictor byte, a length byte and at least a bit a pixel, so
+	// a corrupt shape cannot force a giant allocation before the planes fail
+	// to parse.
 	c, hw, w := shape[0], shape[1]*shape[2], shape[2]
-	if need := int64(c) * (8 + (2*int64(hw)+7)/8); need > int64(len(rest)) {
+	if need := int64(c) * (2 + (int64(hw)+7)/8); need > int64(len(rest)) {
 		return k, fmt.Errorf("transport: keyframe of %v needs at least %d plane bytes, only %d remain", shape, need, len(rest))
 	}
 	k.Image = tensor.New(shape[:]...)
