@@ -89,8 +89,8 @@ func TestStreamPayloadsRoundTrip(t *testing.T) {
 			width := max(len(c.vals)/2, 1)
 			plane := c.vals[:len(c.vals)/width*width]
 			got := make([]float32, len(plane))
-			enc := AppendPlane(nil, plane, width)
-			if rest, err := DecodePlane(got, append(enc, 7), width); err != nil || !bytes.Equal(rest, []byte{7}) {
+			enc := AppendPlane(nil, plane, nil, width)
+			if rest, err := DecodePlane(got, nil, append(enc, 7), width); err != nil || !bytes.Equal(rest, []byte{7}) {
 				t.Fatalf("%v, rest % x", err, rest)
 			}
 			same(t, got, plane)

@@ -228,41 +228,56 @@ func FuzzBitDeltaDecode(f *testing.F) {
 	})
 }
 
-// FuzzDecodePlane hammers the image-plane decoder: whatever the bytes, it
-// returns an error or fills the plane from exactly the bytes its header
-// claims — and what it accepts re-encodes to something that decodes to the
-// same bits.
+// FuzzDecodePlane hammers the image-plane decoder: whatever the bytes and
+// the reference plane, it returns an error or fills the plane from exactly
+// the bytes its header claims — and what it accepts re-encodes against the
+// same reference to something that decodes to the same bits. refBits, when
+// not empty, is the reference's bit patterns, repeated to the plane's size.
 func FuzzDecodePlane(f *testing.F) {
 	plane := make([]float32, 5*7)
 	for i := range plane {
 		plane[i] = float32(i%7)/7 + float32(i/7)/5
 	}
+	var refBits []byte
+	for _, v := range plane {
+		refBits = binary.LittleEndian.AppendUint32(refBits, math.Float32bits(0.5*v+0.25))
+	}
+	crossEnc := AppendPlane(nil, plane, refPlane(refBits, len(plane)), 7)
+	if crossEnc[0] != crossPredictor {
+		f.Fatalf("seed plane sent under predictor %d against an affine reference", crossEnc[0])
+	}
 	plane[3], plane[4], plane[9] = float32(math.NaN()), float32(math.Inf(-1)), math.Float32frombits(0x80000001)
-	enc := AppendPlane(nil, plane, 7)
-	f.Add(uint8(7), uint8(5), enc)
-	f.Add(uint8(7), uint8(5), append(bytes.Clone(enc), 1, 2)) // the next section's bytes
-	f.Add(uint8(1), uint8(0), AppendPlane(nil, nil, 1))       // an empty plane
+	enc := AppendPlane(nil, plane, nil, 7)
+	f.Add(uint8(7), uint8(5), []byte(nil), enc)
+	f.Add(uint8(7), uint8(5), []byte(nil), append(bytes.Clone(enc), 1, 2)) // the next section's bytes
+	f.Add(uint8(1), uint8(0), []byte(nil), AppendPlane(nil, nil, nil, 1))  // an empty plane
+	f.Add(uint8(7), uint8(5), refBits, crossEnc)
+	f.Add(uint8(7), uint8(5), refBits, AppendPlane(nil, plane, refPlane(refBits, len(plane)), 7))
 	wide := bytes.Clone(enc)
 	wide[2] |= 63 // values of up to 63 bits
 	short := bytes.Clone(enc)
 	short[1] = 4 // under a bit a pixel
-	unknown := bytes.Clone(enc)
-	unknown[0] = 2 // a third predictor
-	mustReject := [][]byte{wide, short, unknown, enc[:len(enc)-1]}
-	for _, b := range mustReject {
-		f.Add(uint8(7), uint8(5), b)
+	noRef := bytes.Clone(enc)
+	noRef[0] = crossPredictor // cross with nothing to read
+	unknown := bytes.Clone(crossEnc)
+	unknown[0] = 3 // a fourth predictor
+	type seed struct{ ref, data []byte }
+	mustReject := []seed{{nil, wide}, {nil, short}, {nil, noRef}, {nil, enc[:len(enc)-1]}, {refBits, unknown}, {refBits, crossEnc[:len(crossEnc)-1]}}
+	for _, s := range mustReject {
+		f.Add(uint8(7), uint8(5), s.ref, s.data)
 	}
-	f.Add(uint8(7), uint8(6), enc) // a row more than the payload holds
-	f.Fuzz(func(t *testing.T, width, height uint8, data []byte) {
+	f.Add(uint8(7), uint8(6), []byte(nil), enc) // a row more than the payload holds
+	f.Fuzz(func(t *testing.T, width, height uint8, refBits, data []byte) {
 		if width == 0 {
 			return
 		}
 		out := make([]float32, int(width)*int(height))
-		rest, err := DecodePlane(out, data, int(width))
+		ref := refPlane(refBits, len(out))
+		rest, err := DecodePlane(out, ref, data, int(width))
 		if err != nil {
 			return
 		}
-		if width == 7 && height == 5 && slices.ContainsFunc(mustReject, func(b []byte) bool { return bytes.Equal(b, data) }) {
+		if width == 7 && height == 5 && slices.ContainsFunc(mustReject, func(s seed) bool { return bytes.Equal(s.ref, refBits) && bytes.Equal(s.data, data) }) {
 			t.Fatalf("malformed plane accepted: % x", data[:4])
 		}
 		claimed, k := binary.Uvarint(data[1:])
@@ -270,7 +285,7 @@ func FuzzDecodePlane(f *testing.F) {
 			t.Fatalf("decoder consumed %d bytes of a plane claiming %d", used, 1+k+int(claimed))
 		}
 		again := make([]float32, len(out))
-		if rest, err := DecodePlane(again, AppendPlane(nil, out, int(width)), int(width)); err != nil || len(rest) != 0 {
+		if rest, err := DecodePlane(again, ref, AppendPlane(nil, out, ref, int(width)), int(width)); err != nil || len(rest) != 0 {
 			t.Fatalf("re-encoded plane: %v, %d bytes left over", err, len(rest))
 		}
 		for i := range out {
@@ -279,4 +294,18 @@ func FuzzDecodePlane(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refPlane is a reference plane of n pixels from b's bit patterns, 4 bytes
+// a pixel and repeated as needed; nil when b holds no whole pixel.
+func refPlane(b []byte, n int) []float32 {
+	if len(b) < 4 {
+		return nil
+	}
+	ref := make([]float32, n)
+	for i := range ref {
+		at := 4 * i % (len(b) &^ 3)
+		ref[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[at:]))
+	}
+	return ref
 }

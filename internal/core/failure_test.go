@@ -167,31 +167,42 @@ func (r *recordingTeacher) Infer(f video.Frame) []int32 {
 
 // The key frame's image coder is lossless: the server trains on exactly the
 // floats the client rendered, bit for bit — ±0, denormals and values far
-// outside [0, 1] included.
+// outside [0, 1] included — for a people frame, whose planes predict from
+// themselves, and a drone frame, whose G and B predict from the plane
+// before.
 func TestServerHoldsClientPixels(t *testing.T) {
-	frame := collect(t, 79, 1)[0]
-	srv, clientConn, done := handshaken(t, 79)
-	rec := &recordingTeacher{Teacher: srv.Teacher}
-	srv.Teacher = rec
-	img := frame.Image.Clone()
-	for i, bits := range []uint32{0x80000000, 0x00000001, 0x807fffff, math.Float32bits(-3), math.Float32bits(1e30)} {
-		img.Data[i*997] = math.Float32frombits(bits)
-	}
-	kf := transport.KeyFrame{Image: img, Label: frame.Label, Seq: 1}
-	clientConn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)})
-	if m, err := clientConn.Recv(); err != nil || m.Type != transport.MsgStudentDiff {
-		t.Fatalf("got %v %v, want a student diff", m.Type, err)
-	}
-	clientConn.Send(transport.Message{Type: transport.MsgShutdown})
-	if err := <-done; err != nil {
+	cfg, err := video.NamedVideo("drone", 79)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.images) != 1 {
-		t.Fatalf("teacher saw %d images, want 1", len(rec.images))
+	g, err := video.NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, v := range img.Data {
-		if got := math.Float32bits(rec.images[0].Data[i]); got != math.Float32bits(v) {
-			t.Fatalf("pixel %d: server holds %08x, client sent %08x", i, got, math.Float32bits(v))
+	for name, frame := range map[string]video.Frame{"people": collect(t, 79, 1)[0], "drone": g.Next()} {
+		srv, clientConn, done := handshaken(t, 79)
+		rec := &recordingTeacher{Teacher: srv.Teacher}
+		srv.Teacher = rec
+		img := frame.Image.Clone()
+		for i, bits := range []uint32{0x80000000, 0x00000001, 0x807fffff, math.Float32bits(-3), math.Float32bits(1e30)} {
+			img.Data[i*4001] = math.Float32frombits(bits) // in all three 64×96 planes
+		}
+		kf := transport.KeyFrame{Image: img, Label: frame.Label, Seq: 1}
+		clientConn.Send(transport.Message{Type: transport.MsgKeyFrame, Body: transport.EncodeKeyFrame(kf)})
+		if m, err := clientConn.Recv(); err != nil || m.Type != transport.MsgStudentDiff {
+			t.Fatalf("%s: got %v %v, want a student diff", name, m.Type, err)
+		}
+		clientConn.Send(transport.Message{Type: transport.MsgShutdown})
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.images) != 1 {
+			t.Fatalf("%s: teacher saw %d images, want 1", name, len(rec.images))
+		}
+		for i, v := range img.Data {
+			if got := math.Float32bits(rec.images[0].Data[i]); got != math.Float32bits(v) {
+				t.Fatalf("%s: pixel %d: server holds %08x, client sent %08x", name, i, got, math.Float32bits(v))
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/teacher"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 	"repro/internal/video"
 )
 
@@ -150,6 +152,40 @@ func TestEmbeddedPretrainedCheckpoint(t *testing.T) {
 var partialDistillHash = map[string]uint64{
 	"avx2+fma": 0x66bdf628ebd93b30,
 	"portable": 0xcfee394555cda7b2,
+}
+
+// keyFrameBytesHash is the FNV-1a hash of TestKeyFrameBytesPinned's 8
+// drone key-frame bodies.
+const keyFrameBytesHash = 0x8546b7855284de4b
+
+// TestKeyFrameBytesPinned pins the key frame's wire bytes: the bodies
+// transport.EncodeKeyFrame writes for 8 frames of the drone stream (one
+// every 9th), whose G and B planes predict from the plane before. Decoding
+// checks that the bits come back; this checks that the predictions stay
+// the same function of them — a compiler fusing the cross predictor's
+// product into an add, or any other change to its arithmetic, moves the
+// bytes. It holds on amd64, where the rendered frames are pinned too.
+func TestKeyFrameBytesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("pinned on amd64 (have %s)", runtime.GOARCH)
+	}
+	vcfg, err := video.NamedVideo("drone", 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := video.NewGenerator(vcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for i := range 8 {
+		frame := g.Next()
+		h.Write(transport.EncodeKeyFrame(transport.KeyFrame{FrameIndex: uint32(9 * i), Image: frame.Image, Label: frame.Label, Seq: uint64(i + 1)}))
+		g.Skip(8)
+	}
+	if got := h.Sum64(); got != keyFrameBytesHash {
+		t.Fatalf("8 drone key frames encode to bytes hashing %#x, want %#x: the key-frame coding changed", got, uint64(keyFrameBytesHash))
+	}
 }
 
 // TestPartialDistillationBitsPinned pins run-time partial distillation: the

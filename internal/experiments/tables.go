@@ -98,7 +98,9 @@ func (s *Suite) Table3() (*stats.Table, error) {
 // Table4 reproduces "Data transmitted on each key frame (MB)". It reports
 // the HD-equivalent sizes the traffic model uses (paper units) next to the
 // actually measured wire bytes of this implementation's protocol messages:
-// To Server measures a rendered drone key frame without its oracle label.
+// To Server measures a rendered drone key frame without its oracle label:
+// 29 KB, its G and B planes predicted from the plane before (52 KB when
+// every plane predicted only from itself).
 // The paper ships absolute weights, so the To Client column measures an
 // absolute diff (per tensor the smaller of float32 and its length-coded
 // bit patterns); the relative diffs a live

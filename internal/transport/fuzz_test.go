@@ -80,6 +80,19 @@ func v6KeyFrame(k KeyFrame) []byte {
 	return binary.LittleEndian.AppendUint64(b, k.Seq)
 }
 
+// planePredictors returns the predictor byte of each plane of a key-frame
+// body EncodeKeyFrame wrote.
+func planePredictors(body []byte) []byte {
+	var p []byte
+	rest := body[keyFrameHead:]
+	for range binary.LittleEndian.Uint32(body[5:]) {
+		n, k := binary.Uvarint(rest[1:])
+		p = append(p, rest[0])
+		rest = rest[1+k+int(n):]
+	}
+	return p
+}
+
 func FuzzDecodeKeyFrame(f *testing.F) {
 	f.Add(EncodeKeyFrame(seedKeyFrame()))
 	kf := seedKeyFrame()
@@ -108,10 +121,24 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 	}
 	rendered := KeyFrame{FrameIndex: 1, Image: g.Next().Image, Seq: 1}
 	f.Add(EncodeKeyFrame(rendered))
+	// A drone frame, whose G and B planes predict from the plane before.
+	drone, err := video.NamedVideo("drone", 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if g, err = video.NewGenerator(drone); err != nil {
+		f.Fatal(err)
+	}
+	crossBody := EncodeKeyFrame(KeyFrame{FrameIndex: 2, Image: g.Next().Image, Seq: 2})
+	if p := planePredictors(crossBody); !bytes.Equal(p, []byte{1, 2, 2}) {
+		f.Fatalf("drone key frame's planes under predictors %v, want median, cross, cross", p)
+	}
+	f.Add(crossBody)
 	underABit := bytes.Clone(numbered)
 	underABit[plane0+1] = 8*8/8 - 1
-	unknown := bytes.Clone(numbered)
-	unknown[plane0] = 2
+	unknown, noRef := bytes.Clone(numbered), bytes.Clone(numbered)
+	unknown[plane1] = 3
+	noRef[plane0] = 2
 	mustReject := [][]byte{
 		withLabelRuns(2, 63),                                      // runs stop short of the image
 		withLabelRuns(2, 60, 1, 5),                                // a run past the end
@@ -133,6 +160,7 @@ func FuzzDecodeKeyFrame(f *testing.F) {
 		v6KeyFrame(seedKeyFrame()), // and of the seed image
 		numbered[:keyFrameHead+2],  // a plane's length without its payload
 		unknown,                    // a predictor no encoder names
+		noRef,                      // cross on the first plane, with none before it
 		v8KeyFrame(),               // the seed key frame as version 8 sent it
 	}
 	for _, b := range mustReject {

@@ -112,7 +112,9 @@ type Hello struct {
 // (compress's integer stream): a diff's int8 symbols and bit-pattern
 // distances (delta magic DLT3) and the key frame's planes, each of which
 // now names its predictor: the gradient or LOCO-I's median edge detector.
-const Version = 9
+// Version 10 added a third plane predictor, cross, which predicts each plane
+// after the first from the plane before it (G from R, B from G).
+const Version = 10
 
 // KeyFrame is the client → server key frame payload. Label optionally
 // carries the synthetic ground-truth mask, one class per pixel of Image:
@@ -209,8 +211,9 @@ func DecodeHello(b []byte) (Hello, error) {
 //	index u32 · rank u8 (3) · C, H, W i32 · C × plane · runLen u32 · runs · seq u64
 //
 // Each plane is compress.AppendPlane's lossless predicted coding of one H×W
-// channel. The label follows as runLen bytes of (uvarint class,
-// uvarint run length) pairs in pixel order. The image must be CHW.
+// channel, each after the first against the channel before it. The label
+// follows as runLen bytes of (uvarint class, uvarint run length) pairs in
+// pixel order. The image must be CHW.
 func EncodeKeyFrame(k KeyFrame) []byte {
 	if k.Image.Rank() != 3 {
 		panic(fmt.Sprintf("transport: key frame image has rank %d, want CHW", k.Image.Rank()))
@@ -222,8 +225,11 @@ func EncodeKeyFrame(k KeyFrame) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(d))
 	}
 	hw, w := k.Image.Dim(1)*k.Image.Dim(2), k.Image.Dim(2)
+	var ref []float32 // the plane before, which the next predicts from
 	for p := 0; p < len(k.Image.Data); p += hw {
-		b = compress.AppendPlane(b, k.Image.Data[p:p+hw], w)
+		plane := k.Image.Data[p : p+hw]
+		b = compress.AppendPlane(b, plane, ref, w)
+		ref = plane
 	}
 	var runs []byte
 	for i := 0; i < len(k.Label); {
@@ -287,11 +293,14 @@ func DecodeKeyFrame(b []byte) (KeyFrame, error) {
 		return k, fmt.Errorf("transport: keyframe of %v needs at least %d plane bytes, only %d remain", shape, need, len(rest))
 	}
 	k.Image = tensor.New(shape[:]...)
+	var ref []float32
 	for p := 0; p < len(k.Image.Data); p += hw {
 		var err error
-		if rest, err = compress.DecodePlane(k.Image.Data[p:p+hw], rest, w); err != nil {
+		plane := k.Image.Data[p : p+hw]
+		if rest, err = compress.DecodePlane(plane, ref, rest, w); err != nil {
 			return k, fmt.Errorf("transport: keyframe plane %d: %w", p/hw, err)
 		}
+		ref = plane
 	}
 	if len(rest) < 4 {
 		return k, fmt.Errorf("transport: keyframe label length missing")

@@ -142,7 +142,7 @@ func renderedFrames(t *testing.T) map[string]video.Frame {
 // The server must train on exactly the floats the client rendered, so the
 // image coder is compared bit pattern for bit pattern — NaN payloads, ±Inf,
 // ±0, denormals and values far outside [0, 1] included, beside every kind
-// of rendered frame.
+// of rendered frame, and a drone frame's G and B predicted across channels.
 func TestKeyFrameBitIdentity(t *testing.T) {
 	odd := tensor.New(3, 5, 7) // non-square, with odd rows and columns
 	special := []uint32{
@@ -165,7 +165,11 @@ func TestKeyFrameBitIdentity(t *testing.T) {
 		images[name] = f.Image
 	}
 	for name, img := range images {
-		got, err := DecodeKeyFrame(EncodeKeyFrame(KeyFrame{Image: img, Seq: 1}))
+		body := EncodeKeyFrame(KeyFrame{Image: img, Seq: 1})
+		if p := planePredictors(body); name == "drone" && !bytes.Equal(p[1:], []byte{2, 2}) {
+			t.Fatalf("drone: planes under predictors %v, want G and B from the plane before", p)
+		}
+		got, err := DecodeKeyFrame(body)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -553,4 +557,28 @@ func TestQuickFramingRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(10))}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkKeyFrameCodec encodes and decodes one drone key frame, the solo
+// workloads' stream, label included, and reports the body's size.
+func BenchmarkKeyFrameCodec(b *testing.B) {
+	cfg, err := video.NamedVideo("drone", 11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := video.NewGenerator(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := g.Next()
+	k := KeyFrame{FrameIndex: 1, Image: f.Image, Label: f.Label, Seq: 1}
+	var wire int
+	for b.Loop() {
+		body := EncodeKeyFrame(k)
+		if _, err := DecodeKeyFrame(body); err != nil {
+			b.Fatal(err)
+		}
+		wire = len(body)
+	}
+	b.ReportMetric(float64(wire), "wire_bytes/op")
 }
