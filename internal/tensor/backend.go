@@ -1,12 +1,12 @@
 package tensor
 
 // Backend is the compute interface behind every hot kernel in the package:
-// the three GEMM forms the autodiff tape lowers matmuls onto and the fused
-// im2col+GEMM convolution forward. vec is the one compute path: the
-// package-level helpers, nil workspaces and unconfigured workspaces all run
-// on it. Reference, the scalar oracle, is reached only by pinning it on a
-// workspace (Workspace.SetBackend) or a student, which is how the parity and
-// gradient tests run it. A backend is stateless: one value is shared by
+// the three GEMM forms the autodiff tape lowers matmuls onto and the
+// convolution forward and backward, each GEMMs over the im2col matrix. vec
+// is the one compute path: the package-level helpers, nil workspaces and
+// unconfigured workspaces all run on it. Reference, the scalar oracle, is
+// reached only by pinning it on a workspace (Workspace.SetBackend) or a
+// student, which is how the parity and gradient tests run it. A backend is stateless: one value is shared by
 // every workspace that selects it, and kernels run concurrently across
 // sessions, each on its caller's goroutine. All scratch therefore lives on
 // the caller's stack, in the destination slice, or in the Workspace passed
@@ -31,11 +31,16 @@ type Backend interface {
 	// backward input gradients).
 	MatMulABTInto(dst, a, b []float32, m, n, k int)
 	// Conv2DWS runs the convolution forward as one GEMM over the im2col
-	// matrix, lowered or read in place: weights w [OC,C,KH,KW], optional
-	// bias b (len OC or nil), CHW input x, result [OC,OH,OW] leased from
-	// ws. Shapes are pre-validated by the package wrapper Conv2DWS;
+	// matrix (reference lowers it a row at a time; vec reads it in place
+	// through a row-offset table): weights w [OC,C,KH,KW], optional bias b
+	// (len OC or nil), CHW input x, result [OC,OH,OW] leased from ws.
+	// Shapes are pre-validated by the package wrapper Conv2DWS;
 	// implementations may assume they are consistent.
 	Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor
+	// Conv2DBackwardWS computes a Conv2DWS call's gradients from the output
+	// gradient gy [OC,OH,OW]: dx (nil unless needInput), dw and db, leased
+	// from ws (the package wrapper Conv2DBackwardWS documents them).
+	Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor)
 }
 
 // Reference is the scalar parity oracle every vec kernel is diffed against.

@@ -54,3 +54,47 @@ func (refBackend) Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	ws.Put(colsT)
 	return res
 }
+
+// Conv2DBackwardWS is the generic im2col backward, the oracle vec's is
+// diffed against: the lowering as a [OH*OW, CKK] matrix, dW = gy^T x cols
+// and dcols = gy x W through reference's own GEMMs, and a col2im scatter.
+func (bk refBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {
+	oc := w.Dim(0)
+	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
+	oh, ow := s.OutSize(h, wid)
+	hw := oh * ow
+	ckk := c * s.KH * s.KW
+	// gy as matrix [OH*OW, OC]
+	gmat := ws.GetDirty(hw, oc)
+	for ch := 0; ch < oc; ch++ {
+		seg := gy.Data[ch*hw : (ch+1)*hw]
+		for p, v := range seg {
+			gmat.Data[p*oc+ch] = v
+		}
+	}
+	cols := Im2col(x, s, ws.GetDirty(hw, ckk)) // [OH*OW, CKK]
+	// dW = gyᵀ × cols → [OC, CKK], written directly into the 4-D gradient.
+	dw = ws.GetDirty(oc, c, s.KH, s.KW)
+	bk.MatMulATBInto(dw.Data, gmat.Data, cols.Data, oc, ckk, hw, false)
+	// db = column sums of gy
+	db = ws.GetDirty(oc)
+	for ch := 0; ch < oc; ch++ {
+		var sum float32
+		seg := gy.Data[ch*hw : (ch+1)*hw]
+		for _, v := range seg {
+			sum += v
+		}
+		db.Data[ch] = sum
+	}
+	if needInput {
+		// dcols = gy × Wmat → [OH*OW, CKK], then scatter back to CHW.
+		dcols := ws.GetDirty(hw, ckk)
+		bk.MatMulInto(dcols.Data, gmat.Data, w.Data, hw, ckk, oc, false)
+		dx = ws.Get(c, h, wid)
+		Col2imInto(dx, dcols, s)
+		ws.Put(dcols)
+	}
+	ws.Put(cols)
+	ws.Put(gmat)
+	return dx, dw, db
+}

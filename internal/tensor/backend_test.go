@@ -156,8 +156,8 @@ func TestBackendParityGEMM(t *testing.T) {
 }
 
 // parityConvSpecs covers the student's kernel shapes (3x3, 3x1, 1x3, 1x1,
-// Fig. 3a) plus stride-2 and valid-padding variants that exercise the
-// non-"same" lowering paths.
+// Fig. 3a) plus stride-2 and valid-padding variants, which vec reads
+// through strided and unpadded shifted copies.
 var parityConvSpecs = []ConvSpec{
 	Spec(3, 3),
 	Spec(1, 1),
@@ -216,9 +216,9 @@ func TestBackendParityConv2D(t *testing.T) {
 	}
 }
 
-// TestBackendParityConvBackward pins backends that take over the whole conv
-// backward (the convBackwarder extension) to the generic im2col gradient
-// path, for both the frozen (needInput=false) and full backward.
+// TestBackendParityConvBackward pins every backend's conv backward to
+// reference's generic im2col gradient, for both the frozen
+// (needInput=false) and full backward.
 func TestBackendParityConvBackward(t *testing.T) {
 	ref := Reference
 	for _, bk := range nonRefBackends {

@@ -286,13 +286,10 @@ func vecGemmDot(cd, ad, bd []float32, m, n, k int) {
 // tile reuses their scratch, so dcols never has to leave L2.
 const convBwdTile = 4
 
-// Conv2DBackwardWS is the vec backend's private conv backward (found by the
-// package-level Conv2DBackwardWS through the convBackwarder probe). gy is
-// already the [OC, HW] matrix, so dW is the NT product gy x cols^T over
-// contiguous rows (vecGemmDot, three gy rows per pass) with cols the
-// forward's transposed lowering (lowerCHW) — read in place from a padded
-// copy of x where the forward is indirect (vecGemmDotInd, the same bits),
-// and x itself for a 1x1 stride-1 unpadded conv. The input gradient
+// Conv2DBackwardWS implements Backend. gy is already the [OC, HW] matrix,
+// so dW is the NT product gy x B^T over the forward's B, laid out by the
+// same builder (newConvPlanes) and read in place (vecGemmDotInd): the bits
+// of vecGemmDot on the lowering, three gy rows per pass. The input gradient
 // dcols = W^T x gy is produced in the transposed layout [CKK, HW], whose
 // col2im scatter is one vector add per row for stride-1 same-width convs
 // (vecCol2imT). dcols runs on the packed GEMM over a packed W^T, with gy
@@ -301,37 +298,19 @@ const convBwdTile = 4
 // kernels) and every dx element belongs to one channel, so the tiling
 // changes no bit.
 func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {
-	return conv2DBackwardVec(ws, x, w, gy, s, needInput, convIndirectOK(s, x.Dim(1), x.Dim(2)))
-}
-
-// conv2DBackwardVec is vec's conv backward with the weight gradient on the
-// indirect path or the lowering one.
-func conv2DBackwardVec(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput, indirect bool) (dx, dw, db *Tensor) {
 	oc := w.Dim(0)
 	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
 	oh, ow := s.OutSize(h, wid)
 	hw := oh * ow
 	kk := s.KH * s.KW
 	ckk := c * kk
-	// dW = gy x cols^T -> [OC, CKK]: dot products of hw-long rows.
+	// dW = gy x B^T -> [OC, CKK]: dot products of hw-long rows.
 	dw = ws.GetDirty(oc, c, s.KH, s.KW)
-	switch {
-	case indirect:
-		p := newConvPlanes(ws, x, s)
-		tail := ws.GetDirty(ckk%4, hw)
-		vecGemmDotInd(dw.Data, gy.Data, p, oc, ckk, tail.Data)
-		ws.Put(tail)
-		ws.Put(p.leased)
-	case conv1x1Direct(s):
-		// A 1x1 stride-1 unpadded conv's input already is its lowering, as
-		// in the forward.
-		vecGemmDot(dw.Data, gy.Data, x.Data, oc, ckk, hw)
-	default:
-		cols := ws.GetDirty(ckk, hw)
-		lowerCHW(cols.Data, x.Data, c, h, wid, s, oh, ow)
-		vecGemmDot(dw.Data, gy.Data, cols.Data, oc, ckk, hw)
-		ws.Put(cols)
-	}
+	p := newConvPlanes(ws, x, s)
+	tail := ws.GetDirty(ckk%4, hw)
+	vecGemmDotInd(dw.Data, gy.Data, p, oc, ckk, tail.Data)
+	ws.Put(tail)
+	ws.Put(p.leased)
 	db = ws.GetDirty(oc)
 	rowSums(db.Data, gy.Data, hw)
 	if needInput {

@@ -2,24 +2,25 @@ package tensor
 
 // This file is vec's convolution forward and the pieces it is made of: the
 // packed panel-blocked weight layout, the one GEMM over those panels, and
-// the transposed-im2col lowering.
+// the copy that fills a row of the transposed im2col matrix.
 //
 // One sample is one GEMM of the weight [OC, CKK] by the transposed im2col
 // matrix B [CKK, OH*OW], whose product is the [OC, OH*OW] result in place —
 // no output transposition. The GEMM reads B's rows through a row-offset
-// table (a bOperand, indirect.go), and the shape alone picks what the table
-// points into: a stride-1 same-size convolution whose output size is a
-// multiple of 8 reads a padded copy of the input in place; a 1x1 stride-1
-// unpadded convolution reads the input viewed as [C, H*W], which already
-// is B; any other lowers the input into B once (lowerCHW). The last two
-// are dense matrices, whose table is offs[p] = p*OH*OW.
+// table (a bOperand), and one builder, newConvPlanes, lays B out in one of
+// three layouts by shape: the input itself for a 1x1 stride-1 unpadded
+// conv, zero-bordered planes for a stride-1 same-size conv at a width that
+// is a multiple of 8, and shifted copies of the input for any other
+// (indirect.go says how each is read). No convolution lowers its input.
 //
 // Packed panels are per-call scratch. Every forward packs its weight into a
-// workspace lease and returns the lease before it returns: a pack moves
-// OC*CKK floats against a GEMM of 2*OC*CKK*OH*OW flops, so nothing is
-// worth keeping between calls, and a weight changed by any write —
-// an optimizer step, CopyFrom, a plain Data[i] = v — is seen by the next
-// kernel because there is nothing to invalidate.
+// workspace lease and returns the lease before it returns, so a weight
+// changed by any write — an optimizer step, CopyFrom, a plain Data[i] = v
+// — is seen by the next kernel because there is nothing to invalidate. The
+// repacking is not free: packWeightsInto was 12.5 to 13.4 % flat of
+// BenchmarkStudentInference's profile, since the client re-packs every
+// weight on every frame though its weights change once per diff. Keeping
+// the panels as versioned state is ROADMAP item 22.
 //
 // Numerics: every output element is accumulated in ascending-k order. Where
 // the AVX2+FMA kernels are live that is one sequential FMA chain — in the
@@ -217,9 +218,10 @@ func gemmPacked(cd, pd []float32, p bOperand, m, k int, accumulate bool) {
 
 // im2colPlaneT writes one row of the transposed im2col matrix: for one
 // channel plane ([h*w]) and kernel offset (ky, kx), seg[oy*ow+ox] =
-// plane[iy*w+ix] with zero padding. With stride 1 each output row is one
-// contiguous copy with the padded edges cleared; otherwise a per-element
-// gather.
+// plane[iy*w+ix] with zero padding, over oh rows (a shifted copy,
+// newConvPlanes, runs past the output's own rows). With stride 1 each
+// output row is one contiguous copy with the padded edges cleared;
+// otherwise a per-element gather.
 func im2colPlaneT(seg, plane []float32, h, w int, s ConvSpec, oh, ow, ky, kx int) {
 	if s.SW == 1 && s.SH == 1 && ow == w {
 		// Same-width stride-1 plane (the 3x3/3x1/1x3 pad-same layers):
@@ -306,22 +308,9 @@ func im2colPlaneT(seg, plane []float32, h, w int, s ConvSpec, oh, ow, ky, kx int
 	}
 }
 
-// lowerCHW lowers the CHW activation xd [c, h, w] into dd, the transposed
-// im2col matrix [c*KH*KW, oh*ow]: dd[((ch*KH+ky)*KW+kx)*oh*ow + oy*ow + ox].
-// Rows are independent.
-func lowerCHW(dd, xd []float32, c, h, w int, s ConvSpec, oh, ow int) {
-	kk := s.KH * s.KW
-	hw := oh * ow
-	for p := 0; p < c*kk; p++ {
-		ch, r := p/kk, p%kk
-		im2colPlaneT(dd[p*hw:(p+1)*hw], xd[ch*h*w:(ch+1)*h*w], h, w, s, oh, ow, r/s.KW, r%s.KW)
-	}
-}
-
 // conv1x1Direct reports whether a spec degenerates to a pure channel mixing
 // (1x1 kernel, stride 1, no padding), in which case a CHW activation viewed
-// as [C, H*W] already is its im2col matrix and the lowering copy can be
-// skipped entirely.
+// as [C, H*W] already is its im2col matrix and is read in place.
 func conv1x1Direct(s ConvSpec) bool {
 	return s.KH == 1 && s.KW == 1 && s.SH == 1 && s.SW == 1 && s.PH == 0 && s.PW == 0
 }
@@ -343,24 +332,13 @@ func biasPrefill(rd, bd []float32, oc, nhw int) {
 }
 
 // Conv2DWS implements Backend: pack the weight into a lease, prefill bias
-// into each channel row and accumulate the packed GEMM on top. A stride-1
-// same-size convolution whose output size is a multiple of 8 reads its
-// input in place from a padded copy (convIndirectOK, indirect.go); any other
-// is one lowering of the sample, except a 1x1 stride-1 unpadded
-// convolution, whose activation viewed as [C, H*W] already is the im2col
-// matrix. Every path is the same GEMM over the same B, so they give the same
-// bits.
+// into each channel row and accumulate the packed GEMM on top, with B laid
+// out by newConvPlanes. Every layout reads the lowering's rows in the same
+// k order, so they give the lowering's bits.
 func (vecBackend) Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
-	return conv2DVec(ws, x, w, b, s, convIndirectOK(s, x.Dim(1), x.Dim(2)))
-}
-
-// conv2DVec is vec's convolution forward with B read in place from a padded
-// copy of x (indirect) or from a dense matrix: x itself or its lowering.
-func conv2DVec(ws *Workspace, x, w, b *Tensor, s ConvSpec, indirect bool) *Tensor {
-	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
-	oh, ow := s.OutSize(h, wid)
+	oh, ow := s.OutSize(x.Dim(1), x.Dim(2))
 	hw := oh * ow
-	ckk := c * s.KH * s.KW
+	ckk := x.Dim(0) * s.KH * s.KW
 	oc := w.Dim(0)
 	res := ws.GetDirty(oc, oh, ow)
 	panels := ws.GetDirty(packedSize(oc, ckk))
@@ -369,21 +347,9 @@ func conv2DVec(ws *Workspace, x, w, b *Tensor, s ConvSpec, indirect bool) *Tenso
 	if acc {
 		biasPrefill(res.Data, b.Data, oc, hw)
 	}
-	var p bOperand
-	var cols *Tensor
-	switch {
-	case indirect:
-		p = newConvPlanes(ws, x, s)
-	case conv1x1Direct(s):
-		p = newDenseOperand(ws, x.Data, ckk, hw)
-	default:
-		cols = ws.GetDirty(ckk, hw)
-		lowerCHW(cols.Data, x.Data, c, h, wid, s, oh, ow)
-		p = newDenseOperand(ws, cols.Data, ckk, hw)
-	}
+	p := newConvPlanes(ws, x, s)
 	gemmPacked(res.Data, panels.Data, p, oc, ckk, acc)
 	ws.Put(p.leased)
-	ws.Put(cols)
 	ws.Put(panels)
 	return res
 }

@@ -207,11 +207,11 @@ func TestSharedFrozenWeightConcurrentBatches(t *testing.T) {
 // FuzzBatchParity fuzzes vec's convolution forward against reference over
 // arbitrary shapes and conv specs under TestBackendParityConv2D's tolerance
 // — the convolution mirror of FuzzBackendParity, run in the CI fuzz smoke —
-// and, where the shape takes the indirect path, its forward, dW and db
-// against the lowering path's bit for bit. nb8 below 32 leaves the shape as
+// and, on every shape, its forward, dW and db against the lowering's bit
+// for bit (checkIndirectMatchesLowered). nb8 below 32 leaves the shape as
 // drawn (the corpus before nb8 had a use); above, its high bits add 16
 // channels each (reductions past kcMicro) and its low bit widens the plane
-// by 24 (the indirect path's 24-wide tiles).
+// by 24 (the micro-kernel's 24-wide tiles).
 func FuzzBatchParity(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(9), uint8(11), uint8(4), uint8(2), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(16), uint8(8), uint8(1), uint8(1), uint8(1))
@@ -220,10 +220,11 @@ func FuzzBatchParity(f *testing.F) {
 	// and rows that never land inside the image.
 	f.Add(int64(1), uint8(56), uint8(66), uint8(0), uint8(4), uint8(2), uint8(52))
 	f.Add(int64(-85), uint8(216), uint8(0), uint8(246), uint8(26), uint8(3), uint8(16))
-	// Indirect-path shapes: 3x3 with c=113 (ckk 1017) on 8x40 into 6
-	// channels; 3x1 c=35 on 10x32 into 7; 1x3 c=21 on 5x36 (h*w%8 == 4,
-	// the lowering); 3x3 c=66 (ckk 594) on sb5's 8x12 (w%8 == 4, one
-	// segment per row of B) into 3; 5x5 on 3x16.
+	// Stride-1 same-size shapes: 3x3 with c=113 (ckk 1017) on 8x40 into 6
+	// channels (padded planes); 3x1 c=35 on 10x32 into 7; 1x3 c=21 on 5x36
+	// (h*w%8 == 4: shifted copies, dW on dot4f rows); 3x3 c=66 (ckk 594)
+	// on sb5's 8x12 (w%8 == 4, one segment per row of B) into 3; 5x5 on
+	// 3x16.
 	f.Add(int64(4), uint8(0), uint8(7), uint8(15), uint8(5), uint8(225), uint8(0))
 	f.Add(int64(5), uint8(2), uint8(9), uint8(7), uint8(6), uint8(65), uint8(2))
 	f.Add(int64(6), uint8(4), uint8(4), uint8(11), uint8(2), uint8(33), uint8(3))
@@ -252,9 +253,7 @@ func FuzzBatchParity(f *testing.F) {
 		got := Conv2DWS(NewWorkspace().SetBackend(vecBackend{}), x, wt, bias, spec)
 		label := fmt.Sprintf("c=%d h=%d w=%d oc=%d spec=%+v", c, h, w, oc, spec)
 		assertParity(t, label, got.Data, want.Data, parityTol(c*spec.KH*spec.KW, xmax, wmax))
-		if convIndirectOK(spec, h, w) {
-			checkIndirectMatchesLowered(t, rng, c, h, w, oc, spec)
-		}
+		checkIndirectMatchesLowered(t, rng, c, h, w, oc, spec)
 	})
 }
 

@@ -137,10 +137,10 @@ func Conv2D(x, w, b *Tensor, s ConvSpec) *Tensor {
 // Conv2DWS is Conv2D with every buffer (scratch and result) leased from ws;
 // a nil ws falls back to plain allocation. Shapes are validated here, then
 // the forward is dispatched to the workspace's compute backend (vec for nil
-// or unconfigured workspaces). vec runs one packed GEMM per sample, over
-// either a lowering of the input or, for a stride-1 same-size conv whose
-// output size is a multiple of 8, the input read in place from a padded
-// copy through a row-offset table; the two give the same bits.
+// or unconfigured workspaces). vec runs one packed GEMM per sample, its B
+// read through a row-offset table in the layout the shape picks (the input
+// in place, padded planes or shifted copies, indirect.go); every layout
+// gives the lowering's bits.
 func Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	oc := w.Dim(0)
 	c := x.Dim(0)
@@ -153,67 +153,16 @@ func Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 	return ws.Backend().Conv2DWS(ws, x, w, b, s)
 }
 
-// convBackwarder is the optional backend extension for a fused conv
-// backward. Backends that implement it (vec) own the whole gradient
-// computation; others get the generic im2col path below, which still routes
-// its two GEMMs through the backend's MatMul kernels.
-type convBackwarder interface {
-	Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor)
-}
-
 // Conv2DBackwardWS computes gradients of a Conv2D call with scratch and
-// results leased from ws (nil ws allocates). gy is the output gradient
-// [OC, OH, OW]. It returns (dx, dw, db); dx is nil when needInput is false
-// (the partial-distillation path stops input gradients at the frozen
-// boundary, §4.2 of the paper). The returned gradients are workspace leases:
-// they stay valid until the workspace resets, which in the autodiff tape's
-// usage outlives the optimizer step that consumes them. On vec, dW reads
-// the input the way the forward does — through the row-offset table where
-// the forward is indirect, a lowering otherwise — and dx always goes
-// through a lowered gradient and col2im.
+// results leased from ws (nil ws allocates), on the workspace's compute
+// backend. gy is the output gradient [OC, OH, OW]. It returns (dx, dw, db);
+// dx is nil when needInput is false (the partial-distillation path stops
+// input gradients at the frozen boundary, §4.2 of the paper). The returned
+// gradients are workspace leases: they stay valid until the workspace
+// resets, which in the autodiff tape's usage outlives the optimizer step
+// that consumes them.
 func Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {
-	if cb, ok := ws.Backend().(convBackwarder); ok {
-		return cb.Conv2DBackwardWS(ws, x, w, gy, s, needInput)
-	}
-	oc := w.Dim(0)
-	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
-	oh, ow := s.OutSize(h, wid)
-	hw := oh * ow
-	ckk := c * s.KH * s.KW
-	// gy as matrix [OH*OW, OC]
-	gmat := ws.GetDirty(hw, oc)
-	for ch := 0; ch < oc; ch++ {
-		seg := gy.Data[ch*hw : (ch+1)*hw]
-		for p, v := range seg {
-			gmat.Data[p*oc+ch] = v
-		}
-	}
-	bk := ws.Backend()
-	cols := Im2col(x, s, ws.GetDirty(hw, ckk)) // [OH*OW, CKK]
-	// dW = gyᵀ × cols → [OC, CKK], written directly into the 4-D gradient.
-	dw = ws.GetDirty(oc, c, s.KH, s.KW)
-	bk.MatMulATBInto(dw.Data, gmat.Data, cols.Data, oc, ckk, hw, false)
-	// db = column sums of gy
-	db = ws.GetDirty(oc)
-	for ch := 0; ch < oc; ch++ {
-		var sum float32
-		seg := gy.Data[ch*hw : (ch+1)*hw]
-		for _, v := range seg {
-			sum += v
-		}
-		db.Data[ch] = sum
-	}
-	if needInput {
-		// dcols = gy × Wmat → [OH*OW, CKK], then scatter back to CHW.
-		dcols := ws.GetDirty(hw, ckk)
-		bk.MatMulInto(dcols.Data, gmat.Data, w.Data, hw, ckk, oc, false)
-		dx = ws.Get(c, h, wid)
-		Col2imInto(dx, dcols, s)
-		ws.Put(dcols)
-	}
-	ws.Put(cols)
-	ws.Put(gmat)
-	return dx, dw, db
+	return ws.Backend().Conv2DBackwardWS(ws, x, w, gy, s, needInput)
 }
 
 // UpsampleNearest2xWS doubles the spatial size of a CHW tensor by

@@ -152,11 +152,15 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 		}
 	}
 
-	// The kernels on a convolution's padded planes, through their drivers:
-	// packTileInd4x24AVX under gemmPacked and dot3x4IndAVX under
-	// vecGemmDotInd. A same-padded convolution's farthest read is the
-	// padded planes' last float, so the last tile of the last row and the
-	// last B-row group end flush.
+	// The kernels on every layout of a convolution's B (newConvPlanes),
+	// through their drivers: packTileInd4x24AVX under gemmPacked, and
+	// dot3x4IndAVX under vecGemmDotInd or, for a one-segment row whose
+	// length is not a multiple of 8, dot4AVX and dotAVX. Every layout's
+	// farthest read is its last float, at the end of the table's last and
+	// largest entry — padded planes, stride-1 and strided shifted copies
+	// (whose phase order keeps the copy with ky = KH-1 last) and the input
+	// read in place — so the last tile of the last row and the last B-row
+	// group end flush.
 	for _, sh := range []struct {
 		c, h, w, oc int
 		spec        ConvSpec
@@ -164,15 +168,29 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 		{3, 4, 24, 4, Spec(3, 3)}, {5, 3, 48, 8, Spec(1, 3)}, {2, 5, 40, 5, Spec(3, 1)},
 		{70, 2, 24, 7, Spec(3, 3)}, {1, 1, 8, 1, Spec(3, 3)}, {2, 3, 24, 6, Spec(5, 5)},
 		{5, 4, 12, 6, Spec(3, 3)}, {3, 8, 12, 4, Spec(1, 3)}, {2, 2, 132, 4, Spec(3, 1)},
+		{3, 16, 24, 5, Spec(3, 3).WithStride(2)},                           // 8x12: dot3x4IndAVX
+		{4, 9, 13, 6, Spec(3, 3).WithStride(2)},                            // 5x7: dot4AVX on odd rows
+		{3, 13, 20, 5, ConvSpec{KH: 3, KW: 3, SH: 2, SW: 3, PH: 2, PW: 1}}, // 8x7
+		{2, 11, 14, 6, ConvSpec{KH: 3, KW: 3, SH: 2, SW: 3, PH: 2, PW: 1}}, // 7x5
+		{6, 3, 5, 7, Spec(1, 1)},                                           // x in place, 15 floats a row
 	} {
-		label := fmt.Sprintf("indirect c=%d h=%d w=%d oc=%d spec=%+v", sh.c, sh.h, sh.w, sh.oc, sh.spec)
+		label := fmt.Sprintf("conv B c=%d h=%d w=%d oc=%d spec=%+v", sh.c, sh.h, sh.w, sh.oc, sh.spec)
 		ws := NewWorkspace()
 		x := New(sh.c, sh.h, sh.w)
 		fillRand(rng, x.Data)
 		p := newConvPlanes(ws, x, sh.spec)
+		last := int(p.offs[len(p.offs)-1])
+		for j, o := range p.offs {
+			if int(o) > last {
+				t.Fatalf("%s: offs[%d] = %d passes the last entry's %d", label, j, o, last)
+			}
+		}
+		if end := last + (p.h-1)*p.wp + p.w; end != len(p.pl) {
+			t.Fatalf("%s: the last entry's segment ends at %d, not at the operand's end %d", label, end, len(p.pl))
+		}
 		gp := p
 		gp.pl, gp.offs = guarded(t, p.pl), guardedInt32(t, p.offs)
-		ckk, hw := len(p.offs), sh.h*sh.w
+		ckk, hw := len(p.offs), p.h*p.w
 		pd := make([]float32, packedSize(sh.oc, ckk))
 		packWeightsInto(pd, randSlice(rng, sh.oc*ckk), sh.oc, ckk, ckk, 1)
 		c := randSlice(rng, sh.oc*hw)

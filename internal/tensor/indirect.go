@@ -6,40 +6,35 @@ import "unsafe"
 // floats that hold B, so that the GEMM (gemmPacked, batch.go) and the
 // backward's weight gradient (vecGemmDotInd) read every B row in place.
 //
-// For the stride-1 same-size convolutions it is the indirect convolution
-// (Dukhan, "The Indirect Convolution Algorithm", arXiv:1907.02129):
-// instead of lowering the input to the transposed im2col matrix B
-// [CKK, OH*OW], the input is copied once into zero-bordered planes
-// [C, H+2PH, W+2PW]. Row p = (ch, ky, kx) of B at output row oy is the
-// padded row ch*(H+2PH) + oy + ky shifted by kx, so
+// B is a convolution's transposed im2col matrix [CKK, OH*OW], and one
+// builder, newConvPlanes, lays it out for every convolution: the shape
+// alone picks one of three layouts (Dukhan, "The Indirect Convolution
+// Algorithm", arXiv:1907.02129, for the two that copy the input):
 //
-//	B[p][oy*W+ox] = planes[offs[p] + oy*(W+2PW) + ox]
-//	offs[p]       = ch*(H+2PH)*(W+2PW) + ky*(W+2PW) + kx
+//   - a 1x1 stride-1 unpadded conv reads its input viewed as [C, H*W],
+//     which already is B: offs[p] = p*H*W, one segment a row
+//     (newDenseOperand, which also takes any other dense matrix);
+//   - a stride-1 same-size conv at a width that is a multiple of 8 copies
+//     its input once into zero-bordered planes [C, H+2PH, W+2PW], and row
+//     p = (ch, ky, kx) of B at output row oy is the padded row
+//     ch*(H+2PH) + oy + ky shifted by kx:
 //
-// B's row is then H segments of W floats; where W is not a multiple of 8
-// the planes are laid out so that it is one segment of H*W instead
-// (newConvPlanes). Every other B — a lowering, or an activation or a
-// gradient viewed as a matrix — is dense, with offs[p] = p*N and one
-// segment of N floats (newDenseOperand). The GEMMs walk k in the same order
-// on every layout, and a tile or an axpy span never crosses a segment, so
-// every element is the same FMA chain (or the same Go expression) as on the
-// lowered matrix, bit for bit. The backward's weight gradient
-// (vecGemmDotInd) carries dot3x4's twelve accumulators across segments,
-// which keeps each lane's chain only when a segment is a multiple of 8
-// floats long — so that, through the choice of layout, makes the shape test
-// H*W % 8 == 0 (convIndirectOK).
-
-// convIndirectOK reports whether a convolution of an h x w input runs on the
-// indirect path: stride 1, an output the input's size, a kernel larger than
-// 1x1 (a 1x1 same conv reads its input as B directly) and h*w a positive
-// multiple of 8.
-func convIndirectOK(s ConvSpec, h, w int) bool {
-	if s.SH != 1 || s.SW != 1 || conv1x1Direct(s) || h <= 0 || w <= 0 || h*w%8 != 0 {
-		return false
-	}
-	oh, ow := s.OutSize(h, w)
-	return oh == h && ow == w
-}
+//     B[p][oy*W+ox] = planes[offs[p] + oy*(W+2PW) + ox]
+//     offs[p]       = ch*(H+2PH)*(W+2PW) + ky*(W+2PW) + kx
+//
+//     so B's row is H segments of W floats;
+//   - every other conv, strided ones included, gets shifted copies of its
+//     input, whose rows hold the lowering's own rows: B's row is one
+//     segment of OH*OW floats.
+//
+// The GEMMs walk k in the same order on every layout, and a tile or an axpy
+// span never crosses a segment, so every element is the same FMA chain (or
+// the same Go expression) as on the lowered matrix, bit for bit. The
+// backward's weight gradient (vecGemmDotInd) carries dot3x4's twelve
+// accumulators across segments, which keeps each lane's chain only when a
+// segment is a multiple of 8 floats long — which is why the planes are only
+// laid out at such widths, and why a one-segment row of any other length
+// takes dot4f and dot1f instead.
 
 // bOperand is the packed GEMM's B: the floats that hold it and the
 // row-offset table into them. B's row p is h segments of w floats, wp
@@ -61,27 +56,37 @@ func (p bOperand) checkReads() {
 	}
 }
 
-// newConvPlanes lays x [c, h, w] out for s in a lease of ws and writes the
-// row-offset table beside it. The caller returns p.leased to ws.
+// newConvPlanes builds the B operand of the convolution s over x
+// [c, h, w] in a lease of ws, in the layout the shape picks (the file
+// header lists the three). The caller returns p.leased to ws.
 //
-// A width that is a multiple of 8 gets the zero-bordered planes
-// [c, h+2PH, w+2PW], whose B rows are h segments of w floats. Any other
-// gets KW copies of each channel, each shifted by one kernel column with
-// its edge zeroed — im2colPlaneT's rows for ky = 0 over the h+2PH padded
-// rows — so that every B row is one contiguous segment of h*w floats (the
-// lowering's own row, read in place). The shifted copies at every width,
-// with the segment loops gone, were measured against this split
+// The shifted copies are, for each channel, kernel column kx and row
+// phase ry < min(SH, KH), one im2colPlaneT copy for kernel offset (ry, kx)
+// that runs OH + (KH-1)/SH output rows of OW. B's row (ch, ky, kx) is the
+// OH rows of the copy for phase ky mod SH from row ky/SH on: input row
+// (oy + ky/SH)*SH - PH + ky mod SH, which is the lowering's. Within one
+// (ch, kx) the copy holding ky = KH-1 comes last, so the table's last
+// entry is its largest and its segment ends the lease (checkReads). At
+// stride 1 this is KW copies a channel, each shifted by one kernel column
+// with its edge zeroed. The shifted copies at every stride-1 width, with
+// the segment loops gone, were measured against the padded planes
 // (GOMAXPROCS=1, ROADMAP 8(c)): they win the dW of most convs and sb6's
 // 3x1 conv, lose out1's and out2's forwards (median +2 to +11 %), and the
 // partial step ran faster with them in only 25 of 74 alternating pairs —
 // their KW copies cost more than one padded plane.
 func newConvPlanes(ws *Workspace, x *Tensor, s ConvSpec) bOperand {
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
+	ckk := c * s.KH * s.KW
+	if conv1x1Direct(s) {
+		return newDenseOperand(ws, x.Data, ckk, h*w)
+	}
+	oh, ow := s.OutSize(h, w)
 	hp, wp := h+2*s.PH, w+2*s.PW
-	np, ckk := c*hp*wp, c*s.KH*s.KW
-	shifted := w%8 != 0
+	shifted := s.SH != 1 || s.SW != 1 || oh != h || ow != w || w%8 != 0
+	nph, rows := min(s.SH, s.KH), oh+(s.KH-1)/s.SH // a shifted copy's phases and rows
+	np := c * hp * wp
 	if shifted {
-		np = c * s.KW * hp * w
+		np = c * s.KW * nph * rows * ow
 	}
 	t := ws.GetDirty(np + ckk)
 	p := bOperand{pl: t.Data[:np], h: h, w: w, wp: wp, leased: t}
@@ -90,14 +95,17 @@ func newConvPlanes(ws *Workspace, x *Tensor, s ConvSpec) bOperand {
 	p.offs = unsafe.Slice((*int32)(unsafe.Pointer(&t.Data[np])), ckk)
 	xd := x.Data
 	if shifted {
-		p.h, p.w, p.wp = 1, h*w, h*w
+		p.h, p.w, p.wp = 1, oh*ow, oh*ow
+		last := (s.KH - 1) % s.SH // the phase of ky = KH-1
 		for ch := 0; ch < c; ch++ {
 			plane := xd[ch*h*w : (ch+1)*h*w]
 			for kx := 0; kx < s.KW; kx++ {
-				o := (ch*s.KW + kx) * hp * w
-				im2colPlaneT(p.pl[o:o+hp*w], plane, h, w, s, hp, w, 0, kx)
-				for ky := 0; ky < s.KH; ky++ {
-					p.offs[(ch*s.KH+ky)*s.KW+kx] = int32(o + ky*w)
+				for ry := 0; ry < nph; ry++ {
+					o := ((ch*s.KW+kx)*nph + (ry+nph-1-last)%nph) * rows * ow
+					im2colPlaneT(p.pl[o:o+rows*ow], plane, h, w, s, rows, ow, ry, kx)
+					for ky := ry; ky < s.KH; ky += s.SH {
+						p.offs[(ch*s.KH+ky)*s.KW+kx] = int32(o + ky/s.SH*ow)
+					}
 				}
 			}
 		}
@@ -143,18 +151,34 @@ func (p bOperand) row(j, oy int) []float32 {
 	return p.pl[o : o+p.w]
 }
 
-// vecGemmDotInd is vecGemmDot for the weight gradient of an indirect
-// convolution: cd [m, n] = ad [m, h*w] x B^T with B's n rows read through p.
-// Each twelve-product group runs dot3x4Indf, whose accumulators cross
-// segments without a break; a leftover a row runs it with all three rows
-// on that one row (dot3x4 is dot4 row by row, what vecGemmDot's leftover
-// rows compute), and the n%4 leftover B rows, which vecGemmDot takes through
-// dot1f, are copied out to tail ((n%4) * h*w floats) and taken the same way.
+// vecGemmDotInd is vecGemmDot for a convolution's weight gradient:
+// cd [m, n] = ad [m, h*w] x B^T with B's n rows read through p, the bits
+// vecGemmDot gives on the lowered B. Each twelve-product group runs
+// dot3x4Indf, whose accumulators cross segments without a break; a
+// leftover a row runs it with all three rows on that one row (dot3x4 is
+// dot4 row by row, what vecGemmDot's leftover rows compute), and the n%4
+// leftover B rows, which vecGemmDot takes through dot1f, are copied out to
+// tail ((n%4) * h*w floats) and taken the same way. B rows whose one segment
+// is not a multiple of 8 long (dot3x4IndAVX takes no tail and dot4Ind drops
+// an odd element; newConvPlanes lays out segments only at such widths) run
+// dot4f and dot1f in place instead, as vecGemmDot does.
 func vecGemmDotInd(cd, ad []float32, p bOperand, m, n int, tail []float32) {
 	p.checkReads()
 	h, w := p.h, p.w
 	k := h * w
 	n4 := n &^ 3
+	if w%8 != 0 {
+		for i := 0; i < m; i++ {
+			arow, crow := ad[i*k:(i+1)*k], cd[i*n:(i+1)*n]
+			for j := 0; j < n4; j += 4 {
+				crow[j], crow[j+1], crow[j+2], crow[j+3] = dot4f(arow, p.row(j, 0), p.row(j+1, 0), p.row(j+2, 0), p.row(j+3, 0))
+			}
+			for j := n4; j < n; j++ {
+				crow[j] = dot1f(arow, p.row(j, 0))
+			}
+		}
+		return
+	}
 	for j := n4; j < n; j++ {
 		for oy := 0; oy < h; oy++ {
 			copy(tail[(j-n4)*k+oy*w:], p.row(j, oy))
