@@ -50,7 +50,7 @@ func (s *subsetSnapshot) take(ps *nn.ParamSet) *nn.ParamSet {
 	if sig := ps.NumTrainable(); s.set == nil || sig != s.sig {
 		s.set, s.sig = nn.CloneNamed(nn.TrainableSubset(ps)), sig
 	} else {
-		s.set.CopyValuesFrom(ps)
+		s.set.ApplyValues(ps)
 	}
 	return s.set
 }
@@ -58,7 +58,8 @@ func (s *subsetSnapshot) take(ps *nn.ParamSet) *nn.ParamSet {
 // NewDistiller wraps student with a fresh Adam optimizer under cfg (see
 // SetConfig).
 func NewDistiller(cfg Config, student *nn.Student) *Distiller {
-	d := &Distiller{Student: student, Opt: optim.NewAdam(cfg.LearningRate)}
+	d := &Distiller{Student: student, Opt: optim.NewAdam(cfg.LearningRate),
+		trainCtx: nn.NewForwardCtxWS(true, tensor.NewWorkspace())}
 	d.SetConfig(cfg)
 	return d
 }
@@ -92,6 +93,7 @@ type TrainResult struct {
 // start from their activations. Under full distillation nothing is frozen,
 // the prefix is empty and the same loop runs whole passes.
 func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
+	defer d.Student.ReleasePrefix()
 	img := frame.Image
 	acts := d.Student.Prefix(img)
 	pred := d.Student.InferFrom(acts)
@@ -141,9 +143,25 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 // from Student.Prefix(frame.Image). Pre-training calls it, under full
 // distillation, once per sample.
 func (d *Distiller) Step(frame video.Frame, label []int32) {
+	defer d.Student.ReleasePrefix()
 	img := frame.Image
 	weights := d.pixelWeights(label, img.Dim(1), img.Dim(2))
 	d.step(d.Student.Prefix(img), label, weights)
+}
+
+// Footprint returns the bytes the distiller owns — its student's unshared
+// parameters (nn.Student.SharePrefix), the optimizer's moments and the best
+// snapshot — and how many workspace leases it holds: none between calls.
+func (d *Distiller) Footprint() (owned, leased int) {
+	for _, p := range d.Student.Params.All() {
+		if !p.Shared {
+			owned += 4 * p.Value.Len()
+		}
+	}
+	if d.best.set != nil {
+		owned += 4 * d.best.set.NumParams()
+	}
+	return owned + d.Opt.Bytes(), d.trainCtx.Tape.Workspace().Leased() + d.Student.Leased()
 }
 
 // pixelWeights returns the loss weighting for label (nil under
@@ -161,11 +179,7 @@ func (d *Distiller) pixelWeights(label []int32, h, w int) []float32 {
 // pass, gradient clipping and the optimizer update, all on the reused
 // training context and buffers.
 func (d *Distiller) step(acts nn.Activations, label []int32, weights []float32) {
-	if d.trainCtx == nil {
-		d.trainCtx = nn.NewForwardCtxWS(true, tensor.NewWorkspace())
-	}
 	fc := d.trainCtx
-	fc.Reset(true)
 	out := d.Student.ForwardFrom(fc, acts)
 	if d.gradBuf == nil || !tensor.ShapeEq(d.gradBuf.Shape(), out.Value.Shape()) {
 		d.gradBuf = tensor.New(out.Value.Shape()...)
@@ -177,6 +191,8 @@ func (d *Distiller) step(acts nn.Activations, label []int32, weights []float32) 
 		optim.GradClip(d.optBuf, d.Cfg.GradClipNorm)
 	}
 	d.Opt.Step(d.optBuf)
+	fc.Reset(true)  // the step's leases go back before it returns
+	clear(d.optBuf) // its gradients were the context's leases
 }
 
 // meanIoU computes the per-key-frame metric on a reused confusion matrix.

@@ -221,7 +221,7 @@ func referenceTrain(cfg Config, s *nn.Student, opt optim.Optimizer, bk tensor.Ba
 		}
 	}
 	if snap != nil {
-		s.Params.CopyValuesFrom(snap)
+		s.Params.ApplyValues(snap)
 	}
 	return best, steps
 }

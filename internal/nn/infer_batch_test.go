@@ -7,11 +7,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// A pass that needs no gradient holds a layer's activations, not the
-// graph's: when Infer returns, the only lease its workspace still has out is
-// the half-resolution logits its mask came from, and Prefix keeps exactly
-// what it returns — the running activation and the two skips. Without
-// Tape.Free these read the op count.
+// A pass holds no scratch once it returns: Infer and InferFrom hand every
+// lease back before returning (the mask lives in the student's own buffer),
+// and Prefix keeps exactly what it returns — the running activation and the
+// two skips — until its caller releases them. Without Tape.Free the Prefix
+// count would read the op count; without the hand-back the others would not
+// read 0.
 func TestInferenceHoldsOnlyWhatItReturns(t *testing.T) {
 	s := NewStudent(DefaultStudentConfig(), rand.New(rand.NewSource(7)))
 	s.SetPartial(true)
@@ -21,16 +22,23 @@ func TestInferenceHoldsOnlyWhatItReturns(t *testing.T) {
 		img.Data[i] = rng.Float32()
 	}
 	s.Infer(img)
-	if got := s.inferCtx.Tape.Workspace().Leased(); got != 1 {
-		t.Fatalf("after Infer the inference workspace holds %d leases (of %d tape nodes), want 1: the half-resolution logits", got, s.inferCtx.Tape.Len())
+	if got := s.inferCtx.Tape.Workspace().Leased(); got != 0 {
+		t.Fatalf("after Infer the inference workspace holds %d leases, want 0", got)
 	}
 	acts := s.Prefix(img)
 	if got := s.prefixCtx.Tape.Workspace().Leased(); got != 3 {
 		t.Fatalf("after Prefix its workspace holds %d leases, want 3: the SB4 activation and the SB1/SB2 skips", got)
 	}
 	s.InferFrom(acts)
-	if got := s.inferCtx.Tape.Workspace().Leased(); got != 1 {
-		t.Fatalf("after InferFrom the inference workspace holds %d leases, want 1: the half-resolution logits", got)
+	if got := s.inferCtx.Tape.Workspace().Leased(); got != 0 {
+		t.Fatalf("after InferFrom the inference workspace holds %d leases, want 0", got)
+	}
+	if got := s.prefixCtx.Tape.Workspace().Leased(); got != 3 {
+		t.Fatalf("after InferFrom the Prefix workspace holds %d leases, want its 3 until ReleasePrefix", got)
+	}
+	s.ReleasePrefix()
+	if got := s.prefixCtx.Tape.Workspace().Leased(); got != 0 {
+		t.Fatalf("after ReleasePrefix the Prefix workspace holds %d leases, want 0", got)
 	}
 }
 

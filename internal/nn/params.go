@@ -27,6 +27,9 @@ type Parameter struct {
 	Name   string
 	Value  *tensor.Tensor
 	Frozen bool
+	// Shared marks a Value that another student owns and this one only
+	// reads (Student.SharePrefix).
+	Shared bool
 }
 
 // ParamSet is an ordered collection of parameters keyed by name.
@@ -123,7 +126,8 @@ func bnStatLayer(name string) (string, bool) {
 
 // FreezePrefix freezes every parameter whose name matches any of the given
 // prefixes and unfreezes the rest, except running statistics, which stay
-// frozen whatever the cut. It returns the number matched.
+// frozen whatever the cut. It returns the number matched. A Shared tensor
+// the new cut trains becomes a private copy first: copy on unfreeze.
 func (ps *ParamSet) FreezePrefix(prefixes ...string) int {
 	n := 0
 	for _, p := range ps.params {
@@ -134,6 +138,11 @@ func (ps *ParamSet) FreezePrefix(prefixes ...string) int {
 				n++
 				break
 			}
+		}
+	}
+	for _, p := range TrainableSubset(ps) {
+		if p.Shared {
+			p.Value, p.Shared = p.Value.Clone(), false
 		}
 	}
 	return n
@@ -156,21 +165,9 @@ func CloneNamed(params []*Parameter) *ParamSet {
 	return out
 }
 
-// CopyValuesFrom copies parameter values from src by name. Missing names
-// panic; extra names in src are ignored.
-func (ps *ParamSet) CopyValuesFrom(src *ParamSet) {
-	for _, p := range ps.params {
-		sp := src.Get(p.Name)
-		if sp == nil {
-			panic(fmt.Sprintf("nn: CopyValuesFrom missing parameter %q", p.Name))
-		}
-		p.Value.CopyFrom(sp.Value)
-	}
-}
-
 // ApplyValues copies values from src into ps for every name present in src.
-// Unlike CopyValuesFrom, names absent from src are left untouched, so a
-// trainable-only snapshot can be restored without touching frozen weights.
+// Names absent from src are left untouched, so a trainable-only snapshot can
+// be restored without touching frozen weights.
 func (ps *ParamSet) ApplyValues(src *ParamSet) {
 	for _, sp := range src.All() {
 		if p := ps.Get(sp.Name); p != nil {

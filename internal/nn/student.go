@@ -60,32 +60,26 @@ type Student struct {
 	out1, out2, out3             *Conv2D
 
 	// inferCtx is the reusable inference context: its tape leases every
-	// activation from a private workspace, so steady-state Infer calls
-	// allocate (almost) nothing. maskBuf is the reusable argmax output and
-	// halfMask its half-resolution source.
+	// activation from tensor.SharedPool and hands all back before Infer
+	// returns, so steady-state Infer calls allocate (almost) nothing and hold
+	// nothing between. maskBuf is the argmax output, halfMask its source.
 	// prefixCtx is its twin for Prefix, separate so the frozen stages'
-	// activations outlive the passes that start from them.
-	// batchMasks holds InferBatch's recycled per-frame masks.
+	// activations outlive the passes that start from them, until
+	// ReleasePrefix. batchMasks holds InferBatch's recycled per-frame masks.
 	inferCtx   *ForwardCtx
 	prefixCtx  *ForwardCtx
 	maskBuf    []int32
 	halfMask   []int32
 	batchMasks [][]int32
-
-	// backend, when non-nil, pins the compute backend used by Infer's
-	// private workspace (training passes ride the caller's ForwardCtx
-	// workspace instead). nil uses vec.
-	backend tensor.Backend
 }
 
 // SetBackend pins the compute backend for this student's inference path
 // (nil reverts to vec): the seam the tests run tensor.Reference through.
-// The reusable inference contexts are discarded so the next Infer or Prefix
-// rebuilds them on the new backend.
+// Training passes ride the caller's ForwardCtx workspace instead. The
+// reusable inference contexts are rebuilt on the new backend.
 func (s *Student) SetBackend(b tensor.Backend) {
-	s.backend = b
-	s.inferCtx = nil
-	s.prefixCtx = nil
+	s.inferCtx = NewForwardCtxWS(false, tensor.NewWorkspace().SetBackend(b))
+	s.prefixCtx = NewForwardCtxWS(false, tensor.NewWorkspace().SetBackend(b))
 }
 
 // NewStudent builds a freshly initialised student from cfg using rng.
@@ -105,6 +99,7 @@ func NewStudent(cfg StudentConfig, rng *rand.Rand) *Student {
 	s.out1 = NewConv2D(ps, "out1", cfg.B6, cfg.Head, tensor.Spec(3, 3), true, rng)
 	s.out2 = NewConv2D(ps, "out2", cfg.Head, cfg.Head, tensor.Spec(3, 3), true, rng)
 	s.out3 = NewConv2D(ps, "out3", cfg.Head, cfg.NumClasses, tensor.Spec(1, 1), true, rng)
+	s.SetBackend(nil)
 	return s
 }
 
@@ -248,17 +243,14 @@ func (s *Student) ForwardFrom(fc *ForwardCtx, a Activations) *autodiff.Variable 
 // frame takes, this part of each is the same and is computed once.
 //
 // The activations live in a context private to Prefix: they survive any
-// number of ForwardFrom/InferFrom passes and are valid until the next
-// Prefix call on this student, or until the freeze cut or a frozen weight
-// changes.
+// number of ForwardFrom/InferFrom passes and are valid until ReleasePrefix
+// or the next Prefix call on this student, or until the freeze cut or a
+// frozen weight changes. The caller hands them back with ReleasePrefix.
 func (s *Student) Prefix(img *tensor.Tensor) Activations {
 	a := s.input(img)
 	depth := s.frozenDepth()
 	if depth == 0 {
 		return a
-	}
-	if s.prefixCtx == nil {
-		s.prefixCtx = NewForwardCtxWS(false, tensor.NewWorkspace().SetBackend(s.backend))
 	}
 	s.prefixCtx.Reset(false)
 	p := s.run(s.prefixCtx, a, depth)
@@ -270,6 +262,16 @@ func (s *Student) Prefix(img *tensor.Tensor) Activations {
 		a.f2 = p.f2.Value
 	}
 	return a
+}
+
+// ReleasePrefix hands the activations the last Prefix returned back to the
+// pool.
+func (s *Student) ReleasePrefix() { s.prefixCtx.Reset(false) }
+
+// Leased reports the workspace leases s holds: Prefix's activations until
+// ReleasePrefix, and otherwise none.
+func (s *Student) Leased() int {
+	return s.inferCtx.Tape.Workspace().Leased() + s.prefixCtx.Tape.Workspace().Leased()
 }
 
 // Infer runs a gradient-free forward pass and returns the argmax mask
@@ -302,16 +304,12 @@ func (s *Student) InferFrom(a Activations) []int32 {
 		s.maskBuf = a.x.ArgmaxChannel(s.maskBuf)
 		return s.maskBuf
 	}
-	if s.inferCtx == nil {
-		s.inferCtx = NewForwardCtxWS(false, tensor.NewWorkspace().SetBackend(s.backend))
-	}
 	fc := s.inferCtx
-	fc.Reset(false)
 	x := s.run(fc, a, head).x // out2's output, half resolution
 	logits := s.out3.Forward(fc, x).Value
-	fc.Tape.Free(x)
 	s.halfMask = logits.ArgmaxChannel(s.halfMask)
 	s.maskBuf = upsampleMask2x(s.maskBuf, s.halfMask, logits.Dim(1), logits.Dim(2))
+	fc.Reset(false) // the pass's leases go back before it returns
 	return s.maskBuf
 }
 
@@ -357,13 +355,49 @@ func (s *Student) SetPartial(partial bool) {
 	}
 }
 
-// Clone deep-copies the student (weights, frozen flags, config).
-func (s *Student) Clone() *Student {
-	c := NewStudent(s.Config, rand.New(rand.NewSource(0)))
-	c.Params.CopyValuesFrom(s.Params)
-	for i, p := range s.Params.All() {
-		c.Params.All()[i].Frozen = p.Frozen
+// Clone deep-copies the student (weights, frozen flags, config): the same
+// layers over a private copy of every parameter, with no initialisation.
+func (s *Student) Clone() *Student { return s.fork(false) }
+
+// SharePrefix is Clone under the partial cut (SetPartial(true)) that copies
+// only the TrainableSubset: every other tensor is s's own, shared read-only,
+// so s's frozen stages must not change while the clone lives. Whatever
+// unfreezes a shared tensor later (ParamSet.FreezePrefix) copies it first.
+func (s *Student) SharePrefix() *Student {
+	c := s.fork(true)
+	c.SetPartial(true)
+	return c
+}
+
+// fork returns s's config, backend and layers over new Parameters, frozen as
+// s's are, that hold copies of s's tensors or, when share, the tensors.
+func (s *Student) fork(share bool) *Student {
+	ps := NewParamSet()
+	to := map[*Parameter]*Parameter{}
+	for _, p := range s.Params.All() {
+		v := p.Value
+		if !share {
+			v = v.Clone()
+		}
+		c := ps.Add(p.Name, v)
+		c.Frozen, c.Shared = p.Frozen, share
+		to[p] = c
 	}
-	c.backend = s.backend
+	conv := func(l *Conv2D) *Conv2D {
+		if l == nil {
+			return nil
+		}
+		return &Conv2D{Spec: l.Spec, Weight: to[l.Weight], Bias: to[l.Bias]}
+	}
+	block := func(b *StudentBlock) *StudentBlock {
+		c, bn := *b, *b.BN
+		bn.Gamma, bn.Beta, bn.RunMean, bn.RunVar = to[bn.Gamma], to[bn.Beta], to[bn.RunMean], to[bn.RunVar]
+		c.BN, c.C33, c.C31, c.C13, c.C11, c.Proj = &bn, conv(b.C33), conv(b.C31), conv(b.C13), conv(b.C11), conv(b.Proj)
+		return &c
+	}
+	c := &Student{Config: s.Config, Params: ps,
+		in1: conv(s.in1), in2: conv(s.in2), out1: conv(s.out1), out2: conv(s.out2), out3: conv(s.out3),
+		sb1: block(s.sb1), sb2: block(s.sb2), sb3: block(s.sb3), sb4: block(s.sb4), sb5: block(s.sb5), sb6: block(s.sb6)}
+	c.SetBackend(s.inferCtx.Tape.Workspace().Backend())
 	return c
 }

@@ -57,7 +57,7 @@ func checkStudentEndToEndGradient(t *testing.T, bk tensor.Backend) {
 	// BatchNorm running stats mutate on every training forward; freeze the
 	// comparison by snapshotting and restoring around every evaluation.
 	snapshot := s.Params.Clone()
-	restore := func() { s.Params.CopyValuesFrom(snapshot) }
+	restore := func() { s.Params.ApplyValues(snapshot) }
 
 	fc := gradCtx(bk)
 	out := s.ForwardFrom(fc, s.input(img))

@@ -1,6 +1,6 @@
 // Package optim provides optimizers that update a set of named parameters
 // from their accumulated gradients. The paper distils with Adam at lr 0.01
-// (§5.2); SGD is provided for ablations and tests.
+// (§5.2).
 package optim
 
 import (
@@ -23,45 +23,17 @@ type Optimizer interface {
 	Step(params []Param)
 	// Reset clears all internal state (moment estimates, step counters).
 	Reset()
+	// Bytes returns the bytes that state holds.
+	Bytes() int
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float32
-	Momentum float32
-
-	velocity map[string]*tensor.Tensor
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and momentum.
-func NewSGD(lr, momentum float32) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: map[string]*tensor.Tensor{}}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []Param) {
-	for _, p := range params {
-		if p.Grad == nil {
-			continue
-		}
-		if s.Momentum == 0 {
-			tensor.AxpyInto(p.Value, -s.LR, p.Grad)
-			continue
-		}
-		v := s.velocity[p.Name]
-		if v == nil {
-			v = tensor.New(p.Value.Shape()...)
-			s.velocity[p.Name] = v
-		}
-		for i := range v.Data {
-			v.Data[i] = s.Momentum*v.Data[i] + p.Grad.Data[i]
-			p.Value.Data[i] -= s.LR * v.Data[i]
-		}
+// bytesOf sums the bytes of the tensors in m.
+func bytesOf(m map[string]*tensor.Tensor) (n int) {
+	for _, t := range m {
+		n += 4 * t.Len()
 	}
+	return n
 }
-
-// Reset implements Optimizer.
-func (s *SGD) Reset() { s.velocity = map[string]*tensor.Tensor{} }
 
 // Adam implements Kingma & Ba's Adam with bias correction.
 type Adam struct {
@@ -114,6 +86,9 @@ func (a *Adam) Reset() {
 	a.m = map[string]*tensor.Tensor{}
 	a.v = map[string]*tensor.Tensor{}
 }
+
+// Bytes implements Optimizer.
+func (a *Adam) Bytes() int { return bytesOf(a.m) + bytesOf(a.v) }
 
 // GradClip rescales all gradients in place so their global L2 norm is at
 // most maxNorm. It returns the pre-clip norm. Gradient explosion on a

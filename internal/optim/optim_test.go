@@ -9,6 +9,48 @@ import (
 	"repro/internal/tensor"
 )
 
+// SGD is plain stochastic gradient descent with optional momentum: the
+// reference optimizer the Optimizer-contract tests run Adam beside.
+type SGD struct {
+	LR       float32
+	Momentum float32
+
+	velocity map[string]*tensor.Tensor
+}
+
+// NewSGD returns an SGD optimizer with the given learning rate and momentum.
+func NewSGD(lr, momentum float32) *SGD {
+	return &SGD{LR: lr, Momentum: momentum, velocity: map[string]*tensor.Tensor{}}
+}
+
+// Step implements Optimizer.
+func (s *SGD) Step(params []Param) {
+	for _, p := range params {
+		if p.Grad == nil {
+			continue
+		}
+		if s.Momentum == 0 {
+			tensor.AxpyInto(p.Value, -s.LR, p.Grad)
+			continue
+		}
+		v := s.velocity[p.Name]
+		if v == nil {
+			v = tensor.New(p.Value.Shape()...)
+			s.velocity[p.Name] = v
+		}
+		for i := range v.Data {
+			v.Data[i] = s.Momentum*v.Data[i] + p.Grad.Data[i]
+			p.Value.Data[i] -= s.LR * v.Data[i]
+		}
+	}
+}
+
+// Reset implements Optimizer.
+func (s *SGD) Reset() { s.velocity = map[string]*tensor.Tensor{} }
+
+// Bytes implements Optimizer.
+func (s *SGD) Bytes() int { return bytesOf(s.velocity) }
+
 // quadratic loss f(x) = Σ (x_i - target)² with gradient 2(x - target).
 func quadGrad(x *tensor.Tensor, target float32) *tensor.Tensor {
 	g := tensor.New(x.Shape()...)

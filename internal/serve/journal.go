@@ -57,6 +57,17 @@ func (j *journal) append(seq uint64, body []byte) {
 	j.n++
 }
 
+// bytes returns the size of the retained bodies: the ring's slots past the
+// live ones have never been written.
+func (j *journal) bytes() (n int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, e := range j.entries {
+		n += len(e.body)
+	}
+	return n
+}
+
 // tail returns the oldest retained sequence (0 when empty).
 func (j *journal) tail() uint64 {
 	j.mu.Lock()

@@ -331,7 +331,7 @@ func (m *Manager) unregister(id uint64) {
 	defer m.mu.Unlock()
 	if s, ok := m.active[id]; ok {
 		delete(m.active, id)
-		m.foldStatsLocked(s.srv)
+		m.foldStatsLocked(s)
 		m.tm.active.Set(float64(len(m.active)))
 		m.tm.trace.Record(telemetry.Event{Time: time.Now(), Kind: telemetry.EvSessionEnd, Session: id, Epoch: uint32(s.epoch), Seq: s.srv.DiffSeq, Shard: m.tm.shard})
 	}

@@ -22,6 +22,7 @@ type session struct {
 	epoch   uint64
 	srv     *core.Server
 	journal *journal
+	bytes   int // what it owned when last accounted on m's gauge
 
 	// While parked, under the mutex of the manager that holds it: when it
 	// parked, and the timer that evicts it ResumeTTL later.
@@ -34,7 +35,7 @@ type session struct {
 // replay journal of the given depth, and this manager's diff codec.
 func (m *Manager) newSession(journalDepth int) *session {
 	s := &session{m: m, journal: newJournal(journalDepth)}
-	s.srv = core.NewServer(m.opts.Cfg, m.opts.Base.Clone(), m.teacher)
+	s.srv = core.NewServer(m.opts.Cfg, m.opts.Base.SharePrefix(), m.teacher)
 	s.srv.Observer = s
 	s.srv.Checkpoint = m.ck
 	s.srv.DiffCodec = m.codec
@@ -47,11 +48,13 @@ func (m *Manager) newSession(journalDepth int) *session {
 // the client holds (which no codec re-encodes on the way), the diff codec,
 // epochs, journal, the distill counters — travels by being the same object.
 func (s *session) rebind(to *Manager) {
+	s.account(false)
 	s.m = to // registry, aggregate stats, telemetry handles and shard label
 	s.srv.Teacher = to.teacher
 	s.srv.Checkpoint = to.ck
 	s.srv.Cfg = to.opts.Cfg
-	s.srv.Distiller.SetConfig(to.opts.Cfg)
+	s.srv.Distiller.SetConfig(to.opts.Cfg) // copies what it shares and now trains
+	s.account(true)
 }
 
 // Assign implements core.SessionObserver: the handshake registers the
@@ -65,6 +68,7 @@ func (s *session) Assign(h transport.Hello) (id, epoch uint64, err error) {
 // Checkpoint implements core.SessionObserver: handshake MsgStudentFull bytes
 // against the raw baseline.
 func (s *session) Checkpoint(actual, baseline int) {
+	s.account(true)
 	s.m.mu.Lock()
 	s.m.agg.CheckpointBytes += int64(actual)
 	s.m.agg.CheckpointBaseline += int64(baseline)
@@ -76,7 +80,10 @@ func (s *session) Checkpoint(actual, baseline int) {
 // is cut against its predecessor's result, so the journal is a chain: it
 // replays from the client's last applied Seq onwards or not at all, which
 // is the only way journal.suffix ever hands it out.
-func (s *session) Diff(seq uint64, body []byte) { s.journal.append(seq, body) }
+func (s *session) Diff(seq uint64, body []byte) {
+	s.journal.append(seq, body)
+	s.account(true)
+}
 
 // Train implements core.SessionObserver, feeding the live distillation
 // metrics; the handles are nil no-ops when telemetry is off.
@@ -319,7 +326,7 @@ func (m *Manager) expire(sess *session, at time.Time) {
 func (m *Manager) evictLocked(sess *session) {
 	sess.expiry.Stop()
 	delete(m.parked, sess.id)
-	m.foldStatsLocked(sess.srv)
+	m.foldStatsLocked(sess)
 	m.agg.Evicted++
 	m.tm.evicted.Inc()
 	m.tm.detached.Set(float64(len(m.parked)))
@@ -358,7 +365,7 @@ func (m *Manager) MoveParked(id uint64, to *Manager) error {
 		sess.rebind(m)
 		m.mu.Lock()
 		if !m.parkLocked(sess, parkedAt, now) {
-			m.foldStatsLocked(sess.srv) // both closing: it completes here, as in detach
+			m.foldStatsLocked(sess) // both closing: it completes here, as in detach
 		}
 		m.mu.Unlock()
 		return fmt.Errorf("serve: moving session %d: %w", id, ErrClosed)

@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -24,6 +23,7 @@ type managerTelemetry struct {
 	distillSteps  *telemetry.Counter
 	distill       *telemetry.Histogram
 	teacherDepth  *telemetry.Gauge
+	sessionBytes  *telemetry.Gauge
 	trace         *telemetry.TraceRing
 }
 
@@ -44,6 +44,7 @@ func newManagerTelemetry(reg *telemetry.Registry, shard int) managerTelemetry {
 	t.distillSteps = reg.Counter("shadowtutor_distill_steps_total", "Optimisation steps taken.", l)
 	t.distill = reg.Histogram("shadowtutor_distill_step_seconds", "Wall time per distillation step.", telemetry.DurationBuckets, l)
 	t.teacherDepth = reg.Gauge("shadowtutor_teacher_queue_depth", "Key frames waiting for or inside the teacher.", l)
+	t.sessionBytes = reg.Gauge("shadowtutor_session_bytes", "Bytes live and parked sessions own, the shared frozen prefix not counted.", l)
 	t.trace = reg.Trace()
 	return t
 }
@@ -149,13 +150,32 @@ func (m *Manager) countFullResend(actual, baseline int) {
 }
 
 // foldStatsLocked folds a finished session's distillation counters into the
-// aggregate. Caller holds m.mu.
-func (m *Manager) foldStatsLocked(srv *core.Server) {
+// aggregate and takes its bytes off the gauge. Caller holds m.mu.
+func (m *Manager) foldStatsLocked(sess *session) {
+	srv := sess.srv
+	sess.account(false)
 	m.agg.SessionsServed++
 	m.tm.completed.Inc()
 	m.agg.KeyFrames += int64(srv.Distiller.TotalTrains)
 	m.agg.DistillSteps += int64(srv.Distiller.TotalSteps)
 	m.agg.DistillTime += srv.Distiller.TotalStepTime
+}
+
+// account moves its manager's shadowtutor_session_bytes to what the session
+// owns now — its distiller's state (core.Distiller.Footprint: not the shared
+// prefix), its View and its journal's bodies — or, unless live, to nothing:
+// the session is leaving the manager.
+func (s *session) account(live bool) {
+	b := 0
+	if live {
+		owned, _ := s.srv.Distiller.Footprint()
+		b = owned + s.journal.bytes()
+		if s.srv.View != nil {
+			b += 4 * s.srv.View.NumParams()
+		}
+	}
+	s.m.tm.sessionBytes.Add(float64(b - s.bytes))
+	s.bytes = b
 }
 
 // Stats snapshots aggregate activity.

@@ -125,9 +125,10 @@ func checkPackedMatchesUnpacked(t *testing.T, seed int64, shapes [][3]int) {
 
 // TestConvBatchIgnoresScratchContents locks the convolution forward to one
 // bitwise result across repeated calls on one workspace, on every backend:
-// the panel and column leases come back dirty from the previous call (and
-// from a deliberately poisoned lease), and nothing of that may reach the
-// result.
+// every lease comes back dirty from the previous call, or poisoned with NaN,
+// and nothing of that may reach the result. What is poisoned is derived
+// from the code that leases it: the packed weight panel, either backend's
+// B operand (vec's planes, reference's lowering) and the result.
 func TestConvBatchIgnoresScratchContents(t *testing.T) {
 	rng := rand.New(rand.NewSource(6047))
 	const c, h, w, oc = 3, 32, 48, 9
@@ -143,11 +144,18 @@ func TestConvBatchIgnoresScratchContents(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ws := NewWorkspaceOn(NewPool()).SetBackend(bk)
 			golden := Conv2DWS(ws, x, wt, bias, spec)
+			oh, ow := spec.OutSize(h, w)
+			ckk := c * spec.KH * spec.KW
+			planes := newConvPlanes(NewWorkspaceOn(NewPool()), x, spec).leased.Len()
+			leases := []int{packedSize(oc, ckk), planes, oh * ow * ckk, oc * oh * ow}
 			for run := 0; run < 3; run++ {
-				for _, n := range []int{packedSize(oc, c*9), c * 9 * h * w} { // the panel and column lease classes
-					poison := ws.GetDirty(n)
-					poison.Fill(float32(math.NaN()))
-					ws.Put(poison)
+				poison := make([]*Tensor, len(leases))
+				for i, n := range leases {
+					poison[i] = ws.GetDirty(n)
+					poison[i].Fill(float32(math.NaN()))
+				}
+				for _, p := range poison {
+					ws.Put(p)
 				}
 				got := Conv2DWS(ws, x, wt, bias, spec)
 				if !bitwiseEqual(got.Data, golden.Data) {

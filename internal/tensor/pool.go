@@ -10,8 +10,8 @@ import (
 // capacity, and a single-goroutine Workspace that leases tensors from a pool
 // and releases them in bulk. The distill loop and student inference lease
 // every temporary (im2col buffers, GEMM outputs, activation values, gradient
-// accumulators) from per-session workspaces, so steady-state allocations per
-// frame approach zero even with many concurrent sessions.
+// accumulators) for one pass and hand it back as it returns: no session
+// holds scratch between passes, and allocations per frame approach zero.
 //
 // Ownership rules (see ARCHITECTURE.md "Memory model"):
 //   - A tensor leased from a Workspace is owned by that workspace's owner
