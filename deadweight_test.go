@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -120,14 +121,27 @@ func TestDeadWeight(t *testing.T) {
 
 // loadModule type-checks every non-test package of the root module (decl,
 // in directory order) and benchmark/, the module's one outside consumer.
+// The checks only read the result, so one test binary builds it once.
 func loadModule(t *testing.T) (l *moduleLoader, decl []*modulePkg, consumer *modulePkg) {
 	t.Helper()
+	m, err := loadedModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.l, m.decl, m.consumer
+}
+
+var loadedModule = sync.OnceValues(func() (m struct {
+	l        *moduleLoader
+	decl     []*modulePkg
+	consumer *modulePkg
+}, err error) {
 	// The standard library is type-checked from its pure-Go source, so the
 	// checks need no C toolchain and no export data.
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
-	l = &moduleLoader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*modulePkg{}}
-	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+	m.l = &moduleLoader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*modulePkg{}}
+	err = filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -137,18 +151,15 @@ func loadModule(t *testing.T) (l *moduleLoader, decl []*modulePkg, consumer *mod
 		if bp, err := build.Default.ImportDir(dir, 0); err != nil || len(bp.GoFiles) == 0 {
 			return nil // no non-test Go here
 		}
-		p, err := l.load(filepath.ToSlash(filepath.Join("repro", dir)))
-		decl = append(decl, p)
+		p, err := m.l.load(filepath.ToSlash(filepath.Join("repro", dir)))
+		m.decl = append(m.decl, p)
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		m.consumer, err = m.l.check("repro/benchmark", "benchmark")
 	}
-	if consumer, err = l.check("repro/benchmark", "benchmark"); err != nil {
-		t.Fatal(err)
-	}
-	return l, decl, consumer
-}
+	return m, err
+})
 
 // modulePkg is one type-checked package of the module, non-test files only.
 type modulePkg struct {

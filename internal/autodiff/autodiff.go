@@ -311,21 +311,20 @@ func (t *Tape) MatMul(a, b *Variable) *Variable {
 		panic(fmt.Sprintf("autodiff: MatMul requires rank-2 tensors, got %v × %v", a.Value.Shape(), b.Value.Shape()))
 	}
 	out := t.ws.GetDirty(a.Value.Dim(0), b.Value.Dim(1))
-	tensor.MatMulIntoOn(t.ws.Backend(), out, a.Value, b.Value, false)
+	tensor.MatMulInto(out, a.Value, b.Value, false)
 	v := t.node(out, a, b)
 	if v.requiresGrad {
 		v.backward = func() {
-			bk := t.ws.Backend()
 			if a.requiresGrad {
 				// dA = gy × Bᵀ
 				g := t.ws.GetDirty(a.Value.Shape()...)
-				tensor.MatMulABTIntoOn(bk, g, v.Grad, b.Value)
+				tensor.MatMulABTInto(g, v.Grad, b.Value)
 				t.accumOwn(a, g)
 			}
 			if b.requiresGrad {
 				// dB = Aᵀ × gy
 				g := t.ws.GetDirty(b.Value.Shape()...)
-				tensor.MatMulATBIntoOn(bk, g, a.Value, v.Grad, false)
+				tensor.MatMulATBInto(g, a.Value, v.Grad, false)
 				t.accumOwn(b, g)
 			}
 		}

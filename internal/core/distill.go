@@ -24,35 +24,18 @@ type Distiller struct {
 	TotalStepTime time.Duration
 
 	// Reusable hot-loop state: the training pass context (tape + workspace),
-	// loss buffers, optimizer parameter list, metric scratch and the
-	// best-weights snapshot. All are lazily sized and recycled across Train
-	// calls so a steady-state distillation step allocates almost nothing.
+	// loss buffers, optimizer parameter list, metric scratch and the list
+	// of parameters a best-weights snapshot copies. All are lazily sized and
+	// recycled across Train calls so a steady-state distillation step
+	// allocates almost nothing. The snapshot's floats are not among them:
+	// Train leases them for the call.
 	trainCtx   *nn.ForwardCtx
 	gradBuf    *tensor.Tensor
 	weightsBuf []float32
 	optBuf     []optim.Param
 	evalCM     *metrics.ConfusionMatrix
-	best       subsetSnapshot
-}
-
-// subsetSnapshot is a reusable copy of one parameter set's
-// nn.TrainableSubset — what a key frame's training can change, and so what
-// a best-weights restore needs. The copy's name set is rebuilt only when the
-// freeze configuration changed since the last take.
-type subsetSnapshot struct {
-	set *nn.ParamSet
-	sig int
-}
-
-// take copies ps's current trainable subset into the snapshot and returns
-// it; the result is valid until the next take.
-func (s *subsetSnapshot) take(ps *nn.ParamSet) *nn.ParamSet {
-	if sig := ps.NumTrainable(); s.set == nil || sig != s.sig {
-		s.set, s.sig = nn.CloneNamed(nn.TrainableSubset(ps)), sig
-	} else {
-		s.set.ApplyValues(ps)
-	}
-	return s.set
+	subset     []*nn.Parameter // nn.TrainableSubset of Student.Params
+	subsetSig  int             // Student.Params.NumTrainable when subset was taken
 }
 
 // NewDistiller wraps student with a fresh Adam optimizer under cfg (see
@@ -98,7 +81,9 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 	acts := d.Student.Prefix(img)
 	pred := d.Student.InferFrom(acts)
 	bestMetric := d.meanIoU(pred, label)
-	haveBest := false
+
+	var best *tensor.Tensor // the best iterate's trainable subset, leased for this call
+	defer func() { tensor.SharedPool.Release(best) }()
 
 	res := TrainResult{Metric: bestMetric}
 	if bestMetric >= d.Cfg.Threshold {
@@ -118,8 +103,7 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 		metric := d.meanIoU(pred, label)
 		if metric > bestMetric {
 			bestMetric = metric
-			d.best.take(d.Student.Params)
-			haveBest = true
+			best = d.snapshot(best)
 		}
 		if metric >= d.Cfg.Threshold {
 			break
@@ -129,8 +113,11 @@ func (d *Distiller) Train(frame video.Frame, label []int32) TrainResult {
 	res.Metric = bestMetric
 	// Restore the best-performing weights (Algorithm 1 returns
 	// best_student, not the last iterate).
-	if haveBest {
-		d.Student.Params.ApplyValues(d.best.set)
+	if best != nil {
+		o := 0
+		for _, p := range d.subset {
+			o += copy(p.Value.Data, best.Data[o:])
+		}
 	}
 	d.TotalSteps += res.Steps
 	d.TotalTrains++
@@ -149,17 +136,38 @@ func (d *Distiller) Step(frame video.Frame, label []int32) {
 	d.step(d.Student.Prefix(img), label, weights)
 }
 
+// snapshot copies the student's trainable subset (nn.TrainableSubset: what
+// a key frame's training can change, and so what a best-weights restore
+// needs) into buf, leasing buf from tensor.SharedPool when it is nil. The
+// subset's list is rebuilt only when the freeze configuration changed
+// since the last snapshot.
+func (d *Distiller) snapshot(buf *tensor.Tensor) *tensor.Tensor {
+	ps := d.Student.Params
+	if sig := ps.NumTrainable(); d.subset == nil || sig != d.subsetSig {
+		d.subset, d.subsetSig = nn.TrainableSubset(ps), sig
+	}
+	if buf == nil {
+		n := 0
+		for _, p := range d.subset {
+			n += p.Value.Len()
+		}
+		buf = tensor.SharedPool.Lease(n)
+	}
+	o := 0
+	for _, p := range d.subset {
+		o += copy(buf.Data[o:], p.Value.Data)
+	}
+	return buf
+}
+
 // Footprint returns the bytes the distiller owns — its student's unshared
-// parameters (nn.Student.SharePrefix), the optimizer's moments and the best
-// snapshot — and how many workspace leases it holds: none between calls.
+// parameters (nn.Student.SharePrefix) and the optimizer's moments — and how
+// many workspace leases it holds: none between calls.
 func (d *Distiller) Footprint() (owned, leased int) {
 	for _, p := range d.Student.Params.All() {
 		if !p.Shared {
 			owned += 4 * p.Value.Len()
 		}
-	}
-	if d.best.set != nil {
-		owned += 4 * d.best.set.NumParams()
 	}
 	return owned + d.Opt.Bytes(), d.trainCtx.Tape.Workspace().Leased() + d.Student.Leased()
 }

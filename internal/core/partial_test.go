@@ -79,7 +79,9 @@ func TestClientHoldsServerStudentAtQuiescence(t *testing.T) {
 			}
 		}
 		held := srv.Distiller.Student.Params.Clone()
-		held.ApplyValues(srv.View)
+		if err := nn.ApplyNamed(held, srv.View.All()); err != nil {
+			t.Fatal(err)
+		}
 		requireHolds(t, tc.name, cl.Student, held)
 		if !tc.lossy {
 			requireSameStudent(t, tc.name, cl.Student, srv.Distiller.Student)
@@ -221,7 +223,9 @@ func referenceTrain(cfg Config, s *nn.Student, opt optim.Optimizer, bk tensor.Ba
 		}
 	}
 	if snap != nil {
-		s.Params.ApplyValues(snap)
+		if err := nn.ApplyNamed(s.Params, snap.All()); err != nil {
+			panic(err)
+		}
 	}
 	return best, steps
 }

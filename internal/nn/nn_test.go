@@ -52,7 +52,7 @@ func TestParamSetCounts(t *testing.T) {
 	}
 }
 
-func TestParamSetCloneAndApplyValues(t *testing.T) {
+func TestParamSetCloneAndApplyNamed(t *testing.T) {
 	ps := NewParamSet()
 	ps.Add("w", tensor.Full(1, 3))
 	c := ps.Clone()
@@ -60,9 +60,8 @@ func TestParamSetCloneAndApplyValues(t *testing.T) {
 	if ps.Get("w").Value.Data[0] != 1 {
 		t.Fatal("Clone must deep-copy values")
 	}
-	ps.ApplyValues(c)
-	if ps.Get("w").Value.Data[0] != 9 {
-		t.Fatal("ApplyValues failed")
+	if err := ApplyNamed(ps, c.All()); err != nil || ps.Get("w").Value.Data[0] != 9 {
+		t.Fatalf("ApplyNamed failed: %v", err)
 	}
 }
 

@@ -165,17 +165,6 @@ func CloneNamed(params []*Parameter) *ParamSet {
 	return out
 }
 
-// ApplyValues copies values from src into ps for every name present in src.
-// Names absent from src are left untouched, so a trainable-only snapshot can
-// be restored without touching frozen weights.
-func (ps *ParamSet) ApplyValues(src *ParamSet) {
-	for _, sp := range src.All() {
-		if p := ps.Get(sp.Name); p != nil {
-			p.Value.CopyFrom(sp.Value)
-		}
-	}
-}
-
 // AppendOptimParams appends to dst the trainable parameters paired with
 // gradients pulled from their tape variables, suitable for
 // optim.Optimizer.Step; vars maps name → tape variable of the current

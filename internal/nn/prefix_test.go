@@ -153,13 +153,17 @@ func TestFrozenBatchNormIsPure(t *testing.T) {
 	// Up to SB4 the training pass and an inference pass are the same
 	// function; the first tensor a training block's batch statistics touch
 	// is SB5's output.
-	s.Params.ApplyValues(before)
+	if err := ApplyNamed(s.Params, before.All()); err != nil {
+		t.Fatal(err)
+	}
 	a := s.Prefix(img)
 	p := s.run(NewForwardCtxWS(true, nil), s.input(img), a.depth)
 	if !sameBits(p.x.Value, a.x) || !sameBits(p.f1.Value, a.f1) || !sameBits(p.f2.Value, a.f2) {
 		t.Fatal("frozen stages computed differently in a training pass")
 	}
-	s.Params.ApplyValues(before)
+	if err := ApplyNamed(s.Params, before.All()); err != nil {
+		t.Fatal(err)
+	}
 	if sameBits(logitsOf(s, img), outTrain.Value) {
 		t.Fatal("training blocks ignored the batch statistics")
 	}
@@ -204,7 +208,9 @@ func TestPrefixSurvivesSuffixResets(t *testing.T) {
 	}
 	// With the statistics the training passes moved put back, the pass
 	// from the same activations must still give the first answer.
-	s.Params.ApplyValues(before)
+	if err := ApplyNamed(s.Params, before.All()); err != nil {
+		t.Fatal(err)
+	}
 	if !slices.Equal(s.InferFrom(acts), wantMask) {
 		t.Fatal("InferFrom changed its answer after the suffix contexts were recycled")
 	}

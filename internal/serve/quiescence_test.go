@@ -75,7 +75,9 @@ func (c *mirror) requireHolds(m *Manager) {
 		c.t.Fatalf("server is at diff %d, client applied %d", srv.DiffSeq, c.lastApplied)
 	}
 	want := srv.Distiller.Student.Params.Clone()
-	want.ApplyValues(srv.View)
+	if err := nn.ApplyNamed(want, srv.View.All()); err != nil {
+		c.t.Fatal(err)
+	}
 	if srv.DiffCodec == "" || srv.DiffCodec == "raw" {
 		want = srv.Distiller.Student.Params
 	}

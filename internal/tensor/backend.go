@@ -1,18 +1,18 @@
 package tensor
 
-// Backend is the compute interface behind every hot kernel in the package:
-// the three GEMM forms the autodiff tape lowers matmuls onto and the
-// convolution forward and backward, each GEMMs over the im2col matrix. vec
-// is the one compute path: the package-level helpers, nil workspaces and
+// Backend is the compute interface behind the convolutions, which are every
+// GEMM the student runs (§4.1.3): the forward and the backward, each GEMMs
+// over the im2col matrix. vec is the one compute path: the package-level
+// helpers, the dense matrix products (ops.go), nil workspaces and
 // unconfigured workspaces all run on it. Reference, the scalar oracle, is
 // reached only by pinning it on a workspace (Workspace.SetBackend) or a
-// student, which is how the parity and gradient tests run it. A backend is stateless: one value is shared by
-// every workspace that selects it, and kernels run concurrently across
-// sessions, each on its caller's goroutine. All scratch therefore lives on
-// the caller's stack, in the destination slice, or in the Workspace passed
-// in — never in the backend (the bitwise-stability race tests in
-// backend_race_test.go enforce this) and never on a weight tensor: vec's
-// packed weight panels are a per-call lease.
+// student, which is how the parity and gradient tests run it. A backend is
+// stateless: one value is shared by every workspace that selects it, and
+// kernels run concurrently across sessions, each on its caller's goroutine.
+// All scratch therefore lives on the caller's stack, in the destination
+// slice, or in the Workspace passed in — never in the backend (the
+// bitwise-stability race tests in backend_race_test.go enforce this) and
+// never on a weight tensor: vec's packed weight panels are a per-call lease.
 //
 // Parity contract: vec must agree with reference within a 1-ulp-scaled
 // tolerance per output element (see backend_test.go and ARCHITECTURE.md
@@ -21,15 +21,6 @@ package tensor
 type Backend interface {
 	// Name returns "reference" or "vec".
 	Name() string
-	// MatMulInto computes dst[m,n] (+)= a[m,k] × b[k,n] over raw row-major
-	// slices. accumulate selects += vs =.
-	MatMulInto(dst, a, b []float32, m, n, k int, accumulate bool)
-	// MatMulATBInto computes dst[m,n] (+)= aᵀ × b with a stored [k,m]
-	// (TN form; conv backward weight gradients).
-	MatMulATBInto(dst, a, b []float32, m, n, k int, accumulate bool)
-	// MatMulABTInto computes dst[m,n] = a[m,k] × b[n,k]ᵀ (NT form; matmul
-	// backward input gradients).
-	MatMulABTInto(dst, a, b []float32, m, n, k int)
 	// Conv2DWS runs the convolution forward as one GEMM over the im2col
 	// matrix (reference lowers it a row at a time; vec reads it in place
 	// through a row-offset table): weights w [OC,C,KH,KW], optional bias b

@@ -25,9 +25,6 @@ func dot4AVX(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32)
 func dotAVX(a, b []float32) float32
 
 //go:noescape
-func dot3x4AVX(c []float32, ldc int, a, b []float32, k int)
-
-//go:noescape
 func axpy4AVX(dst []float32, a0, a1, a2, a3 float32, x0, x1, x2, x3 []float32)
 
 //go:noescape
@@ -63,7 +60,6 @@ func init() {
 	}
 	dot4f = dot4AVX
 	dot1f = dotAVX
-	dot3x4f = dot3x4AVX
 	axpy4f = axpy4AVX
 	saxpyf = saxpyAVX
 	reluf = reluAVX

@@ -6,7 +6,7 @@
 // (FMA contraction plus lane-wise partial sums), which the parity suite's
 // tolerance covers. Callers guarantee len(dst)/len(a) ≤ len of every other
 // slice; only the first len elements are touched. The exceptions are exact:
-// dot3x4AVX equals dot4AVX row by row; expAVX, maxShiftAVX and
+// dot3x4IndAVX equals dot4AVX row by row; expAVX, maxShiftAVX and
 // xentGradAVX (softmax.go's kernels) equal math.Exp and their Go
 // counterparts bit for bit; and reluGradAVX and adamAVX equal reluGradGo
 // and adamGo bit for bit.
@@ -428,137 +428,15 @@ saxpydone:
 	VZEROUPPER
 	RET
 
-// func dot3x4AVX(c []float32, ldc int, a, b []float32, k int)
-// Twelve dot products in one pass: rows a[0:k], a[k:2k], a[2k:3k] against
-// rows b[0:k] .. b[3k:4k], written to c[r*ldc+j]. Each of the twelve ymm
-// accumulators runs exactly dot4AVX's per-lane FMA chain, lane reduction
-// and scalar tail, so every result is bitwise what dot4AVX returns for the
-// same a row; the three a rows share each B load and the twelve chains
-// keep the FMA ports busy where dot4AVX's four leave them idle.
-TEXT ·dot3x4AVX(SB), NOSPLIT, $0-88
-	MOVQ c_base+0(FP), R12
-	MOVQ ldc+24(FP), R13
-	SHLQ $2, R13
-	MOVQ k+80(FP), CX
-	MOVQ CX, DX
-	SHLQ $2, DX
-	MOVQ a_base+32(FP), SI
-	LEAQ (SI)(DX*1), DI
-	LEAQ (DI)(DX*1), BX
-	MOVQ b_base+56(FP), R8
-	LEAQ (R8)(DX*1), R9
-	LEAQ (R9)(DX*1), R10
-	LEAQ (R10)(DX*1), R11
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	VXORPS Y11, Y11, Y11
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-8, DX
-	JZ   d34reduce
-
-d34loop:
-	VMOVUPS (SI)(AX*4), Y12
-	VMOVUPS (DI)(AX*4), Y13
-	VMOVUPS (BX)(AX*4), Y14
-	VMOVUPS (R8)(AX*4), Y15
-	VFMADD231PS Y15, Y12, Y0
-	VFMADD231PS Y15, Y13, Y4
-	VFMADD231PS Y15, Y14, Y8
-	VMOVUPS (R9)(AX*4), Y15
-	VFMADD231PS Y15, Y12, Y1
-	VFMADD231PS Y15, Y13, Y5
-	VFMADD231PS Y15, Y14, Y9
-	VMOVUPS (R10)(AX*4), Y15
-	VFMADD231PS Y15, Y12, Y2
-	VFMADD231PS Y15, Y13, Y6
-	VFMADD231PS Y15, Y14, Y10
-	VMOVUPS (R11)(AX*4), Y15
-	VFMADD231PS Y15, Y12, Y3
-	VFMADD231PS Y15, Y13, Y7
-	VFMADD231PS Y15, Y14, Y11
-	ADDQ $8, AX
-	CMPQ AX, DX
-	JLT  d34loop
-
-d34reduce:
-	// dot4AVX's reduction, accumulator by accumulator, before the tail.
-#define D34RED(Y, X) \
-	VEXTRACTF128 $1, Y, X12; \
-	VADDPS X12, X, X; \
-	VHADDPS X, X, X; \
-	VHADDPS X, X, X
-	D34RED(Y0, X0)
-	D34RED(Y1, X1)
-	D34RED(Y2, X2)
-	D34RED(Y3, X3)
-	D34RED(Y4, X4)
-	D34RED(Y5, X5)
-	D34RED(Y6, X6)
-	D34RED(Y7, X7)
-	D34RED(Y8, X8)
-	D34RED(Y9, X9)
-	D34RED(Y10, X10)
-	D34RED(Y11, X11)
-#undef D34RED
-
-d34tail:
-	CMPQ AX, CX
-	JGE  d34done
-	VMOVSS (SI)(AX*4), X12
-	VMOVSS (DI)(AX*4), X13
-	VMOVSS (BX)(AX*4), X14
-	VFMADD231SS (R8)(AX*4), X12, X0
-	VFMADD231SS (R9)(AX*4), X12, X1
-	VFMADD231SS (R10)(AX*4), X12, X2
-	VFMADD231SS (R11)(AX*4), X12, X3
-	VFMADD231SS (R8)(AX*4), X13, X4
-	VFMADD231SS (R9)(AX*4), X13, X5
-	VFMADD231SS (R10)(AX*4), X13, X6
-	VFMADD231SS (R11)(AX*4), X13, X7
-	VFMADD231SS (R8)(AX*4), X14, X8
-	VFMADD231SS (R9)(AX*4), X14, X9
-	VFMADD231SS (R10)(AX*4), X14, X10
-	VFMADD231SS (R11)(AX*4), X14, X11
-	INCQ AX
-	JMP  d34tail
-
-d34done:
-	VMOVSS X0, (R12)
-	VMOVSS X1, 4(R12)
-	VMOVSS X2, 8(R12)
-	VMOVSS X3, 12(R12)
-	ADDQ R13, R12
-	VMOVSS X4, (R12)
-	VMOVSS X5, 4(R12)
-	VMOVSS X6, 8(R12)
-	VMOVSS X7, 12(R12)
-	ADDQ R13, R12
-	VMOVSS X8, (R12)
-	VMOVSS X9, 4(R12)
-	VMOVSS X10, 8(R12)
-	VMOVSS X11, 12(R12)
-	VZEROUPPER
-	RET
-
 // func dot3x4IndAVX(c []float32, ldc int, a []float32, lda int, b []float32, offs []int32, h, w, wp int)
-// dot3x4AVX over rows read in segments: a's rows start at a, a+lda and
-// a+2*lda floats and run h*w floats contiguously; B's row j is h segments
-// of w floats at b + offs[j] + y*wp (y < h) — a convolution's lowered row
-// read in place from its padded planes (indirect.go). The twelve
-// accumulators carry across segments, and w must be a positive multiple of
-// 8, so every lane sees the lowered row's elements in dot3x4AVX's order and
-// no scalar tail is left: each result is dot3x4AVX's on the lowered rows
-// bit for bit. lda = ldc = 0 computes one a row three times into one place.
+// Twelve dot products, a's rows at a, a+lda and a+2*lda (h*w floats each)
+// against B's rows j < 4, each h segments of w floats at b + offs[j] + y*wp
+// (y < h): a conv's lowered row read in place (indirect.go) or a dense row.
+// c[r*ldc+j] gets each. Every accumulator runs dot4AVX's lane chain and
+// reduction across segments, and w is a positive multiple of 8, so no
+// scalar tail is left and each result is dot4AVX's on the whole row bit for
+// bit; the three a rows share each B load. lda = ldc = 0 computes one a row
+// three times into one place.
 TEXT ·dot3x4IndAVX(SB), NOSPLIT, $0-136
 	MOVQ lda+56(FP), DX
 	SHLQ $2, DX
@@ -632,7 +510,7 @@ d34iloop:
 	JNZ  d34irow
 
 d34ireduce:
-	// dot3x4AVX's reduction, accumulator by accumulator.
+	// dot4AVX's reduction, accumulator by accumulator.
 #define D34RED(Y, X) \
 	VEXTRACTF128 $1, Y, X12; \
 	VADDPS X12, X, X; \

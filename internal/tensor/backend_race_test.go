@@ -9,10 +9,12 @@ import (
 // Backends must be stateless: one Backend value is shared by every session
 // in the process, so any scratch hidden in the backend (or in the selected
 // microkernels) would be a data race and would corrupt results under
-// concurrency. This test computes a single-goroutine golden for each kernel,
-// then runs 8 goroutines hammering the same backend into private output
-// buffers, and requires every concurrent result to be bitwise identical to
-// the golden. Run under -race it also catches benign-looking shared writes.
+// concurrency. This test computes a single-goroutine golden for each kernel
+// — the backend's convolution and the dense products, which lease their
+// scratch from SharedPool — then runs 8 goroutines hammering them into
+// private output buffers, and requires every concurrent result to be
+// bitwise identical to the golden. Run under -race it also catches
+// benign-looking shared writes.
 func TestBackendConcurrentBitwiseStable(t *testing.T) {
 	const goroutines = 8
 	const rounds = 6
@@ -21,10 +23,10 @@ func TestBackendConcurrentBitwiseStable(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7001))
 			const m, n, k = 17, 33, 65
-			a := make([]float32, m*k)
-			b := make([]float32, k*n)
-			fillRand(rng, a)
-			fillRand(rng, b)
+			a, b := New(m, k), New(k, n)
+			fillRand(rng, a.Data)
+			fillRand(rng, b.Data)
+			bt := FromSlice(transpose(b.Data, k, n), n, k)
 			x := New(3, 16, 16)
 			w := New(8, 3, 3, 3)
 			bias := New(8)
@@ -33,10 +35,9 @@ func TestBackendConcurrentBitwiseStable(t *testing.T) {
 			fillRand(rng, bias.Data)
 			spec := Spec(3, 3)
 
-			goldNN := make([]float32, m*n)
-			bk.MatMulInto(goldNN, a, b, m, n, k, false)
-			goldNT := make([]float32, m*n)
-			bk.MatMulABTInto(goldNT, a, transpose(b, k, n), m, n, k)
+			goldNN, goldNT := New(m, n), New(m, n)
+			MatMulInto(goldNN, a, b, false)
+			MatMulABTInto(goldNT, a, bt)
 			goldConv := Conv2DWS(NewWorkspace().SetBackend(bk), x, w, bias, spec)
 
 			var wg sync.WaitGroup
@@ -46,16 +47,15 @@ func TestBackendConcurrentBitwiseStable(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					ws := NewWorkspace().SetBackend(bk) // workspaces are per-session, never shared
-					bt := transpose(b, k, n)
 					for r := 0; r < rounds; r++ {
-						dst := make([]float32, m*n)
-						bk.MatMulInto(dst, a, b, m, n, k, false)
-						if !bitwiseEqual(dst, goldNN) {
+						dst := New(m, n)
+						MatMulInto(dst, a, b, false)
+						if !bitwiseEqual(dst.Data, goldNN.Data) {
 							errs <- "MatMulInto diverged across goroutines"
 							return
 						}
-						bk.MatMulABTInto(dst, a, bt, m, n, k)
-						if !bitwiseEqual(dst, goldNT) {
+						MatMulABTInto(dst, a, bt)
+						if !bitwiseEqual(dst.Data, goldNT.Data) {
 							errs <- "MatMulABTInto diverged across goroutines"
 							return
 						}

@@ -9,18 +9,6 @@ type refBackend struct{}
 
 func (refBackend) Name() string { return "reference" }
 
-func (refBackend) MatMulInto(dst, a, b []float32, m, n, k int, accumulate bool) {
-	gemmAxpy(dst, a, b, m, n, k, k, 1, accumulate)
-}
-
-func (refBackend) MatMulATBInto(dst, a, b []float32, m, n, k int, accumulate bool) {
-	gemmAxpy(dst, a, b, m, n, k, 1, m, accumulate)
-}
-
-func (refBackend) MatMulABTInto(dst, a, b []float32, m, n, k int) {
-	gemmDot(dst, a, b, m, n, k)
-}
-
 // Conv2DWS fuses the im2col lowering, the GEMM against the weight matrix
 // and the [OH*OW,OC]→[OC,OH,OW] transposition into a single pass over
 // output rows, so each row's column block stays cache-resident.
@@ -57,8 +45,9 @@ func (refBackend) Conv2DWS(ws *Workspace, x, w, b *Tensor, s ConvSpec) *Tensor {
 
 // Conv2DBackwardWS is the generic im2col backward, the oracle vec's is
 // diffed against: the lowering as a [OH*OW, CKK] matrix, dW = gy^T x cols
-// and dcols = gy x W through reference's own GEMMs, and a col2im scatter.
-func (bk refBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {
+// and dcols = gy x W through reference's own GEMM (gemmAxpy), and a col2im
+// scatter.
+func (refBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {
 	oc := w.Dim(0)
 	c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2)
 	oh, ow := s.OutSize(h, wid)
@@ -75,7 +64,7 @@ func (bk refBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpe
 	cols := Im2col(x, s, ws.GetDirty(hw, ckk)) // [OH*OW, CKK]
 	// dW = gyᵀ × cols → [OC, CKK], written directly into the 4-D gradient.
 	dw = ws.GetDirty(oc, c, s.KH, s.KW)
-	bk.MatMulATBInto(dw.Data, gmat.Data, cols.Data, oc, ckk, hw, false)
+	gemmAxpy(dw.Data, gmat.Data, cols.Data, oc, ckk, hw, 1, oc, false)
 	// db = column sums of gy
 	db = ws.GetDirty(oc)
 	for ch := 0; ch < oc; ch++ {
@@ -89,7 +78,7 @@ func (bk refBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpe
 	if needInput {
 		// dcols = gy × Wmat → [OH*OW, CKK], then scatter back to CHW.
 		dcols := ws.GetDirty(hw, ckk)
-		bk.MatMulInto(dcols.Data, gmat.Data, w.Data, hw, ckk, oc, false)
+		gemmAxpy(dcols.Data, gmat.Data, w.Data, hw, ckk, oc, oc, 1, false)
 		dx = ws.Get(c, h, wid)
 		Col2imInto(dx, dcols, s)
 		ws.Put(dcols)

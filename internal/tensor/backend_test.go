@@ -9,9 +9,10 @@ import (
 
 // The differential backend-parity suite: every registered backend must
 // reproduce the reference backend's results within a 1-ulp-scaled tolerance
-// on every kernel, across randomized shapes including the odd, prime and
-// degenerate dimensions blocked kernels historically get wrong (remainder
-// lanes, k=0 clears, single-row panels). The reference backend itself is
+// on every kernel, and the dense products (ops.go, on vec's kernels) the
+// scalar oracle's GEMMs, across randomized shapes including the odd, prime
+// and degenerate dimensions blocked kernels historically get wrong
+// (remainder lanes, k=0 clears, single-row panels). The oracle itself is
 // pinned bitwise to naive triple loops by gemm_test.go; this file anchors
 // everything else to it.
 
@@ -66,33 +67,32 @@ var everyBackend = []Backend{Reference, vecBackend{}}
 // compared against itself.
 var nonRefBackends = everyBackend[1:]
 
-// checkGemmParity runs all three GEMM forms of bk against reference on one
-// (m,n,k) shape, with accumulate both ways, on freshly randomized operands.
-func checkGemmParity(t *testing.T, ref, bk Backend, rng *rand.Rand, m, n, k int) {
+// checkGemmParity holds the three dense products to the scalar oracle's
+// GEMMs (gemmAxpy, gemmDot) on one (m,n,k) shape, with accumulate both
+// ways, on freshly randomized operands.
+func checkGemmParity(t *testing.T, rng *rand.Rand, m, n, k int) {
 	t.Helper()
-	a := make([]float32, m*k)
-	b := make([]float32, k*n)
-	amax := fillRand(rng, a)
-	bmax := fillRand(rng, b)
+	a, b := New(m, k), New(k, n)
+	amax := fillRand(rng, a.Data)
+	bmax := fillRand(rng, b.Data)
 	tol := parityTol(k, amax, bmax)
 
-	at := make([]float32, k*m) // a transposed, stored [k,m] for the TN form
+	at := New(k, m) // a transposed, for the TN form
 	for i := 0; i < m; i++ {
 		for p := 0; p < k; p++ {
-			at[p*m+i] = a[i*k+p]
+			at.Data[p*m+i] = a.Data[i*k+p]
 		}
 	}
-	bt := make([]float32, n*k) // b transposed, stored [n,k] for the NT form
+	bt := New(n, k) // b transposed, for the NT form
 	for p := 0; p < k; p++ {
 		for j := 0; j < n; j++ {
-			bt[j*k+p] = b[p*n+j]
+			bt.Data[j*k+p] = b.Data[p*n+j]
 		}
 	}
 	seed := make([]float32, m*n) // pre-existing dst contents for accumulate
 	fillRand(rng, seed)
 
-	want := make([]float32, m*n)
-	got := make([]float32, m*n)
+	want, got := make([]float32, m*n), New(m, n)
 	for _, acc := range []bool{false, true} {
 		prep := func(dst []float32) {
 			copy(dst, seed)
@@ -104,55 +104,52 @@ func checkGemmParity(t *testing.T, ref, bk Backend, rng *rand.Rand, m, n, k int)
 			}
 		}
 		label := func(form string) string {
-			return fmt.Sprintf("%s %s m=%d n=%d k=%d acc=%v", bk.Name(), form, m, n, k, acc)
+			return fmt.Sprintf("%s m=%d n=%d k=%d acc=%v", form, m, n, k, acc)
 		}
 		prep(want)
-		prep(got)
-		ref.MatMulInto(want, a, b, m, n, k, acc)
-		bk.MatMulInto(got, a, b, m, n, k, acc)
-		assertParity(t, label("NN"), got, want, tol)
+		prep(got.Data)
+		gemmAxpy(want, a.Data, b.Data, m, n, k, k, 1, acc)
+		MatMulInto(got, a, b, acc)
+		assertParity(t, label("MatMulInto"), got.Data, want, tol)
 
 		prep(want)
-		prep(got)
-		ref.MatMulATBInto(want, at, b, m, n, k, acc)
-		bk.MatMulATBInto(got, at, b, m, n, k, acc)
-		assertParity(t, label("TN"), got, want, tol)
+		prep(got.Data)
+		gemmAxpy(want, at.Data, b.Data, m, n, k, 1, m, acc)
+		MatMulATBInto(got, at, b, acc)
+		assertParity(t, label("MatMulATBInto"), got.Data, want, tol)
 
 		if !acc { // the NT form has no accumulate variant
-			ref.MatMulABTInto(want, a, bt, m, n, k)
-			bk.MatMulABTInto(got, a, bt, m, n, k)
-			assertParity(t, label("NT"), got, want, tol)
+			gemmDot(want, a.Data, bt.Data, m, n, k)
+			MatMulABTInto(got, a, bt)
+			assertParity(t, label("MatMulABTInto"), got.Data, want, tol)
 		}
 	}
 }
 
 func TestBackendParityGEMM(t *testing.T) {
-	ref := Reference
-	for _, bk := range nonRefBackends {
-		t.Run(bk.Name(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(1009))
-			// Full sweep of the curated pool: every (m,n,k) triple with at
-			// most one large dim, so the worst unroll/panel corners are all
-			// hit deterministically.
-			for _, m := range parityDims {
-				for _, n := range parityDims {
-					for _, k := range parityDims {
-						if m*n*k > 70000 {
-							continue
-						}
-						checkGemmParity(t, ref, bk, rng, m, n, k)
+	t.Run("vec", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1009))
+		// Full sweep of the curated pool: every (m,n,k) triple with at most
+		// one large dim, so the worst unroll/panel corners are all hit
+		// deterministically.
+		for _, m := range parityDims {
+			for _, n := range parityDims {
+				for _, k := range parityDims {
+					if m*n*k > 70000 {
+						continue
 					}
+					checkGemmParity(t, rng, m, n, k)
 				}
 			}
-			// Plus randomized larger shapes beyond the curated pool.
-			for i := 0; i < 25; i++ {
-				m := rng.Intn(90) + 1
-				n := rng.Intn(90) + 1
-				k := rng.Intn(200) + 1
-				checkGemmParity(t, ref, bk, rng, m, n, k)
-			}
-		})
-	}
+		}
+		// Plus randomized larger shapes beyond the curated pool.
+		for i := 0; i < 25; i++ {
+			m := rng.Intn(90) + 1
+			n := rng.Intn(90) + 1
+			k := rng.Intn(200) + 1
+			checkGemmParity(t, rng, m, n, k)
+		}
+	})
 }
 
 // parityConvSpecs covers the student's kernel shapes (3x3, 3x1, 1x3, 1x1,
@@ -265,47 +262,65 @@ func TestBackendParityConvBackward(t *testing.T) {
 
 // TestBackendDeterminism pins the run-to-run determinism contract: repeated
 // runs of the same kernel on the same inputs, into clean and dirty
-// destinations, must be bitwise identical for every backend.
+// destinations, must be bitwise identical — each backend's convolution
+// backward and dense GEMMs (the oracle's gemmAxpy and gemmDot; vec's
+// package forms).
 func TestBackendDeterminism(t *testing.T) {
+	const m, n, k = 33, 65, 127
 	for _, bk := range everyBackend {
-		name := bk.Name()
-		t.Run(name, func(t *testing.T) {
+		t.Run(bk.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(4001))
-			const m, n, k = 33, 65, 127
-			a := make([]float32, m*k)
-			b := make([]float32, k*n)
-			fillRand(rng, a)
-			fillRand(rng, b)
-			golden := make([]float32, m*n)
-			bk.MatMulInto(golden, a, b, m, n, k, false)
-			got := make([]float32, m*n)
-			for run := 0; run < 3; run++ {
-				bk.MatMulInto(got, a, b, m, n, k, false)
-				for i := range golden {
-					if got[i] != golden[i] {
-						t.Fatalf("%s: run %d element %d: %v != golden %v", name, run, i, got[i], golden[i])
+			a, b, bt := New(m, k), New(k, n), New(n, k)
+			x, w, gy := New(3, 13, 11), New(5, 3, 3, 3), New(5, 13, 11)
+			for _, d := range [][]float32{a.Data, b.Data, bt.Data, x.Data, w.Data, gy.Data} {
+				fillRand(rng, d)
+			}
+			kernels := map[string]func(dst *Tensor){
+				"MatMulInto":    func(dst *Tensor) { MatMulInto(dst, a, b, false) },
+				"MatMulATBInto": func(dst *Tensor) { MatMulATBInto(dst, a.Reshape(k, m), b, false) },
+				"MatMulABTInto": func(dst *Tensor) { MatMulABTInto(dst, a, bt) },
+			}
+			if bk == Reference {
+				kernels = map[string]func(dst *Tensor){
+					"gemmAxpy NN": func(dst *Tensor) { gemmAxpy(dst.Data, a.Data, b.Data, m, n, k, k, 1, false) },
+					"gemmAxpy TN": func(dst *Tensor) { gemmAxpy(dst.Data, a.Data, b.Data, m, n, k, 1, m, false) },
+					"gemmDot":     func(dst *Tensor) { gemmDot(dst.Data, a.Data, bt.Data, m, n, k) },
+				}
+			}
+			kernels["conv backward"] = func(dst *Tensor) {
+				dx, dw, _ := Conv2DBackwardWS(NewWorkspace().SetBackend(bk), x, w, gy, Spec(3, 3), true)
+				clear(dst.Data)
+				copy(dst.Data[copy(dst.Data, dw.Data):], dx.Data)
+			}
+			for name, run := range kernels {
+				golden := New(m, n)
+				run(golden)
+				got := New(m, n)
+				for r := 0; r < 3; r++ {
+					fillRand(rng, got.Data) // each run overwrites a dirty destination
+					run(got)
+					if !bitwiseEqual(got.Data, golden.Data) {
+						t.Fatalf("%s: run %d differs from the first", name, r)
 					}
 				}
-				fillRand(rng, got) // the next run overwrites a dirty destination
 			}
 		})
 	}
 }
 
 // FuzzBackendParity is the CI fuzz target over the same differential
-// property: arbitrary shapes and seeds, every backend vs reference. Kept
-// small per execution so the fuzzer explores shapes, not runtime.
+// property: arbitrary shapes and seeds, the dense products vs the scalar
+// oracle's GEMMs. Kept small per execution so the fuzzer explores shapes,
+// not runtime. The dense products run on whichever kernel set init
+// selected, so CI runs it again under SHADOWTUTOR_NOAVX for the portable
+// axpy spans.
 func FuzzBackendParity(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(5), uint8(7))
 	f.Add(int64(2), uint8(0), uint8(1), uint8(64))
 	f.Add(int64(3), uint8(31), uint8(33), uint8(17))
 	f.Fuzz(func(t *testing.T, seed int64, m8, n8, k8 uint8) {
 		m, n, k := int(m8%48), int(n8%48), int(k8%96)
-		ref := Reference
-		rng := rand.New(rand.NewSource(seed))
-		for _, bk := range nonRefBackends {
-			checkGemmParity(t, ref, bk, rng, m, n, k)
-		}
+		checkGemmParity(t, rand.New(rand.NewSource(seed)), m, n, k)
 	})
 }
 
@@ -329,14 +344,13 @@ func TestBackendRegistry(t *testing.T) {
 		t.Fatalf("SetBackend(nil) reverted to %q, want vec", got)
 	}
 	rng := rand.New(rand.NewSource(4003))
-	a, b := New(7, 13), New(13, 5)
-	fillRand(rng, a.Data)
-	fillRand(rng, b.Data)
-	got, want := New(7, 5), New(7, 5)
-	MatMulInto(got, a, b, false)
-	vecBackend{}.MatMulInto(want.Data, a.Data, b.Data, 7, 5, 13, false)
+	x, w := New(3, 9, 8), New(5, 3, 3, 3)
+	fillRand(rng, x.Data)
+	fillRand(rng, w.Data)
+	got := Conv2D(x, w, nil, Spec(3, 3))
+	want := vecBackend{}.Conv2DWS(NewWorkspace(), x, w, nil, Spec(3, 3))
 	if !bitwiseEqual(got.Data, want.Data) {
-		t.Fatal("the package-level MatMulInto does not run the vec kernel")
+		t.Fatal("the package-level Conv2D does not run the vec kernel")
 	}
 }
 
@@ -349,31 +363,30 @@ func TestVecPortableKernelParity(t *testing.T) {
 	if VecKernelISA() == "portable" {
 		t.Skip("vec backend already on portable kernels; the main suite covers them")
 	}
-	d4, d1, d34, a4, s1, ad, rg := dot4f, dot1f, dot3x4f, axpy4f, saxpyf, adamf, reluGradf
-	dot4f, dot1f, dot3x4f, axpy4f, saxpyf, adamf, reluGradf = dot4, sdot, dot3x4, axpy4, saxpy, adamGo, reluGradGo
-	defer func() {
-		dot4f, dot1f, dot3x4f, axpy4f, saxpyf, adamf, reluGradf = d4, d1, d34, a4, s1, ad, rg
-	}()
+	ad, rg := adamf, reluGradf
+	adamf, reluGradf = adamGo, reluGradGo
+	defer func() { adamf, reluGradf = ad, rg }()
 	checkAdamBitwise(t, ad)
 	checkReLUGradBitwise(t, rg)
 
-	ref, vec := Reference, vecBackend{}
 	rng := rand.New(rand.NewSource(5003))
-	for _, d := range [][3]int{{1, 1, 1}, {3, 5, 7}, {13, 17, 31}, {8, 64, 65}, {31, 127, 33}, {0, 4, 0}} {
-		checkGemmParity(t, ref, vec, rng, d[0], d[1], d[2])
-	}
-	x := New(3, 13, 11)
-	w := New(5, 3, 3, 3)
-	xmax := fillRand(rng, x.Data)
-	wmax := fillRand(rng, w.Data)
-	want := Conv2DWS(NewWorkspace().SetBackend(ref), x, w, nil, Spec(3, 3))
-	got := Conv2DWS(NewWorkspace().SetBackend(vec), x, w, nil, Spec(3, 3))
-	assertParity(t, "portable conv", got.Data, want.Data, parityTol(27, xmax, wmax))
+	withPortableKernels(func() {
+		for _, d := range [][3]int{{1, 1, 1}, {3, 5, 7}, {13, 17, 31}, {8, 64, 65}, {31, 127, 33}, {0, 4, 0}, {7, 9, 16}} {
+			checkGemmParity(t, rng, d[0], d[1], d[2])
+		}
+		x := New(3, 13, 11)
+		w := New(5, 3, 3, 3)
+		xmax := fillRand(rng, x.Data)
+		wmax := fillRand(rng, w.Data)
+		want := Conv2DWS(NewWorkspace().SetBackend(Reference), x, w, nil, Spec(3, 3))
+		got := Conv2DWS(NewWorkspace(), x, w, nil, Spec(3, 3))
+		assertParity(t, "portable conv", got.Data, want.Data, parityTol(27, xmax, wmax))
+	})
 }
 
-// rowwiseGemmDot is vecGemmDot one a row at a time: dot4f over column
+// rowwiseGemmDot is the NT product one a row at a time: dot4f over column
 // quads, dot1f over the rest — the per-row computation every element of
-// the three-row path must reproduce.
+// vecGemmDotInd's three-row path must reproduce.
 func rowwiseGemmDot(cd, ad, bd []float32, m, n, k int) {
 	for i := 0; i < m; i++ {
 		arow := ad[i*k : (i+1)*k]
@@ -388,32 +401,32 @@ func rowwiseGemmDot(cd, ad, bd []float32, m, n, k int) {
 	}
 }
 
-// TestGemmDotThreeRowBitwise pins vecGemmDot's three-row blocking to the
-// row-at-a-time dot kernels bitwise, on the selected kernels and on the
-// portable ones, across row counts with leftovers, column counts past a
-// gemmJB tile and reductions with every k%8 tail.
+// TestGemmDotThreeRowBitwise pins vecGemmDotInd on a dense operand
+// (MatMulABTInto) to the row-at-a-time dot kernels bitwise, on the selected
+// kernels and on the portable ones, across row counts with a leftover row
+// or two, column counts past a gemmJB tile and with n%4 leftover B rows,
+// and reductions at k%8 = 0 (three rows through dot3x4Indf) and at every
+// other k%8 (dot4f and dot1f in place).
 func TestGemmDotThreeRowBitwise(t *testing.T) {
 	run := func(t *testing.T) {
 		rng := rand.New(rand.NewSource(5011))
-		for _, d := range [][3]int{{3, 4, 8}, {1, 5, 3}, {4, 7, 9}, {5, 67, 13}, {9, 16, 70}, {16, 144, 61}, {24, 130, 96}} {
+		for _, d := range [][3]int{{3, 4, 8}, {1, 5, 3}, {4, 7, 9}, {5, 67, 13}, {9, 16, 70}, {16, 144, 61}, {24, 130, 96},
+			{16, 67, 144}, {2, 5, 16}, {7, 3, 24}} {
 			m, n, k := d[0], d[1], d[2]
-			a, b := make([]float32, m*k), make([]float32, n*k)
-			fillRand(rng, a)
-			fillRand(rng, b)
-			got, want := make([]float32, m*n), make([]float32, m*n)
-			vecGemmDot(got, a, b, m, n, k)
-			rowwiseGemmDot(want, a, b, m, n, k)
-			if !bitwiseEqual(got, want) {
+			a, b := New(m, k), New(n, k)
+			fillRand(rng, a.Data)
+			fillRand(rng, b.Data)
+			got, want := New(m, n), make([]float32, m*n)
+			MatMulABTInto(got, a, b)
+			rowwiseGemmDot(want, a.Data, b.Data, m, n, k)
+			if !bitwiseEqual(got.Data, want) {
 				t.Fatalf("m=%d n=%d k=%d: three-row dot GEMM differs from the row-wise kernels", m, n, k)
 			}
 		}
 	}
 	t.Run(VecKernelISA(), run)
 	if VecKernelISA() != "portable" {
-		d4, d1, d34 := dot4f, dot1f, dot3x4f
-		dot4f, dot1f, dot3x4f = dot4, sdot, dot3x4
-		defer func() { dot4f, dot1f, dot3x4f = d4, d1, d34 }()
-		t.Run("portable", run)
+		t.Run("portable", func(t *testing.T) { withPortableKernels(func() { run(t) }) })
 	}
 }
 

@@ -2,13 +2,14 @@ package tensor
 
 import "math"
 
-// vecBackend is the register-blocked CPU backend: the same cache blocking as
-// the reference kernels, but with the inner loops unrolled 4x so the
-// compiler keeps four independent FMA chains in flight instead of one
-// latency-bound accumulator, and the convolution forward (batch.go) and the
-// backward's input gradient on a packed-panel micro-kernel. All slices are
-// re-sliced to a common length before the hot loops, which lets the compiler
-// prove every index in range and drop the bounds checks.
+// vecBackend is the register-blocked CPU backend: the convolution forward
+// (batch.go) and the backward's input gradient on a packed-panel
+// micro-kernel, the weight gradient on twelve-accumulator dot products
+// (indirect.go), and inner loops unrolled 4x so the compiler keeps four
+// independent FMA chains in flight instead of one latency-bound
+// accumulator. All slices are re-sliced to a common length before the hot
+// loops, which lets the compiler prove every index in range and drop the
+// bounds checks.
 //
 // Numerics: each output element is accumulated in a fixed order, so the
 // backend is run-to-run deterministic. The order differs from the reference
@@ -27,7 +28,6 @@ func (vecBackend) Name() string { return "vec" }
 var (
 	dot4f        = dot4
 	dot1f        = sdot
-	dot3x4f      = dot3x4
 	axpy4f       = axpy4
 	saxpyf       = saxpy
 	reluf        = reluGo
@@ -42,8 +42,8 @@ var (
 	// (packTileInd4x24AVX on capable amd64): a 4x24 C tile, B's rows read
 	// through a row-offset table (gemmPacked, batch.go). nil means
 	// unavailable, and the GEMM runs its axpy spans on every column.
-	// dot3x4Indf is dot3x4f with B's rows read through such a table
-	// (vecGemmDotInd).
+	// dot3x4Indf is twelve dot products, three a rows by four B rows read
+	// through such a table, each dot4f's bits (vecGemmDotInd).
 	packTileInd24f func(c []float32, ldc int, ap, b []float32, offs []int32, nq, nt int, load bool)
 	dot3x4Indf     = dot3x4Ind
 )
@@ -128,22 +128,11 @@ func expGo(dst, src []float64) {
 // also leaves them; the two differ at most in the sign of a zero.
 func ReLUFlat(d []float32) { reluf(d) }
 
-func (vecBackend) MatMulInto(dst, a, b []float32, m, n, k int, accumulate bool) {
-	vecGemmAxpy(dst, a, b, m, n, k, k, 1, accumulate)
-}
-
-func (vecBackend) MatMulATBInto(dst, a, b []float32, m, n, k int, accumulate bool) {
-	vecGemmAxpy(dst, a, b, m, n, k, 1, m, accumulate)
-}
-
-func (vecBackend) MatMulABTInto(dst, a, b []float32, m, n, k int) {
-	vecGemmDot(dst, a, b, m, n, k)
-}
-
 // axpy4 computes dst[j] += a0*x0[j] + a1*x1[j] + a2*x2[j] + a3*x3[j], the
-// 4-row update of the axpy GEMM forms. One pass streams four b-rows against
-// one dst row, quartering the dst load/store traffic of four saxpy calls.
-// The len hints eliminate all bounds checks in the loop body.
+// 4-row update of the packed GEMM's axpy spans (gemmAxpyPackedSpan). One
+// pass streams four b-rows against one dst row, quartering the dst
+// load/store traffic of four saxpy calls. The len hints eliminate all
+// bounds checks in the loop body.
 func axpy4(dst []float32, a0, a1, a2, a3 float32, x0, x1, x2, x3 []float32) {
 	n := len(dst)
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
@@ -155,9 +144,9 @@ func axpy4(dst []float32, a0, a1, a2, a3 float32, x0, x1, x2, x3 []float32) {
 // dot4 computes four dot products of a against b0..b3 in one pass over a,
 // with the reduction additionally unrolled 2x (eight live accumulators).
 // A single sdot chain stalls on add latency every element; eight
-// independent chains keep the FPU pipeline full. The NT GEMM (vecGemmDot:
-// the conv backward's weight gradient and MatMulABTInto) runs on it, three
-// a rows at a time through dot3x4f.
+// independent chains keep the FPU pipeline full. The NT GEMM
+// (vecGemmDotInd: the conv backward's weight gradient and MatMulABTInto)
+// computes its bits, three a rows at a time through dot3x4Indf.
 func dot4(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 	n := len(a)
 	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
@@ -184,102 +173,6 @@ func dot4(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 	return s0 + t0, s1 + t1, s2 + t2, s3 + t3
 }
 
-// vecGemmAxpy mirrors gemmAxpy (same strides convention, same gemmKC
-// reduction panels) with the p loop unrolled 4x through axpy4. The
-// all-four-zero skip preserves the reference kernels' cheap handling of
-// zero-padded im2col borders; partially-zero quads fall through to axpy4,
-// where a zero coefficient contributes an exact ±0.
-func vecGemmAxpy(cd, ad, bd []float32, m, n, k, ars, acs int, accumulate bool) {
-	if !accumulate && k == 0 {
-		clear(cd[:m*n])
-		return
-	}
-	for kb := 0; kb < k; kb += gemmKC {
-		ke := kb + gemmKC
-		if ke > k {
-			ke = k
-		}
-		for i := 0; i < m; i++ {
-			crow := cd[i*n : (i+1)*n]
-			if kb == 0 && !accumulate {
-				clear(crow)
-			}
-			ai := i * ars
-			p := kb
-			for ; p+3 < ke; p += 4 {
-				a0 := ad[ai+p*acs]
-				a1 := ad[ai+(p+1)*acs]
-				a2 := ad[ai+(p+2)*acs]
-				a3 := ad[ai+(p+3)*acs]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				axpy4f(crow, a0, a1, a2, a3,
-					bd[p*n:(p+1)*n], bd[(p+1)*n:(p+2)*n],
-					bd[(p+2)*n:(p+3)*n], bd[(p+3)*n:(p+4)*n])
-			}
-			for ; p < ke; p++ {
-				av := ad[ai+p*acs]
-				if av == 0 {
-					continue
-				}
-				saxpyf(crow, av, bd[p*n:(p+1)*n])
-			}
-		}
-	}
-}
-
-// dot3x4 is the portable form of dot3x4AVX: c[r*ldc+j] is the dot product
-// of a's row r against b's row j (r < 3, j < 4, both row strides k), each
-// row through dot4 exactly as vecGemmDot's single-row loop computes it.
-func dot3x4(c []float32, ldc int, a, b []float32, k int) {
-	b0, b1, b2, b3 := b[:k], b[k:2*k], b[2*k:3*k], b[3*k:4*k]
-	for r := 0; r < 3; r++ {
-		o := r * ldc
-		c[o], c[o+1], c[o+2], c[o+3] = dot4(a[r*k:(r+1)*k], b0, b1, b2, b3)
-	}
-}
-
-// vecGemmDot mirrors gemmDot's b-row tiling with the j loop unrolled 4x,
-// so each pass over the b rows feeds four output columns. Rows of a go
-// three at a time through dot3x4f — twelve accumulators sharing every b
-// load — and the leftover rows through dot4f; each element's value is the
-// same on either path.
-func vecGemmDot(cd, ad, bd []float32, m, n, k int) {
-	for jb := 0; jb < n; jb += gemmJB {
-		je := jb + gemmJB
-		if je > n {
-			je = n
-		}
-		i := 0
-		for ; i+2 < m; i += 3 {
-			j := jb
-			for ; j+3 < je; j += 4 {
-				dot3x4f(cd[i*n+j:], n, ad[i*k:(i+3)*k], bd[j*k:(j+4)*k], k)
-			}
-			for ; j < je; j++ {
-				brow := bd[j*k : (j+1)*k]
-				for r := i; r < i+3; r++ {
-					cd[r*n+j] = dot1f(ad[r*k:(r+1)*k], brow)
-				}
-			}
-		}
-		for ; i < m; i++ {
-			arow := ad[i*k : (i+1)*k]
-			crow := cd[i*n : (i+1)*n]
-			j := jb
-			for ; j+3 < je; j += 4 {
-				crow[j], crow[j+1], crow[j+2], crow[j+3] = dot4f(arow,
-					bd[j*k:(j+1)*k], bd[(j+1)*k:(j+2)*k],
-					bd[(j+2)*k:(j+3)*k], bd[(j+3)*k:(j+4)*k])
-			}
-			for ; j < je; j++ {
-				crow[j] = dot1f(arow, bd[j*k:(j+1)*k])
-			}
-		}
-	}
-}
-
 // convBwdTile is the input-channel tile of the conv backward's input
 // gradient: dcols rows for convBwdTile channels (convBwdTile*KH*KW rows, a
 // multiple of packMR) are computed and scattered into dx before the next
@@ -289,12 +182,12 @@ const convBwdTile = 4
 // Conv2DBackwardWS implements Backend. gy is already the [OC, HW] matrix,
 // so dW is the NT product gy x B^T over the forward's B, laid out by the
 // same builder (newConvPlanes) and read in place (vecGemmDotInd): the bits
-// of vecGemmDot on the lowering, three gy rows per pass. The input gradient
+// MatMulABTInto gives on the lowering, three gy rows per pass. The input gradient
 // dcols = W^T x gy is produced in the transposed layout [CKK, HW], whose
 // col2im scatter is one vector add per row for stride-1 same-width convs
 // (vecCol2imT). dcols runs on the packed GEMM over a packed W^T, with gy
 // as its dense B, one convBwdTile-channel tile at a time. Every element is
-// still one ascending-k FMA chain (or vecGemmAxpy's order on portable
+// still one ascending-k FMA chain (or the axpy spans' order on portable
 // kernels) and every dx element belongs to one channel, so the tiling
 // changes no bit.
 func (vecBackend) Conv2DBackwardWS(ws *Workspace, x, w, gy *Tensor, s ConvSpec, needInput bool) (dx, dw, db *Tensor) {

@@ -2,7 +2,9 @@ package tensor
 
 // This file is vec's convolution forward and the pieces it is made of: the
 // packed panel-blocked weight layout, the one GEMM over those panels, and
-// the copy that fills a row of the transposed im2col matrix.
+// the copy that fills a row of the transposed im2col matrix. That GEMM is
+// the package's only NN/TN product: the backward's input gradient and the
+// dense MatMulInto and MatMulATBInto (ops.go) run on it too.
 //
 // One sample is one GEMM of the weight [OC, CKK] by the transposed im2col
 // matrix B [CKK, OH*OW], whose product is the [OC, OH*OW] result in place —
@@ -28,7 +30,7 @@ package tensor
 // ragged edges (axpy4AVX is four sequential FMAs) — so which tile a column
 // lands in does not change its value. Where they are not (non-amd64, no
 // AVX2+FMA, SHADOWTUTOR_NOAVX) every column runs the axpy spans, whose
-// per-element order is exactly vecGemmAxpy's.
+// per-element order does not depend on the span either.
 
 // packMR is the GEMM micro-kernel row-block height: the packed layout
 // interleaves packMR weight rows so one pass over a B panel updates packMR
@@ -81,8 +83,8 @@ func packWeightsInto(pd, wd []float32, rows, k, rs, cs int) {
 // and the column span [jb, je), B's row p at bd[offs[p]:]: it takes the
 // ragged edges of the micro-kernel tiles and, on the portable kernels,
 // every column. Its per-element order (ascending gemmKC panels, quads via
-// axpy4f, the tail via saxpyf, all-zero quads skipped) is exactly
-// vecGemmAxpy's, whatever the span.
+// axpy4f, the tail via saxpyf, all-zero quads skipped) is the same whatever
+// the span.
 func gemmAxpyPackedSpan(cd, pd, bd []float32, m, ldc int, offs []int32, k int, accumulate bool, blo, bhi, jb, je int) {
 	k4 := k &^ 3
 	bs := packedBlockStride(k)

@@ -58,36 +58,35 @@ func TestPackedWeightsLayout(t *testing.T) {
 }
 
 // TestGemmAxpyPackedBitwiseVec pins the packed GEMM on a dense operand (B's
-// rows through the table offs[p] = p*n) to the unpacked vec kernel bitwise,
-// on the selected and the portable kernels: same panels, same quad order,
-// same zero-skips. On the portable kernels every column runs through the
-// axpy spans, which is what the convolution forward computes where the
-// micro-kernel is unavailable.
+// rows through the table offs[p] = p*n) to its axpy spans alone bitwise:
+// same panels, same quad order, same zero-skips. The axpy spans are every
+// column where the micro-kernel is unavailable.
 func TestGemmAxpyPackedBitwiseVec(t *testing.T) {
-	checkPackedMatchesUnpacked(t, 6011, [][3]int{
+	checkPackedMatchesSpans(t, 6011, [][3]int{
 		{1, 1, 1}, {3, 17, 5}, {4, 16, 8}, {13, 33, 31}, {31, 127, 64}, {8, 120, 9},
 	})
 }
 
 // TestGemmPackedMicroMatchesAxpy pins the packed GEMM's micro-kernel tiles
-// and its axpy column remainders to vecGemmAxpy bitwise, including the
-// ragged-row-block and accumulate corners, k past kcMicro and every
+// and its axpy column remainders to the axpy spans alone bitwise, including
+// the ragged-row-block and accumulate corners, k past kcMicro and every
 // 1..23-column remainder: a column in a 24-wide tile and one in the axpy
-// span of a remainder are both vecGemmAxpy's ascending-k FMA chain, which
-// the conv backward's tiled input gradient relies on.
+// span of a remainder are both one ascending-k FMA chain, which the conv
+// backward's tiled input gradient relies on.
 func TestGemmPackedMicroMatchesAxpy(t *testing.T) {
 	shapes := [][3]int{{4, 24, 4}, {1, 16, 3}, {5, 120, 17}, {13, 158, 31}, {96, 120, 27}, {7, 360, 513}, {32, 23, 9}}
 	for n := 25; n < 48; n++ {
 		shapes = append(shapes, [3]int{6, n, 7}) // one tile and a 1..23-column remainder
 	}
-	checkPackedMatchesUnpacked(t, 6029, shapes)
+	checkPackedMatchesSpans(t, 6029, shapes)
 }
 
-// checkPackedMatchesUnpacked runs gemmPacked on a dense operand against
-// vecGemmAxpy for each {m, n, k} in shapes, with and without accumulation,
-// on the selected kernels and, where those are not already portable, on
-// the portable ones.
-func checkPackedMatchesUnpacked(t *testing.T, seed int64, shapes [][3]int) {
+// checkPackedMatchesSpans runs gemmPacked on a dense operand against one
+// axpy span over every row and column (gemmAxpyPackedSpan) for each
+// {m, n, k} in shapes, with and without accumulation, on the selected
+// kernels and, where those are not already portable, on the portable ones:
+// there gemmPacked is the spans alone, cut into ncMicro-column blocks.
+func checkPackedMatchesSpans(t *testing.T, seed int64, shapes [][3]int) {
 	t.Helper()
 	run := func(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
@@ -108,10 +107,10 @@ func checkPackedMatchesUnpacked(t *testing.T, seed int64, shapes [][3]int) {
 					fillRand(rng, want)
 					copy(got, want)
 				}
-				vecGemmAxpy(want, a, b, m, n, k, k, 1, acc)
+				gemmAxpyPackedSpan(want, pd, b, m, n, p.offs, k, acc, 0, (m+packMR-1)/packMR, 0, n)
 				gemmPacked(got, pd, p, m, k, acc)
 				if !bitwiseEqual(got, want) {
-					t.Fatalf("m=%d n=%d k=%d acc=%v: the packed GEMM differs from the unpacked kernel (must be bitwise)", m, n, k, acc)
+					t.Fatalf("m=%d n=%d k=%d acc=%v: the packed GEMM differs from its axpy spans (must be bitwise)", m, n, k, acc)
 				}
 			}
 			ws.Put(p.leased)
@@ -294,8 +293,9 @@ func BenchmarkPackedGemm(b *testing.B) {
 
 // TestConvBackwardInputTiledBitwise pins the conv backward's tiled input
 // gradient to the whole-matrix form bitwise: all of dcols = W^T x gy
-// through the unpacked axpy GEMM, then one col2im scatter — on the selected
-// kernels, over channel counts that leave a ragged final tile.
+// through MatMulATBInto, the packed GEMM over every row at once, then one
+// col2im scatter — on the selected kernels, over channel counts that leave
+// a ragged final tile.
 func TestConvBackwardInputTiledBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(6037))
 	for _, sh := range []struct{ c, h, w, oc int }{{1, 7, 9, 2}, {3, 13, 11, 5}, {6, 12, 16, 9}, {16, 8, 24, 16}} {
@@ -311,10 +311,10 @@ func TestConvBackwardInputTiledBitwise(t *testing.T) {
 			fillRand(rng, w.Data)
 			fillRand(rng, gy.Data)
 			ckk, hw := sh.c*spec.KH*spec.KW, oh*ow
-			dcols := make([]float32, ckk*hw)
-			vecGemmAxpy(dcols, w.Data, gy.Data, ckk, hw, sh.oc, 1, ckk, false)
+			dcols := New(ckk, hw)
+			MatMulATBInto(dcols, w.Reshape(sh.oc, ckk), gy.Reshape(sh.oc, hw), false)
 			want := New(sh.c, sh.h, sh.w)
-			vecCol2imT(want, dcols, 0, sh.c, spec, oh, ow)
+			vecCol2imT(want, dcols.Data, 0, sh.c, spec, oh, ow)
 			got, _, _ := vecBackend{}.Conv2DBackwardWS(NewWorkspace(), x, w, gy, spec, true)
 			if !bitwiseEqual(got.Data, want.Data) {
 				t.Fatalf("c=%d h=%d w=%d oc=%d spec=%+v: tiled dx differs from the whole-matrix form",

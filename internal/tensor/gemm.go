@@ -1,10 +1,10 @@
 package tensor
 
-// Blocked GEMM kernels. All three matmul variants (NN: a×b, TN: aᵀ×b,
-// NT: a×bᵀ) are lowered onto two shared micro-kernels — saxpy rows for the
-// NN/TN forms and sdot rows for the NT form — with cache blocking along the
-// reduction (k) dimension for the axpy forms and along the b-row (j)
-// dimension for the dot form.
+// The scalar oracle's GEMM, gemmAxpy: saxpy rows with cache blocking along
+// the reduction (k) dimension, for the NN (a×b) and TN (aᵀ×b) forms that
+// Reference's convolution backward runs (backend_ref.go). The tests hold
+// vec's dense products (ops.go) to it and to its NT counterpart gemmDot
+// (gemm_test.go).
 //
 // Bit-consistency invariant: for every output element, partial products are
 // accumulated in ascending-p order into a single float32 accumulator, with
@@ -18,7 +18,7 @@ const (
 	// are streamed repeatedly while they are hot in cache instead of
 	// re-reading all k rows per output row.
 	gemmKC = 256
-	// gemmJB bounds the b-row tile of the NT (dot) kernel: jb rows of b
+	// gemmJB bounds the b-row tile of the NT (dot) kernels: jb rows of b
 	// (jb*k floats) are reused across every output row.
 	gemmJB = 64
 )
@@ -70,24 +70,6 @@ func gemmAxpy(cd, ad, bd []float32, m, n, k, ars, acs int, accumulate bool) {
 					continue
 				}
 				saxpy(crow, av, bd[p*n:(p+1)*n])
-			}
-		}
-	}
-}
-
-// gemmDot computes dst[m,n] = a×bᵀ for a [m,k], b [n,k], tiling the rows of
-// b so each jb-row panel stays cache-resident across every output row.
-func gemmDot(cd, ad, bd []float32, m, n, k int) {
-	for jb := 0; jb < n; jb += gemmJB {
-		je := jb + gemmJB
-		if je > n {
-			je = n
-		}
-		for i := 0; i < m; i++ {
-			arow := ad[i*k : (i+1)*k]
-			crow := cd[i*n : (i+1)*n]
-			for j := jb; j < je; j++ {
-				crow[j] = sdot(arow, bd[j*k:(j+1)*k])
 			}
 		}
 	}

@@ -6,6 +6,25 @@ import (
 	"testing/quick"
 )
 
+// gemmDot is the scalar oracle's NT form: dst[m,n] = a×bᵀ for a [m,k],
+// b [n,k], tiling the rows of b so each jb-row panel stays cache-resident
+// across every output row. MatMulABTInto is held to it (backend_test.go).
+func gemmDot(cd, ad, bd []float32, m, n, k int) {
+	for jb := 0; jb < n; jb += gemmJB {
+		je := jb + gemmJB
+		if je > n {
+			je = n
+		}
+		for i := 0; i < m; i++ {
+			arow := ad[i*k : (i+1)*k]
+			crow := cd[i*n : (i+1)*n]
+			for j := jb; j < je; j++ {
+				crow[j] = sdot(arow, bd[j*k:(j+1)*k])
+			}
+		}
+	}
+}
+
 // Naive reference kernels: plain triple loops with the same per-element
 // conventions as the blocked kernels (ascending-p accumulation into a single
 // float32 accumulator, zero-skip on the a operand for the axpy forms). The
@@ -85,12 +104,13 @@ func equalBits(t *testing.T, name string, got, want *Tensor) {
 	}
 }
 
-// TestBlockedGEMMMatchesNaive checks bit-consistency of all three blocked
-// variants against the naive references on randomized shapes, including
-// shapes larger than the blocking factors so multiple k-panels and j-tiles
-// are exercised. Bit-consistency is a contract of the Reference kernels
-// specifically (vec is held to the ulp-scaled parity bound in
-// backend_test.go instead), so this test and the next run on Reference.
+// TestBlockedGEMMMatchesNaive checks bit-consistency of the scalar oracle's
+// three blocked forms (gemmAxpy's NN and TN, gemmDot) against the naive
+// references on randomized shapes, including shapes larger than the
+// blocking factors so multiple k-panels and j-tiles are exercised.
+// Bit-consistency is a contract of the oracle's kernels specifically (the
+// package's dense products are held to the ulp-scaled parity bound in
+// backend_test.go instead), so this test and the next run on them.
 func TestBlockedGEMMMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	shapes := [][3]int{
@@ -109,10 +129,10 @@ func TestBlockedGEMMMatchesNaive(t *testing.T) {
 		b := randSparseTensor(rng, k, n)
 		at := randSparseTensor(rng, k, m)
 		bt := randSparseTensor(rng, n, k)
-		ab, atb, abt := New(m, n), New(at.Dim(1), b.Dim(1)), New(a.Dim(0), bt.Dim(0))
-		MatMulIntoOn(Reference, ab, a, b, false)
-		MatMulATBIntoOn(Reference, atb, at, b, false)
-		MatMulABTIntoOn(Reference, abt, a, bt)
+		ab, atb, abt := New(m, n), New(m, n), New(m, n)
+		gemmAxpy(ab.Data, a.Data, b.Data, m, n, k, k, 1, false)
+		gemmAxpy(atb.Data, at.Data, b.Data, m, n, k, 1, m, false)
+		gemmDot(abt.Data, a.Data, bt.Data, m, n, k)
 		equalBits(t, "MatMul", ab, naiveMatMul(a, b))
 		equalBits(t, "MatMulATB", atb, naiveMatMulATB(at, b))
 		equalBits(t, "MatMulABT", abt, naiveMatMulABT(a, bt))
@@ -129,7 +149,7 @@ func TestBlockedGEMMAccumulate(t *testing.T) {
 		base := randTensor(rng, m, n)
 
 		acc := base.Clone()
-		MatMulIntoOn(Reference, acc, a, b, true)
+		gemmAxpy(acc.Data, a.Data, b.Data, m, n, k, k, 1, true)
 
 		// Naive accumulation into the same starting values, same per-element
 		// ascending-p order.
@@ -159,7 +179,7 @@ func TestBlockedGEMMAccumulate(t *testing.T) {
 
 // Regression: an empty reduction (k == 0) must still clear a reused
 // destination in non-accumulate mode — the clear lives in the k-panel loop,
-// which never runs when k is zero.
+// which never runs when k is zero — and must not read b's (empty) rows.
 func TestBlockedGEMMZeroInnerDim(t *testing.T) {
 	a := New(2, 0)
 	b := New(0, 3)
@@ -176,6 +196,13 @@ func TestBlockedGEMMZeroInnerDim(t *testing.T) {
 	for i, v := range dst2.Data {
 		if v != 0 {
 			t.Fatalf("ATB dst[%d] = %v after k=0 matmul, want 0", i, v)
+		}
+	}
+	dst3 := Full(7, 2, 3)
+	MatMulABTInto(dst3, a, New(3, 0))
+	for i, v := range dst3.Data {
+		if v != 0 {
+			t.Fatalf("ABT dst[%d] = %v after k=0 matmul, want 0", i, v)
 		}
 	}
 	// Accumulate mode must leave the destination untouched.

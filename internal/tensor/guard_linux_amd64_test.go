@@ -106,17 +106,6 @@ func TestKernelsStayInsideOperands(t *testing.T) {
 		}
 	}
 
-	for _, k := range []int{1, 7, 8, 9, 20} {
-		for _, ldc := range []int{4, 6} {
-			label := fmt.Sprintf("dot3x4AVX k=%d ldc=%d", k, ldc)
-			c, a, b := randSlice(rng, 2*ldc+4), randSlice(rng, 3*k), randSlice(rng, 4*k)
-			gc, ga, gb := guarded(t, c), guarded(t, a), guarded(t, b)
-			noFault(t, label, func() { dot3x4AVX(gc, ldc, ga, gb, k) })
-			dot3x4AVX(c, ldc, a, b, k)
-			same(label, gc, c)
-		}
-	}
-
 	for _, n := range []int{1, 7, 8, 9, 23} {
 		label := fmt.Sprintf("axpy4AVX n=%d", n)
 		d, x0, x1, x2, x3 := randSlice(rng, n), randSlice(rng, n), randSlice(rng, n), randSlice(rng, n), randSlice(rng, n)

@@ -30,11 +30,12 @@ import "unsafe"
 // The GEMMs walk k in the same order on every layout, and a tile or an axpy
 // span never crosses a segment, so every element is the same FMA chain (or
 // the same Go expression) as on the lowered matrix, bit for bit. The
-// backward's weight gradient (vecGemmDotInd) carries dot3x4's twelve
+// backward's weight gradient (vecGemmDotInd) carries dot3x4Indf's twelve
 // accumulators across segments, which keeps each lane's chain only when a
 // segment is a multiple of 8 floats long — which is why the planes are only
 // laid out at such widths, and why a one-segment row of any other length
-// takes dot4f and dot1f instead.
+// takes dot4f and dot1f instead. The dense matrix products (ops.go) read
+// their B through newDenseOperand on the same two kernels.
 
 // bOperand is the packed GEMM's B: the floats that hold it and the
 // row-offset table into them. B's row p is h segments of w floats, wp
@@ -151,17 +152,18 @@ func (p bOperand) row(j, oy int) []float32 {
 	return p.pl[o : o+p.w]
 }
 
-// vecGemmDotInd is vecGemmDot for a convolution's weight gradient:
-// cd [m, n] = ad [m, h*w] x B^T with B's n rows read through p, the bits
-// vecGemmDot gives on the lowered B. Each twelve-product group runs
-// dot3x4Indf, whose accumulators cross segments without a break; a
-// leftover a row runs it with all three rows on that one row (dot3x4 is
-// dot4 row by row, what vecGemmDot's leftover rows compute), and the n%4
-// leftover B rows, which vecGemmDot takes through dot1f, are copied out to
-// tail ((n%4) * h*w floats) and taken the same way. B rows whose one segment
-// is not a multiple of 8 long (dot3x4IndAVX takes no tail and dot4Ind drops
-// an odd element; newConvPlanes lays out segments only at such widths) run
-// dot4f and dot1f in place instead, as vecGemmDot does.
+// vecGemmDotInd is the NT GEMM, a convolution's weight gradient and
+// MatMulABTInto: cd [m, n] = ad [m, h*w] x B^T with B's n rows read through
+// p. Every element is what dot4f (four B rows at a time) or dot1f (the n%4
+// leftover rows) gives for its a row against its B row, as one whole row:
+// on a dense operand, these are the bits of row-wise dot products. Each
+// twelve-product group runs dot3x4Indf, whose accumulators cross segments
+// without a break and whose rows are dot4f's; a leftover a row runs it with
+// all three rows on that one row, and the n%4 leftover B rows are copied
+// out to tail ((n%4) * h*w floats) and taken through dot1f. B rows whose one
+// segment is not a multiple of 8 long (dot3x4IndAVX takes no tail and
+// dot4Ind drops an odd element; newConvPlanes lays out segments only at
+// such widths) run dot4f and dot1f in place instead.
 func vecGemmDotInd(cd, ad []float32, p bOperand, m, n int, tail []float32) {
 	p.checkReads()
 	h, w := p.h, p.w
@@ -214,7 +216,7 @@ func vecGemmDotInd(cd, ad []float32, p bOperand, m, n int, tail []float32) {
 // product of a's row r (at r*lda, h*w long) against B's row offs[j] read
 // through the padded planes b (r < 3, j < 4), each through dot4Ind. w must
 // be even, which keeps dot4's even/odd accumulator pairs on the lowered
-// row's pairs, so the result is dot3x4's on the lowered rows bit for bit.
+// row's pairs, so the result is dot4's on the lowered rows bit for bit.
 func dot3x4Ind(c []float32, ldc int, a []float32, lda int, b []float32, offs []int32, h, w, wp int) {
 	for r := 0; r < 3; r++ {
 		o := r * ldc

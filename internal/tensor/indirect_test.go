@@ -9,10 +9,10 @@ import (
 // withPortableKernels runs f with the vec backend on its portable Go
 // kernels, as a non-amd64 build or SHADOWTUTOR_NOAVX would select them.
 func withPortableKernels(f func()) {
-	d4, d1, d34, d34i, a4, s1, tile := dot4f, dot1f, dot3x4f, dot3x4Indf, axpy4f, saxpyf, packTileInd24f
-	dot4f, dot1f, dot3x4f, dot3x4Indf, axpy4f, saxpyf, packTileInd24f = dot4, sdot, dot3x4, dot3x4Ind, axpy4, saxpy, nil
+	d4, d1, d34i, a4, s1, tile := dot4f, dot1f, dot3x4Indf, axpy4f, saxpyf, packTileInd24f
+	dot4f, dot1f, dot3x4Indf, axpy4f, saxpyf, packTileInd24f = dot4, sdot, dot3x4Ind, axpy4, saxpy, nil
 	defer func() {
-		dot4f, dot1f, dot3x4f, dot3x4Indf, axpy4f, saxpyf, packTileInd24f = d4, d1, d34, d34i, a4, s1, tile
+		dot4f, dot1f, dot3x4Indf, axpy4f, saxpyf, packTileInd24f = d4, d1, d34i, a4, s1, tile
 	}()
 	f()
 }
@@ -32,7 +32,7 @@ func lowerCHW(dd, xd []float32, c, h, w int, s ConvSpec, oh, ow int) {
 // checkIndirectMatchesLowered checks that Conv2DWS and Conv2DBackwardWS,
 // which read B through newConvPlanes' row-offset table, give the bits of
 // the same kernels on the lowered B: the packed GEMM over the dense
-// lowering (newDenseOperand) for the forward, vecGemmDot against it for
+// lowering (newDenseOperand) for the forward, MatMulABTInto against it for
 // dW, and rowSums for db.
 func checkIndirectMatchesLowered(t *testing.T, rng *rand.Rand, c, h, w, oc int, spec ConvSpec) {
 	t.Helper()
@@ -62,11 +62,11 @@ func checkIndirectMatchesLowered(t *testing.T, rng *rand.Rand, c, h, w, oc int, 
 			t.Fatalf("%s bias=%v: Conv2DWS differs from the lowered forward", label, b != nil)
 		}
 	}
-	wantW, wantB := make([]float32, oc*ckk), make([]float32, oc)
-	vecGemmDot(wantW, gy.Data, cols, oc, ckk, hw)
+	wantW, wantB := New(oc, ckk), make([]float32, oc)
+	MatMulABTInto(wantW, gy.Reshape(oc, hw), FromSlice(cols, ckk, hw))
 	rowSums(wantB, gy.Data, hw)
 	_, gotW, gotB := Conv2DBackwardWS(ws, x, wt, gy, spec, false)
-	if !sameBits32(gotW.Data, wantW) || !sameBits32(gotB.Data, wantB) {
+	if !sameBits32(gotW.Data, wantW.Data) || !sameBits32(gotB.Data, wantB) {
 		t.Fatalf("%s: Conv2DBackwardWS dW/db differ from the lowered ones", label)
 	}
 	ws.Reset()

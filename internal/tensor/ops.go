@@ -87,7 +87,7 @@ func ReLUGradInto(dst, x, grad *Tensor) {
 }
 
 // MatMul multiplies a [m,k] by b [k,n] into a new [m,n] tensor via the
-// blocked kernel.
+// packed GEMM.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires rank-2 tensors, got %v × %v", a.shape, b.shape))
@@ -98,56 +98,65 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %v × %v", a.shape, b.shape))
 	}
 	out := New(m, n)
-	vecBackend{}.MatMulInto(out.Data, a.Data, b.Data, m, n, k, true)
+	packedMatMul(out.Data, a.Data, b.Data, m, n, k, k, 1, false)
 	return out
 }
 
-// MatMulInto computes dst = a×b, or dst += a×b when accumulate is true,
-// on vec.
-func MatMulInto(dst, a, b *Tensor, accumulate bool) {
-	MatMulIntoOn(vecBackend{}, dst, a, b, accumulate)
-}
+// The three dense products run on the convolutions' kernels: a is packed
+// into panels (packWeightsInto) and b is read through a dense row table
+// (newDenseOperand), so the NN and TN forms are the forward's gemmPacked
+// and the NT form is the weight gradient's vecGemmDotInd. Their scratch is
+// a workspace lease over SharedPool, returned before they return.
 
-// MatMulIntoOn is MatMulInto on an explicit backend. Shape validation
-// happens here, so backends can assume consistent dimensions.
-func MatMulIntoOn(bk Backend, dst, a, b *Tensor, accumulate bool) {
+// MatMulInto computes dst = a×b for a [m,k], b [k,n] → [m,n], or dst +=
+// a×b when accumulate is true.
+func MatMulInto(dst, a, b *Tensor, accumulate bool) {
 	m, k := a.shape[0], a.shape[1]
 	n := b.shape[1]
 	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch dst %v = %v × %v", dst.shape, a.shape, b.shape))
 	}
-	bk.MatMulInto(dst.Data, a.Data, b.Data, m, n, k, accumulate)
+	packedMatMul(dst.Data, a.Data, b.Data, m, n, k, k, 1, accumulate)
 }
 
 // MatMulATBInto computes dst = aᵀ×b for a [k,m], b [k,n] → [m,n], or
-// dst += aᵀ×b when accumulate is true, on vec.
+// dst += aᵀ×b when accumulate is true.
 func MatMulATBInto(dst, a, b *Tensor, accumulate bool) {
-	MatMulATBIntoOn(vecBackend{}, dst, a, b, accumulate)
-}
-
-// MatMulATBIntoOn is MatMulATBInto on an explicit backend.
-func MatMulATBIntoOn(bk Backend, dst, a, b *Tensor, accumulate bool) {
 	k, m := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulATBInto shape mismatch dst %v = %vᵀ × %v", dst.shape, a.shape, b.shape))
 	}
-	bk.MatMulATBInto(dst.Data, a.Data, b.Data, m, n, k, accumulate)
+	packedMatMul(dst.Data, a.Data, b.Data, m, n, k, 1, m, accumulate)
 }
 
-// MatMulABTInto computes dst = a×bᵀ for a [m,k], b [n,k] → [m,n] on vec.
+// packedMatMul is cd [m,n] (+)= A×b, A's element (i, p) at ad[i*rs+p*cs],
+// on gemmPacked.
+func packedMatMul(cd, ad, bd []float32, m, n, k, rs, cs int, accumulate bool) {
+	ws := NewWorkspace()
+	panels := ws.GetDirty(packedSize(m, k))
+	packWeightsInto(panels.Data, ad, m, k, rs, cs)
+	p := newDenseOperand(ws, bd, k, n)
+	gemmPacked(cd, panels.Data, p, m, k, accumulate)
+	ws.Reset()
+}
+
+// MatMulABTInto computes dst = a×bᵀ for a [m,k], b [n,k] → [m,n].
 func MatMulABTInto(dst, a, b *Tensor) {
-	MatMulABTIntoOn(vecBackend{}, dst, a, b)
-}
-
-// MatMulABTIntoOn is MatMulABTInto on an explicit backend.
-func MatMulABTIntoOn(bk Backend, dst, a, b *Tensor) {
 	m, k := a.shape[0], a.shape[1]
 	n, k2 := b.shape[0], b.shape[1]
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulABTInto shape mismatch dst %v = %v × %vᵀ", dst.shape, a.shape, b.shape))
 	}
-	bk.MatMulABTInto(dst.Data, a.Data, b.Data, m, n, k)
+	if k == 0 {
+		clear(dst.Data) // an empty reduction; b has no floats to read
+		return
+	}
+	ws := NewWorkspace()
+	p := newDenseOperand(ws, b.Data, n, k)
+	tail := ws.GetDirty(n % 4 * k)
+	vecGemmDotInd(dst.Data, a.Data, p, m, n, tail.Data)
+	ws.Reset()
 }
 
 func checkSame(op string, a, b *Tensor) {

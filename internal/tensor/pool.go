@@ -123,9 +123,9 @@ type Workspace struct {
 	backend Backend // nil means vec
 }
 
-// SetBackend pins the compute backend used by kernels dispatched through
-// this workspace (Conv2DWS and the autodiff tape's matmuls): the seam the
-// tests run the Reference oracle through. nil reverts to vec. It returns w
+// SetBackend pins the compute backend used by the convolutions dispatched
+// through this workspace (Conv2DWS, Conv2DBackwardWS): the seam the tests
+// run the Reference oracle through. nil reverts to vec. It returns w
 // so construction can chain.
 func (w *Workspace) SetBackend(b Backend) *Workspace {
 	if w != nil {
